@@ -1,7 +1,7 @@
 // Benchmark harness regenerating the paper's evaluation artifacts.
 //
-// One benchmark (family) exists per table/figure plus the DESIGN.md §5
-// ablations:
+// One benchmark (family) exists per table/figure plus the A1-A4 ablations
+// (README, "Paper evaluation: Table 1, ablations, cost model"):
 //
 //	BenchmarkTable1Throughput/{KVM-QEMU,Docker,NativeNF}  Table 1, column 1
 //	BenchmarkTable1ThroughputDecap/{...}                  Table 1, decap path
@@ -209,15 +209,16 @@ func BenchmarkPipelineParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineBurst measures the batch-aware datapath end to end:
-// {workers}x{batch} sends b.N frames over 64 microflows into a worker-pool
-// switch, as single frames (batch 1 — the per-frame steering path) or as
-// SendBatch bursts (batched steering: one ring operation and at most one
-// wakeup per worker per burst, burst drain, TX coalescing). The ns/op delta
-// between 1x1 and 1x32 (and 4x1/4x32) is the amortization the batch path
+// BenchmarkPipelineBurst measures burst execution end to end, wherever the
+// lane runs: {workers}x{batch} sends b.N frames over 64 microflows into a
+// switch whose lane runs inline (workers 0) or behind 1 or 4 worker rings,
+// as single frames (batch 1 — a burst of one) or as SendBatch bursts (one
+// cache-generation load, one stats flush and one SendBatch per egress port
+// per burst; behind rings also one ring operation and at most one wakeup per
+// worker). The ns/op delta between Nx1 and Nx32 is the amortization a burst
 // buys; the zero-alloc ceiling is gated in CI.
 func BenchmarkPipelineBurst(b *testing.B) {
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{0, 1, 4} {
 		for _, batch := range []int{1, 8, 32} {
 			workers, batch := workers, batch
 			b.Run(fmt.Sprintf("%dx%d", workers, batch), func(b *testing.B) {
@@ -362,34 +363,6 @@ func BenchmarkPipelineFlows(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkPipelineBatch contrasts frame-at-a-time injection with the netdev
-// burst path feeding the same pipeline.
-func BenchmarkPipelineBatch(b *testing.B) {
-	for _, batch := range []int{1, 32, 256} {
-		batch := batch
-		b.Run(fmt.Sprintf("batch-%d", batch), func(b *testing.B) {
-			sw, in, _ := pipelineRig(b)
-			if err := sw.AddFlow(&vswitch.FlowEntry{
-				Match: vswitch.MatchAll().WithInPort(1), Actions: []vswitch.Action{vswitch.Output(2)},
-			}); err != nil {
-				b.Fatal(err)
-			}
-			data := benchFrame(b, 5001)
-			burst := make([]netdev.Frame, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n += batch {
-				for i := range burst {
-					burst[i] = netdev.Frame{Data: data}
-				}
-				if _, err := in.SendBatch(burst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -1,6 +1,7 @@
 // Command nfbench regenerates the paper's evaluation from the command line:
 // Table 1 (IPsec throughput / RAM / image size across KVM, Docker and
-// native execution) and the ablation experiments of DESIGN.md §5.
+// native execution) and the ablation experiments A1-A4 (README, "Paper
+// evaluation: Table 1, ablations, cost model").
 //
 // Usage:
 //

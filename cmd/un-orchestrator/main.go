@@ -29,7 +29,7 @@ func main() {
 		ramMB        = flag.Int("ram-mb", 8192, "RAM capacity in MiB")
 		capabilities = flag.String("capabilities", "", "comma-separated capability set (empty = all)")
 		policy       = flag.String("policy", "first-fit", "placement policy: first-fit, bin-pack or cost")
-		workers      = flag.Int("workers", 0, "datapath workers per LSI (0 = synchronous run-to-completion)")
+		workers      = flag.Int("workers", 0, "datapath workers per LSI (0 = the lane runs inline in the sender)")
 	)
 	flag.Parse()
 

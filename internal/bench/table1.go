@@ -1,6 +1,7 @@
 // Package bench builds the paper's evaluation artifacts from the live
 // system: Table 1 (IPsec throughput / RAM / image size per execution
-// flavor) and the ablation experiments listed in DESIGN.md §5. It is shared
+// flavor) and the ablation experiments A1-A4 (README, "Paper evaluation:
+// Table 1, ablations, cost model"). It is shared
 // by the root benchmark suite (bench_test.go) and the nfbench command.
 package bench
 

@@ -5,12 +5,13 @@
 //
 // The paper's Table 1 measures the same strongSwan IPsec endpoint in three
 // flavors on real hardware. This package substitutes that testbed with a
-// calibrated analytical model (see DESIGN.md §6): the *mechanisms* the paper
-// names (the additional virtualization layer; IPsec executing in user space
-// inside the hypervisor process; Docker and native both processing packets
-// in the host kernel) are represented as explicit cost terms, so the
-// reproduction shows the paper's ordering because the mechanisms are
-// modeled, not because the numbers are hard-coded.
+// calibrated analytical model (see README, "Paper evaluation: Table 1,
+// ablations, cost model"): the *mechanisms* the paper names (the additional
+// virtualization layer; IPsec executing in user space inside the hypervisor
+// process; Docker and native both processing packets in the host kernel)
+// are represented as explicit cost terms, so the reproduction shows the
+// paper's ordering because the mechanisms are modeled, not because the
+// numbers are hard-coded.
 package execenv
 
 import "time"
@@ -41,8 +42,9 @@ const MB = 1 << 20
 // CostModel holds the calibrated cost constants. All packet-path terms are
 // nanoseconds of simulated time.
 //
-// Calibration (DESIGN.md §6): Table 1 reports 1095/1094 Mbps for the
-// kernel-path flavors and 796 Mbps for the VM at 1500-byte frames, i.e.
+// Calibration (README, "Paper evaluation: Table 1, ablations, cost model"):
+// Table 1 reports 1095/1094 Mbps for the kernel-path flavors and 796 Mbps
+// for the VM at 1500-byte frames, i.e.
 // 10.97 µs/pkt kernel path and 15.08 µs/pkt VM path (goodput over the
 // 1500-byte inner frame). ESP crypto covers the inner IP packet (1486 B of
 // an MTU frame); at 6 ns/B that is 8.92 µs, leaving 2.05 µs of host kernel

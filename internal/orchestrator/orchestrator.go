@@ -57,10 +57,10 @@ type Config struct {
 	// DrainTimeout bounds how long a flavor hot-swap waits for the
 	// outgoing instance to quiesce (default DefaultDrainTimeout).
 	DrainTimeout time.Duration
-	// DatapathWorkers selects the datapath mode of every LSI the node
-	// creates: 0 (the default) processes frames synchronously in the
-	// sender's goroutine; N > 0 runs N RSS-steered datapath workers per
-	// switch (see vswitch.Options.Workers).
+	// DatapathWorkers selects where every LSI the node creates runs its
+	// datapath lane: 0 (the default) inline in the sender's goroutine;
+	// N > 0 as N RSS-steered workers behind rings (see
+	// vswitch.Options.Workers).
 	DatapathWorkers int
 }
 
@@ -70,6 +70,9 @@ type lsiConn struct {
 	agent *openflow.Agent
 	ctrl  *openflow.Controller
 	done  chan struct{}
+	// portGen numbers the switch's ports (guarded by Orchestrator.mu). It
+	// lives here so that it goes away with the LSI.
+	portGen uint32
 }
 
 // newLSIConn builds a switch with a live OpenFlow channel over an
@@ -206,7 +209,6 @@ type Orchestrator struct {
 	// grants by instance name, and a promoted standby keeps its grant
 	// under the old name, so the replacement needs a fresh one.
 	standbyGen uint64
-	portGen    map[*vswitch.Switch]uint32
 	// rates holds the last per-graph LSI rx probe, backing the observed
 	// packet rate the cost-driven policy consumes.
 	rates map[string]*rateProbe
@@ -256,7 +258,6 @@ func New(cfg Config) (*Orchestrator, error) {
 		ifPorts:        make(map[string]uint32),
 		gLocks:         make(map[string]*graphLock),
 		graphs:         make(map[string]*DeployedGraph),
-		portGen:        make(map[*vswitch.Switch]uint32),
 		rates:          make(map[string]*rateProbe),
 		vlanEPs:        make(map[string]string),
 		internalGroups: make(map[string][]groupMember),
@@ -273,7 +274,7 @@ func New(cfg Config) (*Orchestrator, error) {
 			return nil, fmt.Errorf("orchestrator: duplicate interface %q", ifName)
 		}
 		ext, sw := netdev.Veth(ifName+"/ext", ifName)
-		num := o.nextPort(lsi0.sw)
+		num := lsi0.nextPort()
 		if err := lsi0.sw.AddPort(num, sw); err != nil {
 			lsi0.close()
 			return nil, err
@@ -375,9 +376,9 @@ func (o *Orchestrator) nextCookie() uint64 {
 	return o.cookieGn
 }
 
-func (o *Orchestrator) nextPort(sw *vswitch.Switch) uint32 {
-	o.portGen[sw]++
-	return o.portGen[sw]
+func (l *lsiConn) nextPort() uint32 {
+	l.portGen++
+	return l.portGen
 }
 
 // Deploy validates, schedules and instantiates a graph, then programs
@@ -518,7 +519,7 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 			if err := netdev.Connect(inst.Runtime.Port(0), lsiSide); err != nil {
 				return err
 			}
-			lsi0Port = o.nextPort(o.lsi0.sw)
+			lsi0Port = o.lsi0.nextPort()
 			if err := o.lsi0.sw.AddPort(lsi0Port, lsiSide); err != nil {
 				return err
 			}
@@ -530,11 +531,11 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 			fmt.Sprintf("%s.%s/vl-nnf", d.Graph.ID, inst.Name),
 			fmt.Sprintf("lsi0/vl-nnf-%s", inst.Name),
 		)
-		gPort := o.nextPort(d.lsi.sw)
+		gPort := d.lsi.nextPort()
 		if err := d.lsi.sw.AddPort(gPort, gSide); err != nil {
 			return err
 		}
-		zPort := o.nextPort(o.lsi0.sw)
+		zPort := o.lsi0.nextPort()
 		if err := o.lsi0.sw.AddPort(zPort, zSide); err != nil {
 			return err
 		}
@@ -572,7 +573,7 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 		if err := netdev.Connect(inst.Runtime.Port(i), lsiSide); err != nil {
 			return err
 		}
-		num := o.nextPort(d.lsi.sw)
+		num := d.lsi.nextPort()
 		if err := d.lsi.sw.AddPort(num, lsiSide); err != nil {
 			return err
 		}
@@ -591,11 +592,11 @@ func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *ep
 		fmt.Sprintf("%s.%s/vl", d.Graph.ID, ep.ID),
 		fmt.Sprintf("lsi0/vl-%s-%s", d.Graph.ID, ep.ID),
 	)
-	gPort := o.nextPort(d.lsi.sw)
+	gPort := d.lsi.nextPort()
 	if err := d.lsi.sw.AddPort(gPort, gSide); err != nil {
 		return nil, err
 	}
-	zPort := o.nextPort(o.lsi0.sw)
+	zPort := o.lsi0.nextPort()
 	if err := o.lsi0.sw.AddPort(zPort, zSide); err != nil {
 		netdev.Disconnect(gSide)
 		_ = d.lsi.sw.RemovePort(gPort)

@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/nffg"
@@ -252,5 +253,39 @@ func TestManyGraphsStress(t *testing.T) {
 		if got := len(o.LSI0().Ports()); got != basePorts {
 			t.Fatalf("round %d: LSI-0 ports leaked: %d -> %d", round, basePorts, got)
 		}
+	}
+}
+
+// TestUndeployReleasesLSI checks that an undeployed graph's LSI — whose
+// microflow cache alone is 64 KB — does not stay reachable from the
+// orchestrator: the heap must not grow by a switch per lifecycle.
+func TestUndeployReleasesLSI(t *testing.T) {
+	o := newNode(t)
+	cycle := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := o.Deploy(ipsecGraph("g", nffg.TechNative)); err != nil {
+				t.Fatal(err)
+			}
+			if err := o.Undeploy("g"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // sync.Pool victims go on the second cycle
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	cycle(10) // warm: journal ring, metric series, pools
+	before := heap()
+	const n = 100
+	cycle(n)
+	after := heap()
+	t.Logf("per lifecycle: %d B", (int64(after)-int64(before))/n)
+	if after > before && (after-before)/n > 8<<10 {
+		t.Errorf("heap grew %d B per deploy/undeploy lifecycle (%d -> %d over %d): an undeployed LSI is retained",
+			(after-before)/n, before, after, n)
 	}
 }

@@ -156,7 +156,7 @@ func TestAntiAffinityRejectedOverV1(t *testing.T) {
 	gsrv := httptest.NewServer(rest.NewGlobal(gOrch, nil))
 	t.Cleanup(gsrv.Close)
 
-	resp := doPost(t, gsrv.URL+"/nodes", fmt.Sprintf(`{"name": "n1", "url": %q}`, srv1.URL))
+	resp := doPost(t, gsrv.URL+"/v1/nodes", fmt.Sprintf(`{"name": "n1", "url": %q}`, srv1.URL))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("node registration status = %d", resp.StatusCode)
 	}
@@ -195,14 +195,14 @@ func TestRemoveLinkOverREST(t *testing.T) {
 	t.Cleanup(gsrv.Close)
 
 	for name, u := range map[string]string{"n1": srv1.URL, "n2": srv2.URL} {
-		resp := doPost(t, gsrv.URL+"/nodes", fmt.Sprintf(`{"name": %q, "url": %q}`, name, u))
+		resp := doPost(t, gsrv.URL+"/v1/nodes", fmt.Sprintf(`{"name": %q, "url": %q}`, name, u))
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("registering %s: status = %d", name, resp.StatusCode)
 		}
 		resp.Body.Close()
 	}
 	linkBody := `{"a-node": "n1", "a-if": "trunk", "b-node": "n2", "b-if": "trunk"}`
-	resp := doPost(t, gsrv.URL+"/links", linkBody)
+	resp := doPost(t, gsrv.URL+"/v1/links", linkBody)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("link status = %d", resp.StatusCode)
 	}

@@ -31,9 +31,7 @@
 //	                         307-redirect writes to the leader)
 //
 // Errors use the same {"error": {"code", "message", "detail"}} envelope as
-// the node API. The pre-versioning routes (/nodes, /links, /NF-FG/...,
-// /status, /metrics, /events) remain as deprecated aliases answering with a
-// "Deprecation: true" header plus a Link to the successor route.
+// the node API.
 package rest
 
 import (
@@ -84,28 +82,25 @@ func NewGlobal(orch *global.Orchestrator, client *http.Client) *GlobalServer {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
 	s := &GlobalServer{orch: orch, client: client, mux: http.NewServeMux()}
-	route := func(method, v1, legacy string, h http.HandlerFunc) {
-		s.mux.HandleFunc(method+" "+v1, h)
-		if legacy != "" {
-			s.mux.HandleFunc(method+" "+legacy, deprecatedAlias(v1, h))
-		}
+	route := func(method, path string, h http.HandlerFunc) {
+		s.mux.HandleFunc(method+" "+path, h)
 	}
-	route("POST", "/v1/nodes", "/nodes", s.addNode)
-	route("GET", "/v1/nodes", "/nodes", s.listNodes)
-	route("DELETE", "/v1/nodes/{name}", "/nodes/{name}", s.removeNode)
-	route("POST", "/v1/links", "/links", s.addLink)
-	route("GET", "/v1/links", "/links", s.listLinks)
-	route("DELETE", "/v1/links", "", s.removeLink)
-	route("PUT", "/v1/graphs/{id}", "/NF-FG/{id}", s.putGraph)
-	route("GET", "/v1/graphs/{id}", "/NF-FG/{id}", s.getGraph)
-	route("DELETE", "/v1/graphs/{id}", "/NF-FG/{id}", s.deleteGraph)
-	route("GET", "/v1/graphs", "/NF-FG", s.listGraphs)
-	route("POST", "/v1/graphs/{id}/nfs/{nf}/reflavor", "/NF-FG/{id}/nf/{nf}/reflavor", s.reflavor)
-	route("POST", "/v1/graphs/{id}/nfs/{nf}/scale", "", s.scale)
-	route("GET", "/v1/graphs/{id}/placement", "/NF-FG/{id}/placement", s.placement)
-	route("GET", "/v1/status", "/status", s.status)
-	route("GET", "/v1/metrics", "/metrics", s.metrics)
-	route("GET", "/v1/events", "/events", s.events)
+	route("POST", "/v1/nodes", s.addNode)
+	route("GET", "/v1/nodes", s.listNodes)
+	route("DELETE", "/v1/nodes/{name}", s.removeNode)
+	route("POST", "/v1/links", s.addLink)
+	route("GET", "/v1/links", s.listLinks)
+	route("DELETE", "/v1/links", s.removeLink)
+	route("PUT", "/v1/graphs/{id}", s.putGraph)
+	route("GET", "/v1/graphs/{id}", s.getGraph)
+	route("DELETE", "/v1/graphs/{id}", s.deleteGraph)
+	route("GET", "/v1/graphs", s.listGraphs)
+	route("POST", "/v1/graphs/{id}/nfs/{nf}/reflavor", s.reflavor)
+	route("POST", "/v1/graphs/{id}/nfs/{nf}/scale", s.scale)
+	route("GET", "/v1/graphs/{id}/placement", s.placement)
+	route("GET", "/v1/status", s.status)
+	route("GET", "/v1/metrics", s.metrics)
+	route("GET", "/v1/events", s.events)
 	return s
 }
 
@@ -135,7 +130,7 @@ func (s *GlobalServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// NodeRegistration is the POST /nodes body.
+// NodeRegistration is the POST /v1/nodes body.
 type NodeRegistration struct {
 	Name string `json:"name"`
 	URL  string `json:"url"`
@@ -341,7 +336,7 @@ func (s *GlobalServer) placement(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// GlobalStatusReply is the GET /status body of the global orchestrator.
+// GlobalStatusReply is the GET /v1/status body of the global orchestrator.
 type GlobalStatusReply struct {
 	Nodes  []global.NodeInfo `json:"nodes"`
 	Links  []global.Link     `json:"links"`

@@ -92,13 +92,13 @@ func TestGlobalServerFleetOverREST(t *testing.T) {
 		fmt.Sprintf(`{"name": "n1", "url": %q}`, srv1.URL),
 		fmt.Sprintf(`{"name": "n2", "url": %q}`, srv2.URL),
 	} {
-		resp := doPost(t, gsrv.URL+"/nodes", reg)
+		resp := doPost(t, gsrv.URL+"/v1/nodes", reg)
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("node registration status = %d", resp.StatusCode)
 		}
 		resp.Body.Close()
 	}
-	resp := doPost(t, gsrv.URL+"/links",
+	resp := doPost(t, gsrv.URL+"/v1/links",
 		`{"a-node": "n1", "a-if": "trunk", "b-node": "n2", "b-if": "trunk"}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("link status = %d", resp.StatusCode)
@@ -109,7 +109,7 @@ func TestGlobalServerFleetOverREST(t *testing.T) {
 	var fleet struct {
 		Nodes []global.NodeInfo `json:"nodes"`
 	}
-	nresp, err := http.Get(gsrv.URL + "/nodes")
+	nresp, err := http.Get(gsrv.URL + "/v1/nodes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestGlobalServerFleetOverREST(t *testing.T) {
 	}
 
 	// Deploy a graph whose NFs cannot fit on the endpoint-owning node.
-	resp = doPut(t, gsrv.URL+"/NF-FG/svc", twoNFGraphJSON)
+	resp = doPut(t, gsrv.URL+"/v1/graphs/svc", twoNFGraphJSON)
 	if resp.StatusCode != http.StatusCreated {
 		body := new(bytes.Buffer)
 		_, _ = body.ReadFrom(resp.Body)
@@ -132,7 +132,7 @@ func TestGlobalServerFleetOverREST(t *testing.T) {
 
 	// Placement: both NFs on n2, both user endpoints on their owners.
 	var pl rest.PlacementReply
-	presp, err := http.Get(gsrv.URL + "/NF-FG/svc/placement")
+	presp, err := http.Get(gsrv.URL + "/v1/graphs/svc/placement")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestGlobalServerFleetOverREST(t *testing.T) {
 	}
 
 	// Undeploy removes the pieces from both nodes.
-	dresp := doDelete(t, gsrv.URL+"/NF-FG/svc")
+	dresp := doDelete(t, gsrv.URL+"/v1/graphs/svc")
 	if dresp.StatusCode != http.StatusOK {
 		t.Fatalf("global undeploy status = %d", dresp.StatusCode)
 	}
@@ -202,7 +202,7 @@ func TestGlobalServerRegistrationErrors(t *testing.T) {
 		{"unreachable node", `{"name": "x", "url": "http://127.0.0.1:1/"}`, http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
-		resp := doPost(t, gsrv.URL+"/nodes", c.body)
+		resp := doPost(t, gsrv.URL+"/v1/nodes", c.body)
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: status = %d, want %d", c.name, resp.StatusCode, c.want)
 		}
@@ -212,12 +212,12 @@ func TestGlobalServerRegistrationErrors(t *testing.T) {
 	// Duplicate registration.
 	_, srv := restNode(t, "dup", []string{"eth0"}, 1000)
 	reg := fmt.Sprintf(`{"name": "dup", "url": %q}`, srv.URL)
-	resp := doPost(t, gsrv.URL+"/nodes", reg)
+	resp := doPost(t, gsrv.URL+"/v1/nodes", reg)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("first registration status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp = doPost(t, gsrv.URL+"/nodes", reg)
+	resp = doPost(t, gsrv.URL+"/v1/nodes", reg)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("duplicate registration status = %d", resp.StatusCode)
 	}
@@ -228,7 +228,7 @@ func TestGlobalServerRegistrationErrors(t *testing.T) {
 		`{"a-node": "ghost", "a-if": "x", "b-node": "dup", "b-if": "eth0"}`,
 		`{"a-node": "dup", "a-if": "nope", "b-node": "dup", "b-if": "eth0"}`,
 	} {
-		resp := doPost(t, gsrv.URL+"/links", body)
+		resp := doPost(t, gsrv.URL+"/v1/links", body)
 		if resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Errorf("bad link %s: status = %d", body, resp.StatusCode)
 		}
@@ -236,14 +236,14 @@ func TestGlobalServerRegistrationErrors(t *testing.T) {
 	}
 
 	// Removing an unknown node.
-	dresp := doDelete(t, gsrv.URL+"/nodes/ghost")
+	dresp := doDelete(t, gsrv.URL+"/v1/nodes/ghost")
 	if dresp.StatusCode != http.StatusNotFound {
 		t.Errorf("remove ghost node status = %d", dresp.StatusCode)
 	}
 	dresp.Body.Close()
 
 	// Global graph endpoints on an empty orchestrator.
-	gresp, _ := http.Get(gsrv.URL + "/NF-FG/ghost/placement")
+	gresp, _ := http.Get(gsrv.URL + "/v1/graphs/ghost/placement")
 	if gresp.StatusCode != http.StatusNotFound {
 		t.Errorf("placement of unknown graph status = %d", gresp.StatusCode)
 	}
@@ -263,7 +263,7 @@ func TestConcurrentPutsSameGraph(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			req, err := http.NewRequest(http.MethodPut,
-				srv.URL+"/NF-FG/cpe-vpn", strings.NewReader(ipsecGraphJSON))
+				srv.URL+"/v1/graphs/cpe-vpn", strings.NewReader(ipsecGraphJSON))
 			if err != nil {
 				return
 			}
@@ -294,7 +294,7 @@ func TestConcurrentPutsSameGraph(t *testing.T) {
 	if ids := node.GraphIDs(); len(ids) != 1 || ids[0] != "cpe-vpn" {
 		t.Fatalf("deployed graphs = %v, want [cpe-vpn]", ids)
 	}
-	resp, err := http.Get(srv.URL + "/NF-FG/cpe-vpn")
+	resp, err := http.Get(srv.URL + "/v1/graphs/cpe-vpn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestConcurrentPutsSameGraph(t *testing.T) {
 // listing the node's interfaces.
 func TestStatusReportsInterfaces(t *testing.T) {
 	_, srv := newServer(t)
-	resp, err := http.Get(srv.URL + "/status")
+	resp, err := http.Get(srv.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,10 +55,10 @@ func TestHTTPNodeReflavor(t *testing.T) {
 // the new technology and lifecycle state surface in /status.
 func TestReflavorEndpoint(t *testing.T) {
 	node, srv := newServer(t)
-	if resp := doPut(t, srv.URL+"/NF-FG/cpe-vpn", ipsecGraphJSON); resp.StatusCode != http.StatusCreated {
+	if resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("deploy: HTTP %d", resp.StatusCode)
 	}
-	resp := doPost(t, srv.URL+"/NF-FG/cpe-vpn/nf/vpn/reflavor", `{"technology": "docker"}`)
+	resp := doPost(t, srv.URL+"/v1/graphs/cpe-vpn/nfs/vpn/reflavor", `{"technology": "docker"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reflavor: HTTP %d", resp.StatusCode)
 	}
@@ -75,7 +75,7 @@ func TestReflavorEndpoint(t *testing.T) {
 	}
 
 	// The per-NF technology and lifecycle state surface in /status.
-	sresp, err := http.Get(srv.URL + "/status")
+	sresp, err := http.Get(srv.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,10 @@ func TestReflavorEndpoint(t *testing.T) {
 // no-op reported with the chosen technology.
 func TestReflavorEndpointPolicyChoice(t *testing.T) {
 	_, srv := newServer(t)
-	if resp := doPut(t, srv.URL+"/NF-FG/cpe-vpn", ipsecGraphJSON); resp.StatusCode != http.StatusCreated {
+	if resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("deploy: HTTP %d", resp.StatusCode)
 	}
-	resp := doPost(t, srv.URL+"/NF-FG/cpe-vpn/nf/vpn/reflavor", `{"technology": ""}`)
+	resp := doPost(t, srv.URL+"/v1/graphs/cpe-vpn/nfs/vpn/reflavor", `{"technology": ""}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("policy reflavor: HTTP %d", resp.StatusCode)
 	}
@@ -122,19 +122,19 @@ func TestReflavorEndpointPolicyChoice(t *testing.T) {
 
 func TestReflavorEndpointErrors(t *testing.T) {
 	_, srv := newServer(t)
-	if resp := doPost(t, srv.URL+"/NF-FG/ghost/nf/vpn/reflavor", `{"technology": "docker"}`); resp.StatusCode != http.StatusNotFound {
+	if resp := doPost(t, srv.URL+"/v1/graphs/ghost/nfs/vpn/reflavor", `{"technology": "docker"}`); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown graph: HTTP %d, want 404", resp.StatusCode)
 	}
-	if resp := doPut(t, srv.URL+"/NF-FG/cpe-vpn", ipsecGraphJSON); resp.StatusCode != http.StatusCreated {
+	if resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("deploy: HTTP %d", resp.StatusCode)
 	}
-	if resp := doPost(t, srv.URL+"/NF-FG/cpe-vpn/nf/vpn/reflavor", `{not json`); resp.StatusCode != http.StatusBadRequest {
+	if resp := doPost(t, srv.URL+"/v1/graphs/cpe-vpn/nfs/vpn/reflavor", `{not json`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body: HTTP %d, want 400", resp.StatusCode)
 	}
-	if resp := doPost(t, srv.URL+"/NF-FG/cpe-vpn/nf/vpn/reflavor", `{"technology": "balloon"}`); resp.StatusCode != http.StatusUnprocessableEntity {
+	if resp := doPost(t, srv.URL+"/v1/graphs/cpe-vpn/nfs/vpn/reflavor", `{"technology": "balloon"}`); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("bad technology: HTTP %d, want 422", resp.StatusCode)
 	}
-	if resp := doPost(t, srv.URL+"/NF-FG/cpe-vpn/nf/ghost/reflavor", `{"technology": "docker"}`); resp.StatusCode != http.StatusUnprocessableEntity {
+	if resp := doPost(t, srv.URL+"/v1/graphs/cpe-vpn/nfs/ghost/reflavor", `{"technology": "docker"}`); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown NF: HTTP %d, want 422", resp.StatusCode)
 	}
 }

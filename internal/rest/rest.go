@@ -31,12 +31,6 @@
 // where code names the error class, message is human-readable, and detail
 // (when present) lists individual violations, e.g. everything graph
 // validation found in one pass.
-//
-// The pre-versioning un-orchestrator routes (PUT/GET/DELETE /NF-FG/{id},
-// GET /NF-FG, POST /NF-FG/{id}/nf/{nf}/reflavor, GET /status, /topology,
-// /capture/{if}, /metrics, /events) remain as deprecated aliases: they
-// serve the same handlers and additionally answer with a "Deprecation:
-// true" header plus a Link to the successor route.
 package rest
 
 import (
@@ -66,41 +60,28 @@ type Server struct {
 // New builds the server.
 func New(orch *orchestrator.Orchestrator, pool *resources.Pool) *Server {
 	s := &Server{orch: orch, pool: pool, mux: http.NewServeMux()}
-	route := func(method, v1, legacy string, h http.HandlerFunc) {
-		s.mux.HandleFunc(method+" "+v1, h)
-		if legacy != "" {
-			s.mux.HandleFunc(method+" "+legacy, deprecatedAlias(v1, h))
-		}
+	route := func(method, path string, h http.HandlerFunc) {
+		s.mux.HandleFunc(method+" "+path, h)
 	}
-	route("PUT", "/v1/graphs/{id}", "/NF-FG/{id}", s.putGraph)
-	route("GET", "/v1/graphs/{id}", "/NF-FG/{id}", s.getGraph)
-	route("DELETE", "/v1/graphs/{id}", "/NF-FG/{id}", s.deleteGraph)
-	route("GET", "/v1/graphs", "/NF-FG", s.listGraphs)
-	route("GET", "/v1/graphs/{id}/stats", "/NF-FG/{id}/stats", s.graphStats)
-	route("POST", "/v1/graphs/{id}/nfs/{nf}/reflavor", "/NF-FG/{id}/nf/{nf}/reflavor", s.reflavor)
-	route("POST", "/v1/graphs/{id}/nfs/{nf}/scale", "", s.scale)
-	route("GET", "/v1/graphs/{id}/nfs/{nf}/state", "", s.getNFState)
-	route("PUT", "/v1/graphs/{id}/nfs/{nf}/state", "", s.putNFState)
-	route("GET", "/v1/status", "/status", s.status)
-	route("GET", "/v1/topology", "/topology", s.topology)
-	route("GET", "/v1/capture/{iface}", "/capture/{iface}", s.capture)
+	route("PUT", "/v1/graphs/{id}", s.putGraph)
+	route("GET", "/v1/graphs/{id}", s.getGraph)
+	route("DELETE", "/v1/graphs/{id}", s.deleteGraph)
+	route("GET", "/v1/graphs", s.listGraphs)
+	route("GET", "/v1/graphs/{id}/stats", s.graphStats)
+	route("POST", "/v1/graphs/{id}/nfs/{nf}/reflavor", s.reflavor)
+	route("POST", "/v1/graphs/{id}/nfs/{nf}/scale", s.scale)
+	route("GET", "/v1/graphs/{id}/nfs/{nf}/state", s.getNFState)
+	route("PUT", "/v1/graphs/{id}/nfs/{nf}/state", s.putNFState)
+	route("GET", "/v1/status", s.status)
+	route("GET", "/v1/topology", s.topology)
+	route("GET", "/v1/capture/{iface}", s.capture)
 	// One scrape of the node registry: per-LSI traffic and microflow-cache
 	// counters, the sampled pipeline-latency histogram, resource-ledger
 	// gauges and control-plane operation timings.
 	metrics := orch.Metrics().Handler()
-	route("GET", "/v1/metrics", "/metrics", metrics.ServeHTTP)
-	route("GET", "/v1/events", "/events", s.events)
+	route("GET", "/v1/metrics", metrics.ServeHTTP)
+	route("GET", "/v1/events", s.events)
 	return s
-}
-
-// deprecatedAlias wraps a handler for its pre-versioning route: same
-// behavior, plus headers steering clients to the v1 successor.
-func deprecatedAlias(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 // events serves the node's retained journal, oldest first. ?since=seq
@@ -317,7 +298,7 @@ func (s *Server) reflavor(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// StatusReply is the GET /status body. Interfaces lets the global
+// StatusReply is the GET /v1/status body. Interfaces lets the global
 // orchestrator pin NF-FG endpoints to the node owning the named interface;
 // RatePPS feeds its M/M/1 saturation-aware placement.
 type StatusReply struct {
@@ -434,7 +415,7 @@ func (s *Server) putNFState(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// GraphStatsReply is the GET /NF-FG/{id}/stats body.
+// GraphStatsReply is the GET /v1/graphs/{id}/stats body.
 type GraphStatsReply struct {
 	Graph string        `json:"graph"`
 	NFs   []NFStats     `json:"nfs"`
@@ -500,7 +481,7 @@ func (s *Server) graphStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reply)
 }
 
-// maxCaptureDuration bounds GET /capture runs.
+// maxCaptureDuration bounds GET /v1/capture runs.
 const maxCaptureDuration = 30 * time.Second
 
 // capture records the traffic crossing one node interface for ?duration

@@ -91,7 +91,7 @@ func doDelete(t *testing.T, url string) *http.Response {
 func TestDeployGetDeleteOverREST(t *testing.T) {
 	node, srv := newServer(t)
 
-	resp := doPut(t, srv.URL+"/NF-FG/cpe-vpn", ipsecGraphJSON)
+	resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("PUT status = %d", resp.StatusCode)
 	}
@@ -105,7 +105,7 @@ func TestDeployGetDeleteOverREST(t *testing.T) {
 	}
 
 	// GET returns a graph that round-trips.
-	getResp, err := http.Get(srv.URL + "/NF-FG/cpe-vpn")
+	getResp, err := http.Get(srv.URL + "/v1/graphs/cpe-vpn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestDeployGetDeleteOverREST(t *testing.T) {
 	}
 
 	// List.
-	listResp, err := http.Get(srv.URL + "/NF-FG")
+	listResp, err := http.Get(srv.URL + "/v1/graphs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestDeployGetDeleteOverREST(t *testing.T) {
 	}
 
 	// DELETE.
-	delResp := doDelete(t, srv.URL+"/NF-FG/cpe-vpn")
+	delResp := doDelete(t, srv.URL+"/v1/graphs/cpe-vpn")
 	if delResp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE status = %d", delResp.StatusCode)
 	}
@@ -146,10 +146,10 @@ func TestDeployGetDeleteOverREST(t *testing.T) {
 
 func TestPutUpdatesExistingGraph(t *testing.T) {
 	_, srv := newServer(t)
-	resp := doPut(t, srv.URL+"/NF-FG/cpe-vpn", ipsecGraphJSON)
+	resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON)
 	resp.Body.Close()
 	// Same body again: treated as (no-op) update.
-	resp = doPut(t, srv.URL+"/NF-FG/cpe-vpn", ipsecGraphJSON)
+	resp = doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update status = %d", resp.StatusCode)
@@ -165,14 +165,14 @@ func TestRESTErrors(t *testing.T) {
 	_, srv := newServer(t)
 
 	// Malformed JSON.
-	resp := doPut(t, srv.URL+"/NF-FG/x", "{not json")
+	resp := doPut(t, srv.URL+"/v1/graphs/x", "{not json")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad json status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 
 	// Body/URL id mismatch.
-	resp = doPut(t, srv.URL+"/NF-FG/other-id", ipsecGraphJSON)
+	resp = doPut(t, srv.URL+"/v1/graphs/other-id", ipsecGraphJSON)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("id mismatch status = %d", resp.StatusCode)
 	}
@@ -180,7 +180,7 @@ func TestRESTErrors(t *testing.T) {
 
 	// Invalid graph (no rules referencing unknown NF template).
 	bad := strings.Replace(ipsecGraphJSON, `"name": "ipsec"`, `"name": "warp-drive"`, 1)
-	resp = doPut(t, srv.URL+"/NF-FG/cpe-vpn", bad)
+	resp = doPut(t, srv.URL+"/v1/graphs/cpe-vpn", bad)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("bad template status = %d", resp.StatusCode)
 	}
@@ -192,12 +192,12 @@ func TestRESTErrors(t *testing.T) {
 	}
 
 	// GET / DELETE of an unknown graph.
-	getResp, _ := http.Get(srv.URL + "/NF-FG/ghost")
+	getResp, _ := http.Get(srv.URL + "/v1/graphs/ghost")
 	if getResp.StatusCode != http.StatusNotFound {
 		t.Errorf("get ghost status = %d", getResp.StatusCode)
 	}
 	getResp.Body.Close()
-	delResp := doDelete(t, srv.URL+"/NF-FG/ghost")
+	delResp := doDelete(t, srv.URL+"/v1/graphs/ghost")
 	if delResp.StatusCode != http.StatusNotFound {
 		t.Errorf("delete ghost status = %d", delResp.StatusCode)
 	}
@@ -206,10 +206,10 @@ func TestRESTErrors(t *testing.T) {
 
 func TestStatusAndTopology(t *testing.T) {
 	_, srv := newServer(t)
-	resp := doPut(t, srv.URL+"/NF-FG/cpe-vpn", ipsecGraphJSON)
+	resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON)
 	resp.Body.Close()
 
-	stResp, err := http.Get(srv.URL + "/status")
+	stResp, err := http.Get(srv.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestStatusAndTopology(t *testing.T) {
 
 	// Topology, three formats.
 	for _, q := range []string{"", "?format=dot", "?format=json"} {
-		tResp, err := http.Get(srv.URL + "/topology" + q)
+		tResp, err := http.Get(srv.URL + "/v1/topology" + q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestStatusAndTopology(t *testing.T) {
 
 func TestCaptureEndpoint(t *testing.T) {
 	node, srv := newServer(t)
-	resp := doPut(t, srv.URL+"/NF-FG/cpe-vpn", ipsecGraphJSON)
+	resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON)
 	resp.Body.Close()
 
 	// Capture eth1 while pushing traffic in from eth0.
@@ -271,7 +271,7 @@ func TestCaptureEndpoint(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
-	capResp, err := http.Get(srv.URL + "/capture/eth1?duration=120ms")
+	capResp, err := http.Get(srv.URL + "/v1/capture/eth1?duration=120ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestCaptureEndpoint(t *testing.T) {
 	}
 
 	// An idle capture still yields a valid (empty) pcap.
-	idleResp, err := http.Get(srv.URL + "/capture/eth0?duration=30ms")
+	idleResp, err := http.Get(srv.URL + "/v1/capture/eth0?duration=30ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,12 +308,12 @@ func TestCaptureEndpoint(t *testing.T) {
 	}
 
 	// Errors.
-	r404, _ := http.Get(srv.URL + "/capture/eth9?duration=10ms")
+	r404, _ := http.Get(srv.URL + "/v1/capture/eth9?duration=10ms")
 	if r404.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown interface status = %d", r404.StatusCode)
 	}
 	r404.Body.Close()
-	rBad, _ := http.Get(srv.URL + "/capture/eth0?duration=zebra")
+	rBad, _ := http.Get(srv.URL + "/v1/capture/eth0?duration=zebra")
 	if rBad.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad duration status = %d", rBad.StatusCode)
 	}
@@ -322,7 +322,7 @@ func TestCaptureEndpoint(t *testing.T) {
 
 func TestGraphStatsEndpoint(t *testing.T) {
 	node, srv := newServer(t)
-	resp := doPut(t, srv.URL+"/NF-FG/cpe-vpn", ipsecGraphJSON)
+	resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON)
 	resp.Body.Close()
 
 	// Push 7 frames through, then read the counters.
@@ -333,7 +333,7 @@ func TestGraphStatsEndpoint(t *testing.T) {
 		_ = lan.Send(netdev.Frame{Data: frame})
 		_, _ = wan.TryRecv()
 	}
-	stResp, err := http.Get(srv.URL + "/NF-FG/cpe-vpn/stats")
+	stResp, err := http.Get(srv.URL + "/v1/graphs/cpe-vpn/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestGraphStatsEndpoint(t *testing.T) {
 	}
 
 	// Unknown graph.
-	r404, _ := http.Get(srv.URL + "/NF-FG/ghost/stats")
+	r404, _ := http.Get(srv.URL + "/v1/graphs/ghost/stats")
 	if r404.StatusCode != http.StatusNotFound {
 		t.Errorf("ghost stats status = %d", r404.StatusCode)
 	}

@@ -71,7 +71,7 @@ func getBody(t *testing.T, url string) (string, *http.Response) {
 // counters.
 func TestNodeMetricsEndpoint(t *testing.T) {
 	node, srv := newServer(t)
-	if resp := doPut(t, srv.URL+"/NF-FG/cpe-vpn", ipsecGraphJSON); resp.StatusCode != http.StatusCreated {
+	if resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("deploy: HTTP %d", resp.StatusCode)
 	}
 	lan, _ := node.InterfacePort("eth0")
@@ -87,9 +87,9 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	body, resp := getBody(t, srv.URL+"/metrics")
+	body, resp := getBody(t, srv.URL+"/v1/metrics")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: HTTP %d", resp.StatusCode)
+		t.Fatalf("GET /v1/metrics: HTTP %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != telemetry.ContentType {
 		t.Fatalf("content type %q, want %q", ct, telemetry.ContentType)
@@ -154,15 +154,15 @@ func promValue(t *testing.T, body, name, labels string) float64 {
 // update / undeploy cycle and the ?since cursor.
 func TestNodeEventsEndpoint(t *testing.T) {
 	_, srv := newServer(t)
-	if resp := doPut(t, srv.URL+"/NF-FG/cpe-vpn", ipsecGraphJSON); resp.StatusCode != http.StatusCreated {
+	if resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("deploy: HTTP %d", resp.StatusCode)
 	}
-	if resp := doDelete(t, srv.URL+"/NF-FG/cpe-vpn"); resp.StatusCode != http.StatusOK {
+	if resp := doDelete(t, srv.URL+"/v1/graphs/cpe-vpn"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("undeploy: HTTP %d", resp.StatusCode)
 	}
-	body, resp := getBody(t, srv.URL+"/events")
+	body, resp := getBody(t, srv.URL+"/v1/events")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /events: HTTP %d", resp.StatusCode)
+		t.Fatalf("GET /v1/events: HTTP %d", resp.StatusCode)
 	}
 	var evs []telemetry.Event
 	if err := json.Unmarshal([]byte(body), &evs); err != nil {
@@ -194,7 +194,7 @@ func TestNodeEventsEndpoint(t *testing.T) {
 	// ?since tails the journal: a cursor on the deploy event returns only
 	// the undeploy-side events.
 	cursor := evs[5].Seq
-	body, _ = getBody(t, fmt.Sprintf("%s/events?since=%d", srv.URL, cursor))
+	body, _ = getBody(t, fmt.Sprintf("%s/v1/events?since=%d", srv.URL, cursor))
 	var tail []telemetry.Event
 	if err := json.Unmarshal([]byte(body), &tail); err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestNodeEventsEndpoint(t *testing.T) {
 	if len(tail) != 3 || tail[0].Type != "nf-state" || tail[1].Type != "nf-stop" {
 		t.Fatalf("since=%d returned %v", cursor, tail)
 	}
-	if _, resp := getBody(t, srv.URL+"/events?since=bogus"); resp.StatusCode != http.StatusBadRequest {
+	if _, resp := getBody(t, srv.URL+"/v1/events?since=bogus"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad since: HTTP %d, want 400", resp.StatusCode)
 	}
 }
@@ -232,9 +232,9 @@ func TestGlobalMetricsAggregation(t *testing.T) {
 	gsrv := httptest.NewServer(rest.NewGlobal(gOrch, nil))
 	t.Cleanup(gsrv.Close)
 
-	body, resp := getBody(t, gsrv.URL+"/metrics")
+	body, resp := getBody(t, gsrv.URL+"/v1/metrics")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: HTTP %d", resp.StatusCode)
+		t.Fatalf("GET /v1/metrics: HTTP %d", resp.StatusCode)
 	}
 	validatePromText(t, body)
 	for _, want := range []string{
@@ -258,9 +258,9 @@ func TestGlobalMetricsAggregation(t *testing.T) {
 	// reconcile pass runs in between): the fleet scrape must still succeed,
 	// skip n2's samples and count one scrape failure.
 	l2.SetDown(true)
-	body, resp = getBody(t, gsrv.URL+"/metrics")
+	body, resp = getBody(t, gsrv.URL+"/v1/metrics")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics with dead node: HTTP %d", resp.StatusCode)
+		t.Fatalf("GET /v1/metrics with dead node: HTTP %d", resp.StatusCode)
 	}
 	validatePromText(t, body)
 	if !strings.Contains(body, `un_lsi_rx_packets_total{lsi="lsi-0",node="n1"} 0`) {
@@ -274,9 +274,9 @@ func TestGlobalMetricsAggregation(t *testing.T) {
 	}
 
 	// The fleet event view survives the dead node too.
-	evBody, resp := getBody(t, gsrv.URL+"/events")
+	evBody, resp := getBody(t, gsrv.URL+"/v1/events")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /events: HTTP %d", resp.StatusCode)
+		t.Fatalf("GET /v1/events: HTTP %d", resp.StatusCode)
 	}
 	var evs []telemetry.Event
 	if err := json.Unmarshal([]byte(evBody), &evs); err != nil {
@@ -302,17 +302,17 @@ func TestGlobalMetricsOverHTTPNodes(t *testing.T) {
 	gsrv := httptest.NewServer(rest.NewGlobal(gOrch, nil))
 	t.Cleanup(gsrv.Close)
 
-	body, resp := getBody(t, gsrv.URL+"/metrics")
+	body, resp := getBody(t, gsrv.URL+"/v1/metrics")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: HTTP %d", resp.StatusCode)
+		t.Fatalf("GET /v1/metrics: HTTP %d", resp.StatusCode)
 	}
 	validatePromText(t, body)
 	if !strings.Contains(body, `un_cache_hits_total{lsi="lsi-0",node="httpnode"} 0`) {
 		t.Fatalf("HTTP-scraped node samples missing:\n%s", body)
 	}
-	evBody, resp := getBody(t, gsrv.URL+"/events")
+	evBody, resp := getBody(t, gsrv.URL+"/v1/events")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /events: HTTP %d", resp.StatusCode)
+		t.Fatalf("GET /v1/events: HTTP %d", resp.StatusCode)
 	}
 	var evs []telemetry.Event
 	if err := json.Unmarshal([]byte(evBody), &evs); err != nil {

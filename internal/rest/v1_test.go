@@ -36,10 +36,9 @@ const natGraphJSON = `{
   }
 }`
 
-// TestV1RoutesAndDeprecationHeaders is the golden pairing test: every
-// legacy route still answers, carries the deprecation headers pointing at
-// its successor, and the successor itself answers clean.
-func TestV1RoutesAndDeprecationHeaders(t *testing.T) {
+// TestV1Routes: every read route of the node API answers under /v1, and
+// the pre-versioning paths are gone.
+func TestV1Routes(t *testing.T) {
 	_, srv := newServer(t)
 	resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON)
 	if resp.StatusCode != http.StatusCreated {
@@ -47,45 +46,25 @@ func TestV1RoutesAndDeprecationHeaders(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	pairs := []struct{ legacy, v1 string }{
-		{"/NF-FG", "/v1/graphs"},
-		{"/NF-FG/cpe-vpn", "/v1/graphs/{id}"},
-		{"/NF-FG/cpe-vpn/stats", "/v1/graphs/{id}/stats"},
-		{"/status", "/v1/status"},
-		{"/topology", "/v1/topology"},
-		{"/metrics", "/v1/metrics"},
-		{"/events", "/v1/events"},
-	}
-	for _, p := range pairs {
-		r, err := http.Get(srv.URL + p.legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Errorf("GET %s status = %d", p.legacy, r.StatusCode)
-		}
-		if got := r.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("GET %s Deprecation header = %q, want \"true\"", p.legacy, got)
-		}
-		link := r.Header.Get("Link")
-		if !strings.Contains(link, p.v1) || !strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("GET %s Link header = %q, want successor %s", p.legacy, link, p.v1)
-		}
-	}
-
-	// The v1 surface itself is not deprecated.
-	for _, path := range []string{"/v1/graphs", "/v1/graphs/cpe-vpn", "/v1/status", "/v1/metrics"} {
+	status := func(path string) int {
 		r, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Errorf("GET %s status = %d", path, r.StatusCode)
+		return r.StatusCode
+	}
+	for _, path := range []string{
+		"/v1/graphs", "/v1/graphs/cpe-vpn", "/v1/graphs/cpe-vpn/stats",
+		"/v1/status", "/v1/topology", "/v1/metrics", "/v1/events",
+	} {
+		if got := status(path); got != http.StatusOK {
+			t.Errorf("GET %s status = %d", path, got)
 		}
-		if r.Header.Get("Deprecation") != "" {
-			t.Errorf("GET %s unexpectedly deprecated", path)
+	}
+	for _, path := range []string{"/NF-FG", "/NF-FG/cpe-vpn", "/status", "/topology", "/metrics", "/events"} {
+		if got := status(path); got != http.StatusNotFound {
+			t.Errorf("GET %s status = %d, want 404: the unversioned aliases were removed", path, got)
 		}
 	}
 }

@@ -15,13 +15,15 @@ type Action interface {
 }
 
 // actionContext is the mutable per-packet state threaded through an action
-// list. ctrs is the counter lane of the worker (or sender) processing the
-// packet, so actions account drops against their own core's counters.
+// list. ctrs and tx are the counters and the TX coalescer of the lane running
+// the packet, so actions account drops against their own lane's counters and
+// Output appends to their own lane's egress batches.
 type actionContext struct {
 	data      []byte
 	key       *flowKey
 	ctrs      *dpCounters
-	tx        *txCoalescer // worker-lane TX coalescer; nil = send immediately
+	tx        *txCoalescer
+	hops      int // the ingress frame's hop count, copied onto egress frames
 	tableID   int
 	gotoTable int // -1 when the pipeline ends here
 	dirty     bool
@@ -41,7 +43,7 @@ type OutputAction struct{ Port uint32 }
 func Output(port uint32) Action { return OutputAction{Port: port} }
 
 func (a OutputAction) apply(sw *Switch, ctx *actionContext) {
-	sw.outputCtx(a.Port, ctx)
+	sw.output(a.Port, ctx)
 }
 
 func (a OutputAction) String() string { return fmt.Sprintf("output:%d", a.Port) }

@@ -74,7 +74,7 @@ func SelectBucket(ports [NumStateBuckets]uint32) Action {
 
 func (a SelectBucketAction) apply(sw *Switch, ctx *actionContext) {
 	b := FlowBucket(ctx.key.ipProto, ctx.key.ipSrc, ctx.key.ipDst, ctx.key.l4Src, ctx.key.l4Dst)
-	sw.outputCtx(a.Ports[b], ctx)
+	sw.output(a.Ports[b], ctx)
 }
 
 func (a SelectBucketAction) String() string {

@@ -2,6 +2,7 @@ package vswitch
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -11,18 +12,29 @@ import (
 	"repro/internal/netdev"
 )
 
-// The burst tests pin down the end-to-end guarantees of the batched
-// datapath: per-flow FIFO from SendBatch ingress through batched steering,
-// burst execution and TX coalescing; exactly-once delivery under Inject
-// backpressure; and the burst/coalescing telemetry.
+// The burst tests pin down the end-to-end guarantees of burst execution,
+// wherever the lane runs (inline, or behind 1 or 4 worker rings): per-flow
+// FIFO from SendBatch ingress through steering, burst execution and TX
+// coalescing; exactly-once delivery under Inject backpressure; and the
+// burst/coalescing telemetry.
+
+// laneModes are the Options.Workers values the burst suite runs under.
+var laneModes = []int{0, 1, 4}
+
+// eachLaneMode runs fn as one subtest per lane placement.
+func eachLaneMode(t *testing.T, fn func(t *testing.T, workers int)) {
+	for _, workers := range laneModes {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { fn(t, workers) })
+	}
+}
 
 const (
 	udpDstOff  = 36 // 14 Ethernet + 20 IPv4 + src port
 	payloadOff = 42 // headers end; the tests stamp a sequence number here
 )
 
-// burstRig is a worker-pool switch whose sink captures (flow, seq) pairs
-// from whole delivered batches.
+// burstRig is a switch whose sink captures (flow, seq) pairs from whole
+// delivered batches.
 type burstRig struct {
 	sw   *Switch
 	in   *netdev.Port
@@ -95,8 +107,10 @@ func (r *burstRig) checkFlowFIFO(t *testing.T) {
 // mixed-size bursts through SendBatch while workers steer, drain and coalesce
 // in batches. Whatever interleaving the scheduler picks, each flow's frames
 // must come out in send order.
-func TestBurstPerFlowOrdering(t *testing.T) {
-	r := newBurstRig(t, 4)
+func TestBurstPerFlowOrdering(t *testing.T) { eachLaneMode(t, testBurstPerFlowOrdering) }
+
+func testBurstPerFlowOrdering(t *testing.T, workers int) {
+	r := newBurstRig(t, workers)
 	const (
 		senders       = 3
 		flowsPerSend  = 8
@@ -160,7 +174,11 @@ func TestBurstPerFlowOrdering(t *testing.T) {
 // no competing load: nothing may be dropped, reordered or duplicated, so the
 // delivered sequence must be exactly 0..n-1.
 func TestBurstSingleFlowNoDropsOrdered(t *testing.T) {
-	r := newBurstRig(t, 2)
+	eachLaneMode(t, testBurstSingleFlowNoDropsOrdered)
+}
+
+func testBurstSingleFlowNoDropsOrdered(t *testing.T, workers int) {
+	r := newBurstRig(t, workers)
 	const n = 512
 	// One buffer per batch slot: frames within one burst need distinct
 	// sequence stamps, and SendBatch only copies at steering time.
@@ -218,6 +236,7 @@ func TestBurstTelemetry(t *testing.T) {
 	waitFor(t, "telemetry traffic to finish", func() bool {
 		return r.got.Load()+r.drops() >= uint64(sent)
 	})
+	r.sw.Close() // the workers record a burst's telemetry after delivering it
 	var bursts, framesHist, coalesced, flushes uint64
 	buckets := BurstBuckets()
 	for _, ws := range r.sw.WorkerTelemetry() {
@@ -303,11 +322,13 @@ func TestInjectBackpressureBlocks(t *testing.T) {
 	}
 }
 
-// TestBatchSteerMalformed checks the chunked malformed accounting of
-// steerBatch: garbage frames inside a burst are counted as received,
-// malformed and dropped without disturbing the valid frames around them.
-func TestBatchSteerMalformed(t *testing.T) {
-	r := newBurstRig(t, 2)
+// TestBatchSteerMalformed checks the per-chunk malformed accounting: garbage
+// frames inside a burst are counted as received, malformed and dropped
+// without disturbing the valid frames around them.
+func TestBatchSteerMalformed(t *testing.T) { eachLaneMode(t, testBatchSteerMalformed) }
+
+func testBatchSteerMalformed(t *testing.T, workers int) {
+	r := newBurstRig(t, workers)
 	good := frame(t, 0, 4242)
 	binary.BigEndian.PutUint32(good[payloadOff:], 1)
 	batch := []netdev.Frame{
@@ -318,10 +339,10 @@ func TestBatchSteerMalformed(t *testing.T) {
 	if _, err := r.in.SendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "malformed burst accounted", func() bool {
-		return r.sw.Malformed() == 2 && r.got.Load() == 1
+	waitFor(t, "malformed burst accounted (malformed frames count as received)", func() bool {
+		return r.sw.Malformed() == 2 && r.sw.PacketsProcessed() == 3
 	})
-	if got := r.sw.PacketsProcessed(); got != 3 {
-		t.Errorf("PacketsProcessed = %d, want 3 (malformed frames count as received)", got)
+	if got := r.got.Load(); got != 1 {
+		t.Errorf("delivered = %d, want the one valid frame", got)
 	}
 }

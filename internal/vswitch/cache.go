@@ -23,21 +23,18 @@ import (
 //
 // The cache is split into partitions of fixed-size slot arrays read and
 // written with single atomic pointer operations — no locks anywhere. A
-// synchronous switch (Workers=0) uses one partition; a worker-pool switch
-// uses exactly one partition per worker: both the RSS steering decision and
-// the partition choice are hash%N with the same hash, so a given microflow's
-// verdict is only ever read and written by the core that forwards the flow
-// and its cache lines never bounce between cores.
+// switch whose lane runs inline (Workers=0) has one partition; a worker-pool
+// switch has exactly one partition per worker: both the RSS steering
+// decision and the partition choice are hash%N with the same hash, so a
+// given microflow's verdict is only ever read and written by the core that
+// forwards the flow and its cache lines never bounce between cores.
 
 const (
-	// cacheSlotsSync is the slot count of a synchronous switch's single
-	// partition; cacheSlotsWorker is the per-worker partition size. Both
-	// must be powers of two. Like the OVS exact-match cache, a colliding
-	// insert simply evicts the previous occupant — losing an entry only
-	// costs a slow-path walk — so the cache is memory-bounded with no
-	// eviction bookkeeping.
-	cacheSlotsSync   = 8192
-	cacheSlotsWorker = 4096
+	// cacheSlots is the slot count of one partition (a power of two). Like
+	// the OVS exact-match cache, a colliding insert simply evicts the
+	// previous occupant — losing an entry only costs a slow-path walk — so
+	// the cache is memory-bounded with no eviction bookkeeping.
+	cacheSlots = 8192
 	// verdictMaxEntries bounds the matched-entry chain recorded inline in a
 	// verdict. A traversal matching more tables than this is executed but
 	// not memoized, keeping the verdict a fixed-size allocation.
@@ -45,8 +42,8 @@ const (
 )
 
 // cacheVerdict is the memoized outcome of one slow-path traversal. Verdicts
-// are immutable once published; the slow path records into per-lane scratch
-// and put copies that into a fresh heap value.
+// are immutable once published: the slow path records into a verdict the
+// lane owns, and put takes it over.
 type cacheVerdict struct {
 	// gen is the invalidation generation the traversal ran under.
 	gen uint64
@@ -81,21 +78,15 @@ type microflowCache struct {
 	parts   []cachePart
 }
 
-// newMicroflowCache builds the cache: one big partition for a synchronous
-// switch, one partition per worker for a pool (nParts > 1).
+// newMicroflowCache builds the cache with one partition per lane that can
+// own flows: one for an inline switch, one per worker for a pool.
 func newMicroflowCache(nParts int) *microflowCache {
-	slots := cacheSlotsSync
-	if nParts > 1 {
-		slots = cacheSlotsWorker
-	} else {
-		nParts = 1
-	}
 	c := &microflowCache{
 		seed:  maphash.Comparable(maphash.MakeSeed(), uint64(0)),
 		parts: make([]cachePart, nParts),
 	}
 	for i := range c.parts {
-		c.parts[i].slots = make([]atomic.Pointer[cacheVerdict], slots)
+		c.parts[i].slots = make([]atomic.Pointer[cacheVerdict], cacheSlots)
 	}
 	c.enabled.Store(true)
 	return c
@@ -127,14 +118,12 @@ func (c *microflowCache) get(hash uint64, key *flowKey, gen uint64) *cacheVerdic
 	return v
 }
 
-// put installs a copy of the scratch verdict, evicting whatever occupied
-// the slot (verdicts are immutable, so a reader holding the old pointer
-// just finishes its replay against the still-valid old verdict).
+// put installs v, which the caller must not touch again, evicting whatever
+// occupied the slot (verdicts are immutable, so a reader holding the old
+// pointer just finishes its replay against the still-valid old verdict).
 func (c *microflowCache) put(hash uint64, v *cacheVerdict) {
-	nv := new(cacheVerdict)
-	*nv = *v
 	p := c.part(hash)
-	if old := p.slot(hash).Swap(nv); old == nil {
+	if old := p.slot(hash).Swap(v); old == nil {
 		p.size.Add(1)
 	}
 }

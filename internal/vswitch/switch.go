@@ -2,15 +2,12 @@ package vswitch
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/netdev"
-	"repro/internal/pkt"
 	"repro/internal/telemetry"
 )
 
@@ -116,82 +113,19 @@ func (t *portTable) lookup(num uint32) *netdev.Port {
 	return t.ports[num]
 }
 
-// dpCounters is one datapath lane's per-packet counter set. A synchronous
-// switch has a single set shared by the sender goroutines; a worker-pool
-// switch gives each worker its own, so the hot path only ever touches
-// cache lines owned by its core, and Telemetry/Misses/CacheStats aggregate
-// at scrape time.
-type dpCounters struct {
-	pipeline    atomic.Uint64 // frames that entered the pipeline (rx)
-	misses      atomic.Uint64 // table-miss packets
-	drops       atomic.Uint64 // discarded: unknown egress, miss-drop, queue-full
-	malformed   atomic.Uint64 // frames extractKey rejected (not a table miss)
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	_           [16]byte // pad to 64 bytes against false sharing
-}
-
-// dpScratch is the per-packet working state of one datapath lane: the
-// parsed flow key, the action context and the verdict being recorded. The
-// action interface calls would otherwise force all three to escape to the
-// heap per packet; keeping them in a reused scratch struct is what makes
-// the hit path allocation-free. Synchronous lanes draw scratch from a pool
-// (nested switch-to-switch delivery gets its own), workers own one each.
-type dpScratch struct {
-	key flowKey
-	ctx actionContext
-	v   cacheVerdict
-	// tx is the owning worker's TX coalescer, threaded into the action
-	// context so Output actions append to the per-port burst instead of
-	// sending immediately; nil on synchronous lanes (immediate send).
-	tx *txCoalescer
-	// statE accumulates flow-entry hit stats across a burst on worker lanes:
-	// consecutive cache replays usually hit the same entries, so the two
-	// atomic adds per entry are paid once per run instead of once per frame.
-	// Flushed on entry change and at burst end (runBurst); the entry counters
-	// therefore lag live traffic by at most one burst, like a NIC's batched
-	// descriptor writeback.
-	statE     *FlowEntry
-	statPkts  uint64
-	statBytes uint64
-}
-
-// flushEntryStats publishes the accumulated flow-entry hit stats.
-func (sc *dpScratch) flushEntryStats() {
-	if sc.statE != nil {
-		sc.statE.packets.Add(sc.statPkts)
-		sc.statE.bytes.Add(sc.statBytes)
-		sc.statE = nil
-	}
-	sc.statPkts, sc.statBytes = 0, 0
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
-
-// steerGroup collects one worker's share of a steered burst.
-type steerGroup struct {
-	items []workerItem
-}
-
-// steerScratch is the reusable grouping buffer of steerBatch: one group per
-// worker, drawn from the switch's steerPool so concurrent batch senders
-// never share it and the steady state allocates nothing.
-type steerScratch struct {
-	groups []steerGroup
-}
-
 // Options configures a Switch beyond the defaults.
 type Options struct {
 	// Tables is the number of flow tables (minimum 1; 0 means
 	// DefaultTables).
 	Tables int
-	// Workers selects the datapath mode. 0 (the default) processes frames
-	// synchronously in the sender's goroutine, run-to-completion. N > 0
-	// starts N run-to-completion worker goroutines, each fed by its own
-	// lock-free ring; received frames are steered to a worker by flow-key
-	// hash (RSS-style), so a given microflow — and its cache partition — is
-	// always handled by the same worker. See the package README section
-	// "Parallel datapath" for how to choose N.
+	// Workers selects where the datapath lane runs (lane.go), not what it
+	// does. 0 (the default) executes received bursts inline in the sender's
+	// goroutine: every frame has left the switch when Send/SendBatch
+	// returns. N > 0 starts N worker goroutines, each running the same lane
+	// behind its own lock-free ring; received frames are steered to a worker
+	// by flow-key hash (RSS-style), so a given microflow — and its cache
+	// partition — is always handled by the same worker. See the README
+	// section "The datapath lane" for how to choose N.
 	Workers int
 }
 
@@ -219,40 +153,27 @@ type Switch struct {
 
 	cache *microflowCache
 
-	// syncCtrs counts packets processed in sender context: the whole
-	// datapath when Workers == 0, and the enqueue-side drops/malformed
-	// accounting when workers are running.
-	syncCtrs dpCounters
-	// workers is fixed at construction (nil for a synchronous switch) so
-	// counter aggregation keeps working after Close.
+	// inline is the counter set of everything that runs in sender context:
+	// every inline lane (the whole datapath when Workers == 0), and the
+	// steering-side drops/malformed accounting when workers are running.
+	inline dpCounters
+	// lane is the switch's own inline lane; claimLane takes it with one
+	// swap and falls back to the spares on nested or concurrent entry.
+	lane atomic.Pointer[lane]
+	// workers is fixed at construction (nil without a pool) so counter
+	// aggregation keeps working after Close.
 	workers []*dpWorker
-	// pool is non-nil while the worker goroutines are running; process
-	// reads it once per frame to pick the dispatch mode.
+	// pool is non-nil while the worker goroutines are running; receive
+	// reads it once per burst to pick where the lane runs.
 	pool atomic.Pointer[workerPool]
-	// steerPool holds steerScratch grouping buffers for batched steering
-	// (worker-pool switches only).
+	// steerPool holds steerScratch grouping buffers for steering (pool
+	// switches only).
 	steerPool sync.Pool
-
-	// scratch is the fast-path scratch slot of the synchronous datapath: the
-	// common case (one goroutine in the pipeline at a time) claims it with a
-	// single swap instead of a sync.Pool round trip; concurrent senders and
-	// nested switch-to-switch hops find it empty and fall back to the pool.
-	scratch atomic.Pointer[dpScratch]
 
 	latency *telemetry.Histogram
 }
 
-// latencySampleShift and latencySampleMask select which packets pay for a
-// latency measurement: one in 2^shift pipeline entries takes two clock reads
-// and a histogram observation; the rest only test the counter the hot path
-// maintains anyway. The burst path samples whichever burst crosses a 2^shift
-// boundary of the same counter and records the per-frame average.
-const (
-	latencySampleShift = 10
-	latencySampleMask  = 1<<latencySampleShift - 1
-)
-
-// New creates a switch with the default number of tables and a synchronous
+// New creates a switch with the default number of tables and an inline
 // datapath.
 func New(name string, dpid uint64) *Switch { return NewOptions(name, dpid, Options{}) }
 
@@ -275,25 +196,21 @@ func NewOptions(name string, dpid uint64, o Options) *Switch {
 	if nw < 0 {
 		nw = 0
 	}
-	nParts := 1
-	if nw > 0 {
-		nParts = nw
-	}
 	s := &Switch{
 		name:    name,
 		dpid:    dpid,
 		nTables: nt,
-		cache:   newMicroflowCache(nParts),
+		cache:   newMicroflowCache(max(nw, 1)),
 		latency: telemetry.NewHistogram(telemetry.DatapathLatencyBuckets()...),
 	}
 	s.tables.Store(&tableSet{tables: make([][]*FlowEntry, nt)})
 	s.ports.Store(newPortTable(make(map[uint32]*netdev.Port)))
-	s.scratch.Store(new(dpScratch))
+	s.lane.Store(&lane{ctrs: &s.inline})
 	if nw > 0 {
 		s.steerPool.New = func() any {
-			ss := &steerScratch{groups: make([]steerGroup, nw)}
+			ss := &steerScratch{groups: make([][]workerItem, nw)}
 			for i := range ss.groups {
-				ss.groups[i].items = make([]workerItem, 0, workerBurst)
+				ss.groups[i] = make([]workerItem, 0, workerBurst)
 			}
 			return ss
 		}
@@ -311,8 +228,8 @@ func (s *Switch) DPID() uint64 { return s.dpid }
 // NumTables returns the number of flow tables.
 func (s *Switch) NumTables() int { return s.nTables }
 
-// Workers returns the number of datapath workers (0 for a synchronous
-// switch).
+// Workers returns the number of datapath workers (0 when the lane runs
+// inline).
 func (s *Switch) Workers() int { return len(s.workers) }
 
 // SetMissPolicy configures the table-miss behaviour.
@@ -329,10 +246,10 @@ func (s *Switch) SetPacketInHandler(fn PacketInHandler) {
 	s.onPktIn.Store(&fn)
 }
 
-// eachCtrs visits every datapath counter lane: the sender-context set plus
+// eachCtrs visits every datapath counter set: the sender-context one plus
 // one per worker.
 func (s *Switch) eachCtrs(fn func(*dpCounters)) {
-	fn(&s.syncCtrs)
+	fn(&s.inline)
 	for _, w := range s.workers {
 		fn(&w.ctrs)
 	}
@@ -358,8 +275,11 @@ func (s *Switch) AddPort(num uint32, p *netdev.Port) error {
 	next[num] = p
 	s.ports.Store(newPortTable(next))
 	s.cache.invalidate()
-	p.SetHandler(func(f netdev.Frame) { s.process(num, f) })
-	p.SetBatchHandler(func(fs []netdev.Frame) { s.processBatch(num, fs) })
+	p.SetHandler(func(f netdev.Frame) {
+		one := [1]netdev.Frame{f}
+		s.receive(num, one[:], false)
+	})
+	p.SetBatchHandler(func(fs []netdev.Frame) { s.receive(num, fs, false) })
 	return nil
 }
 
@@ -538,8 +458,9 @@ func (s *Switch) Misses() uint64 {
 	return n
 }
 
-// PacketsProcessed returns the count of frames that entered the pipeline,
-// aggregated across datapath lanes.
+// PacketsProcessed returns the count of frames that completed the pipeline,
+// aggregated across datapath lanes. A frame is counted after its burst's
+// egress flush, so everything counted here has already left the switch.
 func (s *Switch) PacketsProcessed() uint64 {
 	var n uint64
 	s.eachCtrs(func(c *dpCounters) { n += c.pipeline.Load() })
@@ -565,421 +486,40 @@ func (s *Switch) Malformed() uint64 {
 	return n
 }
 
-// process runs one received frame through the pipeline (or steers it to a
-// worker ring), sampling the packet latency histogram on one in every
-// latencySampleMask+1 frames per lane (the pipeline counter the hot path
-// bumps anyway selects the sample, so the common case costs one mask test).
-func (s *Switch) process(inPort uint32, f netdev.Frame) {
+// receive is the one entry of the datapath: a burst received on inPort goes
+// to the lanes behind the worker rings when a pool is running, and runs on
+// an inline lane in the caller otherwise. wait selects what a full worker
+// ring does: false tail-drops, true parks the caller until there is space.
+func (s *Switch) receive(inPort uint32, fs []netdev.Frame, wait bool) {
 	if p := s.pool.Load(); p != nil {
-		s.steer(p, inPort, f.Data, false)
+		s.steerBatch(p, inPort, fs, wait)
 		return
 	}
-	sc := s.scratch.Swap(nil)
-	fromPool := sc == nil
-	if fromPool {
-		sc = scratchPool.Get().(*dpScratch)
-	}
-	ctrs := &s.syncCtrs
-	if ctrs.pipeline.Add(1)&latencySampleMask == 0 {
-		start := time.Now()
-		s.run(inPort, f.Data, ctrs, sc)
-		s.latency.Observe(time.Since(start).Seconds())
-	} else {
-		s.run(inPort, f.Data, ctrs, sc)
-	}
-	if fromPool {
-		scratchPool.Put(sc)
-	} else {
-		s.scratch.Store(sc)
-	}
-}
-
-// processBatch runs a received burst through the pipeline. On a worker-pool
-// switch the whole burst is steered with batched ring operations — one
-// enqueue and at most one wakeup per destination worker — instead of
-// dissolving into per-frame work at the worker boundary; a synchronous
-// switch processes the burst frame by frame in the caller, as before.
-func (s *Switch) processBatch(inPort uint32, fs []netdev.Frame) {
-	if p := s.pool.Load(); p != nil {
-		s.steerBatch(p, inPort, fs)
-		return
-	}
-	for i := range fs {
-		s.process(inPort, fs[i])
-	}
-}
-
-// steerBatch parses and hashes a received burst, groups the frames by
-// destination worker (hash mod N, the same index that picks the cache
-// partition), and enqueues each group with one batched ring push. Frames of
-// one flow always hash to the same group and stay in arrival order within
-// it, so batching never reorders a flow. Bursts larger than workerBurst are
-// steered in workerBurst-sized chunks to bound the grouping buffer.
-func (s *Switch) steerBatch(p *workerPool, inPort uint32, fs []netdev.Frame) {
-	nw := uint64(len(p.workers))
-	seed := s.cache.seed
-	ss := s.steerPool.Get().(*steerScratch)
-	for base := 0; base < len(fs); base += workerBurst {
-		chunk := fs[base:]
-		if len(chunk) > workerBurst {
-			chunk = chunk[:workerBurst]
-		}
-		var malformed uint64
-		var sb *sharedBuf
-		if nw == 1 {
-			// Single worker: no grouping — parse each frame directly into
-			// its slot of the push array (the group buffers have workerBurst
-			// capacity) and enqueue the whole chunk with one batched push.
-			g := &ss.groups[0]
-			items := g.items[:0]
-			for i := range chunk {
-				data := chunk[i].Data
-				j := len(items)
-				items = items[:j+1]
-				it := &items[j]
-				if err := extractKey(data, inPort, &it.key); err != nil {
-					items = items[:j]
-					malformed++
-					continue
-				}
-				it.hash = it.key.hash(seed)
-				it.inPort = inPort
-				sb = packFrame(it, data, sb)
-			}
-			if sb != nil {
-				sb.seal()
-			}
-			if len(items) > 0 {
-				s.pushBurst(p.workers[0], items)
-			}
-		} else {
-			var it workerItem
-			for i := range chunk {
-				data := chunk[i].Data
-				if err := extractKey(data, inPort, &it.key); err != nil {
-					malformed++
-					continue
-				}
-				it.hash = it.key.hash(seed)
-				it.inPort = inPort
-				sb = packFrame(&it, data, sb)
-				g := &ss.groups[it.hash%nw]
-				g.items = append(g.items, it)
-			}
-			if sb != nil {
-				// Publish the reference count before any item reaches a
-				// worker: the group pushes below make the items visible.
-				sb.seal()
-			}
-			for wi := range ss.groups {
-				g := &ss.groups[wi]
-				if len(g.items) == 0 {
-					continue
-				}
-				s.pushBurst(p.workers[wi], g.items)
-				g.items = g.items[:0]
-			}
-		}
-		if malformed != 0 {
-			// Malformed frames are counted once per chunk against the
-			// sender-context lane; they still count as received.
-			s.syncCtrs.pipeline.Add(malformed)
-			s.syncCtrs.malformed.Add(malformed)
-			s.syncCtrs.drops.Add(malformed)
-		}
-	}
-	s.steerPool.Put(ss)
-}
-
-// packFrame copies one steered frame into the chunk's shared buffer — one
-// pool round trip per chunk instead of per frame — and returns the (possibly
-// new) current chunk buffer. Oversized frames get a private pool buffer and
-// are released individually (it.shared == nil).
-func packFrame(it *workerItem, data []byte, sb *sharedBuf) *sharedBuf {
-	if len(data) > sharedBufCap {
-		it.data = pkt.GetBuffer(len(data))
-		it.shared = nil
-	} else {
-		if sb != nil && sb.off+len(data) > sharedBufCap {
-			sb.seal()
-			sb = nil
-		}
-		if sb == nil {
-			sb = sharedBufPool.Get().(*sharedBuf)
-			sb.off, sb.count = 0, 0
-		}
-		it.data = sb.buf[sb.off : sb.off+len(data) : sb.off+len(data)]
-		sb.off += len(data)
-		sb.count++
-		it.shared = sb
-	}
-	copy(it.data, data)
-	return sb
-}
-
-// pushBurst enqueues one worker's share of a burst: a single batched ring
-// operation in the common case, then the same bounded spin port RX gets
-// before tail-dropping the remainder (NIC semantics). The wakeup happens
-// once per burst, not once per frame.
-func (s *Switch) pushBurst(w *dpWorker, items []workerItem) {
-	sent := w.ring.TryPushBatch(items)
-	if sent < len(items) {
-		tries := 0
-		for sent < len(items) && tries <= steerRetries {
-			w.wakeIfParked()
-			runtime.Gosched()
-			n := w.ring.TryPushBatch(items[sent:])
-			sent += n
-			if n == 0 {
-				tries++
-			}
-		}
-		if dropped := len(items) - sent; dropped > 0 {
-			w.qdrops.Add(uint64(dropped))
-			s.syncCtrs.drops.Add(uint64(dropped))
-			for i := sent; i < len(items); i++ {
-				items[i].releaseData()
-			}
-		}
-	}
-	if sent > 0 {
-		w.wakeIfParked()
-	}
-}
-
-// run parses the frame and hands it to the keyed pipeline body. A frame the
-// parser rejects is counted as malformed + dropped, not as a miss: it never
-// consulted the tables, so it must not pollute the cache-hit-rate or
-// table-miss metrics.
-func (s *Switch) run(inPort uint32, data []byte, ctrs *dpCounters, sc *dpScratch) {
-	if err := extractKey(data, inPort, &sc.key); err != nil {
-		ctrs.malformed.Add(1)
-		ctrs.drops.Add(1)
-		return
-	}
-	s.runKeyed(inPort, data, sc.key.hash(s.cache.seed), ctrs, sc)
-}
-
-// runKeyed is the pipeline body once sc.key holds the parsed flow key and
-// hash its maphash: a microflow-cache hit replays the memoized verdict;
-// anything else walks the tables and, if the cache is enabled, records the
-// traversal for the next packet. The same hash picked the worker (in pool
-// mode) and picks the cache partition, so a flow's verdict stays core-local.
-func (s *Switch) runKeyed(inPort uint32, data []byte, hash uint64, ctrs *dpCounters, sc *dpScratch) {
-	cacheOn := s.cache.enabled.Load()
-	var gen uint64
-	if cacheOn {
-		// Read the generation before the tables: a concurrent flow-mod swaps
-		// the snapshot first and bumps the generation second, so a verdict
-		// recorded under an old generation can never describe new tables.
-		gen = s.cache.gen.Load()
-	}
-	s.runKeyedGen(inPort, data, hash, ctrs, sc, gen, cacheOn)
-}
-
-// runKeyedGen is runKeyed with the cache state pre-loaded, so the worker
-// burst path can load the generation once per burst instead of once per
-// frame. Each verdict is still recorded under the generation it was read
-// with, so a flow-mod mid-burst at worst widens the existing one-packet
-// staleness window to one burst; it can never publish a stale verdict past
-// the burst.
-func (s *Switch) runKeyedGen(inPort uint32, data []byte, hash uint64, ctrs *dpCounters, sc *dpScratch, gen uint64, cacheOn bool) {
-	if !cacheOn {
-		s.runPipeline(inPort, data, ctrs, sc, 0, false)
-		return
-	}
-	if v := s.cache.get(hash, &sc.key, gen); v != nil {
-		ctrs.cacheHits.Add(1)
-		s.replay(inPort, data, ctrs, sc, v)
-		return
-	}
-	ctrs.cacheMisses.Add(1)
-	sc.v.key = sc.key // pristine copy: actions mutate the key during traversal
-	if s.runPipeline(inPort, data, ctrs, sc, gen, true) {
-		s.cache.put(hash, &sc.v)
-	}
-}
-
-// runPipeline is the slow path: a full multi-table traversal over the
-// current table snapshot. With record set it fills sc.v with the traversal
-// and reports whether the verdict is cacheable (a traversal deeper than
-// verdictMaxEntries executes but is not memoized).
-func (s *Switch) runPipeline(inPort uint32, data []byte, ctrs *dpCounters, sc *dpScratch, gen uint64, record bool) bool {
-	tables := s.tables.Load().tables
-	sc.ctx = actionContext{data: data, key: &sc.key, ctrs: ctrs, tx: sc.tx}
-	ctx := &sc.ctx
-	if record {
-		sc.v.gen = gen
-		sc.v.nEntries = 0
-		sc.v.missTable = -1
-	}
-	table := 0
-	for table < s.nTables {
-		entry := lookupEntry(tables[table], &sc.key)
-		if entry == nil {
-			s.missAction(inPort, table, ctx.data, ctrs)
-			if record {
-				sc.v.missTable = table
-			}
-			return record
-		}
-		if record {
-			if sc.v.nEntries == verdictMaxEntries {
-				record = false
-			} else {
-				sc.v.entries[sc.v.nEntries] = entry
-				sc.v.nEntries++
-			}
-		}
-		entry.packets.Add(1)
-		entry.bytes.Add(uint64(len(ctx.data)))
-		ctx.tableID = table
-		ctx.gotoTable = -1
-		for _, a := range entry.Actions {
-			a.apply(s, ctx)
-		}
-		if ctx.gotoTable < 0 {
-			break // pipeline ends; Output actions already ran
-		}
-		table = ctx.gotoTable
-	}
-	return record
-}
-
-// replay re-applies a memoized traversal to one packet: per matched entry it
-// bumps the hit counters and runs the action list, exactly as the slow path
-// would, then finishes with the recorded table miss if there was one.
-func (s *Switch) replay(inPort uint32, data []byte, ctrs *dpCounters, sc *dpScratch, v *cacheVerdict) {
-	sc.ctx = actionContext{data: data, key: &sc.key, gotoTable: -1, ctrs: ctrs, tx: sc.tx}
-	ctx := &sc.ctx
-	for i := 0; i < v.nEntries; i++ {
-		e := v.entries[i]
-		if sc.tx != nil {
-			// Worker lane: accumulate the hit stats across the burst.
-			if e != sc.statE {
-				sc.flushEntryStats()
-				sc.statE = e
-			}
-			sc.statPkts++
-			sc.statBytes += uint64(len(ctx.data))
-		} else {
-			e.packets.Add(1)
-			e.bytes.Add(uint64(len(ctx.data)))
-		}
-		ctx.tableID = e.Table
-		ctx.gotoTable = -1
-		for _, a := range e.Actions {
-			a.apply(s, ctx)
-		}
-	}
-	if v.missTable >= 0 {
-		s.missAction(inPort, v.missTable, ctx.data, ctrs)
-	}
-}
-
-// lookupEntry finds the highest-priority matching entry in one table's
-// priority-sorted entry list.
-func lookupEntry(entries []*FlowEntry, key *flowKey) *FlowEntry {
-	for _, e := range entries {
-		if e.Match.matches(key) {
-			return e
-		}
-	}
-	return nil
-}
-
-func (s *Switch) missAction(inPort uint32, table int, data []byte, ctrs *dpCounters) {
-	ctrs.misses.Add(1)
-	// A punt only counts as delivered when a controller is actually
-	// attached; MissController with no handler still discards the frame.
-	// The handler is loaded once so a concurrent detach cannot slip the
-	// frame between the check and the delivery uncounted.
-	if MissPolicy(s.miss.Load()) == MissController {
-		if fn := s.onPktIn.Load(); fn != nil {
-			s.deliverPacketIn(fn, inPort, table, ReasonMiss, data)
-			return
-		}
-	}
-	ctrs.drops.Add(1)
-}
-
-func (s *Switch) packetIn(inPort uint32, table int, reason PacketInReason, data []byte) {
-	fn := s.onPktIn.Load()
-	if fn == nil {
-		return
-	}
-	s.deliverPacketIn(fn, inPort, table, reason, data)
-}
-
-func (s *Switch) deliverPacketIn(fn *PacketInHandler, inPort uint32, table int, reason PacketInReason, data []byte) {
-	d := pkt.GetBuffer(len(data))
-	copy(d, data)
-	(*fn)(PacketIn{InPort: inPort, TableID: table, Reason: reason, Data: d})
-}
-
-// sendOut transmits data on the given port number. Unknown ports drop. The
-// copy is pool-backed; the final consumer may recycle it with pkt.PutBuffer.
-func (s *Switch) sendOut(num uint32, data []byte, ctrs *dpCounters) {
-	p := s.ports.Load().lookup(num)
-	if p == nil {
-		ctrs.drops.Add(1)
-		return
-	}
-	d := pkt.GetBuffer(len(data))
-	copy(d, data)
-	_ = p.Send(netdev.Frame{Data: d})
-}
-
-// outputCtx is the egress of an Output-style action: on a worker lane the
-// frame joins the burst's per-port TX batch (flushed once per burst via
-// SendBatch, see txcoalesce.go); on a synchronous lane it transmits
-// immediately, exactly as sendOut always has.
-func (s *Switch) outputCtx(num uint32, ctx *actionContext) {
-	if ctx.tx == nil {
-		s.sendOut(num, ctx.data, ctx.ctrs)
-		return
-	}
-	p := s.ports.Load().lookup(num)
-	if p == nil {
-		ctx.ctrs.drops.Add(1)
-		return
-	}
-	ctx.tx.add(num, p, ctx.data)
-}
-
-// flood transmits the frame on every port except the ingress.
-func (s *Switch) flood(inPort uint32, ctx *actionContext) {
-	ports := s.ports.Load().ports
-	nums := make([]uint32, 0, len(ports))
-	for n := range ports {
-		if n != inPort {
-			nums = append(nums, n)
-		}
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	for _, n := range nums {
-		s.outputCtx(n, ctx)
-	}
+	s.runInline(inPort, fs)
 }
 
 // Inject runs a frame through the pipeline as if it had been received on
 // inPort. It is the switch-side half of an OpenFlow packet-out with
 // in-port semantics. Unlike port reception — which tail-drops when a worker
 // ring is full, as a NIC ring would — Inject applies backpressure: it
-// retries the enqueue until the worker drains, so control-plane packet-outs
-// are never silently lost.
+// parks until the worker drains, so control-plane packet-outs are never
+// silently lost.
 func (s *Switch) Inject(inPort uint32, data []byte) {
-	if p := s.pool.Load(); p != nil {
-		s.steer(p, inPort, data, true)
-		return
-	}
-	s.process(inPort, netdev.Frame{Data: data})
+	one := [1]netdev.Frame{{Data: data}}
+	s.receive(inPort, one[:], true)
 }
 
 // Output transmits a frame directly out of a port, bypassing the pipeline:
-// the switch-side half of a plain OpenFlow packet-out.
+// the switch-side half of a plain OpenFlow packet-out. Unknown ports drop.
+// The copy is pool-backed; the final consumer may recycle it with
+// pkt.PutBuffer.
 func (s *Switch) Output(port uint32, data []byte) {
-	s.sendOut(port, data, &s.syncCtrs)
+	p := s.ports.Load().lookup(port)
+	if p == nil {
+		s.inline.drops.Add(1)
+		return
+	}
+	_ = p.Send(netdev.Frame{Data: data}.Clone())
 }
 
 // Dump renders the flow tables like `ovs-ofctl dump-flows` for debugging.

@@ -9,9 +9,10 @@ import "repro/internal/telemetry"
 type Telemetry struct {
 	// Name is the switch name.
 	Name string
-	// Rx counts frames that entered the pipeline, summed across datapath
-	// lanes. Frames tail-dropped at a full worker ring are not included
-	// (see Workers[].QueueDrops).
+	// Rx counts frames that completed the pipeline (counted once their
+	// burst's egress has been flushed), summed across datapath lanes.
+	// Frames tail-dropped at a full worker ring are not included (see
+	// Workers[].QueueDrops).
 	Rx uint64
 	// Tx counts frames transmitted out of ports (a flood counts once per
 	// egress port). Derived at snapshot time from the per-port netdev
@@ -33,11 +34,12 @@ type Telemetry struct {
 	TableMatches []uint64
 	// Cache is the microflow-cache counter snapshot.
 	Cache CacheStats
-	// Latency is the sampled per-packet pipeline latency, in seconds. One
-	// in 1024 packets per lane is measured.
+	// Latency is the sampled per-packet pipeline latency, in seconds: the
+	// burst that carries a lane's frame count across a multiple of 1024 is
+	// timed, egress flush included, and recorded as a per-frame average.
 	Latency telemetry.HistogramSnapshot
-	// Workers holds per-worker queue depth and activity; nil for a
-	// synchronous switch.
+	// Workers holds per-worker queue depth and activity; nil for a switch
+	// without workers.
 	Workers []WorkerStats
 }
 

@@ -45,7 +45,7 @@ func TestSwitchTelemetryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := telFrame(t)
-	const n = 2500 // > latencySampleMask so the histogram must sample
+	const n = 2500 // > 1<<latencySampleShift so the histogram must sample
 	for i := 0; i < n; i++ {
 		if err := in.Send(netdev.Frame{Data: data}); err != nil {
 			t.Fatal(err)
@@ -64,7 +64,7 @@ func TestSwitchTelemetryCounters(t *testing.T) {
 	if len(tel.TableMatches) != DefaultTables || tel.TableMatches[0] != n {
 		t.Fatalf("table matches = %v, want %d in table 0", tel.TableMatches, n)
 	}
-	wantSamples := uint64(n / (latencySampleMask + 1))
+	wantSamples := uint64(n >> latencySampleShift)
 	if tel.Latency.Count != wantSamples {
 		t.Fatalf("latency samples = %d, want %d", tel.Latency.Count, wantSamples)
 	}

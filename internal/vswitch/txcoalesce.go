@@ -1,26 +1,19 @@
 package vswitch
 
-import (
-	"sync/atomic"
+import "repro/internal/netdev"
 
-	"repro/internal/netdev"
-	"repro/internal/pkt"
-)
-
-// TX coalescing: while a worker runs a burst to completion, Output actions
-// do not transmit frame by frame — they append the frame to a per-egress-port
-// batch owned by the worker, and the worker flushes every batch with one
-// Port.SendBatch call at the end of the burst. The downstream hop (an NF tap,
-// a peer switch's batch handler) then sees whole bursts instead of single
-// frames, which is what keeps the burst shape intact across the service
-// chain. Ordering: a flow's frames always run on the same worker (RSS
-// steering), execute in ring order within a burst, and append to the egress
-// batch in execution order, so per-flow FIFO survives coalescing; frames of
-// one flow never split across concurrently-flushed batches because one worker
-// owns the whole burst.
-//
-// The synchronous datapath (Workers == 0) and direct Output/packet-out paths
-// have no coalescer (ctx.tx == nil) and transmit immediately, as before.
+// TX coalescing: while a lane runs a burst, Output actions do not transmit
+// frame by frame — they append the frame to a per-egress-port batch owned by
+// the lane, and the lane flushes every batch with one Port.SendBatch call at
+// the end of the burst (a burst of one flushes a batch of one). The
+// downstream hop (an NF tap, a peer switch's batch handler) then sees whole
+// bursts instead of single frames, which is what keeps the burst shape intact
+// across the service chain. Ordering: a flow's frames always run on the same
+// lane (the sender's own inline, the RSS-steered worker's behind rings),
+// execute in arrival order within a burst, and append to the egress batch in
+// execution order, so per-flow FIFO survives coalescing; frames of one flow
+// never split across concurrently-flushed batches because one lane owns the
+// whole burst.
 
 // maxTxPorts is the number of distinct egress ports one burst can coalesce
 // for; a burst touching more flushes the accumulated batches early and keeps
@@ -34,27 +27,27 @@ type txPortBatch struct {
 	frames []netdev.Frame
 }
 
-// txCoalescer is the per-worker egress accumulator. It is only ever touched
-// by its owning worker goroutine; the counters are atomic because telemetry
-// snapshots them concurrently.
+// txCoalescer is a lane's egress accumulator, only ever touched by the
+// goroutine running the lane.
 type txCoalescer struct {
 	n       int // live entries in batches
 	batches [maxTxPorts]txPortBatch
-
-	coalesced atomic.Uint64 // frames transmitted through a batch flush
-	flushes   atomic.Uint64 // SendBatch calls issued
+	// sent and flushes count frames and SendBatch calls since the worker
+	// running the lane last moved them into its telemetry (execBurst).
+	sent, flushes uint64
 }
 
 // add appends one frame for the given egress port. The frame data is copied
-// into a pool-backed buffer here (the pipeline's buffer is recycled when the
-// burst item finishes), and ownership of the copy passes to the receiver at
-// flush, exactly like sendOut's per-frame copy.
-func (t *txCoalescer) add(num uint32, p *netdev.Port, data []byte) {
-	d := pkt.GetBuffer(len(data))
-	copy(d, data)
+// into a pool-backed buffer here (the pipeline's buffer belongs to the sender
+// or is recycled when the burst item finishes), and ownership of the copy
+// passes to the receiver at flush; the final consumer may recycle it with
+// pkt.PutBuffer. hops is the ingress frame's hop count, so a forwarding loop
+// across switches runs into netdev.MaxHops instead of the stack limit.
+func (t *txCoalescer) add(num uint32, p *netdev.Port, data []byte, hops int) {
+	f := netdev.Frame{Data: data, Hops: hops}.Clone()
 	for i := 0; i < t.n; i++ {
 		if t.batches[i].num == num {
-			t.batches[i].frames = append(t.batches[i].frames, netdev.Frame{Data: d})
+			t.batches[i].frames = append(t.batches[i].frames, f)
 			return
 		}
 	}
@@ -67,7 +60,7 @@ func (t *txCoalescer) add(num uint32, p *netdev.Port, data []byte) {
 	t.n++
 	b.num = num
 	b.port = p
-	b.frames = append(b.frames[:0], netdev.Frame{Data: d})
+	b.frames = append(b.frames[:0], f)
 }
 
 // flush transmits every accumulated batch, one SendBatch per egress port,
@@ -75,11 +68,9 @@ func (t *txCoalescer) add(num uint32, p *netdev.Port, data []byte) {
 func (t *txCoalescer) flush() {
 	for i := 0; i < t.n; i++ {
 		b := &t.batches[i]
-		if len(b.frames) > 0 {
-			_, _ = b.port.SendBatch(b.frames)
-			t.coalesced.Add(uint64(len(b.frames)))
-			t.flushes.Add(1)
-		}
+		_, _ = b.port.SendBatch(b.frames)
+		t.sent += uint64(len(b.frames))
+		t.flushes++
 		b.frames = b.frames[:0]
 		b.port = nil
 	}

@@ -5,38 +5,36 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/netdev"
 	"repro/internal/pkt"
 )
 
-// The worker pool is the per-core parallel mode of the datapath. Each worker
+// The worker pool puts N datapath lanes (lane.go) behind rings. Each worker
 // is a run-to-completion goroutine fed by its own lock-free ring; received
 // frames are steered to a worker by flow-key hash, RSS-style, so every
 // packet of a microflow is processed by the same worker — which also owns
 // that flow's cache partition (steering index and partition index are the
-// same hash mod N), its own scratch state and its own counter cache lines.
-// Nothing per-flow is ever shared between cores.
+// same hash mod N), its own lane and its own counter cache line. Nothing
+// per-flow is ever shared between cores.
 //
-// Bursts are first-class end to end: steerBatch groups a received burst by
-// destination worker and enqueues each group with one batched ring operation
-// and at most one wakeup; the worker drains up to workerBurst items per
-// iteration with one batched pop, amortizes the cache-generation load over
-// the burst, and coalesces its output per egress port, flushing each port
-// with a single SendBatch (see txcoalesce.go).
+// steerBatch groups a received burst by destination worker and enqueues each
+// group with one batched ring operation and at most one wakeup; the worker
+// drains up to workerBurst items per iteration with one batched pop and runs
+// them as one lane burst.
 //
 // Ownership: the steering step copies the frame into a pool-backed buffer
-// (the sender's buffer is only valid during the Send call), and the worker
-// recycles it after the pipeline finishes — every egress path (sendOut, TX
-// coalescing, packet-in) copies again, so the ring buffer never escapes.
+// (the sender's buffer is only valid during the Send call), and the lane
+// recycles it after the pipeline finishes — egress and packet-in copy again,
+// so the ring buffer never escapes.
 
 // workerRingLen is the per-worker RX ring capacity, sized like a NIC RX
 // descriptor ring.
 const workerRingLen = 1024
 
-// workerBurst is the largest batch a worker pops per iteration, and the
-// chunk size of batched steering — the software analogue of a NIC RX burst.
+// workerBurst is the largest burst a lane executes: what a worker pops per
+// iteration, and the chunk size of steering and of inline execution — the
+// software analogue of a NIC RX burst.
 const workerBurst = 64
 
 // steerRetries bounds how many scheduler yields a port-RX steer spends
@@ -45,7 +43,7 @@ const workerBurst = 64
 // absorb a burst instead of dropping it wholesale); only a worker that is
 // genuinely stuck — blocked in an NF, livelocked — exhausts the budget.
 // The Inject backpressure path spins the same budget, then parks on the
-// worker's space channel instead of burning the core (see pushWait).
+// worker's space channel instead of burning the core (see enqueue).
 const steerRetries = 128
 
 // idleSpin is how many empty polls a worker makes before parking. Under
@@ -80,16 +78,16 @@ type workerItem struct {
 	key    flowKey
 	hash   uint64
 	inPort uint32
-	data   []byte // private copy, recycled by the worker via releaseData
-	// shared is the reference-counted chunk buffer data points into when the
-	// frame arrived through batched steering; nil means data is a private
-	// frame-pool buffer (per-frame steer, jumbo frames).
+	hops   int    // the ingress frame's hop count, carried onto every egress frame
+	data   []byte // private copy, recycled by the lane (or releaseData on a drop)
+	// shared is the reference-counted chunk buffer data points into; nil
+	// means data is a private frame-pool buffer (single frames, jumbo frames).
 	shared *sharedBuf
 }
 
-// releaseData recycles the item's frame buffer once the pipeline is done
-// with it: shared chunk buffers drop a reference, private buffers go back
-// to the frame pool.
+// releaseData recycles the frame buffer of an item that never reached a
+// lane: shared chunk buffers drop a reference, private buffers go back to
+// the frame pool.
 func (it *workerItem) releaseData() {
 	if it.shared != nil {
 		it.shared.release()
@@ -99,7 +97,6 @@ func (it *workerItem) releaseData() {
 }
 
 type dpWorker struct {
-	id   int
 	ring *netdev.Ring[workerItem]
 	// wake (capacity 1) plus the parked flag implement sleep/wakeup without
 	// busy-spinning: the worker publishes parked=true, rechecks the ring,
@@ -113,13 +110,15 @@ type dpWorker struct {
 	// full increments waiters and blocks on space; the worker, after each
 	// burst, drops a token when waiters is non-zero. The producer re-checks
 	// the ring between increment and block, so a token can never be missed
-	// while space remains unclaimed (see pushWait for the full protocol).
+	// while space remains unclaimed (see enqueue for the full protocol).
 	space   chan struct{}
 	waiters atomic.Int32
 	qdrops  atomic.Uint64 // frames tail-dropped because the ring was full
 	ctrs    dpCounters
-	sc      dpScratch
-	tx      txCoalescer
+	lane    lane
+	// txCoalesced and txFlushes count the frames and SendBatch calls of the
+	// lane's egress flushes.
+	txCoalesced, txFlushes atomic.Uint64
 	// burstHist counts drained bursts by size bucket (see burstBuckets).
 	burstHist [len(burstBuckets)]atomic.Uint64
 	burst     [workerBurst]workerItem // pop buffer, owned by the worker
@@ -137,12 +136,11 @@ func (s *Switch) startWorkers(n int) {
 	p := &workerPool{done: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		w := &dpWorker{
-			id:    i,
 			ring:  netdev.NewRing[workerItem](workerRingLen),
 			wake:  make(chan struct{}, 1),
 			space: make(chan struct{}, 1),
 		}
-		w.sc.tx = &w.tx
+		w.lane.ctrs = &w.ctrs
 		p.workers = append(p.workers, w)
 	}
 	s.workers = p.workers
@@ -157,9 +155,10 @@ func (s *Switch) startWorkers(n int) {
 }
 
 // Close stops the datapath workers, processing anything still queued. It is
-// a no-op on a synchronous switch and idempotent otherwise. Frames steered
-// concurrently with Close are either completed here or processed
-// synchronously by their sender once the pool pointer is gone.
+// a no-op on a switch without workers and idempotent otherwise; afterwards
+// the switch runs its lane inline. Frames steered concurrently with Close
+// are either completed here or run inline by their sender once the pool
+// pointer is gone.
 func (s *Switch) Close() {
 	p := s.pool.Swap(nil)
 	if p == nil {
@@ -169,7 +168,7 @@ func (s *Switch) Close() {
 	p.wg.Wait()
 	// A producer that loaded the pool pointer just before the swap may have
 	// pushed after its worker drained; the workers are gone, so finish
-	// those frames inline.
+	// those frames here, on the lanes they left behind.
 	for _, w := range p.workers {
 		w.drain(s)
 		// Belt and suspenders: the exiting worker already flushed its
@@ -212,91 +211,138 @@ func (w *dpWorker) flushWaiters() {
 	}
 }
 
-// steer parses, hashes and enqueues one received frame to its worker. With
-// backpressure false (port RX) a full ring tail-drops the frame, as a NIC
-// RX ring would; with backpressure true (Inject) the enqueue spins briefly,
-// then parks until the worker signals space, so control-plane packet-outs
-// are neither lost nor allowed to burn a core against a stuck worker.
-func (s *Switch) steer(p *workerPool, inPort uint32, data []byte, backpressure bool) {
-	var it workerItem
-	if err := extractKey(data, inPort, &it.key); err != nil {
-		// Malformed frames are counted at the steering stage against the
-		// sender-context lane; they still count as received.
-		s.syncCtrs.pipeline.Add(1)
-		s.syncCtrs.malformed.Add(1)
-		s.syncCtrs.drops.Add(1)
-		return
-	}
-	it.hash = it.key.hash(s.cache.seed)
-	w := p.workers[it.hash%uint64(len(p.workers))]
-	it.inPort = inPort
-	it.data = pkt.GetBuffer(len(data))
-	copy(it.data, data)
-	if w.ring.TryPush(it) {
-		w.wakeIfParked()
-		return
-	}
-	if !backpressure {
-		tries := 0
-		for !w.ring.TryPush(it) {
-			tries++
-			if tries > steerRetries {
-				w.qdrops.Add(1)
-				s.syncCtrs.drops.Add(1)
-				pkt.PutBuffer(it.data)
-				return
-			}
-			// The ring is full, so the worker has work: make sure it is
-			// awake, then give it the CPU.
-			w.wakeIfParked()
-			runtime.Gosched()
-		}
-		w.wakeIfParked()
-		return
-	}
-	s.pushWait(p, w, it)
+// steerScratch is the reusable grouping buffer of steerBatch: one group of
+// items per worker, drawn from the switch's steerPool so concurrent senders
+// never share it and the steady state allocates nothing.
+type steerScratch struct {
+	groups [][]workerItem
 }
 
-// pushWait is the backpressured enqueue behind Inject: a bounded spin (the
-// same budget port RX gets before tail-dropping), then park on the worker's
-// space channel until a burst completes. The waiters increment happens
-// before the ring re-check, and the worker checks waiters after every
-// burst, so the token cannot be lost: if the push fails the ring was full,
-// meaning the worker still has at least one burst to run — and therefore
-// one signalSpace still to issue.
-func (s *Switch) pushWait(p *workerPool, w *dpWorker, it workerItem) {
-	for tries := 0; tries < steerRetries; tries++ {
+// steerBatch parses and hashes a received burst, groups the frames by
+// destination worker (hash mod N, the same index that picks the cache
+// partition), and enqueues each group with one batched ring push. Frames of
+// one flow always hash to the same group and stay in arrival order within
+// it, so batching never reorders a flow. Bursts larger than workerBurst are
+// steered in workerBurst-sized chunks to bound the grouping buffer. wait is
+// passed on to enqueue.
+func (s *Switch) steerBatch(p *workerPool, inPort uint32, fs []netdev.Frame, wait bool) {
+	nw := uint64(len(p.workers))
+	seed := s.cache.seed
+	ss := s.steerPool.Get().(*steerScratch)
+	for len(fs) > 0 {
+		chunk := fs[:min(len(fs), workerBurst)]
+		fs = fs[len(chunk):]
+		var malformed uint64
+		var sb *sharedBuf
+		var it workerItem
+		for i := range chunk {
+			data := chunk[i].Data
+			if err := extractKey(data, inPort, &it.key); err != nil {
+				malformed++
+				continue
+			}
+			it.hash = it.key.hash(seed)
+			it.inPort = inPort
+			it.hops = chunk[i].Hops
+			sb = packFrame(&it, data, sb, len(chunk) > 1)
+			g := &ss.groups[it.hash%nw]
+			*g = append(*g, it)
+		}
+		if sb != nil {
+			// Publish the reference count before any item reaches a worker:
+			// the group pushes below make the items visible.
+			sb.seal()
+		}
+		for wi, g := range ss.groups {
+			if len(g) > 0 {
+				s.enqueue(p, p.workers[wi], g, wait)
+				ss.groups[wi] = g[:0]
+			}
+		}
+		s.countMalformed(malformed)
+	}
+	s.steerPool.Put(ss)
+}
+
+// packFrame copies one steered frame into the chunk's shared buffer — one
+// pool round trip per chunk instead of per frame — and returns the (possibly
+// new) current chunk buffer. A frame that has no chunk to share with, or is
+// oversized, gets a private pool buffer and is released individually
+// (it.shared == nil).
+func packFrame(it *workerItem, data []byte, sb *sharedBuf, share bool) *sharedBuf {
+	if !share || len(data) > sharedBufCap {
+		it.data = pkt.GetBuffer(len(data))
+		it.shared = nil
+	} else {
+		if sb != nil && sb.off+len(data) > sharedBufCap {
+			sb.seal()
+			sb = nil
+		}
+		if sb == nil {
+			sb = sharedBufPool.Get().(*sharedBuf)
+			sb.off, sb.count = 0, 0
+		}
+		it.data = sb.buf[sb.off : sb.off+len(data) : sb.off+len(data)]
+		sb.off += len(data)
+		sb.count++
+		it.shared = sb
+	}
+	copy(it.data, data)
+	return sb
+}
+
+// enqueue hands one worker its share of a burst: a single batched ring
+// operation in the common case, then a bounded spin while the ring is full.
+// What is still unsent after that is tail-dropped (wait false: port RX, NIC
+// semantics) or waited for (wait true: Inject), parked on the worker's space
+// channel so a stuck worker does not burn the caller's core. The waiters
+// increment happens before the ring re-check, and the worker checks waiters
+// after every burst, so the token cannot be lost: if the push fails the ring
+// was full, meaning the worker still has at least one burst to run — and
+// therefore one signalSpace still to issue. The worker is woken at most once
+// per call, not once per frame.
+func (s *Switch) enqueue(p *workerPool, w *dpWorker, items []workerItem, wait bool) {
+	sent := w.ring.TryPushBatch(items)
+	for tries := 0; sent < len(items) && tries <= steerRetries; {
+		// The ring is full, so the worker has work: make sure it is awake,
+		// then give it the CPU.
 		w.wakeIfParked()
 		runtime.Gosched()
-		if w.ring.TryPush(it) {
-			w.wakeIfParked()
-			return
+		n := w.ring.TryPushBatch(items[sent:])
+		sent += n
+		if n == 0 {
+			tries++
 		}
 	}
-	for {
+	for wait && sent < len(items) {
 		w.waiters.Add(1)
-		if w.ring.TryPush(it) {
-			w.waiters.Add(-1)
-			w.wakeIfParked()
-			return
-		}
-		if s.pool.Load() != p {
+		n := w.ring.TryPushBatch(items[sent:])
+		sent += n
+		switch {
+		case n > 0:
+		case s.pool.Load() != p:
 			// The pool closed while we were waiting for ring space: the
 			// workers are gone and the ring will never drain, so finish the
-			// frame in this goroutine instead of parking forever.
+			// frames on an inline lane instead of parking forever.
 			w.waiters.Add(-1)
-			sc := scratchPool.Get().(*dpScratch)
-			sc.key = it.key
-			s.syncCtrs.pipeline.Add(1)
-			s.runKeyed(it.inPort, it.data, it.hash, &s.syncCtrs, sc)
-			scratchPool.Put(sc)
-			it.releaseData()
+			l := s.claimLane()
+			l.runItems(s, items[sent:])
+			s.releaseLane(l)
 			return
+		default:
+			w.wakeIfParked()
+			<-w.space
 		}
-		w.wakeIfParked()
-		<-w.space
 		w.waiters.Add(-1)
 	}
+	if dropped := len(items) - sent; dropped > 0 {
+		w.qdrops.Add(uint64(dropped))
+		s.inline.drops.Add(uint64(dropped))
+		for i := sent; i < len(items); i++ {
+			items[i].releaseData()
+		}
+	}
+	w.wakeIfParked()
 }
 
 // loop is the worker body: pop a burst, run it to completion, recycle;
@@ -349,61 +395,17 @@ func (w *dpWorker) drain(s *Switch) {
 	}
 }
 
-// execBurst runs one drained burst to completion with this worker's
-// counters and scratch: the cache generation is loaded once for the whole
-// burst (each packet's verdict still snapshots a complete table state — the
-// staleness window grows from one packet to at most one burst, and a
-// verdict recorded under a superseded generation is never served afterward),
-// output is coalesced per egress port and flushed at the end, and each ring
-// buffer is recycled as its frame finishes. The latency histogram samples
-// one burst whenever the burst crosses a sampling boundary, recording the
-// per-frame average.
+// execBurst runs one drained burst on the worker's lane, records the
+// worker's telemetry for it, then tells any backpressured producer that the
+// ring has space again.
 func (w *dpWorker) execBurst(s *Switch, items []workerItem) {
-	n := uint64(len(items))
 	w.burstHist[burstBucket(len(items))].Add(1)
-	base := w.ctrs.pipeline.Add(n)
-	cacheOn := s.cache.enabled.Load()
-	var gen uint64
-	if cacheOn {
-		gen = s.cache.gen.Load()
-	}
-	if (base-n)>>latencySampleShift != base>>latencySampleShift {
-		start := time.Now()
-		w.runBurst(s, items, gen, cacheOn)
-		s.latency.Observe(time.Since(start).Seconds() / float64(n))
-	} else {
-		w.runBurst(s, items, gen, cacheOn)
-	}
+	w.lane.runItems(s, items)
+	tx := &w.lane.tx
+	w.txCoalesced.Add(tx.sent)
+	w.txFlushes.Add(tx.flushes)
+	tx.sent, tx.flushes = 0, 0
 	w.signalSpace()
-}
-
-func (w *dpWorker) runBurst(s *Switch, items []workerItem, gen uint64, cacheOn bool) {
-	// Frames steered from one chunk sit in consecutive ring slots, so their
-	// shared chunk buffer is released with one run-length-batched atomic
-	// instead of one per frame.
-	var sb *sharedBuf
-	var sbRefs int32
-	for i := range items {
-		it := &items[i]
-		w.sc.key = it.key
-		s.runKeyedGen(it.inPort, it.data, it.hash, &w.ctrs, &w.sc, gen, cacheOn)
-		if it.shared != nil {
-			if it.shared != sb {
-				if sb != nil {
-					sb.releaseN(sbRefs)
-				}
-				sb, sbRefs = it.shared, 0
-			}
-			sbRefs++
-		} else {
-			pkt.PutBuffer(it.data)
-		}
-	}
-	if sb != nil {
-		sb.releaseN(sbRefs)
-	}
-	w.sc.flushEntryStats()
-	w.tx.flush()
 }
 
 // WorkerStats is the telemetry snapshot of one datapath worker.
@@ -423,8 +425,7 @@ type WorkerStats struct {
 	// of bursts of at most BurstBuckets()[i] frames (and more than the
 	// previous bucket's bound).
 	BurstHist []uint64
-	// TxCoalesced counts frames transmitted through a coalesced egress
-	// flush rather than an immediate per-frame send.
+	// TxCoalesced counts frames transmitted by the lane's egress flushes.
 	TxCoalesced uint64
 	// TxFlushes counts SendBatch calls issued by the TX coalescer; the
 	// average coalesced batch is TxCoalesced / TxFlushes.
@@ -432,7 +433,7 @@ type WorkerStats struct {
 }
 
 // WorkerTelemetry snapshots per-worker queue depth and activity; nil for a
-// synchronous switch.
+// switch without workers.
 func (s *Switch) WorkerTelemetry() []WorkerStats {
 	if len(s.workers) == 0 {
 		return nil
@@ -450,8 +451,8 @@ func (s *Switch) WorkerTelemetry() []WorkerStats {
 			QueueDrops:  w.qdrops.Load(),
 			Packets:     w.ctrs.pipeline.Load(),
 			BurstHist:   hist,
-			TxCoalesced: w.tx.coalesced.Load(),
-			TxFlushes:   w.tx.flushes.Load(),
+			TxCoalesced: w.txCoalesced.Load(),
+			TxFlushes:   w.txFlushes.Load(),
 		}
 	}
 	return out

@@ -52,9 +52,10 @@ func TestWorkerPoolForwards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "all frames forwarded", func() bool { return delivered.Load() == n })
-	if got := sw.PacketsProcessed(); got != n {
-		t.Errorf("PacketsProcessed = %d, want %d", got, n)
+	// A frame is counted as processed only after it was delivered.
+	waitFor(t, "all frames processed", func() bool { return sw.PacketsProcessed() == n })
+	if got := delivered.Load(); got != n {
+		t.Errorf("delivered = %d, want %d", got, n)
 	}
 }
 
@@ -69,7 +70,10 @@ func TestWorkerSteeringAffinity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "single-flow frames forwarded", func() bool { return delivered.Load() == n })
+	waitFor(t, "single-flow frames processed", func() bool { return sw.PacketsProcessed() == n })
+	if got := delivered.Load(); got != n {
+		t.Fatalf("delivered = %d, want %d", got, n)
+	}
 	busy := 0
 	for _, ws := range sw.WorkerTelemetry() {
 		if ws.Packets == n {
@@ -276,9 +280,12 @@ func TestWorkerPoolPartitionedCache(t *testing.T) {
 			}
 		}
 	}
-	waitFor(t, "all microflow frames forwarded", func() bool {
-		return delivered.Load() == flows*repeat
+	waitFor(t, "all microflow frames processed", func() bool {
+		return sw.PacketsProcessed() == flows*repeat
 	})
+	if got := delivered.Load(); got != flows*repeat {
+		t.Fatalf("delivered = %d, want %d", got, flows*repeat)
+	}
 	cs := sw.CacheStats()
 	if cs.Entries == 0 {
 		t.Error("no resident cache entries after traffic")

@@ -156,10 +156,10 @@ type Config struct {
 	// start — emulating provisioning latency for wall-clock scheduling
 	// experiments. 0 keeps starts instant.
 	StartupWallScale float64
-	// Workers selects the datapath mode of every LSI: 0 (the default)
-	// processes frames synchronously in the sender's goroutine; N > 0 runs
-	// N RSS-steered run-to-completion datapath workers per switch. See the
-	// README section "Parallel datapath" for how to choose N.
+	// Workers selects where every LSI runs its datapath lane: 0 (the
+	// default) executes received bursts inline in the sender's goroutine;
+	// N > 0 runs N of the same lanes as RSS-steered workers behind rings.
+	// See the README section "The datapath lane" for how to choose N.
 	Workers int
 }
 
@@ -279,7 +279,7 @@ func (n *Node) Undeploy(id string) error { return n.orch.Undeploy(id) }
 // starts and attaches, the LSI steering repoints atomically (no steering
 // gap, zero packet loss in the switchover), then the old instance drains
 // and stops. The REST interface exposes it as
-// POST /NF-FG/{id}/nf/{nf}/reflavor.
+// POST /v1/graphs/{id}/nfs/{nf}/reflavor.
 func (n *Node) Reflavor(graphID, nfID string, tech Technology) error {
 	return n.orch.Reflavor(graphID, nfID, tech)
 }
