@@ -11,7 +11,9 @@
 // single noisy iteration. The gate regexp is matched against the full
 // benchmark name (sub-benchmarks included, GOMAXPROCS suffix stripped); a
 // gated benchmark present in the baseline but missing from the current run
-// fails the gate too, so a benchmark cannot dodge it by being deleted.
+// fails the gate too, so a benchmark cannot dodge it by being deleted, and
+// so does one present in the current run but missing from the baseline, so
+// a truncated or stale baseline cannot pass for a green gate.
 //
 // With -extract-dir, the plain benchmark text of both runs is written as
 // baseline.txt and current.txt, ready for `benchstat baseline.txt
@@ -229,18 +231,22 @@ func main() {
 		}
 		fmt.Printf("%-52s %14.1f %14.1f %+8.1f%% %s%s\n", name, bm, cm, delta, mark, verdict)
 	}
-	for name := range cur {
-		if _, known := base[name]; !known && gateRE.MatchString(name) {
-			fmt.Printf("%-52s (new, not in baseline)\n", name)
-		}
-	}
-	// The allocation gate is absolute, not relative: a zero-alloc hot path
-	// must stay zero-alloc regardless of what the baseline recorded.
 	curNames := make([]string, 0, len(cur))
 	for name := range cur {
 		curNames = append(curNames, name)
 	}
 	sort.Strings(curNames)
+	// A gated benchmark the baseline does not know is not gated at all:
+	// fail until `make bench-baseline` records it.
+	for _, name := range curNames {
+		if _, known := base[name]; !known && gateRE.MatchString(name) {
+			failed = true
+			fmt.Printf("%-52s %14s %14.1f %9s gated NOT IN BASELINE (run `make bench-baseline`)\n",
+				name, "-", cur[name].median(), "-")
+		}
+	}
+	// The allocation gate is absolute, not relative: a zero-alloc hot path
+	// must stay zero-alloc regardless of what the baseline recorded.
 	for _, name := range curNames {
 		if !allocRE.MatchString(name) {
 			continue

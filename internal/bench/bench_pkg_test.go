@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -79,18 +80,27 @@ func TestSharableNNFAblation(t *testing.T) {
 }
 
 func TestAdaptationLayerAblation(t *testing.T) {
-	res, err := AdaptationLayer(500)
-	if err != nil {
-		t.Fatal(err)
+	// One wall-clock ratio follows whatever else the box is doing (a loaded
+	// `go test ./...` stalls either side for a scheduler quantum): compare
+	// the medians of several runs instead.
+	const runs = 7
+	direct, adapted := make([]float64, runs), make([]float64, runs)
+	for i := 0; i < runs; i++ {
+		res, err := AdaptationLayer(500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DirectNsPerPkt <= 0 || res.AdaptedNsPerPkt <= 0 {
+			t.Fatalf("res = %+v", res)
+		}
+		direct[i], adapted[i] = res.DirectNsPerPkt, res.AdaptedNsPerPkt
 	}
-	if res.DirectNsPerPkt <= 0 || res.AdaptedNsPerPkt <= 0 {
-		t.Fatalf("res = %+v", res)
-	}
+	sort.Float64s(direct)
+	sort.Float64s(adapted)
 	// The adapter costs something but must stay within 6x of direct
 	// (it adds a demux map lookup and one frame retag copy).
-	if res.AdaptedNsPerPkt > res.DirectNsPerPkt*6 {
-		t.Errorf("adaptation overhead too large: %.0f vs %.0f ns/pkt",
-			res.AdaptedNsPerPkt, res.DirectNsPerPkt)
+	if d, a := direct[runs/2], adapted[runs/2]; a > d*6 {
+		t.Errorf("adaptation overhead too large: median %.0f vs %.0f ns/pkt over %d runs", a, d, runs)
 	}
 }
 

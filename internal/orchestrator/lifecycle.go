@@ -2,11 +2,11 @@ package orchestrator
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/compute"
-	"repro/internal/nf"
 	"repro/internal/telemetry"
 )
 
@@ -78,8 +78,8 @@ type graphLock struct {
 	refs int
 }
 
-// lockGraph acquires the per-graph operation lock. Deploy, Update, Undeploy
-// and Reflavor hold it for their whole run, so operations on one graph
+// lockGraph acquires the per-graph operation lock. Every operation that
+// changes a graph holds it for its whole run, so operations on one graph
 // serialize while different graphs proceed in parallel; the shared
 // orchestrator mutex is only held for the bookkeeping phases in between.
 // Pair with unlockGraph.
@@ -115,83 +115,132 @@ const DefaultMaxParallelStarts = 8
 // instance to finish in-flight traffic.
 const DefaultDrainTimeout = 250 * time.Millisecond
 
-// startNFs boots every placement concurrently, bounded by
-// cfg.MaxParallelStarts, walking each NF through pending → starting. It
-// must be called without the orchestrator lock: driver starts are the slow
-// phase of a deployment (image pull, environment boot) and drivers are
-// concurrency-safe by contract. On any failure every instance that did
-// start is stopped and the first error is returned — the graph never sees a
-// half-started NF set.
-func (o *Orchestrator) startNFs(graphID string, placements []Placement) ([]*nfAttachment, error) {
+// launch is the only way an instance comes up: it boots one instance per
+// placement and wires each to the graph. The first active instances rest in
+// the running state; the others are standbys and idle in attaching (wired,
+// never steered at). It has two halves for a reason. Starts are the slow
+// phase (image pull, environment boot) and drivers are concurrency-safe by
+// contract, so they run concurrently, bounded by cfg.MaxParallelStarts,
+// with o.mu released; attaching touches both switches and the node's
+// bookkeeping, so it runs under o.mu. Generated instance names are
+// node-unique (the resource ledger and the image store key by them): an
+// instance replacing another of the same NF never collides with it. On any
+// failure every instance of the batch is stopped and unwired and the first
+// error is returned — the graph never sees a half-launched batch. Callers
+// hold the graph's operation lock and o.mu.
+func (o *Orchestrator) launch(d *DeployedGraph, pls []Placement, active int) ([]*nfAttachment, error) {
+	if len(pls) == 0 {
+		return nil, nil
+	}
+	graphID := d.Graph.ID
 	limit := o.cfg.MaxParallelStarts
 	if limit <= 0 {
 		limit = DefaultMaxParallelStarts
 	}
-	atts := make([]*nfAttachment, len(placements))
-	errs := make([]error, len(placements))
+	atts := make([]*nfAttachment, len(pls))
+	errs := make([]error, len(pls))
 	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
-	for i, pl := range placements {
-		att := &nfAttachment{}
-		atts[i] = att
-		o.setState(graphID, pl.NF.ID, att, StatePending)
+	boot := func(i int) {
+		defer wg.Done()
+		sem <- struct{}{}
+		defer func() { <-sem }()
+		pl, att := pls[i], atts[i]
+		o.setState(graphID, pl.NF.ID, att, StateStarting)
+		inst, err := pl.Driver.Start(compute.StartRequest{
+			InstanceName: graphID + "." + pl.NF.ID + "#" + strconv.FormatUint(o.instGen.Add(1), 10),
+			GraphID:      graphID,
+			Template:     pl.Template,
+			Config:       pl.NF.Config,
+		})
+		if err != nil {
+			o.setState(graphID, pl.NF.ID, att, StateFailed)
+			errs[i] = fmt.Errorf("orchestrator: starting %q as %s: %w", pl.NF.ID, pl.Technology, err)
+			return
+		}
+		att.inst = inst
+	}
+	o.mu.Unlock()
+	for i := range pls {
+		atts[i] = &nfAttachment{}
 		wg.Add(1)
-		go func(i int, pl Placement, att *nfAttachment) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			o.setState(graphID, pl.NF.ID, att, StateStarting)
-			inst, err := pl.Driver.Start(compute.StartRequest{
-				InstanceName: graphID + "." + pl.NF.ID,
-				GraphID:      graphID,
-				Template:     pl.Template,
-				Config:       pl.NF.Config,
-			})
-			if err != nil {
-				o.setState(graphID, pl.NF.ID, att, StateFailed)
-				errs[i] = fmt.Errorf("orchestrator: starting %q: %w", pl.NF.ID, err)
-				return
-			}
-			att.inst = inst
-		}(i, pl, att)
+		if i < len(pls)-1 {
+			go boot(i)
+		} else {
+			boot(i) // the caller's share: a batch of one costs no goroutine handoff
+		}
 	}
 	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
+	o.mu.Lock()
+	var err error
+	for _, e := range errs {
+		if e != nil {
+			err = e
 			break
 		}
 	}
-	if firstErr == nil {
-		return atts, nil
+	for i := 0; err == nil && i < len(atts); i++ {
+		o.setState(graphID, pls[i].NF.ID, atts[i], StateAttaching)
+		if aerr := o.attachNF(d, atts[i]); aerr != nil {
+			o.setState(graphID, pls[i].NF.ID, atts[i], StateFailed)
+			err = fmt.Errorf("orchestrator: attaching %q: %w", pls[i].NF.ID, aerr)
+		}
 	}
-	o.stopUnattached(placements, atts)
-	return nil, firstErr
+	if err != nil {
+		for i, att := range atts {
+			if att.inst == nil {
+				continue
+			}
+			if att.State() != StateFailed {
+				o.setState(graphID, pls[i].NF.ID, att, StateStopped)
+			}
+			o.unwire(d, att)
+		}
+		return nil, err
+	}
+	for i, att := range atts {
+		if i < active {
+			o.setState(graphID, pls[i].NF.ID, att, StateRunning)
+		}
+		role := ""
+		if i >= active {
+			role = " (standby)"
+		}
+		o.metrics.nfStarts.Inc()
+		o.journal.Recordf(telemetry.EventNFStart, o.cfg.NodeName, graphID,
+			fmt.Sprintf("%s as %s%s", pls[i].NF.ID, pls[i].Technology, role))
+	}
+	return atts, nil
 }
 
-// drainInstance waits until the outgoing runtime's counters stop moving:
-// with synchronous frame delivery, a stable rx/tx pair over several samples
-// means no sender goroutine is still inside the instance. Bounded by
-// cfg.DrainTimeout.
-func (o *Orchestrator) drainInstance(rt *nf.Runtime) {
+// drain waits, with o.mu released, until the outgoing instances' counters
+// stop moving: with synchronous frame delivery, a stable rx/tx pair over
+// several samples means no sender goroutine is still inside the instance.
+// Bounded by cfg.DrainTimeout per instance. Drivers without drain support
+// (shared native NFs) release immediately, and a crashed instance holds no
+// packet to wait for. Callers hold o.mu.
+func (o *Orchestrator) drain(outgoing []*nfAttachment) {
+	o.mu.Unlock()
+	defer o.mu.Lock()
 	timeout := o.cfg.DrainTimeout
 	if timeout <= 0 {
 		timeout = DefaultDrainTimeout
 	}
-	deadline := time.Now().Add(timeout)
-	last := rt.Stats()
-	stable := 0
-	for time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-		cur := rt.Stats()
-		if cur == last {
-			if stable++; stable >= 3 {
-				return
-			}
+	for _, att := range outgoing {
+		drv, ok := o.cfg.Compute.Driver(att.inst.Technology)
+		rt := att.inst.Runtime
+		if !ok || !drv.Caps().SupportsDrain || !rt.Running() {
 			continue
 		}
-		stable = 0
-		last = cur
+		deadline := time.Now().Add(timeout)
+		last := rt.Stats()
+		for stable := 0; stable < 3 && time.Now().Before(deadline); {
+			time.Sleep(2 * time.Millisecond)
+			if cur := rt.Stats(); cur == last {
+				stable++
+			} else {
+				stable, last = 0, cur
+			}
+		}
 	}
 }

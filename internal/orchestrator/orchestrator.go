@@ -154,16 +154,9 @@ type DeployedGraph struct {
 
 	lsi    *lsiConn
 	cookie uint64
-	nfs    map[string]*nfAttachment // by NF id
-	eps    map[string]*epAttachment // by endpoint id
-	// scales holds the replica set of each scaled-out NF; an NF absent here
-	// runs as the single instance in nfs. nfs[id] is always the scaled NF's
-	// replica 0.
-	scales map[string]*nfScale
-	// standbys holds the pre-attached standby instance of each
-	// active-standby NF. Standbys are wired to the LSI but absent from nfs,
-	// so steering never selects them until PromoteStandby swaps one in.
-	standbys map[string]*nfAttachment
+	// nfs holds the instance set of every NF of the graph, by NF id.
+	nfs map[string]*nfSet
+	eps map[string]*epAttachment // by endpoint id
 }
 
 // LSI returns the graph's switch, for inspection.
@@ -172,11 +165,12 @@ func (d *DeployedGraph) LSI() *vswitch.Switch { return d.lsi.sw }
 // Controller returns the graph's steering controller, for inspection.
 func (d *DeployedGraph) Controller() *openflow.Controller { return d.lsi.ctrl }
 
-// Instances returns the graph's NF instances keyed by NF id.
+// Instances returns the graph's NF instances keyed by NF id; an NF served
+// by several members reports its first.
 func (d *DeployedGraph) Instances() map[string]*compute.Instance {
 	out := make(map[string]*compute.Instance, len(d.nfs))
-	for id, att := range d.nfs {
-		out[id] = att.inst
+	for id, set := range d.nfs {
+		out[id] = set.members[0].inst
 	}
 	return out
 }
@@ -205,10 +199,9 @@ type Orchestrator struct {
 	graphs   map[string]*DeployedGraph
 	dpidGen  uint64
 	cookieGn uint64
-	// standbyGen numbers standby incarnations: the resource ledger keys
-	// grants by instance name, and a promoted standby keeps its grant
-	// under the old name, so the replacement needs a fresh one.
-	standbyGen uint64
+	// instGen numbers the instances the node ever launched; atomic because
+	// instances are named while they boot, outside mu.
+	instGen atomic.Uint64
 	// rates holds the last per-graph LSI rx probe, backing the observed
 	// packet rate the cost-driven policy consumes.
 	rates map[string]*rateProbe
@@ -382,25 +375,13 @@ func (l *lsiConn) nextPort() uint32 {
 }
 
 // Deploy validates, schedules and instantiates a graph, then programs
-// traffic steering. On any failure the partial deployment is rolled back.
+// traffic steering and brings every NF's set to the replica count and
+// redundancy its spec asks for. On any failure the partial deployment is
+// rolled back: a graph that cannot reach its requested scale, or whose
+// standby cannot start, is not deployed at all.
 func (o *Orchestrator) Deploy(g *nffg.Graph) error {
 	start := time.Now()
 	err := o.deploy(g)
-	if err == nil {
-		// The graph runs single-instance; now honor any replicas > 1 in the
-		// spec. A graph that cannot reach its requested scale does not stay
-		// half-deployed.
-		if err = o.reconcileReplicas(g); err != nil {
-			_ = o.undeploy(g.ID)
-		}
-	}
-	if err == nil {
-		// Likewise for redundancy: an active-standby NF whose standby
-		// cannot start is not deployed at all.
-		if err = o.reconcileStandbys(g); err != nil {
-			_ = o.undeploy(g.ID)
-		}
-	}
 	o.metrics.deployLatency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		o.metrics.deployFailures.Inc()
@@ -438,42 +419,23 @@ func (o *Orchestrator) deploy(g *nffg.Graph) error {
 		return err
 	}
 	d := &DeployedGraph{
-		Graph:    g.Clone(),
-		lsi:      lsi,
-		cookie:   cookie,
-		nfs:      make(map[string]*nfAttachment),
-		eps:      make(map[string]*epAttachment),
-		scales:   make(map[string]*nfScale),
-		standbys: make(map[string]*nfAttachment),
+		Graph:  g.Clone(),
+		lsi:    lsi,
+		cookie: cookie,
+		nfs:    make(map[string]*nfSet),
+		eps:    make(map[string]*epAttachment),
 	}
-	// Start phase, outside the node lock: every NF of the graph boots
-	// concurrently (the graph lock keeps same-graph operations out).
-	atts, err := o.startNFs(g.ID, placements)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	// Every NF's first member boots concurrently (the graph lock keeps
+	// same-graph operations out while o.mu is released).
+	atts, err := o.launch(d, placements, len(placements))
 	if err != nil {
 		lsi.close()
 		return err
 	}
-
-	// Attach phase, under the node lock: ports, endpoints and steering.
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	for i, pl := range placements {
-		att := atts[i]
-		o.setState(g.ID, pl.NF.ID, att, StateAttaching)
-		if err := o.attachNF(d, att); err != nil {
-			o.setState(g.ID, pl.NF.ID, att, StateFailed)
-			// The instance started but is not yet recorded: stop it and
-			// the not-yet-attached rest explicitly, then roll back.
-			_ = pl.Driver.Stop(att.inst)
-			o.stopUnattached(placements[i+1:], atts[i+1:])
-			o.teardown(d)
-			return err
-		}
-		d.nfs[pl.NF.ID] = att
-		o.setState(g.ID, pl.NF.ID, att, StateRunning)
-		o.metrics.nfStarts.Inc()
-		o.journal.Recordf(telemetry.EventNFStart, o.cfg.NodeName, g.ID,
-			fmt.Sprintf("%s as %s", pl.NF.ID, pl.Technology))
+		d.nfs[pl.NF.ID] = &nfSet{members: []*nfAttachment{atts[i]}}
 	}
 	for _, ep := range g.Endpoints {
 		att, err := o.attachEndpoint(d, ep)
@@ -487,22 +449,12 @@ func (o *Orchestrator) deploy(g *nffg.Graph) error {
 		o.teardown(d)
 		return err
 	}
+	if err := o.reconcile(d); err != nil {
+		o.teardown(d)
+		return err
+	}
 	o.graphs[g.ID] = d
 	return nil
-}
-
-// stopUnattached stops instances that were started but never made it into
-// the graph's attachment map (teardown cannot see them).
-func (o *Orchestrator) stopUnattached(placements []Placement, atts []*nfAttachment) {
-	for i, att := range atts {
-		if att == nil || att.inst == nil {
-			continue
-		}
-		o.setState(att.inst.GraphID, placements[i].NF.ID, att, StateStopped)
-		if drv, ok := o.cfg.Compute.Driver(att.inst.Technology); ok {
-			_ = drv.Stop(att.inst)
-		}
-	}
 }
 
 // attachNF wires one NF instance to the graph LSI (direct) or to LSI-0
@@ -758,11 +710,11 @@ func (o *Orchestrator) undeploy(id string) error {
 	return nil
 }
 
-// detachNF stops one NF instance and removes its attachment: LSI-0 flows
-// under the attachment cookie, virtual-link and direct ports, and — when
-// the last user of a shared NNF leaves — its LSI-0 port. Callers hold o.mu.
-func (o *Orchestrator) detachNF(d *DeployedGraph, nfID string, att *nfAttachment) {
-	o.setState(d.Graph.ID, nfID, att, StateStopped)
+// unwire stops one instance and removes whatever attachNF wired for it:
+// LSI-0 flows under the attachment cookie, virtual-link and direct ports,
+// and — when the last user of a shared NNF leaves — its LSI-0 port. Safe on
+// a partially attached instance. Callers hold o.mu.
+func (o *Orchestrator) unwire(d *DeployedGraph, att *nfAttachment) {
 	if drv, ok := o.cfg.Compute.Driver(att.inst.Technology); ok {
 		wasShared := att.inst.Shared
 		name := att.inst.Runtime.Name()
@@ -793,30 +745,34 @@ func (o *Orchestrator) detachNF(d *DeployedGraph, nfID string, att *nfAttachment
 	if att.nnfVlinkLSI0 != 0 {
 		_ = o.lsi0.sw.RemovePort(att.nnfVlinkLSI0)
 	}
+}
+
+// detachNF is the only way a launched instance goes away: it is stopped,
+// unwired and accounted as an nf-stop. Callers hold o.mu.
+func (o *Orchestrator) detachNF(d *DeployedGraph, nfID string, att *nfAttachment) {
+	o.setState(d.Graph.ID, nfID, att, StateStopped)
+	o.unwire(d, att)
 	o.metrics.nfStops.Inc()
 	o.journal.Recordf(telemetry.EventNFStop, o.cfg.NodeName, d.Graph.ID,
 		fmt.Sprintf("%s as %s", nfID, att.inst.Technology))
+}
+
+// retire stops every instance of one NF's set — members, standby and
+// whatever is still draining — and forgets the set. Steering must no longer
+// point at the NF, or be about to be repointed. Callers hold o.mu.
+func (o *Orchestrator) retire(d *DeployedGraph, nfID string) {
+	for _, att := range d.nfs[nfID].all() {
+		o.detachNF(d, nfID, att)
+	}
+	delete(d.nfs, nfID)
 }
 
 // teardown reverses a deployment. Safe on partially-built graphs.
 func (o *Orchestrator) teardown(d *DeployedGraph) {
 	// Remove LSI-0 state installed under the graph's cookie.
 	o.lsi0.sw.DeleteFlows(d.cookie)
-	// Extra replicas of scaled NFs first; replica 0 is in nfs below.
-	for nfID, sc := range d.scales {
-		for _, att := range sc.replicas[1:] {
-			o.detachNF(d, nfID, att)
-		}
-		delete(d.scales, nfID)
-	}
-	// Standbys are attached but never in nfs: detach them explicitly.
-	for nfID, att := range d.standbys {
-		o.detachNF(d, nfID, att)
-		delete(d.standbys, nfID)
-	}
-	for nfID, att := range d.nfs {
-		o.detachNF(d, nfID, att)
-		delete(d.nfs, nfID)
+	for nfID := range d.nfs {
+		o.retire(d, nfID)
 	}
 	// Detach endpoint virtual links from LSI-0 and bookkeeping.
 	for epID, att := range d.eps {
@@ -852,18 +808,12 @@ func (o *Orchestrator) observedRateLocked(id string) float64 {
 }
 
 // Update applies a new version of a deployed graph. NFs and endpoints are
-// diffed individually; steering rules are recompiled wholesale.
+// diffed individually; steering rules are recompiled wholesale; a changed
+// replica count or redundancy mode is a transition of the NF's set, not a
+// config change.
 func (o *Orchestrator) Update(g *nffg.Graph) error {
 	start := time.Now()
 	err := o.update(g)
-	if err == nil {
-		// A replica-count change in the new spec is a scale operation, not a
-		// config change: the diff above deliberately skipped it.
-		err = o.reconcileReplicas(g)
-	}
-	if err == nil {
-		err = o.reconcileStandbys(g)
-	}
 	o.metrics.updateLatency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		o.metrics.updateFailures.Inc()
@@ -881,55 +831,46 @@ func (o *Orchestrator) update(g *nffg.Graph) error {
 	}
 	gl := o.lockGraph(g.ID)
 	defer o.unlockGraph(g.ID, gl)
-
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	d, ok := o.graphs[g.ID]
 	if !ok {
-		o.mu.Unlock()
 		return fmt.Errorf("orchestrator: graph %q not deployed (use Deploy)", g.ID)
 	}
 	diff := nffg.Compute(d.Graph, g)
 	if diff.Empty() {
-		o.mu.Unlock()
-		return nil
+		return o.reconcile(d)
 	}
-	// 1. Schedule the added NFs against the deployed spec.
+	// 1. Schedule the added NFs against the deployed spec and launch them;
+	// a failure here has touched nothing.
 	var placements []Placement
 	if len(diff.AddedNFs) > 0 {
-		sub := &nffg.Graph{ID: g.ID, NFs: diff.AddedNFs}
 		var err error
-		placements, err = o.schedule(sub)
-		if err != nil {
-			o.mu.Unlock()
+		if placements, err = o.schedule(&nffg.Graph{ID: g.ID, NFs: diff.AddedNFs}); err != nil {
 			return err
 		}
 	}
-	o.mu.Unlock()
-
-	// 2. Start the added NFs concurrently, outside the node lock (the
-	// graph lock keeps other same-graph operations out). A start failure
-	// stops the siblings inside startNFs: nothing is attached yet.
-	atts, err := o.startNFs(g.ID, placements)
+	atts, err := o.launch(d, placements, len(placements))
 	if err != nil {
 		return err
 	}
-
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	// added tracks the NF ids this update attached and restarted the NFs
-	// it replaced for a config change; a failure past this point rolls
-	// back exactly these — added NFs are detached, restarted NFs are put
-	// back on the previous spec's instance — leaving the prior deployment
-	// intact.
-	var added, restarted []string
+	for i, pl := range placements {
+		d.nfs[pl.NF.ID] = &nfSet{members: []*nfAttachment{atts[i]}}
+	}
+	// restarted tracks the NFs this update replaced for a config change; a
+	// failure past this point rolls back exactly what it did — added NFs
+	// are retired, restarted NFs are put back on the previous spec's
+	// configuration — leaving the prior deployment intact.
+	var restarted []string
 	fail := func(err error) error {
-		o.rollbackStarted(d, added)
+		for _, pl := range placements {
+			o.retire(d, pl.NF.ID)
+		}
 		for _, nfID := range restarted {
-			// d.Graph still holds the pre-update spec here (step 6
-			// restores it before failing), so this reinstates the
-			// old-config instance best-effort.
+			// d.Graph still holds the pre-update spec here (step 4
+			// restores it before failing).
 			if prev := d.Graph.FindNF(nfID); prev != nil {
-				_ = o.restartNF(d, g.ID, *prev)
+				_ = o.restart(d, *prev)
 			}
 		}
 		if len(restarted) > 0 {
@@ -939,78 +880,48 @@ func (o *Orchestrator) update(g *nffg.Graph) error {
 		}
 		return err
 	}
-	// 3. Attach the added NFs.
-	for i, pl := range placements {
-		att := atts[i]
-		o.setState(g.ID, pl.NF.ID, att, StateAttaching)
-		if err := o.attachNF(d, att); err != nil {
-			o.setState(g.ID, pl.NF.ID, att, StateFailed)
-			_ = pl.Driver.Stop(att.inst)
-			o.stopUnattached(placements[i+1:], atts[i+1:])
-			return fail(err)
-		}
-		d.nfs[pl.NF.ID] = att
-		o.setState(g.ID, pl.NF.ID, att, StateRunning)
-		added = append(added, pl.NF.ID)
-		o.metrics.nfStarts.Inc()
-		o.journal.Recordf(telemetry.EventNFStart, o.cfg.NodeName, g.ID,
-			fmt.Sprintf("%s as %s", pl.NF.ID, pl.Technology))
-	}
-	// 4. Changed NFs: reconfigure in place when both the driver and the
-	// processor support it, otherwise stop and restart the instance with
-	// the new configuration — a changed spec must never leave stale config
-	// running. The journal records which path each NF took.
+	// 2. Changed NFs: reconfigure every instance of the set in place —
+	// members and standby alike — when all their drivers and processors
+	// support it, otherwise stop and restart the set with the new
+	// configuration: a changed spec must never leave stale config running,
+	// in service or waiting to be promoted into it. The journal records
+	// which path each NF took.
 	for _, n := range diff.ChangedNFs {
-		att, exists := d.nfs[n.ID]
-		if !exists {
+		set, exists := d.nfs[n.ID]
+		// A change to the replica count alone is for reconcile below; the
+		// instances keep running.
+		if prev := d.Graph.FindNF(n.ID); !exists || (prev != nil && equalIgnoringReplicas(*prev, n)) {
 			continue
 		}
-		// A change to the replica count alone is a scale operation, handled
-		// by the Update wrapper after this pass; the instances keep running.
-		if prev := d.Graph.FindNF(n.ID); prev != nil && equalIgnoringReplicas(*prev, n) {
-			continue
-		}
-		sc := d.scales[n.ID]
-		drv, reg := o.cfg.Compute.Driver(att.inst.Technology)
-		cfgr, configurable := att.inst.Runtime.Processor().(nf.Configurer)
-		if reg && drv.Caps().SupportsReconfigure && configurable {
-			if err := cfgr.Configure(n.Config); err != nil {
-				return fail(fmt.Errorf("orchestrator: update: reconfiguring %q: %w", n.ID, err))
+		all := set.all()
+		var inPlace []nf.Configurer
+		for _, att := range all {
+			drv, reg := o.cfg.Compute.Driver(att.inst.Technology)
+			cfgr, configurable := att.inst.Runtime.Processor().(nf.Configurer)
+			if reg && drv.Caps().SupportsReconfigure && configurable {
+				inPlace = append(inPlace, cfgr)
 			}
-			// Every replica of a scaled NF must see the new configuration.
-			if sc != nil {
-				for _, rep := range sc.replicas[1:] {
-					rc, ok := rep.inst.Runtime.Processor().(nf.Configurer)
-					if !ok {
-						continue
-					}
-					if err := rc.Configure(n.Config); err != nil {
-						return fail(fmt.Errorf("orchestrator: update: reconfiguring replica of %q: %w", n.ID, err))
-					}
+		}
+		if len(inPlace) == len(all) {
+			for _, cfgr := range inPlace {
+				if err := cfgr.Configure(n.Config); err != nil {
+					return fail(fmt.Errorf("orchestrator: update: reconfiguring %q: %w", n.ID, err))
 				}
 			}
 			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, g.ID,
 				fmt.Sprintf("%s reconfigured in place", n.ID))
 			continue
 		}
-		if sc != nil {
-			if err := o.restartReplicas(d, g.ID, n, sc); err != nil {
-				return fail(fmt.Errorf("orchestrator: update: restarting replicas of %q: %w", n.ID, err))
-			}
-			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, g.ID,
-				fmt.Sprintf("%s: %d replicas restarted (processor not reconfigurable in place)", n.ID, len(sc.replicas)))
-			continue
-		}
-		if err := o.restartNF(d, g.ID, n); err != nil {
-			// restartNF already attempted to restore the previous
-			// instance; only the earlier steps remain to roll back.
+		if err := o.restart(d, n); err != nil {
+			// restart already attempted to restore the previous instances;
+			// only the earlier steps remain to roll back.
 			return fail(fmt.Errorf("orchestrator: update: restarting %q with new config: %w", n.ID, err))
 		}
 		restarted = append(restarted, n.ID)
 		o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, g.ID,
 			fmt.Sprintf("%s restarted (processor not reconfigurable in place)", n.ID))
 	}
-	// 5. Endpoints: removed ones are detached in place (their LSI-0
+	// 3. Endpoints: removed ones are detached in place (their LSI-0
 	// classification flows are tagged with a per-endpoint cookie), added
 	// ones attached; a changed endpoint appears in the diff as
 	// removed+added under the same id. The global orchestrator leans on
@@ -1040,134 +951,108 @@ func (o *Orchestrator) update(g *nffg.Graph) error {
 		}
 		d.eps[ep.ID] = att
 	}
-	// 6. Recompile steering against the new spec and repoint it with one
+	// 4. Recompile steering against the new spec and repoint it with one
 	// atomic snapshot swap: the datapath sees the old complete rule set or
 	// the new one, never the gap in between.
 	oldGraph := d.Graph
 	d.Graph = g.Clone()
-	entries, err := o.compileEntries(d, d.cookie)
-	if err != nil {
-		d.Graph = oldGraph
-		return fail(err)
-	}
-	if _, err := d.lsi.sw.SwapFlows(d.cookie, entries); err != nil {
+	if err := o.reprogram(d); err != nil {
 		d.Graph = oldGraph
 		return fail(err)
 	}
 	o.metrics.steeringRules.Add(uint64(len(d.Graph.Rules)))
 	o.journal.Recordf(telemetry.EventFlowMod, o.cfg.NodeName, g.ID,
 		fmt.Sprintf("%d rules swapped on %s", len(d.Graph.Rules), o.lsiLabel(d.lsi.sw)))
-	// 7. Detach removed NFs last, after steering stopped referencing them,
+	// 5. Retire removed NFs last, after steering stopped referencing them,
 	// so their traffic is re-steered before the ports disappear.
 	for _, n := range diff.RemovedNFs {
-		att, exists := d.nfs[n.ID]
-		if !exists {
-			continue
+		if _, exists := d.nfs[n.ID]; exists {
+			o.retire(d, n.ID)
 		}
-		if sc := d.scales[n.ID]; sc != nil {
-			for _, rep := range sc.replicas[1:] {
-				o.setState(g.ID, n.ID, rep, StateDraining)
-				o.detachNF(d, n.ID, rep)
+	}
+	return o.reconcile(d)
+}
+
+// restart replaces every instance of a changed NF's set with a fresh one
+// running the new configuration: the fallback path of a graph update when
+// in-place reconfiguration is unsupported, and of a repair when nothing
+// survives to take over. The old instances stop before the new ones start
+// — a non-sharable NNF or an exhausted flavor cannot run twice — so the NF
+// is briefly out of the datapath and its flow state does not survive (the
+// new configuration may invalidate it); the set's shape does: each instance
+// comes back in the technology it ran in (the policy places an NF's first
+// instance only, and what it would answer for one instance need not host
+// them all), the bucket map is kept. Steering still points at the old ports
+// until the caller reprograms it. If the new instances cannot start, the
+// previous spec's are restored best-effort so the graph is not left with a
+// hole its steering still points into. Callers hold the graph's operation
+// lock and o.mu.
+func (o *Orchestrator) restart(d *DeployedGraph, n nffg.NF) error {
+	set := d.nfs[n.ID]
+	old, size := set.all(), len(set.members) // members, then the standby: nothing drains under the graph lock
+	// While o.mu is released for the boot, readers see the NF absent rather
+	// than a set without members.
+	o.retire(d, n.ID)
+	relaunch := func(n nffg.NF) error {
+		pls := make([]Placement, len(old))
+		for i, att := range old {
+			pl, err := o.placementAs(d.Graph.ID, n, att.inst.Technology)
+			if err != nil {
+				return fmt.Errorf("orchestrator: graph %q: NF %q: %w", d.Graph.ID, n.ID, err)
 			}
-			delete(d.scales, n.ID)
+			pls[i] = pl
 		}
-		o.setState(g.ID, n.ID, att, StateDraining)
-		o.detachNF(d, n.ID, att)
-		delete(d.nfs, n.ID)
-	}
-	return nil
-}
-
-// rollbackStarted undoes the NFs a failed update attached: each is stopped
-// and detached, so the deployed graph returns to exactly its pre-update NF
-// set (the spec is restored by the caller keeping d.Graph untouched).
-// Callers hold o.mu.
-func (o *Orchestrator) rollbackStarted(d *DeployedGraph, started []string) {
-	for _, nfID := range started {
-		att, ok := d.nfs[nfID]
-		if !ok {
-			continue
+		atts, err := o.launch(d, pls, size)
+		if err != nil {
+			return err
 		}
-		o.detachNF(d, nfID, att)
-		delete(d.nfs, nfID)
+		set.members, set.draining, set.standby = atts[:size], nil, nil
+		if len(atts) > size {
+			set.standby = atts[size]
+		}
+		d.nfs[n.ID] = set
+		return nil
 	}
-}
-
-// startAndAttachNF schedules, starts and attaches one NF of a deployed
-// graph, walking it through the lifecycle states. Callers hold o.mu.
-func (o *Orchestrator) startAndAttachNF(d *DeployedGraph, graphID string, n nffg.NF) error {
-	placements, err := o.schedule(&nffg.Graph{ID: graphID, NFs: []nffg.NF{n}})
-	if err != nil {
-		return err
-	}
-	pl := placements[0]
-	att := &nfAttachment{}
-	o.setState(graphID, n.ID, att, StateStarting)
-	inst, err := pl.Driver.Start(compute.StartRequest{
-		InstanceName: graphID + "." + n.ID,
-		GraphID:      graphID,
-		Template:     pl.Template,
-		Config:       n.Config,
-	})
-	if err != nil {
-		o.setState(graphID, n.ID, att, StateFailed)
-		return err
-	}
-	att.inst = inst
-	o.setState(graphID, n.ID, att, StateAttaching)
-	if err := o.attachNF(d, att); err != nil {
-		o.setState(graphID, n.ID, att, StateFailed)
-		_ = pl.Driver.Stop(inst)
-		return err
-	}
-	d.nfs[n.ID] = att
-	o.setState(graphID, n.ID, att, StateRunning)
-	o.metrics.nfStarts.Inc()
-	o.journal.Recordf(telemetry.EventNFStart, o.cfg.NodeName, graphID,
-		fmt.Sprintf("%s as %s", n.ID, pl.Technology))
-	return nil
-}
-
-// restartNF replaces a changed NF's instance with a fresh one running the
-// new configuration: the fallback path of a graph update when in-place
-// reconfiguration is unsupported. The old instance stops before the new one
-// starts — a non-sharable NNF or an exhausted flavor cannot run twice — so
-// the NF is briefly out of the datapath; steering still points at its old
-// ports until step 6 swaps it. If the new instance cannot start, the
-// previous spec's instance is restored best-effort so the graph is not
-// left with a hole its steering still points into. Callers hold o.mu.
-func (o *Orchestrator) restartNF(d *DeployedGraph, graphID string, n nffg.NF) error {
-	if old, ok := d.nfs[n.ID]; ok {
-		o.setState(graphID, n.ID, old, StateDraining)
-		o.detachNF(d, n.ID, old)
-		delete(d.nfs, n.ID)
-	}
-	err := o.startAndAttachNF(d, graphID, n)
+	err := relaunch(n)
 	if err == nil {
 		return nil
 	}
-	// Best-effort recovery: put the previous spec's instance back so the
-	// graph is not left with a silent hole the steering points into. The
-	// restored instance sits on fresh LSI ports, so the steering must be
-	// repointed at it too (d.Graph still is the spec it came from).
+	// The restored instances sit on fresh LSI ports, so the steering must be
+	// repointed at them too (d.Graph still is the spec they came from).
 	if prev := d.Graph.FindNF(n.ID); prev != nil {
-		rerr := o.startAndAttachNF(d, graphID, *prev)
+		rerr := relaunch(*prev)
 		if rerr == nil {
 			rerr = o.reprogram(d)
 		}
 		if rerr != nil {
-			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, graphID,
+			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, d.Graph.ID,
 				fmt.Sprintf("%s lost: restart failed (%v), recovery failed (%v)", n.ID, err, rerr))
 		} else {
-			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, graphID,
+			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, d.Graph.ID,
 				fmt.Sprintf("%s restored to previous config after failed restart", n.ID))
 		}
 	}
 	return err
 }
 
+// reconcile brings every NF's set in line with the deployed spec: its
+// replica count and whether it keeps a standby. Deploy and Update end with
+// it. Callers hold the graph's operation lock and o.mu.
+func (o *Orchestrator) reconcile(d *DeployedGraph) error {
+	for _, n := range d.Graph.NFs {
+		set, ok := d.nfs[n.ID]
+		if !ok {
+			continue
+		}
+		if err := o.resize(d, n, set, n.Replicas, n.Redundancy == nffg.RedundancyActiveStandby); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // reprogram recompiles the graph's steering against its current spec and
-// attachments and repoints the LSI with one atomic snapshot swap. Callers
+// instance sets and repoints the LSI with one atomic snapshot swap. Callers
 // hold o.mu.
 func (o *Orchestrator) reprogram(d *DeployedGraph) error {
 	entries, err := o.compileEntries(d, d.cookie)

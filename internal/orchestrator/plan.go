@@ -79,11 +79,8 @@ func (o *Orchestrator) Plan(g *nffg.Graph) (*DeployPlan, error) {
 		})
 		cur := 0
 		if d != nil {
-			if _, running := d.nfs[p.NF.ID]; running {
-				cur = 1
-				if sc := d.scales[p.NF.ID]; sc != nil {
-					cur = len(sc.replicas)
-				}
+			if set, running := d.nfs[p.NF.ID]; running {
+				cur = len(set.members)
 			}
 		}
 		if add := reps - cur; add > 0 {

@@ -4,23 +4,17 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/compute"
 	"repro/internal/nffg"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
-	"repro/internal/vswitch"
 )
 
 // Reflavor hot-swaps one NF of a deployed graph onto a different execution
-// technology with make-before-break semantics and no steering gap:
-//
-//  1. the incoming flavor's instance starts and attaches to the graph LSI
-//     while the outgoing one keeps serving traffic;
-//  2. the LSI steering is repointed with one copy-on-write snapshot swap —
-//     rules now target the new instance, and drain rules keep the outgoing
-//     instance's return path alive, so every packet is forwarded by either
-//     the complete old rule set or the complete new one;
-//  3. the outgoing instance drains (its counters quiesce) and stops.
+// technology: a transition to a set of the same size in which every member
+// is a fresh instance of the incoming flavor. The outgoing members keep
+// serving while the incoming ones boot, the steering is repointed with one
+// snapshot swap, and the outgoing ones drain and stop (see transition); on
+// failure the old set keeps serving.
 //
 // Swapping to the NF's current technology is a no-op. The paper's
 // deploy-time flavor decision thereby becomes revisable at runtime: the
@@ -48,22 +42,12 @@ func (o *Orchestrator) Reflavor(graphID, nfID string, tech nffg.Technology) erro
 // the running technology. The chosen technology is returned either way.
 func (o *Orchestrator) ReflavorAuto(graphID, nfID string) (nffg.Technology, error) {
 	o.mu.Lock()
-	d, ok := o.graphs[graphID]
-	if !ok {
+	_, n, set, err := o.findSet(graphID, nfID)
+	if err != nil {
 		o.mu.Unlock()
-		return "", fmt.Errorf("orchestrator: graph %q not deployed", graphID)
+		return "", err
 	}
-	att, ok := d.nfs[nfID]
-	if !ok {
-		o.mu.Unlock()
-		return "", fmt.Errorf("orchestrator: graph %q has no NF %q", graphID, nfID)
-	}
-	current := att.inst.Technology
-	n := d.Graph.FindNF(nfID)
-	if n == nil {
-		o.mu.Unlock()
-		return "", fmt.Errorf("orchestrator: graph %q has no NF %q in its spec", graphID, nfID)
-	}
+	current := set.members[0].inst.Technology
 	if n.TechnologyPreference != nffg.TechAny {
 		// A pinned NF is not the policy's to move.
 		o.mu.Unlock()
@@ -107,175 +91,22 @@ func (o *Orchestrator) reflavor(graphID, nfID string, tech nffg.Technology) (boo
 	}
 	gl := o.lockGraph(graphID)
 	defer o.unlockGraph(graphID, gl)
-
 	o.mu.Lock()
-	d, ok := o.graphs[graphID]
-	if !ok {
-		o.mu.Unlock()
-		return false, fmt.Errorf("orchestrator: graph %q not deployed", graphID)
-	}
-	old, ok := d.nfs[nfID]
-	if !ok {
-		o.mu.Unlock()
-		return false, fmt.Errorf("orchestrator: graph %q has no NF %q", graphID, nfID)
-	}
-	if old.inst.Technology == tech {
-		o.mu.Unlock()
-		return false, nil
-	}
-	n := d.Graph.FindNF(nfID)
-	tpl, ok := o.cfg.Repo.Lookup(n.Name)
-	if !ok {
-		o.mu.Unlock()
-		return false, fmt.Errorf("orchestrator: NF %q not in repository", n.Name)
-	}
-	if _, packaged := tpl.Flavors[tech]; !packaged {
-		o.mu.Unlock()
-		return false, fmt.Errorf("orchestrator: template %q has no %q flavor", tpl.Name, tech)
-	}
-	drv, registered := o.cfg.Compute.Driver(tech)
-	if !registered {
-		o.mu.Unlock()
-		return false, fmt.Errorf("orchestrator: no %q driver registered", tech)
-	}
-	if !drv.Available(graphID, tpl) {
-		o.mu.Unlock()
-		return false, fmt.Errorf("orchestrator: %q flavor of %q not deployable right now", tech, tpl.Name)
-	}
-	oldDrv, _ := o.cfg.Compute.Driver(old.inst.Technology)
-	drainCookie := o.nextCookie()
-	config := n.Config
-	o.mu.Unlock()
-
-	// Make: boot the incoming flavor while the outgoing one keeps serving.
-	// The instance name carries a generation suffix so the resource ledger
-	// and image store see a distinct owner from the instance being
-	// replaced.
-	newAtt := &nfAttachment{}
-	o.setState(graphID, nfID, newAtt, StateStarting)
-	inst, err := drv.Start(compute.StartRequest{
-		InstanceName: fmt.Sprintf("%s.%s#%d", graphID, nfID, drainCookie),
-		GraphID:      graphID,
-		Template:     tpl,
-		Config:       config,
-	})
+	defer o.mu.Unlock()
+	d, n, set, err := o.findSet(graphID, nfID)
 	if err != nil {
-		o.setState(graphID, nfID, newAtt, StateFailed)
-		return false, fmt.Errorf("orchestrator: reflavor: starting %q as %s: %w", nfID, tech, err)
-	}
-	newAtt.inst = inst
-	// Count the start here, so a failed attach's detachNF (which counts an
-	// nf-stop) stays balanced against it.
-	o.metrics.nfStarts.Inc()
-	o.journal.Recordf(telemetry.EventNFStart, o.cfg.NodeName, graphID,
-		fmt.Sprintf("%s as %s (reflavor)", nfID, tech))
-
-	o.mu.Lock()
-	if sc := d.scales[nfID]; sc != nil && len(sc.replicas) > 1 && inst.Shared {
-		o.setState(graphID, nfID, newAtt, StateFailed)
-		o.detachNF(d, nfID, newAtt)
-		o.mu.Unlock()
-		return false, fmt.Errorf("orchestrator: reflavor: %q is scaled out; a shared native instance cannot serve as a replica", nfID)
-	}
-	o.setState(graphID, nfID, newAtt, StateAttaching)
-	if err := o.attachNF(d, newAtt); err != nil {
-		o.setState(graphID, nfID, newAtt, StateFailed)
-		o.detachNF(d, nfID, newAtt)
-		o.mu.Unlock()
-		return false, fmt.Errorf("orchestrator: reflavor: attaching %q: %w", nfID, err)
-	}
-	// Break, atomically: compile the full rule set against the incoming
-	// attachment plus drain rules that keep the outgoing instance's return
-	// path alive, and publish both in one snapshot swap. A scaled NF's
-	// replica 0 is this attachment under another name: keep both in step.
-	d.nfs[nfID] = newAtt
-	sc := d.scales[nfID]
-	if sc != nil {
-		sc.replicas[0] = newAtt
-	}
-	revert := func(err error) (bool, error) {
-		d.nfs[nfID] = old
-		if sc != nil {
-			sc.replicas[0] = old
-		}
-		o.detachNF(d, nfID, newAtt)
-		o.mu.Unlock()
 		return false, err
 	}
-	// Carry the outgoing instance's per-flow state (NAT bindings, conntrack
-	// entries, IPsec SAs) into its successor before any traffic reaches it.
-	if src, ok := statefulNF(old); ok {
-		if dst, ok := statefulNF(newAtt); ok {
-			if err := dst.ImportFlowState(src.ExportFlowState(nil)); err != nil {
-				return revert(fmt.Errorf("orchestrator: reflavor: migrating state of %q: %w", nfID, err))
-			}
-		}
+	if set.members[0].inst.Technology == tech {
+		return false, nil
 	}
-	newEntries, err := o.compileEntries(d, d.cookie)
+	pl, err := o.placementAs(graphID, *n, tech)
 	if err != nil {
-		return revert(err)
+		return false, fmt.Errorf("orchestrator: reflavor: %w", err)
 	}
-	drainEntries, err := o.compileDrainEntries(d, nfID, old, newAtt, drainCookie)
-	if err != nil {
-		return revert(err)
+	want := wantedSet{fresh: repeatPlacement(pl, len(set.members)), standby: set.standby != nil}
+	if _, err := o.transition(d, *n, want); err != nil {
+		return false, fmt.Errorf("orchestrator: reflavor: %w", err)
 	}
-	if _, err := d.lsi.sw.SwapFlows(d.cookie, append(newEntries, drainEntries...)); err != nil {
-		return revert(err)
-	}
-	o.setState(graphID, nfID, newAtt, StateRunning)
-	o.setState(graphID, nfID, old, StateDraining)
-	o.mu.Unlock()
-
-	// Drain: packets already inside the outgoing instance finish their
-	// traversal through the drain rules. Drivers without drain support
-	// (shared native NFs) release immediately.
-	if oldDrv != nil && oldDrv.Caps().SupportsDrain {
-		o.drainInstance(old.inst.Runtime)
-	}
-
-	o.mu.Lock()
-	// Catch-up: flows the outgoing instance minted between the export and
-	// the steering swap (or finished during the drain) move over too;
-	// imports overwrite, so the pass is idempotent.
-	if src, ok := statefulNF(old); ok {
-		if dst, ok := statefulNF(d.nfs[nfID]); ok {
-			_ = dst.ImportFlowState(src.ExportFlowState(nil))
-		}
-	}
-	o.detachNF(d, nfID, old)
-	_ = d.lsi.sw.DeleteFlows(drainCookie)
-	o.mu.Unlock()
 	return true, nil
-}
-
-// compileDrainEntries compiles the rules whose ingress is the swapped NF
-// against the outgoing attachment: traffic the old instance already
-// received still has a forwarding path after the steering swap, while all
-// new traffic flows to its successor. The entries carry their own cookie so
-// the post-drain cleanup removes exactly them. Callers hold o.mu with
-// d.nfs[nfID] already pointing at the incoming attachment.
-func (o *Orchestrator) compileDrainEntries(d *DeployedGraph, nfID string, old, incoming *nfAttachment, cookie uint64) ([]*vswitch.FlowEntry, error) {
-	var entries []*vswitch.FlowEntry
-	for _, r := range d.Graph.Rules {
-		if !r.Match.PortIn.IsNF() || r.Match.PortIn.NF != nfID {
-			continue
-		}
-		d.nfs[nfID] = old
-		match, pre, err := o.compileMatch(d, r.Match)
-		d.nfs[nfID] = incoming
-		if err != nil {
-			return nil, fmt.Errorf("orchestrator: graph %q drain rule %q: %w", d.Graph.ID, r.ID, err)
-		}
-		actions, err := o.compileActions(d, r.Actions)
-		if err != nil {
-			return nil, fmt.Errorf("orchestrator: graph %q drain rule %q: %w", d.Graph.ID, r.ID, err)
-		}
-		entries = append(entries, &vswitch.FlowEntry{
-			Priority: r.Priority,
-			Cookie:   cookie,
-			Match:    match,
-			Actions:  append(pre, actions...),
-		})
-	}
-	return entries, nil
 }

@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"repro/internal/compute"
-	"repro/internal/nf"
 	"repro/internal/nffg"
 	"repro/internal/telemetry"
-	"repro/internal/vswitch"
 )
 
 // AutoscaleRateKey is the NF configuration key that opts an NF into
@@ -19,145 +17,25 @@ import (
 // sustain. AutoscaleTick scales the NF toward ceil(observed_rate / key).
 const AutoscaleRateKey = "autoscale_rate_pps"
 
-// nfScale is the scale-out state of one sharded NF: its replica set and the
-// consistent-hash bucket ownership map. Replica 0 is always the attachment
-// recorded in DeployedGraph.nfs, so every code path that knows nothing about
-// scaling keeps operating on a valid instance.
-type nfScale struct {
-	replicas []*nfAttachment
-	// assign maps flow bucket -> index into replicas. Steering compiles it
-	// into a SelectBucket action, so both directions of a connection (the
-	// bucket hash is symmetric) always reach the bucket's owner.
-	assign [vswitch.NumStateBuckets]int
+// findSet resolves one NF of a deployed graph to its spec and instance set.
+// Callers hold o.mu.
+func (o *Orchestrator) findSet(graphID, nfID string) (*DeployedGraph, *nffg.NF, *nfSet, error) {
+	d, ok := o.graphs[graphID]
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("orchestrator: graph %q not deployed", graphID)
+	}
+	set, ok := d.nfs[nfID]
+	n := d.Graph.FindNF(nfID)
+	if !ok || n == nil {
+		return nil, nil, nil, fmt.Errorf("orchestrator: graph %q has no NF %q", graphID, nfID)
+	}
+	return d, n, set, nil
 }
 
-// statefulNF extracts the replica's flow-state interface, if its processor
-// migrates per-flow state.
-func statefulNF(att *nfAttachment) (nf.StatefulNF, bool) {
-	if att == nil || att.inst == nil || att.inst.Runtime == nil {
-		return nil, false
-	}
-	s, ok := att.inst.Runtime.Processor().(nf.StatefulNF)
-	return s, ok
-}
-
-// flowStateDropper is the optional third verb of StatefulNF: donors that
-// implement it release migrated state once the new owner holds it.
-type flowStateDropper interface {
-	DropFlowState(filter func(nf.FlowTuple) bool)
-}
-
-// rebalanceAssign reassigns buckets so every replica in [0,n) owns an
-// almost-equal share, moving as few buckets as possible: only buckets whose
-// owner is gone (index >= n) or above its fair-share quota change hands.
-// It returns the buckets each donor gives up, keyed by the donor's index in
-// the (pre-truncation) replica slice.
-func rebalanceAssign(assign *[vswitch.NumStateBuckets]int, n int) map[int][]int {
-	quota := make([]int, n)
-	base, extra := vswitch.NumStateBuckets/n, vswitch.NumStateBuckets%n
-	for i := range quota {
-		quota[i] = base
-		if i < extra {
-			quota[i]++
-		}
-	}
-	counts := make([]int, n)
-	donated := make(map[int][]int)
-	var pool []int
-	for b, owner := range assign {
-		if owner >= n || owner < 0 {
-			donated[owner] = append(donated[owner], b)
-			pool = append(pool, b)
-			continue
-		}
-		counts[owner]++
-	}
-	for b := vswitch.NumStateBuckets - 1; b >= 0; b-- {
-		owner := assign[b]
-		if owner >= 0 && owner < n && counts[owner] > quota[owner] {
-			counts[owner]--
-			donated[owner] = append(donated[owner], b)
-			pool = append(pool, b)
-		}
-	}
-	next := 0
-	for _, b := range pool {
-		for counts[next] >= quota[next] {
-			next++
-		}
-		assign[b] = next
-		counts[next]++
-	}
-	return donated
-}
-
-// migrateBuckets exports the state of the donated buckets from each donor
-// replica and imports it into the buckets' owners under assign. Stateless
-// processors are skipped; imports overwrite, so running this again as a
-// catch-up pass after the steering swap is idempotent. Returns the number of
-// flow-state entries moved. Callers hold o.mu.
-func (o *Orchestrator) migrateBuckets(graphID, nfID string, sc *nfScale, donated map[int][]int, assign *[vswitch.NumStateBuckets]int) int {
-	moved := 0
-	for donor, buckets := range donated {
-		src, ok := statefulNF(sc.replicas[donor])
-		if !ok {
-			continue
-		}
-		set := make(map[int]bool, len(buckets))
-		for _, b := range buckets {
-			set[b] = true
-		}
-		byOwner := make(map[int][]nf.FlowState)
-		for _, st := range src.ExportFlowState(nf.BucketFilter(set)) {
-			owner := assign[st.Tuple.Bucket()]
-			byOwner[owner] = append(byOwner[owner], st)
-		}
-		for owner, batch := range byOwner {
-			dst, ok := statefulNF(sc.replicas[owner])
-			if !ok {
-				continue
-			}
-			if err := dst.ImportFlowState(batch); err != nil {
-				o.journal.Recordf(telemetry.EventMigrate, o.cfg.NodeName, graphID,
-					fmt.Sprintf("%s: importing %d flows into replica %d: %v", nfID, len(batch), owner, err))
-				continue
-			}
-			moved += len(batch)
-		}
-	}
-	return moved
-}
-
-// dropDonated releases the migrated buckets' state from the donors that
-// still run (a dead donor keeps nothing worth dropping).
-func dropDonated(sc *nfScale, donated map[int][]int) {
-	for donor, buckets := range donated {
-		if donor < 0 || donor >= len(sc.replicas) {
-			continue
-		}
-		d, ok := statefulNF(sc.replicas[donor])
-		if !ok {
-			continue
-		}
-		dropper, ok := d.(flowStateDropper)
-		if !ok {
-			continue
-		}
-		set := make(map[int]bool, len(buckets))
-		for _, b := range buckets {
-			set[b] = true
-		}
-		dropper.DropFlowState(nf.BucketFilter(set))
-	}
-}
-
-// Scale reshapes one NF of a deployed graph to the given replica count with
-// make-before-break semantics: new instances attach (scale-up) before the
-// steering is repointed, and outgoing instances drain after it, so live
-// traffic sees neither a forwarding gap nor a state gap. Per-flow state
-// follows its consistent-hash bucket: only the buckets that change owner are
-// exported from their donor and imported into the new owner, with a
-// catch-up pass after the steering swap covering flows that raced it.
+// Scale reshapes one NF of a deployed graph to the given replica count: a
+// transition that keeps the first members, launches the missing ones in the
+// set's technology or drains the surplus. Per-flow state follows its
+// consistent-hash bucket (see transition).
 func (o *Orchestrator) Scale(graphID, nfID string, replicas int) error {
 	start := time.Now()
 	err := o.scale(graphID, nfID, replicas)
@@ -176,219 +54,43 @@ func (o *Orchestrator) scale(graphID, nfID string, target int) error {
 	}
 	gl := o.lockGraph(graphID)
 	defer o.unlockGraph(graphID, gl)
-
 	o.mu.Lock()
-	d, ok := o.graphs[graphID]
-	if !ok {
-		o.mu.Unlock()
-		return fmt.Errorf("orchestrator: graph %q not deployed", graphID)
-	}
-	att, ok := d.nfs[nfID]
-	if !ok {
-		o.mu.Unlock()
-		return fmt.Errorf("orchestrator: graph %q has no NF %q", graphID, nfID)
-	}
-	n := d.Graph.FindNF(nfID)
-	if n == nil {
-		o.mu.Unlock()
-		return fmt.Errorf("orchestrator: graph %q has no NF %q in its spec", graphID, nfID)
-	}
-	sc := d.scales[nfID]
-	cur := 1
-	if sc != nil {
-		cur = len(sc.replicas)
-	}
-	if target == cur {
-		n.Replicas = target
-		o.mu.Unlock()
-		return nil
-	}
-	if att.inst.Shared {
-		o.mu.Unlock()
-		return fmt.Errorf("orchestrator: graph %q: NF %q runs as a shared native NF and cannot be scaled", graphID, nfID)
-	}
-	if sc == nil {
-		// First scale-out: the single instance becomes replica 0 and owns
-		// every bucket.
-		sc = &nfScale{replicas: []*nfAttachment{att}}
-		d.scales[nfID] = sc
-	}
-	spec := *n
-	if target > cur {
-		return o.scaleUp(d, graphID, spec, sc, target)
-	}
-	return o.scaleDown(d, graphID, spec, sc, target)
-}
-
-// scaleUp boots target-cur fresh replicas (outside the node lock), attaches
-// them, migrates the buckets the rebalance moves onto them, and repoints the
-// steering with one snapshot swap. Graph lock held; o.mu held on entry and
-// released on return.
-func (o *Orchestrator) scaleUp(d *DeployedGraph, graphID string, spec nffg.NF, sc *nfScale, target int) error {
-	nfID := spec.ID
-	tpl, ok := o.cfg.Repo.Lookup(spec.Name)
-	if !ok {
-		o.mu.Unlock()
-		return fmt.Errorf("orchestrator: NF %q not in repository", spec.Name)
-	}
-	tech := sc.replicas[0].inst.Technology
-	drv, ok := o.cfg.Compute.Driver(tech)
-	if !ok {
-		o.mu.Unlock()
-		return fmt.Errorf("orchestrator: no %q driver registered", tech)
-	}
-	need := target - len(sc.replicas)
-	gens := make([]uint64, need)
-	for i := range gens {
-		gens[i] = o.nextCookie()
-	}
-	o.mu.Unlock()
-
-	// Make: boot the additional replicas while the current set keeps
-	// serving. The generation suffix keeps instance names node-unique.
-	started := make([]*nfAttachment, 0, need)
-	abort := func(err error) error {
-		for _, a := range started {
-			o.setState(graphID, nfID, a, StateStopped)
-			_ = drv.Stop(a.inst)
-		}
+	defer o.mu.Unlock()
+	d, n, set, err := o.findSet(graphID, nfID)
+	if err != nil {
 		return err
 	}
-	for _, gen := range gens {
-		if !drv.Available(graphID, tpl) {
-			return abort(fmt.Errorf("orchestrator: scale: %q flavor of %q not deployable for another replica", tech, tpl.Name))
-		}
-		newAtt := &nfAttachment{}
-		o.setState(graphID, nfID, newAtt, StateStarting)
-		inst, err := drv.Start(compute.StartRequest{
-			InstanceName: fmt.Sprintf("%s.%s#r%d", graphID, nfID, gen),
-			GraphID:      graphID,
-			Template:     tpl,
-			Config:       spec.Config,
-		})
-		if err != nil {
-			o.setState(graphID, nfID, newAtt, StateFailed)
-			return abort(fmt.Errorf("orchestrator: scale: starting replica of %q: %w", nfID, err))
-		}
-		newAtt.inst = inst
-		o.metrics.nfStarts.Inc()
-		o.journal.Recordf(telemetry.EventNFStart, o.cfg.NodeName, graphID,
-			fmt.Sprintf("%s replica as %s (scale-up)", nfID, tech))
-		started = append(started, newAtt)
-	}
-
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for i, newAtt := range started {
-		o.setState(graphID, nfID, newAtt, StateAttaching)
-		if err := o.attachNF(d, newAtt); err != nil {
-			o.setState(graphID, nfID, newAtt, StateFailed)
-			o.detachNF(d, nfID, newAtt)
-			for _, rest := range started[i+1:] {
-				o.setState(graphID, nfID, rest, StateStopped)
-				_ = drv.Stop(rest.inst)
-			}
-			return fmt.Errorf("orchestrator: scale: attaching replica of %q: %w", nfID, err)
-		}
-	}
-	oldLen := len(sc.replicas)
-	oldAssign := sc.assign
-	sc.replicas = append(sc.replicas, started...)
-	newAssign := sc.assign
-	donated := rebalanceAssign(&newAssign, len(sc.replicas))
-	// Move the state of the reassigned buckets before any traffic is
-	// steered at the new owners...
-	migStart := time.Now()
-	moved := o.migrateBuckets(graphID, nfID, sc, donated, &newAssign)
-	sc.assign = newAssign
-	if err := o.reprogram(d); err != nil {
-		sc.assign = oldAssign
-		for _, newAtt := range started {
-			o.detachNF(d, nfID, newAtt)
-		}
-		sc.replicas = sc.replicas[:oldLen]
-		if oldLen == 1 {
-			delete(d.scales, nfID)
-		}
-		_ = o.reprogram(d)
-		return fmt.Errorf("orchestrator: scale: repointing steering: %w", err)
-	}
-	// ...and once more after the swap: flows that raced the swap into a
-	// donor are re-exported; imports overwrite, so nothing is lost.
-	moved += o.migrateBuckets(graphID, nfID, sc, donated, &newAssign)
-	dropDonated(sc, donated)
-	o.metrics.migratedFlows.Add(uint64(moved))
-	o.metrics.migrationLatency.Observe(time.Since(migStart).Seconds())
-	for _, newAtt := range started {
-		o.setState(graphID, nfID, newAtt, StateRunning)
-	}
-	if n := d.Graph.FindNF(nfID); n != nil {
-		n.Replicas = target
-	}
-	o.journal.Recordf(telemetry.EventScale, o.cfg.NodeName, graphID,
-		fmt.Sprintf("%s: %d -> %d replicas, %d flows migrated", nfID, oldLen, target, moved))
-	return nil
+	return o.resize(d, *n, set, target, set.standby != nil)
 }
 
-// scaleDown re-homes the outgoing replicas' buckets onto the survivors,
-// repoints the steering, lets the outgoing replicas drain, and detaches
-// them. Between the swap and the truncation the outgoing replicas keep their
-// ingress entries compiled (their return path), so in-flight packets finish
-// their traversal. Graph lock held; o.mu held on entry, released on return.
-func (o *Orchestrator) scaleDown(d *DeployedGraph, graphID string, spec nffg.NF, sc *nfScale, target int) error {
-	nfID := spec.ID
-	full := sc.replicas
-	removed := full[target:]
-	newAssign := sc.assign
-	donated := rebalanceAssign(&newAssign, target)
-	migStart := time.Now()
-	moved := o.migrateBuckets(graphID, nfID, sc, donated, &newAssign)
-	sc.assign = newAssign
-	// The replica slice stays full through the swap: the survivors' new
-	// bucket map routes all fresh traffic, while the removed replicas'
-	// ingress entries stay compiled as their drain path.
-	if err := o.reprogram(d); err != nil {
-		o.mu.Unlock()
-		return fmt.Errorf("orchestrator: scale: repointing steering: %w", err)
+// resize moves one NF's set to target members, with or without a standby.
+// Callers hold the graph's operation lock and o.mu.
+func (o *Orchestrator) resize(d *DeployedGraph, n nffg.NF, set *nfSet, target int, standby bool) error {
+	if target < 1 {
+		target = 1
 	}
-	moved += o.migrateBuckets(graphID, nfID, sc, donated, &newAssign)
-	for _, att := range removed {
-		o.setState(graphID, nfID, att, StateDraining)
+	cur := len(set.members)
+	if target == cur && standby == (set.standby != nil) {
+		return nil
 	}
-	drv, hasDrv := o.cfg.Compute.Driver(removed[0].inst.Technology)
-	o.mu.Unlock()
-
-	if hasDrv && drv.Caps().SupportsDrain {
-		for _, att := range removed {
-			o.drainInstance(att.inst.Runtime)
+	want := wantedSet{keep: set.members, standby: standby}
+	if target < cur {
+		want.keep = set.members[:target]
+	} else if target > cur {
+		pl, err := o.placementAs(d.Graph.ID, n, set.members[0].inst.Technology)
+		if err != nil {
+			return fmt.Errorf("orchestrator: resizing %q to %d member(s): %w", n.ID, target, err)
 		}
+		want.fresh = repeatPlacement(pl, target-cur)
 	}
-
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	// Last catch-up after the drain: a packet delivered to a donor just
-	// before the swap may have minted state while we were waiting.
-	moved += o.migrateBuckets(graphID, nfID, sc, donated, &newAssign)
-	o.metrics.migratedFlows.Add(uint64(moved))
-	o.metrics.migrationLatency.Observe(time.Since(migStart).Seconds())
-	sc.replicas = full[:target]
-	if target == 1 {
-		delete(d.scales, nfID)
+	moved, err := o.transition(d, n, want)
+	if err != nil {
+		return fmt.Errorf("orchestrator: resizing %q to %d member(s): %w", n.ID, target, err)
 	}
-	if err := o.reprogram(d); err != nil {
-		// The survivors' steering is intact (same entries minus the drain
-		// paths); record and continue the teardown.
-		o.journal.Recordf(telemetry.EventFlowMod, o.cfg.NodeName, graphID,
-			fmt.Sprintf("%s: dropping drain entries: %v", nfID, err))
+	if target != cur {
+		o.journal.Recordf(telemetry.EventScale, o.cfg.NodeName, d.Graph.ID,
+			fmt.Sprintf("%s: %d -> %d replicas, %d flows migrated", n.ID, cur, target, moved))
 	}
-	for _, att := range removed {
-		o.detachNF(d, nfID, att)
-	}
-	if n := d.Graph.FindNF(nfID); n != nil {
-		n.Replicas = target
-	}
-	o.journal.Recordf(telemetry.EventScale, o.cfg.NodeName, graphID,
-		fmt.Sprintf("%s: %d -> %d replicas, %d flows migrated", nfID, len(full), target, moved))
 	return nil
 }
 
@@ -396,118 +98,63 @@ func (o *Orchestrator) scaleDown(d *DeployedGraph, graphID string, spec nffg.NF,
 func (o *Orchestrator) Replicas(graphID, nfID string) (int, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d, ok := o.graphs[graphID]
-	if !ok {
-		return 0, fmt.Errorf("orchestrator: graph %q not deployed", graphID)
+	_, _, set, err := o.findSet(graphID, nfID)
+	if err != nil {
+		return 0, err
 	}
-	if _, ok := d.nfs[nfID]; !ok {
-		return 0, fmt.Errorf("orchestrator: graph %q has no NF %q", graphID, nfID)
-	}
-	if sc := d.scales[nfID]; sc != nil {
-		return len(sc.replicas), nil
-	}
-	return 1, nil
+	return len(set.members), nil
 }
 
-// ReplicaInstances returns the instances serving an NF, replica 0 first.
+// ReplicaInstances returns the instances serving an NF, in member order.
 func (o *Orchestrator) ReplicaInstances(graphID, nfID string) []*compute.Instance {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d, ok := o.graphs[graphID]
-	if !ok {
+	_, _, set, err := o.findSet(graphID, nfID)
+	if err != nil {
 		return nil
 	}
-	if sc := d.scales[nfID]; sc != nil {
-		out := make([]*compute.Instance, len(sc.replicas))
-		for i, att := range sc.replicas {
-			out[i] = att.inst
-		}
-		return out
+	out := make([]*compute.Instance, len(set.members))
+	for i, att := range set.members {
+		out[i] = att.inst
 	}
-	if att, ok := d.nfs[nfID]; ok {
-		return []*compute.Instance{att.inst}
-	}
-	return nil
+	return out
 }
 
-// RepairReplicas re-homes the buckets of dead replicas (instances whose
-// runtime stopped outside the orchestrator's control) onto the survivors and
-// detaches the corpses. The dead replica's processor still holds its flow
-// tables in memory, so its state is salvaged, not lost. Returns the
-// surviving replica count.
+// RepairReplicas re-homes the buckets of dead members (instances whose
+// runtime stopped outside the orchestrator's control) onto the survivors: a
+// transition that keeps exactly the members still running, so the dead
+// ones' state is salvaged from their stopped runtimes before they are
+// detached. Returns the surviving member count.
 func (o *Orchestrator) RepairReplicas(graphID, nfID string) (int, error) {
 	gl := o.lockGraph(graphID)
 	defer o.unlockGraph(graphID, gl)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d, ok := o.graphs[graphID]
-	if !ok {
-		return 0, fmt.Errorf("orchestrator: graph %q not deployed", graphID)
+	d, n, set, err := o.findSet(graphID, nfID)
+	if err != nil {
+		return 0, err
 	}
-	sc := d.scales[nfID]
-	if sc == nil {
-		att, ok := d.nfs[nfID]
-		if !ok {
-			return 0, fmt.Errorf("orchestrator: graph %q has no NF %q", graphID, nfID)
-		}
-		if !att.inst.Runtime.Running() {
-			return 0, fmt.Errorf("orchestrator: graph %q: NF %q has no surviving replica", graphID, nfID)
-		}
-		return 1, nil
-	}
-	var alive, dead []*nfAttachment
-	for _, att := range sc.replicas {
+	var alive []*nfAttachment
+	for _, att := range set.members {
 		if att.inst.Runtime.Running() {
 			alive = append(alive, att)
-		} else {
-			dead = append(dead, att)
 		}
 	}
-	if len(dead) == 0 {
-		return len(alive), nil
-	}
+	dead := len(set.members) - len(alive)
 	if len(alive) == 0 {
 		return 0, fmt.Errorf("orchestrator: graph %q: NF %q has no surviving replica", graphID, nfID)
 	}
-	// Reorder survivors-first and renumber the bucket map accordingly; the
-	// dead land on indices >= len(alive), which the rebalance treats as
-	// donors that must give everything up.
-	reordered := append(append([]*nfAttachment{}, alive...), dead...)
-	newIdx := make(map[*nfAttachment]int, len(reordered))
-	for i, att := range reordered {
-		newIdx[att] = i
+	if dead == 0 {
+		return len(alive), nil
 	}
-	var remapped [vswitch.NumStateBuckets]int
-	for b, owner := range sc.assign {
-		remapped[b] = newIdx[sc.replicas[owner]]
-	}
-	sc.replicas = reordered
-	sc.assign = remapped
-	newAssign := remapped
-	donated := rebalanceAssign(&newAssign, len(alive))
-	migStart := time.Now()
-	moved := o.migrateBuckets(graphID, nfID, sc, donated, &newAssign)
-	o.metrics.migratedFlows.Add(uint64(moved))
-	o.metrics.migrationLatency.Observe(time.Since(migStart).Seconds())
-	sc.assign = newAssign
-	sc.replicas = sc.replicas[:len(alive)]
-	d.nfs[nfID] = sc.replicas[0]
-	if len(alive) == 1 {
-		delete(d.scales, nfID)
-	}
-	if err := o.reprogram(d); err != nil {
-		return 0, fmt.Errorf("orchestrator: repair: repointing steering: %w", err)
-	}
-	for _, att := range dead {
-		o.detachNF(d, nfID, att)
-	}
-	if n := d.Graph.FindNF(nfID); n != nil {
-		n.Replicas = len(alive)
+	moved, err := o.transition(d, *n, wantedSet{keep: alive, standby: set.standby != nil})
+	if err != nil {
+		return 0, fmt.Errorf("orchestrator: repair: %w", err)
 	}
 	o.metrics.scales.Inc()
 	o.journal.Recordf(telemetry.EventScale, o.cfg.NodeName, graphID,
 		fmt.Sprintf("%s: %d dead replica(s) re-homed onto %d survivor(s), %d flows salvaged",
-			nfID, len(dead), len(alive), moved))
+			nfID, dead, len(alive), moved))
 	return len(alive), nil
 }
 
@@ -541,11 +188,7 @@ func (o *Orchestrator) AutoscaleTick() int {
 			if target > nffg.MaxReplicas {
 				target = nffg.MaxReplicas
 			}
-			cur := 1
-			if sc := d.scales[n.ID]; sc != nil {
-				cur = len(sc.replicas)
-			}
-			if target != cur {
+			if set := d.nfs[n.ID]; set != nil && target != len(set.members) {
 				wants = append(wants, want{graphID: id, nfID: n.ID, replicas: target})
 			}
 		}
@@ -569,74 +212,4 @@ func (o *Orchestrator) AutoscaleTick() int {
 func equalIgnoringReplicas(a, b nffg.NF) bool {
 	b.Replicas = a.Replicas
 	return reflect.DeepEqual(a, b)
-}
-
-// reconcileReplicas walks a just-deployed or just-updated spec and scales
-// every NF whose requested replica count differs from what runs.
-func (o *Orchestrator) reconcileReplicas(g *nffg.Graph) error {
-	for _, n := range g.NFs {
-		target := n.Replicas
-		if target < 1 {
-			target = 1
-		}
-		cur, err := o.Replicas(g.ID, n.ID)
-		if err != nil {
-			// The NF may legitimately be absent (e.g. removed by a
-			// concurrent update); nothing to reconcile.
-			continue
-		}
-		if cur == target {
-			continue
-		}
-		if err := o.scale(g.ID, n.ID, target); err != nil {
-			return fmt.Errorf("orchestrator: scaling %q to %d replicas: %w", n.ID, target, err)
-		}
-	}
-	return nil
-}
-
-// restartReplicas restarts every replica of a scaled NF with a new
-// configuration (the update fallback when in-place reconfiguration is
-// unsupported). Flow state does not survive — the new configuration may
-// invalidate it — but the replica set and bucket map do. Callers hold o.mu.
-func (o *Orchestrator) restartReplicas(d *DeployedGraph, graphID string, n nffg.NF, sc *nfScale) error {
-	tpl, ok := o.cfg.Repo.Lookup(n.Name)
-	if !ok {
-		return fmt.Errorf("orchestrator: NF %q not in repository", n.Name)
-	}
-	tech := sc.replicas[0].inst.Technology
-	drv, ok := o.cfg.Compute.Driver(tech)
-	if !ok {
-		return fmt.Errorf("orchestrator: no %q driver registered", tech)
-	}
-	for i, old := range sc.replicas {
-		o.setState(graphID, n.ID, old, StateDraining)
-		o.detachNF(d, n.ID, old)
-		newAtt := &nfAttachment{}
-		o.setState(graphID, n.ID, newAtt, StateStarting)
-		inst, err := drv.Start(compute.StartRequest{
-			InstanceName: fmt.Sprintf("%s.%s#r%d", graphID, n.ID, o.nextCookie()),
-			GraphID:      graphID,
-			Template:     tpl,
-			Config:       n.Config,
-		})
-		if err != nil {
-			o.setState(graphID, n.ID, newAtt, StateFailed)
-			return fmt.Errorf("orchestrator: restarting replica %d of %q: %w", i, n.ID, err)
-		}
-		newAtt.inst = inst
-		o.setState(graphID, n.ID, newAtt, StateAttaching)
-		if err := o.attachNF(d, newAtt); err != nil {
-			o.setState(graphID, n.ID, newAtt, StateFailed)
-			_ = drv.Stop(inst)
-			return fmt.Errorf("orchestrator: attaching restarted replica %d of %q: %w", i, n.ID, err)
-		}
-		sc.replicas[i] = newAtt
-		if i == 0 {
-			d.nfs[n.ID] = newAtt
-		}
-		o.setState(graphID, n.ID, newAtt, StateRunning)
-		o.metrics.nfStarts.Inc()
-	}
-	return nil
 }

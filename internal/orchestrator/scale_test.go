@@ -197,10 +197,10 @@ func TestScaleOutNATLiveMigration(t *testing.T) {
 	}
 	d, _ := o.Graph("g")
 	o.mu.Lock()
-	_, scaled := d.scales["nat"]
+	set := d.nfs["nat"]
 	o.mu.Unlock()
-	if scaled {
-		t.Fatal("scale state not retired after scale-down to 1")
+	if len(set.draining) != 0 || set.assign != [64]int{} {
+		t.Fatalf("set not back to one member owning every bucket after scale-down to 1: %+v", set)
 	}
 	verifyNATConns(t, o, conns, "after 2->1")
 }
@@ -242,43 +242,48 @@ func TestUpdateScalesReplicas(t *testing.T) {
 	verifyNATConns(t, o, conns, "after update back to 1")
 }
 
-// TestReplicaFailureRehoming kills one replica of a scaled NAT under live
-// connections; RepairReplicas salvages its flow state from the stopped
-// runtime and re-homes its buckets onto the survivors.
+// TestReplicaFailureRehoming kills one member of a three-member NAT under
+// live connections; the repair salvages its flow state from the stopped
+// runtime and re-homes its buckets onto the survivors. The active-active
+// case is the same set with the descriptor field set: "serves through every
+// replica; survives losing one" IS a set of >= 2 members plus RepairNF, so
+// no code path is keyed on the mode.
 func TestReplicaFailureRehoming(t *testing.T) {
-	o := newNode(t)
-	if err := o.Deploy(natGraph("g", 1)); err != nil {
-		t.Fatal(err)
-	}
-	conns := establishNATConns(t, o, 32)
-	if err := o.Scale("g", "nat", 3); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the last replica out from under the orchestrator.
-	insts := o.ReplicaInstances("g", "nat")
-	if len(insts) != 3 {
-		t.Fatalf("replica instances = %d, want 3", len(insts))
-	}
-	insts[2].Runtime.Stop()
-	n, err := o.RepairReplicas("g", "nat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("survivors = %d, want 2", n)
-	}
-	if n, _ := o.Replicas("g", "nat"); n != 2 {
-		t.Fatalf("replicas = %d, want 2", n)
-	}
-	verifyNATConns(t, o, conns, "after replica failure")
+	for _, mode := range []nffg.RedundancyMode{nffg.RedundancyNone, nffg.RedundancyActiveActive} {
+		t.Run("redundancy="+string(mode), func(t *testing.T) {
+			o := newNode(t)
+			g := natGraph("g", 3)
+			g.NFs[0].Redundancy = mode
+			if err := o.Deploy(g); err != nil {
+				t.Fatal(err)
+			}
+			conns := establishNATConns(t, o, 32)
+			// Kill the last member out from under the orchestrator.
+			insts := o.ReplicaInstances("g", "nat")
+			if len(insts) != 3 {
+				t.Fatalf("replica instances = %d, want 3", len(insts))
+			}
+			insts[2].Runtime.Stop()
+			if err := o.RepairNF("g", "nat"); err != nil {
+				t.Fatal(err)
+			}
+			if n, _ := o.Replicas("g", "nat"); n != 2 {
+				t.Fatalf("replicas = %d, want 2", n)
+			}
+			verifyNATConns(t, o, conns, "after replica failure")
 
-	// Killing the primary (replica 0) promotes a survivor into nfs.
-	insts = o.ReplicaInstances("g", "nat")
-	insts[0].Runtime.Stop()
-	if n, err = o.RepairReplicas("g", "nat"); err != nil || n != 1 {
-		t.Fatalf("survivors = %d (%v), want 1", n, err)
+			// Killing the first member leaves the survivor standing for the NF.
+			insts = o.ReplicaInstances("g", "nat")
+			insts[0].Runtime.Stop()
+			if n, err := o.RepairReplicas("g", "nat"); err != nil || n != 1 {
+				t.Fatalf("survivors = %d (%v), want 1", n, err)
+			}
+			verifyNATConns(t, o, conns, "after first-member failure")
+			if inst := o.ReplicaInstances("g", "nat")[0]; inst != insts[1] {
+				t.Fatalf("NF stands on %s, want the survivor %s", inst.Name, insts[1].Name)
+			}
+		})
 	}
-	verifyNATConns(t, o, conns, "after primary failure")
 }
 
 // TestAutoscaleTick drives traffic through an NF that opted into
@@ -399,8 +404,20 @@ func TestScaleRejectsSharedNNF(t *testing.T) {
 	if !insts[0].Shared {
 		t.Skip("firewall did not come up shared on this node")
 	}
+	starts := o.metrics.nfStarts.Value()
 	if err := o.Scale("g", "fw", 2); err == nil {
 		t.Fatal("scaling a shared NNF succeeded, want error")
+	}
+	// Nor can it keep a standby; both refusals are known from the member
+	// alone, before a second instance boots.
+	g2 := firewallGraph("g2", 200, "")
+	g2.NFs[0].TechnologyPreference = nffg.TechAny // the standby could boot as a container
+	g2.NFs[0].Redundancy = nffg.RedundancyActiveStandby
+	if err := o.Deploy(g2); err == nil {
+		t.Fatal("a standby beside a shared NNF accepted, want error")
+	}
+	if got := o.metrics.nfStarts.Value() - starts; got != 1 {
+		t.Errorf("the refusals started %d instance(s), want 1 (g2's member)", got)
 	}
 }
 
@@ -408,20 +425,18 @@ func TestScaleRejectsSharedNNF(t *testing.T) {
 // what it must and always converges to near-equal shares.
 func TestRebalanceAssignMinimalMovement(t *testing.T) {
 	var assign [64]int // all owned by replica 0
-	donated := rebalanceAssign(&assign, 3)
+	rebalanceAssign(&assign, 3)
 	counts := map[int]int{}
 	for _, owner := range assign {
 		counts[owner]++
 	}
+	// Replica 0 gave up exactly the 42 buckets above its share.
 	if counts[0] != 22 || counts[1] != 21 || counts[2] != 21 {
 		t.Fatalf("unbalanced shares after 1->3: %v", counts)
 	}
-	if got := len(donated[0]); got != 42 {
-		t.Fatalf("replica 0 donated %d buckets, want 42", got)
-	}
 	// Scale back down: only the removed replicas' buckets move.
 	before := assign
-	donated = rebalanceAssign(&assign, 2)
+	rebalanceAssign(&assign, 2)
 	movedFromSurvivors := 0
 	for b := range assign {
 		if before[b] < 2 && assign[b] != before[b] {
@@ -430,9 +445,6 @@ func TestRebalanceAssignMinimalMovement(t *testing.T) {
 	}
 	if movedFromSurvivors != 0 {
 		t.Fatalf("%d buckets moved between survivors on scale-down, want 0", movedFromSurvivors)
-	}
-	if len(donated[2]) != 21 {
-		t.Fatalf("removed replica donated %d buckets, want 21", len(donated[2]))
 	}
 	counts = map[int]int{}
 	for _, owner := range assign {

@@ -101,3 +101,24 @@ func (o *Orchestrator) schedule(g *nffg.Graph) ([]Placement, error) {
 	}
 	return placements, nil
 }
+
+// placementAs resolves one NF onto a given technology instead of asking the
+// policy: the template must package that flavor and its driver must be able
+// to deploy one more instance right now. Callers hold o.mu.
+func (o *Orchestrator) placementAs(graphID string, n nffg.NF, tech nffg.Technology) (Placement, error) {
+	tpl, ok := o.cfg.Repo.Lookup(n.Name)
+	if !ok {
+		return Placement{}, fmt.Errorf("NF %q not in repository", n.Name)
+	}
+	if _, packaged := tpl.Flavors[tech]; !packaged {
+		return Placement{}, fmt.Errorf("template %q has no %q flavor", tpl.Name, tech)
+	}
+	drv, registered := o.cfg.Compute.Driver(tech)
+	if !registered {
+		return Placement{}, fmt.Errorf("no %q driver registered", tech)
+	}
+	if !drv.Available(graphID, tpl) {
+		return Placement{}, fmt.Errorf("%q flavor of %q not deployable right now", tech, tpl.Name)
+	}
+	return Placement{NF: n, Template: tpl, Technology: tech, Driver: drv}, nil
+}

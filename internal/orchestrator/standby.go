@@ -4,196 +4,83 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/compute"
 	"repro/internal/nf"
 	"repro/internal/nffg"
 	"repro/internal/telemetry"
 )
 
 // Active-standby redundancy: an NF declaring redundancy "active-standby"
-// gets a second, fully-attached instance that receives no traffic — it is
-// absent from the steering compilation (only d.nfs is compiled) but its
-// ports are wired to the graph LSI, so promotion is nothing but the
-// existing atomic SwapFlows repoint plus a state import. The standby's
-// flow state is refreshed by SyncStandbys (periodically, from the
+// keeps a standby in its instance set — a second, fully-attached instance
+// that receives no traffic: it is absent from the steering compilation (only
+// members are compiled) but its ports are wired to the graph LSI, so
+// promotion is nothing but a transition that makes it a member. The
+// standby's flow state is refreshed by SyncStandbys (periodically, from the
 // reconcile loop or a chaos harness) and once more at promotion time by
-// salvaging the failed active's in-memory tables, so a crash loses no
-// state the active ever held.
+// salvaging the failed member's in-memory tables, so a crash loses no state
+// the member ever held.
 //
-// A graph update that changes the NF's configuration restarts the active
-// instance only; the standby is re-armed with the new configuration at the
-// next promotion or redundancy toggle.
+// The standby is an instance of the set like any other: a graph update that
+// changes the NF's configuration reconfigures or restarts it together with
+// the members, so a promotion never puts stale configuration in service.
 
-// reconcileStandbys brings the deployed graph's standby set in line with
-// its spec: every active-standby NF gets a standby attachment, every
-// standby whose NF no longer wants one is retired. Called by Deploy and
-// Update after the replica reconciliation.
-func (o *Orchestrator) reconcileStandbys(g *nffg.Graph) error {
-	gl := o.lockGraph(g.ID)
-	defer o.unlockGraph(g.ID, gl)
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	d, ok := o.graphs[g.ID]
-	if !ok {
-		return nil
-	}
-	want := make(map[string]bool, len(g.NFs))
-	for _, n := range g.NFs {
-		if n.Redundancy == nffg.RedundancyActiveStandby {
-			want[n.ID] = true
-		}
-	}
-	for nfID, sb := range d.standbys {
-		if want[nfID] {
-			continue
-		}
-		o.setState(g.ID, nfID, sb, StateDraining)
-		o.detachNF(d, nfID, sb)
-		delete(d.standbys, nfID)
-	}
-	for _, n := range g.NFs {
-		if !want[n.ID] {
-			continue
-		}
-		if _, have := d.standbys[n.ID]; have {
-			continue
-		}
-		sb, err := o.startStandby(d, g.ID, n)
-		if err != nil {
-			return fmt.Errorf("orchestrator: standby for %q: %w", n.ID, err)
-		}
-		d.standbys[n.ID] = sb
-	}
-	return nil
-}
-
-// startStandby schedules, starts and attaches a standby instance of one
-// NF. The attachment is NOT recorded in d.nfs, so steering never selects
-// it until PromoteStandby swaps it in. Callers hold o.mu.
-func (o *Orchestrator) startStandby(d *DeployedGraph, graphID string, n nffg.NF) (*nfAttachment, error) {
-	placements, err := o.schedule(&nffg.Graph{ID: graphID, NFs: []nffg.NF{n}})
-	if err != nil {
-		return nil, err
-	}
-	pl := placements[0]
-	att := &nfAttachment{}
-	o.setState(graphID, n.ID, att, StateStarting)
-	o.standbyGen++
-	inst, err := pl.Driver.Start(compute.StartRequest{
-		InstanceName: fmt.Sprintf("%s.%s#standby%d", graphID, n.ID, o.standbyGen),
-		GraphID:      graphID,
-		Template:     pl.Template,
-		Config:       n.Config,
-	})
-	if err != nil {
-		o.setState(graphID, n.ID, att, StateFailed)
-		return nil, err
-	}
-	if inst.Shared {
-		// A shared native NF is one node-wide runtime: a second attachment
-		// would be the same instance, not a redundant one.
-		_ = pl.Driver.Stop(inst)
-		o.setState(graphID, n.ID, att, StateFailed)
-		return nil, fmt.Errorf("shared native NF cannot run active-standby")
-	}
-	att.inst = inst
-	o.setState(graphID, n.ID, att, StateAttaching)
-	if err := o.attachNF(d, att); err != nil {
-		o.setState(graphID, n.ID, att, StateFailed)
-		_ = pl.Driver.Stop(inst)
-		return nil, err
-	}
-	// The standby idles in "attaching": it is wired but unsteered, and the
-	// un_nf_state gauge distinguishes it from the running active.
-	o.metrics.nfStarts.Inc()
-	o.journal.Recordf(telemetry.EventNFStart, o.cfg.NodeName, graphID,
-		fmt.Sprintf("%s standby as %s", n.ID, pl.Technology))
-	return att, nil
-}
-
-// PromoteStandby makes an active-standby NF's standby the active instance:
-// the failed (or retired) active's flow state is salvaged from its
-// processor's in-memory tables, imported into the standby, and one atomic
-// SwapFlows repoints the graph's steering — the same zero-loss path scale
-// and reflavor use. The old active is detached afterwards, and a fresh
-// standby is re-armed best-effort.
+// PromoteStandby makes an active-standby NF's standby a member in place of
+// the first member that no longer runs (or, when all do, of the first
+// member, which is thereby retired) — a transition, so the outgoing
+// instance's flow state is salvaged from its processor's in-memory tables
+// and one atomic swap repoints the steering. A fresh standby is re-armed
+// best-effort afterwards.
 func (o *Orchestrator) PromoteStandby(graphID, nfID string) error {
 	gl := o.lockGraph(graphID)
 	defer o.unlockGraph(graphID, gl)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d, ok := o.graphs[graphID]
-	if !ok {
-		return fmt.Errorf("orchestrator: graph %q not deployed", graphID)
+	d, n, set, err := o.findSet(graphID, nfID)
+	if err != nil {
+		return err
 	}
-	sb, ok := d.standbys[nfID]
-	if !ok {
+	if set.standby == nil {
 		return fmt.Errorf("orchestrator: graph %q: NF %q has no standby", graphID, nfID)
 	}
-	old, ok := d.nfs[nfID]
-	if !ok {
-		return fmt.Errorf("orchestrator: graph %q has no NF %q", graphID, nfID)
-	}
-	// Salvage: the dead instance's processor still holds its flow tables in
-	// memory (Runtime.Stop only parks the execution environment), so the
-	// promotion carries every flow the periodic sync missed.
-	salvaged := 0
-	if src, ok := statefulNF(old); ok {
-		if dst, ok := statefulNF(sb); ok {
-			states := src.ExportFlowState(nil)
-			if err := dst.ImportFlowState(states); err != nil {
-				o.journal.Recordf(telemetry.EventMigrate, o.cfg.NodeName, graphID,
-					fmt.Sprintf("%s: salvaging %d flows into standby: %v", nfID, len(states), err))
-			} else {
-				salvaged = len(states)
-			}
+	keep := append([]*nfAttachment(nil), set.members...)
+	slot := 0
+	for i, att := range keep {
+		if !att.inst.Runtime.Running() {
+			slot = i
+			break
 		}
 	}
-	delete(d.standbys, nfID)
-	d.nfs[nfID] = sb
-	if err := o.reprogram(d); err != nil {
-		d.nfs[nfID] = old
-		d.standbys[nfID] = sb
-		return fmt.Errorf("orchestrator: promote: repointing steering: %w", err)
+	keep[slot] = set.standby
+	salvaged, err := o.transition(d, *n, wantedSet{keep: keep})
+	if err != nil {
+		return fmt.Errorf("orchestrator: promote: %w", err)
 	}
-	o.setState(graphID, nfID, sb, StateRunning)
-	o.setState(graphID, nfID, old, StateDraining)
-	o.detachNF(d, nfID, old)
 	o.metrics.promotions.Inc()
-	o.metrics.migratedFlows.Add(uint64(salvaged))
 	o.journal.Recordf(telemetry.EventPromote, o.cfg.NodeName, graphID,
 		fmt.Sprintf("%s: standby promoted, %d flows salvaged", nfID, salvaged))
 	// Re-arm: redundancy should survive more than one failure. A node too
 	// full to hold a new standby degrades to unprotected rather than
 	// failing the promotion that already succeeded.
-	if n := d.Graph.FindNF(nfID); n != nil && n.Redundancy == nffg.RedundancyActiveStandby {
-		if next, err := o.startStandby(d, graphID, *n); err != nil {
+	if n.Redundancy == nffg.RedundancyActiveStandby {
+		if _, err := o.transition(d, *n, wantedSet{keep: set.members, standby: true}); err != nil {
 			o.journal.Recordf(telemetry.EventOutage, o.cfg.NodeName, graphID,
 				fmt.Sprintf("%s: re-arming standby: %v", nfID, err))
-		} else {
-			d.standbys[nfID] = next
 		}
 	}
 	return nil
 }
 
-// KillNF simulates a crash of an NF's active instance by stopping its
-// runtime out from under the orchestrator — the fault-injection hook the
-// chaos harness drives. Bookkeeping is deliberately left stale, exactly as
-// a real crash would leave it; RepairNF (or RepairReplicas) is the
-// recovery path.
+// KillNF simulates a crash of an NF's first member by stopping its runtime
+// out from under the orchestrator — the fault-injection hook the chaos
+// harness drives. Bookkeeping is deliberately left stale, exactly as a real
+// crash would leave it; RepairNF (or RepairReplicas) is the recovery path.
 func (o *Orchestrator) KillNF(graphID, nfID string) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d, ok := o.graphs[graphID]
-	if !ok {
-		return fmt.Errorf("orchestrator: graph %q not deployed", graphID)
+	_, _, set, err := o.findSet(graphID, nfID)
+	if err != nil {
+		return err
 	}
-	att, ok := d.nfs[nfID]
-	if !ok {
-		return fmt.Errorf("orchestrator: graph %q has no NF %q", graphID, nfID)
-	}
-	att.inst.Runtime.Stop()
+	set.members[0].inst.Runtime.Stop()
 	o.journal.Recordf(telemetry.EventOutage, o.cfg.NodeName, graphID,
 		fmt.Sprintf("%s: instance killed (fault injection)", nfID))
 	return nil
@@ -201,22 +88,21 @@ func (o *Orchestrator) KillNF(graphID, nfID string) error {
 
 // RepairNF recovers an NF whose instance died, choosing the strongest
 // available path: promote the pre-attached standby (zero state loss),
-// re-home a scaled NF's buckets onto surviving replicas (state salvaged),
-// or restart in place (state since the last sync is lost).
+// re-home the dead member's buckets onto surviving members (state
+// salvaged), or restart in place (state since the last sync is lost).
 func (o *Orchestrator) RepairNF(graphID, nfID string) error {
 	o.mu.Lock()
-	d, ok := o.graphs[graphID]
-	if !ok {
+	_, _, set, err := o.findSet(graphID, nfID)
+	if err != nil {
 		o.mu.Unlock()
-		return fmt.Errorf("orchestrator: graph %q not deployed", graphID)
+		return err
 	}
-	_, hasStandby := d.standbys[nfID]
-	_, scaled := d.scales[nfID]
+	hasStandby, replicated := set.standby != nil, len(set.members) > 1
 	o.mu.Unlock()
 	if hasStandby {
 		return o.PromoteStandby(graphID, nfID)
 	}
-	if scaled {
+	if replicated {
 		_, err := o.RepairReplicas(graphID, nfID)
 		return err
 	}
@@ -224,40 +110,34 @@ func (o *Orchestrator) RepairNF(graphID, nfID string) error {
 	defer o.unlockGraph(graphID, gl)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d, ok = o.graphs[graphID]
-	if !ok {
-		return fmt.Errorf("orchestrator: graph %q not deployed", graphID)
+	d, n, _, err := o.findSet(graphID, nfID)
+	if err != nil {
+		return err
 	}
-	n := d.Graph.FindNF(nfID)
-	if n == nil {
-		return fmt.Errorf("orchestrator: graph %q has no NF %q", graphID, nfID)
-	}
-	if err := o.restartNF(d, graphID, *n); err != nil {
+	if err := o.restart(d, *n); err != nil {
 		return err
 	}
 	return o.reprogram(d)
 }
 
 // SyncStandbys replicates each active-standby NF's per-flow state from its
-// active instance into its standby, graph by graph. Imports are
-// idempotent, so running this on every reconcile tick keeps the standby's
-// state gap bounded by one tick. Returns the number of flow-state entries
-// copied.
+// members into its standby, graph by graph. Imports are idempotent, so
+// running this on every reconcile tick keeps the standby's state gap
+// bounded by one tick. Returns the number of flow-state entries copied.
 func (o *Orchestrator) SyncStandbys() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	total := 0
 	for id, d := range o.graphs {
-		for nfID, sb := range d.standbys {
-			src, ok := statefulNF(d.nfs[nfID])
+		for nfID, set := range d.nfs {
+			if set.standby == nil {
+				continue
+			}
+			dst, ok := statefulNF(set.standby)
 			if !ok {
 				continue
 			}
-			dst, ok := statefulNF(sb)
-			if !ok {
-				continue
-			}
-			states := src.ExportFlowState(nil)
+			states := exportAll(set.members)
 			if len(states) == 0 {
 				continue
 			}
@@ -275,8 +155,20 @@ func (o *Orchestrator) SyncStandbys() int {
 	return total
 }
 
+// exportAll snapshots the full per-flow state held by the given instances;
+// stateless processors contribute nothing.
+func exportAll(atts []*nfAttachment) []nf.FlowState {
+	var out []nf.FlowState
+	for _, att := range atts {
+		if s, ok := statefulNF(att); ok {
+			out = append(out, s.ExportFlowState(nil)...)
+		}
+	}
+	return out
+}
+
 // StandbyNFs returns the ids of the graph's NFs that currently hold a
-// standby attachment, sorted.
+// standby, sorted.
 func (o *Orchestrator) StandbyNFs(graphID string) []string {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -284,46 +176,31 @@ func (o *Orchestrator) StandbyNFs(graphID string) []string {
 	if !ok {
 		return nil
 	}
-	out := make([]string, 0, len(d.standbys))
-	for nfID := range d.standbys {
-		out = append(out, nfID)
+	out := []string{}
+	for nfID, set := range d.nfs {
+		if set.standby != nil {
+			out = append(out, nfID)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
 // ExportNFState snapshots the full per-flow state of one NF across its
-// replica set. A stateless NF exports nil. This is the node-level verb the
+// members. A stateless NF exports nil. This is the node-level verb the
 // global tier uses to replicate state onto a standby node.
 func (o *Orchestrator) ExportNFState(graphID, nfID string) ([]nf.FlowState, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d, ok := o.graphs[graphID]
-	if !ok {
-		return nil, fmt.Errorf("orchestrator: graph %q not deployed", graphID)
+	_, _, set, err := o.findSet(graphID, nfID)
+	if err != nil {
+		return nil, err
 	}
-	att, ok := d.nfs[nfID]
-	if !ok {
-		return nil, fmt.Errorf("orchestrator: graph %q has no NF %q", graphID, nfID)
-	}
-	if sc := d.scales[nfID]; sc != nil {
-		var out []nf.FlowState
-		for _, rep := range sc.replicas {
-			if s, ok := statefulNF(rep); ok {
-				out = append(out, s.ExportFlowState(nil)...)
-			}
-		}
-		return out, nil
-	}
-	s, ok := statefulNF(att)
-	if !ok {
-		return nil, nil
-	}
-	return s.ExportFlowState(nil), nil
+	return exportAll(set.members), nil
 }
 
-// ImportNFState installs exported flow state into every instance serving
-// the NF (replicas and standby alike). Imports overwrite and a replica
+// ImportNFState installs exported flow state into every instance of the
+// NF's set (members and standby alike). Imports overwrite and a member
 // holding state for buckets it does not own merely wastes the memory, so
 // fanning the full dump out is correct, if not minimal — the price of
 // keeping the node verb simple enough for a remote caller.
@@ -333,23 +210,12 @@ func (o *Orchestrator) ImportNFState(graphID, nfID string, states []nf.FlowState
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d, ok := o.graphs[graphID]
-	if !ok {
-		return fmt.Errorf("orchestrator: graph %q not deployed", graphID)
-	}
-	att, ok := d.nfs[nfID]
-	if !ok {
-		return fmt.Errorf("orchestrator: graph %q has no NF %q", graphID, nfID)
-	}
-	targets := []*nfAttachment{att}
-	if sc := d.scales[nfID]; sc != nil {
-		targets = sc.replicas
-	}
-	if sb, ok := d.standbys[nfID]; ok {
-		targets = append(append([]*nfAttachment(nil), targets...), sb)
+	_, _, set, err := o.findSet(graphID, nfID)
+	if err != nil {
+		return err
 	}
 	imported := false
-	for _, t := range targets {
+	for _, t := range set.all() {
 		s, ok := statefulNF(t)
 		if !ok {
 			continue

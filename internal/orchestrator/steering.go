@@ -14,7 +14,7 @@ import (
 // compileEntries compiles the graph's big-switch flow rules into concrete
 // flow entries for the graph's LSI, tagged with the given cookie. Nothing
 // is installed: deploy pushes the entries through the OpenFlow channel,
-// update and reflavor hand them to the switch's atomic snapshot swap.
+// every later change hands them to the switch's atomic snapshot swap.
 func (o *Orchestrator) compileEntries(d *DeployedGraph, cookie uint64) ([]*vswitch.FlowEntry, error) {
 	entries := make([]*vswitch.FlowEntry, 0, len(d.Graph.Rules))
 	for _, r := range d.Graph.Rules {
@@ -22,16 +22,19 @@ func (o *Orchestrator) compileEntries(d *DeployedGraph, cookie uint64) ([]*vswit
 		if err != nil {
 			return nil, fmt.Errorf("orchestrator: graph %q rule %q: %w", d.Graph.ID, r.ID, err)
 		}
-		// A rule whose ingress is a scaled NF expands to one entry per
-		// replica: any replica's emission matches the same downstream path.
-		var reps []*nfAttachment
+		// A rule whose ingress is an NF expands to one entry per instance
+		// that may emit: any member's emission matches the same downstream
+		// path, and so does a draining instance's until it is detached.
+		ingress := []*nfAttachment{nil}
 		if r.Match.PortIn.IsNF() {
-			if sc := d.scales[r.Match.PortIn.NF]; sc != nil && len(sc.replicas) > 1 {
-				reps = sc.replicas
+			set, ok := d.nfs[r.Match.PortIn.NF]
+			if !ok {
+				return nil, fmt.Errorf("orchestrator: graph %q rule %q: NF %q not attached", d.Graph.ID, r.ID, r.Match.PortIn.NF)
 			}
+			ingress = append(set.members[:len(set.members):len(set.members)], set.draining...)
 		}
-		if reps == nil {
-			match, pre, err := o.compileMatch(d, r.Match)
+		for _, att := range ingress {
+			match, pre, err := o.compileMatch(d, r.Match, att)
 			if err != nil {
 				return nil, fmt.Errorf("orchestrator: graph %q rule %q: %w", d.Graph.ID, r.ID, err)
 			}
@@ -41,25 +44,7 @@ func (o *Orchestrator) compileEntries(d *DeployedGraph, cookie uint64) ([]*vswit
 				Match:    match,
 				Actions:  append(pre, actions...),
 			})
-			continue
 		}
-		nfID := r.Match.PortIn.NF
-		orig := d.nfs[nfID]
-		for _, rep := range reps {
-			d.nfs[nfID] = rep
-			match, pre, err := o.compileMatch(d, r.Match)
-			if err != nil {
-				d.nfs[nfID] = orig
-				return nil, fmt.Errorf("orchestrator: graph %q rule %q: %w", d.Graph.ID, r.ID, err)
-			}
-			entries = append(entries, &vswitch.FlowEntry{
-				Priority: r.Priority,
-				Cookie:   cookie,
-				Match:    match,
-				Actions:  append(pre, actions...),
-			})
-		}
-		d.nfs[nfID] = orig
 	}
 	return entries, nil
 }
@@ -101,8 +86,10 @@ func nfPortIndex(g *nffg.Graph, nfID, portID string) (int, error) {
 }
 
 // compileMatch turns a rule selector into a switch match plus any actions
-// that must run before the rule's own (tag pop for shared NNF returns).
-func (o *Orchestrator) compileMatch(d *DeployedGraph, m nffg.RuleMatch) (vswitch.Match, []vswitch.Action, error) {
+// that must run before the rule's own (tag pop for shared NNF returns). A
+// selector whose ingress is an NF is compiled against att, the instance of
+// that NF the entry is for.
+func (o *Orchestrator) compileMatch(d *DeployedGraph, m nffg.RuleMatch, att *nfAttachment) (vswitch.Match, []vswitch.Action, error) {
 	match := vswitch.MatchAll()
 	if m.EtherType != 0 {
 		match = match.WithEthType(pkt.EthernetType(m.EtherType))
@@ -143,10 +130,6 @@ func (o *Orchestrator) compileMatch(d *DeployedGraph, m nffg.RuleMatch) (vswitch
 		}
 		match = match.WithInPort(att.graphPort)
 	case m.PortIn.IsNF():
-		att, ok := d.nfs[m.PortIn.NF]
-		if !ok {
-			return match, nil, fmt.Errorf("NF %q not attached", m.PortIn.NF)
-		}
 		idx, err := nfPortIndex(d.Graph, m.PortIn.NF, m.PortIn.Port)
 		if err != nil {
 			return match, nil, err
@@ -182,7 +165,7 @@ func (o *Orchestrator) compileActions(d *DeployedGraph, actions []nffg.RuleActio
 				}
 				out = append(out, vswitch.Output(att.graphPort))
 			case a.Output.IsNF():
-				att, ok := d.nfs[a.Output.NF]
+				set, ok := d.nfs[a.Output.NF]
 				if !ok {
 					return nil, fmt.Errorf("NF %q not attached", a.Output.NF)
 				}
@@ -190,16 +173,16 @@ func (o *Orchestrator) compileActions(d *DeployedGraph, actions []nffg.RuleActio
 				if err != nil {
 					return nil, err
 				}
-				sc := d.scales[a.Output.NF]
+				att := set.members[0]
 				switch {
-				case sc != nil && len(sc.replicas) > 1:
-					// Shard over the NF's replicas: every flow bucket maps
-					// to its owning replica's LSI port for this logical
+				case len(set.members) > 1:
+					// Shard over the NF's members: every flow bucket maps
+					// to its owning member's LSI port for this logical
 					// port. The bucket hash is symmetric, so both directions
-					// of a connection land on the same replica.
+					// of a connection land on the same member.
 					var ports [vswitch.NumStateBuckets]uint32
-					for b, ri := range sc.assign {
-						ports[b] = sc.replicas[ri].lsiPorts[idx]
+					for b, mi := range set.assign {
+						ports[b] = set.members[mi].lsiPorts[idx]
 					}
 					out = append(out, vswitch.SelectBucket(ports))
 				case att.inst.Shared:

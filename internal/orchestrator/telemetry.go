@@ -95,13 +95,9 @@ func (o *Orchestrator) Collect(e *telemetry.Exposition) {
 	for id, d := range o.graphs {
 		switches = append(switches, d.lsi.sw)
 		graphNFs[id] = len(d.nfs)
-		for nfID, att := range d.nfs {
-			nfStates = append(nfStates, nfStateSample{graph: id, nf: nfID, state: att.State()})
-			n := 1
-			if sc := d.scales[nfID]; sc != nil {
-				n = len(sc.replicas)
-			}
-			replicas = append(replicas, replicaSample{graph: id, nf: nfID, n: n})
+		for nfID, set := range d.nfs {
+			nfStates = append(nfStates, nfStateSample{graph: id, nf: nfID, state: set.members[0].State()})
+			replicas = append(replicas, replicaSample{graph: id, nf: nfID, n: len(set.members)})
 		}
 	}
 	o.mu.Unlock()

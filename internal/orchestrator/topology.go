@@ -82,7 +82,7 @@ func (o *Orchestrator) Topology() Topology {
 		}
 		sort.Strings(nfIDs)
 		for _, nfID := range nfIDs {
-			att := d.nfs[nfID]
+			att := d.nfs[nfID].members[0]
 			gi.NFs = append(gi.NFs, NFInfo{
 				ID:         nfID,
 				Instance:   att.inst.Runtime.Name(),
