@@ -27,8 +27,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# benchmarks/unbench is a nested module importing the root one, so the root
+# `./...` does not reach it: vet it too, and an API break that would only
+# surface in bench-selftest fails in seconds.
 vet:
 	$(GO) vet ./...
+	cd benchmarks/unbench && $(GO) vet ./...
 
 # staticcheck is optional locally: run it when installed, otherwise note
 # the skip (CI always runs it, pinned).

@@ -18,7 +18,6 @@ const (
 	OpUpdate     OpKind = "update"
 	OpUndeploy   OpKind = "undeploy"
 	OpScale      OpKind = "scale"
-	OpReflavor   OpKind = "reflavor"
 	OpNodeAdd    OpKind = "node-add"
 	OpNodeRemove OpKind = "node-remove"
 	OpLinkAdd    OpKind = "link-add"
@@ -41,7 +40,7 @@ type Op struct {
 // whether the op stores or deletes the record under its key.
 func (k OpKind) category() (cat string, remove bool) {
 	switch k {
-	case OpDeploy, OpUpdate, OpScale, OpReflavor:
+	case OpDeploy, OpUpdate, OpScale:
 		return "graphs", false
 	case OpUndeploy:
 		return "graphs", true

@@ -2,8 +2,8 @@ package global
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/nffg"
 	"repro/internal/telemetry"
 )
@@ -34,7 +34,7 @@ func (o *Orchestrator) StandbyNode(graphID string) string {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if dep, ok := o.graphs[graphID]; ok {
-		return dep.standbyNode
+		return dep.StandbyNode
 	}
 	return ""
 }
@@ -42,10 +42,10 @@ func (o *Orchestrator) StandbyNode(graphID string) string {
 // primaryOf returns the single hosting node and subgraph of a one-node
 // partition. Callers hold o.mu.
 func primaryOf(dep *deployment) (string, *nffg.Graph, bool) {
-	if len(dep.subs) != 1 {
+	if len(dep.Subs) != 1 {
 		return "", nil, false
 	}
-	for node, sub := range dep.subs {
+	for node, sub := range dep.Subs {
 		return node, sub, true
 	}
 	return "", nil, false
@@ -76,32 +76,25 @@ func (o *Orchestrator) canShadow(v *nodeView, sub *nffg.Graph) bool {
 // not the primary and can host the whole subgraph. Best effort: a fleet with
 // no spare capacity simply leaves the graph unprotected until one appears.
 // Callers hold o.mu.
-func (o *Orchestrator) armStandby(dep *deployment) {
+func (o *Orchestrator) armStandby(id string) {
+	dep := o.graphs[id]
 	primary, sub, single := primaryOf(dep)
 	if !single {
 		return
 	}
-	id := dep.desired.ID
-	names := make([]string, 0, len(o.members))
-	for name := range o.members {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(o.members) {
 		m := o.members[name]
-		if name == primary || !m.alive {
+		if name == primary || !m.alive || !o.canShadow(newNodeView(m.last), sub) {
 			continue
 		}
-		if !o.canShadow(newNodeView(m.last), sub) {
+		armed := *dep
+		armed.StandbyNode = name
+		if err := o.transition(cluster.OpUpdate, id, &armed); err != nil {
+			o.cfg.Logf("global: arming standby for %q: %v", id, err)
 			continue
 		}
-		if err := m.node.Deploy(sub); err != nil {
-			o.cfg.Logf("global: arming standby for %q on %q: %v", id, name, err)
-			continue
-		}
-		dep.standbyNode = name
 		o.journal.Recordf(telemetry.EventDeploy, name, id, "standby shadow deployed")
-		o.syncStandby(dep)
+		o.syncStandby(&armed)
 		return
 	}
 	o.cfg.Logf("global: graph %q wants a standby but no node can shadow it", id)
@@ -113,11 +106,11 @@ func (o *Orchestrator) armStandby(dep *deployment) {
 // flow-state entries moved. Callers hold o.mu.
 func (o *Orchestrator) syncStandby(dep *deployment) int {
 	primary, _, single := primaryOf(dep)
-	if !single || dep.standbyNode == "" {
+	if !single || dep.StandbyNode == "" {
 		return 0
 	}
 	pm, pOK := o.members[primary]
-	sm, sOK := o.members[dep.standbyNode]
+	sm, sOK := o.members[dep.StandbyNode]
 	if !pOK || !sOK || !pm.alive || !sm.alive {
 		return 0
 	}
@@ -129,22 +122,22 @@ func (o *Orchestrator) syncStandby(dep *deployment) int {
 	if !ok {
 		return 0
 	}
-	id := dep.desired.ID
+	id := dep.Desired.ID
 	total := 0
-	for _, n := range dep.desired.NFs {
+	for _, n := range dep.Desired.NFs {
 		states, err := src.ExportNFState(id, n.ID)
 		if err != nil || len(states) == 0 {
 			continue
 		}
 		if err := dst.ImportNFState(id, n.ID, states); err != nil {
-			o.cfg.Logf("global: syncing %s/%s state to standby %q: %v", id, n.ID, dep.standbyNode, err)
+			o.cfg.Logf("global: syncing %s/%s state to standby %q: %v", id, n.ID, dep.StandbyNode, err)
 			continue
 		}
 		total += len(states)
 	}
 	if total > 0 {
 		o.metrics.stateSyncs.Add(uint64(total))
-		o.journal.Recordf(telemetry.EventStateSync, dep.standbyNode, id,
+		o.journal.Recordf(telemetry.EventStateSync, dep.StandbyNode, id,
 			fmt.Sprintf("%d flow-state entries replicated from %q", total, primary))
 	}
 	return total
@@ -161,7 +154,7 @@ func (o *Orchestrator) SyncStandbys() int {
 		return 0
 	}
 	total := 0
-	for _, id := range sortedGraphIDs(o.graphs) {
+	for _, id := range sortedKeys(o.graphs) {
 		total += o.syncStandby(o.graphs[id])
 	}
 	return total
@@ -169,117 +162,82 @@ func (o *Orchestrator) SyncStandbys() int {
 
 // promoteStandby flips a stranded deployment onto its warm shadow. The
 // shadow already runs the subgraph with the last-synced flow state, so the
-// flip is pure bookkeeping: no node RPC, no cold restart. Returns false when
-// the graph has no live standby to promote (the caller falls back to a
-// cold reassign). Callers hold o.mu.
-func (o *Orchestrator) promoteStandby(dep *deployment) bool {
-	if dep.standbyNode == "" {
-		return false
-	}
-	sm, ok := o.members[dep.standbyNode]
-	if !ok || !sm.alive {
+// flip is pure bookkeeping: no cold restart, and the only step of the
+// transition is the lost primary's removal, which cannot be delivered and is
+// deferred — anti-entropy retires the copy if the node comes back still
+// running it. Returns false when the graph has no live standby to promote
+// (the caller falls back to a cold reassign). Callers hold o.mu.
+func (o *Orchestrator) promoteStandby(id string) bool {
+	dep := o.graphs[id]
+	standby := dep.StandbyNode
+	if sm, ok := o.members[standby]; !ok || !sm.alive {
 		return false
 	}
 	primary, sub, single := primaryOf(dep)
 	if !single {
 		return false
 	}
-	id := dep.desired.ID
 	o.metrics.outages.Inc()
 	o.journal.Recordf(telemetry.EventOutage, primary, id, "primary node lost")
-	// The dead primary may come back still running its copy; anti-entropy
-	// retires it then.
-	o.deferRemoval(primary, id)
-	o.retireStitches(dep.stitches, map[string]bool{primary: true})
-	standby := dep.standbyNode
-	dep.subs = map[string]*nffg.Graph{standby: sub}
-	dep.stitches = nil
-	for nfID := range dep.pl.NFNode {
-		dep.pl.NFNode[nfID] = standby
+	flipped := &deployment{
+		Desired: dep.Desired,
+		Subs:    map[string]*nffg.Graph{standby: sub},
+		Placement: Placement{
+			NFNode: make(map[string]string, len(dep.Placement.NFNode)),
+			EPNode: make(map[string]string, len(dep.Placement.EPNode)),
+		},
 	}
-	for epID := range dep.pl.EPNode {
-		dep.pl.EPNode[epID] = standby
+	for nfID := range dep.Placement.NFNode {
+		flipped.Placement.NFNode[nfID] = standby
 	}
-	dep.standbyNode = ""
+	for epID := range dep.Placement.EPNode {
+		flipped.Placement.EPNode[epID] = standby
+	}
+	if err := o.transition(cluster.OpUpdate, id, flipped); err != nil {
+		o.cfg.Logf("global: promoting standby of %q: %v", id, err)
+		return false
+	}
 	o.metrics.promotions.Inc()
 	o.cfg.Logf("global: promoted standby %q for graph %q (primary %q lost)", standby, id, primary)
 	o.journal.Recordf(telemetry.EventPromote, standby, id,
 		fmt.Sprintf("standby promoted after losing %q", primary))
 	// Re-arm immediately if a spare node exists; otherwise the reconcile
 	// loop keeps trying.
-	o.armStandby(dep)
+	o.armStandby(id)
 	return true
 }
 
 // maintainStandbys is the reconcile phase keeping every shadow armed and
-// state-synced: dead shadows are dropped (and re-armed elsewhere), missing
-// ones deployed, live ones refreshed with the primary's flow state. Callers
-// hold o.mu.
+// state-synced: shadows on dead nodes are dropped (and re-armed elsewhere),
+// missing ones deployed, live ones refreshed with the primary's flow state.
+// Callers hold o.mu.
 func (o *Orchestrator) maintainStandbys() {
-	for _, id := range sortedGraphIDs(o.graphs) {
+	for _, id := range sortedKeys(o.graphs) {
 		dep := o.graphs[id]
-		if !wantsStandby(dep.desired) {
+		if !wantsStandby(dep.Desired) {
 			continue
 		}
-		if dep.standbyNode != "" {
-			m, ok := o.members[dep.standbyNode]
-			if !ok || !m.alive {
-				o.metrics.outages.Inc()
-				o.journal.Recordf(telemetry.EventOutage, dep.standbyNode, id, "standby node lost")
-				dep.standbyNode = ""
+		if dep.StandbyNode != "" {
+			if m, ok := o.members[dep.StandbyNode]; ok && m.alive {
+				o.syncStandby(dep)
+				continue
 			}
+			o.metrics.outages.Inc()
+			o.journal.Recordf(telemetry.EventOutage, dep.StandbyNode, id, "standby node lost")
+			o.dropStandby(id)
 		}
-		if dep.standbyNode == "" {
-			o.armStandby(dep)
-			continue // armStandby already synced
-		}
-		o.syncStandby(dep)
+		o.armStandby(id) // syncs what it arms
 	}
 }
 
-// refreshStandby reconciles a graph's shadow with a freshly-applied
-// partition: a single-node partition keeps the shadow, updated in place to
-// the new subgraph; a multi-node one (or a dead shadow node) drops it and
-// lets maintainStandbys re-arm where possible. Callers hold o.mu.
-func (o *Orchestrator) refreshStandby(dep *deployment) {
-	if dep.standbyNode == "" {
-		return
+// dropStandby takes a graph's shadow out of its footprint; a shadow node
+// that cannot be told has the removal deferred. Callers hold o.mu.
+func (o *Orchestrator) dropStandby(id string) {
+	bare := *o.graphs[id]
+	bare.StandbyNode = ""
+	if err := o.transition(cluster.OpUpdate, id, &bare); err != nil {
+		o.cfg.Logf("global: dropping standby of %q: %v", id, err)
 	}
-	_, sub, single := primaryOf(dep)
-	m, ok := o.members[dep.standbyNode]
-	if !single || !ok || !m.alive {
-		o.dropStandby(dep)
-		return
-	}
-	if err := m.node.Update(sub); err != nil {
-		o.cfg.Logf("global: updating standby shadow of %q on %q: %v", dep.desired.ID, dep.standbyNode, err)
-		o.dropStandby(dep)
-	}
-}
-
-// dropStandby undeploys a graph's shadow, best effort. Callers hold o.mu.
-func (o *Orchestrator) dropStandby(dep *deployment) {
-	if dep.standbyNode == "" {
-		return
-	}
-	if m, ok := o.members[dep.standbyNode]; ok && m.alive {
-		if err := m.node.Undeploy(dep.desired.ID); err != nil {
-			o.deferRemoval(dep.standbyNode, dep.desired.ID)
-		}
-	} else {
-		o.deferRemoval(dep.standbyNode, dep.desired.ID)
-	}
-	dep.standbyNode = ""
-}
-
-// sortedGraphIDs returns the deployment map's keys in stable order.
-func sortedGraphIDs(graphs map[string]*deployment) []string {
-	ids := make([]string, 0, len(graphs))
-	for id := range graphs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Unlink withdraws a declared inter-node link: stitches may no longer ride
@@ -287,20 +245,11 @@ func sortedGraphIDs(graphs map[string]*deployment) []string {
 // re-placed over the remaining topology on the spot (and by the reconcile
 // loop if that fails).
 func (o *Orchestrator) Unlink(aNode, aIf, bNode, bIf string) error {
-	o.mu.Lock()
-	err := o.unlinkLocked(aNode, aIf, bNode, bIf)
-	o.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return o.flushIntent()
+	return o.mutate(func() error { return o.unlink(Link{A: aNode, AIf: aIf, B: bNode, BIf: bIf}) })
 }
 
-func (o *Orchestrator) unlinkLocked(aNode, aIf, bNode, bIf string) error {
-	if err := o.leaderErr(); err != nil {
-		return err
-	}
-	cut := Link{A: aNode, AIf: aIf, B: bNode, BIf: bIf}
+// unlink is Unlink under the lock. Callers hold o.mu.
+func (o *Orchestrator) unlink(cut Link) error {
 	found := -1
 	for i, l := range o.links {
 		if l.key() == cut.key() {
@@ -314,13 +263,13 @@ func (o *Orchestrator) unlinkLocked(aNode, aIf, bNode, bIf string) error {
 	o.links = append(o.links[:found], o.links[found+1:]...)
 	o.metrics.linkDowns.Inc()
 	o.journal.Recordf(telemetry.EventLinkDown, "", "", cut.key())
-	o.recordIntentLocked(intentLinkRemove, "links", cut.key(), nil)
-	for _, id := range sortedGraphIDs(o.graphs) {
+	o.propose(cluster.OpLinkRemove, cut.key(), nil)
+	for _, id := range sortedKeys(o.graphs) {
 		dep := o.graphs[id]
 		affected := false
-		for _, st := range dep.stitches {
-			for _, h := range st.hops {
-				if h.link.key() == cut.key() {
+		for _, st := range dep.Stitches {
+			for _, h := range st.Hops {
+				if h.Link.key() == cut.key() {
 					affected = true
 				}
 			}
@@ -328,14 +277,14 @@ func (o *Orchestrator) unlinkLocked(aNode, aIf, bNode, bIf string) error {
 		if !affected {
 			continue
 		}
-		if err := o.reassign(dep, dep.desired); err != nil {
+		if err := o.reassign(dep.Desired); err != nil {
 			o.metrics.rescheduleFails.Inc()
 			o.cfg.Logf("global: re-placing %q after link cut: %v (will retry)", id, err)
 			continue
 		}
 		o.metrics.reschedules.Inc()
 		o.journal.Recordf(telemetry.EventResched, "", id,
-			fmt.Sprintf("re-placed off severed link %s onto %v", cut.key(), subgraphNodes(dep.subs)))
+			fmt.Sprintf("re-placed off severed link %s onto %v", cut.key(), sortedKeys(o.graphs[id].Subs)))
 	}
 	return nil
 }

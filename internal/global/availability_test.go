@@ -221,3 +221,107 @@ func TestUnlinkRepairsAroundSeveredLink(t *testing.T) {
 		t.Error("unlinking an undeclared link succeeded")
 	}
 }
+
+// TestDriftRepairRestoresLostShadow: the shadow is part of the graph's
+// footprint, so a standby node that restarts empty gets it back — and
+// state-synced — in one reconcile pass. Before the footprint included it,
+// the orchestrator kept pointing at a node that held nothing and a later
+// promotion flipped onto an empty node.
+func TestDriftRepairRestoresLostShadow(t *testing.T) {
+	f := newFleet(t,
+		[]nodeSpec{
+			{name: "ha1", ifaces: []string{"eth0", "eth1"}, cpuMillis: 2000},
+			{name: "ha2", ifaces: []string{"eth0", "eth1"}, cpuMillis: 2000},
+		}, nil)
+	if err := f.g.Deploy(haNATGraph("av")); err != nil {
+		t.Fatal(err)
+	}
+	pl, _ := f.g.Placement("av")
+	primary, standby := pl.NFNode["nat"], f.g.StandbyNode("av")
+	if standby == "" {
+		t.Fatal("no shadow armed")
+	}
+	ext := natProbe(t, f, primary, 1, 30001)
+
+	// The standby node comes back from a restart with nothing on it.
+	if err := f.nodes[standby].Undeploy("av"); err != nil {
+		t.Fatal(err)
+	}
+	f.g.ReconcileOnce()
+	if got := f.g.StandbyNode("av"); got != standby {
+		t.Fatalf("standby node = %q after the repair pass, want %q kept", got, standby)
+	}
+	if _, ok := f.nodes[standby].Graph("av"); !ok {
+		t.Fatal("one reconcile pass did not redeploy the lost shadow")
+	}
+	// State-synced by the same pass: the primary dies and the promoted
+	// shadow still translates the open connection to the same binding.
+	f.locals[primary].SetDown(true)
+	f.g.ReconcileOnce()
+	if pl, _ = f.g.Placement("av"); pl.NFNode["nat"] != standby {
+		t.Fatalf("NAT on %q after the node kill, want promoted standby %q", pl.NFNode["nat"], standby)
+	}
+	if got := natProbe(t, f, standby, 1, 30001); got != ext {
+		t.Errorf("binding changed across repair and promotion: ext port %d, want %d", got, ext)
+	}
+}
+
+// TestUpdateCarriesShadow: updating a shadowed graph updates the shadow in
+// place as part of the same move; a shadow node that refuses the new version
+// costs the graph its spare, never the update.
+func TestUpdateCarriesShadow(t *testing.T) {
+	f := newFleet(t,
+		[]nodeSpec{
+			{name: "ha1", ifaces: []string{"eth0", "eth1"}, cpuMillis: 2000},
+			{name: "ha2", ifaces: []string{"eth0", "eth1"}, cpuMillis: 2000},
+		}, nil)
+	if err := f.g.Deploy(haNATGraph("av")); err != nil {
+		t.Fatal(err)
+	}
+	standby := f.g.StandbyNode("av")
+	externalIP := func(node string) string {
+		g, ok := f.nodes[node].Graph("av")
+		if !ok {
+			return ""
+		}
+		return g.FindNF("nat").Config["external_ip"]
+	}
+
+	v2 := haNATGraph("av")
+	v2.NFs[0].Config["external_ip"] = "198.51.100.2"
+	if err := f.g.Update(v2); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.g.StandbyNode("av"); got != standby {
+		t.Fatalf("standby node = %q after an update, want %q kept", got, standby)
+	}
+	if got := externalIP(standby); got != "198.51.100.2" {
+		t.Fatalf("shadow runs external_ip %q after the update, want the new version", got)
+	}
+
+	v3 := haNATGraph("av")
+	v3.NFs[0].Config["external_ip"] = "198.51.100.3"
+	f.locals[standby].refuse("update")
+	if err := f.g.Update(v3); err != nil {
+		t.Fatalf("update failed because the spare refused it: %v", err)
+	}
+	pl, _ := f.g.Placement("av")
+	if got := externalIP(pl.NFNode["nat"]); got != "198.51.100.3" {
+		t.Fatalf("primary runs external_ip %q, want the new version", got)
+	}
+	if got := f.g.StandbyNode("av"); got != "" {
+		t.Fatalf("standby node = %q, want the refusing shadow dropped", got)
+	}
+	if got := externalIP(standby); got != "" {
+		t.Fatalf("dropped shadow still deployed (external_ip %q)", got)
+	}
+	// The node cooperates again: the reconcile loop re-arms it.
+	f.locals[standby].refuse()
+	f.g.ReconcileOnce()
+	if got := f.g.StandbyNode("av"); got != standby {
+		t.Fatalf("standby node = %q after the next pass, want %q re-armed", got, standby)
+	}
+	if got := externalIP(standby); got != "198.51.100.3" {
+		t.Fatalf("re-armed shadow runs external_ip %q, want the current version", got)
+	}
+}

@@ -2,11 +2,13 @@ package global
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/nffg"
 	"repro/internal/policy"
 	"repro/internal/repository"
@@ -57,17 +59,22 @@ type member struct {
 }
 
 // deployment is one global graph: the desired NF-FG plus its current
-// partition across the fleet.
+// partition across the fleet. It is also, as JSON, the graph's replicated
+// intent record: a promoted leader restores exact state — allocated stitch
+// VLANs included — without recomputing a partition that could land elsewhere
+// and churn the datapath. A deployment is replaced by transition, never
+// edited (Scale's replica count, which the node has already applied, is the
+// one exception).
 type deployment struct {
-	desired  *nffg.Graph
-	subs     map[string]*nffg.Graph // node name -> subgraph
-	stitches []stitch
-	pl       Placement
-	// standbyNode names the node holding the graph's warm shadow
+	Desired   *nffg.Graph            `json:"desired"`
+	Subs      map[string]*nffg.Graph `json:"subs"` // node name -> subgraph
+	Stitches  []stitch               `json:"stitches,omitempty"`
+	Placement Placement              `json:"placement"`
+	// StandbyNode names the node holding the graph's warm shadow
 	// deployment (active-standby availability), "" when unarmed. The
-	// shadow is deliberately absent from subs: it is not part of the
+	// shadow is deliberately absent from Subs: it is not part of the
 	// serving partition until a promotion flips it in.
-	standbyNode string
+	StandbyNode string `json:"standby-node,omitempty"`
 }
 
 // Orchestrator is the global orchestrator: it owns the desired graph set,
@@ -97,18 +104,20 @@ type Orchestrator struct {
 
 	// HA hooks (see intent.go). All nil/empty on a standalone orchestrator.
 	leaderCheck  func() bool
-	recorder     func(kind, key string, data json.RawMessage) (commit func() error, err error)
+	recorder     func(kind cluster.OpKind, key string, data json.RawMessage) (commit func() error, err error)
 	nodeResolver NodeResolver
 	intentSource IntentSource
-	// pendingCommits holds the replication waits staged by
-	// recordIntentLocked under o.mu; flushIntent drains them outside it.
+	// pendingCommits holds the replication waits staged by propose under
+	// o.mu; flushIntent drains them outside it.
 	pendingCommits []func() error
 	// restoredSeq is the intent-store sequence last replayed into this
 	// orchestrator; follower refreshes skip while the store sits there.
 	restoredSeq uint64
-	// lastIntent caches the last recorded bytes per "category/key" so
-	// reconcile-time sweeps only emit ops for real changes.
-	lastIntent map[string]string
+	// unrecorded holds the graphs whose current state is not in the intent
+	// log: changed by a transition since the lock was taken, or left over
+	// from a proposal that failed to stage. The value is the op kind to
+	// record them under.
+	unrecorded map[string]cluster.OpKind
 
 	kickCh  chan struct{}
 	stop    chan struct{}
@@ -152,23 +161,11 @@ func New(cfg Config) *Orchestrator {
 		graphs:     make(map[string]*deployment),
 		alloc:      newVLANAlloc(),
 		pending:    make(map[string]map[string]bool),
-		lastIntent: make(map[string]string),
+		unrecorded: make(map[string]cluster.OpKind),
 		kickCh:     make(chan struct{}, 1),
 	}
 	o.registry.Register(o)
 	return o
-}
-
-// deferRemoval remembers that node still holds (a piece of) graph id and
-// could not be told to drop it; the reconcile loop retries when the node is
-// reachable again. Callers hold o.mu.
-func (o *Orchestrator) deferRemoval(node, id string) {
-	set := o.pending[node]
-	if set == nil {
-		set = make(map[string]bool)
-		o.pending[node] = set
-	}
-	set[id] = true
 }
 
 // parkedStitches is a set of stitch VLANs whose release waits on nodes that
@@ -190,14 +187,10 @@ func (o *Orchestrator) retireStitches(stitches []stitch, blocked map[string]bool
 		return
 	}
 	if len(blocked) == 0 {
-		o.releaseStitches(stitches)
+		releaseStitchVLANs(o.alloc, stitches)
 		return
 	}
-	waiting := make(map[string]bool, len(blocked))
-	for n := range blocked {
-		waiting[n] = true
-	}
-	o.parked = append(o.parked, &parkedStitches{stitches: stitches, waiting: waiting})
+	o.parked = append(o.parked, &parkedStitches{stitches: stitches, waiting: blocked})
 	o.cfg.Logf("global: parking %d stitch(es) until %v are cleaned", len(stitches), blocked)
 }
 
@@ -209,7 +202,7 @@ func (o *Orchestrator) nodeCleaned(node string) {
 	for _, p := range o.parked {
 		delete(p.waiting, node)
 		if len(p.waiting) == 0 {
-			o.releaseStitches(p.stitches)
+			releaseStitchVLANs(o.alloc, p.stitches)
 		} else {
 			kept = append(kept, p)
 		}
@@ -224,64 +217,43 @@ func (o *Orchestrator) AddNode(n Node) error {
 	if err != nil {
 		return fmt.Errorf("global: registering %q: %w", n.Name(), err)
 	}
-	o.mu.Lock()
-	err = func() error {
-		if err := o.leaderErr(); err != nil {
-			return err
-		}
+	return o.mutate(func() error {
 		if _, dup := o.members[n.Name()]; dup {
 			return fmt.Errorf("global: node %q already registered", n.Name())
 		}
 		o.members[n.Name()] = &member{node: n, alive: true, last: st, probed: time.Now()}
 		if data, err := json.Marshal(nodeRecordFor(n)); err == nil {
-			o.recordIntentLocked(intentNodeAdd, "nodes", n.Name(), data)
+			o.propose(cluster.OpNodeAdd, n.Name(), data)
 		}
 		return nil
-	}()
-	o.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return o.flushIntent()
+	})
 }
 
 // RemoveNode withdraws a node. Graphs with subgraphs on it are rescheduled
 // on the next reconcile pass.
 func (o *Orchestrator) RemoveNode(name string) error {
-	o.mu.Lock()
-	err := func() error {
-		if err := o.leaderErr(); err != nil {
-			return err
-		}
-		m, ok := o.members[name]
-		if !ok {
+	return o.mutate(func() error {
+		if _, ok := o.members[name]; !ok {
 			return fmt.Errorf("global: node %q not registered", name)
 		}
-		delete(o.members, name)
-		o.recordIntentLocked(intentNodeRemove, "nodes", name, nil)
 		// Best-effort cleanup of anything we placed there.
-		for _, dep := range o.graphs {
-			if _, here := dep.subs[name]; here {
-				_ = m.node.Undeploy(dep.desired.ID)
+		for _, id := range sortedKeys(o.graphs) {
+			if o.graphs[id].holds(name) {
+				if err := o.run(id, step{verb: verbUndeploy, node: name}); err != nil {
+					o.cfg.Logf("%v", err)
+				}
 			}
 		}
+		delete(o.members, name)
+		o.propose(cluster.OpNodeRemove, name, nil)
 		return nil
-	}()
-	o.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return o.flushIntent()
+	})
 }
 
 // Link declares an inter-node connection the stitcher may use. Both nodes
 // must be registered and expose the named interface.
 func (o *Orchestrator) Link(aNode, aIf, bNode, bIf string) error {
-	o.mu.Lock()
-	err := func() error {
-		if err := o.leaderErr(); err != nil {
-			return err
-		}
+	return o.mutate(func() error {
 		for _, side := range []struct{ node, iface string }{{aNode, aIf}, {bNode, bIf}} {
 			m, ok := o.members[side.node]
 			if !ok {
@@ -306,15 +278,10 @@ func (o *Orchestrator) Link(aNode, aIf, bNode, bIf string) error {
 		}
 		o.links = append(o.links, l)
 		if data, err := json.Marshal(l); err == nil {
-			o.recordIntentLocked(intentLinkAdd, "links", l.key(), data)
+			o.propose(cluster.OpLinkAdd, l.key(), data)
 		}
 		return nil
-	}()
-	o.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return o.flushIntent()
+	})
 }
 
 // NodeInfo is one fleet member's state as reported by ListNodes.
@@ -346,12 +313,7 @@ func (o *Orchestrator) Links() []Link {
 func (o *Orchestrator) GraphIDs() []string {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	out := make([]string, 0, len(o.graphs))
-	for id := range o.graphs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(o.graphs)
 }
 
 // Graph returns the desired NF-FG of a deployed global graph.
@@ -362,7 +324,7 @@ func (o *Orchestrator) Graph(id string) (*nffg.Graph, bool) {
 	if !ok {
 		return nil, false
 	}
-	return dep.desired, true
+	return dep.Desired, true
 }
 
 // Placement returns where each NF and endpoint of a graph currently runs.
@@ -373,16 +335,69 @@ func (o *Orchestrator) Placement(id string) (Placement, bool) {
 	if !ok {
 		return Placement{}, false
 	}
-	return dep.pl, true
+	return dep.Placement, true
 }
 
-// refreshAlive re-probes every alive node in parallel so placement
-// decisions run on capacity numbers no older than the call. Placement
-// credits a re-placed graph's demand back to the nodes holding it, which is
-// only correct against a status that already reflects the deployment —
-// reusing a probe from before the graph landed would double-count the
-// credit and overpack the node. A node that fails its probe is marked dead
-// on the spot. Callers hold o.mu.
+// probeResult is one member's answer to a health probe.
+type probeResult struct {
+	m   *member
+	st  Status
+	err error
+}
+
+// probe asks the given members for their status, in parallel: one hung node
+// costs its own timeout, not the sum. It reads no orchestrator state, so
+// the reconcile loop calls it with the lock released.
+func probe(members []*member) []probeResult {
+	results := make([]probeResult, len(members))
+	var wg sync.WaitGroup
+	for i, m := range members {
+		wg.Add(1)
+		go func(i int, m *member) {
+			defer wg.Done()
+			st, err := m.node.Status()
+			results[i] = probeResult{m: m, st: st, err: err}
+		}(i, m)
+	}
+	wg.Wait()
+	return results
+}
+
+// absorb applies probe results to the fleet view: a member that failed its
+// probe is dead on the spot, one that answered is alive with fresh capacity
+// numbers. Callers hold o.mu.
+func (o *Orchestrator) absorb(results []probeResult) {
+	for _, r := range results {
+		name := r.m.node.Name()
+		if o.members[name] != r.m {
+			continue // withdrawn while the probe was in flight
+		}
+		wasAlive := r.m.alive
+		r.m.probed = time.Now()
+		if r.err != nil {
+			r.m.alive = false
+			o.metrics.probeFailures.Inc()
+			if wasAlive {
+				o.cfg.Logf("global: node %q dead: %v", name, r.err)
+				o.journal.Recordf(telemetry.EventNodeDead, name, "", r.err.Error())
+			}
+			continue
+		}
+		r.m.alive = true
+		r.m.last = r.st
+		if !wasAlive {
+			o.cfg.Logf("global: node %q back", name)
+			o.journal.Recordf(telemetry.EventNodeBack, name, "", "")
+		}
+	}
+}
+
+// refreshAlive re-probes every alive node so placement decisions run on
+// capacity numbers no older than the call. Placement credits a re-placed
+// graph's demand back to the nodes holding it, which is only correct against
+// a status that already reflects the deployment — reusing a probe from
+// before the graph landed would double-count the credit and overpack the
+// node. Callers hold o.mu.
 func (o *Orchestrator) refreshAlive() {
 	var stale []*member
 	for _, m := range o.members {
@@ -390,35 +405,7 @@ func (o *Orchestrator) refreshAlive() {
 			stale = append(stale, m)
 		}
 	}
-	if len(stale) == 0 {
-		return
-	}
-	type result struct {
-		st  Status
-		err error
-	}
-	results := make([]result, len(stale))
-	var wg sync.WaitGroup
-	for i, m := range stale {
-		wg.Add(1)
-		go func(i int, n Node) {
-			defer wg.Done()
-			st, err := n.Status()
-			results[i] = result{st: st, err: err}
-		}(i, m.node)
-	}
-	wg.Wait()
-	for i, m := range stale {
-		m.probed = time.Now()
-		if results[i].err != nil {
-			m.alive = false
-			o.metrics.probeFailures.Inc()
-			o.cfg.Logf("global: node %q dead: %v", m.node.Name(), results[i].err)
-			o.journal.Recordf(telemetry.EventNodeDead, m.node.Name(), "", results[i].err.Error())
-			continue
-		}
-		m.last = results[i].st
-	}
+	o.absorb(probe(stale))
 }
 
 // aliveViews snapshots the packing view of every alive node. Callers hold
@@ -447,7 +434,7 @@ func (o *Orchestrator) partition(g *nffg.Graph, prior *deployment) (Placement, m
 		for _, v := range views {
 			byName[v.name] = v
 		}
-		for node, sub := range prior.subs {
+		for node, sub := range prior.Subs {
 			v, alive := byName[node]
 			if !alive {
 				continue
@@ -467,11 +454,11 @@ func (o *Orchestrator) partition(g *nffg.Graph, prior *deployment) (Placement, m
 		if dep == prior {
 			continue
 		}
-		for _, ep := range dep.desired.Endpoints {
+		for _, ep := range dep.Desired.Endpoints {
 			if ep.Type != nffg.EPInternal {
 				continue
 			}
-			if node, placed := dep.pl.EPNode[ep.ID]; placed {
+			if node, placed := dep.Placement.EPNode[ep.ID]; placed {
 				pins[ep.InternalGroup] = node
 			}
 		}
@@ -487,15 +474,6 @@ func (o *Orchestrator) partition(g *nffg.Graph, prior *deployment) (Placement, m
 	return pl, subs, stitches, nil
 }
 
-// releaseStitches frees the VLANs of a partition. Callers hold o.mu.
-func (o *Orchestrator) releaseStitches(stitches []stitch) {
-	for _, st := range stitches {
-		for _, h := range st.hops {
-			o.alloc.release(h.link, h.vlan)
-		}
-	}
-}
-
 // Deploy partitions a graph across the fleet and instantiates every
 // subgraph. On any node failure the already-deployed subgraphs are rolled
 // back.
@@ -503,21 +481,12 @@ func (o *Orchestrator) Deploy(g *nffg.Graph) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
-	o.mu.Lock()
-	err := func() error {
-		if err := o.leaderErr(); err != nil {
-			return err
-		}
+	return o.mutate(func() error {
 		if _, dup := o.graphs[g.ID]; dup {
 			return fmt.Errorf("global: graph %q already deployed (use Update)", g.ID)
 		}
 		return o.deployLocked(g)
-	}()
-	o.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return o.flushIntent()
+	})
 }
 
 // deployLocked is Deploy past validation and the duplicate check. Callers
@@ -527,29 +496,15 @@ func (o *Orchestrator) deployLocked(g *nffg.Graph) error {
 	if err != nil {
 		return err
 	}
-	var deployed []string
-	for _, node := range subgraphNodes(subs) {
-		if err := o.members[node].node.Deploy(subs[node]); err != nil {
-			blocked := make(map[string]bool)
-			for _, done := range deployed {
-				if e := o.members[done].node.Undeploy(g.ID); e != nil {
-					o.deferRemoval(done, g.ID)
-					blocked[done] = true
-				}
-			}
-			o.retireStitches(stitches, blocked)
-			return fmt.Errorf("global: deploying %q on %q: %w", g.ID, node, err)
-		}
-		deployed = append(deployed, node)
+	dep := &deployment{Desired: g.Clone(), Subs: subs, Stitches: stitches, Placement: pl}
+	if err := o.transition(cluster.OpDeploy, g.ID, dep); err != nil {
+		return err
 	}
-	dep := &deployment{desired: g.Clone(), subs: subs, stitches: stitches, pl: pl}
-	o.graphs[g.ID] = dep
 	o.journal.Recordf(telemetry.EventDeploy, "", g.ID,
-		fmt.Sprintf("split across %v", subgraphNodes(subs)))
-	if wantsStandby(dep.desired) {
-		o.armStandby(dep)
+		fmt.Sprintf("split across %v", sortedKeys(subs)))
+	if wantsStandby(g) {
+		o.armStandby(g.ID)
 	}
-	o.recordGraphLocked(intentDeploy, dep)
 	return nil
 }
 
@@ -561,22 +516,12 @@ func (o *Orchestrator) Update(g *nffg.Graph) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
-	o.mu.Lock()
-	err := func() error {
-		if err := o.leaderErr(); err != nil {
-			return err
-		}
-		dep, ok := o.graphs[g.ID]
-		if !ok {
+	return o.mutate(func() error {
+		if _, ok := o.graphs[g.ID]; !ok {
 			return fmt.Errorf("global: graph %q not deployed (use Deploy)", g.ID)
 		}
-		return o.reassign(dep, g)
-	}()
-	o.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return o.flushIntent()
+		return o.reassign(g)
+	})
 }
 
 // Apply deploys g if it is new and updates it otherwise — the REST PUT
@@ -586,166 +531,81 @@ func (o *Orchestrator) Apply(g *nffg.Graph) (existed bool, err error) {
 	if err := g.Validate(); err != nil {
 		return false, err
 	}
-	o.mu.Lock()
-	existed, err = func() (bool, error) {
-		if err := o.leaderErr(); err != nil {
-			return false, err
+	err = o.mutate(func() error {
+		if _, existed = o.graphs[g.ID]; existed {
+			return o.reassign(g)
 		}
-		if dep, ok := o.graphs[g.ID]; ok {
-			return true, o.reassign(dep, g)
-		}
-		return false, o.deployLocked(g)
-	}()
-	o.mu.Unlock()
-	if err != nil {
-		return existed, err
-	}
-	return existed, o.flushIntent()
+		return o.deployLocked(g)
+	})
+	return existed, err
 }
 
-// reassign moves a deployment onto a fresh partition of graph g computed
-// over the currently-alive fleet. On a node failure mid-apply it reverts
-// the already-updated nodes to their previous subgraphs; the new stitch
-// VLANs are only returned to the allocator once no node is left running
-// them (leaking a VLAN is recoverable, handing it to another graph while a
-// half-updated node still tags traffic with it is not). Callers hold o.mu.
-func (o *Orchestrator) reassign(dep *deployment, g *nffg.Graph) error {
-	pl, subs, stitches, err := o.partition(g, dep)
+// reassign moves a deployed graph onto a fresh partition of g computed over
+// the currently-alive fleet; a failure leaves it where it was. A live shadow
+// follows a partition that stays on one node, updated in place; otherwise it
+// goes with the move and maintainStandbys re-arms one where possible.
+// Callers hold o.mu.
+func (o *Orchestrator) reassign(g *nffg.Graph) error {
+	have := o.graphs[g.ID]
+	pl, subs, stitches, err := o.partition(g, have)
 	if err != nil {
 		return err
 	}
-	// A shadow colliding with the new partition must clear out first, or
-	// the fresh Deploy on its node would hit a duplicate graph.
-	if dep.standbyNode != "" {
-		if _, collides := subs[dep.standbyNode]; collides {
-			o.dropStandby(dep)
-		}
+	want := &deployment{Desired: g.Clone(), Subs: subs, Stitches: stitches, Placement: pl}
+	if m, ok := o.members[have.StandbyNode]; ok && m.alive && len(subs) == 1 && subs[have.StandbyNode] == nil {
+		want.StandbyNode = have.StandbyNode
 	}
-	// Vacated nodes first, freeing their capacity and VLAN endpoints.
-	// Nodes that cannot be told to drop their piece block the release of
-	// the old partition's stitch VLANs.
-	var vacated []string
-	blocked := make(map[string]bool)
-	for node := range dep.subs {
-		if _, still := subs[node]; still {
-			continue
-		}
-		vacated = append(vacated, node)
-		m, registered := o.members[node]
-		if !registered || !m.alive {
-			o.deferRemoval(node, g.ID)
-			blocked[node] = true
-			continue
-		}
-		if err := m.node.Undeploy(g.ID); err != nil {
-			o.deferRemoval(node, g.ID)
-			blocked[node] = true
-			o.cfg.Logf("global: undeploying %q from vacated node %q: %v", g.ID, node, err)
-		}
+	err = o.transition(cluster.OpUpdate, g.ID, want)
+	var refused *stepError
+	if errors.As(err, &refused) && refused.node == want.StandbyNode {
+		// The spare would not take the new version. It is never worth
+		// failing the serving move: let it go and move without it.
+		o.dropStandby(g.ID)
+		return o.reassign(g)
 	}
-	var applied []string
-	for _, node := range subgraphNodes(subs) {
-		m := o.members[node]
-		if _, had := dep.subs[node]; had {
-			err = m.node.Update(subs[node])
-		} else {
-			err = m.node.Deploy(subs[node])
-		}
-		if err != nil {
-			if o.revertReassign(dep, g.ID, applied, vacated) {
-				o.releaseStitches(stitches)
-			} else {
-				o.cfg.Logf("global: partial revert of %q; keeping its stitch VLANs reserved", g.ID)
-			}
-			return fmt.Errorf("global: updating %q on %q: %w", g.ID, node, err)
-		}
-		applied = append(applied, node)
+	if err == nil {
+		o.journal.Recordf(telemetry.EventUpdate, "", g.ID,
+			fmt.Sprintf("re-placed across %v", sortedKeys(subs)))
 	}
-	o.retireStitches(dep.stitches, blocked)
-	dep.desired = g.Clone()
-	dep.subs = subs
-	dep.stitches = stitches
-	dep.pl = pl
-	o.refreshStandby(dep)
-	o.journal.Recordf(telemetry.EventUpdate, "", g.ID,
-		fmt.Sprintf("re-placed across %v", subgraphNodes(subs)))
-	o.recordGraphLocked(intentUpdate, dep)
-	return nil
+	return err
 }
 
-// revertReassign puts nodes touched by a failed reassign back on their
-// previous subgraphs, best effort. It reports whether every revert
-// succeeded, i.e. whether the aborted partition's VLANs are provably
-// unused. Callers hold o.mu.
-func (o *Orchestrator) revertReassign(dep *deployment, id string, applied, vacated []string) bool {
-	ok := true
-	for _, node := range applied {
-		m, registered := o.members[node]
-		if !registered {
-			ok = false
-			continue
-		}
-		if old, had := dep.subs[node]; had {
-			if err := m.node.Update(old); err != nil {
-				ok = false
-				o.cfg.Logf("global: reverting %q on %q: %v", id, node, err)
-			}
-		} else if err := m.node.Undeploy(id); err != nil {
-			ok = false
-			o.deferRemoval(node, id)
-			o.cfg.Logf("global: reverting %q on %q: %v", id, node, err)
-		}
+// hostOf finds the deployment of a graph and the reachable member hosting one
+// of its NFs. Callers hold o.mu.
+func (o *Orchestrator) hostOf(graphID, nfID string) (*deployment, *member, error) {
+	dep, ok := o.graphs[graphID]
+	if !ok {
+		return nil, nil, fmt.Errorf("global: graph %q not deployed", graphID)
 	}
-	for _, node := range vacated {
-		m, registered := o.members[node]
-		if !registered || !m.alive {
-			ok = false
-			continue
-		}
-		// If the vacate-time Undeploy never took effect, the old
-		// subgraph is still running: already the state we want (the
-		// reconcile loop clears the deferred removal since the graph is
-		// desired here again).
-		if _, present, err := m.node.GraphSpec(id); err == nil && present {
-			continue
-		}
-		if err := m.node.Deploy(dep.subs[node]); err != nil {
-			ok = false
-			o.cfg.Logf("global: restoring %q on vacated %q: %v", id, node, err)
-		}
+	node, placed := dep.Placement.NFNode[nfID]
+	if !placed {
+		return nil, nil, fmt.Errorf("global: graph %q has no NF %q", graphID, nfID)
 	}
-	return ok
+	m, registered := o.members[node]
+	if !registered || !m.alive {
+		return nil, nil, fmt.Errorf("global: node %q hosting %s/%s is unreachable", node, graphID, nfID)
+	}
+	return dep, m, nil
 }
 
 // Reflavor hot-swaps one NF of a deployed global graph onto a different
 // execution technology, on whichever node currently hosts it. The swap is
 // make-before-break on the node: the graph keeps forwarding throughout.
 func (o *Orchestrator) Reflavor(graphID, nfID string, tech nffg.Technology) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if err := o.leaderErr(); err != nil {
-		return err
-	}
-	dep, ok := o.graphs[graphID]
-	if !ok {
-		return fmt.Errorf("global: graph %q not deployed", graphID)
-	}
-	node, placed := dep.pl.NFNode[nfID]
-	if !placed {
-		return fmt.Errorf("global: graph %q has no NF %q", graphID, nfID)
-	}
-	m, registered := o.members[node]
-	if !registered || !m.alive {
-		return fmt.Errorf("global: node %q hosting %s/%s is unreachable", node, graphID, nfID)
-	}
-	if err := m.node.Reflavor(graphID, nfID, tech); err != nil {
-		o.metrics.reflavorFails.Inc()
-		return err
-	}
-	o.metrics.reflavors.Inc()
-	o.journal.Recordf(telemetry.EventReflavor, node, graphID,
-		fmt.Sprintf("%s -> %s", nfID, tech))
-	return nil
+	return o.mutate(func() error {
+		_, m, err := o.hostOf(graphID, nfID)
+		if err != nil {
+			return err
+		}
+		if err := m.node.Reflavor(graphID, nfID, tech); err != nil {
+			o.metrics.reflavorFails.Inc()
+			return err
+		}
+		o.metrics.reflavors.Inc()
+		o.journal.Recordf(telemetry.EventReflavor, m.node.Name(), graphID,
+			fmt.Sprintf("%s -> %s", nfID, tech))
+		return nil
+	})
 }
 
 // Scale resizes one NF's replica set on whichever node hosts it. The node's
@@ -753,31 +613,23 @@ func (o *Orchestrator) Reflavor(graphID, nfID string, tech nffg.Technology) erro
 // records the new replica count in the desired graph so reschedules and
 // drift repairs reproduce it.
 func (o *Orchestrator) Scale(graphID, nfID string, replicas int) error {
-	o.mu.Lock()
-	err := func() error {
-		if err := o.leaderErr(); err != nil {
+	return o.mutate(func() error {
+		dep, m, err := o.hostOf(graphID, nfID)
+		if err != nil {
 			return err
-		}
-		dep, ok := o.graphs[graphID]
-		if !ok {
-			return fmt.Errorf("global: graph %q not deployed", graphID)
-		}
-		node, placed := dep.pl.NFNode[nfID]
-		if !placed {
-			return fmt.Errorf("global: graph %q has no NF %q", graphID, nfID)
-		}
-		m, registered := o.members[node]
-		if !registered || !m.alive {
-			return fmt.Errorf("global: node %q hosting %s/%s is unreachable", node, graphID, nfID)
 		}
 		if err := m.node.Scale(graphID, nfID, replicas); err != nil {
 			o.metrics.scaleFails.Inc()
 			return err
 		}
-		if n := dep.desired.FindNF(nfID); n != nil {
+		// The node has resized the set itself: the footprint is brought up
+		// to date where it stands and moves nowhere, so the transition has
+		// no step to run and only the record follows.
+		node := m.node.Name()
+		if n := dep.Desired.FindNF(nfID); n != nil {
 			n.Replicas = replicas
 		}
-		if sub, ok := dep.subs[node]; ok {
+		if sub, ok := dep.Subs[node]; ok {
 			if n := sub.FindNF(nfID); n != nil {
 				n.Replicas = replicas
 			}
@@ -785,14 +637,8 @@ func (o *Orchestrator) Scale(graphID, nfID string, replicas int) error {
 		o.metrics.scales.Inc()
 		o.journal.Recordf(telemetry.EventScale, node, graphID,
 			fmt.Sprintf("%s -> %d replicas", nfID, replicas))
-		o.recordGraphLocked(intentScale, dep)
-		return nil
-	}()
-	o.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return o.flushIntent()
+		return o.transition(cluster.OpScale, graphID, dep)
+	})
 }
 
 // Plan is the global dry-run: validate the graph and partition it across
@@ -823,7 +669,7 @@ func (o *Orchestrator) PlanDeploy(g *nffg.Graph) (*Plan, error) {
 		return nil, err
 	}
 	// Nothing is deployed: hand the stitch VLANs straight back.
-	o.releaseStitches(stitches)
+	releaseStitchVLANs(o.alloc, stitches)
 	plan := &Plan{
 		Graph:     g.ID,
 		Exists:    dep != nil,
@@ -852,12 +698,7 @@ func (o *Orchestrator) relievePressure() {
 	if o.cfg.PressureFreeCPUFraction < 0 {
 		return
 	}
-	names := make([]string, 0, len(o.members))
-	for name := range o.members {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(o.members) {
 		m := o.members[name]
 		if !m.alive || m.last.TotalCPUMillis == 0 {
 			continue
@@ -907,7 +748,7 @@ func (o *Orchestrator) cheaperFlavorsOn(m *member) []reliefCandidate {
 		if !ours {
 			continue
 		}
-		n := dep.desired.FindNF(nfSt.NF)
+		n := dep.Desired.FindNF(nfSt.NF)
 		if n == nil || n.TechnologyPreference != nffg.TechAny {
 			continue
 		}
@@ -939,43 +780,16 @@ func (o *Orchestrator) cheaperFlavorsOn(m *member) []reliefCandidate {
 // VLANs until then), which is why node failures are not reported as errors
 // here.
 func (o *Orchestrator) Undeploy(id string) error {
-	o.mu.Lock()
-	err := func() error {
-		if err := o.leaderErr(); err != nil {
-			return err
-		}
-		dep, ok := o.graphs[id]
-		if !ok {
+	return o.mutate(func() error {
+		if _, ok := o.graphs[id]; !ok {
 			return fmt.Errorf("global: graph %q not deployed", id)
 		}
-		o.dropStandby(dep)
-		blocked := make(map[string]bool)
-		for _, node := range subgraphNodes(dep.subs) {
-			m, registered := o.members[node]
-			if !registered || !m.alive {
-				// Unreachable: remember the leftover so the reconcile loop
-				// retires it when the node returns.
-				o.deferRemoval(node, id)
-				blocked[node] = true
-				continue
-			}
-			if err := m.node.Undeploy(id); err != nil {
-				o.deferRemoval(node, id)
-				blocked[node] = true
-				o.cfg.Logf("global: undeploying %q from %q deferred: %v", id, node, err)
-			}
+		err := o.transition(cluster.OpUndeploy, id, nil)
+		if err == nil {
+			o.journal.Recordf(telemetry.EventUndeploy, "", id, "")
 		}
-		o.retireStitches(dep.stitches, blocked)
-		delete(o.graphs, id)
-		o.journal.Recordf(telemetry.EventUndeploy, "", id, "")
-		o.recordIntentLocked(intentUndeploy, "graphs", id, nil)
-		return nil
-	}()
-	o.mu.Unlock()
-	if err != nil {
 		return err
-	}
-	return o.flushIntent()
+	})
 }
 
 // Start launches the background loops: reconcile every ReconcileInterval
@@ -1046,173 +860,100 @@ func (o *Orchestrator) ReconcileOnce() {
 	// Probe outside the lock: a hung node must not stall the control
 	// plane.
 	o.mu.Lock()
-	probeList := make([]*member, 0, len(o.members))
+	all := make([]*member, 0, len(o.members))
 	for _, m := range o.members {
-		probeList = append(probeList, m)
+		all = append(all, m)
 	}
 	o.mu.Unlock()
-	type probeResult struct {
-		m   *member
-		st  Status
-		err error
-	}
-	results := make([]probeResult, len(probeList))
-	var wg sync.WaitGroup
-	for i, m := range probeList {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			st, err := m.node.Status()
-			results[i] = probeResult{m: m, st: st, err: err}
-		}(i, m)
-	}
-	wg.Wait()
+	results := probe(all)
 
-	// Registered before the lock so it runs after the deferred Unlock
-	// (LIFO): reconcile repairs are best-effort, so a commit wait that
-	// fails (quorum loss mid-pass) is logged and retried next pass rather
-	// than surfaced — the ops stay in the leader log.
-	defer func() {
-		if err := o.flushIntent(); err != nil {
-			o.cfg.Logf("global: reconcile intent commit: %v", err)
-		}
-	}()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, r := range results {
-		if _, still := o.members[r.m.node.Name()]; !still {
-			continue
-		}
-		wasAlive := r.m.alive
-		r.m.probed = time.Now()
-		if r.err != nil {
-			r.m.alive = false
-			o.metrics.probeFailures.Inc()
-			if wasAlive {
-				o.cfg.Logf("global: node %q dead: %v", r.m.node.Name(), r.err)
-				o.journal.Recordf(telemetry.EventNodeDead, r.m.node.Name(), "", r.err.Error())
-			}
-			continue
-		}
-		r.m.alive = true
-		r.m.last = r.st
-		if !wasAlive {
-			o.cfg.Logf("global: node %q back", r.m.node.Name())
-			o.journal.Recordf(telemetry.EventNodeBack, r.m.node.Name(), "", "")
-		}
+	err := o.mutate(func() error {
+		o.reconcileLocked(results)
+		return nil
+	})
+	// Reconcile repairs are best-effort, so a commit wait that fails (quorum
+	// loss mid-pass) is logged rather than surfaced: the ops stay in the
+	// leader log, and a record that could not even be staged stays queued
+	// for the next pass.
+	if err != nil {
+		o.cfg.Logf("global: reconcile: %v", err)
 	}
+}
 
-	// Reschedule graphs stranded on dead (or withdrawn) nodes.
-	ids := make([]string, 0, len(o.graphs))
-	for id := range o.graphs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+// reconcileLocked is the repair half of a reconcile pass, run on the probe
+// results under o.mu.
+func (o *Orchestrator) reconcileLocked(results []probeResult) {
+	o.absorb(results)
+
+	for _, id := range sortedKeys(o.graphs) {
 		dep := o.graphs[id]
 		stranded := false
-		for node := range dep.subs {
+		for node := range dep.Subs {
 			m, registered := o.members[node]
 			if !registered || !m.alive {
 				stranded = true
 				break
 			}
 		}
-		if stranded {
-			// A warm shadow beats a cold reassign: the standby already
-			// runs the subgraph with the last-synced flow state.
-			if o.promoteStandby(dep) {
-				continue
-			}
-			if err := o.reassign(dep, dep.desired); err != nil {
-				o.metrics.rescheduleFails.Inc()
-				o.cfg.Logf("global: rescheduling %q: %v (will retry)", id, err)
-			} else {
-				o.metrics.reschedules.Inc()
-				o.cfg.Logf("global: rescheduled %q onto %v", id, subgraphNodes(dep.subs))
-				o.journal.Recordf(telemetry.EventResched, "", id,
-					fmt.Sprintf("now on %v", subgraphNodes(dep.subs)))
-			}
+		if !stranded {
+			o.repairDrift(id, dep)
 			continue
 		}
-		// Drift repair on healthy partitions: redeploy missing
-		// subgraphs, update diverged ones.
-		for node, want := range dep.subs {
-			m := o.members[node]
-			got, present, err := m.node.GraphSpec(id)
-			if err != nil {
-				continue // probe will catch the node next pass
-			}
-			if !present {
-				o.cfg.Logf("global: node %q lost graph %q, redeploying", node, id)
-				if err := m.node.Deploy(want); err != nil {
-					o.cfg.Logf("global: redeploying %q on %q: %v", id, node, err)
-				} else {
-					o.metrics.driftRepairs.Inc()
-					o.journal.Recordf(telemetry.EventRepair, node, id, "lost subgraph redeployed")
-				}
-				continue
-			}
-			if diff := nffg.Compute(got, want); !diff.Empty() {
-				o.cfg.Logf("global: node %q diverged on graph %q, updating", node, id)
-				if err := m.node.Update(want); err != nil {
-					o.cfg.Logf("global: re-updating %q on %q: %v", id, node, err)
-				} else {
-					o.metrics.driftRepairs.Inc()
-					o.journal.Recordf(telemetry.EventRepair, node, id, "diverged subgraph updated")
-				}
-			}
+		// Reschedule a graph stranded on dead (or withdrawn) nodes. A warm
+		// shadow beats a cold reassign: the standby already runs the
+		// subgraph with the last-synced flow state.
+		if o.promoteStandby(id) {
+			continue
 		}
+		if err := o.reassign(dep.Desired); err != nil {
+			o.metrics.rescheduleFails.Inc()
+			o.cfg.Logf("global: rescheduling %q: %v (will retry)", id, err)
+			continue
+		}
+		now := sortedKeys(o.graphs[id].Subs)
+		o.metrics.reschedules.Inc()
+		o.cfg.Logf("global: rescheduled %q onto %v", id, now)
+		o.journal.Recordf(telemetry.EventResched, "", id, fmt.Sprintf("now on %v", now))
 	}
 
 	// Resource pressure: shift flavors in place on packed nodes before any
 	// cross-node move becomes necessary.
 	o.relievePressure()
 
-	// Anti-entropy: drop subgraphs of graphs we own from nodes that are
-	// no longer part of the partition (e.g. after a failover the old host
-	// came back holding stale state), and retire deferred removals —
-	// graphs undeployed or moved while their node was unreachable.
-	for _, m := range o.members {
+	// Anti-entropy: drop subgraphs of graphs we own from nodes outside their
+	// footprint (e.g. after a failover the old host came back holding stale
+	// state), and retire deferred removals — graphs undeployed or moved while
+	// their node was unreachable.
+	for name, m := range o.members {
 		if !m.alive {
 			continue
 		}
-		name := m.node.Name()
 		holds := make(map[string]bool, len(m.last.Graphs))
 		for _, gid := range m.last.Graphs {
 			holds[gid] = true
 			dep, ours := o.graphs[gid]
-			if !ours {
-				continue // possibly deferred below, else another tenant's
-			}
-			if _, wanted := dep.subs[name]; !wanted && dep.standbyNode != name {
-				o.cfg.Logf("global: node %q holds stale graph %q, removing", name, gid)
-				if err := m.node.Undeploy(gid); err == nil {
-					delete(o.pending[name], gid)
-					o.metrics.retired.Inc()
-					o.journal.Recordf(telemetry.EventRetire, name, gid, "stale subgraph removed")
-				}
-			}
-		}
-		for gid := range o.pending[name] {
-			if dep, ours := o.graphs[gid]; ours {
-				if _, wanted := dep.subs[name]; wanted || dep.standbyNode == name {
-					// The graph moved back onto this node (as primary or
-					// shadow) after the removal was deferred: nothing to
-					// retire.
-					delete(o.pending[name], gid)
-					continue
-				}
-			}
-			if !holds[gid] {
-				delete(o.pending[name], gid)
+			if ours && dep.holds(name) {
 				continue
 			}
-			o.cfg.Logf("global: retiring deferred removal of %q from %q", gid, name)
-			if err := m.node.Undeploy(gid); err == nil {
+			if !ours && !o.pending[name][gid] {
+				continue // another tenant's
+			}
+			reason := "deferred removal completed"
+			if ours {
+				reason = "stale subgraph removed"
+			}
+			o.cfg.Logf("global: node %q holds graph %q it should not, removing", name, gid)
+			if o.run(gid, step{verb: verbUndeploy, node: name}) == nil {
 				delete(o.pending[name], gid)
 				o.metrics.retired.Inc()
-				o.journal.Recordf(telemetry.EventRetire, name, gid, "deferred removal completed")
+				o.journal.Recordf(telemetry.EventRetire, name, gid, reason)
+			}
+		}
+		// A deferred removal is moot once the node no longer holds the
+		// graph, or the graph moved back onto it (as primary or shadow).
+		for gid := range o.pending[name] {
+			if dep, ours := o.graphs[gid]; !holds[gid] || ours && dep.holds(name) {
+				delete(o.pending[name], gid)
 			}
 		}
 		if len(o.pending[name]) == 0 {
@@ -1227,8 +968,43 @@ func (o *Orchestrator) ReconcileOnce() {
 	// node returning from the dead has its stale copy retired above and
 	// can be re-armed as the new shadow in the same pass.
 	o.maintainStandbys()
+}
 
-	// Mirror reconcile-side bookkeeping changes (reschedules, standby
-	// churn, drift fixes) into the replicated intent log.
-	o.syncIntentLocked()
+// repairDrift converges the nodes of a healthy footprint on it: what each
+// node runs is observed, and the plan from there to the footprint — a deploy
+// for a lost subgraph, shadow included, an update for a diverged one — is run
+// step by step, best effort. Callers hold o.mu.
+func (o *Orchestrator) repairDrift(id string, dep *deployment) {
+	want := dep.footprint()
+	observed := make(map[string]*nffg.Graph, len(want))
+	for node, sub := range want {
+		// Converged until seen otherwise: a node that cannot be asked is the
+		// next probe's to catch (a lost shadow node, maintainStandbys').
+		observed[node] = sub
+		m, registered := o.members[node]
+		if !registered || !m.alive {
+			continue
+		}
+		got, present, err := m.node.GraphSpec(id)
+		switch {
+		case err != nil:
+		case !present:
+			delete(observed, node)
+		case !nffg.Compute(got, sub).Empty():
+			observed[node] = got
+		}
+	}
+	for _, s := range plan(observed, want) {
+		detail := "lost subgraph redeployed"
+		if s.verb == verbUpdate {
+			detail = "diverged subgraph updated"
+		}
+		o.cfg.Logf("global: node %q drifted on graph %q, %s", s.node, id, s.verb)
+		if err := o.run(id, s); err != nil {
+			o.cfg.Logf("%v", err)
+			continue
+		}
+		o.metrics.driftRepairs.Inc()
+		o.journal.Recordf(telemetry.EventRepair, s.node, id, detail)
+	}
 }

@@ -3,6 +3,8 @@ package global_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,7 +33,50 @@ var chainCaps = []string{"docker", "nnf:firewall", "nnf:monitor", "nnf:bridge", 
 type fleet struct {
 	g      *global.Orchestrator
 	nodes  map[string]*un.Node
-	locals map[string]*global.LocalNode
+	locals map[string]*flakyNode
+}
+
+// flakyNode is the fleet's handle on one in-process node: a LocalNode (so
+// SetDown still simulates a dead node) that can additionally be told to
+// refuse deploy verbs while staying alive and probeable.
+type flakyNode struct {
+	*global.LocalNode
+	refusing atomic.Pointer[string] // comma-separated verbs, nil: none
+}
+
+// refuse makes the node fail the named verbs ("deploy", "update",
+// "undeploy") until the next call; no argument lifts the refusal.
+func (n *flakyNode) refuse(verbs ...string) {
+	list := strings.Join(verbs, ",")
+	n.refusing.Store(&list)
+}
+
+func (n *flakyNode) refused(verb string) error {
+	if list := n.refusing.Load(); list != nil && strings.Contains(*list, verb) {
+		return fmt.Errorf("node %q refuses to %s", n.Name(), verb)
+	}
+	return nil
+}
+
+func (n *flakyNode) Deploy(g *nffg.Graph) error {
+	if err := n.refused("deploy"); err != nil {
+		return err
+	}
+	return n.LocalNode.Deploy(g)
+}
+
+func (n *flakyNode) Update(g *nffg.Graph) error {
+	if err := n.refused("update"); err != nil {
+		return err
+	}
+	return n.LocalNode.Update(g)
+}
+
+func (n *flakyNode) Undeploy(id string) error {
+	if err := n.refused("undeploy"); err != nil {
+		return err
+	}
+	return n.LocalNode.Undeploy(id)
 }
 
 type nodeSpec struct {
@@ -48,7 +93,7 @@ func newFleet(t *testing.T, specs []nodeSpec, links []linkSpec) *fleet {
 	f := &fleet{
 		g:      global.New(global.Config{Logf: t.Logf, ProbeInterval: 5 * time.Millisecond}),
 		nodes:  make(map[string]*un.Node),
-		locals: make(map[string]*global.LocalNode),
+		locals: make(map[string]*flakyNode),
 	}
 	for _, spec := range specs {
 		node, err := un.NewNode(un.Config{
@@ -63,7 +108,7 @@ func newFleet(t *testing.T, specs []nodeSpec, links []linkSpec) *fleet {
 		}
 		t.Cleanup(node.Close)
 		f.nodes[spec.name] = node
-		ln := global.NewLocalNode(spec.name, node)
+		ln := &flakyNode{LocalNode: global.NewLocalNode(spec.name, node)}
 		f.locals[spec.name] = ln
 		if err := f.g.AddNode(ln); err != nil {
 			t.Fatal(err)
@@ -235,23 +280,86 @@ func TestSingleNodeCoLocation(t *testing.T) {
 	}
 }
 
-// TestDeployRollsBackOnFailure: a graph that cannot be placed leaves no
-// partial state behind.
+// TestDeployRollsBackOnFailure: a graph that cannot be placed, or that a
+// node refuses part-way through, leaves no partial state behind — and a
+// refused update leaves the previous version serving.
 func TestDeployRollsBackOnFailure(t *testing.T) {
-	f := lineFleet(t, 250)
-	// 20 NFs exceed the whole fleet's capacity.
-	err := f.g.Deploy(chainGraph("huge", 20))
-	if err == nil {
-		t.Fatal("impossible graph accepted")
-	}
-	for name, node := range f.nodes {
-		if ids := node.GraphIDs(); len(ids) != 0 {
-			t.Errorf("node %s left with graphs %v after failed deploy", name, ids)
+	clean := func(t *testing.T, f *fleet) {
+		t.Helper()
+		for name, node := range f.nodes {
+			if ids := node.GraphIDs(); len(ids) != 0 {
+				t.Errorf("node %s left with graphs %v after failed deploy", name, ids)
+			}
+		}
+		if ids := f.g.GraphIDs(); len(ids) != 0 {
+			t.Errorf("global orchestrator kept failed graph: %v", ids)
 		}
 	}
-	if ids := f.g.GraphIDs(); len(ids) != 0 {
-		t.Errorf("global orchestrator kept failed graph: %v", ids)
+	crosses := func(t *testing.T, f *fleet, payload byte) {
+		t.Helper()
+		frame := testFrame(t, payload)
+		f.send(t, "n1", "lan", frame)
+		if got, ok := f.recv(t, "n3", "wan"); !ok || !bytes.Equal(got, frame) {
+			t.Fatalf("chain does not carry traffic end to end (ok=%v)", ok)
+		}
 	}
+	t.Run("unplaceable", func(t *testing.T) {
+		f := lineFleet(t, 250)
+		// 20 NFs exceed the whole fleet's capacity.
+		if err := f.g.Deploy(chainGraph("huge", 20)); err == nil {
+			t.Fatal("impossible graph accepted")
+		}
+		clean(t, f)
+	})
+	t.Run("last node refuses the deploy", func(t *testing.T) {
+		f := lineFleet(t, 250)
+		f.locals["n3"].refuse("deploy")
+		err := f.g.Deploy(chainGraph("big", 6))
+		if err == nil || !strings.Contains(err.Error(), `"n3"`) {
+			t.Fatalf("Deploy = %v, want n3's refusal", err)
+		}
+		clean(t, f)
+		// The aborted partition's stitch VLANs went back to the allocator:
+		// the same graph deploys once n3 cooperates, and carries traffic.
+		f.locals["n3"].refuse()
+		if err := f.g.Deploy(chainGraph("big", 6)); err != nil {
+			t.Fatal(err)
+		}
+		crosses(t, f, 0x61)
+	})
+	t.Run("a node refuses the update", func(t *testing.T) {
+		f := lineFleet(t, 250)
+		if err := f.g.Deploy(chainGraph("svc", 2)); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := f.g.Placement("svc")
+		f.locals["n3"].refuse("update", "deploy")
+		if err := f.g.Update(chainGraph("svc", 6)); err == nil {
+			t.Fatal("update accepted although n3 refused its piece")
+		}
+		after, _ := f.g.Placement("svc")
+		if fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Fatalf("placement moved despite the failed update: %v -> %v", before, after)
+		}
+		g, _ := f.g.Graph("svc")
+		if len(g.NFs) != 2 {
+			t.Fatalf("desired graph has %d NFs after the failed update, want the previous 2", len(g.NFs))
+		}
+		crosses(t, f, 0x62)
+		f.locals["n3"].refuse()
+		f.g.ReconcileOnce() // nothing to repair: every node is back on its old piece
+		var metrics strings.Builder
+		if err := f.g.WriteFleetMetrics(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(metrics.String(), "un_global_drift_repairs_total 0") {
+			t.Error("the revert left subgraphs for drift repair to fix")
+		}
+		if err := f.g.Update(chainGraph("svc", 6)); err != nil {
+			t.Fatal(err)
+		}
+		crosses(t, f, 0x63)
+	})
 }
 
 // TestFailoverReschedules is the availability acceptance: killing a node
@@ -414,36 +522,47 @@ func TestGlobalUpdateGrowsChain(t *testing.T) {
 }
 
 // TestUndeployWhileNodeDead: undeploying a graph while one of its nodes is
-// unreachable defers that node's cleanup; when the node returns, the
-// reconcile loop retires the leftover subgraph.
+// unreachable — or answers but refuses — defers that node's cleanup; when the
+// node cooperates again, the reconcile loop retires the leftover subgraph.
 func TestUndeployWhileNodeDead(t *testing.T) {
-	f := newFleet(t,
-		[]nodeSpec{
-			{name: "nA", ifaces: []string{"lan", "wan", "ab"}, cpuMillis: 10},
-			{name: "nB", ifaces: []string{"ab"}, cpuMillis: 500},
-		},
-		[]linkSpec{{a: "nA", aIf: "ab", b: "nB", bIf: "ab"}})
-	g := chainGraph("svc", 1)
-	g.NFs[0].Name = "monitor"
-	if err := f.g.Deploy(g); err != nil {
-		t.Fatal(err)
-	}
-	f.locals["nB"].SetDown(true)
-	// Undeploy succeeds globally even though nB cannot be reached.
-	if err := f.g.Undeploy("svc"); err == nil {
-		t.Log("undeploy reported no error despite dead node (acceptable)")
-	}
-	if ids := f.g.GraphIDs(); len(ids) != 0 {
-		t.Fatalf("graph still desired after undeploy: %v", ids)
-	}
-	if ids := f.nodes["nB"].GraphIDs(); len(ids) != 1 {
-		t.Fatalf("dead node lost its subgraph without being told: %v", ids)
-	}
-	// The node comes back: one reconcile pass retires the leftover.
-	f.locals["nB"].SetDown(false)
-	f.g.ReconcileOnce()
-	if ids := f.nodes["nB"].GraphIDs(); len(ids) != 0 {
-		t.Errorf("revived node still holds undeployed graph: %v", ids)
+	for _, tc := range []struct {
+		name          string
+		lose, recover func(n *flakyNode)
+	}{
+		{"dead", func(n *flakyNode) { n.SetDown(true) }, func(n *flakyNode) { n.SetDown(false) }},
+		{"refusing", func(n *flakyNode) { n.refuse("undeploy") }, func(n *flakyNode) { n.refuse() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFleet(t,
+				[]nodeSpec{
+					{name: "nA", ifaces: []string{"lan", "wan", "ab"}, cpuMillis: 10},
+					{name: "nB", ifaces: []string{"ab"}, cpuMillis: 500},
+				},
+				[]linkSpec{{a: "nA", aIf: "ab", b: "nB", bIf: "ab"}})
+			g := chainGraph("svc", 1)
+			g.NFs[0].Name = "monitor"
+			if err := f.g.Deploy(g); err != nil {
+				t.Fatal(err)
+			}
+			tc.lose(f.locals["nB"])
+			// Undeploy succeeds globally even though nB cannot be told.
+			if err := f.g.Undeploy("svc"); err != nil {
+				t.Fatalf("undeploy failed on an untellable node: %v", err)
+			}
+			if ids := f.g.GraphIDs(); len(ids) != 0 {
+				t.Fatalf("graph still desired after undeploy: %v", ids)
+			}
+			if ids := f.nodes["nB"].GraphIDs(); len(ids) != 1 {
+				t.Fatalf("node lost its subgraph without being told: %v", ids)
+			}
+			// The node cooperates again: one reconcile pass retires the
+			// leftover.
+			tc.recover(f.locals["nB"])
+			f.g.ReconcileOnce()
+			if ids := f.nodes["nB"].GraphIDs(); len(ids) != 0 {
+				t.Errorf("node still holds undeployed graph: %v", ids)
+			}
+		})
 	}
 }
 

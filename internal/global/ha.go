@@ -8,7 +8,7 @@ import (
 )
 
 // BuildHA wires an orchestrator into a cluster replica: desired-state
-// mutations are gated on the leader lease and mirrored into the
+// mutations are gated on the leader lease and recorded in the
 // replicated intent log, cluster-detected node transitions feed the
 // reconcile loop, and promotion replays the intent store into the
 // orchestrator before the first reconcile pass adopts the running fleet.
@@ -83,11 +83,11 @@ func BuildHA(o *Orchestrator, copts cluster.Options, resolver NodeResolver) (*cl
 	}
 	o.SetLeaderGate(c.IsLeader)
 	o.SetIntentSource(c.Store())
-	o.SetIntentRecorder(func(kind, key string, data json.RawMessage) (func() error, error) {
+	o.SetIntentRecorder(func(kind cluster.OpKind, key string, data json.RawMessage) (func() error, error) {
 		// Two-phase: Propose appends + applies locally without blocking
 		// (called under o.mu), the returned wait blocks for quorum commit
 		// and is invoked by flushIntent after the lock is released.
-		seq, err := c.Propose(cluster.OpKind(kind), key, data)
+		seq, err := c.Propose(kind, key, data)
 		if err != nil {
 			return nil, err
 		}

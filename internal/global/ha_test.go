@@ -25,11 +25,11 @@ type haRig struct {
 	mu     sync.Mutex
 }
 
-func (r *haRig) record(kind, key string, data json.RawMessage) (func() error, error) {
+func (r *haRig) record(kind cluster.OpKind, key string, data json.RawMessage) (func() error, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
-	r.store.Apply(cluster.Op{Seq: r.seq, Kind: cluster.OpKind(kind), Key: key, Data: data})
+	r.store.Apply(cluster.Op{Seq: r.seq, Kind: kind, Key: key, Data: data})
 	return nil, nil
 }
 
@@ -174,8 +174,8 @@ func TestPromotionReplayReproducesDesiredState(t *testing.T) {
 	// The promoted leader's sweep must be silent: every record it would
 	// write is byte-identical to what the old leader recorded.
 	var replayed []string
-	r.o2.SetIntentRecorder(func(kind, key string, data json.RawMessage) (func() error, error) {
-		replayed = append(replayed, kind+" "+key)
+	r.o2.SetIntentRecorder(func(kind cluster.OpKind, key string, data json.RawMessage) (func() error, error) {
+		replayed = append(replayed, string(kind)+" "+key)
 		return nil, nil
 	})
 	r.o2.ReconcileOnce()
@@ -220,7 +220,7 @@ func TestIntentUndeployReplicates(t *testing.T) {
 // idempotent.
 func TestMutationSurfacesCommitFailure(t *testing.T) {
 	r := newHARig(t, 1)
-	r.o1.SetIntentRecorder(func(kind, key string, data json.RawMessage) (func() error, error) {
+	r.o1.SetIntentRecorder(func(kind cluster.OpKind, key string, data json.RawMessage) (func() error, error) {
 		return func() error { return fmt.Errorf("quorum lost") }, nil
 	})
 	err := r.o1.Deploy(colocatedGraph("gc"))
@@ -232,11 +232,59 @@ func TestMutationSurfacesCommitFailure(t *testing.T) {
 	}
 
 	// A staging failure (Propose refused) surfaces the same way.
-	r.o1.SetIntentRecorder(func(kind, key string, data json.RawMessage) (func() error, error) {
+	r.o1.SetIntentRecorder(func(kind cluster.OpKind, key string, data json.RawMessage) (func() error, error) {
 		return nil, fmt.Errorf("transport down")
 	})
 	if err := r.o1.Undeploy("gc"); !errors.Is(err, global.ErrNotCommitted) {
 		t.Fatalf("Undeploy with failing staging = %v, want ErrNotCommitted", err)
+	}
+
+	// A record that failed to stage is owed to the log: the next reconcile
+	// pass proposes exactly it — the removal of gc here — and nothing for
+	// graphs whose records are current; a quiet pass proposes nothing.
+	var proposed []string
+	refuseNext := false
+	r.o1.SetIntentRecorder(func(kind cluster.OpKind, key string, data json.RawMessage) (func() error, error) {
+		if refuseNext {
+			refuseNext = false
+			return nil, fmt.Errorf("transport down")
+		}
+		proposed = append(proposed, string(kind)+" "+key)
+		return r.record(kind, key, data)
+	})
+	r.o1.ReconcileOnce()
+	if fmt.Sprint(proposed) != "[undeploy gc]" {
+		t.Fatalf("pass after a failed staging proposed %v, want exactly [undeploy gc]", proposed)
+	}
+	for _, id := range []string{"ga", "gb"} {
+		g := colocatedGraph(id)
+		g.NFs[0].TechnologyPreference = nffg.TechDocker // scalable
+		if err := r.o1.Deploy(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refuseNext = true
+	if err := r.o1.Scale("gb", "nf0", 2); !errors.Is(err, global.ErrNotCommitted) {
+		t.Fatalf("Scale with failing staging = %v, want ErrNotCommitted", err)
+	}
+	proposed = nil
+	r.o1.ReconcileOnce()
+	if fmt.Sprint(proposed) != "[scale gb]" {
+		t.Fatalf("pass after a failed staging proposed %v, want exactly [scale gb]", proposed)
+	}
+	var rec struct {
+		Desired *nffg.Graph `json:"desired"`
+	}
+	if err := json.Unmarshal(r.store.Get("graphs", "gb"), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.Desired.FindNF("nf0"); n == nil || n.Replicas != 2 {
+		t.Fatalf("retried record is not gb's current state: nf0 = %+v", n)
+	}
+	proposed = nil
+	r.o1.ReconcileOnce()
+	if len(proposed) != 0 {
+		t.Fatalf("quiet pass proposed %v", proposed)
 	}
 }
 

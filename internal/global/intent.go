@@ -4,21 +4,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/nffg"
 	"repro/internal/telemetry"
 )
 
 // HA intent plumbing: every desired-state mutation the orchestrator
-// accepts is mirrored into a replicated intent log (internal/cluster) as
-// an opaque record, and a freshly promoted leader rebuilds its entire
-// bookkeeping — deployments, partitions, stitch VLANs, placement, standby
-// shadows, fleet membership, links — from those records with zero node
-// RPCs. The first reconcile pass after promotion then adopts the
-// already-running fleet through the ordinary drift-repair path, so a
-// leader failover never touches the datapath (NAT bindings and other
-// per-flow state survive untouched).
+// accepts is applied and then recorded in a replicated intent log
+// (internal/cluster) as an opaque record — a deployment is its own record —
+// and a freshly promoted leader rebuilds its entire bookkeeping
+// (deployments, partitions, stitch VLANs, placement, standby shadows, fleet
+// membership, links) from those records with zero node RPCs. The first
+// reconcile pass after promotion then adopts the already-running fleet
+// through the ordinary drift-repair path, so a leader failover never touches
+// the datapath (NAT bindings and other per-flow state survive untouched).
 
 // ErrNotLeader is returned by mutating entry points on a replica that
 // does not hold the cluster leader lease. The REST layer turns it into a
@@ -33,20 +33,6 @@ var ErrNotLeader = errors.New("global: not the leader replica")
 // so it commits as soon as quorum returns — but until then a failover
 // could lose it, which is why success must not be acknowledged.
 var ErrNotCommitted = errors.New("global: accepted but not yet committed to the cluster")
-
-// Intent op kinds, mirroring internal/cluster's OpKind vocabulary (kept
-// as strings here so the core orchestrator does not import the cluster
-// package; the HA glue converts).
-const (
-	intentDeploy     = "deploy"
-	intentUpdate     = "update"
-	intentUndeploy   = "undeploy"
-	intentScale      = "scale"
-	intentNodeAdd    = "node-add"
-	intentNodeRemove = "node-remove"
-	intentLinkAdd    = "link-add"
-	intentLinkRemove = "link-remove"
-)
 
 // IntentSource is the read surface of the replicated intent store
 // (implemented by cluster.IntentStore): categories of key -> record, plus
@@ -81,73 +67,6 @@ type URLNode interface {
 // BaseURL implements URLNode.
 func (h *HTTPNode) BaseURL() string { return h.base }
 
-// hopRecord / stitchRecord / graphRecord are the serializable mirror of
-// the deployment bookkeeping. They exist so a promoted leader restores
-// exact state — including allocated stitch VLANs — without recomputing a
-// partition (recomputation could land elsewhere and churn the datapath).
-type hopRecord struct {
-	Link Link   `json:"link"`
-	VLAN uint16 `json:"vlan"`
-}
-
-type stitchRecord struct {
-	EP   string      `json:"ep"`
-	Src  string      `json:"src"`
-	Dst  string      `json:"dst"`
-	Path []string    `json:"path,omitempty"`
-	Hops []hopRecord `json:"hops,omitempty"`
-}
-
-type graphRecord struct {
-	Desired     *nffg.Graph            `json:"desired"`
-	Subs        map[string]*nffg.Graph `json:"subs"`
-	Stitches    []stitchRecord         `json:"stitches,omitempty"`
-	Placement   Placement              `json:"placement"`
-	StandbyNode string                 `json:"standby-node,omitempty"`
-}
-
-// marshalDeployment renders a deployment's full bookkeeping as canonical
-// JSON (Go sorts map keys, so equal state marshals to equal bytes).
-func marshalDeployment(dep *deployment) ([]byte, error) {
-	rec := graphRecord{
-		Desired:     dep.desired,
-		Subs:        dep.subs,
-		Placement:   dep.pl,
-		StandbyNode: dep.standbyNode,
-	}
-	for _, st := range dep.stitches {
-		sr := stitchRecord{EP: st.epID, Src: st.srcNode, Dst: st.dstNode, Path: st.path}
-		for _, h := range st.hops {
-			sr.Hops = append(sr.Hops, hopRecord{Link: h.link, VLAN: h.vlan})
-		}
-		rec.Stitches = append(rec.Stitches, sr)
-	}
-	return json.Marshal(rec)
-}
-
-// restoreDeployment rebuilds a deployment from its record, reserving its
-// stitch VLANs in the allocator.
-func restoreDeployment(rec graphRecord, alloc *vlanAlloc) *deployment {
-	dep := &deployment{
-		desired:     rec.Desired,
-		subs:        rec.Subs,
-		pl:          rec.Placement,
-		standbyNode: rec.StandbyNode,
-	}
-	if dep.subs == nil {
-		dep.subs = make(map[string]*nffg.Graph)
-	}
-	for _, sr := range rec.Stitches {
-		st := stitch{epID: sr.EP, srcNode: sr.Src, dstNode: sr.Dst, path: sr.Path}
-		for _, hr := range sr.Hops {
-			st.hops = append(st.hops, stitchHop{link: hr.Link, vlan: hr.VLAN})
-			alloc.reserve(hr.Link, hr.VLAN)
-		}
-		dep.stitches = append(dep.stitches, st)
-	}
-	return dep
-}
-
 // SetLeaderGate installs the leadership check consulted by every mutating
 // entry point and by the reconcile loop. Nil (the default) means always
 // allowed — a standalone orchestrator behaves exactly as before.
@@ -158,13 +77,13 @@ func (o *Orchestrator) SetLeaderGate(isLeader func() bool) {
 }
 
 // SetIntentRecorder installs the sink every accepted desired-state
-// mutation is mirrored into (the HA glue points it at cluster.Propose).
+// mutation is recorded in (the HA glue points it at cluster.Propose).
 // The recorder must not block on replication: it stages the op and
 // returns a commit wait, which the mutating entry points invoke after
 // releasing the orchestrator lock — a slow or partitioned follower then
 // delays only the caller's acknowledgement, not every other API request.
 // A nil commit means nothing to wait for (test recorders, local stores).
-func (o *Orchestrator) SetIntentRecorder(rec func(kind, key string, data json.RawMessage) (commit func() error, err error)) {
+func (o *Orchestrator) SetIntentRecorder(rec func(kind cluster.OpKind, key string, data json.RawMessage) (commit func() error, err error)) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.recorder = rec
@@ -218,42 +137,70 @@ func (o *Orchestrator) IsLeader() bool {
 	return o.leaderErr() == nil
 }
 
-// recordIntentLocked mirrors one op into the replicated log, deduplicated
-// against the last recorded bytes per key (reconcile passes call in every
-// tick; only real changes become ops). A nil data is a removal. Staging
-// failures are logged and left out of the cache so the next sweep
-// retries; the returned commit wait (if any) is queued for flushIntent.
-// Callers hold o.mu.
-func (o *Orchestrator) recordIntentLocked(kind, category, key string, data json.RawMessage) {
+// mutate is the shape of every desired-state mutation: under the lock, and
+// only on the leader, run body; stage the record of every graph it changed;
+// then, with the lock released, wait for the staged ops to commit.
+func (o *Orchestrator) mutate(body func() error) error {
+	o.mu.Lock()
+	err := o.leaderErr()
+	if err == nil {
+		err = body()
+		o.stageRecords() // also after a failure: body may have got part-way
+	}
+	o.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return o.flushIntent()
+}
+
+// propose stages one op in the replicated log and queues its commit wait
+// (or the staging failure) for flushIntent. A nil data is a removal. It
+// reports whether the op was staged. Callers hold o.mu.
+func (o *Orchestrator) propose(kind cluster.OpKind, key string, data json.RawMessage) bool {
 	if o.recorder == nil {
-		return
-	}
-	cacheKey := category + "/" + key
-	if data != nil && o.lastIntent[cacheKey] == string(data) {
-		return
-	}
-	if data == nil {
-		if _, recorded := o.lastIntent[cacheKey]; !recorded {
-			return
-		}
+		return true
 	}
 	commit, err := o.recorder(kind, key, data)
 	if err != nil {
 		o.cfg.Logf("global: recording %s intent for %q: %v", kind, key, err)
 		o.pendingCommits = append(o.pendingCommits, func() error { return err })
-		return
+		return false
 	}
 	if commit != nil {
 		o.pendingCommits = append(o.pendingCommits, commit)
 	}
-	if data == nil {
-		delete(o.lastIntent, cacheKey)
-	} else {
-		o.lastIntent[cacheKey] = string(data)
+	return true
+}
+
+// stageRecords proposes the current record of every graph in the unrecorded
+// set — its deployment, or a removal once it is gone — in id order. A graph
+// whose proposal fails to stage stays in the set for the next mutation or
+// reconcile pass to retry; nothing else is ever re-proposed, so a quiet pass
+// proposes nothing. Callers hold o.mu.
+func (o *Orchestrator) stageRecords() {
+	if len(o.unrecorded) == 0 {
+		return
+	}
+	for _, id := range sortedKeys(o.unrecorded) {
+		kind := o.unrecorded[id]
+		var data json.RawMessage
+		if dep, live := o.graphs[id]; live {
+			var err error
+			if data, err = json.Marshal(dep); err != nil {
+				o.cfg.Logf("global: marshaling intent record for %q: %v", id, err)
+				continue
+			}
+		} else {
+			kind = cluster.OpUndeploy
+		}
+		if o.propose(kind, id, data) {
+			delete(o.unrecorded, id)
+		}
 	}
 }
 
-// flushIntent drains the commit waits staged by recordIntentLocked and
+// flushIntent drains the commit waits staged by propose and
 // blocks until every one of them resolves. Mutating entry points call it
 // after releasing o.mu, so the quorum round trip never serializes the
 // rest of the API, and its error — wrapped in ErrNotCommitted — is what
@@ -273,50 +220,6 @@ func (o *Orchestrator) flushIntent() error {
 		return fmt.Errorf("%w: %w", ErrNotCommitted, err)
 	}
 	return nil
-}
-
-// recordGraphLocked mirrors one deployment's current bookkeeping.
-// Callers hold o.mu.
-func (o *Orchestrator) recordGraphLocked(kind string, dep *deployment) {
-	if o.recorder == nil {
-		return
-	}
-	data, err := marshalDeployment(dep)
-	if err != nil {
-		o.cfg.Logf("global: marshaling intent record for %q: %v", dep.desired.ID, err)
-		return
-	}
-	o.recordIntentLocked(kind, "graphs", dep.desired.ID, data)
-}
-
-// syncIntentLocked sweeps the full graph set into the intent log:
-// deployments mutated by reconcile-side repair (reschedules, standby
-// arm/drop/promote, drift fixes) are re-recorded, removed ones recorded
-// as undeploys. The per-key byte cache keeps a quiet pass op-free.
-// Callers hold o.mu.
-func (o *Orchestrator) syncIntentLocked() {
-	if o.recorder == nil {
-		return
-	}
-	for _, id := range sortedGraphIDs(o.graphs) {
-		kind := intentUpdate
-		if _, recorded := o.lastIntent["graphs/"+id]; !recorded {
-			kind = intentDeploy
-		}
-		o.recordGraphLocked(kind, o.graphs[id])
-	}
-	var gone []string
-	for cacheKey := range o.lastIntent {
-		if len(cacheKey) > 7 && cacheKey[:7] == "graphs/" {
-			if _, live := o.graphs[cacheKey[7:]]; !live {
-				gone = append(gone, cacheKey[7:])
-			}
-		}
-	}
-	sort.Strings(gone)
-	for _, id := range gone {
-		o.recordIntentLocked(intentUndeploy, "graphs", id, nil)
-	}
 }
 
 // nodeRecordFor derives a node's replicated identity from its handle.
@@ -389,26 +292,21 @@ func (o *Orchestrator) RestoreIntent(src IntentSource) error {
 
 	alloc := newVLANAlloc()
 	graphs := make(map[string]*deployment)
-	lastIntent := make(map[string]string)
 	for _, id := range src.Keys("graphs") {
-		raw := src.Get("graphs", id)
-		var rec graphRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		dep := new(deployment)
+		if err := json.Unmarshal(src.Get("graphs", id), dep); err != nil {
 			errs = append(errs, fmt.Errorf("global: graph record %q: %w", id, err))
 			continue
 		}
-		if rec.Desired == nil {
+		if dep.Desired == nil {
 			errs = append(errs, fmt.Errorf("global: graph record %q has no desired graph", id))
 			continue
 		}
-		graphs[id] = restoreDeployment(rec, alloc)
-		lastIntent["graphs/"+id] = string(raw)
-	}
-	for _, name := range src.Keys("nodes") {
-		lastIntent["nodes/"+name] = string(src.Get("nodes", name))
-	}
-	for _, key := range src.Keys("links") {
-		lastIntent["links/"+key] = string(src.Get("links", key))
+		if dep.Subs == nil {
+			dep.Subs = make(map[string]*nffg.Graph)
+		}
+		reserveStitchVLANs(alloc, dep.Stitches)
+		graphs[id] = dep
 	}
 
 	o.members = members
@@ -417,7 +315,8 @@ func (o *Orchestrator) RestoreIntent(src IntentSource) error {
 	o.alloc = alloc
 	o.pending = make(map[string]map[string]bool)
 	o.parked = nil
-	o.lastIntent = lastIntent
+	// Every restored deployment is, by construction, what the log holds.
+	o.unrecorded = make(map[string]cluster.OpKind)
 	// Commit waits staged under a previous leadership are settled (or
 	// moot) by the time a replay runs; don't let them fail a future flush.
 	o.pendingCommits = nil

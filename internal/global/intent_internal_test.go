@@ -26,52 +26,60 @@ func testDeployment() *deployment {
 	}
 	link := Link{A: "n1", AIf: "eth1", B: "n2", BIf: "eth0"}
 	return &deployment{
-		desired: g,
-		subs: map[string]*nffg.Graph{
+		Desired: g,
+		Subs: map[string]*nffg.Graph{
 			"n1": {ID: "g1", NFs: []nffg.NF{g.NFs[0]}},
 			"n2": {ID: "g1", NFs: []nffg.NF{g.NFs[1]}},
 		},
-		stitches: []stitch{{
-			epID:    "x-g1-0",
-			srcNode: "n1",
-			dstNode: "n2",
-			path:    []string{"n1", "n2"},
-			hops:    []stitchHop{{link: link, vlan: 3000}},
+		Stitches: []stitch{{
+			EP:   "x-g1-0",
+			Src:  "n1",
+			Dst:  "n2",
+			Path: []string{"n1", "n2"},
+			Hops: []stitchHop{{Link: link, VLAN: 3000}},
 		}},
-		pl: Placement{
+		Placement: Placement{
 			NFNode: map[string]string{"nf0": "n1", "nf1": "n2"},
 			EPNode: map[string]string{"lan": "n1", "wan": "n2"},
 		},
-		standbyNode: "n3",
+		StandbyNode: "n3",
 	}
 }
 
+// recordAtPR16 is what the record mirror of PR 16 marshalled
+// testDeployment to. The deployment is its own record now and must still
+// produce exactly these bytes, so replicas on either side of the change
+// replay each other's log.
+const recordAtPR16 = `{"desired":{"forwarding-graph":{"id":"g1","name":"chain","VNFs":[{"id":"nf0","name":"firewall","ports":[{"id":"0"},{"id":"1"}],"replicas":2},{"id":"nf1","name":"monitor","ports":[{"id":"0"},{"id":"1"}]}],"end-points":[{"id":"lan","type":"interface","interface":{"if-name":"eth0"}},{"id":"wan","type":"interface","interface":{"if-name":"eth1"}}]}},"subs":{"n1":{"forwarding-graph":{"id":"g1","VNFs":[{"id":"nf0","name":"firewall","ports":[{"id":"0"},{"id":"1"}],"replicas":2}]}},"n2":{"forwarding-graph":{"id":"g1","VNFs":[{"id":"nf1","name":"monitor","ports":[{"id":"0"},{"id":"1"}]}]}}},"stitches":[{"ep":"x-g1-0","src":"n1","dst":"n2","path":["n1","n2"],"hops":[{"link":{"a-node":"n1","a-if":"eth1","b-node":"n2","b-if":"eth0"},"vlan":3000}]}],"placement":{"NFNode":{"nf0":"n1","nf1":"n2"},"EPNode":{"lan":"n1","wan":"n2"}},"standby-node":"n3"}`
+
 // The promotion replay must be byte-faithful: marshal -> restore ->
-// re-marshal yields identical bytes, so a promoted leader's sweep records
-// nothing and its desired state is provably the old leader's.
+// re-marshal yields identical bytes, so a promoted leader's desired state
+// is provably the old leader's.
 func TestDeploymentRecordRoundTripByteIdentical(t *testing.T) {
-	dep := testDeployment()
-	b1, err := marshalDeployment(dep)
+	b1, err := json.Marshal(testDeployment())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec graphRecord
-	if err := json.Unmarshal(b1, &rec); err != nil {
+	if string(b1) != recordAtPR16 {
+		t.Fatalf("record bytes changed:\n  was %s\n  now %s", recordAtPR16, b1)
+	}
+	restored := new(deployment)
+	if err := json.Unmarshal(b1, restored); err != nil {
 		t.Fatal(err)
 	}
 	alloc := newVLANAlloc()
-	restored := restoreDeployment(rec, alloc)
-	b2, err := marshalDeployment(restored)
+	reserveStitchVLANs(alloc, restored.Stitches)
+	b2, err := json.Marshal(restored)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("replayed record differs:\n  old %s\n  new %s", b1, b2)
 	}
-	if restored.standbyNode != "n3" {
-		t.Fatalf("standby lost: %q", restored.standbyNode)
+	if restored.StandbyNode != "n3" {
+		t.Fatalf("standby lost: %q", restored.StandbyNode)
 	}
-	if n := restored.desired.FindNF("nf0"); n == nil || n.Replicas != 2 {
+	if n := restored.Desired.FindNF("nf0"); n == nil || n.Replicas != 2 {
 		t.Fatalf("replica count lost: %+v", n)
 	}
 	// The stitch VLAN must be reserved so post-promotion deploys cannot
@@ -87,19 +95,19 @@ func TestDeploymentRecordRoundTripByteIdentical(t *testing.T) {
 	}
 }
 
-// A second marshal of the same live deployment must also be stable, or
-// the reconcile-time sweep would emit spurious ops every pass.
+// A second marshal of the same live deployment must also be stable: equal
+// state is equal bytes on every replica.
 func TestDeploymentRecordMarshalStable(t *testing.T) {
 	dep := testDeployment()
-	b1, err := marshalDeployment(dep)
+	b1, err := json.Marshal(dep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := marshalDeployment(dep)
+	b2, err := json.Marshal(dep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1, b2) {
-		t.Fatal("marshalDeployment is not deterministic")
+		t.Fatal("the deployment record is not deterministic")
 	}
 }

@@ -289,19 +289,49 @@ type restStatus struct {
 	RatePPS float64 `json:"rate-pps"`
 }
 
-// Status implements Node.
-func (h *HTTPNode) Status() (Status, error) {
-	resp, err := h.client.Get(h.base + "/v1/status")
+// call issues one REST request to the node — in, when non-nil, as its JSON
+// body — and decodes the JSON body of a 2xx reply into out (nil discards
+// it). what names the operation in the error, which carries the message of
+// the node's error envelope; the HTTP status is returned beside it (0 when
+// the node could not be reached) for the caller that gives one a meaning.
+func (h *HTTPNode) call(what, method, path string, in, out any) (int, error) {
+	var body io.Reader
+	if in != nil {
+		data, err := json.Marshal(in)
+		if err != nil {
+			return 0, err
+		}
+		body = bytes.NewReader(data)
+	}
+	req, err := http.NewRequest(method, h.base+path, body)
 	if err != nil {
-		return Status{}, fmt.Errorf("global: probing %q: %w", h.name, err)
+		return 0, err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := h.client.Do(req)
+	if err != nil {
+		return 0, fmt.Errorf("global: %s %q: %w", what, h.name, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Status{}, fmt.Errorf("global: probing %q: HTTP %d", h.name, resp.StatusCode)
+	if resp.StatusCode/100 != 2 {
+		return resp.StatusCode, fmt.Errorf("global: %s %q: HTTP %d: %s",
+			what, h.name, resp.StatusCode, readError(resp.Body))
 	}
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return resp.StatusCode, fmt.Errorf("global: %s %q: %w", what, h.name, err)
+		}
+	}
+	return resp.StatusCode, nil
+}
+
+// Status implements Node.
+func (h *HTTPNode) Status() (Status, error) {
 	var st restStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return Status{}, fmt.Errorf("global: probing %q: %w", h.name, err)
+	if _, err := h.call("probing", http.MethodGet, "/v1/status", nil, &st); err != nil {
+		return Status{}, err
 	}
 	var nfs []NFStatus
 	for _, n := range st.NFInstances {
@@ -321,154 +351,64 @@ func (h *HTTPNode) Status() (Status, error) {
 	}, nil
 }
 
+// nfStates is the body of the NF flow-state endpoint, both ways.
+type nfStates struct {
+	States []nf.FlowState `json:"states"`
+}
+
 // ExportNFState implements StateNode over GET /v1/graphs/{id}/nfs/{nf}/state.
 func (h *HTTPNode) ExportNFState(graphID, nfID string) ([]nf.FlowState, error) {
-	url := fmt.Sprintf("%s/v1/graphs/%s/nfs/%s/state", h.base, graphID, nfID)
-	resp, err := h.client.Get(url)
-	if err != nil {
-		return nil, fmt.Errorf("global: exporting %s/%s state from %q: %w", graphID, nfID, h.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("global: exporting %s/%s state from %q: HTTP %d: %s",
-			graphID, nfID, h.name, resp.StatusCode, readError(resp.Body))
-	}
-	var reply struct {
-		States []nf.FlowState `json:"states"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return nil, fmt.Errorf("global: exporting %s/%s state from %q: %w", graphID, nfID, h.name, err)
-	}
-	return reply.States, nil
+	var reply nfStates
+	_, err := h.call("exporting "+graphID+"/"+nfID+" state from", http.MethodGet,
+		"/v1/graphs/"+graphID+"/nfs/"+nfID+"/state", nil, &reply)
+	return reply.States, err
 }
 
 // ImportNFState implements StateNode over PUT /v1/graphs/{id}/nfs/{nf}/state.
 func (h *HTTPNode) ImportNFState(graphID, nfID string, states []nf.FlowState) error {
-	body, err := json.Marshal(struct {
-		States []nf.FlowState `json:"states"`
-	}{States: states})
-	if err != nil {
-		return err
-	}
-	url := fmt.Sprintf("%s/v1/graphs/%s/nfs/%s/state", h.base, graphID, nfID)
-	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := h.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("global: importing %s/%s state into %q: %w", graphID, nfID, h.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("global: importing %s/%s state into %q: HTTP %d: %s",
-			graphID, nfID, h.name, resp.StatusCode, readError(resp.Body))
-	}
-	return nil
-}
-
-func (h *HTTPNode) put(g *nffg.Graph) error {
-	body, err := json.Marshal(g)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPut, h.base+"/v1/graphs/"+g.ID, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := h.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("global: deploying %q on %q: %w", g.ID, h.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("global: deploying %q on %q: HTTP %d: %s",
-			g.ID, h.name, resp.StatusCode, readError(resp.Body))
-	}
-	return nil
+	_, err := h.call("importing "+graphID+"/"+nfID+" state into", http.MethodPut,
+		"/v1/graphs/"+graphID+"/nfs/"+nfID+"/state", nfStates{States: states}, nil)
+	return err
 }
 
 // Deploy implements Node. The REST PUT verb is deploy-or-update, so Deploy
-// and Update share one implementation.
-func (h *HTTPNode) Deploy(g *nffg.Graph) error { return h.put(g) }
+// and Update share one request.
+func (h *HTTPNode) Deploy(g *nffg.Graph) error {
+	_, err := h.call("deploying "+g.ID+" on", http.MethodPut, "/v1/graphs/"+g.ID, g, nil)
+	return err
+}
 
 // Update implements Node.
-func (h *HTTPNode) Update(g *nffg.Graph) error { return h.put(g) }
+func (h *HTTPNode) Update(g *nffg.Graph) error { return h.Deploy(g) }
 
 // Undeploy implements Node.
 func (h *HTTPNode) Undeploy(id string) error {
-	req, err := http.NewRequest(http.MethodDelete, h.base+"/v1/graphs/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := h.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("global: undeploying %q on %q: %w", id, h.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("global: undeploying %q on %q: HTTP %d: %s",
-			id, h.name, resp.StatusCode, readError(resp.Body))
-	}
-	return nil
+	_, err := h.call("undeploying "+id+" on", http.MethodDelete, "/v1/graphs/"+id, nil, nil)
+	return err
 }
 
 // Reflavor implements Node.
 func (h *HTTPNode) Reflavor(graphID, nfID string, tech nffg.Technology) error {
-	body, err := json.Marshal(map[string]string{"technology": string(tech)})
-	if err != nil {
-		return err
-	}
-	url := fmt.Sprintf("%s/v1/graphs/%s/nfs/%s/reflavor", h.base, graphID, nfID)
-	resp, err := h.client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("global: reflavoring %s/%s on %q: %w", graphID, nfID, h.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("global: reflavoring %s/%s on %q: HTTP %d: %s",
-			graphID, nfID, h.name, resp.StatusCode, readError(resp.Body))
-	}
-	return nil
+	_, err := h.call("reflavoring "+graphID+"/"+nfID+" on", http.MethodPost,
+		"/v1/graphs/"+graphID+"/nfs/"+nfID+"/reflavor", map[string]string{"technology": string(tech)}, nil)
+	return err
 }
 
 // Scale implements Node.
 func (h *HTTPNode) Scale(graphID, nfID string, replicas int) error {
-	body, err := json.Marshal(map[string]int{"replicas": replicas})
-	if err != nil {
-		return err
-	}
-	url := fmt.Sprintf("%s/v1/graphs/%s/nfs/%s/scale", h.base, graphID, nfID)
-	resp, err := h.client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("global: scaling %s/%s on %q: %w", graphID, nfID, h.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("global: scaling %s/%s on %q: HTTP %d: %s",
-			graphID, nfID, h.name, resp.StatusCode, readError(resp.Body))
-	}
-	return nil
+	_, err := h.call("scaling "+graphID+"/"+nfID+" on", http.MethodPost,
+		"/v1/graphs/"+graphID+"/nfs/"+nfID+"/scale", map[string]int{"replicas": replicas}, nil)
+	return err
 }
 
-// GraphSpec implements Node.
+// GraphSpec implements Node. A graph the node does not hold is not an error.
 func (h *HTTPNode) GraphSpec(id string) (*nffg.Graph, bool, error) {
-	resp, err := h.client.Get(h.base + "/v1/graphs/" + id)
-	if err != nil {
-		return nil, false, fmt.Errorf("global: fetching %q from %q: %w", id, h.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
+	var g nffg.Graph
+	status, err := h.call("fetching "+id+" from", http.MethodGet, "/v1/graphs/"+id, nil, &g)
+	if status == http.StatusNotFound {
 		return nil, false, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("global: fetching %q from %q: HTTP %d",
-			id, h.name, resp.StatusCode)
-	}
-	var g nffg.Graph
-	if err := json.NewDecoder(resp.Body).Decode(&g); err != nil {
+	if err != nil {
 		return nil, false, err
 	}
 	return &g, true, nil

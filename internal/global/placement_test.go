@@ -208,7 +208,7 @@ func TestSplitMultiHopRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(subs) != 3 {
-		t.Fatalf("partition spans %d nodes, want 3: %v", len(subs), subgraphNodes(subs))
+		t.Fatalf("partition spans %d nodes, want 3: %v", len(subs), sortedKeys(subs))
 	}
 	if len(stitches) != 2 {
 		t.Fatalf("stitch count = %d, want 2", len(stitches))
@@ -237,8 +237,8 @@ func TestSplitMultiHopRelay(t *testing.T) {
 			len(mid.NFs), len(mid.Endpoints), len(mid.Rules))
 	}
 	for _, st := range stitches {
-		if st.srcNode == "left" && st.dstNode == "right" && len(st.hops) != 2 {
-			t.Errorf("left->right stitch has %d hops, want 2", len(st.hops))
+		if st.Src == "left" && st.Dst == "right" && len(st.Hops) != 2 {
+			t.Errorf("left->right stitch has %d hops, want 2", len(st.Hops))
 		}
 	}
 }

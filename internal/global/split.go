@@ -51,8 +51,7 @@ func newVLANAlloc() *vlanAlloc {
 	return &vlanAlloc{inUse: make(map[string]map[uint16]bool)}
 }
 
-// reserve marks a specific VLAN in use on a link — the promotion-replay
-// path restoring stitch allocations recorded by a previous leader.
+// reserve marks a specific VLAN in use on a link.
 func (a *vlanAlloc) reserve(l Link, vlan uint16) {
 	k := l.key()
 	set := a.inUse[k]
@@ -87,22 +86,23 @@ func (a *vlanAlloc) release(l Link, vlan uint16) {
 
 // stitchHop is one link crossing of a stitch, with its allocated VLAN.
 type stitchHop struct {
-	link Link
-	vlan uint16
+	Link Link   `json:"link"`
+	VLAN uint16 `json:"vlan"`
 }
 
 // stitch is one cross-node traffic hand-off: frames leaving srcNode for
 // dstNode cross one or more links VLAN-tagged, relayed through transit
 // nodes, and enter the destination subgraph through an endpoint named after
-// the stitch.
+// the stitch. Stitches are replicated as part of their deployment's intent
+// record, so a promoted leader restores the allocated VLANs exactly.
 type stitch struct {
-	epID    string
-	srcNode string
-	dstNode string
-	// path is the node sequence from srcNode to dstNode; hops[i] carries
-	// traffic between path[i] and path[i+1].
-	path []string
-	hops []stitchHop
+	EP  string `json:"ep"`
+	Src string `json:"src"`
+	Dst string `json:"dst"`
+	// Path is the node sequence from Src to Dst; Hops[i] carries traffic
+	// between Path[i] and Path[i+1].
+	Path []string    `json:"path,omitempty"`
+	Hops []stitchHop `json:"hops,omitempty"`
 }
 
 // splitGraph partitions a placed graph into one subgraph per node. Rules
@@ -235,10 +235,10 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc) (ma
 						g.ID, r.ID, srcNode, dstNode))
 				}
 				st = &stitch{
-					epID:    fmt.Sprintf("gx%d-%s", len(stitches), g.ID),
-					srcNode: srcNode,
-					dstNode: dstNode,
-					path:    path,
+					EP:   fmt.Sprintf("gx%d-%s", len(stitches), g.ID),
+					Src:  srcNode,
+					Dst:  dstNode,
+					Path: path,
 				}
 				for j := 0; j+1 < len(path); j++ {
 					link, _ := linkBetween(path[j], path[j+1])
@@ -247,27 +247,27 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc) (ma
 						stitches = append(stitches, *st) // release what st holds
 						return fail(err)
 					}
-					st.hops = append(st.hops, stitchHop{link: link, vlan: vlan})
+					st.Hops = append(st.Hops, stitchHop{Link: link, VLAN: vlan})
 				}
 				stitchFor[key] = st
 				stitches = append(stitches, *st)
 				// Source side: egress endpoint on the first hop.
-				srcIf, _ := st.hops[0].link.ifaceOn(srcNode)
+				srcIf, _ := st.Hops[0].Link.ifaceOn(srcNode)
 				sub(srcNode).Endpoints = append(sub(srcNode).Endpoints, nffg.Endpoint{
-					ID: st.epID, Type: nffg.EPVLAN, Interface: srcIf, VLANID: st.hops[0].vlan,
+					ID: st.EP, Type: nffg.EPVLAN, Interface: srcIf, VLANID: st.Hops[0].VLAN,
 				})
 				// Transit nodes relay between consecutive hops with an
 				// NF-less subgraph: two VLAN endpoints and one rule.
 				for j := 1; j+1 < len(path); j++ {
 					node := path[j]
-					inIf, _ := st.hops[j-1].link.ifaceOn(node)
-					outIf, _ := st.hops[j].link.ifaceOn(node)
-					inEP := fmt.Sprintf("%s-t%di", st.epID, j)
-					outEP := fmt.Sprintf("%s-t%do", st.epID, j)
+					inIf, _ := st.Hops[j-1].Link.ifaceOn(node)
+					outIf, _ := st.Hops[j].Link.ifaceOn(node)
+					inEP := fmt.Sprintf("%s-t%di", st.EP, j)
+					outEP := fmt.Sprintf("%s-t%do", st.EP, j)
 					s := sub(node)
 					s.Endpoints = append(s.Endpoints,
-						nffg.Endpoint{ID: inEP, Type: nffg.EPVLAN, Interface: inIf, VLANID: st.hops[j-1].vlan},
-						nffg.Endpoint{ID: outEP, Type: nffg.EPVLAN, Interface: outIf, VLANID: st.hops[j].vlan},
+						nffg.Endpoint{ID: inEP, Type: nffg.EPVLAN, Interface: inIf, VLANID: st.Hops[j-1].VLAN},
+						nffg.Endpoint{ID: outEP, Type: nffg.EPVLAN, Interface: outIf, VLANID: st.Hops[j].VLAN},
 					)
 					s.Rules = append(s.Rules, nffg.FlowRule{
 						ID:       r.ID + "@" + inEP,
@@ -278,19 +278,19 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc) (ma
 				}
 				// Destination side: ingress endpoint on the last hop,
 				// plus the companion rule to the original port.
-				last := st.hops[len(st.hops)-1]
-				dstIf, _ := last.link.ifaceOn(dstNode)
+				last := st.Hops[len(st.Hops)-1]
+				dstIf, _ := last.Link.ifaceOn(dstNode)
 				sub(dstNode).Endpoints = append(sub(dstNode).Endpoints, nffg.Endpoint{
-					ID: st.epID, Type: nffg.EPVLAN, Interface: dstIf, VLANID: last.vlan,
+					ID: st.EP, Type: nffg.EPVLAN, Interface: dstIf, VLANID: last.VLAN,
 				})
 				sub(dstNode).Rules = append(sub(dstNode).Rules, nffg.FlowRule{
-					ID:       r.ID + "@" + st.epID,
+					ID:       r.ID + "@" + st.EP,
 					Priority: r.Priority,
-					Match:    nffg.RuleMatch{PortIn: nffg.EndpointRef(st.epID)},
+					Match:    nffg.RuleMatch{PortIn: nffg.EndpointRef(st.EP)},
 					Actions:  []nffg.RuleAction{{Type: nffg.ActOutput, Output: a.Output}},
 				})
 			}
-			out.Actions[ai] = nffg.RuleAction{Type: nffg.ActOutput, Output: nffg.EndpointRef(st.epID)}
+			out.Actions[ai] = nffg.RuleAction{Type: nffg.ActOutput, Output: nffg.EndpointRef(st.EP)}
 		}
 		s := sub(srcNode)
 		s.Rules = append(s.Rules, out)
@@ -313,18 +313,31 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc) (ma
 // allocator.
 func releaseStitchVLANs(alloc *vlanAlloc, stitches []stitch) {
 	for _, st := range stitches {
-		for _, h := range st.hops {
-			alloc.release(h.link, h.vlan)
+		for _, h := range st.Hops {
+			alloc.release(h.Link, h.VLAN)
 		}
 	}
 }
 
-// subgraphNodes returns the sorted node names of a partition.
-func subgraphNodes(subs map[string]*nffg.Graph) []string {
-	out := make([]string, 0, len(subs))
-	for n := range subs {
-		out = append(out, n)
+// reserveStitchVLANs marks every hop VLAN of the stitches in use — the
+// promotion replay restoring the allocations a previous leader recorded, so
+// later deploys cannot collide with a live stitch.
+func reserveStitchVLANs(alloc *vlanAlloc, stitches []stitch) {
+	for _, st := range stitches {
+		for _, h := range st.Hops {
+			alloc.reserve(h.Link, h.VLAN)
+		}
 	}
-	sort.Strings(out)
-	return out
+}
+
+// sortedKeys returns a map's keys in sorted order: every walk over nodes or
+// graphs that issues RPCs, proposes ops or prints goes through it, so runs
+// are repeatable.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

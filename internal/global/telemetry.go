@@ -2,7 +2,6 @@ package global
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -113,55 +112,58 @@ func (o *Orchestrator) Collect(e *telemetry.Exposition) {
 	e.Counter("un_global_journal_events_total", "Events ever recorded in the global journal.", nil, o.journal.Total())
 }
 
-// GatherFleet fills e with the fleet-wide metric view: the global
-// orchestrator's own registry plus one scrape of every alive member that
-// exposes metrics, each member's samples tagged with its node name. Scrapes
-// run outside the orchestrator lock; a member that fails mid-scrape (e.g.
-// dies between the liveness snapshot and the pull) is skipped and counted
-// in un_global_scrape_failures_total.
-func (o *Orchestrator) GatherFleet(e *telemetry.Exposition) {
+// pulled is what one alive member answered to a fleet-wide pull.
+type pulled[T any] struct {
+	node string
+	val  T
+}
+
+// pullAlive calls get on every alive member implementing the optional
+// surface S, in parallel and outside the orchestrator lock: one slow node
+// costs max(single-node time), not the sum, and cannot push the whole pull
+// past a collector's deadline. A member that fails mid-pull (e.g. dies
+// between the liveness snapshot and the call) is skipped and counted in
+// un_global_scrape_failures_total; what names the pull in the log.
+func pullAlive[S, T any](o *Orchestrator, what string, get func(S) (T, error)) []pulled[T] {
 	o.mu.Lock()
-	type target struct {
-		name string
-		src  MetricsSource
-	}
-	var targets []target
+	var names []string
+	var srcs []S
 	for name, m := range o.members {
-		if !m.alive {
-			continue
-		}
-		if src, ok := m.node.(MetricsSource); ok {
-			targets = append(targets, target{name: name, src: src})
+		if src, ok := m.node.(S); ok && m.alive {
+			names, srcs = append(names, name), append(srcs, src)
 		}
 	}
 	o.mu.Unlock()
-	// Scrape members in parallel (as refreshAlive probes them): one slow
-	// node costs max(single-node time), not the sum, and cannot push the
-	// whole fleet scrape past a collector's deadline.
-	type scrape struct {
-		text string
-		err  error
-	}
-	results := make([]scrape, len(targets))
+	vals, errs := make([]T, len(srcs)), make([]error, len(srcs))
 	var wg sync.WaitGroup
-	for i, t := range targets {
+	for i := range srcs {
 		wg.Add(1)
-		go func(i int, src MetricsSource) {
+		go func(i int) {
 			defer wg.Done()
-			text, err := src.MetricsText()
-			results[i] = scrape{text: text, err: err}
-		}(i, t.src)
+			vals[i], errs[i] = get(srcs[i])
+		}(i)
 	}
 	wg.Wait()
-	for i, t := range targets {
-		if results[i].err != nil {
+	out := make([]pulled[T], 0, len(srcs))
+	for i, err := range errs {
+		if err != nil {
 			o.metrics.scrapeFailures.Inc()
-			o.cfg.Logf("global: scraping %q: %v", t.name, results[i].err)
+			o.cfg.Logf("global: %s %q: %v", what, names[i], err)
 			continue
 		}
-		if err := e.AddText(results[i].text, telemetry.Labels{"node": t.name}); err != nil {
+		out = append(out, pulled[T]{node: names[i], val: vals[i]})
+	}
+	return out
+}
+
+// GatherFleet fills e with the fleet-wide metric view: the global
+// orchestrator's own registry plus one scrape of every alive member that
+// exposes metrics, each member's samples tagged with its node name.
+func (o *Orchestrator) GatherFleet(e *telemetry.Exposition) {
+	for _, scrape := range pullAlive(o, "scraping", MetricsSource.MetricsText) {
+		if err := e.AddText(scrape.val, telemetry.Labels{"node": scrape.node}); err != nil {
 			o.metrics.scrapeFailures.Inc()
-			o.cfg.Logf("global: merging scrape of %q: %v", t.name, err)
+			o.cfg.Logf("global: merging scrape of %q: %v", scrape.node, err)
 		}
 	}
 	// Own registry last, so this scrape's failures are already counted in
@@ -182,50 +184,14 @@ func (o *Orchestrator) WriteFleetMetrics(w io.Writer) error {
 // member that exposes one, interleaved by time and tagged with the member's
 // node name.
 func (o *Orchestrator) FleetEvents() []telemetry.Event {
-	o.mu.Lock()
-	type target struct {
-		name string
-		src  EventSource
-	}
-	var targets []target
-	for name, m := range o.members {
-		if !m.alive {
-			continue
-		}
-		if src, ok := m.node.(EventSource); ok {
-			targets = append(targets, target{name: name, src: src})
-		}
-	}
-	o.mu.Unlock()
-	type fetch struct {
-		evs []telemetry.Event
-		err error
-	}
-	results := make([]fetch, len(targets))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		wg.Add(1)
-		go func(i int, src EventSource) {
-			defer wg.Done()
-			evs, err := src.Events()
-			results[i] = fetch{evs: evs, err: err}
-		}(i, t.src)
-	}
-	wg.Wait()
 	streams := [][]telemetry.Event{o.journal.Events()}
-	for i, t := range targets {
-		if results[i].err != nil {
-			o.metrics.scrapeFailures.Inc()
-			o.cfg.Logf("global: fetching events of %q: %v", t.name, results[i].err)
-			continue
-		}
-		evs := results[i].evs
-		for j := range evs {
-			if evs[j].Node == "" {
-				evs[j].Node = t.name
+	for _, fetch := range pullAlive(o, "fetching events of", EventSource.Events) {
+		for j := range fetch.val {
+			if fetch.val[j].Node == "" {
+				fetch.val[j].Node = fetch.node
 			}
 		}
-		streams = append(streams, evs)
+		streams = append(streams, fetch.val)
 	}
 	return telemetry.MergeEvents(streams...)
 }
@@ -279,17 +245,7 @@ func (h *HTTPNode) MetricsText() (string, error) {
 
 // Events implements EventSource over the node's REST interface.
 func (h *HTTPNode) Events() ([]telemetry.Event, error) {
-	resp, err := h.client.Get(h.base + "/v1/events")
-	if err != nil {
-		return nil, fmt.Errorf("global: fetching events of %q: %w", h.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("global: fetching events of %q: HTTP %d", h.name, resp.StatusCode)
-	}
 	var evs []telemetry.Event
-	if err := json.NewDecoder(resp.Body).Decode(&evs); err != nil {
-		return nil, err
-	}
-	return evs, nil
+	_, err := h.call("fetching events of", http.MethodGet, "/v1/events", nil, &evs)
+	return evs, err
 }

@@ -144,16 +144,6 @@ func (a *Agent) handle(m Message) error {
 			}
 		}
 		return a.write(Message{Type: TypeFlowStatsReply, Xid: m.Xid, Body: EncodeFlowStatsReply(stats)})
-	case TypeCacheStatsReq:
-		cs := a.sw.CacheStats()
-		body := EncodeCacheStatsReply(CacheStats{
-			Hits:       cs.Hits,
-			Misses:     cs.Misses,
-			Entries:    uint64(cs.Entries),
-			Generation: cs.Generation,
-			Enabled:    cs.Enabled,
-		})
-		return a.write(Message{Type: TypeCacheStatsReply, Xid: m.Xid, Body: body})
 	case TypeBarrierRequest:
 		return a.write(Message{Type: TypeBarrierReply, Xid: m.Xid})
 	default:

@@ -44,9 +44,6 @@ const (
 	TypeFlowStatsReply  MsgType = 19
 	TypeBarrierRequest  MsgType = 20
 	TypeBarrierReply    MsgType = 21
-	// Experimenter extension: microflow-cache statistics of the datapath.
-	TypeCacheStatsReq   MsgType = 22
-	TypeCacheStatsReply MsgType = 23
 )
 
 func (t MsgType) String() string {
@@ -77,10 +74,6 @@ func (t MsgType) String() string {
 		return "BARRIER_REQUEST"
 	case TypeBarrierReply:
 		return "BARRIER_REPLY"
-	case TypeCacheStatsReq:
-		return "CACHE_STATS_REQUEST"
-	case TypeCacheStatsReply:
-		return "CACHE_STATS_REPLY"
 	default:
 		return fmt.Sprintf("TYPE(%d)", uint8(t))
 	}
@@ -352,45 +345,6 @@ func ParseFlowStatsReply(body []byte) ([]FlowStat, error) {
 		off += 28
 	}
 	return stats, nil
-}
-
-// ---- CACHE STATS ----
-
-// CacheStats is the wire form of a datapath's microflow-cache counters
-// (vswitch.CacheStats), carried in a CACHE_STATS_REPLY.
-type CacheStats struct {
-	Hits       uint64
-	Misses     uint64
-	Entries    uint64
-	Generation uint64
-	Enabled    bool
-}
-
-// EncodeCacheStatsReply builds the body of a CACHE_STATS_REPLY.
-func EncodeCacheStatsReply(s CacheStats) []byte {
-	body := make([]byte, 33)
-	binary.BigEndian.PutUint64(body[0:8], s.Hits)
-	binary.BigEndian.PutUint64(body[8:16], s.Misses)
-	binary.BigEndian.PutUint64(body[16:24], s.Entries)
-	binary.BigEndian.PutUint64(body[24:32], s.Generation)
-	if s.Enabled {
-		body[32] = 1
-	}
-	return body
-}
-
-// ParseCacheStatsReply decodes the body of a CACHE_STATS_REPLY.
-func ParseCacheStatsReply(body []byte) (CacheStats, error) {
-	if len(body) < 33 {
-		return CacheStats{}, fmt.Errorf("openflow: bad CACHE_STATS_REPLY length %d", len(body))
-	}
-	return CacheStats{
-		Hits:       binary.BigEndian.Uint64(body[0:8]),
-		Misses:     binary.BigEndian.Uint64(body[8:16]),
-		Entries:    binary.BigEndian.Uint64(body[16:24]),
-		Generation: binary.BigEndian.Uint64(body[24:32]),
-		Enabled:    body[32] != 0,
-	}, nil
 }
 
 // ---- ERROR ----

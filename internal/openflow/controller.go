@@ -248,16 +248,6 @@ func (c *Controller) Barrier() error {
 	return err
 }
 
-// CacheStats retrieves the switch's microflow-cache counters, the datapath
-// companion to the per-entry FlowStats.
-func (c *Controller) CacheStats() (CacheStats, error) {
-	reply, err := c.rpc(Message{Type: TypeCacheStatsReq, Xid: c.nextXid()})
-	if err != nil {
-		return CacheStats{}, err
-	}
-	return ParseCacheStatsReply(reply.Body)
-}
-
 // FlowStats retrieves the per-entry counters of the switch.
 func (c *Controller) FlowStats() ([]FlowStat, error) {
 	reply, err := c.rpc(Message{Type: TypeFlowStatsReq, Xid: c.nextXid()})

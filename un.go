@@ -21,9 +21,8 @@
 //
 // The datapath of every LSI runs an exact-match microflow cache in front of
 // its multi-table pipeline; per-switch cache counters (hits, misses,
-// resident entries) are exported through Topology, the OpenFlow control
-// channel (CACHE_STATS), and Node.DatapathCacheStats, next to the classic
-// per-entry flow stats.
+// resident entries) are exported through Topology and
+// Node.DatapathCacheStats, next to the classic per-entry flow stats.
 //
 // See examples/ for complete programs and cmd/un-orchestrator for the
 // daemon exposing the REST interface.
