@@ -1,23 +1,23 @@
 # Local mirror of .github/workflows/ci.yml: `make ci` runs the same jobs
 # the CI pipeline runs (lint incl. staticcheck/govulncheck, build, race
-# tests, coverage gate, benchmark regression gate, examples smoke), so
-# local runs and CI cannot drift. Referenced from
+# tests, coverage gate, benchmark self-test and paper-fidelity smoke,
+# examples smoke), so local runs and CI cannot drift. Referenced from
 # .claude/skills/verify/SKILL.md.
 #
-# Tools CI installs pinned (staticcheck, govulncheck, benchstat) are
-# optional locally: present they run, absent the step notes the skip.
+# Tools CI installs pinned (staticcheck, govulncheck) are optional locally:
+# present they run, absent the step notes the skip.
 
 GO ?= go
 
 # Keep in sync with the COVERAGE_BASELINE env of .github/workflows/ci.yml.
 COVERAGE_BASELINE ?= 75.0
 
-BENCH_PATTERN = ^(BenchmarkPipelineCached|BenchmarkPipelineParallel|BenchmarkPipelineBurst|BenchmarkTable1Throughput|BenchmarkReflavor|BenchmarkParallelDeploy|BenchmarkScaleOutThroughput|BenchmarkStateMigration)$$
-
 .PHONY: ci lint fmt vet staticcheck govulncheck build test race coverage \
-	bench-gate bench-selftest bench-baseline profile chaos examples-smoke clean
+	bench bench-selftest profile chaos examples-smoke clean
 
-ci: lint build race coverage bench-gate bench-selftest chaos examples-smoke
+# The nfbench line is the paper-fidelity smoke of CI's bench job.
+ci: lint build race coverage bench-selftest chaos examples-smoke
+	$(GO) run ./cmd/nfbench -table 1
 
 lint: fmt vet staticcheck govulncheck
 
@@ -66,21 +66,15 @@ coverage:
 	awk -v t="$$total" -v b="$(COVERAGE_BASELINE)" 'BEGIN { \
 		if (t+0 < b+0) { print "coverage below baseline"; exit 1 } }'
 
-# Benchmark regression gate: compare the headline benchmarks against the
-# committed baseline; >30% ns/op regression fails. benchstat (if installed)
-# renders the readable delta report into bench-delta/. CI's bench-gate job
-# runs this target, so BENCH_PATTERN above is the only copy of the list.
-bench-gate:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' \
-		-benchtime=1s -count=3 -json . > bench-current.json
-	$(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json \
-		-current bench-current.json -max-regress 30 -extract-dir bench-delta
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bench-delta/baseline.txt bench-delta/current.txt \
-			| tee bench-delta/benchstat.txt; \
-	else \
-		echo "benchstat not installed; skipping delta report (CI renders it)"; \
-	fi
+# The one measurement entry point (README, "Build, test, bench"): unbench
+# runs every end-to-end workload and the per-layer pass (compare two result
+# sets with `bash benchmarks/run.sh -compare parent.json change.json`), then
+# nfbench regenerates the paper's Table 1 and ablations, modelled columns
+# labelled. The zero-alloc gate needs no target: it is a test of
+# internal/vswitch and runs with `go test ./...`.
+bench:
+	bash benchmarks/run.sh
+	$(GO) run ./cmd/nfbench
 
 # Self-test of benchmarks/unbench, the end-to-end benchmark every PR is held
 # against. It is a Go module of its own, so `go test ./...` at the root does
@@ -89,21 +83,14 @@ bench-selftest:
 	cd benchmarks/unbench && $(GO) test .
 
 # CPU and allocation profiles of the parallel and burst datapath
-# benchmarks, for chasing hot-path regressions the gate flags. CI uploads
-# profile/ as an artifact of the bench-gate job.
+# benchmarks, for chasing hot-path regressions. CI uploads profile/ as an
+# artifact of the bench job.
 profile:
 	@mkdir -p profile
 	$(GO) test -run '^$$' -bench '^(BenchmarkPipelineParallel|BenchmarkPipelineBurst)$$' -benchtime=1s \
 		-cpuprofile profile/cpu.pprof -memprofile profile/alloc.pprof \
-		-o profile/bench.test . | tee profile/bench.txt
+		-o profile/bench.test ./internal/vswitch | tee profile/bench.txt
 	@echo "wrote profile/cpu.pprof and profile/alloc.pprof (inspect with: $(GO) tool pprof profile/bench.test profile/cpu.pprof)"
-
-# Regenerate the committed baseline (run on the hardware class the gate
-# compares against, then commit BENCH_BASELINE.json).
-bench-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' \
-		-benchtime=1s -count=3 -json . > BENCH_BASELINE.json
-	@echo "wrote BENCH_BASELINE.json"
 
 # Availability gate: the chaos harness injects NF crashes, node kills,
 # link cuts and REST control-plane faults under live stateful traffic,
@@ -129,4 +116,4 @@ examples-smoke:
 	fi
 
 clean:
-	rm -rf bench-current.json bench-delta coverage.out chaos-report.json
+	rm -rf coverage.out chaos-report.json profile

@@ -1,7 +1,10 @@
-// Command nfbench regenerates the paper's evaluation from the command line:
-// Table 1 (IPsec throughput / RAM / image size across KVM, Docker and
-// native execution) and the ablation experiments A1-A4 (README, "Paper
-// evaluation: Table 1, ablations, cost model").
+// Command nfbench owns the paper-fidelity question: it regenerates the
+// paper's evaluation from the command line — Table 1 (IPsec throughput / RAM
+// / image size across KVM, Docker and native execution) and the ablation
+// experiments A1-A4 (README, "Paper evaluation: Table 1, ablations, cost
+// model"). Modelled columns (virtual clock, cost model) are labelled as such;
+// the wall ns/pkt and allocs/pkt printed beside them are measured in the same
+// run on the machine at hand.
 //
 // Usage:
 //
@@ -9,8 +12,6 @@
 //	nfbench -table 1      # Table 1 only
 //	nfbench -ablations    # ablations only
 //	nfbench -packets N    # traffic volume per measurement (default 2000)
-//	nfbench -batch N      # frames per injected burst for Table 1
-//	                      # (default measure.DefaultBatch; 1 = per-frame)
 package main
 
 import (
@@ -19,7 +20,6 @@ import (
 	"log"
 	"os"
 
-	un "repro"
 	"repro/internal/bench"
 )
 
@@ -28,7 +28,6 @@ func main() {
 		table     = flag.Int("table", 0, "regenerate only this table (1)")
 		ablations = flag.Bool("ablations", false, "run only the ablations")
 		packets   = flag.Int("packets", 2000, "packets per throughput measurement")
-		batch     = flag.Int("batch", 0, "frames per injected burst for Table 1 (0 = default burst, 1 = frame at a time)")
 	)
 	flag.Parse()
 
@@ -37,12 +36,9 @@ func main() {
 	if *table != 0 && *table != 1 {
 		log.Fatalf("nfbench: the paper has only Table 1 (got -table %d)", *table)
 	}
-	if *table == 1 {
-		runAblations = false
-	}
 
 	if runTable1 {
-		rows, err := bench.Table1Batch(*packets, *batch)
+		rows, err := bench.Table1(*packets)
 		if err != nil {
 			log.Fatalf("nfbench: %v", err)
 		}
@@ -57,7 +53,7 @@ func main() {
 }
 
 func printAblations(packets int) error {
-	fmt.Println("A1: sharable NNF (one native firewall vs per-tenant containers)")
+	fmt.Println("A1: sharable NNF (one native firewall vs per-tenant containers; Mbps modelled)")
 	fmt.Printf("%8s  %12s  %14s  %12s  %14s\n",
 		"tenants", "shared MB", "exclusive MB", "shared Mbps", "exclusive Mbps")
 	for _, tenants := range []int{2, 4, 8} {
@@ -70,7 +66,7 @@ func printAblations(packets int) error {
 	}
 	fmt.Println()
 
-	fmt.Println("A2: single-interface adaptation layer overhead (wall clock)")
+	fmt.Println("A2: single-interface adaptation layer overhead (measured, wall clock)")
 	ad, err := bench.AdaptationLayer(packets)
 	if err != nil {
 		return err
@@ -78,7 +74,7 @@ func printAblations(packets int) error {
 	fmt.Printf("%12s  %.0f ns/pkt\n%12s  %.0f ns/pkt\n\n",
 		"direct", ad.DirectNsPerPkt, "adapted", ad.AdaptedNsPerPkt)
 
-	fmt.Println("A3: packet path sweep, simulated Mbps (IPsec workload)")
+	fmt.Println("A3: packet path sweep, modelled Mbps (IPsec workload)")
 	fmt.Printf("%8s  %8s  %8s  %8s  %8s\n", "frame B", "native", "docker", "vm", "dpdk")
 	for _, row := range bench.PacketPathSweep([]int{64, 128, 256, 512, 1024, 1500}) {
 		fmt.Printf("%8d  %8.0f  %8.0f  %8.0f  %8.0f\n",
@@ -86,7 +82,7 @@ func printAblations(packets int) error {
 	}
 	fmt.Println()
 
-	fmt.Println("A4: NF start latency per technology (simulated)")
+	fmt.Println("A4: NF start latency per technology (modelled)")
 	lat, err := bench.StartupLatencies()
 	if err != nil {
 		return err
@@ -98,6 +94,5 @@ func printAblations(packets int) error {
 	// A5 lives in the test suite (scheduler placement matrix); point at it.
 	fmt.Fprintln(os.Stderr, "\nA5 (scheduler placement matrix) runs as:"+
 		" go test -run TestSchedulerPlacementMatrix ./internal/orchestrator/")
-	_ = un.TechAny // keep the public package linked for docs
 	return nil
 }

@@ -52,66 +52,41 @@ type SharableResult struct {
 // SharableNNF runs experiment A1.
 func SharableNNF(tenants, packets int) (SharableResult, error) {
 	res := SharableResult{Tenants: tenants}
-
-	// Shared: all tenants on the native firewall singleton.
-	shared, err := un.NewNode(un.Config{Name: "a1-shared"})
-	if err != nil {
+	var err error
+	if res.SharedRAMMB, res.SharedMbps, err = firewallTenants(un.TechNative, tenants, packets); err != nil {
 		return res, err
 	}
-	defer shared.Close()
+	res.ExclusiveRAMMB, res.ExclusiveMbps, err = firewallTenants(un.TechDocker, tenants, packets)
+	return res, err
+}
+
+// firewallTenants deploys one firewall graph per tenant in the given
+// technology on a fresh node and returns the NF RAM they hold in total and
+// the modelled throughput of the first tenant's VLAN.
+func firewallTenants(tech un.Technology, tenants, packets int) (ramMB, mbps float64, err error) {
+	node, err := un.NewNode(un.Config{Name: "a1-" + string(tech)})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer node.Close()
 	for i := 0; i < tenants; i++ {
-		g := FirewallGraph(fmt.Sprintf("tenant%d", i), uint16(100+i), un.TechNative)
-		if err := shared.Deploy(g); err != nil {
-			return res, err
+		id := fmt.Sprintf("tenant%d", i)
+		if err := node.Deploy(FirewallGraph(id, uint16(100+i), tech)); err != nil {
+			return 0, 0, err
+		}
+		ram, _ := node.InstanceRAM(id, "fw")
+		// Every tenant of the native firewall reports the one shared
+		// instance: count it once.
+		if tech != un.TechNative || i == 0 {
+			ramMB += float64(ram) / un.MB
 		}
 	}
-	var sharedRAM float64
-	seen := map[float64]bool{} // the shared instance reports once
-	for i := 0; i < tenants; i++ {
-		ram, _ := shared.InstanceRAM(fmt.Sprintf("tenant%d", i), "fw")
-		mb := float64(ram) / un.MB
-		if !seen[mb] {
-			sharedRAM += mb
-			seen[mb] = true
-		}
-	}
-	res.SharedRAMMB = sharedRAM
-	lan, _ := shared.InterfacePort("eth0")
-	wan, _ := shared.InterfacePort("eth1")
-	rep, err := measure.Run(lan, wan, shared.Clock(), measure.Spec{
+	lan, _ := node.InterfacePort("eth0")
+	wan, _ := node.InterfacePort("eth1")
+	rep, err := measure.Run(lan, wan, node.Clock(), measure.Spec{
 		Packets: packets, FrameSize: 1500, VLANID: 100,
 	})
-	if err != nil {
-		return res, err
-	}
-	res.SharedMbps = rep.MbpsGoodput()
-
-	// Exclusive: per-tenant Docker firewalls.
-	excl, err := un.NewNode(un.Config{Name: "a1-exclusive"})
-	if err != nil {
-		return res, err
-	}
-	defer excl.Close()
-	var exclRAM float64
-	for i := 0; i < tenants; i++ {
-		g := FirewallGraph(fmt.Sprintf("tenant%d", i), uint16(100+i), un.TechDocker)
-		if err := excl.Deploy(g); err != nil {
-			return res, err
-		}
-		ram, _ := excl.InstanceRAM(fmt.Sprintf("tenant%d", i), "fw")
-		exclRAM += float64(ram) / un.MB
-	}
-	res.ExclusiveRAMMB = exclRAM
-	lan2, _ := excl.InterfacePort("eth0")
-	wan2, _ := excl.InterfacePort("eth1")
-	rep2, err := measure.Run(lan2, wan2, excl.Clock(), measure.Spec{
-		Packets: packets, FrameSize: 1500, VLANID: 100,
-	})
-	if err != nil {
-		return res, err
-	}
-	res.ExclusiveMbps = rep2.MbpsGoodput()
-	return res, nil
+	return ramMB, rep.MbpsGoodput(), err
 }
 
 // AdaptationResult compares a directly-attached two-port NF against the

@@ -10,7 +10,6 @@ package compute
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/nf"
@@ -115,16 +114,4 @@ func (m *Manager) Driver(t nffg.Technology) (Driver, bool) {
 	defer m.mu.RUnlock()
 	d, ok := m.drivers[t]
 	return d, ok
-}
-
-// Technologies returns the registered technologies, sorted.
-func (m *Manager) Technologies() []nffg.Technology {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]nffg.Technology, 0, len(m.drivers))
-	for t := range m.drivers {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

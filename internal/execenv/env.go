@@ -86,9 +86,6 @@ func (e *Env) Start() time.Duration {
 	return d
 }
 
-// Started reports whether Start has run.
-func (e *Env) Started() bool { return e.started.Load() }
-
 // Stop marks the environment stopped.
 func (e *Env) Stop() { e.started.Store(false) }
 

@@ -12,7 +12,6 @@ package imagestore
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -175,16 +174,4 @@ func (s *Store) ImageDiskSize(name string) (uint64, error) {
 		return 0, fmt.Errorf("imagestore: image %q not in catalog", name)
 	}
 	return im.Size(), nil
-}
-
-// LocalImages returns the names of locally materialized images, sorted.
-func (s *Store) LocalImages() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.localImages))
-	for n := range s.localImages {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -100,8 +100,8 @@ func TestPullSameImageTwice(t *testing.T) {
 	if n != 0 {
 		t.Errorf("re-pull transferred %d bytes, want 0", n)
 	}
-	if got := s.LocalImages(); len(got) != 1 || got[0] != "ipsec:native" {
-		t.Errorf("LocalImages = %v", got)
+	if s.localImages["ipsec:native"] != 2 || len(s.localImages) != 1 {
+		t.Errorf("local images = %v, want ipsec:native pulled twice", s.localImages)
 	}
 	_ = s.Remove("ipsec:native")
 	if du := s.DiskUsage(); du != 5*MB {

@@ -2,15 +2,18 @@
 // deployed service chain with traffic injected at one node interface,
 // collects what emerges at another, and reports throughput.
 //
-// Two throughput figures are produced for every run:
+// Every run produces a modelled figure and measured ones, never under one
+// label:
 //
 //   - Simulated Mbps, computed over the virtual clock that the execution
-//     environments charge per-packet flavor costs to. This is the figure
-//     compared against Table 1: it reflects where packets were processed
-//     (VM user space vs host kernel), like the paper's testbed measurement.
-//   - Wall Mbps, computed over real elapsed time. It reflects how fast this
-//     Go implementation actually pushed packets (crypto included) and is
-//     reported for transparency, not for comparison with the paper.
+//     environments charge per-packet flavor costs to. This is the modelled
+//     figure compared against Table 1: it reflects where packets were
+//     processed (VM user space vs host kernel), like the paper's testbed
+//     measurement.
+//   - Wall Mbps, wall ns/packet and allocations/packet, taken over real
+//     elapsed time and the runtime's allocation counter. They reflect how
+//     fast this Go implementation actually pushed packets (crypto included)
+//     and are reported beside the model, not for comparison with the paper.
 package measure
 
 import (
@@ -119,6 +122,9 @@ type Report struct {
 	Virtual time.Duration
 	// Wall is the real elapsed time.
 	Wall time.Duration
+	// Mallocs is the number of heap allocations the whole process made
+	// during the run (sender, dataplane and NFs alike).
+	Mallocs uint64
 }
 
 // LossRate returns the fraction of frames that did not arrive.
@@ -156,12 +162,21 @@ func (r Report) MbpsWall() float64 {
 	return float64(r.RxBytes) * 8 / r.Wall.Seconds() / 1e6
 }
 
-// PpsVirtual returns packet rate over simulated time.
-func (r Report) PpsVirtual() float64 {
-	if r.Virtual <= 0 {
+// NsPerPacket returns the measured wall-clock cost of one delivered frame in
+// this Go process, the figure printed beside the modelled Mbps.
+func (r Report) NsPerPacket() float64 {
+	if r.RxPackets == 0 {
 		return 0
 	}
-	return float64(r.RxPackets) / r.Virtual.Seconds()
+	return float64(r.Wall.Nanoseconds()) / float64(r.RxPackets)
+}
+
+// AllocsPerPacket returns the measured heap allocations per injected frame.
+func (r Report) AllocsPerPacket() float64 {
+	if r.TxPackets == 0 {
+		return 0
+	}
+	return float64(r.Mallocs) / float64(r.TxPackets)
 }
 
 func (r Report) String() string {
@@ -210,42 +225,49 @@ func (c *rxCounter) attach(p *netdev.Port) {
 	})
 }
 
-// Run injects spec.Packets frames into tx in bursts of spec.Batch and
-// collects whatever arrives at rx, measuring simulated time on the given
-// clock. Arrivals are counted by a synchronous handler installed on rx for
-// the duration of the run (the port is restored to queue mode afterwards).
-// With a synchronous dataplane every frame of a burst has fully traversed
-// the chain when SendBatch returns; with an asynchronous one (datapath
-// workers) the final settle waits for in-flight frames.
-func Run(tx, rx *netdev.Port, clock *execenv.VirtualClock, spec Spec) (Report, error) {
-	s, err := spec.withDefaults()
-	if err != nil {
-		return Report{}, err
+// leg is one direction of a run: the port its frames are injected at and the
+// template every one of them repeats.
+type leg struct {
+	tx    *netdev.Port
+	frame []byte
+}
+
+// drive is the one drive-and-drain loop: bursts of s.Batch frames go to the
+// legs in turn until s.Packets are sent, arrivals at the sinks are counted by
+// synchronous handlers installed for the duration of the run (the ports are
+// restored to queue mode afterwards), and the clocks and the allocation
+// counter are read around the whole. With a synchronous dataplane every frame
+// of a burst has fully traversed the chain when SendBatch returns; with an
+// asynchronous one (datapath workers) the final settle waits for in-flight
+// frames.
+func drive(clock *execenv.VirtualClock, s Spec, legs []leg, sinks ...*netdev.Port) (Report, error) {
+	rep := Report{FrameBytes: len(legs[0].frame)}
+	for i := range legs {
+		legs[i].frame = unpoolable(legs[i].frame)
 	}
-	frame, err := s.Frame()
-	if err != nil {
-		return Report{}, err
-	}
-	frame = unpoolable(frame)
-	rep := Report{FrameBytes: len(frame)}
 	var rxc rxCounter
-	rxc.attach(rx)
-	defer rx.SetHandler(nil)
+	for _, p := range sinks {
+		rxc.attach(p)
+		defer p.SetHandler(nil)
+	}
 	burst := make([]netdev.Frame, 0, s.Batch)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	virtualStart := clock.Now()
 	wallStart := time.Now()
-	for sent := 0; sent < s.Packets; {
+	for sent, turn := 0, 0; sent < s.Packets; turn++ {
+		l := legs[turn%len(legs)]
 		n := s.Batch
 		if rem := s.Packets - sent; rem < n {
 			n = rem
 		}
 		burst = burst[:0]
 		for i := 0; i < n; i++ {
-			burst = append(burst, netdev.Frame{Data: frame})
+			burst = append(burst, netdev.Frame{Data: l.frame})
 		}
-		nn, err := tx.SendBatch(burst)
+		nn, err := l.tx.SendBatch(burst)
 		rep.TxPackets += uint64(nn)
-		rep.TxBytes += uint64(nn) * uint64(len(frame))
+		rep.TxBytes += uint64(nn) * uint64(len(l.frame))
 		if err != nil {
 			return rep, err
 		}
@@ -256,7 +278,24 @@ func Run(tx, rx *netdev.Port, clock *execenv.VirtualClock, spec Spec) (Report, e
 	rep.RxBytes = rxc.bytes.Load()
 	rep.Virtual = clock.Now() - virtualStart
 	rep.Wall = time.Since(wallStart)
+	runtime.ReadMemStats(&after)
+	rep.Mallocs = after.Mallocs - before.Mallocs
 	return rep, nil
+}
+
+// Run injects spec.Packets frames into tx in bursts of spec.Batch and
+// collects whatever arrives at rx, measuring simulated time on the given
+// clock.
+func Run(tx, rx *netdev.Port, clock *execenv.VirtualClock, spec Spec) (Report, error) {
+	s, err := spec.withDefaults()
+	if err != nil {
+		return Report{}, err
+	}
+	frame, err := s.Frame()
+	if err != nil {
+		return Report{}, err
+	}
+	return drive(clock, s, []leg{{tx, frame}}, rx)
 }
 
 // unpoolable returns the template with a backing array that can never be
@@ -271,7 +310,7 @@ func unpoolable(frame []byte) []byte {
 	return append(make([]byte, 0, len(frame)+1), frame...)
 }
 
-// RunBidirectional alternates frames in both directions (a -> b and
+// RunBidirectional alternates single frames in both directions (a -> b and
 // b -> a), the shape of the paper's ESP tunnel-mode measurement where the
 // CPE both encrypts egress and decrypts ingress; the strict per-frame
 // alternation is the point, so Spec.Batch does not apply here. Counters
@@ -281,6 +320,7 @@ func RunBidirectional(a, b *netdev.Port, clock *execenv.VirtualClock, spec Spec)
 	if err != nil {
 		return Report{}, err
 	}
+	s.Batch = 1
 	forward, err := s.Frame()
 	if err != nil {
 		return Report{}, err
@@ -293,33 +333,5 @@ func RunBidirectional(a, b *netdev.Port, clock *execenv.VirtualClock, spec Spec)
 	if err != nil {
 		return Report{}, err
 	}
-	forward = unpoolable(forward)
-	reverse = unpoolable(reverse)
-	rep := Report{FrameBytes: len(forward)}
-	var rxc rxCounter
-	rxc.attach(a)
-	rxc.attach(b)
-	defer a.SetHandler(nil)
-	defer b.SetHandler(nil)
-	virtualStart := clock.Now()
-	wallStart := time.Now()
-	for i := 0; i < s.Packets; i++ {
-		if i%2 == 0 {
-			if err := a.Send(netdev.Frame{Data: forward}); err != nil {
-				return rep, err
-			}
-		} else {
-			if err := b.Send(netdev.Frame{Data: reverse}); err != nil {
-				return rep, err
-			}
-		}
-		rep.TxPackets++
-		rep.TxBytes += uint64(len(forward))
-	}
-	settle(rxc.packets.Load, rep.TxPackets)
-	rep.RxPackets = rxc.packets.Load()
-	rep.RxBytes = rxc.bytes.Load()
-	rep.Virtual = clock.Now() - virtualStart
-	rep.Wall = time.Since(wallStart)
-	return rep, nil
+	return drive(clock, s, []leg{{a, forward}, {b, reverse}}, a, b)
 }

@@ -51,8 +51,8 @@ func TestRunCountsAndThroughput(t *testing.T) {
 	if rep.MbpsVirtual() <= 0 || rep.MbpsWall() <= 0 {
 		t.Error("throughput not computed")
 	}
-	if rep.PpsVirtual() <= 0 {
-		t.Error("pps not computed")
+	if rep.NsPerPacket() <= 0 || rep.AllocsPerPacket() <= 0 {
+		t.Errorf("measured columns not computed: %v ns/pkt, %v allocs/pkt", rep.NsPerPacket(), rep.AllocsPerPacket())
 	}
 	if rep.String() == "" {
 		t.Error("empty report string")
@@ -195,7 +195,7 @@ func TestSpecValidation(t *testing.T) {
 
 func TestReportMathEdgeCases(t *testing.T) {
 	var r Report
-	if r.LossRate() != 0 || r.MbpsVirtual() != 0 || r.MbpsWall() != 0 || r.PpsVirtual() != 0 {
+	if r.LossRate() != 0 || r.MbpsVirtual() != 0 || r.MbpsWall() != 0 || r.NsPerPacket() != 0 || r.AllocsPerPacket() != 0 {
 		t.Error("zero report should produce zeros, not NaN")
 	}
 	r = Report{TxPackets: 10, RxPackets: 5, RxBytes: 5 * 1500, Virtual: time.Millisecond, Wall: time.Millisecond}

@@ -198,10 +198,6 @@ func (p *Port) SetTap(t Tap) {
 	p.mutate(func(st *portState) { st.tap = t })
 }
 
-// Recv dequeues one frame from the RX queue, blocking until one is
-// available. It is only useful for ports without a handler.
-func (p *Port) Recv() Frame { return <-p.queue }
-
 // TryRecv dequeues one frame if immediately available.
 func (p *Port) TryRecv() (Frame, bool) {
 	select {

@@ -13,7 +13,7 @@ import (
 // per-worker run-to-completion model its single-consumer ordering guarantee.
 //
 // Capacity is rounded up to a power of two. A full ring rejects the push
-// (TryPush returns false); the caller decides between tail-drop (NIC
+// (tryPush returns false); the caller decides between tail-drop (NIC
 // semantics) and backpressure. A Ring must not be copied after first use.
 type Ring[T any] struct {
 	mask  uint64
@@ -60,9 +60,9 @@ func (r *Ring[T]) Len() int {
 	return int(n)
 }
 
-// TryPush enqueues v, returning false when the ring is full. Safe for any
+// tryPush enqueues v, returning false when the ring is full. Safe for any
 // number of concurrent producers.
-func (r *Ring[T]) TryPush(v T) bool {
+func (r *Ring[T]) tryPush(v T) bool {
 	pos := r.enq.Load()
 	for {
 		cell := &r.cells[pos&r.mask]
@@ -85,9 +85,9 @@ func (r *Ring[T]) TryPush(v T) bool {
 	}
 }
 
-// TryPop dequeues one item, returning false when the ring is empty. Safe for
+// tryPop dequeues one item, returning false when the ring is empty. Safe for
 // concurrent consumers, though the datapath runs exactly one per ring.
-func (r *Ring[T]) TryPop() (T, bool) {
+func (r *Ring[T]) tryPop() (T, bool) {
 	var zero T
 	pos := r.deq.Load()
 	for {
@@ -194,7 +194,3 @@ func (r *Ring[T]) TryPopBatch(dst []T) int {
 		}
 	}
 }
-
-// PopBatch dequeues up to len(dst) items into dst and returns how many were
-// taken. It is TryPopBatch under its historical name.
-func (r *Ring[T]) PopBatch(dst []T) int { return r.TryPopBatch(dst) }

@@ -19,11 +19,11 @@ func TestRingCapacityRounding(t *testing.T) {
 
 func TestRingFIFO(t *testing.T) {
 	r := NewRing[int](8)
-	if _, ok := r.TryPop(); ok {
+	if _, ok := r.tryPop(); ok {
 		t.Fatal("pop from empty ring succeeded")
 	}
 	for i := 1; i <= 5; i++ {
-		if !r.TryPush(i) {
+		if !r.tryPush(i) {
 			t.Fatalf("push %d failed", i)
 		}
 	}
@@ -31,12 +31,12 @@ func TestRingFIFO(t *testing.T) {
 		t.Errorf("Len = %d, want 5", r.Len())
 	}
 	for i := 1; i <= 5; i++ {
-		v, ok := r.TryPop()
+		v, ok := r.tryPop()
 		if !ok || v != i {
 			t.Fatalf("pop = %d, %v; want %d", v, ok, i)
 		}
 	}
-	if _, ok := r.TryPop(); ok {
+	if _, ok := r.tryPop(); ok {
 		t.Fatal("ring not empty after draining")
 	}
 }
@@ -44,17 +44,17 @@ func TestRingFIFO(t *testing.T) {
 func TestRingFullRejectsPush(t *testing.T) {
 	r := NewRing[int](4)
 	for i := 0; i < r.Cap(); i++ {
-		if !r.TryPush(i) {
+		if !r.tryPush(i) {
 			t.Fatalf("push %d failed below capacity", i)
 		}
 	}
-	if r.TryPush(99) {
+	if r.tryPush(99) {
 		t.Fatal("push into full ring succeeded")
 	}
-	if v, ok := r.TryPop(); !ok || v != 0 {
+	if v, ok := r.tryPop(); !ok || v != 0 {
 		t.Fatalf("pop = %d, %v", v, ok)
 	}
-	if !r.TryPush(99) {
+	if !r.tryPush(99) {
 		t.Fatal("push failed after freeing a slot")
 	}
 }
@@ -64,12 +64,12 @@ func TestRingWraparound(t *testing.T) {
 	next := 0
 	for round := 0; round < 1000; round++ {
 		for i := 0; i < 3; i++ {
-			if !r.TryPush(round*3 + i) {
+			if !r.tryPush(round*3 + i) {
 				t.Fatalf("push failed at round %d", round)
 			}
 		}
 		for i := 0; i < 3; i++ {
-			v, ok := r.TryPop()
+			v, ok := r.tryPop()
 			if !ok || v != next {
 				t.Fatalf("pop = %d, %v; want %d", v, ok, next)
 			}
@@ -81,12 +81,12 @@ func TestRingWraparound(t *testing.T) {
 func TestRingPopBatch(t *testing.T) {
 	r := NewRing[int](16)
 	for i := 0; i < 10; i++ {
-		r.TryPush(i)
+		r.tryPush(i)
 	}
 	buf := make([]int, 4)
 	for _, want := range []int{4, 4, 2, 0} {
-		if got := r.PopBatch(buf); got != want {
-			t.Fatalf("PopBatch = %d, want %d", got, want)
+		if got := r.TryPopBatch(buf); got != want {
+			t.Fatalf("TryPopBatch = %d, want %d", got, want)
 		}
 	}
 }
@@ -103,7 +103,7 @@ func TestRingPushBatchPartial(t *testing.T) {
 		t.Fatalf("TryPushBatch into full ring = %d, want 0", got)
 	}
 	for i := 0; i < 4; i++ {
-		if v, ok := r.TryPop(); !ok || v != i {
+		if v, ok := r.tryPop(); !ok || v != i {
 			t.Fatalf("pop = %d, %v; want %d", v, ok, i)
 		}
 	}
@@ -127,7 +127,7 @@ func TestRingBatchWraparound(t *testing.T) {
 		for pushed < n {
 			// Drain one and retry the remainder so partial pushes are
 			// exercised, not just avoided.
-			v, ok := r.TryPop()
+			v, ok := r.tryPop()
 			if !ok || v != out {
 				t.Fatalf("pop = %d, %v; want %d", v, ok, out)
 			}
@@ -258,7 +258,7 @@ func TestRingConcurrentProducers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				v := p*perProducer + i
-				for !r.TryPush(v) {
+				for !r.tryPush(v) {
 					runtime.Gosched()
 				}
 			}
@@ -268,12 +268,12 @@ func TestRingConcurrentProducers(t *testing.T) {
 	go func() { wg.Wait(); close(done) }()
 	got := 0
 	for got < producers*perProducer {
-		v, ok := r.TryPop()
+		v, ok := r.tryPop()
 		if !ok {
 			select {
 			case <-done:
 				// Every push has completed; an empty ring now means loss.
-				if v, ok = r.TryPop(); !ok {
+				if v, ok = r.tryPop(); !ok {
 					t.Fatalf("producers done, ring empty, only %d/%d consumed", got, producers*perProducer)
 				}
 			default:
@@ -286,7 +286,7 @@ func TestRingConcurrentProducers(t *testing.T) {
 		}
 		got++
 	}
-	if _, ok := r.TryPop(); ok {
+	if _, ok := r.tryPop(); ok {
 		t.Fatal("ring not empty after consuming everything")
 	}
 }

@@ -41,8 +41,8 @@ func NewBridgeFromConfig(config map[string]string) (Processor, error) {
 	return NewBridge(n)
 }
 
-// FDBSize returns the number of learned addresses.
-func (b *Bridge) FDBSize() int {
+// fdbSize returns the number of learned addresses.
+func (b *Bridge) fdbSize() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return len(b.fdb)

@@ -241,8 +241,8 @@ func (f *Firewall) RemovePath(mark uint16) {
 	delete(f.paths, mark)
 }
 
-// NumPaths returns the number of installed mark paths.
-func (f *Firewall) NumPaths() int {
+// numPaths returns the number of installed mark paths.
+func (f *Firewall) numPaths() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return len(f.paths)
@@ -317,13 +317,6 @@ func (f *Firewall) Process(inPort int, frame []byte) (Result, error) {
 	return Result{Emissions: []Emission{{Port: outPort, Frame: frame}}}, nil
 }
 
-// Connections returns the number of tracked established connections.
-func (f *Firewall) Connections() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.conns)
-}
-
 // ExportFlowState implements StatefulNF: one entry per tracked connection,
 // keyed by the inside-originated direction.
 func (f *Firewall) ExportFlowState(filter func(FlowTuple) bool) []FlowState {
@@ -364,8 +357,8 @@ func (f *Firewall) DropFlowState(filter func(FlowTuple) bool) {
 	}
 }
 
-// PathStats returns hit/drop counters for a mark path (mark 0 = default).
-func (f *Firewall) PathStats(mark uint16) (hits, drops uint64) {
+// pathStats returns hit/drop counters for a mark path (mark 0 = default).
+func (f *Firewall) pathStats(mark uint16) (hits, drops uint64) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if mark == 0 {

@@ -77,8 +77,8 @@ func (m *Monitor) Flows() []FlowCount {
 	return out
 }
 
-// NonIPPackets returns the count of frames without a network layer.
-func (m *Monitor) NonIPPackets() uint64 {
+// nonIPPackets returns the count of frames without a network layer.
+func (m *Monitor) nonIPPackets() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.other

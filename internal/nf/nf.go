@@ -194,8 +194,8 @@ func (r *Registry) Build(name string, config map[string]string) (Processor, erro
 	return f(config)
 }
 
-// Names returns the registered template names, sorted.
-func (r *Registry) Names() []string {
+// names returns the registered template names, sorted.
+func (r *Registry) names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]string, 0, len(r.factories))

@@ -44,7 +44,7 @@ func TestFirewallRuleOrderFirstMatchWins(t *testing.T) {
 	if res, _ := fw.Process(0, udpFrame(t, ipA, ipB, 1, 80, 0)); len(res.Emissions) != 1 {
 		t.Error("non-DNS UDP dropped")
 	}
-	hits, drops := fw.PathStats(0)
+	hits, drops := fw.pathStats(0)
 	if hits != 2 || drops != 1 {
 		t.Errorf("stats = %d/%d", hits, drops)
 	}
@@ -79,16 +79,16 @@ func TestFirewallMarkedPathsIsolated(t *testing.T) {
 	if res, _ := fw.Process(0, udpFrame(t, ipA, ipB, 1, 53, 0)); len(res.Emissions) != 1 {
 		t.Error("untagged: default path broken")
 	}
-	hitsA, dropsA := fw.PathStats(10)
-	hitsB, dropsB := fw.PathStats(20)
+	hitsA, dropsA := fw.pathStats(10)
+	hitsB, dropsB := fw.pathStats(20)
 	if hitsA != 1 || dropsA != 1 || hitsB != 1 || dropsB != 0 {
 		t.Errorf("path stats = A %d/%d, B %d/%d", hitsA, dropsA, hitsB, dropsB)
 	}
-	if fw.NumPaths() != 2 {
-		t.Errorf("NumPaths = %d", fw.NumPaths())
+	if fw.numPaths() != 2 {
+		t.Errorf("numPaths = %d", fw.numPaths())
 	}
 	fw.RemovePath(20)
-	if fw.NumPaths() != 1 {
+	if fw.numPaths() != 1 {
 		t.Error("RemovePath failed")
 	}
 }
@@ -274,8 +274,8 @@ func TestBridgeLearningAndForwarding(t *testing.T) {
 	if port, ok := b.Lookup(macC); !ok || port != 2 {
 		t.Error("macC not learned")
 	}
-	if b.FDBSize() != 2 {
-		t.Errorf("fdb size = %d", b.FDBSize())
+	if b.fdbSize() != 2 {
+		t.Errorf("fdb size = %d", b.fdbSize())
 	}
 	// Destination on the same port: filtered.
 	sameSeg := pkt.MustBuildFrame(pkt.FrameSpec{
@@ -379,7 +379,7 @@ func TestRouterFromConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.(*Router).NumRoutes() != 2 {
+	if p.(*Router).numRoutes() != 2 {
 		t.Error("routes not parsed")
 	}
 	for _, bad := range []string{"x", "10.0.0.0/8,z,02:02:02:02:02:02,04:04:04:04:04:04", "10.0.0.0/99,1,02:02:02:02:02:02,04:04:04:04:04:04"} {
@@ -411,7 +411,7 @@ func TestMonitorCountsFlows(t *testing.T) {
 	frame, _ := pkt.Serialize(pkt.SerializeOptions{},
 		&pkt.Ethernet{EthernetType: pkt.EthernetTypeARP}, arp)
 	_, _ = m.Process(0, frame)
-	if m.NonIPPackets() != 1 {
+	if m.nonIPPackets() != 1 {
 		t.Error("non-IP not counted")
 	}
 }
@@ -497,7 +497,7 @@ func TestRuntimeCountsProcessorErrors(t *testing.T) {
 
 func TestDefaultRegistry(t *testing.T) {
 	r := DefaultRegistry()
-	names := r.Names()
+	names := r.names()
 	want := []string{"bridge", "firewall", "ipsec", "monitor", "nat", "router", "shaper"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v", names)

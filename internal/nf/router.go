@@ -98,8 +98,8 @@ func (r *Router) AddRoute(rt Route) error {
 	return nil
 }
 
-// NumRoutes returns the routing table size.
-func (r *Router) NumRoutes() int {
+// numRoutes returns the routing table size.
+func (r *Router) numRoutes() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.routes)

@@ -77,8 +77,8 @@ func (s *Shaper) SetClock(now func() time.Duration) {
 	s.primed = false
 }
 
-// Counters returns passed and dropped packet counts.
-func (s *Shaper) Counters() (passed, dropped uint64) {
+// counters returns passed and dropped packet counts.
+func (s *Shaper) counters() (passed, dropped uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.passed, s.dropped

@@ -43,7 +43,7 @@ func TestShaperPolicesRate(t *testing.T) {
 	if res, _ := s.Process(0, frame); len(res.Emissions) != 0 {
 		t.Fatal("tokens double-spent")
 	}
-	passed, dropped := s.Counters()
+	passed, dropped := s.counters()
 	if passed != 3 || dropped != 2 {
 		t.Errorf("counters = %d/%d, want 3/2", passed, dropped)
 	}
@@ -136,7 +136,7 @@ func TestShaperFollowsVirtualClockThroughRuntime(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		_ = in.Send(netdev.Frame{Data: frame})
 	}
-	passed, dropped := s.Counters()
+	passed, dropped := s.counters()
 	if passed+dropped != 1000 {
 		t.Fatalf("counters = %d/%d", passed, dropped)
 	}

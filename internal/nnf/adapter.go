@@ -40,9 +40,6 @@ func NewAdapter(inner nf.Processor) *Adapter {
 	return &Adapter{inner: inner, paths: make(map[uint16]*AdapterPath)}
 }
 
-// Inner returns the wrapped processor.
-func (a *Adapter) Inner() nf.Processor { return a.inner }
-
 // AddPath installs the mapping for one ingress mark.
 func (a *Adapter) AddPath(ingressMark uint16, path AdapterPath) error {
 	if ingressMark == 0 || ingressMark > 4094 {
@@ -64,15 +61,15 @@ func (a *Adapter) RemovePath(ingressMark uint16) {
 	delete(a.paths, ingressMark)
 }
 
-// NumPaths returns the number of mapped ingress marks.
-func (a *Adapter) NumPaths() int {
+// numPaths returns the number of mapped ingress marks.
+func (a *Adapter) numPaths() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	return len(a.paths)
 }
 
-// UnknownMarkDrops counts frames arriving without a mapped mark.
-func (a *Adapter) UnknownMarkDrops() uint64 { return a.unknownMark.Load() }
+// unknownMarkDrops counts frames arriving without a mapped mark.
+func (a *Adapter) unknownMarkDrops() uint64 { return a.unknownMark.Load() }
 
 // vlanID reads the 802.1Q tag of a frame, if present.
 func vlanID(frame []byte) (uint16, bool) {

@@ -105,8 +105,8 @@ func (m *Manager) Available(name string) (Traits, bool) {
 	return p.Traits(), true
 }
 
-// Names returns the plugin names, sorted.
-func (m *Manager) Names() []string {
+// names returns the plugin names, sorted.
+func (m *Manager) names() []string {
 	out := make([]string, 0, len(m.plugins))
 	for n := range m.plugins {
 		out = append(out, n)
@@ -334,8 +334,8 @@ func (m *Manager) Instances(name string) []*Instance {
 	return append([]*Instance(nil), m.instances[name]...)
 }
 
-// TotalRAM returns the combined runtime footprint of all NNF instances.
-func (m *Manager) TotalRAM() uint64 {
+// totalRAM returns the combined runtime footprint of all NNF instances.
+func (m *Manager) totalRAM() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var total uint64
@@ -347,5 +347,5 @@ func (m *Manager) TotalRAM() uint64 {
 	return total
 }
 
-// MarksInUse reports the number of allocated traffic marks.
-func (m *Manager) MarksInUse() int { return m.marks.InUse() }
+// marksInUse reports the number of allocated traffic marks.
+func (m *Manager) marksInUse() int { return m.marks.InUse() }

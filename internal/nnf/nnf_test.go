@@ -2,6 +2,7 @@ package nnf
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -123,8 +124,8 @@ func TestAdapterDropsUnmappedTraffic(t *testing.T) {
 	if len(res.Emissions) != 0 {
 		t.Error("unknown mark not dropped")
 	}
-	if ad.UnknownMarkDrops() != 2 {
-		t.Errorf("drops = %d", ad.UnknownMarkDrops())
+	if ad.unknownMarkDrops() != 2 {
+		t.Errorf("drops = %d", ad.unknownMarkDrops())
 	}
 	if _, err := ad.Process(1, taggedFrame(t, 3000, 80)); err == nil {
 		t.Error("second port accepted on single-interface adapter")
@@ -146,7 +147,7 @@ func TestAdapterPathValidation(t *testing.T) {
 		t.Error("duplicate mark accepted")
 	}
 	ad.RemovePath(3000)
-	if ad.NumPaths() != 0 {
+	if ad.numPaths() != 0 {
 		t.Error("RemovePath failed")
 	}
 }
@@ -169,6 +170,15 @@ func TestPluginLifecycleLog(t *testing.T) {
 		!strings.HasPrefix(log[1], "update fw-1") ||
 		!strings.HasPrefix(log[2], "stop fw-1") {
 		t.Errorf("log = %v", log)
+	}
+	// The trail is a bounded window: a plugin outlives every instance.
+	for i := 0; i < 2*pluginLogLen; i++ {
+		p.Destroy(fmt.Sprintf("fw-%d", i))
+	}
+	log = p.Log()
+	if last := fmt.Sprintf("stop fw-%d", 2*pluginLogLen-1); len(log) != pluginLogLen || log[len(log)-1] != last {
+		t.Errorf("after %d more entries: %d kept, last %q, want %d ending in %q",
+			2*pluginLogLen, len(log), log[len(log)-1], pluginLogLen, last)
 	}
 }
 
@@ -267,8 +277,8 @@ func TestManagerSharableSingleton(t *testing.T) {
 		t.Errorf("instances = %+v", insts)
 	}
 	// 8 marks: 2 graphs x (2 in + 2 out).
-	if m.MarksInUse() != 8 {
-		t.Errorf("marks in use = %d", m.MarksInUse())
+	if m.marksInUse() != 8 {
+		t.Errorf("marks in use = %d", m.marksInUse())
 	}
 	// Release graph-1: instance survives for graph-2.
 	if err := m.Release("graph-1", "firewall"); err != nil {
@@ -277,14 +287,14 @@ func TestManagerSharableSingleton(t *testing.T) {
 	if len(m.Instances("firewall")) != 1 {
 		t.Error("instance destroyed while still used")
 	}
-	if m.MarksInUse() != 4 {
-		t.Errorf("marks not freed: %d", m.MarksInUse())
+	if m.marksInUse() != 4 {
+		t.Errorf("marks not freed: %d", m.marksInUse())
 	}
 	_ = m.Release("graph-2", "firewall")
 	if len(m.Instances("firewall")) != 0 {
 		t.Error("instance leaked")
 	}
-	if m.MarksInUse() != 0 {
+	if m.marksInUse() != 0 {
 		t.Error("marks leaked")
 	}
 }
@@ -398,17 +408,17 @@ func TestManagerErrors(t *testing.T) {
 
 func TestManagerRAMAccounting(t *testing.T) {
 	m := newManager(t)
-	if m.TotalRAM() != 0 {
+	if m.totalRAM() != 0 {
 		t.Error("phantom RAM")
 	}
 	_, _ = m.Acquire("g", "ipsec", ipsecConfig())
-	if got := m.TotalRAM(); got < 19*execenv.MB || got > 20*execenv.MB {
+	if got := m.totalRAM(); got < 19*execenv.MB || got > 20*execenv.MB {
 		t.Errorf("ipsec NNF RAM = %.1f MB, want ~19.4", float64(got)/execenv.MB)
 	}
 	if !m.CanAcquire("g2", "bridge") {
 		t.Error("bridge should be acquirable")
 	}
-	names := m.Names()
+	names := m.names()
 	if len(names) != 7 {
 		t.Errorf("names = %v", names)
 	}

@@ -103,7 +103,7 @@ func splitRules(spec string) []string {
 
 // Plugin drives the lifecycle of one NNF type. Create/Configure/Destroy
 // mirror the create/update/stop scripts of the original implementation; the
-// Log records every invocation like a script audit trail.
+// Log records the last pluginLogLen invocations like a script audit trail.
 type Plugin struct {
 	name    string
 	traits  Traits
@@ -115,6 +115,10 @@ type Plugin struct {
 	mu  sync.Mutex
 	log []string
 }
+
+// pluginLogLen bounds a plugin's audit trail: plugins live as long as the
+// node, so an unbounded trail grows with every NF ever started.
+const pluginLogLen = 64
 
 // NewPlugin builds a plugin.
 func NewPlugin(name string, traits Traits, factory nf.Factory,
@@ -189,7 +193,7 @@ func (p *Plugin) Paths(proc nf.Processor) PathProgrammer {
 	return p.paths(proc)
 }
 
-// Log returns the lifecycle audit trail.
+// Log returns the lifecycle audit trail, oldest entry first.
 func (p *Plugin) Log() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -199,6 +203,9 @@ func (p *Plugin) Log() []string {
 func (p *Plugin) logf(format string, args ...any) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if len(p.log) == pluginLogLen {
+		p.log = p.log[:copy(p.log, p.log[1:])]
+	}
 	p.log = append(p.log, fmt.Sprintf(format, args...))
 }
 

@@ -82,9 +82,6 @@ func Connect(conn net.Conn) (*Controller, error) {
 	return c, nil
 }
 
-// Features returns the switch description discovered at connect time.
-func (c *Controller) Features() FeaturesReply { return c.features }
-
 // SetPacketInHandler installs the packet-in callback.
 func (c *Controller) SetPacketInHandler(fn PacketInHandler) {
 	c.mu.Lock()
@@ -257,8 +254,8 @@ func (c *Controller) FlowStats() ([]FlowStat, error) {
 	return ParseFlowStatsReply(reply.Body)
 }
 
-// Echo round-trips an echo request, verifying channel liveness.
-func (c *Controller) Echo(payload []byte) error {
+// echo round-trips an echo request, verifying channel liveness.
+func (c *Controller) echo(payload []byte) error {
 	reply, err := c.rpc(Message{Type: TypeEchoRequest, Xid: c.nextXid(), Body: payload})
 	if err != nil {
 		return err

@@ -61,7 +61,7 @@ func TestHandshakeFeatures(t *testing.T) {
 	_ = sw.AddPort(1, netdev.NewPort("p1"))
 	_ = sw.AddPort(7, netdev.NewPort("p7"))
 	ctrl := pair(t, sw)
-	f := ctrl.Features()
+	f := ctrl.features
 	if f.DPID != 0xabc || f.NTables != 3 {
 		t.Errorf("features = %+v", f)
 	}
@@ -231,7 +231,7 @@ func TestFlowModInvalidatesCache(t *testing.T) {
 
 func TestEcho(t *testing.T) {
 	ctrl := pair(t, vswitch.New("lsi", 1))
-	if err := ctrl.Echo([]byte("ping-payload")); err != nil {
+	if err := ctrl.echo([]byte("ping-payload")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -250,7 +250,7 @@ func TestFlowModErrorSurfacesOnBarrier(t *testing.T) {
 	if len(sw.Flows()) != 0 {
 		t.Error("invalid flow installed")
 	}
-	if err := ctrl.Echo([]byte("still-alive")); err != nil {
+	if err := ctrl.echo([]byte("still-alive")); err != nil {
 		t.Errorf("channel dead after error: %v", err)
 	}
 }
@@ -394,8 +394,8 @@ func TestAgentOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.Close()
-	if ctrl.Features().DPID != 99 {
-		t.Errorf("dpid = %d", ctrl.Features().DPID)
+	if ctrl.features.DPID != 99 {
+		t.Errorf("dpid = %d", ctrl.features.DPID)
 	}
 	if err := ctrl.InstallFlow(0, 1, 1, vswitch.MatchAll(), []vswitch.Action{vswitch.Flood()}); err != nil {
 		t.Fatal(err)

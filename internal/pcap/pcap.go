@@ -135,10 +135,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: r}
 }
 
-// LinkType returns the capture's link type (valid after the first
-// ReadPacket).
-func (pr *Reader) LinkType() uint32 { return pr.linkType }
-
 // ReadPacket returns the next record, or io.EOF at the end of the stream.
 func (pr *Reader) ReadPacket() (Packet, error) {
 	if !pr.readHdr {

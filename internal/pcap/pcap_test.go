@@ -31,8 +31,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LinkType() != LinkTypeEthernet {
-		t.Errorf("link type = %d", r.LinkType())
+	if r.linkType != LinkTypeEthernet {
+		t.Errorf("link type = %d", r.linkType)
 	}
 	if len(got) != 3 {
 		t.Fatalf("read %d packets", len(got))

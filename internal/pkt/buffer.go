@@ -71,23 +71,6 @@ func (b *SerializeBuffer) PrependBytes(n int) ([]byte, error) {
 	return b.data[b.start : b.start+n], nil
 }
 
-// AppendBytes returns a slice of n bytes placed after the current contents;
-// the caller fills it with trailer data (e.g. an ESP ICV).
-func (b *SerializeBuffer) AppendBytes(n int) ([]byte, error) {
-	if n < 0 {
-		return nil, errors.New("pkt: cannot append negative length")
-	}
-	old := len(b.data)
-	if cap(b.data) >= old+n {
-		b.data = b.data[:old+n]
-	} else {
-		nd := make([]byte, old+n, (old+n)*2)
-		copy(nd, b.data)
-		b.data = nd
-	}
-	return b.data[old : old+n], nil
-}
-
 // Clear resets the buffer to empty, retaining its allocation.
 func (b *SerializeBuffer) Clear() {
 	b.start = cap(b.data) / 2

@@ -56,13 +56,6 @@ func NewEndpoint(typ EndpointType, raw []byte) Endpoint {
 // Type returns the endpoint's address family.
 func (e Endpoint) Type() EndpointType { return e.typ }
 
-// Raw returns a copy of the endpoint's address bytes.
-func (e Endpoint) Raw() []byte {
-	out := make([]byte, e.len)
-	copy(out, e.raw[:e.len])
-	return out
-}
-
 // FastHash returns a cheap non-cryptographic hash of the endpoint.
 func (e Endpoint) FastHash() uint64 {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
@@ -107,10 +100,7 @@ func (f Flow) Src() Endpoint { return f.src }
 // Dst returns the destination endpoint.
 func (f Flow) Dst() Endpoint { return f.dst }
 
-// Reverse returns the flow with source and destination swapped.
-func (f Flow) Reverse() Flow { return Flow{src: f.dst, dst: f.src} }
-
-// FastHash returns a symmetric hash: f.FastHash() == f.Reverse().FastHash(),
+// FastHash returns a symmetric hash: NewFlow(a, b) and NewFlow(b, a) hash alike,
 // so bidirectional traffic of one conversation lands in the same bucket.
 func (f Flow) FastHash() uint64 {
 	a, b := f.src.FastHash(), f.dst.FastHash()

@@ -62,13 +62,6 @@ func (a Addr) Endpoint() Endpoint { return NewEndpoint(EndpointIPv4, a[:]) }
 // Uint32 returns the address as a big-endian integer.
 func (a Addr) Uint32() uint32 { return binary.BigEndian.Uint32(a[:]) }
 
-// AddrFromUint32 converts a big-endian integer to an address.
-func AddrFromUint32(v uint32) Addr {
-	var a Addr
-	binary.BigEndian.PutUint32(a[:], v)
-	return a
-}
-
 // IPv4HeaderLen is the length of an IPv4 header without options.
 const IPv4HeaderLen = 20
 

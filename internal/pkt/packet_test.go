@@ -203,15 +203,6 @@ func TestSerializeBufferGrowth(t *testing.T) {
 	if len(b.Bytes()) != 300 {
 		t.Fatalf("len = %d, want 300", len(b.Bytes()))
 	}
-	tail, err := b.AppendBytes(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(tail, "ZZ")
-	out := b.Bytes()
-	if string(out[len(out)-2:]) != "ZZ" {
-		t.Error("append lost")
-	}
 }
 
 func TestFlowEndpoints(t *testing.T) {
@@ -221,10 +212,7 @@ func TestFlowEndpoints(t *testing.T) {
 	if src.String() != "10.0.0.1" || dst.String() != "10.0.0.2" {
 		t.Errorf("flow = %v -> %v", src, dst)
 	}
-	if nf.Reverse().Src() != dst {
-		t.Error("reverse broken")
-	}
-	if nf.FastHash() != nf.Reverse().FastHash() {
+	if nf.FastHash() != NewFlow(dst, src).FastHash() {
 		t.Error("FastHash must be symmetric")
 	}
 	m := map[Flow]int{nf: 1}
@@ -257,8 +245,8 @@ func TestAddrHelpers(t *testing.T) {
 	if a.String() != "192.168.1.7" {
 		t.Errorf("round trip = %v", a)
 	}
-	if AddrFromUint32(a.Uint32()) != a {
-		t.Error("uint32 round trip broken")
+	if a.Uint32() != 0xc0a80107 {
+		t.Errorf("Uint32 = %#x", a.Uint32())
 	}
 	if _, err := ParseAddr("not-an-ip"); err == nil {
 		t.Error("ParseAddr accepted garbage")

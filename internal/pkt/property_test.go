@@ -94,7 +94,7 @@ func TestPropertyESPHeaderRoundTrip(t *testing.T) {
 }
 
 // TestPropertyEndpointEquality checks that endpoints built from equal bytes
-// are equal and hash equally, and that flows reverse consistently.
+// are equal and hash equally, and that a flow hashes like its reverse.
 func TestPropertyEndpointEquality(t *testing.T) {
 	f := func(a, b [4]byte) bool {
 		e1 := Addr(a).Endpoint()
@@ -103,11 +103,7 @@ func TestPropertyEndpointEquality(t *testing.T) {
 		if e1 != e2 || e1.FastHash() != e2.FastHash() {
 			return false
 		}
-		fl := NewFlow(e1, e3)
-		if fl.Reverse().Reverse() != fl {
-			return false
-		}
-		return fl.FastHash() == fl.Reverse().FastHash()
+		return NewFlow(e1, e3).FastHash() == NewFlow(e3, e1).FastHash()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

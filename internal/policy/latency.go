@@ -35,11 +35,11 @@ func Utilization(c Candidate, addPPS float64) float64 {
 	return lambda / mu
 }
 
-// PredictedWaitNs returns the M/M/1 sojourn time (queueing + service) in
+// predictedWaitNs returns the M/M/1 sojourn time (queueing + service) in
 // nanoseconds for the candidate host at the given added rate. A saturated
 // or oversaturated station (rho >= 1) predicts +Inf: the queue has no
 // steady state.
-func PredictedWaitNs(c Candidate, addPPS float64) float64 {
+func predictedWaitNs(c Candidate, addPPS float64) float64 {
 	if c.CostNs <= 0 {
 		return 0
 	}

@@ -28,17 +28,17 @@ func TestUtilization(t *testing.T) {
 func TestPredictedWaitNs(t *testing.T) {
 	c := Candidate{CostNs: 1000}
 	// Idle: sojourn time is the bare service time.
-	if got := PredictedWaitNs(c, 0); got != 1000 {
+	if got := predictedWaitNs(c, 0); got != 1000 {
 		t.Fatalf("idle wait = %g ns, want 1000", got)
 	}
 	// At rho 0.9 the M/M/1 sojourn is 10x the service time.
 	c.HostRatePPS = 900_000
-	if got := PredictedWaitNs(c, 0); math.Abs(got-10_000) > 1e-6 {
+	if got := predictedWaitNs(c, 0); math.Abs(got-10_000) > 1e-6 {
 		t.Fatalf("wait at rho 0.9 = %g ns, want 10000", got)
 	}
 	// At or past saturation there is no steady state.
 	c.HostRatePPS = 1_000_000
-	if got := PredictedWaitNs(c, 0); !math.IsInf(got, 1) {
+	if got := predictedWaitNs(c, 0); !math.IsInf(got, 1) {
 		t.Fatalf("wait at rho 1 = %g, want +Inf", got)
 	}
 }

@@ -93,8 +93,8 @@ func (r *Repository) Lookup(name string) (*Template, bool) {
 	return t, ok
 }
 
-// Names returns the catalog's template names, sorted.
-func (r *Repository) Names() []string {
+// names returns the catalog's template names, sorted.
+func (r *Repository) names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]string, 0, len(r.templates))

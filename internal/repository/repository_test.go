@@ -13,7 +13,7 @@ func TestDefaultCatalogConsistency(t *testing.T) {
 	if err := DefaultImages(store); err != nil {
 		t.Fatal(err)
 	}
-	names := r.Names()
+	names := r.names()
 	if len(names) == 0 {
 		t.Fatal("empty catalog")
 	}

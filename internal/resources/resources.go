@@ -128,8 +128,8 @@ func (p *Pool) Usage() (usedCPU, totalCPU int, usedRAM, totalRAM uint64) {
 	return p.usedCPU, p.totalCPU, p.usedRAM, p.totalRAM
 }
 
-// Grants returns all active grants sorted by owner.
-func (p *Pool) Grants() []Grant {
+// sortedGrants returns all active grants sorted by owner.
+func (p *Pool) sortedGrants() []Grant {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]Grant, 0, len(p.grants))

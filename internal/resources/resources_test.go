@@ -83,9 +83,9 @@ func TestGrantsSnapshot(t *testing.T) {
 	p := NewPool(10000, 1000*MB)
 	_ = p.Allocate("b", 1, 1)
 	_ = p.Allocate("a", 2, 2)
-	g := p.Grants()
+	g := p.sortedGrants()
 	if len(g) != 2 || g[0].Owner != "a" || g[1].Owner != "b" {
-		t.Errorf("Grants = %+v", g)
+		t.Errorf("sortedGrants = %+v", g)
 	}
 }
 

@@ -522,8 +522,8 @@ func (s *Switch) Output(port uint32, data []byte) {
 	_ = p.Send(netdev.Frame{Data: data}.Clone())
 }
 
-// Dump renders the flow tables like `ovs-ofctl dump-flows` for debugging.
-func (s *Switch) Dump() string {
+// dump renders the flow tables like `ovs-ofctl dump-flows` for debugging.
+func (s *Switch) dump() string {
 	var b strings.Builder
 	cs := s.CacheStats()
 	fmt.Fprintf(&b, "switch %s dpid=%#x ports=%v misses=%d cache_hits=%d cache_misses=%d\n",

@@ -29,7 +29,7 @@ func rig(t *testing.T, sw *Switch, n int) []*netdev.Port {
 	return hosts
 }
 
-func frame(t *testing.T, vlan uint16, dstPort uint16) []byte {
+func frame(t testing.TB, vlan uint16, dstPort uint16) []byte {
 	t.Helper()
 	f, err := pkt.BuildFrame(pkt.FrameSpec{
 		SrcMAC: macA, DstMAC: macB, VLANID: vlan,
@@ -343,7 +343,7 @@ func TestDumpContainsRules(t *testing.T) {
 	sw := New("lsi-0", 42)
 	mustAdd(t, sw, &FlowEntry{Priority: 3, Cookie: 0xbeef,
 		Match: MatchAll().WithVLAN(5), Actions: []Action{PopVLAN(), Output(2)}})
-	d := sw.Dump()
+	d := sw.dump()
 	for _, want := range []string{"lsi-0", "dl_vlan=5", "pop_vlan", "output:2", "0xbeef"} {
 		if !contains(d, want) {
 			t.Errorf("Dump missing %q in:\n%s", want, d)
