@@ -102,8 +102,13 @@ func AdaptationLayer(packets int) (AdaptationResult, error) {
 	var res AdaptationResult
 
 	run := func(rt *nf.Runtime, vlan uint16) (float64, error) {
-		tx := netdev.NewPortQueueLen("tx", 1<<14)
-		rx := netdev.NewPortQueueLen("rx", 1<<14)
+		// The loop drains after every send, so a short queue holds all
+		// that is ever in flight. Keep it short: a 16 384-slot queue is
+		// 512 KB, and the collection the harness's allocations start
+		// would run into the adapted side's timed loop, charging it for
+		// garbage that is not its own.
+		tx := netdev.NewPortQueueLen("tx", 64)
+		rx := netdev.NewPortQueueLen("rx", 64)
 		single := rt.NumPorts() == 1
 		if err := netdev.Connect(tx, rt.Port(0)); err != nil {
 			return 0, err

@@ -34,17 +34,21 @@ type FWRule struct {
 	SrcPort uint16
 	DstPort uint16
 	Verdict Verdict
+
+	// src and dst are SrcCIDR and DstCIDR parsed when the rule is
+	// installed (compileRules), so matching a packet parses no text.
+	src, dst prefix
 }
 
 // matches evaluates the rule against a parsed frame.
-func (r FWRule) matches(ip *pkt.IPv4, l4src, l4dst uint16) bool {
+func (r *FWRule) matches(ip *pkt.IPv4, l4src, l4dst uint16) bool {
 	if r.Proto != 0 && ip.Protocol != r.Proto {
 		return false
 	}
-	if r.SrcCIDR != "" && !cidrContains(r.SrcCIDR, ip.SrcIP) {
+	if r.SrcCIDR != "" && !r.src.contains(ip.SrcIP) {
 		return false
 	}
-	if r.DstCIDR != "" && !cidrContains(r.DstCIDR, ip.DstIP) {
+	if r.DstCIDR != "" && !r.dst.contains(ip.DstIP) {
 		return false
 	}
 	if r.SrcPort != 0 && l4src != r.SrcPort {
@@ -56,24 +60,52 @@ func (r FWRule) matches(ip *pkt.IPv4, l4src, l4dst uint16) bool {
 	return true
 }
 
-func cidrContains(cidr string, a pkt.Addr) bool {
+// compileRules returns a copy of rules with their CIDRs parsed. A CIDR that
+// does not parse matches no address.
+func compileRules(rules []FWRule) []FWRule {
+	out := make([]FWRule, len(rules))
+	for i, r := range rules {
+		if r.SrcCIDR != "" {
+			r.src, _ = parsePrefix(r.SrcCIDR)
+		}
+		if r.DstCIDR != "" {
+			r.dst, _ = parsePrefix(r.DstCIDR)
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// prefix is an IPv4 CIDR block; the zero value contains no address.
+type prefix struct {
+	base, mask uint32
+	bits       int
+	valid      bool
+}
+
+// parsePrefix parses "a.b.c.d/n".
+func parsePrefix(cidr string) (prefix, error) {
 	slash := strings.IndexByte(cidr, '/')
 	if slash < 0 {
-		return false
+		return prefix{}, fmt.Errorf("nf: prefix %q not CIDR", cidr)
 	}
 	base, err := pkt.ParseAddr(cidr[:slash])
 	if err != nil {
-		return false
+		return prefix{}, err
 	}
 	bits, err := strconv.Atoi(cidr[slash+1:])
 	if err != nil || bits < 0 || bits > 32 {
-		return false
+		return prefix{}, fmt.Errorf("nf: prefix %q has bad length", cidr)
 	}
-	if bits == 0 {
-		return true
+	var mask uint32
+	if bits > 0 {
+		mask = ^uint32(0) << (32 - bits)
 	}
-	mask := ^uint32(0) << (32 - bits)
-	return a.Uint32()&mask == base.Uint32()&mask
+	return prefix{base: base.Uint32() & mask, mask: mask, bits: bits, valid: true}, nil
+}
+
+func (p prefix) contains(a pkt.Addr) bool {
+	return p.valid && a.Uint32()&p.mask == p.base
 }
 
 // pathTable is one isolated rule set inside a shared firewall; the paper's
@@ -164,7 +196,7 @@ func (f *Firewall) Configure(config map[string]string) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.def.rules = rules
+	f.def.rules = compileRules(rules)
 	f.def.defaultPolicy = policy
 	f.conntrack = ct
 	return nil
@@ -231,7 +263,7 @@ func ParseFWRule(s string) (FWRule, error) {
 func (f *Firewall) SetPath(mark uint16, rules []FWRule, defaultPolicy Verdict) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.paths[mark] = &pathTable{rules: rules, defaultPolicy: defaultPolicy}
+	f.paths[mark] = &pathTable{rules: compileRules(rules), defaultPolicy: defaultPolicy}
 }
 
 // RemovePath drops a mark's rule table.
@@ -255,32 +287,19 @@ func (f *Firewall) Process(inPort int, frame []byte) (Result, error) {
 	}
 	outPort := 1 - inPort
 
-	p := pkt.NewPacket(frame, pkt.LayerTypeEthernet, pkt.NoCopy)
-	ipLayer, _ := p.Layer(pkt.LayerTypeIPv4).(*pkt.IPv4)
-	if ipLayer == nil {
+	var h headers
+	h.decode(frame)
+	if !h.hasIP {
 		// Non-IP (ARP etc.) passes: iptables only sees IP.
 		return Result{Emissions: []Emission{{Port: outPort, Frame: frame}}}, nil
 	}
-	var l4src, l4dst uint16
-	switch l4 := p.TransportLayer().(type) {
-	case *pkt.UDP:
-		l4src, l4dst = l4.SrcPort, l4.DstPort
-	case *pkt.TCP:
-		l4src, l4dst = l4.SrcPort, l4.DstPort
-	}
-
-	// Mark = VLAN tag, the sharable-NNF path selector.
-	var mark uint16
-	if v, ok := p.Layer(pkt.LayerTypeVLAN).(*pkt.VLAN); ok {
-		mark = v.VLANID
-	}
-
-	tuple := FlowTuple{Proto: ipLayer.Protocol, Src: ipLayer.SrcIP, Dst: ipLayer.DstIP, SrcPort: l4src, DstPort: l4dst}
+	tuple := FlowTuple{Proto: h.ip.Protocol, Src: h.ip.SrcIP, Dst: h.ip.DstIP, SrcPort: h.srcPort, DstPort: h.dstPort}
 
 	f.mu.Lock()
 	table := &f.def
-	if mark != 0 {
-		if t, ok := f.paths[mark]; ok {
+	// Mark = VLAN tag, the sharable-NNF path selector.
+	if h.mark != 0 {
+		if t, ok := f.paths[h.mark]; ok {
 			table = t
 		}
 	}
@@ -295,8 +314,8 @@ func (f *Firewall) Process(inPort int, frame []byte) (Result, error) {
 	if established {
 		verdict = VerdictAccept
 	} else {
-		for _, r := range table.rules {
-			if r.matches(ipLayer, l4src, l4dst) {
+		for i := range table.rules {
+			if r := &table.rules[i]; r.matches(&h.ip, h.srcPort, h.dstPort) {
 				verdict = r.Verdict
 				break
 			}

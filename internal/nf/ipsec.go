@@ -245,17 +245,9 @@ func (g *IPsec) encap(frame []byte) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("nf: no outbound SA toward %v", g.peer)
 	}
-	outer, err := sa.Encapsulate(innerIP)
-	if err != nil {
-		return Result{}, err
-	}
-	out, err := pkt.Serialize(pkt.SerializeOptions{},
-		&pkt.Ethernet{SrcMAC: g.gwMAC, DstMAC: g.peerMAC, EthernetType: pkt.EthernetTypeIPv4},
-		pkt.Payload(outer),
-	)
-	if err != nil {
-		return Result{}, err
-	}
+	out := sa.seal(pkt.EthernetHeaderLen, innerIP)
+	outEth := pkt.Ethernet{SrcMAC: g.gwMAC, DstMAC: g.peerMAC, EthernetType: pkt.EthernetTypeIPv4}
+	outEth.PutHeader(out)
 	return Result{
 		Emissions:   []Emission{{Port: IPsecPortEncrypted, Frame: out}},
 		CryptoBytes: len(innerIP),
@@ -287,19 +279,14 @@ func (g *IPsec) decap(frame []byte) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("nf: no SA for SPI %#x", esp.SPI)
 	}
-	inner, err := sa.Decapsulate(outerIP)
+	out, err := sa.open(pkt.EthernetHeaderLen, outerIP)
 	if err != nil {
 		return Result{}, err
 	}
-	out, err := pkt.Serialize(pkt.SerializeOptions{},
-		&pkt.Ethernet{SrcMAC: g.lanMAC, DstMAC: g.hostMAC, EthernetType: pkt.EthernetTypeIPv4},
-		pkt.Payload(inner),
-	)
-	if err != nil {
-		return Result{}, err
-	}
+	outEth := pkt.Ethernet{SrcMAC: g.lanMAC, DstMAC: g.hostMAC, EthernetType: pkt.EthernetTypeIPv4}
+	outEth.PutHeader(out)
 	return Result{
 		Emissions:   []Emission{{Port: IPsecPortPlain, Frame: out}},
-		CryptoBytes: len(inner),
+		CryptoBytes: len(out) - pkt.EthernetHeaderLen,
 	}, nil
 }

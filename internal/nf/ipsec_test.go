@@ -2,6 +2,8 @@ package nf
 
 import (
 	"bytes"
+	"encoding/hex"
+	"math/rand"
 	"testing"
 
 	"repro/internal/pkt"
@@ -30,7 +32,7 @@ func newSA(t *testing.T, spi uint32) *SA {
 	return sa
 }
 
-func innerPacket(t *testing.T, payloadLen int) []byte {
+func innerPacket(t testing.TB, payloadLen int) []byte {
 	t.Helper()
 	ip := &pkt.IPv4{TTL: 64, Protocol: pkt.IPProtocolUDP, SrcIP: ipA, DstIP: ipB}
 	udp := &pkt.UDP{SrcPort: 1111, DstPort: 2222}
@@ -203,7 +205,7 @@ func TestSADB(t *testing.T) {
 }
 
 // gateway builds two IPsec processors sharing a key, as two tunnel ends.
-func gatewayPair(t *testing.T) (*IPsec, *IPsec) {
+func gatewayPair(t testing.TB) (*IPsec, *IPsec) {
 	t.Helper()
 	left := NewIPsec(rmtIP, macA, macB, macA, macB)
 	saL, err := NewSA(0x1000, gwIP, rmtIP, testKey)
@@ -328,5 +330,90 @@ func TestESPOverheadConstant(t *testing.T) {
 	outer, _ := tx.Encapsulate(inner)
 	if len(outer) > len(inner)+espOverhead {
 		t.Errorf("overhead %d exceeds documented bound %d", len(outer)-len(inner), espOverhead)
+	}
+}
+
+// espGolden are encapsulations recorded from the Serialize-based encoder
+// this package used before ESP was sealed in one pooled frame: the same SA
+// and sequence numbers must still give these exact bytes. The gateway
+// frames carry inner packets of 28–31 bytes, so every pad length (2, 1, 0,
+// 3) appears.
+var espGolden = struct{ gateway, sa []string }{
+	gateway: []string{
+		"02000000000b02000000000a0800450000540000000040327c6dc0000201cb007109000010000000000100000000000000011b46fa8dbb142e167f96cb821084f2e7db90537f87a675649b44192b43fabb5f7c678a720c1aefd854296ceef3babc12",
+		"02000000000b02000000000a0800450000540000000040327c6dc0000201cb007109000010000000000200000000000000023d35c059c3ed0fd0b107a85cd29aa4162d88dd3bb9eb2d35a7dd34459b84f79010bbd79d04c87d7177f87b1db2f4bc40",
+		"02000000000b02000000000a0800450000540000000040327c6dc0000201cb007109000010000000000300000000000000032ad21d4e3e14f680a565235aee870ca76ac51d5acd5948d5cf0034bb26e46a21bab6869571f4e8854ec3594d7420bc4c",
+		"02000000000b02000000000a0800450000580000000040327c69c0000201cb00710900001000000000040000000000000004122b6555c04fc9204a2aa41ce9c9c82f38822222ab8c1a48ec1b7efd5dfde305145012e9331fd7e9da2a4e7ff2590610c4cb288c",
+	},
+	sa: []string{
+		"450000580000000040327c69c0000201cb0071090000002a0000000100000000000000011b46fab0bb142e167f96cb871084f2e7db90537f1fb16e439b41f52e18a2e301ad6b3ec49a7ce964d388fb58867d24530a210aec",
+		"450000580000000040327c69c0000201cb0071090000002a0000000200000000000000023d35c066c3ed0fd0b107a85bd29aa4162d88dd3b21fc3612a7da3ef1b6dfaccee72c8c08e6635efa39e9903ce154b56914774b3c",
+	},
+}
+
+func TestESPEncapGolden(t *testing.T) {
+	left, _ := gatewayPair(t)
+	for n, want := range espGolden.gateway {
+		frame := pkt.MustBuildFrame(pkt.FrameSpec{
+			SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
+			SrcPort: 40000, DstPort: 5001, PayloadLen: n, PayloadByte: 0x77,
+		})
+		res, err := left.Process(IPsecPortPlain, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(res.Emissions[0].Frame); got != want {
+			t.Errorf("gateway seq %d:\n got %s\nwant %s", n+1, got, want)
+		}
+	}
+	sa := newSA(t, 0x2a)
+	for n, want := range espGolden.sa {
+		outer, err := sa.Encapsulate(innerPacket(t, 5+n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(outer); got != want {
+			t.Errorf("SA seq %d:\n got %s\nwant %s", n+1, got, want)
+		}
+	}
+}
+
+// TestESPSealOpenRoundTrip seals and opens inner packets of every length
+// from 20 to 2100 bytes, alone and behind the gateways' Ethernet framing:
+// that covers every pad length, and frames past pkt.FrameBufferSize, which
+// the pool does not serve.
+func TestESPSealOpenRoundTrip(t *testing.T) {
+	tx, rx := newSA(t, 0x700), newSA(t, 0x700)
+	left, right := gatewayPair(t)
+	r := rand.New(rand.NewSource(1))
+	for n := 20; n <= 2100; n++ {
+		inner := make([]byte, n)
+		r.Read(inner)
+		outer, err := tx.Encapsulate(inner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outer)-len(inner) > espOverhead || (len(outer)-pkt.IPv4HeaderLen)%4 != 0 {
+			t.Fatalf("inner %d: outer %d bytes: overhead above %d or ESP not 4-byte aligned", n, len(outer), espOverhead)
+		}
+		got, err := rx.Decapsulate(outer)
+		if err != nil || !bytes.Equal(got, inner) {
+			t.Fatalf("inner %d: SA round trip failed: %v", n, err)
+		}
+
+		frame := append(make([]byte, pkt.EthernetHeaderLen), inner...)
+		hdr := pkt.Ethernet{SrcMAC: macA, DstMAC: macB, EthernetType: pkt.EthernetTypeIPv4}
+		hdr.PutHeader(frame)
+		enc, err := left.Process(IPsecPortPlain, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := right.Process(IPsecPortEncrypted, enc.Emissions[0].Frame)
+		if err != nil || len(dec.Emissions) != 1 || !bytes.Equal(dec.Emissions[0].Frame[pkt.EthernetHeaderLen:], inner) {
+			t.Fatalf("inner %d: gateway round trip failed: %v", n, err)
+		}
+		if dec.CryptoBytes != n {
+			t.Fatalf("inner %d: decap reports %d crypto bytes", n, dec.CryptoBytes)
+		}
 	}
 }

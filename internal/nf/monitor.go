@@ -39,9 +39,10 @@ func (m *Monitor) Process(inPort int, frame []byte) (Result, error) {
 	if inPort != 0 && inPort != 1 {
 		return Result{}, fmt.Errorf("nf: monitor has no port %d", inPort)
 	}
-	p := pkt.NewPacket(frame, pkt.LayerTypeEthernet, pkt.NoCopy)
-	if nl := p.NetworkLayer(); nl != nil {
-		fl := nl.NetworkFlow()
+	var h headers
+	h.decode(frame)
+	if h.hasIP {
+		fl := h.ip.NetworkFlow()
 		m.mu.Lock()
 		fc, ok := m.flows[fl]
 		if !ok {

@@ -215,51 +215,52 @@ func (n *NAT) Process(inPort int, frame []byte) (Result, error) {
 	}
 }
 
-// rewrite re-serializes an Ethernet/IPv4/L4 frame with updated addresses.
-func rewrite(eth *pkt.Ethernet, ip *pkt.IPv4, l4 pkt.Layer, payload []byte) ([]byte, error) {
-	opts := pkt.SerializeOptions{FixLengths: true, ComputeChecksums: true}
-	newEth := &pkt.Ethernet{SrcMAC: eth.SrcMAC, DstMAC: eth.DstMAC, EthernetType: pkt.EthernetTypeIPv4}
-	newIP := &pkt.IPv4{
-		TOS: ip.TOS, ID: ip.ID, Flags: ip.Flags, FragOff: ip.FragOff,
-		TTL: ip.TTL, Protocol: ip.Protocol, SrcIP: ip.SrcIP, DstIP: ip.DstIP,
+// rewrite writes the translated frame into one pooled buffer: Ethernet
+// (untagged), IPv4 and the UDP or TCP header, with h's addresses and ports
+// as the caller rewrote them, then the transport payload. The headers are
+// written without options and with lengths and checksums recomputed, and
+// bytes past the transport payload are dropped — byte for byte what
+// re-serializing the decoded layers produces.
+func rewrite(h *headers) []byte {
+	var hdrLen int
+	var payload []byte
+	if h.l4 == pkt.LayerTypeUDP {
+		hdrLen, payload = pkt.UDPHeaderLen, h.udp.LayerPayload()
+	} else {
+		hdrLen, payload = pkt.TCPHeaderLen, h.tcp.LayerPayload()
 	}
-	switch t := l4.(type) {
-	case *pkt.UDP:
-		u := &pkt.UDP{SrcPort: t.SrcPort, DstPort: t.DstPort}
-		u.SetNetworkLayerForChecksum(newIP)
-		return pkt.Serialize(opts, newEth, newIP, u, pkt.Payload(payload))
-	case *pkt.TCP:
-		tc := &pkt.TCP{
-			SrcPort: t.SrcPort, DstPort: t.DstPort,
-			Seq: t.Seq, Ack: t.Ack, Flags: t.Flags, Window: t.Window, Urgent: t.Urgent,
-		}
-		tc.SetNetworkLayerForChecksum(newIP)
-		return pkt.Serialize(opts, newEth, newIP, tc, pkt.Payload(payload))
-	default:
-		return nil, fmt.Errorf("nf: nat cannot rewrite %T", l4)
+	const l4Off = pkt.EthernetHeaderLen + pkt.IPv4HeaderLen
+	out := pkt.GetBuffer(l4Off + hdrLen + len(payload))
+	seg := out[l4Off:]
+	copy(seg[hdrLen:], payload)
+
+	eth := pkt.Ethernet{SrcMAC: h.eth.SrcMAC, DstMAC: h.eth.DstMAC, EthernetType: pkt.EthernetTypeIPv4}
+	eth.PutHeader(out)
+	ip := pkt.IPv4{
+		TOS: h.ip.TOS, Length: uint16(pkt.IPv4HeaderLen + len(seg)), ID: h.ip.ID,
+		Flags: h.ip.Flags, FragOff: h.ip.FragOff, TTL: h.ip.TTL, Protocol: h.ip.Protocol,
+		SrcIP: h.ip.SrcIP, DstIP: h.ip.DstIP,
 	}
+	if h.l4 == pkt.LayerTypeUDP {
+		u := pkt.UDP{SrcPort: h.srcPort, DstPort: h.dstPort, Length: uint16(len(seg))}
+		u.PutHeader(seg, &ip)
+	} else {
+		t := h.tcp
+		t.SrcPort, t.DstPort = h.srcPort, h.dstPort
+		t.PutHeader(seg, &ip)
+	}
+	ip.PutHeader(out[pkt.EthernetHeaderLen:])
+	return out
 }
 
 func (n *NAT) outbound(frame []byte) (Result, error) {
-	p := pkt.NewPacket(frame, pkt.LayerTypeEthernet, pkt.Default)
-	eth, _ := p.Layer(pkt.LayerTypeEthernet).(*pkt.Ethernet)
-	ip, _ := p.Layer(pkt.LayerTypeIPv4).(*pkt.IPv4)
-	if eth == nil || ip == nil {
-		return Result{}, nil // not translatable: drop
-	}
-	var srcPort, dstPort uint16
-	var l4 pkt.Layer
-	var payload []byte
-	switch t := p.TransportLayer().(type) {
-	case *pkt.UDP:
-		srcPort, dstPort, l4, payload = t.SrcPort, t.DstPort, t, t.LayerPayload()
-	case *pkt.TCP:
-		srcPort, dstPort, l4, payload = t.SrcPort, t.DstPort, t, t.LayerPayload()
-	default:
-		return Result{}, nil // ICMP etc. not handled by this NAT
+	var h headers
+	h.decode(frame)
+	if !h.hasIP || h.l4 == pkt.LayerTypeZero {
+		return Result{}, nil // not translatable (ICMP etc.): drop
 	}
 
-	conn := natConn{proto: ip.Protocol, srcIP: ip.SrcIP, srcPort: srcPort, dstIP: ip.DstIP, dstPort: dstPort}
+	conn := natConn{proto: h.ip.Protocol, srcIP: h.ip.SrcIP, srcPort: h.srcPort, dstIP: h.ip.DstIP, dstPort: h.dstPort}
 	n.mu.Lock()
 	ext, ok := n.forward[conn]
 	if !ok {
@@ -275,56 +276,24 @@ func (n *NAT) outbound(frame []byte) (Result, error) {
 	}
 	n.mu.Unlock()
 
-	ip.SrcIP = n.external
-	switch t := l4.(type) {
-	case *pkt.UDP:
-		t.SrcPort = ext
-	case *pkt.TCP:
-		t.SrcPort = ext
-	}
-	out, err := rewrite(eth, ip, l4, payload)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Emissions: []Emission{{Port: NATPortOutside, Frame: out}}}, nil
+	h.ip.SrcIP, h.srcPort = n.external, ext
+	return Result{Emissions: []Emission{{Port: NATPortOutside, Frame: rewrite(&h)}}}, nil
 }
 
 func (n *NAT) inbound(frame []byte) (Result, error) {
-	p := pkt.NewPacket(frame, pkt.LayerTypeEthernet, pkt.Default)
-	eth, _ := p.Layer(pkt.LayerTypeEthernet).(*pkt.Ethernet)
-	ip, _ := p.Layer(pkt.LayerTypeIPv4).(*pkt.IPv4)
-	if eth == nil || ip == nil || ip.DstIP != n.external {
-		return Result{}, nil
-	}
-	var srcPort, dstPort uint16
-	var l4 pkt.Layer
-	var payload []byte
-	switch t := p.TransportLayer().(type) {
-	case *pkt.UDP:
-		srcPort, dstPort, l4, payload = t.SrcPort, t.DstPort, t, t.LayerPayload()
-	case *pkt.TCP:
-		srcPort, dstPort, l4, payload = t.SrcPort, t.DstPort, t, t.LayerPayload()
-	default:
+	var h headers
+	h.decode(frame)
+	if !h.hasIP || h.l4 == pkt.LayerTypeZero || h.ip.DstIP != n.external {
 		return Result{}, nil
 	}
 
 	n.mu.Lock()
-	origin, ok := n.reverse[natRev{proto: ip.Protocol, remoteIP: ip.SrcIP, remotePort: srcPort, extPort: dstPort}]
+	origin, ok := n.reverse[natRev{proto: h.ip.Protocol, remoteIP: h.ip.SrcIP, remotePort: h.srcPort, extPort: h.dstPort}]
 	n.mu.Unlock()
 	if !ok {
 		return Result{}, nil // no binding from that remote: drop, like a real symmetric NAT
 	}
 
-	ip.DstIP = origin.ip
-	switch t := l4.(type) {
-	case *pkt.UDP:
-		t.DstPort = origin.port
-	case *pkt.TCP:
-		t.DstPort = origin.port
-	}
-	out, err := rewrite(eth, ip, l4, payload)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Emissions: []Emission{{Port: NATPortInside, Frame: out}}}, nil
+	h.ip.DstIP, h.dstPort = origin.ip, origin.port
+	return Result{Emissions: []Emission{{Port: NATPortInside, Frame: rewrite(&h)}}}, nil
 }

@@ -14,9 +14,11 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/execenv"
 	"repro/internal/netdev"
+	"repro/internal/pkt"
 )
 
 // Emission is one frame sent out of one NF port.
@@ -34,6 +36,14 @@ type Result struct {
 }
 
 // Processor is the packet-processing logic of a network function.
+//
+// A processor never writes to frame and never retains it past the call:
+// the Runtime recycles the frame once Process returns, unless an emission
+// hands it on, and benchmark rigs call Process directly on template frames
+// they re-send. An emission is either frame itself (or a slice of it),
+// forwarded unchanged, or a buffer the processor built — from the
+// frame-buffer pool (pkt.GetBuffer) on the packet path. Both the emitted
+// frames and the Emissions slice belong to the caller.
 type Processor interface {
 	// Process handles one frame received on port inPort.
 	Process(inPort int, frame []byte) (Result, error)
@@ -58,6 +68,9 @@ type Runtime struct {
 	name string
 	proc Processor
 	env  *execenv.Env
+	// recycle takes back a consumed input frame: pkt.PutBuffer, replaced
+	// by a recorder in tests.
+	recycle func([]byte)
 
 	ports []*netdev.Port
 
@@ -68,7 +81,7 @@ type Runtime struct {
 // NewRuntime creates a runtime with nPorts NF-side ports named
 // "<name>.<i>". The caller connects them to switch ports.
 func NewRuntime(name string, proc Processor, env *execenv.Env, nPorts int) *Runtime {
-	r := &Runtime{name: name, proc: proc, env: env}
+	r := &Runtime{name: name, proc: proc, env: env, recycle: pkt.PutBuffer}
 	for i := 0; i < nPorts; i++ {
 		r.ports = append(r.ports, netdev.NewPort(fmt.Sprintf("%s.%d", name, i)))
 	}
@@ -126,6 +139,9 @@ func (r *Runtime) Stop() {
 // Running reports whether the NF is processing traffic.
 func (r *Runtime) Running() bool { return r.running.Load() }
 
+// receive runs one delivered frame through the processor. The runtime owns
+// the frame: once the processor, the flavour charge and the sends are done
+// with it, it goes back to the pool, unless an emission handed it on.
 func (r *Runtime) receive(inPort int, f netdev.Frame) {
 	if !r.running.Load() {
 		return
@@ -134,18 +150,62 @@ func (r *Runtime) receive(inPort int, f netdev.Frame) {
 	res, err := r.proc.Process(inPort, f.Data)
 	if err != nil {
 		r.errs.Add(1)
+		r.recycle(f.Data)
 		return
 	}
 	// Charge the flavor cost once per input frame.
 	r.env.ProcessPacket(f.Data, res.CryptoBytes)
+	// A receiver may recycle what it gets, so a buffer never leaves twice:
+	// every repeat of an emitted buffer (a flood) gets its own copy. The
+	// copies are made before the first send, while the buffer is still ours.
+	handedOn := false
+	for i := range res.Emissions {
+		e := &res.Emissions[i]
+		switch {
+		case emittedBefore(res.Emissions[:i], e.Frame):
+			c := pkt.GetBuffer(len(e.Frame))
+			copy(c, e.Frame)
+			e.Frame = c
+		case r.validPort(e.Port) && sameMemory(e.Frame, f.Data):
+			handedOn = true
+		}
+	}
 	for _, e := range res.Emissions {
-		if e.Port < 0 || e.Port >= len(r.ports) {
+		if !r.validPort(e.Port) {
 			r.errs.Add(1)
 			continue
 		}
 		r.tx.Add(1)
 		_ = r.ports[e.Port].Send(netdev.Frame{Data: e.Frame, Hops: f.Hops})
 	}
+	if !handedOn {
+		r.recycle(f.Data)
+	}
+}
+
+func (r *Runtime) validPort(p int) bool { return p >= 0 && p < len(r.ports) }
+
+// emittedBefore reports whether frame shares memory with an earlier
+// emission.
+func emittedBefore(earlier []Emission, frame []byte) bool {
+	for _, e := range earlier {
+		if sameMemory(e.Frame, frame) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameMemory reports whether a and b share backing memory. It compares the
+// address ranges up to each slice's capacity, so two slices of one buffer
+// alias even when they start at different offsets.
+func sameMemory(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	pa := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+	pb := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(cap(b)) && pb < pa+uintptr(cap(a))
 }
 
 // Stats returns the runtime counters.

@@ -12,13 +12,11 @@ import (
 
 // Route is one static routing entry.
 type Route struct {
-	Prefix    string // CIDR
-	Port      int    // egress NF port
-	NextHop   pkt.MAC
-	SrcMAC    pkt.MAC
-	prefixLen int
-	base      uint32
-	mask      uint32
+	Prefix  string // CIDR
+	Port    int    // egress NF port
+	NextHop pkt.MAC
+	SrcMAC  pkt.MAC
+	net     prefix
 }
 
 // Router is a static IPv4 router NF: longest-prefix-match forwarding with
@@ -70,30 +68,16 @@ func NewRouterFromConfig(config map[string]string) (Processor, error) {
 
 // AddRoute installs a route.
 func (r *Router) AddRoute(rt Route) error {
-	slash := strings.IndexByte(rt.Prefix, '/')
-	if slash < 0 {
-		return fmt.Errorf("nf: route prefix %q not CIDR", rt.Prefix)
-	}
-	base, err := pkt.ParseAddr(rt.Prefix[:slash])
+	p, err := parsePrefix(rt.Prefix)
 	if err != nil {
 		return err
 	}
-	bits, err := strconv.Atoi(rt.Prefix[slash+1:])
-	if err != nil || bits < 0 || bits > 32 {
-		return fmt.Errorf("nf: route prefix %q has bad length", rt.Prefix)
-	}
-	rt.prefixLen = bits
-	if bits == 0 {
-		rt.mask = 0
-	} else {
-		rt.mask = ^uint32(0) << (32 - bits)
-	}
-	rt.base = base.Uint32() & rt.mask
+	rt.net = p
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.routes = append(r.routes, rt)
 	sort.SliceStable(r.routes, func(i, j int) bool {
-		return r.routes[i].prefixLen > r.routes[j].prefixLen
+		return r.routes[i].net.bits > r.routes[j].net.bits
 	})
 	return nil
 }
@@ -107,11 +91,10 @@ func (r *Router) numRoutes() int {
 
 // lookup performs longest-prefix match.
 func (r *Router) lookup(dst pkt.Addr) (Route, bool) {
-	v := dst.Uint32()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, rt := range r.routes {
-		if v&rt.mask == rt.base {
+		if rt.net.contains(dst) {
 			return rt, true
 		}
 	}
@@ -140,8 +123,9 @@ func (r *Router) Process(inPort int, frame []byte) (Result, error) {
 		return Result{}, nil // no route
 	}
 
-	// Rewrite in place on a copy: TTL-1, incremental checksum, new MACs.
-	out := make([]byte, len(frame))
+	// Rewrite in place on a pooled copy: TTL-1, incremental checksum, new
+	// MACs.
+	out := pkt.GetBuffer(len(frame))
 	copy(out, frame)
 	copy(out[0:6], rt.NextHop[:])
 	copy(out[6:12], rt.SrcMAC[:])

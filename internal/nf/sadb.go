@@ -155,61 +155,78 @@ func (sa *SA) acceptSeq(seq uint32) bool {
 // espOverhead is the per-packet byte overhead of our ESP encapsulation:
 // outer IPv4 (20) + SPI/seq (8) + explicit IV (8) + GCM tag (16), plus up to
 // 4 bytes of trailer alignment + 2 trailer bytes.
-const espOverhead = pkt.IPv4HeaderLen + pkt.ESPHeaderLen + 8 + 16 + 6
+const espOverhead = pkt.IPv4HeaderLen + pkt.ESPHeaderLen + espIVLen + 16 + 6
+
+// espIVLen is the length of the explicit IV (RFC 4106), and nonceLen the
+// length of the GCM nonce built from the SA's salt and that IV.
+const (
+	espIVLen = 8
+	nonceLen = 4 + espIVLen
+)
 
 // Encapsulate performs RFC 4303 tunnel-mode ESP encapsulation of an inner
 // IPv4 packet, returning the outer IPv4 packet (starting at the outer IPv4
 // header). Layout: outer IPv4 | SPI | seq | IV(8) | ciphertext+tag, where
 // the plaintext is inner-IP || padding || padLen || nextHeader(4 = IPIP).
+// The packet is backed by the frame-buffer pool and belongs to the caller.
 func (sa *SA) Encapsulate(innerIP []byte) ([]byte, error) {
-	seq := sa.nextSeq()
+	return sa.seal(0, innerIP), nil
+}
 
+// Decapsulate reverses Encapsulate: it takes an outer IPv4 packet carrying
+// ESP, authenticates and decrypts it, runs the anti-replay check, and
+// returns the inner IPv4 packet, backed by the frame-buffer pool.
+func (sa *SA) Decapsulate(outerIP []byte) ([]byte, error) {
+	return sa.open(0, outerIP)
+}
+
+// seal encapsulates innerIP under the SA's next sequence number into one
+// pooled frame: headroom bytes the caller fills with a link header, then
+// outer IPv4 | SPI | seq | IV | inner || RFC 4303 trailer, which is sealed
+// in place and followed by the ICV.
+func (sa *SA) seal(headroom int, innerIP []byte) []byte {
+	seq := sa.nextSeq()
 	// Trailer: pad the (inner + 2 trailer bytes) to a 4-byte boundary.
 	padLen := (4 - (len(innerIP)+2)%4) % 4
-	plain := make([]byte, len(innerIP)+padLen+2)
-	copy(plain, innerIP)
-	for i := 0; i < padLen; i++ {
-		plain[len(innerIP)+i] = byte(i + 1) // RFC 4303 monotonic pad
-	}
-	plain[len(plain)-2] = byte(padLen)
-	plain[len(plain)-1] = 4 // next header: IP-in-IP
+	plainLen := len(innerIP) + padLen + 2
+	espOff := headroom + pkt.IPv4HeaderLen
+	ivOff := espOff + pkt.ESPHeaderLen
+	ctOff := ivOff + espIVLen
+	size := ctOff + plainLen + sa.aead.Overhead()
+	out := pkt.GetBuffer(size + nonceLen)[:size]
 
-	// RFC 4106 nonce: salt || explicit IV. We use the extended sequence
-	// as IV which is unique per SA.
-	var iv [8]byte
-	binary.BigEndian.PutUint64(iv[:], uint64(seq))
-	var nonce [12]byte
-	copy(nonce[:4], sa.salt[:])
-	copy(nonce[4:], iv[:])
-
-	// AAD: SPI || sequence number.
-	var aad [8]byte
-	binary.BigEndian.PutUint32(aad[:4], sa.SPI)
-	binary.BigEndian.PutUint32(aad[4:], seq)
-
-	ct := sa.aead.Seal(nil, nonce[:], plain, aad[:])
-
-	espPayload := make([]byte, 8+len(ct))
-	copy(espPayload[:8], iv[:])
-	copy(espPayload[8:], ct)
-
-	outer := &pkt.IPv4{
+	outer := pkt.IPv4{
+		Length:   uint16(len(out) - headroom),
 		TTL:      64,
 		Protocol: pkt.IPProtocolESP,
 		SrcIP:    sa.Local,
 		DstIP:    sa.Remote,
 	}
-	esp := &pkt.ESP{SPI: sa.SPI, Seq: seq}
-	return pkt.Serialize(
-		pkt.SerializeOptions{FixLengths: true, ComputeChecksums: true},
-		outer, esp, pkt.Payload(espPayload),
-	)
+	outer.PutHeader(out[headroom:])
+	esp := pkt.ESP{SPI: sa.SPI, Seq: seq}
+	esp.PutHeader(out[espOff:])
+	// The explicit IV is the sequence number, which is unique per SA.
+	binary.BigEndian.PutUint64(out[ivOff:ctOff], uint64(seq))
+
+	plain := out[ctOff : ctOff+plainLen]
+	n := copy(plain, innerIP)
+	for i := 0; i < padLen; i++ {
+		plain[n+i] = byte(i + 1) // RFC 4303 monotonic pad
+	}
+	plain[plainLen-2] = byte(padLen)
+	plain[plainLen-1] = 4 // next header: IP-in-IP
+
+	// AAD is the SPI || sequence number already on the wire.
+	sa.aead.Seal(plain[:0], sa.nonce(out, out[ivOff:ctOff]), plain, out[espOff:ivOff])
+	return out
 }
 
-// Decapsulate reverses Encapsulate: it takes an outer IPv4 packet carrying
-// ESP, authenticates and decrypts it, runs the anti-replay check, and
-// returns the inner IPv4 packet.
-func (sa *SA) Decapsulate(outerIP []byte) ([]byte, error) {
+// open authenticates and decrypts the ESP packet outerIP into one pooled
+// frame: headroom bytes the caller fills with a link header, then the inner
+// packet. Authentication comes first, then the anti-replay check, then the
+// trailer's pad length and next header; on any failure the frame goes back
+// to the pool.
+func (sa *SA) open(headroom int, outerIP []byte) ([]byte, error) {
 	var ip pkt.IPv4
 	if err := ip.DecodeFromBytes(outerIP); err != nil {
 		return nil, fmt.Errorf("nf: esp outer: %w", err)
@@ -225,35 +242,49 @@ func (sa *SA) Decapsulate(outerIP []byte) ([]byte, error) {
 		return nil, fmt.Errorf("nf: SPI mismatch: packet %#x, SA %#x", esp.SPI, sa.SPI)
 	}
 	body := esp.LayerPayload()
-	if len(body) < 8+sa.aead.Overhead() {
+	if len(body) < espIVLen+sa.aead.Overhead() {
 		return nil, fmt.Errorf("nf: esp payload too short: %d", len(body))
 	}
-	var nonce [12]byte
-	copy(nonce[:4], sa.salt[:])
-	copy(nonce[4:], body[:8])
-	var aad [8]byte
-	binary.BigEndian.PutUint32(aad[:4], esp.SPI)
-	binary.BigEndian.PutUint32(aad[4:], esp.Seq)
-	plain, err := sa.aead.Open(nil, nonce[:], body[8:], aad[:])
+	ct := body[espIVLen:]
+	size := headroom + len(ct) - sa.aead.Overhead()
+	out := pkt.GetBuffer(size + nonceLen)[:size]
+	plain, err := sa.aead.Open(out[headroom:headroom], sa.nonce(out, body[:espIVLen]), ct, esp.LayerContents())
 	if err != nil {
+		pkt.PutBuffer(out)
 		return nil, fmt.Errorf("nf: esp authentication failed: %w", err)
 	}
 	// Authentication passed; now the sequence number is trustworthy.
 	if !sa.acceptSeq(esp.Seq) {
+		pkt.PutBuffer(out)
 		return nil, fmt.Errorf("nf: esp replay detected (seq %d)", esp.Seq)
 	}
 	if len(plain) < 2 {
+		pkt.PutBuffer(out)
 		return nil, fmt.Errorf("nf: esp plaintext too short")
 	}
 	padLen := int(plain[len(plain)-2])
-	next := plain[len(plain)-1]
-	if next != 4 {
+	if next := plain[len(plain)-1]; next != 4 {
+		pkt.PutBuffer(out)
 		return nil, fmt.Errorf("nf: esp next header %d, want 4 (IPIP)", next)
 	}
 	if padLen+2 > len(plain) {
+		pkt.PutBuffer(out)
 		return nil, fmt.Errorf("nf: esp pad length %d exceeds plaintext", padLen)
 	}
-	return plain[:len(plain)-2-padLen], nil
+	return out[:headroom+len(plain)-2-padLen], nil
+}
+
+// nonce builds the RFC 4106 nonce, salt || explicit IV, in the nonceLen
+// bytes that seal and open reserve past the end of their frame: the AEAD is
+// an interface, so a nonce on the stack would escape to the heap on every
+// packet. Seal and Open write exactly up to the frame's length (ciphertext
+// and ICV, or plaintext), never into the nonce they read; the frame keeps
+// the nonce bytes in its spare capacity after it is handed on.
+func (sa *SA) nonce(frame, iv []byte) []byte {
+	n := frame[len(frame) : len(frame)+nonceLen]
+	copy(n, sa.salt[:])
+	copy(n[len(sa.salt):], iv)
+	return n
 }
 
 // SADB is the security association database of one IPsec gateway.

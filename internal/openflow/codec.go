@@ -22,8 +22,9 @@ const Version = 0x04
 // HeaderLen is the length of the fixed message header.
 const HeaderLen = 8
 
-// MaxMessageLen bounds a single control message.
-const MaxMessageLen = 1 << 16
+// MaxMessageLen bounds a single control message: the largest total the
+// header's 16-bit length field can carry.
+const MaxMessageLen = 1<<16 - 1
 
 // MsgType enumerates control message types.
 type MsgType uint8

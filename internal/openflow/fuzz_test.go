@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 )
@@ -38,6 +39,12 @@ func FuzzReadMessage(f *testing.F) {
 	wire(TypePacketOut, EncodePacketOut(PacketOut{InPort: 1, OutPort: 2, Data: []byte{4, 5, 6}}))
 	wire(TypeFlowStatsReply, EncodeFlowStatsReply([]FlowStat{{TableID: 1, Priority: 10, Cookie: 9, Packets: 5, Bytes: 500}, {}}))
 	wire(TypeError, EncodeError(ErrCodeBadMatch, "bad match"))
+	// The largest message the length field can carry; one byte more used
+	// to wrap the field to 0 and must be refused at write time.
+	wire(TypeEchoRequest, make([]byte, MaxMessageLen-HeaderLen))
+	if err := WriteMessage(io.Discard, Message{Type: TypeEchoRequest, Body: make([]byte, MaxMessageLen-HeaderLen+1)}); err == nil {
+		f.Fatal("a 65 536-byte message was written")
+	}
 	f.Add([]byte{})
 	f.Add([]byte{Version, byte(TypeFlowMod), 0, 4, 0, 0, 0, 1}) // length below the header
 	f.Add([]byte{1, byte(TypeHello), 0, 8, 0, 0, 0, 1})         // wrong version

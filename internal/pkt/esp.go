@@ -51,7 +51,12 @@ func (e *ESP) SerializeTo(b *SerializeBuffer, _ SerializeOptions) error {
 	if err != nil {
 		return err
 	}
-	binary.BigEndian.PutUint32(bytes[0:4], e.SPI)
-	binary.BigEndian.PutUint32(bytes[4:8], e.Seq)
+	e.PutHeader(bytes)
 	return nil
+}
+
+// PutHeader writes the cleartext header into b[:ESPHeaderLen].
+func (e *ESP) PutHeader(b []byte) {
+	binary.BigEndian.PutUint32(b[0:4], e.SPI)
+	binary.BigEndian.PutUint32(b[4:8], e.Seq)
 }

@@ -118,10 +118,15 @@ func (e *Ethernet) SerializeTo(b *SerializeBuffer, _ SerializeOptions) error {
 	if err != nil {
 		return err
 	}
-	copy(bytes[0:6], e.DstMAC[:])
-	copy(bytes[6:12], e.SrcMAC[:])
-	binary.BigEndian.PutUint16(bytes[12:14], uint16(e.EthernetType))
+	e.PutHeader(bytes)
 	return nil
+}
+
+// PutHeader writes the header into b[:EthernetHeaderLen].
+func (e *Ethernet) PutHeader(b []byte) {
+	copy(b[0:6], e.DstMAC[:])
+	copy(b[6:12], e.SrcMAC[:])
+	binary.BigEndian.PutUint16(b[12:14], uint16(e.EthernetType))
 }
 
 // VLANHeaderLen is the length of an 802.1Q tag.

@@ -153,26 +153,33 @@ func (ip *IPv4) SerializeTo(b *SerializeBuffer, opts SerializeOptions) error {
 	if err != nil {
 		return err
 	}
-	bytes[0] = 4<<4 | 5 // version 4, IHL 5
-	bytes[1] = ip.TOS
-	length := ip.Length
 	if opts.FixLengths {
-		length = uint16(IPv4HeaderLen + payloadLen)
-		ip.Length = length
+		ip.Length = uint16(IPv4HeaderLen + payloadLen)
 	}
-	binary.BigEndian.PutUint16(bytes[2:4], length)
-	binary.BigEndian.PutUint16(bytes[4:6], ip.ID)
-	binary.BigEndian.PutUint16(bytes[6:8], uint16(ip.Flags)<<13|ip.FragOff&0x1fff)
-	bytes[8] = ip.TTL
-	bytes[9] = uint8(ip.Protocol)
-	binary.BigEndian.PutUint16(bytes[10:12], 0)
-	copy(bytes[12:16], ip.SrcIP[:])
-	copy(bytes[16:20], ip.DstIP[:])
-	if opts.ComputeChecksums {
-		ip.Checksum = Checksum(bytes[:IPv4HeaderLen])
-	}
-	binary.BigEndian.PutUint16(bytes[10:12], ip.Checksum)
+	ip.putHeader(bytes, opts.ComputeChecksums)
 	return nil
+}
+
+// PutHeader writes the header into b[:IPv4HeaderLen] — IHL 5, the total
+// length as ip.Length holds it — with a freshly computed checksum, which it
+// also stores in ip.Checksum.
+func (ip *IPv4) PutHeader(b []byte) { ip.putHeader(b, true) }
+
+func (ip *IPv4) putHeader(b []byte, computeChecksum bool) {
+	b[0] = 4<<4 | 5 // version 4, IHL 5
+	b[1] = ip.TOS
+	binary.BigEndian.PutUint16(b[2:4], ip.Length)
+	binary.BigEndian.PutUint16(b[4:6], ip.ID)
+	binary.BigEndian.PutUint16(b[6:8], uint16(ip.Flags)<<13|ip.FragOff&0x1fff)
+	b[8] = ip.TTL
+	b[9] = uint8(ip.Protocol)
+	binary.BigEndian.PutUint16(b[10:12], 0)
+	copy(b[12:16], ip.SrcIP[:])
+	copy(b[16:20], ip.DstIP[:])
+	if computeChecksum {
+		ip.Checksum = Checksum(b[:IPv4HeaderLen])
+	}
+	binary.BigEndian.PutUint16(b[10:12], ip.Checksum)
 }
 
 // pseudoHeaderChecksum computes the partial checksum over the IPv4

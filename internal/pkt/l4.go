@@ -67,26 +67,37 @@ func (u *UDP) NextLayerType() LayerType { return LayerTypePayload }
 // SerializeTo implements SerializableLayer.
 func (u *UDP) SerializeTo(b *SerializeBuffer, opts SerializeOptions) error {
 	payloadLen := len(b.Bytes())
-	bytes, err := b.PrependBytes(UDPHeaderLen)
-	if err != nil {
+	if _, err := b.PrependBytes(UDPHeaderLen); err != nil {
 		return err
 	}
-	binary.BigEndian.PutUint16(bytes[0:2], u.SrcPort)
-	binary.BigEndian.PutUint16(bytes[2:4], u.DstPort)
 	if opts.FixLengths {
 		u.Length = uint16(UDPHeaderLen + payloadLen)
 	}
-	binary.BigEndian.PutUint16(bytes[4:6], u.Length)
-	binary.BigEndian.PutUint16(bytes[6:8], 0)
+	var ip *IPv4
 	if opts.ComputeChecksums {
 		if u.ipv4 == nil {
 			return fmt.Errorf("pkt: udp checksum requested without network layer")
 		}
-		all := b.Bytes() // udp header + payload
-		u.Checksum = tcpipChecksum(all, u.ipv4.pseudoHeaderChecksum(IPProtocolUDP, uint16(len(all))))
+		ip = u.ipv4
 	}
-	binary.BigEndian.PutUint16(bytes[6:8], u.Checksum)
+	u.PutHeader(b.Bytes(), ip)
 	return nil
+}
+
+// PutHeader writes the header into seg[:UDPHeaderLen], where seg is the
+// whole datagram with its payload already in place, and u.Length as set.
+// With a non-nil ip the checksum is computed over seg under ip's
+// pseudo-header and stored in u.Checksum; with nil, u.Checksum is written as
+// it is.
+func (u *UDP) PutHeader(seg []byte, ip *IPv4) {
+	binary.BigEndian.PutUint16(seg[0:2], u.SrcPort)
+	binary.BigEndian.PutUint16(seg[2:4], u.DstPort)
+	binary.BigEndian.PutUint16(seg[4:6], u.Length)
+	binary.BigEndian.PutUint16(seg[6:8], 0)
+	if ip != nil {
+		u.Checksum = tcpipChecksum(seg, ip.pseudoHeaderChecksum(IPProtocolUDP, uint16(len(seg))))
+	}
+	binary.BigEndian.PutUint16(seg[6:8], u.Checksum)
 }
 
 // TCPHeaderLen is the length of a TCP header without options.
@@ -165,28 +176,39 @@ func (t *TCP) NextLayerType() LayerType { return LayerTypePayload }
 
 // SerializeTo implements SerializableLayer.
 func (t *TCP) SerializeTo(b *SerializeBuffer, opts SerializeOptions) error {
-	bytes, err := b.PrependBytes(TCPHeaderLen)
-	if err != nil {
+	if _, err := b.PrependBytes(TCPHeaderLen); err != nil {
 		return err
 	}
-	binary.BigEndian.PutUint16(bytes[0:2], t.SrcPort)
-	binary.BigEndian.PutUint16(bytes[2:4], t.DstPort)
-	binary.BigEndian.PutUint32(bytes[4:8], t.Seq)
-	binary.BigEndian.PutUint32(bytes[8:12], t.Ack)
-	bytes[12] = 5 << 4
-	bytes[13] = t.Flags
-	binary.BigEndian.PutUint16(bytes[14:16], t.Window)
-	binary.BigEndian.PutUint16(bytes[16:18], 0)
-	binary.BigEndian.PutUint16(bytes[18:20], t.Urgent)
+	var ip *IPv4
 	if opts.ComputeChecksums {
 		if t.ipv4 == nil {
 			return fmt.Errorf("pkt: tcp checksum requested without network layer")
 		}
-		all := b.Bytes()
-		t.Checksum = tcpipChecksum(all, t.ipv4.pseudoHeaderChecksum(IPProtocolTCP, uint16(len(all))))
+		ip = t.ipv4
 	}
-	binary.BigEndian.PutUint16(bytes[16:18], t.Checksum)
+	t.PutHeader(b.Bytes(), ip)
 	return nil
+}
+
+// PutHeader writes the header (data offset 5, no options) into
+// seg[:TCPHeaderLen], where seg is the whole segment with its payload
+// already in place. With a non-nil ip the checksum is computed over seg
+// under ip's pseudo-header and stored in t.Checksum; with nil, t.Checksum is
+// written as it is.
+func (t *TCP) PutHeader(seg []byte, ip *IPv4) {
+	binary.BigEndian.PutUint16(seg[0:2], t.SrcPort)
+	binary.BigEndian.PutUint16(seg[2:4], t.DstPort)
+	binary.BigEndian.PutUint32(seg[4:8], t.Seq)
+	binary.BigEndian.PutUint32(seg[8:12], t.Ack)
+	seg[12] = 5 << 4
+	seg[13] = t.Flags
+	binary.BigEndian.PutUint16(seg[14:16], t.Window)
+	binary.BigEndian.PutUint16(seg[16:18], 0)
+	binary.BigEndian.PutUint16(seg[18:20], t.Urgent)
+	if ip != nil {
+		t.Checksum = tcpipChecksum(seg, ip.pseudoHeaderChecksum(IPProtocolTCP, uint16(len(seg))))
+	}
+	binary.BigEndian.PutUint16(seg[16:18], t.Checksum)
 }
 
 // ICMPHeaderLen is the length of the fixed ICMP header.
