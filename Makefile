@@ -13,7 +13,7 @@ GO ?= go
 COVERAGE_BASELINE ?= 75.0
 
 .PHONY: ci lint fmt vet staticcheck govulncheck build test race coverage \
-	bench bench-selftest profile chaos examples-smoke clean
+	bench bench-selftest profile chaos fuzz examples-smoke clean
 
 # The nfbench line is the paper-fidelity smoke of CI's bench job.
 ci: lint build race coverage bench-selftest chaos examples-smoke
@@ -100,6 +100,17 @@ profile:
 chaos:
 	$(GO) test -race ./internal/chaos/
 	$(GO) run ./cmd/chaos -out chaos-report.json
+
+# Fuzzes every byte boundary for 30 s each, one target at a time (go test
+# -fuzz takes one target per package run). The seeds of these targets also
+# run under plain `go test`; a failing input lands in the package's
+# testdata/fuzz/ directory, which the nightly job uploads.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime 30s ./internal/vswitch
+	$(GO) test -run '^$$' -fuzz '^FuzzIPsecDecap$$' -fuzztime 30s ./internal/nf
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 30s ./internal/openflow
+	$(GO) test -run '^$$' -fuzz '^FuzzNewPacket$$' -fuzztime 30s ./internal/pkt
+	$(GO) test -run '^$$' -fuzz '^FuzzGraphJSON$$' -fuzztime 30s ./internal/nffg
 
 examples-smoke:
 	@for d in examples/*/; do \

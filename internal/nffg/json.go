@@ -1,8 +1,10 @@
 package nffg
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // Wire types mirroring the un-orchestrator's NF-FG JSON schema. The exported
@@ -164,11 +166,20 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jsonRoot{ForwardingGraph: jg})
 }
 
-// UnmarshalJSON parses the un-orchestrator schema.
+// UnmarshalJSON parses the un-orchestrator schema, strictly: a field the
+// schema does not know is an error, not silently dropped, so a misspelled
+// "redundency" or an "anti-affinity" fails instead of deploying a graph
+// without the protection it asked for. Every entry point (both REST tiers,
+// nffgctl, the replicated deployment record) decodes through here.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var root jsonRoot
-	if err := json.Unmarshal(data, &root); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&root); err != nil {
 		return fmt.Errorf("nffg: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("nffg: trailing data after the graph")
 	}
 	jg := root.ForwardingGraph
 	*g = Graph{ID: jg.ID, Name: jg.Name}

@@ -79,32 +79,33 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// literalGraphJSON is a literal document in the un-orchestrator shape.
+const literalGraphJSON = `{
+  "forwarding-graph": {
+    "id": "g7",
+    "name": "firewall chain",
+    "VNFs": [
+      {"id": "fw", "name": "firewall", "ports": [{"id": "0"}, {"id": "1"}]}
+    ],
+    "end-points": [
+      {"id": "in",  "type": "interface", "interface": {"if-name": "eth0"}},
+      {"id": "out", "type": "vlan", "vlan": {"vlan-id": 42, "if-name": "eth1"}},
+      {"id": "next", "type": "internal", "internal": {"internal-group": "gA"}}
+    ],
+    "big-switch": {"flow-rules": [
+      {"id": "r1", "priority": 100,
+       "match": {"port_in": "endpoint:in", "ether_type": "0x0800", "dest_port": 80},
+       "actions": [{"output_to_port": "vnf:fw:0"}]},
+      {"id": "r2", "priority": 1,
+       "match": {"port_in": "vnf:fw:1"},
+       "actions": [{"push_vlan": 42}, {"output_to_port": "endpoint:out"}]}
+    ]}
+  }
+}`
+
 func TestJSONUnmarshalLiteral(t *testing.T) {
-	// A literal document in the un-orchestrator shape.
-	doc := `{
-	  "forwarding-graph": {
-	    "id": "g7",
-	    "name": "firewall chain",
-	    "VNFs": [
-	      {"id": "fw", "name": "firewall", "ports": [{"id": "0"}, {"id": "1"}]}
-	    ],
-	    "end-points": [
-	      {"id": "in",  "type": "interface", "interface": {"if-name": "eth0"}},
-	      {"id": "out", "type": "vlan", "vlan": {"vlan-id": 42, "if-name": "eth1"}},
-	      {"id": "next", "type": "internal", "internal": {"internal-group": "gA"}}
-	    ],
-	    "big-switch": {"flow-rules": [
-	      {"id": "r1", "priority": 100,
-	       "match": {"port_in": "endpoint:in", "ether_type": "0x0800", "dest_port": 80},
-	       "actions": [{"output_to_port": "vnf:fw:0"}]},
-	      {"id": "r2", "priority": 1,
-	       "match": {"port_in": "vnf:fw:1"},
-	       "actions": [{"push_vlan": 42}, {"output_to_port": "endpoint:out"}]}
-	    ]}
-	  }
-	}`
 	var g Graph
-	if err := json.Unmarshal([]byte(doc), &g); err != nil {
+	if err := json.Unmarshal([]byte(literalGraphJSON), &g); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Validate(); err != nil {
@@ -124,6 +125,32 @@ func TestJSONUnmarshalLiteral(t *testing.T) {
 	}
 	if g.Endpoints[2].InternalGroup != "gA" {
 		t.Errorf("internal endpoint = %+v", g.Endpoints[2])
+	}
+}
+
+// TestJSONRejectsUnknownFields: decoding is strict, so a field the schema
+// does not know, at any depth, fails naming the field, as does anything
+// after the graph.
+func TestJSONRejectsUnknownFields(t *testing.T) {
+	for field, doc := range map[string]string{
+		"redundency": strings.Replace(literalGraphJSON, `"name": "firewall",`,
+			`"name": "firewall", "redundency": "active-standby",`, 1),
+		"anti-affinity": strings.Replace(literalGraphJSON, `"name": "firewall",`,
+			`"name": "firewall", "anti-affinity": "g",`, 1),
+		"big_switch": strings.Replace(literalGraphJSON, `"id": "g7",`, `"id": "g7", "big_switch": {},`, 1),
+		"dst_port":   strings.Replace(literalGraphJSON, `"dest_port": 80`, `"dst_port": 80`, 1),
+		"trailing":   literalGraphJSON + `{}`,
+	} {
+		var g Graph
+		err := json.Unmarshal([]byte(doc), &g)
+		if field == "trailing" {
+			// encoding/json itself rejects a second value; the decoder must
+			// too when it is handed the graph's bytes directly.
+			err = g.UnmarshalJSON([]byte(doc))
+		}
+		if err == nil || (field != "trailing" && !strings.Contains(err.Error(), `unknown field "`+field+`"`)) {
+			t.Errorf("%s: err = %v, want a rejection naming it", field, err)
+		}
 	}
 }
 

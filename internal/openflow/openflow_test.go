@@ -195,6 +195,13 @@ func TestFlowModInvalidatesCache(t *testing.T) {
 	_ = sw.AddPort(2, swB)
 	ctrl := pair(t, sw)
 
+	// A switch only caches tables of 16 entries or more (vswitch's
+	// cacheMinEntries): pad with entries for an in-port nothing arrives on.
+	for i := 0; i < 16; i++ {
+		if err := ctrl.InstallFlow(0, 1, 2, vswitch.MatchAll().WithInPort(999), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	err := ctrl.InstallFlow(0, 10, 1, vswitch.MatchAll().WithInPort(1),
 		[]vswitch.Action{vswitch.Output(2)})
 	if err != nil {

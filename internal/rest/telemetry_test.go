@@ -71,7 +71,15 @@ func getBody(t *testing.T, url string) (string, *http.Response) {
 // counters.
 func TestNodeMetricsEndpoint(t *testing.T) {
 	node, srv := newServer(t)
-	if resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON); resp.StatusCode != http.StatusCreated {
+	// An LSI caches only from 16 flow entries (vswitch's cacheMinEntries);
+	// the graph's two interface endpoints give LSI-0 four. Eight VLAN
+	// endpoints that no rule uses add two never-matching entries each.
+	var pads strings.Builder
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&pads, `{"id": "pad%d", "type": "vlan", "vlan": {"vlan-id": %d, "if-name": "eth1"}},`, i, 100+i)
+	}
+	graph := strings.Replace(ipsecGraphJSON, `"end-points": [`, `"end-points": [`+pads.String(), 1)
+	if resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", graph); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("deploy: HTTP %d", resp.StatusCode)
 	}
 	lan, _ := node.InterfacePort("eth0")

@@ -3,9 +3,11 @@ package rest_test
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/global"
 	"repro/internal/rest"
 )
 
@@ -94,6 +96,39 @@ func TestErrorEnvelopeListsAllViolations(t *testing.T) {
 	joined := strings.Join(env.Error.Detail, "\n")
 	if !strings.Contains(joined, "ghost1") || !strings.Contains(joined, "ghost2") {
 		t.Errorf("detail misses a violation: %v", env.Error.Detail)
+	}
+}
+
+// TestUnknownGraphFieldIsRejected: both tiers decode NF-FGs strictly, so a
+// misspelled protection field is a 400 naming the field, not a graph
+// deployed without the protection it asked for.
+func TestUnknownGraphFieldIsRejected(t *testing.T) {
+	node, nodeSrv := newServer(t)
+	gOrch := global.New(global.Config{})
+	globalSrv := httptest.NewServer(rest.NewGlobal(gOrch, nil))
+	t.Cleanup(globalSrv.Close)
+	for name, value := range map[string]string{"redundency": `"active-standby"`, "anti-affinity": `"vpn"`} {
+		bad := strings.Replace(ipsecGraphJSON, `"technology-preference": "native",`,
+			`"technology-preference": "native", "`+name+`": `+value+`,`, 1)
+		for tier, url := range map[string]string{"node": nodeSrv.URL, "global": globalSrv.URL} {
+			resp := doPut(t, url+"/v1/graphs/cpe-vpn", bad)
+			var env rest.ErrorEnvelope
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" ||
+				!strings.Contains(env.Error.Message, `unknown field "`+name+`"`) {
+				t.Errorf("%s tier, %s: status %d, envelope %+v; want 400 naming the field",
+					tier, name, resp.StatusCode, env)
+			}
+		}
+	}
+	if ids := node.GraphIDs(); len(ids) != 0 {
+		t.Errorf("graphs %v deployed from a rejected request", ids)
+	}
+	if ids := gOrch.GraphIDs(); len(ids) != 0 {
+		t.Errorf("global graphs %v deployed from a rejected request", ids)
 	}
 }
 

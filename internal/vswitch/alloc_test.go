@@ -13,27 +13,49 @@ import (
 )
 
 // TestHitPathZeroAllocs is the hard gate on the datapath's hot path: a frame
-// whose verdict is cached is forwarded without one heap allocation, whether
-// it arrives alone or in a burst, and whether the lane runs inline or behind
-// worker rings. "hit" is one microflow sent frame by frame; the rest spread
-// 64 microflows over {workers}x{burst}. AllocsPerRun counts the mallocs of
-// the whole process, so the worker goroutines are covered, and each run waits
-// for the rings to drain before it ends.
+// is forwarded without one heap allocation, whether its verdict is cached or
+// its tables are walked, whether it arrives alone or in a burst, and whether
+// the lane runs inline or behind worker rings. "hit" is one microflow sent
+// frame by frame; {workers}x{burst} spread 64 microflows over a cache-worthy
+// table; "walk/…" send them through a table below cacheMinEntries; "flood"
+// floods them to two ports. AllocsPerRun counts the mallocs of the whole
+// process, so the worker goroutines are covered, and each run waits for the
+// rings to drain before it ends.
 func TestHitPathZeroAllocs(t *testing.T) {
 	type gate struct {
 		name                  string
 		workers, burst, flows int
+		walk, flood           bool
 	}
-	gates := []gate{{"hit", 0, 1, 1}}
+	gates := []gate{{name: "hit", burst: 1, flows: 1}}
 	for _, workers := range laneModes {
 		for _, burst := range []int{1, 8, 32} {
-			gates = append(gates, gate{fmt.Sprintf("%dx%d", workers, burst), workers, burst, 64})
+			gates = append(gates, gate{name: fmt.Sprintf("%dx%d", workers, burst), workers: workers, burst: burst, flows: 64})
 		}
 	}
+	for _, workers := range laneModes {
+		gates = append(gates, gate{name: fmt.Sprintf("walk/%dx32", workers), workers: workers, burst: 32, flows: 64, walk: true})
+	}
+	gates = append(gates, gate{name: "flood", burst: 8, flows: 64, walk: true, flood: true})
 	for _, g := range gates {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
-			sw, in, frames := hitRig(t, g.workers, g.flows)
+			var sw *Switch
+			var in *netdev.Port
+			var frames [][]byte
+			if g.walk {
+				sw, in = forwardRig(t, g.workers, false)
+				t.Cleanup(sw.Close)
+				frames = benchFrames(t, g.flows, 20000)
+				if g.flood {
+					addSink(t, sw, 3)
+					if _, err := sw.SwapFlows(0, []*FlowEntry{{Match: MatchAll(), Actions: []Action{Flood()}}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				sw, in, frames = hitRig(t, g.workers, g.flows)
+			}
 			burst := make([]netdev.Frame, g.burst)
 			sent := sw.PacketsProcessed() + sw.Drops()
 			allocs := testing.AllocsPerRun(200, func() {
@@ -42,10 +64,22 @@ func TestHitPathZeroAllocs(t *testing.T) {
 				drain(sw, sent)
 			})
 			if allocs != 0 {
-				t.Errorf("%.0f allocs per burst of %d cached frames, want 0", allocs, g.burst)
+				t.Errorf("%.0f allocs per burst of %d frames, want 0", allocs, g.burst)
 			}
-			if cs := sw.CacheStats(); cs.Misses > uint64(g.flows) {
+			cs := sw.CacheStats()
+			if cached := sw.tables.Load().cached; cached == g.walk {
+				t.Fatalf("tables cached=%v, but the gate measures walk=%v", cached, g.walk)
+			}
+			switch {
+			case g.walk && (cs.Entries != 0 || cs.Hits != 0):
+				t.Errorf("cache stats %+v: a walked switch must hold and serve no verdict", cs)
+			case !g.walk && (cs.Hits == 0 || cs.Misses > uint64(g.flows)):
 				t.Errorf("cache stats %+v: the gate measured misses, not the hit path", cs)
+			}
+			if g.flood {
+				if tx := sw.Port(3).Stats().TxPackets; tx < 200*uint64(g.burst) {
+					t.Errorf("port 3 transmitted %d frames, want every flooded frame", tx)
+				}
 			}
 		})
 	}

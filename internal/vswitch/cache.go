@@ -28,8 +28,32 @@ import (
 // decision and the partition choice are hash%N with the same hash, so a
 // given microflow's verdict is only ever read and written by the core that
 // forwards the flow and its cache lines never bounce between cores.
+//
+// A cache only pays where its hits save more than its misses cost, and a
+// miss costs a probe, a verdict record and an allocation on top of the walk.
+// On a table of a few rules — a service-chain LSI — a hit saves little, so
+// each published table snapshot records whether it is big enough to cache
+// (tableSet.cached, total entries >= cacheMinEntries), and a lane bursting
+// over a smaller one walks it: no probe, no key hash, no verdict. The
+// partitions' slot arrays are allocated when the first cache-worthy
+// snapshot is published, so a switch that never gets one never holds them.
 
 const (
+	// cacheMinEntries is the total flow-entry count from which a switch
+	// caches. BenchmarkCacheCrossover, median ns per frame of 5 runs over N
+	// L4 rules with the matching entry last (2-vCPU Intel Xeon VM):
+	//
+	//	rules            4     8    16    32    64   128   256
+	//	hit             82    81    81    82    82    82    82
+	//	miss           199   222   313   479   842  1468  2711
+	//	walk           104   141   220   355   652  1250  2444
+	//	break-even h  0.81  0.57  0.40  0.31  0.25  0.16  0.10
+	//
+	// A hit beats the walk at every N, but a cache pays only if its hits
+	// save more than its misses cost: at hit ratio h when
+	// h·(walk−hit) > (1−h)·(miss−walk). The switch cannot see h, so it
+	// caches from the first N whose break-even ratio is below one half.
+	cacheMinEntries = 16
 	// cacheSlots is the slot count of one partition (a power of two). Like
 	// the OVS exact-match cache, a colliding insert simply evicts the
 	// previous occupant — losing an entry only costs a slow-path walk — so
@@ -79,17 +103,27 @@ type microflowCache struct {
 }
 
 // newMicroflowCache builds the cache with one partition per lane that can
-// own flows: one for an inline switch, one per worker for a pool.
+// own flows: one for an inline switch, one per worker for a pool. The slot
+// arrays come later, from allocSlots.
 func newMicroflowCache(nParts int) *microflowCache {
 	c := &microflowCache{
 		seed:  maphash.Comparable(maphash.MakeSeed(), uint64(0)),
 		parts: make([]cachePart, nParts),
 	}
-	for i := range c.parts {
-		c.parts[i].slots = make([]atomic.Pointer[cacheVerdict], cacheSlots)
-	}
 	c.enabled.Store(true)
 	return c
+}
+
+// allocSlots gives every partition its slot array, once. The caller holds
+// the switch's mu and publishes a cache-worthy table snapshot afterwards:
+// a lane only touches the slots after loading such a snapshot, so that
+// atomic store is what makes them visible.
+func (c *microflowCache) allocSlots() {
+	for i := range c.parts {
+		if c.parts[i].slots == nil {
+			c.parts[i].slots = make([]atomic.Pointer[cacheVerdict], cacheSlots)
+		}
+	}
 }
 
 // part picks the partition from the hash's low bits — the same bits RSS
@@ -150,9 +184,12 @@ type CacheStats struct {
 	// Hits counts packets fully served by a cached verdict.
 	Hits uint64
 	// Misses counts packets that took the slow path (counted only while
-	// the cache is enabled).
+	// the cache is enabled), including every packet that walked tables too
+	// small to cache (cacheMinEntries): Hits+Misses is one per switch
+	// crossing of a well-formed frame.
 	Misses uint64
-	// Entries is the number of resident verdicts, valid or stale.
+	// Entries is the number of resident verdicts, valid or stale; 0 on a
+	// switch whose tables never reached cacheMinEntries.
 	Entries int
 	// Generation is the current invalidation generation.
 	Generation uint64

@@ -1,6 +1,7 @@
 package vswitch
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/netdev"
@@ -11,8 +12,26 @@ func cacheStats(t *testing.T, sw *Switch) CacheStats {
 	return sw.CacheStats()
 }
 
+// padCookie tags the entries padToCache installs.
+const padCookie = 0xbad
+
+// padToCache installs cacheMinEntries entries that no test frame matches
+// (they name an ingress port no rig attaches), so that whatever else the
+// switch holds, its tables are big enough to cache.
+func padToCache(tb testing.TB, sw *Switch) {
+	tb.Helper()
+	pads := make([]*FlowEntry, cacheMinEntries)
+	for i := range pads {
+		pads[i] = &FlowEntry{Cookie: padCookie, Match: MatchAll().WithInPort(999)}
+	}
+	if _, err := sw.SwapFlows(padCookie, pads); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func TestCacheHitMissCounters(t *testing.T) {
 	sw := New("lsi", 1)
+	padToCache(t, sw)
 	hosts := rig(t, sw, 2)
 	mustAdd(t, sw, &FlowEntry{Match: MatchAll().WithInPort(1), Actions: []Action{Output(2)}})
 	data := frame(t, 0, 80)
@@ -41,6 +60,7 @@ func TestCacheHitMissCounters(t *testing.T) {
 
 func TestCacheDistinctMicroflows(t *testing.T) {
 	sw := New("lsi", 1)
+	padToCache(t, sw)
 	hosts := rig(t, sw, 2)
 	mustAdd(t, sw, &FlowEntry{Match: MatchAll(), Actions: []Action{Output(2)}})
 	// Two different destination ports = two microflows = two slow paths.
@@ -142,6 +162,7 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestCachedMissVerdictStillPuntsAndCounts(t *testing.T) {
 	sw := New("lsi", 1)
+	padToCache(t, sw)
 	hosts := rig(t, sw, 1)
 	var events int
 	sw.SetPacketInHandler(func(PacketIn) { events++ })
@@ -191,6 +212,7 @@ func TestCacheMultiTableReplay(t *testing.T) {
 	// A cached verdict spanning GotoTable + SetMetadata + PushVLAN must
 	// replay identically to the slow path.
 	sw := New("lsi", 1)
+	padToCache(t, sw)
 	hosts := rig(t, sw, 2)
 	mustAdd(t, sw, &FlowEntry{Table: 0, Match: MatchAll().WithInPort(1),
 		Actions: []Action{SetMetadata(0x5, 0xff), GotoTable(1)}})
@@ -215,5 +237,73 @@ func TestCacheMultiTableReplay(t *testing.T) {
 	}
 	if cs := cacheStats(t, sw); cs.Hits != 1 {
 		t.Errorf("hits = %d, want 1", cs.Hits)
+	}
+}
+
+// TestWalkedSwitchCountsMissesAndCachesNothing pins what the counters mean
+// on a switch below cacheMinEntries: every frame walks the tables and counts
+// as a cache miss, nothing is cached, and the flow entries still count.
+func TestWalkedSwitchCountsMissesAndCachesNothing(t *testing.T) {
+	sw := New("lsi", 1)
+	hosts := rig(t, sw, 2)
+	e := &FlowEntry{Match: MatchAll().WithInPort(1), Actions: []Action{Output(2)}}
+	mustAdd(t, sw, e)
+	data := frame(t, 0, 80)
+	for i := 0; i < 5; i++ {
+		_ = hosts[0].Send(netdev.Frame{Data: data})
+		if _, ok := hosts[1].TryRecv(); !ok {
+			t.Fatalf("frame %d not forwarded", i)
+		}
+	}
+	cs := cacheStats(t, sw)
+	if cs.Hits != 0 || cs.Misses != 5 || cs.Entries != 0 || !cs.Enabled {
+		t.Errorf("cache stats %+v, want 0 hits / 5 misses / 0 entries, enabled", cs)
+	}
+	if p, _ := e.Stats(); p != 5 {
+		t.Errorf("entry packets = %d, want 5", p)
+	}
+	// Crossing the threshold turns the cache on for the next frames.
+	padToCache(t, sw)
+	for i := 0; i < 2; i++ {
+		_ = hosts[0].Send(netdev.Frame{Data: data})
+	}
+	if cs := cacheStats(t, sw); cs.Hits != 1 || cs.Misses != 6 || cs.Entries != 1 {
+		t.Errorf("after padding: cache stats %+v, want 1 hit / 6 misses / 1 entry", cs)
+	}
+}
+
+// TestSlotArraysOnlyForCacheWorthyTables checks that the 64 KB slot array of
+// each partition exists only once the switch has published tables big enough
+// to cache: a service-chain LSI that never gets there never holds one.
+func TestSlotArraysOnlyForCacheWorthyTables(t *testing.T) {
+	for _, workers := range laneModes {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			sw := NewOptions("lsi", 1, Options{Workers: workers})
+			t.Cleanup(sw.Close)
+			slots := func() (n int) {
+				for i := range sw.cache.parts {
+					if sw.cache.parts[i].slots != nil {
+						n++
+					}
+				}
+				return n
+			}
+			entries := make([]*FlowEntry, cacheMinEntries-1)
+			for i := range entries {
+				entries[i] = &FlowEntry{Cookie: 1, Match: MatchAll().WithInPort(uint32(i + 1))}
+			}
+			if _, err := sw.SwapFlows(1, entries); err != nil {
+				t.Fatal(err)
+			}
+			sw.DeleteFlows(1)
+			mustAdd(t, sw, &FlowEntry{Match: MatchAll()})
+			if n := slots(); n != 0 {
+				t.Fatalf("%d partitions hold slot arrays below cacheMinEntries", n)
+			}
+			padToCache(t, sw)
+			if n, want := slots(), max(workers, 1); n != want {
+				t.Fatalf("%d partitions hold slot arrays after crossing cacheMinEntries, want %d", n, want)
+			}
+		})
 	}
 }

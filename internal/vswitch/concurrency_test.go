@@ -15,6 +15,7 @@ import (
 // every probe must follow the baseline path.
 func TestConcurrentProcessAndFlowMods(t *testing.T) {
 	sw := New("lsi", 1)
+	padToCache(t, sw)
 	in, swIn := netdev.Veth("in", "sw-in")
 	if err := sw.AddPort(1, swIn); err != nil {
 		t.Fatal(err)

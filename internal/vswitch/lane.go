@@ -1,7 +1,6 @@
 package vswitch
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,7 +12,8 @@ import (
 // The lane is the datapath: the only way a received or injected frame
 // reaches the flow tables. A lane executes one burst at a time — begin loads
 // the cache state once, forward runs each frame through the microflow cache
-// or the tables while flow-entry hit stats and egress frames accumulate,
+// (tables of cacheMinEntries entries or more) or walks the tables while
+// flow-entry hit stats and egress frames accumulate,
 // end transmits one SendBatch per egress port and only then does the
 // bookkeeping: flushes the stats, publishes the counters and samples the
 // latency histogram.
@@ -58,12 +58,14 @@ type lane struct {
 	v  *cacheVerdict
 	tx txCoalescer
 
-	// Cache state of the running burst, loaded once in begin. Each verdict
-	// is recorded under the generation it was read with, so a flow-mod
-	// mid-burst widens the staleness window to at most one burst and can
-	// never publish a stale verdict past it.
-	gen     uint64
-	cacheOn bool
+	// Cache state of the running burst, loaded once in begin. cacheOn: the
+	// cache is enabled, so every frame counts as a hit or a miss. cached:
+	// it is enabled and the tables are big enough to cache, so frames probe
+	// and record. Each verdict is recorded under the generation it was read
+	// with, so a flow-mod mid-burst widens the staleness window to at most
+	// one burst and can never publish a stale verdict past it.
+	gen             uint64
+	cacheOn, cached bool
 
 	// Burst-local counts, published in end — after the egress flush, so a
 	// reader of PacketsProcessed or CacheStats never sees a frame counted
@@ -117,8 +119,9 @@ func (s *Switch) releaseLane(l *lane) {
 }
 
 // runInline executes a received burst on the caller: parse into the lane's
-// key, forward, next. Bursts larger than workerBurst run in workerBurst-sized
-// chunks, which bounds what the egress batches grow to.
+// key, hash it if the burst probes the cache, forward, next. Bursts larger
+// than workerBurst run in workerBurst-sized chunks, which bounds what the
+// egress batches grow to.
 func (s *Switch) runInline(inPort uint32, fs []netdev.Frame) {
 	l := s.claimLane()
 	seed := s.cache.seed
@@ -132,7 +135,11 @@ func (s *Switch) runInline(inPort uint32, fs []netdev.Frame) {
 				malformed++
 				continue
 			}
-			l.forward(s, inPort, chunk[i].Data, l.key.hash(seed), chunk[i].Hops)
+			var hash uint64
+			if l.cached {
+				hash = l.key.hash(seed)
+			}
+			l.forward(s, inPort, chunk[i].Data, hash, chunk[i].Hops)
 		}
 		l.end(s)
 		s.countMalformed(malformed)
@@ -173,11 +180,13 @@ func (l *lane) runItems(s *Switch, items []workerItem) {
 // begin opens a burst of up to n frames.
 func (l *lane) begin(s *Switch, n int) {
 	l.cacheOn = s.cache.enabled.Load()
+	l.cached = false
 	if l.cacheOn {
 		// Read the generation before the tables: a concurrent flow-mod swaps
 		// the snapshot first and bumps the generation second, so a verdict
 		// recorded under an old generation can never describe new tables.
 		l.gen = s.cache.gen.Load()
+		l.cached = s.tables.Load().cached
 	}
 	before := l.seen
 	l.seen += uint64(n)
@@ -189,13 +198,15 @@ func (l *lane) begin(s *Switch, n int) {
 
 // forward is the pipeline body for one frame whose parsed key is in l.key
 // and whose hash picked the cache partition (and, behind rings, the worker,
-// so a flow's verdict stays core-local): a microflow-cache hit replays the
-// memoized verdict; anything else walks the tables and, if the cache is
-// enabled, records the traversal for the next packet.
+// so a flow's verdict stays core-local; the hash is unset when the burst
+// does not probe): a microflow-cache hit replays the memoized verdict;
+// anything else walks the tables and, over cache-worthy tables, records the
+// traversal for the next packet. Every walk is a miss.
 func (l *lane) forward(s *Switch, inPort uint32, data []byte, hash uint64, hops int) {
 	l.frames++
 	l.ctx = actionContext{data: data, key: &l.key, gotoTable: -1, ctrs: l.ctrs, tx: &l.tx, hops: hops}
-	if !l.cacheOn {
+	if !l.cached {
+		l.misses++
 		s.runPipeline(l, inPort, false)
 		return
 	}
@@ -216,20 +227,21 @@ func (l *lane) forward(s *Switch, inPort uint32, data []byte, hash uint64, hops 
 }
 
 // end closes the burst: egress first, then the bookkeeping — entry stats,
-// the spare verdict, the published counters.
+// the spare verdict, the published counters (hits and misses only while the
+// cache is enabled).
 func (l *lane) end(s *Switch) {
 	l.tx.flush()
 	l.flushEntryStats()
 	if l.frames == 0 {
 		return
 	}
-	if l.v == nil && l.cacheOn {
+	if l.v == nil && l.cached {
 		l.v = new(cacheVerdict)
 	}
 	if l.hits != 0 {
 		l.ctrs.cacheHits.Add(l.hits)
 	}
-	if l.misses != 0 {
+	if l.misses != 0 && l.cacheOn {
 		l.ctrs.cacheMisses.Add(l.misses)
 	}
 	// The frame count goes last: whoever reads it (completion loops do)
@@ -387,17 +399,12 @@ func (s *Switch) output(num uint32, ctx *actionContext) {
 	ctx.tx.add(num, p, ctx.data, ctx.hops)
 }
 
-// flood transmits the frame on every port except the ingress.
+// flood transmits the frame on every port except the ingress, in port
+// number order.
 func (s *Switch) flood(inPort uint32, ctx *actionContext) {
-	ports := s.ports.Load().ports
-	nums := make([]uint32, 0, len(ports))
-	for n := range ports {
+	for _, n := range s.ports.Load().sorted {
 		if n != inPort {
-			nums = append(nums, n)
+			s.output(n, ctx)
 		}
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	for _, n := range nums {
-		s.output(n, ctx)
 	}
 }

@@ -41,8 +41,10 @@ func unstamp(data []byte) (flow uint16, seq uint32) {
 // runLaneTraffic drives one fixed, seeded mix of single sends and bursts
 // through a multi-table rule set that exercises goto, set-field, metadata,
 // VLAN push/pop, flood, a deep miss, a table-0 miss (both punted) and
-// malformed frames, on a switch with the given worker count.
-func runLaneTraffic(t *testing.T, workers int) laneRun {
+// malformed frames, on a switch with the given worker count. The rule set is
+// below cacheMinEntries, so the switch walks it; with cached set it is padded
+// above (padToCache) and the same traffic runs through the microflow cache.
+func runLaneTraffic(t *testing.T, workers int, cached bool) laneRun {
 	t.Helper()
 	sw := NewOptions("eq", 1, Options{Workers: workers})
 	defer sw.Close()
@@ -91,6 +93,9 @@ func runLaneTraffic(t *testing.T, workers int) laneRun {
 	}
 	mustAdd(t, sw, &FlowEntry{Table: 0, Priority: 5, Match: MatchAll().WithL4Dst(7200), Actions: []Action{Flood()}})
 	mustAdd(t, sw, &FlowEntry{Table: 0, Priority: 5, Match: MatchAll().WithL4Dst(7300), Actions: []Action{GotoTable(2)}})
+	if cached {
+		padToCache(t, sw)
+	}
 
 	// (vlan, dst port) per flow; 7400 matches nothing.
 	flows := []struct{ vlan, port uint16 }{
@@ -130,12 +135,18 @@ func runLaneTraffic(t *testing.T, workers int) laneRun {
 	sw.Close() // drains the rings; a no-op inline
 
 	for _, e := range sw.Flows() {
+		if e.Cookie == padCookie {
+			continue
+		}
 		p, b := e.Stats()
 		res.Entries = append(res.Entries, fmt.Sprintf("%d/%d", p, b))
 	}
 	tel := sw.Telemetry()
 	res.Rx, res.Tx, res.Drops, res.Misses, res.Malformed = tel.Rx, tel.Tx, tel.Drops, tel.Misses, tel.Malformed
 	res.Lookups = tel.Cache.Hits + tel.Cache.Misses
+	if walked := tel.Cache.Hits == 0 && tel.Cache.Entries == 0; walked == cached {
+		t.Fatalf("workers=%d cached=%v: cache stats %+v", workers, cached, tel.Cache)
+	}
 	for _, ws := range tel.Workers {
 		if ws.QueueDrops != 0 {
 			t.Fatalf("workers=%d: ring tail-dropped %d frames; the traffic must fit the ring", workers, ws.QueueDrops)
@@ -145,20 +156,28 @@ func runLaneTraffic(t *testing.T, workers int) laneRun {
 }
 
 // TestLaneEquivalence is the one-datapath contract: wherever the lane runs,
-// the same traffic yields the same per-flow egress sequences, the same
-// punts, the same per-entry counters and the same telemetry totals.
+// and whether the switch walks its tables or serves them from the microflow
+// cache, the same traffic yields the same per-flow egress sequences, the
+// same punts, the same counters on the real entries and the same telemetry
+// totals — cache lookups included, since a walked frame counts as a miss.
 func TestLaneEquivalence(t *testing.T) {
-	ref := runLaneTraffic(t, 0)
+	ref := runLaneTraffic(t, 0, false)
 	if len(ref.Egress) == 0 || len(ref.PacketIns) < 2 || ref.Malformed == 0 || ref.Misses == 0 {
 		t.Fatalf("reference run did not exercise the rule set: %+v", ref)
 	}
 	if ref.Lookups != ref.Rx-ref.Malformed {
 		t.Errorf("cache lookups = %d, want one per well-formed frame (%d)", ref.Lookups, ref.Rx-ref.Malformed)
 	}
-	for _, workers := range laneModes[1:] {
-		got := runLaneTraffic(t, workers)
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("workers=%d diverges from the inline lane:\n got %+v\nwant %+v", workers, got, ref)
+	for _, workers := range laneModes {
+		for _, cached := range []bool{false, true} {
+			if workers == 0 && !cached {
+				continue // the reference
+			}
+			got := runLaneTraffic(t, workers, cached)
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("workers=%d cached=%v diverges from the walked inline lane:\n got %+v\nwant %+v",
+					workers, cached, got, ref)
+			}
 		}
 	}
 }

@@ -9,9 +9,10 @@
 // controller as a packet-in).
 //
 // The per-packet path is lock-free: flow tables and ports are copy-on-write
-// snapshots, and a sharded exact-match microflow cache (cache.go) memoizes
-// the pipeline verdict per flow key, invalidated by generation on every
-// flow-mod or port change.
+// snapshots, and on switches with enough flow entries to pay for it a
+// sharded exact-match microflow cache (cache.go) memoizes the pipeline
+// verdict per flow key, invalidated by generation on every flow-mod or port
+// change.
 package vswitch
 
 import (

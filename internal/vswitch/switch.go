@@ -2,6 +2,7 @@ package vswitch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,14 +76,26 @@ func (e *FlowEntry) String() string {
 // under mu and publish it atomically.
 type tableSet struct {
 	tables [][]*FlowEntry // per table, sorted by priority descending
+	// cached reports whether the tables hold cacheMinEntries entries or
+	// more: a lane only consults the microflow cache over such a snapshot.
+	cached bool
+}
+
+func newTableSet(tables [][]*FlowEntry) *tableSet {
+	n := 0
+	for _, t := range tables {
+		n += len(t)
+	}
+	return &tableSet{tables: tables, cached: n >= cacheMinEntries}
 }
 
 // portTable is the immutable copy-on-write snapshot of the attached ports.
 // dense mirrors the map for the common small port numbers so the egress hot
 // path indexes an array instead of hashing into a map.
 type portTable struct {
-	ports map[uint32]*netdev.Port
-	dense []*netdev.Port // dense[num] == ports[num] for num < len(dense)
+	ports  map[uint32]*netdev.Port
+	dense  []*netdev.Port // dense[num] == ports[num] for num < len(dense)
+	sorted []uint32       // the port numbers, ascending (flood order)
 }
 
 // densePortLimit bounds the dense egress index; port numbers above it (rare:
@@ -90,13 +103,18 @@ type portTable struct {
 const densePortLimit = 256
 
 func newPortTable(ports map[uint32]*netdev.Port) *portTable {
-	maxNum := uint32(0)
+	t := &portTable{ports: ports, sorted: make([]uint32, 0, len(ports))}
 	for n := range ports {
-		if n > maxNum && n < densePortLimit {
+		t.sorted = append(t.sorted, n)
+	}
+	slices.Sort(t.sorted)
+	maxNum := uint32(0)
+	for _, n := range t.sorted {
+		if n < densePortLimit {
 			maxNum = n
 		}
 	}
-	t := &portTable{ports: ports, dense: make([]*netdev.Port, maxNum+1)}
+	t.dense = make([]*netdev.Port, maxNum+1)
 	for n, p := range ports {
 		if n < uint32(len(t.dense)) {
 			t.dense[n] = p
@@ -132,13 +150,14 @@ type Options struct {
 // Switch is one Logical Switch Instance: a multi-table flow pipeline over a
 // set of numbered ports.
 //
-// The per-packet path is lock-free and allocation-free on a cache hit: flow
-// tables and the port table are published as immutable snapshots through
-// atomic pointers, the miss policy and packet-in handler are atomics, and
-// the pipeline verdict for each exact flow key is memoized in a partitioned
-// microflow cache (see cache.go). Writers serialize on mu, clone-and-swap
-// the affected snapshot, then advance the cache generation so no stale
-// verdict survives a flow-mod or port change.
+// The per-packet path is lock-free: flow tables and the port table are
+// published as immutable snapshots through atomic pointers, and the miss
+// policy and packet-in handler are atomics. Tables of cacheMinEntries
+// entries or more get a partitioned microflow cache that memoizes the
+// pipeline verdict per exact flow key (see cache.go); smaller ones are
+// walked. A cache hit and a walk allocate nothing. Writers serialize on mu,
+// clone-and-swap the affected snapshot, then advance the cache generation
+// so no stale verdict survives a flow-mod or port change.
 type Switch struct {
 	name    string
 	dpid    uint64
@@ -203,7 +222,7 @@ func NewOptions(name string, dpid uint64, o Options) *Switch {
 		cache:   newMicroflowCache(max(nw, 1)),
 		latency: telemetry.NewHistogram(telemetry.DatapathLatencyBuckets()...),
 	}
-	s.tables.Store(&tableSet{tables: make([][]*FlowEntry, nt)})
+	s.tables.Store(newTableSet(make([][]*FlowEntry, nt)))
 	s.ports.Store(newPortTable(make(map[uint32]*netdev.Port)))
 	s.lane.Store(&lane{ctrs: &s.inline})
 	if nw > 0 {
@@ -312,13 +331,20 @@ func (s *Switch) Port(num uint32) *netdev.Port {
 
 // Ports returns the attached port numbers, sorted.
 func (s *Switch) Ports() []uint32 {
-	ports := s.ports.Load().ports
-	nums := make([]uint32, 0, len(ports))
-	for n := range ports {
-		nums = append(nums, n)
+	return slices.Clone(s.ports.Load().sorted)
+}
+
+// publishTables makes next the tables the packet path sees, then retires
+// every cached verdict. The caller holds mu. The slot arrays are allocated
+// before the first cache-worthy snapshot is stored, so a lane that loads
+// one always finds them.
+func (s *Switch) publishTables(next [][]*FlowEntry) {
+	ts := newTableSet(next)
+	if ts.cached {
+		s.cache.allocSlots()
 	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	return nums
+	s.tables.Store(ts)
+	s.cache.invalidate()
 }
 
 // AddFlow installs a flow entry. Entries in one table are matched in
@@ -346,8 +372,7 @@ func (s *Switch) AddFlow(e *FlowEntry) error {
 	// Stable: sort.SliceStable keeps insertion order among equal priorities.
 	sort.SliceStable(t, func(i, j int) bool { return t[i].Priority > t[j].Priority })
 	next[e.Table] = t
-	s.tables.Store(&tableSet{tables: next})
-	s.cache.invalidate()
+	s.publishTables(next)
 	return nil
 }
 
@@ -373,8 +398,7 @@ func (s *Switch) DeleteFlows(cookie uint64) int {
 	if removed == 0 {
 		return 0
 	}
-	s.tables.Store(&tableSet{tables: next})
-	s.cache.invalidate()
+	s.publishTables(next)
 	return removed
 }
 
@@ -421,8 +445,7 @@ func (s *Switch) SwapFlows(delCookie uint64, add []*FlowEntry) (int, error) {
 		t := next[ti]
 		sort.SliceStable(t, func(i, j int) bool { return t[i].Priority > t[j].Priority })
 	}
-	s.tables.Store(&tableSet{tables: next})
-	s.cache.invalidate()
+	s.publishTables(next)
 	return removed, nil
 }
 
@@ -436,8 +459,7 @@ func (s *Switch) DeleteAllFlows() int {
 	for _, t := range cur {
 		removed += len(t)
 	}
-	s.tables.Store(&tableSet{tables: make([][]*FlowEntry, len(cur))})
-	s.cache.invalidate()
+	s.publishTables(make([][]*FlowEntry, len(cur)))
 	return removed
 }
 

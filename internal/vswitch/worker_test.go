@@ -242,9 +242,17 @@ func TestWorkerPoolHammer(t *testing.T) {
 		cookie, out := uint64(1), uint32(3)
 		for i := 0; i < swaps; i++ {
 			next := cookie%2 + 1
-			if _, err := sw.SwapFlows(cookie, []*FlowEntry{
-				{Cookie: next, Match: MatchAll(), Actions: []Action{Output(out)}},
-			}); err != nil {
+			add := []*FlowEntry{{Cookie: next, Match: MatchAll(), Actions: []Action{Output(out)}}}
+			if i%2 == 0 {
+				// Every other rule set is big enough to cache: the switch
+				// crosses cacheMinEntries both ways under traffic, and the
+				// first crossing allocates the slot arrays while the
+				// workers run.
+				for range cacheMinEntries {
+					add = append(add, &FlowEntry{Cookie: next, Match: MatchAll().WithInPort(999)})
+				}
+			}
+			if _, err := sw.SwapFlows(cookie, add); err != nil {
 				t.Error(err)
 				return
 			}
@@ -272,6 +280,7 @@ func TestWorkerPoolHammer(t *testing.T) {
 // are resident and the hit counters add up across lanes.
 func TestWorkerPoolPartitionedCache(t *testing.T) {
 	sw, in, delivered := poolRig(t, 4)
+	padToCache(t, sw)
 	const flows, repeat = 64, 5
 	for r := 0; r < repeat; r++ {
 		for i := 0; i < flows; i++ {
