@@ -110,7 +110,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIPsecDecap$$' -fuzztime 30s ./internal/nf
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 30s ./internal/openflow
 	$(GO) test -run '^$$' -fuzz '^FuzzNewPacket$$' -fuzztime 30s ./internal/pkt
+	$(GO) test -run '^$$' -fuzz '^FuzzVLANTag$$' -fuzztime 30s ./internal/pkt
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphJSON$$' -fuzztime 30s ./internal/nffg
+	$(GO) test -run '^$$' -fuzz '^FuzzClusterRPC$$' -fuzztime 30s ./internal/cluster
 
 examples-smoke:
 	@for d in examples/*/; do \

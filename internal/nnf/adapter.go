@@ -71,30 +71,12 @@ func (a *Adapter) numPaths() int {
 // unknownMarkDrops counts frames arriving without a mapped mark.
 func (a *Adapter) unknownMarkDrops() uint64 { return a.unknownMark.Load() }
 
-// vlanID reads the 802.1Q tag of a frame, if present.
-func vlanID(frame []byte) (uint16, bool) {
-	if len(frame) < pkt.EthernetHeaderLen+pkt.VLANHeaderLen ||
-		frame[12] != 0x81 || frame[13] != 0x00 {
-		return 0, false
-	}
-	return (uint16(frame[14])<<8 | uint16(frame[15])) & 0x0fff, true
-}
-
-// retag rewrites the VLAN id of a tagged frame in place on a copy.
-func retag(frame []byte, id uint16) []byte {
-	out := make([]byte, len(frame))
-	copy(out, frame)
-	out[14] = out[14]&0xf0 | byte(id>>8&0x0f)
-	out[15] = byte(id)
-	return out
-}
-
 // Process implements nf.Processor. The adapter has exactly one port.
 func (a *Adapter) Process(inPort int, frame []byte) (nf.Result, error) {
 	if inPort != 0 {
 		return nf.Result{}, fmt.Errorf("nnf: adapter has a single interface (port 0), got %d", inPort)
 	}
-	mark, tagged := vlanID(frame)
+	mark, tagged := pkt.VLANTag(frame)
 	if !tagged {
 		a.unknownMark.Add(1)
 		return nf.Result{}, nil
@@ -116,28 +98,14 @@ func (a *Adapter) Process(inPort int, frame []byte) (nf.Result, error) {
 			continue
 		}
 		var f []byte
-		if _, stillTagged := vlanID(e.Frame); stillTagged {
-			f = retag(e.Frame, path.EgressMarks[e.Port])
+		if _, stillTagged := pkt.VLANTag(e.Frame); stillTagged {
+			f = pkt.RetagVLAN(e.Frame, path.EgressMarks[e.Port])
 		} else {
 			// The inner NF stripped the tag (e.g. it re-framed the
 			// packet): push a fresh one.
-			f = pushTag(e.Frame, path.EgressMarks[e.Port])
+			f = pkt.PushVLAN(e.Frame, path.EgressMarks[e.Port])
 		}
 		out.Emissions = append(out.Emissions, nf.Emission{Port: 0, Frame: f})
 	}
 	return out, nil
-}
-
-// pushTag inserts an 802.1Q tag into an untagged frame.
-func pushTag(frame []byte, id uint16) []byte {
-	if len(frame) < pkt.EthernetHeaderLen {
-		return frame
-	}
-	out := make([]byte, len(frame)+pkt.VLANHeaderLen)
-	copy(out, frame[:12])
-	out[12], out[13] = 0x81, 0x00
-	out[14] = byte(id >> 8 & 0x0f)
-	out[15] = byte(id)
-	copy(out[16:], frame[12:])
-	return out
 }

@@ -102,12 +102,12 @@ func TestAdapterDemultiplexesMarks(t *testing.T) {
 		t.Fatalf("emissions = %+v", res.Emissions)
 	}
 	// Firewall forwards port0 -> port1, so the egress mark must be 3003.
-	if got, ok := vlanID(res.Emissions[0].Frame); !ok || got != 3003 {
+	if got, ok := pkt.VLANTag(res.Emissions[0].Frame); !ok || got != 3003 {
 		t.Errorf("egress mark = %d, want 3003", got)
 	}
 	// Reverse direction.
 	res, _ = ad.Process(0, taggedFrame(t, 3001, 80))
-	if got, _ := vlanID(res.Emissions[0].Frame); got != 3002 {
+	if got, _ := pkt.VLANTag(res.Emissions[0].Frame); got != 3002 {
 		t.Errorf("reverse egress mark = %d, want 3002", got)
 	}
 }
@@ -325,7 +325,7 @@ func TestManagerSharedTrafficIsolation(t *testing.T) {
 	if !ok {
 		t.Fatal("graph A traffic dropped")
 	}
-	if mk, _ := vlanID(f.Data); mk != a1.OutMarks[1] {
+	if mk, _ := pkt.VLANTag(f.Data); mk != a1.OutMarks[1] {
 		t.Errorf("egress mark = %d, want %d", mk, a1.OutMarks[1])
 	}
 	// Graph B's DNS is dropped by its isolated path.

@@ -17,7 +17,6 @@ type Agent struct {
 	sw   *vswitch.Switch
 	conn net.Conn
 
-	writeMu sync.Mutex
 	stopped chan struct{}
 	once    sync.Once
 }
@@ -28,24 +27,12 @@ func NewAgent(sw *vswitch.Switch, conn net.Conn) *Agent {
 }
 
 // Run serves the control channel until the peer disconnects or Stop is
-// called. It installs itself as the switch's packet-in handler for the
-// duration, forwarding punted frames to the controller.
-// The agent does not send HELLO proactively: over fully synchronous
+// called. The agent does not send HELLO proactively: over fully synchronous
 // transports (net.Pipe) two peers writing first would deadlock. It answers
 // the controller's HELLO instead.
 func (a *Agent) Run() error {
-	a.sw.SetPacketInHandler(func(pi vswitch.PacketIn) {
-		body := EncodePacketIn(PacketIn{
-			InPort:  pi.InPort,
-			TableID: uint8(pi.TableID),
-			Reason:  uint8(pi.Reason),
-			Data:    pi.Data,
-		})
-		_ = a.write(Message{Type: TypePacketIn, Body: body})
-	})
-	defer a.sw.SetPacketInHandler(nil)
 	for {
-		m, err := ReadMessage(a.conn)
+		m, err := readMessage(a.conn)
 		if err != nil {
 			select {
 			case <-a.stopped:
@@ -71,82 +58,52 @@ func (a *Agent) Stop() {
 	})
 }
 
-func (a *Agent) write(m Message) error {
-	a.writeMu.Lock()
-	defer a.writeMu.Unlock()
-	return WriteMessage(a.conn, m)
-}
-
 func (a *Agent) sendError(xid uint32, code uint16, detail string) error {
-	return a.write(Message{Type: TypeError, Xid: xid, Body: EncodeError(code, detail)})
+	return writeMessage(a.conn, message{Type: typeError, Xid: xid, Body: encodeError(code, detail)})
 }
 
-func (a *Agent) handle(m Message) error {
+func (a *Agent) handle(m message) error {
 	switch m.Type {
-	case TypeHello:
-		return a.write(Message{Type: TypeHello, Xid: m.Xid})
-	case TypeEchoRequest:
-		return a.write(Message{Type: TypeEchoReply, Xid: m.Xid, Body: m.Body})
-	case TypeFeaturesRequest:
-		reply := FeaturesReply{
-			DPID:    a.sw.DPID(),
-			NTables: uint8(a.sw.NumTables()),
-			Ports:   a.sw.Ports(),
-		}
-		return a.write(Message{Type: TypeFeaturesReply, Xid: m.Xid, Body: EncodeFeaturesReply(reply)})
-	case TypeFlowMod:
-		fm, err := ParseFlowMod(m.Body)
+	case typeHello:
+		return writeMessage(a.conn, message{Type: typeHello, Xid: m.Xid})
+	case typeFlowMod:
+		fm, err := parseFlowMod(m.Body)
 		if err != nil {
-			return a.sendError(m.Xid, ErrCodeBadRequest, err.Error())
+			return a.sendError(m.Xid, errCodeBadRequest, err.Error())
 		}
 		switch fm.Command {
-		case FlowAdd:
+		case flowAdd:
 			entry := &vswitch.FlowEntry{
-				Table:    int(fm.TableID),
 				Priority: int(fm.Priority),
 				Cookie:   fm.Cookie,
 				Match:    fm.Match,
 				Actions:  fm.Actions,
 			}
 			if err := a.sw.AddFlow(entry); err != nil {
-				return a.sendError(m.Xid, ErrCodeFlowMod, err.Error())
+				return a.sendError(m.Xid, errCodeFlowMod, err.Error())
 			}
-		case FlowDelete:
+		case flowDelete:
 			a.sw.DeleteFlows(fm.Cookie)
-		case FlowDeleteAll:
-			a.sw.DeleteAllFlows()
 		default:
-			return a.sendError(m.Xid, ErrCodeFlowMod, fmt.Sprintf("unknown command %d", fm.Command))
+			return a.sendError(m.Xid, errCodeFlowMod, fmt.Sprintf("unknown command %d", fm.Command))
 		}
 		return nil
-	case TypePacketOut:
-		po, err := ParsePacketOut(m.Body)
-		if err != nil {
-			return a.sendError(m.Xid, ErrCodeBadRequest, err.Error())
-		}
-		if po.OutPort != 0 {
-			a.sw.Output(po.OutPort, po.Data)
-		} else {
-			a.sw.Inject(po.InPort, po.Data)
-		}
-		return nil
-	case TypeFlowStatsReq:
+	case typeFlowStatsReq:
 		flows := a.sw.Flows()
 		stats := make([]FlowStat, len(flows))
 		for i, f := range flows {
 			p, b := f.Stats()
 			stats[i] = FlowStat{
-				TableID:  uint8(f.Table),
 				Priority: uint16(f.Priority),
 				Cookie:   f.Cookie,
 				Packets:  p,
 				Bytes:    b,
 			}
 		}
-		return a.write(Message{Type: TypeFlowStatsReply, Xid: m.Xid, Body: EncodeFlowStatsReply(stats)})
-	case TypeBarrierRequest:
-		return a.write(Message{Type: TypeBarrierReply, Xid: m.Xid})
+		return writeMessage(a.conn, message{Type: typeFlowStatsReply, Xid: m.Xid, Body: encodeFlowStatsReply(stats)})
+	case typeBarrierRequest:
+		return writeMessage(a.conn, message{Type: typeBarrierReply, Xid: m.Xid})
 	default:
-		return a.sendError(m.Xid, ErrCodeBadRequest, fmt.Sprintf("unexpected %v", m.Type))
+		return a.sendError(m.Xid, errCodeBadRequest, fmt.Sprintf("unexpected %v", m.Type))
 	}
 }

@@ -12,11 +12,8 @@ import (
 	"repro/internal/vswitch"
 )
 
-// DefaultRPCTimeout bounds controller request/reply round trips.
-const DefaultRPCTimeout = 5 * time.Second
-
-// PacketInHandler consumes packet-in events on the controller side.
-type PacketInHandler func(PacketIn)
+// rpcTimeout bounds controller request/reply round trips.
+const rpcTimeout = 5 * time.Second
 
 // Controller is the controller-side endpoint of the control channel: the
 // traffic steering manager of one LSI talks to its switch through it.
@@ -26,67 +23,33 @@ type Controller struct {
 	writeMu sync.Mutex
 	xid     atomic.Uint32
 
-	mu       sync.Mutex
-	pending  map[uint32]chan Message
-	onPktIn  PacketInHandler
-	features FeaturesReply
-	runErr   error
-	done     chan struct{}
-	closed   bool
-
-	rpcTimeout time.Duration
+	mu      sync.Mutex
+	pending map[uint32]chan message
+	runErr  error
+	done    chan struct{}
+	closed  bool
 }
 
-// Connect performs the handshake (HELLO exchange + feature discovery) over
-// conn and starts the receive loop. The returned controller is ready to
-// install flows.
+// Connect performs the HELLO handshake over conn and starts the receive
+// loop. The returned controller is ready to install flows.
 func Connect(conn net.Conn) (*Controller, error) {
 	c := &Controller{
-		conn:       conn,
-		pending:    make(map[uint32]chan Message),
-		done:       make(chan struct{}),
-		rpcTimeout: DefaultRPCTimeout,
+		conn:    conn,
+		pending: make(map[uint32]chan message),
+		done:    make(chan struct{}),
 	}
-	if err := c.write(Message{Type: TypeHello}); err != nil {
+	if err := c.write(message{Type: typeHello}); err != nil {
 		return nil, fmt.Errorf("openflow: hello: %w", err)
 	}
-	hello, err := ReadMessage(conn)
+	hello, err := readMessage(conn)
 	if err != nil {
 		return nil, fmt.Errorf("openflow: waiting for hello: %w", err)
 	}
-	if hello.Type != TypeHello {
+	if hello.Type != typeHello {
 		return nil, fmt.Errorf("openflow: expected HELLO, got %v", hello.Type)
-	}
-	// Feature discovery happens before the receive loop starts, so read
-	// the reply inline.
-	xid := c.nextXid()
-	if err := c.write(Message{Type: TypeFeaturesRequest, Xid: xid}); err != nil {
-		return nil, fmt.Errorf("openflow: features request: %w", err)
-	}
-	for {
-		m, err := ReadMessage(conn)
-		if err != nil {
-			return nil, fmt.Errorf("openflow: waiting for features: %w", err)
-		}
-		if m.Type != TypeFeaturesReply {
-			continue // e.g. early packet-in before handler installed: drop
-		}
-		f, err := ParseFeaturesReply(m.Body)
-		if err != nil {
-			return nil, err
-		}
-		c.features = f
-		break
 	}
 	go c.readLoop()
 	return c, nil
-}
-
-// SetPacketInHandler installs the packet-in callback.
-func (c *Controller) SetPacketInHandler(fn PacketInHandler) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onPktIn = fn
 }
 
 // Close shuts the control channel down.
@@ -118,16 +81,18 @@ func (c *Controller) nextXid() uint32 {
 	}
 }
 
-func (c *Controller) write(m Message) error {
+func (c *Controller) write(m message) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return WriteMessage(c.conn, m)
+	return writeMessage(c.conn, m)
 }
 
+// readLoop hands every reply to the request waiting on its xid; a reply
+// nobody waits for (the ERROR to an asynchronous flow-mod) is dropped.
 func (c *Controller) readLoop() {
 	defer close(c.done)
 	for {
-		m, err := ReadMessage(c.conn)
+		m, err := readMessage(c.conn)
 		if err != nil {
 			c.mu.Lock()
 			if !c.closed && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, net.ErrClosed) {
@@ -141,41 +106,25 @@ func (c *Controller) readLoop() {
 			c.mu.Unlock()
 			return
 		}
-		switch m.Type {
-		case TypePacketIn:
-			pi, err := ParsePacketIn(m.Body)
-			if err != nil {
-				continue
-			}
-			c.mu.Lock()
-			fn := c.onPktIn
-			c.mu.Unlock()
-			if fn != nil {
-				fn(pi)
-			}
-		case TypeEchoRequest:
-			_ = c.write(Message{Type: TypeEchoReply, Xid: m.Xid, Body: m.Body})
-		default:
-			c.mu.Lock()
-			ch, ok := c.pending[m.Xid]
-			if ok {
-				delete(c.pending, m.Xid)
-			}
-			c.mu.Unlock()
-			if ok {
-				ch <- m
-			}
+		c.mu.Lock()
+		ch, ok := c.pending[m.Xid]
+		if ok {
+			delete(c.pending, m.Xid)
+		}
+		c.mu.Unlock()
+		if ok {
+			ch <- m
 		}
 	}
 }
 
 // rpc sends a request and waits for the reply carrying the same xid.
-func (c *Controller) rpc(m Message) (Message, error) {
-	ch := make(chan Message, 1)
+func (c *Controller) rpc(m message) (message, error) {
+	ch := make(chan message, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return Message{}, errors.New("openflow: controller closed")
+		return message{}, errors.New("openflow: controller closed")
 	}
 	c.pending[m.Xid] = ch
 	c.mu.Unlock()
@@ -183,32 +132,35 @@ func (c *Controller) rpc(m Message) (Message, error) {
 		c.mu.Lock()
 		delete(c.pending, m.Xid)
 		c.mu.Unlock()
-		return Message{}, err
+		return message{}, err
 	}
 	select {
 	case reply, ok := <-ch:
 		if !ok {
-			return Message{}, errors.New("openflow: connection lost")
+			return message{}, errors.New("openflow: connection lost")
 		}
-		if reply.Type == TypeError {
-			code, detail, _ := ParseError(reply.Body)
-			return Message{}, fmt.Errorf("openflow: error %d: %s", code, detail)
+		if reply.Type == typeError {
+			code, detail, _ := parseError(reply.Body)
+			return message{}, fmt.Errorf("openflow: error %d: %s", code, detail)
 		}
 		return reply, nil
-	case <-time.After(c.rpcTimeout):
+	case <-time.After(rpcTimeout):
 		c.mu.Lock()
 		delete(c.pending, m.Xid)
 		c.mu.Unlock()
-		return Message{}, fmt.Errorf("openflow: rpc timeout for %v", m.Type)
+		return message{}, fmt.Errorf("openflow: rpc timeout for %v", m.Type)
 	}
 }
 
-// InstallFlow installs one flow entry on the switch. The call is
+// InstallFlow installs one flow entry into the switch's flow table, table 0;
+// any other table is refused, since a switch has only that one. The call is
 // asynchronous; use Barrier to synchronize.
 func (c *Controller) InstallFlow(table, priority int, cookie uint64, match vswitch.Match, actions []vswitch.Action) error {
-	body, err := EncodeFlowMod(FlowMod{
-		Command:  FlowAdd,
-		TableID:  uint8(table),
+	if table != 0 {
+		return fmt.Errorf("openflow: table %d: the switch has one flow table, table 0", table)
+	}
+	body, err := encodeFlowMod(flowMod{
+		Command:  flowAdd,
 		Priority: uint16(priority),
 		Cookie:   cookie,
 		Match:    match,
@@ -217,58 +169,30 @@ func (c *Controller) InstallFlow(table, priority int, cookie uint64, match vswit
 	if err != nil {
 		return err
 	}
-	return c.write(Message{Type: TypeFlowMod, Xid: c.nextXid(), Body: body})
+	return c.write(message{Type: typeFlowMod, Xid: c.nextXid(), Body: body})
 }
 
 // DeleteFlows removes all entries installed under the given cookie.
 func (c *Controller) DeleteFlows(cookie uint64) error {
-	body, err := EncodeFlowMod(FlowMod{Command: FlowDelete, Cookie: cookie})
+	body, err := encodeFlowMod(flowMod{Command: flowDelete, Cookie: cookie})
 	if err != nil {
 		return err
 	}
-	return c.write(Message{Type: TypeFlowMod, Xid: c.nextXid(), Body: body})
-}
-
-// DeleteAllFlows clears every table of the switch.
-func (c *Controller) DeleteAllFlows() error {
-	body, err := EncodeFlowMod(FlowMod{Command: FlowDeleteAll})
-	if err != nil {
-		return err
-	}
-	return c.write(Message{Type: TypeFlowMod, Xid: c.nextXid(), Body: body})
+	return c.write(message{Type: typeFlowMod, Xid: c.nextXid(), Body: body})
 }
 
 // Barrier blocks until the switch has processed all previously sent
 // messages.
 func (c *Controller) Barrier() error {
-	_, err := c.rpc(Message{Type: TypeBarrierRequest, Xid: c.nextXid()})
+	_, err := c.rpc(message{Type: typeBarrierRequest, Xid: c.nextXid()})
 	return err
 }
 
 // FlowStats retrieves the per-entry counters of the switch.
 func (c *Controller) FlowStats() ([]FlowStat, error) {
-	reply, err := c.rpc(Message{Type: TypeFlowStatsReq, Xid: c.nextXid()})
+	reply, err := c.rpc(message{Type: typeFlowStatsReq, Xid: c.nextXid()})
 	if err != nil {
 		return nil, err
 	}
-	return ParseFlowStatsReply(reply.Body)
-}
-
-// echo round-trips an echo request, verifying channel liveness.
-func (c *Controller) echo(payload []byte) error {
-	reply, err := c.rpc(Message{Type: TypeEchoRequest, Xid: c.nextXid(), Body: payload})
-	if err != nil {
-		return err
-	}
-	if string(reply.Body) != string(payload) {
-		return errors.New("openflow: echo payload mismatch")
-	}
-	return nil
-}
-
-// PacketOut asks the switch to emit data. A nonzero outPort sends directly;
-// outPort 0 injects the frame into the pipeline at inPort.
-func (c *Controller) PacketOut(inPort, outPort uint32, data []byte) error {
-	body := EncodePacketOut(PacketOut{InPort: inPort, OutPort: outPort, Data: data})
-	return c.write(Message{Type: TypePacketOut, Xid: c.nextXid(), Body: body})
+	return parseFlowStatsReply(reply.Body)
 }

@@ -13,91 +13,72 @@ import (
 // panic; a message that reads must survive write -> read unchanged; and a body
 // that parses must be stable: its re-encoding parses again, to the same bytes.
 func FuzzReadMessage(f *testing.F) {
-	wire := func(typ MsgType, body []byte) {
+	wire := func(typ msgType, body []byte) {
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, Message{Type: typ, Xid: 7, Body: body}); err != nil {
+		if err := writeMessage(&buf, message{Type: typ, Xid: 7, Body: body}); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
 	}
 	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 8; i++ {
-		body, err := EncodeFlowMod(FlowMod{
-			Command: uint8(r.Intn(2) * 3), TableID: uint8(r.Intn(8)), Priority: uint16(r.Intn(65536)),
+	for i := 0; i < 10; i++ {
+		body, err := encodeFlowMod(flowMod{
+			Command: uint8(r.Intn(2) * 3), Priority: uint16(r.Intn(65536)),
 			Cookie: r.Uint64(), Match: randomMatch(r), Actions: randomActions(r),
 		})
 		if err != nil {
 			f.Fatal(err)
 		}
-		wire(TypeFlowMod, body)
-		wire(TypeFlowMod, body[:len(body)/2])
+		wire(typeFlowMod, body)
+		wire(typeFlowMod, body[:len(body)/2])
 	}
-	wire(TypeHello, nil)
-	wire(TypeEchoRequest, []byte("ping"))
-	wire(TypeFeaturesReply, EncodeFeaturesReply(FeaturesReply{DPID: 1, NTables: 8, Ports: []uint32{1, 2, 3}}))
-	wire(TypePacketIn, EncodePacketIn(PacketIn{InPort: 3, TableID: 1, Reason: 1, Data: []byte{1, 2, 3}}))
-	wire(TypePacketOut, EncodePacketOut(PacketOut{InPort: 1, OutPort: 2, Data: []byte{4, 5, 6}}))
-	wire(TypeFlowStatsReply, EncodeFlowStatsReply([]FlowStat{{TableID: 1, Priority: 10, Cookie: 9, Packets: 5, Bytes: 500}, {}}))
-	wire(TypeError, EncodeError(ErrCodeBadMatch, "bad match"))
+	wire(typeHello, nil)
+	wire(typeFlowStatsReply, encodeFlowStatsReply([]FlowStat{{Priority: 10, Cookie: 9, Packets: 5, Bytes: 500}, {}}))
+	wire(typeError, encodeError(errCodeFlowMod, "bad flow"))
 	// The largest message the length field can carry; one byte more used
 	// to wrap the field to 0 and must be refused at write time.
-	wire(TypeEchoRequest, make([]byte, MaxMessageLen-HeaderLen))
-	if err := WriteMessage(io.Discard, Message{Type: TypeEchoRequest, Body: make([]byte, MaxMessageLen-HeaderLen+1)}); err == nil {
+	wire(typeFlowMod, make([]byte, maxMessageLen-headerLen))
+	if err := writeMessage(io.Discard, message{Type: typeFlowMod, Body: make([]byte, maxMessageLen-headerLen+1)}); err == nil {
 		f.Fatal("a 65 536-byte message was written")
 	}
 	f.Add([]byte{})
-	f.Add([]byte{Version, byte(TypeFlowMod), 0, 4, 0, 0, 0, 1}) // length below the header
-	f.Add([]byte{1, byte(TypeHello), 0, 8, 0, 0, 0, 1})         // wrong version
-	f.Add([]byte{Version, byte(TypeFlowMod), 0, 200, 0, 0})     // truncated header and body
+	f.Add([]byte{version, byte(typeFlowMod), 0, 4, 0, 0, 0, 1}) // length below the header
+	f.Add([]byte{1, byte(typeHello), 0, 8, 0, 0, 0, 1})         // wrong version
+	f.Add([]byte{version, byte(typeFlowMod), 0, 200, 0, 0})     // truncated header and body
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadMessage(bytes.NewReader(data))
+		m, err := readMessage(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := writeMessage(&buf, m); err != nil {
 			t.Fatalf("read message does not write: %v", err)
 		}
-		again, err := ReadMessage(&buf)
+		again, err := readMessage(&buf)
 		if err != nil || again.Type != m.Type || again.Xid != m.Xid || !bytes.Equal(again.Body, m.Body) {
 			t.Fatalf("framing round trip: %+v then %+v (%v)", m, again, err)
 		}
 		// recode parses a body and re-encodes what it understood.
 		var recode func([]byte) ([]byte, error)
 		switch m.Type {
-		case TypeFeaturesReply:
+		case typeFlowMod:
 			recode = func(b []byte) ([]byte, error) {
-				v, err := ParseFeaturesReply(b)
-				return EncodeFeaturesReply(v), err
-			}
-		case TypePacketIn:
-			recode = func(b []byte) ([]byte, error) {
-				v, err := ParsePacketIn(b)
-				return EncodePacketIn(v), err
-			}
-		case TypePacketOut:
-			recode = func(b []byte) ([]byte, error) {
-				v, err := ParsePacketOut(b)
-				return EncodePacketOut(v), err
-			}
-		case TypeFlowMod:
-			recode = func(b []byte) ([]byte, error) {
-				v, err := ParseFlowMod(b)
+				v, err := parseFlowMod(b)
 				if err != nil {
 					return nil, err
 				}
-				return EncodeFlowMod(v)
+				return encodeFlowMod(v)
 			}
-		case TypeFlowStatsReply:
+		case typeFlowStatsReply:
 			recode = func(b []byte) ([]byte, error) {
-				v, err := ParseFlowStatsReply(b)
-				return EncodeFlowStatsReply(v), err
+				v, err := parseFlowStatsReply(b)
+				return encodeFlowStatsReply(v), err
 			}
-		case TypeError:
+		case typeError:
 			recode = func(b []byte) ([]byte, error) {
-				code, detail, err := ParseError(b)
-				return EncodeError(code, detail), err
+				code, detail, err := parseError(b)
+				return encodeError(code, detail), err
 			}
 		default:
 			return

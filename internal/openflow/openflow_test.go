@@ -56,20 +56,6 @@ func testFrame(t *testing.T) []byte {
 	return f
 }
 
-func TestHandshakeFeatures(t *testing.T) {
-	sw := vswitch.NewTables("lsi", 0xabc, 3)
-	_ = sw.AddPort(1, netdev.NewPort("p1"))
-	_ = sw.AddPort(7, netdev.NewPort("p7"))
-	ctrl := pair(t, sw)
-	f := ctrl.features
-	if f.DPID != 0xabc || f.NTables != 3 {
-		t.Errorf("features = %+v", f)
-	}
-	if len(f.Ports) != 2 || f.Ports[0] != 1 || f.Ports[1] != 7 {
-		t.Errorf("ports = %v", f.Ports)
-	}
-}
-
 func TestInstallFlowAndForward(t *testing.T) {
 	sw := vswitch.New("lsi", 1)
 	hostA, swA := netdev.Veth("ha", "swa")
@@ -117,70 +103,6 @@ func TestInstallFlowAndForward(t *testing.T) {
 	_ = hostA.Send(netdev.Frame{Data: testFrame(t)})
 	if _, ok := hostB.TryRecv(); ok {
 		t.Error("flow still active after delete")
-	}
-}
-
-func TestPacketInDelivery(t *testing.T) {
-	sw := vswitch.New("lsi", 1)
-	hostA, swA := netdev.Veth("ha", "swa")
-	_ = sw.AddPort(1, swA)
-	sw.SetMissPolicy(vswitch.MissController)
-	ctrl := pair(t, sw)
-
-	got := make(chan PacketIn, 1)
-	ctrl.SetPacketInHandler(func(pi PacketIn) { got <- pi })
-	frame := testFrame(t)
-	_ = hostA.Send(netdev.Frame{Data: frame})
-	select {
-	case pi := <-got:
-		if pi.InPort != 1 {
-			t.Errorf("in_port = %d", pi.InPort)
-		}
-		if !bytes.Equal(pi.Data, frame) {
-			t.Error("packet-in data corrupted")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no packet-in")
-	}
-}
-
-func TestPacketOutDirectAndInject(t *testing.T) {
-	sw := vswitch.New("lsi", 1)
-	hostA, swA := netdev.Veth("ha", "swa")
-	hostB, swB := netdev.Veth("hb", "swb")
-	_ = sw.AddPort(1, swA)
-	_ = sw.AddPort(2, swB)
-	ctrl := pair(t, sw)
-	_ = ctrl.InstallFlow(0, 5, 0, vswitch.MatchAll().WithInPort(1), []vswitch.Action{vswitch.Output(2)})
-	if err := ctrl.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Direct out port 1.
-	if err := ctrl.PacketOut(0, 1, testFrame(t)); err != nil {
-		t.Fatal(err)
-	}
-	waitFrame(t, hostA, "direct packet-out")
-
-	// Inject at port 1 -> pipeline forwards to 2.
-	if err := ctrl.PacketOut(1, 0, testFrame(t)); err != nil {
-		t.Fatal(err)
-	}
-	waitFrame(t, hostB, "injected packet-out")
-}
-
-func waitFrame(t *testing.T, p *netdev.Port, what string) {
-	t.Helper()
-	deadline := time.After(2 * time.Second)
-	for {
-		if _, ok := p.TryRecv(); ok {
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("%s never arrived", what)
-		case <-time.After(time.Millisecond):
-		}
 	}
 }
 
@@ -236,20 +158,13 @@ func TestFlowModInvalidatesCache(t *testing.T) {
 	}
 }
 
-func TestEcho(t *testing.T) {
-	ctrl := pair(t, vswitch.New("lsi", 1))
-	if err := ctrl.echo([]byte("ping-payload")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFlowModErrorSurfacesOnBarrier(t *testing.T) {
-	sw := vswitch.NewTables("lsi", 1, 2)
+	sw := vswitch.New("lsi", 1)
 	ctrl := pair(t, sw)
-	// goto backward is rejected by the switch -> agent sends ERROR, which
-	// has the flow-mod xid, not the barrier's; the test verifies the
-	// channel stays usable and the flow was not installed.
-	err := ctrl.InstallFlow(1, 5, 0, vswitch.MatchAll(), []vswitch.Action{vswitch.GotoTable(0)})
+	// A VLAN ID beyond 12 bits is rejected by the switch -> agent sends
+	// ERROR, which has the flow-mod xid, not the barrier's; the test
+	// verifies the channel stays usable and the flow was not installed.
+	err := ctrl.InstallFlow(0, 5, 0, vswitch.MatchAll(), []vswitch.Action{vswitch.PushVLAN(5000)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +172,12 @@ func TestFlowModErrorSurfacesOnBarrier(t *testing.T) {
 	if len(sw.Flows()) != 0 {
 		t.Error("invalid flow installed")
 	}
-	if err := ctrl.echo([]byte("still-alive")); err != nil {
+	if _, err := ctrl.FlowStats(); err != nil {
 		t.Errorf("channel dead after error: %v", err)
+	}
+	// A table other than 0 never leaves the controller.
+	if err := ctrl.InstallFlow(1, 5, 0, vswitch.MatchAll(), nil); err == nil {
+		t.Error("flow-mod for table 1 accepted: the switch has one table")
 	}
 }
 
@@ -286,11 +205,11 @@ func TestControllerCloseUnblocksRPC(t *testing.T) {
 
 func TestMessageRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := Message{Type: TypeEchoRequest, Xid: 77, Body: []byte("abc")}
-	if err := WriteMessage(&buf, in); err != nil {
+	in := message{Type: typeFlowMod, Xid: 77, Body: []byte("abc")}
+	if err := writeMessage(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadMessage(&buf)
+	out, err := readMessage(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +220,7 @@ func TestMessageRoundTrip(t *testing.T) {
 
 func TestReadMessageRejectsBadVersion(t *testing.T) {
 	raw := []byte{0x99, 0, 0, 8, 0, 0, 0, 1}
-	if _, err := ReadMessage(bytes.NewReader(raw)); err == nil {
+	if _, err := readMessage(bytes.NewReader(raw)); err == nil {
 		t.Error("bad version accepted")
 	}
 }
@@ -309,36 +228,28 @@ func TestReadMessageRejectsBadVersion(t *testing.T) {
 func TestFlowModRoundTrip(t *testing.T) {
 	match := vswitch.MatchAll().
 		WithInPort(3).
-		WithEthSrc(macA).WithEthDst(macB).
 		WithEthType(pkt.EthernetTypeIPv4).
 		WithVLAN(700).
 		WithIPProto(pkt.IPProtocolTCP).
 		WithIPSrc(ipA, 24).WithIPDst(ipB, 32).
-		WithL4Src(80).WithL4Dst(443).
-		WithMetadata(0xaa, 0xff)
+		WithL4Src(80).WithL4Dst(443)
 	actions := []vswitch.Action{
-		vswitch.SetMetadata(0x1, 0xf),
 		vswitch.PushVLAN(9),
-		vswitch.SetVLAN(10),
 		vswitch.PopVLAN(),
 		vswitch.SetEthSrc(macB),
 		vswitch.SetEthDst(macA),
-		vswitch.Flood(),
-		vswitch.ToController(),
-		vswitch.GotoTable(2),
 		vswitch.Output(4),
 	}
-	in := FlowMod{Command: FlowAdd, TableID: 1, Priority: 1000, Cookie: 0xfeedface, Match: match, Actions: actions}
-	body, err := EncodeFlowMod(in)
+	in := flowMod{Command: flowAdd, Priority: 1000, Cookie: 0xfeedface, Match: match, Actions: actions}
+	body, err := encodeFlowMod(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ParseFlowMod(body)
+	out, err := parseFlowMod(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Command != in.Command || out.TableID != in.TableID ||
-		out.Priority != in.Priority || out.Cookie != in.Cookie {
+	if out.Command != in.Command || out.Priority != in.Priority || out.Cookie != in.Cookie {
 		t.Errorf("header mismatch: %+v", out)
 	}
 	if out.Match.String() != in.Match.String() {
@@ -355,20 +266,14 @@ func TestFlowModRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsTruncated(t *testing.T) {
-	if _, err := ParseFlowMod([]byte{1, 2, 3}); err == nil {
+	if _, err := parseFlowMod([]byte{1, 2, 3}); err == nil {
 		t.Error("short flow_mod accepted")
 	}
-	if _, err := ParsePacketIn([]byte{1}); err == nil {
-		t.Error("short packet_in accepted")
-	}
-	if _, err := ParsePacketOut([]byte{1}); err == nil {
-		t.Error("short packet_out accepted")
-	}
-	if _, err := ParseFeaturesReply([]byte{1, 2}); err == nil {
-		t.Error("short features accepted")
-	}
-	if _, err := ParseFlowStatsReply([]byte{0, 0, 0, 9}); err == nil {
+	if _, err := parseFlowStatsReply([]byte{0, 0, 0, 9}); err == nil {
 		t.Error("short stats accepted")
+	}
+	if _, _, err := parseError([]byte{1}); err == nil {
+		t.Error("short error accepted")
 	}
 	if _, err := decodeMatch([]byte{0, 1, 0, 99}); err == nil {
 		t.Error("truncated TLV accepted")
@@ -401,10 +306,7 @@ func TestAgentOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.Close()
-	if ctrl.features.DPID != 99 {
-		t.Errorf("dpid = %d", ctrl.features.DPID)
-	}
-	if err := ctrl.InstallFlow(0, 1, 1, vswitch.MatchAll(), []vswitch.Action{vswitch.Flood()}); err != nil {
+	if err := ctrl.InstallFlow(0, 1, 1, vswitch.MatchAll(), []vswitch.Action{vswitch.Output(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ctrl.Barrier(); err != nil {

@@ -17,12 +17,6 @@ func randomMatch(r *rand.Rand) vswitch.Match {
 		m = m.WithInPort(uint32(r.Intn(1000) + 1))
 	}
 	if r.Intn(2) == 0 {
-		m = m.WithEthSrc(pkt.MAC{byte(r.Intn(256)), 1, 2, 3, 4, 5})
-	}
-	if r.Intn(2) == 0 {
-		m = m.WithEthDst(pkt.MAC{byte(r.Intn(256)), 5, 4, 3, 2, 1})
-	}
-	if r.Intn(2) == 0 {
 		m = m.WithEthType(pkt.EthernetTypeIPv4)
 	}
 	if r.Intn(2) == 0 {
@@ -43,9 +37,6 @@ func randomMatch(r *rand.Rand) vswitch.Match {
 	if r.Intn(2) == 0 {
 		m = m.WithL4Dst(uint16(r.Intn(65535) + 1))
 	}
-	if r.Intn(2) == 0 {
-		m = m.WithMetadata(r.Uint64(), r.Uint64())
-	}
 	return m
 }
 
@@ -54,55 +45,43 @@ func randomActions(r *rand.Rand) []vswitch.Action {
 	n := r.Intn(6)
 	out := make([]vswitch.Action, 0, n)
 	for i := 0; i < n; i++ {
-		switch r.Intn(10) {
+		switch r.Intn(5) {
 		case 0:
 			out = append(out, vswitch.Output(uint32(r.Intn(100)+1)))
 		case 1:
-			out = append(out, vswitch.Flood())
-		case 2:
-			out = append(out, vswitch.ToController())
-		case 3:
 			out = append(out, vswitch.PushVLAN(uint16(r.Intn(4094)+1)))
-		case 4:
+		case 2:
 			out = append(out, vswitch.PopVLAN())
-		case 5:
-			out = append(out, vswitch.SetVLAN(uint16(r.Intn(4094)+1)))
-		case 6:
+		case 3:
 			out = append(out, vswitch.SetEthSrc(pkt.MAC{9, 8, 7, 6, 5, byte(r.Intn(256))}))
-		case 7:
+		case 4:
 			out = append(out, vswitch.SetEthDst(pkt.MAC{1, 2, 3, 4, 5, byte(r.Intn(256))}))
-		case 8:
-			out = append(out, vswitch.SetMetadata(r.Uint64(), r.Uint64()))
-		case 9:
-			out = append(out, vswitch.GotoTable(r.Intn(8)))
 		}
 	}
 	return out
 }
 
-// TestPropertyFlowModRoundTrip: any FlowMod encodes and decodes to an
-// equivalent FlowMod (compared by rendered form, which covers every field).
+// TestPropertyFlowModRoundTrip: any flowMod encodes and decodes to an
+// equivalent flowMod (compared by rendered form, which covers every field).
 func TestPropertyFlowModRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
-		in := FlowMod{
+		in := flowMod{
 			Command:  uint8(r.Intn(2) * 3), // add or delete
-			TableID:  uint8(r.Intn(8)),
 			Priority: uint16(r.Intn(65536)),
 			Cookie:   r.Uint64(),
 			Match:    randomMatch(r),
 			Actions:  randomActions(r),
 		}
-		body, err := EncodeFlowMod(in)
+		body, err := encodeFlowMod(in)
 		if err != nil {
 			t.Fatalf("iter %d: encode: %v", i, err)
 		}
-		out, err := ParseFlowMod(body)
+		out, err := parseFlowMod(body)
 		if err != nil {
 			t.Fatalf("iter %d: parse: %v", i, err)
 		}
-		if out.Command != in.Command || out.TableID != in.TableID ||
-			out.Priority != in.Priority || out.Cookie != in.Cookie {
+		if out.Command != in.Command || out.Priority != in.Priority || out.Cookie != in.Cookie {
 			t.Fatalf("iter %d: header mismatch", i)
 		}
 		if out.Match.String() != in.Match.String() {
@@ -122,41 +101,19 @@ func TestPropertyFlowModRoundTrip(t *testing.T) {
 // TestPropertyMessageFraming: any (type, xid, body) survives the wire.
 func TestPropertyMessageFraming(t *testing.T) {
 	f := func(typ uint8, xid uint32, body []byte) bool {
-		if len(body) > MaxMessageLen-HeaderLen {
-			body = body[:MaxMessageLen-HeaderLen]
+		if len(body) > maxMessageLen-headerLen {
+			body = body[:maxMessageLen-headerLen]
 		}
 		var buf bytes.Buffer
-		in := Message{Type: MsgType(typ), Xid: xid, Body: body}
-		if err := WriteMessage(&buf, in); err != nil {
+		in := message{Type: msgType(typ), Xid: xid, Body: body}
+		if err := writeMessage(&buf, in); err != nil {
 			return false
 		}
-		out, err := ReadMessage(&buf)
+		out, err := readMessage(&buf)
 		if err != nil {
 			return false
 		}
 		return out.Type == in.Type && out.Xid == in.Xid && bytes.Equal(out.Body, in.Body)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestPropertyPacketInOutRoundTrip covers the remaining typed bodies.
-func TestPropertyPacketInOutRoundTrip(t *testing.T) {
-	f := func(inPort, outPort uint32, tableID, reason uint8, data []byte) bool {
-		pi := PacketIn{InPort: inPort, TableID: tableID, Reason: reason, Data: data}
-		gotPI, err := ParsePacketIn(EncodePacketIn(pi))
-		if err != nil || gotPI.InPort != inPort || gotPI.TableID != tableID ||
-			gotPI.Reason != reason || !bytes.Equal(gotPI.Data, data) {
-			return false
-		}
-		po := PacketOut{InPort: inPort, OutPort: outPort, Data: data}
-		gotPO, err := ParsePacketOut(EncodePacketOut(po))
-		if err != nil || gotPO.InPort != inPort || gotPO.OutPort != outPort ||
-			!bytes.Equal(gotPO.Data, data) {
-			return false
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -170,14 +127,13 @@ func TestPropertyFlowStatsRoundTrip(t *testing.T) {
 		in := make([]FlowStat, int(n)%50)
 		for i := range in {
 			in[i] = FlowStat{
-				TableID:  uint8(r.Intn(8)),
 				Priority: uint16(r.Intn(65536)),
 				Cookie:   r.Uint64(),
 				Packets:  r.Uint64(),
 				Bytes:    r.Uint64(),
 			}
 		}
-		out, err := ParseFlowStatsReply(EncodeFlowStatsReply(in))
+		out, err := parseFlowStatsReply(encodeFlowStatsReply(in))
 		if err != nil || len(out) != len(in) {
 			return false
 		}

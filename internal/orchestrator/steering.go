@@ -58,7 +58,7 @@ func (o *Orchestrator) program(d *DeployedGraph) error {
 		return err
 	}
 	for _, e := range entries {
-		if err := d.lsi.ctrl.InstallFlow(e.Table, e.Priority, e.Cookie, e.Match, e.Actions); err != nil {
+		if err := d.lsi.ctrl.InstallFlow(0, e.Priority, e.Cookie, e.Match, e.Actions); err != nil {
 			return err
 		}
 	}

@@ -106,9 +106,9 @@ func (o *Orchestrator) Collect(e *telemetry.Exposition) {
 		t := sw.Telemetry()
 		l := telemetry.Labels{"lsi": o.lsiLabel(sw)}
 		e.Counter("un_lsi_rx_packets_total", "Frames that entered the LSI pipeline.", l, t.Rx)
-		// Tx and per-table matches are derived from per-port/per-entry
-		// counters that leave with their port or flow entry, so the series
-		// can decrease across a graph update: gauges, not counters.
+		// Tx and table matches are derived from per-port/per-entry counters
+		// that leave with their port or flow entry, so the series can
+		// decrease across a graph update: gauges, not counters.
 		e.Gauge("un_lsi_tx_packets", "Frames transmitted out of currently-attached LSI ports.", l, float64(t.Tx))
 		e.Counter("un_lsi_drops_total", "Frames dropped by the LSI (unknown port, unparseable, miss-drop).", l, t.Drops)
 		e.Counter("un_lsi_misses_total", "Table-miss packets on the LSI.", l, t.Misses)
@@ -116,10 +116,10 @@ func (o *Orchestrator) Collect(e *telemetry.Exposition) {
 		e.Counter("un_cache_hits_total", "Microflow-cache hits.", l, t.Cache.Hits)
 		e.Counter("un_cache_misses_total", "Microflow-cache misses (slow-path traversals).", l, t.Cache.Misses)
 		e.Gauge("un_cache_entries", "Resident microflow-cache verdicts, valid or stale.", l, float64(t.Cache.Entries))
-		for ti, matches := range t.TableMatches {
-			tl := telemetry.Labels{"lsi": l["lsi"], "table": fmt.Sprintf("%d", ti)}
-			e.Gauge("un_table_matches", "Packets matched per flow table, summed over the currently-installed entries.", tl, float64(matches))
-		}
+		// An LSI has one flow table; the label keeps dashboards that select
+		// table="0" working.
+		e.Gauge("un_table_matches", "Packets matched in the LSI's flow table, summed over the currently-installed entries.",
+			telemetry.Labels{"lsi": l["lsi"], "table": "0"}, float64(t.TableMatches))
 		e.Histogram("un_pipeline_latency_seconds", "Sampled per-packet pipeline latency.", l, t.Latency)
 		burstBounds := vswitch.BurstBuckets()
 		for wi, ws := range t.Workers {

@@ -186,3 +186,55 @@ func (v *VLAN) SerializeTo(b *SerializeBuffer, _ SerializeOptions) error {
 	binary.BigEndian.PutUint16(bytes[2:4], uint16(v.EthernetType))
 	return nil
 }
+
+// The frame-level 802.1Q edits below are the one tag encoder of the switch's
+// push/pop actions and the NNF adaptation layer's marks. Each edit returns a
+// fresh frame and leaves its input untouched; a frame the edit does not
+// apply to is returned as is.
+
+// VLANTag reads the VLAN ID of the frame's outermost 802.1Q tag; ok is false
+// for an untagged frame or one too short to hold a tag.
+func VLANTag(frame []byte) (id uint16, ok bool) {
+	if len(frame) < EthernetHeaderLen+VLANHeaderLen ||
+		EthernetType(binary.BigEndian.Uint16(frame[12:14])) != EthernetTypeVLAN {
+		return 0, false
+	}
+	return binary.BigEndian.Uint16(frame[14:16]) & 0x0fff, true
+}
+
+// PushVLAN inserts an 802.1Q tag carrying id (priority 0) after the MAC
+// addresses. A frame shorter than an Ethernet header is returned as is.
+func PushVLAN(frame []byte, id uint16) []byte {
+	if len(frame) < EthernetHeaderLen {
+		return frame
+	}
+	out := make([]byte, len(frame)+VLANHeaderLen)
+	copy(out, frame[:12])
+	binary.BigEndian.PutUint16(out[12:14], uint16(EthernetTypeVLAN))
+	binary.BigEndian.PutUint16(out[14:16], id&0x0fff)
+	copy(out[16:], frame[12:])
+	return out
+}
+
+// PopVLAN strips the outermost 802.1Q tag of a tagged frame.
+func PopVLAN(frame []byte) []byte {
+	if _, ok := VLANTag(frame); !ok {
+		return frame
+	}
+	out := make([]byte, len(frame)-VLANHeaderLen)
+	copy(out, frame[:12])
+	copy(out[12:], frame[16:])
+	return out
+}
+
+// RetagVLAN rewrites the VLAN ID of a tagged frame's outermost tag, keeping
+// its priority and drop-eligible bits.
+func RetagVLAN(frame []byte, id uint16) []byte {
+	if _, ok := VLANTag(frame); !ok {
+		return frame
+	}
+	out := make([]byte, len(frame))
+	copy(out, frame)
+	binary.BigEndian.PutUint16(out[14:16], binary.BigEndian.Uint16(frame[14:16])&0xf000|id&0x0fff)
+	return out
+}

@@ -103,3 +103,65 @@ func FuzzNewPacket(f *testing.F) {
 		}
 	})
 }
+
+// FuzzVLANTag throws arbitrary frames and IDs at the 802.1Q edits. Nothing
+// may panic or write to its input. A frame of at least an Ethernet header
+// takes a pushed tag that reads back as the ID's low 12 bits and pops back
+// to the original bytes; an untagged frame is left as is by pop and retag,
+// and retagging a tagged frame back to its old ID restores it.
+func FuzzVLANTag(f *testing.F) {
+	for _, spec := range []FrameSpec{
+		{SrcPort: 1000, DstPort: 80, PayloadLen: 16},
+		{VLANID: 42, SrcPort: 1000, DstPort: 80, PayloadLen: 16},
+		{VLANID: 4094, SrcPort: 65535, DstPort: 1},
+	} {
+		spec.SrcMAC, spec.DstMAC, spec.SrcIP, spec.DstIP = macA, macB, Addr{10, 0, 0, 1}, Addr{10, 0, 0, 2}
+		frame := MustBuildFrame(spec)
+		f.Add(frame, uint16(7))
+		f.Add(frame[:EthernetHeaderLen], uint16(0xffff))
+	}
+	prio := MustBuildFrame(FrameSpec{SrcMAC: macA, DstMAC: macB, VLANID: 42, SrcIP: Addr{10, 0, 0, 1}, DstIP: Addr{10, 0, 0, 2}})
+	prio[14] |= 0xf0 // priority 7, drop eligible: a retag keeps both
+	f.Add(prio, uint16(3000))
+	f.Add([]byte{}, uint16(1))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0x81}, uint16(100))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0x81, 0x00}, uint16(4095)) // VLAN EtherType, tag missing
+
+	f.Fuzz(func(t *testing.T, frame []byte, id uint16) {
+		orig := bytes.Clone(frame)
+		old, tagged := VLANTag(frame)
+		pushed := PushVLAN(frame, id)
+		popped := PopVLAN(frame)
+		retagged := RetagVLAN(frame, id)
+		if !bytes.Equal(frame, orig) {
+			t.Fatalf("an edit wrote to its input: %x became %x", orig, frame)
+		}
+		if len(frame) < EthernetHeaderLen {
+			if !bytes.Equal(pushed, frame) {
+				t.Fatalf("a %d-byte frame was tagged", len(frame))
+			}
+			return
+		}
+		if got, ok := VLANTag(pushed); !ok || got != id&0x0fff {
+			t.Fatalf("pushed %d, read back %d (tagged %v)", id, got, ok)
+		}
+		if back := PopVLAN(pushed); !bytes.Equal(back, frame) {
+			t.Fatalf("pop(push(f)) != f:\n f %x\n   %x", frame, back)
+		}
+		if !tagged {
+			if !bytes.Equal(popped, frame) || !bytes.Equal(retagged, frame) {
+				t.Fatal("pop or retag changed an untagged frame")
+			}
+			return
+		}
+		if len(popped) != len(frame)-VLANHeaderLen {
+			t.Fatalf("pop left %d of %d bytes", len(popped), len(frame))
+		}
+		if got, ok := VLANTag(retagged); !ok || got != id&0x0fff {
+			t.Fatalf("retagged to %d, read back %d", id, got)
+		}
+		if back := RetagVLAN(retagged, old); !bytes.Equal(back, frame) {
+			t.Fatalf("retag touched more than the VLAN ID:\n f %x\n   %x", frame, back)
+		}
+	})
+}

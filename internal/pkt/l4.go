@@ -214,12 +214,6 @@ func (t *TCP) PutHeader(seg []byte, ip *IPv4) {
 // ICMPHeaderLen is the length of the fixed ICMP header.
 const ICMPHeaderLen = 8
 
-// ICMP types used by the simulator.
-const (
-	ICMPTypeEchoReply   = 0
-	ICMPTypeEchoRequest = 8
-)
-
 // ICMP is an ICMPv4 header.
 type ICMP struct {
 	Type, Code uint8

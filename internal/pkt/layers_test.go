@@ -7,7 +7,7 @@ import (
 
 func TestICMPRoundTrip(t *testing.T) {
 	ip := &IPv4{TTL: 64, Protocol: IPProtocolICMP, SrcIP: ipA, DstIP: ipB}
-	icmp := &ICMP{Type: ICMPTypeEchoRequest, ID: 77, Seq: 3}
+	icmp := &ICMP{Type: 8, ID: 77, Seq: 3} // echo request
 	data, err := Serialize(
 		SerializeOptions{FixLengths: true, ComputeChecksums: true},
 		&Ethernet{SrcMAC: macA, DstMAC: macB, EthernetType: EthernetTypeIPv4},
@@ -21,7 +21,7 @@ func TestICMPRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("no ICMP layer: %v", p)
 	}
-	if got.Type != ICMPTypeEchoRequest || got.ID != 77 || got.Seq != 3 {
+	if got.Type != 8 || got.ID != 77 || got.Seq != 3 {
 		t.Errorf("icmp = %+v", got)
 	}
 	if string(got.LayerPayload()) != "ping-data" {

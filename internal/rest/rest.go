@@ -432,7 +432,8 @@ type NFStats struct {
 }
 
 // RuleCounter carries one installed steering rule's hit counters, read over
-// the graph's OpenFlow channel.
+// the graph's OpenFlow channel. Table is always 0, the LSI's one flow table;
+// it stays in the reply so clients reading it keep working.
 type RuleCounter struct {
 	Table    uint8  `json:"table"`
 	Priority uint16 `json:"priority"`
@@ -472,7 +473,6 @@ func (s *Server) graphStats(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, fs := range flowStats {
 		reply.Rules = append(reply.Rules, RuleCounter{
-			Table:    fs.TableID,
 			Priority: fs.Priority,
 			Packets:  fs.Packets,
 			Bytes:    fs.Bytes,

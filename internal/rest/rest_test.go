@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +39,7 @@ const ipsecGraphJSON = `{
     "name": "ipsec on the home router",
     "VNFs": [
       {"id": "vpn", "name": "ipsec",
-       "ports": [{"id": "0"}, {"id": "1"}],
+       "ports": [{"id": "0", "name": "cleartext"}, {"id": "1", "name": "esp"}],
        "technology-preference": "native",
        "configuration": {
          "local": "192.0.2.1", "remote": "203.0.113.9",
@@ -104,7 +105,8 @@ func TestDeployGetDeleteOverREST(t *testing.T) {
 		t.Errorf("placement = %v", placements)
 	}
 
-	// GET returns a graph that round-trips.
+	// GET returns the graph as it was put, labels (graph and port names)
+	// included.
 	getResp, err := http.Get(srv.URL + "/v1/graphs/cpe-vpn")
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +119,12 @@ func TestDeployGetDeleteOverREST(t *testing.T) {
 	if err := json.NewDecoder(getResp.Body).Decode(&g); err != nil {
 		t.Fatal(err)
 	}
-	if g.ID != "cpe-vpn" || len(g.NFs) != 1 || len(g.Rules) != 4 {
-		t.Errorf("returned graph = %+v", g)
+	var want un.Graph
+	if err := json.Unmarshal([]byte(ipsecGraphJSON), &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g, want) {
+		t.Errorf("returned graph = %+v, want %+v", g, want)
 	}
 
 	// List.

@@ -82,7 +82,7 @@ func LatencyBuckets() []float64 {
 // DatapathLatencyBuckets is the bucket layout for per-packet pipeline
 // latencies, whose interesting range sits well under a microsecond: a
 // cached-verdict replay runs in hundreds of nanoseconds and a slow-path
-// multi-table walk in single-digit microseconds, so the low buckets are
+// walk of a large table in single-digit microseconds, so the low buckets are
 // ns-scale and the tail covers stalls up to ~16ms.
 func DatapathLatencyBuckets() []float64 {
 	return []float64{

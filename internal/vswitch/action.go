@@ -19,21 +19,17 @@ type Action interface {
 // the packet, so actions account drops against their own lane's counters and
 // Output appends to their own lane's egress batches.
 type actionContext struct {
-	data      []byte
-	key       *flowKey
-	ctrs      *dpCounters
-	tx        *txCoalescer
-	hops      int // the ingress frame's hop count, copied onto egress frames
-	tableID   int
-	gotoTable int // -1 when the pipeline ends here
-	dirty     bool
+	data []byte
+	key  *flowKey
+	ctrs *dpCounters
+	tx   *txCoalescer
+	hops int // the ingress frame's hop count, copied onto egress frames
 }
 
-// reparse refreshes the flow key after a header modification.
-func (c *actionContext) reparse(sw *Switch) {
-	inPort, meta := c.key.inPort, c.key.metadata
-	_ = extractKey(c.data, inPort, c.key)
-	c.key.metadata = meta
+// reparse refreshes the flow key after a tag push or pop, so a later
+// SelectBucket hashes the 5-tuple of the frame as it now is.
+func (c *actionContext) reparse() {
+	_ = extractKey(c.data, c.key.inPort, c.key)
 }
 
 // OutputAction sends the frame out of a switch port.
@@ -48,30 +44,6 @@ func (a OutputAction) apply(sw *Switch, ctx *actionContext) {
 
 func (a OutputAction) String() string { return fmt.Sprintf("output:%d", a.Port) }
 
-// FloodAction sends the frame out of every port except the ingress port.
-type FloodAction struct{}
-
-// Flood is shorthand for FloodAction.
-func Flood() Action { return FloodAction{} }
-
-func (a FloodAction) apply(sw *Switch, ctx *actionContext) {
-	sw.flood(ctx.key.inPort, ctx)
-}
-
-func (a FloodAction) String() string { return "flood" }
-
-// ControllerAction punts the frame to the controller as a packet-in.
-type ControllerAction struct{}
-
-// ToController is shorthand for ControllerAction.
-func ToController() Action { return ControllerAction{} }
-
-func (a ControllerAction) apply(sw *Switch, ctx *actionContext) {
-	sw.packetIn(ctx.key.inPort, ctx.tableID, ReasonAction, ctx.data)
-}
-
-func (a ControllerAction) String() string { return "controller" }
-
 // PushVLANAction tags the frame with an 802.1Q header.
 type PushVLANAction struct{ VLANID uint16 }
 
@@ -79,20 +51,8 @@ type PushVLANAction struct{ VLANID uint16 }
 func PushVLAN(id uint16) Action { return PushVLANAction{VLANID: id} }
 
 func (a PushVLANAction) apply(sw *Switch, ctx *actionContext) {
-	if len(ctx.data) < pkt.EthernetHeaderLen {
-		return
-	}
-	out := make([]byte, len(ctx.data)+pkt.VLANHeaderLen)
-	copy(out, ctx.data[:12])
-	// TPID then TCI then the original EtherType and payload.
-	out[12] = 0x81
-	out[13] = 0x00
-	out[14] = byte(a.VLANID >> 8 & 0x0f)
-	out[15] = byte(a.VLANID)
-	copy(out[16:], ctx.data[12:])
-	ctx.data = out
-	ctx.dirty = true
-	ctx.reparse(sw)
+	ctx.data = pkt.PushVLAN(ctx.data, a.VLANID)
+	ctx.reparse()
 }
 
 func (a PushVLANAction) String() string { return fmt.Sprintf("push_vlan:%d", a.VLANID) }
@@ -104,38 +64,11 @@ type PopVLANAction struct{}
 func PopVLAN() Action { return PopVLANAction{} }
 
 func (a PopVLANAction) apply(sw *Switch, ctx *actionContext) {
-	d := ctx.data
-	if len(d) < pkt.EthernetHeaderLen+pkt.VLANHeaderLen || d[12] != 0x81 || d[13] != 0x00 {
-		return
-	}
-	out := make([]byte, len(d)-pkt.VLANHeaderLen)
-	copy(out, d[:12])
-	copy(out[12:], d[16:])
-	ctx.data = out
-	ctx.dirty = true
-	ctx.reparse(sw)
+	ctx.data = pkt.PopVLAN(ctx.data)
+	ctx.reparse()
 }
 
 func (a PopVLANAction) String() string { return "pop_vlan" }
-
-// SetVLANAction rewrites the VLAN ID of an already-tagged frame.
-type SetVLANAction struct{ VLANID uint16 }
-
-// SetVLAN is shorthand for SetVLANAction.
-func SetVLAN(id uint16) Action { return SetVLANAction{VLANID: id} }
-
-func (a SetVLANAction) apply(sw *Switch, ctx *actionContext) {
-	d := ctx.data
-	if len(d) < pkt.EthernetHeaderLen+pkt.VLANHeaderLen || d[12] != 0x81 || d[13] != 0x00 {
-		return
-	}
-	d[14] = d[14]&0xf0 | byte(a.VLANID>>8&0x0f)
-	d[15] = byte(a.VLANID)
-	ctx.dirty = true
-	ctx.reparse(sw)
-}
-
-func (a SetVLANAction) String() string { return fmt.Sprintf("set_vlan:%d", a.VLANID) }
 
 // SetEthSrcAction rewrites the source MAC.
 type SetEthSrcAction struct{ MAC pkt.MAC }
@@ -148,8 +81,6 @@ func (a SetEthSrcAction) apply(sw *Switch, ctx *actionContext) {
 		return
 	}
 	copy(ctx.data[6:12], a.MAC[:])
-	ctx.key.ethSrc = a.MAC
-	ctx.dirty = true
 }
 
 func (a SetEthSrcAction) String() string { return "set_dl_src:" + a.MAC.String() }
@@ -165,36 +96,6 @@ func (a SetEthDstAction) apply(sw *Switch, ctx *actionContext) {
 		return
 	}
 	copy(ctx.data[0:6], a.MAC[:])
-	ctx.key.ethDst = a.MAC
-	ctx.dirty = true
 }
 
 func (a SetEthDstAction) String() string { return "set_dl_dst:" + a.MAC.String() }
-
-// SetMetadataAction writes the pipeline metadata register under a mask. The
-// register travels with the packet across GotoTable but is not serialized to
-// the wire.
-type SetMetadataAction struct{ Value, Mask uint64 }
-
-// SetMetadata is shorthand for SetMetadataAction.
-func SetMetadata(value, mask uint64) Action { return SetMetadataAction{Value: value, Mask: mask} }
-
-func (a SetMetadataAction) apply(sw *Switch, ctx *actionContext) {
-	ctx.key.metadata = ctx.key.metadata&^a.Mask | a.Value&a.Mask
-}
-
-func (a SetMetadataAction) String() string {
-	return fmt.Sprintf("set_metadata:%#x/%#x", a.Value, a.Mask)
-}
-
-// GotoTableAction continues pipeline processing in a later table.
-type GotoTableAction struct{ Table int }
-
-// GotoTable is shorthand for GotoTableAction.
-func GotoTable(t int) Action { return GotoTableAction{Table: t} }
-
-func (a GotoTableAction) apply(sw *Switch, ctx *actionContext) {
-	ctx.gotoTable = a.Table
-}
-
-func (a GotoTableAction) String() string { return fmt.Sprintf("goto_table:%d", a.Table) }

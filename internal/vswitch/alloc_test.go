@@ -14,18 +14,18 @@ import (
 
 // TestHitPathZeroAllocs is the hard gate on the datapath's hot path: a frame
 // is forwarded without one heap allocation, whether its verdict is cached or
-// its tables are walked, whether it arrives alone or in a burst, and whether
+// its table is walked, whether it arrives alone or in a burst, and whether
 // the lane runs inline or behind worker rings. "hit" is one microflow sent
 // frame by frame; {workers}x{burst} spread 64 microflows over a cache-worthy
-// table; "walk/…" send them through a table below cacheMinEntries; "flood"
-// floods them to two ports. AllocsPerRun counts the mallocs of the whole
+// table; "walk/…" send them through a table below cacheMinEntries; "fanout"
+// outputs each of them to two ports. AllocsPerRun counts the mallocs of the whole
 // process, so the worker goroutines are covered, and each run waits for the
 // rings to drain before it ends.
 func TestHitPathZeroAllocs(t *testing.T) {
 	type gate struct {
 		name                  string
 		workers, burst, flows int
-		walk, flood           bool
+		walk, fanout          bool
 	}
 	gates := []gate{{name: "hit", burst: 1, flows: 1}}
 	for _, workers := range laneModes {
@@ -36,7 +36,7 @@ func TestHitPathZeroAllocs(t *testing.T) {
 	for _, workers := range laneModes {
 		gates = append(gates, gate{name: fmt.Sprintf("walk/%dx32", workers), workers: workers, burst: 32, flows: 64, walk: true})
 	}
-	gates = append(gates, gate{name: "flood", burst: 8, flows: 64, walk: true, flood: true})
+	gates = append(gates, gate{name: "fanout", burst: 8, flows: 64, walk: true, fanout: true})
 	for _, g := range gates {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
@@ -47,9 +47,9 @@ func TestHitPathZeroAllocs(t *testing.T) {
 				sw, in = forwardRig(t, g.workers, false)
 				t.Cleanup(sw.Close)
 				frames = benchFrames(t, g.flows, 20000)
-				if g.flood {
+				if g.fanout {
 					addSink(t, sw, 3)
-					if _, err := sw.SwapFlows(0, []*FlowEntry{{Match: MatchAll(), Actions: []Action{Flood()}}}); err != nil {
+					if _, err := sw.SwapFlows(0, []*FlowEntry{{Match: MatchAll(), Actions: []Action{Output(2), Output(3)}}}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -67,8 +67,8 @@ func TestHitPathZeroAllocs(t *testing.T) {
 				t.Errorf("%.0f allocs per burst of %d frames, want 0", allocs, g.burst)
 			}
 			cs := sw.CacheStats()
-			if cached := sw.tables.Load().cached; cached == g.walk {
-				t.Fatalf("tables cached=%v, but the gate measures walk=%v", cached, g.walk)
+			if cached := sw.table.Load().cached; cached == g.walk {
+				t.Fatalf("table cached=%v, but the gate measures walk=%v", cached, g.walk)
 			}
 			switch {
 			case g.walk && (cs.Entries != 0 || cs.Hits != 0):
@@ -76,9 +76,9 @@ func TestHitPathZeroAllocs(t *testing.T) {
 			case !g.walk && (cs.Hits == 0 || cs.Misses > uint64(g.flows)):
 				t.Errorf("cache stats %+v: the gate measured misses, not the hit path", cs)
 			}
-			if g.flood {
+			if g.fanout {
 				if tx := sw.Port(3).Stats().TxPackets; tx < 200*uint64(g.burst) {
-					t.Errorf("port 3 transmitted %d frames, want every flooded frame", tx)
+					t.Errorf("port 3 transmitted %d frames, want every fanned-out frame", tx)
 				}
 			}
 		})

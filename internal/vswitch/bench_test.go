@@ -17,7 +17,7 @@ import (
 
 // forwardRig is a switch forwarding port 1 to a sink on port 2 that recycles
 // every delivered buffer; the far end of port 1 is returned for sending. With
-// cached set its tables are padded to cache-worthiness (padToCache);
+// cached set its table is padded to cache-worthiness (padToCache);
 // otherwise the one forwarding entry is walked.
 func forwardRig(tb testing.TB, workers int, cached bool) (*Switch, *netdev.Port) {
 	tb.Helper()
@@ -268,16 +268,16 @@ func slotDistinctFrames(tb testing.TB, sw *Switch, n int, dst uint16) [][]byte {
 	return out
 }
 
-// forceCached republishes the switch's tables with the cache decision set to
+// forceCached republishes the switch's table with the cache decision set to
 // on whatever their size, so one rig can time every regime.
 func forceCached(sw *Switch, on bool) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	ts := *sw.tables.Load()
-	ts.cached = on
+	ft := *sw.table.Load()
+	ft.cached = on
 	if on {
 		sw.cache.allocSlots()
 	}
-	sw.tables.Store(&ts)
+	sw.table.Store(&ft)
 	sw.cache.invalidate()
 }

@@ -5,21 +5,18 @@ import (
 	"sync/atomic"
 )
 
-// The microflow cache memoizes the outcome of a complete multi-table
-// pipeline traversal per exact flow key, in the spirit of Open vSwitch's
-// exact-match cache: the first packet of a microflow walks the priority
-// lists of every table (the slow path) and records the sequence of entries
-// it matched; every later packet with the same key replays that sequence
-// without any table lookup.
+// The microflow cache memoizes the table lookup per exact flow key, in the
+// spirit of Open vSwitch's exact-match cache: the first packet of a
+// microflow walks the table's priority list (the slow path) and records the
+// entry it matched, or the miss; every later packet with the same key runs
+// that entry's actions without any lookup.
 //
-// Correctness rests on two facts. First, the matched-entry sequence is a
-// pure function of the initial flow key and the table contents: actions
-// mutate the packet (and reparse the key) deterministically, so identical
-// input keys traverse identical entries. Second, every mutation of the
-// lookup state (flow add/delete, port attach/detach) bumps a generation
+// Correctness rests on two facts. First, the matched entry is a pure
+// function of the flow key and the table contents. Second, every mutation of
+// the lookup state (flow add/delete, port attach/detach) bumps a generation
 // counter AFTER publishing the new state; a verdict records the generation
-// read BEFORE its traversal and is only served while the two still agree,
-// so a verdict computed against stale tables can never validate.
+// read BEFORE its lookup and is only served while the two still agree, so a
+// verdict computed against a stale table can never validate.
 //
 // The cache is split into partitions of fixed-size slot arrays read and
 // written with single atomic pointer operations — no locks anywhere. A
@@ -33,15 +30,15 @@ import (
 // miss costs a probe, a verdict record and an allocation on top of the walk.
 // On a table of a few rules — a service-chain LSI — a hit saves little, so
 // each published table snapshot records whether it is big enough to cache
-// (tableSet.cached, total entries >= cacheMinEntries), and a lane bursting
+// (flowTable.cached, entries >= cacheMinEntries), and a lane bursting
 // over a smaller one walks it: no probe, no key hash, no verdict. The
 // partitions' slot arrays are allocated when the first cache-worthy
 // snapshot is published, so a switch that never gets one never holds them.
 
 const (
-	// cacheMinEntries is the total flow-entry count from which a switch
-	// caches. BenchmarkCacheCrossover, median ns per frame of 5 runs over N
-	// L4 rules with the matching entry last (2-vCPU Intel Xeon VM):
+	// cacheMinEntries is the flow-entry count from which a switch caches.
+	// BenchmarkCacheCrossover, median ns per frame of 5 runs over N L4
+	// rules with the matching entry last (2-vCPU Intel Xeon VM):
 	//
 	//	rules            4     8    16    32    64   128   256
 	//	hit             82    81    81    82    82    82    82
@@ -59,28 +56,20 @@ const (
 	// previous occupant — losing an entry only costs a slow-path walk — so
 	// the cache is memory-bounded with no eviction bookkeeping.
 	cacheSlots = 8192
-	// verdictMaxEntries bounds the matched-entry chain recorded inline in a
-	// verdict. A traversal matching more tables than this is executed but
-	// not memoized, keeping the verdict a fixed-size allocation.
-	verdictMaxEntries = 8
 )
 
-// cacheVerdict is the memoized outcome of one slow-path traversal. Verdicts
-// are immutable once published: the slow path records into a verdict the
-// lane owns, and put takes it over.
+// cacheVerdict is the memoized outcome of one table lookup. Verdicts are
+// immutable once published: the slow path records into a verdict the lane
+// owns, and put takes it over.
 type cacheVerdict struct {
-	// gen is the invalidation generation the traversal ran under.
+	// gen is the invalidation generation the lookup ran under.
 	gen uint64
-	// key is the pristine input key; the map is keyed by the key's hash, so
-	// a lookup must compare keys to reject the (rare) colliding microflow.
+	// key is the pristine input key; the slot is picked by the key's hash,
+	// so a lookup must compare keys to reject the (rare) colliding
+	// microflow.
 	key flowKey
-	// missTable is the table that missed, or -1 when the pipeline ended
-	// through its action list.
-	missTable int
-	// entries[:nEntries] are the flow entries matched, one per visited
-	// table, inline so a verdict is one allocation.
-	nEntries int
-	entries  [verdictMaxEntries]*FlowEntry
+	// entry is the flow entry matched; nil records a table miss.
+	entry *FlowEntry
 }
 
 // cachePart is one cache partition: a fixed open-addressed array of
@@ -181,15 +170,15 @@ func (c *microflowCache) entryCount() int {
 
 // CacheStats is a snapshot of a switch's microflow-cache counters.
 type CacheStats struct {
-	// Hits counts packets fully served by a cached verdict.
+	// Hits counts packets served by a cached verdict.
 	Hits uint64
 	// Misses counts packets that took the slow path (counted only while
-	// the cache is enabled), including every packet that walked tables too
+	// the cache is enabled), including every packet that walked a table too
 	// small to cache (cacheMinEntries): Hits+Misses is one per switch
 	// crossing of a well-formed frame.
 	Misses uint64
 	// Entries is the number of resident verdicts, valid or stale; 0 on a
-	// switch whose tables never reached cacheMinEntries.
+	// switch whose table never reached cacheMinEntries.
 	Entries int
 	// Generation is the current invalidation generation.
 	Generation uint64

@@ -17,7 +17,7 @@ const padCookie = 0xbad
 
 // padToCache installs cacheMinEntries entries that no test frame matches
 // (they name an ingress port no rig attaches), so that whatever else the
-// switch holds, its tables are big enough to cache.
+// switch holds, its table is big enough to cache.
 func padToCache(tb testing.TB, sw *Switch) {
 	tb.Helper()
 	pads := make([]*FlowEntry, cacheMinEntries)
@@ -160,32 +160,26 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestCachedMissVerdictStillPuntsAndCounts(t *testing.T) {
+func TestCachedMissVerdictStillDropsAndCounts(t *testing.T) {
 	sw := New("lsi", 1)
 	padToCache(t, sw)
-	hosts := rig(t, sw, 1)
-	var events int
-	sw.SetPacketInHandler(func(PacketIn) { events++ })
-	sw.SetMissPolicy(MissController)
+	hosts := rig(t, sw, 2)
 	data := frame(t, 0, 80)
 	for i := 0; i < 3; i++ {
 		_ = hosts[0].Send(netdev.Frame{Data: data})
 	}
-	if events != 3 {
-		t.Errorf("packet-ins = %d, want 3 (cached miss must still punt)", events)
-	}
-	if sw.Misses() != 3 {
-		t.Errorf("table misses = %d, want 3", sw.Misses())
+	if sw.Misses() != 3 || sw.Drops() != 3 {
+		t.Errorf("table misses / drops = %d / %d, want 3 / 3 (a cached miss must still count and drop)", sw.Misses(), sw.Drops())
 	}
 	cs := cacheStats(t, sw)
 	if cs.Hits != 2 || cs.Misses != 1 {
 		t.Errorf("cache = %d hits / %d misses, want 2/1", cs.Hits, cs.Misses)
 	}
 	// Installing a flow must invalidate the cached miss verdict.
-	mustAdd(t, sw, &FlowEntry{Match: MatchAll(), Actions: []Action{ToController()}})
+	mustAdd(t, sw, &FlowEntry{Match: MatchAll().WithInPort(1), Actions: []Action{Output(2)}})
 	_ = hosts[0].Send(netdev.Frame{Data: data})
-	if events != 4 {
-		t.Errorf("packet-ins = %d, want 4", events)
+	if _, ok := hosts[1].TryRecv(); !ok {
+		t.Error("stale cached miss served after AddFlow")
 	}
 	if sw.Misses() != 3 {
 		t.Errorf("table misses = %d after flow install, want still 3", sw.Misses())
@@ -208,16 +202,14 @@ func TestCacheReplayKeepsFlowStats(t *testing.T) {
 	}
 }
 
-func TestCacheMultiTableReplay(t *testing.T) {
-	// A cached verdict spanning GotoTable + SetMetadata + PushVLAN must
-	// replay identically to the slow path.
+func TestCacheReplayMatchesSlowPath(t *testing.T) {
+	// A cached verdict whose entry rewrites and tags the frame must replay
+	// identically to the slow path.
 	sw := New("lsi", 1)
 	padToCache(t, sw)
 	hosts := rig(t, sw, 2)
-	mustAdd(t, sw, &FlowEntry{Table: 0, Match: MatchAll().WithInPort(1),
-		Actions: []Action{SetMetadata(0x5, 0xff), GotoTable(1)}})
-	mustAdd(t, sw, &FlowEntry{Table: 1, Match: MatchAll().WithMetadata(0x5, 0xff),
-		Actions: []Action{PushVLAN(42), Output(2)}})
+	mustAdd(t, sw, &FlowEntry{Match: MatchAll().WithInPort(1),
+		Actions: []Action{SetEthDst(macA), PushVLAN(42), Output(2)}})
 	data := frame(t, 0, 80)
 	var first, second []byte
 	_ = hosts[0].Send(netdev.Frame{Data: data})
@@ -241,7 +233,7 @@ func TestCacheMultiTableReplay(t *testing.T) {
 }
 
 // TestWalkedSwitchCountsMissesAndCachesNothing pins what the counters mean
-// on a switch below cacheMinEntries: every frame walks the tables and counts
+// on a switch below cacheMinEntries: every frame walks the table and counts
 // as a cache miss, nothing is cached, and the flow entries still count.
 func TestWalkedSwitchCountsMissesAndCachesNothing(t *testing.T) {
 	sw := New("lsi", 1)
@@ -273,8 +265,8 @@ func TestWalkedSwitchCountsMissesAndCachesNothing(t *testing.T) {
 }
 
 // TestSlotArraysOnlyForCacheWorthyTables checks that the 64 KB slot array of
-// each partition exists only once the switch has published tables big enough
-// to cache: a service-chain LSI that never gets there never holds one.
+// each partition exists only once the switch has published a table big
+// enough to cache: a service-chain LSI that never gets there never holds one.
 func TestSlotArraysOnlyForCacheWorthyTables(t *testing.T) {
 	for _, workers := range laneModes {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -8,40 +8,24 @@ type Prefix struct {
 	Bits int
 }
 
-// Masked is an exported value/mask pair for metadata matches.
-type Masked struct {
-	Value, Mask uint64
-}
-
 // MatchFields is the exported, optional-field view of a Match, used by wire
 // codecs (internal/openflow) and the traffic steering manager. Nil pointers
 // are wildcards; InPort 0 is a wildcard.
 type MatchFields struct {
-	InPort   uint32
-	EthSrc   *pkt.MAC
-	EthDst   *pkt.MAC
-	EthType  *pkt.EthernetType
-	VLANID   *uint16
-	IPProto  *pkt.IPProtocol
-	IPSrc    *Prefix
-	IPDst    *Prefix
-	L4Src    *uint16
-	L4Dst    *uint16
-	Metadata *Masked
+	InPort  uint32
+	EthType *pkt.EthernetType
+	VLANID  *uint16
+	IPProto *pkt.IPProtocol
+	IPSrc   *Prefix
+	IPDst   *Prefix
+	L4Src   *uint16
+	L4Dst   *uint16
 }
 
 // Fields returns the exported view of the match. Pointer targets are copies;
 // mutating them does not affect the match.
 func (m Match) Fields() MatchFields {
 	f := MatchFields{InPort: m.inPort}
-	if m.ethSrc != nil {
-		v := *m.ethSrc
-		f.EthSrc = &v
-	}
-	if m.ethDst != nil {
-		v := *m.ethDst
-		f.EthDst = &v
-	}
 	if m.ethType != nil {
 		v := *m.ethType
 		f.EthType = &v
@@ -68,9 +52,6 @@ func (m Match) Fields() MatchFields {
 		v := *m.l4Dst
 		f.L4Dst = &v
 	}
-	if m.metadata != nil {
-		f.Metadata = &Masked{Value: m.metadata.value, Mask: m.metadata.mask}
-	}
 	return f
 }
 
@@ -79,12 +60,6 @@ func MatchFromFields(f MatchFields) Match {
 	m := MatchAll()
 	if f.InPort != 0 {
 		m = m.WithInPort(f.InPort)
-	}
-	if f.EthSrc != nil {
-		m = m.WithEthSrc(*f.EthSrc)
-	}
-	if f.EthDst != nil {
-		m = m.WithEthDst(*f.EthDst)
 	}
 	if f.EthType != nil {
 		m = m.WithEthType(*f.EthType)
@@ -106,9 +81,6 @@ func MatchFromFields(f MatchFields) Match {
 	}
 	if f.L4Dst != nil {
 		m = m.WithL4Dst(*f.L4Dst)
-	}
-	if f.Metadata != nil {
-		m = m.WithMetadata(f.Metadata.Value, f.Metadata.Mask)
 	}
 	return m
 }

@@ -10,13 +10,11 @@ import (
 func fullMatch() Match {
 	return MatchAll().
 		WithInPort(7).
-		WithEthSrc(macA).WithEthDst(macB).
 		WithEthType(pkt.EthernetTypeIPv4).
 		WithVLAN(300).
 		WithIPProto(pkt.IPProtocolUDP).
 		WithIPSrc(ipA, 24).WithIPDst(ipB, 32).
-		WithL4Src(53).WithL4Dst(5353).
-		WithMetadata(0xbeef, 0xffff)
+		WithL4Src(53).WithL4Dst(5353)
 }
 
 func TestFieldsRoundTrip(t *testing.T) {
@@ -27,11 +25,10 @@ func TestFieldsRoundTrip(t *testing.T) {
 		t.Errorf("round trip:\n in  %v\n out %v", m, back)
 	}
 	// Pointer targets must be copies.
-	*f.EthSrc = pkt.MAC{9, 9, 9, 9, 9, 9}
+	*f.L4Src = 9
 	*f.VLANID = 9
 	f.IPSrc.Bits = 1
-	if m.Fields().EthSrc.String() != macA.String() ||
-		*m.Fields().VLANID != 300 || m.Fields().IPSrc.Bits != 24 {
+	if *m.Fields().L4Src != 53 || *m.Fields().VLANID != 300 || m.Fields().IPSrc.Bits != 24 {
 		t.Error("Fields aliases internal state")
 	}
 	// Empty matches survive too.
@@ -43,9 +40,9 @@ func TestFieldsRoundTrip(t *testing.T) {
 func TestMatchString(t *testing.T) {
 	s := fullMatch().String()
 	for _, want := range []string{
-		"in_port=7", "dl_src=", "dl_dst=", "dl_type=IPv4", "dl_vlan=300",
+		"in_port=7", "dl_type=IPv4", "dl_vlan=300",
 		"nw_proto=UDP", "nw_src=10.0.0.1/24", "nw_dst=10.0.0.2/32",
-		"tp_src=53", "tp_dst=5353", "metadata=0xbeef/0xffff",
+		"tp_src=53", "tp_dst=5353",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("match string %q missing %q", s, want)
@@ -54,23 +51,16 @@ func TestMatchString(t *testing.T) {
 	if MatchAll().String() != "any" {
 		t.Error("wildcard string")
 	}
-	if !strings.Contains(MatchAll().WithVLAN(VLANNone).String(), "vlan=none") {
-		t.Error("vlan-none string")
-	}
 }
 
 func TestActionStrings(t *testing.T) {
 	cases := map[string]Action{
-		"output:3":                     Output(3),
-		"flood":                        Flood(),
-		"controller":                   ToController(),
-		"push_vlan:9":                  PushVLAN(9),
-		"pop_vlan":                     PopVLAN(),
-		"set_vlan:8":                   SetVLAN(8),
-		"goto_table:2":                 GotoTable(2),
-		"set_dl_src:02:00:00:00:00:0a": SetEthSrc(macA),
-		"set_dl_dst:02:00:00:00:00:0b": SetEthDst(macB),
-		"set_metadata:0x1/0xf":         SetMetadata(1, 0xf),
+		"output:3":                           Output(3),
+		"select_bucket:2(x22),3(x21),4(x21)": SelectBucket(laneBuckets()),
+		"push_vlan:9":                        PushVLAN(9),
+		"pop_vlan":                           PopVLAN(),
+		"set_dl_src:02:00:00:00:00:0a":       SetEthSrc(macA),
+		"set_dl_dst:02:00:00:00:00:0b":       SetEthDst(macB),
 	}
 	for want, a := range cases {
 		if a.String() != want {
@@ -80,8 +70,8 @@ func TestActionStrings(t *testing.T) {
 }
 
 func TestSwitchAccessors(t *testing.T) {
-	sw := NewTables("lsi-x", 0x77, 0) // clamps to 1 table
-	if sw.Name() != "lsi-x" || sw.DPID() != 0x77 || sw.NumTables() != 1 {
-		t.Errorf("accessors: %s %#x %d", sw.Name(), sw.DPID(), sw.NumTables())
+	sw := NewOptions("lsi-x", 0x77, Options{Workers: -1}) // clamps to inline
+	if sw.Name() != "lsi-x" || sw.DPID() != 0x77 || sw.Workers() != 0 {
+		t.Errorf("accessors: %s %#x %d", sw.Name(), sw.DPID(), sw.Workers())
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // The lane is the datapath: the only way a received or injected frame
-// reaches the flow tables. A lane executes one burst at a time — begin loads
+// reaches the flow table. A lane executes one burst at a time — begin loads
 // the cache state once, forward runs each frame through the microflow cache
-// (tables of cacheMinEntries entries or more) or walks the tables while
+// (a table of cacheMinEntries entries or more) or walks the table while
 // flow-entry hit stats and egress frames accumulate,
 // end transmits one SendBatch per egress port and only then does the
 // bookkeeping: flushes the stats, publishes the counters and samples the
@@ -36,7 +36,7 @@ import (
 type dpCounters struct {
 	pipeline    atomic.Uint64 // frames that completed the pipeline (rx)
 	misses      atomic.Uint64 // table-miss packets
-	drops       atomic.Uint64 // discarded: unknown egress, miss-drop, queue-full
+	drops       atomic.Uint64 // discarded: unknown egress, table miss, queue-full
 	malformed   atomic.Uint64 // frames extractKey rejected (not a table miss)
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
@@ -51,16 +51,16 @@ type lane struct {
 	ctrs *dpCounters
 	key  flowKey
 	ctx  actionContext
-	// v is the verdict the next slow-path traversal records into. A
-	// cacheable one is handed to the cache as is and end allocates the
-	// replacement after the egress flush, so the allocation a miss costs
-	// stays off the frame's way to the wire.
+	// v is the verdict the next cached miss records into. It is handed to
+	// the cache as is and end allocates the replacement after the egress
+	// flush, so the allocation a miss costs stays off the frame's way to the
+	// wire.
 	v  *cacheVerdict
 	tx txCoalescer
 
 	// Cache state of the running burst, loaded once in begin. cacheOn: the
 	// cache is enabled, so every frame counts as a hit or a miss. cached:
-	// it is enabled and the tables are big enough to cache, so frames probe
+	// it is enabled and the table is big enough to cache, so frames probe
 	// and record. Each verdict is recorded under the generation it was read
 	// with, so a flow-mod mid-burst widens the staleness window to at most
 	// one burst and can never publish a stale verdict past it.
@@ -139,7 +139,7 @@ func (s *Switch) runInline(inPort uint32, fs []netdev.Frame) {
 			if l.cached {
 				hash = l.key.hash(seed)
 			}
-			l.forward(s, inPort, chunk[i].Data, hash, chunk[i].Hops)
+			l.forward(s, chunk[i].Data, hash, chunk[i].Hops)
 		}
 		l.end(s)
 		s.countMalformed(malformed)
@@ -158,7 +158,7 @@ func (l *lane) runItems(s *Switch, items []workerItem) {
 	for i := range items {
 		it := &items[i]
 		l.key = it.key
-		l.forward(s, it.inPort, it.data, it.hash, it.hops)
+		l.forward(s, it.data, it.hash, it.hops)
 		if it.shared == nil {
 			pkt.PutBuffer(it.data)
 			continue
@@ -182,11 +182,11 @@ func (l *lane) begin(s *Switch, n int) {
 	l.cacheOn = s.cache.enabled.Load()
 	l.cached = false
 	if l.cacheOn {
-		// Read the generation before the tables: a concurrent flow-mod swaps
+		// Read the generation before the table: a concurrent flow-mod swaps
 		// the snapshot first and bumps the generation second, so a verdict
-		// recorded under an old generation can never describe new tables.
+		// recorded under an old generation can never describe a new table.
 		l.gen = s.cache.gen.Load()
-		l.cached = s.tables.Load().cached
+		l.cached = s.table.Load().cached
 	}
 	before := l.seen
 	l.seen += uint64(n)
@@ -199,31 +199,32 @@ func (l *lane) begin(s *Switch, n int) {
 // forward is the pipeline body for one frame whose parsed key is in l.key
 // and whose hash picked the cache partition (and, behind rings, the worker,
 // so a flow's verdict stays core-local; the hash is unset when the burst
-// does not probe): a microflow-cache hit replays the memoized verdict;
-// anything else walks the tables and, over cache-worthy tables, records the
-// traversal for the next packet. Every walk is a miss.
-func (l *lane) forward(s *Switch, inPort uint32, data []byte, hash uint64, hops int) {
+// does not probe): a microflow-cache hit runs the memoized entry; anything
+// else looks the table up and, over a cache-worthy table, records the
+// verdict for the next packet. Every lookup is a miss.
+func (l *lane) forward(s *Switch, data []byte, hash uint64, hops int) {
 	l.frames++
-	l.ctx = actionContext{data: data, key: &l.key, gotoTable: -1, ctrs: l.ctrs, tx: &l.tx, hops: hops}
+	l.ctx = actionContext{data: data, key: &l.key, ctrs: l.ctrs, tx: &l.tx, hops: hops}
 	if !l.cached {
 		l.misses++
-		s.runPipeline(l, inPort, false)
+		s.execute(l, lookupEntry(s.table.Load().entries, &l.key))
 		return
 	}
 	if v := s.cache.get(hash, &l.key, l.gen); v != nil {
 		l.hits++
-		s.replay(l, inPort, v)
+		s.execute(l, v.entry)
 		return
 	}
 	l.misses++
-	if l.v == nil {
-		l.v = new(cacheVerdict)
+	v := l.v
+	if v == nil {
+		v = new(cacheVerdict)
 	}
-	l.v.key = l.key // pristine copy: actions mutate the key during traversal
-	if s.runPipeline(l, inPort, true) {
-		s.cache.put(hash, l.v)
-		l.v = nil
-	}
+	l.v = nil
+	// The key is copied before the actions run: a tag push or pop reparses it.
+	v.gen, v.key, v.entry = l.gen, l.key, lookupEntry(s.table.Load().entries, &l.key)
+	s.execute(l, v.entry)
+	s.cache.put(hash, v)
 }
 
 // end closes the burst: egress first, then the bookkeeping — entry stats,
@@ -275,7 +276,7 @@ func (l *lane) flushEntryStats() {
 
 // countMalformed accounts frames the parser rejected, against the
 // sender-context counters: received, malformed and dropped, but never a
-// table or cache miss — they did not consult the tables, so they must not
+// table or cache miss — they did not consult the table, so they must not
 // pollute the hit-rate or table-miss metrics.
 func (s *Switch) countMalformed(n uint64) {
 	if n != 0 {
@@ -285,71 +286,8 @@ func (s *Switch) countMalformed(n uint64) {
 	}
 }
 
-// runPipeline is the slow path: a full multi-table traversal over the
-// current table snapshot. With record set it fills l.v with the traversal
-// and reports whether the verdict is cacheable (a traversal deeper than
-// verdictMaxEntries executes but is not memoized).
-func (s *Switch) runPipeline(l *lane, inPort uint32, record bool) bool {
-	tables := s.tables.Load().tables
-	ctx := &l.ctx
-	if record {
-		l.v.gen = l.gen
-		l.v.nEntries = 0
-		l.v.missTable = -1
-	}
-	table := 0
-	for table < s.nTables {
-		entry := lookupEntry(tables[table], &l.key)
-		if entry == nil {
-			s.missAction(inPort, table, ctx.data, l.ctrs)
-			if record {
-				l.v.missTable = table
-			}
-			return record
-		}
-		if record {
-			if l.v.nEntries == verdictMaxEntries {
-				record = false
-			} else {
-				l.v.entries[l.v.nEntries] = entry
-				l.v.nEntries++
-			}
-		}
-		l.hitEntry(entry, len(ctx.data))
-		ctx.tableID = table
-		ctx.gotoTable = -1
-		for _, a := range entry.Actions {
-			a.apply(s, ctx)
-		}
-		if ctx.gotoTable < 0 {
-			break // pipeline ends; Output actions already ran
-		}
-		table = ctx.gotoTable
-	}
-	return record
-}
-
-// replay re-applies a memoized traversal to one packet: per matched entry it
-// accounts the hit and runs the action list, exactly as the slow path would,
-// then finishes with the recorded table miss if there was one.
-func (s *Switch) replay(l *lane, inPort uint32, v *cacheVerdict) {
-	ctx := &l.ctx
-	for i := 0; i < v.nEntries; i++ {
-		e := v.entries[i]
-		l.hitEntry(e, len(ctx.data))
-		ctx.tableID = e.Table
-		ctx.gotoTable = -1
-		for _, a := range e.Actions {
-			a.apply(s, ctx)
-		}
-	}
-	if v.missTable >= 0 {
-		s.missAction(inPort, v.missTable, ctx.data, l.ctrs)
-	}
-}
-
-// lookupEntry finds the highest-priority matching entry in one table's
-// priority-sorted entry list.
+// lookupEntry finds the highest-priority matching entry in the
+// priority-sorted entry list, or nil.
 func lookupEntry(entries []*FlowEntry, key *flowKey) *FlowEntry {
 	for _, e := range entries {
 		if e.Match.matches(key) {
@@ -359,33 +297,18 @@ func lookupEntry(entries []*FlowEntry, key *flowKey) *FlowEntry {
 	return nil
 }
 
-func (s *Switch) missAction(inPort uint32, table int, data []byte, ctrs *dpCounters) {
-	ctrs.misses.Add(1)
-	// A punt only counts as delivered when a controller is actually
-	// attached; MissController with no handler still discards the frame.
-	// The handler is loaded once so a concurrent detach cannot slip the
-	// frame between the check and the delivery uncounted.
-	if MissPolicy(s.miss.Load()) == MissController {
-		if fn := s.onPktIn.Load(); fn != nil {
-			s.deliverPacketIn(fn, inPort, table, ReasonMiss, data)
-			return
-		}
-	}
-	ctrs.drops.Add(1)
-}
-
-func (s *Switch) packetIn(inPort uint32, table int, reason PacketInReason, data []byte) {
-	fn := s.onPktIn.Load()
-	if fn == nil {
+// execute applies one frame's verdict: the matched entry's actions, or, for
+// nil, the table miss, which is counted and dropped.
+func (s *Switch) execute(l *lane, e *FlowEntry) {
+	if e == nil {
+		l.ctrs.misses.Add(1)
+		l.ctrs.drops.Add(1)
 		return
 	}
-	s.deliverPacketIn(fn, inPort, table, reason, data)
-}
-
-func (s *Switch) deliverPacketIn(fn *PacketInHandler, inPort uint32, table int, reason PacketInReason, data []byte) {
-	d := pkt.GetBuffer(len(data))
-	copy(d, data)
-	(*fn)(PacketIn{InPort: inPort, TableID: table, Reason: reason, Data: d})
+	l.hitEntry(e, len(l.ctx.data))
+	for _, a := range e.Actions {
+		a.apply(s, &l.ctx)
+	}
 }
 
 // output is the egress of an Output-style action: the frame joins the
@@ -397,14 +320,4 @@ func (s *Switch) output(num uint32, ctx *actionContext) {
 		return
 	}
 	ctx.tx.add(num, p, ctx.data, ctx.hops)
-}
-
-// flood transmits the frame on every port except the ingress, in port
-// number order.
-func (s *Switch) flood(inPort uint32, ctx *actionContext) {
-	for _, n := range s.ports.Load().sorted {
-		if n != inPort {
-			s.output(n, ctx)
-		}
-	}
 }

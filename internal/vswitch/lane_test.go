@@ -14,11 +14,10 @@ import (
 )
 
 // laneRun is everything observable about one pass of the equivalence
-// traffic: what left which port in which per-flow order, what was punted,
-// the per-entry hit counters and the telemetry totals.
+// traffic: what left which port in which per-flow order, the per-entry hit
+// counters and the telemetry totals.
 type laneRun struct {
 	Egress    map[string][]uint32 // "port/flow" -> delivered sequence numbers
-	PacketIns map[string][]uint32 // "table/reason/flow" -> punted sequence numbers
 	Entries   []string            // per installed entry: "packets/bytes"
 	Rx, Tx    uint64
 	Drops     uint64
@@ -38,17 +37,40 @@ func unstamp(data []byte) (flow uint16, seq uint32) {
 	return binary.BigEndian.Uint16(data[len(data)-6:]), binary.BigEndian.Uint32(data[len(data)-4:])
 }
 
+// laneFlow is one microflow of the equivalence traffic.
+type laneFlow struct{ vlan, srcPort, dstPort uint16 }
+
+// laneBuckets is the SelectBucket table of the equivalence rules: bucket b
+// leaves through port 2 + b%3.
+func laneBuckets() (ports [NumStateBuckets]uint32) {
+	for b := range ports {
+		ports[b] = 2 + uint32(b%3)
+	}
+	return ports
+}
+
+// laneFlows are the equivalence traffic's microflows: four for the
+// rewrite-tag-output rule, two tagged ones for the pop rule, six sharded by
+// SelectBucket, and one that misses.
+var laneFlows = []laneFlow{
+	{0, 1000, 7000}, {0, 1000, 7001}, {0, 1000, 7002}, {0, 1000, 7003},
+	{7, 1000, 7100}, {7, 1000, 7101},
+	{0, 1000, 7200}, {0, 1001, 7200}, {0, 1002, 7200}, {0, 1003, 7200}, {0, 1004, 7200}, {0, 1005, 7200},
+	{0, 1000, 7400},
+}
+
 // runLaneTraffic drives one fixed, seeded mix of single sends and bursts
-// through a multi-table rule set that exercises goto, set-field, metadata,
-// VLAN push/pop, flood, a deep miss, a table-0 miss (both punted) and
-// malformed frames, on a switch with the given worker count. The rule set is
-// below cacheMinEntries, so the switch walks it; with cached set it is padded
-// above (padToCache) and the same traffic runs through the microflow cache.
+// through the rule shapes the steering manager compiles — SetEthDst +
+// PushVLAN + Output, PopVLAN + Output, SelectBucket over three ports — plus a
+// miss and malformed frames, on a switch with the given worker count. The
+// rule set is below cacheMinEntries, so the switch walks it; with cached set
+// it is padded above (padToCache) and the same traffic runs through the
+// microflow cache.
 func runLaneTraffic(t *testing.T, workers int, cached bool) laneRun {
 	t.Helper()
 	sw := NewOptions("eq", 1, Options{Workers: workers})
 	defer sw.Close()
-	res := laneRun{Egress: map[string][]uint32{}, PacketIns: map[string][]uint32{}}
+	res := laneRun{Egress: map[string][]uint32{}}
 	var mu sync.Mutex
 
 	in, swIn := netdev.Veth("in", "sw-in")
@@ -71,45 +93,37 @@ func runLaneTraffic(t *testing.T, workers int, cached bool) laneRun {
 			t.Fatal(err)
 		}
 	}
-	sw.SetMissPolicy(MissController)
-	sw.SetPacketInHandler(func(pi PacketIn) {
-		flow, seq := unstamp(pi.Data)
-		k := fmt.Sprintf("%d/%d/%d", pi.TableID, pi.Reason, flow)
-		mu.Lock()
-		res.PacketIns[k] = append(res.PacketIns[k], seq)
-		mu.Unlock()
-	})
 
-	const meta = 0x5
 	for port := uint16(7000); port < 7004; port++ {
-		mustAdd(t, sw, &FlowEntry{Table: 0, Priority: 10, Match: MatchAll().WithInPort(1).WithVLAN(VLANNone).WithL4Dst(port),
-			Actions: []Action{SetEthDst(macA), SetMetadata(meta, 0xf), GotoTable(1)}})
+		mustAdd(t, sw, &FlowEntry{Priority: 10, Match: MatchAll().WithInPort(1).WithL4Dst(port),
+			Actions: []Action{SetEthDst(macA), PushVLAN(100), Output(2)}})
 	}
-	mustAdd(t, sw, &FlowEntry{Table: 1, Match: MatchAll().WithMetadata(meta, 0xf),
-		Actions: []Action{PushVLAN(100), Output(2)}})
 	for port := uint16(7100); port < 7102; port++ {
-		mustAdd(t, sw, &FlowEntry{Table: 0, Priority: 10, Match: MatchAll().WithVLAN(7).WithL4Dst(port),
+		mustAdd(t, sw, &FlowEntry{Priority: 10, Match: MatchAll().WithInPort(1).WithVLAN(7).WithL4Dst(port),
 			Actions: []Action{PopVLAN(), Output(3)}})
 	}
-	mustAdd(t, sw, &FlowEntry{Table: 0, Priority: 5, Match: MatchAll().WithL4Dst(7200), Actions: []Action{Flood()}})
-	mustAdd(t, sw, &FlowEntry{Table: 0, Priority: 5, Match: MatchAll().WithL4Dst(7300), Actions: []Action{GotoTable(2)}})
+	mustAdd(t, sw, &FlowEntry{Priority: 5, Match: MatchAll().WithInPort(1).WithL4Dst(7200),
+		Actions: []Action{SelectBucket(laneBuckets())}})
 	if cached {
 		padToCache(t, sw)
 	}
 
-	// (vlan, dst port) per flow; 7400 matches nothing.
-	flows := []struct{ vlan, port uint16 }{
-		{0, 7000}, {0, 7001}, {0, 7002}, {0, 7003}, {7, 7100}, {7, 7101}, {0, 7200}, {0, 7300}, {0, 7400},
-	}
-	next := make([]uint32, len(flows))
+	next := make([]uint32, len(laneFlows))
 	rng := rand.New(rand.NewSource(42))
 	mkFrame := func() netdev.Frame {
 		if rng.Intn(16) == 0 {
 			return netdev.Frame{Data: []byte{1, 2, 3}}
 		}
-		fi := rng.Intn(len(flows))
-		data := frame(t, flows[fi].vlan, flows[fi].port)
-		stamp(data, flows[fi].port, next[fi])
+		fi := rng.Intn(len(laneFlows))
+		fl := laneFlows[fi]
+		data, err := pkt.BuildFrame(pkt.FrameSpec{
+			SrcMAC: macA, DstMAC: macB, VLANID: fl.vlan, SrcIP: ipA, DstIP: ipB,
+			SrcPort: fl.srcPort, DstPort: fl.dstPort, PayloadLen: 32,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stamp(data, uint16(fi), next[fi])
 		next[fi]++
 		return netdev.Frame{Data: data}
 	}
@@ -156,17 +170,36 @@ func runLaneTraffic(t *testing.T, workers int, cached bool) laneRun {
 }
 
 // TestLaneEquivalence is the one-datapath contract: wherever the lane runs,
-// and whether the switch walks its tables or serves them from the microflow
+// and whether the switch walks its table or serves it from the microflow
 // cache, the same traffic yields the same per-flow egress sequences, the
-// same punts, the same counters on the real entries and the same telemetry
-// totals — cache lookups included, since a walked frame counts as a miss.
+// same counters on the real entries and the same telemetry totals — drops,
+// misses and cache lookups included, since a walked frame counts as a miss.
 func TestLaneEquivalence(t *testing.T) {
 	ref := runLaneTraffic(t, 0, false)
-	if len(ref.Egress) == 0 || len(ref.PacketIns) < 2 || ref.Malformed == 0 || ref.Misses == 0 {
+	if ref.Malformed == 0 || ref.Misses == 0 || ref.Drops != ref.Misses+ref.Malformed {
 		t.Fatalf("reference run did not exercise the rule set: %+v", ref)
 	}
 	if ref.Lookups != ref.Rx-ref.Malformed {
 		t.Errorf("cache lookups = %d, want one per well-formed frame (%d)", ref.Lookups, ref.Rx-ref.Malformed)
+	}
+	// Every flow but the missing one egresses, each on one port: the
+	// rule's, or for SelectBucket the port of the flow's bucket.
+	buckets := laneBuckets()
+	for fi, fl := range laneFlows {
+		var want uint32 // 0: the flow misses
+		switch {
+		case fl.dstPort < 7100:
+			want = 2
+		case fl.dstPort < 7200:
+			want = 3
+		case fl.dstPort == 7200:
+			want = buckets[FlowBucket(pkt.IPProtocolUDP, ipA, ipB, fl.srcPort, fl.dstPort)]
+		}
+		for num := uint32(2); num <= 4; num++ {
+			if got := len(ref.Egress[fmt.Sprintf("%d/%d", num, fi)]) > 0; got != (num == want) {
+				t.Errorf("flow %+v: egress on port %d = %v, want only port %d", fl, num, got, want)
+			}
+		}
 	}
 	for _, workers := range laneModes {
 		for _, cached := range []bool{false, true} {
@@ -292,14 +325,17 @@ func TestHopLimitAcrossSwitches(t *testing.T) {
 	})
 }
 
-// TestOutputKeepsBufferOwnership pins the packet-out contract the lane
-// refactor must not disturb: Output hands the receiver a pool-backed copy.
+// TestOutputKeepsBufferOwnership pins the egress contract the lane must not
+// disturb: an Output action hands the receiver a pool-backed copy, never the
+// sender's buffer, and an Output to an unknown port counts a drop.
 func TestOutputKeepsBufferOwnership(t *testing.T) {
 	sw := New("out", 1)
-	hosts := rig(t, sw, 1)
+	hosts := rig(t, sw, 2)
+	mustAdd(t, sw, &FlowEntry{Match: MatchAll().WithInPort(1), Actions: []Action{Output(2)}})
+	mustAdd(t, sw, &FlowEntry{Match: MatchAll().WithInPort(2), Actions: []Action{Output(9)}})
 	data := frame(t, 0, 80)
-	sw.Output(1, data)
-	f, ok := hosts[0].TryRecv()
+	sw.Inject(1, data)
+	f, ok := hosts[1].TryRecv()
 	if !ok {
 		t.Fatal("Output did not transmit")
 	}
@@ -307,7 +343,7 @@ func TestOutputKeepsBufferOwnership(t *testing.T) {
 		t.Error("Output passed the caller's buffer through instead of a copy")
 	}
 	pkt.PutBuffer(f.Data)
-	sw.Output(9, data)
+	sw.Inject(2, data)
 	if got := sw.Drops(); got != 1 {
 		t.Errorf("Output to an unknown port: drops = %d, want 1", got)
 	}

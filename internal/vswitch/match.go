@@ -1,38 +1,32 @@
 // Package vswitch implements the software switch used for every Logical
 // Switch Instance (LSI) of the compute node.
 //
-// The switch follows the OpenFlow pipeline model: numbered flow tables hold
-// prioritized flow entries, each pairing a Match against a list of Actions.
-// Processing starts in table 0; a GotoTable action continues the pipeline in
-// a later table, with a 64-bit metadata register carried between tables.
-// A table miss invokes the configurable miss policy (drop, or punt to the
-// controller as a packet-in).
+// A switch holds one OpenFlow-style flow table: prioritized flow entries,
+// each pairing a Match against a list of Actions — exactly what the traffic
+// steering manager compiles NF-FG rules into. A frame runs the actions of
+// the highest-priority entry it matches; a frame that matches none is
+// counted as a table miss and dropped.
 //
-// The per-packet path is lock-free: flow tables and ports are copy-on-write
-// snapshots, and on switches with enough flow entries to pay for it a
-// sharded exact-match microflow cache (cache.go) memoizes the pipeline
-// verdict per flow key, invalidated by generation on every flow-mod or port
-// change.
+// The per-packet path is lock-free: the flow table and ports are
+// copy-on-write snapshots, and on switches with enough flow entries to pay
+// for it a sharded exact-match microflow cache (cache.go) memoizes the
+// matched entry per flow key, invalidated by generation on every flow-mod or
+// port change.
 package vswitch
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 
 	"repro/internal/pkt"
 )
 
-// VLANNone matches explicitly untagged traffic when set as MatchVLAN.
-const VLANNone uint16 = 0xffff
-
 // flowKey is the parsed header fields of one frame traversing the pipeline,
 // extracted once per packet (in the spirit of gopacket's
-// DecodingLayerParser: no allocation, fixed known layers).
+// DecodingLayerParser: no allocation, fixed known layers). It holds exactly
+// the fields a Match can select on.
 type flowKey struct {
 	inPort  uint32
-	ethSrc  pkt.MAC
-	ethDst  pkt.MAC
 	hasVLAN bool
 	vlanID  uint16
 	ethType pkt.EthernetType // inner type when tagged
@@ -43,8 +37,6 @@ type flowKey struct {
 	hasL4   bool
 	l4Src   uint16
 	l4Dst   uint16
-
-	metadata uint64 // pipeline register, not parsed from the wire
 }
 
 // extractKey parses data into k. Parsing stops gracefully at truncated or
@@ -54,8 +46,6 @@ func extractKey(data []byte, inPort uint32, k *flowKey) error {
 	if len(data) < pkt.EthernetHeaderLen {
 		return fmt.Errorf("vswitch: frame too short (%d bytes)", len(data))
 	}
-	copy(k.ethDst[:], data[0:6])
-	copy(k.ethSrc[:], data[6:12])
 	k.ethType = pkt.EthernetType(uint16(data[12])<<8 | uint16(data[13]))
 	off := pkt.EthernetHeaderLen
 	if k.ethType == pkt.EthernetTypeVLAN {
@@ -96,8 +86,8 @@ func extractKey(data []byte, inPort uint32, k *flowKey) error {
 // hashMix folds one 64-bit word into the running hash state with a
 // multiply-xorshift round (the splitmix64 finisher). Distribution only has
 // to be good enough for cache partitioning and RSS steering, so a few
-// multiplies beat a full generic maphash over the ~64-byte struct — the
-// generic hash was ~19% of the cached hit path.
+// multiplies beat a full generic maphash over the struct — the generic hash
+// was ~19% of the cached hit path.
 func hashMix(h, v uint64) uint64 {
 	h ^= v
 	h *= 0x9e3779b97f4a7c15
@@ -105,53 +95,38 @@ func hashMix(h, v uint64) uint64 {
 	return h
 }
 
-// hash collapses the key into 6 packed words, folds them pairwise (rotating
-// one of each pair so differing bits cannot cancel trivially) and mixes the
-// three folded words under the given seed. Identical keys always collide
-// (required: the microflow cache is keyed by this hash and verified against
-// the stored key); the multiply chain is the latency-critical part of the
-// cached hit path, so three rounds, not six.
+// hash packs the key into three words and mixes them under the given seed,
+// one round each. Identical keys always collide (required: the microflow
+// cache is keyed by this hash and verified against the stored key); the
+// multiply chain is the latency-critical part of the cached hit path.
 func (k *flowKey) hash(seed uint64) uint64 {
 	w0 := uint64(k.inPort) | uint64(k.ethType)<<32 | uint64(k.vlanID)<<48
-	w1 := uint64(k.ethSrc[0]) | uint64(k.ethSrc[1])<<8 | uint64(k.ethSrc[2])<<16 |
-		uint64(k.ethSrc[3])<<24 | uint64(k.ethSrc[4])<<32 | uint64(k.ethSrc[5])<<40 |
-		uint64(k.l4Src)<<48
-	w2 := uint64(k.ethDst[0]) | uint64(k.ethDst[1])<<8 | uint64(k.ethDst[2])<<16 |
-		uint64(k.ethDst[3])<<24 | uint64(k.ethDst[4])<<32 | uint64(k.ethDst[5])<<40 |
-		uint64(k.l4Dst)<<48
-	w3 := uint64(k.ipSrc[0]) | uint64(k.ipSrc[1])<<8 | uint64(k.ipSrc[2])<<16 |
-		uint64(k.ipSrc[3])<<24 | uint64(k.ipDst[0])<<32 | uint64(k.ipDst[1])<<40 |
-		uint64(k.ipDst[2])<<48 | uint64(k.ipDst[3])<<56
-	w4 := uint64(k.ipProto)
+	w1 := uint64(k.ipSrc.Uint32()) | uint64(k.ipDst.Uint32())<<32
+	w2 := uint64(k.l4Src) | uint64(k.l4Dst)<<16 | uint64(k.ipProto)<<32
 	if k.hasVLAN {
-		w4 |= 1 << 8
+		w2 |= 1 << 40
 	}
 	if k.isIP {
-		w4 |= 1 << 9
+		w2 |= 1 << 41
 	}
 	if k.hasL4 {
-		w4 |= 1 << 10
+		w2 |= 1 << 42
 	}
-	h := hashMix(seed, w0^bits.RotateLeft64(w1, 21))
-	h = hashMix(h, w2^bits.RotateLeft64(w3, 42))
-	return hashMix(h, w4^bits.RotateLeft64(k.metadata, 21))
+	return hashMix(hashMix(hashMix(seed, w0), w1), w2)
 }
 
 // Match selects packets by header fields. The zero Match matches everything;
 // set fields with the With* builders to narrow it. Matches are
 // value-semantics and safe to copy.
 type Match struct {
-	inPort   uint32 // 0 = any (valid port numbers start at 1)
-	ethSrc   *pkt.MAC
-	ethDst   *pkt.MAC
-	ethType  *pkt.EthernetType
-	vlanID   *uint16 // VLANNone = must be untagged
-	ipProto  *pkt.IPProtocol
-	ipSrc    *prefix
-	ipDst    *prefix
-	l4Src    *uint16
-	l4Dst    *uint16
-	metadata *maskedMetadata
+	inPort  uint32 // 0 = any (valid port numbers start at 1)
+	ethType *pkt.EthernetType
+	vlanID  *uint16
+	ipProto *pkt.IPProtocol
+	ipSrc   *prefix
+	ipDst   *prefix
+	l4Src   *uint16
+	l4Dst   *uint16
 }
 
 type prefix struct {
@@ -169,28 +144,17 @@ func (p prefix) contains(a pkt.Addr) bool {
 
 func (p prefix) String() string { return fmt.Sprintf("%v/%d", p.addr, p.bits) }
 
-type maskedMetadata struct {
-	value, mask uint64
-}
-
 // MatchAll returns the wildcard match.
 func MatchAll() Match { return Match{} }
 
 // WithInPort narrows the match to one ingress port.
 func (m Match) WithInPort(p uint32) Match { m.inPort = p; return m }
 
-// WithEthSrc narrows the match to one source MAC.
-func (m Match) WithEthSrc(mac pkt.MAC) Match { m.ethSrc = &mac; return m }
-
-// WithEthDst narrows the match to one destination MAC.
-func (m Match) WithEthDst(mac pkt.MAC) Match { m.ethDst = &mac; return m }
-
 // WithEthType narrows the match to one EtherType (the inner type for tagged
 // frames).
 func (m Match) WithEthType(t pkt.EthernetType) Match { m.ethType = &t; return m }
 
-// WithVLAN narrows the match to frames tagged with the given VLAN ID; pass
-// VLANNone to require untagged frames.
+// WithVLAN narrows the match to frames tagged with the given VLAN ID.
 func (m Match) WithVLAN(id uint16) Match { m.vlanID = &id; return m }
 
 // WithIPProto narrows the match to one IP protocol.
@@ -214,35 +178,16 @@ func (m Match) WithL4Src(p uint16) Match { m.l4Src = &p; return m }
 // WithL4Dst narrows the match to one transport destination port.
 func (m Match) WithL4Dst(p uint16) Match { m.l4Dst = &p; return m }
 
-// WithMetadata narrows the match on the pipeline metadata register under the
-// given mask.
-func (m Match) WithMetadata(value, mask uint64) Match {
-	m.metadata = &maskedMetadata{value: value, mask: mask}
-	return m
-}
-
 // Matches reports whether the extracted key satisfies the match.
 func (m Match) matches(k *flowKey) bool {
 	if m.inPort != 0 && m.inPort != k.inPort {
 		return false
 	}
-	if m.ethSrc != nil && *m.ethSrc != k.ethSrc {
-		return false
-	}
-	if m.ethDst != nil && *m.ethDst != k.ethDst {
-		return false
-	}
 	if m.ethType != nil && *m.ethType != k.ethType {
 		return false
 	}
-	if m.vlanID != nil {
-		if *m.vlanID == VLANNone {
-			if k.hasVLAN {
-				return false
-			}
-		} else if !k.hasVLAN || k.vlanID != *m.vlanID {
-			return false
-		}
+	if m.vlanID != nil && (!k.hasVLAN || k.vlanID != *m.vlanID) {
+		return false
 	}
 	if m.ipProto != nil && (!k.isIP || k.ipProto != *m.ipProto) {
 		return false
@@ -259,9 +204,6 @@ func (m Match) matches(k *flowKey) bool {
 	if m.l4Dst != nil && (!k.hasL4 || k.l4Dst != *m.l4Dst) {
 		return false
 	}
-	if m.metadata != nil && k.metadata&m.metadata.mask != m.metadata.value&m.metadata.mask {
-		return false
-	}
 	return true
 }
 
@@ -271,21 +213,11 @@ func (m Match) String() string {
 	if m.inPort != 0 {
 		parts = append(parts, fmt.Sprintf("in_port=%d", m.inPort))
 	}
-	if m.ethSrc != nil {
-		parts = append(parts, "dl_src="+m.ethSrc.String())
-	}
-	if m.ethDst != nil {
-		parts = append(parts, "dl_dst="+m.ethDst.String())
-	}
 	if m.ethType != nil {
 		parts = append(parts, "dl_type="+m.ethType.String())
 	}
 	if m.vlanID != nil {
-		if *m.vlanID == VLANNone {
-			parts = append(parts, "vlan=none")
-		} else {
-			parts = append(parts, fmt.Sprintf("dl_vlan=%d", *m.vlanID))
-		}
+		parts = append(parts, fmt.Sprintf("dl_vlan=%d", *m.vlanID))
 	}
 	if m.ipProto != nil {
 		parts = append(parts, "nw_proto="+m.ipProto.String())
@@ -301,9 +233,6 @@ func (m Match) String() string {
 	}
 	if m.l4Dst != nil {
 		parts = append(parts, fmt.Sprintf("tp_dst=%d", *m.l4Dst))
-	}
-	if m.metadata != nil {
-		parts = append(parts, fmt.Sprintf("metadata=%#x/%#x", m.metadata.value, m.metadata.mask))
 	}
 	if len(parts) == 0 {
 		return "any"

@@ -46,15 +46,22 @@ func TestSwapFlowsReplacesByCookie(t *testing.T) {
 	}
 }
 
-func TestSwapFlowsValidatesTables(t *testing.T) {
+func TestSwapFlowsValidatesEntries(t *testing.T) {
 	sw := New("lsi", 1)
-	if _, err := sw.SwapFlows(1, []*FlowEntry{{Table: DefaultTables}}); err == nil {
-		t.Fatal("out-of-range table must be rejected")
+	mustAdd(t, sw, &FlowEntry{Cookie: 1, Match: MatchAll().WithVLAN(4095)})
+	for _, e := range []*FlowEntry{
+		{Cookie: 1, Match: MatchAll().WithVLAN(4096)},
+		{Cookie: 1, Actions: []Action{PushVLAN(5000), Output(2)}},
+	} {
+		if _, err := sw.SwapFlows(1, []*FlowEntry{e}); err == nil {
+			t.Errorf("%v accepted: a VLAN ID must fit 12 bits", e)
+		}
+		if err := sw.AddFlow(e); err == nil {
+			t.Errorf("AddFlow accepted %v", e)
+		}
 	}
-	if _, err := sw.SwapFlows(1, []*FlowEntry{
-		{Table: 2, Actions: []Action{GotoTable(1)}},
-	}); err == nil {
-		t.Fatal("backward goto_table must be rejected")
+	if got := sw.Flows(); len(got) != 1 || got[0].Cookie != 1 {
+		t.Errorf("a refused swap changed the table: %v", got)
 	}
 }
 

@@ -1,9 +1,9 @@
 package vswitch
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,41 +12,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultTables is the number of flow tables a switch starts with.
-const DefaultTables = 4
-
-// MissPolicy selects what happens to packets that match no flow entry.
-type MissPolicy int
-
-// Table-miss policies.
-const (
-	MissDrop       MissPolicy = iota // discard silently (count only)
-	MissController                   // punt to the controller as packet-in
-)
-
-// PacketInReason says why a packet was punted to the controller.
-type PacketInReason int
-
-// Packet-in reasons.
-const (
-	ReasonMiss   PacketInReason = iota // table miss with MissController
-	ReasonAction                       // explicit ToController action
-)
-
-// PacketIn is the event delivered to the controller callback.
-type PacketIn struct {
-	InPort  uint32
-	TableID int
-	Reason  PacketInReason
-	Data    []byte
-}
-
-// PacketInHandler consumes packet-in events.
-type PacketInHandler func(PacketIn)
-
-// FlowEntry pairs a match with actions at a priority inside one table.
+// FlowEntry pairs a match with actions at a priority in the switch's flow
+// table.
 type FlowEntry struct {
-	Table    int
 	Priority int
 	Cookie   uint64
 	Match    Match
@@ -67,35 +35,26 @@ func (e *FlowEntry) String() string {
 		acts[i] = a.String()
 	}
 	p, b := e.Stats()
-	return fmt.Sprintf("table=%d prio=%d cookie=%#x %v actions=%s n_packets=%d n_bytes=%d",
-		e.Table, e.Priority, e.Cookie, e.Match, strings.Join(acts, ","), p, b)
+	return fmt.Sprintf("prio=%d cookie=%#x %v actions=%s n_packets=%d n_bytes=%d",
+		e.Priority, e.Cookie, e.Match, strings.Join(acts, ","), p, b)
 }
 
-// tableSet is one immutable copy-on-write snapshot of the flow tables. The
+// flowTable is one immutable copy-on-write snapshot of the flow table. The
 // packet path loads it once per packet; mutators build a fresh snapshot
 // under mu and publish it atomically.
-type tableSet struct {
-	tables [][]*FlowEntry // per table, sorted by priority descending
-	// cached reports whether the tables hold cacheMinEntries entries or
+type flowTable struct {
+	entries []*FlowEntry // sorted by priority descending, oldest first among equals
+	// cached reports whether the table holds cacheMinEntries entries or
 	// more: a lane only consults the microflow cache over such a snapshot.
 	cached bool
-}
-
-func newTableSet(tables [][]*FlowEntry) *tableSet {
-	n := 0
-	for _, t := range tables {
-		n += len(t)
-	}
-	return &tableSet{tables: tables, cached: n >= cacheMinEntries}
 }
 
 // portTable is the immutable copy-on-write snapshot of the attached ports.
 // dense mirrors the map for the common small port numbers so the egress hot
 // path indexes an array instead of hashing into a map.
 type portTable struct {
-	ports  map[uint32]*netdev.Port
-	dense  []*netdev.Port // dense[num] == ports[num] for num < len(dense)
-	sorted []uint32       // the port numbers, ascending (flood order)
+	ports map[uint32]*netdev.Port
+	dense []*netdev.Port // dense[num] == ports[num] for num < len(dense)
 }
 
 // densePortLimit bounds the dense egress index; port numbers above it (rare:
@@ -103,15 +62,11 @@ type portTable struct {
 const densePortLimit = 256
 
 func newPortTable(ports map[uint32]*netdev.Port) *portTable {
-	t := &portTable{ports: ports, sorted: make([]uint32, 0, len(ports))}
-	for n := range ports {
-		t.sorted = append(t.sorted, n)
-	}
-	slices.Sort(t.sorted)
+	t := &portTable{ports: ports}
 	maxNum := uint32(0)
-	for _, n := range t.sorted {
+	for n := range ports {
 		if n < densePortLimit {
-			maxNum = n
+			maxNum = max(maxNum, n)
 		}
 	}
 	t.dense = make([]*netdev.Port, maxNum+1)
@@ -133,9 +88,6 @@ func (t *portTable) lookup(num uint32) *netdev.Port {
 
 // Options configures a Switch beyond the defaults.
 type Options struct {
-	// Tables is the number of flow tables (minimum 1; 0 means
-	// DefaultTables).
-	Tables int
 	// Workers selects where the datapath lane runs (lane.go), not what it
 	// does. 0 (the default) executes received bursts inline in the sender's
 	// goroutine: every frame has left the switch when Send/SendBatch
@@ -147,28 +99,24 @@ type Options struct {
 	Workers int
 }
 
-// Switch is one Logical Switch Instance: a multi-table flow pipeline over a
-// set of numbered ports.
+// Switch is one Logical Switch Instance: a flow table over a set of
+// numbered ports.
 //
-// The per-packet path is lock-free: flow tables and the port table are
-// published as immutable snapshots through atomic pointers, and the miss
-// policy and packet-in handler are atomics. Tables of cacheMinEntries
-// entries or more get a partitioned microflow cache that memoizes the
-// pipeline verdict per exact flow key (see cache.go); smaller ones are
-// walked. A cache hit and a walk allocate nothing. Writers serialize on mu,
-// clone-and-swap the affected snapshot, then advance the cache generation
-// so no stale verdict survives a flow-mod or port change.
+// The per-packet path is lock-free: the flow table and the port table are
+// published as immutable snapshots through atomic pointers. A table of
+// cacheMinEntries entries or more gets a partitioned microflow cache that
+// memoizes the matched entry per exact flow key (see cache.go); a smaller
+// one is walked. A cache hit and a walk allocate nothing. Writers serialize
+// on mu, clone-and-swap the affected snapshot, then advance the cache
+// generation so no stale verdict survives a flow-mod or port change.
 type Switch struct {
-	name    string
-	dpid    uint64
-	nTables int
+	name string
+	dpid uint64
 
 	mu sync.Mutex // serializes mutators; readers never take it
 
-	tables  atomic.Pointer[tableSet]
-	ports   atomic.Pointer[portTable]
-	miss    atomic.Int32 // MissPolicy
-	onPktIn atomic.Pointer[PacketInHandler]
+	table atomic.Pointer[flowTable]
+	ports atomic.Pointer[portTable]
 
 	cache *microflowCache
 
@@ -192,25 +140,12 @@ type Switch struct {
 	latency *telemetry.Histogram
 }
 
-// New creates a switch with the default number of tables and an inline
-// datapath.
+// New creates a switch with an inline datapath.
 func New(name string, dpid uint64) *Switch { return NewOptions(name, dpid, Options{}) }
-
-// NewTables creates a switch with n flow tables (minimum 1).
-func NewTables(name string, dpid uint64, n int) *Switch {
-	if n < 1 {
-		n = 1
-	}
-	return NewOptions(name, dpid, Options{Tables: n})
-}
 
 // NewOptions creates a switch from an Options struct. With Workers > 0 the
 // worker goroutines start immediately; stop them with Close.
 func NewOptions(name string, dpid uint64, o Options) *Switch {
-	nt := o.Tables
-	if nt < 1 {
-		nt = DefaultTables
-	}
 	nw := o.Workers
 	if nw < 0 {
 		nw = 0
@@ -218,11 +153,10 @@ func NewOptions(name string, dpid uint64, o Options) *Switch {
 	s := &Switch{
 		name:    name,
 		dpid:    dpid,
-		nTables: nt,
 		cache:   newMicroflowCache(max(nw, 1)),
 		latency: telemetry.NewHistogram(telemetry.DatapathLatencyBuckets()...),
 	}
-	s.tables.Store(newTableSet(make([][]*FlowEntry, nt)))
+	s.table.Store(&flowTable{})
 	s.ports.Store(newPortTable(make(map[uint32]*netdev.Port)))
 	s.lane.Store(&lane{ctrs: &s.inline})
 	if nw > 0 {
@@ -244,26 +178,9 @@ func (s *Switch) Name() string { return s.name }
 // DPID returns the datapath identifier.
 func (s *Switch) DPID() uint64 { return s.dpid }
 
-// NumTables returns the number of flow tables.
-func (s *Switch) NumTables() int { return s.nTables }
-
 // Workers returns the number of datapath workers (0 when the lane runs
 // inline).
 func (s *Switch) Workers() int { return len(s.workers) }
-
-// SetMissPolicy configures the table-miss behaviour.
-func (s *Switch) SetMissPolicy(p MissPolicy) {
-	s.miss.Store(int32(p))
-}
-
-// SetPacketInHandler installs the controller callback for packet-in events.
-func (s *Switch) SetPacketInHandler(fn PacketInHandler) {
-	if fn == nil {
-		s.onPktIn.Store(nil)
-		return
-	}
-	s.onPktIn.Store(&fn)
-}
 
 // eachCtrs visits every datapath counter set: the sender-context one plus
 // one per worker.
@@ -275,8 +192,8 @@ func (s *Switch) eachCtrs(fn func(*dpCounters)) {
 }
 
 // AddPort attaches a netdev port under the given OpenFlow port number
-// (>= 1). Frames received on the port enter the pipeline at table 0, singly
-// or as whole bursts via the netdev batch path.
+// (>= 1). Frames received on the port enter the pipeline, singly or as
+// whole bursts via the netdev batch path.
 func (s *Switch) AddPort(num uint32, p *netdev.Port) error {
 	if num == 0 {
 		return fmt.Errorf("vswitch: port number 0 is reserved")
@@ -331,74 +248,92 @@ func (s *Switch) Port(num uint32) *netdev.Port {
 
 // Ports returns the attached port numbers, sorted.
 func (s *Switch) Ports() []uint32 {
-	return slices.Clone(s.ports.Load().sorted)
+	ports := s.ports.Load().ports
+	out := make([]uint32, 0, len(ports))
+	for n := range ports {
+		out = append(out, n)
+	}
+	slices.Sort(out)
+	return out
 }
 
-// publishTables makes next the tables the packet path sees, then retires
+// publishTable makes entries the table the packet path sees, then retires
 // every cached verdict. The caller holds mu. The slot arrays are allocated
 // before the first cache-worthy snapshot is stored, so a lane that loads
 // one always finds them.
-func (s *Switch) publishTables(next [][]*FlowEntry) {
-	ts := newTableSet(next)
-	if ts.cached {
+func (s *Switch) publishTable(entries []*FlowEntry) {
+	t := &flowTable{entries: entries, cached: len(entries) >= cacheMinEntries}
+	if t.cached {
 		s.cache.allocSlots()
 	}
-	s.tables.Store(ts)
+	s.table.Store(t)
 	s.cache.invalidate()
 }
 
-// AddFlow installs a flow entry. Entries in one table are matched in
-// priority order (highest first); among equal priorities the oldest entry
-// wins, as in OpenFlow. The tables are copy-on-write: the entry becomes
-// visible to the packet path with one atomic snapshot swap, after which the
-// microflow cache is invalidated.
-func (s *Switch) AddFlow(e *FlowEntry) error {
-	if e.Table < 0 || e.Table >= s.nTables {
-		return fmt.Errorf("vswitch: table %d out of range [0,%d)", e.Table, s.nTables)
+// validate refuses an entry whose VLAN IDs do not fit an 802.1Q tag's 12
+// bits: such a match could never be met, and such a push would tag a
+// different VLAN.
+func validate(e *FlowEntry) error {
+	if v := e.Match.vlanID; v != nil && *v > 0x0fff {
+		return fmt.Errorf("vswitch: dl_vlan=%d does not fit 12 bits", *v)
 	}
 	for _, a := range e.Actions {
-		if g, ok := a.(GotoTableAction); ok && g.Table <= e.Table {
-			return fmt.Errorf("vswitch: goto_table:%d from table %d must move forward", g.Table, e.Table)
+		if p, ok := a.(PushVLANAction); ok && p.VLANID > 0x0fff {
+			return fmt.Errorf("vswitch: %v does not fit 12 bits", p)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.tables.Load().tables
-	next := make([][]*FlowEntry, len(cur))
-	copy(next, cur)
-	t := make([]*FlowEntry, len(cur[e.Table])+1)
-	copy(t, cur[e.Table])
-	t[len(t)-1] = e
-	// Stable: sort.SliceStable keeps insertion order among equal priorities.
-	sort.SliceStable(t, func(i, j int) bool { return t[i].Priority > t[j].Priority })
-	next[e.Table] = t
-	s.publishTables(next)
 	return nil
 }
 
-// DeleteFlows removes all entries with the given cookie from every table and
-// returns how many were removed.
+// AddFlow installs a flow entry. Entries are matched in priority order
+// (highest first); among equal priorities the oldest entry wins, as in
+// OpenFlow. The table is copy-on-write: the entry becomes visible to the
+// packet path with one atomic snapshot swap, after which the microflow cache
+// is invalidated.
+func (s *Switch) AddFlow(e *FlowEntry) error {
+	if err := validate(e); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur := s.table.Load().entries
+	next := append(append(make([]*FlowEntry, 0, len(cur)+1), cur...), e)
+	sortByPriority(next)
+	s.publishTable(next)
+	return nil
+}
+
+// sortByPriority orders entries highest priority first. The sort is stable,
+// so among equal priorities the entries already installed stay ahead of the
+// ones appended after them: the oldest wins, as in OpenFlow.
+func sortByPriority(entries []*FlowEntry) {
+	slices.SortStableFunc(entries, func(a, b *FlowEntry) int { return cmp.Compare(b.Priority, a.Priority) })
+}
+
+// withoutCookie returns the entries of cur not carrying cookie, in order, in
+// a fresh slice with room for extra more.
+func withoutCookie(cur []*FlowEntry, cookie uint64, extra int) []*FlowEntry {
+	kept := make([]*FlowEntry, 0, len(cur)+extra)
+	for _, e := range cur {
+		if e.Cookie != cookie {
+			kept = append(kept, e)
+		}
+	}
+	return kept
+}
+
+// DeleteFlows removes all entries with the given cookie and returns how many
+// were removed.
 func (s *Switch) DeleteFlows(cookie uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.tables.Load().tables
-	next := make([][]*FlowEntry, len(cur))
-	removed := 0
-	for ti, t := range cur {
-		kept := make([]*FlowEntry, 0, len(t))
-		for _, e := range t {
-			if e.Cookie == cookie {
-				removed++
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		next[ti] = kept
-	}
+	cur := s.table.Load().entries
+	next := withoutCookie(cur, cookie, 0)
+	removed := len(cur) - len(next)
 	if removed == 0 {
 		return 0
 	}
-	s.publishTables(next)
+	s.publishTable(next)
 	return removed
 }
 
@@ -413,63 +348,24 @@ func (s *Switch) DeleteFlows(cookie uint64) int {
 // It returns how many entries the swap removed.
 func (s *Switch) SwapFlows(delCookie uint64, add []*FlowEntry) (int, error) {
 	for _, e := range add {
-		if e.Table < 0 || e.Table >= s.nTables {
-			return 0, fmt.Errorf("vswitch: table %d out of range [0,%d)", e.Table, s.nTables)
-		}
-		for _, a := range e.Actions {
-			if g, ok := a.(GotoTableAction); ok && g.Table <= e.Table {
-				return 0, fmt.Errorf("vswitch: goto_table:%d from table %d must move forward", g.Table, e.Table)
-			}
+		if err := validate(e); err != nil {
+			return 0, err
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.tables.Load().tables
-	next := make([][]*FlowEntry, len(cur))
-	removed := 0
-	for ti, t := range cur {
-		kept := make([]*FlowEntry, 0, len(t))
-		for _, e := range t {
-			if e.Cookie == delCookie {
-				removed++
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		next[ti] = kept
-	}
-	for _, e := range add {
-		next[e.Table] = append(next[e.Table], e)
-	}
-	for ti := range next {
-		t := next[ti]
-		sort.SliceStable(t, func(i, j int) bool { return t[i].Priority > t[j].Priority })
-	}
-	s.publishTables(next)
+	cur := s.table.Load().entries
+	kept := withoutCookie(cur, delCookie, len(add))
+	removed := len(cur) - len(kept)
+	next := append(kept, add...)
+	sortByPriority(next)
+	s.publishTable(next)
 	return removed, nil
 }
 
-// DeleteAllFlows clears every table and returns the number of removed
-// entries.
-func (s *Switch) DeleteAllFlows() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.tables.Load().tables
-	removed := 0
-	for _, t := range cur {
-		removed += len(t)
-	}
-	s.publishTables(make([][]*FlowEntry, len(cur)))
-	return removed
-}
-
-// Flows returns all installed entries in table then priority order.
+// Flows returns all installed entries in priority order.
 func (s *Switch) Flows() []*FlowEntry {
-	var out []*FlowEntry
-	for _, t := range s.tables.Load().tables {
-		out = append(out, t...)
-	}
-	return out
+	return slices.Clone(s.table.Load().entries)
 }
 
 // Misses returns the count of table-miss packets, aggregated across
@@ -489,7 +385,7 @@ func (s *Switch) PacketsProcessed() uint64 {
 	return n
 }
 
-// Drops returns the count of discarded frames (unknown egress, miss-drop,
+// Drops returns the count of discarded frames (unknown egress, table miss,
 // malformed, full worker ring), aggregated across datapath lanes without
 // allocating — unlike the full Telemetry snapshot, so completion loops can
 // poll it.
@@ -521,30 +417,15 @@ func (s *Switch) receive(inPort uint32, fs []netdev.Frame, wait bool) {
 }
 
 // Inject runs a frame through the pipeline as if it had been received on
-// inPort. It is the switch-side half of an OpenFlow packet-out with
-// in-port semantics. Unlike port reception — which tail-drops when a worker
-// ring is full, as a NIC ring would — Inject applies backpressure: it
-// parks until the worker drains, so control-plane packet-outs are never
-// silently lost.
+// inPort. Unlike port reception — which tail-drops when a worker ring is
+// full, as a NIC ring would — Inject applies backpressure: it parks until
+// the worker drains, so an injected frame is never silently lost.
 func (s *Switch) Inject(inPort uint32, data []byte) {
 	one := [1]netdev.Frame{{Data: data}}
 	s.receive(inPort, one[:], true)
 }
 
-// Output transmits a frame directly out of a port, bypassing the pipeline:
-// the switch-side half of a plain OpenFlow packet-out. Unknown ports drop.
-// The copy is pool-backed; the final consumer may recycle it with
-// pkt.PutBuffer.
-func (s *Switch) Output(port uint32, data []byte) {
-	p := s.ports.Load().lookup(port)
-	if p == nil {
-		s.inline.drops.Add(1)
-		return
-	}
-	_ = p.Send(netdev.Frame{Data: data}.Clone())
-}
-
-// dump renders the flow tables like `ovs-ofctl dump-flows` for debugging.
+// dump renders the flow table like `ovs-ofctl dump-flows` for debugging.
 func (s *Switch) dump() string {
 	var b strings.Builder
 	cs := s.CacheStats()

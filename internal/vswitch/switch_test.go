@@ -119,23 +119,27 @@ func TestVLANPushPopSet(t *testing.T) {
 		t.Fatal("payload damaged by push")
 	}
 
-	// Now rewrite 100 -> 200 and pop in a second pass.
+	// A second switch rewrites a MAC under the tag, a third pops it.
+	newDst := pkt.MAC{4, 4, 4, 4, 4, 4}
 	sw2 := New("lsi2", 2)
 	h2 := rig(t, sw2, 2)
-	mustAdd(t, sw2, &FlowEntry{Priority: 10, Match: MatchAll().WithVLAN(100), Actions: []Action{SetVLAN(200), Output(2)}})
+	mustAdd(t, sw2, &FlowEntry{Priority: 10, Match: MatchAll().WithVLAN(100), Actions: []Action{SetEthDst(newDst), Output(2)}})
 	_ = h2[0].Send(netdev.Frame{Data: f.Data})
 	g, ok := h2[1].TryRecv()
 	if !ok {
 		t.Fatal("no frame from sw2")
 	}
 	q := pkt.NewPacket(g.Data, pkt.LayerTypeEthernet, pkt.Default)
-	if v := q.Layer(pkt.LayerTypeVLAN).(*pkt.VLAN); v.VLANID != 200 {
-		t.Fatalf("set_vlan failed: id=%d", v.VLANID)
+	if v := q.Layer(pkt.LayerTypeVLAN).(*pkt.VLAN); v.VLANID != 100 {
+		t.Fatalf("set_dl_dst disturbed the tag: id=%d", v.VLANID)
+	}
+	if eth := q.Layer(pkt.LayerTypeEthernet).(*pkt.Ethernet); eth.DstMAC != newDst {
+		t.Fatalf("set_dl_dst on a tagged frame: dst=%v", eth.DstMAC)
 	}
 
 	sw3 := New("lsi3", 3)
 	h3 := rig(t, sw3, 2)
-	mustAdd(t, sw3, &FlowEntry{Match: MatchAll().WithVLAN(200), Actions: []Action{PopVLAN(), Output(2)}})
+	mustAdd(t, sw3, &FlowEntry{Match: MatchAll().WithVLAN(100), Actions: []Action{PopVLAN(), Output(2)}})
 	_ = h3[0].Send(netdev.Frame{Data: g.Data})
 	u, ok := h3[1].TryRecv()
 	if !ok {
@@ -150,106 +154,63 @@ func TestVLANPushPopSet(t *testing.T) {
 	}
 }
 
-func TestVLANNoneMatchesUntaggedOnly(t *testing.T) {
-	sw := New("lsi", 1)
-	hosts := rig(t, sw, 3)
-	mustAdd(t, sw, &FlowEntry{Priority: 10, Match: MatchAll().WithVLAN(VLANNone), Actions: []Action{Output(2)}})
-	mustAdd(t, sw, &FlowEntry{Priority: 5, Match: MatchAll(), Actions: []Action{Output(3)}})
-	_ = hosts[0].Send(netdev.Frame{Data: frame(t, 0, 80)})
-	if _, ok := hosts[1].TryRecv(); !ok {
-		t.Error("untagged frame not matched by vlan=none")
-	}
-	_ = hosts[0].Send(netdev.Frame{Data: frame(t, 7, 80)})
-	if _, ok := hosts[2].TryRecv(); !ok {
-		t.Error("tagged frame wrongly matched by vlan=none")
-	}
-}
-
-func TestMultiTableMetadataPipeline(t *testing.T) {
-	sw := New("lsi", 1)
-	hosts := rig(t, sw, 3)
-	// Table 0 classifies by in_port into metadata, table 1 switches on it.
-	mustAdd(t, sw, &FlowEntry{Table: 0, Match: MatchAll().WithInPort(1),
-		Actions: []Action{SetMetadata(0x1, 0xff), GotoTable(1)}})
-	mustAdd(t, sw, &FlowEntry{Table: 0, Match: MatchAll().WithInPort(2),
-		Actions: []Action{SetMetadata(0x2, 0xff), GotoTable(1)}})
-	mustAdd(t, sw, &FlowEntry{Table: 1, Match: MatchAll().WithMetadata(0x1, 0xff),
-		Actions: []Action{Output(3)}})
-	mustAdd(t, sw, &FlowEntry{Table: 1, Match: MatchAll().WithMetadata(0x2, 0xff),
-		Actions: []Action{Output(1)}})
-	_ = hosts[0].Send(netdev.Frame{Data: frame(t, 0, 80)})
-	if _, ok := hosts[2].TryRecv(); !ok {
-		t.Error("metadata 0x1 path broken")
-	}
-	_ = hosts[1].Send(netdev.Frame{Data: frame(t, 0, 80)})
-	if _, ok := hosts[0].TryRecv(); !ok {
-		t.Error("metadata 0x2 path broken")
-	}
-}
-
-func TestGotoTableMustMoveForward(t *testing.T) {
-	sw := New("lsi", 1)
-	if err := sw.AddFlow(&FlowEntry{Table: 2, Actions: []Action{GotoTable(1)}}); err == nil {
-		t.Error("backward goto accepted")
-	}
-	if err := sw.AddFlow(&FlowEntry{Table: 1, Actions: []Action{GotoTable(1)}}); err == nil {
-		t.Error("self goto accepted")
-	}
-	if err := sw.AddFlow(&FlowEntry{Table: 9, Actions: nil}); err == nil {
-		t.Error("out-of-range table accepted")
-	}
-}
-
-func TestFloodExcludesIngress(t *testing.T) {
+// TestSelectBucketShardsTheEditedFrame pins why a tag push or pop reparses
+// the flow key: a frame carrying a shared NNF's mark over a tagged user
+// frame is not IP until the mark is popped, and SelectBucket must then shard
+// it by the 5-tuple it carries, as the NF replicas behind it see it.
+func TestSelectBucketShardsTheEditedFrame(t *testing.T) {
 	sw := New("lsi", 1)
 	hosts := rig(t, sw, 4)
-	mustAdd(t, sw, &FlowEntry{Match: MatchAll(), Actions: []Action{Flood()}})
-	_ = hosts[1].Send(netdev.Frame{Data: frame(t, 0, 80)})
-	if _, ok := hosts[1].TryRecv(); ok {
-		t.Error("flood echoed to ingress")
-	}
-	for _, i := range []int{0, 2, 3} {
-		if _, ok := hosts[i].TryRecv(); !ok {
-			t.Errorf("flood missed port %d", i+1)
+	buckets := laneBuckets()
+	mustAdd(t, sw, &FlowEntry{Match: MatchAll().WithInPort(1), Actions: []Action{PopVLAN(), SelectBucket(buckets)}})
+	for src := uint16(1000); src < 1006; src++ {
+		f, err := pkt.BuildFrame(pkt.FrameSpec{SrcMAC: macA, DstMAC: macB, VLANID: 7,
+			SrcIP: ipA, DstIP: ipB, SrcPort: src, DstPort: 80, PayloadLen: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = hosts[0].Send(netdev.Frame{Data: pkt.PushVLAN(f, 100)})
+		want := buckets[FlowBucket(pkt.IPProtocolUDP, ipA, ipB, src, 80)]
+		for num := uint32(2); num <= 4; num++ {
+			if _, got := hosts[num-1].TryRecv(); got != (num == want) {
+				t.Errorf("source port %d: delivered on port %d = %v, want only port %d", src, num, got, want)
+			}
 		}
 	}
 }
 
-func TestPacketInOnMissAndAction(t *testing.T) {
-	sw := New("lsi", 1)
-	hosts := rig(t, sw, 1)
-	var events []PacketIn
-	sw.SetPacketInHandler(func(pi PacketIn) { events = append(events, pi) })
-	sw.SetMissPolicy(MissController)
-	_ = hosts[0].Send(netdev.Frame{Data: frame(t, 0, 80)})
-	if len(events) != 1 || events[0].Reason != ReasonMiss || events[0].InPort != 1 {
-		t.Fatalf("miss packet-in = %+v", events)
-	}
-	mustAdd(t, sw, &FlowEntry{Match: MatchAll(), Actions: []Action{ToController()}})
-	_ = hosts[0].Send(netdev.Frame{Data: frame(t, 0, 80)})
-	if len(events) != 2 || events[1].Reason != ReasonAction {
-		t.Fatalf("action packet-in = %+v", events)
-	}
-}
-
+// TestPacketOutInjectAndOutput checks that Inject runs a frame through the
+// flow table as if it arrived on the given port: the entry matching that
+// in-port decides where the frame leaves, and a port with no entry emits
+// nothing.
 func TestPacketOutInjectAndOutput(t *testing.T) {
 	sw := New("lsi", 1)
-	hosts := rig(t, sw, 2)
+	hosts := rig(t, sw, 3)
 	mustAdd(t, sw, &FlowEntry{Match: MatchAll().WithInPort(1), Actions: []Action{Output(2)}})
+	mustAdd(t, sw, &FlowEntry{Match: MatchAll().WithInPort(2), Actions: []Action{Output(1)}})
 	sw.Inject(1, frame(t, 0, 80))
 	if _, ok := hosts[1].TryRecv(); !ok {
-		t.Error("Inject did not traverse pipeline")
+		t.Error("Inject on port 1 did not traverse pipeline to port 2")
 	}
-	sw.Output(1, frame(t, 0, 80))
+	sw.Inject(2, frame(t, 0, 80))
 	if _, ok := hosts[0].TryRecv(); !ok {
-		t.Error("Output did not bypass pipeline")
+		t.Error("Inject on port 2 did not traverse pipeline to port 1")
+	}
+	sw.Inject(3, frame(t, 0, 80))
+	for i, h := range hosts {
+		if _, ok := h.TryRecv(); ok {
+			t.Errorf("Inject on unmatched port 3 emitted a frame on port %d", i+1)
+		}
+	}
+	if sw.Misses() != 1 {
+		t.Errorf("misses = %d, want 1", sw.Misses())
 	}
 }
 
 func TestDeleteFlowsByCookie(t *testing.T) {
 	sw := New("lsi", 1)
 	mustAdd(t, sw, &FlowEntry{Cookie: 7, Match: MatchAll()})
-	mustAdd(t, sw, &FlowEntry{Cookie: 7, Table: 1, Match: MatchAll()})
+	mustAdd(t, sw, &FlowEntry{Cookie: 7, Priority: 1, Match: MatchAll()})
 	mustAdd(t, sw, &FlowEntry{Cookie: 9, Match: MatchAll()})
 	if n := sw.DeleteFlows(7); n != 2 {
 		t.Errorf("deleted %d, want 2", n)
@@ -257,8 +218,8 @@ func TestDeleteFlowsByCookie(t *testing.T) {
 	if len(sw.Flows()) != 1 {
 		t.Errorf("remaining = %d, want 1", len(sw.Flows()))
 	}
-	if n := sw.DeleteAllFlows(); n != 1 {
-		t.Errorf("DeleteAllFlows = %d, want 1", n)
+	if n := sw.DeleteFlows(7); n != 0 {
+		t.Errorf("deleting a gone cookie removed %d, want 0", n)
 	}
 }
 
@@ -284,7 +245,7 @@ func TestMatchFields(t *testing.T) {
 	sw := New("lsi", 1)
 	hosts := rig(t, sw, 2)
 	m := MatchAll().
-		WithEthSrc(macA).WithEthDst(macB).WithEthType(pkt.EthernetTypeIPv4).
+		WithInPort(1).WithEthType(pkt.EthernetTypeIPv4).
 		WithIPSrc(pkt.Addr{10, 0, 0, 0}, 24).WithIPDst(ipB, 32).
 		WithIPProto(pkt.IPProtocolUDP).WithL4Src(1000).WithL4Dst(80)
 	mustAdd(t, sw, &FlowEntry{Match: m, Actions: []Action{Output(2)}})

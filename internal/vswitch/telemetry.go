@@ -3,8 +3,8 @@ package vswitch
 import "repro/internal/telemetry"
 
 // Telemetry is the full observability snapshot of one switch: the per-LSI
-// traffic counters, the microflow-cache state, per-table match counts, the
-// sampled packet-latency histogram and — for a worker-pool switch — the
+// traffic counters, the microflow-cache state, the flow table's match count,
+// the sampled packet-latency histogram and — for a worker-pool switch — the
 // per-worker queue state.
 type Telemetry struct {
 	// Name is the switch name.
@@ -14,24 +14,25 @@ type Telemetry struct {
 	// Frames tail-dropped at a full worker ring are not included (see
 	// Workers[].QueueDrops).
 	Rx uint64
-	// Tx counts frames transmitted out of ports (a flood counts once per
-	// egress port). Derived at snapshot time from the per-port netdev
-	// counters the send path maintains anyway, so the packet path pays no
-	// extra atomic for it; detached ports take their counts with them.
+	// Tx counts frames transmitted out of ports (a frame output to several
+	// ports counts once per port). Derived at snapshot time from the
+	// per-port netdev counters the send path maintains anyway, so the packet
+	// path pays no extra atomic for it; detached ports take their counts
+	// with them.
 	Tx uint64
 	// Drops counts frames discarded: unknown egress port, malformed frame,
-	// full worker ring, or a table miss under the drop policy.
+	// full worker ring, or a table miss.
 	Drops uint64
-	// Misses counts table-miss packets regardless of policy. Malformed
-	// frames are not misses: they never consulted the tables.
+	// Misses counts table-miss packets (each also counted as a drop).
+	// Malformed frames are not misses: they never consulted the table.
 	Misses uint64
 	// Malformed counts received frames rejected by header parsing.
 	Malformed uint64
-	// TableMatches holds, per table, how many packets matched an entry
-	// there. Derived at snapshot time from the per-entry hit counters, so
-	// the packet path pays nothing for it; entries deleted from a table
-	// take their counts with them.
-	TableMatches []uint64
+	// TableMatches counts packets that matched an entry of the flow table.
+	// Derived at snapshot time from the per-entry hit counters, so the
+	// packet path pays nothing for it; deleted entries take their counts
+	// with them.
+	TableMatches uint64
 	// Cache is the microflow-cache counter snapshot.
 	Cache CacheStats
 	// Latency is the sampled per-packet pipeline latency, in seconds: the
@@ -62,13 +63,9 @@ func (s *Switch) Telemetry() Telemetry {
 	for _, p := range s.ports.Load().ports {
 		t.Tx += p.Stats().TxPackets
 	}
-	tables := s.tables.Load().tables
-	t.TableMatches = make([]uint64, len(tables))
-	for ti, entries := range tables {
-		for _, e := range entries {
-			p, _ := e.Stats()
-			t.TableMatches[ti] += p
-		}
+	for _, e := range s.table.Load().entries {
+		p, _ := e.Stats()
+		t.TableMatches += p
 	}
 	return t
 }

@@ -61,8 +61,8 @@ func TestSwitchTelemetryCounters(t *testing.T) {
 	if tel.Drops != 0 {
 		t.Fatalf("drops = %d, want 0", tel.Drops)
 	}
-	if len(tel.TableMatches) != DefaultTables || tel.TableMatches[0] != n {
-		t.Fatalf("table matches = %v, want %d in table 0", tel.TableMatches, n)
+	if tel.TableMatches != n {
+		t.Fatalf("table matches = %d, want %d", tel.TableMatches, n)
 	}
 	wantSamples := uint64(n >> latencySampleShift)
 	if tel.Latency.Count != wantSamples {
@@ -102,7 +102,7 @@ func TestSwitchTelemetryDrops(t *testing.T) {
 		t.Fatalf("tx = %d, want 0", tel.Tx)
 	}
 
-	// Miss with the default drop policy also counts as a drop.
+	// A table miss also counts as a drop.
 	sw2, in2 := telemetryRig(t)
 	for i := 0; i < 5; i++ {
 		if err := in2.Send(netdev.Frame{Data: data}); err != nil {
@@ -114,27 +114,4 @@ func TestSwitchTelemetryDrops(t *testing.T) {
 		t.Fatalf("miss-drop: misses=%d drops=%d, want 5/5", tel2.Misses, tel2.Drops)
 	}
 
-	// MissController with no controller attached still discards: the drop
-	// must be counted, not hidden behind the punt policy.
-	sw3, in3 := telemetryRig(t)
-	sw3.SetMissPolicy(MissController)
-	for i := 0; i < 3; i++ {
-		if err := in3.Send(netdev.Frame{Data: data}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tel3 := sw3.Telemetry()
-	if tel3.Drops != 3 {
-		t.Fatalf("handlerless punt: drops=%d, want 3", tel3.Drops)
-	}
-	// With a handler attached the punt is a delivery, not a drop.
-	sw3.SetPacketInHandler(func(pi PacketIn) { pkt.PutBuffer(pi.Data) })
-	for i := 0; i < 2; i++ {
-		if err := in3.Send(netdev.Frame{Data: data}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tel3 = sw3.Telemetry(); tel3.Drops != 3 || tel3.Misses != 5 {
-		t.Fatalf("attached punt: misses=%d drops=%d, want 5/3", tel3.Misses, tel3.Drops)
-	}
 }

@@ -25,8 +25,8 @@ import (
 //
 // Ownership: the steering step copies the frame into a pool-backed buffer
 // (the sender's buffer is only valid during the Send call), and the lane
-// recycles it after the pipeline finishes — egress and packet-in copy again,
-// so the ring buffer never escapes.
+// recycles it after the pipeline finishes — egress copies again, so the ring
+// buffer never escapes.
 
 // workerRingLen is the per-worker RX ring capacity, sized like a NIC RX
 // descriptor ring.
@@ -75,11 +75,10 @@ func burstBucket(n int) int {
 // producer side (steering needs the hash anyway), so the worker starts
 // straight at the cache lookup.
 type workerItem struct {
-	key    flowKey
-	hash   uint64
-	inPort uint32
-	hops   int    // the ingress frame's hop count, carried onto every egress frame
-	data   []byte // private copy, recycled by the lane (or releaseData on a drop)
+	key  flowKey
+	hash uint64
+	hops int    // the ingress frame's hop count, carried onto every egress frame
+	data []byte // private copy, recycled by the lane (or releaseData on a drop)
 	// shared is the reference-counted chunk buffer data points into; nil
 	// means data is a private frame-pool buffer (single frames, jumbo frames).
 	shared *sharedBuf
@@ -242,7 +241,6 @@ func (s *Switch) steerBatch(p *workerPool, inPort uint32, fs []netdev.Frame, wai
 				continue
 			}
 			it.hash = it.key.hash(seed)
-			it.inPort = inPort
 			it.hops = chunk[i].Hops
 			sb = packFrame(&it, data, sb, len(chunk) > 1)
 			g := &ss.groups[it.hash%nw]

@@ -94,7 +94,7 @@ func TestWorkerPoolMalformedCounted(t *testing.T) {
 	}
 	waitFor(t, "malformed frame counted", func() bool { return sw.Malformed() == 1 })
 	if got := sw.Misses(); got != 0 {
-		t.Errorf("Misses = %d, want 0: malformed frames never consult the tables", got)
+		t.Errorf("Misses = %d, want 0: malformed frames never consult the table", got)
 	}
 	if got := sw.PacketsProcessed(); got != 1 {
 		t.Errorf("PacketsProcessed = %d, want 1", got)

@@ -20,7 +20,7 @@
 //	lan, _ := node.InterfacePort("eth0")
 //
 // The datapath of every LSI runs an exact-match microflow cache in front of
-// its multi-table pipeline; per-switch cache counters (hits, misses,
+// its flow table; per-switch cache counters (hits, misses,
 // resident entries) are exported through Topology and
 // Node.DatapathCacheStats, next to the classic per-entry flow stats.
 //
