@@ -83,14 +83,20 @@ bench-selftest:
 	cd benchmarks/unbench && $(GO) test .
 
 # CPU and allocation profiles of the parallel and burst datapath
-# benchmarks, for chasing hot-path regressions. CI uploads profile/ as an
-# artifact of the bench job.
+# benchmarks, for chasing hot-path regressions, and an every-allocation
+# profile of the deploy path (TestDeployChurnHeapPlateaus: graph lifecycles
+# over REST on a 3-replica control plane and a 3-node fleet), where
+# deploy-byte work starts. CI uploads profile/ as an artifact of the bench
+# job.
 profile:
 	@mkdir -p profile
 	$(GO) test -run '^$$' -bench '^(BenchmarkPipelineParallel|BenchmarkPipelineBurst)$$' -benchtime=1s \
 		-cpuprofile profile/cpu.pprof -memprofile profile/alloc.pprof \
 		-o profile/bench.test ./internal/vswitch | tee profile/bench.txt
+	$(GO) test -run '^TestDeployChurnHeapPlateaus$$' -memprofile profile/deploy-alloc.pprof -memprofilerate=1 \
+		-o profile/deploy.test .
 	@echo "wrote profile/cpu.pprof and profile/alloc.pprof (inspect with: $(GO) tool pprof profile/bench.test profile/cpu.pprof)"
+	@echo "wrote profile/deploy-alloc.pprof (inspect with: $(GO) tool pprof -sample_index=alloc_space profile/deploy.test profile/deploy-alloc.pprof)"
 
 # Availability gate: the chaos harness injects NF crashes, node kills,
 # link cuts and REST control-plane faults under live stateful traffic,

@@ -7,7 +7,8 @@
 // synchronous in the sender's goroutine, modeling run-to-completion packet
 // processing as in a kernel softirq. Otherwise the frame lands in the peer's
 // bounded RX queue, and is dropped (and counted) when the queue is full, as a
-// real NIC ring would.
+// real NIC ring would. The queue is allocated by the first frame that has to
+// wait in it: a port that always has a handler never pays for one.
 //
 // SendBatch delivers whole bursts run-to-completion through the peer's
 // BatchHandler (degrading to per-frame delivery when none is installed),
@@ -106,9 +107,10 @@ type portState struct {
 // deltas of past links are folded into a history at Disconnect; the drop
 // counters are only touched on the (cold) drop paths.
 type Port struct {
-	name  string
-	state atomic.Pointer[portState]
-	queue chan Frame
+	name     string
+	state    atomic.Pointer[portState]
+	queue    atomic.Pointer[chan Frame] // RX ring, nil until a frame queues
+	queueLen int                        // capacity of the RX ring
 
 	txPackets, txBytes, txDropped atomic.Uint64
 	rxDropped, rxDroppedBytes     atomic.Uint64
@@ -144,14 +146,29 @@ func NewPort(name string) *Port {
 }
 
 // NewPortQueueLen creates an unconnected port with an RX queue of the given
-// capacity (minimum 1).
+// capacity (minimum 1), allocated only when a frame finds no handler.
 func NewPortQueueLen(name string, queueLen int) *Port {
 	if queueLen < 1 {
 		queueLen = 1
 	}
-	p := &Port{name: name, queue: make(chan Frame, queueLen)}
+	p := &Port{name: name, queueLen: queueLen}
 	p.state.Store(&portState{up: true})
 	return p
+}
+
+// rxQueue returns the RX ring, allocating it once under linkMu on first use.
+func (p *Port) rxQueue() chan Frame {
+	if q := p.queue.Load(); q != nil {
+		return *q
+	}
+	linkMu.Lock()
+	defer linkMu.Unlock()
+	if q := p.queue.Load(); q != nil {
+		return *q
+	}
+	q := make(chan Frame, p.queueLen)
+	p.queue.Store(&q)
+	return q
 }
 
 // mutate copy-on-write-updates the port's state snapshot under linkMu.
@@ -168,7 +185,7 @@ func (p *Port) Name() string { return p.name }
 
 // QueueCap returns the capacity of the port's RX queue: the largest burst a
 // handler-less port can absorb without tail-dropping.
-func (p *Port) QueueCap() int { return cap(p.queue) }
+func (p *Port) QueueCap() int { return p.queueLen }
 
 // Peer returns the connected peer port, or nil.
 func (p *Port) Peer() *Port { return p.state.Load().peer }
@@ -200,12 +217,14 @@ func (p *Port) SetTap(t Tap) {
 
 // TryRecv dequeues one frame if immediately available.
 func (p *Port) TryRecv() (Frame, bool) {
-	select {
-	case f := <-p.queue:
-		return f, true
-	default:
-		return Frame{}, false
+	if q := p.queue.Load(); q != nil {
+		select {
+		case f := <-*q:
+			return f, true
+		default:
+		}
 	}
+	return Frame{}, false
 }
 
 // Send transmits a frame out of this port to its peer. Delivery is
@@ -315,7 +334,7 @@ func (p *Port) deliver(f Frame) error {
 		return nil
 	}
 	select {
-	case p.queue <- f:
+	case p.rxQueue() <- f:
 		return nil
 	default:
 		p.rxDropped.Add(1)
@@ -352,9 +371,10 @@ func (p *Port) deliverBatch(frames []Frame) {
 		}
 		return
 	}
+	q := p.rxQueue()
 	for _, f := range frames {
 		select {
-		case p.queue <- f:
+		case q <- f:
 		default:
 			p.rxDropped.Add(1)
 			p.rxDroppedBytes.Add(uint64(len(f.Data)))

@@ -306,3 +306,91 @@ func TestStatsString(t *testing.T) {
 		t.Error("empty stats string")
 	}
 }
+
+// TestHandlerRemovedRevertsToQueue pins that a port which only ever had a
+// handler (so never allocated its RX ring) queues again once the handler is
+// removed, with the capacity it was created with.
+func TestHandlerRemovedRevertsToQueue(t *testing.T) {
+	a := NewPort("a")
+	b := NewPortQueueLen("b", 4)
+	if err := Connect(a, b); err != nil {
+		t.Fatal(err)
+	}
+	handled := 0
+	b.SetHandler(func(Frame) { handled++ })
+	if err := a.Send(Frame{Data: []byte("h")}); err != nil {
+		t.Fatal(err)
+	}
+	if handled != 1 {
+		t.Fatalf("handler ran %d times, want 1", handled)
+	}
+	b.SetHandler(nil)
+	for i := 0; i < 3; i++ {
+		if err := a.Send(Frame{Data: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := a.SendBatch(make([]Frame, 6)); err != nil || n != 6 {
+		t.Fatalf("SendBatch = %d, %v", n, err)
+	}
+	queued := 0
+	for {
+		if _, ok := b.TryRecv(); !ok {
+			break
+		}
+		queued++
+	}
+	if queued != b.QueueCap() {
+		t.Errorf("dequeued %d frames, want QueueCap %d", queued, b.QueueCap())
+	}
+	if st := b.Stats(); st.RxDropped != 9-4 { // 3 + 6 frames sent, 4 queued
+		t.Errorf("RxDropped = %d, want 5", st.RxDropped)
+	}
+}
+
+// TestConcurrentFirstQueueKeepsOneRing races eight senders into a fresh
+// handler-less port, so several may find its RX ring missing at once. Every
+// frame sent must be either dequeued or counted as dropped: a frame lost to
+// a second, overwritten ring would be neither.
+func TestConcurrentFirstQueueKeepsOneRing(t *testing.T) {
+	const senders, perSender, burst = 8, 64, 8
+	a := NewPort("a")
+	b := NewPortQueueLen("b", 100)
+	if err := Connect(a, b); err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(batch bool) {
+			defer wg.Done()
+			<-start
+			if batch {
+				for i := 0; i < perSender; i += burst {
+					_, _ = a.SendBatch(make([]Frame, burst))
+				}
+				return
+			}
+			for i := 0; i < perSender; i++ {
+				_ = a.Send(Frame{})
+			}
+		}(g%2 == 1)
+	}
+	close(start)
+	wg.Wait()
+	var got uint64
+	for {
+		if _, ok := b.TryRecv(); !ok {
+			break
+		}
+		got++
+	}
+	dropped := b.Stats().RxDropped
+	if got+dropped != senders*perSender {
+		t.Errorf("dequeued %d + dropped %d = %d, want %d sent", got, dropped, got+dropped, senders*perSender)
+	}
+	if got != uint64(b.QueueCap()) {
+		t.Errorf("dequeued %d, want a full ring of %d", got, b.QueueCap())
+	}
+}

@@ -5,6 +5,7 @@
 package orchestrator
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/nffg"
@@ -13,12 +14,13 @@ import (
 // TestReflavorAllocCeiling pins what one make-before-break hot-swap round
 // trip (VM -> native -> VM, the shape of BenchmarkReflavor) allocates. It
 // read 421 before the single-transition refactor, 515-524 after it (a second
-// reprogram and the per-swap bucket-move maps), and 488-489 since a switch
-// holds one flow table (no per-table slices and sorts per swap); the ceiling
-// is that count plus 10%, so the next fifty cannot arrive unnoticed. Lower it
-// when the count comes down.
+// reprogram and the per-swap bucket-move maps), 488-489 once a switch held one
+// flow table (no per-table slices and sorts per swap), and 472 since a port
+// allocates its RX ring only when a frame queues on it; the ceiling is that
+// count plus 10%, so the next fifty cannot arrive unnoticed. Lower it when the
+// count comes down.
 func TestReflavorAllocCeiling(t *testing.T) {
-	const ceiling = 537
+	const ceiling = 519
 	o := newNode(t)
 	if err := o.Deploy(ipsecGraph("g1", nffg.TechVM)); err != nil {
 		t.Fatal(err)
@@ -33,5 +35,39 @@ func TestReflavorAllocCeiling(t *testing.T) {
 	t.Logf("%.0f allocs per reflavor round trip (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("%.0f allocs per reflavor round trip, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestDeployBytesCeiling pins the bytes one Deploy + Undeploy of a three-NF
+// chain allocates on one node: the LSI, its virtual links to LSI-0, the NF
+// port pairs, the flow programming and the teardown of all of it. It read 325
+// KB while every port allocated an 18 KB RX ring up front, and 35 KB since a
+// port allocates its ring only when a frame queues on it (every port here has
+// a handler); the ceiling is that figure plus 10%.
+func TestDeployBytesCeiling(t *testing.T) {
+	const (
+		rounds    = 30
+		ceilingKB = 38
+	)
+	o := newNode(t)
+	lifecycle := func() {
+		if err := o.Deploy(fwChainGraph("g1", 3, nffg.TechDocker)); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Undeploy("g1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lifecycle() // warm one-time caches (images, registries, pools)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		lifecycle()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / rounds
+	t.Logf("%.1f KB allocated per deploy+undeploy (ceiling %d KB)", kb, ceilingKB)
+	if kb > ceilingKB {
+		t.Errorf("%.1f KB allocated per deploy+undeploy, ceiling %d KB", kb, ceilingKB)
 	}
 }
