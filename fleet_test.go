@@ -106,18 +106,22 @@ func haLineFleet(t *testing.T) *global.Orchestrator {
 
 // TestDeployChurnHeapPlateaus names what unbench reports as ≈9-10 KB of
 // runtime.heap_growth_kb_per_op on deploy-churn: it is the fill rate of
-// bounded structures, not a leak. Each lifecycle is three intent ops, and
-// every replica retains the last cluster.Options.LogDepth (1024) of them
-// with their deployment records, so the heap climbs ≈7.5-9.5 KB per lifecycle
-// for the first ≈342 lifecycles — longer than unbench's reference pass — and
-// then stops, the 1024-event journals of the six orchestrators having filled
-// on the way. The test runs past that point and requires the heap to stay
-// put. (It went red on the one structure that did grow without bound, the
-// per-plugin audit trail in internal/nnf, now a 64-entry window.)
+// bounded structures, not a leak. Each lifecycle here is deploy-churn's —
+// deploy, then a config-only update of the first firewall's rules — plus a
+// re-placing shrink before the undeploy: four intent ops, and every replica
+// retains the last cluster.Options.LogDepth (1024) of them with their
+// deployment records, so the heap climbs for the first ≈256 lifecycles —
+// longer than unbench's reference pass — and then stops, the 1024-event
+// journals of the six orchestrators having filled on the way. The test runs
+// past that point and requires the heap to stay put. (It went red on the one
+// structure that did grow without bound, the per-plugin audit trail in
+// internal/nnf, now a 64-entry window.)
 func TestDeployChurnHeapPlateaus(t *testing.T) {
 	const fill, measured, slackKB = 400, 400, 48
 	orch := haLineFleet(t)
-	g, upd := globalChain("svc", 6), globalChain("svc", 5)
+	g, cfg, upd := globalChain("svc", 6), globalChain("svc", 6), globalChain("svc", 5)
+	g.NFs[0].Config = map[string]string{"rules": "drop proto=tcp dport=82", "default": "accept"}
+	cfg.NFs[0].Config = map[string]string{"rules": "drop proto=tcp dport=82;drop proto=tcp dport=443", "default": "accept"}
 	heapKB := func() float64 {
 		runtime.GC()
 		runtime.GC() // the first cycle's finalizers free what the second collects
@@ -128,6 +132,9 @@ func TestDeployChurnHeapPlateaus(t *testing.T) {
 	churn := func(n int) {
 		for i := 0; i < n; i++ {
 			if err := orch.Deploy(g); err != nil {
+				t.Fatal(err)
+			}
+			if err := orch.Update(cfg); err != nil {
 				t.Fatal(err)
 			}
 			if err := orch.Update(upd); err != nil {

@@ -51,16 +51,12 @@ type Instance struct {
 // RAM returns the instance's runtime footprint.
 func (i *Instance) RAM() uint64 { return i.Runtime.Env().RAM() }
 
-// Caps advertises the optional lifecycle abilities of a driver. The
-// orchestrator's state machine keys on them: reconfiguration decides the
-// in-place-vs-restart path of a graph update, draining decides whether a
-// flavor hot-swap may let the outgoing instance finish in-flight packets
-// before stopping it.
+// Caps advertises the optional lifecycle abilities of a driver that hold for
+// every instance it runs. Draining decides whether a flavor hot-swap may let
+// the outgoing instance finish in-flight packets before stopping it. Whether
+// an instance takes new configuration in place depends on the instance, so
+// Driver.Reconfigurer answers it per instance.
 type Caps struct {
-	// SupportsReconfigure reports that a running instance may be handed a
-	// new configuration in place (the processor must still implement
-	// nf.Configurer; this flag says the driver's packaging tolerates it).
-	SupportsReconfigure bool
 	// SupportsDrain reports that an instance detached from steering keeps
 	// processing already-delivered traffic until Stop, so a make-before-
 	// break swap can wait for it to quiesce. Shared native NFs do not
@@ -83,6 +79,10 @@ type Driver interface {
 	Start(req StartRequest) (*Instance, error)
 	// Stop tears an instance down and releases its resources.
 	Stop(inst *Instance) error
+	// Reconfigurer answers, touching nothing, how a running instance takes
+	// new configuration in place: the returned func applies it. nil means
+	// the instance has no update path and must be restarted to change.
+	Reconfigurer(inst *Instance) func(config map[string]string) error
 }
 
 // Manager is the compute manager: the driver registry.

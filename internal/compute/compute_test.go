@@ -1,6 +1,7 @@
 package compute
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/execenv"
@@ -114,6 +115,37 @@ func TestManagerRegistry(t *testing.T) {
 	vm, _ := NewVMDriver(n.deps)
 	if err := n.cmgr.Register(vm); err == nil {
 		t.Error("duplicate driver registration allowed")
+	}
+}
+
+// Each driver answers per instance whether it takes new configuration in
+// place: a configurable processor in its own environment does, a shared native
+// firewall does through the NNF manager, a processor with no configuration
+// update (the monitor) does not, in either packaging.
+func TestDriverReconfigurer(t *testing.T) {
+	n := newTestNode(t)
+	for i, c := range []struct {
+		tech    nffg.Technology
+		name    string
+		inPlace bool
+	}{
+		{nffg.TechDocker, "firewall", true},
+		{nffg.TechNative, "firewall", true},
+		{nffg.TechDocker, "monitor", false},
+		{nffg.TechNative, "monitor", false},
+	} {
+		inst := n.start(t, c.tech, fmt.Sprintf("g%d", i), c.name, map[string]string{})
+		d, _ := n.cmgr.Driver(c.tech)
+		apply := d.Reconfigurer(inst)
+		if (apply != nil) != c.inPlace {
+			t.Errorf("%s %s: in-place update path %v, want %v", c.tech, c.name, apply != nil, c.inPlace)
+			continue
+		}
+		if apply != nil {
+			if err := apply(map[string]string{"default": "drop"}); err != nil {
+				t.Errorf("%s %s: %v", c.tech, c.name, err)
+			}
+		}
 	}
 }
 

@@ -88,9 +88,18 @@ func newEnvDriver(tech nffg.Technology, flavor execenv.Flavor, cap resources.Cap
 func (d *envDriver) Technology() nffg.Technology { return d.tech }
 
 // Caps implements Driver: hypervisor-style environments are private to one
-// graph, so they reconfigure in place and drain cleanly on hot-swap.
+// graph, so they drain cleanly on hot-swap.
 func (d *envDriver) Caps() Caps {
-	return Caps{SupportsReconfigure: true, SupportsDrain: true}
+	return Caps{SupportsDrain: true}
+}
+
+// Reconfigurer implements Driver: a private processor that accepts
+// configuration updates takes them in place.
+func (d *envDriver) Reconfigurer(inst *Instance) func(map[string]string) error {
+	if c, ok := inst.Runtime.Processor().(nf.Configurer); ok {
+		return c.Configure
+	}
+	return nil
 }
 
 // Available implements Driver.

@@ -12,7 +12,8 @@ import (
 
 // nativeDriver is the NNF driver introduced by the paper: it implements the
 // same abstraction as the other compute drivers but delegates lifecycle to
-// the NNF manager, which runs native functions in fresh network namespaces,
+// the NNF manager — Start, Reconfigurer and Stop run a plugin's create, update
+// and stop scripts — which runs native functions in fresh network namespaces,
 // shares sharable ones across graphs via traffic marks, and places
 // single-interface functions behind the adaptation layer.
 type nativeDriver struct {
@@ -34,11 +35,14 @@ func NewNativeDriver(deps Deps, mgr *nnf.Manager) (Driver, error) {
 // Technology implements Driver.
 func (d *nativeDriver) Technology() nffg.Technology { return nffg.TechNative }
 
-// Caps implements Driver: native NFs reconfigure in place (the plugin
-// translates new config), but do not drain — a sharable instance is
+// Caps implements Driver: native NFs do not drain — a sharable instance is
 // mark-multiplexed across graphs, so detach is a release, not a quiesce.
-func (d *nativeDriver) Caps() Caps {
-	return Caps{SupportsReconfigure: true}
+func (d *nativeDriver) Caps() Caps { return Caps{} }
+
+// Reconfigurer implements Driver with the NNF manager's update verb: the
+// plugin's update script, or this graph's mark paths of a shared instance.
+func (d *nativeDriver) Reconfigurer(inst *Instance) func(map[string]string) error {
+	return d.mgr.Updater(inst.GraphID, strings.TrimSuffix(inst.Image, ":native"))
 }
 
 // Available implements Driver: the node must advertise the NNF capability

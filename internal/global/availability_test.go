@@ -298,6 +298,17 @@ func TestUpdateCarriesShadow(t *testing.T) {
 	if got := externalIP(standby); got != "198.51.100.2" {
 		t.Fatalf("shadow runs external_ip %q after the update, want the new version", got)
 	}
+	// The running version again changes no piece: neither the primary nor
+	// the shadow is called, only probed for placement.
+	f.verbs()
+	if err := f.g.Update(v2); err != nil {
+		t.Fatal(err)
+	}
+	for call := range f.verbs() {
+		if !strings.HasSuffix(call, " status") {
+			t.Fatalf("a PUT of the running version asked %q", call)
+		}
+	}
 
 	v3 := haNATGraph("av")
 	v3.NFs[0].Config["external_ip"] = "198.51.100.3"

@@ -172,20 +172,17 @@ func (o *Orchestrator) execute(id string, have map[string]*nffg.Graph, steps []s
 // transition moves graph id from its current deployment to want — nil to
 // remove it, a first deployment when there is none — and is the only way a
 // deployment changes: execute the planned steps, swap the bookkeeping, hand
-// the stitch VLANs of whichever partition lost back to the allocator (parked
-// while a blocked node may still use them) and queue the graph's intent
-// record, staged once when the lock is released however many transitions the
-// operation took. On error the fleet and the bookkeeping are back on the
-// current deployment. Callers hold o.mu.
+// the stitch hops that only the losing partition rides back to the allocator
+// (parked while a blocked node may still use them) and queue the graph's
+// intent record, staged once when the lock is released however many
+// transitions the operation took. On error the fleet and the bookkeeping are
+// back on the current deployment. Callers hold o.mu.
 func (o *Orchestrator) transition(kind cluster.OpKind, id string, want *deployment) error {
 	have := o.graphs[id]
 	from, to := have.footprint(), want.footprint()
 	blocked, err := o.execute(id, from, plan(from, to))
-	repartitioned := !sameStitches(have, want)
 	if err != nil {
-		if repartitioned && want != nil {
-			o.retireStitches(want.Stitches, blocked)
-		}
+		o.retireStitches(hopsNotIn(want.stitchSet(), have.stitchSet()), blocked)
 		return err
 	}
 	if want == nil {
@@ -193,21 +190,9 @@ func (o *Orchestrator) transition(kind cluster.OpKind, id string, want *deployme
 	} else {
 		o.graphs[id] = want
 	}
-	if repartitioned && have != nil {
-		o.retireStitches(have.Stitches, blocked)
-	}
+	o.retireStitches(hopsNotIn(have.stitchSet(), want.stitchSet()), blocked)
 	if _, queued := o.unrecorded[id]; !queued && o.recorder != nil {
 		o.unrecorded[id] = kind
 	}
 	return nil
-}
-
-// sameStitches reports whether two deployments ride the same stitch set: a
-// transition that does not re-partition (shadow churn, a promotion, a scale)
-// carries the slice over, and there is nothing to retire.
-func sameStitches(a, b *deployment) bool {
-	if a == nil || b == nil || len(a.Stitches) != len(b.Stitches) {
-		return false
-	}
-	return len(a.Stitches) == 0 || &a.Stitches[0] == &b.Stitches[0]
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -147,11 +148,13 @@ func (f *faultyFleet) holding(id string) map[string]*nffg.Graph {
 }
 
 // Every step of a transition is made to fail in turn, for a first deploy, an
-// in-place update, a move and an undeploy: a refused deploy or update leaves
-// the fleet and the bookkeeping on the deployment it came from with the
-// aborted partition's VLANs released; a refused undeploy never fails the
-// transition, is deferred on exactly that node and parks the retired
-// partition's VLANs until the node has been cleaned.
+// in-place update, a move and an undeploy, and for an update and a move that
+// keep a stitch of the partition they leave: a refused deploy or update leaves
+// the fleet and the bookkeeping on the deployment it came from, with the
+// allocator holding exactly its hops — the aborted partition's fresh VLANs
+// released, the kept ones still held; a refused undeploy never fails the
+// transition, is deferred on exactly that node and parks the hops only the
+// retired partition rode until the node has been cleaned.
 func TestTransitionFaultAtEveryStep(t *testing.T) {
 	const id = "g"
 	link := Link{A: "n1", AIf: "x", B: "n2", BIf: "x"}
@@ -174,17 +177,23 @@ func TestTransitionFaultAtEveryStep(t *testing.T) {
 		}
 		return dep
 	}
-	reserved := func(o *Orchestrator, dep *deployment) bool {
-		return o.alloc.inUse[link.key()][dep.Stitches[0].Hops[0].VLAN]
+	holds := func(t *testing.T, o *Orchestrator, when string, deps ...*deployment) {
+		t.Helper()
+		if got, want := heldHops(o), hopKeys(deps...); !slices.Equal(got, want) {
+			t.Fatalf("%s: allocator holds %v, want %v", when, got, want)
+		}
 	}
 	for _, tc := range []struct {
 		name       string
 		have, want []string // nodes of the partition before and after; nil: no deployment
+		keep       bool     // want also rides the first of have's two stitches
 	}{
-		{"deploy", nil, []string{"n1", "n2", "n3"}},
-		{"update", []string{"n1", "n2", "n3"}, []string{"n1", "n2", "n3"}},
-		{"move", []string{"n1", "n2"}, []string{"n2", "n3"}},
-		{"undeploy", []string{"n1", "n2", "n3"}, nil},
+		{"deploy", nil, []string{"n1", "n2", "n3"}, false},
+		{"update", []string{"n1", "n2", "n3"}, []string{"n1", "n2", "n3"}, false},
+		{"move", []string{"n1", "n2"}, []string{"n2", "n3"}, false},
+		{"undeploy", []string{"n1", "n2", "n3"}, nil, false},
+		{"update-keeping", []string{"n1", "n2", "n3"}, []string{"n1", "n2", "n3"}, true},
+		{"move-keeping", []string{"n1", "n2"}, []string{"n2", "n3"}, true},
 	} {
 		// setup brings a fresh fleet onto have and returns both deployments.
 		setup := func(t *testing.T) (*Orchestrator, *faultyFleet, *deployment, *deployment) {
@@ -192,12 +201,18 @@ func TestTransitionFaultAtEveryStep(t *testing.T) {
 			var have, want *deployment
 			if tc.have != nil {
 				have = partitionOn(t, o, tc.have...)
+				if tc.keep { // a second stitch, which want drops
+					have.Stitches = append(have.Stitches, partitionOn(t, o).Stitches...)
+				}
 				if err := o.transition(cluster.OpDeploy, id, have); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if tc.want != nil {
 				want = partitionOn(t, o, tc.want...)
+			}
+			if tc.keep {
+				want.Stitches = append([]stitch{{EP: "gk", Src: "n1", Dst: "n2", Hops: have.Stitches[0].Hops}}, want.Stitches...)
 			}
 			f.calls = 0
 			return o, f, have, want
@@ -219,17 +234,18 @@ func TestTransitionFaultAtEveryStep(t *testing.T) {
 					if !reflect.DeepEqual(o.pending, map[string]map[string]bool{s.node: {id: true}}) {
 						t.Fatalf("pending = %v, want exactly %s", o.pending, s.node)
 					}
-					if len(o.parked) != 1 || !reserved(o, have) {
+					if len(o.parked) != 1 {
 						t.Fatal("retired partition's VLAN not parked while a node may still tag with it")
 					}
+					holds(t, o, "while parked", have, want)
 					// The node answers again: one pass retires the leftover
 					// and releases the VLAN.
 					f.failAt = nil
 					o.ReconcileOnce()
-					if len(o.pending[s.node]) != 0 || len(o.parked) != 0 || reserved(o, have) {
-						t.Fatalf("after cleanup: pending %v, parked %d, VLAN reserved %v",
-							o.pending, len(o.parked), reserved(o, have))
+					if len(o.pending[s.node]) != 0 || len(o.parked) != 0 {
+						t.Fatalf("after cleanup: pending %v, parked %d", o.pending, len(o.parked))
 					}
+					holds(t, o, "after cleanup", want)
 					if _, held := f.nodes[s.node].graphs[id]; held {
 						t.Fatalf("%s still holds the retired subgraph", s.node)
 					}
@@ -248,12 +264,7 @@ func TestTransitionFaultAtEveryStep(t *testing.T) {
 				if len(o.pending) != 0 || len(o.parked) != 0 {
 					t.Fatalf("clean revert left pending %v, parked %d", o.pending, len(o.parked))
 				}
-				if reserved(o, want) {
-					t.Fatal("aborted partition's VLAN still reserved after a clean revert")
-				}
-				if have != nil && !reserved(o, have) {
-					t.Fatal("serving partition's VLAN released by a failed move")
-				}
+				holds(t, o, "after a clean revert", have)
 			})
 		}
 	}
@@ -274,14 +285,15 @@ func TestTransitionFaultAtEveryStep(t *testing.T) {
 		if got := f.holding(id); len(got) != 1 || got["n1"] == nil {
 			t.Fatalf("fleet holds %v, want only n1's leftover", got)
 		}
-		if len(o.parked) != 1 || !reserved(o, want) {
+		if len(o.parked) != 1 {
 			t.Fatal("aborted VLAN released while n1 may still tag with it")
 		}
+		holds(t, o, "while parked", want)
 		f.failAt = nil
 		o.ReconcileOnce()
-		if len(f.holding(id)) != 0 || len(o.pending["n1"]) != 0 || reserved(o, want) {
-			t.Fatalf("after cleanup: fleet %v, pending %v, VLAN reserved %v",
-				f.holding(id), o.pending, reserved(o, want))
+		if len(f.holding(id)) != 0 || len(o.pending["n1"]) != 0 {
+			t.Fatalf("after cleanup: fleet %v, pending %v", f.holding(id), o.pending)
 		}
+		holds(t, o, "after cleanup")
 	})
 }

@@ -171,27 +171,27 @@ func New(cfg Config) *Orchestrator {
 // parkedStitches is a set of stitch VLANs whose release waits on nodes that
 // could not be told to drop the subgraphs using them.
 type parkedStitches struct {
-	stitches []stitch
-	waiting  map[string]bool // node names still to be cleaned
+	hops    []stitchHop
+	waiting map[string]bool // node names still to be cleaned
 }
 
-// retireStitches returns a partition's stitch VLANs to the allocator — but
-// only when no unreachable node may still be running them. blocked names
-// the nodes whose subgraph removal was deferred: with any present, the
+// retireStitches returns stitch hops a transition let go of to the allocator
+// — but only when no unreachable node may still be running them. blocked
+// names the nodes whose subgraph removal was deferred: with any present, the
 // VLANs are parked and released by the reconcile loop after those nodes'
 // leftovers are retired (a parked VLAN merely narrows the stitch space;
 // reusing it while a partitioned node still tags traffic would cross-wire
 // two graphs). Callers hold o.mu.
-func (o *Orchestrator) retireStitches(stitches []stitch, blocked map[string]bool) {
-	if len(stitches) == 0 {
+func (o *Orchestrator) retireStitches(hops []stitchHop, blocked map[string]bool) {
+	if len(hops) == 0 {
 		return
 	}
 	if len(blocked) == 0 {
-		releaseStitchVLANs(o.alloc, stitches)
+		releaseHops(o.alloc, hops)
 		return
 	}
-	o.parked = append(o.parked, &parkedStitches{stitches: stitches, waiting: blocked})
-	o.cfg.Logf("global: parking %d stitch(es) until %v are cleaned", len(stitches), blocked)
+	o.parked = append(o.parked, &parkedStitches{hops: hops, waiting: blocked})
+	o.cfg.Logf("global: parking %d stitch hop(s) until %v are cleaned", len(hops), blocked)
 }
 
 // nodeCleaned tells the parking lot that node no longer holds any leftover
@@ -202,7 +202,7 @@ func (o *Orchestrator) nodeCleaned(node string) {
 	for _, p := range o.parked {
 		delete(p.waiting, node)
 		if len(p.waiting) == 0 {
-			releaseStitchVLANs(o.alloc, p.stitches)
+			releaseHops(o.alloc, p.hops)
 		} else {
 			kept = append(kept, p)
 		}
@@ -467,11 +467,19 @@ func (o *Orchestrator) partition(g *nffg.Graph, prior *deployment) (Placement, m
 	if err != nil {
 		return Placement{}, nil, nil, err
 	}
-	subs, stitches, err := splitGraph(g, pl, o.links, o.alloc)
+	subs, stitches, err := splitGraph(g, pl, o.links, o.alloc, prior.stitchSet())
 	if err != nil {
 		return Placement{}, nil, nil, err
 	}
 	return pl, subs, stitches, nil
+}
+
+// stitchSet returns the stitches a deployment rides; a nil one rides none.
+func (d *deployment) stitchSet() []stitch {
+	if d == nil {
+		return nil
+	}
+	return d.Stitches
 }
 
 // Deploy partitions a graph across the fleet and instantiates every
@@ -508,10 +516,11 @@ func (o *Orchestrator) deployLocked(g *nffg.Graph) error {
 	return nil
 }
 
-// Update applies a new version of a global graph: the graph is re-placed
-// over the current fleet, nodes keeping a subgraph get an in-place Update
-// (endpoint restitching included), vacated nodes an Undeploy, new nodes a
-// Deploy.
+// Update applies a new version of a global graph as a diff: the graph is
+// re-placed over the current fleet, a stitch that keeps its ends and path keeps
+// its VLANs, a node whose piece is unchanged is not called, one keeping a
+// changed piece gets an in-place Update, a vacated one an Undeploy, a new one a
+// Deploy. A config-only change reaches only the node hosting the NF.
 func (o *Orchestrator) Update(g *nffg.Graph) error {
 	if err := g.Validate(); err != nil {
 		return err
@@ -550,6 +559,14 @@ func (o *Orchestrator) reassign(g *nffg.Graph) error {
 	pl, subs, stitches, err := o.partition(g, have)
 	if err != nil {
 		return err
+	}
+	// A piece its node's own diff finds unchanged stays that very object, so
+	// plan leaves the node alone.
+	for node, sub := range subs {
+		if old := have.Subs[node]; old != nil && old.ID == sub.ID && old.Name == sub.Name &&
+			nffg.Compute(old, sub).Empty() {
+			subs[node] = old
+		}
 	}
 	want := &deployment{Desired: g.Clone(), Subs: subs, Stitches: stitches, Placement: pl}
 	if m, ok := o.members[have.StandbyNode]; ok && m.alive && len(subs) == 1 && subs[have.StandbyNode] == nil {
@@ -668,8 +685,9 @@ func (o *Orchestrator) PlanDeploy(g *nffg.Graph) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Nothing is deployed: hand the stitch VLANs straight back.
-	releaseStitchVLANs(o.alloc, stitches)
+	// Nothing is deployed: hand back the VLANs this plan took, not the ones
+	// it shares with the live deployment.
+	releaseHops(o.alloc, hopsNotIn(stitches, dep.stitchSet()))
 	plan := &Plan{
 		Graph:     g.ID,
 		Exists:    dep != nil,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -38,10 +39,43 @@ type fleet struct {
 
 // flakyNode is the fleet's handle on one in-process node: a LocalNode (so
 // SetDown still simulates a dead node) that can additionally be told to
-// refuse deploy verbs while staying alive and probeable.
+// refuse deploy verbs while staying alive and probeable. It counts the status
+// probes and deploy verbs it is asked for.
 type flakyNode struct {
 	*global.LocalNode
 	refusing atomic.Pointer[string] // comma-separated verbs, nil: none
+
+	mu    sync.Mutex
+	calls map[string]int // by verb
+}
+
+func (n *flakyNode) count(verb string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.calls == nil {
+		n.calls = make(map[string]int)
+	}
+	n.calls[verb]++
+}
+
+// verbs returns, and resets, the calls every node of the fleet was asked for,
+// keyed "<node> <verb>".
+func (f *fleet) verbs() map[string]int {
+	out := make(map[string]int)
+	for name, n := range f.locals {
+		n.mu.Lock()
+		for verb, c := range n.calls {
+			out[name+" "+verb] += c
+		}
+		n.calls = nil
+		n.mu.Unlock()
+	}
+	return out
+}
+
+func (n *flakyNode) Status() (global.Status, error) {
+	n.count("status")
+	return n.LocalNode.Status()
 }
 
 // refuse makes the node fail the named verbs ("deploy", "update",
@@ -59,6 +93,7 @@ func (n *flakyNode) refused(verb string) error {
 }
 
 func (n *flakyNode) Deploy(g *nffg.Graph) error {
+	n.count("deploy")
 	if err := n.refused("deploy"); err != nil {
 		return err
 	}
@@ -66,6 +101,7 @@ func (n *flakyNode) Deploy(g *nffg.Graph) error {
 }
 
 func (n *flakyNode) Update(g *nffg.Graph) error {
+	n.count("update")
 	if err := n.refused("update"); err != nil {
 		return err
 	}
@@ -73,6 +109,7 @@ func (n *flakyNode) Update(g *nffg.Graph) error {
 }
 
 func (n *flakyNode) Undeploy(id string) error {
+	n.count("undeploy")
 	if err := n.refused("undeploy"); err != nil {
 		return err
 	}

@@ -1,6 +1,8 @@
 package global
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/nffg"
@@ -203,7 +205,7 @@ func TestSplitMultiHopRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	alloc := newVLANAlloc()
-	subs, stitches, err := splitGraph(g, pl, links, alloc)
+	subs, stitches, err := splitGraph(g, pl, links, alloc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +226,7 @@ func TestSplitMultiHopRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, stitches, err = splitGraph(g, pl, links, newVLANAlloc())
+	subs, stitches, err = splitGraph(g, pl, links, newVLANAlloc(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +242,69 @@ func TestSplitMultiHopRelay(t *testing.T) {
 		if st.Src == "left" && st.Dst == "right" && len(st.Hops) != 2 {
 			t.Errorf("left->right stitch has %d hops, want 2", len(st.Hops))
 		}
+	}
+}
+
+// A split given the stitches the graph rides now keeps every one it
+// re-creates, VLANs included, and allocates nothing; a stitch whose path moved
+// gets fresh VLANs, and a failed split hands back only what it took.
+func TestSplitKeepsPriorStitches(t *testing.T) {
+	links := []Link{
+		{A: "left", AIf: "l", B: "mid", BIf: "l"},
+		{A: "mid", AIf: "r", B: "right", BIf: "r"},
+	}
+	g := twoNFChain()
+	pl, err := place(g, repository.Default(), policy.BinPack{}, []*nodeView{
+		view("left", 0, 1<<30, nil, []string{"lan", "l"}),
+		view("mid", 4000, 1<<30, []string{"nnf:firewall", "nnf:monitor"}, []string{"l", "r"}),
+		view("right", 0, 1<<30, nil, []string{"r", "wan"}),
+	}, links, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := newVLANAlloc()
+	subs, prior, err := splitGraph(g, pl, links, alloc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inUse := fmt.Sprint(alloc.inUse)
+	again, stitches, err := splitGraph(g, pl, links, alloc, prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stitches, prior) || !reflect.DeepEqual(again, subs) {
+		t.Fatalf("re-split moved the stitches: %v -> %v", prior, stitches)
+	}
+	if got := fmt.Sprint(alloc.inUse); got != inUse {
+		t.Fatalf("re-split allocated: %s -> %s", inUse, got)
+	}
+	// Both NFs move to left: the left->mid hand-off is gone and a
+	// left->right stitch relays through mid on fresh VLANs.
+	moved := Placement{NFNode: map[string]string{}, EPNode: pl.EPNode}
+	for nf := range pl.NFNode {
+		moved.NFNode[nf] = "left"
+	}
+	_, stitches, err = splitGraph(g, moved, links, alloc, prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh := hopsNotIn(stitches, prior); len(fresh) == 0 {
+		t.Fatalf("moved stitches %v reuse every prior hop", stitches)
+	}
+	releaseHops(alloc, hopsNotIn(stitches, prior))
+	if got := fmt.Sprint(alloc.inUse); got != inUse {
+		t.Fatalf("allocator %s after releasing the moved split, want %s", got, inUse)
+	}
+	// A split that fails after taking VLANs hands back those and only those.
+	for nf := range moved.NFNode {
+		moved.NFNode[nf] = "right" // in -> a now crosses left -> mid -> right
+	}
+	moved.EPNode = map[string]string{"in": "left"} // out is not placed
+	if _, _, err := splitGraph(g, moved, links, alloc, prior); err == nil {
+		t.Fatal("split with an unplaced endpoint succeeded")
+	}
+	if got := fmt.Sprint(alloc.inUse); got != inUse {
+		t.Fatalf("allocator %s after a failed split, want %s", got, inUse)
 	}
 }
 

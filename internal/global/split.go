@@ -2,6 +2,7 @@ package global
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/nffg"
@@ -109,8 +110,10 @@ type stitch struct {
 // whose input and outputs land on the same node are copied verbatim; a rule
 // whose output resolves on another node is rewritten to emit into a stitch
 // endpoint, and the destination subgraph gains a companion rule forwarding
-// stitch ingress to the original destination port.
-func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc) (map[string]*nffg.Graph, []stitch, error) {
+// stitch ingress to the original destination port. A stitch of prior, the
+// graph's current stitches, with the same endpoint name, ends and path keeps
+// its hops' VLANs; every other hop gets a fresh one.
+func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, prior []stitch) (map[string]*nffg.Graph, []stitch, error) {
 	subs := make(map[string]*nffg.Graph)
 	sub := func(node string) *nffg.Graph {
 		s, ok := subs[node]
@@ -204,7 +207,7 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc) (ma
 	var stitches []stitch
 	stitchFor := make(map[string]*stitch)
 	fail := func(err error) (map[string]*nffg.Graph, []stitch, error) {
-		releaseStitchVLANs(alloc, stitches)
+		releaseHops(alloc, hopsNotIn(stitches, prior))
 		return nil, nil, err
 	}
 	for _, r := range g.Rules {
@@ -240,8 +243,19 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc) (ma
 					Dst:  dstNode,
 					Path: path,
 				}
+				var held *stitch
+				for i, p := range prior {
+					if p.EP == st.EP && p.Src == srcNode && p.Dst == dstNode &&
+						slices.Equal(p.Path, path) && len(p.Hops)+1 == len(path) {
+						held = &prior[i]
+					}
+				}
 				for j := 0; j+1 < len(path); j++ {
 					link, _ := linkBetween(path[j], path[j+1])
+					if held != nil && held.Hops[j].Link == link {
+						st.Hops = append(st.Hops, held.Hops[j])
+						continue
+					}
 					vlan, err := alloc.alloc(link)
 					if err != nil {
 						stitches = append(stitches, *st) // release what st holds
@@ -309,13 +323,28 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc) (ma
 	return subs, stitches, nil
 }
 
-// releaseStitchVLANs returns every hop VLAN of the stitches to the
-// allocator.
-func releaseStitchVLANs(alloc *vlanAlloc, stitches []stitch) {
-	for _, st := range stitches {
+// hopsNotIn returns the hops of a's stitches, compared by link and VLAN, that
+// no stitch of b rides: what a move from a to b frees.
+func hopsNotIn(a, b []stitch) []stitchHop {
+	var out []stitchHop
+	for _, st := range a {
+	hops:
 		for _, h := range st.Hops {
-			alloc.release(h.Link, h.VLAN)
+			for _, other := range b {
+				if slices.Contains(other.Hops, h) {
+					continue hops
+				}
+			}
+			out = append(out, h)
 		}
+	}
+	return out
+}
+
+// releaseHops returns the hops' VLANs to the allocator.
+func releaseHops(alloc *vlanAlloc, hops []stitchHop) {
+	for _, h := range hops {
+		alloc.release(h.Link, h.VLAN)
 	}
 }
 

@@ -3,6 +3,7 @@ package nnf
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -134,12 +135,8 @@ func (m *Manager) CanAcquire(graphID, name string) bool {
 		return false
 	}
 	// Sharable singleton: a graph not yet attached can join.
-	for _, inst := range insts {
-		if _, attached := inst.users[graphID]; attached {
-			return false
-		}
-	}
-	return true
+	inst, _ := m.attachedLocked(graphID, name)
+	return inst == nil
 }
 
 // Acquire gives graphID a running instance of the named NNF. For exclusive
@@ -155,10 +152,8 @@ func (m *Manager) Acquire(graphID, name string, config map[string]string) (*Atta
 	defer m.mu.Unlock()
 
 	insts := m.instances[name]
-	for _, inst := range insts {
-		if _, attached := inst.users[graphID]; attached {
-			return nil, fmt.Errorf("nnf: graph %q already holds %q", graphID, name)
-		}
+	if inst, _ := m.attachedLocked(graphID, name); inst != nil {
+		return nil, fmt.Errorf("nnf: graph %q already holds %q", graphID, name)
 	}
 
 	adapterMode := t.Sharable || t.SinglePort
@@ -281,6 +276,49 @@ func (m *Manager) attachMarksLocked(p *Plugin, inst *Instance, graphID string, c
 	}, nil
 }
 
+// attachedLocked finds graphID's attachment to the named NNF; nil when the
+// graph holds none.
+func (m *Manager) attachedLocked(graphID, name string) (*Instance, *attachState) {
+	for _, inst := range m.instances[name] {
+		if st, attached := inst.users[graphID]; attached {
+			return inst, st
+		}
+	}
+	return nil, nil
+}
+
+// Updater is the update verb: it answers, touching nothing, how graphID's
+// attachment to the named NNF takes new configuration in place (nil: it has no
+// update path). A shared instance re-programs that graph's mark paths only, as
+// Acquire does; an instance of its own runs the plugin's update script.
+func (m *Manager) Updater(graphID, name string) func(config map[string]string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	inst, st := m.attachedLocked(graphID, name)
+	if inst == nil {
+		return nil
+	}
+	p := m.plugins[name]
+	if prog := p.Paths(inst.proc); inst.adapter != nil && prog != nil {
+		return func(config map[string]string) error {
+			pathConfig, err := TranslateConfig(p.name, config)
+			for _, mk := range st.inMarks {
+				if err == nil {
+					err = prog.SetMarkPath(mk, pathConfig)
+				}
+			}
+			if err == nil {
+				p.logf("update %s marks %v", inst.Name, st.inMarks)
+			}
+			return err
+		}
+	}
+	if _, ok := inst.proc.(nf.Configurer); !ok {
+		return nil
+	}
+	return func(config map[string]string) error { return p.Configure(inst.Name, inst.proc, config) }
+}
+
 // Release detaches graphID from the named NNF, destroying the instance when
 // the last user leaves.
 func (m *Manager) Release(graphID, name string) error {
@@ -290,35 +328,31 @@ func (m *Manager) Release(graphID, name string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	insts := m.instances[name]
-	for idx, inst := range insts {
-		st, attached := inst.users[graphID]
-		if !attached {
-			continue
-		}
-		if inst.adapter != nil {
-			prog := p.Paths(inst.proc)
-			for _, mk := range st.inMarks {
-				inst.adapter.RemovePath(mk)
-				if prog != nil {
-					_ = prog.RemoveMarkPath(mk)
-				}
-			}
-			for _, mk := range append(append([]uint16(nil), st.inMarks...), st.outMarks...) {
-				m.marks.Free(mk)
-			}
-		}
-		delete(inst.users, graphID)
-		if len(inst.users) == 0 {
-			m.destroyLocked(p, inst)
-			m.instances[name] = append(insts[:idx], insts[idx+1:]...)
-			if len(m.instances[name]) == 0 {
-				delete(m.instances, name)
-			}
-		}
-		return nil
+	inst, st := m.attachedLocked(graphID, name)
+	if inst == nil {
+		return fmt.Errorf("nnf: graph %q holds no %q", graphID, name)
 	}
-	return fmt.Errorf("nnf: graph %q holds no %q", graphID, name)
+	if inst.adapter != nil {
+		prog := p.Paths(inst.proc)
+		for _, mk := range st.inMarks {
+			inst.adapter.RemovePath(mk)
+			if prog != nil {
+				_ = prog.RemoveMarkPath(mk)
+			}
+		}
+		for _, mk := range append(append([]uint16(nil), st.inMarks...), st.outMarks...) {
+			m.marks.Free(mk)
+		}
+	}
+	delete(inst.users, graphID)
+	if len(inst.users) == 0 {
+		m.destroyLocked(p, inst)
+		m.instances[name] = slices.DeleteFunc(m.instances[name], func(i *Instance) bool { return i == inst })
+		if len(m.instances[name]) == 0 {
+			delete(m.instances, name)
+		}
+	}
+	return nil
 }
 
 func (m *Manager) destroyLocked(p *Plugin, inst *Instance) {

@@ -340,6 +340,72 @@ func TestManagerSharedTrafficIsolation(t *testing.T) {
 	}
 }
 
+// The update verb: a shared firewall re-programs the updating graph's paths
+// only, an exclusive NNF runs its plugin's update script (translated config
+// included), and an NNF whose processor takes no new config has no update path.
+func TestManagerUpdater(t *testing.T) {
+	m := newManager(t)
+	a1, err := m.Acquire("gA", "firewall", map[string]string{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := m.Acquire("gB", "firewall", map[string]string{"rules": "drop proto=udp dport=53"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsi := netdev.NewPort("lsi-side")
+	if err := netdev.Connect(lsi, a1.Runtime.Port(0)); err != nil {
+		t.Fatal(err)
+	}
+	passes := func(mark, dport uint16) bool {
+		_ = lsi.Send(netdev.Frame{Data: taggedFrame(t, mark, dport)})
+		_, ok := lsi.TryRecv()
+		return ok
+	}
+	update := m.Updater("gA", "firewall")
+	if update == nil {
+		t.Fatal("shared firewall has no update path")
+	}
+	if err := update(map[string]string{"rules": "drop proto=udp dport=80"}); err != nil {
+		t.Fatal(err)
+	}
+	if passes(a1.InMarks[0], 80) || !passes(a1.InMarks[0], 53) {
+		t.Error("graph A's path not re-programmed")
+	}
+	if passes(a2.InMarks[0], 53) || !passes(a2.InMarks[0], 80) {
+		t.Error("graph B's path changed by graph A's update")
+	}
+	if err := update(map[string]string{"rules": "bogus"}); err == nil {
+		t.Error("unparsable rules accepted")
+	}
+
+	// An exclusive firewall behind no adaptation layer, and a monitor.
+	fwx, err := NewPlugin("fwx", Traits{Ports: 2}, nf.NewFirewallFromConfig, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = NewManager(map[string]*Plugin{"fwx": fwx, "monitor": Builtins()["monitor"]}, netns.NewRegistry(), execenv.Default(), nil)
+	att, err := m.Acquire("gC", "fwx", map[string]string{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Acquire("gC", "monitor", map[string]string{}); err != nil {
+		t.Fatal(err)
+	}
+	if m.Updater("gC", "monitor") != nil || m.Updater("gZ", "fwx") != nil {
+		t.Error("update path offered for a monitor, or for a graph holding no fwx")
+	}
+	if err := m.Updater("gC", "fwx")(map[string]string{"default": "drop"}); err != nil {
+		t.Fatal(err)
+	}
+	if log := fwx.Log(); !strings.HasPrefix(log[len(log)-1], "update "+att.InstanceName) {
+		t.Errorf("plugin log %v: the update script did not run", log)
+	}
+	if res, err := m.Instances("fwx")[0].proc.Process(0, taggedFrame(t, 0, 80)); err != nil || len(res.Emissions) != 0 {
+		t.Errorf("exclusive firewall still accepts after its update to default drop (%v)", err)
+	}
+}
+
 func TestManagerMultiInstancePlugins(t *testing.T) {
 	m := newManager(t)
 	a1, err := m.Acquire("g1", "bridge", nil)

@@ -160,7 +160,9 @@ func (p *Plugin) Create(instance string, config map[string]string) (nf.Processor
 }
 
 // Configure runs the "update" script against a running processor, after
-// intent translation.
+// intent translation. Manager.Updater runs it for an instance a graph holds on
+// its own; a mark-multiplexed instance is updated per graph through its
+// internal paths instead, so one tenant's change never rewrites another's.
 func (p *Plugin) Configure(instance string, proc nf.Processor, config map[string]string) error {
 	c, ok := proc.(nf.Configurer)
 	if !ok {

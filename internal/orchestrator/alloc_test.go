@@ -38,6 +38,38 @@ func TestReflavorAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestConfigUpdateAllocCeiling pins what a config-only Update of a graph
+// sharing the native firewall allocates: the NNF manager re-programs the
+// graph's mark paths in place, and the steering is swapped once. A round trip
+// (two updates) reads 170 allocs; the ceiling is that plus 10%. With the
+// restart put back — stop the graph's attachment, release and re-acquire its
+// marks, rewire LSI-0 — it reads 464.
+func TestConfigUpdateAllocCeiling(t *testing.T) {
+	const ceiling = 187
+	o := newNode(t)
+	if err := o.Deploy(firewallGraph("gB", 200, "")); err != nil {
+		t.Fatal(err)
+	}
+	versions := [2]*nffg.Graph{
+		firewallGraph("gA", 100, "drop proto=udp dport=53"),
+		firewallGraph("gA", 100, "drop proto=tcp dport=22;drop proto=udp dport=53"),
+	}
+	if err := o.Deploy(versions[0]); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, g := range []*nffg.Graph{versions[1], versions[0]} {
+			if err := o.Update(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("%.0f allocs per config-update round trip (ceiling %d)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("%.0f allocs per config-update round trip, ceiling %d", allocs, ceiling)
+	}
+}
+
 // TestDeployBytesCeiling pins the bytes one Deploy + Undeploy of a three-NF
 // chain allocates on one node: the LSI, its virtual links to LSI-0, the NF
 // port pairs, the flow programming and the teardown of all of it. It read 325

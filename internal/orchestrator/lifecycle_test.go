@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -296,6 +297,110 @@ func TestUpdateConfigInPlace(t *testing.T) {
 	send(t, o, "eth0", vlanFrame(t, 100, 53))
 	if _, ok := recv(t, o, "eth1"); ok {
 		t.Fatal("new firewall config not active after in-place reconfigure")
+	}
+}
+
+// TestSharedNNFReconfiguredInPlace: two graphs share the native firewall, and
+// graph A's rules change. The NNF manager's update verb re-programs A's mark
+// paths only: A's verdicts change, B's do not, the instance keeps its name
+// and both graphs keep their marks, nothing stops or starts, and a stream
+// through A mid-update loses nothing. An NF with no update path (the monitor)
+// is still restarted.
+func TestSharedNNFReconfiguredInPlace(t *testing.T) {
+	o := newNode(t)
+	if err := o.Deploy(firewallGraph("gA", 100, "")); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Deploy(firewallGraph("gB", 200, "drop proto=udp dport=53")); err != nil {
+		t.Fatal(err)
+	}
+	instance := func(id string) compute.Instance {
+		d, _ := o.Graph(id)
+		return *d.Instances()["fw"]
+	}
+	instA, instB := instance("gA"), instance("gB")
+	if !instA.Shared || instA.Runtime != instB.Runtime {
+		t.Fatal("firewall not deployed as one shared NNF")
+	}
+	lifecycle := func() int {
+		return len(journalDetails(o, telemetry.EventNFStart)) + len(journalDetails(o, telemetry.EventNFStop))
+	}
+	starts, lsi0Flows := lifecycle(), len(o.LSI0().Flows())
+
+	lan, _ := o.InterfacePort("eth0")
+	wan, _ := o.InterfacePort("eth1")
+	var received atomic.Uint64
+	wan.SetHandler(func(netdev.Frame) { received.Add(1) })
+	const frames = 3000
+	var sent atomic.Uint64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	allowed := vlanFrame(t, 100, 80)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < frames; i++ {
+			if err := lan.Send(netdev.Frame{Data: allowed}); err == nil {
+				sent.Add(1)
+			}
+		}
+	}()
+	for received.Load() < frames/10 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := o.Update(firewallGraph("gA", 100, "drop proto=udp dport=53")); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	wan.SetHandler(nil)
+	if sent.Load() != frames || received.Load() != frames {
+		t.Fatalf("sent %d forwarded %d across the update, want %d/%d", sent.Load(), received.Load(), frames, frames)
+	}
+
+	for _, c := range []struct {
+		vlan, dport uint16
+		pass        bool
+	}{{100, 53, false}, {100, 80, true}, {200, 53, false}, {200, 80, true}} {
+		send(t, o, "eth0", vlanFrame(t, c.vlan, c.dport))
+		if _, got := recv(t, o, "eth1"); got != c.pass {
+			t.Errorf("VLAN %d dport %d: forwarded %v, want %v", c.vlan, c.dport, got, c.pass)
+		}
+	}
+	nowA, nowB := instance("gA"), instance("gB")
+	if nowA.Name != instA.Name || nowA.Runtime != instA.Runtime ||
+		!slices.Equal(nowA.InMarks, instA.InMarks) || !slices.Equal(nowA.OutMarks, instA.OutMarks) {
+		t.Errorf("graph A's attachment changed: %+v -> %+v", instA, nowA)
+	}
+	if nowB.Name != instB.Name || !slices.Equal(nowB.InMarks, instB.InMarks) || !slices.Equal(nowB.OutMarks, instB.OutMarks) {
+		t.Errorf("graph B's attachment changed: %+v -> %+v", instB, nowB)
+	}
+	if got := len(o.LSI0().Flows()); got != lsi0Flows {
+		t.Errorf("LSI-0 flows %d -> %d across an in-place update", lsi0Flows, got)
+	}
+	if got := lifecycle(); got != starts {
+		t.Errorf("%d nf-start/nf-stop events during an in-place update", got-starts)
+	}
+	if details := journalDetails(o, telemetry.EventNFConfig); len(details) != 1 || !strings.Contains(details[0], "fw reconfigured in place") {
+		t.Fatalf("config journal = %v, want one in-place entry", details)
+	}
+
+	// The monitor has no update path: its config change is a restart.
+	mon := func(label string) *nffg.Graph {
+		g := firewallGraph("gM", 300, "")
+		g.NFs[0].Name, g.NFs[0].Config = "monitor", map[string]string{"label": label}
+		return g
+	}
+	if err := o.Deploy(mon("a")); err != nil {
+		t.Fatal(err)
+	}
+	starts = lifecycle()
+	if err := o.Update(mon("b")); err != nil {
+		t.Fatal(err)
+	}
+	if got := lifecycle(); got != starts+2 {
+		t.Errorf("monitor update: %d nf-start/nf-stop events, want a stop and a start", got-starts)
+	}
+	if details := journalDetails(o, telemetry.EventNFConfig); !strings.Contains(details[len(details)-1], "fw restarted") {
+		t.Errorf("config journal = %v, want the monitor restarted", details)
 	}
 }
 

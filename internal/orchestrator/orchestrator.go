@@ -17,7 +17,6 @@ import (
 	"repro/internal/compute"
 	"repro/internal/execenv"
 	"repro/internal/netdev"
-	"repro/internal/nf"
 	"repro/internal/nffg"
 	"repro/internal/openflow"
 	"repro/internal/policy"
@@ -881,11 +880,11 @@ func (o *Orchestrator) update(g *nffg.Graph) error {
 		return err
 	}
 	// 2. Changed NFs: reconfigure every instance of the set in place —
-	// members and standby alike — when all their drivers and processors
-	// support it, otherwise stop and restart the set with the new
-	// configuration: a changed spec must never leave stale config running,
-	// in service or waiting to be promoted into it. The journal records
-	// which path each NF took.
+	// members and standby alike — when every instance's driver says how,
+	// otherwise stop and restart the set with the new configuration: a
+	// changed spec must never leave stale config running, in service or
+	// waiting to be promoted into it. The drivers answer before any instance
+	// is touched. The journal records which path each NF took.
 	for _, n := range diff.ChangedNFs {
 		set, exists := d.nfs[n.ID]
 		// A change to the replica count alone is for reconcile below; the
@@ -894,17 +893,17 @@ func (o *Orchestrator) update(g *nffg.Graph) error {
 			continue
 		}
 		all := set.all()
-		var inPlace []nf.Configurer
+		inPlace := make([]func(map[string]string) error, 0, len(all))
 		for _, att := range all {
-			drv, reg := o.cfg.Compute.Driver(att.inst.Technology)
-			cfgr, configurable := att.inst.Runtime.Processor().(nf.Configurer)
-			if reg && drv.Caps().SupportsReconfigure && configurable {
-				inPlace = append(inPlace, cfgr)
+			if drv, reg := o.cfg.Compute.Driver(att.inst.Technology); reg {
+				if apply := drv.Reconfigurer(att.inst); apply != nil {
+					inPlace = append(inPlace, apply)
+				}
 			}
 		}
 		if len(inPlace) == len(all) {
-			for _, cfgr := range inPlace {
-				if err := cfgr.Configure(n.Config); err != nil {
+			for _, apply := range inPlace {
+				if err := apply(n.Config); err != nil {
 					return fail(fmt.Errorf("orchestrator: update: reconfiguring %q: %w", n.ID, err))
 				}
 			}
@@ -919,7 +918,7 @@ func (o *Orchestrator) update(g *nffg.Graph) error {
 		}
 		restarted = append(restarted, n.ID)
 		o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, g.ID,
-			fmt.Sprintf("%s restarted (processor not reconfigurable in place)", n.ID))
+			fmt.Sprintf("%s restarted (no in-place update path)", n.ID))
 	}
 	// 3. Endpoints: removed ones are detached in place (their LSI-0
 	// classification flows are tagged with a per-endpoint cookie), added
