@@ -147,6 +147,8 @@ type Cluster struct {
 	leaderSeen time.Time // follower side: last valid append heard
 	electionAt time.Time // follower side: next election chance
 
+	// roundMu serializes replication rounds (see broadcastAppend).
+	roundMu   sync.Mutex
 	log       *Log
 	store     *IntentStore
 	acked     map[string]uint64 // leader side: follower ack points
@@ -169,9 +171,9 @@ type Cluster struct {
 	membersSuspected telemetry.Counter
 	membersDied      telemetry.Counter
 	opsRecorded      telemetry.Counter
+	opsShipped       telemetry.Counter
 
 	stop    chan struct{}
-	kick    chan struct{}
 	wg      sync.WaitGroup
 	started bool
 }
@@ -194,7 +196,6 @@ func New(opts Options) (*Cluster, error) {
 		acked:   make(map[string]uint64),
 		synced:  make(map[string]bool),
 		stop:    make(chan struct{}),
-		kick:    make(chan struct{}, 1),
 	}
 	now := time.Now()
 	selfListed := false
@@ -318,6 +319,9 @@ func (c *Cluster) Record(kind OpKind, key string, data json.RawMessage) error {
 // replication log and applies it locally, returning its sequence number
 // for a later WaitCommit. Callers that hold their own locks use it so the
 // quorum wait happens outside them. Only a fenced-in leader may propose.
+//
+// Propose takes ownership of data: the log and the intent store keep the
+// same bytes, so the caller must not modify data afterwards.
 func (c *Cluster) Propose(kind OpKind, key string, data json.RawMessage) (uint64, error) {
 	c.mu.Lock()
 	if c.role != roleLeader || !time.Now().Before(c.leaseUntil) {
@@ -328,18 +332,18 @@ func (c *Cluster) Propose(kind OpKind, key string, data json.RawMessage) (uint64
 	c.store.Apply(op)
 	c.mu.Unlock()
 	c.opsRecorded.Inc()
-	c.kickHeartbeat()
 	return op.Seq, nil
 }
 
 // WaitCommit blocks until the quorum commit point reaches seq, this
 // replica loses leadership (ErrNotLeader — the op may or may not survive
 // on the successor), or CommitTimeout lapses (ErrNoQuorum — the op stays
-// in the log and commits when quorum returns).
+// in the log and commits when quorum returns). It replicates itself, at
+// once, and only while seq is uncommitted: waiting on ops staged together
+// costs the first wait one round and the rest none.
 func (c *Cluster) WaitCommit(seq uint64) error {
 	deadline := time.Now().Add(c.opts.CommitTimeout)
-	for {
-		c.broadcastAppend()
+	for sent := false; ; sent = true {
 		c.mu.Lock()
 		committed := c.commitSeq >= seq
 		demoted := c.role != roleLeader
@@ -353,15 +357,10 @@ func (c *Cluster) WaitCommit(seq uint64) error {
 		if time.Now().After(deadline) {
 			return ErrNoQuorum
 		}
-		time.Sleep(c.opts.HeartbeatInterval / 4)
-	}
-}
-
-// kickHeartbeat nudges the elect loop to replicate immediately.
-func (c *Cluster) kickHeartbeat() {
-	select {
-	case c.kick <- struct{}{}:
-	default:
+		if sent {
+			time.Sleep(c.opts.HeartbeatInterval / 4)
+		}
+		c.broadcastAppend()
 	}
 }
 

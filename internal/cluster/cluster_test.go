@@ -473,6 +473,109 @@ func TestIntentStoreClearPending(t *testing.T) {
 	}
 }
 
+// An intent op crosses to each follower once. A Record is one replication
+// round carrying the op to both followers. Waiting on k staged ops in order
+// sends all k in the first wait's round and nothing in the others, which
+// find their op already committed. (Regression: Propose also woke the
+// heartbeat loop, whose round read the same unacknowledged ops as the commit
+// wait's and shipped them a second time, and every wait sent its own round.)
+func TestIntentOpsCrossToEachFollowerOnce(t *testing.T) {
+	// No heartbeat tick lands in the test, so every round is a commit
+	// wait's. Elections also run off the tick: a stands for one directly.
+	r := newRig(t, []string{"a", "b", "c"}, func(_ string, o *Options) {
+		o.HeartbeatInterval = time.Hour
+		o.LeaseDuration = time.Minute
+	})
+	r.startAll()
+	lead := r.clusters["a"]
+	lead.runElection()
+	if !lead.IsLeader() {
+		t.Fatal("a did not win its election")
+	}
+
+	const n = 20
+	ops, rounds := lead.opsShipped.Value(), lead.heartbeatRounds.Value()
+	for i := 0; i < n; i++ {
+		if err := lead.Record(OpDeploy, fmt.Sprintf("g%d", i), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
+			t.Fatalf("Record %d: %v", i, err)
+		}
+	}
+	if got := lead.opsShipped.Value() - ops; got != 2*n {
+		t.Errorf("%d Records shipped %d ops to 2 followers, want %d", n, got, 2*n)
+	}
+	if got := lead.heartbeatRounds.Value() - rounds; got != n {
+		t.Errorf("%d Records took %d rounds, want %d", n, got, n)
+	}
+
+	const k = 8
+	seqs := make([]uint64, k)
+	for i := range seqs {
+		var err error
+		if seqs[i], err = lead.Propose(OpUpdate, fmt.Sprintf("g%d", i), json.RawMessage(fmt.Sprintf(`{"v":%d}`, i))); err != nil {
+			t.Fatalf("Propose %d: %v", i, err)
+		}
+	}
+	ops, rounds = lead.opsShipped.Value(), lead.heartbeatRounds.Value()
+	for _, seq := range seqs {
+		if err := lead.WaitCommit(seq); err != nil {
+			t.Fatalf("WaitCommit(%d): %v", seq, err)
+		}
+	}
+	if got := lead.opsShipped.Value() - ops; got != 2*k {
+		t.Errorf("a flush of %d staged ops shipped %d ops to 2 followers, want %d", k, got, 2*k)
+	}
+	if got := lead.heartbeatRounds.Value() - rounds; got != 1 {
+		t.Errorf("a flush of %d staged ops took %d rounds, want 1", k, got)
+	}
+	want := lead.Store().Serialize()
+	for _, id := range []string{"b", "c"} {
+		if got := r.clusters[id].Store().Serialize(); !bytes.Equal(got, want) {
+			t.Errorf("follower %s holds\n%s\nleader holds\n%s", id, got, want)
+		}
+	}
+}
+
+// Commit waits from several goroutines and the heartbeat tick run their
+// rounds one at a time, each reading the ops past the previous round's
+// acknowledgements: every op still crosses to each follower exactly once.
+func TestConcurrentRecordsShipEachOpOnce(t *testing.T) {
+	r := newRig(t, []string{"a", "b", "c"}, func(_ string, o *Options) {
+		o.LeaseDuration = time.Second // a stable leader under -race
+		o.CommitTimeout = 5 * time.Second
+	})
+	r.startAll()
+	waitFor(t, 5*time.Second, "leader", func() bool { return r.leader() != nil })
+	lead := r.leader()
+	const writers, each = 4, 25
+	ops := lead.opsShipped.Value()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := lead.Record(OpDeploy, fmt.Sprintf("g%d", w), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
+					t.Errorf("writer %d Record %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := lead.opsShipped.Value() - ops; got != 2*writers*each {
+		t.Errorf("%d concurrent Records shipped %d ops to 2 followers, want %d", writers*each, got, 2*writers*each)
+	}
+	want := lead.Store().Serialize()
+	waitFor(t, 2*time.Second, "followers converge", func() bool {
+		for _, c := range r.clusters {
+			if !bytes.Equal(c.Store().Serialize(), want) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // --- SWIM tests ------------------------------------------------------------
 
 func TestNodeDeathDetectionAndRecovery(t *testing.T) {

@@ -23,9 +23,9 @@ func (c *Cluster) electionTimeout() time.Duration {
 }
 
 // electLoop drives the leader side (heartbeats, lease renewal, fencing)
-// and the follower side (election timeouts) from one goroutine. The kick
-// channel forces an immediate heartbeat after a Record so replication lag
-// is bounded by the write path, not the heartbeat period.
+// and the follower side (election timeouts) from one goroutine, once per
+// HeartbeatInterval. A write does not wait for the tick: WaitCommit runs
+// its own replication round as soon as it is called.
 func (c *Cluster) electLoop() {
 	defer c.wg.Done()
 	ticker := time.NewTicker(c.opts.HeartbeatInterval)
@@ -35,7 +35,6 @@ func (c *Cluster) electLoop() {
 		case <-c.stop:
 			return
 		case <-ticker.C:
-		case <-c.kick:
 		}
 		c.electTick()
 	}
@@ -251,7 +250,13 @@ func (c *Cluster) RequestVote(req VoteRequest) (VoteReply, error) {
 // fell out of the log window). A majority of current-term
 // acknowledgements advances the commit point and renews the leader lease
 // from the round's start time; replies from any other term are ignored.
+//
+// Rounds do not overlap: a heartbeat tick that lands while a commit wait's
+// round is in flight waits for its acknowledgements, so it reads the ops
+// past them and ships none of that round's ops again.
 func (c *Cluster) broadcastAppend() {
+	c.roundMu.Lock()
+	defer c.roundMu.Unlock()
 	start := time.Now()
 	c.mu.Lock()
 	if c.role != roleLeader {
@@ -300,6 +305,7 @@ func (c *Cluster) broadcastAppend() {
 			if err != nil {
 				return
 			}
+			c.opsShipped.Add(uint64(len(d.req.Ops)))
 			reply, err := peer.Append(d.req)
 			if err != nil {
 				return

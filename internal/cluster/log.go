@@ -161,8 +161,10 @@ func (s *IntentStore) foldLocked(op Op) {
 		m = make(map[string]json.RawMessage)
 		s.records[cat] = m
 	}
-	// Copy: the caller's buffer may be reused (HTTP body, ring slot).
-	m[op.Key] = append(json.RawMessage(nil), op.Data...)
+	// Shared, not copied: a proposed record is immutable (see Propose),
+	// so the store keeps the bytes the log holds. Get, Snapshot and
+	// Restore copy at the boundary.
+	m[op.Key] = op.Data
 }
 
 // Snapshot copies the store at its current sequence number.
@@ -274,11 +276,12 @@ func NewLog(depth int) *Log {
 }
 
 // Append assigns the next sequence number to the op, records it in the
-// window and returns it.
+// window and returns it. The op keeps data itself, not a copy: the caller
+// hands over ownership and must not modify it afterwards.
 func (l *Log) Append(term uint64, kind OpKind, key string, data json.RawMessage) Op {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	op := Op{Seq: l.next, Term: term, Kind: kind, Key: key, Data: append(json.RawMessage(nil), data...)}
+	op := Op{Seq: l.next, Term: term, Kind: kind, Key: key, Data: data}
 	l.next++
 	l.ops = append(l.ops, op)
 	if len(l.ops) > l.depth {

@@ -53,4 +53,5 @@ func (c *Cluster) Collect(e *telemetry.Exposition) {
 	e.Counter("un_cluster_members_suspected_total", "Members this replica marked suspect.", nil, c.membersSuspected.Value())
 	e.Counter("un_cluster_members_died_total", "Members this replica declared dead.", nil, c.membersDied.Value())
 	e.Counter("un_cluster_intent_ops_total", "Desired-state ops recorded into the replicated log.", nil, c.opsRecorded.Value())
+	e.Counter("un_cluster_ops_shipped_total", "Intent ops carried in append requests to followers (ops recorded × followers when each crosses once).", nil, c.opsShipped.Value())
 }

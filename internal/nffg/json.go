@@ -91,10 +91,13 @@ type jsonAction struct {
 	SetEthDst    string `json:"set_eth_dst,omitempty"`
 }
 
-// MarshalJSON renders the graph in the un-orchestrator schema.
+// MarshalJSON renders the graph in the un-orchestrator schema. Every wire
+// slice is sized up front and the actions of all rules share one array; an
+// empty section stays nil, so it is omitted (a rule's actions: null).
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	jg := jsonGraph{ID: g.ID, Name: g.Name}
-	for _, nf := range g.NFs {
+	jg.VNFs = sized[jsonNF](len(g.NFs))
+	for i, nf := range g.NFs {
 		jnf := jsonNF{
 			ID:           nf.ID,
 			Name:         nf.Name,
@@ -105,12 +108,14 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 			Redundancy:   string(nf.Redundancy),
 			AntiAffinity: nf.AntiAffinity,
 		}
-		for _, p := range nf.Ports {
-			jnf.Ports = append(jnf.Ports, jsonNFPort(p))
+		jnf.Ports = sized[jsonNFPort](len(nf.Ports))
+		for j, p := range nf.Ports {
+			jnf.Ports[j] = jsonNFPort(p)
 		}
-		jg.VNFs = append(jg.VNFs, jnf)
+		jg.VNFs[i] = jnf
 	}
-	for _, ep := range g.Endpoints {
+	jg.Endpoints = sized[jsonEndpoint](len(g.Endpoints))
+	for i, ep := range g.Endpoints {
 		jep := jsonEndpoint{ID: ep.ID, Type: string(ep.Type)}
 		switch ep.Type {
 		case EPInterface:
@@ -120,11 +125,16 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		case EPInternal:
 			jep.Internal = &jsonEPInternal{Group: ep.InternalGroup}
 		}
-		jg.Endpoints = append(jg.Endpoints, jep)
+		jg.Endpoints[i] = jep
 	}
 	if len(g.Rules) > 0 {
-		bs := &jsonBigSwitch{}
+		bs := &jsonBigSwitch{FlowRules: make([]jsonFlowRule, len(g.Rules))}
+		n := 0
 		for _, r := range g.Rules {
+			n += len(r.Actions)
+		}
+		actions := make([]jsonAction, 0, n)
+		for i, r := range g.Rules {
 			jr := jsonFlowRule{
 				ID:       r.ID,
 				Priority: r.Priority,
@@ -141,6 +151,7 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 			if r.Match.EtherType != 0 {
 				jr.Match.EtherType = fmt.Sprintf("%#04x", r.Match.EtherType)
 			}
+			first := len(actions)
 			for _, a := range r.Actions {
 				var ja jsonAction
 				switch a.Type {
@@ -157,9 +168,10 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 				default:
 					return nil, fmt.Errorf("nffg: unencodable action type %q", a.Type)
 				}
-				jr.Actions = append(jr.Actions, ja)
+				actions = append(actions, ja)
 			}
-			bs.FlowRules = append(bs.FlowRules, jr)
+			jr.Actions = appended(actions, first)
+			bs.FlowRules[i] = jr
 		}
 		jg.BigSwitch = bs
 	}
@@ -170,7 +182,11 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 // schema does not know is an error, not silently dropped, so a misspelled
 // "redundency" or an "anti-affinity" fails instead of deploying a graph
 // without the protection it asked for. Every entry point (both REST tiers,
-// nffgctl, the replicated deployment record) decodes through here.
+// nffgctl, the replicated deployment record) decodes through here. Like
+// MarshalJSON it sizes every model slice up front, gives the actions of all
+// rules one array, and leaves an empty section nil: nffg.Compute compares
+// with reflect.DeepEqual, so a decoded record must equal the graph it
+// encodes.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var root jsonRoot
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -183,7 +199,8 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	}
 	jg := root.ForwardingGraph
 	*g = Graph{ID: jg.ID, Name: jg.Name}
-	for _, jnf := range jg.VNFs {
+	g.NFs = sized[NF](len(jg.VNFs))
+	for i, jnf := range jg.VNFs {
 		nf := NF{
 			ID:                   jnf.ID,
 			Name:                 jnf.Name,
@@ -194,12 +211,14 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 			Redundancy:           RedundancyMode(jnf.Redundancy),
 			AntiAffinity:         jnf.AntiAffinity,
 		}
-		for _, p := range jnf.Ports {
-			nf.Ports = append(nf.Ports, NFPort(p))
+		nf.Ports = sized[NFPort](len(jnf.Ports))
+		for j, p := range jnf.Ports {
+			nf.Ports[j] = NFPort(p)
 		}
-		g.NFs = append(g.NFs, nf)
+		g.NFs[i] = nf
 	}
-	for _, jep := range jg.Endpoints {
+	g.Endpoints = sized[Endpoint](len(jg.Endpoints))
+	for i, jep := range jg.Endpoints {
 		ep := Endpoint{ID: jep.ID, Type: EndpointType(jep.Type)}
 		switch ep.Type {
 		case EPInterface:
@@ -221,10 +240,17 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		default:
 			return fmt.Errorf("nffg: endpoint %q: unknown type %q", jep.ID, jep.Type)
 		}
-		g.Endpoints = append(g.Endpoints, ep)
+		g.Endpoints[i] = ep
 	}
 	if jg.BigSwitch != nil {
-		for _, jr := range jg.BigSwitch.FlowRules {
+		rules := jg.BigSwitch.FlowRules
+		g.Rules = sized[FlowRule](len(rules))
+		n := 0
+		for _, jr := range rules {
+			n += len(jr.Actions)
+		}
+		actions := make([]RuleAction, 0, n)
+		for i, jr := range rules {
 			r := FlowRule{ID: jr.ID, Priority: jr.Priority}
 			portIn, err := ParsePortRef(jr.Match.PortIn)
 			if err != nil {
@@ -246,6 +272,7 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 				}
 				r.Match.EtherType = et
 			}
+			first := len(actions)
 			for ai, ja := range jr.Actions {
 				var a RuleAction
 				switch {
@@ -266,10 +293,30 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 				default:
 					return fmt.Errorf("nffg: rule %q action %d: empty action", jr.ID, ai)
 				}
-				r.Actions = append(r.Actions, a)
+				actions = append(actions, a)
 			}
-			g.Rules = append(g.Rules, r)
+			r.Actions = appended(actions, first)
+			g.Rules[i] = r
 		}
 	}
 	return nil
+}
+
+// sized returns n zero values, or nil when n is 0: an empty section stays
+// nil through the codec.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
+}
+
+// appended returns what was appended to s since its length was from, or
+// nil when nothing was. The result is capped, so appending to one rule's
+// actions copies them instead of overwriting the next rule's.
+func appended[T any](s []T, from int) []T {
+	if len(s) == from {
+		return nil
+	}
+	return s[from:len(s):len(s)]
 }
