@@ -118,6 +118,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNewPacket$$' -fuzztime 30s ./internal/pkt
 	$(GO) test -run '^$$' -fuzz '^FuzzVLANTag$$' -fuzztime 30s ./internal/pkt
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphJSON$$' -fuzztime 30s ./internal/nffg
+	$(GO) test -run '^$$' -fuzz '^FuzzDeploymentRecord$$' -fuzztime 30s ./internal/global
+	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesEncodingJSON$$' -fuzztime 30s ./internal/jsonw
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterRPC$$' -fuzztime 30s ./internal/cluster
 
 examples-smoke:

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/nffg"
 	"repro/internal/telemetry"
 )
 
@@ -187,8 +186,8 @@ func (o *Orchestrator) stageRecords() {
 		var data json.RawMessage
 		if dep, live := o.graphs[id]; live {
 			var err error
-			if data, err = json.Marshal(dep); err != nil {
-				o.cfg.Logf("global: marshaling intent record for %q: %v", id, err)
+			if data, err = encodeRecord(dep); err != nil {
+				o.cfg.Logf("global: encoding intent record for %q: %v", id, err)
 				continue
 			}
 		} else {
@@ -293,17 +292,10 @@ func (o *Orchestrator) RestoreIntent(src IntentSource) error {
 	alloc := newVLANAlloc()
 	graphs := make(map[string]*deployment)
 	for _, id := range src.Keys("graphs") {
-		dep := new(deployment)
-		if err := json.Unmarshal(src.Get("graphs", id), dep); err != nil {
-			errs = append(errs, fmt.Errorf("global: graph record %q: %w", id, err))
+		dep, err := decodeRecord(id, src.Get("graphs", id))
+		if err != nil {
+			errs = append(errs, err)
 			continue
-		}
-		if dep.Desired == nil {
-			errs = append(errs, fmt.Errorf("global: graph record %q has no desired graph", id))
-			continue
-		}
-		if dep.Subs == nil {
-			dep.Subs = make(map[string]*nffg.Graph)
 		}
 		reserveStitchVLANs(alloc, dep.Stitches)
 		graphs[id] = dep

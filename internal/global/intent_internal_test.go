@@ -2,7 +2,6 @@ package global
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/nffg"
@@ -52,24 +51,24 @@ func testDeployment() *deployment {
 // replay each other's log.
 const recordAtPR16 = `{"desired":{"forwarding-graph":{"id":"g1","name":"chain","VNFs":[{"id":"nf0","name":"firewall","ports":[{"id":"0"},{"id":"1"}],"replicas":2},{"id":"nf1","name":"monitor","ports":[{"id":"0"},{"id":"1"}]}],"end-points":[{"id":"lan","type":"interface","interface":{"if-name":"eth0"}},{"id":"wan","type":"interface","interface":{"if-name":"eth1"}}]}},"subs":{"n1":{"forwarding-graph":{"id":"g1","VNFs":[{"id":"nf0","name":"firewall","ports":[{"id":"0"},{"id":"1"}],"replicas":2}]}},"n2":{"forwarding-graph":{"id":"g1","VNFs":[{"id":"nf1","name":"monitor","ports":[{"id":"0"},{"id":"1"}]}]}}},"stitches":[{"ep":"x-g1-0","src":"n1","dst":"n2","path":["n1","n2"],"hops":[{"link":{"a-node":"n1","a-if":"eth1","b-node":"n2","b-if":"eth0"},"vlan":3000}]}],"placement":{"NFNode":{"nf0":"n1","nf1":"n2"},"EPNode":{"lan":"n1","wan":"n2"}},"standby-node":"n3"}`
 
-// The promotion replay must be byte-faithful: marshal -> restore ->
-// re-marshal yields identical bytes, so a promoted leader's desired state
+// The promotion replay must be byte-faithful: encode -> restore ->
+// re-encode yields identical bytes, so a promoted leader's desired state
 // is provably the old leader's.
 func TestDeploymentRecordRoundTripByteIdentical(t *testing.T) {
-	b1, err := json.Marshal(testDeployment())
+	b1, err := encodeRecord(testDeployment())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(b1) != recordAtPR16 {
 		t.Fatalf("record bytes changed:\n  was %s\n  now %s", recordAtPR16, b1)
 	}
-	restored := new(deployment)
-	if err := json.Unmarshal(b1, restored); err != nil {
+	restored, err := decodeRecord("g1", b1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	alloc := newVLANAlloc()
 	reserveStitchVLANs(alloc, restored.Stitches)
-	b2, err := json.Marshal(restored)
+	b2, err := encodeRecord(restored)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +98,11 @@ func TestDeploymentRecordRoundTripByteIdentical(t *testing.T) {
 // state is equal bytes on every replica.
 func TestDeploymentRecordMarshalStable(t *testing.T) {
 	dep := testDeployment()
-	b1, err := json.Marshal(dep)
+	b1, err := encodeRecord(dep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := json.Marshal(dep)
+	b2, err := encodeRecord(dep)
 	if err != nil {
 		t.Fatal(err)
 	}

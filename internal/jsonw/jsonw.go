@@ -1,0 +1,215 @@
+// Package jsonw writes JSON by hand for the two encoders on the deploy path,
+// the NF-FG (internal/nffg) and the global tier's deployment record
+// (internal/global). Their bytes are replicated, stored and compared, so the
+// output must stay byte-identical to what encoding/json wrote before them:
+// strings are escaped HTML-safe exactly as encoding/json escapes them (<, >,
+// &, U+2028 and U+2029 as \u escapes, invalid UTF-8 as the escape \ufffd),
+// and floats follow its 'f'/'e' rule.
+//
+// A Writer either appends or only measures. An encoder runs once over a
+// measuring Writer and once over an appending one whose buffer has exactly
+// the measured capacity, so it allocates its output once and leaves no spare
+// capacity behind.
+package jsonw
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"unicode/utf8"
+)
+
+// Writer appends JSON text to a buffer, or counts the bytes it would append.
+// The first failure (an unencodable value) sticks and is reported by Err.
+type Writer struct {
+	buf     []byte
+	n       int
+	measure bool
+	err     error
+}
+
+// Measuring returns a Writer that appends nothing and counts every byte.
+func Measuring() Writer { return Writer{measure: true} }
+
+// Appending returns a Writer that appends to b.
+func Appending(b []byte) Writer { return Writer{buf: b} }
+
+// Len is the number of bytes counted so far, or the buffer's length.
+func (w *Writer) Len() int {
+	if w.measure {
+		return w.n
+	}
+	return len(w.buf)
+}
+
+// Bytes is the buffer written so far; nil for a measuring Writer.
+func (w *Writer) Bytes() []byte { return w.buf }
+
+// Err is the first failure recorded by Fail or Float.
+func (w *Writer) Err() error { return w.err }
+
+// Fail records err unless a failure is already recorded.
+func (w *Writer) Fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+// Raw writes s as it is: punctuation and keys the caller knows are valid.
+func (w *Writer) Raw(s string) {
+	if w.measure {
+		w.n += len(s)
+		return
+	}
+	w.buf = append(w.buf, s...)
+}
+
+// Byte writes c as it is.
+func (w *Writer) Byte(c byte) {
+	if w.measure {
+		w.n++
+		return
+	}
+	w.buf = append(w.buf, c)
+}
+
+// String writes s as a quoted JSON string.
+func (w *Writer) String(s string) {
+	w.Byte('"')
+	w.Escaped(s)
+	w.Byte('"')
+}
+
+// Escaped writes the body of a JSON string, without quotes, as
+// encoding/json escapes it. Strings joined by ASCII separators escape to
+// the concatenation of their escapes: no UTF-8 sequence spans an ASCII byte.
+func (w *Writer) Escaped(s string) {
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			w.Raw(s[start:i])
+			switch c {
+			case '"', '\\':
+				w.Byte('\\')
+				w.Byte(c)
+			case '\b':
+				w.Raw(`\b`)
+			case '\f':
+				w.Raw(`\f`)
+			case '\n':
+				w.Raw(`\n`)
+			case '\r':
+				w.Raw(`\r`)
+			case '\t':
+				w.Raw(`\t`)
+			default:
+				w.Raw(`\u00`)
+				w.Byte(hex[c>>4])
+				w.Byte(hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			w.Raw(s[start:i])
+			w.Raw(`\ufffd`)
+		case r == '\u2028' || r == '\u2029':
+			w.Raw(s[start:i])
+			w.Raw(`\u202`)
+			w.Byte(hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	w.Raw(s[start:])
+}
+
+const hex = "0123456789abcdef"
+
+// Int writes v in decimal.
+func (w *Writer) Int(v int64) {
+	if w.measure {
+		var a [20]byte
+		w.n += len(strconv.AppendInt(a[:0], v, 10))
+		return
+	}
+	w.buf = strconv.AppendInt(w.buf, v, 10)
+}
+
+// Uint writes v in decimal.
+func (w *Writer) Uint(v uint64) {
+	if w.measure {
+		var a [20]byte
+		w.n += len(strconv.AppendUint(a[:0], v, 10))
+		return
+	}
+	w.buf = strconv.AppendUint(w.buf, v, 10)
+}
+
+// Float writes f as encoding/json writes a float64: the shortest 'f' form,
+// or 'e' below 1e-6 and from 1e21 on, with a one-digit negative exponent
+// unpadded. NaN and the infinities have no JSON form and fail the Writer.
+func (w *Writer) Float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		w.Fail(fmt.Errorf("jsonw: unsupported value: %v", f))
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	var a [32]byte
+	b := strconv.AppendFloat(a[:0], f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	if w.measure {
+		w.n += len(b)
+		return
+	}
+	w.buf = append(w.buf, b...)
+}
+
+// StringMap writes m as an object with its keys in order, as encoding/json
+// writes a map[string]string; a nil map is null.
+func (w *Writer) StringMap(m map[string]string) {
+	if m == nil {
+		w.Raw("null")
+		return
+	}
+	var a [16]string
+	w.Byte('{')
+	for i, k := range SortedKeys(a[:0], m) {
+		if i > 0 {
+			w.Byte(',')
+		}
+		w.String(k)
+		w.Byte(':')
+		w.String(m[k])
+	}
+	w.Byte('}')
+}
+
+// SortedKeys appends m's keys to buf and sorts them, the order encoding/json
+// writes a map in. A caller passing a slice of a local array keeps a small
+// map's keys off the heap.
+func SortedKeys[V any](buf []string, m map[string]V) []string {
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
+}

@@ -1,7 +1,10 @@
 package nffg
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,9 +13,10 @@ import (
 // FuzzGraphJSON feeds arbitrary bytes to the strict NF-FG decoder, the one
 // every REST tier and the deployment record go through. Decoding and
 // Validate must never panic, and a document that decodes must re-encode
-// through MarshalJSON to bytes that decode to an equal graph. Seeds are the
-// package's test graphs, plus the misspellings strict decoding rejects.
-// Seeds run under plain `go test`; `make fuzz` fuzzes for real.
+// through MarshalJSON to exactly the bytes encoding/json writes over the
+// wire types (oracleJSON), and those bytes must decode to an equal graph.
+// Seeds are the package's test graphs, plus documents strict decoding
+// rejects. Seeds run under plain `go test`; `make fuzz` fuzzes for real.
 func FuzzGraphJSON(f *testing.F) {
 	for _, seed := range graphJSONSeeds(f) {
 		f.Add(seed)
@@ -26,6 +30,12 @@ func FuzzGraphJSON(f *testing.F) {
 		enc, err := g.MarshalJSON()
 		if err != nil {
 			t.Fatalf("decoded graph does not re-encode: %v\n%+v", err, g)
+		}
+		if want, err := oracleJSON(&g); err != nil || !bytes.Equal(enc, want) {
+			t.Fatalf("MarshalJSON differs from encoding/json (err %v):\n got %s\nwant %s", err, enc, want)
+		}
+		if len(enc) != cap(enc) {
+			t.Fatalf("MarshalJSON left %d bytes of spare capacity", cap(enc)-len(enc))
 		}
 		var again Graph
 		if err := again.UnmarshalJSON(enc); err != nil {
@@ -54,7 +64,139 @@ func graphJSONSeeds(tb testing.TB) [][]byte {
 	return append(seeds,
 		[]byte(literalGraphJSON),
 		[]byte(strings.Replace(literalGraphJSON, `"name": "firewall",`, `"name": "firewall", "redundency": "active-standby",`, 1)),
-		[]byte(`{"forwarding-graph": {"id": "x", "end-points": [{"id": "e", "type": "vlan"}]}}`))
+		[]byte(`{"forwarding-graph": {"id": "x", "end-points": [{"id": "e", "type": "vlan"}]}}`),
+		[]byte(strings.Replace(literalGraphJSON, `"0x0800"`, `"0x08001"`, 1)),
+		[]byte(strings.Replace(literalGraphJSON, `{"push_vlan": 42}`, `{"output_to_port": "endpoint:out", "push_vlan": 42}`, 1)),
+		[]byte(`{"forwarding-graph": {"id": "<\u2028&>", "name": "\u00e9\ufffd", "VNFs": [{"id": "f", "name": "n",
+			"configuration": {"z": "1", "a": "<x>", "m": ""}, "availability": 1e-7, "replicas": -2}]}}`))
+}
+
+// oracleJSON is the encoder WriteJSON replaced: the graph converted into
+// the wire types and handed to encoding/json. WriteJSON must match it byte
+// for byte.
+func oracleJSON(g *Graph) ([]byte, error) {
+	jg := jsonGraph{ID: g.ID, Name: g.Name}
+	jg.VNFs = sized[jsonNF](len(g.NFs))
+	for i, nf := range g.NFs {
+		jnf := jsonNF{
+			ID:           nf.ID,
+			Name:         nf.Name,
+			Technology:   string(nf.TechnologyPreference),
+			Config:       nf.Config,
+			Replicas:     nf.Replicas,
+			Availability: nf.Availability,
+			Redundancy:   string(nf.Redundancy),
+			AntiAffinity: nf.AntiAffinity,
+		}
+		jnf.Ports = sized[jsonNFPort](len(nf.Ports))
+		for j, p := range nf.Ports {
+			jnf.Ports[j] = jsonNFPort(p)
+		}
+		jg.VNFs[i] = jnf
+	}
+	jg.Endpoints = sized[jsonEndpoint](len(g.Endpoints))
+	for i, ep := range g.Endpoints {
+		jep := jsonEndpoint{ID: ep.ID, Type: string(ep.Type)}
+		switch ep.Type {
+		case EPInterface:
+			jep.Interface = &jsonEPInterface{IfName: ep.Interface}
+		case EPVLAN:
+			jep.VLAN = &jsonEPVLAN{VLANID: ep.VLANID, IfName: ep.Interface}
+		case EPInternal:
+			jep.Internal = &jsonEPInternal{Group: ep.InternalGroup}
+		}
+		jg.Endpoints[i] = jep
+	}
+	if len(g.Rules) > 0 {
+		bs := &jsonBigSwitch{FlowRules: make([]jsonFlowRule, len(g.Rules))}
+		for i, r := range g.Rules {
+			jr := jsonFlowRule{
+				ID:       r.ID,
+				Priority: r.Priority,
+				Match: jsonMatch{
+					PortIn:     r.Match.PortIn.String(),
+					VLANID:     r.Match.VLANID,
+					Protocol:   r.Match.IPProto,
+					SourceIP:   r.Match.IPSrc,
+					DestIP:     r.Match.IPDst,
+					SourcePort: r.Match.L4Src,
+					DestPort:   r.Match.L4Dst,
+				},
+			}
+			if r.Match.EtherType != 0 {
+				jr.Match.EtherType = fmt.Sprintf("%#04x", r.Match.EtherType)
+			}
+			for _, a := range r.Actions {
+				var ja jsonAction
+				switch a.Type {
+				case ActOutput:
+					ja.OutputToPort = a.Output.String()
+				case ActPushVLAN:
+					ja.PushVLAN = a.VLANID
+				case ActPopVLAN:
+					ja.PopVLAN = true
+				case ActSetEthSrc:
+					ja.SetEthSrc = a.MAC
+				case ActSetEthDst:
+					ja.SetEthDst = a.MAC
+				default:
+					return nil, fmt.Errorf("nffg: unencodable action type %q", a.Type)
+				}
+				jr.Actions = append(jr.Actions, ja)
+			}
+			bs.FlowRules[i] = jr
+		}
+		jg.BigSwitch = bs
+	}
+	return json.Marshal(jsonRoot{ForwardingGraph: jg})
+}
+
+// TestWriteJSONMatchesOracle holds the encoder to oracleJSON on graphs no
+// document decodes to: values the decoder rejects or never produces (an
+// action whose parameter is zero, an unknown endpoint type, a NaN
+// availability, an unknown action), strings in every escape class, and
+// floats on both sides of encoding/json's exponent cutoffs. Both encoders
+// fail on the same graphs, and AppendJSON appends after what b holds and
+// hands b back unchanged on failure.
+func TestWriteJSONMatchesOracle(t *testing.T) {
+	odd := "<a&b>\"q\"\\\n\x00\x7f\u2028\u2029\xff\xe2\x80é🙂"
+	cases := map[string]*Graph{
+		"sample":  sampleGraph(),
+		"escapes": {ID: odd, Name: odd, NFs: []NF{{ID: odd, Name: odd, Ports: []NFPort{{ID: odd, Name: odd}}, Config: map[string]string{odd: odd, "": "", "b": "<"}, AntiAffinity: odd}}, Endpoints: []Endpoint{{ID: odd, Type: EPInternal, InternalGroup: odd}}, Rules: []FlowRule{{ID: odd, Match: RuleMatch{PortIn: NFPortRef(odd, odd), IPSrc: odd}, Actions: []RuleAction{{Type: ActOutput, Output: EndpointRef(odd)}, {Type: ActSetEthDst, MAC: odd}}}}},
+		"zero parameters": {ID: "z", Rules: []FlowRule{{ID: "r", Priority: -5, Match: RuleMatch{EtherType: 0xffff, VLANID: 4095, IPProto: 255, L4Src: 1, L4Dst: 65535},
+			Actions: []RuleAction{{Type: ActOutput}, {Type: ActOutput, Output: PortRef{Port: "p"}}, {Type: ActPushVLAN}, {Type: ActPopVLAN}, {Type: ActSetEthSrc}, {Type: ActSetEthDst}}},
+			{ID: "empty actions", Match: RuleMatch{EtherType: 0x1}, Actions: []RuleAction{}}}},
+		"unknown endpoint type": {ID: "e", Endpoints: []Endpoint{{ID: "x", Type: "bogus", Interface: "eth0"}, {ID: "v", Type: EPVLAN}}},
+		"empty config":          {ID: "c", NFs: []NF{{ID: "f", Config: map[string]string{}, Replicas: -1, Redundancy: RedundancyActiveActive, TechnologyPreference: TechDocker}}},
+		"nan availability":      {ID: "n", NFs: []NF{{ID: "f", Availability: math.NaN()}}},
+		"inf availability":      {ID: "i", NFs: []NF{{ID: "f", Availability: math.Inf(-1)}}},
+		"unknown action":        {ID: "u", Rules: []FlowRule{{ID: "r", Actions: []RuleAction{{Type: "goto_table"}}}}},
+	}
+	for i, v := range []float64{0.999, 1e-6, 9.999e-7, 1e-7, 1e20, 1e21, 123456789.5, -0.25, math.SmallestNonzeroFloat64, math.MaxFloat64} {
+		cases[fmt.Sprint("availability ", i)] = &Graph{ID: "a", NFs: []NF{{ID: "f", Availability: v}}}
+	}
+	for name, g := range cases {
+		want, wantErr := oracleJSON(g)
+		got, err := g.MarshalJSON()
+		if (err != nil) != (wantErr != nil) {
+			t.Errorf("%s: MarshalJSON err %v, encoding/json err %v", name, err, wantErr)
+			continue
+		}
+		prefix := []byte("prefix")
+		appended, appendErr := g.AppendJSON(prefix)
+		if wantErr != nil {
+			if appendErr == nil || string(appended) != "prefix" {
+				t.Errorf("%s: AppendJSON = %q, %v; want prefix untouched and an error", name, appended, appendErr)
+			}
+			continue
+		}
+		if !bytes.Equal(got, want) || len(got) != cap(got) {
+			t.Errorf("%s: MarshalJSON (len %d, cap %d)\n got %s\nwant %s", name, len(got), cap(got), got, want)
+		}
+		if appendErr != nil || string(appended) != "prefix"+string(want) {
+			t.Errorf("%s: AppendJSON = %s, %v", name, appended, appendErr)
+		}
+	}
 }
 
 // TestJSONRoundTripKeepsNil: the codec sizes its slices up front, but a

@@ -3,13 +3,23 @@ package nffg
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
+
+	"repro/internal/jsonw"
 )
 
-// Wire types mirroring the un-orchestrator's NF-FG JSON schema. The exported
-// Graph type is converted to and from these shapes so the Go model can stay
-// idiomatic.
+// Wire types mirroring the un-orchestrator's NF-FG JSON schema. They serve
+// decoding only: UnmarshalJSON converts from these shapes so the Go model can
+// stay idiomatic, and WriteJSON encodes the model directly, in one pass and
+// without reflection. The encoded bytes must stay identical to what
+// encoding/json writes over these types (field order, omitempty, sorted
+// configuration keys, escaping): the global tier's replicated deployment
+// record embeds them, replicas on either side of an upgrade replay each
+// other's log, and equal graphs must be equal bytes on every replica.
+// FuzzGraphJSON holds the encoder to that oracle.
 
 type jsonRoot struct {
 	ForwardingGraph jsonGraph `json:"forwarding-graph"`
@@ -91,99 +101,258 @@ type jsonAction struct {
 	SetEthDst    string `json:"set_eth_dst,omitempty"`
 }
 
-// MarshalJSON renders the graph in the un-orchestrator schema. Every wire
-// slice is sized up front and the actions of all rules share one array; an
-// empty section stays nil, so it is omitted (a rule's actions: null).
+// MarshalJSON renders the graph in the un-orchestrator schema into a buffer
+// of exactly its length: WriteJSON runs once to measure and once to write.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	jg := jsonGraph{ID: g.ID, Name: g.Name}
-	jg.VNFs = sized[jsonNF](len(g.NFs))
-	for i, nf := range g.NFs {
-		jnf := jsonNF{
-			ID:           nf.ID,
-			Name:         nf.Name,
-			Technology:   string(nf.TechnologyPreference),
-			Config:       nf.Config,
-			Replicas:     nf.Replicas,
-			Availability: nf.Availability,
-			Redundancy:   string(nf.Redundancy),
-			AntiAffinity: nf.AntiAffinity,
-		}
-		jnf.Ports = sized[jsonNFPort](len(nf.Ports))
-		for j, p := range nf.Ports {
-			jnf.Ports[j] = jsonNFPort(p)
-		}
-		jg.VNFs[i] = jnf
+	m := jsonw.Measuring()
+	g.WriteJSON(&m)
+	if err := m.Err(); err != nil {
+		return nil, err
 	}
-	jg.Endpoints = sized[jsonEndpoint](len(g.Endpoints))
-	for i, ep := range g.Endpoints {
-		jep := jsonEndpoint{ID: ep.ID, Type: string(ep.Type)}
-		switch ep.Type {
-		case EPInterface:
-			jep.Interface = &jsonEPInterface{IfName: ep.Interface}
-		case EPVLAN:
-			jep.VLAN = &jsonEPVLAN{VLANID: ep.VLANID, IfName: ep.Interface}
-		case EPInternal:
-			jep.Internal = &jsonEPInternal{Group: ep.InternalGroup}
+	return g.AppendJSON(make([]byte, 0, m.Len()))
+}
+
+// AppendJSON appends the graph's JSON to b. On error it returns b as it was.
+func (g *Graph) AppendJSON(b []byte) ([]byte, error) {
+	w := jsonw.Appending(b)
+	g.WriteJSON(&w)
+	if err := w.Err(); err != nil {
+		return b, err
+	}
+	return w.Bytes(), nil
+}
+
+// WriteJSON writes the graph to w in one pass, field by field in the wire
+// types' order and with their omitempty rules; an encoder embedding a graph
+// (the global tier's deployment record) sizes and writes it through here.
+// An action type the schema has no key for fails w.
+func (g *Graph) WriteJSON(w *jsonw.Writer) {
+	w.Raw(`{"forwarding-graph":{"id":`)
+	w.String(g.ID)
+	if g.Name != "" {
+		w.Raw(`,"name":`)
+		w.String(g.Name)
+	}
+	if len(g.NFs) > 0 {
+		w.Raw(`,"VNFs":[`)
+		for i := range g.NFs {
+			if i > 0 {
+				w.Byte(',')
+			}
+			writeNF(w, &g.NFs[i])
 		}
-		jg.Endpoints[i] = jep
+		w.Byte(']')
+	}
+	if len(g.Endpoints) > 0 {
+		w.Raw(`,"end-points":[`)
+		for i := range g.Endpoints {
+			if i > 0 {
+				w.Byte(',')
+			}
+			writeEndpoint(w, &g.Endpoints[i])
+		}
+		w.Byte(']')
 	}
 	if len(g.Rules) > 0 {
-		bs := &jsonBigSwitch{FlowRules: make([]jsonFlowRule, len(g.Rules))}
-		n := 0
-		for _, r := range g.Rules {
-			n += len(r.Actions)
+		w.Raw(`,"big-switch":{"flow-rules":[`)
+		for i := range g.Rules {
+			if i > 0 {
+				w.Byte(',')
+			}
+			writeRule(w, &g.Rules[i])
 		}
-		actions := make([]jsonAction, 0, n)
-		for i, r := range g.Rules {
-			jr := jsonFlowRule{
-				ID:       r.ID,
-				Priority: r.Priority,
-				Match: jsonMatch{
-					PortIn:     r.Match.PortIn.String(),
-					VLANID:     r.Match.VLANID,
-					Protocol:   r.Match.IPProto,
-					SourceIP:   r.Match.IPSrc,
-					DestIP:     r.Match.IPDst,
-					SourcePort: r.Match.L4Src,
-					DestPort:   r.Match.L4Dst,
-				},
-			}
-			if r.Match.EtherType != 0 {
-				jr.Match.EtherType = fmt.Sprintf("%#04x", r.Match.EtherType)
-			}
-			first := len(actions)
-			for _, a := range r.Actions {
-				var ja jsonAction
-				switch a.Type {
-				case ActOutput:
-					ja.OutputToPort = a.Output.String()
-				case ActPushVLAN:
-					ja.PushVLAN = a.VLANID
-				case ActPopVLAN:
-					ja.PopVLAN = true
-				case ActSetEthSrc:
-					ja.SetEthSrc = a.MAC
-				case ActSetEthDst:
-					ja.SetEthDst = a.MAC
-				default:
-					return nil, fmt.Errorf("nffg: unencodable action type %q", a.Type)
-				}
-				actions = append(actions, ja)
-			}
-			jr.Actions = appended(actions, first)
-			bs.FlowRules[i] = jr
-		}
-		jg.BigSwitch = bs
+		w.Raw(`]}`)
 	}
-	return json.Marshal(jsonRoot{ForwardingGraph: jg})
+	w.Raw(`}}`)
+}
+
+func writeNF(w *jsonw.Writer, nf *NF) {
+	w.Raw(`{"id":`)
+	w.String(nf.ID)
+	w.Raw(`,"name":`)
+	w.String(nf.Name)
+	if len(nf.Ports) > 0 {
+		w.Raw(`,"ports":[`)
+		for i, p := range nf.Ports {
+			if i > 0 {
+				w.Byte(',')
+			}
+			w.Raw(`{"id":`)
+			w.String(p.ID)
+			if p.Name != "" {
+				w.Raw(`,"name":`)
+				w.String(p.Name)
+			}
+			w.Byte('}')
+		}
+		w.Byte(']')
+	}
+	if nf.TechnologyPreference != "" {
+		w.Raw(`,"technology-preference":`)
+		w.String(string(nf.TechnologyPreference))
+	}
+	if len(nf.Config) > 0 {
+		w.Raw(`,"configuration":`)
+		w.StringMap(nf.Config)
+	}
+	if nf.Replicas != 0 {
+		w.Raw(`,"replicas":`)
+		w.Int(int64(nf.Replicas))
+	}
+	if nf.Availability != 0 {
+		w.Raw(`,"availability":`)
+		w.Float(nf.Availability)
+	}
+	if nf.Redundancy != "" {
+		w.Raw(`,"redundancy":`)
+		w.String(string(nf.Redundancy))
+	}
+	if nf.AntiAffinity != "" {
+		w.Raw(`,"anti_affinity":`)
+		w.String(nf.AntiAffinity)
+	}
+	w.Byte('}')
+}
+
+func writeEndpoint(w *jsonw.Writer, ep *Endpoint) {
+	w.Raw(`{"id":`)
+	w.String(ep.ID)
+	w.Raw(`,"type":`)
+	w.String(string(ep.Type))
+	switch ep.Type {
+	case EPInterface:
+		w.Raw(`,"interface":{"if-name":`)
+		w.String(ep.Interface)
+		w.Byte('}')
+	case EPVLAN:
+		w.Raw(`,"vlan":{"vlan-id":`)
+		w.Uint(uint64(ep.VLANID))
+		w.Raw(`,"if-name":`)
+		w.String(ep.Interface)
+		w.Byte('}')
+	case EPInternal:
+		w.Raw(`,"internal":{"internal-group":`)
+		w.String(ep.InternalGroup)
+		w.Byte('}')
+	}
+	w.Byte('}')
+}
+
+func writeRule(w *jsonw.Writer, r *FlowRule) {
+	w.Raw(`{"id":`)
+	w.String(r.ID)
+	w.Raw(`,"priority":`)
+	w.Int(int64(r.Priority))
+	w.Raw(`,"match":{"port_in":`)
+	writePortRef(w, r.Match.PortIn)
+	m := &r.Match
+	if m.EtherType != 0 {
+		w.Raw(`,"ether_type":"0x`)
+		for shift := 12; shift >= 0; shift -= 4 {
+			w.Byte(hexDigits[m.EtherType>>shift&0xF])
+		}
+		w.Byte('"')
+	}
+	if m.VLANID != 0 {
+		w.Raw(`,"vlan_id":`)
+		w.Uint(uint64(m.VLANID))
+	}
+	if m.IPProto != 0 {
+		w.Raw(`,"protocol":`)
+		w.Uint(uint64(m.IPProto))
+	}
+	if m.IPSrc != "" {
+		w.Raw(`,"source_ip":`)
+		w.String(m.IPSrc)
+	}
+	if m.IPDst != "" {
+		w.Raw(`,"dest_ip":`)
+		w.String(m.IPDst)
+	}
+	if m.L4Src != 0 {
+		w.Raw(`,"source_port":`)
+		w.Uint(uint64(m.L4Src))
+	}
+	if m.L4Dst != 0 {
+		w.Raw(`,"dest_port":`)
+		w.Uint(uint64(m.L4Dst))
+	}
+	w.Raw(`},"actions":`)
+	if len(r.Actions) == 0 {
+		w.Raw("null")
+	} else {
+		w.Byte('[')
+		for i := range r.Actions {
+			if i > 0 {
+				w.Byte(',')
+			}
+			writeAction(w, &r.Actions[i])
+		}
+		w.Byte(']')
+	}
+	w.Byte('}')
+}
+
+const hexDigits = "0123456789abcdef"
+
+// writeAction writes the one key of the action's type, or {} when its
+// parameter is the zero value the wire type omits.
+func writeAction(w *jsonw.Writer, a *RuleAction) {
+	w.Byte('{')
+	switch a.Type {
+	case ActOutput:
+		if a.Output.IsNF() || a.Output.IsEndpoint() {
+			w.Raw(`"output_to_port":`)
+			writePortRef(w, a.Output)
+		}
+	case ActPushVLAN:
+		if a.VLANID != 0 {
+			w.Raw(`"push_vlan":`)
+			w.Uint(uint64(a.VLANID))
+		}
+	case ActPopVLAN:
+		w.Raw(`"pop_vlan":true`)
+	case ActSetEthSrc:
+		if a.MAC != "" {
+			w.Raw(`"set_eth_src":`)
+			w.String(a.MAC)
+		}
+	case ActSetEthDst:
+		if a.MAC != "" {
+			w.Raw(`"set_eth_dst":`)
+			w.String(a.MAC)
+		}
+	default:
+		w.Fail(fmt.Errorf("nffg: unencodable action type %q", a.Type))
+	}
+	w.Byte('}')
+}
+
+// writePortRef writes r's textual form (PortRef.String) as a JSON string
+// without building it: its parts escape separately, since the separators
+// are ASCII.
+func writePortRef(w *jsonw.Writer, r PortRef) {
+	switch {
+	case r.IsNF():
+		w.Raw(`"vnf:`)
+		w.Escaped(r.NF)
+		w.Byte(':')
+		w.Escaped(r.Port)
+	case r.IsEndpoint():
+		w.Raw(`"endpoint:`)
+		w.Escaped(r.Endpoint)
+	default:
+		w.Byte('"')
+	}
+	w.Byte('"')
 }
 
 // UnmarshalJSON parses the un-orchestrator schema, strictly: a field the
 // schema does not know is an error, not silently dropped, so a misspelled
 // "redundency" or an "anti-affinity" fails instead of deploying a graph
 // without the protection it asked for. Every entry point (both REST tiers,
-// nffgctl, the replicated deployment record) decodes through here. Like
-// MarshalJSON it sizes every model slice up front, gives the actions of all
+// nffgctl, the replicated deployment record) decodes through here. It sizes
+// every model slice up front, gives the actions of all
 // rules one array, and leaves an empty section nil: nffg.Compute compares
 // with reflect.DeepEqual, so a decoded record must equal the graph it
 // encodes.
@@ -266,14 +435,17 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 				L4Dst:   jr.Match.DestPort,
 			}
 			if jr.Match.EtherType != "" {
-				var et uint16
-				if _, err := fmt.Sscanf(jr.Match.EtherType, "0x%04x", &et); err != nil {
-					return fmt.Errorf("nffg: rule %q: bad ether_type %q", jr.ID, jr.Match.EtherType)
+				et, err := parseEtherType(jr.Match.EtherType)
+				if err != nil {
+					return fmt.Errorf("nffg: rule %q: %w", jr.ID, err)
 				}
 				r.Match.EtherType = et
 			}
 			first := len(actions)
 			for ai, ja := range jr.Actions {
+				if ja.keys() > 1 {
+					return fmt.Errorf("nffg: rule %q action %d: sets more than one action", jr.ID, ai)
+				}
 				var a RuleAction
 				switch {
 				case ja.OutputToPort != "":
@@ -300,6 +472,31 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		}
 	}
 	return nil
+}
+
+// parseEtherType accepts exactly the form WriteJSON writes: "0x" and four
+// hex digits.
+func parseEtherType(s string) (uint16, error) {
+	if len(s) != len("0x0800") || s[:2] != "0x" {
+		return 0, fmt.Errorf("bad ether_type %q: want 0x and four hex digits", s)
+	}
+	v, err := strconv.ParseUint(s[2:], 16, 16)
+	if err != nil {
+		return 0, fmt.Errorf("bad ether_type %q: %w", s, errors.Unwrap(err))
+	}
+	return uint16(v), nil
+}
+
+// keys counts the action keys ja sets. One action object carries one verb:
+// a second key would otherwise be dropped without a word.
+func (ja *jsonAction) keys() int {
+	n := 0
+	for _, set := range [...]bool{ja.OutputToPort != "", ja.PushVLAN != 0, ja.PopVLAN, ja.SetEthSrc != "", ja.SetEthDst != ""} {
+		if set {
+			n++
+		}
+	}
+	return n
 }
 
 // sized returns n zero values, or nil when n is 0: an empty section stays

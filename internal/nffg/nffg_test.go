@@ -130,26 +130,35 @@ func TestJSONUnmarshalLiteral(t *testing.T) {
 
 // TestJSONRejectsUnknownFields: decoding is strict, so a field the schema
 // does not know, at any depth, fails naming the field, as does anything
-// after the graph.
+// after the graph, an ether_type not in the form the encoder writes, and an
+// action object setting two verbs (which would otherwise keep one and drop
+// the other without a word).
 func TestJSONRejectsUnknownFields(t *testing.T) {
-	for field, doc := range map[string]string{
-		"redundency": strings.Replace(literalGraphJSON, `"name": "firewall",`,
-			`"name": "firewall", "redundency": "active-standby",`, 1),
-		"anti-affinity": strings.Replace(literalGraphJSON, `"name": "firewall",`,
-			`"name": "firewall", "anti-affinity": "g",`, 1),
-		"big_switch": strings.Replace(literalGraphJSON, `"id": "g7",`, `"id": "g7", "big_switch": {},`, 1),
-		"dst_port":   strings.Replace(literalGraphJSON, `"dest_port": 80`, `"dst_port": 80`, 1),
-		"trailing":   literalGraphJSON + `{}`,
+	etherType := func(v string) string {
+		return strings.Replace(literalGraphJSON, `"ether_type": "0x0800"`, `"ether_type": "`+v+`"`, 1)
+	}
+	for name, tc := range map[string]struct{ doc, want string }{
+		"redundency": {strings.Replace(literalGraphJSON, `"name": "firewall",`,
+			`"name": "firewall", "redundency": "active-standby",`, 1), `unknown field "redundency"`},
+		"anti-affinity": {strings.Replace(literalGraphJSON, `"name": "firewall",`,
+			`"name": "firewall", "anti-affinity": "g",`, 1), `unknown field "anti-affinity"`},
+		"big_switch": {strings.Replace(literalGraphJSON, `"id": "g7",`, `"id": "g7", "big_switch": {},`, 1), `unknown field "big_switch"`},
+		"dst_port":   {strings.Replace(literalGraphJSON, `"dest_port": 80`, `"dst_port": 80`, 1), `unknown field "dst_port"`},
+		// encoding/json itself rejects a second value; the decoder must too
+		// when it is handed the graph's bytes directly.
+		"trailing":                {literalGraphJSON + `{}`, "trailing data"},
+		"ether_type, five digits": {etherType("0x08001"), `rule "r1": bad ether_type "0x08001"`},
+		"ether_type, three":       {etherType("0x800"), `rule "r1": bad ether_type "0x800"`},
+		"ether_type, 0X":          {etherType("0X0800"), `rule "r1": bad ether_type "0X0800"`},
+		"ether_type, sign":        {etherType("0x+800"), `rule "r1": bad ether_type "0x+800"`},
+		"ether_type, not hex":     {etherType("0x08g0"), `rule "r1": bad ether_type "0x08g0"`},
+		"ether_type, decimal":     {etherType("2048"), `rule "r1": bad ether_type "2048"`},
+		"two action keys": {strings.Replace(literalGraphJSON, `{"push_vlan": 42}`,
+			`{"output_to_port": "endpoint:out", "push_vlan": 42}`, 1), `rule "r2" action 0: sets more than one action`},
 	} {
 		var g Graph
-		err := json.Unmarshal([]byte(doc), &g)
-		if field == "trailing" {
-			// encoding/json itself rejects a second value; the decoder must
-			// too when it is handed the graph's bytes directly.
-			err = g.UnmarshalJSON([]byte(doc))
-		}
-		if err == nil || (field != "trailing" && !strings.Contains(err.Error(), `unknown field "`+field+`"`)) {
-			t.Errorf("%s: err = %v, want a rejection naming it", field, err)
+		if err := g.UnmarshalJSON([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a rejection containing %q", name, err, tc.want)
 		}
 	}
 }

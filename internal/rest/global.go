@@ -202,7 +202,7 @@ func (s *GlobalServer) removeLink(w http.ResponseWriter, r *http.Request) {
 func (s *GlobalServer) putGraph(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var g nffg.Graph
-	if err := json.NewDecoder(r.Body).Decode(&g); err != nil {
+	if err := decodeGraph(r.Body, &g); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing NF-FG: %w", err))
 		return
 	}

@@ -35,7 +35,9 @@ package rest
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -164,10 +166,25 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, ErrorEnvelope{Error: body})
 }
 
+// decodeGraph reads the NF-FG of a PUT body and, like Graph.UnmarshalJSON,
+// refuses anything after it but white space: a decoder stops after the
+// first value, and a second graph or junk behind it would otherwise be
+// accepted unread.
+func decodeGraph(body io.Reader, g *nffg.Graph) error {
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(g); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the graph")
+	}
+	return nil
+}
+
 func (s *Server) putGraph(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var g nffg.Graph
-	if err := json.NewDecoder(r.Body).Decode(&g); err != nil {
+	if err := decodeGraph(r.Body, &g); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing NF-FG: %w", err))
 		return
 	}

@@ -101,15 +101,19 @@ func TestErrorEnvelopeListsAllViolations(t *testing.T) {
 
 // TestUnknownGraphFieldIsRejected: both tiers decode NF-FGs strictly, so a
 // misspelled protection field is a 400 naming the field, not a graph
-// deployed without the protection it asked for.
+// deployed without the protection it asked for, and so is a body carrying
+// anything after the graph.
 func TestUnknownGraphFieldIsRejected(t *testing.T) {
 	node, nodeSrv := newServer(t)
 	gOrch := global.New(global.Config{})
 	globalSrv := httptest.NewServer(rest.NewGlobal(gOrch, nil))
 	t.Cleanup(globalSrv.Close)
+	cases := map[string]string{"trailing data after the graph": ipsecGraphJSON + `{"forwarding-graph":{"id":"cpe-vpn"}} trailing junk`}
 	for name, value := range map[string]string{"redundency": `"active-standby"`, "anti-affinity": `"vpn"`} {
-		bad := strings.Replace(ipsecGraphJSON, `"technology-preference": "native",`,
+		cases[`unknown field "`+name+`"`] = strings.Replace(ipsecGraphJSON, `"technology-preference": "native",`,
 			`"technology-preference": "native", "`+name+`": `+value+`,`, 1)
+	}
+	for want, bad := range cases {
 		for tier, url := range map[string]string{"node": nodeSrv.URL, "global": globalSrv.URL} {
 			resp := doPut(t, url+"/v1/graphs/cpe-vpn", bad)
 			var env rest.ErrorEnvelope
@@ -118,9 +122,9 @@ func TestUnknownGraphFieldIsRejected(t *testing.T) {
 			}
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" ||
-				!strings.Contains(env.Error.Message, `unknown field "`+name+`"`) {
-				t.Errorf("%s tier, %s: status %d, envelope %+v; want 400 naming the field",
-					tier, name, resp.StatusCode, env)
+				!strings.Contains(env.Error.Message, want) {
+				t.Errorf("%s tier: status %d, envelope %+v; want 400 saying %q",
+					tier, resp.StatusCode, env, want)
 			}
 		}
 	}
