@@ -59,7 +59,9 @@ func Scenarios() []Scenario {
 
 // runNFInstanceKill exercises the local tier: the NF crashes but the node
 // survives, so RepairNF promotes the pre-attached standby instance through
-// the same atomic SwapFlows repoint that scaling uses.
+// the same steering commit that scaling uses: the graph's entry set
+// recompiled and applied over the LSI's OpenFlow channel as one table
+// publish.
 func runNFInstanceKill(o *Options) (stats, error) {
 	var st stats
 	f, err := newFleet(o, []nodeSpec{{name: "solo", ifaces: []string{"eth0", "eth1"}, cpuMillis: 4000}}, nil)

@@ -1,10 +1,12 @@
 package openflow
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"repro/internal/vswitch"
@@ -16,14 +18,33 @@ import (
 type Agent struct {
 	sw   *vswitch.Switch
 	conn net.Conn
+	// in buffers reads, so a commit written at once is read at once: over
+	// net.Pipe every read is a handoff between goroutines.
+	in  *bufio.Reader
+	hdr [headerLen]byte // read header
+	out [headerLen]byte // a reply without a body
+	// body is reused for every message read: the decoders copy every field
+	// out of it.
+	body []byte
+
+	// The FLOW_MODs since the last barrier, folded in order: applying del
+	// (the cookies to delete) and then add is applying them one by one.
+	// err is the first refusal, which fails the commit.
+	del []uint64
+	add []*vswitch.FlowEntry
+	err error
 
 	stopped chan struct{}
 	once    sync.Once
 }
 
+// readBufLen sizes the agent's read buffer: a typical commit (a graph's
+// rules, an endpoint's pair of entries) fits.
+const readBufLen = 512
+
 // NewAgent binds sw to conn. Call Run to serve.
 func NewAgent(sw *vswitch.Switch, conn net.Conn) *Agent {
-	return &Agent{sw: sw, conn: conn, stopped: make(chan struct{})}
+	return &Agent{sw: sw, conn: conn, in: bufio.NewReaderSize(conn, readBufLen), stopped: make(chan struct{})}
 }
 
 // Run serves the control channel until the peer disconnects or Stop is
@@ -32,7 +53,7 @@ func NewAgent(sw *vswitch.Switch, conn net.Conn) *Agent {
 // the controller's HELLO instead.
 func (a *Agent) Run() error {
 	for {
-		m, err := readMessage(a.conn)
+		m, err := readMessage(a.in, &a.hdr, a.body)
 		if err != nil {
 			select {
 			case <-a.stopped:
@@ -43,6 +64,9 @@ func (a *Agent) Run() error {
 				return nil
 			}
 			return err
+		}
+		if cap(m.Body) > cap(a.body) {
+			a.body = m.Body
 		}
 		if err := a.handle(m); err != nil {
 			return err
@@ -62,30 +86,19 @@ func (a *Agent) sendError(xid uint32, code uint16, detail string) error {
 	return writeMessage(a.conn, message{Type: typeError, Xid: xid, Body: encodeError(code, detail)})
 }
 
+// send writes a reply without a body.
+func (a *Agent) send(t msgType, xid uint32) error {
+	_, err := a.conn.Write(appendHeader(a.out[:0], t, xid))
+	return err
+}
+
 func (a *Agent) handle(m message) error {
 	switch m.Type {
 	case typeHello:
-		return writeMessage(a.conn, message{Type: typeHello, Xid: m.Xid})
+		return a.send(typeHello, m.Xid)
 	case typeFlowMod:
-		fm, err := parseFlowMod(m.Body)
-		if err != nil {
-			return a.sendError(m.Xid, errCodeBadRequest, err.Error())
-		}
-		switch fm.Command {
-		case flowAdd:
-			entry := &vswitch.FlowEntry{
-				Priority: int(fm.Priority),
-				Cookie:   fm.Cookie,
-				Match:    fm.Match,
-				Actions:  fm.Actions,
-			}
-			if err := a.sw.AddFlow(entry); err != nil {
-				return a.sendError(m.Xid, errCodeFlowMod, err.Error())
-			}
-		case flowDelete:
-			a.sw.DeleteFlows(fm.Cookie)
-		default:
-			return a.sendError(m.Xid, errCodeFlowMod, fmt.Sprintf("unknown command %d", fm.Command))
+		if a.err == nil {
+			a.err = a.stage(m.Body)
 		}
 		return nil
 	case typeFlowStatsReq:
@@ -102,8 +115,49 @@ func (a *Agent) handle(m message) error {
 		}
 		return writeMessage(a.conn, message{Type: typeFlowStatsReply, Xid: m.Xid, Body: encodeFlowStatsReply(stats)})
 	case typeBarrierRequest:
-		return writeMessage(a.conn, message{Type: typeBarrierReply, Xid: m.Xid})
+		if err := a.commit(); err != nil {
+			return a.sendError(m.Xid, errCodeFlowMod, err.Error())
+		}
+		return a.send(typeBarrierReply, m.Xid)
 	default:
 		return a.sendError(m.Xid, errCodeBadRequest, fmt.Sprintf("unexpected %v", m.Type))
 	}
+}
+
+// stage folds one FLOW_MOD into the next commit: an add joins the staged
+// entries; a delete by cookie drops the staged entries under the cookie and
+// marks it for deletion from the table.
+func (a *Agent) stage(body []byte) error {
+	fm, err := parseFlowMod(body)
+	if err != nil {
+		return err
+	}
+	switch fm.Command {
+	case flowAdd:
+		a.add = append(a.add, &vswitch.FlowEntry{
+			Priority: int(fm.Priority),
+			Cookie:   fm.Cookie,
+			Match:    fm.Match,
+			Actions:  fm.Actions,
+		})
+	case flowDelete:
+		a.add = slices.DeleteFunc(a.add, func(e *vswitch.FlowEntry) bool { return e.Cookie == fm.Cookie })
+		a.del = append(a.del, fm.Cookie)
+	default:
+		return fmt.Errorf("openflow: unknown FLOW_MOD command %d", fm.Command)
+	}
+	return nil
+}
+
+// commit applies what was staged since the last barrier as one validated
+// table publish, or nothing if any of it was refused, and starts the next
+// commit empty.
+func (a *Agent) commit() error {
+	err := a.err
+	if err == nil {
+		_, err = a.sw.CommitFlows(a.del, a.add)
+	}
+	clear(a.add) // the table holds the entries now; the agent keeps none alive
+	a.del, a.add, a.err = a.del[:0], a.add[:0], nil
+	return err
 }

@@ -9,6 +9,15 @@
 // It carries what the steering manager needs and nothing else: a HELLO
 // handshake, FLOW_MOD add and delete-by-cookie into the switch's one flow
 // table, BARRIER, FLOW_STATS, and ERROR replies.
+//
+// BARRIER is the commit point. The agent stages every FLOW_MOD since the
+// last barrier and, at the barrier, applies them in order as one table
+// publish; if any was refused or unparsable it applies none and answers
+// ERROR under the barrier's xid. OpenFlow already lets a switch reorder
+// the messages between two barriers, so this is the OpenFlow 1.4 bundle
+// with no new message type and no bundle size limit. Controller.Commit is
+// the steering manager's one way to program a switch: it replaces the
+// whole entry set under one cookie with one such commit.
 package openflow
 
 import (
@@ -45,25 +54,16 @@ const (
 	typeBarrierReply   msgType = 21
 )
 
+// msgNames names the message types for errors and logs.
+var msgNames = map[msgType]string{typeHello: "HELLO", typeError: "ERROR", typeFlowMod: "FLOW_MOD",
+	typeFlowStatsReq: "FLOW_STATS_REQUEST", typeFlowStatsReply: "FLOW_STATS_REPLY",
+	typeBarrierRequest: "BARRIER_REQUEST", typeBarrierReply: "BARRIER_REPLY"}
+
 func (t msgType) String() string {
-	switch t {
-	case typeHello:
-		return "HELLO"
-	case typeError:
-		return "ERROR"
-	case typeFlowMod:
-		return "FLOW_MOD"
-	case typeFlowStatsReq:
-		return "FLOW_STATS_REQUEST"
-	case typeFlowStatsReply:
-		return "FLOW_STATS_REPLY"
-	case typeBarrierRequest:
-		return "BARRIER_REQUEST"
-	case typeBarrierReply:
-		return "BARRIER_REPLY"
-	default:
-		return fmt.Sprintf("TYPE(%d)", uint8(t))
+	if name, ok := msgNames[t]; ok {
+		return name
 	}
+	return fmt.Sprintf("TYPE(%d)", uint8(t))
 }
 
 // message is a decoded control message: the header plus the raw body. Typed
@@ -74,25 +74,29 @@ type message struct {
 	Body []byte
 }
 
+// appendHeader appends a message header under xid whose length covers the
+// header alone; a caller that appends a body sets the length after it.
+func appendHeader(b []byte, t msgType, xid uint32) []byte {
+	b = append(b, version, uint8(t), 0, headerLen)
+	return binary.BigEndian.AppendUint32(b, xid)
+}
+
 // writeMessage frames and writes one message.
 func writeMessage(w io.Writer, m message) error {
 	total := headerLen + len(m.Body)
 	if total > maxMessageLen {
 		return fmt.Errorf("openflow: message too large: %d bytes", total)
 	}
-	buf := make([]byte, total)
-	buf[0] = version
-	buf[1] = uint8(m.Type)
+	buf := append(appendHeader(make([]byte, 0, total), m.Type, m.Xid), m.Body...)
 	binary.BigEndian.PutUint16(buf[2:4], uint16(total))
-	binary.BigEndian.PutUint32(buf[4:8], m.Xid)
-	copy(buf[headerLen:], m.Body)
 	_, err := w.Write(buf)
 	return err
 }
 
-// readMessage reads and decodes one framed message.
-func readMessage(r io.Reader) (message, error) {
-	var hdr [headerLen]byte
+// readMessage reads and decodes one framed message. hdr is the reading
+// endpoint's own header buffer, so a read costs no allocation for it; the
+// body is read into buf when it fits and into a fresh slice otherwise.
+func readMessage(r io.Reader, hdr *[headerLen]byte, buf []byte) (message, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return message{}, err
 	}
@@ -107,8 +111,11 @@ func readMessage(r io.Reader) (message, error) {
 		Type: msgType(hdr[1]),
 		Xid:  binary.BigEndian.Uint32(hdr[4:8]),
 	}
-	if total > headerLen {
-		m.Body = make([]byte, total-headerLen)
+	if n := total - headerLen; n > 0 {
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		m.Body = buf[:n]
 		if _, err := io.ReadFull(r, m.Body); err != nil {
 			return message{}, err
 		}
@@ -137,25 +144,33 @@ type flowMod struct {
 	Actions  []vswitch.Action
 }
 
-// encodeFlowMod builds the body of a FLOW_MOD.
-func encodeFlowMod(fm flowMod) ([]byte, error) {
-	match := encodeMatch(fm.Match)
-	actions, err := encodeActions(fm.Actions)
-	if err != nil {
-		return nil, err
+// appendFlowMod appends fm to b as one whole FLOW_MOD message under xid.
+// On error b is returned as it was.
+func appendFlowMod(b []byte, xid uint32, fm flowMod) ([]byte, error) {
+	start := len(b)
+	b = appendHeader(b, typeFlowMod, xid)
+	b = append(b, fm.Command)
+	b = binary.BigEndian.AppendUint16(b, fm.Priority)
+	b = binary.BigEndian.AppendUint64(b, fm.Cookie)
+	b = append(b, 0, 0, 0, 0) // the section lengths, set below
+	matchAt := len(b)
+	b = appendMatch(b, fm.Match)
+	actAt := len(b)
+	b, err := appendActions(b, fm.Actions)
+	if err == nil && len(b)-start > maxMessageLen {
+		err = fmt.Errorf("openflow: message too large: %d bytes", len(b)-start)
 	}
-	body := make([]byte, flowModHeaderLen, flowModHeaderLen+len(match)+len(actions))
-	body[0] = fm.Command
-	binary.BigEndian.PutUint16(body[1:3], fm.Priority)
-	binary.BigEndian.PutUint64(body[3:11], fm.Cookie)
-	binary.BigEndian.PutUint16(body[11:13], uint16(len(match)))
-	binary.BigEndian.PutUint16(body[13:15], uint16(len(actions)))
-	body = append(body, match...)
-	body = append(body, actions...)
-	return body, nil
+	if err != nil {
+		return b[:start], err
+	}
+	binary.BigEndian.PutUint16(b[start+2:], uint16(len(b)-start))
+	binary.BigEndian.PutUint16(b[matchAt-4:], uint16(actAt-matchAt))
+	binary.BigEndian.PutUint16(b[matchAt-2:], uint16(len(b)-actAt))
+	return b, nil
 }
 
-// parseFlowMod decodes the body of a FLOW_MOD.
+// parseFlowMod decodes the body of a FLOW_MOD. Every field is copied out of
+// body, so the caller may reuse it.
 func parseFlowMod(body []byte) (flowMod, error) {
 	if len(body) < flowModHeaderLen {
 		return flowMod{}, fmt.Errorf("openflow: bad FLOW_MOD length %d", len(body))
@@ -171,16 +186,13 @@ func parseFlowMod(body []byte) (flowMod, error) {
 		return flowMod{}, fmt.Errorf("openflow: FLOW_MOD sections exceed body")
 	}
 	rest := body[flowModHeaderLen:]
-	m, err := decodeMatch(rest[:matchLen])
-	if err != nil {
+	var err error
+	if fm.Match, err = decodeMatch(rest[:matchLen]); err != nil {
 		return flowMod{}, err
 	}
-	fm.Match = m
-	acts, err := decodeActions(rest[matchLen : matchLen+actLen])
-	if err != nil {
+	if fm.Actions, err = decodeActions(rest[matchLen : matchLen+actLen]); err != nil {
 		return flowMod{}, err
 	}
-	fm.Actions = acts
 	return fm, nil
 }
 
@@ -274,209 +286,178 @@ const (
 	oxmL4Dst   uint16 = 10
 )
 
-func appendTLV(b []byte, typ uint16, val []byte) []byte {
-	var hdr [4]byte
-	binary.BigEndian.PutUint16(hdr[0:2], typ)
-	binary.BigEndian.PutUint16(hdr[2:4], uint16(len(val)))
-	b = append(b, hdr[:]...)
-	return append(b, val...)
+// appendTLV appends the header of a TLV whose value of n bytes follows.
+func appendTLV(b []byte, typ uint16, n int) []byte {
+	b = binary.BigEndian.AppendUint16(b, typ)
+	return binary.BigEndian.AppendUint16(b, uint16(n))
 }
 
-func encodeMatch(m vswitch.Match) []byte {
-	f := m.Fields()
-	var b []byte
-	var tmp [5]byte
-	if f.InPort != 0 {
-		binary.BigEndian.PutUint32(tmp[:4], f.InPort)
-		b = appendTLV(b, oxmInPort, tmp[:4])
-	}
-	if f.EthType != nil {
-		binary.BigEndian.PutUint16(tmp[:2], uint16(*f.EthType))
-		b = appendTLV(b, oxmEthType, tmp[:2])
-	}
-	if f.VLANID != nil {
-		binary.BigEndian.PutUint16(tmp[:2], *f.VLANID)
-		b = appendTLV(b, oxmVLANID, tmp[:2])
-	}
-	if f.IPProto != nil {
-		tmp[0] = uint8(*f.IPProto)
-		b = appendTLV(b, oxmIPProto, tmp[:1])
-	}
-	if f.IPSrc != nil {
-		copy(tmp[:4], f.IPSrc.Addr[:])
-		tmp[4] = uint8(f.IPSrc.Bits)
-		b = appendTLV(b, oxmIPSrc, tmp[:5])
-	}
-	if f.IPDst != nil {
-		copy(tmp[:4], f.IPDst.Addr[:])
-		tmp[4] = uint8(f.IPDst.Bits)
-		b = appendTLV(b, oxmIPDst, tmp[:5])
-	}
-	if f.L4Src != nil {
-		binary.BigEndian.PutUint16(tmp[:2], *f.L4Src)
-		b = appendTLV(b, oxmL4Src, tmp[:2])
-	}
-	if f.L4Dst != nil {
-		binary.BigEndian.PutUint16(tmp[:2], *f.L4Dst)
-		b = appendTLV(b, oxmL4Dst, tmp[:2])
-	}
-	return b
-}
-
-func decodeMatch(b []byte) (vswitch.Match, error) {
-	var f vswitch.MatchFields
+// eachTLV calls fn with every TLV of b, and fails on the first that is
+// truncated, of a type lens does not know, of another length than lens
+// gives for its type, or that fn refuses.
+func eachTLV(b []byte, what string, lens map[uint16]int, fn func(typ uint16, v []byte) error) error {
 	for len(b) > 0 {
 		if len(b) < 4 {
-			return vswitch.Match{}, fmt.Errorf("openflow: truncated match TLV header")
+			return fmt.Errorf("openflow: truncated %s TLV header", what)
 		}
 		typ := binary.BigEndian.Uint16(b[0:2])
 		l := int(binary.BigEndian.Uint16(b[2:4]))
 		if len(b) < 4+l {
-			return vswitch.Match{}, fmt.Errorf("openflow: truncated match TLV value")
+			return fmt.Errorf("openflow: truncated %s TLV value", what)
 		}
-		v := b[4 : 4+l]
+		if want, known := lens[typ]; !known {
+			return fmt.Errorf("openflow: unknown %s TLV type %d", what, typ)
+		} else if want != l {
+			return fmt.Errorf("openflow: %s TLV %d has bad length %d", what, typ, l)
+		}
+		if err := fn(typ, b[4:4+l]); err != nil {
+			return err
+		}
 		b = b[4+l:]
-		bad := func() error {
-			return fmt.Errorf("openflow: match TLV %d has bad length %d", typ, l)
-		}
+	}
+	return nil
+}
+
+// appendMatch appends the TLVs of every field m selects on.
+func appendMatch(b []byte, m vswitch.Match) []byte {
+	f := m.Fields()
+	if f.InPort != 0 {
+		b = binary.BigEndian.AppendUint32(appendTLV(b, oxmInPort, 4), f.InPort)
+	}
+	if f.EthType != nil {
+		b = binary.BigEndian.AppendUint16(appendTLV(b, oxmEthType, 2), uint16(*f.EthType))
+	}
+	if f.VLANID != nil {
+		b = binary.BigEndian.AppendUint16(appendTLV(b, oxmVLANID, 2), *f.VLANID)
+	}
+	if f.IPProto != nil {
+		b = append(appendTLV(b, oxmIPProto, 1), uint8(*f.IPProto))
+	}
+	if f.IPSrc != nil {
+		b = append(append(appendTLV(b, oxmIPSrc, 5), f.IPSrc.Addr[:]...), uint8(f.IPSrc.Bits))
+	}
+	if f.IPDst != nil {
+		b = append(append(appendTLV(b, oxmIPDst, 5), f.IPDst.Addr[:]...), uint8(f.IPDst.Bits))
+	}
+	if f.L4Src != nil {
+		b = binary.BigEndian.AppendUint16(appendTLV(b, oxmL4Src, 2), *f.L4Src)
+	}
+	if f.L4Dst != nil {
+		b = binary.BigEndian.AppendUint16(appendTLV(b, oxmL4Dst, 2), *f.L4Dst)
+	}
+	return b
+}
+
+// matchLens is the value length of each match TLV type.
+var matchLens = map[uint16]int{oxmInPort: 4, oxmEthType: 2, oxmVLANID: 2, oxmIPProto: 1, oxmIPSrc: 5, oxmIPDst: 5, oxmL4Src: 2, oxmL4Dst: 2}
+
+// decodeMatch decodes a match section. The field values live in this frame:
+// MatchFromFields copies each into the Match it builds.
+func decodeMatch(b []byte) (vswitch.Match, error) {
+	var (
+		f              vswitch.MatchFields
+		ethType        pkt.EthernetType
+		vlan, l4s, l4d uint16
+		proto          pkt.IPProtocol
+		src, dst       vswitch.Prefix
+	)
+	err := eachTLV(b, "match", matchLens, func(typ uint16, v []byte) error {
 		switch typ {
 		case oxmInPort:
-			if l != 4 {
-				return vswitch.Match{}, bad()
-			}
 			f.InPort = binary.BigEndian.Uint32(v)
 		case oxmEthType:
-			if l != 2 {
-				return vswitch.Match{}, bad()
-			}
-			t := pkt.EthernetType(binary.BigEndian.Uint16(v))
-			f.EthType = &t
+			ethType, f.EthType = pkt.EthernetType(binary.BigEndian.Uint16(v)), &ethType
 		case oxmVLANID:
-			if l != 2 {
-				return vswitch.Match{}, bad()
-			}
-			id := binary.BigEndian.Uint16(v)
-			f.VLANID = &id
+			vlan, f.VLANID = binary.BigEndian.Uint16(v), &vlan
 		case oxmIPProto:
-			if l != 1 {
-				return vswitch.Match{}, bad()
+			proto, f.IPProto = pkt.IPProtocol(v[0]), &proto
+		case oxmIPSrc, oxmIPDst:
+			if v[4] > 32 {
+				return fmt.Errorf("openflow: match TLV %d has prefix length %d", typ, v[4])
 			}
-			p := pkt.IPProtocol(v[0])
-			f.IPProto = &p
-		case oxmIPSrc:
-			if l != 5 {
-				return vswitch.Match{}, bad()
+			if typ == oxmIPSrc {
+				src, f.IPSrc = vswitch.Prefix{Addr: pkt.Addr(v[:4]), Bits: int(v[4])}, &src
+			} else {
+				dst, f.IPDst = vswitch.Prefix{Addr: pkt.Addr(v[:4]), Bits: int(v[4])}, &dst
 			}
-			var a pkt.Addr
-			copy(a[:], v[:4])
-			f.IPSrc = &vswitch.Prefix{Addr: a, Bits: int(v[4])}
-		case oxmIPDst:
-			if l != 5 {
-				return vswitch.Match{}, bad()
-			}
-			var a pkt.Addr
-			copy(a[:], v[:4])
-			f.IPDst = &vswitch.Prefix{Addr: a, Bits: int(v[4])}
 		case oxmL4Src:
-			if l != 2 {
-				return vswitch.Match{}, bad()
-			}
-			p := binary.BigEndian.Uint16(v)
-			f.L4Src = &p
+			l4s, f.L4Src = binary.BigEndian.Uint16(v), &l4s
 		case oxmL4Dst:
-			if l != 2 {
-				return vswitch.Match{}, bad()
-			}
-			p := binary.BigEndian.Uint16(v)
-			f.L4Dst = &p
-		default:
-			return vswitch.Match{}, fmt.Errorf("openflow: unknown match TLV type %d", typ)
+			l4d, f.L4Dst = binary.BigEndian.Uint16(v), &l4d
 		}
-	}
-	return vswitch.MatchFromFields(f), nil
+		return nil
+	})
+	return vswitch.MatchFromFields(f), err
 }
 
 // ---- Action TLVs ----
 
 // Action TLV types.
 const (
-	actOutput    uint16 = 1
-	actPushVLAN  uint16 = 4
-	actPopVLAN   uint16 = 5
-	actSetEthSrc uint16 = 7
-	actSetEthDst uint16 = 8
+	actOutput       uint16 = 1
+	actPushVLAN     uint16 = 4
+	actPopVLAN      uint16 = 5
+	actSetEthSrc    uint16 = 7
+	actSetEthDst    uint16 = 8
+	actSelectBucket uint16 = 9 // NumStateBuckets output ports, bucket order
 )
 
-func encodeActions(actions []vswitch.Action) ([]byte, error) {
-	var b []byte
-	var tmp [4]byte
+func appendActions(b []byte, actions []vswitch.Action) ([]byte, error) {
 	for _, a := range actions {
 		switch a := a.(type) {
 		case vswitch.OutputAction:
-			binary.BigEndian.PutUint32(tmp[:4], a.Port)
-			b = appendTLV(b, actOutput, tmp[:4])
+			b = binary.BigEndian.AppendUint32(appendTLV(b, actOutput, 4), a.Port)
+		case vswitch.SelectBucketAction:
+			b = appendTLV(b, actSelectBucket, 4*vswitch.NumStateBuckets)
+			for _, p := range a.Ports {
+				b = binary.BigEndian.AppendUint32(b, p)
+			}
 		case vswitch.PushVLANAction:
-			binary.BigEndian.PutUint16(tmp[:2], a.VLANID)
-			b = appendTLV(b, actPushVLAN, tmp[:2])
+			b = binary.BigEndian.AppendUint16(appendTLV(b, actPushVLAN, 2), a.VLANID)
 		case vswitch.PopVLANAction:
-			b = appendTLV(b, actPopVLAN, nil)
+			b = appendTLV(b, actPopVLAN, 0)
 		case vswitch.SetEthSrcAction:
-			b = appendTLV(b, actSetEthSrc, a.MAC[:])
+			b = append(appendTLV(b, actSetEthSrc, 6), a.MAC[:]...)
 		case vswitch.SetEthDstAction:
-			b = appendTLV(b, actSetEthDst, a.MAC[:])
+			b = append(appendTLV(b, actSetEthDst, 6), a.MAC[:]...)
 		default:
-			return nil, fmt.Errorf("openflow: unencodable action %T", a)
+			return b, fmt.Errorf("openflow: unencodable action %T", a)
 		}
 	}
 	return b, nil
 }
 
+// actionLens is the value length of each action TLV type.
+var actionLens = map[uint16]int{actOutput: 4, actSelectBucket: 4 * vswitch.NumStateBuckets, actPushVLAN: 2, actPopVLAN: 0, actSetEthSrc: 6, actSetEthDst: 6}
+
+// decodeActions decodes an action section into a slice of exactly its
+// length, nil when it is empty.
 func decodeActions(b []byte) ([]vswitch.Action, error) {
-	var actions []vswitch.Action
-	for len(b) > 0 {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("openflow: truncated action TLV header")
-		}
-		typ := binary.BigEndian.Uint16(b[0:2])
-		l := int(binary.BigEndian.Uint16(b[2:4]))
-		if len(b) < 4+l {
-			return nil, fmt.Errorf("openflow: truncated action TLV value")
-		}
-		v := b[4 : 4+l]
-		b = b[4+l:]
-		bad := func() error {
-			return fmt.Errorf("openflow: action TLV %d has bad length %d", typ, l)
-		}
+	n := 0
+	if err := eachTLV(b, "action", actionLens, func(uint16, []byte) error { n++; return nil }); err != nil || n == 0 {
+		return nil, err
+	}
+	actions := make([]vswitch.Action, 0, n)
+	err := eachTLV(b, "action", actionLens, func(typ uint16, v []byte) error {
 		switch typ {
 		case actOutput:
-			if l != 4 {
-				return nil, bad()
-			}
 			actions = append(actions, vswitch.Output(binary.BigEndian.Uint32(v)))
-		case actPushVLAN:
-			if l != 2 {
-				return nil, bad()
+		case actSelectBucket:
+			var ports [vswitch.NumStateBuckets]uint32
+			for i := range ports {
+				ports[i] = binary.BigEndian.Uint32(v[4*i:])
 			}
+			actions = append(actions, vswitch.SelectBucket(ports))
+		case actPushVLAN:
 			actions = append(actions, vswitch.PushVLAN(binary.BigEndian.Uint16(v)))
 		case actPopVLAN:
 			actions = append(actions, vswitch.PopVLAN())
 		case actSetEthSrc:
-			if l != 6 {
-				return nil, bad()
-			}
-			var m pkt.MAC
-			copy(m[:], v)
-			actions = append(actions, vswitch.SetEthSrc(m))
+			actions = append(actions, vswitch.SetEthSrc(pkt.MAC(v)))
 		case actSetEthDst:
-			if l != 6 {
-				return nil, bad()
-			}
-			var m pkt.MAC
-			copy(m[:], v)
-			actions = append(actions, vswitch.SetEthDst(m))
-		default:
-			return nil, fmt.Errorf("openflow: unknown action TLV type %d", typ)
+			actions = append(actions, vswitch.SetEthDst(pkt.MAC(v)))
 		}
-	}
-	return actions, nil
+		return nil
+	})
+	return actions, err
 }

@@ -1,9 +1,9 @@
 package openflow
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -19,13 +19,20 @@ const rpcTimeout = 5 * time.Second
 // traffic steering manager of one LSI talks to its switch through it.
 type Controller struct {
 	conn net.Conn
+	hdr  [headerLen]byte // the receive loop's header buffer
 
 	writeMu sync.Mutex
 	xid     atomic.Uint32
 
+	// callMu keeps one request in flight, from its write to its reply:
+	// the receive loop hands that reply over on reply, and timer bounds
+	// the wait.
+	callMu sync.Mutex
+	timer  *time.Timer
+	reply  chan message // closed when the receive loop ends
+
 	mu      sync.Mutex
-	pending map[uint32]chan message
-	runErr  error
+	waiting uint32 // the xid of the request in flight, 0 if none
 	done    chan struct{}
 	closed  bool
 }
@@ -34,14 +41,16 @@ type Controller struct {
 // loop. The returned controller is ready to install flows.
 func Connect(conn net.Conn) (*Controller, error) {
 	c := &Controller{
-		conn:    conn,
-		pending: make(map[uint32]chan message),
-		done:    make(chan struct{}),
+		conn:  conn,
+		timer: time.NewTimer(rpcTimeout),
+		reply: make(chan message, 1),
+		done:  make(chan struct{}),
 	}
-	if err := c.write(message{Type: typeHello}); err != nil {
+	c.timer.Stop()
+	if err := c.write(appendHeader(nil, typeHello, 0)); err != nil {
 		return nil, fmt.Errorf("openflow: hello: %w", err)
 	}
-	hello, err := readMessage(conn)
+	hello, err := readMessage(conn, &c.hdr, nil)
 	if err != nil {
 		return nil, fmt.Errorf("openflow: waiting for hello: %w", err)
 	}
@@ -66,13 +75,6 @@ func (c *Controller) Close() error {
 	return err
 }
 
-// Err returns the receive-loop error, if the channel failed.
-func (c *Controller) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runErr
-}
-
 func (c *Controller) nextXid() uint32 {
 	for {
 		if x := c.xid.Add(1); x != 0 {
@@ -81,118 +83,181 @@ func (c *Controller) nextXid() uint32 {
 	}
 }
 
-func (c *Controller) write(m message) error {
+// write sends one or more framed messages with a single write, so no other
+// writer's message lands between them.
+func (c *Controller) write(msgs []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return writeMessage(c.conn, m)
+	_, err := c.conn.Write(msgs)
+	return err
 }
 
-// readLoop hands every reply to the request waiting on its xid; a reply
-// nobody waits for (the ERROR to an asynchronous flow-mod) is dropped.
+// readLoop hands the reply to the request in flight over; a message under
+// any other xid is dropped.
 func (c *Controller) readLoop() {
 	defer close(c.done)
+	defer close(c.reply) // fails the request in flight and every later one
 	for {
-		m, err := readMessage(c.conn)
+		m, err := readMessage(c.conn, &c.hdr, nil)
 		if err != nil {
-			c.mu.Lock()
-			if !c.closed && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, net.ErrClosed) {
-				c.runErr = err
-			}
-			// Fail all pending RPCs.
-			for xid, ch := range c.pending {
-				close(ch)
-				delete(c.pending, xid)
-			}
-			c.mu.Unlock()
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[m.Xid]
-		if ok {
-			delete(c.pending, m.Xid)
+		if m.Xid != 0 && m.Xid == c.waiting {
+			c.waiting = 0
+			select {
+			case c.reply <- m: // always room: a call empties reply before it returns
+			default:
+			}
 		}
 		c.mu.Unlock()
-		if ok {
-			ch <- m
-		}
 	}
 }
 
-// rpc sends a request and waits for the reply carrying the same xid.
-func (c *Controller) rpc(m message) (message, error) {
-	ch := make(chan message, 1)
+// call writes req, framed messages the last of which is a request under
+// xid, and waits for the reply carrying xid.
+func (c *Controller) call(xid uint32, req []byte) (message, error) {
+	c.callMu.Lock()
+	defer c.callMu.Unlock()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return message{}, errors.New("openflow: controller closed")
 	}
-	c.pending[m.Xid] = ch
+	c.waiting = xid
 	c.mu.Unlock()
-	if err := c.write(m); err != nil {
-		c.mu.Lock()
-		delete(c.pending, m.Xid)
-		c.mu.Unlock()
-		return message{}, err
-	}
-	select {
-	case reply, ok := <-ch:
-		if !ok {
-			return message{}, errors.New("openflow: connection lost")
+	c.timer.Reset(rpcTimeout)
+	defer c.timer.Stop()
+	err := c.write(req)
+	if err == nil {
+		select {
+		case reply, ok := <-c.reply:
+			switch {
+			case !ok:
+				return message{}, errors.New("openflow: connection lost")
+			case reply.Type == typeError:
+				code, detail, _ := parseError(reply.Body)
+				return message{}, fmt.Errorf("openflow: error %d: %s", code, detail)
+			}
+			return reply, nil
+		case <-c.timer.C:
+			err = fmt.Errorf("openflow: rpc timeout for %v", msgType(req[len(req)-headerLen+1]))
 		}
-		if reply.Type == typeError {
-			code, detail, _ := parseError(reply.Body)
-			return message{}, fmt.Errorf("openflow: error %d: %s", code, detail)
-		}
-		return reply, nil
-	case <-time.After(rpcTimeout):
-		c.mu.Lock()
-		delete(c.pending, m.Xid)
-		c.mu.Unlock()
-		return message{}, fmt.Errorf("openflow: rpc timeout for %v", m.Type)
 	}
+	c.mu.Lock()
+	c.waiting = 0
+	select { // a reply that raced the failure
+	case <-c.reply:
+	default:
+	}
+	c.mu.Unlock()
+	return message{}, err
 }
 
-// InstallFlow installs one flow entry into the switch's flow table, table 0;
-// any other table is refused, since a switch has only that one. The call is
-// asynchronous; use Barrier to synchronize.
+// request sends a body-less request and waits for its reply.
+func (c *Controller) request(t msgType) (message, error) {
+	xid := c.nextXid()
+	return c.call(xid, appendHeader(nil, t, xid))
+}
+
+// InstallFlow stages one flow entry for the switch's flow table, table 0;
+// any other table is refused, since a switch has only that one. The switch
+// applies it at the next Barrier, which fails if the entry was refused.
 func (c *Controller) InstallFlow(table, priority int, cookie uint64, match vswitch.Match, actions []vswitch.Action) error {
 	if table != 0 {
 		return fmt.Errorf("openflow: table %d: the switch has one flow table, table 0", table)
 	}
-	body, err := encodeFlowMod(flowMod{
-		Command:  flowAdd,
-		Priority: uint16(priority),
-		Cookie:   cookie,
-		Match:    match,
-		Actions:  actions,
-	})
+	msg, err := appendFlowMod(nil, c.nextXid(), flowMod{flowAdd, uint16(priority), cookie, match, actions})
 	if err != nil {
 		return err
 	}
-	return c.write(message{Type: typeFlowMod, Xid: c.nextXid(), Body: body})
+	return c.write(msg)
 }
 
-// DeleteFlows removes all entries installed under the given cookie.
+// DeleteFlows stages the removal of all entries installed under the given
+// cookie; the switch applies it at the next Barrier.
 func (c *Controller) DeleteFlows(cookie uint64) error {
-	body, err := encodeFlowMod(flowMod{Command: flowDelete, Cookie: cookie})
-	if err != nil {
-		return err
-	}
-	return c.write(message{Type: typeFlowMod, Xid: c.nextXid(), Body: body})
+	msg, _ := appendFlowMod(nil, c.nextXid(), flowMod{Command: flowDelete, Cookie: cookie}) // a delete always encodes
+	return c.write(msg)
 }
 
-// Barrier blocks until the switch has processed all previously sent
-// messages.
+// Barrier blocks until the switch has applied everything sent before it as
+// one table publish. It fails, and the switch applies none of it, if any
+// of it was refused.
 func (c *Controller) Barrier() error {
-	_, err := c.rpc(message{Type: typeBarrierRequest, Xid: c.nextXid()})
+	_, err := c.request(typeBarrierRequest)
 	return err
 }
 
 // FlowStats retrieves the per-entry counters of the switch.
 func (c *Controller) FlowStats() ([]FlowStat, error) {
-	reply, err := c.rpc(message{Type: typeFlowStatsReq, Xid: c.nextXid()})
+	reply, err := c.request(typeFlowStatsReq)
 	if err != nil {
 		return nil, err
 	}
 	return parseFlowStatsReply(reply.Body)
+}
+
+// deleteLen is the size of the FLOW_MOD that opens a commit: a delete by
+// cookie, with no match and no actions.
+const deleteLen = headerLen + flowModHeaderLen
+
+// entryLenHint is the room NewEntries reserves per entry: a FLOW_MOD with
+// an in-port and a VLAN match and two actions fits.
+const entryLenHint = 64
+
+// Entries is the entry set one Commit installs, in wire form: Add encodes
+// each entry straight into a FLOW_MOD add of one buffer that starts with
+// room for the commit's delete, so the controller builds no
+// vswitch.FlowEntry and Commit writes the whole commit at once. The zero
+// value is an empty set.
+type Entries struct {
+	buf []byte
+	err error
+}
+
+// NewEntries returns an empty entry set sized for about n entries.
+func NewEntries(n int) Entries {
+	return Entries{buf: make([]byte, deleteLen, deleteLen+n*entryLenHint+headerLen)}
+}
+
+// Add appends one entry; it takes the cookie Commit names. An entry that
+// cannot be encoded fails the Commit.
+func (e *Entries) Add(priority int, match vswitch.Match, actions ...vswitch.Action) {
+	if e.buf == nil {
+		*e = NewEntries(1)
+	}
+	if e.err == nil {
+		e.buf, e.err = appendFlowMod(e.buf, 0, flowMod{Command: flowAdd, Priority: uint16(priority), Match: match, Actions: actions})
+	}
+}
+
+// Commit makes entries the switch's whole entry set under cookie, and
+// consumes them. One write carries a FLOW_MOD deleting the cookie's
+// entries, one adding each entry, and a BARRIER, every message under the
+// barrier's xid; the switch applies them at the barrier as one table
+// publish, or, if any is refused, applies none and Commit returns its
+// error. Nil entries just delete.
+func (c *Controller) Commit(cookie uint64, entries *Entries) error {
+	var e Entries
+	if entries != nil {
+		e = *entries
+	}
+	if e.err != nil {
+		return e.err
+	}
+	if e.buf == nil {
+		e = NewEntries(0)
+	}
+	xid := c.nextXid()
+	// The delete, which always encodes, overwrites the room reserved for
+	// it; the adds follow.
+	_, _ = appendFlowMod(e.buf[:0], xid, flowMod{Command: flowDelete, Cookie: cookie})
+	b := e.buf
+	for off := deleteLen; off < len(b); off += int(binary.BigEndian.Uint16(b[off+2:])) {
+		binary.BigEndian.PutUint32(b[off+4:], xid)
+		binary.BigEndian.PutUint64(b[off+headerLen+3:], cookie)
+	}
+	_, err := c.call(xid, appendHeader(b, typeBarrierRequest, xid))
+	return err
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+
+	"repro/internal/vswitch"
 )
 
 // FuzzReadMessage throws arbitrary bytes at the control channel's framing
@@ -32,6 +34,16 @@ func FuzzReadMessage(f *testing.F) {
 		wire(typeFlowMod, body)
 		wire(typeFlowMod, body[:len(body)/2])
 	}
+	var ports [vswitch.NumStateBuckets]uint32
+	for b := range ports {
+		ports[b] = uint32(b%4 + 1)
+	}
+	scaleOut, err := encodeFlowMod(flowMod{Command: flowAdd, Priority: 10, Cookie: 3,
+		Match: vswitch.MatchAll().WithInPort(2), Actions: []vswitch.Action{vswitch.SelectBucket(ports)}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	wire(typeFlowMod, scaleOut)
 	wire(typeHello, nil)
 	wire(typeFlowStatsReply, encodeFlowStatsReply([]FlowStat{{Priority: 10, Cookie: 9, Packets: 5, Bytes: 500}, {}}))
 	wire(typeError, encodeError(errCodeFlowMod, "bad flow"))
@@ -47,7 +59,7 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{version, byte(typeFlowMod), 0, 200, 0, 0})     // truncated header and body
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := readMessage(bytes.NewReader(data))
+		m, err := readMessage(bytes.NewReader(data), new([headerLen]byte), nil)
 		if err != nil {
 			return
 		}
@@ -55,7 +67,7 @@ func FuzzReadMessage(f *testing.F) {
 		if err := writeMessage(&buf, m); err != nil {
 			t.Fatalf("read message does not write: %v", err)
 		}
-		again, err := readMessage(&buf)
+		again, err := readMessage(&buf, new([headerLen]byte), nil)
 		if err != nil || again.Type != m.Type || again.Xid != m.Xid || !bytes.Equal(again.Body, m.Body) {
 			t.Fatalf("framing round trip: %+v then %+v (%v)", m, again, err)
 		}

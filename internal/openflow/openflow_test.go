@@ -2,7 +2,11 @@ package openflow
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -158,19 +162,56 @@ func TestFlowModInvalidatesCache(t *testing.T) {
 	}
 }
 
+// A FLOW_MOD the switch refuses, or cannot parse, fails the next barrier:
+// nothing staged with it is applied, and the channel serves the next commit.
 func TestFlowModErrorSurfacesOnBarrier(t *testing.T) {
 	sw := vswitch.New("lsi", 1)
 	ctrl := pair(t, sw)
-	// A VLAN ID beyond 12 bits is rejected by the switch -> agent sends
-	// ERROR, which has the flow-mod xid, not the barrier's; the test
-	// verifies the channel stays usable and the flow was not installed.
-	err := ctrl.InstallFlow(0, 5, 0, vswitch.MatchAll(), []vswitch.Action{vswitch.PushVLAN(5000)})
-	if err != nil {
+	if err := ctrl.InstallFlow(0, 5, 1, vswitch.MatchAll(), []vswitch.Action{vswitch.Output(1)}); err != nil {
 		t.Fatal(err)
 	}
-	_ = ctrl.Barrier()
-	if len(sw.Flows()) != 0 {
-		t.Error("invalid flow installed")
+	if err := ctrl.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	table := sw.Flows()
+	// A VLAN ID beyond 12 bits is refused by the switch.
+	if err := ctrl.InstallFlow(0, 5, 2, vswitch.MatchAll(), []vswitch.Action{vswitch.Output(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.InstallFlow(0, 5, 2, vswitch.MatchAll(), []vswitch.Action{vswitch.PushVLAN(5000)}); err != nil {
+		t.Fatal(err)
+	}
+	err := ctrl.Barrier()
+	if err == nil || !strings.Contains(err.Error(), "push_vlan:5000 does not fit 12 bits") {
+		t.Fatalf("barrier after a refused flow-mod = %v, want the 12-bit VLAN error", err)
+	}
+	if got := sw.Flows(); len(got) != 1 || got[0] != table[0] {
+		t.Errorf("table after a refused commit = %v, want %v", got, table)
+	}
+	// An unparsable FLOW_MOD fails its barrier the same way.
+	msg, _ := appendFlowMod(nil, 9, flowMod{Command: flowAdd, Match: vswitch.MatchAll().WithVLAN(7)})
+	msg[len(msg)-1] = 0xff // the VLAN TLV's value spills past its section
+	msg = append(msg, 0)
+	binary.BigEndian.PutUint16(msg[2:4], uint16(len(msg)))
+	binary.BigEndian.PutUint16(msg[headerLen+11:], 99)
+	if err := ctrl.write(msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.Barrier(); err == nil || !strings.Contains(err.Error(), "exceed") {
+		t.Errorf("barrier after an unparsable flow-mod = %v, want a parse error", err)
+	}
+	if got := sw.Flows(); len(got) != 1 || got[0] != table[0] {
+		t.Errorf("table after an unparsable flow-mod = %v, want %v", got, table)
+	}
+	// The channel still works: the next commit applies.
+	if err := ctrl.InstallFlow(0, 5, 3, vswitch.MatchAll(), []vswitch.Action{vswitch.Output(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.Barrier(); err != nil {
+		t.Fatalf("barrier after recovery: %v", err)
+	}
+	if len(sw.Flows()) != 2 {
+		t.Errorf("flows = %v, want the first entry and cookie 3's", sw.Flows())
 	}
 	if _, err := ctrl.FlowStats(); err != nil {
 		t.Errorf("channel dead after error: %v", err)
@@ -178,6 +219,57 @@ func TestFlowModErrorSurfacesOnBarrier(t *testing.T) {
 	// A table other than 0 never leaves the controller.
 	if err := ctrl.InstallFlow(1, 5, 0, vswitch.MatchAll(), nil); err == nil {
 		t.Error("flow-mod for table 1 accepted: the switch has one table")
+	}
+}
+
+// Commit replaces one cookie's whole entry set with one table publish and
+// leaves every other cookie's entries alone; a commit of no entries deletes.
+func TestCommitReplacesOneCookie(t *testing.T) {
+	sw := vswitch.New("lsi", 1)
+	ctrl := pair(t, sw)
+	other := NewEntries(1)
+	other.Add(1, vswitch.MatchAll().WithInPort(9), vswitch.Output(9))
+	if err := ctrl.Commit(7, &other); err != nil {
+		t.Fatal(err)
+	}
+	var ports [vswitch.NumStateBuckets]uint32
+	for b := range ports {
+		ports[b] = uint32(2 + b%3)
+	}
+	for round, n := range []int{3, 5, 2} {
+		es := NewEntries(1) // undersized: Add grows it
+		for i := 0; i < n; i++ {
+			es.Add(10+i, vswitch.MatchAll().WithInPort(uint32(i+1)).WithVLAN(uint16(100+round)),
+				vswitch.PopVLAN(), vswitch.SelectBucket(ports))
+		}
+		before := sw.Telemetry().Publishes
+		if err := ctrl.Commit(1, &es); err != nil {
+			t.Fatal(err)
+		}
+		if got := sw.Telemetry().Publishes - before; got != 1 {
+			t.Errorf("round %d: %d publishes, want 1", round, got)
+		}
+		mine := 0
+		for _, e := range sw.Flows() {
+			if e.Cookie == 1 {
+				mine++
+				if want := fmt.Sprintf("dl_vlan=%d", 100+round); !strings.Contains(e.Match.String(), want) {
+					t.Errorf("round %d: stale entry %v", round, e)
+				}
+				if got, want := e.Actions[1].String(), vswitch.SelectBucket(ports).String(); got != want {
+					t.Errorf("round %d: action %s, want %s", round, got, want)
+				}
+			}
+		}
+		if mine != n || len(sw.Flows()) != n+1 {
+			t.Errorf("round %d: %d entries under the cookie of %d, want %d of %d", round, mine, len(sw.Flows()), n, n+1)
+		}
+	}
+	if err := ctrl.Commit(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if f := sw.Flows(); len(f) != 1 || f[0].Cookie != 7 {
+		t.Errorf("flows after deleting cookie 1 = %v, want cookie 7's entry alone", f)
 	}
 }
 
@@ -209,7 +301,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	if err := writeMessage(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readMessage(&buf)
+	out, err := readMessage(&buf, new([headerLen]byte), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +312,7 @@ func TestMessageRoundTrip(t *testing.T) {
 
 func TestReadMessageRejectsBadVersion(t *testing.T) {
 	raw := []byte{0x99, 0, 0, 8, 0, 0, 0, 1}
-	if _, err := readMessage(bytes.NewReader(raw)); err == nil {
+	if _, err := readMessage(bytes.NewReader(raw), new([headerLen]byte), nil); err == nil {
 		t.Error("bad version accepted")
 	}
 }
@@ -281,6 +373,17 @@ func TestParseRejectsTruncated(t *testing.T) {
 	if _, err := decodeActions([]byte{0, 99, 0, 0}); err == nil {
 		t.Error("unknown action type accepted")
 	}
+	// A prefix longer than 32 bits would make the switch's mask shift
+	// negative.
+	if _, err := decodeMatch(append(appendTLV(nil, oxmIPSrc, 5), 10, 0, 0, 1, 33)); err == nil {
+		t.Error("a /33 prefix accepted")
+	}
+	// A select-bucket action carries exactly one port per bucket.
+	for _, n := range []int{vswitch.NumStateBuckets - 1, vswitch.NumStateBuckets + 1} {
+		if _, err := decodeActions(append(appendTLV(nil, actSelectBucket, 4*n), make([]byte, 4*n)...)); err == nil {
+			t.Errorf("select-bucket action with %d ports accepted", n)
+		}
+	}
 }
 
 func TestAgentOverTCP(t *testing.T) {
@@ -314,5 +417,52 @@ func TestAgentOverTCP(t *testing.T) {
 	}
 	if len(sw.Flows()) != 1 {
 		t.Error("flow not installed over TCP")
+	}
+}
+
+// Commits, barriers and stats requests from several goroutines share one
+// channel: each call gets its own reply, and every cookie ends up holding
+// exactly its last commit.
+func TestConcurrentCommits(t *testing.T) {
+	sw := vswitch.New("lsi", 1)
+	ctrl := pair(t, sw)
+	const workers, rounds = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(cookie uint64) {
+			defer wg.Done()
+			for r := 1; r <= rounds; r++ {
+				es := NewEntries(r % 3)
+				for i := 0; i < r%3+1; i++ {
+					es.Add(r, vswitch.MatchAll().WithInPort(uint32(cookie)).WithL4Dst(uint16(i)), vswitch.Output(uint32(r)))
+				}
+				if err := ctrl.Commit(cookie, &es); err != nil {
+					t.Errorf("cookie %d round %d: %v", cookie, r, err)
+					return
+				}
+				if _, err := ctrl.FlowStats(); err != nil {
+					t.Errorf("cookie %d round %d: stats: %v", cookie, r, err)
+					return
+				}
+				if err := ctrl.Barrier(); err != nil {
+					t.Errorf("cookie %d round %d: barrier: %v", cookie, r, err)
+					return
+				}
+			}
+		}(uint64(w + 1))
+	}
+	wg.Wait()
+	held := make(map[uint64]int)
+	for _, e := range sw.Flows() {
+		held[e.Cookie]++
+		if e.Priority != rounds {
+			t.Errorf("entry %v outlived its cookie's last commit", e)
+		}
+	}
+	for c := uint64(1); c <= workers; c++ {
+		if held[c] != rounds%3+1 {
+			t.Errorf("cookie %d holds %d entries, want %d", c, held[c], rounds%3+1)
+		}
 	}
 }

@@ -10,6 +10,15 @@ import (
 	"repro/internal/vswitch"
 )
 
+// encodeFlowMod builds the body of a FLOW_MOD.
+func encodeFlowMod(fm flowMod) ([]byte, error) {
+	b, err := appendFlowMod(nil, 0, fm)
+	if err != nil {
+		return nil, err
+	}
+	return b[headerLen:], nil
+}
+
 // randomMatch builds a match with a random subset of fields set.
 func randomMatch(r *rand.Rand) vswitch.Match {
 	m := vswitch.MatchAll()
@@ -45,7 +54,13 @@ func randomActions(r *rand.Rand) []vswitch.Action {
 	n := r.Intn(6)
 	out := make([]vswitch.Action, 0, n)
 	for i := 0; i < n; i++ {
-		switch r.Intn(5) {
+		switch r.Intn(6) {
+		case 5:
+			var ports [vswitch.NumStateBuckets]uint32
+			for b := range ports {
+				ports[b] = uint32(r.Intn(100) + 1)
+			}
+			out = append(out, vswitch.SelectBucket(ports))
 		case 0:
 			out = append(out, vswitch.Output(uint32(r.Intn(100)+1)))
 		case 1:
@@ -109,7 +124,7 @@ func TestPropertyMessageFraming(t *testing.T) {
 		if err := writeMessage(&buf, in); err != nil {
 			return false
 		}
-		out, err := readMessage(&buf)
+		out, err := readMessage(&buf, new([headerLen]byte), nil)
 		if err != nil {
 			return false
 		}

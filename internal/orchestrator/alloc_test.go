@@ -15,12 +15,14 @@ import (
 // trip (VM -> native -> VM, the shape of BenchmarkReflavor) allocates. It
 // read 421 before the single-transition refactor, 515-524 after it (a second
 // reprogram and the per-swap bucket-move maps), 488-489 once a switch held one
-// flow table (no per-table slices and sorts per swap), and 472 since a port
-// allocates its RX ring only when a frame queues on it; the ceiling is that
-// count plus 10%, so the next fifty cannot arrive unnoticed. Lower it when the
-// count comes down.
+// flow table (no per-table slices and sorts per swap), 472 once a port
+// allocated its RX ring only when a frame queues on it, and 454 since each
+// steering change is one commit over the LSI's control channel whose entries
+// are built once, by the switch's agent; the ceiling is that count plus 10%,
+// so the next fifty cannot arrive unnoticed. Lower it when the count comes
+// down.
 func TestReflavorAllocCeiling(t *testing.T) {
-	const ceiling = 519
+	const ceiling = 499
 	o := newNode(t)
 	if err := o.Deploy(ipsecGraph("g1", nffg.TechVM)); err != nil {
 		t.Fatal(err)
@@ -40,12 +42,13 @@ func TestReflavorAllocCeiling(t *testing.T) {
 
 // TestConfigUpdateAllocCeiling pins what a config-only Update of a graph
 // sharing the native firewall allocates: the NNF manager re-programs the
-// graph's mark paths in place, and the steering is swapped once. A round trip
-// (two updates) reads 170 allocs; the ceiling is that plus 10%. With the
-// restart put back — stop the graph's attachment, release and re-acquire its
-// marks, rewire LSI-0 — it reads 464.
+// graph's mark paths in place, and the steering is committed once. A round
+// trip (two updates) reads 166 allocs (170 while the steering was swapped
+// straight into the switch); the ceiling is that plus 10%. With the restart
+// put back — stop the graph's attachment, release and re-acquire its marks,
+// rewire LSI-0 — it read 464.
 func TestConfigUpdateAllocCeiling(t *testing.T) {
-	const ceiling = 187
+	const ceiling = 182
 	o := newNode(t)
 	if err := o.Deploy(firewallGraph("gB", 200, "")); err != nil {
 		t.Fatal(err)
@@ -73,13 +76,15 @@ func TestConfigUpdateAllocCeiling(t *testing.T) {
 // TestDeployBytesCeiling pins the bytes one Deploy + Undeploy of a three-NF
 // chain allocates on one node: the LSI, its virtual links to LSI-0, the NF
 // port pairs, the flow programming and the teardown of all of it. It read 325
-// KB while every port allocated an 18 KB RX ring up front, and 35 KB since a
-// port allocates its ring only when a frame queues on it (every port here has
-// a handler); the ceiling is that figure plus 10%.
+// KB while every port allocated an 18 KB RX ring up front, 35 KB once a port
+// allocated its ring only when a frame queues on it (every port here has a
+// handler), and 33 KB since each LSI's entry set is one commit instead of a
+// FLOW_MOD, a table clone and a publish per entry; the ceiling is that figure
+// plus 10%.
 func TestDeployBytesCeiling(t *testing.T) {
 	const (
 		rounds    = 30
-		ceilingKB = 38
+		ceilingKB = 36
 	)
 	o := newNode(t)
 	lifecycle := func() {

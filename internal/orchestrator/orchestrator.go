@@ -9,6 +9,7 @@ package orchestrator
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -448,6 +449,9 @@ func (o *Orchestrator) deploy(g *nffg.Graph) error {
 		o.teardown(d)
 		return err
 	}
+	o.metrics.steeringRules.Add(uint64(len(d.Graph.Rules)))
+	o.journal.Recordf(telemetry.EventFlowMod, o.cfg.NodeName, d.Graph.ID,
+		fmt.Sprintf("%d rules on %s", len(d.Graph.Rules), o.lsiLabel(d.lsi.sw)))
 	if err := o.reconcile(d); err != nil {
 		o.teardown(d)
 		return err
@@ -499,23 +503,14 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 		if att.cookie == 0 {
 			att.cookie = o.nextCookie()
 		}
+		es := openflow.NewEntries(len(inst.InMarks) + len(inst.OutMarks))
 		for _, mark := range inst.InMarks {
-			err := o.lsi0.ctrl.InstallFlow(0, 300, att.cookie,
-				vswitch.MatchAll().WithInPort(zPort).WithVLAN(mark),
-				[]vswitch.Action{vswitch.Output(lsi0Port)})
-			if err != nil {
-				return err
-			}
+			es.Add(300, vswitch.MatchAll().WithInPort(zPort).WithVLAN(mark), vswitch.Output(lsi0Port))
 		}
 		for _, mark := range inst.OutMarks {
-			err := o.lsi0.ctrl.InstallFlow(0, 300, att.cookie,
-				vswitch.MatchAll().WithInPort(lsi0Port).WithVLAN(mark),
-				[]vswitch.Action{vswitch.Output(zPort)})
-			if err != nil {
-				return err
-			}
+			es.Add(300, vswitch.MatchAll().WithInPort(lsi0Port).WithVLAN(mark), vswitch.Output(zPort))
 		}
-		return o.lsi0.ctrl.Barrier()
+		return o.lsi0.ctrl.Commit(att.cookie, &es)
 	}
 	// Direct attachment: one LSI port per NF port.
 	att.lsiPorts = make([]uint32, inst.Runtime.NumPorts())
@@ -535,7 +530,7 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 }
 
 // attachEndpoint builds the virtual link between the graph LSI and LSI-0
-// for one endpoint, and installs the LSI-0 classification rules. On any
+// for one endpoint, and commits its LSI-0 classification rules. On any
 // failure its partial state (ports, flows, bookkeeping) is removed before
 // returning, so a failed in-place Update can be retried without leaking.
 func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *epAttachment, err error) {
@@ -560,6 +555,7 @@ func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *ep
 		}
 	}()
 
+	es := openflow.NewEntries(2)
 	switch ep.Type {
 	case nffg.EPInterface:
 		ifPort, ok := o.ifPorts[ep.Interface]
@@ -569,16 +565,8 @@ func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *ep
 		}
 		// Classify untagged traffic from the interface to the graph,
 		// and graph egress back out the interface.
-		if err := o.lsi0.ctrl.InstallFlow(0, 100, att.cookie,
-			vswitch.MatchAll().WithInPort(ifPort),
-			[]vswitch.Action{vswitch.Output(zPort)}); err != nil {
-			return nil, err
-		}
-		if err := o.lsi0.ctrl.InstallFlow(0, 100, att.cookie,
-			vswitch.MatchAll().WithInPort(zPort),
-			[]vswitch.Action{vswitch.Output(ifPort)}); err != nil {
-			return nil, err
-		}
+		es.Add(100, vswitch.MatchAll().WithInPort(ifPort), vswitch.Output(zPort))
+		es.Add(100, vswitch.MatchAll().WithInPort(zPort), vswitch.Output(ifPort))
 	case nffg.EPVLAN:
 		key := fmt.Sprintf("%s/%d", ep.Interface, ep.VLANID)
 		if owner, used := o.vlanEPs[key]; used {
@@ -592,16 +580,8 @@ func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *ep
 		}
 		// Tagged ingress: pop and hand to the graph; egress: push and
 		// send out. VLAN classification outranks plain interface rules.
-		if err := o.lsi0.ctrl.InstallFlow(0, 200, att.cookie,
-			vswitch.MatchAll().WithInPort(ifPort).WithVLAN(ep.VLANID),
-			[]vswitch.Action{vswitch.PopVLAN(), vswitch.Output(zPort)}); err != nil {
-			return nil, err
-		}
-		if err := o.lsi0.ctrl.InstallFlow(0, 200, att.cookie,
-			vswitch.MatchAll().WithInPort(zPort),
-			[]vswitch.Action{vswitch.PushVLAN(ep.VLANID), vswitch.Output(ifPort)}); err != nil {
-			return nil, err
-		}
+		es.Add(200, vswitch.MatchAll().WithInPort(ifPort).WithVLAN(ep.VLANID), vswitch.PopVLAN(), vswitch.Output(zPort))
+		es.Add(200, vswitch.MatchAll().WithInPort(zPort), vswitch.PushVLAN(ep.VLANID), vswitch.Output(ifPort))
 		o.vlanEPs[key] = d.Graph.ID
 		att.vlanRegistered = true
 	case nffg.EPInternal:
@@ -612,21 +592,13 @@ func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *ep
 		}
 		if len(members) == 1 {
 			peer := members[0]
-			if err := o.lsi0.ctrl.InstallFlow(0, 150, att.cookie,
-				vswitch.MatchAll().WithInPort(zPort),
-				[]vswitch.Action{vswitch.Output(peer.lsi0Port)}); err != nil {
-				return nil, err
-			}
-			if err := o.lsi0.ctrl.InstallFlow(0, 150, att.cookie,
-				vswitch.MatchAll().WithInPort(peer.lsi0Port),
-				[]vswitch.Action{vswitch.Output(zPort)}); err != nil {
-				return nil, err
-			}
+			es.Add(150, vswitch.MatchAll().WithInPort(zPort), vswitch.Output(peer.lsi0Port))
+			es.Add(150, vswitch.MatchAll().WithInPort(peer.lsi0Port), vswitch.Output(zPort))
 		}
 		o.internalGroups[ep.InternalGroup] = append(members,
 			groupMember{graphID: d.Graph.ID, epID: ep.ID, lsi0Port: zPort, cookie: att.cookie})
 	}
-	if err := o.lsi0.ctrl.Barrier(); err != nil {
+	if err := o.lsi0.ctrl.Commit(att.cookie, &es); err != nil {
 		return nil, err
 	}
 	return att, nil
@@ -637,7 +609,8 @@ func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *ep
 // cross-graph bookkeeping. Used by teardown and by in-place endpoint removal
 // during Update.
 func (o *Orchestrator) detachEndpoint(d *DeployedGraph, att *epAttachment) {
-	o.lsi0.sw.DeleteFlows(att.cookie)
+	// A delete fails only with the LSI-0 channel, and detaching goes on.
+	_ = o.lsi0.ctrl.Commit(att.cookie, nil)
 	if p := o.lsi0.sw.Port(att.lsi0Port); p != nil {
 		netdev.Disconnect(p)
 	}
@@ -651,26 +624,15 @@ func (o *Orchestrator) detachEndpoint(d *DeployedGraph, att *epAttachment) {
 	case nffg.EPInternal:
 		// Touch the group only if this endpoint actually joined it (a
 		// failed attach never did). The rendezvous pair flows live under
-		// the cookie of whichever member joined second; drop every
-		// member's flows so no stale rule keeps pointing at the removed
-		// port.
+		// the cookie of whichever member joined second; drop the peer's
+		// flows too so no stale rule keeps pointing at the removed port.
 		members := o.internalGroups[att.ep.InternalGroup]
-		joined := false
-		for _, m := range members {
-			if m.graphID == d.Graph.ID && m.epID == att.ep.ID {
-				joined = true
-				break
-			}
-		}
-		if !joined {
+		kept := slices.DeleteFunc(members, func(m groupMember) bool { return m.graphID == d.Graph.ID && m.epID == att.ep.ID })
+		if len(kept) == len(members) {
 			break
 		}
-		kept := members[:0]
-		for _, m := range members {
-			o.lsi0.sw.DeleteFlows(m.cookie)
-			if m.graphID != d.Graph.ID || m.epID != att.ep.ID {
-				kept = append(kept, m)
-			}
+		for _, m := range kept {
+			_ = o.lsi0.ctrl.Commit(m.cookie, nil)
 		}
 		if len(kept) == 0 {
 			delete(o.internalGroups, att.ep.InternalGroup)
@@ -730,7 +692,7 @@ func (o *Orchestrator) unwire(d *DeployedGraph, att *nfAttachment) {
 		}
 	}
 	if att.cookie != 0 {
-		o.lsi0.sw.DeleteFlows(att.cookie)
+		_ = o.lsi0.ctrl.Commit(att.cookie, nil) // as in detachEndpoint
 	}
 	for _, p := range att.lsiSide {
 		netdev.Disconnect(p)
@@ -768,8 +730,6 @@ func (o *Orchestrator) retire(d *DeployedGraph, nfID string) {
 
 // teardown reverses a deployment. Safe on partially-built graphs.
 func (o *Orchestrator) teardown(d *DeployedGraph) {
-	// Remove LSI-0 state installed under the graph's cookie.
-	o.lsi0.sw.DeleteFlows(d.cookie)
 	for nfID := range d.nfs {
 		o.retire(d, nfID)
 	}
@@ -875,7 +835,7 @@ func (o *Orchestrator) update(g *nffg.Graph) error {
 		if len(restarted) > 0 {
 			// The reinstated instances sit on fresh LSI ports: repoint
 			// the (pre-update) steering at them.
-			_ = o.reprogram(d)
+			_ = o.program(d)
 		}
 		return err
 	}
@@ -950,12 +910,12 @@ func (o *Orchestrator) update(g *nffg.Graph) error {
 		}
 		d.eps[ep.ID] = att
 	}
-	// 4. Recompile steering against the new spec and repoint it with one
-	// atomic snapshot swap: the datapath sees the old complete rule set or
-	// the new one, never the gap in between.
+	// 4. Recompile steering against the new spec and commit it as one
+	// table publish: the datapath sees the old complete rule set or the
+	// new one, never the gap in between.
 	oldGraph := d.Graph
 	d.Graph = g.Clone()
-	if err := o.reprogram(d); err != nil {
+	if err := o.program(d); err != nil {
 		d.Graph = oldGraph
 		return fail(err)
 	}
@@ -1021,7 +981,7 @@ func (o *Orchestrator) restart(d *DeployedGraph, n nffg.NF) error {
 	if prev := d.Graph.FindNF(n.ID); prev != nil {
 		rerr := relaunch(*prev)
 		if rerr == nil {
-			rerr = o.reprogram(d)
+			rerr = o.program(d)
 		}
 		if rerr != nil {
 			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, d.Graph.ID,
@@ -1048,16 +1008,4 @@ func (o *Orchestrator) reconcile(d *DeployedGraph) error {
 		}
 	}
 	return nil
-}
-
-// reprogram recompiles the graph's steering against its current spec and
-// instance sets and repoints the LSI with one atomic snapshot swap. Callers
-// hold o.mu.
-func (o *Orchestrator) reprogram(d *DeployedGraph) error {
-	entries, err := o.compileEntries(d, d.cookie)
-	if err != nil {
-		return err
-	}
-	_, err = d.lsi.sw.SwapFlows(d.cookie, entries)
-	return err
 }

@@ -13,7 +13,7 @@ import (
 // technology: a transition to a set of the same size in which every member
 // is a fresh instance of the incoming flavor. The outgoing members keep
 // serving while the incoming ones boot, the steering is repointed with one
-// snapshot swap, and the outgoing ones drain and stop (see transition); on
+// commit, and the outgoing ones drain and stop (see transition); on
 // failure the old set keeps serving.
 //
 // Swapping to the NF's current technology is a no-op. The paper's

@@ -241,14 +241,14 @@ func (o *Orchestrator) standbyPlacement(graphID string, n nffg.NF, want wantedSe
 //     members keep serving;
 //  2. move the per-flow state of the buckets whose owner changes — only
 //     those — from their donor to their new owner;
-//  3. repoint the steering with ONE atomic snapshot swap: every rule now
+//  3. repoint the steering with ONE commit, one table publish: every rule now
 //     outputs to the wanted members, while outgoing members keep the rules
 //     whose ingress is the NF as their drain path;
 //  4. catch-up: re-migrate what raced the swap into a donor;
 //  5. drain: wait for the outgoing members' counters to quiesce;
 //  6. final catch-up, unless no previous member saw a packet since step 4;
 //     then release the migrated state from donors that stay;
-//  7. drop the drain path and detach the outgoing members.
+//  7. drop the drain path (a second commit) and detach the outgoing members.
 //
 // A failure in steps 1-3 undoes what was launched and leaves the previous
 // set serving. It returns the number of flow-state entries moved. Callers
@@ -340,7 +340,7 @@ func (o *Orchestrator) swapMembers(d *DeployedGraph, nfID string, set *nfSet, ne
 	migrate := func() int { return o.migrate(graphID, nfID, moves, next.members, &assign) }
 	moved := migrate()
 	*set = next
-	if err := o.reprogram(d); err != nil {
+	if err := o.program(d); err != nil {
 		return 0, fmt.Errorf("orchestrator: graph %q: NF %q: repointing steering: %w", graphID, nfID, err)
 	}
 	seen := traffic(prev) // sampled before the catch-up reads them
@@ -360,7 +360,7 @@ func (o *Orchestrator) swapMembers(d *DeployedGraph, nfID string, set *nfSet, ne
 			moved += migrate()
 		}
 		set.draining = nil
-		if err := o.reprogram(d); err != nil {
+		if err := o.program(d); err != nil {
 			// The members' steering is intact (same entries minus the
 			// drain path); record and continue the teardown.
 			o.journal.Recordf(telemetry.EventFlowMod, o.cfg.NodeName, graphID,

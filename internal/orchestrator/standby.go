@@ -27,7 +27,7 @@ import (
 // the first member that no longer runs (or, when all do, of the first
 // member, which is thereby retired) — a transition, so the outgoing
 // instance's flow state is salvaged from its processor's in-memory tables
-// and one atomic swap repoints the steering. A fresh standby is re-armed
+// and one commit repoints the steering. A fresh standby is re-armed
 // best-effort afterwards.
 func (o *Orchestrator) PromoteStandby(graphID, nfID string) error {
 	gl := o.lockGraph(graphID)
@@ -117,7 +117,7 @@ func (o *Orchestrator) RepairNF(graphID, nfID string) error {
 	if err := o.restart(d, *n); err != nil {
 		return err
 	}
-	return o.reprogram(d)
+	return o.program(d)
 }
 
 // SyncStandbys replicates each active-standby NF's per-flow state from its

@@ -6,21 +6,22 @@ import (
 	"strings"
 
 	"repro/internal/nffg"
+	"repro/internal/openflow"
 	"repro/internal/pkt"
-	"repro/internal/telemetry"
 	"repro/internal/vswitch"
 )
 
-// compileEntries compiles the graph's big-switch flow rules into concrete
-// flow entries for the graph's LSI, tagged with the given cookie. Nothing
-// is installed: deploy pushes the entries through the OpenFlow channel,
-// every later change hands them to the switch's atomic snapshot swap.
-func (o *Orchestrator) compileEntries(d *DeployedGraph, cookie uint64) ([]*vswitch.FlowEntry, error) {
-	entries := make([]*vswitch.FlowEntry, 0, len(d.Graph.Rules))
+// compileEntries compiles the graph's big-switch flow rules into the whole
+// entry set of the graph's LSI, against its current spec and instance sets.
+// Each entry is encoded straight into the wire form of the commit that
+// program sends; nothing is installed.
+func (o *Orchestrator) compileEntries(d *DeployedGraph) (openflow.Entries, error) {
+	es := openflow.NewEntries(len(d.Graph.Rules))
+	var actBuf, entryBuf [8]vswitch.Action
 	for _, r := range d.Graph.Rules {
-		actions, err := o.compileActions(d, r.Actions)
+		actions, err := o.compileActions(d, actBuf[:0], r.Actions)
 		if err != nil {
-			return nil, fmt.Errorf("orchestrator: graph %q rule %q: %w", d.Graph.ID, r.ID, err)
+			return es, fmt.Errorf("orchestrator: graph %q rule %q: %w", d.Graph.ID, r.ID, err)
 		}
 		// A rule whose ingress is an NF expands to one entry per instance
 		// that may emit: any member's emission matches the same downstream
@@ -29,46 +30,36 @@ func (o *Orchestrator) compileEntries(d *DeployedGraph, cookie uint64) ([]*vswit
 		if r.Match.PortIn.IsNF() {
 			set, ok := d.nfs[r.Match.PortIn.NF]
 			if !ok {
-				return nil, fmt.Errorf("orchestrator: graph %q rule %q: NF %q not attached", d.Graph.ID, r.ID, r.Match.PortIn.NF)
+				return es, fmt.Errorf("orchestrator: graph %q rule %q: NF %q not attached", d.Graph.ID, r.ID, r.Match.PortIn.NF)
 			}
 			ingress = append(set.members[:len(set.members):len(set.members)], set.draining...)
 		}
 		for _, att := range ingress {
-			match, pre, err := o.compileMatch(d, r.Match, att)
+			match, pop, err := o.compileMatch(d, r.Match, att)
 			if err != nil {
-				return nil, fmt.Errorf("orchestrator: graph %q rule %q: %w", d.Graph.ID, r.ID, err)
+				return es, fmt.Errorf("orchestrator: graph %q rule %q: %w", d.Graph.ID, r.ID, err)
 			}
-			entries = append(entries, &vswitch.FlowEntry{
-				Priority: r.Priority,
-				Cookie:   cookie,
-				Match:    match,
-				Actions:  append(pre, actions...),
-			})
+			entry := actions
+			if pop {
+				entry = append(append(entryBuf[:0], vswitch.PopVLAN()), actions...)
+			}
+			es.Add(r.Priority, match, entry...)
 		}
 	}
-	return entries, nil
+	return es, nil
 }
 
 // program is the traffic steering manager: it compiles the graph's
-// big-switch flow rules into concrete flow entries on the graph's LSI and
-// pushes them through the OpenFlow channel.
+// big-switch flow rules and commits them as the whole entry set of the
+// graph's LSI, one table publish. Every change to a graph's steering —
+// deploy, update, scale, reflavor, promotion, repair — is this call.
+// Callers hold o.mu.
 func (o *Orchestrator) program(d *DeployedGraph) error {
-	entries, err := o.compileEntries(d, d.cookie)
+	es, err := o.compileEntries(d)
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if err := d.lsi.ctrl.InstallFlow(0, e.Priority, e.Cookie, e.Match, e.Actions); err != nil {
-			return err
-		}
-	}
-	if err := d.lsi.ctrl.Barrier(); err != nil {
-		return err
-	}
-	o.metrics.steeringRules.Add(uint64(len(d.Graph.Rules)))
-	o.journal.Recordf(telemetry.EventFlowMod, o.cfg.NodeName, d.Graph.ID,
-		fmt.Sprintf("%d rules on %s", len(d.Graph.Rules), o.lsiLabel(d.lsi.sw)))
-	return nil
+	return d.lsi.ctrl.Commit(d.cookie, &es)
 }
 
 // nfPortIndex resolves an NF-FG port id to the NF's port index.
@@ -85,12 +76,11 @@ func nfPortIndex(g *nffg.Graph, nfID, portID string) (int, error) {
 	return 0, fmt.Errorf("NF %q has no port %q", nfID, portID)
 }
 
-// compileMatch turns a rule selector into a switch match plus any actions
-// that must run before the rule's own (tag pop for shared NNF returns). A
+// compileMatch turns a rule selector into a switch match, and says whether
+// a tag pop must run before the rule's actions (shared NNF returns). A
 // selector whose ingress is an NF is compiled against att, the instance of
 // that NF the entry is for.
-func (o *Orchestrator) compileMatch(d *DeployedGraph, m nffg.RuleMatch, att *nfAttachment) (vswitch.Match, []vswitch.Action, error) {
-	match := vswitch.MatchAll()
+func (o *Orchestrator) compileMatch(d *DeployedGraph, m nffg.RuleMatch, att *nfAttachment) (match vswitch.Match, pop bool, err error) {
 	if m.EtherType != 0 {
 		match = match.WithEthType(pkt.EthernetType(m.EtherType))
 	}
@@ -103,14 +93,14 @@ func (o *Orchestrator) compileMatch(d *DeployedGraph, m nffg.RuleMatch, att *nfA
 	if m.IPSrc != "" {
 		addr, bits, err := parseCIDR(m.IPSrc)
 		if err != nil {
-			return match, nil, err
+			return match, false, err
 		}
 		match = match.WithIPSrc(addr, bits)
 	}
 	if m.IPDst != "" {
 		addr, bits, err := parseCIDR(m.IPDst)
 		if err != nil {
-			return match, nil, err
+			return match, false, err
 		}
 		match = match.WithIPDst(addr, bits)
 	}
@@ -121,39 +111,35 @@ func (o *Orchestrator) compileMatch(d *DeployedGraph, m nffg.RuleMatch, att *nfA
 		match = match.WithL4Dst(m.L4Dst)
 	}
 
-	var pre []vswitch.Action
 	switch {
 	case m.PortIn.IsEndpoint():
 		att, ok := d.eps[m.PortIn.Endpoint]
 		if !ok {
-			return match, nil, fmt.Errorf("endpoint %q not attached", m.PortIn.Endpoint)
+			return match, false, fmt.Errorf("endpoint %q not attached", m.PortIn.Endpoint)
 		}
 		match = match.WithInPort(att.graphPort)
 	case m.PortIn.IsNF():
 		idx, err := nfPortIndex(d.Graph, m.PortIn.NF, m.PortIn.Port)
 		if err != nil {
-			return match, nil, err
+			return match, false, err
 		}
 		if att.inst.Shared {
 			if m.VLANID != 0 {
-				return match, nil, fmt.Errorf("vlan match not supported on shared-NNF port %v", m.PortIn)
+				return match, false, fmt.Errorf("vlan match not supported on shared-NNF port %v", m.PortIn)
 			}
 			// Traffic processed by the shared NNF returns from LSI-0
 			// carrying the graph's egress mark; match it and strip it.
-			match = match.WithInPort(att.nnfVlink).WithVLAN(att.inst.OutMarks[idx])
-			pre = append(pre, vswitch.PopVLAN())
-		} else {
-			match = match.WithInPort(att.lsiPorts[idx])
+			return match.WithInPort(att.nnfVlink).WithVLAN(att.inst.OutMarks[idx]), true, nil
 		}
+		match = match.WithInPort(att.lsiPorts[idx])
 	default:
-		return match, nil, fmt.Errorf("rule has no port_in")
+		return match, false, fmt.Errorf("rule has no port_in")
 	}
-	return match, pre, nil
+	return match, false, nil
 }
 
-// compileActions turns rule actions into switch actions.
-func (o *Orchestrator) compileActions(d *DeployedGraph, actions []nffg.RuleAction) ([]vswitch.Action, error) {
-	out := make([]vswitch.Action, 0, len(actions))
+// compileActions appends the switch actions of rule actions to out.
+func (o *Orchestrator) compileActions(d *DeployedGraph, out []vswitch.Action, actions []nffg.RuleAction) ([]vswitch.Action, error) {
 	for _, a := range actions {
 		switch a.Type {
 		case nffg.ActOutput:

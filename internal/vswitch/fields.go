@@ -25,62 +25,36 @@ type MatchFields struct {
 // Fields returns the exported view of the match. Pointer targets are copies;
 // mutating them does not affect the match.
 func (m Match) Fields() MatchFields {
-	f := MatchFields{InPort: m.inPort}
-	if m.ethType != nil {
-		v := *m.ethType
-		f.EthType = &v
-	}
-	if m.vlanID != nil {
-		v := *m.vlanID
-		f.VLANID = &v
-	}
-	if m.ipProto != nil {
-		v := *m.ipProto
-		f.IPProto = &v
-	}
+	f := MatchFields{InPort: m.inPort, EthType: copyOf(m.ethType), VLANID: copyOf(m.vlanID),
+		IPProto: copyOf(m.ipProto), L4Src: copyOf(m.l4Src), L4Dst: copyOf(m.l4Dst)}
 	if m.ipSrc != nil {
 		f.IPSrc = &Prefix{Addr: m.ipSrc.addr, Bits: m.ipSrc.bits}
 	}
 	if m.ipDst != nil {
 		f.IPDst = &Prefix{Addr: m.ipDst.addr, Bits: m.ipDst.bits}
 	}
-	if m.l4Src != nil {
-		v := *m.l4Src
-		f.L4Src = &v
-	}
-	if m.l4Dst != nil {
-		v := *m.l4Dst
-		f.L4Dst = &v
-	}
 	return f
 }
 
-// MatchFromFields builds a Match from its exported view.
+// MatchFromFields builds a Match from its exported view; the match keeps
+// copies of the pointer targets.
 func MatchFromFields(f MatchFields) Match {
-	m := MatchAll()
-	if f.InPort != 0 {
-		m = m.WithInPort(f.InPort)
-	}
-	if f.EthType != nil {
-		m = m.WithEthType(*f.EthType)
-	}
-	if f.VLANID != nil {
-		m = m.WithVLAN(*f.VLANID)
-	}
-	if f.IPProto != nil {
-		m = m.WithIPProto(*f.IPProto)
-	}
+	m := Match{inPort: f.InPort, ethType: copyOf(f.EthType), vlanID: copyOf(f.VLANID),
+		ipProto: copyOf(f.IPProto), l4Src: copyOf(f.L4Src), l4Dst: copyOf(f.L4Dst)}
 	if f.IPSrc != nil {
-		m = m.WithIPSrc(f.IPSrc.Addr, f.IPSrc.Bits)
+		m.ipSrc = &prefix{addr: f.IPSrc.Addr, bits: f.IPSrc.Bits}
 	}
 	if f.IPDst != nil {
-		m = m.WithIPDst(f.IPDst.Addr, f.IPDst.Bits)
-	}
-	if f.L4Src != nil {
-		m = m.WithL4Src(*f.L4Src)
-	}
-	if f.L4Dst != nil {
-		m = m.WithL4Dst(*f.L4Dst)
+		m.ipDst = &prefix{addr: f.IPDst.Addr, bits: f.IPDst.Bits}
 	}
 	return m
+}
+
+// copyOf returns a pointer to a copy of *p, or nil for nil.
+func copyOf[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
 }

@@ -65,6 +65,50 @@ func TestSwapFlowsValidatesEntries(t *testing.T) {
 	}
 }
 
+// CommitFlows deletes several cookies and adds in one publish, validates
+// every added entry before touching the table, and publishes nothing for a
+// commit that changes nothing.
+func TestCommitFlowsPublishesOnce(t *testing.T) {
+	sw := New("lsi", 1)
+	for c := uint64(1); c <= 3; c++ {
+		mustAdd(t, sw, &FlowEntry{Cookie: c, Match: MatchAll().WithInPort(uint32(c))})
+	}
+	pubs := sw.Telemetry().Publishes
+	if pubs != 3 {
+		t.Fatalf("%d publishes after 3 adds, want 3", pubs)
+	}
+	removed, err := sw.CommitFlows([]uint64{1, 2, 99}, []*FlowEntry{
+		{Cookie: 4, Priority: 5, Match: MatchAll().WithInPort(4)},
+		{Cookie: 4, Priority: 5, Match: MatchAll().WithInPort(5)},
+	})
+	if err != nil || removed != 2 {
+		t.Fatalf("CommitFlows = %d, %v; want 2 removed", removed, err)
+	}
+	if got := sw.Telemetry().Publishes; got != pubs+1 {
+		t.Errorf("%d publishes after one commit, want %d", got, pubs+1)
+	}
+	table := sw.Flows()
+	if len(table) != 3 || table[0].Cookie != 4 || table[2].Cookie != 3 {
+		t.Errorf("table = %v, want cookie 4's two entries ahead of cookie 3's", table)
+	}
+	gen := sw.CacheStats().Generation
+	if _, err := sw.CommitFlows([]uint64{3, 4}, []*FlowEntry{
+		{Cookie: 5, Match: MatchAll().WithInPort(6)},
+		{Cookie: 5, Actions: []Action{PushVLAN(5000)}},
+	}); err == nil {
+		t.Error("a commit with an entry that does not fit 12 bits was accepted")
+	}
+	if _, err := sw.CommitFlows([]uint64{99}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := sw.Flows(); len(got) != len(table) || got[0] != table[0] || got[2] != table[2] {
+		t.Errorf("a refused or empty commit changed the table: %v", got)
+	}
+	if got := sw.Telemetry().Publishes; got != pubs+1 || sw.CacheStats().Generation != gen {
+		t.Errorf("a refused or empty commit published: %d publishes, generation %d -> %d", got, gen, sw.CacheStats().Generation)
+	}
+}
+
 // TestSwapFlowsZeroGap hammers the swap under continuous traffic: every
 // frame must be forwarded — by the old rule set or the new one — and none
 // dropped, because each packet sees exactly one complete snapshot.

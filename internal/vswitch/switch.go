@@ -47,6 +47,10 @@ type flowTable struct {
 	// cached reports whether the table holds cacheMinEntries entries or
 	// more: a lane only consults the microflow cache over such a snapshot.
 	cached bool
+	// seq numbers the snapshot: how many were published up to this one,
+	// one per committed flow change. It fits the padding after cached, so
+	// the snapshot the packet path loads stays 32 bytes.
+	seq uint32
 }
 
 // portTable is the immutable copy-on-write snapshot of the attached ports.
@@ -262,7 +266,7 @@ func (s *Switch) Ports() []uint32 {
 // before the first cache-worthy snapshot is stored, so a lane that loads
 // one always finds them.
 func (s *Switch) publishTable(entries []*FlowEntry) {
-	t := &flowTable{entries: entries, cached: len(entries) >= cacheMinEntries}
+	t := &flowTable{entries: entries, cached: len(entries) >= cacheMinEntries, seq: s.table.Load().seq + 1}
 	if t.cached {
 		s.cache.allocSlots()
 	}
@@ -285,68 +289,17 @@ func validate(e *FlowEntry) error {
 	return nil
 }
 
-// AddFlow installs a flow entry. Entries are matched in priority order
-// (highest first); among equal priorities the oldest entry wins, as in
-// OpenFlow. The table is copy-on-write: the entry becomes visible to the
-// packet path with one atomic snapshot swap, after which the microflow cache
-// is invalidated.
-func (s *Switch) AddFlow(e *FlowEntry) error {
-	if err := validate(e); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.table.Load().entries
-	next := append(append(make([]*FlowEntry, 0, len(cur)+1), cur...), e)
-	sortByPriority(next)
-	s.publishTable(next)
-	return nil
-}
-
-// sortByPriority orders entries highest priority first. The sort is stable,
-// so among equal priorities the entries already installed stay ahead of the
-// ones appended after them: the oldest wins, as in OpenFlow.
-func sortByPriority(entries []*FlowEntry) {
-	slices.SortStableFunc(entries, func(a, b *FlowEntry) int { return cmp.Compare(b.Priority, a.Priority) })
-}
-
-// withoutCookie returns the entries of cur not carrying cookie, in order, in
-// a fresh slice with room for extra more.
-func withoutCookie(cur []*FlowEntry, cookie uint64, extra int) []*FlowEntry {
-	kept := make([]*FlowEntry, 0, len(cur)+extra)
-	for _, e := range cur {
-		if e.Cookie != cookie {
-			kept = append(kept, e)
-		}
-	}
-	return kept
-}
-
-// DeleteFlows removes all entries with the given cookie and returns how many
-// were removed.
-func (s *Switch) DeleteFlows(cookie uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.table.Load().entries
-	next := withoutCookie(cur, cookie, 0)
-	removed := len(cur) - len(next)
-	if removed == 0 {
-		return 0
-	}
-	s.publishTable(next)
-	return removed
-}
-
-// SwapFlows atomically replaces every entry carrying delCookie with the
-// given entries: one copy-on-write snapshot is built under mu — old-cookie
-// entries filtered out, new entries sorted in — and published with a single
-// atomic store. The packet path therefore sees either the complete old rule
-// set or the complete new one, never a half-reprogrammed table: the
-// steering-gap-free primitive behind graph updates and NF flavor hot-swaps.
-// Added entries keep their own cookies (they may differ from delCookie,
-// e.g. drain rules installed under a separate cookie for later removal).
-// It returns how many entries the swap removed.
-func (s *Switch) SwapFlows(delCookie uint64, add []*FlowEntry) (int, error) {
+// CommitFlows is the one way the flow table changes: it removes every
+// entry carrying one of the del cookies and adds the add entries, as one
+// copy-on-write snapshot built under mu and published with a single atomic
+// store. Every added entry is validated first, so a refused one leaves the
+// table untouched. The packet path therefore sees either the complete old
+// rule set or the complete new one, never a half-reprogrammed table.
+// Entries are matched in priority order (highest first); among equal
+// priorities the oldest entry wins, as in OpenFlow. A commit that removes
+// and adds nothing publishes nothing. It returns how many entries were
+// removed.
+func (s *Switch) CommitFlows(del []uint64, add []*FlowEntry) (int, error) {
 	for _, e := range add {
 		if err := validate(e); err != nil {
 			return 0, err
@@ -355,12 +308,42 @@ func (s *Switch) SwapFlows(delCookie uint64, add []*FlowEntry) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.table.Load().entries
-	kept := withoutCookie(cur, delCookie, len(add))
-	removed := len(cur) - len(kept)
-	next := append(kept, add...)
-	sortByPriority(next)
+	next := make([]*FlowEntry, 0, len(cur)+len(add))
+	for _, e := range cur {
+		if !slices.Contains(del, e.Cookie) {
+			next = append(next, e)
+		}
+	}
+	removed := len(cur) - len(next)
+	if removed == 0 && len(add) == 0 {
+		return 0, nil
+	}
+	next = append(next, add...)
+	// The sort is stable, so among equal priorities the entries already
+	// installed stay ahead of the ones appended after them.
+	slices.SortStableFunc(next, func(a, b *FlowEntry) int { return cmp.Compare(b.Priority, a.Priority) })
 	s.publishTable(next)
 	return removed, nil
+}
+
+// AddFlow installs one flow entry (see CommitFlows).
+func (s *Switch) AddFlow(e *FlowEntry) error {
+	_, err := s.CommitFlows(nil, []*FlowEntry{e})
+	return err
+}
+
+// DeleteFlows removes all entries with the given cookie and returns how many
+// were removed.
+func (s *Switch) DeleteFlows(cookie uint64) int {
+	n, _ := s.CommitFlows([]uint64{cookie}, nil)
+	return n
+}
+
+// SwapFlows atomically replaces every entry carrying delCookie with the
+// given entries (see CommitFlows). Added entries keep their own cookies. It
+// returns how many entries the swap removed.
+func (s *Switch) SwapFlows(delCookie uint64, add []*FlowEntry) (int, error) {
+	return s.CommitFlows([]uint64{delCookie}, add)
 }
 
 // Flows returns all installed entries in priority order.

@@ -33,6 +33,9 @@ type Telemetry struct {
 	// packet path pays nothing for it; deleted entries take their counts
 	// with them.
 	TableMatches uint64
+	// Publishes counts the flow-table snapshots published: one per
+	// committed flow change, however many entries it adds or removes.
+	Publishes uint64
 	// Cache is the microflow-cache counter snapshot.
 	Cache CacheStats
 	// Latency is the sampled per-packet pipeline latency, in seconds: the
@@ -63,7 +66,9 @@ func (s *Switch) Telemetry() Telemetry {
 	for _, p := range s.ports.Load().ports {
 		t.Tx += p.Stats().TxPackets
 	}
-	for _, e := range s.table.Load().entries {
+	table := s.table.Load()
+	t.Publishes = uint64(table.seq)
+	for _, e := range table.entries {
 		p, _ := e.Stats()
 		t.TableMatches += p
 	}
