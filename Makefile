@@ -13,7 +13,7 @@ GO ?= go
 COVERAGE_BASELINE ?= 75.0
 
 .PHONY: ci lint fmt vet staticcheck govulncheck build test race coverage \
-	bench bench-selftest profile chaos fuzz examples-smoke clean
+	bench bench-selftest profile layout chaos fuzz examples-smoke clean
 
 # The nfbench line is the paper-fidelity smoke of CI's bench job.
 ci: lint build race coverage bench-selftest chaos examples-smoke
@@ -97,6 +97,16 @@ profile:
 		-o profile/deploy.test .
 	@echo "wrote profile/cpu.pprof and profile/alloc.pprof (inspect with: $(GO) tool pprof profile/bench.test profile/cpu.pprof)"
 	@echo "wrote profile/deploy-alloc.pprof (inspect with: $(GO) tool pprof -sample_index=alloc_space profile/deploy.test profile/deploy-alloc.pprof)"
+
+# Where the datapath's code lands: Go aligns functions to 32 bytes, so a
+# change ahead of the hot loops can move them by half a cache line and move
+# fwd-flows with the packet path unchanged. Builds unbench at BASE and from
+# the working tree, lists every internal/vswitch and internal/netdev text
+# symbol whose address mod 64 differs, and fails if a datapath-core symbol
+# (the lane, execute, matches, receive, output, the TX coalescer) moved.
+BASE ?= HEAD
+layout:
+	bash scripts/layout.sh $(BASE)
 
 # Availability gate: the chaos harness injects NF crashes, node kills,
 # link cuts and REST control-plane faults under live stateful traffic,

@@ -6,11 +6,13 @@ package un_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	un "repro"
 	"repro/internal/global"
 )
 
@@ -26,17 +28,18 @@ import (
 // into its store, and the NF-FG codec grew its slices by appending; 248 KB
 // once those were gone, while the graph and the deployment record were
 // encoded by encoding/json's reflection; 225 KB once they were written by
-// hand in one pass; 218 KB since each flow change is one commit over the
-// LSI's control channel, applied as one table publish. The ceiling is that
-// figure plus 10% slack, which also
-// covers the background loops (gossip, heartbeats, reconcile) that allocate
-// while the lifecycles run.
+// hand in one pass; 218 KB once each flow change was one commit over the
+// LSI's control channel, applied as one table publish; 184 KB since status
+// probes read what the node keeps instead of rendering its topology and a
+// port attach or detach stores one slot of the port table. The ceiling is
+// that figure plus 10%, which also covers the background loops (gossip,
+// heartbeats, reconcile) that allocate while the lifecycles run.
 func TestHALifecycleBytesCeiling(t *testing.T) {
 	const (
 		rounds    = 60
-		ceilingKB = 240
+		ceilingKB = 203
 	)
-	orch := haLineFleet(t)
+	orch := haLineFleet(t, 250)
 	g, cfg := globalChain("svc", 6), globalChain("svc", 6)
 	g.NFs[0].Config = map[string]string{"rules": "drop proto=tcp dport=82", "default": "accept"}
 	cfg.NFs[0].Config = map[string]string{"rules": "drop proto=tcp dport=82;drop proto=tcp dport=443", "default": "accept"}
@@ -74,6 +77,91 @@ func TestHALifecycleBytesCeiling(t *testing.T) {
 	}
 	if shipped != 2*recorded {
 		t.Errorf("%d intent ops shipped for %d recorded on 3 replicas, want %d: each op crosses to each follower once", shipped, recorded, 2*recorded)
+	}
+}
+
+// residentGraph is an NF-less graph on n1 joining VLANs 100+2k and 101+2k
+// of lan.
+func residentGraph(k int) *un.Graph {
+	vlan := uint16(100 + 2*k)
+	return &un.Graph{
+		ID: fmt.Sprintf("resident-%03d", k),
+		Endpoints: []un.Endpoint{
+			{ID: "a", Type: un.EPVLAN, Interface: "lan", VLANID: vlan},
+			{ID: "b", Type: un.EPVLAN, Interface: "lan", VLANID: vlan + 1},
+		},
+		Rules: []un.FlowRule{
+			{ID: "ab", Priority: 10, Match: un.RuleMatch{PortIn: un.EndpointRef("a")},
+				Actions: []un.RuleAction{{Type: un.ActOutput, Output: un.EndpointRef("b")}}},
+			{ID: "ba", Priority: 10, Match: un.RuleMatch{PortIn: un.EndpointRef("b")},
+				Actions: []un.RuleAction{{Type: un.ActOutput, Output: un.EndpointRef("a")}}},
+		},
+	}
+}
+
+// TestLifecycleCostIndependentOfResidents runs TestHALifecycleBytesCeiling's
+// lifecycle after deploying K = 0 and then K = 256 resident graphs on n1:
+// one CPE serving many tenants must not pay more per operation for the
+// tenants already there. Status probes read what the node keeps instead of
+// rendering its topology, port attach and detach store one slot of the
+// port table, and a follower decodes only the records each op wrote. What
+// K = 256 still adds is LSI-0's flat flow-table copy in CommitFlows (8 B per
+// entry per commit, two entries per resident) and the graph-id slices of
+// the probes.
+func TestLifecycleCostIndependentOfResidents(t *testing.T) {
+	const (
+		rounds      = 60
+		maxMallocs  = 0.10
+		maxBytes    = 0.40
+		residentsAt = 256
+	)
+	cost := func(t *testing.T, residents int) (mallocs, kb float64) {
+		orch := haLineFleet(t, 250)
+		for k := 0; k < residents; k++ {
+			if err := orch.Deploy(residentGraph(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, cfg := globalChain("svc", 6), globalChain("svc", 6)
+		g.NFs[0].Config = map[string]string{"rules": "drop proto=tcp dport=82", "default": "accept"}
+		cfg.NFs[0].Config = map[string]string{"rules": "drop proto=tcp dport=82;drop proto=tcp dport=443", "default": "accept"}
+		lifecycle := func() {
+			if err := orch.Deploy(g); err != nil {
+				t.Fatal(err)
+			}
+			if err := orch.Update(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := orch.Undeploy("svc"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			lifecycle()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			lifecycle()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / rounds, float64(after.TotalAlloc-before.TotalAlloc) / 1024 / rounds
+	}
+	var m0, kb0, m1, kb1 float64
+	t.Run("K=0", func(t *testing.T) { m0, kb0 = cost(t, 0) })
+	t.Run(fmt.Sprintf("K=%d", residentsAt), func(t *testing.T) { m1, kb1 = cost(t, residentsAt) })
+	if t.Failed() {
+		return
+	}
+	t.Logf("per lifecycle: %.0f mallocs / %.1f KB at K = 0, %.0f / %.1f KB at K = %d (%+.1f%% / %+.1f%%)",
+		m0, kb0, m1, kb1, residentsAt, 100*(m1/m0-1), 100*(kb1/kb0-1))
+	if m1 > m0*(1+maxMallocs) {
+		t.Errorf("K = %d residents cost %.0f mallocs per lifecycle, %+.1f%% over K = 0's %.0f (bound %+.0f%%)",
+			residentsAt, m1, 100*(m1/m0-1), m0, 100*maxMallocs)
+	}
+	if kb1 > kb0*(1+maxBytes) {
+		t.Errorf("K = %d residents cost %.1f KB per lifecycle, %+.1f%% over K = 0's %.1f KB (bound %+.0f%%)",
+			residentsAt, kb1, 100*(kb1/kb0-1), kb0, 100*maxBytes)
 	}
 }
 

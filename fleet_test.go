@@ -40,15 +40,15 @@ func globalChain(id string, nfs int) *un.Graph {
 
 // haLineFleet assembles the structure unbench's deploy-churn workload runs
 // on, minus REST: three nodes in a line (lan on n1, wan on n3, patched trunk
-// cables) under three replicated global orchestrators, and returns the
-// leader's.
-func haLineFleet(t *testing.T) *global.Orchestrator {
+// cables) of cpuMillis each (deploy-churn's are 250) under three replicated
+// global orchestrators, and returns the leader's.
+func haLineFleet(t *testing.T, cpuMillis int) *global.Orchestrator {
 	t.Helper()
 	nodes := map[string]*un.Node{}
 	handles := map[string]global.Node{}
 	for name, ifaces := range map[string][]string{"n1": {"lan", "x12"}, "n2": {"x12", "x23"}, "n3": {"x23", "wan"}} {
 		n, err := un.NewNode(un.Config{
-			Name: name, Interfaces: ifaces, CPUMillis: 250, RAMBytes: 1 << 30,
+			Name: name, Interfaces: ifaces, CPUMillis: cpuMillis, RAMBytes: 1 << 30,
 			Capabilities: []string{"docker", "nnf:firewall", "nnf:monitor", "nnf:bridge"},
 		})
 		if err != nil {
@@ -118,7 +118,7 @@ func haLineFleet(t *testing.T) *global.Orchestrator {
 // internal/nnf, now a 64-entry window.)
 func TestDeployChurnHeapPlateaus(t *testing.T) {
 	const fill, measured, slackKB = 400, 400, 48
-	orch := haLineFleet(t)
+	orch := haLineFleet(t, 250)
 	g, cfg, upd := globalChain("svc", 6), globalChain("svc", 6), globalChain("svc", 5)
 	g.NFs[0].Config = map[string]string{"rules": "drop proto=tcp dport=82", "default": "accept"}
 	cfg.NFs[0].Config = map[string]string{"rules": "drop proto=tcp dport=82;drop proto=tcp dport=443", "default": "accept"}
@@ -156,5 +156,17 @@ func TestDeployChurnHeapPlateaus(t *testing.T) {
 	if end-full > slackKB {
 		t.Errorf("heap grew %.0f KB over %d lifecycles after every bounded window was full (slack %d KB): something retains per-lifecycle state",
 			end-full, measured, slackKB)
+	}
+}
+
+// TestWideNodesDeployRepeatedNativeNFs deploys a chain that runs two NFs of
+// each template onto nodes wide enough to host it whole. The node's dry-run
+// once admitted both firewalls as the one native firewall the graph may
+// attach to, so the global tier placed the chain on a node whose deploy then
+// refused it.
+func TestWideNodesDeployRepeatedNativeNFs(t *testing.T) {
+	orch := haLineFleet(t, 100000)
+	if err := orch.Deploy(globalChain("svc", 6)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -72,7 +72,8 @@ type Options struct {
 	LeaseDuration     time.Duration
 
 	// LogDepth bounds the leader-side replication window (default
-	// 1024); followers further behind catch up from a snapshot.
+	// 1024); followers further behind catch up from a snapshot. The
+	// intent store remembers as many removed records for ChangedSince.
 	LogDepth int
 
 	// CommitTimeout bounds how long Record waits for quorum
@@ -119,7 +120,7 @@ func (o *Options) withDefaults() Options {
 		out.LeaseDuration = time.Second
 	}
 	if out.LogDepth <= 0 {
-		out.LogDepth = 1024
+		out.LogDepth = defaultLogDepth
 	}
 	if out.CommitTimeout <= 0 {
 		out.CommitTimeout = out.LeaseDuration
@@ -192,7 +193,7 @@ func New(opts Options) (*Cluster, error) {
 		self:    o.ID,
 		members: make(map[string]*memberInfo),
 		log:     NewLog(o.LogDepth),
-		store:   NewIntentStore(),
+		store:   newIntentStore(o.LogDepth),
 		acked:   make(map[string]uint64),
 		synced:  make(map[string]bool),
 		stop:    make(chan struct{}),

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -41,6 +42,51 @@ func TestIntentStoreIdempotentBySeq(t *testing.T) {
 	}
 	if s.LastApplied() != 2 {
 		t.Fatalf("lastApplied = %d, want 2", s.LastApplied())
+	}
+}
+
+// TestIntentStoreChangedSince names each record the ops after a sequence
+// wrote or removed, once, parked ops included once they fold; and refuses a
+// reader older than the tombstones it kept, or one that saw the store
+// before a snapshot replaced it.
+func TestIntentStoreChangedSince(t *testing.T) {
+	s := newIntentStore(4)
+	s.Apply(op(1, OpNodeAdd, "n1", `{}`))
+	s.Apply(op(3, OpUndeploy, "g1", ""))
+	s.Apply(op(2, OpDeploy, "g1", `{}`))
+	s.Apply(op(4, OpLinkAdd, "l1", `{}`))
+	changes, through, ok := s.ChangedSince(0)
+	want := []Change{{"graphs", "g1"}, {"links", "l1"}, {"nodes", "n1"}}
+	if !ok || through != 4 || !slices.Equal(changes, want) {
+		t.Fatalf("ChangedSince(0) = %v, %d, %v; want %v, 4, true", changes, through, ok, want)
+	}
+	if changes, _, ok := s.ChangedSince(3); !ok || !slices.Equal(changes, want[1:2]) {
+		t.Fatalf("ChangedSince(3) = %v, %v; want %v", changes, ok, want[1:2])
+	}
+	if changes, through, ok := s.ChangedSince(4); !ok || through != 4 || len(changes) != 0 {
+		t.Fatalf("ChangedSince(current) = %v, %d, %v; want nothing to re-read", changes, through, ok)
+	}
+	// g1 is one tombstone; four more removed records make five, over the
+	// store's four.
+	for seq := uint64(5); seq <= 12; seq += 2 {
+		key := fmt.Sprint("x", seq)
+		s.Apply(op(seq, OpLinkAdd, key, `{}`))
+		s.Apply(op(seq+1, OpLinkRemove, key, ""))
+	}
+	if _, _, ok := s.ChangedSince(4); ok {
+		t.Error("ChangedSince served a reader older than the tombstones the store dropped")
+	}
+	s.Apply(op(13, OpNodeRemove, "n1", ""))
+	if changes, _, ok := s.ChangedSince(12); !ok || !slices.Equal(changes, want[2:]) {
+		t.Errorf("ChangedSince(12) = %v, %v; want %v", changes, ok, want[2:])
+	}
+	s.Restore(s.Snapshot())
+	s.Apply(op(14, OpUndeploy, "g2", ""))
+	if _, _, ok := s.ChangedSince(13); ok {
+		t.Error("ChangedSince served a reader that saw the store before a snapshot replaced it")
+	}
+	if _, through, ok := s.ChangedSince(14); !ok || through != 14 {
+		t.Errorf("ChangedSince(14) after the restore = %d, %v", through, ok)
 	}
 }
 

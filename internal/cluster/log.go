@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -80,13 +83,39 @@ type IntentStore struct {
 	lastTerm    uint64 // term of the op at lastApplied
 	records     map[string]map[string]json.RawMessage
 	pending     map[uint64]Op
+
+	// written maps category → key → the sequence number of the op that
+	// last wrote or removed the record, so a reader that last saw the store
+	// at a sequence from servesFrom on re-reads only the records written
+	// since (ChangedSince). A removed record's entry stays as a tombstone;
+	// once there are more than maxTombstones of them they are all dropped
+	// and only readers at the current sequence are served. A Restore
+	// empties it and serves only readers that saw the store after it.
+	written       map[string]map[string]uint64
+	tombstones    int
+	maxTombstones int
+	servesFrom    uint64
 }
 
-// NewIntentStore builds an empty store.
-func NewIntentStore() *IntentStore {
+// Change names a record: a reader re-reads it with Get.
+type Change struct {
+	Category, Key string
+}
+
+// defaultLogDepth is the default of Options.LogDepth: how many ops the
+// leader's log keeps, and how many removed records every store remembers.
+const defaultLogDepth = 1024
+
+// NewIntentStore builds an empty store that remembers up to 1024 removed
+// records for ChangedSince.
+func NewIntentStore() *IntentStore { return newIntentStore(defaultLogDepth) }
+
+func newIntentStore(maxTombstones int) *IntentStore {
 	return &IntentStore{
-		records: make(map[string]map[string]json.RawMessage),
-		pending: make(map[uint64]Op),
+		records:       make(map[string]map[string]json.RawMessage),
+		pending:       make(map[uint64]Op),
+		written:       make(map[string]map[string]uint64),
+		maxTombstones: maxTombstones,
 	}
 }
 
@@ -127,8 +156,6 @@ func (s *IntentStore) applyLocked(op Op) {
 		return
 	}
 	s.foldLocked(op)
-	s.lastApplied = op.Seq
-	s.lastTerm = op.Term
 	// Drain any parked ops the new prefix unblocks.
 	for {
 		next, ok := s.pending[s.lastApplied+1]
@@ -137,34 +164,37 @@ func (s *IntentStore) applyLocked(op Op) {
 		}
 		delete(s.pending, next.Seq)
 		s.foldLocked(next)
-		s.lastApplied = next.Seq
-		s.lastTerm = next.Term
 	}
 }
 
+// foldLocked applies the op at lastApplied+1 and notes which record it
+// wrote or removed.
 func (s *IntentStore) foldLocked(op Op) {
+	s.lastApplied = op.Seq
+	s.lastTerm = op.Term
 	cat, remove := op.Kind.category()
 	if cat == "" {
 		return
 	}
-	if remove {
-		if m := s.records[cat]; m != nil {
-			delete(m, op.Key)
-			if len(m) == 0 {
-				delete(s.records, cat)
-			}
-		}
-		return
-	}
 	m := s.records[cat]
-	if m == nil {
-		m = make(map[string]json.RawMessage)
-		s.records[cat] = m
+	_, live := m[op.Key]
+	switch {
+	case remove && m != nil:
+		delete(m, op.Key)
+		if len(m) == 0 {
+			delete(s.records, cat)
+		}
+	case !remove:
+		if m == nil {
+			m = make(map[string]json.RawMessage)
+			s.records[cat] = m
+		}
+		// Shared, not copied: a proposed record is immutable (see
+		// Propose), so the store keeps the bytes the log holds. Get,
+		// Snapshot and Restore copy at the boundary.
+		m[op.Key] = op.Data
 	}
-	// Shared, not copied: a proposed record is immutable (see Propose),
-	// so the store keeps the bytes the log holds. Get, Snapshot and
-	// Restore copy at the boundary.
-	m[op.Key] = op.Data
+	s.noteWrittenLocked(cat, op.Key, remove, live)
 }
 
 // Snapshot copies the store at its current sequence number.
@@ -202,6 +232,67 @@ func (s *IntentStore) Restore(snap Snapshot) {
 	s.lastApplied = snap.Seq
 	s.lastTerm = snap.Term
 	s.pending = make(map[uint64]Op)
+	s.written = make(map[string]map[string]uint64)
+	s.tombstones = 0
+	s.servesFrom = snap.Seq + 1
+}
+
+// noteWrittenLocked records that the op at lastApplied wrote or removed the
+// record cat/key, which was live before it or not.
+func (s *IntentStore) noteWrittenLocked(cat, key string, remove, wasLive bool) {
+	w := s.written[cat]
+	if w == nil {
+		w = make(map[string]uint64)
+		s.written[cat] = w
+	}
+	_, noted := w[key]
+	w[key] = s.lastApplied
+	switch {
+	case remove && (wasLive || !noted):
+		s.tombstones++
+	case !remove && noted && !wasLive:
+		s.tombstones--
+	}
+	if s.tombstones <= s.maxTombstones {
+		return
+	}
+	for c, w := range s.written {
+		for k := range w {
+			if _, live := s.records[c][k]; !live {
+				delete(w, k)
+			}
+		}
+	}
+	s.tombstones = 0
+	s.servesFrom = s.lastApplied
+}
+
+// ChangedSince returns every record the ops applied after seq wrote or
+// removed, each once, sorted, and the sequence number they run to: what a
+// reader that last saw the store at seq must re-read. ok is false when the
+// store cannot say, because it has since dropped its tombstones or a
+// Restore replaced it, and the reader must re-read every record. A reader
+// at the store's sequence has nothing to re-read.
+func (s *IntentStore) ChangedSince(seq uint64) (changes []Change, through uint64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if seq == s.lastApplied {
+		return nil, seq, true
+	}
+	if seq < s.servesFrom || seq > s.lastApplied {
+		return nil, s.lastApplied, false
+	}
+	for cat, w := range s.written {
+		for key, at := range w {
+			if at > seq {
+				changes = append(changes, Change{Category: cat, Key: key})
+			}
+		}
+	}
+	slices.SortFunc(changes, func(a, b Change) int {
+		return cmp.Or(strings.Compare(a.Category, b.Category), strings.Compare(a.Key, b.Key))
+	})
+	return changes, s.lastApplied, true
 }
 
 // ClearPending discards parked out-of-order ops. Followers call it when
@@ -270,7 +361,7 @@ type Log struct {
 // NewLog builds a window holding the last depth ops.
 func NewLog(depth int) *Log {
 	if depth <= 0 {
-		depth = 1024
+		depth = defaultLogDepth
 	}
 	return &Log{depth: depth, next: 1}
 }

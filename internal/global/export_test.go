@@ -3,6 +3,7 @@ package global
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // heldHops lists the stitch VLANs the allocator holds, as sorted
@@ -52,4 +53,28 @@ func Stitches(o *Orchestrator, id string) string {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return fmt.Sprintf("%+v", o.graphs[id].stitchSet())
+}
+
+// FollowerView renders what an orchestrator's bookkeeping holds of the
+// intent store: each graph's record bytes (placement and stitches
+// included), the links in order, the node names and the stitch VLANs the
+// allocator holds.
+func FollowerView(o *Orchestrator) string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var b strings.Builder
+	for _, id := range sortedKeys(o.graphs) {
+		rec, err := encodeRecord(o.graphs[id])
+		fmt.Fprintf(&b, "graph %s %s %v\n", id, rec, err)
+	}
+	for _, l := range o.links {
+		fmt.Fprintf(&b, "link %s\n", l.key())
+	}
+	for _, name := range sortedKeys(o.members) {
+		fmt.Fprintf(&b, "node %s\n", name)
+	}
+	for _, h := range heldHops(o) {
+		fmt.Fprintf(&b, "vlan %s\n", h)
+	}
+	return b.String()
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
@@ -34,12 +36,14 @@ var ErrNotLeader = errors.New("global: not the leader replica")
 var ErrNotCommitted = errors.New("global: accepted but not yet committed to the cluster")
 
 // IntentSource is the read surface of the replicated intent store
-// (implemented by cluster.IntentStore): categories of key -> record, plus
-// the applied sequence number so refreshes can skip unchanged state.
+// (implemented by cluster.IntentStore): categories of key -> record, the
+// applied sequence number, and which records the ops after a given
+// sequence touched, so a follower's refresh re-reads only those.
 type IntentSource interface {
 	Keys(category string) []string
 	Get(category, key string) json.RawMessage
 	LastApplied() uint64
+	ChangedSince(seq uint64) (changes []cluster.Change, through uint64, ok bool)
 }
 
 // NodeResolver turns a replicated node record back into a dialable Node
@@ -103,20 +107,121 @@ func (o *Orchestrator) SetIntentSource(src IntentSource) {
 	o.intentSource = src
 }
 
-// refreshFollower re-replays the intent store into a non-leader's
-// bookkeeping so its reads track the leader's writes. Skipped while the
-// store has not moved past the last replay.
+// refreshFollower brings a non-leader's bookkeeping up to the intent store
+// so its reads track the leader's writes. It re-reads and decodes only the
+// records the ops since its last refresh wrote or removed. Only when the
+// store cannot name them (after a snapshot install, or once it has dropped
+// the tombstones of more removed records than it keeps) does it replay the
+// whole store.
 func (o *Orchestrator) refreshFollower() {
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	src := o.intentSource
-	seq := o.restoredSeq
-	o.mu.Unlock()
-	if src == nil || src.LastApplied() == seq {
+	if src == nil {
 		return
 	}
-	if err := o.RestoreIntent(src); err != nil {
-		o.cfg.Logf("global: follower intent refresh: %v", err)
+	changes, through, ok := src.ChangedSince(o.restoredSeq)
+	if !ok {
+		if err := o.replayLocked(src, through); err != nil {
+			o.cfg.Logf("global: follower intent refresh: %v", err)
+		}
+		return
 	}
+	resolver := o.resolverLocked()
+	for _, c := range changes {
+		if err := o.applyChangeLocked(src, resolver, c); err != nil {
+			o.cfg.Logf("global: follower intent refresh: %v", err)
+		}
+	}
+	o.restoredSeq = through
+}
+
+// applyChangeLocked brings one record of the follower's view up to the
+// store: a graph's deployment with its stitch VLANs, a fleet member or a
+// link, each decoded as the promotion replay decodes it. A record the
+// store no longer holds is removed. Callers hold o.mu.
+func (o *Orchestrator) applyChangeLocked(src IntentSource, resolver NodeResolver, c cluster.Change) error {
+	raw := src.Get(c.Category, c.Key)
+	switch c.Category {
+	case "graphs":
+		if old, ok := o.graphs[c.Key]; ok {
+			for _, st := range old.Stitches {
+				releaseHops(o.alloc, st.Hops)
+			}
+			delete(o.graphs, c.Key)
+		}
+		if raw == nil {
+			return nil
+		}
+		dep, err := decodeRecord(c.Key, raw)
+		if err != nil {
+			return err
+		}
+		reserveStitchVLANs(o.alloc, dep.Stitches)
+		o.graphs[c.Key] = dep
+	case "nodes":
+		if raw == nil {
+			delete(o.members, c.Key)
+			return nil
+		}
+		if _, ok := o.members[c.Key]; ok {
+			return nil
+		}
+		m, err := restoreMember(resolver, c.Key, raw)
+		if err != nil {
+			return err
+		}
+		o.members[c.Key] = m
+	case "links":
+		i := slices.IndexFunc(o.links, func(l Link) bool { return l.key() == c.Key })
+		if raw == nil {
+			if i >= 0 {
+				o.links = slices.Delete(o.links, i, i+1)
+			}
+			return nil
+		}
+		l, err := decodeLink(c.Key, raw)
+		if err != nil {
+			return err
+		}
+		if i >= 0 {
+			o.links[i] = l
+			return nil
+		}
+		// In key order, as the replay lists them.
+		i, _ = slices.BinarySearchFunc(o.links, c.Key, func(l Link, key string) int { return strings.Compare(l.key(), key) })
+		o.links = slices.Insert(o.links, i, l)
+	}
+	return nil
+}
+
+// resolverLocked returns the installed NodeResolver or the default one.
+// Callers hold o.mu.
+func (o *Orchestrator) resolverLocked() NodeResolver {
+	if o.nodeResolver == nil {
+		return defaultNodeResolver
+	}
+	return o.nodeResolver
+}
+
+// restoreMember resolves a replicated node record into a fleet member,
+// without probing it: desired state says it exists, and the next
+// reconcile pass probes it.
+func restoreMember(resolver NodeResolver, name string, raw json.RawMessage) (*member, error) {
+	n, err := resolver(name, raw)
+	if err != nil {
+		return nil, err
+	}
+	return &member{node: n, alive: true, last: Status{Name: name}}, nil
+}
+
+// decodeLink decodes one replicated link record.
+func decodeLink(key string, raw json.RawMessage) (Link, error) {
+	var l Link
+	if err := json.Unmarshal(raw, &l); err != nil {
+		return Link{}, fmt.Errorf("global: link record %q: %w", key, err)
+	}
+	return l, nil
 }
 
 // leaderErr returns ErrNotLeader when an HA gate is installed and this
@@ -252,38 +357,39 @@ func defaultNodeResolver(name string, raw json.RawMessage) (Node, error) {
 // adopted as-is by the first reconcile pass's drift repair.
 func (o *Orchestrator) RestoreIntent(src IntentSource) error {
 	// Capture the sequence first: ops landing during the read are
-	// re-replayed by the next refresh rather than silently skipped.
+	// re-read by the next refresh rather than silently skipped.
 	seq := src.LastApplied()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.restoredSeq = seq
+	return o.replayLocked(src, seq)
+}
 
-	resolver := o.nodeResolver
-	if resolver == nil {
-		resolver = defaultNodeResolver
-	}
+// replayLocked is RestoreIntent's replay of the store as of sequence seq, or
+// later. Callers hold o.mu.
+func (o *Orchestrator) replayLocked(src IntentSource, seq uint64) error {
+	o.restoredSeq = seq
+	resolver := o.resolverLocked()
 
 	members := make(map[string]*member)
 	var errs []error
 	for _, name := range src.Keys("nodes") {
-		raw := src.Get("nodes", name)
 		if m, ok := o.members[name]; ok {
 			members[name] = m
 			continue
 		}
-		n, err := resolver(name, raw)
+		m, err := restoreMember(resolver, name, src.Get("nodes", name))
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		members[name] = &member{node: n, alive: true, last: Status{Name: name}}
+		members[name] = m
 	}
 
 	var links []Link
 	for _, key := range src.Keys("links") {
-		var l Link
-		if err := json.Unmarshal(src.Get("links", key), &l); err != nil {
-			errs = append(errs, fmt.Errorf("global: link record %q: %w", key, err))
+		l, err := decodeLink(key, src.Get("links", key))
+		if err != nil {
+			errs = append(errs, err)
 			continue
 		}
 		links = append(links, l)

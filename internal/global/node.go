@@ -104,10 +104,8 @@ type UniversalNode interface {
 	Undeploy(id string) error
 	Reflavor(graphID, nfID string, tech nffg.Technology) error
 	Scale(graphID, nfID string, replicas int) error
-	GraphIDs() []string
 	GraphSpec(id string) (*nffg.Graph, bool)
-	Topology() orchestrator.Topology
-	Usage() (usedCPU, totalCPU int, usedRAM, totalRAM uint64)
+	Status() orchestrator.NodeStatus
 	Capabilities() []string
 }
 
@@ -143,27 +141,23 @@ func (l *LocalNode) Status() (Status, error) {
 	if err := l.check(); err != nil {
 		return Status{}, err
 	}
-	usedCPU, totalCPU, usedRAM, totalRAM := l.un.Usage()
-	topo := l.un.Topology()
-	var nfs []NFStatus
-	for _, g := range topo.Graphs {
-		for _, n := range g.NFs {
-			nfs = append(nfs, NFStatus{Graph: g.ID, NF: n.ID, Technology: n.Technology, State: n.State})
-		}
-	}
+	ns := l.un.Status()
 	st := Status{
 		Name:           l.name,
-		FreeCPUMillis:  totalCPU - usedCPU,
-		TotalCPUMillis: totalCPU,
-		FreeRAMBytes:   totalRAM - usedRAM,
-		TotalRAMBytes:  totalRAM,
-		Interfaces:     topo.Interfaces,
+		FreeCPUMillis:  ns.TotalCPU - ns.UsedCPU,
+		TotalCPUMillis: ns.TotalCPU,
+		FreeRAMBytes:   ns.TotalRAM - ns.UsedRAM,
+		TotalRAMBytes:  ns.TotalRAM,
+		Interfaces:     ns.Interfaces,
 		Capabilities:   l.un.Capabilities(),
-		Graphs:         l.un.GraphIDs(),
-		NFs:            nfs,
+		Graphs:         ns.Graphs,
+		RatePPS:        ns.RatePPS,
 	}
-	if r, ok := l.un.(interface{ TotalRatePPS() float64 }); ok {
-		st.RatePPS = r.TotalRatePPS()
+	if len(ns.NFs) > 0 {
+		st.NFs = make([]NFStatus, len(ns.NFs))
+		for i, n := range ns.NFs {
+			st.NFs[i] = NFStatus{Graph: n.Graph, NF: n.ID, Technology: n.Technology, State: n.State}
+		}
 	}
 	return st, nil
 }

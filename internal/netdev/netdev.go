@@ -196,8 +196,9 @@ func (p *Port) SetUp(up bool) { p.mutate(func(st *portState) { st.up = up }) }
 // IsUp reports the administrative state of the port.
 func (p *Port) IsUp() bool { return p.state.Load().up }
 
-// SetHandler installs fn as the synchronous receive handler. Passing nil
-// reverts the port to queued reception.
+// SetHandler installs fn as the synchronous receive handler, the one a
+// single frame is delivered to. Passing nil removes it; a port with neither
+// handler queues what it receives.
 func (p *Port) SetHandler(fn Handler) {
 	p.mutate(func(st *portState) { st.handler = fn })
 }
@@ -207,6 +208,14 @@ func (p *Port) SetHandler(fn Handler) {
 // SendBatch. Passing nil removes it.
 func (p *Port) SetBatchHandler(fn BatchHandler) {
 	p.mutate(func(st *portState) { st.batch = fn })
+}
+
+// SetHandlers installs fn and batch (see SetHandler and SetBatchHandler)
+// with one state swap, so no frame sees one installed without the other: a
+// switch attaching or detaching the port uses it. Passing nil for both
+// reverts the port to queued reception.
+func (p *Port) SetHandlers(fn Handler, batch BatchHandler) {
+	p.mutate(func(st *portState) { st.handler, st.batch = fn, batch })
 }
 
 // SetTap installs an observer for frames crossing the port in either

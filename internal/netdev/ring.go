@@ -60,6 +60,11 @@ func (r *Ring[T]) Len() int {
 	return int(n)
 }
 
+// Pushed returns how many items were ever pushed: with a consumer that
+// counts what it has taken, the point it must reach to have taken everything
+// queued now.
+func (r *Ring[T]) Pushed() uint64 { return r.enq.Load() }
+
 // tryPush enqueues v, returning false when the ring is full. Safe for any
 // number of concurrent producers.
 func (r *Ring[T]) tryPush(v T) bool {

@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -228,5 +229,120 @@ func TestRefusedCommitLeavesTableUnchanged(t *testing.T) {
 	}
 	if err := o.Deploy(firewallGraph("g2", 300, "")); err != nil {
 		t.Errorf("deploy after the rollback: %v", err)
+	}
+}
+
+// vlanGraph is an NF-less graph joining VLANs vlan and vlan+1 of eth0.
+func vlanGraph(id string, vlan uint16) *nffg.Graph {
+	return &nffg.Graph{
+		ID: id,
+		Endpoints: []nffg.Endpoint{
+			{ID: "a", Type: nffg.EPVLAN, Interface: "eth0", VLANID: vlan},
+			{ID: "b", Type: nffg.EPVLAN, Interface: "eth0", VLANID: vlan + 1},
+		},
+		Rules: []nffg.FlowRule{
+			{ID: "ab", Priority: 10, Match: nffg.RuleMatch{PortIn: nffg.EndpointRef("a")},
+				Actions: []nffg.RuleAction{{Type: nffg.ActOutput, Output: nffg.EndpointRef("b")}}},
+			{ID: "ba", Priority: 10, Match: nffg.RuleMatch{PortIn: nffg.EndpointRef("b")},
+				Actions: []nffg.RuleAction{{Type: nffg.ActOutput, Output: nffg.EndpointRef("a")}}},
+		},
+	}
+}
+
+// TestLSI0PortNumbersStayBounded attaches and detaches 1 000 endpoints on
+// LSI-0 while other graphs come and go around them: LSI-0 hands out the
+// lowest free number, so its highest port number never exceeds the most
+// ports it had attached at once.
+func TestLSI0PortNumbersStayBounded(t *testing.T) {
+	o := newNode(t)
+	peak, highest := 0, uint32(0)
+	observe := func() {
+		ports := o.LSI0().Ports()
+		peak, highest = max(peak, len(ports)), max(highest, ports[len(ports)-1])
+	}
+	resident := func(i int) *nffg.Graph { return vlanGraph(fmt.Sprintf("r%d", i%3), uint16(100+2*(i%3))) }
+	for i := 0; i < 3; i++ {
+		if err := o.Deploy(resident(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		if i%10 == 0 {
+			// Leave a hole below the churning graph's numbers.
+			if err := o.Undeploy(resident(i).ID); err != nil {
+				t.Fatal(err)
+			}
+			observe()
+			if err := o.Deploy(resident(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := o.Deploy(vlanGraph("churn", 500)); err != nil {
+			t.Fatal(err)
+		}
+		observe()
+		if err := o.Undeploy("churn"); err != nil {
+			t.Fatal(err)
+		}
+		observe()
+	}
+	t.Logf("highest LSI-0 port number %d, peak %d ports attached", highest, peak)
+	if highest > uint32(peak) {
+		t.Errorf("highest LSI-0 port number %d after 1000 endpoint attach/detach cycles, peak ports attached %d", highest, peak)
+	}
+}
+
+// TestRefusedDeleteHoldsPortNumber fails the commit that deletes one
+// endpoint's LSI-0 entries. Those entries stay installed and name the
+// endpoint's LSI-0 port, so its number is never handed out again, while the
+// number of the endpoint whose delete went through is reused at once.
+func TestRefusedDeleteHoldsPortNumber(t *testing.T) {
+	o := newNode(t)
+	if err := o.Deploy(vlanGraph("g", 100)); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := o.Graph("g")
+	ports := map[uint64]uint32{}
+	for _, att := range d.eps {
+		ports[att.cookie] = att.lsi0Port
+	}
+	// A FLOW_MOD refused while staged fails the next commit on LSI-0: the
+	// delete of the first endpoint the undeploy detaches.
+	if err := o.lsi0.ctrl.InstallFlow(0, 1, 999, vswitch.MatchAll().WithVLAN(5000), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Undeploy("g"); err != nil {
+		t.Fatal(err)
+	}
+	var held, freed []uint32
+	for cookie, num := range ports {
+		stale := false
+		for _, e := range o.LSI0().Flows() {
+			stale = stale || e.Cookie == cookie
+		}
+		if stale {
+			held = append(held, num)
+		} else {
+			freed = append(freed, num)
+		}
+	}
+	if len(held) != 1 || len(freed) != 1 {
+		t.Fatalf("after one refused delete: ports %v held, %v freed; want one each", held, freed)
+	}
+	reused := false
+	for i := 0; i < 8; i++ {
+		if err := o.Deploy(vlanGraph(fmt.Sprintf("h%d", i), uint16(200+2*i))); err != nil {
+			t.Fatal(err)
+		}
+		d, _ := o.Graph(fmt.Sprintf("h%d", i))
+		for _, att := range d.eps {
+			if att.lsi0Port == held[0] {
+				t.Fatalf("LSI-0 port %d reused while a stale entry names it", held[0])
+			}
+			reused = reused || att.lsi0Port == freed[0]
+		}
+	}
+	if !reused {
+		t.Errorf("the number %d of the cleanly detached endpoint was never reused", freed[0])
 	}
 }

@@ -56,6 +56,22 @@ func (a *nfAttachment) State() NFState {
 	return stateOrder[a.state.Load()]
 }
 
+// NFState reports the lifecycle state of one NF of a deployed graph, as
+// its first member stands.
+func (o *Orchestrator) NFState(graphID, nfID string) (NFState, bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	d, ok := o.graphs[graphID]
+	if !ok {
+		return "", false
+	}
+	set, ok := d.nfs[nfID]
+	if !ok {
+		return "", false
+	}
+	return set.members[0].State(), true
+}
+
 // setState advances one attachment's lifecycle state and journals the
 // transition. Safe without the orchestrator lock: the state field is atomic
 // and the journal synchronizes internally, so concurrent starts report

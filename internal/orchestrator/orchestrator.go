@@ -70,9 +70,20 @@ type lsiConn struct {
 	agent *openflow.Agent
 	ctrl  *openflow.Controller
 	done  chan struct{}
-	// portGen numbers the switch's ports (guarded by Orchestrator.mu). It
-	// lives here so that it goes away with the LSI.
-	portGen uint32
+	// graph marks a graph LSI: every entry it holds is its graph's, under
+	// one cookie, committed whole by program.
+	graph bool
+	// Port numbering (guarded by Orchestrator.mu; it goes away with the
+	// LSI). nextPort hands out the lowest free number, so numbers stay
+	// within the peak count of live ports. A removed port's number is
+	// free again only once no installed entry can name it: until then it
+	// is held. A graph LSI holds every removed number until its next
+	// whole-set commit succeeds (freeHeld); on LSI-0, where each owner
+	// deletes its own entries before removing its ports, only a number
+	// whose deleting commit failed is held, and for good.
+	top  uint32   // highest number handed out
+	free []uint32 // released numbers below top, ascending
+	held []uint32
 }
 
 // newLSIConn builds a switch with a live OpenFlow channel over an
@@ -204,7 +215,7 @@ type Orchestrator struct {
 	instGen atomic.Uint64
 	// rates holds the last per-graph LSI rx probe, backing the observed
 	// packet rate the cost-driven policy consumes.
-	rates map[string]*rateProbe
+	rates map[string]rateProbe
 	// vlanEPs guards (interface, vlan) uniqueness across graphs.
 	vlanEPs map[string]string // "if/vlan" -> graph id
 	// internalGroups tracks EPInternal rendezvous: group -> members.
@@ -251,7 +262,7 @@ func New(cfg Config) (*Orchestrator, error) {
 		ifPorts:        make(map[string]uint32),
 		gLocks:         make(map[string]*graphLock),
 		graphs:         make(map[string]*DeployedGraph),
-		rates:          make(map[string]*rateProbe),
+		rates:          make(map[string]rateProbe),
 		vlanEPs:        make(map[string]string),
 		internalGroups: make(map[string][]groupMember),
 		nnfPorts:       make(map[string]uint32),
@@ -369,9 +380,57 @@ func (o *Orchestrator) nextCookie() uint64 {
 	return o.cookieGn
 }
 
+// nextPort hands out the lowest free port number.
 func (l *lsiConn) nextPort() uint32 {
-	l.portGen++
-	return l.portGen
+	if len(l.free) == 0 {
+		l.top++
+		return l.top
+	}
+	num := l.free[0]
+	l.free = slices.Delete(l.free, 0, 1)
+	return num
+}
+
+// freePort makes a removed port's number available again, unless it is
+// held.
+func (l *lsiConn) freePort(num uint32) {
+	if slices.Contains(l.held, num) {
+		return
+	}
+	i, _ := slices.BinarySearch(l.free, num)
+	l.free = slices.Insert(l.free, i, num)
+}
+
+// holdPort keeps num from being handed out again: an installed entry may
+// still name it.
+func (l *lsiConn) holdPort(num uint32) {
+	if !slices.Contains(l.held, num) {
+		l.held = append(l.held, num)
+	}
+}
+
+// removePort detaches port num. Its number is held on a graph LSI and freed
+// on LSI-0 (see the numbering fields).
+func (l *lsiConn) removePort(num uint32) {
+	if l.sw.RemovePort(num) != nil {
+		return
+	}
+	if l.graph {
+		l.holdPort(num)
+	} else {
+		l.freePort(num)
+	}
+}
+
+// freeHeld frees every held number of a graph LSI. The caller has just
+// committed the graph's whole entry set, the only entries that name its
+// ports, so none names a removed port any more.
+func (l *lsiConn) freeHeld() {
+	held := l.held
+	l.held = l.held[:0]
+	for _, num := range held {
+		l.freePort(num)
+	}
 }
 
 // Deploy validates, schedules and instantiates a graph, then programs
@@ -418,6 +477,7 @@ func (o *Orchestrator) deploy(g *nffg.Graph) error {
 	if err != nil {
 		return err
 	}
+	lsi.graph = true
 	d := &DeployedGraph{
 		Graph:  g.Clone(),
 		lsi:    lsi,
@@ -545,7 +605,7 @@ func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *ep
 	zPort := o.lsi0.nextPort()
 	if err := o.lsi0.sw.AddPort(zPort, zSide); err != nil {
 		netdev.Disconnect(gSide)
-		_ = d.lsi.sw.RemovePort(gPort)
+		d.lsi.removePort(gPort)
 		return nil, err
 	}
 	att := &epAttachment{ep: ep, graphPort: gPort, lsi0Port: zPort, cookie: o.nextCookie()}
@@ -609,13 +669,12 @@ func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *ep
 // cross-graph bookkeeping. Used by teardown and by in-place endpoint removal
 // during Update.
 func (o *Orchestrator) detachEndpoint(d *DeployedGraph, att *epAttachment) {
-	// A delete fails only with the LSI-0 channel, and detaching goes on.
-	_ = o.lsi0.ctrl.Commit(att.cookie, nil)
-	if p := o.lsi0.sw.Port(att.lsi0Port); p != nil {
-		netdev.Disconnect(p)
+	// A delete fails only with the LSI-0 channel, and detaching goes on;
+	// the entries it left behind name the endpoint's LSI-0 port, so that
+	// number is held for good.
+	if o.lsi0.ctrl.Commit(att.cookie, nil) != nil {
+		o.lsi0.holdPort(att.lsi0Port)
 	}
-	_ = o.lsi0.sw.RemovePort(att.lsi0Port)
-	_ = d.lsi.sw.RemovePort(att.graphPort)
 	switch att.ep.Type {
 	case nffg.EPVLAN:
 		if att.vlanRegistered {
@@ -632,7 +691,9 @@ func (o *Orchestrator) detachEndpoint(d *DeployedGraph, att *epAttachment) {
 			break
 		}
 		for _, m := range kept {
-			_ = o.lsi0.ctrl.Commit(m.cookie, nil)
+			if o.lsi0.ctrl.Commit(m.cookie, nil) != nil {
+				o.lsi0.holdPort(att.lsi0Port)
+			}
 		}
 		if len(kept) == 0 {
 			delete(o.internalGroups, att.ep.InternalGroup)
@@ -640,6 +701,12 @@ func (o *Orchestrator) detachEndpoint(d *DeployedGraph, att *epAttachment) {
 			o.internalGroups[att.ep.InternalGroup] = kept
 		}
 	}
+	// The ports go last, once every entry naming them is deleted.
+	if p := o.lsi0.sw.Port(att.lsi0Port); p != nil {
+		netdev.Disconnect(p)
+	}
+	o.lsi0.removePort(att.lsi0Port)
+	d.lsi.removePort(att.graphPort)
 }
 
 // Undeploy removes a graph and all its state.
@@ -676,6 +743,13 @@ func (o *Orchestrator) undeploy(id string) error {
 // and — when the last user of a shared NNF leaves — its LSI-0 port. Safe on
 // a partially attached instance. Callers hold o.mu.
 func (o *Orchestrator) unwire(d *DeployedGraph, att *nfAttachment) {
+	// The marks go first, so the LSI-0 ports they name are unnamed before
+	// they are removed. As in detachEndpoint, a failed delete holds their
+	// numbers for good.
+	if att.cookie != 0 && o.lsi0.ctrl.Commit(att.cookie, nil) != nil {
+		o.lsi0.holdPort(att.lsi0Port)
+		o.lsi0.holdPort(att.nnfVlinkLSI0)
+	}
 	if drv, ok := o.cfg.Compute.Driver(att.inst.Technology); ok {
 		wasShared := att.inst.Shared
 		name := att.inst.Runtime.Name()
@@ -686,25 +760,22 @@ func (o *Orchestrator) unwire(d *DeployedGraph, att *nfAttachment) {
 				if p := o.lsi0.sw.Port(num); p != nil {
 					netdev.Disconnect(p)
 				}
-				_ = o.lsi0.sw.RemovePort(num)
+				o.lsi0.removePort(num)
 				delete(o.nnfPorts, name)
 			}
 		}
-	}
-	if att.cookie != 0 {
-		_ = o.lsi0.ctrl.Commit(att.cookie, nil) // as in detachEndpoint
 	}
 	for _, p := range att.lsiSide {
 		netdev.Disconnect(p)
 	}
 	for _, num := range att.lsiPorts {
-		_ = d.lsi.sw.RemovePort(num)
+		d.lsi.removePort(num)
 	}
 	if att.nnfVlink != 0 {
-		_ = d.lsi.sw.RemovePort(att.nnfVlink)
+		d.lsi.removePort(att.nnfVlink)
 	}
 	if att.nnfVlinkLSI0 != 0 {
-		_ = o.lsi0.sw.RemovePort(att.nnfVlinkLSI0)
+		o.lsi0.removePort(att.nnfVlinkLSI0)
 	}
 }
 
@@ -758,9 +829,9 @@ func (o *Orchestrator) observedRateLocked(id string) float64 {
 	}
 	rx := d.lsi.sw.PacketsProcessed()
 	now := time.Now()
-	prev := o.rates[id]
-	o.rates[id] = &rateProbe{rx: rx, at: now}
-	if prev == nil || !now.After(prev.at) || rx < prev.rx {
+	prev, seen := o.rates[id]
+	o.rates[id] = rateProbe{rx: rx, at: now}
+	if !seen || !now.After(prev.at) || rx < prev.rx {
 		return 0
 	}
 	return float64(rx-prev.rx) / now.Sub(prev.at).Seconds()

@@ -289,3 +289,41 @@ func TestUndeployReleasesLSI(t *testing.T) {
 			(after-before)/n, before, after, n)
 	}
 }
+
+// TestDryRunMatchesDeployForRepeatedNNF plans and deploys a graph with two
+// firewalls. A graph attaches to a native function once, so the second one
+// must run as a container: the dry-run once answered native for both and
+// the deploy then failed on the second attachment.
+func TestDryRunMatchesDeployForRepeatedNNF(t *testing.T) {
+	o := newNode(t)
+	g := chainGraph("g", "firewall", nffg.TechAny, nil)
+	g.NFs = append(g.NFs, nffg.NF{ID: "nf2", Name: "firewall", Ports: []nffg.NFPort{{ID: "0"}, {ID: "1"}}})
+	for i, r := range g.Rules {
+		if r.Match.PortIn == nffg.NFPortRef("nf", "1") {
+			g.Rules[i].Actions = []nffg.RuleAction{{Type: nffg.ActOutput, Output: nffg.NFPortRef("nf2", "0")}}
+		}
+	}
+	g.Rules = append(g.Rules, nffg.FlowRule{ID: "r-nf2", Priority: 10,
+		Match:   nffg.RuleMatch{PortIn: nffg.NFPortRef("nf2", "1")},
+		Actions: []nffg.RuleAction{{Type: nffg.ActOutput, Output: nffg.EndpointRef("out")}}})
+	want := map[string]nffg.Technology{"nf": nffg.TechNative, "nf2": nffg.TechDocker}
+
+	plan, err := o.Plan(g)
+	if err != nil {
+		t.Fatalf("dry-run: %v", err)
+	}
+	for _, p := range plan.NFs {
+		if p.Technology != want[p.NF] {
+			t.Errorf("dry-run places %s as %s, want %s", p.NF, p.Technology, want[p.NF])
+		}
+	}
+	if err := o.Deploy(g); err != nil {
+		t.Fatalf("deploy of a graph the dry-run admitted: %v", err)
+	}
+	d, _ := o.Graph("g")
+	for id, inst := range d.Instances() {
+		if inst.Technology != want[id] {
+			t.Errorf("deploy runs %s as %s, want %s", id, inst.Technology, want[id])
+		}
+	}
+}

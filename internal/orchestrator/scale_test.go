@@ -307,7 +307,7 @@ func TestAutoscaleTick(t *testing.T) {
 		t.Fatal("LSI processed no packets")
 	}
 	d.Graph.NFs[0].Config[AutoscaleRateKey] = fmt.Sprintf("%f", float64(rx)/2.5)
-	o.rates["g"] = &rateProbe{rx: 0, at: time.Now().Add(-time.Second)}
+	o.rates["g"] = rateProbe{rx: 0, at: time.Now().Add(-time.Second)}
 	o.mu.Unlock()
 	if n := o.AutoscaleTick(); n != 1 {
 		t.Fatalf("autoscale ran %d scale ops, want 1", n)
@@ -319,7 +319,7 @@ func TestAutoscaleTick(t *testing.T) {
 	// Quiesce: a fresh probe at the current count reads ~0 pps, so the next
 	// tick shrinks back to 1 replica.
 	o.mu.Lock()
-	o.rates["g"] = &rateProbe{rx: d.lsi.sw.PacketsProcessed(), at: time.Now().Add(-time.Second)}
+	o.rates["g"] = rateProbe{rx: d.lsi.sw.PacketsProcessed(), at: time.Now().Add(-time.Second)}
 	o.mu.Unlock()
 	if n := o.AutoscaleTick(); n != 1 {
 		t.Fatalf("autoscale down ran %d scale ops, want 1", n)

@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/compute"
 	"repro/internal/nffg"
@@ -86,6 +87,14 @@ func (o *Orchestrator) schedule(g *nffg.Graph) ([]Placement, error) {
 		req := policy.Request{GraphID: g.ID, NFID: n.ID, RatePPS: rate}
 		placed := false
 		for _, c := range pol.Rank(req, o.flavorCandidates(tpl, n.TechnologyPreference)) {
+			// A graph attaches to a native function once: an earlier NF of
+			// this pass that took the template natively holds that
+			// attachment, which the driver cannot see until it launches.
+			if c.Tech == nffg.TechNative && slices.ContainsFunc(placements, func(p Placement) bool {
+				return p.Technology == nffg.TechNative && p.Template == tpl
+			}) {
+				continue
+			}
 			drv, registered := o.cfg.Compute.Driver(c.Tech)
 			if !registered || !drv.Available(g.ID, tpl) {
 				continue

@@ -52,14 +52,19 @@ func (o *Orchestrator) compileEntries(d *DeployedGraph) (openflow.Entries, error
 // program is the traffic steering manager: it compiles the graph's
 // big-switch flow rules and commits them as the whole entry set of the
 // graph's LSI, one table publish. Every change to a graph's steering —
-// deploy, update, scale, reflavor, promotion, repair — is this call.
-// Callers hold o.mu.
+// deploy, update, scale, reflavor, promotion, repair — is this call. Once
+// it commits, no entry names a port removed from the LSI before it, so
+// their numbers are freed. Callers hold o.mu.
 func (o *Orchestrator) program(d *DeployedGraph) error {
 	es, err := o.compileEntries(d)
 	if err != nil {
 		return err
 	}
-	return d.lsi.ctrl.Commit(d.cookie, &es)
+	if err := d.lsi.ctrl.Commit(d.cookie, &es); err != nil {
+		return err
+	}
+	d.lsi.freeHeld()
+	return nil
 }
 
 // nfPortIndex resolves an NF-FG port id to the NF's port index.

@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,7 +34,7 @@ func lsiInfo(sw *vswitch.Switch) LSIInfo {
 		Name:  sw.Name(),
 		DPID:  sw.DPID(),
 		Ports: sw.Ports(),
-		Flows: len(sw.Flows()),
+		Flows: sw.FlowCount(),
 		Cache: sw.CacheStats(),
 	}
 }
@@ -82,19 +83,87 @@ func (o *Orchestrator) Topology() Topology {
 		}
 		sort.Strings(nfIDs)
 		for _, nfID := range nfIDs {
-			att := d.nfs[nfID].members[0]
-			gi.NFs = append(gi.NFs, NFInfo{
-				ID:         nfID,
-				Instance:   att.inst.Runtime.Name(),
-				Technology: string(att.inst.Technology),
-				State:      string(att.State()),
-				Shared:     att.inst.Shared,
-				RAMBytes:   att.inst.RAM(),
-			})
+			gi.NFs = append(gi.NFs, nfInfo(nfID, d.nfs[nfID]))
 		}
 		t.Graphs = append(t.Graphs, gi)
 	}
 	return t
+}
+
+// nfInfo describes an NF by its set's first member.
+func nfInfo(nfID string, set *nfSet) NFInfo {
+	att := set.members[0]
+	return NFInfo{
+		ID:         nfID,
+		Instance:   att.inst.Runtime.Name(),
+		Technology: string(att.inst.Technology),
+		State:      string(att.State()),
+		Shared:     att.inst.Shared,
+		RAMBytes:   att.inst.RAM(),
+	}
+}
+
+// NodeStatus is what a status probe reports of the node: its ledger, its
+// interfaces, its graphs and the state of each of their NFs.
+type NodeStatus struct {
+	NodeName string
+	// Interfaces is the node's configured interface list, shared with the
+	// node: callers must not modify it.
+	Interfaces        []string
+	UsedCPU, TotalCPU int
+	UsedRAM, TotalRAM uint64
+	// Graphs lists the deployed graph ids, sorted.
+	Graphs []string
+	// NFs lists every NF of every graph, by graph id then NF id.
+	NFs []NFStatus
+	// RatePPS is the node's observed aggregate datapath packet rate (see
+	// TotalRatePPS).
+	RatePPS float64
+}
+
+// NFStatus is one NF of a deployed graph.
+type NFStatus struct {
+	Graph string
+	NFInfo
+	// Replicas is how many instances serve the NF.
+	Replicas int
+	// Standby reports whether a warm standby shadows the NF.
+	Standby bool
+}
+
+// Status reads what the node keeps — ledger usage, interface names, graph
+// ids and per-NF state — without rendering the Topology: no flow table is
+// counted or cloned, no port list is built. It allocates one slice of graph
+// ids and one of NF records, however many graphs are deployed.
+func (o *Orchestrator) Status() NodeStatus {
+	st := NodeStatus{NodeName: o.cfg.NodeName}
+	if len(o.cfg.Interfaces) > 0 {
+		st.Interfaces = o.cfg.Interfaces
+	}
+	st.UsedCPU, st.TotalCPU, st.UsedRAM, st.TotalRAM = o.cfg.Resources.Usage()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	st.Graphs = make([]string, 0, len(o.graphs))
+	nfs := 0
+	for id, d := range o.graphs {
+		st.Graphs = append(st.Graphs, id)
+		nfs += len(d.nfs)
+		st.RatePPS += o.observedRateLocked(id)
+	}
+	slices.Sort(st.Graphs)
+	if nfs == 0 {
+		return st
+	}
+	st.NFs = make([]NFStatus, 0, nfs)
+	for _, id := range st.Graphs {
+		from := len(st.NFs)
+		for nfID, set := range o.graphs[id].nfs {
+			st.NFs = append(st.NFs, NFStatus{Graph: id, NFInfo: nfInfo(nfID, set),
+				Replicas: len(set.members), Standby: set.standby != nil})
+		}
+		slices.SortFunc(st.NFs[from:], func(a, b NFStatus) int { return strings.Compare(a.ID, b.ID) })
+	}
+	return st
 }
 
 // DOT renders the topology in Graphviz format, regenerating the structure

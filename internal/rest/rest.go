@@ -355,39 +355,31 @@ type InstanceStatus struct {
 }
 
 func (s *Server) status(w http.ResponseWriter, _ *http.Request) {
-	topo := s.orch.Topology()
-	usedCPU, totalCPU, usedRAM, totalRAM := s.pool.Usage()
+	st := s.orch.Status()
 	reply := StatusReply{
-		Node:       topo.NodeName,
-		Graphs:     s.orch.GraphIDs(),
-		Interfaces: topo.Interfaces,
-		CPU:        ResourceStatus{Used: uint64(usedCPU), Total: uint64(totalCPU)},
-		RAM:        ResourceStatus{Used: usedRAM, Total: totalRAM},
+		Node:       st.NodeName,
+		Graphs:     st.Graphs,
+		Interfaces: st.Interfaces,
+		CPU:        ResourceStatus{Used: uint64(st.UsedCPU), Total: uint64(st.TotalCPU)},
+		RAM:        ResourceStatus{Used: st.UsedRAM, Total: st.TotalRAM},
+		RatePPS:    st.RatePPS,
 	}
 	for _, c := range s.pool.Capabilities() {
 		reply.Capabilities = append(reply.Capabilities, string(c))
 	}
-	for _, g := range topo.Graphs {
-		standbys := make(map[string]bool)
-		for _, nfID := range s.orch.StandbyNFs(g.ID) {
-			standbys[nfID] = true
-		}
-		for _, n := range g.NFs {
-			reps, _ := s.orch.Replicas(g.ID, n.ID)
-			reply.NFInstances = append(reply.NFInstances, InstanceStatus{
-				Graph:      g.ID,
-				NF:         n.ID,
-				Instance:   n.Instance,
-				Technology: n.Technology,
-				State:      n.State,
-				Replicas:   reps,
-				Shared:     n.Shared,
-				RAMBytes:   n.RAMBytes,
-				Standby:    standbys[n.ID],
-			})
-		}
+	for _, n := range st.NFs {
+		reply.NFInstances = append(reply.NFInstances, InstanceStatus{
+			Graph:      n.Graph,
+			NF:         n.ID,
+			Instance:   n.Instance,
+			Technology: n.Technology,
+			State:      n.State,
+			Replicas:   n.Replicas,
+			Shared:     n.Shared,
+			RAMBytes:   n.RAMBytes,
+			Standby:    n.Standby,
+		})
 	}
-	reply.RatePPS = s.orch.TotalRatePPS()
 	writeJSON(w, http.StatusOK, reply)
 }
 

@@ -3,6 +3,7 @@ package vswitch
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -53,41 +54,20 @@ type flowTable struct {
 	seq uint32
 }
 
-// portTable is the immutable copy-on-write snapshot of the attached ports.
-// dense mirrors the map for the common small port numbers so the egress hot
-// path indexes an array instead of hashing into a map.
-type portTable struct {
-	ports map[uint32]*netdev.Port
-	dense []*netdev.Port // dense[num] == ports[num] for num < len(dense)
-}
+// maxPortNum is the highest port number a switch accepts: it bounds what one
+// attach can make the port table allocate.
+const maxPortNum = 4096
 
-// densePortLimit bounds the dense egress index; port numbers above it (rare:
-// OpenFlow reserved ranges) fall back to the map.
-const densePortLimit = 256
+// portTable holds in slot n the port attached under number n, nil if none.
+// Attach and detach store one slot; the array is replaced only to grow.
+type portTable []atomic.Pointer[netdev.Port]
 
-func newPortTable(ports map[uint32]*netdev.Port) *portTable {
-	t := &portTable{ports: ports}
-	maxNum := uint32(0)
-	for n := range ports {
-		if n < densePortLimit {
-			maxNum = max(maxNum, n)
-		}
+// lookup returns the port attached under num, or nil.
+func (t portTable) lookup(num uint32) *netdev.Port {
+	if num < uint32(len(t)) {
+		return t[num].Load()
 	}
-	t.dense = make([]*netdev.Port, maxNum+1)
-	for n, p := range ports {
-		if n < uint32(len(t.dense)) {
-			t.dense[n] = p
-		}
-	}
-	return t
-}
-
-// lookup returns the port registered under num, or nil.
-func (t *portTable) lookup(num uint32) *netdev.Port {
-	if num < uint32(len(t.dense)) {
-		return t.dense[num]
-	}
-	return t.ports[num]
+	return nil
 }
 
 // Options configures a Switch beyond the defaults.
@@ -106,13 +86,13 @@ type Options struct {
 // Switch is one Logical Switch Instance: a flow table over a set of
 // numbered ports.
 //
-// The per-packet path is lock-free: the flow table and the port table are
-// published as immutable snapshots through atomic pointers. A table of
-// cacheMinEntries entries or more gets a partitioned microflow cache that
-// memoizes the matched entry per exact flow key (see cache.go); a smaller
-// one is walked. A cache hit and a walk allocate nothing. Writers serialize
-// on mu, clone-and-swap the affected snapshot, then advance the cache
-// generation so no stale verdict survives a flow-mod or port change.
+// The per-packet path is lock-free: the flow table is an immutable snapshot
+// behind an atomic pointer, and each port-table slot an atomic pointer. A
+// table of cacheMinEntries entries or more gets a partitioned microflow
+// cache that memoizes the matched entry per exact flow key (see cache.go); a
+// smaller one is walked. A cache hit and a walk allocate nothing. Writers
+// serialize on mu, swap the flow table or store a port slot, then advance
+// the cache generation so no stale verdict survives a flow-mod or port change.
 type Switch struct {
 	name string
 	dpid uint64
@@ -161,7 +141,8 @@ func NewOptions(name string, dpid uint64, o Options) *Switch {
 		latency: telemetry.NewHistogram(telemetry.DatapathLatencyBuckets()...),
 	}
 	s.table.Store(&flowTable{})
-	s.ports.Store(newPortTable(make(map[uint32]*netdev.Port)))
+	ports := make(portTable, 8)
+	s.ports.Store(&ports)
 	s.lane.Store(&lane{ctrs: &s.inline})
 	if nw > 0 {
 		s.steerPool.New = func() any {
@@ -195,53 +176,62 @@ func (s *Switch) eachCtrs(fn func(*dpCounters)) {
 	}
 }
 
-// AddPort attaches a netdev port under the given OpenFlow port number
-// (>= 1). Frames received on the port enter the pipeline, singly or as
-// whole bursts via the netdev batch path.
+// AddPort attaches a netdev port under the given OpenFlow port number, from
+// 1 to 4096, storing one port-table slot (the table is copied only to grow)
+// and installing both receive handlers with one port-state swap. Frames
+// received on the port enter the pipeline, singly or as whole bursts.
 func (s *Switch) AddPort(num uint32, p *netdev.Port) error {
-	if num == 0 {
-		return fmt.Errorf("vswitch: port number 0 is reserved")
+	if num == 0 || num > maxPortNum {
+		return fmt.Errorf("vswitch: port number %d outside 1..%d", num, maxPortNum)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.ports.Load().ports
-	if _, exists := cur[num]; exists {
+	t := *s.ports.Load()
+	if t.lookup(num) != nil {
 		return fmt.Errorf("vswitch: port %d already present on %s", num, s.name)
 	}
-	next := make(map[uint32]*netdev.Port, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
+	if num >= uint32(len(t)) {
+		grown := make(portTable, min(max(int(num)+1, 2*len(t)), maxPortNum+1))
+		for i := range t {
+			grown[i].Store(t[i].Load())
+		}
+		s.ports.Store(&grown)
+		t = grown
 	}
-	next[num] = p
-	s.ports.Store(newPortTable(next))
+	t[num].Store(p)
 	s.cache.invalidate()
-	p.SetHandler(func(f netdev.Frame) {
+	p.SetHandlers(func(f netdev.Frame) {
 		one := [1]netdev.Frame{f}
 		s.receive(num, one[:], false)
-	})
-	p.SetBatchHandler(func(fs []netdev.Frame) { s.receive(num, fs, false) })
+	}, func(fs []netdev.Frame) { s.receive(num, fs, false) })
 	return nil
 }
 
-// RemovePort detaches a port from the switch.
+// RemovePort detaches a port with one port-state swap and one slot store.
+// With workers running, it returns only once the rings have run the frames
+// they held, so none of them is classified against the entries of a port
+// attached under num later.
 func (s *Switch) RemovePort(num uint32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.ports.Load().ports
-	p, exists := cur[num]
-	if !exists {
+	t := *s.ports.Load()
+	p := t.lookup(num)
+	if p == nil {
 		return fmt.Errorf("vswitch: port %d not present on %s", num, s.name)
 	}
-	p.SetHandler(nil)
-	p.SetBatchHandler(nil)
-	next := make(map[uint32]*netdev.Port, len(cur)-1)
-	for k, v := range cur {
-		if k != num {
-			next[k] = v
+	p.SetHandlers(nil, nil)
+	t[num].Store(nil)
+	s.cache.invalidate()
+	// A worker counts the items it has run, its ring those ever pushed;
+	// once Close has taken the pool, it has run what it could.
+	if pool := s.pool.Load(); pool != nil {
+		for _, w := range pool.workers {
+			for pushed := w.ring.Pushed(); w.ctrs.pipeline.Load() < pushed && s.pool.Load() == pool; {
+				w.wakeIfParked()
+				runtime.Gosched()
+			}
 		}
 	}
-	s.ports.Store(newPortTable(next))
-	s.cache.invalidate()
 	return nil
 }
 
@@ -252,14 +242,18 @@ func (s *Switch) Port(num uint32) *netdev.Port {
 
 // Ports returns the attached port numbers, sorted.
 func (s *Switch) Ports() []uint32 {
-	ports := s.ports.Load().ports
-	out := make([]uint32, 0, len(ports))
-	for n := range ports {
-		out = append(out, n)
+	out := []uint32{}
+	t := *s.ports.Load()
+	for n := range t {
+		if t[n].Load() != nil {
+			out = append(out, uint32(n))
+		}
 	}
-	slices.Sort(out)
 	return out
 }
+
+// FlowCount returns the number of installed entries.
+func (s *Switch) FlowCount() int { return len(s.table.Load().entries) }
 
 // publishTable makes entries the table the packet path sees, then retires
 // every cached verdict. The caller holds mu. The slot arrays are allocated

@@ -1,7 +1,9 @@
 package vswitch
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/netdev"
 	"repro/internal/pkt"
@@ -321,4 +323,119 @@ func contains(s, sub string) bool {
 		}
 		return false
 	})()
+}
+
+func TestAddPortNumberRange(t *testing.T) {
+	sw := New("lsi", 1)
+	for _, num := range []uint32{0, maxPortNum + 1} {
+		if err := sw.AddPort(num, netdev.NewPort("p")); err == nil {
+			t.Errorf("AddPort(%d) accepted", num)
+		}
+	}
+	p := netdev.NewPort("top")
+	if err := sw.AddPort(maxPortNum, p); err != nil {
+		t.Fatal(err)
+	}
+	if sw.Port(maxPortNum) != p || len(sw.Ports()) != 1 || sw.Ports()[0] != maxPortNum {
+		t.Fatalf("port %d not attached: Ports() = %v", maxPortNum, sw.Ports())
+	}
+}
+
+// TestPortNumberReuse detaches a port while frames it received wait in the
+// worker rings, then attaches another port under its number with entries
+// of its own. No frame of the first port may be classified against the
+// second's entries: RemovePort returns only once the rings have run what
+// they held under the number.
+func TestPortNumberReuse(t *testing.T) {
+	eachLaneMode(t, func(t *testing.T, workers int) {
+		sw := NewOptions("reuse", 1, Options{Workers: workers})
+		t.Cleanup(sw.Close)
+		a, aSw := netdev.Veth("a", "sw-a")
+		b, bSw := netdev.Veth("b", "sw-b")
+		oldOut, oldSw := netdev.Veth("old", "sw-old")
+		newOut, newSw := netdev.Veth("new", "sw-new")
+		for num, p := range map[uint32]*netdev.Port{1: aSw, 2: oldSw, 3: newSw} {
+			if err := sw.AddPort(num, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sw.CommitFlows(nil, []*FlowEntry{{Cookie: 1, Match: MatchAll().WithInPort(1), Actions: []Action{Output(2)}}}); err != nil {
+			t.Fatal(err)
+		}
+		// The old egress holds the worker inside its first burst until the
+		// gate opens, so the second burst from a waits in the ring.
+		gate, entered := make(chan struct{}), make(chan struct{}, 1)
+		if workers == 0 {
+			close(gate)
+		}
+		oldOut.SetHandler(func(netdev.Frame) {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-gate
+		})
+		var misrouted, delivered atomic.Int64
+		newOut.SetHandler(func(f netdev.Frame) {
+			if f.Data[len(f.Data)-1] == 'a' {
+				misrouted.Add(1)
+			} else {
+				delivered.Add(1)
+			}
+		})
+		burst := func(p *netdev.Port, marker byte) {
+			fs := make([]netdev.Frame, 8)
+			for i := range fs {
+				fs[i].Data = pkt.MustBuildFrame(pkt.FrameSpec{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
+					SrcPort: 1000, DstPort: 80, PayloadLen: 32, PayloadByte: marker})
+			}
+			if _, err := p.SendBatch(fs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		burst(a, 'a')
+		if workers > 0 {
+			<-entered
+		}
+		burst(a, 'a')
+
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if err := sw.RemovePort(1); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := sw.AddPort(1, bSw); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := sw.CommitFlows([]uint64{1}, []*FlowEntry{{Cookie: 2, Match: MatchAll().WithInPort(1), Actions: []Action{Output(3)}}}); err != nil {
+				t.Error(err)
+			}
+		}()
+		if workers > 0 {
+			// RemovePort must wait for the held burst: open the gate once
+			// it has either returned or had time to.
+			select {
+			case <-done:
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(gate)
+		}
+		<-done
+		burst(b, 'b')
+		for deadline := time.Now().Add(5 * time.Second); sw.PacketsProcessed() < 24; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of 24 frames processed", sw.PacketsProcessed())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if n := misrouted.Load(); n != 0 {
+			t.Errorf("%d frames of the removed port left by the entries of the port that reused its number", n)
+		}
+		if n := delivered.Load(); n != 8 {
+			t.Errorf("%d of 8 frames of the new port delivered", n)
+		}
+	})
 }

@@ -63,8 +63,11 @@ func (s *Switch) Telemetry() Telemetry {
 		t.Misses += c.misses.Load()
 		t.Malformed += c.malformed.Load()
 	})
-	for _, p := range s.ports.Load().ports {
-		t.Tx += p.Stats().TxPackets
+	ports := *s.ports.Load()
+	for n := range ports {
+		if p := ports[n].Load(); p != nil {
+			t.Tx += p.Stats().TxPackets
+		}
 	}
 	table := s.table.Load()
 	t.Publishes = uint64(table.seq)

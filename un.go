@@ -75,6 +75,8 @@ type (
 	Technology = nffg.Technology
 	// Topology is the live Figure-1 view of the node.
 	Topology = orchestrator.Topology
+	// NodeStatus is a node's status snapshot (see Node.Status).
+	NodeStatus = orchestrator.NodeStatus
 	// CacheStats is a snapshot of datapath microflow-cache counters.
 	CacheStats = vswitch.CacheStats
 	// Event is one structured telemetry-journal entry (NF lifecycle, graph
@@ -349,17 +351,8 @@ func (n *Node) TotalRatePPS() float64 { return n.orch.TotalRatePPS() }
 // NFState reports the lifecycle state of one NF of a deployed graph
 // (pending, starting, attaching, running, draining, stopped, failed).
 func (n *Node) NFState(graphID, nfID string) (string, bool) {
-	for _, g := range n.orch.Topology().Graphs {
-		if g.ID != graphID {
-			continue
-		}
-		for _, inf := range g.NFs {
-			if inf.ID == nfID {
-				return inf.State, true
-			}
-		}
-	}
-	return "", false
+	st, ok := n.orch.NFState(graphID, nfID)
+	return string(st), ok
 }
 
 // GraphIDs lists the deployed graphs.
@@ -417,6 +410,10 @@ func (n *Node) InterfacePort(name string) (*netdev.Port, bool) {
 
 // Topology captures the live node structure (paper Figure 1).
 func (n *Node) Topology() Topology { return n.orch.Topology() }
+
+// Status reports the node's ledger usage, interfaces, graphs and per-NF
+// states from what the node keeps, without rendering its Topology.
+func (n *Node) Status() NodeStatus { return n.orch.Status() }
 
 // DatapathCacheStats aggregates the microflow-cache counters of every LSI on
 // the node (LSI-0 plus one per deployed graph): the hit rate of the
