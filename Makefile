@@ -1,7 +1,7 @@
 # Local mirror of .github/workflows/ci.yml: `make ci` runs the same jobs
-# the CI pipeline runs (lint incl. staticcheck/govulncheck, build, race
-# tests, coverage gate, benchmark self-test and paper-fidelity smoke,
-# examples smoke), so local runs and CI cannot drift. Referenced from
+# the CI pipeline runs (lint incl. staticcheck/govulncheck, build, plain
+# tier-1 and race tests, coverage gate, benchmark self-test and
+# paper-fidelity smoke, examples smoke), so local runs and CI cannot drift. Referenced from
 # .claude/skills/verify/SKILL.md.
 #
 # Tools CI installs pinned (staticcheck, govulncheck) are optional locally:
@@ -12,11 +12,11 @@ GO ?= go
 # Keep in sync with the COVERAGE_BASELINE env of .github/workflows/ci.yml.
 COVERAGE_BASELINE ?= 75.0
 
-.PHONY: ci lint fmt vet staticcheck govulncheck build test race coverage \
+.PHONY: ci lint fmt vet staticcheck govulncheck build test tier1 race coverage \
 	bench bench-selftest profile layout chaos fuzz examples-smoke clean
 
 # The nfbench line is the paper-fidelity smoke of CI's bench job.
-ci: lint build race coverage bench-selftest chaos examples-smoke
+ci: lint build tier1 race coverage bench-selftest chaos examples-smoke
 	$(GO) run ./cmd/nfbench -table 1
 
 lint: fmt vet staticcheck govulncheck
@@ -55,6 +55,11 @@ build:
 
 test:
 	$(GO) test -shuffle=on ./...
+
+# The alloc gates are built with `//go:build !race`: the race run skips
+# them, so tier-1 also runs plain.
+tier1:
+	$(GO) test -count=1 ./...
 
 race:
 	$(GO) test -race -shuffle=on ./...

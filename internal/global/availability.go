@@ -2,6 +2,7 @@ package global
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/nffg"
@@ -58,7 +59,7 @@ func (o *Orchestrator) canShadow(v *nodeView, sub *nffg.Graph) bool {
 		if ep.Type != nffg.EPInterface && ep.Type != nffg.EPVLAN {
 			continue
 		}
-		if !v.ifaces[ep.Interface] {
+		if !slices.Contains(v.ifaces, ep.Interface) {
 			return false
 		}
 	}
@@ -84,7 +85,7 @@ func (o *Orchestrator) armStandby(id string) {
 	}
 	for _, name := range sortedKeys(o.members) {
 		m := o.members[name]
-		if name == primary || !m.alive || !o.canShadow(newNodeView(m.last), sub) {
+		if v := newNodeView(m.last); name == primary || !m.alive || !o.canShadow(&v, sub) {
 			continue
 		}
 		armed := *dep

@@ -48,11 +48,13 @@ func (v verb) String() string {
 	return [...]string{"undeploying", "updating", "deploying"}[v]
 }
 
-// step is one node RPC of a footprint change; sub is nil for an undeploy.
+// step is one node RPC of a footprint change: sub is what the node is to run,
+// nil for an undeploy, and old what it runs now, nil for a deploy or for a
+// subgraph the orchestrator does not track (a leftover it retires).
 type step struct {
-	verb verb
-	node string
-	sub  *nffg.Graph
+	verb     verb
+	node     string
+	sub, old *nffg.Graph
 }
 
 // plan returns the steps that turn footprint have into want: vacated nodes
@@ -64,7 +66,7 @@ func plan(have, want map[string]*nffg.Graph) []step {
 	steps := make([]step, 0, len(have)+len(want))
 	for _, node := range sortedKeys(have) {
 		if _, stays := want[node]; !stays {
-			steps = append(steps, step{verb: verbUndeploy, node: node})
+			steps = append(steps, step{verb: verbUndeploy, node: node, old: have[node]})
 		}
 	}
 	for _, node := range sortedKeys(want) {
@@ -72,7 +74,7 @@ func plan(have, want map[string]*nffg.Graph) []step {
 		case !had:
 			steps = append(steps, step{verb: verbDeploy, node: node, sub: want[node]})
 		case old != want[node]:
-			steps = append(steps, step{verb: verbUpdate, node: node, sub: want[node]})
+			steps = append(steps, step{verb: verbUpdate, node: node, sub: want[node], old: old})
 		}
 	}
 	return steps
@@ -80,21 +82,34 @@ func plan(have, want map[string]*nffg.Graph) []step {
 
 // run issues one step: the only place the global tier calls a node's
 // deploy verbs. A node that is withdrawn or failed its last probe is not
-// called. An undeploy that cannot be delivered is remembered, so the
+// called. A step the node takes moves the member's capacity by the demand of
+// the subgraph it runs now less that of the one it ran, as placement
+// estimates them, so a deploy, its updates and its undeploy net to zero. A
+// failed step, or the retirement of an untracked subgraph, leaves the member
+// stale. An undeploy that cannot be delivered is remembered, so the
 // reconcile loop retires the leftover when the node answers again. Callers
 // hold o.mu.
 func (o *Orchestrator) run(id string, s step) error {
 	m, registered := o.members[s.node]
-	var err error
-	switch {
-	case !registered || !m.alive:
-		err = errUnreachable
-	case s.verb == verbDeploy:
-		err = m.node.Deploy(s.sub)
-	case s.verb == verbUpdate:
-		err = m.node.Update(s.sub)
-	default:
-		err = m.node.Undeploy(id)
+	err := errUnreachable
+	if registered && m.alive {
+		switch s.verb {
+		case verbDeploy:
+			err = m.node.Deploy(s.sub)
+		case verbUpdate:
+			err = m.node.Update(s.sub)
+		default:
+			err = m.node.Undeploy(id)
+		}
+		if err != nil || s.verb == verbUndeploy && s.old == nil {
+			m.stale()
+		} else {
+			m.epoch++
+			takeCPU, takeRAM := o.demandOf(s.sub)
+			freeCPU, freeRAM := o.demandOf(s.old)
+			m.last.FreeCPUMillis += freeCPU - takeCPU
+			m.last.FreeRAMBytes = max(m.last.FreeRAMBytes+freeRAM, takeRAM) - takeRAM
+		}
 	}
 	if err == nil {
 		return nil
@@ -109,6 +124,21 @@ func (o *Orchestrator) run(id string, s step) error {
 }
 
 var errUnreachable = errors.New("node unreachable")
+
+// demandOf sums the estimated demand of a subgraph's NFs; nil holds none.
+// Callers hold o.mu.
+func (o *Orchestrator) demandOf(sub *nffg.Graph) (cpu int, ram uint64) {
+	if sub == nil {
+		return 0, 0
+	}
+	for _, n := range sub.NFs {
+		if d, err := estimateDemand(o.cfg.Repo, n); err == nil {
+			cpu += d.cpuMillis
+			ram += d.ram
+		}
+	}
+	return cpu, ram
+}
 
 // stepError is a step a node refused or could not be asked.
 type stepError struct {

@@ -13,6 +13,7 @@ import (
 
 // plan is pure and ordered: vacated nodes first, then updates and deploys in
 // sorted node order, and nothing for a node whose subgraph did not change.
+// Each step names the subgraph it replaces, nil for a deploy.
 func TestPlanOrdersSteps(t *testing.T) {
 	a, b, c := &nffg.Graph{ID: "g"}, &nffg.Graph{ID: "g"}, &nffg.Graph{ID: "g"}
 	a2, b2 := &nffg.Graph{ID: "g"}, &nffg.Graph{ID: "g"}
@@ -23,19 +24,19 @@ func TestPlanOrdersSteps(t *testing.T) {
 		steps      []step
 	}{
 		{"first deploy", nil, fp{"n2": b, "n1": a, "n3": c},
-			[]step{{verbDeploy, "n1", a}, {verbDeploy, "n2", b}, {verbDeploy, "n3", c}}},
+			[]step{{verbDeploy, "n1", a, nil}, {verbDeploy, "n2", b, nil}, {verbDeploy, "n3", c, nil}}},
 		{"undeploy", fp{"n3": c, "n1": a}, nil,
-			[]step{{verbUndeploy, "n1", nil}, {verbUndeploy, "n3", nil}}},
+			[]step{{verbUndeploy, "n1", nil, a}, {verbUndeploy, "n3", nil, c}}},
 		{"move", fp{"n1": a, "n2": b}, fp{"n2": b2, "n3": c},
-			[]step{{verbUndeploy, "n1", nil}, {verbUpdate, "n2", b2}, {verbDeploy, "n3", c}}},
+			[]step{{verbUndeploy, "n1", nil, a}, {verbUpdate, "n2", b2, b}, {verbDeploy, "n3", c, nil}}},
 		{"grow", fp{"n1": a}, fp{"n1": a2, "n2": b},
-			[]step{{verbUpdate, "n1", a2}, {verbDeploy, "n2", b}}},
+			[]step{{verbUpdate, "n1", a2, a}, {verbDeploy, "n2", b, nil}}},
 		{"shadow armed", fp{"n1": a}, fp{"n1": a, "n2": a},
-			[]step{{verbDeploy, "n2", a}}},
+			[]step{{verbDeploy, "n2", a, nil}}},
 		{"shadow dropped", fp{"n1": a, "n2": a}, fp{"n1": a},
-			[]step{{verbUndeploy, "n2", nil}}},
+			[]step{{verbUndeploy, "n2", nil, a}}},
 		{"shadow promoted", fp{"n1": a, "n2": a}, fp{"n2": a},
-			[]step{{verbUndeploy, "n1", nil}}},
+			[]step{{verbUndeploy, "n1", nil, a}}},
 		{"unchanged", fp{"n1": a, "n2": b}, fp{"n1": a, "n2": b}, []step{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -296,4 +297,28 @@ func TestTransitionFaultAtEveryStep(t *testing.T) {
 		}
 		holds(t, o, "after cleanup")
 	})
+}
+
+// A reconcile probe answered before a verb landed on its node must not make
+// the member fresh: only a probe no verb overlapped does.
+func TestProbeOverlappingVerbLeavesMemberStale(t *testing.T) {
+	o, _ := newFaultyFleet(t)
+	inflight := o.probing(func(*member) bool { return true })
+	probe(inflight) // the answers predate the deploy below
+	dep := &deployment{Desired: &nffg.Graph{ID: "g"}, Subs: map[string]*nffg.Graph{"n2": {ID: "g"}}}
+	if err := o.transition(cluster.OpDeploy, "g", dep); err != nil {
+		t.Fatal(err)
+	}
+	o.absorb(inflight)
+	for name, m := range o.members {
+		if m.fresh != (name != "n2") {
+			t.Errorf("%s fresh = %v after a probe that overlapped a verb on n2", name, m.fresh)
+		}
+	}
+	quiet := o.probing(func(*member) bool { return true })
+	probe(quiet)
+	o.absorb(quiet)
+	if !o.members["n2"].fresh {
+		t.Error("n2 still stale after a probe no verb overlapped")
+	}
 }

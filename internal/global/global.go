@@ -50,12 +50,24 @@ type Config struct {
 // reconcile loop starts shifting flavors on a node.
 const DefaultPressureFreeCPUFraction = 0.10
 
-// member is one managed node plus the orchestrator's view of it.
+// member is one managed node plus the orchestrator's view of it. last is
+// what placement plans against: the last probe's answer, with the estimated
+// demand of every node verb since charged to it. epoch counts those verbs;
+// fresh says last accounts for each of them, so placement need not probe.
 type member struct {
 	node   Node
 	alive  bool
 	last   Status
 	probed time.Time
+	epoch  uint64
+	fresh  bool
+}
+
+// stale records a node verb whose effect on the node's capacity is not known
+// here: the next placement probes the node first.
+func (m *member) stale() {
+	m.epoch++
+	m.fresh = false
 }
 
 // deployment is one global graph: the desired NF-FG plus its current
@@ -221,7 +233,7 @@ func (o *Orchestrator) AddNode(n Node) error {
 		if _, dup := o.members[n.Name()]; dup {
 			return fmt.Errorf("global: node %q already registered", n.Name())
 		}
-		o.members[n.Name()] = &member{node: n, alive: true, last: st, probed: time.Now()}
+		o.members[n.Name()] = &member{node: n, alive: true, last: st, probed: time.Now(), fresh: true}
 		if data, err := json.Marshal(nodeRecordFor(n)); err == nil {
 			o.propose(cluster.OpNodeAdd, n.Name(), data)
 		}
@@ -338,34 +350,46 @@ func (o *Orchestrator) Placement(id string) (Placement, bool) {
 	return dep.Placement, true
 }
 
-// probeResult is one member's answer to a health probe.
+// probeResult is one member's answer to a health probe, and the member's
+// verb epoch when it was asked.
 type probeResult struct {
-	m   *member
-	st  Status
-	err error
+	m     *member
+	epoch uint64
+	st    Status
+	err   error
 }
 
-// probe asks the given members for their status, in parallel: one hung node
-// costs its own timeout, not the sum. It reads no orchestrator state, so
+// probing prepares a probe of every member that want selects. Callers hold
+// o.mu.
+func (o *Orchestrator) probing(want func(*member) bool) []probeResult {
+	var out []probeResult
+	for _, m := range o.members {
+		if want(m) {
+			out = append(out, probeResult{m: m, epoch: m.epoch})
+		}
+	}
+	return out
+}
+
+// probe asks the members of results for their status, in parallel: one hung
+// node costs its own timeout, not the sum. It reads no orchestrator state, so
 // the reconcile loop calls it with the lock released.
-func probe(members []*member) []probeResult {
-	results := make([]probeResult, len(members))
+func probe(results []probeResult) {
 	var wg sync.WaitGroup
-	for i, m := range members {
+	for i := range results {
 		wg.Add(1)
-		go func(i int, m *member) {
+		go func(r *probeResult) {
 			defer wg.Done()
-			st, err := m.node.Status()
-			results[i] = probeResult{m: m, st: st, err: err}
-		}(i, m)
+			r.st, r.err = r.m.node.Status()
+		}(&results[i])
 	}
 	wg.Wait()
-	return results
 }
 
 // absorb applies probe results to the fleet view: a member that failed its
-// probe is dead on the spot, one that answered is alive with fresh capacity
-// numbers. Callers hold o.mu.
+// probe is dead on the spot, one that answered is alive with its capacity as
+// it reported it, and fresh unless a verb was issued to it while the probe
+// was in flight. Callers hold o.mu.
 func (o *Orchestrator) absorb(results []probeResult) {
 	for _, r := range results {
 		name := r.m.node.Name()
@@ -385,6 +409,7 @@ func (o *Orchestrator) absorb(results []probeResult) {
 		}
 		r.m.alive = true
 		r.m.last = r.st
+		r.m.fresh = r.m.epoch == r.epoch
 		if !wasAlive {
 			o.cfg.Logf("global: node %q back", name)
 			o.journal.Recordf(telemetry.EventNodeBack, name, "", "")
@@ -392,59 +417,29 @@ func (o *Orchestrator) absorb(results []probeResult) {
 	}
 }
 
-// refreshAlive re-probes every alive node so placement decisions run on
-// capacity numbers no older than the call. Placement credits a re-placed
-// graph's demand back to the nodes holding it, which is only correct against
-// a status that already reflects the deployment — reusing a probe from
-// before the graph landed would double-count the credit and overpack the
-// node. Callers hold o.mu.
-func (o *Orchestrator) refreshAlive() {
-	var stale []*member
-	for _, m := range o.members {
-		if m.alive {
-			stale = append(stale, m)
-		}
+// partition places and splits a graph over the currently-alive fleet, as the
+// members' capacity stands in the fleet view; only a member that is not
+// fresh is probed first. When re-placing an already-deployed graph, prior
+// names its current partition: the graph's own estimated demand is credited
+// back to the alive nodes holding it, since a node keeping its piece reuses —
+// not doubles — its allocation (the in-place Update reconciles the actual
+// ledger). Callers hold o.mu.
+func (o *Orchestrator) partition(g *nffg.Graph, prior *deployment) (Placement, map[string]*nffg.Graph, []stitch, error) {
+	if stale := o.probing(func(m *member) bool { return m.alive && !m.fresh }); stale != nil {
+		probe(stale)
+		o.absorb(stale)
 	}
-	o.absorb(probe(stale))
-}
-
-// aliveViews snapshots the packing view of every alive node. Callers hold
-// o.mu.
-func (o *Orchestrator) aliveViews() []*nodeView {
-	views := make([]*nodeView, 0, len(o.members))
+	views := make([]nodeView, 0, len(o.members))
 	for _, m := range o.members {
 		if m.alive {
 			views = append(views, newNodeView(m.last))
 		}
 	}
-	return views
-}
-
-// partition places and splits a graph over the currently-alive fleet. When
-// re-placing an already-deployed graph, prior names its current partition:
-// the graph's own estimated demand is credited back to the alive nodes
-// holding it, since a node keeping its piece reuses — not doubles — its
-// allocation (the in-place Update reconciles the actual ledger). Callers
-// hold o.mu.
-func (o *Orchestrator) partition(g *nffg.Graph, prior *deployment) (Placement, map[string]*nffg.Graph, []stitch, error) {
-	o.refreshAlive()
-	views := o.aliveViews()
 	if prior != nil {
-		byName := make(map[string]*nodeView, len(views))
-		for _, v := range views {
-			byName[v.name] = v
-		}
-		for node, sub := range prior.Subs {
-			v, alive := byName[node]
-			if !alive {
-				continue
-			}
-			for _, n := range sub.NFs {
-				if d, err := estimateDemand(o.cfg.Repo, n); err == nil {
-					v.freeCPU += d.cpuMillis
-					v.freeRAM += d.ram
-				}
-			}
+		for i := range views {
+			cpu, ram := o.demandOf(prior.Subs[views[i].name])
+			views[i].freeCPU += cpu
+			views[i].freeRAM += ram
 		}
 	}
 	// Internal-group anchors from the other deployed graphs: an
@@ -500,16 +495,21 @@ func (o *Orchestrator) Deploy(g *nffg.Graph) error {
 // deployLocked is Deploy past validation and the duplicate check. Callers
 // hold o.mu.
 func (o *Orchestrator) deployLocked(g *nffg.Graph) error {
-	pl, subs, stitches, err := o.partition(g, nil)
+	// The clone is what is partitioned and kept as desired, so no subgraph
+	// shares a map with the caller's graph.
+	g = g.Clone()
+	err := replanned(func() error {
+		pl, subs, stitches, err := o.partition(g, nil)
+		if err != nil {
+			return err
+		}
+		return o.transition(cluster.OpDeploy, g.ID, &deployment{Desired: g, Subs: subs, Stitches: stitches, Placement: pl})
+	})
 	if err != nil {
 		return err
 	}
-	dep := &deployment{Desired: g.Clone(), Subs: subs, Stitches: stitches, Placement: pl}
-	if err := o.transition(cluster.OpDeploy, g.ID, dep); err != nil {
-		return err
-	}
 	o.journal.Recordf(telemetry.EventDeploy, "", g.ID,
-		fmt.Sprintf("split across %v", sortedKeys(subs)))
+		fmt.Sprintf("split across %v", sortedKeys(o.graphs[g.ID].Subs)))
 	if wantsStandby(g) {
 		o.armStandby(g.ID)
 	}
@@ -555,6 +555,36 @@ func (o *Orchestrator) Apply(g *nffg.Graph) (existed bool, err error) {
 // goes with the move and maintainStandbys re-arms one where possible.
 // Callers hold o.mu.
 func (o *Orchestrator) reassign(g *nffg.Graph) error {
+	g = g.Clone() // as in deployLocked
+	return replanned(func() error { return o.move(g) })
+}
+
+// replanned runs a placement attempt, and runs it once more if a node refused
+// one of its steps: the refusal left that node stale, so the second
+// partition probes it first and places on the survivors if it died or filled
+// up since its last probe. Callers hold o.mu.
+func replanned(attempt func() error) error {
+	err := attempt()
+	if _, ok := refusal(err); ok {
+		err = attempt()
+	}
+	return err
+}
+
+// refusal returns the step a node refused, if err reports one. It allocates
+// only when there is an error to inspect.
+func refusal(err error) (*stepError, bool) {
+	if err == nil {
+		return nil, false
+	}
+	var refused *stepError
+	ok := errors.As(err, &refused)
+	return refused, ok
+}
+
+// move is one attempt of reassign, on the graph that becomes desired.
+// Callers hold o.mu.
+func (o *Orchestrator) move(g *nffg.Graph) error {
 	have := o.graphs[g.ID]
 	pl, subs, stitches, err := o.partition(g, have)
 	if err != nil {
@@ -563,22 +593,20 @@ func (o *Orchestrator) reassign(g *nffg.Graph) error {
 	// A piece its node's own diff finds unchanged stays that very object, so
 	// plan leaves the node alone.
 	for node, sub := range subs {
-		if old := have.Subs[node]; old != nil && old.ID == sub.ID && old.Name == sub.Name &&
-			nffg.Compute(old, sub).Empty() {
+		if old := have.Subs[node]; old != nil && old.ID == sub.ID && old.Name == sub.Name && nffg.Equal(old, sub) {
 			subs[node] = old
 		}
 	}
-	want := &deployment{Desired: g.Clone(), Subs: subs, Stitches: stitches, Placement: pl}
+	want := &deployment{Desired: g, Subs: subs, Stitches: stitches, Placement: pl}
 	if m, ok := o.members[have.StandbyNode]; ok && m.alive && len(subs) == 1 && subs[have.StandbyNode] == nil {
 		want.StandbyNode = have.StandbyNode
 	}
 	err = o.transition(cluster.OpUpdate, g.ID, want)
-	var refused *stepError
-	if errors.As(err, &refused) && refused.node == want.StandbyNode {
+	if refused, ok := refusal(err); ok && refused.node == want.StandbyNode {
 		// The spare would not take the new version. It is never worth
 		// failing the serving move: let it go and move without it.
 		o.dropStandby(g.ID)
-		return o.reassign(g)
+		return o.move(g)
 	}
 	if err == nil {
 		o.journal.Recordf(telemetry.EventUpdate, "", g.ID,
@@ -614,6 +642,7 @@ func (o *Orchestrator) Reflavor(graphID, nfID string, tech nffg.Technology) erro
 		if err != nil {
 			return err
 		}
+		m.stale()
 		if err := m.node.Reflavor(graphID, nfID, tech); err != nil {
 			o.metrics.reflavorFails.Inc()
 			return err
@@ -635,6 +664,7 @@ func (o *Orchestrator) Scale(graphID, nfID string, replicas int) error {
 		if err != nil {
 			return err
 		}
+		m.stale()
 		if err := m.node.Scale(graphID, nfID, replicas); err != nil {
 			o.metrics.scaleFails.Inc()
 			return err
@@ -731,6 +761,7 @@ func (o *Orchestrator) relievePressure() {
 		for _, c := range o.cheaperFlavorsOn(m) {
 			o.cfg.Logf("global: node %q under CPU pressure (%.0f%% free), reflavoring %s/%s %s -> %s",
 				name, free*100, c.nf.Graph, c.nf.NF, c.nf.Technology, c.tech)
+			m.stale()
 			if err := m.node.Reflavor(c.nf.Graph, c.nf.NF, c.tech); err != nil {
 				o.metrics.reflavorFails.Inc()
 				o.cfg.Logf("global: pressure reflavor of %s/%s on %q: %v", c.nf.Graph, c.nf.NF, name, err)
@@ -878,12 +909,9 @@ func (o *Orchestrator) ReconcileOnce() {
 	// Probe outside the lock: a hung node must not stall the control
 	// plane.
 	o.mu.Lock()
-	all := make([]*member, 0, len(o.members))
-	for _, m := range o.members {
-		all = append(all, m)
-	}
+	results := o.probing(func(*member) bool { return true })
 	o.mu.Unlock()
-	results := probe(all)
+	probe(results)
 
 	err := o.mutate(func() error {
 		o.reconcileLocked(results)
@@ -1008,7 +1036,7 @@ func (o *Orchestrator) repairDrift(id string, dep *deployment) {
 		case err != nil:
 		case !present:
 			delete(observed, node)
-		case !nffg.Compute(got, sub).Empty():
+		case !nffg.Equal(got, sub):
 			observed[node] = got
 		}
 	}

@@ -206,7 +206,7 @@ func (o *Orchestrator) resolverLocked() NodeResolver {
 
 // restoreMember resolves a replicated node record into a fleet member,
 // without probing it: desired state says it exists, and the next
-// reconcile pass probes it.
+// reconcile pass or placement, whichever comes first, probes it.
 func restoreMember(resolver NodeResolver, name string, raw json.RawMessage) (*member, error) {
 	n, err := resolver(name, raw)
 	if err != nil {
@@ -374,6 +374,7 @@ func (o *Orchestrator) replayLocked(src IntentSource, seq uint64) error {
 	var errs []error
 	for _, name := range src.Keys("nodes") {
 		if m, ok := o.members[name]; ok {
+			m.stale() // another leader may have changed what it runs
 			members[name] = m
 			continue
 		}
@@ -435,6 +436,7 @@ func (o *Orchestrator) SetNodeLiveness(name string, alive bool) {
 	}
 	m.alive = alive
 	if alive {
+		m.stale()
 		o.cfg.Logf("global: node %q back (gossip)", name)
 		o.journal.Recordf(telemetry.EventNodeBack, name, "", "gossip detector")
 	} else {

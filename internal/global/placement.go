@@ -2,7 +2,9 @@ package global
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/execenv"
 	"repro/internal/nffg"
@@ -36,100 +38,102 @@ func (p Placement) Nodes() []string {
 	return out
 }
 
-// nodeView is the scheduler's working copy of one node's free capacity.
+// nodeView is the scheduler's working copy of one node's free capacity. caps
+// and ifaces are the status's own slices, read and never written.
 type nodeView struct {
-	name    string
-	freeCPU int
-	freeRAM uint64
-	ratePPS float64
-	caps    map[string]bool
-	ifaces  map[string]bool
+	name         string
+	freeCPU      int
+	freeRAM      uint64
+	ratePPS      float64
+	caps, ifaces []string
 }
 
-func newNodeView(st Status) *nodeView {
-	v := &nodeView{
+func newNodeView(st Status) nodeView {
+	return nodeView{
 		name:    st.Name,
 		freeCPU: st.FreeCPUMillis,
 		freeRAM: st.FreeRAMBytes,
 		ratePPS: st.RatePPS,
-		caps:    make(map[string]bool, len(st.Capabilities)),
-		ifaces:  make(map[string]bool, len(st.Interfaces)),
+		caps:    st.Capabilities,
+		ifaces:  st.Interfaces,
 	}
-	for _, c := range st.Capabilities {
-		v.caps[c] = true
-	}
-	for _, i := range st.Interfaces {
-		v.ifaces[i] = true
-	}
-	return v
 }
 
 // nfDemand is the scheduler's resource estimate for one NF: the ledger
-// charge of the cheapest flavor the NF may run as, plus the capability set
-// any hosting node must intersect.
+// charge of the cheapest flavor the NF may run as, plus the flavors whose
+// capability a hosting node must offer one of.
 type nfDemand struct {
-	nf        nffg.NF
 	cpuMillis int
 	ram       uint64
 	// costNs is the modeled per-packet cost of the flavor the charge was
 	// derived from, feeding the M/M/1 saturation demotion.
 	costNs float64
-	// anyOfCaps: the node must offer at least one of these.
-	anyOfCaps []string
+	// tpl and tech name the flavors: every flavor of tpl, or only the
+	// pinned tech.
+	tpl  *repository.Template
+	tech nffg.Technology
 }
 
 // estimateDemand resolves an NF against the repository and derives its
 // bin-packing demand. A pinned technology narrows both the charge and the
 // capability requirement to that flavor; TechAny takes the cheapest flavor's
-// CPU (the local scheduler prefers native, the cheapest, when available).
+// CPU (the local scheduler prefers native, the cheapest, when available),
+// the first technology by name among equally cheap ones.
 func estimateDemand(repo *repository.Repository, n nffg.NF) (nfDemand, error) {
 	tpl, ok := repo.Lookup(n.Name)
 	if !ok {
 		return nfDemand{}, fmt.Errorf("global: NF %q: template %q not in repository", n.ID, n.Name)
 	}
+	if _, ok := tpl.Flavors[n.TechnologyPreference]; !ok && n.TechnologyPreference != nffg.TechAny {
+		return nfDemand{}, fmt.Errorf("global: NF %q: template %q has no %q flavor",
+			n.ID, n.Name, n.TechnologyPreference)
+	}
 	// A scaled-out NF runs `replicas` instances on its node, so the whole
 	// replica set's demand must fit there.
-	reps := n.Replicas
-	if reps < 1 {
-		reps = 1
-	}
-	d := nfDemand{nf: n, ram: tpl.WorkloadRAM * uint64(reps)}
-	model := execenv.Default()
-	if n.TechnologyPreference != nffg.TechAny {
-		fl, ok := tpl.Flavors[n.TechnologyPreference]
-		if !ok {
-			return nfDemand{}, fmt.Errorf("global: NF %q: template %q has no %q flavor",
-				n.ID, n.Name, n.TechnologyPreference)
+	reps := max(n.Replicas, 1)
+	d := nfDemand{ram: tpl.WorkloadRAM * uint64(reps), tpl: tpl, tech: n.TechnologyPreference}
+	charged := nffg.Technology("")
+	for tech, fl := range tpl.Flavors {
+		if !d.offers(tech) {
+			continue
 		}
-		d.cpuMillis = fl.CPUMillis * reps
-		d.costNs = float64(model.PacketCost(policy.FlavorOf(n.TechnologyPreference), policy.RefFrameBytes, 0))
-		d.anyOfCaps = []string{string(fl.Capability)}
-		return d, nil
-	}
-	first := true
-	for _, tech := range tpl.SupportedTechnologies() {
-		fl := tpl.Flavors[tech]
-		if first || fl.CPUMillis*reps < d.cpuMillis {
-			d.cpuMillis = fl.CPUMillis * reps
-			d.costNs = float64(model.PacketCost(policy.FlavorOf(tech), policy.RefFrameBytes, 0))
-			first = false
+		if cpu := fl.CPUMillis * reps; charged == "" || cpu < d.cpuMillis || cpu == d.cpuMillis && tech < charged {
+			charged, d.cpuMillis = tech, cpu
 		}
-		d.anyOfCaps = append(d.anyOfCaps, string(fl.Capability))
 	}
+	d.costNs = float64(execenv.Default().PacketCost(policy.FlavorOf(charged), policy.RefFrameBytes, 0))
 	return d, nil
+}
+
+// offers reports whether the NF may run as tech.
+func (d nfDemand) offers(tech nffg.Technology) bool {
+	return d.tech == nffg.TechAny || tech == d.tech
+}
+
+// caps lists the capabilities a host must offer one of, sorted.
+func (d nfDemand) caps() []string {
+	var out []string
+	for tech, fl := range d.tpl.Flavors {
+		if d.offers(tech) {
+			out = append(out, string(fl.Capability))
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // canHost reports whether the node view has the capability and capacity for
 // the demand.
 func (v *nodeView) canHost(d nfDemand) bool {
-	capOK := false
-	for _, c := range d.anyOfCaps {
-		if v.caps[c] {
-			capOK = true
-			break
+	if v.freeCPU < d.cpuMillis || v.freeRAM < d.ram {
+		return false
+	}
+	for tech, fl := range d.tpl.Flavors {
+		if d.offers(tech) && slices.Contains(v.caps, string(fl.Capability)) {
+			return true
 		}
 	}
-	return capOK && v.freeCPU >= d.cpuMillis && v.freeRAM >= d.ram
+	return false
 }
 
 func (v *nodeView) charge(d nfDemand) {
@@ -137,92 +141,79 @@ func (v *nodeView) charge(d nfDemand) {
 	v.freeRAM -= d.ram
 }
 
-// linkSet answers "is there a direct inter-node link between a and b".
-type linkSet map[string]map[string]bool
-
-func newLinkSet(links []Link) linkSet {
-	ls := make(linkSet)
-	add := func(a, b string) {
-		if ls[a] == nil {
-			ls[a] = make(map[string]bool)
-		}
-		ls[a][b] = true
-	}
+// linkBetween returns a declared link joining nodes a and b.
+func linkBetween(links []Link, a, b string) (Link, bool) {
 	for _, l := range links {
-		add(l.A, l.B)
-		add(l.B, l.A)
+		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
+			return l, true
+		}
 	}
-	return ls
+	return Link{}, false
 }
 
-func (ls linkSet) linked(a, b string) bool { return a == b || ls[a][b] }
-
-// adjacencyOrder returns the graph's NFs in chain-walk order: a breadth-first
-// traversal of the rule adjacency starting from NFs wired to endpoints, so
-// that consecutive NFs in the returned slice tend to be chain neighbors and
-// the greedy packer keeps them co-located.
+// adjacencyOrder returns the graph's NFs in chain-walk order: a depth-first
+// traversal of the rule adjacency starting from the NF wired to the first
+// wired endpoint, so that consecutive NFs in the returned slice tend to be
+// chain neighbors and the greedy packer keeps them co-located. It works on NF
+// indices: edges holds every NF-to-NF output of the rules in rule order.
 func adjacencyOrder(g *nffg.Graph) []nffg.NF {
-	// Build adjacency: NF <-> NF and endpoint -> NF edges from rules.
-	adj := make(map[string][]string)   // nf id -> neighbor nf ids
-	epAdj := make(map[string][]string) // ep id -> nf ids
-	addEdge := func(a, b nffg.PortRef) {
-		switch {
-		case a.IsNF() && b.IsNF() && a.NF != b.NF:
-			adj[a.NF] = append(adj[a.NF], b.NF)
-			adj[b.NF] = append(adj[b.NF], a.NF)
-		case a.IsEndpoint() && b.IsNF():
-			epAdj[a.Endpoint] = append(epAdj[a.Endpoint], b.NF)
-		case a.IsNF() && b.IsEndpoint():
-			epAdj[b.Endpoint] = append(epAdj[b.Endpoint], a.NF)
-		}
+	index := func(id string) int {
+		return slices.IndexFunc(g.NFs, func(n nffg.NF) bool { return n.ID == id })
 	}
+	edges := make([][2]int, 0, len(g.Rules))
 	for _, r := range g.Rules {
 		for _, a := range r.Actions {
-			if a.Type == nffg.ActOutput {
-				addEdge(r.Match.PortIn, a.Output)
+			if in, out := r.Match.PortIn, a.Output; a.Type == nffg.ActOutput && in.IsNF() && out.IsNF() && in.NF != out.NF {
+				edges = append(edges, [2]int{index(in.NF), index(out.NF)})
 			}
 		}
 	}
-	byID := make(map[string]nffg.NF, len(g.NFs))
-	for _, n := range g.NFs {
-		byID[n.ID] = n
-	}
-	var order []nffg.NF
-	visited := make(map[string]bool, len(g.NFs))
-	var stack []string
-	push := func(id string) {
-		if !visited[id] {
-			visited[id] = true
-			stack = append(stack, id)
+	order := make([]nffg.NF, 0, len(g.NFs))
+	visited := make([]bool, len(g.NFs))
+	stack := make([]int, 0, len(g.NFs))
+	push := func(i int) {
+		if !visited[i] {
+			visited[i] = true
+			stack = append(stack, i)
 		}
 	}
-	// Seed a depth-first walk from the first endpoint wired to an NF: the
-	// traversal then follows the chain from where traffic enters the
-	// graph, instead of interleaving both ends.
+	// Seed the walk from the first endpoint wired to an NF: the traversal
+	// then follows the chain from where traffic enters the graph, instead
+	// of interleaving both ends.
+seed:
 	for _, ep := range g.Endpoints {
-		if nfs := epAdj[ep.ID]; len(nfs) > 0 {
-			push(nfs[0])
-			break
+		for _, r := range g.Rules {
+			for _, a := range r.Actions {
+				in, out := r.Match.PortIn, a.Output
+				switch {
+				case a.Type != nffg.ActOutput:
+				case in.IsEndpoint() && in.Endpoint == ep.ID && out.IsNF():
+					push(index(out.NF))
+					break seed
+				case out.IsEndpoint() && out.Endpoint == ep.ID && in.IsNF():
+					push(index(in.NF))
+					break seed
+				}
+			}
 		}
 	}
 	for len(order) < len(g.NFs) {
 		if len(stack) == 0 {
 			// Disconnected component: seed from the first unvisited NF.
-			for _, n := range g.NFs {
-				if !visited[n.ID] {
-					push(n.ID)
-					break
-				}
-			}
+			push(slices.Index(visited, false))
 		}
-		id := stack[len(stack)-1]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		order = append(order, byID[id])
+		order = append(order, g.NFs[i])
 		// Push neighbors in reverse so the first-listed neighbor is
 		// visited next.
-		nbs := adj[id]
-		for i := len(nbs) - 1; i >= 0; i-- {
-			push(nbs[i])
+		for e := len(edges) - 1; e >= 0; e-- {
+			switch i {
+			case edges[e][0]:
+				push(edges[e][1])
+			case edges[e][1]:
+				push(edges[e][0])
+			}
 		}
 	}
 	return order
@@ -239,35 +230,25 @@ func adjacencyOrder(g *nffg.Graph) []nffg.NF {
 // internalPins maps internal-group names to the node already anchoring the
 // group (from other deployed graphs): the EPInternal rendezvous only forms
 // on one node's LSI-0, so both members must land together.
-func place(g *nffg.Graph, repo *repository.Repository, pol policy.PlacementPolicy, views []*nodeView, links []Link, internalPins map[string]string) (Placement, error) {
+func place(g *nffg.Graph, repo *repository.Repository, pol policy.PlacementPolicy, views []nodeView, links []Link, internalPins map[string]string) (Placement, error) {
 	if len(views) == 0 {
 		return Placement{}, fmt.Errorf("global: no nodes available")
 	}
-	sort.Slice(views, func(i, j int) bool { return views[i].name < views[j].name })
-	byName := make(map[string]*nodeView, len(views))
-	for _, v := range views {
-		byName[v.name] = v
-	}
-	ls := newLinkSet(links)
-	pl := Placement{NFNode: make(map[string]string), EPNode: make(map[string]string)}
+	slices.SortFunc(views, func(a, b nodeView) int { return strings.Compare(a.name, b.name) })
+	byName := func(name string) int { return slices.IndexFunc(views, func(v nodeView) bool { return v.name == name }) }
+	pl := Placement{NFNode: make(map[string]string, len(g.NFs)), EPNode: make(map[string]string, len(g.Endpoints))}
 
 	// 1. Pin interface endpoints to the node owning the interface.
 	for _, ep := range g.Endpoints {
 		if ep.Type != nffg.EPInterface && ep.Type != nffg.EPVLAN {
 			continue
 		}
-		placed := false
-		for _, v := range views {
-			if v.ifaces[ep.Interface] {
-				pl.EPNode[ep.ID] = v.name
-				placed = true
-				break
-			}
-		}
-		if !placed {
+		i := slices.IndexFunc(views, func(v nodeView) bool { return slices.Contains(v.ifaces, ep.Interface) })
+		if i < 0 {
 			return Placement{}, fmt.Errorf("global: graph %q: endpoint %q: no node has interface %q",
 				g.ID, ep.ID, ep.Interface)
 		}
+		pl.EPNode[ep.ID] = views[i].name
 	}
 
 	// 2. Pack NFs along the chain. The walk starts on the node of the
@@ -280,9 +261,7 @@ func place(g *nffg.Graph, repo *repository.Repository, pol policy.PlacementPolic
 			break
 		}
 	}
-	// antiNodes tracks, per anti-affinity group, the nodes already hosting
-	// a member: later members of the group must land elsewhere.
-	antiNodes := make(map[string]map[string]bool)
+	cands := make([]policy.Candidate, 0, len(views))
 	for _, n := range adjacencyOrder(g) {
 		d, err := estimateDemand(repo, n)
 		if err != nil {
@@ -295,16 +274,20 @@ func place(g *nffg.Graph, repo *repository.Repository, pol policy.PlacementPolic
 		// already hosting an anti-affinity sibling are excluded outright,
 		// and hosts with a near-saturated datapath (per the M/M/1
 		// predictor) are demoted by the policy's Saturated rank.
-		cands := make([]policy.Candidate, 0, len(views))
+		cands = cands[:0]
 		excluded := 0
-		for _, v := range views {
+		for i := range views {
+			v := &views[i]
 			if !v.canHost(d) {
 				continue
 			}
-			if n.AntiAffinity != "" && antiNodes[n.AntiAffinity][v.name] {
+			if n.AntiAffinity != "" && slices.ContainsFunc(g.NFs, func(m nffg.NF) bool {
+				return m.AntiAffinity == n.AntiAffinity && pl.NFNode[m.ID] == v.name
+			}) {
 				excluded++
 				continue
 			}
+			_, linked := linkBetween(links, cur, v.name)
 			cands = append(cands, policy.Candidate{
 				Node:          v.name,
 				Tech:          n.TechnologyPreference,
@@ -314,7 +297,7 @@ func place(g *nffg.Graph, repo *repository.Repository, pol policy.PlacementPolic
 				FreeCPUMillis: v.freeCPU,
 				FreeRAMBytes:  v.freeRAM,
 				Colocated:     v.name == cur,
-				Linked:        cur == "" || ls.linked(cur, v.name),
+				Linked:        cur == "" || v.name == cur || linked,
 				HostRatePPS:   v.ratePPS,
 			})
 		}
@@ -326,17 +309,11 @@ func place(g *nffg.Graph, repo *repository.Repository, pol policy.PlacementPolic
 			}
 			return Placement{}, fmt.Errorf(
 				"global: graph %q: no node can host NF %q (want %dm CPU, %d B RAM, caps %v)",
-				g.ID, n.ID, d.cpuMillis, d.ram, d.anyOfCaps)
+				g.ID, n.ID, d.cpuMillis, d.ram, d.caps())
 		}
 		chosen := pol.Rank(policy.Request{GraphID: g.ID, NFID: n.ID}, cands)[0].Node
-		byName[chosen].charge(d)
+		views[byName(chosen)].charge(d)
 		pl.NFNode[n.ID] = chosen
-		if n.AntiAffinity != "" {
-			if antiNodes[n.AntiAffinity] == nil {
-				antiNodes[n.AntiAffinity] = make(map[string]bool)
-			}
-			antiNodes[n.AntiAffinity][chosen] = true
-		}
 		cur = chosen
 	}
 
@@ -349,7 +326,7 @@ func place(g *nffg.Graph, repo *repository.Repository, pol policy.PlacementPolic
 			continue
 		}
 		if pinned, anchored := internalPins[ep.InternalGroup]; anchored {
-			if _, available := byName[pinned]; !available {
+			if byName(pinned) < 0 {
 				return Placement{}, fmt.Errorf(
 					"global: graph %q: endpoint %q: internal group %q is anchored on unavailable node %q",
 					g.ID, ep.ID, ep.InternalGroup, pinned)

@@ -2,6 +2,7 @@ package global
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 	"repro/internal/repository"
 )
 
-func view(name string, cpu int, ram uint64, caps, ifaces []string) *nodeView {
+func view(name string, cpu int, ram uint64, caps, ifaces []string) nodeView {
 	return newNodeView(Status{
 		Name:          name,
 		FreeCPUMillis: cpu,
@@ -55,16 +56,16 @@ func TestEstimateDemandPinnedVsAny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.cpuMillis != 500 || len(d.anyOfCaps) != 1 || d.anyOfCaps[0] != "docker" {
-		t.Errorf("docker demand = %dm %v, want 500m [docker]", d.cpuMillis, d.anyOfCaps)
+	if caps := d.caps(); d.cpuMillis != 500 || len(caps) != 1 || caps[0] != "docker" {
+		t.Errorf("docker demand = %dm %v, want 500m [docker]", d.cpuMillis, caps)
 	}
 	// TechAny: cheapest flavor (native 250m), any flavor capability.
 	d, err = estimateDemand(repo, nffg.NF{ID: "x", Name: "ipsec"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.cpuMillis != 250 || len(d.anyOfCaps) != 3 {
-		t.Errorf("any demand = %dm %v, want 250m and 3 candidate caps", d.cpuMillis, d.anyOfCaps)
+	if caps := d.caps(); d.cpuMillis != 250 || len(caps) != 3 {
+		t.Errorf("any demand = %dm %v, want 250m and 3 candidate caps", d.cpuMillis, caps)
 	}
 	// Unknown template.
 	if _, err := estimateDemand(repo, nffg.NF{ID: "x", Name: "nonesuch"}); err == nil {
@@ -78,7 +79,7 @@ func TestEstimateDemandPinnedVsAny(t *testing.T) {
 
 func TestPlaceRespectsTechCapability(t *testing.T) {
 	repo := repository.Default()
-	views := []*nodeView{
+	views := []nodeView{
 		view("native-only", 4000, 1<<30, []string{"nnf:firewall", "nnf:monitor"}, []string{"lan", "wan", "x"}),
 		view("docker-only", 4000, 1<<30, []string{"docker"}, []string{"x"}),
 	}
@@ -100,7 +101,7 @@ func TestPlaceRespectsTechCapability(t *testing.T) {
 
 func TestPlaceCoLocatesWhenPossible(t *testing.T) {
 	repo := repository.Default()
-	views := []*nodeView{
+	views := []nodeView{
 		view("n1", 4000, 1<<30, []string{"nnf:firewall", "nnf:monitor"}, []string{"lan", "wan"}),
 		view("n2", 8000, 1<<30, []string{"nnf:firewall", "nnf:monitor"}, []string{"x"}),
 	}
@@ -119,12 +120,12 @@ func TestPlaceErrors(t *testing.T) {
 	repo := repository.Default()
 	caps := []string{"nnf:firewall", "nnf:monitor"}
 	// No node has the endpoint interface.
-	views := []*nodeView{view("n1", 4000, 1<<30, caps, []string{"other"})}
+	views := []nodeView{view("n1", 4000, 1<<30, caps, []string{"other"})}
 	if _, err := place(twoNFChain(), repo, policy.BinPack{}, views, nil, nil); err == nil {
 		t.Error("placement with unhosted endpoint interface accepted")
 	}
 	// Capacity exhausted.
-	views = []*nodeView{view("n1", 10, 1<<30, caps, []string{"lan", "wan"})}
+	views = []nodeView{view("n1", 10, 1<<30, caps, []string{"lan", "wan"})}
 	if _, err := place(twoNFChain(), repo, policy.BinPack{}, views, nil, nil); err == nil {
 		t.Error("placement beyond fleet capacity accepted")
 	}
@@ -137,8 +138,8 @@ func TestPlaceErrors(t *testing.T) {
 func TestPlacePinsInternalGroups(t *testing.T) {
 	repo := repository.Default()
 	caps := []string{"nnf:firewall", "nnf:monitor"}
-	views := func() []*nodeView {
-		return []*nodeView{
+	views := func() []nodeView {
+		return []nodeView{
 			view("n1", 4000, 1<<30, caps, []string{"lan"}),
 			view("n2", 4000, 1<<30, caps, []string{"lan"}),
 		}
@@ -190,7 +191,7 @@ func TestSplitMultiHopRelay(t *testing.T) {
 	// compute sits in the middle: both stitches relay through no transit,
 	// but the in->a hand-off spans lan-node -> mid and a->b stays local,
 	// while b -> out crosses mid -> wan-node.
-	views := []*nodeView{
+	views := []nodeView{
 		view("left", 0, 1<<30, nil, []string{"lan", "l"}),
 		view("mid", 4000, 1<<30, caps, []string{"l", "r"}),
 		view("right", 0, 1<<30, nil, []string{"r", "wan"}),
@@ -217,7 +218,7 @@ func TestSplitMultiHopRelay(t *testing.T) {
 	}
 	// Now strand the NFs two hops from the wan endpoint: left hosts the
 	// chain, right owns wan, mid only relays.
-	views = []*nodeView{
+	views = []nodeView{
 		view("left", 4000, 1<<30, caps, []string{"lan", "l"}),
 		view("mid", 0, 1<<30, nil, []string{"l", "r"}),
 		view("right", 0, 1<<30, nil, []string{"r", "wan"}),
@@ -254,7 +255,7 @@ func TestSplitKeepsPriorStitches(t *testing.T) {
 		{A: "mid", AIf: "r", B: "right", BIf: "r"},
 	}
 	g := twoNFChain()
-	pl, err := place(g, repository.Default(), policy.BinPack{}, []*nodeView{
+	pl, err := place(g, repository.Default(), policy.BinPack{}, []nodeView{
 		view("left", 0, 1<<30, nil, []string{"lan", "l"}),
 		view("mid", 4000, 1<<30, []string{"nnf:firewall", "nnf:monitor"}, []string{"l", "r"}),
 		view("right", 0, 1<<30, nil, []string{"r", "wan"}),
@@ -338,5 +339,113 @@ func TestVLANAllocReleaseReuse(t *testing.T) {
 	}
 	if vo != stitchVLANBase {
 		t.Errorf("fresh link allocation = %d, want %d", vo, stitchVLANBase)
+	}
+}
+
+// mapAdjacencyOrder is adjacencyOrder as it was written over maps of NF and
+// endpoint ids: the oracle of the index-slice walk.
+func mapAdjacencyOrder(g *nffg.Graph) []nffg.NF {
+	adj := make(map[string][]string)
+	epAdj := make(map[string][]string)
+	addEdge := func(a, b nffg.PortRef) {
+		switch {
+		case a.IsNF() && b.IsNF() && a.NF != b.NF:
+			adj[a.NF] = append(adj[a.NF], b.NF)
+			adj[b.NF] = append(adj[b.NF], a.NF)
+		case a.IsEndpoint() && b.IsNF():
+			epAdj[a.Endpoint] = append(epAdj[a.Endpoint], b.NF)
+		case a.IsNF() && b.IsEndpoint():
+			epAdj[b.Endpoint] = append(epAdj[b.Endpoint], a.NF)
+		}
+	}
+	for _, r := range g.Rules {
+		for _, a := range r.Actions {
+			if a.Type == nffg.ActOutput {
+				addEdge(r.Match.PortIn, a.Output)
+			}
+		}
+	}
+	byID := make(map[string]nffg.NF, len(g.NFs))
+	for _, n := range g.NFs {
+		byID[n.ID] = n
+	}
+	var order []nffg.NF
+	visited := make(map[string]bool, len(g.NFs))
+	var stack []string
+	push := func(id string) {
+		if !visited[id] {
+			visited[id] = true
+			stack = append(stack, id)
+		}
+	}
+	for _, ep := range g.Endpoints {
+		if nfs := epAdj[ep.ID]; len(nfs) > 0 {
+			push(nfs[0])
+			break
+		}
+	}
+	for len(order) < len(g.NFs) {
+		if len(stack) == 0 {
+			for _, n := range g.NFs {
+				if !visited[n.ID] {
+					push(n.ID)
+					break
+				}
+			}
+		}
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		order = append(order, byID[id])
+		nbs := adj[id]
+		for i := len(nbs) - 1; i >= 0; i-- {
+			push(nbs[i])
+		}
+	}
+	return order
+}
+
+// The index-slice walk visits NFs in the order the map-based walk did, on
+// seeded random graphs: chains wired both ways, fan-outs, self-loops,
+// non-output actions and disconnected components.
+func TestAdjacencyOrderMatchesMapWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for i := 0; i < 3000; i++ {
+		g := &nffg.Graph{ID: "g"}
+		nfs, eps := 1+rng.Intn(8), rng.Intn(4)
+		for n := 0; n < nfs; n++ {
+			g.NFs = append(g.NFs, nffg.NF{ID: fmt.Sprintf("nf%d", n), Name: "monitor"})
+		}
+		for e := 0; e < eps; e++ {
+			g.Endpoints = append(g.Endpoints, nffg.Endpoint{ID: fmt.Sprintf("ep%d", e), Type: nffg.EPInterface, Interface: "lan"})
+		}
+		port := func() nffg.PortRef {
+			if eps > 0 && rng.Intn(3) == 0 {
+				return nffg.EndpointRef(fmt.Sprintf("ep%d", rng.Intn(eps)))
+			}
+			return nffg.NFPortRef(fmt.Sprintf("nf%d", rng.Intn(nfs)), fmt.Sprint(rng.Intn(2)))
+		}
+		if rng.Intn(2) == 0 { // a chain wired both ways
+			for n := 0; n+1 < nfs; n++ {
+				a, b := nffg.NFPortRef(fmt.Sprintf("nf%d", n), "1"), nffg.NFPortRef(fmt.Sprintf("nf%d", n+1), "0")
+				g.Rules = append(g.Rules,
+					nffg.FlowRule{ID: fmt.Sprintf("f%d", n), Match: nffg.RuleMatch{PortIn: a}, Actions: []nffg.RuleAction{{Type: nffg.ActOutput, Output: b}}},
+					nffg.FlowRule{ID: fmt.Sprintf("b%d", n), Match: nffg.RuleMatch{PortIn: b}, Actions: []nffg.RuleAction{{Type: nffg.ActOutput, Output: a}}})
+			}
+		}
+		for r := rng.Intn(10); r > 0; r-- {
+			rule := nffg.FlowRule{ID: fmt.Sprintf("r%d", r), Match: nffg.RuleMatch{PortIn: port()}}
+			for a := rng.Intn(3); a >= 0; a-- {
+				if rng.Intn(4) == 0 {
+					rule.Actions = append(rule.Actions, nffg.RuleAction{Type: nffg.ActPushVLAN, VLANID: 5})
+				} else {
+					rule.Actions = append(rule.Actions, nffg.RuleAction{Type: nffg.ActOutput, Output: port()})
+				}
+			}
+			g.Rules = append(g.Rules, rule)
+		}
+		rng.Shuffle(len(g.Rules), func(a, b int) { g.Rules[a], g.Rules[b] = g.Rules[b], g.Rules[a] })
+		if got, want := adjacencyOrder(g), mapAdjacencyOrder(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("graph %d: order %v, the map walk's %v\nrules %+v", i, got, want, g.Rules)
+		}
 	}
 }

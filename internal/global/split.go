@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/nffg"
 )
@@ -25,6 +26,17 @@ func (l Link) key() string {
 		return l.B + "/" + l.BIf + "|" + l.A + "/" + l.AIf
 	}
 	return l.A + "/" + l.AIf + "|" + l.B + "/" + l.BIf
+}
+
+// peerOf returns the node at the other end of the link from node.
+func (l Link) peerOf(node string) (string, bool) {
+	switch node {
+	case l.A:
+		return l.B, true
+	case l.B:
+		return l.A, true
+	}
+	return "", false
 }
 
 // ifaceOn returns the link's interface on the given node.
@@ -123,52 +135,30 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 		}
 		return s
 	}
-	linkBetween := func(a, b string) (Link, bool) {
-		for _, l := range links {
-			if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-				return l, true
-			}
-		}
-		return Link{}, false
-	}
 	// pathBetween finds the shortest node path from a to b over the
 	// declared links (breadth-first), so stitches may relay through
-	// transit nodes.
+	// transit nodes. from[i] indexes the node seen[i] was reached from.
 	pathBetween := func(a, b string) ([]string, bool) {
-		if a == b {
-			return []string{a}, true
-		}
-		prev := map[string]string{a: a}
-		queue := []string{a}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+		var seenBuf [8]string
+		var fromBuf [8]int
+		seen, from := append(seenBuf[:0], a), append(fromBuf[:0], 0)
+		for i := 0; i < len(seen); i++ {
+			if seen[i] == b {
+				n := 1
+				for j := i; j != 0; j = from[j] {
+					n++
+				}
+				path := make([]string, n)
+				for j := i; n > 0; j = from[j] {
+					n--
+					path[n] = seen[j]
+				}
+				return path, true
+			}
 			for _, l := range links {
-				var next string
-				switch cur {
-				case l.A:
-					next = l.B
-				case l.B:
-					next = l.A
-				default:
-					continue
+				if next, ok := l.peerOf(seen[i]); ok && !slices.Contains(seen, next) {
+					seen, from = append(seen, next), append(from, i)
 				}
-				if _, seen := prev[next]; seen {
-					continue
-				}
-				prev[next] = cur
-				if next == b {
-					var path []string
-					for n := b; n != a; n = prev[n] {
-						path = append(path, n)
-					}
-					path = append(path, a)
-					for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-						path[i], path[j] = path[j], path[i]
-					}
-					return path, true
-				}
-				queue = append(queue, next)
 			}
 		}
 		return nil, false
@@ -203,9 +193,15 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 
 	// Rules: copy local ones, stitch cross-node ones. Stitches are shared
 	// by (src node, dst node, destination ref): two rules steering into
-	// the same remote port reuse one stitch and one companion rule.
+	// the same remote port reuse one stitch and one companion rule;
+	// keys[i] is the one of stitches[i].
+	type stitchKey struct {
+		src, dst string
+		to       nffg.PortRef
+	}
 	var stitches []stitch
-	stitchFor := make(map[string]*stitch)
+	var keyBuf [4]stitchKey
+	keys := keyBuf[:0]
 	fail := func(err error) (map[string]*nffg.Graph, []stitch, error) {
 		releaseHops(alloc, hopsNotIn(stitches, prior))
 		return nil, nil, err
@@ -216,8 +212,7 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 			return fail(err)
 		}
 		out := r
-		out.Actions = append([]nffg.RuleAction(nil), r.Actions...)
-		for ai, a := range out.Actions {
+		for ai, a := range r.Actions {
 			if a.Type != nffg.ActOutput {
 				continue
 			}
@@ -228,9 +223,11 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 			if dstNode == srcNode {
 				continue
 			}
-			key := srcNode + "|" + dstNode + "|" + a.Output.String()
-			st, ok := stitchFor[key]
-			if !ok {
+			key := stitchKey{srcNode, dstNode, a.Output}
+			var st *stitch
+			if i := slices.Index(keys, key); i >= 0 {
+				st = &stitches[i]
+			} else {
 				path, reachable := pathBetween(srcNode, dstNode)
 				if !reachable {
 					return fail(fmt.Errorf(
@@ -238,7 +235,7 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 						g.ID, r.ID, srcNode, dstNode))
 				}
 				st = &stitch{
-					EP:   fmt.Sprintf("gx%d-%s", len(stitches), g.ID),
+					EP:   "gx" + strconv.Itoa(len(stitches)) + "-" + g.ID,
 					Src:  srcNode,
 					Dst:  dstNode,
 					Path: path,
@@ -251,7 +248,7 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 					}
 				}
 				for j := 0; j+1 < len(path); j++ {
-					link, _ := linkBetween(path[j], path[j+1])
+					link, _ := linkBetween(links, path[j], path[j+1])
 					if held != nil && held.Hops[j].Link == link {
 						st.Hops = append(st.Hops, held.Hops[j])
 						continue
@@ -263,7 +260,7 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 					}
 					st.Hops = append(st.Hops, stitchHop{Link: link, VLAN: vlan})
 				}
-				stitchFor[key] = st
+				keys = append(keys, key)
 				stitches = append(stitches, *st)
 				// Source side: egress endpoint on the first hop.
 				srcIf, _ := st.Hops[0].Link.ifaceOn(srcNode)
@@ -276,8 +273,8 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 					node := path[j]
 					inIf, _ := st.Hops[j-1].Link.ifaceOn(node)
 					outIf, _ := st.Hops[j].Link.ifaceOn(node)
-					inEP := fmt.Sprintf("%s-t%di", st.EP, j)
-					outEP := fmt.Sprintf("%s-t%do", st.EP, j)
+					inEP := st.EP + "-t" + strconv.Itoa(j) + "i"
+					outEP := st.EP + "-t" + strconv.Itoa(j) + "o"
 					s := sub(node)
 					s.Endpoints = append(s.Endpoints,
 						nffg.Endpoint{ID: inEP, Type: nffg.EPVLAN, Interface: inIf, VLANID: st.Hops[j-1].VLAN},
@@ -303,6 +300,9 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 					Match:    nffg.RuleMatch{PortIn: nffg.EndpointRef(st.EP)},
 					Actions:  []nffg.RuleAction{{Type: nffg.ActOutput, Output: a.Output}},
 				})
+			}
+			if &out.Actions[ai] == &r.Actions[ai] { // the first rewrite copies
+				out.Actions = slices.Clone(r.Actions)
 			}
 			out.Actions[ai] = nffg.RuleAction{Type: nffg.ActOutput, Output: nffg.EndpointRef(st.EP)}
 		}

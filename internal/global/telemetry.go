@@ -83,9 +83,9 @@ func (o *Orchestrator) Collect(e *telemetry.Exposition) {
 			alive = 1
 		}
 		e.Gauge("un_global_node_alive", "1 while the member answers health probes.", l, alive)
-		e.Gauge("un_global_node_free_cpu_millis", "Member's free CPU millicores at last probe.", l, float64(m.st.FreeCPUMillis))
+		e.Gauge("un_global_node_free_cpu_millis", "Member's free CPU millicores the placer plans against: the last probe minus charges since.", l, float64(m.st.FreeCPUMillis))
 		e.Gauge("un_global_node_total_cpu_millis", "Member's CPU millicore capacity.", l, float64(m.st.TotalCPUMillis))
-		e.Gauge("un_global_node_free_ram_bytes", "Member's free RAM at last probe.", l, float64(m.st.FreeRAMBytes))
+		e.Gauge("un_global_node_free_ram_bytes", "Member's free RAM the placer plans against: the last probe minus charges since.", l, float64(m.st.FreeRAMBytes))
 		e.Gauge("un_global_node_graphs", "Subgraphs the member held at last probe.", l, float64(len(m.st.Graphs)))
 	}
 	e.Gauge("un_global_nodes", "Registered fleet members.", nil, float64(len(members)))

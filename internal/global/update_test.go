@@ -37,9 +37,9 @@ func assertLedger(t *testing.T, o *global.Orchestrator, when string) {
 
 // A global update is a diff: changing one NF's config keeps every stitch and
 // its VLANs, so only the node hosting the NF is told anything, and a PUT of the
-// graph it already runs tells no node anything. The placement probes still
-// ask every node for its status. A re-placement that moves an NF still
-// restitches on fresh VLANs and frees the old ones.
+// graph it already runs tells no node anything. Placement plans from the fleet
+// view, charged with its own deploys, so it probes no node. A re-placement
+// that moves an NF still restitches on fresh VLANs and frees the old ones.
 func TestConfigUpdateTouchesOneNode(t *testing.T) {
 	f := lineFleet(t, 250)
 	if _, err := f.g.Apply(firewallChain("svc", 6, 1)); err != nil {
@@ -48,14 +48,12 @@ func TestConfigUpdateTouchesOneNode(t *testing.T) {
 	pl, _ := f.g.Placement("svc")
 	host := pl.NFNode["nf0"]
 	stitches := global.Stitches(f.g, "svc")
-	probes := map[string]int{"n1 status": 1, "n2 status": 1, "n3 status": 1}
 	f.verbs()
 
 	if _, err := f.g.Apply(firewallChain("svc", 6, 2)); err != nil {
 		t.Fatal(err)
 	}
-	want := maps.Clone(probes)
-	want[host+" update"] = 1
+	want := map[string]int{host + " update": 1}
 	if got := f.verbs(); !maps.Equal(got, want) {
 		t.Fatalf("config-only update asked %v, want %v", got, want)
 	}
@@ -65,8 +63,8 @@ func TestConfigUpdateTouchesOneNode(t *testing.T) {
 	if _, err := f.g.Apply(firewallChain("svc", 6, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.verbs(); !maps.Equal(got, probes) {
-		t.Fatalf("a PUT of the running graph asked %v, want only the probes %v", got, probes)
+	if got := f.verbs(); len(got) != 0 {
+		t.Fatalf("a PUT of the running graph asked %v, want nothing", got)
 	}
 
 	for i := 0; i < 200; i++ {
@@ -107,6 +105,37 @@ func TestConfigUpdateTouchesOneNode(t *testing.T) {
 	}
 }
 
+// An update is diffed against what the nodes were told, not against the
+// caller's graph: each time the caller edits a deployed graph's config in
+// place and updates it, the hosting node gets exactly one Update and runs the
+// edited rules.
+func TestInPlaceConfigEditReachesNode(t *testing.T) {
+	f := lineFleet(t, 250)
+	g := firewallChain("svc", 6, 1)
+	if err := f.g.Deploy(g); err != nil {
+		t.Fatal(err)
+	}
+	pl, _ := f.g.Placement("svc")
+	host := pl.NFNode["nf0"]
+	f.verbs()
+	for _, rules := range []string{"drop proto=tcp dport=2", "drop proto=tcp dport=3"} {
+		g.NFs[0].Config["rules"] = rules
+		if err := f.g.Update(g); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := f.verbs(), map[string]int{host + " update": 1}; !maps.Equal(got, want) {
+			t.Fatalf("update after an in-place edit to %q asked %v, want %v", rules, got, want)
+		}
+		spec, ok := f.nodes[host].GraphSpec("svc")
+		if !ok {
+			t.Fatalf("%s does not run svc", host)
+		}
+		if n := spec.FindNF("nf0"); n == nil || n.Config["rules"] != rules {
+			t.Fatalf("%s runs nf0 as %+v, want the rules %q", host, n, rules)
+		}
+	}
+}
+
 // A dry run of a deployed graph shares the stitches the graph rides: handing
 // back what it planned must leave those held. Whether the plan keeps every
 // stitch or moves some, the allocator ends as it began.
@@ -132,9 +161,11 @@ func TestPlanDeployKeepsAllocator(t *testing.T) {
 
 // One deploy-churn lifecycle of a 6-NF chain over the 3-node line — create,
 // the dry-run plan of the live graph, two reads, a config-only update, delete
-// — asks the nodes for 16 calls, pinned here by kind: three status probes
-// before each placement (create, plan, update), a deploy and an undeploy on
-// each of the three nodes, and one update on the node hosting the changed NF.
+// — asks the nodes for 7 calls, pinned here by kind: a deploy and an undeploy
+// on each of the three nodes, and one update on the node hosting the changed
+// NF. No placement (create, plan, update) probes: each plans from the fleet
+// view its own verbs keep charged. It was 16 calls while every placement
+// first asked each of the three nodes for its status.
 func TestNodeVerbsPerLifecycle(t *testing.T) {
 	f := lineFleet(t, 250)
 	const lifecycles = 3
@@ -167,12 +198,12 @@ func TestNodeVerbsPerLifecycle(t *testing.T) {
 		byKind[verb] += n
 		total += n
 	}
-	want := map[string]int{"status": 9 * lifecycles, "deploy": 3 * lifecycles, "update": lifecycles, "undeploy": 3 * lifecycles}
+	want := map[string]int{"deploy": 3 * lifecycles, "update": lifecycles, "undeploy": 3 * lifecycles}
 	if !maps.Equal(byKind, want) {
 		t.Fatalf("node calls by kind over %d lifecycles = %v, want %v", lifecycles, byKind, want)
 	}
-	if total != 16*lifecycles {
-		t.Fatalf("%d node calls per lifecycle, want 16", total/lifecycles)
+	if total != 7*lifecycles {
+		t.Fatalf("%d node calls per lifecycle, want 7", total/lifecycles)
 	}
 	assertLedger(t, f.g, "after the lifecycles")
 }

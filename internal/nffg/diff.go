@@ -1,6 +1,9 @@
 package nffg
 
-import "reflect"
+import (
+	"maps"
+	"slices"
+)
 
 // Diff captures the difference between two versions of one graph, driving
 // in-place updates: the orchestrator applies a diff without disturbing the
@@ -22,8 +25,9 @@ func (d *Diff) Empty() bool {
 		len(d.AddedRules) == 0 && len(d.RemovedRules) == 0
 }
 
-// Compute returns the changes needed to go from old to new. Rules are
-// compared by full value: a modified rule appears as removed+added.
+// Compute returns the changes needed to go from old to new. NFs and rules
+// are compared field by field (a nil and an empty Config, Ports or Actions are
+// equal): a modified rule appears as removed+added.
 func Compute(old, new *Graph) *Diff {
 	d := &Diff{}
 
@@ -36,7 +40,7 @@ func Compute(old, new *Graph) *Diff {
 		switch {
 		case !ok:
 			d.AddedNFs = append(d.AddedNFs, nf)
-		case !reflect.DeepEqual(prev, nf):
+		case !nfEqual(prev, nf):
 			d.ChangedNFs = append(d.ChangedNFs, nf)
 		}
 		delete(oldNFs, nf.ID)
@@ -75,7 +79,7 @@ func Compute(old, new *Graph) *Diff {
 		prev, ok := oldRules[r.ID]
 		if !ok {
 			d.AddedRules = append(d.AddedRules, r)
-		} else if !reflect.DeepEqual(prev, r) {
+		} else if !ruleEqual(prev, r) {
 			d.RemovedRules = append(d.RemovedRules, prev)
 			d.AddedRules = append(d.AddedRules, r)
 		}
@@ -87,4 +91,47 @@ func Compute(old, new *Graph) *Diff {
 		}
 	}
 	return d
+}
+
+// Equal reports whether Compute(a, b) would be empty, without building the
+// diff: the same NFs, endpoints and rules by id, in any order, each equal
+// field by field. Ids must be unique within each section, as Validate
+// requires.
+func Equal(a, b *Graph) bool {
+	return sameByID(a.NFs, b.NFs, func(n NF) string { return n.ID }, nfEqual) &&
+		sameByID(a.Endpoints, b.Endpoints, func(ep Endpoint) string { return ep.ID }, func(x, y Endpoint) bool { return x == y }) &&
+		sameByID(a.Rules, b.Rules, func(r FlowRule) string { return r.ID }, ruleEqual)
+}
+
+// sameByID reports whether a and b hold equal elements under the same ids: it
+// pairs them by position while their ids agree and searches a otherwise.
+func sameByID[T any](a, b []T, id func(T) string, eq func(x, y T) bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, y := range b {
+		x := a[i]
+		if id(x) != id(y) {
+			k := slices.IndexFunc(a, func(x T) bool { return id(x) == id(y) })
+			if k < 0 {
+				return false
+			}
+			x = a[k]
+		}
+		if !eq(x, y) {
+			return false
+		}
+	}
+	return true
+}
+
+func nfEqual(a, b NF) bool {
+	return a.ID == b.ID && a.Name == b.Name && slices.Equal(a.Ports, b.Ports) &&
+		a.TechnologyPreference == b.TechnologyPreference && maps.Equal(a.Config, b.Config) &&
+		a.Replicas == b.Replicas && a.Availability == b.Availability &&
+		a.Redundancy == b.Redundancy && a.AntiAffinity == b.AntiAffinity
+}
+
+func ruleEqual(a, b FlowRule) bool {
+	return a.ID == b.ID && a.Priority == b.Priority && a.Match == b.Match && slices.Equal(a.Actions, b.Actions)
 }

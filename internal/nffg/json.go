@@ -352,10 +352,10 @@ func writePortRef(w *jsonw.Writer, r PortRef) {
 // "redundency" or an "anti-affinity" fails instead of deploying a graph
 // without the protection it asked for. Every entry point (both REST tiers,
 // nffgctl, the replicated deployment record) decodes through here. It sizes
-// every model slice up front, gives the actions of all
-// rules one array, and leaves an empty section nil: nffg.Compute compares
-// with reflect.DeepEqual, so a decoded record must equal the graph it
-// encodes.
+// every model slice up front, gives the actions of all rules one array, and
+// leaves an empty section nil, so a decoded record is deeply equal to the
+// graph it encodes (Compute and Equal compare field by field and take a nil
+// and an empty Config, Ports or Actions as equal anyway).
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var root jsonRoot
 	dec := json.NewDecoder(bytes.NewReader(data))

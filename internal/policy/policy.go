@@ -22,7 +22,7 @@ package policy
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/execenv"
 	"repro/internal/nffg"
@@ -105,7 +105,15 @@ func FlavorOf(t nffg.Technology) execenv.Flavor {
 // rank stable-sorts a copy of cands by less.
 func rank(cands []Candidate, less func(a, b Candidate) bool) []Candidate {
 	out := append([]Candidate(nil), cands...)
-	sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
+	slices.SortStableFunc(out, func(a, b Candidate) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 	return out
 }
 
