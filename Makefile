@@ -88,11 +88,12 @@ bench-selftest:
 	cd benchmarks/unbench && $(GO) test .
 
 # CPU and allocation profiles of the parallel and burst datapath
-# benchmarks, for chasing hot-path regressions, and an every-allocation
-# profile of the deploy path (TestDeployChurnHeapPlateaus: graph lifecycles
-# over REST on a 3-replica control plane and a 3-node fleet), where
-# deploy-byte work starts. CI uploads profile/ as an artifact of the bench
-# job.
+# benchmarks, for chasing hot-path regressions, and two profiles of the
+# deploy path (TestDeployChurnHeapPlateaus: graph lifecycles over REST on a
+# 3-replica control plane and a 3-node fleet): every allocation, where
+# deploy-byte work starts, and CPU, from a run of its own, since sampling
+# every allocation (-memprofilerate=1) would dominate it. CI uploads
+# profile/ as an artifact of the bench job.
 profile:
 	@mkdir -p profile
 	$(GO) test -run '^$$' -bench '^(BenchmarkPipelineParallel|BenchmarkPipelineBurst)$$' -benchtime=1s \
@@ -100,8 +101,10 @@ profile:
 		-o profile/bench.test ./internal/vswitch | tee profile/bench.txt
 	$(GO) test -run '^TestDeployChurnHeapPlateaus$$' -memprofile profile/deploy-alloc.pprof -memprofilerate=1 \
 		-o profile/deploy.test .
+	$(GO) test -count=1 -run '^TestDeployChurnHeapPlateaus$$' -cpuprofile profile/deploy-cpu.pprof -o profile/deploy.test .
 	@echo "wrote profile/cpu.pprof and profile/alloc.pprof (inspect with: $(GO) tool pprof profile/bench.test profile/cpu.pprof)"
 	@echo "wrote profile/deploy-alloc.pprof (inspect with: $(GO) tool pprof -sample_index=alloc_space profile/deploy.test profile/deploy-alloc.pprof)"
+	@echo "wrote profile/deploy-cpu.pprof (inspect with: $(GO) tool pprof profile/deploy.test profile/deploy-cpu.pprof)"
 
 # Where the datapath's code lands: Go aligns functions to 32 bytes, so a
 # change ahead of the hot loops can move them by half a cache line and move
@@ -125,7 +128,9 @@ chaos:
 # Fuzzes every byte boundary for 30 s each, one target at a time (go test
 # -fuzz takes one target per package run). The seeds of these targets also
 # run under plain `go test`; a failing input lands in the package's
-# testdata/fuzz/ directory, which the nightly job uploads.
+# testdata/fuzz/ directory, which the nightly job uploads. Every fuzz target
+# of the module needs its line here: TestMakeFuzzRunsEveryTarget fails
+# otherwise.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime 30s ./internal/vswitch
 	$(GO) test -run '^$$' -fuzz '^FuzzIPsecDecap$$' -fuzztime 30s ./internal/nf
@@ -135,7 +140,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphJSON$$' -fuzztime 30s ./internal/nffg
 	$(GO) test -run '^$$' -fuzz '^FuzzDeploymentRecord$$' -fuzztime 30s ./internal/global
 	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesEncodingJSON$$' -fuzztime 30s ./internal/jsonw
+	$(GO) test -run '^$$' -fuzz '^FuzzReaderMatchesEncodingJSON$$' -fuzztime 30s ./internal/jsonw
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterRPC$$' -fuzztime 30s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendWire$$' -fuzztime 30s ./internal/cluster
 
 examples-smoke:
 	@for d in examples/*/; do \

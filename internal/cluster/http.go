@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -65,6 +66,10 @@ func (p *httpPeer) post(path string, req, reply any) error {
 	if err != nil {
 		return err
 	}
+	return p.postBody(path, body, reply)
+}
+
+func (p *httpPeer) postBody(path string, body []byte, reply any) error {
 	resp, err := p.client.Post(p.base+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -99,8 +104,12 @@ func (p *httpPeer) RequestVote(req VoteRequest) (VoteReply, error) {
 }
 
 func (p *httpPeer) Append(req AppendRequest) (AppendReply, error) {
+	body, err := encodeAppend(&req)
+	if err != nil {
+		return AppendReply{}, err
+	}
 	var reply AppendReply
-	err := p.post("/v1/cluster/rpc/append", req, &reply)
+	err = p.postBody("/v1/cluster/rpc/append", body, &reply)
 	return reply, err
 }
 
@@ -111,33 +120,40 @@ func (p *httpPeer) Append(req AppendRequest) (AppendReply, error) {
 func (c *Cluster) RPCHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/cluster/rpc/ping", func(w http.ResponseWriter, r *http.Request) {
-		rpc(w, r, func(req pingWire) (pingReplyWire, error) {
+		rpc(w, r, unmarshal[pingWire], func(req pingWire) (pingReplyWire, error) {
 			ups, err := c.Ping(req.From, req.Updates)
 			return pingReplyWire{Updates: ups}, err
 		})
 	})
 	mux.HandleFunc("/v1/cluster/rpc/ping-req", func(w http.ResponseWriter, r *http.Request) {
-		rpc(w, r, func(req pingWire) (pingReplyWire, error) {
+		rpc(w, r, unmarshal[pingWire], func(req pingWire) (pingReplyWire, error) {
 			ups, err := c.PingReq(req.From, req.Target, req.Updates)
 			return pingReplyWire{Updates: ups}, err
 		})
 	})
 	mux.HandleFunc("/v1/cluster/rpc/vote", func(w http.ResponseWriter, r *http.Request) {
-		rpc(w, r, c.RequestVote)
+		rpc(w, r, unmarshal[VoteRequest], c.RequestVote)
 	})
 	mux.HandleFunc("/v1/cluster/rpc/append", func(w http.ResponseWriter, r *http.Request) {
-		rpc(w, r, c.Append)
+		rpc(w, r, decodeAppend, c.Append)
 	})
 	return mux
 }
 
-func rpc[Req, Reply any](w http.ResponseWriter, r *http.Request, handle func(Req) (Reply, error)) {
+// rpc answers one peer RPC: 413 for a body over MaxBodyBytes, 400 for one
+// that does not decode, 502 when the replica refuses the call.
+func rpc[Req, Reply any](w http.ResponseWriter, r *http.Request, decode func([]byte) (Req, error), handle func(Req) (Reply, error)) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var req Req
-	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
+	body, err := ReadBody(r)
+	if err != nil {
+		http.Error(w, err.Error(), BodyStatus(err))
+		return
+	}
+	req, err := decode(body)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -148,4 +164,50 @@ func rpc[Req, Reply any](w http.ResponseWriter, r *http.Request, handle func(Req
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(reply)
+}
+
+func unmarshal[T any](data []byte) (T, error) {
+	var v T
+	err := json.Unmarshal(data, &v)
+	return v, err
+}
+
+// MaxBodyBytes bounds one request body, on the peer RPC routes and on both
+// REST tiers.
+const MaxBodyBytes = 16 << 20
+
+// ErrBodyTooLarge is ReadBody's refusal of a body over MaxBodyBytes.
+var ErrBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", MaxBodyBytes)
+
+// ReadBody reads r's body whole, into a buffer of exactly its declared
+// Content-Length when there is one. A body over MaxBodyBytes is refused
+// with ErrBodyTooLarge, unread when its length is declared.
+func ReadBody(r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 {
+		if n > MaxBodyBytes {
+			return nil, ErrBodyTooLarge
+		}
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r.Body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(r.Body, MaxBodyBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(buf) > MaxBodyBytes {
+		return nil, ErrBodyTooLarge
+	}
+	return buf, nil
+}
+
+// BodyStatus is the HTTP status answering a ReadBody failure: 413 for a
+// body over MaxBodyBytes, else 400.
+func BodyStatus(err error) int {
+	if errors.Is(err, ErrBodyTooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 )
@@ -260,21 +259,22 @@ func (p *localPeer) RequestVote(req VoteRequest) (VoteReply, error) {
 	return peer.RequestVote(req)
 }
 
+// Append carries req across the in-process fabric as the HTTP transport
+// carries it: encoded by the append codec and decoded again on the far
+// side, so tests over LocalNetwork cover what survives the wire (the
+// records replay byte for byte, each op's Data aliases the request buffer
+// the follower decoded).
 func (p *localPeer) Append(req AppendRequest) (AppendReply, error) {
 	peer, err := p.net.reach(p.from, p.to)
 	if err != nil {
 		return AppendReply{}, err
 	}
-	// The wire carries JSON; round-tripping the request keeps the
-	// in-process transport honest about what survives serialization (e.g.
-	// raw intent payloads), so tests over LocalNetwork cover the same
-	// byte-identical-replay property the HTTP transport must provide.
-	data, err := json.Marshal(req)
+	data, err := encodeAppend(&req)
 	if err != nil {
 		return AppendReply{}, err
 	}
-	var wire AppendRequest
-	if err := json.Unmarshal(data, &wire); err != nil {
+	wire, err := decodeAppend(data)
+	if err != nil {
 		return AppendReply{}, err
 	}
 	return peer.Append(wire)

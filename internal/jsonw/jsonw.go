@@ -1,15 +1,13 @@
-// Package jsonw writes JSON by hand for the two encoders on the deploy path,
-// the NF-FG (internal/nffg) and the global tier's deployment record
-// (internal/global). Their bytes are replicated, stored and compared, so the
-// output must stay byte-identical to what encoding/json wrote before them:
-// strings are escaped HTML-safe exactly as encoding/json escapes them (<, >,
-// &, U+2028 and U+2029 as \u escapes, invalid UTF-8 as the escape \ufffd),
-// and floats follow its 'f'/'e' rule.
-//
-// A Writer either appends or only measures. An encoder runs once over a
-// measuring Writer and once over an appending one whose buffer has exactly
-// the measured capacity, so it allocates its output once and leaves no spare
-// capacity behind.
+// Package jsonw writes and reads JSON by hand on the deploy path, in one
+// pass and without reflection. What it writes is replicated, stored and
+// compared, so it is byte-identical to what encoding/json wrote before:
+// strings escaped HTML-safe as encoding/json escapes them (<, >, &, U+2028
+// and U+2029 as \u escapes, invalid UTF-8 as the escape \ufffd), floats by
+// its 'f'/'e' rule. A Writer either appends or only measures: an encoder
+// runs once over a measuring Writer and once over an appending one whose
+// buffer has exactly the measured capacity, so it allocates its output
+// once. A Reader reads what json.Valid accepts into the caller's model, by
+// the caller's schema.
 package jsonw
 
 import (
@@ -63,6 +61,15 @@ func (w *Writer) Raw(s string) {
 		return
 	}
 	w.buf = append(w.buf, s...)
+}
+
+// Verbatim writes b as it is: JSON text the caller knows is valid.
+func (w *Writer) Verbatim(b []byte) {
+	if w.measure {
+		w.n += len(b)
+		return
+	}
+	w.buf = append(w.buf, b...)
 }
 
 // Byte writes c as it is.

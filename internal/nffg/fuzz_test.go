@@ -12,11 +12,14 @@ import (
 
 // FuzzGraphJSON feeds arbitrary bytes to the strict NF-FG decoder, the one
 // every REST tier and the deployment record go through. Decoding and
-// Validate must never panic, and a document that decodes must re-encode
-// through MarshalJSON to exactly the bytes encoding/json writes over the
-// wire types (oracleJSON), and those bytes must decode to an equal graph.
-// Seeds are the package's test graphs, plus documents strict decoding
-// rejects. Seeds run under plain `go test`; `make fuzz` fuzzes for real.
+// Validate must never panic. Whatever the decoder accepts, the reflective
+// decoder it replaced (oracleDecode) accepts too, to an equal graph; it
+// may refuse more (a case-folded or repeated key). A document that decodes
+// must re-encode through MarshalJSON to exactly the bytes encoding/json
+// writes over the wire types (oracleJSON), and those bytes must decode to
+// an equal graph. Seeds are the package's test graphs, plus documents
+// strict decoding rejects. Seeds run under plain `go test`; `make fuzz`
+// fuzzes for real.
 func FuzzGraphJSON(f *testing.F) {
 	for _, seed := range graphJSONSeeds(f) {
 		f.Add(seed)
@@ -25,6 +28,9 @@ func FuzzGraphJSON(f *testing.F) {
 		var g Graph
 		if err := g.UnmarshalJSON(data); err != nil {
 			return
+		}
+		if want, err := oracleDecode(data); err != nil || !reflect.DeepEqual(&g, want) {
+			t.Fatalf("decoder accepts %q; encoding/json: %v\n got %+v\nwant %+v", data, err, g, want)
 		}
 		_ = g.Validate()
 		enc, err := g.MarshalJSON()
@@ -68,7 +74,13 @@ func graphJSONSeeds(tb testing.TB) [][]byte {
 		[]byte(strings.Replace(literalGraphJSON, `"0x0800"`, `"0x08001"`, 1)),
 		[]byte(strings.Replace(literalGraphJSON, `{"push_vlan": 42}`, `{"output_to_port": "endpoint:out", "push_vlan": 42}`, 1)),
 		[]byte(`{"forwarding-graph": {"id": "<\u2028&>", "name": "\u00e9\ufffd", "VNFs": [{"id": "f", "name": "n",
-			"configuration": {"z": "1", "a": "<x>", "m": ""}, "availability": 1e-7, "replicas": -2}]}}`))
+			"configuration": {"z": "1", "a": "<x>", "m": ""}, "availability": 1e-7, "replicas": -2}]}}`),
+		[]byte(`{"forwarding-graph": {"id": "n", "VNFs": [null, {"id": null, "ports": [], "configuration": null}], "end-points": null,
+			"big-switch": {"flow-rules": [{"id": "r", "match": {"port_in": "endpoint:a", "ether_type": ""}, "actions": [{"push_vlan": 0, "pop_vlan": true}]}]}}}`),
+		[]byte(`{"forwarding-graph": {"ID": "case"}}`),
+		[]byte(`{"forwarding-graph": {"id": "a", "id": "b"}}`),
+		[]byte(`{"forwarding-graph": {"id": "\u0067\ud83d\ude00", "VNFs": [{"id": "f", "replicas": 1e2}]}}`),
+		[]byte(`null`))
 }
 
 // oracleJSON is the encoder WriteJSON replaced: the graph converted into

@@ -1,105 +1,22 @@
 package nffg
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 
 	"repro/internal/jsonw"
 )
 
-// Wire types mirroring the un-orchestrator's NF-FG JSON schema. They serve
-// decoding only: UnmarshalJSON converts from these shapes so the Go model can
-// stay idiomatic, and WriteJSON encodes the model directly, in one pass and
-// without reflection. The encoded bytes must stay identical to what
-// encoding/json writes over these types (field order, omitempty, sorted
-// configuration keys, escaping): the global tier's replicated deployment
-// record embeds them, replicas on either side of an upgrade replay each
-// other's log, and equal graphs must be equal bytes on every replica.
-// FuzzGraphJSON holds the encoder to that oracle.
-
-type jsonRoot struct {
-	ForwardingGraph jsonGraph `json:"forwarding-graph"`
-}
-
-type jsonGraph struct {
-	ID        string         `json:"id"`
-	Name      string         `json:"name,omitempty"`
-	VNFs      []jsonNF       `json:"VNFs,omitempty"`
-	Endpoints []jsonEndpoint `json:"end-points,omitempty"`
-	BigSwitch *jsonBigSwitch `json:"big-switch,omitempty"`
-}
-
-type jsonNF struct {
-	ID           string            `json:"id"`
-	Name         string            `json:"name"`
-	Ports        []jsonNFPort      `json:"ports,omitempty"`
-	Technology   string            `json:"technology-preference,omitempty"`
-	Config       map[string]string `json:"configuration,omitempty"`
-	Replicas     int               `json:"replicas,omitempty"`
-	Availability float64           `json:"availability,omitempty"`
-	Redundancy   string            `json:"redundancy,omitempty"`
-	AntiAffinity string            `json:"anti_affinity,omitempty"`
-}
-
-type jsonNFPort struct {
-	ID   string `json:"id"`
-	Name string `json:"name,omitempty"`
-}
-
-type jsonEndpoint struct {
-	ID        string           `json:"id"`
-	Type      string           `json:"type"`
-	Interface *jsonEPInterface `json:"interface,omitempty"`
-	VLAN      *jsonEPVLAN      `json:"vlan,omitempty"`
-	Internal  *jsonEPInternal  `json:"internal,omitempty"`
-}
-
-type jsonEPInterface struct {
-	IfName string `json:"if-name"`
-}
-
-type jsonEPVLAN struct {
-	VLANID uint16 `json:"vlan-id"`
-	IfName string `json:"if-name"`
-}
-
-type jsonEPInternal struct {
-	Group string `json:"internal-group"`
-}
-
-type jsonBigSwitch struct {
-	FlowRules []jsonFlowRule `json:"flow-rules"`
-}
-
-type jsonFlowRule struct {
-	ID       string       `json:"id"`
-	Priority int          `json:"priority"`
-	Match    jsonMatch    `json:"match"`
-	Actions  []jsonAction `json:"actions"`
-}
-
-type jsonMatch struct {
-	PortIn     string `json:"port_in"`
-	EtherType  string `json:"ether_type,omitempty"` // hex "0x0800"
-	VLANID     uint16 `json:"vlan_id,omitempty"`
-	Protocol   uint8  `json:"protocol,omitempty"`
-	SourceIP   string `json:"source_ip,omitempty"`
-	DestIP     string `json:"dest_ip,omitempty"`
-	SourcePort uint16 `json:"source_port,omitempty"`
-	DestPort   uint16 `json:"dest_port,omitempty"`
-}
-
-type jsonAction struct {
-	OutputToPort string `json:"output_to_port,omitempty"`
-	PushVLAN     uint16 `json:"push_vlan,omitempty"`
-	PopVLAN      bool   `json:"pop_vlan,omitempty"`
-	SetEthSrc    string `json:"set_eth_src,omitempty"`
-	SetEthDst    string `json:"set_eth_dst,omitempty"`
-}
+// The NF-FG travels in the un-orchestrator's JSON schema. WriteJSON
+// encodes the model and UnmarshalJSON decodes it directly, each in one pass
+// and without reflection. The encoded bytes must stay identical to what
+// encoding/json writes over the schema's wire types (field order,
+// omitempty, sorted configuration keys, escaping): the global tier's
+// replicated deployment record embeds them, replicas on either side of an
+// upgrade replay each other's log, and equal graphs must be equal bytes on
+// every replica. The wire types survive as the test oracle of both
+// directions (FuzzGraphJSON).
 
 // MarshalJSON renders the graph in the un-orchestrator schema into a buffer
 // of exactly its length: WriteJSON runs once to measure and once to write.
@@ -347,131 +264,275 @@ func writePortRef(w *jsonw.Writer, r PortRef) {
 	w.Byte('"')
 }
 
-// UnmarshalJSON parses the un-orchestrator schema, strictly: a field the
-// schema does not know is an error, not silently dropped, so a misspelled
-// "redundency" or an "anti-affinity" fails instead of deploying a graph
-// without the protection it asked for. Every entry point (both REST tiers,
-// nffgctl, the replicated deployment record) decodes through here. It sizes
-// every model slice up front, gives the actions of all rules one array, and
-// leaves an empty section nil, so a decoded record is deeply equal to the
-// graph it encodes (Compute and Equal compare field by field and take a nil
-// and an empty Config, Ports or Actions as equal anyway).
+// UnmarshalJSON parses the un-orchestrator schema in one pass, filling the
+// model as it reads, and strictly: a field the schema does not know is an
+// error, not silently dropped, so a misspelled "redundency" or an
+// "anti-affinity" fails instead of deploying a graph without the
+// protection it asked for. Keys match exactly and appear once per object,
+// where encoding/json, which decoded the schema before, matched them case
+// insensitively and kept the last of a repeated key. Otherwise it accepts
+// what encoding/json accepted over the wire types, null included, and
+// refuses the rest with the same messages: a JSON error first, then
+// trailing data, then the first endpoint fault, then the first rule fault.
+// Every entry point (both REST tiers, nffgctl, the replicated deployment
+// record) decodes through here. It sizes every model slice up front, gives
+// the actions of all rules one array, and leaves an empty section nil, so
+// a decoded record is deeply equal to the graph it encodes.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	var root jsonRoot
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&root); err != nil {
-		return fmt.Errorf("nffg: %w", err)
+	*g = Graph{}
+	d := &decoder{r: jsonw.Reading(data), g: g}
+	jsonw.ReadObject(&d.r, rootSchema, d)
+	switch {
+	case d.r.Err() != nil:
+		return fmt.Errorf("nffg: %w", d.r.Err())
+	case !d.r.Done():
+		return errors.New("nffg: trailing data after the graph")
+	case d.endpointErr != nil:
+		return d.endpointErr
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("nffg: trailing data after the graph")
+	return d.ruleErr
+}
+
+// decoder is the state of one graph decode: the element each schema table
+// fills, the fields read for checks once an element is whole, and the
+// faults that wait until the document has been read, so that a JSON error
+// anywhere in it is the one reported.
+type decoder struct {
+	r                    jsonw.Reader
+	g                    *Graph
+	nf                   *NF
+	port                 *NFPort
+	ep                   *Endpoint
+	rule                 *FlowRule
+	endpointErr, ruleErr error
+	// An endpoint's sections, a rule's port_in and ether_type, and an
+	// action's keys, as read; the actions of the rules read so far, and
+	// the first fault among those of the rule being read.
+	ifName, vlanIf, group, portIn, etherType, out, src, dst string
+	vlanID, push                                            uint16
+	hasIf, hasVLAN, hasInternal, pop                        bool
+	acts                                                    []RuleAction
+	ruleActs, actAt                                         int
+	actErr                                                  error
+}
+
+// The schema, one table per object, each key with how its value is read,
+// in the wire types' order.
+var (
+	rootSchema = []jsonw.Field[decoder]{
+		{Key: "forwarding-graph", Read: func(r *jsonw.Reader, d *decoder) { jsonw.ReadObject(r, graphSchema, d) }},
 	}
-	jg := root.ForwardingGraph
-	*g = Graph{ID: jg.ID, Name: jg.Name}
-	g.NFs = sized[NF](len(jg.VNFs))
-	for i, jnf := range jg.VNFs {
-		nf := NF{
-			ID:                   jnf.ID,
-			Name:                 jnf.Name,
-			TechnologyPreference: Technology(jnf.Technology),
-			Config:               jnf.Config,
-			Replicas:             jnf.Replicas,
-			Availability:         jnf.Availability,
-			Redundancy:           RedundancyMode(jnf.Redundancy),
-			AntiAffinity:         jnf.AntiAffinity,
+	graphSchema = []jsonw.Field[decoder]{
+		{Key: "id", Read: func(r *jsonw.Reader, d *decoder) { d.g.ID = r.Str() }},
+		{Key: "name", Read: func(r *jsonw.Reader, d *decoder) { d.g.Name = r.Str() }},
+		{Key: "VNFs", Read: func(r *jsonw.Reader, d *decoder) { d.g.NFs = array(d, &d.nf, nfSchema, nil) }},
+		{Key: "end-points", Read: func(r *jsonw.Reader, d *decoder) {
+			d.g.Endpoints = array(d, &d.ep, endpointSchema, (*decoder).endpoint)
+		}},
+		{Key: "big-switch", Read: func(r *jsonw.Reader, d *decoder) { jsonw.ReadObject(r, bigSwitchSchema, d) }},
+	}
+	nfSchema = []jsonw.Field[decoder]{
+		{Key: "id", Read: func(r *jsonw.Reader, d *decoder) { d.nf.ID = r.Str() }},
+		{Key: "name", Read: func(r *jsonw.Reader, d *decoder) { d.nf.Name = r.Str() }},
+		{Key: "ports", Read: func(r *jsonw.Reader, d *decoder) { d.nf.Ports = array(d, &d.port, portSchema, nil) }},
+		{Key: "technology-preference", Read: func(r *jsonw.Reader, d *decoder) { d.nf.TechnologyPreference = Technology(r.Str()) }},
+		{Key: "configuration", Read: func(r *jsonw.Reader, d *decoder) { d.nf.Config = config(r) }},
+		{Key: "replicas", Read: func(r *jsonw.Reader, d *decoder) { d.nf.Replicas = int(r.Int(strconv.IntSize)) }},
+		{Key: "availability", Read: func(r *jsonw.Reader, d *decoder) { d.nf.Availability = r.Float() }},
+		{Key: "redundancy", Read: func(r *jsonw.Reader, d *decoder) { d.nf.Redundancy = RedundancyMode(r.Str()) }},
+		{Key: "anti_affinity", Read: func(r *jsonw.Reader, d *decoder) { d.nf.AntiAffinity = r.Str() }},
+	}
+	portSchema = []jsonw.Field[decoder]{
+		{Key: "id", Read: func(r *jsonw.Reader, d *decoder) { d.port.ID = r.Str() }},
+		{Key: "name", Read: func(r *jsonw.Reader, d *decoder) { d.port.Name = r.Str() }},
+	}
+	endpointSchema = []jsonw.Field[decoder]{
+		{Key: "id", Read: func(r *jsonw.Reader, d *decoder) { d.ep.ID = r.Str() }},
+		{Key: "type", Read: func(r *jsonw.Reader, d *decoder) { d.ep.Type = EndpointType(r.Str()) }},
+		{Key: "interface", Read: func(r *jsonw.Reader, d *decoder) { d.hasIf = jsonw.ReadObject(r, interfaceSchema, d) }},
+		{Key: "vlan", Read: func(r *jsonw.Reader, d *decoder) { d.hasVLAN = jsonw.ReadObject(r, vlanSchema, d) }},
+		{Key: "internal", Read: func(r *jsonw.Reader, d *decoder) { d.hasInternal = jsonw.ReadObject(r, internalSchema, d) }},
+	}
+	interfaceSchema = []jsonw.Field[decoder]{{Key: "if-name", Read: func(r *jsonw.Reader, d *decoder) { d.ifName = r.Str() }}}
+	vlanSchema      = []jsonw.Field[decoder]{
+		{Key: "vlan-id", Read: func(r *jsonw.Reader, d *decoder) { d.vlanID = uint16(r.Uint(16)) }},
+		{Key: "if-name", Read: func(r *jsonw.Reader, d *decoder) { d.vlanIf = r.Str() }},
+	}
+	internalSchema  = []jsonw.Field[decoder]{{Key: "internal-group", Read: func(r *jsonw.Reader, d *decoder) { d.group = r.Str() }}}
+	bigSwitchSchema = []jsonw.Field[decoder]{{Key: "flow-rules", Read: func(r *jsonw.Reader, d *decoder) { d.g.Rules = d.rules() }}}
+	ruleSchema      = []jsonw.Field[decoder]{
+		{Key: "id", Read: func(r *jsonw.Reader, d *decoder) { d.rule.ID = r.Str() }},
+		{Key: "priority", Read: func(r *jsonw.Reader, d *decoder) { d.rule.Priority = int(r.Int(strconv.IntSize)) }},
+		{Key: "match", Read: func(r *jsonw.Reader, d *decoder) { jsonw.ReadObject(r, matchSchema, d) }},
+		{Key: "actions", Read: func(r *jsonw.Reader, d *decoder) { d.actions() }},
+	}
+	matchSchema = []jsonw.Field[decoder]{
+		{Key: "port_in", Read: func(r *jsonw.Reader, d *decoder) { d.portIn = r.Str() }},
+		{Key: "ether_type", Read: func(r *jsonw.Reader, d *decoder) { d.etherType = r.Str() }},
+		{Key: "vlan_id", Read: func(r *jsonw.Reader, d *decoder) { d.rule.Match.VLANID = uint16(r.Uint(16)) }},
+		{Key: "protocol", Read: func(r *jsonw.Reader, d *decoder) { d.rule.Match.IPProto = uint8(r.Uint(8)) }},
+		{Key: "source_ip", Read: func(r *jsonw.Reader, d *decoder) { d.rule.Match.IPSrc = r.Str() }},
+		{Key: "dest_ip", Read: func(r *jsonw.Reader, d *decoder) { d.rule.Match.IPDst = r.Str() }},
+		{Key: "source_port", Read: func(r *jsonw.Reader, d *decoder) { d.rule.Match.L4Src = uint16(r.Uint(16)) }},
+		{Key: "dest_port", Read: func(r *jsonw.Reader, d *decoder) { d.rule.Match.L4Dst = uint16(r.Uint(16)) }},
+	}
+	actionSchema = []jsonw.Field[decoder]{
+		{Key: "output_to_port", Read: func(r *jsonw.Reader, d *decoder) { d.out = r.Str() }},
+		{Key: "push_vlan", Read: func(r *jsonw.Reader, d *decoder) { d.push = uint16(r.Uint(16)) }},
+		{Key: "pop_vlan", Read: func(r *jsonw.Reader, d *decoder) { d.pop = r.Bool() }},
+		{Key: "set_eth_src", Read: func(r *jsonw.Reader, d *decoder) { d.src = r.Str() }},
+		{Key: "set_eth_dst", Read: func(r *jsonw.Reader, d *decoder) { d.dst = r.Str() }},
+	}
+)
+
+// array reads an array of schema objects into a slice sized by its count,
+// pointing *cur at each element while it is read and calling done once it
+// is whole; null and [] are nil.
+func array[T any](d *decoder, cur **T, schema []jsonw.Field[decoder], done func(*decoder)) []T {
+	s := sized[T](d.r.Count())
+	if !d.r.Array() {
+		return nil
+	}
+	for i := 0; d.r.Next(); i++ {
+		if i == len(s) {
+			d.r.Fail(errors.New("malformed array")) // miscounted: malformed JSON
+			return nil
 		}
-		nf.Ports = sized[NFPort](len(jnf.Ports))
-		for j, p := range jnf.Ports {
-			nf.Ports[j] = NFPort(p)
+		*cur = &s[i]
+		jsonw.ReadObject(&d.r, schema, d)
+		if done != nil {
+			done(d)
 		}
-		g.NFs[i] = nf
 	}
-	g.Endpoints = sized[Endpoint](len(jg.Endpoints))
-	for i, jep := range jg.Endpoints {
-		ep := Endpoint{ID: jep.ID, Type: EndpointType(jep.Type)}
-		switch ep.Type {
-		case EPInterface:
-			if jep.Interface == nil {
-				return fmt.Errorf("nffg: endpoint %q: missing interface section", jep.ID)
+	return s
+}
+
+// config reads an NF's configuration: null is nil, {} an empty map.
+func config(r *jsonw.Reader) map[string]string {
+	n := r.Count()
+	if !r.Object() {
+		return nil
+	}
+	m := make(map[string]string, n)
+	for key, ok := r.Key(); ok; key, ok = r.Key() {
+		if _, dup := m[string(key)]; dup {
+			r.Fail(fmt.Errorf("json: repeated configuration key %q", key))
+			return nil
+		}
+		k := string(key)
+		m[k] = r.Str()
+	}
+	return m
+}
+
+// endpoint checks the endpoint just read: the section its type names must
+// be there.
+func (d *decoder) endpoint() {
+	ep, missing := d.ep, ""
+	switch ep.Type {
+	case EPInterface:
+		if ep.Interface = d.ifName; !d.hasIf {
+			missing = "interface"
+		}
+	case EPVLAN:
+		if ep.Interface, ep.VLANID = d.vlanIf, d.vlanID; !d.hasVLAN {
+			missing = "vlan"
+		}
+	case EPInternal:
+		if ep.InternalGroup = d.group; !d.hasInternal {
+			missing = "internal"
+		}
+	default:
+		first(&d.endpointErr, fmt.Errorf("nffg: endpoint %q: unknown type %q", ep.ID, ep.Type))
+	}
+	if missing != "" {
+		first(&d.endpointErr, fmt.Errorf("nffg: endpoint %q: missing %s section", ep.ID, missing))
+	}
+	d.ifName, d.vlanIf, d.group, d.vlanID, d.hasIf, d.hasVLAN, d.hasInternal = "", "", "", 0, false, false, false
+}
+
+// first records err in *fault unless a fault is already recorded there.
+func first(fault *error, err error) {
+	if *fault == nil {
+		*fault = err
+	}
+}
+
+// rules reads the flow rules into a slice sized by their count, and gives
+// their actions one array, sized for one action per rule and copied to its
+// final size only if that was wrong; until then each rule's Actions only
+// says how many are its. A rule's faults name its id, so they are checked
+// once it is whole: port_in, then ether_type, then its first faulty action.
+func (d *decoder) rules() []FlowRule {
+	d.acts, d.ruleActs = make([]RuleAction, 0, d.r.Count()), 0
+	rules := array(d, &d.rule, ruleSchema, func(d *decoder) {
+		fr, err := d.rule, error(nil)
+		fr.Actions, d.ruleActs = d.acts[d.ruleActs:], len(d.acts)
+		if fr.Match.PortIn, err = ParsePortRef(d.portIn); err == nil && d.etherType != "" {
+			fr.Match.EtherType, err = parseEtherType(d.etherType)
+		}
+		if err != nil {
+			first(&d.ruleErr, fmt.Errorf("nffg: rule %q: %w", fr.ID, err))
+		} else if d.actErr != nil {
+			first(&d.ruleErr, fmt.Errorf("nffg: rule %q action %d: %w", fr.ID, d.actAt, d.actErr))
+		}
+		d.portIn, d.etherType, d.actErr = "", "", nil
+	})
+	all := d.acts
+	if len(all) != cap(all) {
+		all = append([]RuleAction(nil), all...)
+	}
+	for i := range rules {
+		n := len(rules[i].Actions)
+		rules[i].Actions = nil
+		if n > 0 {
+			rules[i].Actions = all[:n:n]
+		}
+		all = all[n:]
+	}
+	return rules
+}
+
+// actions reads a rule's actions onto d.acts, noting its first fault. An
+// action carries one verb: a second key would otherwise be dropped without
+// a word. A key set to its zero value ("push_vlan": 0) sets nothing.
+func (d *decoder) actions() {
+	if !d.r.Array() {
+		return
+	}
+	for i := 0; d.r.Next(); i++ {
+		jsonw.ReadObject(&d.r, actionSchema, d)
+		set := 0
+		for _, on := range [...]bool{d.out != "", d.push != 0, d.pop, d.src != "", d.dst != ""} {
+			if on {
+				set++
 			}
-			ep.Interface = jep.Interface.IfName
-		case EPVLAN:
-			if jep.VLAN == nil {
-				return fmt.Errorf("nffg: endpoint %q: missing vlan section", jep.ID)
-			}
-			ep.Interface = jep.VLAN.IfName
-			ep.VLANID = jep.VLAN.VLANID
-		case EPInternal:
-			if jep.Internal == nil {
-				return fmt.Errorf("nffg: endpoint %q: missing internal section", jep.ID)
-			}
-			ep.InternalGroup = jep.Internal.Group
+		}
+		a, err := RuleAction{}, error(nil)
+		switch {
+		case set > 1:
+			err = errors.New("sets more than one action")
+		case d.out != "":
+			a.Type = ActOutput
+			a.Output, err = ParsePortRef(d.out)
+		case d.push != 0:
+			a = RuleAction{Type: ActPushVLAN, VLANID: d.push}
+		case d.pop:
+			a = RuleAction{Type: ActPopVLAN}
+		case d.src != "":
+			a = RuleAction{Type: ActSetEthSrc, MAC: d.src}
+		case d.dst != "":
+			a = RuleAction{Type: ActSetEthDst, MAC: d.dst}
 		default:
-			return fmt.Errorf("nffg: endpoint %q: unknown type %q", jep.ID, jep.Type)
+			err = errors.New("empty action")
 		}
-		g.Endpoints[i] = ep
+		if d.actErr == nil && err != nil {
+			d.actErr, d.actAt = err, i
+		} else if d.actErr == nil {
+			d.acts = append(d.acts, a)
+		}
+		d.out, d.src, d.dst, d.push, d.pop = "", "", "", 0, false
 	}
-	if jg.BigSwitch != nil {
-		rules := jg.BigSwitch.FlowRules
-		g.Rules = sized[FlowRule](len(rules))
-		n := 0
-		for _, jr := range rules {
-			n += len(jr.Actions)
-		}
-		actions := make([]RuleAction, 0, n)
-		for i, jr := range rules {
-			r := FlowRule{ID: jr.ID, Priority: jr.Priority}
-			portIn, err := ParsePortRef(jr.Match.PortIn)
-			if err != nil {
-				return fmt.Errorf("nffg: rule %q: %w", jr.ID, err)
-			}
-			r.Match = RuleMatch{
-				PortIn:  portIn,
-				VLANID:  jr.Match.VLANID,
-				IPProto: jr.Match.Protocol,
-				IPSrc:   jr.Match.SourceIP,
-				IPDst:   jr.Match.DestIP,
-				L4Src:   jr.Match.SourcePort,
-				L4Dst:   jr.Match.DestPort,
-			}
-			if jr.Match.EtherType != "" {
-				et, err := parseEtherType(jr.Match.EtherType)
-				if err != nil {
-					return fmt.Errorf("nffg: rule %q: %w", jr.ID, err)
-				}
-				r.Match.EtherType = et
-			}
-			first := len(actions)
-			for ai, ja := range jr.Actions {
-				if ja.keys() > 1 {
-					return fmt.Errorf("nffg: rule %q action %d: sets more than one action", jr.ID, ai)
-				}
-				var a RuleAction
-				switch {
-				case ja.OutputToPort != "":
-					out, err := ParsePortRef(ja.OutputToPort)
-					if err != nil {
-						return fmt.Errorf("nffg: rule %q action %d: %w", jr.ID, ai, err)
-					}
-					a = RuleAction{Type: ActOutput, Output: out}
-				case ja.PushVLAN != 0:
-					a = RuleAction{Type: ActPushVLAN, VLANID: ja.PushVLAN}
-				case ja.PopVLAN:
-					a = RuleAction{Type: ActPopVLAN}
-				case ja.SetEthSrc != "":
-					a = RuleAction{Type: ActSetEthSrc, MAC: ja.SetEthSrc}
-				case ja.SetEthDst != "":
-					a = RuleAction{Type: ActSetEthDst, MAC: ja.SetEthDst}
-				default:
-					return fmt.Errorf("nffg: rule %q action %d: empty action", jr.ID, ai)
-				}
-				actions = append(actions, a)
-			}
-			r.Actions = appended(actions, first)
-			g.Rules[i] = r
-		}
-	}
-	return nil
 }
 
 // parseEtherType accepts exactly the form WriteJSON writes: "0x" and four
@@ -487,18 +548,6 @@ func parseEtherType(s string) (uint16, error) {
 	return uint16(v), nil
 }
 
-// keys counts the action keys ja sets. One action object carries one verb:
-// a second key would otherwise be dropped without a word.
-func (ja *jsonAction) keys() int {
-	n := 0
-	for _, set := range [...]bool{ja.OutputToPort != "", ja.PushVLAN != 0, ja.PopVLAN, ja.SetEthSrc != "", ja.SetEthDst != ""} {
-		if set {
-			n++
-		}
-	}
-	return n
-}
-
 // sized returns n zero values, or nil when n is 0: an empty section stays
 // nil through the codec.
 func sized[T any](n int) []T {
@@ -506,14 +555,4 @@ func sized[T any](n int) []T {
 		return nil
 	}
 	return make([]T, n)
-}
-
-// appended returns what was appended to s since its length was from, or
-// nil when nothing was. The result is capped, so appending to one rule's
-// actions copies them instead of overwriting the next rule's.
-func appended[T any](s []T, from int) []T {
-	if len(s) == from {
-		return nil
-	}
-	return s[from:len(s):len(s)]
 }

@@ -155,10 +155,48 @@ func TestJSONRejectsUnknownFields(t *testing.T) {
 		"ether_type, decimal":     {etherType("2048"), `rule "r1": bad ether_type "2048"`},
 		"two action keys": {strings.Replace(literalGraphJSON, `{"push_vlan": 42}`,
 			`{"output_to_port": "endpoint:out", "push_vlan": 42}`, 1), `rule "r2" action 0: sets more than one action`},
+		// Stricter than encoding/json, which matched keys case-insensitively
+		// and kept the last of a repeated one.
+		"case-folded key": {strings.Replace(literalGraphJSON, `"id": "g7",`, `"ID": "g7",`, 1), `unknown field "ID"`},
+		"repeated key":    {strings.Replace(literalGraphJSON, `"id": "g7",`, `"id": "g7", "id": "g8",`, 1), `repeated field "id"`},
+		"repeated configuration key": {strings.Replace(literalGraphJSON, `"name": "firewall",`,
+			`"name": "firewall", "configuration": {"default": "accept", "default": "drop"},`, 1), `repeated configuration key "default"`},
 	} {
 		var g Graph
 		if err := g.UnmarshalJSON([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want a rejection containing %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestJSONFaultsMatchOracle: a document with one schema fault is refused
+// with the message the reflective decoder gave it, and every document that
+// decoder refuses is refused.
+func TestJSONFaultsMatchOracle(t *testing.T) {
+	for name, doc := range map[string]string{
+		"no vlan section":      `{"forwarding-graph": {"id": "x", "end-points": [{"id": "e", "type": "vlan", "interface": {"if-name": "eth0"}}]}}`,
+		"no interface section": `{"forwarding-graph": {"id": "x", "end-points": [{"type": "interface", "id": "e", "interface": null}]}}`,
+		"no internal section":  `{"forwarding-graph": {"id": "x", "end-points": [{"id": "e", "type": "internal"}]}}`,
+		"unknown endpoint":     `{"forwarding-graph": {"id": "x", "end-points": [{"id": "e", "type": "bogus"}]}}`,
+		"null endpoint":        `{"forwarding-graph": {"id": "x", "end-points": [null]}}`,
+		"endpoint before rule": `{"forwarding-graph": {"id": "x", "big-switch": {"flow-rules": [{"id": "r"}]}, "end-points": [{"id": "e"}]}}`,
+		"bad port_in":          `{"forwarding-graph": {"id": "x", "big-switch": {"flow-rules": [{"match": {"port_in": "vnf:a"}, "id": "r"}]}}}`,
+		"missing port_in":      `{"forwarding-graph": {"id": "x", "big-switch": {"flow-rules": [{"id": "r", "match": null}]}}}`,
+		"ether_type":           `{"forwarding-graph": {"id": "x", "big-switch": {"flow-rules": [{"id": "r", "match": {"port_in": "endpoint:a", "ether_type": "0x8"}}]}}}`,
+		"empty action":         `{"forwarding-graph": {"id": "x", "big-switch": {"flow-rules": [{"actions": [{"pop_vlan": true}, {"push_vlan": 0}], "id": "r", "match": {"port_in": "endpoint:a"}}]}}}`,
+		"bad output":           `{"forwarding-graph": {"id": "x", "big-switch": {"flow-rules": [{"id": "r", "match": {"port_in": "endpoint:a"}, "actions": [{"output_to_port": "x"}]}]}}}`,
+		"second rule":          `{"forwarding-graph": {"id": "x", "big-switch": {"flow-rules": [{"id": "r", "match": {"port_in": "endpoint:a"}}, {"id": "s"}]}}}`,
+		"unknown field":        `{"forwarding-graph": {"id": "x", "VNFs": [{"id": "f", "ports": [{"id": "0", "label": "p"}]}]}}`,
+		"trailing data":        `{"forwarding-graph": {"id": "x"}} {}`,
+		"syntax before fault":  `{"forwarding-graph": {"id": "x", "end-points": [{"id": "e"}], "name": }}`,
+	} {
+		var g Graph
+		err := g.UnmarshalJSON([]byte(doc))
+		_, want := oracleDecode([]byte(doc))
+		if err == nil || want == nil {
+			t.Errorf("%s: err %v, reflective decoder %v; want both to refuse", name, err, want)
+		} else if name != "syntax before fault" && err.Error() != want.Error() {
+			t.Errorf("%s: err %q, reflective decoder %q", name, err, want)
 		}
 	}
 }

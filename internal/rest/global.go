@@ -35,7 +35,6 @@
 package rest
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -138,8 +137,7 @@ type NodeRegistration struct {
 
 func (s *GlobalServer) addNode(w http.ResponseWriter, r *http.Request) {
 	var reg NodeRegistration
-	if err := json.NewDecoder(r.Body).Decode(&reg); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing registration: %w", err))
+	if !decodeBody(w, r, "registration", jsonInto(&reg)) {
 		return
 	}
 	if reg.Name == "" || reg.URL == "" {
@@ -169,8 +167,7 @@ func (s *GlobalServer) removeNode(w http.ResponseWriter, r *http.Request) {
 
 func (s *GlobalServer) addLink(w http.ResponseWriter, r *http.Request) {
 	var l global.Link
-	if err := json.NewDecoder(r.Body).Decode(&l); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing link: %w", err))
+	if !decodeBody(w, r, "link", jsonInto(&l)) {
 		return
 	}
 	if err := s.orch.Link(l.A, l.AIf, l.B, l.BIf); err != nil {
@@ -188,8 +185,7 @@ func (s *GlobalServer) listLinks(w http.ResponseWriter, _ *http.Request) {
 // same body as POST). Graphs whose partition crossed it are re-placed.
 func (s *GlobalServer) removeLink(w http.ResponseWriter, r *http.Request) {
 	var l global.Link
-	if err := json.NewDecoder(r.Body).Decode(&l); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing link: %w", err))
+	if !decodeBody(w, r, "link", jsonInto(&l)) {
 		return
 	}
 	if err := s.orch.Unlink(l.A, l.AIf, l.B, l.BIf); err != nil {
@@ -202,8 +198,7 @@ func (s *GlobalServer) removeLink(w http.ResponseWriter, r *http.Request) {
 func (s *GlobalServer) putGraph(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var g nffg.Graph
-	if err := decodeGraph(r.Body, &g); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing NF-FG: %w", err))
+	if !decodeBody(w, r, "NF-FG", g.UnmarshalJSON) {
 		return
 	}
 	if g.ID == "" {
@@ -268,8 +263,7 @@ func (s *GlobalServer) listGraphs(w http.ResponseWriter, _ *http.Request) {
 func (s *GlobalServer) reflavor(w http.ResponseWriter, r *http.Request) {
 	id, nfID := r.PathValue("id"), r.PathValue("nf")
 	var req ReflavorRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing reflavor request: %w", err))
+	if !decodeBody(w, r, "reflavor request", jsonInto(&req)) {
 		return
 	}
 	if _, ok := s.orch.Graph(id); !ok {
@@ -296,8 +290,7 @@ type GlobalDryRunReply struct {
 func (s *GlobalServer) scale(w http.ResponseWriter, r *http.Request) {
 	id, nfID := r.PathValue("id"), r.PathValue("nf")
 	var req ScaleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing scale request: %w", err))
+	if !decodeBody(w, r, "scale request", jsonInto(&req)) {
 		return
 	}
 	if _, ok := s.orch.Graph(id); !ok {

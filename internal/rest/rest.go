@@ -35,14 +35,13 @@ package rest
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/netdev"
 	"repro/internal/nf"
 	"repro/internal/nffg"
@@ -145,6 +144,8 @@ func errorCode(status int) string {
 		return "not_found"
 	case http.StatusConflict:
 		return "conflict"
+	case http.StatusRequestEntityTooLarge:
+		return "too_large"
 	case http.StatusUnprocessableEntity:
 		return "unprocessable"
 	case http.StatusBadGateway:
@@ -166,26 +167,31 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, ErrorEnvelope{Error: body})
 }
 
-// decodeGraph reads the NF-FG of a PUT body and, like Graph.UnmarshalJSON,
-// refuses anything after it but white space: a decoder stops after the
-// first value, and a second graph or junk behind it would otherwise be
-// accepted unread.
-func decodeGraph(body io.Reader, g *nffg.Graph) error {
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(g); err != nil {
-		return err
+// decodeBody reads the request body, bounded by cluster.MaxBodyBytes, and
+// hands it to decode. When either fails it answers the request itself,
+// 413 for a body over the bound and 400 for one that does not decode (the
+// error saying what was being parsed), and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, decode func([]byte) error) bool {
+	body, err := cluster.ReadBody(r)
+	if err == nil {
+		err = decode(body)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after the graph")
+	if err != nil {
+		writeError(w, cluster.BodyStatus(err), fmt.Errorf("parsing %s: %w", what, err))
+		return false
 	}
-	return nil
+	return true
+}
+
+// jsonInto decodes a JSON body into v with encoding/json.
+func jsonInto(v any) func([]byte) error {
+	return func(b []byte) error { return json.Unmarshal(b, v) }
 }
 
 func (s *Server) putGraph(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var g nffg.Graph
-	if err := decodeGraph(r.Body, &g); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing NF-FG: %w", err))
+	if !decodeBody(w, r, "NF-FG", g.UnmarshalJSON) {
 		return
 	}
 	if g.ID == "" {
@@ -266,8 +272,7 @@ type ScaleRequest struct {
 func (s *Server) scale(w http.ResponseWriter, r *http.Request) {
 	id, nfID := r.PathValue("id"), r.PathValue("nf")
 	var req ScaleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing scale request: %w", err))
+	if !decodeBody(w, r, "scale request", jsonInto(&req)) {
 		return
 	}
 	if _, ok := s.orch.Graph(id); !ok {
@@ -286,8 +291,7 @@ func (s *Server) scale(w http.ResponseWriter, r *http.Request) {
 func (s *Server) reflavor(w http.ResponseWriter, r *http.Request) {
 	id, nfID := r.PathValue("id"), r.PathValue("nf")
 	var req ReflavorRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing reflavor request: %w", err))
+	if !decodeBody(w, r, "reflavor request", jsonInto(&req)) {
 		return
 	}
 	if _, ok := s.orch.Graph(id); !ok {
@@ -407,8 +411,7 @@ func (s *Server) getNFState(w http.ResponseWriter, r *http.Request) {
 func (s *Server) putNFState(w http.ResponseWriter, r *http.Request) {
 	id, nfID := r.PathValue("id"), r.PathValue("nf")
 	var req StateReply
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing state: %w", err))
+	if !decodeBody(w, r, "state", jsonInto(&req)) {
 		return
 	}
 	if _, ok := s.orch.Graph(id); !ok {

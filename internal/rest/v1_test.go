@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	un "repro"
+	"repro/internal/cluster"
 	"repro/internal/global"
 	"repro/internal/rest"
 )
@@ -133,6 +135,50 @@ func TestUnknownGraphFieldIsRejected(t *testing.T) {
 	}
 	if ids := gOrch.GraphIDs(); len(ids) != 0 {
 		t.Errorf("global graphs %v deployed from a rejected request", ids)
+	}
+}
+
+// TestOversizedBodyIsRefused: both tiers read a request body up to
+// cluster.MaxBodyBytes and answer one byte more with 413 and the error
+// envelope, whether the length is declared or not, without deploying: the
+// body is a valid graph padded with white space, which would deploy if it
+// were read.
+func TestOversizedBodyIsRefused(t *testing.T) {
+	node, err := un.NewNode(un.Config{Name: "rest-node"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	gOrch := global.New(global.Config{})
+	body := ipsecGraphJSON + strings.Repeat(" ", cluster.MaxBodyBytes+1-len(ipsecGraphJSON))
+	for tier, h := range map[string]http.Handler{"node": node.Handler(), "global": rest.NewGlobal(gOrch, nil)} {
+		for _, declared := range []bool{true, false} {
+			for _, route := range []string{"/v1/graphs/cpe-vpn", "/v1/graphs/cpe-vpn/nfs/vpn/scale"} {
+				method := http.MethodPut
+				if strings.HasSuffix(route, "scale") {
+					method = http.MethodPost
+				}
+				req := httptest.NewRequest(method, route, strings.NewReader(body))
+				if !declared {
+					req.ContentLength = -1
+				}
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, req)
+				var env rest.ErrorEnvelope
+				if err := json.NewDecoder(w.Body).Decode(&env); err != nil {
+					t.Fatal(err)
+				}
+				if w.Code != http.StatusRequestEntityTooLarge || env.Error.Code != "too_large" {
+					t.Errorf("%s tier, %s %s (length declared %v): %d %+v; want 413 too_large", tier, method, route, declared, w.Code, env)
+				}
+			}
+		}
+	}
+	if ids := node.GraphIDs(); len(ids) != 0 {
+		t.Errorf("graphs %v deployed from a refused request", ids)
+	}
+	if ids := gOrch.GraphIDs(); len(ids) != 0 {
+		t.Errorf("global graphs %v deployed from a refused request", ids)
 	}
 }
 

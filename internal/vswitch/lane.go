@@ -207,7 +207,7 @@ func (l *lane) forward(s *Switch, data []byte, hash uint64, hops int) {
 	l.ctx = actionContext{data: data, key: &l.key, ctrs: l.ctrs, tx: &l.tx, hops: hops}
 	if !l.cached {
 		l.misses++
-		s.execute(l, lookupEntry(s.table.Load().entries, &l.key))
+		s.execute(l, lookupEntry(s.table.Load(), &l.key))
 		return
 	}
 	if v := s.cache.get(hash, &l.key, l.gen); v != nil {
@@ -222,36 +222,9 @@ func (l *lane) forward(s *Switch, data []byte, hash uint64, hops int) {
 	}
 	l.v = nil
 	// The key is copied before the actions run: a tag push or pop reparses it.
-	v.gen, v.key, v.entry = l.gen, l.key, lookupEntry(s.table.Load().entries, &l.key)
+	v.gen, v.key, v.entry = l.gen, l.key, lookupEntry(s.table.Load(), &l.key)
 	s.execute(l, v.entry)
 	s.cache.put(hash, v)
-}
-
-// end closes the burst: egress first, then the bookkeeping — entry stats,
-// the spare verdict, the published counters (hits and misses only while the
-// cache is enabled).
-func (l *lane) end(s *Switch) {
-	l.tx.flush()
-	l.flushEntryStats()
-	if l.frames == 0 {
-		return
-	}
-	if l.v == nil && l.cached {
-		l.v = new(cacheVerdict)
-	}
-	if l.hits != 0 {
-		l.ctrs.cacheHits.Add(l.hits)
-	}
-	if l.misses != 0 && l.cacheOn {
-		l.ctrs.cacheMisses.Add(l.misses)
-	}
-	// The frame count goes last: whoever reads it (completion loops do)
-	// then also sees the cache counts of those frames.
-	l.ctrs.pipeline.Add(l.frames)
-	if !l.start.IsZero() {
-		s.latency.Observe(time.Since(l.start).Seconds() / float64(l.frames))
-	}
-	l.frames, l.hits, l.misses = 0, 0, 0
 }
 
 // hitEntry accounts one frame against a matched flow entry.
@@ -286,17 +259,6 @@ func (s *Switch) countMalformed(n uint64) {
 	}
 }
 
-// lookupEntry finds the highest-priority matching entry in the
-// priority-sorted entry list, or nil.
-func lookupEntry(entries []*FlowEntry, key *flowKey) *FlowEntry {
-	for _, e := range entries {
-		if e.Match.matches(key) {
-			return e
-		}
-	}
-	return nil
-}
-
 // execute applies one frame's verdict: the matched entry's actions, or, for
 // nil, the table miss, which is counted and dropped.
 func (s *Switch) execute(l *lane, e *FlowEntry) {
@@ -320,4 +282,31 @@ func (s *Switch) output(num uint32, ctx *actionContext) {
 		return
 	}
 	ctx.tx.add(num, p, ctx.data, ctx.hops)
+}
+
+// end closes the burst: egress first, then the bookkeeping — entry stats,
+// the spare verdict, the published counters (hits and misses only while the
+// cache is enabled).
+func (l *lane) end(s *Switch) {
+	l.tx.flush()
+	l.flushEntryStats()
+	if l.frames == 0 {
+		return
+	}
+	if l.v == nil && l.cached {
+		l.v = new(cacheVerdict)
+	}
+	if l.hits != 0 {
+		l.ctrs.cacheHits.Add(l.hits)
+	}
+	if l.misses != 0 && l.cacheOn {
+		l.ctrs.cacheMisses.Add(l.misses)
+	}
+	// The frame count goes last: whoever reads it (completion loops do)
+	// then also sees the cache counts of those frames.
+	l.ctrs.pipeline.Add(l.frames)
+	if !l.start.IsZero() {
+		s.latency.Observe(time.Since(l.start).Seconds() / float64(l.frames))
+	}
+	l.frames, l.hits, l.misses = 0, 0, 0
 }

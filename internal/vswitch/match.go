@@ -142,8 +142,6 @@ func (p prefix) contains(a pkt.Addr) bool {
 	return a.Uint32()&mask == p.addr.Uint32()&mask
 }
 
-func (p prefix) String() string { return fmt.Sprintf("%v/%d", p.addr, p.bits) }
-
 // MatchAll returns the wildcard match.
 func MatchAll() Match { return Match{} }
 
@@ -206,6 +204,8 @@ func (m Match) matches(k *flowKey) bool {
 	}
 	return true
 }
+
+func (p prefix) String() string { return fmt.Sprintf("%v/%d", p.addr, p.bits) }
 
 // String renders the match in a compact ovs-ofctl-like syntax.
 func (m Match) String() string {

@@ -1,10 +1,8 @@
 package vswitch
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,20 +36,6 @@ func (e *FlowEntry) String() string {
 	p, b := e.Stats()
 	return fmt.Sprintf("prio=%d cookie=%#x %v actions=%s n_packets=%d n_bytes=%d",
 		e.Priority, e.Cookie, e.Match, strings.Join(acts, ","), p, b)
-}
-
-// flowTable is one immutable copy-on-write snapshot of the flow table. The
-// packet path loads it once per packet; mutators build a fresh snapshot
-// under mu and publish it atomically.
-type flowTable struct {
-	entries []*FlowEntry // sorted by priority descending, oldest first among equals
-	// cached reports whether the table holds cacheMinEntries entries or
-	// more: a lane only consults the microflow cache over such a snapshot.
-	cached bool
-	// seq numbers the snapshot: how many were published up to this one,
-	// one per committed flow change. It fits the padding after cached, so
-	// the snapshot the packet path loads stays 32 bytes.
-	seq uint32
 }
 
 // maxPortNum is the highest port number a switch accepts: it bounds what one
@@ -253,14 +237,13 @@ func (s *Switch) Ports() []uint32 {
 }
 
 // FlowCount returns the number of installed entries.
-func (s *Switch) FlowCount() int { return len(s.table.Load().entries) }
+func (s *Switch) FlowCount() int { return s.table.Load().len() }
 
-// publishTable makes entries the table the packet path sees, then retires
-// every cached verdict. The caller holds mu. The slot arrays are allocated
+// publishTable makes t the table the packet path sees, then retires every
+// cached verdict. The caller holds mu. The slot arrays are allocated
 // before the first cache-worthy snapshot is stored, so a lane that loads
 // one always finds them.
-func (s *Switch) publishTable(entries []*FlowEntry) {
-	t := &flowTable{entries: entries, cached: len(entries) >= cacheMinEntries, seq: s.table.Load().seq + 1}
+func (s *Switch) publishTable(t *flowTable) {
 	if t.cached {
 		s.cache.allocSlots()
 	}
@@ -286,13 +269,15 @@ func validate(e *FlowEntry) error {
 // CommitFlows is the one way the flow table changes: it removes every
 // entry carrying one of the del cookies and adds the add entries, as one
 // copy-on-write snapshot built under mu and published with a single atomic
-// store. Every added entry is validated first, so a refused one leaves the
-// table untouched. The packet path therefore sees either the complete old
-// rule set or the complete new one, never a half-reprogrammed table.
-// Entries are matched in priority order (highest first); among equal
-// priorities the oldest entry wins, as in OpenFlow. A commit that removes
-// and adds nothing publishes nothing. It returns how many entries were
-// removed.
+// store. The snapshot shares every chunk of the last one the commit leaves
+// alone (flowTable.commit), so a commit costs what it changes, not the
+// table's size. Every added entry is validated first, so a refused one
+// leaves the table untouched. The packet path therefore sees either the
+// complete old rule set or the complete new one, never a half-reprogrammed
+// table. Entries are matched in priority order (highest first); among
+// equal priorities the oldest entry wins, as in OpenFlow. A commit that
+// removes and adds nothing publishes nothing. It returns how many entries
+// were removed.
 func (s *Switch) CommitFlows(del []uint64, add []*FlowEntry) (int, error) {
 	for _, e := range add {
 		if err := validate(e); err != nil {
@@ -301,22 +286,10 @@ func (s *Switch) CommitFlows(del []uint64, add []*FlowEntry) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.table.Load().entries
-	next := make([]*FlowEntry, 0, len(cur)+len(add))
-	for _, e := range cur {
-		if !slices.Contains(del, e.Cookie) {
-			next = append(next, e)
-		}
+	next, removed := s.table.Load().commit(del, add)
+	if next != nil {
+		s.publishTable(next)
 	}
-	removed := len(cur) - len(next)
-	if removed == 0 && len(add) == 0 {
-		return 0, nil
-	}
-	next = append(next, add...)
-	// The sort is stable, so among equal priorities the entries already
-	// installed stay ahead of the ones appended after them.
-	slices.SortStableFunc(next, func(a, b *FlowEntry) int { return cmp.Compare(b.Priority, a.Priority) })
-	s.publishTable(next)
 	return removed, nil
 }
 
@@ -342,7 +315,7 @@ func (s *Switch) SwapFlows(delCookie uint64, add []*FlowEntry) (int, error) {
 
 // Flows returns all installed entries in priority order.
 func (s *Switch) Flows() []*FlowEntry {
-	return slices.Clone(s.table.Load().entries)
+	return s.table.Load().entries()
 }
 
 // Misses returns the count of table-miss packets, aggregated across

@@ -71,9 +71,10 @@ func (s *Switch) Telemetry() Telemetry {
 	}
 	table := s.table.Load()
 	t.Publishes = uint64(table.seq)
-	for _, e := range table.entries {
-		p, _ := e.Stats()
-		t.TableMatches += p
+	for _, c := range table.chunks {
+		for _, e := range c {
+			t.TableMatches += e.packets.Load()
+		}
 	}
 	return t
 }
