@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -51,6 +52,22 @@ func TestTable1ShapeHolds(t *testing.T) {
 		}
 		if diff := (r.RAMMB - p.RAMMB) / p.RAMMB; diff < -0.05 || diff > 0.05 {
 			t.Errorf("%s RAM %.1f deviates >5%% from paper %.1f", r.Platform, r.RAMMB, p.RAMMB)
+		}
+	}
+	// The modelled columns exactly as nfbench prints them: the calibrated
+	// model is deterministic, so any drift is a change to the model or to
+	// where packets are processed.
+	for _, w := range []struct {
+		row              Table1Row
+		mbps, ram, image string
+	}{
+		{vm, "796", "390.7", "522"},
+		{docker, "1090", "24.2", "240"},
+		{native, "1094", "19.4", "5"},
+	} {
+		r := w.row
+		if got := fmt.Sprintf("%.0f / %.1f / %.0f", r.Mbps, r.RAMMB, r.ImageMB); got != w.mbps+" / "+w.ram+" / "+w.image {
+			t.Errorf("%s Mbps-sim / RAM / image = %s, want %s / %s / %s", r.Platform, got, w.mbps, w.ram, w.image)
 		}
 	}
 	out := FormatTable1(rows)

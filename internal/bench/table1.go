@@ -17,7 +17,7 @@ import (
 type Table1Row struct {
 	Platform string
 	// Mbps is the modelled iPerf throughput (Mbps-sim: delivered bytes over
-	// the virtual clock the flavors' cost model charges).
+	// the virtual clock the flavors' cost model prices).
 	Mbps float64
 	// RAMMB is the runtime RAM of the NF instance.
 	RAMMB float64

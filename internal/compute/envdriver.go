@@ -2,7 +2,6 @@ package compute
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/execenv"
 	"repro/internal/imagestore"
@@ -22,23 +21,9 @@ type Deps struct {
 	Resources *resources.Pool
 	// Model is the execution-environment cost model.
 	Model execenv.CostModel
-	// Clock accumulates simulated time across all instances.
+	// Clock accumulates simulated time across all instances; nil gives
+	// each instance a private one.
 	Clock *execenv.VirtualClock
-	// StartupWallScale, when positive, makes Start additionally spend that
-	// fraction of the flavor's simulated boot latency as real wall time —
-	// emulating actual provisioning latency so that concurrent-start
-	// scheduling can be measured against the wall clock. 0 (the default)
-	// keeps starts instant.
-	StartupWallScale float64
-}
-
-// startupWall sleeps the configured wall-clock fraction of a flavor's boot
-// latency.
-func (d Deps) startupWall(f execenv.Flavor) {
-	if d.StartupWallScale <= 0 {
-		return
-	}
-	time.Sleep(time.Duration(float64(d.Model.StartupTime(f)) * d.StartupWallScale))
 }
 
 func (d Deps) validate() error {
@@ -77,9 +62,6 @@ func NewDPDKDriver(deps Deps) (Driver, error) {
 func newEnvDriver(tech nffg.Technology, flavor execenv.Flavor, cap resources.Capability, deps Deps) (Driver, error) {
 	if err := deps.validate(); err != nil {
 		return nil, err
-	}
-	if deps.Clock == nil {
-		deps.Clock = &execenv.VirtualClock{}
 	}
 	return &envDriver{tech: tech, flavor: flavor, capability: cap, deps: deps}, nil
 }
@@ -150,7 +132,6 @@ func (d *envDriver) Start(req StartRequest) (*Instance, error) {
 		return nil, err
 	}
 	rt := nf.NewRuntime(req.InstanceName, proc, env, req.Template.Ports)
-	d.deps.startupWall(d.flavor)
 	rt.Start()
 
 	return &Instance{

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/execenv"
 	"repro/internal/nffg"
 	"repro/internal/nnf"
 	"repro/internal/repository"
@@ -80,9 +79,6 @@ func (d *nativeDriver) Start(req StartRequest) (*Instance, error) {
 		return nil, fmt.Errorf("compute: pulling %q: %w", spec.Image, err)
 	}
 	wasRunning := len(d.mgr.Instances(req.Template.Name)) > 0
-	if !wasRunning {
-		d.deps.startupWall(execenv.FlavorNative)
-	}
 	att, err := d.mgr.Acquire(req.GraphID, req.Template.Name, req.Config)
 	if err != nil {
 		_ = d.deps.Images.Remove(spec.Image)

@@ -1,7 +1,7 @@
 // Package execenv models the execution environments an NF can run in — a
 // KVM/QEMU virtual machine, a Docker container, a DPDK userspace process, or
-// a native process — and charges each packet the per-flavor processing cost
-// on a virtual clock.
+// a native process — and prices the packet work done in each on a virtual
+// clock.
 //
 // The paper's Table 1 measures the same strongSwan IPsec endpoint in three
 // flavors on real hardware. This package substitutes that testbed with a
@@ -12,6 +12,9 @@
 // are represented as explicit cost terms, so the reproduction shows the
 // paper's ordering because the mechanisms are modeled, not because the
 // numbers are hard-coded.
+//
+// The model observes: nothing here sleeps, copies or runs on the packet
+// path. Instances count their work (Meter); the clock prices it on read.
 package execenv
 
 import "time"
@@ -126,30 +129,34 @@ func Default() CostModel {
 
 // PacketCost returns the simulated processing time of one packet of the
 // given size in the given flavor. cryptoBytes is the number of bytes that
-// undergo encryption or decryption (0 for non-crypto NFs).
+// undergo encryption or decryption (0 for non-crypto NFs). It is the
+// one-packet case of Cost.
 func (m CostModel) PacketCost(f Flavor, frameBytes, cryptoBytes int) time.Duration {
-	var ns float64
+	return m.Cost(f, Counts{Packets: 1, FrameBytes: uint64(frameBytes), CryptoBytes: uint64(cryptoBytes)})
+}
+
+// Cost returns the simulated processing time of the packet work c in the
+// given flavor. It is linear in the counts: it differs from the sum of the
+// packets' PacketCosts only by the sub-nanosecond remainder each of those
+// truncates.
+func (m CostModel) Cost(f Flavor, c Counts) time.Duration {
+	perPacket, perFrameByte, perCryptoByte := float64(m.KernelPathNs), 0.0, m.CryptoPerByteNs
 	switch f {
-	case FlavorNative:
-		ns = float64(m.KernelPathNs)
-		ns += m.CryptoPerByteNs * float64(cryptoBytes)
+	case FlavorNative: // the host kernel path and crypto
 	case FlavorDocker:
-		ns = float64(m.KernelPathNs + m.NamespaceVethNs)
-		ns += m.CryptoPerByteNs * float64(cryptoBytes)
+		perPacket = float64(m.KernelPathNs + m.NamespaceVethNs)
 	case FlavorVM:
-		ns = float64(m.KernelPathNs) // host side
-		ns += float64(m.VMExitNs)
-		ns += 2 * m.VirtioCopyPerByteNs * float64(frameBytes)
-		ns += float64(2 * m.ContextSwitchNs)
-		ns += float64(2 * m.UserSpaceCrossNs)
-		ns += m.CryptoPerByteNs * m.CryptoUserFactor * float64(cryptoBytes)
+		// Host side, vmexit, two guest context switches and user-space
+		// crossings; a virtio copy each way; user-space crypto.
+		perPacket = float64(m.KernelPathNs + m.VMExitNs + 2*m.ContextSwitchNs + 2*m.UserSpaceCrossNs)
+		perFrameByte = 2 * m.VirtioCopyPerByteNs
+		perCryptoByte = m.CryptoPerByteNs * m.CryptoUserFactor
 	case FlavorDPDK:
-		ns = float64(m.DPDKPollPathNs)
-		ns += m.CryptoPerByteNs * float64(cryptoBytes)
-	default:
-		ns = float64(m.KernelPathNs)
+		perPacket = float64(m.DPDKPollPathNs)
+	default: // an unknown flavor: the kernel path alone
+		perCryptoByte = 0
 	}
-	return time.Duration(ns)
+	return time.Duration(perPacket*float64(c.Packets) + perFrameByte*float64(c.FrameBytes) + perCryptoByte*float64(c.CryptoBytes))
 }
 
 // StartupTime returns the simulated boot/start latency of a flavor.

@@ -2,70 +2,72 @@ package execenv
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 )
+
+// Counts is the packet work an instance has done: frames processed, their
+// bytes, and the bytes that underwent encryption or decryption.
+type Counts struct{ Packets, FrameBytes, CryptoBytes uint64 }
+
+// A Meter reports the packet work of one instance since it was created.
+// Its counts never go down. The clock calls Counts under its lock, so
+// Counts must only read: never block or call back into the clock.
+type Meter interface{ Counts() Counts }
 
 // VirtualClock accumulates simulated time. It is shared by every
 // environment of one measurement so chain costs add up, and it is safe for
 // concurrent use.
+//
+// A reading is the start-up latencies charged to it plus the modelled
+// time of the packet work of every environment started on it, priced when
+// the clock is read: the packet path charges it nothing.
 type VirtualClock struct {
-	ns atomic.Int64
+	mu      sync.Mutex
+	charged time.Duration // start-ups, ProcessPacket, and stopped meters
+	live    *Env          // started environments with a meter, linked by next/prev
 }
 
-// Advance adds d to the clock and returns the new reading.
-func (c *VirtualClock) Advance(d time.Duration) time.Duration {
-	return time.Duration(c.ns.Add(int64(d)))
-}
-
-// Now returns the clock reading.
+// Now returns the clock reading. Readings never go down.
 func (c *VirtualClock) Now() time.Duration {
-	return time.Duration(c.ns.Load())
-}
-
-// Reset rewinds the clock to zero.
-func (c *VirtualClock) Reset() {
-	c.ns.Store(0)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := c.charged
+	for e := c.live; e != nil; e = e.next {
+		t += e.unfolded()
+	}
+	return t
 }
 
 // Env is one running execution environment: the thing a compute driver
-// creates when it starts an NF. It charges packet costs to its clock and,
-// for the VM flavor, performs the extra buffer copies for real so that
-// wall-clock benchmarks feel the virtualization tax too.
+// creates when it starts an NF. It holds the flavor and the cost model
+// that price the work of the instance running in it.
 type Env struct {
-	name        string
 	flavor      Flavor
 	model       CostModel
 	clock       *VirtualClock
 	workloadRAM uint64
-	started     atomic.Bool
-	packets     atomic.Uint64
-	bytes       atomic.Uint64
 
-	// copyBuf is scratch space for the virtio double copy (VM flavor).
-	copyBuf []byte
+	// Guarded by clock.mu (as are priced and unfolded): the meter of a
+	// started environment, what its counts came to at Start, and its
+	// links in the clock's live list.
+	started    bool
+	meter      Meter
+	base       time.Duration
+	prev, next *Env
 }
 
-// New creates an environment. The clock may be shared across environments;
-// pass nil for a private clock.
+// New creates the environment of the named instance. The clock may be
+// shared across environments; pass nil for a private clock.
 func New(name string, flavor Flavor, model CostModel, clock *VirtualClock) (*Env, error) {
 	if !flavor.Valid() {
-		return nil, fmt.Errorf("execenv: unknown flavor %q", flavor)
+		return nil, fmt.Errorf("execenv: %s: unknown flavor %q", name, flavor)
 	}
 	if clock == nil {
 		clock = &VirtualClock{}
 	}
-	return &Env{name: name, flavor: flavor, model: model, clock: clock}, nil
+	return &Env{flavor: flavor, model: model, clock: clock}, nil
 }
-
-// Name returns the environment name.
-func (e *Env) Name() string { return e.name }
-
-// Flavor returns the environment technology.
-func (e *Env) Flavor() Flavor { return e.flavor }
-
-// Clock returns the environment's virtual clock.
-func (e *Env) Clock() *VirtualClock { return e.clock }
 
 // SetWorkloadRAM declares the RAM used by the NF workload itself (identical
 // across flavors for the same NF; Table 1's strongSwan uses ~19.4 MB).
@@ -75,43 +77,72 @@ func (e *Env) SetWorkloadRAM(bytes uint64) { e.workloadRAM = bytes }
 // workload.
 func (e *Env) RAM() uint64 { return e.model.BaseRAM(e.flavor) + e.workloadRAM }
 
-// Start charges the flavor's startup latency to the virtual clock. It is
-// idempotent.
-func (e *Env) Start() time.Duration {
-	if e.started.Swap(true) {
+// Start charges the flavor's startup latency to the virtual clock and,
+// until Stop, prices the packet work m counts from now on (m may be nil).
+// It is idempotent, O(1) and allocates nothing.
+func (e *Env) Start(m Meter) time.Duration {
+	c := e.clock
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.started {
 		return 0
 	}
+	e.started = true
 	d := e.model.StartupTime(e.flavor)
-	e.clock.Advance(d)
+	c.charged += d
+	if m != nil {
+		e.meter = m
+		e.base = e.priced()
+		e.prev, e.next = nil, c.live
+		if c.live != nil {
+			c.live.prev = e
+		}
+		c.live = e
+	}
 	return d
 }
 
-// Stop marks the environment stopped.
-func (e *Env) Stop() { e.started.Store(false) }
-
-// ProcessPacket charges the flavor cost of one packet to the clock and
-// returns the charge. For the VM flavor the frame additionally crosses the
-// simulated virtio ring: two real copies through guest memory, so the wall
-// clock pays for the boundary too. The (possibly relocated) frame bytes are
-// returned.
-func (e *Env) ProcessPacket(frame []byte, cryptoBytes int) ([]byte, time.Duration) {
-	cost := e.model.PacketCost(e.flavor, len(frame), cryptoBytes)
-	e.clock.Advance(cost)
-	e.packets.Add(1)
-	e.bytes.Add(uint64(len(frame)))
-	if e.flavor == FlavorVM {
-		// host -> guest ring copy, then guest -> host on the way back.
-		if cap(e.copyBuf) < len(frame) {
-			e.copyBuf = make([]byte, len(frame)*2)
-		}
-		guest := e.copyBuf[:len(frame)]
-		copy(guest, frame)
-		copy(frame, guest)
+// Stop marks the environment stopped. It folds the modelled time of its
+// meter's work into the clock and unlinks the meter in one step, so no
+// reading counts that work twice or drops it.
+func (e *Env) Stop() {
+	c := e.clock
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !e.started {
+		return
 	}
-	return frame, cost
+	e.started = false
+	if e.meter == nil {
+		return
+	}
+	c.charged += e.unfolded()
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		c.live = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	e.meter, e.prev, e.next = nil, nil, nil
 }
 
-// Counters returns packets and bytes processed.
-func (e *Env) Counters() (packets, bytes uint64) {
-	return e.packets.Load(), e.bytes.Load()
+// priced is the modelled time of all the work the meter has counted.
+func (e *Env) priced() time.Duration {
+	return e.model.Cost(e.flavor, e.meter.Counts())
+}
+
+// unfolded is the modelled time of the work the meter counted since Start.
+func (e *Env) unfolded() time.Duration { return e.priced() - e.base }
+
+// ProcessPacket charges the flavor cost of one packet to the clock and
+// returns it with the frame. It is the one-packet form of the price a
+// started environment's meter pays; the packet path does not call it.
+func (e *Env) ProcessPacket(frame []byte, cryptoBytes int) ([]byte, time.Duration) {
+	cost := e.model.PacketCost(e.flavor, len(frame), cryptoBytes)
+	e.clock.mu.Lock()
+	e.clock.charged += cost
+	e.clock.mu.Unlock()
+	return frame, cost
 }

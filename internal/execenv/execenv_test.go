@@ -101,11 +101,11 @@ func TestEnvChargesClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot := e.Start()
+	boot := e.Start(nil)
 	if boot != Default().NativeStart {
 		t.Errorf("boot = %v", boot)
 	}
-	if e.Start() != 0 {
+	if e.Start(nil) != 0 {
 		t.Error("second Start charged again")
 	}
 	before := clock.Now()
@@ -117,12 +117,10 @@ func TestEnvChargesClock(t *testing.T) {
 	if clock.Now()-before != cost {
 		t.Error("clock advance != returned cost")
 	}
-	p, b := e.Counters()
-	if p != 1 || b != 1000 {
-		t.Errorf("counters = %d/%d", p, b)
-	}
 }
 
+// TestVMCopiesPreserveFrame: charging a VM packet leaves its frame as it
+// is (the model copies nothing).
 func TestVMCopiesPreserveFrame(t *testing.T) {
 	e, err := New("vm", FlavorVM, Default(), nil)
 	if err != nil {
@@ -147,10 +145,6 @@ func TestSharedClockAccumulatesAcrossEnvs(t *testing.T) {
 	_, cb := b.ProcessPacket(frame, 0)
 	if clock.Now() != ca+cb {
 		t.Errorf("clock = %v, want %v", clock.Now(), ca+cb)
-	}
-	clock.Reset()
-	if clock.Now() != 0 {
-		t.Error("reset failed")
 	}
 }
 
@@ -183,9 +177,97 @@ func TestInvalidFlavorRejected(t *testing.T) {
 
 func TestStopAllowsRestart(t *testing.T) {
 	e, _ := New("x", FlavorDocker, Default(), nil)
-	e.Start()
+	e.Start(nil)
 	e.Stop()
-	if e.Start() == 0 {
+	if e.Start(nil) == 0 {
 		t.Error("restart did not charge startup again")
+	}
+}
+
+// TestPacketCostIsOnePacketOfCost pins PacketCost as the one-packet case
+// of Cost, and Cost as linear in its counts up to the sub-nanosecond
+// remainder each PacketCost truncates.
+func TestPacketCostIsOnePacketOfCost(t *testing.T) {
+	m := Default()
+	for _, f := range []Flavor{FlavorNative, FlavorDocker, FlavorVM, FlavorDPDK} {
+		for _, size := range []int{64, 501, 1500} {
+			one := m.PacketCost(f, size, size)
+			if got := m.Cost(f, Counts{Packets: 1, FrameBytes: uint64(size), CryptoBytes: uint64(size)}); got != one {
+				t.Errorf("%s/%d: Cost of one packet = %v, PacketCost = %v", f, size, got, one)
+			}
+			const n = 1000
+			many := m.Cost(f, Counts{Packets: n, FrameBytes: n * uint64(size), CryptoBytes: n * uint64(size)})
+			if d := many - n*one; d < 0 || d > n {
+				t.Errorf("%s/%d: Cost of %d packets = %v, %d × PacketCost = %v", f, size, n, many, n, n*one)
+			}
+		}
+	}
+}
+
+// meter is a settable Meter.
+type meter struct{ c Counts }
+
+func (m *meter) Counts() Counts { return m.c }
+
+// TestClockPricesStartedMeters: a reading is the start-up charges plus the
+// priced work of every started meter; a stop keeps that work on the clock
+// and a restart prices only the work counted after it.
+func TestClockPricesStartedMeters(t *testing.T) {
+	m := Default()
+	clock := &VirtualClock{}
+	a, _ := New("a", FlavorVM, m, clock)
+	b, _ := New("b", FlavorNative, m, clock)
+	ma, mb := &meter{}, &meter{}
+	boot := a.Start(ma) + b.Start(mb)
+	if clock.Now() != boot {
+		t.Fatalf("idle clock = %v, want the start-ups %v", clock.Now(), boot)
+	}
+	work := Counts{Packets: 10, FrameBytes: 15000, CryptoBytes: 14860}
+	ma.c, mb.c = work, work
+	want := boot + m.Cost(FlavorVM, work) + m.Cost(FlavorNative, work)
+	if clock.Now() != want {
+		t.Fatalf("clock = %v, want %v", clock.Now(), want)
+	}
+	a.Stop()
+	if clock.Now() != want {
+		t.Fatalf("after stop: clock = %v, want %v", clock.Now(), want)
+	}
+	ma.c.Packets, ma.c.FrameBytes = 20, 30000 // counted while stopped
+	if clock.Now() != want {
+		t.Fatalf("work of a stopped meter priced: clock = %v, want %v", clock.Now(), want)
+	}
+	restart := ma.c
+	want += a.Start(ma)
+	ma.c.Packets, ma.c.FrameBytes = 30, 45000
+	want += m.Cost(FlavorVM, ma.c) - m.Cost(FlavorVM, restart)
+	if clock.Now() != want {
+		t.Fatalf("after restart: clock = %v, want %v", clock.Now(), want)
+	}
+	b.Stop()
+	a.Stop()
+	if clock.Now() != want {
+		t.Fatalf("after both stops: clock = %v, want %v", clock.Now(), want)
+	}
+}
+
+// TestStartStopAllocateNothing: starting an environment links it into its
+// clock and stopping unlinks it, in O(1) and without allocating.
+func TestStartStopAllocateNothing(t *testing.T) {
+	clock := &VirtualClock{}
+	others := make([]*Env, 64)
+	for i := range others {
+		others[i], _ = New("o", FlavorDocker, Default(), clock)
+		others[i].Start(&meter{})
+	}
+	e, _ := New("e", FlavorDocker, Default(), clock)
+	mt := &meter{}
+	if n := testing.AllocsPerRun(100, func() {
+		e.Start(mt)
+		e.Stop()
+	}); n != 0 {
+		t.Errorf("Start+Stop allocated %.1f times", n)
+	}
+	for _, o := range others {
+		o.Stop()
 	}
 }

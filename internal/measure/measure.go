@@ -5,11 +5,11 @@
 // Every run produces a modelled figure and measured ones, never under one
 // label:
 //
-//   - Simulated Mbps, computed over the virtual clock that the execution
-//     environments charge per-packet flavor costs to. This is the modelled
-//     figure compared against Table 1: it reflects where packets were
-//     processed (VM user space vs host kernel), like the paper's testbed
-//     measurement.
+//   - Simulated Mbps, computed over the virtual clock, which prices the
+//     packets the NF instances counted with the flavor cost model when it
+//     is read. This is the modelled figure compared against Table 1: it
+//     reflects where packets were processed (VM user space vs host
+//     kernel), like the paper's testbed measurement.
 //   - Wall Mbps, wall ns/packet and allocations/packet, taken over real
 //     elapsed time and the runtime's allocation counter. They reflect how
 //     fast this Go implementation actually pushed packets (crypto included)

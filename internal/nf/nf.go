@@ -4,9 +4,10 @@
 // NAT) and supporting functions (router, monitor).
 //
 // A network function is a Processor: pure packet-in, packets-out logic. The
-// Runtime binds a Processor to an execution environment (which charges
-// per-packet flavor costs to a virtual clock) and to a set of netdev ports
-// (which the compute driver wires to a Logical Switch Instance).
+// Runtime binds a Processor to an execution environment and to a set of
+// netdev ports (which the compute driver wires to a Logical Switch
+// Instance). NFs run on wall time: the Runtime only counts the work, which
+// the environment's virtual clock prices when it is read.
 package nf
 
 import (
@@ -31,7 +32,7 @@ type Emission struct {
 type Result struct {
 	Emissions []Emission
 	// CryptoBytes reports how many bytes underwent cryptographic
-	// transformation, feeding the execution environment cost model.
+	// transformation, counted for the execution environment cost model.
 	CryptoBytes int
 }
 
@@ -74,8 +75,9 @@ type Runtime struct {
 
 	ports []*netdev.Port
 
-	rx, tx, errs atomic.Uint64
-	running      atomic.Bool
+	rx, tx, errs            atomic.Uint64
+	frameBytes, cryptoBytes atomic.Uint64 // with rx, the Counts
+	running                 atomic.Bool
 }
 
 // NewRuntime creates a runtime with nPorts NF-side ports named
@@ -84,11 +86,6 @@ func NewRuntime(name string, proc Processor, env *execenv.Env, nPorts int) *Runt
 	r := &Runtime{name: name, proc: proc, env: env, recycle: pkt.PutBuffer}
 	for i := 0; i < nPorts; i++ {
 		r.ports = append(r.ports, netdev.NewPort(fmt.Sprintf("%s.%d", name, i)))
-	}
-	// Time-dependent processors (token buckets, ...) follow the
-	// environment's virtual clock.
-	if cu, ok := proc.(ClockUser); ok {
-		cu.SetClock(env.Clock().Now)
 	}
 	return r
 }
@@ -113,12 +110,13 @@ func (r *Runtime) Port(i int) *netdev.Port {
 // Processor returns the packet-processing logic, for Configure calls.
 func (r *Runtime) Processor() Processor { return r.proc }
 
-// Start boots the execution environment and begins receiving.
+// Start boots the execution environment, which prices the runtime's
+// Counts from now on, and begins receiving.
 func (r *Runtime) Start() {
 	if r.running.Swap(true) {
 		return
 	}
-	r.env.Start()
+	r.env.Start(r)
 	for i, p := range r.ports {
 		i := i
 		p.SetHandler(func(f netdev.Frame) { r.receive(i, f) })
@@ -139,22 +137,24 @@ func (r *Runtime) Stop() {
 // Running reports whether the NF is processing traffic.
 func (r *Runtime) Running() bool { return r.running.Load() }
 
-// receive runs one delivered frame through the processor. The runtime owns
-// the frame: once the processor, the flavour charge and the sends are done
-// with it, it goes back to the pool, unless an emission handed it on.
+// receive runs one delivered frame through the processor and counts it. The
+// runtime owns the frame: once the processor and the sends are done with
+// it, it goes back to the pool, unless an emission handed it on.
 func (r *Runtime) receive(inPort int, f netdev.Frame) {
 	if !r.running.Load() {
 		return
 	}
 	r.rx.Add(1)
+	r.frameBytes.Add(uint64(len(f.Data)))
 	res, err := r.proc.Process(inPort, f.Data)
 	if err != nil {
 		r.errs.Add(1)
 		r.recycle(f.Data)
 		return
 	}
-	// Charge the flavor cost once per input frame.
-	r.env.ProcessPacket(f.Data, res.CryptoBytes)
+	if res.CryptoBytes > 0 {
+		r.cryptoBytes.Add(uint64(res.CryptoBytes))
+	}
 	// A receiver may recycle what it gets, so a buffer never leaves twice:
 	// every repeat of an emitted buffer (a flood) gets its own copy. The
 	// copies are made before the first send, while the buffer is still ours.
@@ -206,6 +206,12 @@ func sameMemory(a, b []byte) bool {
 	pa := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
 	pb := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
 	return pa < pb+uintptr(cap(b)) && pb < pa+uintptr(cap(a))
+}
+
+// Counts implements execenv.Meter: every frame delivered to the runtime,
+// and the crypto bytes its processor reported.
+func (r *Runtime) Counts() execenv.Counts {
+	return execenv.Counts{Packets: r.rx.Load(), FrameBytes: r.frameBytes.Load(), CryptoBytes: r.cryptoBytes.Load()}
 }
 
 // Stats returns the runtime counters.

@@ -419,7 +419,8 @@ func TestMonitorCountsFlows(t *testing.T) {
 // --- Runtime & Registry ---
 
 func TestRuntimeProcessesThroughPorts(t *testing.T) {
-	env, err := execenv.New("fw", execenv.FlavorNative, execenv.Default(), nil)
+	clock := &execenv.VirtualClock{}
+	env, err := execenv.New("fw", execenv.FlavorNative, execenv.Default(), clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,11 +447,11 @@ func TestRuntimeProcessesThroughPorts(t *testing.T) {
 	if st.RxPackets != 1 || st.TxPackets != 1 || st.Errors != 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if env.Clock().Now() <= 0 {
-		t.Error("no cost charged to the clock")
+	if c := rt.Counts(); c.Packets != 1 || c.FrameBytes == 0 {
+		t.Errorf("counts = %+v, want the one frame", c)
 	}
-	if p, _ := env.Counters(); p != 1 {
-		t.Error("env did not count the packet")
+	if clock.Now() <= execenv.Default().NativeStart {
+		t.Error("the frame is not priced on the clock")
 	}
 }
 

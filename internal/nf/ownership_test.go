@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/execenv"
 	"repro/internal/netdev"
@@ -216,7 +215,6 @@ func defaultProcessorCases(t *testing.T) []processorCase {
 	h.decode(res.Emissions[0].Frame)
 
 	shaper := build("shaper", map[string]string{"rate_mbps": "100"})
-	shaper.(ClockUser).SetClock(func() time.Duration { return 0 })
 
 	cases := []processorCase{
 		{"ipsec", ipsec, IPsecPortPlain, plain},

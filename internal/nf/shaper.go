@@ -2,47 +2,53 @@ package nf
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
 )
 
-// ClockUser is implemented by processors whose behaviour depends on time
-// (e.g. token buckets). The Runtime injects its execution environment's
-// virtual clock so time-dependent NFs advance with simulated time rather
-// than the wall clock.
-type ClockUser interface {
-	SetClock(now func() time.Duration)
-}
-
 // Shaper is a token-bucket rate limiter, the NF equivalent of Linux's
 // native `tc` qdisc. Traffic between ports 0 and 1 is policed to the
 // configured rate with the configured burst allowance; excess packets are
 // dropped (policing, not queueing, matching a tc police action).
+//
+// The bucket refills on wall time, read from a monotonic clock the shaper
+// owns, so a tenant's policing depends only on its own traffic. It starts
+// full.
 type Shaper struct {
 	rateBps float64 // bits per second
 	burst   float64 // bucket capacity, bytes
 
 	mu      sync.Mutex
-	now     func() time.Duration
-	tokens  float64 // bytes available
-	last    time.Duration
-	primed  bool
+	now     func() time.Time // time.Now, which reads the monotonic clock; under mu
+	tokens  float64          // bytes available
+	last    time.Time
 	passed  uint64
 	dropped uint64
 }
 
 // NewShaper builds a shaper policing to rateMbps with burstKB of burst.
 func NewShaper(rateMbps float64, burstKB int) (*Shaper, error) {
-	if rateMbps <= 0 {
-		return nil, fmt.Errorf("nf: shaper rate must be positive, got %v", rateMbps)
+	return newShaper(rateMbps, burstKB, time.Now)
+}
+
+// newShaper builds a shaper that reads time from now.
+func newShaper(rateMbps float64, burstKB int, now func() time.Time) (*Shaper, error) {
+	rateBps := rateMbps * 1e6
+	if !(rateBps > 0) || math.IsInf(rateBps, 1) { // NaN fails the first test
+		return nil, fmt.Errorf("nf: shaper rate must be positive and finite, got %v", rateMbps)
 	}
 	if burstKB <= 0 {
 		return nil, fmt.Errorf("nf: shaper burst must be positive, got %v", burstKB)
 	}
+	burst := float64(burstKB) * 1024
 	return &Shaper{
-		rateBps: rateMbps * 1e6,
-		burst:   float64(burstKB) * 1024,
+		rateBps: rateBps,
+		burst:   burst,
+		now:     now,
+		tokens:  burst,
+		last:    now(),
 	}, nil
 }
 
@@ -69,14 +75,6 @@ func NewShaperFromConfig(config map[string]string) (Processor, error) {
 	return NewShaper(rate, burst)
 }
 
-// SetClock implements ClockUser.
-func (s *Shaper) SetClock(now func() time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.now = now
-	s.primed = false
-}
-
 // counters returns passed and dropped packet counts.
 func (s *Shaper) counters() (passed, dropped uint64) {
 	s.mu.Lock()
@@ -90,20 +88,9 @@ func (s *Shaper) Process(inPort int, frame []byte) (Result, error) {
 		return Result{}, fmt.Errorf("nf: shaper has no port %d", inPort)
 	}
 	s.mu.Lock()
-	if s.now == nil {
-		// Without a clock the shaper cannot meter; fail closed for
-		// visibility rather than silently passing everything.
-		s.mu.Unlock()
-		return Result{}, fmt.Errorf("nf: shaper has no clock source")
-	}
 	now := s.now()
-	if !s.primed {
-		s.tokens = s.burst
-		s.last = now
-		s.primed = true
-	}
-	// Refill: rateBps/8 bytes per second of virtual time.
-	s.tokens += (now - s.last).Seconds() * s.rateBps / 8
+	// Refill: rateBps/8 bytes per second.
+	s.tokens += now.Sub(s.last).Seconds() * s.rateBps / 8
 	if s.tokens > s.burst {
 		s.tokens = s.burst
 	}

@@ -11,17 +11,16 @@ import (
 // manualClock is a controllable time source for shaper tests.
 type manualClock struct{ t time.Duration }
 
-func (c *manualClock) now() time.Duration { return c.t }
+func (c *manualClock) now() time.Time { return time.Unix(0, 0).Add(c.t) }
 
 func TestShaperPolicesRate(t *testing.T) {
 	// 8 Mbps, 1 KiB burst: at a standstill clock, exactly the burst
 	// passes; advancing the clock refills rate*dt/8 bytes.
-	s, err := NewShaper(8, 1) // 8 Mbps = 1e6 bytes/s; burst 1024 B
+	clock := &manualClock{}
+	s, err := newShaper(8, 1, clock.now) // 8 Mbps = 1e6 bytes/s; burst 1024 B
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := &manualClock{}
-	s.SetClock(clock.now)
 
 	frame := make([]byte, 512)
 	frame[12], frame[13] = 0x08, 0x00
@@ -50,12 +49,11 @@ func TestShaperPolicesRate(t *testing.T) {
 }
 
 func TestShaperBurstCap(t *testing.T) {
-	s, _ := NewShaper(8, 1)
 	clock := &manualClock{}
-	s.SetClock(clock.now)
+	s, _ := newShaper(8, 1, clock.now)
 	frame := make([]byte, 1024)
 	// A very long idle period must not accumulate more than one burst.
-	_, _ = s.Process(0, frame) // prime
+	_, _ = s.Process(0, frame) // spends the initial burst
 	clock.t += time.Hour
 	if res, _ := s.Process(0, frame); len(res.Emissions) != 1 {
 		t.Fatal("burst frame dropped")
@@ -66,9 +64,8 @@ func TestShaperBurstCap(t *testing.T) {
 }
 
 func TestShaperBidirectional(t *testing.T) {
-	s, _ := NewShaper(1000, 64)
 	clock := &manualClock{}
-	s.SetClock(clock.now)
+	s, _ := newShaper(1000, 64, clock.now)
 	frame := make([]byte, 100)
 	res, err := s.Process(1, frame)
 	if err != nil || len(res.Emissions) != 1 || res.Emissions[0].Port != 0 {
@@ -79,10 +76,23 @@ func TestShaperBidirectional(t *testing.T) {
 	}
 }
 
-func TestShaperRequiresClock(t *testing.T) {
-	s, _ := NewShaper(10, 10)
-	if _, err := s.Process(0, make([]byte, 10)); err == nil {
-		t.Error("clockless shaper passed traffic")
+// TestShaperStartsFull: the bucket is full from construction, however long
+// before the first frame that was, and holds exactly one burst.
+func TestShaperStartsFull(t *testing.T) {
+	clock := &manualClock{t: time.Hour}
+	s, err := newShaper(8, 4, clock.now) // 4 KiB burst
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.t += time.Hour
+	frame := make([]byte, 1024)
+	for i := 0; i < 4; i++ {
+		if res, err := s.Process(0, frame); err != nil || len(res.Emissions) != 1 {
+			t.Fatalf("frame %d of the initial burst dropped (%v)", i, err)
+		}
+	}
+	if res, _ := s.Process(0, frame); len(res.Emissions) != 0 {
+		t.Fatal("frame beyond the initial burst passed")
 	}
 }
 
@@ -93,8 +103,10 @@ func TestShaperConfig(t *testing.T) {
 	if _, err := NewShaperFromConfig(map[string]string{"rate_mbps": "x"}); err == nil {
 		t.Error("bad rate accepted")
 	}
-	if _, err := NewShaperFromConfig(map[string]string{"rate_mbps": "-5"}); err == nil {
-		t.Error("negative rate accepted")
+	for _, rate := range []string{"-5", "0", "NaN", "Inf", "+Inf", "-Inf", "1e303"} {
+		if _, err := NewShaperFromConfig(map[string]string{"rate_mbps": rate}); err == nil {
+			t.Errorf("rate %s accepted", rate)
+		}
 	}
 	if _, err := NewShaperFromConfig(map[string]string{"rate_mbps": "10", "burst_kb": "x"}); err == nil {
 		t.Error("bad burst accepted")
@@ -108,48 +120,47 @@ func TestShaperConfig(t *testing.T) {
 	}
 }
 
-// TestShaperFollowsVirtualClockThroughRuntime verifies the ClockUser wiring:
-// a shaper inside a runtime meters against the execution environment's
-// virtual clock, which advances as packets are processed.
-func TestShaperFollowsVirtualClockThroughRuntime(t *testing.T) {
+// TestShaperIgnoresVirtualClockThroughRuntime: a shaper inside a runtime
+// meters on its own clock, not on the modelled time its environment's
+// clock reads. With its clock frozen, it passes exactly its burst, however
+// much the runtimes on that environment clock have worked.
+func TestShaperIgnoresVirtualClockThroughRuntime(t *testing.T) {
 	clock := &execenv.VirtualClock{}
-	env, err := execenv.New("shaper", execenv.FlavorNative, execenv.Default(), clock)
-	if err != nil {
-		t.Fatal(err)
+	start := func(name string, proc Processor) (*Runtime, *netdev.Port) {
+		env, err := execenv.New(name, execenv.FlavorVM, execenv.Default(), clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := NewRuntime(name, proc, env, 2)
+		rt.Start()
+		t.Cleanup(rt.Stop)
+		in, out := netdev.NewPort(name+"-in"), netdev.NewPort(name+"-out")
+		if err := netdev.Connect(in, rt.Port(0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := netdev.Connect(out, rt.Port(1)); err != nil {
+			t.Fatal(err)
+		}
+		out.SetHandler(func(netdev.Frame) {})
+		return rt, in
 	}
-	// 100 Mbps with a tiny burst: the virtual clock advances ~2 µs per
-	// 1500 B packet (kernel path, no crypto), refilling ~25 B per packet
-	// at 100 Mbps, so a sustained MTU stream must be mostly dropped.
-	s, _ := NewShaper(100, 2)
-	rt := NewRuntime("shaper", s, env, 2)
-	rt.Start()
-	defer rt.Stop()
-	in := netdev.NewPort("in")
-	out := netdev.NewPortQueueLen("out", 4096)
-	if err := netdev.Connect(in, rt.Port(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := netdev.Connect(out, rt.Port(1)); err != nil {
-		t.Fatal(err)
-	}
+	frozen := &manualClock{}
+	s, _ := newShaper(100, 3, frozen.now) // 3 KiB burst: two 1500 B frames
+	_, toShaper := start("shaper", s)
+	_, toMonitor := start("monitor", NewMonitor())
+	boot := clock.Now()
+
 	frame := make([]byte, 1500)
-	for i := 0; i < 1000; i++ {
-		_ = in.Send(netdev.Frame{Data: frame})
+	for i := 0; i < 100; i++ {
+		for j := 0; j < 50; j++ {
+			_ = toMonitor.Send(netdev.Frame{Data: frame})
+		}
+		_ = toShaper.Send(netdev.Frame{Data: frame})
 	}
-	passed, dropped := s.counters()
-	if passed+dropped != 1000 {
-		t.Fatalf("counters = %d/%d", passed, dropped)
+	if worked := clock.Now() - boot; worked < 5100*2*time.Microsecond {
+		t.Fatalf("environment clock moved %v for 5100 VM frames: their work was not priced", worked)
 	}
-	if dropped == 0 {
-		t.Error("sustained over-rate stream not policed")
-	}
-	if passed < 2 {
-		t.Error("burst not honored")
-	}
-	// Sanity: the pass rate should approximate rate/offered =
-	// 100 Mbps / (1500B / ~1.96µs = 6122 Mbps) ~ 1.7%.
-	rate := float64(passed) / 1000
-	if rate > 0.10 {
-		t.Errorf("pass rate %.1f%% too high for 100 Mbps policer", rate*100)
+	if passed, dropped := s.counters(); passed != 2 || dropped != 98 {
+		t.Errorf("shaper passed %d and dropped %d, want its 2-frame burst and 98", passed, dropped)
 	}
 }

@@ -13,63 +13,58 @@ import (
 	"repro/internal/execenv"
 	"repro/internal/imagestore"
 	"repro/internal/netdev"
-	"repro/internal/netns"
 	"repro/internal/nf"
 	"repro/internal/nffg"
-	"repro/internal/nnf"
-	"repro/internal/policy"
 	"repro/internal/repository"
 	"repro/internal/resources"
 	"repro/internal/telemetry"
 )
 
-// buildNode assembles a node like newNode but with wall-clock startup
-// emulation and an explicit parallel-start bound, for scheduling-latency
-// tests.
-func buildNode(t *testing.T, wallScale float64, maxParallel int, pol policy.PlacementPolicy) *Orchestrator {
+// slowStart is a compute driver whose Start first spends boot of wall
+// time, as real provisioning would.
+type slowStart struct {
+	compute.Driver
+	boot time.Duration
+}
+
+func (d slowStart) Start(req compute.StartRequest) (*compute.Instance, error) {
+	time.Sleep(d.boot)
+	return d.Driver.Start(req)
+}
+
+// buildNode assembles a node like newNode but with an explicit
+// parallel-start bound and a docker driver that takes dockerBoot of wall
+// time per start, for scheduling-latency tests.
+func buildNode(t *testing.T, maxParallel int, dockerBoot time.Duration) *Orchestrator {
 	t.Helper()
 	store := imagestore.NewStore()
 	if err := repository.DefaultImages(store); err != nil {
 		t.Fatal(err)
 	}
 	pool := resources.NewPool(64000, 32*gb)
-	for _, c := range []resources.Capability{
-		"kvm", "docker", "dpdk",
-		"nnf:ipsec", "nnf:firewall", "nnf:nat", "nnf:bridge", "nnf:router", "nnf:monitor", "nnf:shaper",
-	} {
+	for _, c := range []resources.Capability{"docker"} {
 		pool.AddCapability(c)
 	}
-	clock := &execenv.VirtualClock{}
 	deps := compute.Deps{
-		NFs:              nf.DefaultRegistry(),
-		Images:           store,
-		Resources:        pool,
-		Model:            execenv.Default(),
-		Clock:            clock,
-		StartupWallScale: wallScale,
+		NFs:       nf.DefaultRegistry(),
+		Images:    store,
+		Resources: pool,
+		Model:     execenv.Default(),
 	}
-	nnfMgr := nnf.NewManager(nnf.Builtins(), netns.NewRegistry(), deps.Model, clock)
 	cmgr := compute.NewManager()
-	mustDriver := func(d compute.Driver, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cmgr.Register(d); err != nil {
-			t.Fatal(err)
-		}
+	docker, err := compute.NewDockerDriver(deps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustDriver(compute.NewVMDriver(deps))
-	mustDriver(compute.NewDockerDriver(deps))
-	mustDriver(compute.NewDPDKDriver(deps))
-	mustDriver(compute.NewNativeDriver(deps, nnfMgr))
+	if err := cmgr.Register(slowStart{docker, dockerBoot}); err != nil {
+		t.Fatal(err)
+	}
 	o, err := New(Config{
 		NodeName:          "cpe",
 		Interfaces:        []string{"eth0", "eth1"},
 		Resources:         pool,
 		Repo:              repository.Default(),
 		Compute:           cmgr,
-		Clock:             clock,
-		Policy:            pol,
 		MaxParallelStarts: maxParallel,
 	})
 	if err != nil {
@@ -584,11 +579,11 @@ func TestReflavorTelemetry(t *testing.T) {
 }
 
 // TestParallelDeployFasterThanSerial pins the point of the concurrent start
-// phase: with wall-clock boot emulation on, an 8-NF graph must deploy at
-// least twice as fast with parallel starts as with serialized ones.
+// phase: with a 15 ms docker boot, an 8-NF graph must deploy at least
+// twice as fast with parallel starts as with serialized ones.
 func TestParallelDeployFasterThanSerial(t *testing.T) {
 	measure := func(maxParallel int) time.Duration {
-		o := buildNode(t, 0.05, maxParallel, nil) // docker boot: 300ms * 0.05 = 15ms wall
+		o := buildNode(t, maxParallel, 15*time.Millisecond)
 		g := fwChainGraph("g", 8, nffg.TechDocker)
 		start := time.Now()
 		if err := o.Deploy(g); err != nil {

@@ -40,8 +40,6 @@ type Config struct {
 	Repo *repository.Repository
 	// Compute is the compute manager with registered drivers.
 	Compute *compute.Manager
-	// Clock is the shared virtual clock (optional).
-	Clock *execenv.VirtualClock
 	// Journal receives the node's structured telemetry events; nil gets a
 	// private journal of telemetry.DefaultJournalDepth entries.
 	Journal *telemetry.Journal

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/nffg"
 	"repro/internal/pkt"
@@ -69,33 +70,116 @@ func TestIntentConfiguredNNFThroughOrchestrator(t *testing.T) {
 	}
 }
 
-// TestShaperChainPolices deploys a native shaper and verifies the policer
-// drops a sustained over-rate stream measured on the virtual clock.
-func TestShaperChainPolices(t *testing.T) {
-	o := newNode(t)
+// shaperRate and shaperBurst configure the shapers of the policing tests:
+// 10 Mbps (1 250 000 B/s) with a 16 KiB burst.
+const (
+	shaperRate  = 10e6 / 8
+	shaperBurst = 16 << 10
+)
+
+// deployShaper deploys a native shaper between in and out.
+func deployShaper(t *testing.T, o *Orchestrator, in, out string) {
+	t.Helper()
 	g := chainGraph("limited", "shaper", nffg.TechNative, map[string]string{
-		"rate_mbps": "100",
-		"burst_kb":  "3",
+		"rate_mbps": "10",
+		"burst_kb":  "16",
 	})
+	g.Endpoints[0].Interface, g.Endpoints[1].Interface = in, out
 	if err := o.Deploy(g); err != nil {
 		t.Fatal(err)
 	}
-	outPort, _ := o.InterfacePort("eth1")
-	passed := 0
-	for i := 0; i < 500; i++ {
-		send(t, o, "eth0", clearFrame(t))
-		for {
-			if _, ok := outPort.TryRecv(); !ok {
-				break
-			}
-			passed++
+}
+
+// kbFrame is a 1 000 B UDP frame.
+func kbFrame(t *testing.T) []byte {
+	t.Helper()
+	f := pkt.MustBuildFrame(pkt.FrameSpec{
+		SrcMAC: pkt.MAC{2, 0, 0, 0, 0, 1}, DstMAC: pkt.MAC{2, 0, 0, 0, 0, 2},
+		SrcIP: pkt.Addr{10, 0, 0, 1}, DstIP: pkt.Addr{10, 0, 0, 2},
+		SrcPort: 40000, DstPort: 5001, PayloadLen: 958,
+	})
+	if len(f) != 1000 {
+		t.Fatalf("frame is %d B, want 1000", len(f))
+	}
+	return f
+}
+
+// drain counts the frames waiting on an interface and drops them.
+func drain(o *Orchestrator, iface string) int {
+	p, _ := o.InterfacePort(iface)
+	n := 0
+	for {
+		if _, ok := p.TryRecv(); !ok {
+			return n
 		}
+		n++
+	}
+}
+
+// TestShaperPolicesWallTime offers a native shaper 1 000 B frames paced
+// by a fixed sleep after each, at about 0.36 of its rate, so the sender
+// never catches up with the refill: every frame passes. It still does
+// when a second tenant's monitor on the same node carries 50 frames for
+// each of the shaper's, since one tenant's policing depends only on its
+// own traffic and wall time.
+func TestShaperPolicesWallTime(t *testing.T) {
+	const frames, gap = 300, 2200 * time.Microsecond // 1 000 B per 2.2 ms ≈ 0.36 × rate
+	for _, c := range []struct {
+		name  string
+		other int // frames the second tenant carries per shaper frame
+	}{{"alone", 0}, {"beside-a-busy-tenant", 50}} {
+		t.Run(c.name, func(t *testing.T) {
+			o := newNode(t, "eth0", "eth1", "eth2", "eth3")
+			deployShaper(t, o, "eth0", "eth1")
+			if c.other > 0 {
+				g := chainGraph("tenant2", "monitor", nffg.TechNative, nil)
+				g.Endpoints[0].Interface, g.Endpoints[1].Interface = "eth2", "eth3"
+				if err := o.Deploy(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			passed, other := 0, 0
+			for i := 0; i < frames; i++ {
+				for j := 0; j < c.other; j++ {
+					send(t, o, "eth2", clearFrame(t))
+				}
+				other += drain(o, "eth3")
+				send(t, o, "eth0", kbFrame(t))
+				passed += drain(o, "eth1")
+				time.Sleep(gap)
+			}
+			if other != frames*c.other {
+				t.Errorf("second tenant delivered %d of %d frames", other, frames*c.other)
+			}
+			if passed != frames {
+				t.Errorf("shaper passed %d/%d frames offered below its rate", passed, frames)
+			}
+		})
+	}
+}
+
+// TestShaperChainPolices offers a native shaper a stream of 1 000 B frames
+// in a tight loop, far above its rate: what it delivers stays within its
+// burst plus its rate over the wall time the loop took.
+func TestShaperChainPolices(t *testing.T) {
+	o := newNode(t)
+	deployShaper(t, o, "eth0", "eth1")
+	const frames = 500
+	passed := 0
+	start := time.Now()
+	for i := 0; i < frames; i++ {
+		send(t, o, "eth0", kbFrame(t))
+		passed += drain(o, "eth1")
+	}
+	elapsed := time.Since(start)
+	if offered := frames * 1000 / elapsed.Seconds(); offered < 2*shaperRate {
+		t.Fatalf("offered %.0f B/s in %v, want at least twice the rate", offered, elapsed)
 	}
 	if passed == 0 {
 		t.Fatal("shaper blocked everything (burst should pass)")
 	}
-	if passed > 250 {
-		t.Errorf("shaper passed %d/500 of a stream far above its rate", passed)
+	if bound := shaperRate*elapsed.Seconds() + shaperBurst; float64(passed*1000) > bound {
+		t.Errorf("shaper delivered %d B in %v, over rate × elapsed + burst = %.0f B", passed*1000, elapsed, bound)
 	}
 }
 

@@ -65,7 +65,6 @@ func newNode(t *testing.T, interfaces ...string) *Orchestrator {
 		Resources:  pool,
 		Repo:       repository.Default(),
 		Compute:    cmgr,
-		Clock:      clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +254,7 @@ func TestSchedulerPlacementMatrix(t *testing.T) {
 			_ = cmgr.Register(docker)
 			_ = cmgr.Register(native)
 			o, err := New(Config{NodeName: "n", Interfaces: []string{"eth0", "eth1"},
-				Resources: pool, Repo: repository.Default(), Compute: cmgr, Clock: clock})
+				Resources: pool, Repo: repository.Default(), Compute: cmgr})
 			if err != nil {
 				t.Fatal(err)
 			}

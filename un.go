@@ -152,11 +152,6 @@ type Config struct {
 	// MaxParallelStarts bounds how many NFs of one graph boot concurrently
 	// during Deploy/Update (default 8).
 	MaxParallelStarts int
-	// StartupWallScale, when positive, additionally spends that fraction
-	// of each flavor's simulated boot latency as real wall time on NF
-	// start — emulating provisioning latency for wall-clock scheduling
-	// experiments. 0 keeps starts instant.
-	StartupWallScale float64
 	// Workers selects where every LSI runs its datapath lane: 0 (the
 	// default) executes received bursts inline in the sender's goroutine;
 	// N > 0 runs N of the same lanes as RSS-steered workers behind rings.
@@ -216,12 +211,11 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	clock := &execenv.VirtualClock{}
 	deps := compute.Deps{
-		NFs:              nf.DefaultRegistry(),
-		Images:           store,
-		Resources:        pool,
-		Model:            model,
-		Clock:            clock,
-		StartupWallScale: cfg.StartupWallScale,
+		NFs:       nf.DefaultRegistry(),
+		Images:    store,
+		Resources: pool,
+		Model:     model,
+		Clock:     clock,
 	}
 	nnfMgr := nnf.NewManager(nnf.Builtins(), netns.NewRegistry(), model, clock)
 	cmgr := compute.NewManager()
@@ -249,7 +243,6 @@ func NewNode(cfg Config) (*Node, error) {
 		Resources:         pool,
 		Repo:              repository.Default(),
 		Compute:           cmgr,
-		Clock:             clock,
 		Model:             &model,
 		Policy:            pol,
 		MaxParallelStarts: cfg.MaxParallelStarts,
