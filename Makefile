@@ -137,6 +137,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 30s ./internal/openflow
 	$(GO) test -run '^$$' -fuzz '^FuzzNewPacket$$' -fuzztime 30s ./internal/pkt
 	$(GO) test -run '^$$' -fuzz '^FuzzVLANTag$$' -fuzztime 30s ./internal/pkt
+	$(GO) test -run '^$$' -fuzz '^FuzzVLANEdit$$' -fuzztime 30s ./internal/pkt
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphJSON$$' -fuzztime 30s ./internal/nffg
 	$(GO) test -run '^$$' -fuzz '^FuzzDeploymentRecord$$' -fuzztime 30s ./internal/global
 	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesEncodingJSON$$' -fuzztime 30s ./internal/jsonw

@@ -66,13 +66,14 @@ func printAblations(packets int) error {
 	}
 	fmt.Println()
 
-	fmt.Println("A2: single-interface adaptation layer overhead (measured, wall clock)")
+	fmt.Println("A2: single-interface adaptation layer overhead (measured: wall clock, heap allocations)")
 	ad, err := bench.AdaptationLayer(packets)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%12s  %.0f ns/pkt\n%12s  %.0f ns/pkt\n\n",
-		"direct", ad.DirectNsPerPkt, "adapted", ad.AdaptedNsPerPkt)
+	fmt.Printf("%12s  %8s  %10s  %9s\n", "", "ns/pkt", "allocs/pkt", "bytes/pkt")
+	fmt.Printf("%12s  %8.0f  %10.2f  %9.0f\n", "direct", ad.DirectNsPerPkt, ad.DirectAllocsPerPkt, ad.DirectBytesPerPkt)
+	fmt.Printf("%12s  %8.0f  %10.2f  %9.0f\n\n", "adapted", ad.AdaptedNsPerPkt, ad.AdaptedAllocsPerPkt, ad.AdaptedBytesPerPkt)
 
 	fmt.Println("A3: packet path sweep, modelled Mbps (IPsec workload)")
 	fmt.Printf("%8s  %8s  %8s  %8s  %8s\n", "frame B", "native", "docker", "vm", "dpdk")

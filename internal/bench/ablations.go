@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	un "repro"
@@ -90,10 +91,11 @@ func firewallTenants(tech un.Technology, tenants, packets int) (ramMB, mbps floa
 }
 
 // AdaptationResult compares a directly-attached two-port NF against the
-// same NF behind the single-interface adaptation layer (experiment A2).
+// same NF behind the single-interface adaptation layer (experiment A2): wall
+// time, which is weather, and heap allocations and bytes, which are exact.
 type AdaptationResult struct {
-	DirectNsPerPkt  float64
-	AdaptedNsPerPkt float64
+	DirectNsPerPkt, DirectAllocsPerPkt, DirectBytesPerPkt    float64
+	AdaptedNsPerPkt, AdaptedAllocsPerPkt, AdaptedBytesPerPkt float64
 }
 
 // AdaptationLayer runs experiment A2 on raw runtimes (no orchestrator), so
@@ -101,7 +103,7 @@ type AdaptationResult struct {
 func AdaptationLayer(packets int) (AdaptationResult, error) {
 	var res AdaptationResult
 
-	run := func(rt *nf.Runtime, vlan uint16) (float64, error) {
+	run := func(rt *nf.Runtime, vlan uint16) (ns, allocs, bytes float64, err error) {
 		// The loop drains after every send, so a short queue holds all
 		// that is ever in flight. Keep it short: a 16 384-slot queue is
 		// 512 KB, and the collection the harness's allocations start
@@ -111,11 +113,11 @@ func AdaptationLayer(packets int) (AdaptationResult, error) {
 		rx := netdev.NewPortQueueLen("rx", 64)
 		single := rt.NumPorts() == 1
 		if err := netdev.Connect(tx, rt.Port(0)); err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
 		if !single {
 			if err := netdev.Connect(rx, rt.Port(1)); err != nil {
-				return 0, err
+				return 0, 0, 0, err
 			}
 		}
 		collect := rx
@@ -124,13 +126,18 @@ func AdaptationLayer(packets int) (AdaptationResult, error) {
 		}
 		frame, err := measure.Spec{FrameSize: 1500, VLANID: vlan}.Frame()
 		if err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
-		start := time.Now()
-		got := 0
-		for i := 0; i < packets; i++ {
+		var before, after runtime.MemStats
+		start, got := time.Now(), 0
+		for i := 0; i <= packets; i++ {
+			if i == 1 {
+				// Frame 0 makes the emission buffer and the port queue.
+				runtime.ReadMemStats(&before)
+				start, got = time.Now(), 0
+			}
 			if err := tx.Send(netdev.Frame{Data: frame}); err != nil {
-				return 0, err
+				return 0, 0, 0, err
 			}
 			for {
 				if _, ok := collect.TryRecv(); !ok {
@@ -140,10 +147,13 @@ func AdaptationLayer(packets int) (AdaptationResult, error) {
 			}
 		}
 		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
 		if got == 0 {
-			return 0, fmt.Errorf("bench: adaptation run forwarded nothing")
+			return 0, 0, 0, fmt.Errorf("bench: adaptation run forwarded nothing")
 		}
-		return float64(elapsed.Nanoseconds()) / float64(got), nil
+		n := float64(got)
+		return float64(elapsed.Nanoseconds()) / n, float64(after.Mallocs-before.Mallocs) / n,
+			float64(after.TotalAlloc-before.TotalAlloc) / n, nil
 	}
 
 	model := execenv.Default()
@@ -156,7 +166,7 @@ func AdaptationLayer(packets int) (AdaptationResult, error) {
 	direct := nf.NewRuntime("direct", nf.NewFirewall(), envD, 2)
 	direct.Start()
 	defer direct.Stop()
-	res.DirectNsPerPkt, err = run(direct, 0)
+	res.DirectNsPerPkt, res.DirectAllocsPerPkt, res.DirectBytesPerPkt, err = run(direct, 0)
 	if err != nil {
 		return res, err
 	}
@@ -174,7 +184,7 @@ func AdaptationLayer(packets int) (AdaptationResult, error) {
 	adapted := nf.NewRuntime("adapted", ad, envA, 1)
 	adapted.Start()
 	defer adapted.Stop()
-	res.AdaptedNsPerPkt, err = run(adapted, 3000)
+	res.AdaptedNsPerPkt, res.AdaptedAllocsPerPkt, res.AdaptedBytesPerPkt, err = run(adapted, 3000)
 	return res, err
 }
 

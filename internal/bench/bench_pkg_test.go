@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -118,6 +119,17 @@ func TestAdaptationLayerAblation(t *testing.T) {
 	// (it adds a demux map lookup and one frame retag copy).
 	if d, a := direct[runs/2], adapted[runs/2]; a > d*6 {
 		t.Errorf("adaptation overhead too large: median %.0f vs %.0f ns/pkt over %d runs", a, d, runs)
+	}
+	// Counts are exact: the retag copy is the one allocation the adapter
+	// adds per frame. Whole allocations per frame are compared, as
+	// testing.AllocsPerRun does, since the counters are process-wide.
+	res, err := AdaptationLayer(500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Floor(res.AdaptedAllocsPerPkt) > math.Floor(res.DirectAllocsPerPkt)+1 {
+		t.Errorf("adapted %.2f allocs per frame, direct %.2f: the adapter may add only its retag copy",
+			res.AdaptedAllocsPerPkt, res.DirectAllocsPerPkt)
 	}
 }
 

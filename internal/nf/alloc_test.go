@@ -17,7 +17,8 @@ import (
 // nonce in that frame's tailroom, so a Process call allocates only its
 // Emissions slice. The caller recycles every frame it gets back, as
 // nf.Runtime does, so a pooled output costs nothing. A per-packet
-// pkt.NewPacket or pkt.Serialize puts the count well over the ceiling.
+// pkt.NewPacket or pkt.Serialize puts the count well over the ceiling. Over
+// an emission buffer the caller reuses, ProcessInto allocates nothing.
 func TestProcessAllocCeilings(t *testing.T) {
 	const runs = 200
 	left, right := gatewayPair(t)
@@ -85,6 +86,35 @@ func TestProcessAllocCeilings(t *testing.T) {
 			})
 			if allocs > ceiling {
 				t.Errorf("%.0f allocs per Process, ceiling %d", allocs, ceiling)
+			}
+			if g.name == "ipsec-decap" {
+				// ProcessInto below needs sequence numbers of its own.
+				for j := range sealed {
+					res, err := left.Process(IPsecPortPlain, plain)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sealed[j] = res.Emissions[0].Frame
+				}
+				i = 0
+			}
+			// ProcessInto over a reused buffer: the Emissions slice is gone
+			// too, as on nf.Runtime's path.
+			into := g.proc.(IntoProcessor)
+			out := make([]Emission, 0, 1)
+			allocs = testing.AllocsPerRun(runs, func() {
+				in := g.frame(i)
+				i++
+				res, err := into.ProcessInto(g.port, in, out[:0])
+				if err != nil || len(res.Emissions) != 1 {
+					t.Fatalf("call %d: %d emissions, error %v", i, len(res.Emissions), err)
+				}
+				if f := res.Emissions[0].Frame; !sameMemory(f, in) {
+					pkt.PutBuffer(f)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%.0f allocs per ProcessInto over a reused buffer, want 0", allocs)
 			}
 		})
 	}

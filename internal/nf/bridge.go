@@ -58,6 +58,11 @@ func (b *Bridge) Lookup(mac pkt.MAC) (int, bool) {
 
 // Process implements Processor.
 func (b *Bridge) Process(inPort int, frame []byte) (Result, error) {
+	return b.ProcessInto(inPort, frame, nil)
+}
+
+// ProcessInto implements IntoProcessor.
+func (b *Bridge) ProcessInto(inPort int, frame []byte, out []Emission) (Result, error) {
 	if inPort < 0 || inPort >= b.nPorts {
 		return Result{}, fmt.Errorf("nf: bridge has no port %d", inPort)
 	}
@@ -80,11 +85,10 @@ func (b *Bridge) Process(inPort int, frame []byte) (Result, error) {
 			if port == inPort {
 				return Result{}, nil // already on the right segment
 			}
-			return Result{Emissions: []Emission{{Port: port, Frame: frame}}}, nil
+			return Result{Emissions: append(out, Emission{Port: port, Frame: frame})}, nil
 		}
 	}
 	// Flood.
-	var out []Emission
 	for p := 0; p < b.nPorts; p++ {
 		if p != inPort {
 			out = append(out, Emission{Port: p, Frame: frame})

@@ -282,6 +282,11 @@ func (f *Firewall) numPaths() int {
 
 // Process implements Processor.
 func (f *Firewall) Process(inPort int, frame []byte) (Result, error) {
+	return f.ProcessInto(inPort, frame, nil)
+}
+
+// ProcessInto implements IntoProcessor.
+func (f *Firewall) ProcessInto(inPort int, frame []byte, out []Emission) (Result, error) {
 	if inPort != 0 && inPort != 1 {
 		return Result{}, fmt.Errorf("nf: firewall has no port %d", inPort)
 	}
@@ -291,7 +296,7 @@ func (f *Firewall) Process(inPort int, frame []byte) (Result, error) {
 	h.decode(frame)
 	if !h.hasIP {
 		// Non-IP (ARP etc.) passes: iptables only sees IP.
-		return Result{Emissions: []Emission{{Port: outPort, Frame: frame}}}, nil
+		return Result{Emissions: append(out, Emission{Port: outPort, Frame: frame})}, nil
 	}
 	tuple := FlowTuple{Proto: h.ip.Protocol, Src: h.ip.SrcIP, Dst: h.ip.DstIP, SrcPort: h.srcPort, DstPort: h.dstPort}
 
@@ -333,7 +338,7 @@ func (f *Firewall) Process(inPort int, frame []byte) (Result, error) {
 	if verdict == VerdictDrop {
 		return Result{}, nil
 	}
-	return Result{Emissions: []Emission{{Port: outPort, Frame: frame}}}, nil
+	return Result{Emissions: append(out, Emission{Port: outPort, Frame: frame})}, nil
 }
 
 // ExportFlowState implements StatefulNF: one entry per tracked connection,

@@ -220,17 +220,22 @@ func (g *IPsec) DropFlowState(filter func(FlowTuple) bool) {
 
 // Process implements Processor.
 func (g *IPsec) Process(inPort int, frame []byte) (Result, error) {
+	return g.ProcessInto(inPort, frame, nil)
+}
+
+// ProcessInto implements IntoProcessor.
+func (g *IPsec) ProcessInto(inPort int, frame []byte, emit []Emission) (Result, error) {
 	switch inPort {
 	case IPsecPortPlain:
-		return g.encap(frame)
+		return g.encap(frame, emit)
 	case IPsecPortEncrypted:
-		return g.decap(frame)
+		return g.decap(frame, emit)
 	default:
 		return Result{}, fmt.Errorf("nf: ipsec has no port %d", inPort)
 	}
 }
 
-func (g *IPsec) encap(frame []byte) (Result, error) {
+func (g *IPsec) encap(frame []byte, emit []Emission) (Result, error) {
 	var eth pkt.Ethernet
 	if err := eth.DecodeFromBytes(frame); err != nil {
 		return Result{}, err
@@ -249,12 +254,12 @@ func (g *IPsec) encap(frame []byte) (Result, error) {
 	outEth := pkt.Ethernet{SrcMAC: g.gwMAC, DstMAC: g.peerMAC, EthernetType: pkt.EthernetTypeIPv4}
 	outEth.PutHeader(out)
 	return Result{
-		Emissions:   []Emission{{Port: IPsecPortEncrypted, Frame: out}},
+		Emissions:   append(emit, Emission{Port: IPsecPortEncrypted, Frame: out}),
 		CryptoBytes: len(innerIP),
 	}, nil
 }
 
-func (g *IPsec) decap(frame []byte) (Result, error) {
+func (g *IPsec) decap(frame []byte, emit []Emission) (Result, error) {
 	var eth pkt.Ethernet
 	if err := eth.DecodeFromBytes(frame); err != nil {
 		return Result{}, err
@@ -286,7 +291,7 @@ func (g *IPsec) decap(frame []byte) (Result, error) {
 	outEth := pkt.Ethernet{SrcMAC: g.lanMAC, DstMAC: g.hostMAC, EthernetType: pkt.EthernetTypeIPv4}
 	outEth.PutHeader(out)
 	return Result{
-		Emissions:   []Emission{{Port: IPsecPortPlain, Frame: out}},
+		Emissions:   append(emit, Emission{Port: IPsecPortPlain, Frame: out}),
 		CryptoBytes: len(out) - pkt.EthernetHeaderLen,
 	}, nil
 }

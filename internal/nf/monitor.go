@@ -36,6 +36,11 @@ func NewMonitorFromConfig(map[string]string) (Processor, error) {
 
 // Process implements Processor.
 func (m *Monitor) Process(inPort int, frame []byte) (Result, error) {
+	return m.ProcessInto(inPort, frame, nil)
+}
+
+// ProcessInto implements IntoProcessor.
+func (m *Monitor) ProcessInto(inPort int, frame []byte, out []Emission) (Result, error) {
 	if inPort != 0 && inPort != 1 {
 		return Result{}, fmt.Errorf("nf: monitor has no port %d", inPort)
 	}
@@ -57,7 +62,7 @@ func (m *Monitor) Process(inPort int, frame []byte) (Result, error) {
 		m.other++
 		m.mu.Unlock()
 	}
-	return Result{Emissions: []Emission{{Port: 1 - inPort, Frame: frame}}}, nil
+	return Result{Emissions: append(out, Emission{Port: 1 - inPort, Frame: frame})}, nil
 }
 
 // Flows returns a snapshot of all flow counters, ordered by descending

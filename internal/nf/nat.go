@@ -205,11 +205,16 @@ func (n *NAT) DropFlowState(filter func(FlowTuple) bool) {
 
 // Process implements Processor.
 func (n *NAT) Process(inPort int, frame []byte) (Result, error) {
+	return n.ProcessInto(inPort, frame, nil)
+}
+
+// ProcessInto implements IntoProcessor.
+func (n *NAT) ProcessInto(inPort int, frame []byte, out []Emission) (Result, error) {
 	switch inPort {
 	case NATPortInside:
-		return n.outbound(frame)
+		return n.outbound(frame, out)
 	case NATPortOutside:
-		return n.inbound(frame)
+		return n.inbound(frame, out)
 	default:
 		return Result{}, fmt.Errorf("nf: nat has no port %d", inPort)
 	}
@@ -253,7 +258,7 @@ func rewrite(h *headers) []byte {
 	return out
 }
 
-func (n *NAT) outbound(frame []byte) (Result, error) {
+func (n *NAT) outbound(frame []byte, out []Emission) (Result, error) {
 	var h headers
 	h.decode(frame)
 	if !h.hasIP || h.l4 == pkt.LayerTypeZero {
@@ -277,10 +282,10 @@ func (n *NAT) outbound(frame []byte) (Result, error) {
 	n.mu.Unlock()
 
 	h.ip.SrcIP, h.srcPort = n.external, ext
-	return Result{Emissions: []Emission{{Port: NATPortOutside, Frame: rewrite(&h)}}}, nil
+	return Result{Emissions: append(out, Emission{Port: NATPortOutside, Frame: rewrite(&h)})}, nil
 }
 
-func (n *NAT) inbound(frame []byte) (Result, error) {
+func (n *NAT) inbound(frame []byte, out []Emission) (Result, error) {
 	var h headers
 	h.decode(frame)
 	if !h.hasIP || h.l4 == pkt.LayerTypeZero || h.ip.DstIP != n.external {
@@ -295,5 +300,5 @@ func (n *NAT) inbound(frame []byte) (Result, error) {
 	}
 
 	h.ip.DstIP, h.dstPort = origin.ip, origin.port
-	return Result{Emissions: []Emission{{Port: NATPortInside, Frame: rewrite(&h)}}}, nil
+	return Result{Emissions: append(out, Emission{Port: NATPortInside, Frame: rewrite(&h)})}, nil
 }

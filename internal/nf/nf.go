@@ -50,6 +50,13 @@ type Processor interface {
 	Process(inPort int, frame []byte) (Result, error)
 }
 
+// IntoProcessor is a Processor whose ProcessInto appends its emissions to
+// out, an empty slice the caller owns and reuses. Every NF here is one.
+type IntoProcessor interface {
+	Processor
+	ProcessInto(inPort int, frame []byte, out []Emission) (Result, error)
+}
+
 // Configurer is implemented by processors that accept configuration updates
 // at runtime (the NF-FG "configuration" section on graph update).
 type Configurer interface {
@@ -78,12 +85,15 @@ type Runtime struct {
 	rx, tx, errs            atomic.Uint64
 	frameBytes, cryptoBytes atomic.Uint64 // with rx, the Counts
 	running                 atomic.Bool
+	into                    IntoProcessor              // proc, when it is one
+	emit                    atomic.Pointer[[]Emission] // receive's emission buffer, swapped out while in use
 }
 
 // NewRuntime creates a runtime with nPorts NF-side ports named
 // "<name>.<i>". The caller connects them to switch ports.
 func NewRuntime(name string, proc Processor, env *execenv.Env, nPorts int) *Runtime {
 	r := &Runtime{name: name, proc: proc, env: env, recycle: pkt.PutBuffer}
+	r.into, _ = proc.(IntoProcessor)
 	for i := 0; i < nPorts; i++ {
 		r.ports = append(r.ports, netdev.NewPort(fmt.Sprintf("%s.%d", name, i)))
 	}
@@ -146,11 +156,20 @@ func (r *Runtime) receive(inPort int, f netdev.Frame) {
 	}
 	r.rx.Add(1)
 	r.frameBytes.Add(uint64(len(f.Data)))
-	res, err := r.proc.Process(inPort, f.Data)
+	var buf *[]Emission
+	var res Result
+	var err error
+	if r.into != nil {
+		if buf = r.emit.Swap(nil); buf == nil {
+			buf = new([]Emission)
+		}
+		res, err = r.into.ProcessInto(inPort, f.Data, (*buf)[:0])
+	} else {
+		res, err = r.proc.Process(inPort, f.Data)
+	}
 	if err != nil {
 		r.errs.Add(1)
-		r.recycle(f.Data)
-		return
+		res = Result{}
 	}
 	if res.CryptoBytes > 0 {
 		r.cryptoBytes.Add(uint64(res.CryptoBytes))
@@ -180,6 +199,13 @@ func (r *Runtime) receive(inPort int, f netdev.Frame) {
 	}
 	if !handedOn {
 		r.recycle(f.Data)
+	}
+	if buf != nil {
+		if cap(res.Emissions) > cap(*buf) {
+			*buf = res.Emissions
+		}
+		clear((*buf)[:cap(*buf)])
+		r.emit.Store(buf)
 	}
 }
 

@@ -2,7 +2,9 @@ package nf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/execenv"
@@ -266,6 +268,95 @@ func TestProcessorsNeverWriteOrRetainInput(t *testing.T) {
 		for _, o := range own {
 			if !bytes.Equal(o[0], o[1]) {
 				t.Errorf("%s port %d: an emission changed when the input was overwritten", c.name, c.port)
+			}
+		}
+	}
+}
+
+// twinInto is an IntoProcessor that emits two frames per input toward the
+// other port: the input itself and a pooled copy with its last byte set.
+type twinInto struct{}
+
+func (p twinInto) Process(inPort int, frame []byte) (Result, error) {
+	return p.ProcessInto(inPort, frame, nil)
+}
+
+func (twinInto) ProcessInto(inPort int, frame []byte, out []Emission) (Result, error) {
+	c := pkt.GetBuffer(len(frame))
+	copy(c, frame)
+	c[len(c)-1] = 1
+	return Result{Emissions: append(out, Emission{Port: 1 - inPort, Frame: frame}, Emission{Port: 1 - inPort, Frame: c})}, nil
+}
+
+// TestRuntimeEmissionBufferUnderReentryAndConcurrency drives one runtime from
+// two goroutines at once, and loops every frame back into it from inside
+// its own send: the peer on port 1 answers the first emission of a frame by
+// sending the next hop's frame into port 1 before the runtime's send
+// returns. A frame is (id, hop, twin). Every id must come out as exactly
+// its four frames — (hop 0, twin 0/1) on port 1 and (hop 1, twin 0/1) on
+// port 0 — so an emission buffer shared by the nested or the concurrent
+// receive shows up as a lost, duplicated or foreign frame.
+func TestRuntimeEmissionBufferUnderReentryAndConcurrency(t *testing.T) {
+	env, err := execenv.New("twin", execenv.FlavorNative, execenv.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime("twin", twinInto{}, env, 2)
+	type key struct {
+		port         int
+		id           uint32
+		hop, twinned byte
+	}
+	var mu sync.Mutex
+	seen := map[key]int{}
+	peers := make([]*netdev.Port, 2)
+	for i := range peers {
+		peers[i] = netdev.NewPort("peer")
+		if err := netdev.Connect(peers[i], rt.Port(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	record := func(port int, f netdev.Frame) key {
+		k := key{port: port, id: binary.BigEndian.Uint32(f.Data), hop: f.Data[4], twinned: f.Data[len(f.Data)-1]}
+		mu.Lock()
+		seen[k]++
+		mu.Unlock()
+		return k
+	}
+	peers[0].SetHandler(func(f netdev.Frame) { record(0, f) })
+	peers[1].SetHandler(func(f netdev.Frame) {
+		if k := record(1, f); k.hop == 0 && k.twinned == 0 {
+			next := pkt.GetBuffer(len(f.Data))
+			copy(next, f.Data)
+			next[4] = 1
+			_ = peers[1].Send(netdev.Frame{Data: next, Hops: f.Hops})
+		}
+	})
+	rt.Start()
+	t.Cleanup(rt.Stop)
+
+	const perSender, senders = 500, 2
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				f := pkt.GetBuffer(64)
+				clear(f)
+				binary.BigEndian.PutUint32(f, uint32(s*perSender+i))
+				_ = peers[0].Send(netdev.Frame{Data: f})
+			}
+		}(s)
+	}
+	wg.Wait()
+	if len(seen) != 4*perSender*senders {
+		t.Errorf("%d distinct frames came out, want %d", len(seen), 4*perSender*senders)
+	}
+	for id := uint32(0); id < perSender*senders; id++ {
+		for _, k := range []key{{1, id, 0, 0}, {1, id, 0, 1}, {0, id, 1, 0}, {0, id, 1, 1}} {
+			if n := seen[k]; n != 1 {
+				t.Fatalf("frame %+v came out %d times, want once", k, n)
 			}
 		}
 	}

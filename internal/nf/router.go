@@ -103,6 +103,11 @@ func (r *Router) lookup(dst pkt.Addr) (Route, bool) {
 
 // Process implements Processor.
 func (r *Router) Process(inPort int, frame []byte) (Result, error) {
+	return r.ProcessInto(inPort, frame, nil)
+}
+
+// ProcessInto implements IntoProcessor.
+func (r *Router) ProcessInto(inPort int, frame []byte, emit []Emission) (Result, error) {
 	var eth pkt.Ethernet
 	if err := eth.DecodeFromBytes(frame); err != nil {
 		return Result{}, err
@@ -140,5 +145,5 @@ func (r *Router) Process(inPort int, frame []byte) (Result, error) {
 	out[ipOff+10] = byte(cks >> 8)
 	out[ipOff+11] = byte(cks)
 
-	return Result{Emissions: []Emission{{Port: rt.Port, Frame: out}}}, nil
+	return Result{Emissions: append(emit, Emission{Port: rt.Port, Frame: out})}, nil
 }

@@ -84,6 +84,11 @@ func (s *Shaper) counters() (passed, dropped uint64) {
 
 // Process implements Processor.
 func (s *Shaper) Process(inPort int, frame []byte) (Result, error) {
+	return s.ProcessInto(inPort, frame, nil)
+}
+
+// ProcessInto implements IntoProcessor.
+func (s *Shaper) ProcessInto(inPort int, frame []byte, out []Emission) (Result, error) {
 	if inPort != 0 && inPort != 1 {
 		return Result{}, fmt.Errorf("nf: shaper has no port %d", inPort)
 	}
@@ -104,5 +109,5 @@ func (s *Shaper) Process(inPort int, frame []byte) (Result, error) {
 	s.tokens -= need
 	s.passed++
 	s.mu.Unlock()
-	return Result{Emissions: []Emission{{Port: 1 - inPort, Frame: frame}}}, nil
+	return Result{Emissions: append(out, Emission{Port: 1 - inPort, Frame: frame})}, nil
 }

@@ -19,7 +19,7 @@ import (
 // emits are re-tagged with the graph's egress mark for that inner port, so
 // the switch can steer them onward and strip the tag.
 type Adapter struct {
-	inner nf.Processor
+	inner nf.IntoProcessor
 
 	mu    sync.RWMutex
 	paths map[uint16]*AdapterPath // by ingress mark
@@ -36,7 +36,7 @@ type AdapterPath struct {
 }
 
 // NewAdapter wraps a processor.
-func NewAdapter(inner nf.Processor) *Adapter {
+func NewAdapter(inner nf.IntoProcessor) *Adapter {
 	return &Adapter{inner: inner, paths: make(map[uint16]*AdapterPath)}
 }
 
@@ -73,6 +73,12 @@ func (a *Adapter) unknownMarkDrops() uint64 { return a.unknownMark.Load() }
 
 // Process implements nf.Processor. The adapter has exactly one port.
 func (a *Adapter) Process(inPort int, frame []byte) (nf.Result, error) {
+	return a.ProcessInto(inPort, frame, nil)
+}
+
+// ProcessInto implements nf.IntoProcessor: the inner NF appends to out, and
+// the adapter filters and retags those emissions where they lie.
+func (a *Adapter) ProcessInto(inPort int, frame []byte, out []nf.Emission) (nf.Result, error) {
 	if inPort != 0 {
 		return nf.Result{}, fmt.Errorf("nnf: adapter has a single interface (port 0), got %d", inPort)
 	}
@@ -88,15 +94,16 @@ func (a *Adapter) Process(inPort int, frame []byte) (nf.Result, error) {
 		a.unknownMark.Add(1)
 		return nf.Result{}, nil
 	}
-	res, err := a.inner.Process(path.InnerPort, frame)
+	res, err := a.inner.ProcessInto(path.InnerPort, frame, out)
 	if err != nil {
 		return nf.Result{}, err
 	}
-	out := nf.Result{CryptoBytes: res.CryptoBytes}
+	kept := res.Emissions[:0]
 	for _, e := range res.Emissions {
 		if e.Port < 0 || e.Port >= len(path.EgressMarks) {
 			continue
 		}
+		// The retag copies: the emission may be the input frame.
 		var f []byte
 		if _, stillTagged := pkt.VLANTag(e.Frame); stillTagged {
 			f = pkt.RetagVLAN(e.Frame, path.EgressMarks[e.Port])
@@ -105,7 +112,8 @@ func (a *Adapter) Process(inPort int, frame []byte) (nf.Result, error) {
 			// packet): push a fresh one.
 			f = pkt.PushVLAN(e.Frame, path.EgressMarks[e.Port])
 		}
-		out.Emissions = append(out.Emissions, nf.Emission{Port: 0, Frame: f})
+		kept = append(kept, nf.Emission{Port: 0, Frame: f})
 	}
-	return out, nil
+	res.Emissions = kept
+	return res, nil
 }

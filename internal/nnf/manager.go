@@ -125,6 +125,9 @@ func (m *Manager) CanAcquire(graphID, name string) bool {
 		return false
 	}
 	t := p.Traits()
+	if adapterMode(t) && m.marks.Available() < graphMarks(t) {
+		return false
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	insts := m.instances[name]
@@ -156,8 +159,6 @@ func (m *Manager) Acquire(graphID, name string, config map[string]string) (*Atta
 		return nil, fmt.Errorf("nnf: graph %q already holds %q", graphID, name)
 	}
 
-	adapterMode := t.Sharable || t.SinglePort
-
 	// Join an existing sharable instance when the instance cap is hit.
 	if t.MaxInstances != 0 && len(insts) >= t.MaxInstances {
 		if !t.Sharable {
@@ -172,6 +173,10 @@ func (m *Manager) Acquire(graphID, name string, config map[string]string) (*Atta
 	proc, err := p.Create(instName, config)
 	if err != nil {
 		return nil, err
+	}
+	into, ok := proc.(nf.IntoProcessor)
+	if adapterMode(t) && !ok {
+		return nil, fmt.Errorf("nnf: %q has no nf.IntoProcessor for the adaptation layer", name)
 	}
 
 	nsName := "nnf-" + instName
@@ -192,8 +197,8 @@ func (m *Manager) Acquire(graphID, name string, config map[string]string) (*Atta
 		proc:       proc,
 		users:      make(map[string]*attachState),
 	}
-	if adapterMode {
-		inst.adapter = NewAdapter(proc)
+	if adapterMode(t) {
+		inst.adapter = NewAdapter(into)
 		inst.Runtime = nf.NewRuntime(instName, inst.adapter, env, 1)
 	} else {
 		inst.Runtime = nf.NewRuntime(instName, proc, env, t.Ports)
@@ -208,7 +213,7 @@ func (m *Manager) Acquire(graphID, name string, config map[string]string) (*Atta
 	inst.Runtime.Start()
 	m.instances[name] = append(m.instances[name], inst)
 
-	if adapterMode {
+	if adapterMode(t) {
 		att, err := m.attachMarksLocked(p, inst, graphID, config)
 		if err != nil {
 			m.destroyLocked(p, inst)
@@ -229,7 +234,7 @@ func (m *Manager) joinLocked(p *Plugin, inst *Instance, graphID string, config m
 // the NNF's internal paths.
 func (m *Manager) attachMarksLocked(p *Plugin, inst *Instance, graphID string, config map[string]string) (*Attachment, error) {
 	t := p.Traits()
-	marks, err := m.marks.AllocN(2 * t.Ports)
+	marks, err := m.marks.AllocN(graphMarks(t))
 	if err != nil {
 		return nil, err
 	}

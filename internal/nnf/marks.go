@@ -72,6 +72,9 @@ func (m *MarkAllocator) Free(mark uint16) {
 	m.free = append(m.free, mark)
 }
 
+// Available returns the number of marks Alloc can still hand out.
+func (m *MarkAllocator) Available() int { return int(MarkPoolEnd-MarkPoolStart) + 1 - m.InUse() }
+
 // InUse returns the number of allocated marks.
 func (m *MarkAllocator) InUse() int {
 	m.mu.Lock()

@@ -188,9 +188,10 @@ func (v *VLAN) SerializeTo(b *SerializeBuffer, _ SerializeOptions) error {
 }
 
 // The frame-level 802.1Q edits below are the one tag encoder of the switch's
-// push/pop actions and the NNF adaptation layer's marks. Each edit returns a
-// fresh frame and leaves its input untouched; a frame the edit does not
-// apply to is returned as is.
+// push/pop actions and the NNF adaptation layer's marks. PushVLAN and
+// RetagVLAN return a fresh frame and leave their input untouched; the
+// InPlace edits rewrite a frame their caller owns, within its capacity, and
+// return it resliced. A frame an edit does not apply to is returned as is.
 
 // VLANTag reads the VLAN ID of the frame's outermost 802.1Q tag; ok is false
 // for an untagged frame or one too short to hold a tag.
@@ -216,17 +217,6 @@ func PushVLAN(frame []byte, id uint16) []byte {
 	return out
 }
 
-// PopVLAN strips the outermost 802.1Q tag of a tagged frame.
-func PopVLAN(frame []byte) []byte {
-	if _, ok := VLANTag(frame); !ok {
-		return frame
-	}
-	out := make([]byte, len(frame)-VLANHeaderLen)
-	copy(out, frame[:12])
-	copy(out[12:], frame[16:])
-	return out
-}
-
 // RetagVLAN rewrites the VLAN ID of a tagged frame's outermost tag, keeping
 // its priority and drop-eligible bits.
 func RetagVLAN(frame []byte, id uint16) []byte {
@@ -237,4 +227,27 @@ func RetagVLAN(frame []byte, id uint16) []byte {
 	copy(out, frame)
 	binary.BigEndian.PutUint16(out[14:16], binary.BigEndian.Uint16(frame[14:16])&0xf000|id&0x0fff)
 	return out
+}
+
+// PushVLANInPlace is PushVLAN within the capacity of a frame the caller
+// owns; a frame without room for the tag (a jumbo frame) gets PushVLAN's copy.
+func PushVLANInPlace(frame []byte, id uint16) []byte {
+	n := len(frame)
+	if n < EthernetHeaderLen || cap(frame)-n < VLANHeaderLen {
+		return PushVLAN(frame, id)
+	}
+	frame = frame[:n+VLANHeaderLen]
+	copy(frame[16:], frame[12:n])
+	binary.BigEndian.PutUint16(frame[12:14], uint16(EthernetTypeVLAN))
+	binary.BigEndian.PutUint16(frame[14:16], id&0x0fff)
+	return frame
+}
+
+// PopVLANInPlace strips the outermost 802.1Q tag of a frame the caller owns.
+func PopVLANInPlace(frame []byte) []byte {
+	if _, ok := VLANTag(frame); !ok {
+		return frame
+	}
+	copy(frame[12:], frame[16:])
+	return frame[:len(frame)-VLANHeaderLen]
 }

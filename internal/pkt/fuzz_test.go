@@ -131,7 +131,7 @@ func FuzzVLANTag(f *testing.F) {
 		orig := bytes.Clone(frame)
 		old, tagged := VLANTag(frame)
 		pushed := PushVLAN(frame, id)
-		popped := PopVLAN(frame)
+		popped := PopVLANInPlace(bytes.Clone(frame))
 		retagged := RetagVLAN(frame, id)
 		if !bytes.Equal(frame, orig) {
 			t.Fatalf("an edit wrote to its input: %x became %x", orig, frame)
@@ -145,7 +145,7 @@ func FuzzVLANTag(f *testing.F) {
 		if got, ok := VLANTag(pushed); !ok || got != id&0x0fff {
 			t.Fatalf("pushed %d, read back %d (tagged %v)", id, got, ok)
 		}
-		if back := PopVLAN(pushed); !bytes.Equal(back, frame) {
+		if back := PopVLANInPlace(pushed); !bytes.Equal(back, frame) {
 			t.Fatalf("pop(push(f)) != f:\n f %x\n   %x", frame, back)
 		}
 		if !tagged {
@@ -164,4 +164,80 @@ func FuzzVLANTag(f *testing.F) {
 			t.Fatalf("retag touched more than the VLAN ID:\n f %x\n   %x", frame, back)
 		}
 	})
+}
+
+// FuzzVLANEdit holds the in-place 802.1Q edits to copying references written
+// out byte by byte: on any frame and ID, with any spare capacity, push and
+// pop in place give the reference's bytes, and the copying PushVLAN and
+// RetagVLAN do too without writing their input. A push with room for the tag
+// stays in the caller's buffer; one without (a jumbo or exact-size frame)
+// leaves that buffer untouched.
+func FuzzVLANEdit(f *testing.F) {
+	spec := FrameSpec{SrcMAC: macA, DstMAC: macB, SrcIP: Addr{10, 0, 0, 1}, DstIP: Addr{10, 0, 0, 2}, SrcPort: 1, DstPort: 2}
+	untagged := MustBuildFrame(spec)
+	spec.VLANID = 100
+	tagged := MustBuildFrame(spec)
+	spec.PayloadLen = 9000
+	jumbo := MustBuildFrame(spec)
+	for _, fr := range [][]byte{untagged, tagged, jumbo, tagged[:EthernetHeaderLen], tagged[:EthernetHeaderLen+VLANHeaderLen], {}} {
+		f.Add(fr, uint16(3000), uint8(0))
+		f.Add(fr, uint16(0xffff), uint8(VLANHeaderLen))
+		f.Add(fr, uint16(7), uint8(255))
+	}
+	f.Fuzz(func(t *testing.T, frame []byte, id uint16, spare uint8) {
+		want := refPushVLAN(frame, id)
+		buf := append(make([]byte, 0, len(frame)+int(spare)), frame...)
+		got := PushVLANInPlace(buf, id)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("push in place (spare %d):\n got %x\nwant %x", spare, got, want)
+		}
+		if len(frame) >= EthernetHeaderLen {
+			if inPlace := int(spare) >= VLANHeaderLen; inPlace != (&got[0] == &buf[:1][0]) {
+				t.Fatalf("spare %d: push stayed in the caller's buffer = %v", spare, !inPlace)
+			}
+			if int(spare) < VLANHeaderLen && !bytes.Equal(buf, frame) {
+				t.Fatal("a push without room wrote to its input")
+			}
+		}
+		orig := bytes.Clone(frame)
+		if c := PushVLAN(frame, id); !bytes.Equal(c, want) {
+			t.Fatalf("copying push:\n got %x\nwant %x", c, want)
+		}
+		if c := RetagVLAN(frame, id); !bytes.Equal(c, refRetagVLAN(frame, id)) {
+			t.Fatalf("copying retag:\n got %x\nwant %x", c, refRetagVLAN(frame, id))
+		}
+		if !bytes.Equal(frame, orig) {
+			t.Fatal("a copying edit wrote to its input")
+		}
+		if p := PopVLANInPlace(bytes.Clone(frame)); !bytes.Equal(p, refPopVLAN(frame)) {
+			t.Fatalf("pop in place:\n got %x\nwant %x", p, refPopVLAN(frame))
+		}
+	})
+}
+
+// refPushVLAN, refPopVLAN and refRetagVLAN are the copying references of the
+// 802.1Q edits, built by concatenation.
+func refPushVLAN(frame []byte, id uint16) []byte {
+	if len(frame) < EthernetHeaderLen {
+		return frame
+	}
+	tag := []byte{0x81, 0x00, byte(id>>8) & 0x0f, byte(id)}
+	return append(append(append([]byte{}, frame[:12]...), tag...), frame[12:]...)
+}
+
+func refPopVLAN(frame []byte) []byte {
+	if len(frame) < EthernetHeaderLen+VLANHeaderLen || frame[12] != 0x81 || frame[13] != 0x00 {
+		return frame
+	}
+	return append(append([]byte{}, frame[:12]...), frame[16:]...)
+}
+
+func refRetagVLAN(frame []byte, id uint16) []byte {
+	if len(frame) < EthernetHeaderLen+VLANHeaderLen || frame[12] != 0x81 || frame[13] != 0x00 {
+		return frame
+	}
+	out := bytes.Clone(frame)
+	out[14] = out[14]&0xf0 | byte(id>>8)&0x0f
+	out[15] = byte(id)
+	return out
 }

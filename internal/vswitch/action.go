@@ -51,7 +51,7 @@ type PushVLANAction struct{ VLANID uint16 }
 func PushVLAN(id uint16) Action { return PushVLANAction{VLANID: id} }
 
 func (a PushVLANAction) apply(sw *Switch, ctx *actionContext) {
-	ctx.data = pkt.PushVLAN(ctx.data, a.VLANID)
+	ctx.tx.pushVLAN(&ctx.data, a.VLANID)
 	ctx.reparse()
 }
 
@@ -64,7 +64,7 @@ type PopVLANAction struct{}
 func PopVLAN() Action { return PopVLANAction{} }
 
 func (a PopVLANAction) apply(sw *Switch, ctx *actionContext) {
-	ctx.data = pkt.PopVLAN(ctx.data)
+	ctx.tx.popVLAN(&ctx.data)
 	ctx.reparse()
 }
 
@@ -77,10 +77,7 @@ type SetEthSrcAction struct{ MAC pkt.MAC }
 func SetEthSrc(m pkt.MAC) Action { return SetEthSrcAction{MAC: m} }
 
 func (a SetEthSrcAction) apply(sw *Switch, ctx *actionContext) {
-	if len(ctx.data) < pkt.EthernetHeaderLen {
-		return
-	}
-	copy(ctx.data[6:12], a.MAC[:])
+	ctx.tx.setMAC(&ctx.data, 6, a.MAC)
 }
 
 func (a SetEthSrcAction) String() string { return "set_dl_src:" + a.MAC.String() }
@@ -92,10 +89,7 @@ type SetEthDstAction struct{ MAC pkt.MAC }
 func SetEthDst(m pkt.MAC) Action { return SetEthDstAction{MAC: m} }
 
 func (a SetEthDstAction) apply(sw *Switch, ctx *actionContext) {
-	if len(ctx.data) < pkt.EthernetHeaderLen {
-		return
-	}
-	copy(ctx.data[0:6], a.MAC[:])
+	ctx.tx.setMAC(&ctx.data, 0, a.MAC)
 }
 
 func (a SetEthDstAction) String() string { return "set_dl_dst:" + a.MAC.String() }

@@ -84,3 +84,38 @@ func TestHitPathZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestEditPathZeroAllocs is the same gate on an entry that edits every frame:
+// push_vlan, set_dl_dst, an output, pop_vlan and a second output. The first
+// edit copies the frame into the burst's pooled edit buffer and the others
+// rewrite it in place, so a tag or MAC edit allocates nothing, inline or
+// behind rings, frame by frame or in bursts.
+func TestEditPathZeroAllocs(t *testing.T) {
+	for _, workers := range laneModes {
+		for _, burstLen := range []int{1, 32} {
+			t.Run(fmt.Sprintf("%dx%d", workers, burstLen), func(t *testing.T) {
+				sw, in := forwardRig(t, workers, false)
+				t.Cleanup(sw.Close)
+				addSink(t, sw, 3)
+				edit := []Action{PushVLAN(100), SetEthDst(macA), Output(3), PopVLAN(), Output(2)}
+				if _, err := sw.SwapFlows(0, []*FlowEntry{{Match: MatchAll(), Actions: edit}}); err != nil {
+					t.Fatal(err)
+				}
+				frames := benchFrames(t, 64, 20000)
+				burst := make([]netdev.Frame, burstLen)
+				sent := sw.PacketsProcessed() + sw.Drops()
+				allocs := testing.AllocsPerRun(200, func() {
+					sendBurst(t, in, burst, frames, int(sent))
+					sent += uint64(burstLen)
+					drain(sw, sent)
+				})
+				if allocs != 0 {
+					t.Errorf("%.0f allocs per burst of %d edited frames, want 0", allocs, burstLen)
+				}
+				if tx := sw.Port(3).Stats().TxPackets; tx < 200*uint64(burstLen) {
+					t.Errorf("port 3 transmitted %d frames, want every edited frame", tx)
+				}
+			})
+		}
+	}
+}

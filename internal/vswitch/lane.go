@@ -288,6 +288,7 @@ func (s *Switch) output(num uint32, ctx *actionContext) {
 // the spare verdict, the published counters (hits and misses only while the
 // cache is enabled).
 func (l *lane) end(s *Switch) {
+	l.tx.release()
 	l.tx.flush()
 	l.flushEntryStats()
 	if l.frames == 0 {

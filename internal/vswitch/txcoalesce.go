@@ -1,6 +1,9 @@
 package vswitch
 
-import "repro/internal/netdev"
+import (
+	"repro/internal/netdev"
+	"repro/internal/pkt"
+)
 
 // TX coalescing: while a lane runs a burst, Output actions do not transmit
 // frame by frame — they append the frame to a per-egress-port batch owned by
@@ -35,6 +38,7 @@ type txCoalescer struct {
 	// sent and flushes count frames and SendBatch calls since the worker
 	// running the lane last moved them into its telemetry (execBurst).
 	sent, flushes uint64
+	edit          []byte // the frame an action list edits: pooled, held for one burst
 }
 
 // add appends one frame for the given egress port. The frame data is copied
@@ -75,4 +79,50 @@ func (t *txCoalescer) flush() {
 		b.port = nil
 	}
 	t.n = 0
+}
+
+// release gives the edit buffer back when the burst ends, before the lane's
+// flush, so the next switch of an inline chain reuses it. add's mid-burst
+// flush keeps it: the current frame's actions may still be editing it.
+func (t *txCoalescer) release() {
+	if t.edit != nil {
+		pkt.PutBuffer(t.edit)
+		t.edit = nil
+	}
+}
+
+// pushVLAN, popVLAN and setMAC edit the frame *data of an action list. The
+// first edit of a list copies the lent frame into the edit buffer (own);
+// later ones rewrite that copy in place.
+func (t *txCoalescer) pushVLAN(data *[]byte, id uint16) {
+	if len(*data) >= pkt.EthernetHeaderLen {
+		*data = pkt.PushVLANInPlace(t.own(*data, pkt.VLANHeaderLen), id)
+	}
+}
+
+func (t *txCoalescer) popVLAN(data *[]byte) {
+	if _, tagged := pkt.VLANTag(*data); tagged {
+		*data = pkt.PopVLANInPlace(t.own(*data, 0))
+	}
+}
+
+// setMAC writes m at off: 0 for the destination MAC, 6 for the source.
+func (t *txCoalescer) setMAC(data *[]byte, off int, m pkt.MAC) {
+	if len(*data) >= pkt.EthernetHeaderLen {
+		*data = t.own(*data, 0)
+		copy((*data)[off:off+6], m[:])
+	}
+}
+
+// own returns the frame in the edit buffer with room for grow more bytes,
+// copying it there unless an earlier edit of its list did.
+func (t *txCoalescer) own(data []byte, grow int) []byte {
+	if len(t.edit) != 0 && &data[0] == &t.edit[0] {
+		return data
+	}
+	if cap(t.edit) < len(data)+grow {
+		pkt.PutBuffer(t.edit)
+		t.edit = pkt.GetBuffer(len(data) + grow)
+	}
+	return t.edit[:copy(t.edit[:cap(t.edit)], data)]
 }
