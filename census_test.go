@@ -1,0 +1,106 @@
+package un_test
+
+import (
+	"bytes"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// nonTestLines is the census of aim 2 (ROADMAP): the non-test lines, as
+// `wc -l` counts them, of the .go files of each directory of the module
+// outside benchmarks/, read when the directory last changed.
+var nonTestLines = map[string]int{
+	".":                       476,
+	"cmd/chaos":               139,
+	"cmd/nfbench":             99,
+	"cmd/nffgctl":             160,
+	"cmd/nodectl":             215,
+	"cmd/un-global":           190,
+	"cmd/un-orchestrator":     70,
+	"examples/availability":   136,
+	"examples/firewall-chain": 93,
+	"examples/hacluster":      180,
+	"examples/intent-config":  103,
+	"examples/ipsec-cpe":      115,
+	"examples/multinode":      175,
+	"examples/multitenant":    95,
+	"examples/quickstart":     74,
+	"examples/reflavor":       148,
+	"examples/scaleout":       205,
+	"internal/bench":          395,
+	"internal/chaos":          1156,
+	"internal/cliutil":        144,
+	"internal/cluster":        2342,
+	"internal/compute":        407,
+	"internal/execenv":        336,
+	"internal/global":         3652,
+	"internal/imagestore":     177,
+	"internal/jsonw":          902,
+	"internal/measure":        337,
+	"internal/netdev":         704,
+	"internal/netns":          201,
+	"internal/nf":             2262,
+	"internal/nffg":           1094,
+	"internal/nnf":            1125,
+	"internal/openflow":       889,
+	"internal/orchestrator":   3181,
+	"internal/pcap":           189,
+	"internal/pkt":            1510,
+	"internal/policy":         278,
+	"internal/repository":     244,
+	"internal/resources":      141,
+	"internal/rest":           957,
+	"internal/telemetry":      725,
+	"internal/vswitch":        2286,
+}
+
+// TestNonTestLinesHoldCensus makes aim 2 a gate: each directory's non-test
+// lines stay within 2 % of their reading in nonTestLines. A change that
+// grows a directory past that raises its reading in the same diff and says
+// why in CHANGES.md; one that deletes code lowers it in the same diff. A
+// directory with Go code and no reading fails.
+func TestNonTestLinesHoldCensus(t *testing.T) {
+	counted := map[string]int{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != "." && (err == nil || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir // a nested module (benchmarks/) or a hidden directory
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		counted[filepath.ToSlash(filepath.Dir(path))] += bytes.Count(src, []byte("\n"))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, n := range counted {
+		reading, ok := nonTestLines[dir]
+		switch slack := reading / 50; {
+		case !ok:
+			t.Errorf("%s: %d non-test lines and no reading in nonTestLines", dir, n)
+		case n > reading+slack:
+			t.Errorf("%s: %d non-test lines, over its reading of %d + 2 %%: raise the reading and say why in CHANGES.md", dir, n, reading)
+		case n < reading-slack:
+			t.Errorf("%s: %d non-test lines, under its reading of %d - 2 %%: lower the reading", dir, n, reading)
+		}
+	}
+	for dir := range nonTestLines {
+		if _, ok := counted[dir]; !ok {
+			t.Errorf("%s has a reading in nonTestLines but no non-test Go code: remove its row", dir)
+		}
+	}
+}

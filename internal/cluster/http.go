@@ -103,14 +103,19 @@ func (p *httpPeer) RequestVote(req VoteRequest) (VoteReply, error) {
 	return reply, err
 }
 
+// Append encodes req from the allocation that holds the reply: the encoder
+// moves its argument to the heap.
 func (p *httpPeer) Append(req AppendRequest) (AppendReply, error) {
-	body, err := encodeAppend(&req)
+	call := &struct {
+		req   AppendRequest
+		reply AppendReply
+	}{req: req}
+	body, err := encodeAppend(&call.req)
 	if err != nil {
 		return AppendReply{}, err
 	}
-	var reply AppendReply
-	err = p.postBody("/v1/cluster/rpc/append", body, &reply)
-	return reply, err
+	err = p.postBody("/v1/cluster/rpc/append", body, &call.reply)
+	return call.reply, err
 }
 
 // RPCHandler serves the peer RPC surface; the REST server mounts it under

@@ -3,11 +3,12 @@ package cluster
 import (
 	"cmp"
 	"encoding/json"
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/jsonw"
 )
 
 // OpKind names one desired-state mutation in the replicated intent log.
@@ -70,6 +71,30 @@ type Snapshot struct {
 	Term uint64 `json:"term,omitempty"`
 	// Records is category → key → record (graphs, nodes, links).
 	Records map[string]map[string]json.RawMessage `json:"records"`
+}
+
+// snapshotSchema is the snapshot's wire form in an append request
+// (wire.go). Its records are read as sub-slices of the request buffer, as
+// op Data is; IntentStore.Restore copies them at that boundary.
+var snapshotSchema = []jsonw.Field[Snapshot]{
+	{Key: "seq", At: func(s *Snapshot) any { return &s.Seq }},
+	{Key: "term", Omit: true, At: func(s *Snapshot) any { return &s.Term }},
+	{Key: "records", Read: func(r *jsonw.Reader, s *Snapshot) { s.Records = jsonw.ReadMap(r, readCategory) },
+		Write: func(w *jsonw.Writer, s *Snapshot) { jsonw.WriteMap(w, s.Records, writeCategory) }},
+}
+
+func readCategory(r *jsonw.Reader) map[string]json.RawMessage {
+	return jsonw.ReadMap(r, func(r *jsonw.Reader) json.RawMessage { return r.Raw() })
+}
+
+func writeCategory(w *jsonw.Writer, records map[string]json.RawMessage) {
+	jsonw.WriteMap(w, records, func(w *jsonw.Writer, rec json.RawMessage) {
+		if len(rec) == 0 {
+			w.Raw("null")
+			return
+		}
+		w.Verbatim(rec)
+	})
 }
 
 // IntentStore is the replicated desired state: the fold of every applied
@@ -330,21 +355,14 @@ func (s *IntentStore) Keys(category string) []string {
 	return keys
 }
 
-// Serialize renders the whole store as canonical JSON: Go's encoder sorts
-// map keys, so two stores holding the same records serialize to identical
-// bytes — the property the promotion-replay test asserts.
+// Serialize renders the whole store as canonical JSON, the wire form of a
+// snapshot of it without a term: map keys are sorted, so two stores holding
+// the same records serialize to identical bytes — the property the
+// promotion-replay test asserts. Nothing in a snapshot fails to encode.
 func (s *IntentStore) Serialize() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, err := json.Marshal(struct {
-		Seq     uint64                                `json:"seq"`
-		Records map[string]map[string]json.RawMessage `json:"records"`
-	}{s.lastApplied, s.records})
-	if err != nil {
-		// Records are json.RawMessage previously validated on ingest;
-		// marshal cannot fail on them.
-		panic(fmt.Sprintf("cluster: serialize intent store: %v", err))
-	}
+	data, _ := jsonw.Encode(snapshotSchema, &Snapshot{Seq: s.lastApplied, Records: s.records})
 	return data
 }
 

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/jsonw"
 )
 
 // MemberKind distinguishes the two populations the membership protocol
@@ -263,19 +265,22 @@ func (p *localPeer) RequestVote(req VoteRequest) (VoteReply, error) {
 // carries it: encoded by the append codec and decoded again on the far
 // side, so tests over LocalNetwork cover what survives the wire (the
 // records replay byte for byte, each op's Data aliases the request buffer
-// the follower decoded).
+// the follower decoded). The request sent and the one received are one
+// allocation, used in turn: the codec moves either to the heap.
 func (p *localPeer) Append(req AppendRequest) (AppendReply, error) {
 	peer, err := p.net.reach(p.from, p.to)
 	if err != nil {
 		return AppendReply{}, err
 	}
-	data, err := encodeAppend(&req)
+	msg := new(AppendRequest)
+	*msg = req
+	data, err := encodeAppend(msg)
 	if err != nil {
 		return AppendReply{}, err
 	}
-	wire, err := decodeAppend(data)
-	if err != nil {
+	*msg = AppendRequest{}
+	if err := jsonw.Decode(data, appendSchema, msg); err != nil {
 		return AppendReply{}, err
 	}
-	return peer.Append(wire)
+	return peer.Append(*msg)
 }

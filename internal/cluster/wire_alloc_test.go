@@ -15,7 +15,7 @@ import (
 // transport allocates: localPeer.Append's encode and decode of a one-op
 // request carrying a 6 KB record. json.Marshal and json.Unmarshal, which
 // carried it before the codec, took 16 allocations and 12.9 KB; the codec
-// reads 7 (the request buffer, the decoder, the ops slice, four strings)
+// reads 7 (the request buffer, the request, the ops slice, four strings)
 // and 6.3 KB. The ceilings are that reading plus 10%.
 func TestAppendWireAllocs(t *testing.T) {
 	const (

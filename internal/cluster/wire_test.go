@@ -15,14 +15,35 @@ import (
 var wireStrings = []string{"", "g1", "svc/chain-6", `"quoted" \back\`, "<script>&</script>", "\b\f\n\r\t\x00\x1f\x7f",
 	"line\u2028para\u2029", "bad \xff utf8 \xe2\x80", "é日本語🙂"}
 
-// randomAppend builds a request as a leader sends it: Data is what
-// json.Marshal writes (compact, HTML-escaped), empty, or absent.
+// randomAppend builds a request as a leader sends it: Data and snapshot
+// records are what json.Marshal writes (compact, HTML-escaped); Data may be
+// empty or absent. A snapshot holds several categories, nil, empty or with
+// several records each.
 func randomAppend(rng *rand.Rand) AppendRequest {
 	pick := func() string { return wireStrings[rng.Intn(len(wireStrings))] }
+	record := func(i int) json.RawMessage {
+		data, err := json.Marshal(map[string]any{pick(): []any{pick(), rng.Float64(), nil, true, map[string]int{pick(): i}}})
+		if err != nil {
+			panic(err)
+		}
+		return data
+	}
 	req := AppendRequest{ClusterID: pick(), Leader: pick(), Term: rng.Uint64() >> rng.Intn(64), CommitSeq: uint64(rng.Intn(1000))}
 	if rng.Intn(8) == 0 {
-		req.Snapshot = &Snapshot{Seq: uint64(rng.Intn(100)), Term: uint64(rng.Intn(3)),
-			Records: map[string]map[string]json.RawMessage{"graphs": {pick(): json.RawMessage(`{"id":"x"}`)}}}
+		req.Snapshot = &Snapshot{Seq: uint64(rng.Intn(100)), Term: uint64(rng.Intn(3))}
+		if n := rng.Intn(4); n > 0 || rng.Intn(2) == 0 {
+			req.Snapshot.Records = make(map[string]map[string]json.RawMessage, n)
+			for c := 0; c < n; c++ {
+				var records map[string]json.RawMessage
+				if k := rng.Intn(4) - 1; k >= 0 {
+					records = make(map[string]json.RawMessage, k)
+					for i := 0; i < k; i++ {
+						records[pick()] = record(i)
+					}
+				}
+				req.Snapshot.Records[pick()] = records
+			}
+		}
 	}
 	n := rng.Intn(4)
 	if n > 0 || rng.Intn(2) == 0 {
@@ -34,11 +55,7 @@ func randomAppend(rng *rand.Rand) AppendRequest {
 		case 0:
 			op.Data = json.RawMessage{}
 		case 1:
-			data, err := json.Marshal(map[string]any{pick(): []any{pick(), rng.Float64(), nil, true, map[string]int{pick(): i}}})
-			if err != nil {
-				panic(err)
-			}
-			op.Data = data
+			op.Data = record(i)
 		}
 		req.Ops[i] = op
 	}
@@ -94,6 +111,7 @@ func FuzzAppendWire(f *testing.F) {
 		`null`, `{}`, `{"ops":null}`, `{"ops":[]}`, `{"ops":[null,{}]}`, `{"ops":[{"data":null}]}`,
 		`{"ops":[{"data": [1, {"a" : 2}] }]}`, `{"snapshot":null}`, `{"snapshot":{}}`, `{"Term":1}`, `{"term":1,"term":2}`,
 		`{"term":-1}`, `{"term":1.0}`, `{"term":18446744073709551616}`, `{"leader":"\ud800"}`, `{"cluster-id":"a"} x`,
+		`{"snapshot":{"records":null}}`, `{"snapshot":{"records":{"graphs":null}}}`, `{"snapshot":{"seq":1,"seq":2}}`,
 	} {
 		f.Add([]byte(s))
 	}

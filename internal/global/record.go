@@ -1,132 +1,79 @@
 package global
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/jsonw"
 	"repro/internal/nffg"
 )
 
-// encodeRecord renders dep as its replicated intent record. The bytes are
-// what json.Marshal(dep) writes, byte for byte (FuzzDeploymentRecord holds
-// it to that): replicas on either side of an upgrade replay each other's
-// log, and equal state must be equal bytes on every replica. The record is
-// written in one pass without reflection, the graphs included, into a fresh
-// slice of exactly its length: the cluster log and store keep the proposer's
-// bytes (so no buffer is reused), and spare capacity would stay live in the
-// replication windows.
-func encodeRecord(dep *deployment) (json.RawMessage, error) {
-	m := jsonw.Measuring()
-	writeRecord(&m, dep)
-	if err := m.Err(); err != nil {
-		return nil, err
+// A deployment's replicated intent record is declared once, below: one
+// jsonw table per object, in the order and with the omitempty rules of the
+// types' json tags (Placement has none, so its maps go under their Go
+// names). The bytes encodeRecord writes are what json.Marshal(dep) writes,
+// byte for byte (FuzzDeploymentRecord holds it to that): replicas on
+// either side of an upgrade replay each other's log, and equal state must
+// be equal bytes on every replica.
+var (
+	recordSchema = []jsonw.Field[deployment]{
+		{Key: "desired", Read: func(r *jsonw.Reader, dep *deployment) { dep.Desired = nffg.ReadJSON(r) },
+			Write: func(w *jsonw.Writer, dep *deployment) { nffg.WriteJSON(w, dep.Desired) }},
+		{Key: "subs", Read: func(r *jsonw.Reader, dep *deployment) { dep.Subs = jsonw.ReadMap(r, nffg.ReadJSON) },
+			Write: func(w *jsonw.Writer, dep *deployment) { jsonw.WriteMap(w, dep.Subs, nffg.WriteJSON) }},
+		{Key: "stitches", Read: func(r *jsonw.Reader, dep *deployment) { dep.Stitches = jsonw.ReadArray(r, stitchSchema, nil) },
+			Write: func(w *jsonw.Writer, dep *deployment) { jsonw.WriteArray(w, stitchSchema, dep.Stitches) }},
+		{Key: "placement", Read: func(r *jsonw.Reader, dep *deployment) { jsonw.ReadObject(r, placementSchema, &dep.Placement) },
+			Write: func(w *jsonw.Writer, dep *deployment) { jsonw.WriteObject(w, placementSchema, &dep.Placement) }},
+		{Key: "standby-node", Omit: true, At: func(dep *deployment) any { return &dep.StandbyNode }},
 	}
-	w := jsonw.Appending(make([]byte, 0, m.Len()))
-	writeRecord(&w, dep)
-	return w.Bytes(), w.Err()
-}
+	placementSchema = []jsonw.Field[Placement]{
+		{Key: "NFNode", At: func(p *Placement) any { return &p.NFNode }},
+		{Key: "EPNode", At: func(p *Placement) any { return &p.EPNode }},
+	}
+	stitchSchema = []jsonw.Field[stitch]{
+		{Key: "ep", At: func(s *stitch) any { return &s.EP }},
+		{Key: "src", At: func(s *stitch) any { return &s.Src }},
+		{Key: "dst", At: func(s *stitch) any { return &s.Dst }},
+		{Key: "path", Omit: true, At: func(s *stitch) any { return &s.Path }},
+		{Key: "hops", Read: func(r *jsonw.Reader, s *stitch) { s.Hops = jsonw.ReadArray(r, hopSchema, nil) },
+			Write: func(w *jsonw.Writer, s *stitch) { jsonw.WriteArray(w, hopSchema, s.Hops) }},
+	}
+	hopSchema = []jsonw.Field[stitchHop]{
+		{Key: "link", Read: func(r *jsonw.Reader, h *stitchHop) { jsonw.ReadObject(r, linkSchema, &h.Link) },
+			Write: func(w *jsonw.Writer, h *stitchHop) { jsonw.WriteObject(w, linkSchema, &h.Link) }},
+		{Key: "vlan", At: func(h *stitchHop) any { return &h.VLAN }},
+	}
+	linkSchema = []jsonw.Field[Link]{
+		{Key: "a-node", At: func(l *Link) any { return &l.A }},
+		{Key: "a-if", At: func(l *Link) any { return &l.AIf }},
+		{Key: "b-node", At: func(l *Link) any { return &l.B }},
+		{Key: "b-if", At: func(l *Link) any { return &l.BIf }},
+	}
+)
 
-// writeRecord writes dep's fields in the order, and with the omitempty
-// rules, of its json tags; Placement has none, so its maps go under their
-// Go names.
-func writeRecord(w *jsonw.Writer, dep *deployment) {
-	w.Raw(`{"desired":`)
-	writeGraph(w, dep.Desired)
-	w.Raw(`,"subs":`)
-	if dep.Subs == nil {
-		w.Raw("null")
-	} else {
-		var a [8]string
-		w.Byte('{')
-		for i, node := range jsonw.SortedKeys(a[:0], dep.Subs) {
-			if i > 0 {
-				w.Byte(',')
-			}
-			w.String(node)
-			w.Byte(':')
-			writeGraph(w, dep.Subs[node])
-		}
-		w.Byte('}')
-	}
-	if len(dep.Stitches) > 0 {
-		w.Raw(`,"stitches":[`)
-		for i := range dep.Stitches {
-			if i > 0 {
-				w.Byte(',')
-			}
-			writeStitch(w, &dep.Stitches[i])
-		}
-		w.Byte(']')
-	}
-	w.Raw(`,"placement":{"NFNode":`)
-	w.StringMap(dep.Placement.NFNode)
-	w.Raw(`,"EPNode":`)
-	w.StringMap(dep.Placement.EPNode)
-	w.Byte('}')
-	if dep.StandbyNode != "" {
-		w.Raw(`,"standby-node":`)
-		w.String(dep.StandbyNode)
-	}
-	w.Byte('}')
-}
+// encodeRecord renders dep as its replicated intent record, into a fresh
+// slice of exactly its length: the cluster log and store keep the
+// proposer's bytes (so no buffer is reused), and spare capacity would stay
+// live in the replication windows.
+func encodeRecord(dep *deployment) ([]byte, error) { return jsonw.Encode(recordSchema, dep) }
 
-func writeGraph(w *jsonw.Writer, g *nffg.Graph) {
-	if g == nil {
-		w.Raw("null")
-		return
-	}
-	g.WriteJSON(w)
-}
-
-func writeStitch(w *jsonw.Writer, s *stitch) {
-	w.Raw(`{"ep":`)
-	w.String(s.EP)
-	w.Raw(`,"src":`)
-	w.String(s.Src)
-	w.Raw(`,"dst":`)
-	w.String(s.Dst)
-	if len(s.Path) > 0 {
-		w.Raw(`,"path":[`)
-		for i, node := range s.Path {
-			if i > 0 {
-				w.Byte(',')
-			}
-			w.String(node)
-		}
-		w.Byte(']')
-	}
-	if len(s.Hops) > 0 {
-		w.Raw(`,"hops":[`)
-		for i, h := range s.Hops {
-			if i > 0 {
-				w.Byte(',')
-			}
-			w.Raw(`{"link":{"a-node":`)
-			w.String(h.Link.A)
-			w.Raw(`,"a-if":`)
-			w.String(h.Link.AIf)
-			w.Raw(`,"b-node":`)
-			w.String(h.Link.B)
-			w.Raw(`,"b-if":`)
-			w.String(h.Link.BIf)
-			w.Raw(`},"vlan":`)
-			w.Uint(uint64(h.VLAN))
-			w.Byte('}')
-		}
-		w.Byte(']')
-	}
-	w.Byte('}')
-}
-
-// decodeRecord is the promotion replay's read of one graph record.
-func decodeRecord(id string, data json.RawMessage) (*deployment, error) {
+// decodeRecord is the promotion replay's and the follower's read of one
+// graph record. It reads what json.Unmarshal read into a deployment, to an
+// equal one, but strictly, as the NF-FG is read: a key not exactly one of
+// the schema's, or repeated, is refused. So is a record without a desired
+// graph or with a null subgraph, which no deployment holds.
+func decodeRecord(id string, data []byte) (*deployment, error) {
 	dep := new(deployment)
-	if err := json.Unmarshal(data, dep); err != nil {
+	if err := jsonw.Decode(data, recordSchema, dep); err != nil {
 		return nil, fmt.Errorf("global: graph record %q: %w", id, err)
 	}
 	if dep.Desired == nil {
 		return nil, fmt.Errorf("global: graph record %q has no desired graph", id)
+	}
+	for node, sub := range dep.Subs {
+		if sub == nil {
+			return nil, fmt.Errorf("global: graph record %q has a null subgraph for node %q", id, node)
+		}
 	}
 	if dep.Subs == nil {
 		dep.Subs = make(map[string]*nffg.Graph)

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/nffg"
 )
 
@@ -85,10 +88,13 @@ func TestRecordEncodeMatchesMarshal(t *testing.T) {
 }
 
 // FuzzDeploymentRecord feeds arbitrary bytes to the decode the promotion
-// replay runs on every graph record. Nothing may panic, and a record that
-// decodes must re-encode through encodeRecord to exactly what json.Marshal
-// writes for it. Seeds run under plain `go test`; `make fuzz` fuzzes for
-// real.
+// replay and the follower run on every graph record. Nothing may panic.
+// Whatever decodeRecord accepts, json.Unmarshal accepts too, to an equal
+// deployment once decodeRecord's nil Subs is made empty; decodeRecord may
+// refuse more (a case-folded, repeated or unknown key, a null subgraph). A
+// record that decodes must re-encode through encodeRecord to exactly what
+// json.Marshal writes for it. Seeds run under plain `go test`; `make fuzz`
+// fuzzes for real.
 func FuzzDeploymentRecord(f *testing.F) {
 	for _, dep := range []*deployment{testDeployment(), chainRecord(f)} {
 		data, err := json.Marshal(dep)
@@ -101,10 +107,24 @@ func FuzzDeploymentRecord(f *testing.F) {
 	f.Add([]byte(`{"desired":{"forwarding-graph":{"id":"g"}},"subs":null,"placement":{"NFNode":null,"EPNode":{}}}`))
 	f.Add([]byte(`{"desired":{"forwarding-graph":{"id":"< >"}},"subs":{"n1":null},"stitches":[{"ep":"","src":"","dst":"","hops":[{"link":{"a-node":"a","a-if":"","b-node":"b","b-if":""},"vlan":7}]}],"standby-node":"é"}`))
 	f.Add([]byte(`{"desired":null}`))
+	f.Add([]byte(strings.Replace(recordAtPR16, `"desired"`, `"Desired"`, 1)))
+	f.Add([]byte(strings.Replace(recordAtPR16, `"standby-node":"n3"`, `"standby-node":"n3","standby-node":"n4"`, 1)))
+	f.Add([]byte(strings.Replace(recordAtPR16, `"standby-node"`, `"standby"`, 1)))
+	f.Add([]byte(strings.Replace(recordAtPR16, `"subs":{"n1":`, `"subs":{"n0":null,"n1":`, 1)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dep, err := decodeRecord("g", data)
 		if err != nil {
 			return
+		}
+		var oracle deployment
+		if err := json.Unmarshal(data, &oracle); err != nil {
+			t.Fatalf("decodeRecord accepts what encoding/json refuses (%v): %q", err, data)
+		}
+		if oracle.Subs == nil {
+			oracle.Subs = map[string]*nffg.Graph{}
+		}
+		if !reflect.DeepEqual(dep, &oracle) {
+			t.Fatalf("%q decodes to\n%+v\nencoding/json\n%+v", data, dep, oracle)
 		}
 		got, err := encodeRecord(dep)
 		want, wantErr := json.Marshal(dep)
@@ -115,4 +135,65 @@ func FuzzDeploymentRecord(f *testing.F) {
 			t.Fatalf("encodeRecord differs from json.Marshal:\n got %s\nwant %s", got, want)
 		}
 	})
+}
+
+// TestRecordDecodeIsStrict: a record is read strictly, as the NF-FG is
+// since it left encoding/json: a key in another case, a repeated or an
+// unknown key, and a null subgraph are each refused, where json.Unmarshal
+// took the first three and a promoted replica then panicked on the last.
+// The record they are cut from decodes.
+func TestRecordDecodeIsStrict(t *testing.T) {
+	if _, err := decodeRecord("g1", []byte(recordAtPR16)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ old, new, want string }{
+		{`"desired"`, `"Desired"`, `unknown field "Desired"`},
+		{`"standby-node":"n3"`, `"standby-node":"n3","standby-node":"n4"`, `repeated field "standby-node"`},
+		{`"standby-node"`, `"standby"`, `unknown field "standby"`},
+		{`"subs":{"n1":`, `"subs":{"n0":null,"n1":`, `graph record "g1" has a null subgraph for node "n0"`},
+	} {
+		doc := strings.Replace(recordAtPR16, tc.old, tc.new, 1)
+		if _, err := decodeRecord("g1", []byte(doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one containing %q", tc.new, err, tc.want)
+		}
+	}
+}
+
+// TestNullSubgraphRecordIsNotAdopted: a replicated graph record whose
+// subgraph is null is input from a peer, not a deployment. Neither the
+// promotion replay nor a follower's refresh adopts it: the replay returns
+// the error, the refresh logs it, and the graph is not there to scale.
+func TestNullSubgraphRecordIsNotAdopted(t *testing.T) {
+	dep := testDeployment()
+	dep.Subs["n1"] = nil
+	data, err := encodeRecord(dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := cluster.NewIntentStore()
+	store.Apply(cluster.Op{Seq: 1, Term: 1, Kind: cluster.OpDeploy, Key: "g1", Data: data})
+	const want = `null subgraph for node "n1"`
+
+	promoted := New(Config{Logf: t.Logf})
+	if err := promoted.RestoreIntent(store); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("RestoreIntent: %v, want an error containing %q", err, want)
+	}
+	if _, ok := promoted.Graph("g1"); ok {
+		t.Error("the promotion replay adopted the graph")
+	}
+	if err := promoted.Scale("g1", "nf0", 2); err == nil {
+		t.Error("Scale of the refused graph succeeded")
+	}
+
+	var logged []string
+	follower := New(Config{Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }})
+	follower.SetLeaderGate(func() bool { return false })
+	follower.SetIntentSource(store)
+	follower.ReconcileOnce()
+	if !strings.Contains(strings.Join(logged, "\n"), want) {
+		t.Errorf("the follower's refresh logged %q, want an error containing %q", logged, want)
+	}
+	if _, ok := follower.Graph("g1"); ok {
+		t.Error("the follower's refresh adopted the graph")
+	}
 }

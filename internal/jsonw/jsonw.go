@@ -1,19 +1,19 @@
-// Package jsonw writes and reads JSON by hand on the deploy path, in one
-// pass and without reflection. What it writes is replicated, stored and
-// compared, so it is byte-identical to what encoding/json wrote before:
-// strings escaped HTML-safe as encoding/json escapes them (<, >, &, U+2028
-// and U+2029 as \u escapes, invalid UTF-8 as the escape \ufffd), floats by
-// its 'f'/'e' rule. A Writer either appends or only measures: an encoder
-// runs once over a measuring Writer and once over an appending one whose
-// buffer has exactly the measured capacity, so it allocates its output
-// once. A Reader reads what json.Valid accepts into the caller's model, by
-// the caller's schema.
+// Package jsonw writes and reads JSON on the deploy path, in one pass and
+// without reflection, by schema tables: each wire object is declared once,
+// as a []Field[T] over its model type, and ReadObject and WriteObject both
+// run from that declaration (schema.go). What it writes is replicated,
+// stored and compared, so it is byte-identical to what encoding/json wrote
+// before: strings escaped HTML-safe as encoding/json escapes them (<, >, &,
+// U+2028 and U+2029 as \u escapes, invalid UTF-8 as the escape \ufffd),
+// floats by its 'f'/'e' rule, map keys sorted. A Writer either appends or
+// only measures: Encode runs a table once over a measuring Writer and once
+// over an appending one whose buffer has exactly the measured capacity, so
+// it allocates its output once. A Reader reads what json.Valid accepts.
 package jsonw
 
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -25,6 +25,11 @@ type Writer struct {
 	n       int
 	measure bool
 	err     error
+	// key is the pending member's key, written (after a comma when comma
+	// is set) with the first byte of its value: a value that writes
+	// nothing leaves its member out.
+	key   string
+	comma bool
 }
 
 // Measuring returns a Writer that appends nothing and counts every byte.
@@ -54,8 +59,35 @@ func (w *Writer) Fail(err error) {
 	}
 }
 
+// member writes the pending member's key, if there is one: every write
+// starts here.
+func (w *Writer) member() {
+	if w.key != "" {
+		w.writeKey(w.key, w.comma)
+		w.key = ""
+	}
+}
+
+// writeKey writes a member's key, after a comma if comma is set.
+func (w *Writer) writeKey(key string, comma bool) {
+	open := `"`
+	if comma {
+		open = `,"`
+	}
+	if w.measure {
+		w.n += len(open) + len(key) + len(`":`)
+	} else {
+		w.buf = append(append(append(w.buf, open...), key...), `":`...)
+	}
+}
+
 // Raw writes s as it is: punctuation and keys the caller knows are valid.
+// An empty s writes nothing, not even a pending member's key.
 func (w *Writer) Raw(s string) {
+	if len(s) == 0 {
+		return
+	}
+	w.member()
 	if w.measure {
 		w.n += len(s)
 		return
@@ -63,8 +95,13 @@ func (w *Writer) Raw(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Verbatim writes b as it is: JSON text the caller knows is valid.
+// Verbatim writes b as it is: JSON text the caller knows is valid. An
+// empty b writes nothing, so a member whose value is empty is left out.
 func (w *Writer) Verbatim(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	w.member()
 	if w.measure {
 		w.n += len(b)
 		return
@@ -74,6 +111,7 @@ func (w *Writer) Verbatim(b []byte) {
 
 // Byte writes c as it is.
 func (w *Writer) Byte(c byte) {
+	w.member()
 	if w.measure {
 		w.n++
 		return
@@ -147,22 +185,14 @@ const hex = "0123456789abcdef"
 
 // Int writes v in decimal.
 func (w *Writer) Int(v int64) {
-	if w.measure {
-		var a [20]byte
-		w.n += len(strconv.AppendInt(a[:0], v, 10))
-		return
-	}
-	w.buf = strconv.AppendInt(w.buf, v, 10)
+	var a [20]byte
+	w.Verbatim(strconv.AppendInt(a[:0], v, 10))
 }
 
 // Uint writes v in decimal.
 func (w *Writer) Uint(v uint64) {
-	if w.measure {
-		var a [20]byte
-		w.n += len(strconv.AppendUint(a[:0], v, 10))
-		return
-	}
-	w.buf = strconv.AppendUint(w.buf, v, 10)
+	var a [20]byte
+	w.Verbatim(strconv.AppendUint(a[:0], v, 10))
 }
 
 // Float writes f as encoding/json writes a float64: the shortest 'f' form,
@@ -183,40 +213,9 @@ func (w *Writer) Float(f float64) {
 		b[n-2] = b[n-1]
 		b = b[:n-1]
 	}
-	if w.measure {
-		w.n += len(b)
-		return
-	}
-	w.buf = append(w.buf, b...)
+	w.Verbatim(b)
 }
 
 // StringMap writes m as an object with its keys in order, as encoding/json
 // writes a map[string]string; a nil map is null.
-func (w *Writer) StringMap(m map[string]string) {
-	if m == nil {
-		w.Raw("null")
-		return
-	}
-	var a [16]string
-	w.Byte('{')
-	for i, k := range SortedKeys(a[:0], m) {
-		if i > 0 {
-			w.Byte(',')
-		}
-		w.String(k)
-		w.Byte(':')
-		w.String(m[k])
-	}
-	w.Byte('}')
-}
-
-// SortedKeys appends m's keys to buf and sorts them, the order encoding/json
-// writes a map in. A caller passing a slice of a local array keeps a small
-// map's keys off the heap.
-func SortedKeys[V any](buf []string, m map[string]V) []string {
-	for k := range m {
-		buf = append(buf, k)
-	}
-	slices.Sort(buf)
-	return buf
-}
+func (w *Writer) StringMap(m map[string]string) { WriteMap(w, m, (*Writer).String) }

@@ -23,6 +23,10 @@ type Reader struct {
 	open       bool // an object or array just opened: no comma before its first member
 	err        error
 	last, key  []byte // the key of the member being read, for type errors; a key that was unescaped
+	field      string // the table key of the member ReadObject is reading, for a map's errors
+	// State is the caller's: what the Read funcs of its tables share over
+	// one document beyond the value each fills.
+	State any
 }
 
 // Reading returns a Reader at the start of data.
@@ -135,38 +139,6 @@ func (r *Reader) Key() ([]byte, bool) {
 	r.pos++
 	r.last = key
 	return key, true
-}
-
-// Field is one key of an object schema and how its value is read into a T.
-type Field[T any] struct {
-	Key  string
-	Read func(*Reader, *T)
-}
-
-// ReadObject reads an object into v, each member by the field of its key,
-// and reports whether it was there (null is none). A key not among fields'
-// (matched exactly), or seen twice, fails the reader. At most 64 fields.
-func ReadObject[T any](r *Reader, fields []Field[T], v *T) bool {
-	if !r.Object() {
-		return false
-	}
-	var seen uint64
-	for key, ok := r.Key(); ok; key, ok = r.Key() {
-		i := 0
-		for i < len(fields) && fields[i].Key != string(key) {
-			i++
-		}
-		switch {
-		case i == len(fields):
-			r.Fail(fmt.Errorf("json: unknown field %q", key))
-		case seen&(1<<i) != 0:
-			r.Fail(fmt.Errorf("json: repeated field %q", key))
-		default:
-			seen |= 1 << i
-			fields[i].Read(r, v)
-		}
-	}
-	return true
 }
 
 // kinds names a JSON value by its first byte, for type errors.

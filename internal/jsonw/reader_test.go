@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -158,4 +159,38 @@ func TestReaderDepthLimit(t *testing.T) {
 			t.Errorf("depth %d under two open levels: Raw %v (err %v), json.Valid %v", depth, raw != nil, r.Err(), json.Valid(doc))
 		}
 	}
+}
+
+// TestEncodeDecodeConcurrently: Encode and Decode lend their Writers and
+// Readers out of one shared store; goroutines encoding and decoding at
+// once each get their own and read back what they wrote.
+func TestEncodeDecodeConcurrently(t *testing.T) {
+	type pair struct {
+		id string
+		n  int
+	}
+	schema := []Field[pair]{
+		{Key: "id", At: func(p *pair) any { return &p.id }},
+		{Key: "n", Omit: true, At: func(p *pair) any { return &p.n }},
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				want := pair{id: strconv.Itoa(g), n: i}
+				data, err := Encode(schema, &want)
+				var got pair
+				if err == nil {
+					err = Decode(data, schema, &got)
+				}
+				if err != nil || got != want {
+					t.Errorf("goroutine %d: %s decodes to %+v (err %v), want %+v", g, data, got, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // Wire types mirroring the un-orchestrator's NF-FG JSON schema, the shapes
-// encoding/json encoded and decoded the model through before WriteJSON and
-// UnmarshalJSON read and wrote it by hand. They are the oracle of both:
-// oracleJSON and oracleDecode below.
+// encoding/json encoded and decoded the model through before the schema
+// tables of json.go. They are the oracle of both directions: oracleJSON and
+// oracleDecode below.
 
 type jsonRoot struct {
 	ForwardingGraph jsonGraph `json:"forwarding-graph"`
@@ -234,4 +234,13 @@ func appended[T any](s []T, from int) []T {
 		return nil
 	}
 	return s[from:len(s):len(s)]
+}
+
+// sized returns n zero values, or nil when n is 0: the decoder leaves an
+// empty section nil.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
 }
