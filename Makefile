@@ -126,24 +126,26 @@ chaos:
 	$(GO) run ./cmd/chaos -out chaos-report.json
 
 # Fuzzes every byte boundary for 30 s each, one target at a time (go test
-# -fuzz takes one target per package run). The seeds of these targets also
+# -fuzz takes one target per package run), minimising a new input for at
+# most 5 s so that the time goes to fuzzing (the 60 s default once spent a
+# whole run minimising one record). The seeds of these targets also
 # run under plain `go test`; a failing input lands in the package's
 # testdata/fuzz/ directory, which the nightly job uploads. Every fuzz target
 # of the module needs its line here: TestMakeFuzzRunsEveryTarget fails
 # otherwise.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime 30s ./internal/vswitch
-	$(GO) test -run '^$$' -fuzz '^FuzzIPsecDecap$$' -fuzztime 30s ./internal/nf
-	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 30s ./internal/openflow
-	$(GO) test -run '^$$' -fuzz '^FuzzNewPacket$$' -fuzztime 30s ./internal/pkt
-	$(GO) test -run '^$$' -fuzz '^FuzzVLANTag$$' -fuzztime 30s ./internal/pkt
-	$(GO) test -run '^$$' -fuzz '^FuzzVLANEdit$$' -fuzztime 30s ./internal/pkt
-	$(GO) test -run '^$$' -fuzz '^FuzzGraphJSON$$' -fuzztime 30s ./internal/nffg
-	$(GO) test -run '^$$' -fuzz '^FuzzDeploymentRecord$$' -fuzztime 30s ./internal/global
-	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesEncodingJSON$$' -fuzztime 30s ./internal/jsonw
-	$(GO) test -run '^$$' -fuzz '^FuzzReaderMatchesEncodingJSON$$' -fuzztime 30s ./internal/jsonw
-	$(GO) test -run '^$$' -fuzz '^FuzzClusterRPC$$' -fuzztime 30s ./internal/cluster
-	$(GO) test -run '^$$' -fuzz '^FuzzAppendWire$$' -fuzztime 30s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzExtractKey$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/vswitch
+	$(GO) test -run '^$$' -fuzz '^FuzzIPsecDecap$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/nf
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/openflow
+	$(GO) test -run '^$$' -fuzz '^FuzzNewPacket$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/pkt
+	$(GO) test -run '^$$' -fuzz '^FuzzVLANTag$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/pkt
+	$(GO) test -run '^$$' -fuzz '^FuzzVLANEdit$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/pkt
+	$(GO) test -run '^$$' -fuzz '^FuzzGraphJSON$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/nffg
+	$(GO) test -run '^$$' -fuzz '^FuzzDeploymentRecord$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/global
+	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesEncodingJSON$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/jsonw
+	$(GO) test -run '^$$' -fuzz '^FuzzReaderMatchesEncodingJSON$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/jsonw
+	$(GO) test -run '^$$' -fuzz '^FuzzClusterRPC$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendWire$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/cluster
 
 examples-smoke:
 	@for d in examples/*/; do \

@@ -10,9 +10,9 @@
 //	nffgctl [-server ...] status
 //
 // nffgctl speaks the versioned /v1 API surface. With -dry-run, deploy
-// validates and admission-checks the graph (including replica resource
-// demand) on the server and prints the would-be placement without
-// mutating anything.
+// validates and admission-checks the graph on the server (replicas and
+// standby, none for a shared-NNF join, running NFs as they run) and
+// prints the would-be placement without mutating anything.
 package main
 
 import (

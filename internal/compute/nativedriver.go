@@ -61,6 +61,17 @@ func (d *nativeDriver) Available(graphID string, tpl *repository.Template) bool 
 	return d.mgr.CanAcquire(graphID, tpl.Name)
 }
 
+// Shares answers, touching nothing, how an instance Start gives a graph
+// comes up: shared (one adapted port reached by marks) and, if so, whether
+// it joins a running instance, which Start charges nothing.
+func (d *nativeDriver) Shares(tpl *repository.Template) (shared, joins bool) {
+	t, known := d.mgr.Available(tpl.Name)
+	if !known || !t.Adapted() {
+		return false, false
+	}
+	return true, len(d.mgr.Instances(tpl.Name)) > 0
+}
+
 // grantOwner is the resource-ledger owner of a (possibly shared) NNF
 // instance: the grant belongs to the instance, not to the graphs using it.
 func grantOwner(instanceName string) string { return "nnf:" + instanceName }

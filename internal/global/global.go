@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/jsonw"
 	"repro/internal/nffg"
 	"repro/internal/policy"
 	"repro/internal/repository"
@@ -289,7 +290,7 @@ func (o *Orchestrator) Link(aNode, aIf, bNode, bIf string) error {
 			}
 		}
 		o.links = append(o.links, l)
-		if data, err := json.Marshal(l); err == nil {
+		if data, err := jsonw.Encode(linkSchema, &l); err == nil {
 			o.propose(cluster.OpLinkAdd, l.key(), data)
 		}
 		return nil

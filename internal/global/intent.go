@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/jsonw"
 	"repro/internal/telemetry"
 )
 
@@ -215,10 +216,11 @@ func restoreMember(resolver NodeResolver, name string, raw json.RawMessage) (*me
 	return &member{node: n, alive: true, last: Status{Name: name}}, nil
 }
 
-// decodeLink decodes one replicated link record.
+// decodeLink decodes one replicated link record by linkSchema: strictly,
+// as every record is read.
 func decodeLink(key string, raw json.RawMessage) (Link, error) {
 	var l Link
-	if err := json.Unmarshal(raw, &l); err != nil {
+	if err := jsonw.Decode(raw, linkSchema, &l); err != nil {
 		return Link{}, fmt.Errorf("global: link record %q: %w", key, err)
 	}
 	return l, nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/jsonw"
 	"repro/internal/nffg"
 )
 
@@ -195,5 +196,39 @@ func TestNullSubgraphRecordIsNotAdopted(t *testing.T) {
 	}
 	if _, ok := follower.Graph("g1"); ok {
 		t.Error("the follower's refresh adopted the graph")
+	}
+}
+
+// TestLinkRecordMatchesEncodingJSON: a replicated link record is written by
+// linkSchema byte for byte as encoding/json writes a Link (whose tags the
+// REST listing still uses), reads back equal, and is read strictly.
+func TestLinkRecordMatchesEncodingJSON(t *testing.T) {
+	for _, l := range []Link{
+		{A: "n1", AIf: "trunk", B: "n2", BIf: "trunk"},
+		{A: "edge-α", AIf: "eth<0>", B: `"quoted"`, BIf: ""},
+		{},
+	} {
+		got, err := jsonw.Encode(linkSchema, &l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("linkSchema writes %s, encoding/json %s", got, want)
+		}
+		if back, err := decodeLink("k", got); err != nil || back != l {
+			t.Errorf("%s reads back as %+v, %v", got, back, err)
+		}
+	}
+	for _, tc := range []struct{ doc, want string }{
+		{`{"a-node":"n1","a-if":"x","b-node":"n2","b-if":"y","mtu":1500}`, `unknown field "mtu"`},
+		{`{"a-node":"n1","a-node":"n3","a-if":"x","b-node":"n2","b-if":"y"}`, `repeated field "a-node"`},
+	} {
+		if _, err := decodeLink("k", []byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one containing %q", tc.doc, err, tc.want)
+		}
 	}
 }

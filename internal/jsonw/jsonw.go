@@ -5,10 +5,10 @@
 // stored and compared, so it is byte-identical to what encoding/json wrote
 // before: strings escaped HTML-safe as encoding/json escapes them (<, >, &,
 // U+2028 and U+2029 as \u escapes, invalid UTF-8 as the escape \ufffd),
-// floats by its 'f'/'e' rule, map keys sorted. A Writer either appends or
-// only measures: Encode runs a table once over a measuring Writer and once
-// over an appending one whose buffer has exactly the measured capacity, so
-// it allocates its output once. A Reader reads what json.Valid accepts.
+// floats by its 'f'/'e' rule, map keys sorted. Encode writes a table once,
+// into a buffer its Writers keep between calls, and copies the result out
+// at its exact length, so it allocates its output once. A Reader reads what
+// json.Valid accepts.
 package jsonw
 
 import (
@@ -18,13 +18,11 @@ import (
 	"unicode/utf8"
 )
 
-// Writer appends JSON text to a buffer, or counts the bytes it would append.
-// The first failure (an unencodable value) sticks and is reported by Err.
+// Writer appends JSON text to a buffer. The first failure (an unencodable
+// value) sticks and is reported by Err.
 type Writer struct {
-	buf     []byte
-	n       int
-	measure bool
-	err     error
+	buf []byte
+	err error
 	// key is the pending member's key, written (after a comma when comma
 	// is set) with the first byte of its value: a value that writes
 	// nothing leaves its member out.
@@ -32,21 +30,13 @@ type Writer struct {
 	comma bool
 }
 
-// Measuring returns a Writer that appends nothing and counts every byte.
-func Measuring() Writer { return Writer{measure: true} }
-
 // Appending returns a Writer that appends to b.
 func Appending(b []byte) Writer { return Writer{buf: b} }
 
-// Len is the number of bytes counted so far, or the buffer's length.
-func (w *Writer) Len() int {
-	if w.measure {
-		return w.n
-	}
-	return len(w.buf)
-}
+// Len is the number of bytes written so far.
+func (w *Writer) Len() int { return len(w.buf) }
 
-// Bytes is the buffer written so far; nil for a measuring Writer.
+// Bytes is the buffer written so far.
 func (w *Writer) Bytes() []byte { return w.buf }
 
 // Err is the first failure recorded by Fail or Float.
@@ -74,11 +64,7 @@ func (w *Writer) writeKey(key string, comma bool) {
 	if comma {
 		open = `,"`
 	}
-	if w.measure {
-		w.n += len(open) + len(key) + len(`":`)
-	} else {
-		w.buf = append(append(append(w.buf, open...), key...), `":`...)
-	}
+	w.buf = append(append(append(w.buf, open...), key...), `":`...)
 }
 
 // Raw writes s as it is: punctuation and keys the caller knows are valid.
@@ -88,10 +74,6 @@ func (w *Writer) Raw(s string) {
 		return
 	}
 	w.member()
-	if w.measure {
-		w.n += len(s)
-		return
-	}
 	w.buf = append(w.buf, s...)
 }
 
@@ -102,20 +84,12 @@ func (w *Writer) Verbatim(b []byte) {
 		return
 	}
 	w.member()
-	if w.measure {
-		w.n += len(b)
-		return
-	}
 	w.buf = append(w.buf, b...)
 }
 
 // Byte writes c as it is.
 func (w *Writer) Byte(c byte) {
 	w.member()
-	if w.measure {
-		w.n++
-		return
-	}
 	w.buf = append(w.buf, c)
 }
 

@@ -75,22 +75,26 @@ func WriteObject[T any](w *Writer, fields []Field[T], v *T) {
 }
 
 // Encode writes v as an object by fields into a buffer of exactly its
-// length: the fields are written once to measure and once to append. The
-// tables reach v through func values, so v escapes to the heap: a caller
-// encoding a value of its own stack pays an allocation for it.
+// length: the fields are written once, into the buffer the lent Writer
+// keeps, and copied out. The tables reach v through func values, so v
+// escapes to the heap: a caller encoding a value of its own stack pays an
+// allocation for it.
 func Encode[T any](fields []Field[T], v *T) ([]byte, error) {
 	w := writers.get()
-	defer writers.put(w)
-	*w = Measuring()
+	defer func() {
+		if cap(w.buf) > maxKept {
+			w.buf = nil
+		}
+		writers.put(w)
+	}()
+	*w = Appending(w.buf[:0])
 	WriteObject(w, fields, v)
 	if err := w.Err(); err != nil {
 		return nil, err
 	}
-	*w = Appending(make([]byte, 0, w.Len()))
-	WriteObject(w, fields, v)
-	out, err := w.Bytes(), w.Err()
-	*w = Writer{}
-	return out, err
+	out := make([]byte, len(w.buf))
+	copy(out, w.buf)
+	return out, nil
 }
 
 // Decode reads data, one object, into v by fields; anything but white
@@ -139,6 +143,10 @@ func (s *spares[T]) put(v *T) {
 	s.free = append(s.free, v)
 	s.mu.Unlock()
 }
+
+// maxKept bounds the buffer a lent Writer keeps: a larger one, written for
+// a rare large value, is dropped rather than pinned for good.
+const maxKept = 64 << 10
 
 // ReadArray reads an array of objects by fields into a slice sized by its
 // count, and hands each element to done, if it is not nil, once it is

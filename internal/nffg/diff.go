@@ -40,7 +40,7 @@ func Compute(old, new *Graph) *Diff {
 		switch {
 		case !ok:
 			d.AddedNFs = append(d.AddedNFs, nf)
-		case !nfEqual(prev, nf):
+		case !EqualNF(prev, nf):
 			d.ChangedNFs = append(d.ChangedNFs, nf)
 		}
 		delete(oldNFs, nf.ID)
@@ -98,7 +98,7 @@ func Compute(old, new *Graph) *Diff {
 // field by field. Ids must be unique within each section, as Validate
 // requires.
 func Equal(a, b *Graph) bool {
-	return sameByID(a.NFs, b.NFs, func(n NF) string { return n.ID }, nfEqual) &&
+	return sameByID(a.NFs, b.NFs, func(n NF) string { return n.ID }, EqualNF) &&
 		sameByID(a.Endpoints, b.Endpoints, func(ep Endpoint) string { return ep.ID }, func(x, y Endpoint) bool { return x == y }) &&
 		sameByID(a.Rules, b.Rules, func(r FlowRule) string { return r.ID }, ruleEqual)
 }
@@ -125,7 +125,9 @@ func sameByID[T any](a, b []T, id func(T) string, eq func(x, y T) bool) bool {
 	return true
 }
 
-func nfEqual(a, b NF) bool {
+// EqualNF reports whether two NFs are equal field by field (a nil and an
+// empty Config or Ports are equal).
+func EqualNF(a, b NF) bool {
 	return a.ID == b.ID && a.Name == b.Name && slices.Equal(a.Ports, b.Ports) &&
 		a.TechnologyPreference == b.TechnologyPreference && maps.Equal(a.Config, b.Config) &&
 		a.Replicas == b.Replicas && a.Availability == b.Availability &&

@@ -32,9 +32,9 @@ var graphFields = map[string]fieldRow{
 	"VNFs[].ports[].name":                              {"orchestrator.GraphSpec", "TestDeployGetDeleteOverREST"},
 	"VNFs[].technology-preference":                     {"orchestrator.schedule", "TestDeployIPsecEndToEnd"},
 	"VNFs[].configuration":                             {"orchestrator.launch", "TestDeployIPsecEndToEnd"},
-	"VNFs[].replicas":                                  {"orchestrator.reconcile", "TestDeployHonorsReplicas"},
+	"VNFs[].replicas":                                  {"orchestrator.plan", "TestDeployHonorsReplicas"},
 	"VNFs[].availability":                              {validator, "TestValidateAvailability"},
-	"VNFs[].redundancy":                                {"orchestrator.reconcile", "TestStandbyPromotionUnderTraffic"},
+	"VNFs[].redundancy":                                {"orchestrator.plan", "TestStandbyPromotionUnderTraffic"},
 	"VNFs[].anti_affinity":                             {"global.place", "TestAntiAffinitySpreadsNFs"},
 	"end-points[].id":                                  {"orchestrator.compileMatch", "TestDeployIPsecEndToEnd"},
 	"end-points[].type":                                {"orchestrator.attachEndpoint", "TestInternalEndpointsStitchGraphs"},

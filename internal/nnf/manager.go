@@ -125,7 +125,7 @@ func (m *Manager) CanAcquire(graphID, name string) bool {
 		return false
 	}
 	t := p.Traits()
-	if adapterMode(t) && m.marks.Available() < graphMarks(t) {
+	if t.Adapted() && m.marks.Available() < graphMarks(t) {
 		return false
 	}
 	m.mu.Lock()
@@ -175,7 +175,7 @@ func (m *Manager) Acquire(graphID, name string, config map[string]string) (*Atta
 		return nil, err
 	}
 	into, ok := proc.(nf.IntoProcessor)
-	if adapterMode(t) && !ok {
+	if t.Adapted() && !ok {
 		return nil, fmt.Errorf("nnf: %q has no nf.IntoProcessor for the adaptation layer", name)
 	}
 
@@ -197,7 +197,7 @@ func (m *Manager) Acquire(graphID, name string, config map[string]string) (*Atta
 		proc:       proc,
 		users:      make(map[string]*attachState),
 	}
-	if adapterMode(t) {
+	if t.Adapted() {
 		inst.adapter = NewAdapter(into)
 		inst.Runtime = nf.NewRuntime(instName, inst.adapter, env, 1)
 	} else {
@@ -213,7 +213,7 @@ func (m *Manager) Acquire(graphID, name string, config map[string]string) (*Atta
 	inst.Runtime.Start()
 	m.instances[name] = append(m.instances[name], inst)
 
-	if adapterMode(t) {
+	if t.Adapted() {
 		att, err := m.attachMarksLocked(p, inst, graphID, config)
 		if err != nil {
 			m.destroyLocked(p, inst)

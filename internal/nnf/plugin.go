@@ -45,10 +45,10 @@ type Traits struct {
 	WorkloadRAM uint64
 }
 
-// adapterMode reports whether the NNF serves graphs through the adaptation
+// Adapted reports whether the NNF serves graphs through the adaptation
 // layer, where each graph holds an ingress and an egress mark per port.
-func adapterMode(t Traits) bool { return t.Sharable || t.SinglePort }
-func graphMarks(t Traits) int   { return 2 * t.Ports }
+func (t Traits) Adapted() bool { return t.Sharable || t.SinglePort }
+func graphMarks(t Traits) int  { return 2 * t.Ports }
 
 // PathProgrammer is implemented by processors that support isolated
 // mark-selected internal paths (requirement (ii) of sharability).

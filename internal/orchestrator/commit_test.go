@@ -139,6 +139,12 @@ func TestOnePublishPerOperation(t *testing.T) {
 		t.Errorf("shared-NNF deploy: %d publishes on the graph LSI, want 1", got)
 	}
 	step("shared-NNF undeploy", func() error { return o.Undeploy("g4") }, nil, 0, 3)
+
+	// A replicated deploy launches its whole set before it steers it.
+	step("replicated deploy", func() error { return o.Deploy(natGraph("g5", 3)) }, nil, 0, 2)
+	if got := publishes(lsiOf("g5")); got != 1 {
+		t.Errorf("replicated deploy: %d publishes on the graph LSI, want 1", got)
+	}
 }
 
 // flowDump renders a switch's flow table, counters included.

@@ -132,19 +132,19 @@ const DefaultMaxParallelStarts = 8
 const DefaultDrainTimeout = 250 * time.Millisecond
 
 // launch is the only way an instance comes up: it boots one instance per
-// placement and wires each to the graph. The first active instances rest in
-// the running state; the others are standbys and idle in attaching (wired,
-// never steered at). It has two halves for a reason. Starts are the slow
-// phase (image pull, environment boot) and drivers are concurrency-safe by
-// contract, so they run concurrently, bounded by cfg.MaxParallelStarts,
-// with o.mu released; attaching touches both switches and the node's
-// bookkeeping, so it runs under o.mu. Generated instance names are
-// node-unique (the resource ledger and the image store key by them): an
-// instance replacing another of the same NF never collides with it. On any
-// failure every instance of the batch is stopped and unwired and the first
-// error is returned — the graph never sees a half-launched batch. Callers
-// hold the graph's operation lock and o.mu.
-func (o *Orchestrator) launch(d *DeployedGraph, pls []Placement, active int) ([]*nfAttachment, error) {
+// placement and wires each to the graph. Members rest in the running state;
+// standbys idle in attaching (wired, never steered at). It has two halves
+// for a reason. Starts are the slow phase (image pull, environment boot)
+// and drivers are concurrency-safe by contract, so they run concurrently,
+// bounded by cfg.MaxParallelStarts, with o.mu released; attaching touches
+// both switches and the node's bookkeeping, so it runs under o.mu.
+// Generated instance names are node-unique (the resource ledger and the
+// image store key by them): an instance replacing another of the same NF
+// never collides with it. On any failure every instance of the batch is
+// stopped and unwired and the first error is returned — the graph never
+// sees a half-launched batch. Callers hold the graph's operation lock and
+// o.mu.
+func (o *Orchestrator) launch(d *DeployedGraph, pls []Placement) ([]*nfAttachment, error) {
 	if len(pls) == 0 {
 		return nil, nil
 	}
@@ -215,12 +215,11 @@ func (o *Orchestrator) launch(d *DeployedGraph, pls []Placement, active int) ([]
 		return nil, err
 	}
 	for i, att := range atts {
-		if i < active {
-			o.setState(graphID, pls[i].NF.ID, att, StateRunning)
-		}
 		role := ""
-		if i >= active {
+		if pls[i].Standby {
 			role = " (standby)"
+		} else {
+			o.setState(graphID, pls[i].NF.ID, att, StateRunning)
 		}
 		o.metrics.nfStarts.Inc()
 		o.journal.Recordf(telemetry.EventNFStart, o.cfg.NodeName, graphID,

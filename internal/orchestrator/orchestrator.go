@@ -4,6 +4,14 @@
 // the compute manager's drivers, creates one Logical Switch Instance per
 // graph plus the base LSI-0 classifier, and programs traffic steering
 // through per-LSI OpenFlow controllers.
+//
+// Every change to a deployed graph is one node transition (plan.go): a
+// pure plan(d, g) decides flavours once over the whole graph, the
+// instance sets, the endpoints and the ledger demand, and execute applies
+// it with one undo path. Deploy is the plan from an empty graph, Update
+// and Scale the plan from the deployed one, Plan (the dry-run) the same
+// plan rendered and not executed; a set transition (reflavor, promotion,
+// repair) is an execution with one NF's wanted set.
 package orchestrator
 
 import (
@@ -431,11 +439,10 @@ func (l *lsiConn) freeHeld() {
 	}
 }
 
-// Deploy validates, schedules and instantiates a graph, then programs
-// traffic steering and brings every NF's set to the replica count and
-// redundancy its spec asks for. On any failure the partial deployment is
-// rolled back: a graph that cannot reach its requested scale, or whose
-// standby cannot start, is not deployed at all.
+// Deploy validates, plans and instantiates a graph: a new LSI, then the
+// plan from an empty graph to g (see execute). On any failure nothing of
+// the graph is left: a graph that cannot reach its requested scale, or
+// whose standby cannot start, is not deployed at all.
 func (o *Orchestrator) Deploy(g *nffg.Graph) error {
 	start := time.Now()
 	err := o.deploy(g)
@@ -462,59 +469,32 @@ func (o *Orchestrator) deploy(g *nffg.Graph) error {
 		o.mu.Unlock()
 		return fmt.Errorf("orchestrator: graph %q already deployed (use Update)", g.ID)
 	}
-	placements, err := o.schedule(g)
+	d := &DeployedGraph{
+		Graph: g.Clone(),
+		nfs:   make(map[string]*nfSet),
+		eps:   make(map[string]*epAttachment),
+	}
+	p, err := o.plan(d, d.Graph)
 	if err != nil {
 		o.mu.Unlock()
 		return err
 	}
 	dpid := o.nextDPID()
-	cookie := o.nextCookie()
+	d.cookie = o.nextCookie()
 	o.mu.Unlock()
 
-	lsi, err := newLSIConn(fmt.Sprintf("%s/lsi-%s", o.cfg.NodeName, g.ID), dpid, o.cfg.DatapathWorkers)
-	if err != nil {
+	if d.lsi, err = newLSIConn(fmt.Sprintf("%s/lsi-%s", o.cfg.NodeName, g.ID), dpid, o.cfg.DatapathWorkers); err != nil {
 		return err
 	}
-	lsi.graph = true
-	d := &DeployedGraph{
-		Graph:  g.Clone(),
-		lsi:    lsi,
-		cookie: cookie,
-		nfs:    make(map[string]*nfSet),
-		eps:    make(map[string]*epAttachment),
-	}
+	d.lsi.graph = true
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	// Every NF's first member boots concurrently (the graph lock keeps
-	// same-graph operations out while o.mu is released).
-	atts, err := o.launch(d, placements, len(placements))
-	if err != nil {
-		lsi.close()
-		return err
-	}
-	for i, pl := range placements {
-		d.nfs[pl.NF.ID] = &nfSet{members: []*nfAttachment{atts[i]}}
-	}
-	for _, ep := range g.Endpoints {
-		att, err := o.attachEndpoint(d, ep)
-		if err != nil {
-			o.teardown(d)
-			return err
-		}
-		d.eps[ep.ID] = att
-	}
-	if err := o.program(d); err != nil {
-		o.teardown(d)
-		return err
-	}
-	o.metrics.steeringRules.Add(uint64(len(d.Graph.Rules)))
-	o.journal.Recordf(telemetry.EventFlowMod, o.cfg.NodeName, d.Graph.ID,
-		fmt.Sprintf("%d rules on %s", len(d.Graph.Rules), o.lsiLabel(d.lsi.sw)))
-	if err := o.reconcile(d); err != nil {
-		o.teardown(d)
+	if _, err := o.execute(d, d.Graph, p); err != nil {
+		d.lsi.close()
 		return err
 	}
 	o.graphs[g.ID] = d
+	o.steered(d)
 	return nil
 }
 
@@ -590,7 +570,7 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 // attachEndpoint builds the virtual link between the graph LSI and LSI-0
 // for one endpoint, and commits its LSI-0 classification rules. On any
 // failure its partial state (ports, flows, bookkeeping) is removed before
-// returning, so a failed in-place Update can be retried without leaking.
+// returning.
 func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *epAttachment, err error) {
 	gSide, zSide := netdev.Veth(
 		fmt.Sprintf("%s.%s/vl", d.Graph.ID, ep.ID),
@@ -835,10 +815,10 @@ func (o *Orchestrator) observedRateLocked(id string) float64 {
 	return float64(rx-prev.rx) / now.Sub(prev.at).Seconds()
 }
 
-// Update applies a new version of a deployed graph. NFs and endpoints are
-// diffed individually; steering rules are recompiled wholesale; a changed
-// replica count or redundancy mode is a transition of the NF's set, not a
-// config change.
+// Update applies a new version of a deployed graph: the plan from its
+// deployed version to g (see execute). Running NFs keep their instances and
+// technology; a changed replica count or redundancy mode is a move of the
+// NF's set, not a config change. A failed update leaves the graph as it was.
 func (o *Orchestrator) Update(g *nffg.Graph) error {
 	start := time.Now()
 	err := o.update(g)
@@ -865,144 +845,32 @@ func (o *Orchestrator) update(g *nffg.Graph) error {
 	if !ok {
 		return fmt.Errorf("orchestrator: graph %q not deployed (use Deploy)", g.ID)
 	}
-	diff := nffg.Compute(d.Graph, g)
-	if diff.Empty() {
-		return o.reconcile(d)
-	}
-	// 1. Schedule the added NFs against the deployed spec and launch them;
-	// a failure here has touched nothing.
-	var placements []Placement
-	if len(diff.AddedNFs) > 0 {
-		var err error
-		if placements, err = o.schedule(&nffg.Graph{ID: g.ID, NFs: diff.AddedNFs}); err != nil {
-			return err
-		}
-	}
-	atts, err := o.launch(d, placements, len(placements))
-	if err != nil {
+	if err := o.apply(d, g.Clone()); err != nil {
 		return err
 	}
-	for i, pl := range placements {
-		d.nfs[pl.NF.ID] = &nfSet{members: []*nfAttachment{atts[i]}}
-	}
-	// restarted tracks the NFs this update replaced for a config change; a
-	// failure past this point rolls back exactly what it did — added NFs
-	// are retired, restarted NFs are put back on the previous spec's
-	// configuration — leaving the prior deployment intact.
-	var restarted []string
-	fail := func(err error) error {
-		for _, pl := range placements {
-			o.retire(d, pl.NF.ID)
-		}
-		for _, nfID := range restarted {
-			// d.Graph still holds the pre-update spec here (step 4
-			// restores it before failing).
-			if prev := d.Graph.FindNF(nfID); prev != nil {
-				_ = o.restart(d, *prev)
-			}
-		}
-		if len(restarted) > 0 {
-			// The reinstated instances sit on fresh LSI ports: repoint
-			// the (pre-update) steering at them.
-			_ = o.program(d)
-		}
-		return err
-	}
-	// 2. Changed NFs: reconfigure every instance of the set in place —
-	// members and standby alike — when every instance's driver says how,
-	// otherwise stop and restart the set with the new configuration: a
-	// changed spec must never leave stale config running, in service or
-	// waiting to be promoted into it. The drivers answer before any instance
-	// is touched. The journal records which path each NF took.
-	for _, n := range diff.ChangedNFs {
-		set, exists := d.nfs[n.ID]
-		// A change to the replica count alone is for reconcile below; the
-		// instances keep running.
-		if prev := d.Graph.FindNF(n.ID); !exists || (prev != nil && equalIgnoringReplicas(*prev, n)) {
-			continue
-		}
-		all := set.all()
-		inPlace := make([]func(map[string]string) error, 0, len(all))
-		for _, att := range all {
-			if drv, reg := o.cfg.Compute.Driver(att.inst.Technology); reg {
-				if apply := drv.Reconfigurer(att.inst); apply != nil {
-					inPlace = append(inPlace, apply)
-				}
-			}
-		}
-		if len(inPlace) == len(all) {
-			for _, apply := range inPlace {
-				if err := apply(n.Config); err != nil {
-					return fail(fmt.Errorf("orchestrator: update: reconfiguring %q: %w", n.ID, err))
-				}
-			}
-			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, g.ID,
-				fmt.Sprintf("%s reconfigured in place", n.ID))
-			continue
-		}
-		if err := o.restart(d, n); err != nil {
-			// restart already attempted to restore the previous instances;
-			// only the earlier steps remain to roll back.
-			return fail(fmt.Errorf("orchestrator: update: restarting %q with new config: %w", n.ID, err))
-		}
-		restarted = append(restarted, n.ID)
-		o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, g.ID,
-			fmt.Sprintf("%s restarted (no in-place update path)", n.ID))
-	}
-	// 3. Endpoints: removed ones are detached in place (their LSI-0
-	// classification flows are tagged with a per-endpoint cookie), added
-	// ones attached; a changed endpoint appears in the diff as
-	// removed+added under the same id. The global orchestrator leans on
-	// this when it restitches cross-node links after rescheduling.
-	for _, ep := range diff.RemovedEPs {
-		att, exists := d.eps[ep.ID]
-		if !exists {
-			continue
-		}
-		o.detachEndpoint(d, att)
-		delete(d.eps, ep.ID)
-	}
-	for _, ep := range diff.AddedEPs {
-		// Idempotency: a retry of a partially-failed update finds some
-		// additions already attached; attaching them again would
-		// duplicate LSI-0 state.
-		if existing, dup := d.eps[ep.ID]; dup {
-			if existing.ep == ep {
-				continue
-			}
-			o.detachEndpoint(d, existing)
-			delete(d.eps, ep.ID)
-		}
-		att, err := o.attachEndpoint(d, ep)
-		if err != nil {
-			return fail(fmt.Errorf("orchestrator: update: attaching endpoint %q: %w", ep.ID, err))
-		}
-		d.eps[ep.ID] = att
-	}
-	// 4. Recompile steering against the new spec and commit it as one
-	// table publish: the datapath sees the old complete rule set or the
-	// new one, never the gap in between.
-	oldGraph := d.Graph
-	d.Graph = g.Clone()
-	if err := o.program(d); err != nil {
-		d.Graph = oldGraph
-		return fail(err)
-	}
+	o.steered(d)
+	return nil
+}
+
+// steered accounts a deploy's or an update's steering.
+func (o *Orchestrator) steered(d *DeployedGraph) {
 	o.metrics.steeringRules.Add(uint64(len(d.Graph.Rules)))
-	o.journal.Recordf(telemetry.EventFlowMod, o.cfg.NodeName, g.ID,
-		fmt.Sprintf("%d rules swapped on %s", len(d.Graph.Rules), o.lsiLabel(d.lsi.sw)))
-	// 5. Retire removed NFs last, after steering stopped referencing them,
-	// so their traffic is re-steered before the ports disappear.
-	for _, n := range diff.RemovedNFs {
-		if _, exists := d.nfs[n.ID]; exists {
-			o.retire(d, n.ID)
-		}
+	o.journal.Recordf(telemetry.EventFlowMod, o.cfg.NodeName, d.Graph.ID,
+		fmt.Sprintf("%d rules on %s", len(d.Graph.Rules), o.lsiLabel(d.lsi.sw)))
+}
+
+// apply plans and executes the move of a deployed graph to g, which it
+// takes ownership of. Callers hold the graph's operation lock and o.mu.
+func (o *Orchestrator) apply(d *DeployedGraph, g *nffg.Graph) error {
+	p, err := o.plan(d, g)
+	if err == nil {
+		_, err = o.execute(d, g, p)
 	}
-	return o.reconcile(d)
+	return err
 }
 
 // restart replaces every instance of a changed NF's set with a fresh one
-// running the new configuration: the fallback path of a graph update when
+// running the new configuration: the path of a graph update when
 // in-place reconfiguration is unsupported, and of a repair when nothing
 // survives to take over. The old instances stop before the new ones start
 // — a non-sharable NNF or an exhausted flavor cannot run twice — so the NF
@@ -1028,9 +896,10 @@ func (o *Orchestrator) restart(d *DeployedGraph, n nffg.NF) error {
 			if err != nil {
 				return fmt.Errorf("orchestrator: graph %q: NF %q: %w", d.Graph.ID, n.ID, err)
 			}
+			pl.Standby = i >= size
 			pls[i] = pl
 		}
-		atts, err := o.launch(d, pls, size)
+		atts, err := o.launch(d, pls)
 		if err != nil {
 			return err
 		}
@@ -1061,20 +930,4 @@ func (o *Orchestrator) restart(d *DeployedGraph, n nffg.NF) error {
 		}
 	}
 	return err
-}
-
-// reconcile brings every NF's set in line with the deployed spec: its
-// replica count and whether it keeps a standby. Deploy and Update end with
-// it. Callers hold the graph's operation lock and o.mu.
-func (o *Orchestrator) reconcile(d *DeployedGraph) error {
-	for _, n := range d.Graph.NFs {
-		set, ok := d.nfs[n.ID]
-		if !ok {
-			continue
-		}
-		if err := o.resize(d, n, set, n.Replicas, n.Redundancy == nffg.RedundancyActiveStandby); err != nil {
-			return err
-		}
-	}
-	return nil
 }

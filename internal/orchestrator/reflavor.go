@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/nffg"
@@ -104,8 +105,14 @@ func (o *Orchestrator) reflavor(graphID, nfID string, tech nffg.Technology) (boo
 	if err != nil {
 		return false, fmt.Errorf("orchestrator: reflavor: %w", err)
 	}
-	want := wantedSet{fresh: repeatPlacement(pl, len(set.members)), standby: set.standby != nil}
-	if _, err := o.transition(d, *n, want); err != nil {
+	size := len(set.members)
+	if set.standby != nil {
+		size++
+	}
+	if _, err := shares(graphID, pl, size); err != nil {
+		return false, fmt.Errorf("orchestrator: reflavor: %w", err)
+	}
+	if _, err := o.transition(d, n, nil, slices.Repeat([]Placement{pl}, len(set.members)), set.standby != nil); err != nil {
 		return false, fmt.Errorf("orchestrator: reflavor: %w", err)
 	}
 	return true, nil

@@ -3,7 +3,6 @@ package orchestrator
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"strconv"
 	"time"
 
@@ -32,10 +31,10 @@ func (o *Orchestrator) findSet(graphID, nfID string) (*DeployedGraph, *nffg.NF, 
 	return d, n, set, nil
 }
 
-// Scale reshapes one NF of a deployed graph to the given replica count: a
-// transition that keeps the first members, launches the missing ones in the
-// set's technology or drains the surplus. Per-flow state follows its
-// consistent-hash bucket (see transition).
+// Scale reshapes one NF of a deployed graph to the given replica count: an
+// update of the NF's replicas, which keeps the first members, launches the
+// missing ones in the set's technology or drains the surplus. Per-flow
+// state follows its consistent-hash bucket (see transition).
 func (o *Orchestrator) Scale(graphID, nfID string, replicas int) error {
 	start := time.Now()
 	err := o.scale(graphID, nfID, replicas)
@@ -56,42 +55,13 @@ func (o *Orchestrator) scale(graphID, nfID string, target int) error {
 	defer o.unlockGraph(graphID, gl)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d, n, set, err := o.findSet(graphID, nfID)
+	d, _, _, err := o.findSet(graphID, nfID)
 	if err != nil {
 		return err
 	}
-	return o.resize(d, *n, set, target, set.standby != nil)
-}
-
-// resize moves one NF's set to target members, with or without a standby.
-// Callers hold the graph's operation lock and o.mu.
-func (o *Orchestrator) resize(d *DeployedGraph, n nffg.NF, set *nfSet, target int, standby bool) error {
-	if target < 1 {
-		target = 1
-	}
-	cur := len(set.members)
-	if target == cur && standby == (set.standby != nil) {
-		return nil
-	}
-	want := wantedSet{keep: set.members, standby: standby}
-	if target < cur {
-		want.keep = set.members[:target]
-	} else if target > cur {
-		pl, err := o.placementAs(d.Graph.ID, n, set.members[0].inst.Technology)
-		if err != nil {
-			return fmt.Errorf("orchestrator: resizing %q to %d member(s): %w", n.ID, target, err)
-		}
-		want.fresh = repeatPlacement(pl, target-cur)
-	}
-	moved, err := o.transition(d, n, want)
-	if err != nil {
-		return fmt.Errorf("orchestrator: resizing %q to %d member(s): %w", n.ID, target, err)
-	}
-	if target != cur {
-		o.journal.Recordf(telemetry.EventScale, o.cfg.NodeName, d.Graph.ID,
-			fmt.Sprintf("%s: %d -> %d replicas, %d flows migrated", n.ID, cur, target, moved))
-	}
-	return nil
+	g := d.Graph.Clone()
+	g.FindNF(nfID).Replicas = target
+	return o.apply(d, g)
 }
 
 // Replicas reports how many instances currently serve an NF.
@@ -147,14 +117,11 @@ func (o *Orchestrator) RepairReplicas(graphID, nfID string) (int, error) {
 	if dead == 0 {
 		return len(alive), nil
 	}
-	moved, err := o.transition(d, *n, wantedSet{keep: alive, standby: set.standby != nil})
-	if err != nil {
+	if _, err := o.transition(d, n, alive, nil, set.standby != nil); err != nil {
 		return 0, fmt.Errorf("orchestrator: repair: %w", err)
 	}
+	n.Replicas = len(alive)
 	o.metrics.scales.Inc()
-	o.journal.Recordf(telemetry.EventScale, o.cfg.NodeName, graphID,
-		fmt.Sprintf("%s: %d dead replica(s) re-homed onto %d survivor(s), %d flows salvaged",
-			nfID, dead, len(alive), moved))
 	return len(alive), nil
 }
 
@@ -204,12 +171,4 @@ func (o *Orchestrator) AutoscaleTick() int {
 		}
 	}
 	return done
-}
-
-// equalIgnoringReplicas reports whether two NF specs differ only in their
-// replica count: such a change is a scale operation, not a config change,
-// and must not restart the instances.
-func equalIgnoringReplicas(a, b nffg.NF) bool {
-	b.Replicas = a.Replicas
-	return reflect.DeepEqual(a, b)
 }

@@ -408,16 +408,16 @@ func TestScaleRejectsSharedNNF(t *testing.T) {
 	if err := o.Scale("g", "fw", 2); err == nil {
 		t.Fatal("scaling a shared NNF succeeded, want error")
 	}
-	// Nor can it keep a standby; both refusals are known from the member
-	// alone, before a second instance boots.
+	// Nor can it keep a standby; both refusals are known from the plan,
+	// before any instance boots: g2's member would join the shared one.
 	g2 := firewallGraph("g2", 200, "")
 	g2.NFs[0].TechnologyPreference = nffg.TechAny // the standby could boot as a container
 	g2.NFs[0].Redundancy = nffg.RedundancyActiveStandby
 	if err := o.Deploy(g2); err == nil {
 		t.Fatal("a standby beside a shared NNF accepted, want error")
 	}
-	if got := o.metrics.nfStarts.Value() - starts; got != 1 {
-		t.Errorf("the refusals started %d instance(s), want 1 (g2's member)", got)
+	if got := o.metrics.nfStarts.Value() - starts; got != 0 {
+		t.Errorf("the refusals started %d instance(s), want 0", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package orchestrator
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/compute"
 	"repro/internal/nffg"
@@ -25,6 +24,8 @@ type Placement struct {
 	Template   *repository.Template
 	Technology nffg.Technology
 	Driver     compute.Driver
+	// Standby places the NF's standby rather than a member.
+	Standby bool
 }
 
 // flavorCandidates builds the policy candidates for one NF: every packaged
@@ -63,52 +64,38 @@ func (o *Orchestrator) flavorCandidates(tpl *repository.Template, pref nffg.Tech
 	return cands
 }
 
-// schedule resolves every NF of a graph against the repository (the VNF
-// resolver) and picks an execution technology per NF (the VNF scheduler):
-// the configured placement policy ranks the packaged flavors — by static
+// schedule resolves one NF that is not running against the repository (the
+// VNF resolver) and picks its execution technology (the VNF scheduler): the
+// configured placement policy ranks the packaged flavors — by static
 // preference, capacity fit or modeled cost at the graph's observed traffic
 // rate — and the first ranked flavor whose driver is deployable right now
-// (capability present, NNF not busy: the status check of paper §2) wins.
-// The same policy engine ranks hosting nodes in the global orchestrator.
-// Callers hold o.mu.
-func (o *Orchestrator) schedule(g *nffg.Graph) ([]Placement, error) {
+// (capability present, NNF not busy: the status check of paper §2) wins. A
+// graph attaches to a native function once, so the native flavor is out
+// when count instances would share the placement or when held says the
+// graph holds, or has just placed, that native function. The same policy
+// engine ranks hosting nodes in the global orchestrator. Callers hold o.mu.
+func (o *Orchestrator) schedule(graphID string, n nffg.NF, rate float64, count int, held func(*repository.Template) bool) (Placement, error) {
 	pol := o.cfg.Policy
-	rate := o.observedRateLocked(g.ID)
-	placements := make([]Placement, 0, len(g.NFs))
-	for _, n := range g.NFs {
-		tpl, ok := o.cfg.Repo.Lookup(n.Name)
-		if !ok {
-			return nil, fmt.Errorf("orchestrator: graph %q: NF %q not in repository", g.ID, n.Name)
+	tpl, ok := o.cfg.Repo.Lookup(n.Name)
+	if !ok {
+		return Placement{}, fmt.Errorf("orchestrator: graph %q: NF %q not in repository", graphID, n.Name)
+	}
+	if len(n.Ports) != tpl.Ports {
+		return Placement{}, fmt.Errorf("orchestrator: graph %q: NF %q declares %d ports, template has %d",
+			graphID, n.ID, len(n.Ports), tpl.Ports)
+	}
+	req := policy.Request{GraphID: graphID, NFID: n.ID, RatePPS: rate}
+	for _, c := range pol.Rank(req, o.flavorCandidates(tpl, n.TechnologyPreference)) {
+		if c.Tech == nffg.TechNative && (count > 1 || held(tpl)) {
+			continue
 		}
-		if len(n.Ports) != tpl.Ports {
-			return nil, fmt.Errorf("orchestrator: graph %q: NF %q declares %d ports, template has %d",
-				g.ID, n.ID, len(n.Ports), tpl.Ports)
-		}
-		req := policy.Request{GraphID: g.ID, NFID: n.ID, RatePPS: rate}
-		placed := false
-		for _, c := range pol.Rank(req, o.flavorCandidates(tpl, n.TechnologyPreference)) {
-			// A graph attaches to a native function once: an earlier NF of
-			// this pass that took the template natively holds that
-			// attachment, which the driver cannot see until it launches.
-			if c.Tech == nffg.TechNative && slices.ContainsFunc(placements, func(p Placement) bool {
-				return p.Technology == nffg.TechNative && p.Template == tpl
-			}) {
-				continue
-			}
-			drv, registered := o.cfg.Compute.Driver(c.Tech)
-			if !registered || !drv.Available(g.ID, tpl) {
-				continue
-			}
-			placements = append(placements, Placement{NF: n, Template: tpl, Technology: c.Tech, Driver: drv})
-			placed = true
-			break
-		}
-		if !placed {
-			return nil, fmt.Errorf("orchestrator: graph %q: no deployable flavor for NF %q (preference %q, policy %q)",
-				g.ID, n.ID, n.TechnologyPreference, pol.Name())
+		drv, registered := o.cfg.Compute.Driver(c.Tech)
+		if registered && drv.Available(graphID, tpl) {
+			return Placement{NF: n, Template: tpl, Technology: c.Tech, Driver: drv}, nil
 		}
 	}
-	return placements, nil
+	return Placement{}, fmt.Errorf("orchestrator: graph %q: no deployable flavor for NF %q (preference %q, policy %q)",
+		graphID, n.ID, n.TechnologyPreference, pol.Name())
 }
 
 // placementAs resolves one NF onto a given technology instead of asking the

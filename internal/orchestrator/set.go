@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/nf"
@@ -45,27 +46,11 @@ func (s *nfSet) all() []*nfAttachment {
 	return out
 }
 
-// wantedSet says which instances should serve an NF after a transition.
-// This is all a public verb decides; how the set gets there is transition's
-// business.
-type wantedSet struct {
-	// keep lists the instances of the current set (members, or the standby
-	// being promoted) that are in service afterwards, in member order.
-	keep []*nfAttachment
-	// fresh lists the instances to launch; they follow keep.
-	fresh []Placement
-	// standby asks for a wired-but-unsteered standby next to the members:
-	// the current one stays, a missing (or promoted) one is launched.
-	standby bool
-}
-
-// repeatPlacement wants n instances of one placement.
-func repeatPlacement(pl Placement, n int) []Placement {
-	out := make([]Placement, n)
-	for i := range out {
-		out[i] = pl
-	}
-	return out
+// runsNative reports whether any instance of the set runs natively.
+func (s *nfSet) runsNative() bool {
+	native := func(att *nfAttachment) bool { return att.inst.Technology == nffg.TechNative }
+	return slices.ContainsFunc(s.members, native) || slices.ContainsFunc(s.draining, native) ||
+		s.standby != nil && native(s.standby)
 }
 
 // statefulNF extracts the instance's flow-state interface, if its processor
@@ -210,176 +195,90 @@ func holds(atts []*nfAttachment, att *nfAttachment) bool {
 	return false
 }
 
-// standbyPlacement places the standby of a wanted set. Everything that joins
-// a set after the NF's first launch runs in the set's technology (resize,
-// restart and this); the one exception is a standby whose set's technology
-// cannot host another instance right now — one graph holds a single
-// non-sharable NNF — which goes where the policy puts it: a standby in
-// another technology still beats none. Callers hold o.mu.
-func (o *Orchestrator) standbyPlacement(graphID string, n nffg.NF, want wantedSet) (Placement, error) {
-	var tech nffg.Technology // a wanted set has at least one member
-	if len(want.keep) > 0 {
-		tech = want.keep[0].inst.Technology
-	} else {
-		tech = want.fresh[0].Technology
-	}
-	if pl, err := o.placementAs(graphID, n, tech); err == nil {
-		return pl, nil
-	}
-	pls, err := o.schedule(&nffg.Graph{ID: graphID, NFs: []nffg.NF{n}})
-	if err != nil {
-		return Placement{}, err
-	}
-	return pls[0], nil
+// swap is one NF's member change between the commit that repoints its
+// steering and the end of its drain (steps 5-7 of execute).
+type swap struct {
+	nfID   string
+	set    *nfSet
+	prev   []*nfAttachment // the members before the swap
+	out    []*nfAttachment // the outgoing members
+	assign [vswitch.NumStateBuckets]int
+	moves  bucketMoves
+	moved  int
+	seen   nf.Stats
 }
 
-// transition is the only way an instance enters or leaves the service of a
-// deployed NF. It moves the NF's set to the wanted members make-before-break,
-// so live traffic sees neither a forwarding gap nor a state gap:
-//
-//  1. launch what is missing (fresh members, a standby) while the current
-//     members keep serving;
-//  2. move the per-flow state of the buckets whose owner changes — only
-//     those — from their donor to their new owner;
-//  3. repoint the steering with ONE commit, one table publish: every rule now
-//     outputs to the wanted members, while outgoing members keep the rules
-//     whose ingress is the NF as their drain path;
-//  4. catch-up: re-migrate what raced the swap into a donor;
-//  5. drain: wait for the outgoing members' counters to quiesce;
-//  6. final catch-up, unless no previous member saw a packet since step 4;
-//     then release the migrated state from donors that stay;
-//  7. drop the drain path (a second commit) and detach the outgoing members.
-//
-// A failure in steps 1-3 undoes what was launched and leaves the previous
-// set serving. It returns the number of flow-state entries moved. Callers
-// hold the graph's operation lock and o.mu; o.mu is released while instances
-// boot (step 1) and drain (step 5).
-func (o *Orchestrator) transition(d *DeployedGraph, n nffg.NF, want wantedSet) (int, error) {
-	graphID, set := d.Graph.ID, d.nfs[n.ID]
-	prev := *set
-	promoted := prev.standby != nil && holds(want.keep, prev.standby)
-	arm := want.standby && (prev.standby == nil || promoted)
-	// A shared native NF is one node-wide runtime multiplexed on LSI-0 by
-	// marks: it has no per-instance ports to shard over, and a second
-	// attachment would be the same instance, not a redundant one. For the
-	// instances that stay this is known before anything boots.
-	size := len(want.keep) + len(want.fresh)
-	if want.standby {
-		size++
-	}
-	alone := func(atts []*nfAttachment) error {
-		for _, att := range atts {
-			if att.inst.Shared && size > 1 {
-				return fmt.Errorf("orchestrator: graph %q: NF %q: a shared native instance can only serve alone, not beside %d other instance(s)",
-					graphID, n.ID, size-1)
-			}
-		}
-		return nil
-	}
-	if err := alone(want.keep); err != nil {
-		return 0, err
-	}
-	pls := want.fresh
-	if arm {
-		sb, err := o.standbyPlacement(graphID, n, want)
-		if err != nil {
-			return 0, fmt.Errorf("orchestrator: standby for %q: %w", n.ID, err)
-		}
-		pls = append(pls[:len(pls):len(pls)], sb)
-	}
-	launched, err := o.launch(d, pls, len(want.fresh))
-	if err != nil {
-		return 0, err
-	}
-	undo := func(err error) (int, error) {
-		*set = prev
-		for _, att := range launched {
-			o.detachNF(d, n.ID, att)
-		}
-		return 0, err
-	}
-	if err := alone(launched); err != nil {
-		return undo(err)
-	}
-	next := nfSet{
-		members: append(append([]*nfAttachment(nil), want.keep...), launched[:len(want.fresh)]...),
-		assign:  prev.assign,
-		standby: prev.standby,
-	}
-	switch {
-	case arm:
-		next.standby = launched[len(want.fresh)]
-	case promoted || !want.standby:
-		next.standby = nil
-	}
-	for _, att := range prev.members {
+func (s *swap) migrate(o *Orchestrator, graphID string) int {
+	return o.migrate(graphID, s.nfID, s.moves, s.set.members, &s.assign)
+}
+
+// beginSwap moves the set to next and migrates the state of the buckets
+// that change owner; the members leaving become next's draining. The caller
+// commits the steering; if that fails it restores the set.
+func (o *Orchestrator) beginSwap(d *DeployedGraph, nfID string, set *nfSet, next nfSet) *swap {
+	for _, att := range set.members {
 		if !holds(next.members, att) {
 			next.draining = append(next.draining, att)
 		}
 	}
-	moved := 0
-	if len(next.draining) == 0 && len(next.members) == len(prev.members) {
-		*set = next // same members: only the standby changes
-	} else if moved, err = o.swapMembers(d, n.ID, set, next); err != nil {
-		return undo(err)
-	}
-	if prev.standby != nil && !promoted && !want.standby {
-		o.detachNF(d, n.ID, prev.standby)
-	}
-	return moved, nil
-}
-
-// swapMembers runs steps 2-7 of a transition: it replaces the set's members
-// by next's, with next.draining the members on their way out. An error
-// means the steering was not repointed; the caller restores the set.
-func (o *Orchestrator) swapMembers(d *DeployedGraph, nfID string, set *nfSet, next nfSet) (int, error) {
-	graphID, prev := d.Graph.ID, set.members
-	migStart := time.Now()
 	assign, moves := reassign(set, next.members)
 	next.assign = assign
-	migrate := func() int { return o.migrate(graphID, nfID, moves, next.members, &assign) }
-	moved := migrate()
+	sw := &swap{nfID: nfID, set: set, prev: set.members, out: next.draining, assign: assign, moves: moves}
 	*set = next
-	if err := o.program(d); err != nil {
-		return 0, fmt.Errorf("orchestrator: graph %q: NF %q: repointing steering: %w", graphID, nfID, err)
-	}
-	seen := traffic(prev) // sampled before the catch-up reads them
-	moved += migrate()
-	for _, att := range next.members {
-		o.setState(graphID, nfID, att, StateRunning) // a promoted standby idled in attaching
-	}
-	if len(next.draining) > 0 {
-		for _, att := range next.draining {
-			o.setState(graphID, nfID, att, StateDraining)
+	sw.moved = sw.migrate(o, d.Graph.ID)
+	return sw
+}
+
+// finishSwaps ends the swaps whose steering one commit has just repointed:
+// a catch-up migration of what raced the commit into a donor, then the
+// outgoing members of every swap drain together, a final catch-up unless no
+// previous member saw a packet since the first, the migrated state is
+// released from donors that stay, one more commit drops the drain path, and
+// the outgoing members are detached.
+func (o *Orchestrator) finishSwaps(d *DeployedGraph, swaps []*swap) {
+	graphID := d.Graph.ID
+	start := time.Now()
+	var out []*nfAttachment
+	for _, sw := range swaps {
+		sw.seen = traffic(sw.prev) // sampled before the catch-up reads them
+		sw.moved += sw.migrate(o, graphID)
+		for _, att := range sw.set.members {
+			o.setState(graphID, sw.nfID, att, StateRunning) // a promoted standby idled in attaching
 		}
-		o.drain(next.draining)
-		// A packet delivered to a donor just before the swap may have
-		// minted state while we were waiting — unless no previous member
-		// saw a packet since before the catch-up.
-		if traffic(prev) != seen {
-			moved += migrate()
+		for _, att := range sw.out {
+			o.setState(graphID, sw.nfID, att, StateDraining)
 		}
-		set.draining = nil
+		out = append(out, sw.out...)
+	}
+	if len(out) > 0 {
+		o.drain(out)
+		for _, sw := range swaps {
+			// A packet delivered to a donor just before the swap may have
+			// minted state while we were waiting — unless no previous
+			// member saw a packet since before the catch-up.
+			if traffic(sw.prev) != sw.seen {
+				sw.moved += sw.migrate(o, graphID)
+			}
+			sw.set.draining = nil
+		}
 		if err := o.program(d); err != nil {
 			// The members' steering is intact (same entries minus the
 			// drain path); record and continue the teardown.
 			o.journal.Recordf(telemetry.EventFlowMod, o.cfg.NodeName, graphID,
-				fmt.Sprintf("%s: dropping drain entries: %v", nfID, err))
+				fmt.Sprintf("dropping drain entries: %v", err))
 		}
 	}
-	for donor, buckets := range moves {
-		dropper, ok := donor.inst.Runtime.Processor().(flowStateDropper)
-		if ok && holds(next.members, donor) {
-			dropper.DropFlowState(nf.BucketFilter(buckets))
+	for _, sw := range swaps {
+		for donor, buckets := range sw.moves {
+			dropper, ok := donor.inst.Runtime.Processor().(flowStateDropper)
+			if ok && holds(sw.set.members, donor) {
+				dropper.DropFlowState(nf.BucketFilter(buckets))
+			}
 		}
+		for _, att := range sw.out {
+			o.detachNF(d, sw.nfID, att)
+		}
+		o.metrics.migratedFlows.Add(uint64(sw.moved))
+		o.metrics.migrationLatency.Observe(time.Since(start).Seconds())
 	}
-	for _, att := range next.draining {
-		o.detachNF(d, nfID, att)
-	}
-	o.metrics.migratedFlows.Add(uint64(moved))
-	o.metrics.migrationLatency.Observe(time.Since(migStart).Seconds())
-	if spec := d.Graph.FindNF(nfID); spec != nil && len(next.members) != len(prev) {
-		spec.Replicas = len(next.members)
-	}
-	return moved, nil
 }

@@ -50,7 +50,7 @@ func (o *Orchestrator) PromoteStandby(graphID, nfID string) error {
 		}
 	}
 	keep[slot] = set.standby
-	salvaged, err := o.transition(d, *n, wantedSet{keep: keep})
+	salvaged, err := o.transition(d, n, keep, nil, false)
 	if err != nil {
 		return fmt.Errorf("orchestrator: promote: %w", err)
 	}
@@ -61,7 +61,7 @@ func (o *Orchestrator) PromoteStandby(graphID, nfID string) error {
 	// full to hold a new standby degrades to unprotected rather than
 	// failing the promotion that already succeeded.
 	if n.Redundancy == nffg.RedundancyActiveStandby {
-		if _, err := o.transition(d, *n, wantedSet{keep: set.members, standby: true}); err != nil {
+		if err := o.apply(d, d.Graph.Clone()); err != nil {
 			o.journal.Recordf(telemetry.EventOutage, o.cfg.NodeName, graphID,
 				fmt.Sprintf("%s: re-arming standby: %v", nfID, err))
 		}

@@ -241,6 +241,28 @@ func TestDryRunDeploy(t *testing.T) {
 	}
 }
 
+// TestDryRunOfRunningNativeGraph: the dry-run of a running graph whose
+// ipsec is pinned native plans it in the technology it runs in, at no new
+// demand. The graph's own instance holds the exclusive native ipsec, so a
+// dry-run that scheduled it again once answered 422 "no deployable flavor".
+func TestDryRunOfRunningNativeGraph(t *testing.T) {
+	_, srv := newServer(t)
+	resp := doPut(t, srv.URL+"/v1/graphs/cpe-vpn", ipsecGraphJSON)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT status = %d", resp.StatusCode)
+	}
+	resp = doPut(t, srv.URL+"/v1/graphs/cpe-vpn?dry-run=true", ipsecGraphJSON)
+	defer resp.Body.Close()
+	var reply rest.DryRunReply
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("dry-run status = %d (%v)", resp.StatusCode, err)
+	}
+	if p := reply.Plan; !p.Exists || len(p.NFs) != 1 || p.NFs[0].Technology != "native" || p.NewCPUMillis != 0 || !p.Fits {
+		t.Errorf("dry-run of the running graph = %+v", p)
+	}
+}
+
 // TestScaleOverREST drives the replica set through the new scale resource
 // and reads the count back from /v1/status.
 func TestScaleOverREST(t *testing.T) {
