@@ -92,8 +92,10 @@ bench-selftest:
 # deploy path (TestDeployChurnHeapPlateaus: graph lifecycles over REST on a
 # 3-replica control plane and a 3-node fleet): every allocation, where
 # deploy-byte work starts, and CPU, from a run of its own, since sampling
-# every allocation (-memprofilerate=1) would dominate it. CI uploads
-# profile/ as an artifact of the bench job.
+# every allocation (-memprofilerate=1) would dominate it. A fourth is the
+# in-use heap of TestTenantDensity's 200 tenants on one shared native
+# firewall, taken while they are deployed: what each tenant retains. CI
+# uploads profile/ as an artifact of the bench job.
 profile:
 	@mkdir -p profile
 	$(GO) test -run '^$$' -bench '^(BenchmarkPipelineParallel|BenchmarkPipelineBurst)$$' -benchtime=1s \
@@ -102,9 +104,12 @@ profile:
 	$(GO) test -run '^TestDeployChurnHeapPlateaus$$' -memprofile profile/deploy-alloc.pprof -memprofilerate=1 \
 		-o profile/deploy.test .
 	$(GO) test -count=1 -run '^TestDeployChurnHeapPlateaus$$' -cpuprofile profile/deploy-cpu.pprof -o profile/deploy.test .
+	$(GO) test -count=1 -run '^TestTenantDensity$$' -memprofilerate=1 -o profile/tenants.test . \
+		-args -tenants.inuse=profile/tenants-inuse.pprof
 	@echo "wrote profile/cpu.pprof and profile/alloc.pprof (inspect with: $(GO) tool pprof profile/bench.test profile/cpu.pprof)"
 	@echo "wrote profile/deploy-alloc.pprof (inspect with: $(GO) tool pprof -sample_index=alloc_space profile/deploy.test profile/deploy-alloc.pprof)"
 	@echo "wrote profile/deploy-cpu.pprof (inspect with: $(GO) tool pprof profile/deploy.test profile/deploy-cpu.pprof)"
+	@echo "wrote profile/tenants-inuse.pprof (inspect with: $(GO) tool pprof -sample_index=inuse_space profile/tenants.test profile/tenants-inuse.pprof)"
 
 # Where the datapath's code lands: Go aligns functions to 32 bytes, so a
 # change ahead of the hot loops can move them by half a cache line and move

@@ -53,16 +53,19 @@ func main() {
 }
 
 func printAblations(packets int) error {
-	fmt.Println("A1: sharable NNF (one native firewall vs per-tenant containers; Mbps modelled)")
-	fmt.Printf("%8s  %12s  %14s  %12s  %14s\n",
-		"tenants", "shared MB", "exclusive MB", "shared Mbps", "exclusive Mbps")
-	for _, tenants := range []int{2, 4, 8} {
+	fmt.Println("A1: sharable NNF (one native firewall vs per-tenant containers; MB and Mbps modelled;")
+	fmt.Println("    KB retained and goroutines per tenant after the first measured)")
+	fmt.Printf("%8s  %12s  %14s  %12s  %14s  %9s  %12s  %11s  %14s\n",
+		"tenants", "shared MB", "exclusive MB", "shared Mbps", "exclusive Mbps",
+		"shared KB", "exclusive KB", "shared gor.", "exclusive gor.")
+	for _, tenants := range []int{2, 4, 8, 64} {
 		res, err := bench.SharableNNF(tenants, packets)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%8d  %12.1f  %14.1f  %12.0f  %14.0f\n",
-			res.Tenants, res.SharedRAMMB, res.ExclusiveRAMMB, res.SharedMbps, res.ExclusiveMbps)
+		fmt.Printf("%8d  %12.1f  %14.1f  %12.0f  %14.0f  %9.2f  %12.2f  %11.2f  %14.2f\n",
+			res.Tenants, res.SharedRAMMB, res.ExclusiveRAMMB, res.SharedMbps, res.ExclusiveMbps,
+			res.Shared.KB, res.Exclusive.KB, res.Shared.Goroutines, res.Exclusive.Goroutines)
 	}
 	fmt.Println()
 

@@ -41,41 +41,49 @@ func FirewallGraph(id string, vlan uint16, tech un.Technology) *un.Graph {
 }
 
 // SharableResult compares N tenants on one shared native firewall against N
-// exclusive Docker firewalls (experiment A1).
+// exclusive Docker firewalls (experiment A1): the RAM and throughput the
+// cost model gives, and the footprint each tenant measurably has here.
 type SharableResult struct {
-	Tenants        int
-	SharedRAMMB    float64 // total NF RAM with one shared NNF
-	ExclusiveRAMMB float64 // total NF RAM with per-tenant containers
-	SharedMbps     float64 // per-tenant throughput through the shared NNF
-	ExclusiveMbps  float64 // per-tenant throughput with exclusive instances
+	Tenants           int
+	SharedRAMMB       float64 // total NF RAM with one shared NNF
+	ExclusiveRAMMB    float64 // total NF RAM with per-tenant containers
+	SharedMbps        float64 // per-tenant throughput through the shared NNF
+	ExclusiveMbps     float64 // per-tenant throughput with exclusive instances
+	Shared, Exclusive Footprint
+}
+
+// Footprint is what one tenant of a node costs, measured: the heap it
+// retains after two collections, and the goroutines it adds.
+type Footprint struct {
+	KB, Goroutines float64
 }
 
 // SharableNNF runs experiment A1.
 func SharableNNF(tenants, packets int) (SharableResult, error) {
 	res := SharableResult{Tenants: tenants}
 	var err error
-	if res.SharedRAMMB, res.SharedMbps, err = firewallTenants(un.TechNative, tenants, packets); err != nil {
+	if res.SharedRAMMB, res.SharedMbps, res.Shared, err = firewallTenants(un.TechNative, tenants, packets); err != nil {
 		return res, err
 	}
-	res.ExclusiveRAMMB, res.ExclusiveMbps, err = firewallTenants(un.TechDocker, tenants, packets)
+	res.ExclusiveRAMMB, res.ExclusiveMbps, res.Exclusive, err = firewallTenants(un.TechDocker, tenants, packets)
 	return res, err
 }
 
 // firewallTenants deploys one firewall graph per tenant in the given
-// technology on a fresh node and returns the NF RAM they hold in total and
-// the modelled throughput of the first tenant's VLAN.
-func firewallTenants(tech un.Technology, tenants, packets int) (ramMB, mbps float64, err error) {
+// technology on a fresh node and returns the NF RAM they hold in total, the
+// modelled throughput of the first tenant's VLAN and each tenant's
+// footprint.
+func firewallTenants(tech un.Technology, tenants, packets int) (ramMB, mbps float64, fp Footprint, err error) {
 	node, err := un.NewNode(un.Config{Name: "a1-" + string(tech)})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fp, err
 	}
 	defer node.Close()
+	if fp, err = DeployTenants(node, tech, tenants); err != nil {
+		return 0, 0, fp, err
+	}
 	for i := 0; i < tenants; i++ {
-		id := fmt.Sprintf("tenant%d", i)
-		if err := node.Deploy(FirewallGraph(id, uint16(100+i), tech)); err != nil {
-			return 0, 0, err
-		}
-		ram, _ := node.InstanceRAM(id, "fw")
+		ram, _ := node.InstanceRAM(fmt.Sprintf("tenant%d", i), "fw")
 		// Every tenant of the native firewall reports the one shared
 		// instance: count it once.
 		if tech != un.TechNative || i == 0 {
@@ -87,7 +95,38 @@ func firewallTenants(tech un.Technology, tenants, packets int) (ramMB, mbps floa
 	rep, err := measure.Run(lan, wan, node.Clock(), measure.Spec{
 		Packets: packets, FrameSize: 1500, VLANID: 100,
 	})
-	return ramMB, rep.MbpsGoodput(), err
+	return ramMB, rep.MbpsGoodput(), fp, err
+}
+
+// DeployTenants deploys tenants firewall graphs in the given technology on
+// node, tenant i as graph "tenant<i>" on VLAN 100+i, and returns what each
+// tenant after the first added to the process. The first pays what the
+// node does once: the shared firewall a native tenant starts, and the
+// caches and pools a first deploy fills.
+func DeployTenants(node *un.Node, tech un.Technology, tenants int) (Footprint, error) {
+	var heap0 uint64
+	var g0 int
+	for i := 0; i < tenants; i++ {
+		if err := node.Deploy(FirewallGraph(fmt.Sprintf("tenant%d", i), uint16(100+i), tech)); err != nil {
+			return Footprint{}, err
+		}
+		if i == 0 {
+			heap0, g0 = retained()
+		}
+	}
+	heap, g := retained()
+	n := float64(tenants - 1)
+	return Footprint{KB: (float64(heap) - float64(heap0)) / n / 1024, Goroutines: float64(g-g0) / n}, nil
+}
+
+// retained reads the live heap after two collections (the second frees
+// what the first only unlinked) and the goroutine count.
+func retained() (heap uint64, goroutines int) {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc, runtime.NumGoroutine()
 }
 
 // AdaptationResult compares a directly-attached two-port NF against the

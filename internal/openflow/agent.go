@@ -12,14 +12,14 @@ import (
 	"repro/internal/vswitch"
 )
 
-// Agent is the switch-side endpoint of the control channel: it binds one
-// vswitch.Switch to one net.Conn and serves the controller's requests until
-// the connection closes or Stop is called.
+// Agent is the switch-side endpoint of the control channel: it serves one
+// vswitch.Switch. NewAgent binds it to a net.Conn, which Run serves until it
+// closes or Stop is called; a Local controller calls into it directly.
 type Agent struct {
 	sw   *vswitch.Switch
 	conn net.Conn
 	// in buffers reads, so a commit written at once is read at once: over
-	// net.Pipe every read is a handoff between goroutines.
+	// a net.Pipe every read is a handoff between goroutines.
 	in  *bufio.Reader
 	hdr [headerLen]byte // read header
 	out [headerLen]byte // a reply without a body
@@ -53,7 +53,7 @@ func NewAgent(sw *vswitch.Switch, conn net.Conn) *Agent {
 // the controller's HELLO instead.
 func (a *Agent) Run() error {
 	for {
-		m, err := readMessage(a.in, &a.hdr, a.body)
+		m, err := a.read(a.in)
 		if err != nil {
 			select {
 			case <-a.stopped:
@@ -65,11 +65,10 @@ func (a *Agent) Run() error {
 			}
 			return err
 		}
-		if cap(m.Body) > cap(a.body) {
-			a.body = m.Body
-		}
-		if err := a.handle(m); err != nil {
-			return err
+		if reply, ok := a.serve(m); ok {
+			if err := a.write(reply); err != nil {
+				return err
+			}
 		}
 	}
 }
@@ -82,25 +81,34 @@ func (a *Agent) Stop() {
 	})
 }
 
-func (a *Agent) sendError(xid uint32, code uint16, detail string) error {
-	return writeMessage(a.conn, message{Type: typeError, Xid: xid, Body: encodeError(code, detail)})
+// read reads one message from r into the agent's own buffers.
+func (a *Agent) read(r io.Reader) (message, error) {
+	m, err := readMessage(r, &a.hdr, a.body)
+	if cap(m.Body) > cap(a.body) {
+		a.body = m.Body
+	}
+	return m, err
 }
 
-// send writes a reply without a body.
-func (a *Agent) send(t msgType, xid uint32) error {
-	_, err := a.conn.Write(appendHeader(a.out[:0], t, xid))
+// write sends reply: one without a body from the agent's own buffer.
+func (a *Agent) write(reply message) error {
+	if len(reply.Body) > 0 {
+		return writeMessage(a.conn, reply)
+	}
+	_, err := a.conn.Write(appendHeader(a.out[:0], reply.Type, reply.Xid))
 	return err
 }
 
-func (a *Agent) handle(m message) error {
+// serve handles one message and returns its reply; a FLOW_MOD has none.
+func (a *Agent) serve(m message) (reply message, ok bool) {
 	switch m.Type {
 	case typeHello:
-		return a.send(typeHello, m.Xid)
+		return message{Type: typeHello, Xid: m.Xid}, true
 	case typeFlowMod:
 		if a.err == nil {
 			a.err = a.stage(m.Body)
 		}
-		return nil
+		return message{}, false
 	case typeFlowStatsReq:
 		flows := a.sw.Flows()
 		stats := make([]FlowStat, len(flows))
@@ -113,14 +121,14 @@ func (a *Agent) handle(m message) error {
 				Bytes:    b,
 			}
 		}
-		return writeMessage(a.conn, message{Type: typeFlowStatsReply, Xid: m.Xid, Body: encodeFlowStatsReply(stats)})
+		return message{Type: typeFlowStatsReply, Xid: m.Xid, Body: encodeFlowStatsReply(stats)}, true
 	case typeBarrierRequest:
 		if err := a.commit(); err != nil {
-			return a.sendError(m.Xid, errCodeFlowMod, err.Error())
+			return message{Type: typeError, Xid: m.Xid, Body: encodeError(errCodeFlowMod, err.Error())}, true
 		}
-		return a.send(typeBarrierReply, m.Xid)
+		return message{Type: typeBarrierReply, Xid: m.Xid}, true
 	default:
-		return a.sendError(m.Xid, errCodeBadRequest, fmt.Sprintf("unexpected %v", m.Type))
+		return message{Type: typeError, Xid: m.Xid, Body: encodeError(errCodeBadRequest, fmt.Sprintf("unexpected %v", m.Type))}, true
 	}
 }
 

@@ -4,7 +4,8 @@
 // The protocol is a compact OpenFlow 1.3-inspired design: every message is
 // an 8-byte header (version, type, length, xid) followed by a type-specific
 // body. Matches and actions are encoded as OXM-style TLVs. The protocol runs
-// over any net.Conn (TCP between processes, net.Pipe inside one process).
+// over any net.Conn (NewAgent, Connect) or, to a switch in the controller's
+// process, as the same bytes handed to its agent in one call (Local).
 //
 // It carries what the steering manager needs and nothing else: a HELLO
 // handshake, FLOW_MOD add and delete-by-cookie into the switch's one flow

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,42 +13,38 @@ import (
 	"repro/internal/vswitch"
 )
 
-// rpcTimeout bounds controller request/reply round trips.
+// rpcTimeout bounds request/reply round trips over a connection.
 const rpcTimeout = 5 * time.Second
 
 // Controller is the controller-side endpoint of the control channel: the
 // traffic steering manager of one LSI talks to its switch through it.
 type Controller struct {
-	conn net.Conn
-	hdr  [headerLen]byte // the receive loop's header buffer
+	ch  channel
+	xid atomic.Uint32
+}
 
-	writeMu sync.Mutex
-	xid     atomic.Uint32
-
-	// callMu keeps one request in flight, from its write to its reply:
-	// the receive loop hands that reply over on reply, and timer bounds
-	// the wait.
-	callMu sync.Mutex
-	timer  *time.Timer
-	reply  chan message // closed when the receive loop ends
-
-	mu      sync.Mutex
-	waiting uint32 // the xid of the request in flight, 0 if none
-	done    chan struct{}
-	closed  bool
+// channel carries framed messages to a switch's agent: over a connection
+// (Connect), or by a call into the agent itself (Local).
+type channel interface {
+	// send delivers msgs, which want no reply.
+	send(msgs []byte) error
+	// call delivers msgs, the last of which is a request under xid, and
+	// returns its reply.
+	call(xid uint32, msgs []byte) (message, error)
+	shut() error // named close, it would make the linker keep os.File's close methods
 }
 
 // Connect performs the HELLO handshake over conn and starts the receive
 // loop. The returned controller is ready to install flows.
 func Connect(conn net.Conn) (*Controller, error) {
-	c := &Controller{
+	c := &connChannel{
 		conn:  conn,
 		timer: time.NewTimer(rpcTimeout),
 		reply: make(chan message, 1),
 		done:  make(chan struct{}),
 	}
 	c.timer.Stop()
-	if err := c.write(appendHeader(nil, typeHello, 0)); err != nil {
+	if err := c.send(appendHeader(nil, typeHello, 0)); err != nil {
 		return nil, fmt.Errorf("openflow: hello: %w", err)
 	}
 	hello, err := readMessage(conn, &c.hdr, nil)
@@ -58,22 +55,19 @@ func Connect(conn net.Conn) (*Controller, error) {
 		return nil, fmt.Errorf("openflow: expected HELLO, got %v", hello.Type)
 	}
 	go c.readLoop()
-	return c, nil
+	return &Controller{ch: c}, nil
+}
+
+// Local returns a controller whose requests sw's agent serves in the
+// caller's goroutine: the same messages, framing checks and BARRIER as
+// over a connection, with no goroutine, no handshake and no timeout.
+func Local(sw *vswitch.Switch) *Controller {
+	agent := &Agent{sw: sw, body: make([]byte, 0, entryLenHint)} // a typical FLOW_MOD fits
+	return &Controller{ch: &localChannel{agent: agent}}
 }
 
 // Close shuts the control channel down.
-func (c *Controller) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	err := c.conn.Close()
-	<-c.done
-	return err
-}
+func (c *Controller) Close() error { return c.ch.shut() }
 
 func (c *Controller) nextXid() uint32 {
 	for {
@@ -83,75 +77,15 @@ func (c *Controller) nextXid() uint32 {
 	}
 }
 
-// write sends one or more framed messages with a single write, so no other
-// writer's message lands between them.
-func (c *Controller) write(msgs []byte) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	_, err := c.conn.Write(msgs)
-	return err
-}
-
-// readLoop hands the reply to the request in flight over; a message under
-// any other xid is dropped.
-func (c *Controller) readLoop() {
-	defer close(c.done)
-	defer close(c.reply) // fails the request in flight and every later one
-	for {
-		m, err := readMessage(c.conn, &c.hdr, nil)
-		if err != nil {
-			return
-		}
-		c.mu.Lock()
-		if m.Xid != 0 && m.Xid == c.waiting {
-			c.waiting = 0
-			select {
-			case c.reply <- m: // always room: a call empties reply before it returns
-			default:
-			}
-		}
-		c.mu.Unlock()
-	}
-}
-
-// call writes req, framed messages the last of which is a request under
-// xid, and waits for the reply carrying xid.
+// call sends req and returns the reply to its last message, a request under
+// xid; an ERROR reply is its error.
 func (c *Controller) call(xid uint32, req []byte) (message, error) {
-	c.callMu.Lock()
-	defer c.callMu.Unlock()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return message{}, errors.New("openflow: controller closed")
+	reply, err := c.ch.call(xid, req)
+	if err != nil || reply.Type != typeError {
+		return reply, err
 	}
-	c.waiting = xid
-	c.mu.Unlock()
-	c.timer.Reset(rpcTimeout)
-	defer c.timer.Stop()
-	err := c.write(req)
-	if err == nil {
-		select {
-		case reply, ok := <-c.reply:
-			switch {
-			case !ok:
-				return message{}, errors.New("openflow: connection lost")
-			case reply.Type == typeError:
-				code, detail, _ := parseError(reply.Body)
-				return message{}, fmt.Errorf("openflow: error %d: %s", code, detail)
-			}
-			return reply, nil
-		case <-c.timer.C:
-			err = fmt.Errorf("openflow: rpc timeout for %v", msgType(req[len(req)-headerLen+1]))
-		}
-	}
-	c.mu.Lock()
-	c.waiting = 0
-	select { // a reply that raced the failure
-	case <-c.reply:
-	default:
-	}
-	c.mu.Unlock()
-	return message{}, err
+	code, detail, _ := parseError(reply.Body)
+	return message{}, fmt.Errorf("openflow: error %d: %s", code, detail)
 }
 
 // request sends a body-less request and waits for its reply.
@@ -171,14 +105,14 @@ func (c *Controller) InstallFlow(table, priority int, cookie uint64, match vswit
 	if err != nil {
 		return err
 	}
-	return c.write(msg)
+	return c.ch.send(msg)
 }
 
 // DeleteFlows stages the removal of all entries installed under the given
 // cookie; the switch applies it at the next Barrier.
 func (c *Controller) DeleteFlows(cookie uint64) error {
 	msg, _ := appendFlowMod(nil, c.nextXid(), flowMod{Command: flowDelete, Cookie: cookie}) // a delete always encodes
-	return c.write(msg)
+	return c.ch.send(msg)
 }
 
 // Barrier blocks until the switch has applied everything sent before it as
@@ -260,4 +194,141 @@ func (c *Controller) Commit(cookie uint64, entries *Entries) error {
 	}
 	_, err := c.call(xid, appendHeader(b, typeBarrierRequest, xid))
 	return err
+}
+
+// connChannel is a channel over a net.Conn to an agent's Run loop.
+type connChannel struct {
+	conn net.Conn
+	hdr  [headerLen]byte // the receive loop's header buffer
+
+	writeMu sync.Mutex
+
+	// callMu keeps one request in flight, from its write to its reply:
+	// the receive loop hands that reply over on reply, and timer bounds
+	// the wait.
+	callMu sync.Mutex
+	timer  *time.Timer
+	reply  chan message // closed when the receive loop ends
+
+	mu      sync.Mutex
+	waiting uint32 // the xid of the request in flight, 0 if none
+	done    chan struct{}
+	closed  bool
+}
+
+func (c *connChannel) shut() error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil
+	}
+	c.closed = true
+	c.mu.Unlock()
+	err := c.conn.Close()
+	<-c.done
+	return err
+}
+
+// send writes one or more framed messages with a single write, so no
+// other writer's message lands between them.
+func (c *connChannel) send(msgs []byte) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	_, err := c.conn.Write(msgs)
+	return err
+}
+
+// readLoop hands the reply to the request in flight over; a message under
+// any other xid is dropped.
+func (c *connChannel) readLoop() {
+	defer close(c.done)
+	defer close(c.reply) // fails the request in flight and every later one
+	for {
+		m, err := readMessage(c.conn, &c.hdr, nil)
+		if err != nil {
+			return
+		}
+		c.mu.Lock()
+		if m.Xid != 0 && m.Xid == c.waiting {
+			c.waiting = 0
+			select {
+			case c.reply <- m: // always room: a call empties reply before it returns
+			default:
+			}
+		}
+		c.mu.Unlock()
+	}
+}
+
+func (c *connChannel) call(xid uint32, req []byte) (message, error) {
+	c.callMu.Lock()
+	defer c.callMu.Unlock()
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return message{}, errors.New("openflow: controller closed")
+	}
+	c.waiting = xid
+	c.mu.Unlock()
+	c.timer.Reset(rpcTimeout)
+	defer c.timer.Stop()
+	err := c.send(req)
+	if err == nil {
+		select {
+		case reply, ok := <-c.reply:
+			if !ok {
+				return message{}, errors.New("openflow: connection lost")
+			}
+			return reply, nil
+		case <-c.timer.C:
+			err = fmt.Errorf("openflow: rpc timeout for %v", msgType(req[len(req)-headerLen+1]))
+		}
+	}
+	c.mu.Lock()
+	c.waiting = 0
+	select { // a reply that raced the failure
+	case <-c.reply:
+	default:
+	}
+	c.mu.Unlock()
+	return message{}, err
+}
+
+// localChannel is a channel into an agent that serves each delivery in
+// the caller's goroutine, one at a time.
+type localChannel struct {
+	mu    sync.Mutex
+	agent *Agent       // nil once closed
+	msgs  bytes.Reader // the delivery in hand: read through a field, it allocates nothing
+}
+
+func (l *localChannel) shut() error {
+	l.mu.Lock()
+	l.agent = nil
+	l.mu.Unlock()
+	return nil
+}
+
+func (l *localChannel) send(msgs []byte) error {
+	_, err := l.call(0, msgs)
+	return err
+}
+
+// call reads msgs as the agent's Run would and serves them in order; the
+// reply to the last is the reply.
+func (l *localChannel) call(_ uint32, msgs []byte) (reply message, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.agent == nil {
+		return message{}, errors.New("openflow: controller closed")
+	}
+	l.msgs = *bytes.NewReader(msgs) // not Reset, whose first use would move the datapath's code
+	for l.msgs.Len() > 0 && err == nil {
+		var m message
+		if m, err = l.agent.read(&l.msgs); err == nil {
+			reply, _ = l.agent.serve(m)
+		}
+	}
+	l.msgs = bytes.Reader{} // keep no request alive
+	return reply, err
 }

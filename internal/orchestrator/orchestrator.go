@@ -16,7 +16,6 @@ package orchestrator
 
 import (
 	"fmt"
-	"net"
 	"slices"
 	"sort"
 	"sync"
@@ -72,10 +71,8 @@ type Config struct {
 
 // lsiConn is one switch + its control channel.
 type lsiConn struct {
-	sw    *vswitch.Switch
-	agent *openflow.Agent
-	ctrl  *openflow.Controller
-	done  chan struct{}
+	sw   *vswitch.Switch
+	ctrl *openflow.Controller
 	// graph marks a graph LSI: every entry it holds is its graph's, under
 	// one cookie, committed whole by program.
 	graph bool
@@ -92,34 +89,17 @@ type lsiConn struct {
 	held []uint32
 }
 
-// newLSIConn builds a switch with a live OpenFlow channel over an
-// in-process pipe, exactly as the un-orchestrator runs one controller per
-// LSI.
-func newLSIConn(name string, dpid uint64, workers int) (*lsiConn, error) {
+// newLSIConn builds a switch and its controller, one per LSI as the
+// un-orchestrator runs them. The switch is in this process, so the channel
+// is a synchronous call into its agent (openflow.Local), with no goroutine.
+func newLSIConn(name string, dpid uint64, workers int) *lsiConn {
 	sw := vswitch.NewOptions(name, dpid, vswitch.Options{Workers: workers})
-	ctrlSide, agentSide := net.Pipe()
-	agent := openflow.NewAgent(sw, agentSide)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = agent.Run()
-	}()
-	ctrl, err := openflow.Connect(ctrlSide)
-	if err != nil {
-		agent.Stop()
-		<-done
-		return nil, err
-	}
-	return &lsiConn{sw: sw, agent: agent, ctrl: ctrl, done: done}, nil
+	return &lsiConn{sw: sw, ctrl: openflow.Local(sw)}
 }
 
 func (l *lsiConn) close() {
 	_ = l.ctrl.Close()
-	l.agent.Stop()
-	<-l.done
-	// Stop the datapath workers last: the agent is gone, so nothing new is
-	// steered, and Close drains whatever the rings still hold.
-	l.sw.Close()
+	l.sw.Close() // the workers last: Close drains whatever their rings hold
 }
 
 // nfAttachment records how one NF of a graph reaches its LSI, and where the
@@ -273,20 +253,16 @@ func New(cfg Config) (*Orchestrator, error) {
 		internalGroups: make(map[string][]groupMember),
 		nnfPorts:       make(map[string]uint32),
 	}
-	lsi0, err := newLSIConn(cfg.NodeName+"/lsi-0", o.nextDPID(), cfg.DatapathWorkers)
-	if err != nil {
-		return nil, err
-	}
-	o.lsi0 = lsi0
+	o.lsi0 = newLSIConn(cfg.NodeName+"/lsi-0", o.nextDPID(), cfg.DatapathWorkers)
 	for _, ifName := range cfg.Interfaces {
 		if _, dup := o.extPorts[ifName]; dup {
-			lsi0.close()
+			o.lsi0.close()
 			return nil, fmt.Errorf("orchestrator: duplicate interface %q", ifName)
 		}
 		ext, sw := netdev.Veth(ifName+"/ext", ifName)
-		num := lsi0.nextPort()
-		if err := lsi0.sw.AddPort(num, sw); err != nil {
-			lsi0.close()
+		num := o.lsi0.nextPort()
+		if err := o.lsi0.sw.AddPort(num, sw); err != nil {
+			o.lsi0.close()
 			return nil, err
 		}
 		o.extPorts[ifName] = ext
@@ -465,8 +441,8 @@ func (o *Orchestrator) deploy(g *nffg.Graph) error {
 	defer o.unlockGraph(g.ID, gl)
 
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	if _, dup := o.graphs[g.ID]; dup {
-		o.mu.Unlock()
 		return fmt.Errorf("orchestrator: graph %q already deployed (use Update)", g.ID)
 	}
 	d := &DeployedGraph{
@@ -476,19 +452,11 @@ func (o *Orchestrator) deploy(g *nffg.Graph) error {
 	}
 	p, err := o.plan(d, d.Graph)
 	if err != nil {
-		o.mu.Unlock()
 		return err
 	}
-	dpid := o.nextDPID()
 	d.cookie = o.nextCookie()
-	o.mu.Unlock()
-
-	if d.lsi, err = newLSIConn(fmt.Sprintf("%s/lsi-%s", o.cfg.NodeName, g.ID), dpid, o.cfg.DatapathWorkers); err != nil {
-		return err
-	}
+	d.lsi = newLSIConn(fmt.Sprintf("%s/lsi-%s", o.cfg.NodeName, g.ID), o.nextDPID(), o.cfg.DatapathWorkers)
 	d.lsi.graph = true
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	if _, err := o.execute(d, d.Graph, p); err != nil {
 		d.lsi.close()
 		return err
