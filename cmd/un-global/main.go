@@ -8,12 +8,11 @@
 // (/NF-FG, /nodes, ...) remain as deprecated aliases.
 //
 // With -id and -join flags the daemon runs as one replica of an HA
-// cluster: gossip membership detects dead replicas and nodes, a
-// lease-based election picks the single leader that mutates placement,
-// and every desired-state change is replicated to the followers through
-// a sequence-numbered intent log. Followers answer reads and redirect
-// writes to the leader with 307; GET /v1/cluster reports the membership
-// and lease state.
+// cluster: a lease-based election picks the single leader that mutates
+// placement and probes node health, and every desired-state change is
+// replicated to the followers through a sequence-numbered intent log.
+// Followers answer reads and redirect writes to the leader with 307;
+// GET /v1/cluster reports the lease and replication state.
 //
 // Usage:
 //
@@ -78,7 +77,7 @@ func main() {
 		pressure = flag.Float64("pressure", global.DefaultPressureFreeCPUFraction,
 			"free-CPU fraction under which the reconcile loop reflavors NFs in place (negative disables)")
 		id        = flag.String("id", "", "replica id: run as one member of an HA cluster (requires -join)")
-		clusterID = flag.String("cluster-id", "un", "cluster name replicas must agree on before gossiping")
+		clusterID = flag.String("cluster-id", "un", "cluster name replicas must agree on before voting or replicating")
 		advertise = flag.String("advertise", "", "base URL peers and redirected clients reach this replica on (default http://127.0.0.1<listen>)")
 		lease     = flag.Duration("lease", time.Second, "leader lease duration; failover takes roughly one lease plus one election round")
 	)

@@ -1,6 +1,6 @@
 // HA control plane: three global-orchestrator replicas form a cluster —
-// gossip membership, a lease-based leader election, and a replicated
-// intent journal. Only the leader mutates placement; every desired-state
+// a lease-based leader election with PreVote, and a replicated intent
+// journal. Only the leader mutates placement; every desired-state
 // change is streamed to the followers as a sequence-numbered op. When the
 // leader crashes mid-lease, a follower wins the election, replays the
 // journal into an identical desired state, and adopts the running fleet
@@ -87,8 +87,6 @@ func main() {
 		c, err := global.BuildHA(o, cluster.Options{
 			ID: id, ClusterID: "demo", Peers: peers,
 			Transport:         net.Transport(id),
-			ProbeInterval:     10 * time.Millisecond,
-			SuspicionTimeout:  50 * time.Millisecond,
 			HeartbeatInterval: 10 * time.Millisecond,
 			LeaseDuration:     120 * time.Millisecond,
 		}, resolver)
@@ -151,8 +149,8 @@ func main() {
 	ext := probe(30001)
 	fmt.Printf("connection established: :30001 -> external port %d\n", ext)
 
-	// Crash the leader. The survivors gossip its death, a follower wins
-	// the next term, and promotion replays the journal.
+	// Crash the leader. Once its lease lapses a follower wins the next
+	// term, and promotion replays the journal.
 	fmt.Printf("\nkilling leader %q ...\n", lead)
 	net.SetDown(lead, true)
 	t0 := time.Now()

@@ -39,8 +39,8 @@ import (
 // every request through json.Marshal and json.Unmarshal); 128 KB since each
 // LSI's OpenFlow channel is a synchronous call into its switch's agent, with
 // no net.Pipe and no goroutine hand-off per commit. The ceiling is
-// that figure plus 10%, which also covers the background loops (gossip,
-// heartbeats, reconcile) that allocate while the lifecycles run.
+// that figure plus 10%, which also covers the background loops
+// (heartbeats, reconcile) that allocate while the lifecycles run.
 func TestHALifecycleBytesCeiling(t *testing.T) {
 	const (
 		rounds    = 60

@@ -13,7 +13,7 @@ import (
 
 // haRig is a replicated control plane over one shared Universal Node:
 // three orchestrator replicas clustered over the in-process transport
-// (gossip membership, leader election, replicated intent log), all
+// (lease-based leader election, replicated intent log), all
 // resolving node names to the same in-process handles. Cluster faults —
 // replica crashes and network partitions — are injected through the
 // LocalNetwork; the node and its datapath never stop, which is exactly
@@ -32,6 +32,10 @@ type haRig struct {
 // manages. eth0/eth1 carry the NAT under test; lan/wan host the chain
 // graphs the scenarios deploy to prove a leader accepts writes.
 const haNode = "n1"
+
+// haProbe is each replica's global ProbeInterval: the reconcile period in
+// which a leader notices a dead node.
+const haProbe = 5 * time.Millisecond
 
 func newHARig(o *Options, replicas int) (*haRig, error) {
 	node, err := un.NewNode(un.Config{
@@ -68,14 +72,12 @@ func newHARig(o *Options, replicas int) (*haRig, error) {
 		peers = append(peers, cluster.PeerSpec{ID: id, Addr: "http://" + id})
 	}
 	for _, id := range r.ids {
-		og := global.New(global.Config{Logf: o.Logf, ProbeInterval: 5 * time.Millisecond})
+		og := global.New(global.Config{Logf: o.Logf, ProbeInterval: haProbe})
 		c, err := global.BuildHA(og, cluster.Options{
 			ID:                id,
 			ClusterID:         "chaos",
 			Peers:             peers,
 			Transport:         r.net.Transport(id),
-			ProbeInterval:     10 * time.Millisecond,
-			SuspicionTimeout:  50 * time.Millisecond,
 			HeartbeatInterval: 10 * time.Millisecond,
 			LeaseDuration:     120 * time.Millisecond,
 			CommitTimeout:     time.Second,

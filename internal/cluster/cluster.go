@@ -1,12 +1,14 @@
 // Package cluster makes the global orchestration tier highly available:
-// several un-global replicas form a cluster with SWIM-style gossip
-// membership (sub-second failure detection for both replicas and
-// Universal Nodes), lease-based leader election (only the leader mutates
-// placement and runs reconcile; a deposed leader fences itself on lease
-// expiry), and a sequence-numbered replicated intent log (every
-// desired-state mutation streams to followers with acknowledgement-based
-// commit, snapshot + catch-up for joiners, and deterministic replay on
-// promotion). The package is dependency-free and transport-agnostic:
+// several un-global replicas form a cluster with lease-based leader
+// election (only the leader mutates placement and runs reconcile; a
+// deposed leader fences itself on lease expiry; PreVote and leader
+// stickiness keep one cut link from deposing a healthy leader) and a
+// sequence-numbered replicated intent log (every desired-state mutation
+// streams to followers with acknowledgement-based commit, snapshot +
+// catch-up for joiners, and deterministic replay on promotion). The lease
+// is the only input to leadership; node liveness is the leader's
+// reconcile probe, outside this package. The package is dependency-free
+// and transport-agnostic:
 // tests and the chaos harness drive it over an in-process fabric with
 // injectable partitions, production over HTTP on the /v1/cluster routes.
 package cluster
@@ -15,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -22,31 +25,25 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Journal event types recorded by the cluster layer (the exported
-// constants live in internal/telemetry next to the rest of the event
-// vocabulary; these aliases keep call sites short).
-const (
-	eventLeaderElected = telemetry.EventLeaderElected
-	eventMemberSuspect = telemetry.EventMemberSuspect
-	eventMemberDead    = telemetry.EventMemberDead
-	eventMemberAlive   = telemetry.EventMemberAlive
-)
+// The journal event type recorded by the cluster layer (the exported
+// constant lives in internal/telemetry next to the rest of the event
+// vocabulary; this alias keeps call sites short).
+const eventLeaderElected = telemetry.EventLeaderElected
 
 // Errors surfaced to callers. ErrNotLeader is the fencing signal: the
 // REST layer turns it into a 307 redirect to the leader, the orchestrator
 // refuses mutations on it.
 var (
-	ErrNotLeader     = errors.New("cluster: not the leader")
-	ErrNoQuorum      = errors.New("cluster: lost quorum before commit")
-	errWrongCluster  = errors.New("cluster: cluster-id mismatch")
-	errUnknownMember = errors.New("cluster: unknown member")
-	errProbeFailed   = errors.New("cluster: indirect probe failed")
+	ErrNotLeader    = errors.New("cluster: not the leader")
+	ErrNoQuorum     = errors.New("cluster: lost quorum before commit")
+	errWrongCluster = errors.New("cluster: cluster-id mismatch")
 )
 
 // Options configures one replica.
 type Options struct {
 	// ID is this replica's unique name; ClusterID guards against
-	// replicas from different clusters gossiping with each other.
+	// replicas from different clusters voting or replicating to each
+	// other.
 	ID        string
 	ClusterID string
 	// Peers is the static replica set (including self); quorum is a
@@ -55,14 +52,6 @@ type Options struct {
 	Peers []PeerSpec
 	// Transport carries peer RPCs.
 	Transport Transport
-
-	// ProbeInterval is the SWIM probe period (default 200ms);
-	// SuspicionTimeout how long a suspect lives before it is declared
-	// dead (default 1s); IndirectProbes the k relays tried before
-	// suspecting (default 2).
-	ProbeInterval    time.Duration
-	SuspicionTimeout time.Duration
-	IndirectProbes   int
 
 	// HeartbeatInterval is the leader replication period (default
 	// 100ms); LeaseDuration the leader lease extended by each
@@ -81,20 +70,15 @@ type Options struct {
 	// LeaseDuration).
 	CommitTimeout time.Duration
 
-	// NodeProber probes one monitored Universal Node (rec is its intent
-	// record, e.g. carrying the node's URL). Nil disables node probing.
-	NodeProber func(id string, rec json.RawMessage) error
 	// OnPromote fires after this replica wins an election and earns its
 	// first lease; the orchestrator glue replays the intent store.
 	OnPromote func(term uint64)
 	// OnDemote fires when leadership is lost (lease expiry or a newer
 	// term observed).
 	OnDemote func()
-	// OnNodeState fires when a monitored node transitions dead/alive.
-	OnNodeState func(id string, alive bool)
 
-	// Journal receives leader-elected / member-suspect / member-dead
-	// events; Logf receives debug logging. Both optional.
+	// Journal receives leader-elected events; Logf receives debug
+	// logging. Both optional.
 	Journal *telemetry.Journal
 	Logf    func(format string, args ...any)
 }
@@ -103,15 +87,6 @@ func (o *Options) withDefaults() Options {
 	out := *o
 	if out.ClusterID == "" {
 		out.ClusterID = "un-global"
-	}
-	if out.ProbeInterval <= 0 {
-		out.ProbeInterval = 200 * time.Millisecond
-	}
-	if out.SuspicionTimeout <= 0 {
-		out.SuspicionTimeout = time.Second
-	}
-	if out.IndirectProbes <= 0 {
-		out.IndirectProbes = 2
 	}
 	if out.HeartbeatInterval <= 0 {
 		out.HeartbeatInterval = 100 * time.Millisecond
@@ -134,10 +109,7 @@ type Cluster struct {
 	opts Options
 	self string
 
-	mu          sync.Mutex
-	members     map[string]*memberInfo
-	incarnation uint64
-	probeIdx    int
+	mu sync.Mutex
 
 	role       role
 	term       uint64
@@ -152,7 +124,9 @@ type Cluster struct {
 	roundMu   sync.Mutex
 	log       *Log
 	store     *IntentStore
-	acked     map[string]uint64 // leader side: follower ack points
+	acked     map[string]uint64    // leader side: follower ack points
+	heard     map[string]time.Time // leader side: start of the last round each follower answered
+	sending   map[string]bool      // leader side: followers an append is still in flight to
 	commitSeq uint64
 	// synced marks followers that have adopted this leader's term
 	// baseline (acknowledged a current-term append). Until then a
@@ -169,8 +143,6 @@ type Cluster struct {
 	electionsStarted telemetry.Counter
 	electionsWon     telemetry.Counter
 	heartbeatRounds  telemetry.Counter
-	membersSuspected telemetry.Counter
-	membersDied      telemetry.Counter
 	opsRecorded      telemetry.Counter
 	opsShipped       telemetry.Counter
 
@@ -191,29 +163,21 @@ func New(opts Options) (*Cluster, error) {
 	c := &Cluster{
 		opts:    o,
 		self:    o.ID,
-		members: make(map[string]*memberInfo),
 		log:     NewLog(o.LogDepth),
 		store:   newIntentStore(o.LogDepth),
 		acked:   make(map[string]uint64),
+		heard:   make(map[string]time.Time),
+		sending: make(map[string]bool),
 		synced:  make(map[string]bool),
 		stop:    make(chan struct{}),
 	}
-	now := time.Now()
-	selfListed := false
-	for _, p := range o.Peers {
-		if p.ID == o.ID {
-			selfListed = true
-		}
-		c.members[p.ID] = &memberInfo{id: p.ID, kind: KindReplica, state: StateAlive, since: now}
-	}
-	if !selfListed {
+	if !slices.ContainsFunc(o.Peers, func(p PeerSpec) bool { return p.ID == o.ID }) {
 		c.opts.Peers = append(c.opts.Peers, PeerSpec{ID: o.ID})
-		c.members[o.ID] = &memberInfo{id: o.ID, kind: KindReplica, state: StateAlive, since: now}
 	}
 	return c, nil
 }
 
-// Start launches the failure detector and the election/replication loop.
+// Start launches the election/replication loop.
 // The first election fires after a randomized timeout; a single-replica
 // cluster (quorum 1) elects itself on the first tick.
 func (c *Cluster) Start() {
@@ -227,13 +191,12 @@ func (c *Cluster) Start() {
 	// split the vote forever; the randomized range keeps one ahead.
 	c.electionAt = time.Now().Add(time.Duration(float64(c.electionTimeout()) * 0.25))
 	c.mu.Unlock()
-	c.wg.Add(2)
-	go c.probeLoop()
+	c.wg.Add(1)
 	go c.electLoop()
 }
 
 // Close stops the replica. A leader simply disappears; the rest of the
-// cluster elects a successor after its lease lapses or SWIM declares it.
+// cluster elects a successor once its lease has lapsed.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if !c.started {
@@ -365,16 +328,8 @@ func (c *Cluster) WaitCommit(seq uint64) error {
 	}
 }
 
-// MemberStatus is one membership row of the /v1/cluster document.
-type MemberStatus struct {
-	ID          string      `json:"id"`
-	Kind        MemberKind  `json:"kind"`
-	State       MemberState `json:"state"`
-	Incarnation uint64      `json:"incarnation"`
-}
-
-// Status is the /v1/cluster document: who leads, what term, how far
-// replication has progressed, and the membership table.
+// Status is the /v1/cluster document: who leads, what term, and how far
+// replication has progressed.
 type Status struct {
 	ID         string `json:"id"`
 	ClusterID  string `json:"cluster-id"`
@@ -387,8 +342,7 @@ type Status struct {
 	// ReplicationLag is, on the leader, the distance between the log
 	// tail and the slowest follower's acknowledgement; on a follower,
 	// the distance to the leader's advertised commit point.
-	ReplicationLag uint64         `json:"replication-lag"`
-	Members        []MemberStatus `json:"members"`
+	ReplicationLag uint64 `json:"replication-lag"`
 }
 
 // ClusterStatus snapshots the replica's view for the REST surface.
@@ -407,19 +361,19 @@ func (c *Cluster) ClusterStatus() Status {
 		AppliedSeq: c.store.LastApplied(),
 	}
 	st.ReplicationLag = c.replicationLagLocked()
-	for _, u := range c.updatesLocked() {
-		st.Members = append(st.Members, MemberStatus{ID: u.ID, Kind: u.Kind, State: u.State, Incarnation: u.Incarnation})
-	}
 	return st
 }
 
+// replicationLagLocked skips, on the leader, a follower that has answered
+// no append round for one lease: its lag is unbounded, not informative.
 func (c *Cluster) replicationLagLocked() uint64 {
 	if c.role == roleLeader {
 		tail := c.log.LastSeq()
+		now := time.Now()
 		var lag uint64
 		for _, id := range c.replicaPeersLocked() {
-			if m, ok := c.members[id]; ok && m.state == StateDead {
-				continue // a dead replica's lag is unbounded, not informative
+			if now.Sub(c.heard[id]) >= c.opts.LeaseDuration {
+				continue
 			}
 			if a := c.acked[id]; tail > a && tail-a > lag {
 				lag = tail - a

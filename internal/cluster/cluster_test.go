@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http/httptest"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -190,8 +192,6 @@ func newRig(t *testing.T, ids []string, mutate func(id string, o *Options)) *rig
 			ClusterID:         "test",
 			Peers:             r.peers,
 			Transport:         r.net.Transport(id),
-			ProbeInterval:     10 * time.Millisecond,
-			SuspicionTimeout:  50 * time.Millisecond,
 			HeartbeatInterval: 10 * time.Millisecond,
 			LeaseDuration:     120 * time.Millisecond,
 			CommitTimeout:     time.Second,
@@ -212,6 +212,55 @@ func newRig(t *testing.T, ids []string, mutate func(id string, o *Options)) *rig
 		}
 	})
 	return r
+}
+
+func (r *rig) close() {
+	for _, c := range r.clusters {
+		c.Close()
+	}
+}
+
+// settled waits for one leader that every replica follows, and returns it.
+func (r *rig) settled(t *testing.T) *Cluster {
+	t.Helper()
+	var lead *Cluster
+	waitFor(t, 3*time.Second, "all replicas following one leader", func() bool {
+		lead = r.leader()
+		if lead == nil {
+			return false
+		}
+		for _, c := range r.clusters {
+			if id, _ := c.Leader(); id != lead.self {
+				return false
+			}
+		}
+		return true
+	})
+	return lead
+}
+
+// followers lists the replicas other than lead, sorted by id.
+func (r *rig) followers(lead *Cluster) []*Cluster {
+	var out []*Cluster
+	for _, id := range slices.Sorted(maps.Keys(r.clusters)) {
+		if id != lead.self {
+			out = append(out, r.clusters[id])
+		}
+	}
+	return out
+}
+
+// holdsLease samples c.IsLeader every millisecond for d and fails the test
+// at the first sample that finds the lease lost.
+func holdsLease(t *testing.T, c *Cluster, d time.Duration) {
+	t.Helper()
+	start := time.Now()
+	for time.Since(start) < d {
+		if !c.IsLeader() {
+			t.Fatalf("leader %s lost its lease %v into the fault", c.self, time.Since(start))
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func (r *rig) startAll() {
@@ -622,122 +671,243 @@ func TestConcurrentRecordsShipEachOpOnce(t *testing.T) {
 	})
 }
 
-// --- SWIM tests ------------------------------------------------------------
+// --- lease tests -----------------------------------------------------------
 
-func TestNodeDeathDetectionAndRecovery(t *testing.T) {
-	var probeMu sync.Mutex
-	nodeUp := map[string]bool{"node-1": true}
-	var stateMu sync.Mutex
-	lastState := map[string]bool{}
-
-	r := newRig(t, []string{"a", "b", "c"}, func(id string, o *Options) {
-		o.NodeProber = func(node string, rec json.RawMessage) error {
-			probeMu.Lock()
-			defer probeMu.Unlock()
-			if !nodeUp[node] {
-				return errors.New("unreachable")
+// A follower cut from a healthy leader that keeps its quorum must not
+// depose it: the follower's pre-vote fails against the other follower's
+// view of the lease, so no term rises and the leader's appends stay
+// current. (Regression: a voter adopted the candidate's higher term before
+// its lease guard refused the vote, then refused the leader's appends as
+// stale-term; the leader lost its lease in 34 of 40 such runs.)
+func TestOneLinkCutKeepsLeader(t *testing.T) {
+	for run := 0; run < 10; run++ {
+		r := newRig(t, []string{"a", "b", "c"}, nil)
+		r.startAll()
+		lead := r.settled(t)
+		term := lead.Term()
+		cut := r.followers(lead)[run%2]
+		r.net.Partition(lead.self, cut.self)
+		holdsLease(t, lead, 400*time.Millisecond)
+		r.net.Heal(lead.self, cut.self)
+		for _, c := range r.clusters {
+			if got := c.Term(); got != term {
+				t.Fatalf("run %d: %s is at term %d after cutting %s from %s, want %d", run, c.self, got, lead.self, cut.self, term)
 			}
-			return nil
 		}
-		o.OnNodeState = func(node string, alive bool) {
-			stateMu.Lock()
-			defer stateMu.Unlock()
-			lastState[id+"/"+node] = alive
-		}
-	})
-	r.startAll()
-	waitFor(t, 3*time.Second, "leader", func() bool { return r.leader() != nil })
-	lead := r.leader()
-	if err := lead.Record(OpNodeAdd, "node-1", json.RawMessage(`{"url":"http://node-1"}`)); err != nil {
-		t.Fatalf("Record node-add: %v", err)
+		r.close()
 	}
-	// Every replica derives the monitored node from the replicated store.
-	waitFor(t, 2*time.Second, "node monitored everywhere", func() bool {
-		for _, c := range r.clusters {
-			found := false
-			for _, m := range c.ClusterStatus().Members {
-				if m.ID == "node-1" && m.Kind == KindNode {
-					found = true
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return true
-	})
-
-	probeMu.Lock()
-	nodeUp["node-1"] = false
-	probeMu.Unlock()
-	start := time.Now()
-	waitFor(t, 3*time.Second, "leader notices node death", func() bool {
-		stateMu.Lock()
-		defer stateMu.Unlock()
-		alive, seen := lastState[lead.self+"/node-1"]
-		return seen && !alive
-	})
-	t.Logf("node death detected in %v", time.Since(start))
-
-	probeMu.Lock()
-	nodeUp["node-1"] = true
-	probeMu.Unlock()
-	waitFor(t, 3*time.Second, "node recovery observed", func() bool {
-		stateMu.Lock()
-		defer stateMu.Unlock()
-		return lastState[lead.self+"/node-1"]
-	})
 }
 
-func TestReplicaSuspicionSpreadsAndRefutes(t *testing.T) {
+// A follower that heard a valid Append within one lease refuses a vote and
+// a pre-vote at a higher term, and adopts nothing from either; once the
+// lease it observed has lapsed, it grants. A leader refuses while its own
+// lease runs.
+func TestVoterRefusesWhileLeaseLive(t *testing.T) {
 	r := newRig(t, []string{"a", "b", "c"}, nil)
-	r.startAll()
-	waitFor(t, 3*time.Second, "leader", func() bool { return r.leader() != nil })
-	r.net.SetDown("c", true)
-	waitFor(t, 3*time.Second, "c declared dead on a", func() bool {
-		for _, m := range r.clusters["a"].ClusterStatus().Members {
-			if m.ID == "c" && m.State == StateDead {
-				return true
-			}
-		}
-		return false
-	})
-	// c comes back: its own pings refute the death rumor with a higher
-	// incarnation and the table converges back to alive.
-	r.net.SetDown("c", false)
-	waitFor(t, 3*time.Second, "c alive again everywhere", func() bool {
-		for _, c := range r.clusters {
-			for _, m := range c.ClusterStatus().Members {
-				if m.ID == "c" && m.State != StateAlive {
-					return false
-				}
-			}
-		}
-		return true
-	})
-}
-
-// A rumor suspecting us must be refuted in our own gossip: the reply to
-// the probe carries our self row Alive at an incarnation above the
-// suspicion. (Regression: the incarnation counter bumped but the gossiped
-// member row stayed stale, so refutations never propagated.)
-func TestSelfRefutationPropagatesInGossip(t *testing.T) {
-	r := newRig(t, []string{"a", "b"}, nil)
-	a := r.clusters["a"]
-	reply, err := a.Ping("b", []MemberUpdate{{ID: "a", Kind: KindReplica, State: StateSuspect, Incarnation: 3}})
-	if err != nil {
+	b := r.clusters["b"]
+	lease := b.opts.LeaseDuration
+	if _, err := b.Append(AppendRequest{ClusterID: "test", Leader: "a", Term: 3}); err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range reply {
-		if u.ID != "a" {
-			continue
-		}
-		if u.State != StateAlive || u.Incarnation <= 3 {
-			t.Fatalf("self row does not refute the suspicion: %+v", u)
-		}
-		return
+	// Age what b heard instead of sleeping: half a lease later, then a
+	// lapsed lease.
+	age := func(d time.Duration) {
+		b.mu.Lock()
+		b.leaderSeen = time.Now().Add(-d)
+		b.mu.Unlock()
 	}
-	t.Fatal("gossip reply has no self row")
+	state := func(c *Cluster) string {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return fmt.Sprintf("term %d, voted %q in term %d, leader %q, role %d", c.term, c.votedFor, c.votedTerm, c.leader, c.role)
+	}
+	age(lease / 2)
+	want := state(b)
+	for _, pre := range []bool{true, false} {
+		reply, err := b.RequestVote(VoteRequest{ClusterID: "test", Candidate: "c", Term: 4, Pre: pre})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Granted {
+			t.Errorf("pre=%v: granted a vote half a lease after an Append", pre)
+		}
+		if got := state(b); got != want {
+			t.Errorf("pre=%v: a refused request changed the voter: %s, want %s", pre, got, want)
+		}
+	}
+
+	age(lease)
+	reply, err := b.RequestVote(VoteRequest{ClusterID: "test", Candidate: "c", Term: 4, Pre: true})
+	if err != nil || !reply.Granted {
+		t.Fatalf("pre-vote after the lease lapsed = %+v, %v; want granted", reply, err)
+	}
+	if got := state(b); got != want {
+		t.Errorf("a granted pre-vote changed the voter: %s, want %s", got, want)
+	}
+	if reply, _ = b.RequestVote(VoteRequest{ClusterID: "test", Candidate: "c", Term: 4}); !reply.Granted || reply.Term != 4 {
+		t.Fatalf("vote after the lease lapsed = %+v; want granted at term 4", reply)
+	}
+	if b.Term() != 4 {
+		t.Errorf("granted voter at term %d, want 4", b.Term())
+	}
+
+	a := r.clusters["a"]
+	a.mu.Lock()
+	a.role, a.term, a.leader, a.leaseUntil = roleLeader, 3, "a", time.Now().Add(lease)
+	a.mu.Unlock()
+	want = state(a)
+	for _, pre := range []bool{true, false} {
+		if reply, _ := a.RequestVote(VoteRequest{ClusterID: "test", Candidate: "c", Term: 5, Pre: pre}); reply.Granted {
+			t.Errorf("pre=%v: a leader granted a vote within its lease", pre)
+		}
+	}
+	if got := state(a); got != want || !a.IsLeader() {
+		t.Errorf("a leased leader changed on a vote request: %s, want %s", got, want)
+	}
+}
+
+// No two replicas hold a lease at once. The leader loses one follower,
+// then three leases later the other; the two followers elect a successor.
+// A sampler evaluates every replica's lease at one instant each
+// millisecond, under each replica's lock. (Regression: the vote guard also
+// took the failure detector's verdict, so a voter granted before the lease
+// it had acknowledged could lapse, and the old and the new leader both
+// held a lease.)
+func TestNoTwoLeaseHolders(t *testing.T) {
+	for run := 0; run < 10; run++ {
+		r := newRig(t, []string{"a", "b", "c"}, nil)
+		r.startAll()
+		lead := r.settled(t)
+		lease := lead.opts.LeaseDuration
+		f := r.followers(lead)
+		stop := make(chan struct{})
+		overlap := make(chan string, 1)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-time.After(time.Millisecond):
+				}
+				now := time.Now()
+				var holders []string
+				for _, c := range r.clusters {
+					c.mu.Lock()
+					if c.role == roleLeader && now.Before(c.leaseUntil) {
+						holders = append(holders, fmt.Sprintf("%s (term %d, %v left)", c.self, c.term, c.leaseUntil.Sub(now)))
+					}
+					c.mu.Unlock()
+				}
+				if len(holders) > 1 {
+					overlap <- fmt.Sprint(holders)
+					return
+				}
+			}
+		}()
+		r.net.Partition(lead.self, f[0].self)
+		time.Sleep(3 * lease)
+		r.net.Partition(lead.self, f[1].self)
+		waitFor(t, 3*time.Second, "a successor", func() bool { return f[0].IsLeader() || f[1].IsLeader() })
+		time.Sleep(lease)
+		close(stop)
+		wg.Wait()
+		r.close()
+		select {
+		case holders := <-overlap:
+			t.Fatalf("run %d: two lease holders at once: %s", run, holders)
+		default:
+		}
+	}
+}
+
+// stallTransport delays Appends to one replica (named by to, once set) by
+// stall before delivering them: a follower that accepts the call and does
+// not answer in time. With once, only the next Append stalls.
+type stallTransport struct {
+	Transport
+	to    *atomic.Value
+	stall time.Duration
+	once  bool
+}
+
+type stallPeer struct {
+	Peer
+	t  stallTransport
+	id string
+}
+
+func (t stallTransport) Dial(id string) (Peer, error) {
+	p, err := t.Transport.Dial(id)
+	if err != nil {
+		return p, err
+	}
+	return stallPeer{Peer: p, t: t, id: id}, nil
+}
+
+func (p stallPeer) Append(req AppendRequest) (AppendReply, error) {
+	if p.t.once && p.t.to.CompareAndSwap(p.id, "") || !p.t.once && p.t.to.Load() == p.id {
+		time.Sleep(p.t.stall)
+	}
+	return p.Peer.Append(req)
+}
+
+// One follower that stalls for three leases costs the leader nothing: its
+// rounds stop waiting at half a lease and renew the lease on the other
+// follower's acknowledgement. (Regression: a round waited for the slowest
+// follower and then renewed the lease from its start, already in the past,
+// so the leader stepped down at its next tick.)
+func TestStalledFollowerKeepsLeaderLease(t *testing.T) {
+	var stalled atomic.Value
+	stalled.Store("")
+	const lease = 120 * time.Millisecond
+	r := newRig(t, []string{"a", "b", "c"}, func(_ string, o *Options) {
+		o.Transport = stallTransport{Transport: o.Transport, to: &stalled, stall: 3 * lease}
+	})
+	r.startAll()
+	lead := r.settled(t)
+	stalled.Store(r.followers(lead)[0].self)
+	recorded := make(chan error, 1)
+	go func() { recorded <- lead.Record(OpDeploy, "g1", json.RawMessage(`{}`)) }()
+	holdsLease(t, lead, 5*lease)
+	if err := <-recorded; err != nil {
+		t.Fatalf("Record with one follower stalled: %v", err)
+	}
+}
+
+// An append that misses its round still lands later. Until it has, the
+// leader sends that follower nothing more, so no newer append can overtake
+// it: a late snapshot restored over ops the follower already acknowledged
+// would leave it behind the ack the leader counts toward commit.
+func TestStraggledAppendIsNotOvertaken(t *testing.T) {
+	var stalled atomic.Value
+	stalled.Store("")
+	const lease = 100 * time.Millisecond
+	r := newRig(t, []string{"a", "b", "c"}, func(_ string, o *Options) {
+		o.HeartbeatInterval = time.Hour // every round below is the test's
+		o.LeaseDuration = lease
+		o.Transport = stallTransport{Transport: o.Transport, to: &stalled, stall: 3 * lease / 2, once: true}
+	})
+	r.startAll()
+	lead, c := r.clusters["a"], r.clusters["c"]
+	stalled.Store("c") // the term's first append to c: its snapshot
+	lead.runElection()
+	if !lead.IsLeader() {
+		t.Fatal("a did not win its election")
+	}
+	for i := 0; i < 3; i++ {
+		if err := lead.Record(OpDeploy, fmt.Sprint("g", i), json.RawMessage(`{}`)); err != nil {
+			t.Fatalf("Record %d: %v", i, err)
+		}
+	}
+	time.Sleep(2 * lease) // the stalled snapshot lands
+	want := lead.Store().Serialize()
+	waitFor(t, time.Second, "c converges on the leader's store", func() bool {
+		lead.broadcastAppend()
+		return bytes.Equal(c.Store().Serialize(), want)
+	})
 }
 
 // --- HTTP transport --------------------------------------------------------
@@ -762,8 +932,6 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 			ClusterID:         "http-test",
 			Peers:             peers,
 			Transport:         NewHTTPTransport(peers, nil),
-			ProbeInterval:     10 * time.Millisecond,
-			SuspicionTimeout:  50 * time.Millisecond,
 			HeartbeatInterval: 10 * time.Millisecond,
 			LeaseDuration:     150 * time.Millisecond,
 			CommitTimeout:     time.Second,

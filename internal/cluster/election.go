@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -64,22 +63,19 @@ func (c *Cluster) electTick() {
 	}
 }
 
-// leaderGoneLocked reports whether the known leader can be presumed lost:
-// either we never had one, its lease (as observed from the last valid
-// Append) has lapsed, or the failure detector marks it suspect/dead —
-// SWIM makes elections start in hundreds of milliseconds rather than a
-// full lease timeout.
+// leaderGoneLocked reports whether no lease is live as this replica sees
+// it: as leader, its own lease has lapsed; as follower, it knows no leader
+// or has heard no valid Append for one LeaseDuration. The lease is the only
+// input to leadership. A leader times its lease from the start of the
+// round that renewed it, before any follower acknowledged it, so a voter
+// that acknowledged that round sees the lease lapse no earlier than the
+// leader does: every vote quorum holds such a voter, and no two replicas
+// hold a lease at once.
 func (c *Cluster) leaderGoneLocked(now time.Time) bool {
-	if c.leader == "" {
-		return true
+	if c.role == roleLeader {
+		return !now.Before(c.leaseUntil)
 	}
-	if now.Sub(c.leaderSeen) >= c.opts.LeaseDuration {
-		return true
-	}
-	if m, ok := c.members[c.leader]; ok && m.state != StateAlive {
-		return true
-	}
-	return false
+	return c.leader == "" || now.Sub(c.leaderSeen) >= c.opts.LeaseDuration
 }
 
 // stepDownLocked demotes a leader to follower and schedules the next
@@ -99,64 +95,118 @@ func (c *Cluster) fireDemote() {
 	}
 }
 
-// runElection stands for leadership: bump the term, vote for self, and
-// canvass every replica peer in parallel. Promotion requires a majority
-// of the static replica set, and the lease only becomes valid once the
-// first heartbeat round is majority-acknowledged.
+// answer is one peer's reply to a fanOut round; ok is false when the peer
+// could not be reached, refused the call or answered too late.
+type answer[R any] struct {
+	r  R
+	ok bool
+}
+
+// fanOut runs call(i) for every i < n in parallel and returns, by index,
+// the replies that arrived within half a LeaseDuration of start. A
+// straggler finishes into the buffered channel and counts for nothing: a
+// round never waits on a stalled peer past the point where the lease it
+// renews would be half spent.
+func fanOut[R any](c *Cluster, start time.Time, n int, call func(i int) (R, error)) []answer[R] {
+	type result struct {
+		i   int
+		r   R
+		err error
+	}
+	out := make([]answer[R], n)
+	if n == 0 {
+		return out
+	}
+	ch := make(chan result, n)
+	for i := range n {
+		go func() {
+			r, err := call(i)
+			ch <- result{i, r, err}
+		}()
+	}
+	timer := time.NewTimer(time.Until(start.Add(c.opts.LeaseDuration / 2)))
+	defer timer.Stop()
+	for range n {
+		select {
+		case res := <-ch:
+			out[res.i] = answer[R]{r: res.r, ok: res.err == nil}
+		case <-timer.C:
+			return out
+		}
+	}
+	return out
+}
+
+// canvass asks every replica peer for its vote (or pre-vote) on req and
+// reports whether a quorum, self included, granted it. A reply from a
+// newer term is adopted, and this replica stays a follower.
+func (c *Cluster) canvass(peers []string, req VoteRequest) bool {
+	answers := fanOut(c, time.Now(), len(peers), func(i int) (VoteReply, error) {
+		peer, err := c.opts.Transport.Dial(peers[i])
+		if err != nil {
+			return VoteReply{}, err
+		}
+		return peer.RequestVote(req)
+	})
+	votes := 1 // self
+	var maxTerm uint64
+	for _, a := range answers {
+		if a.ok && a.r.Granted {
+			votes++
+		}
+		maxTerm = max(maxTerm, a.r.Term)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if maxTerm > c.term {
+		c.term = maxTerm
+		c.stepDownLocked("peer has higher term")
+		return false
+	}
+	return votes >= c.quorum()
+}
+
+// runElection stands for leadership in two rounds (Ongaro's PreVote). The
+// pre-vote asks every replica peer whether it would grant a vote at the
+// next term, and changes no term, vote or role anywhere. Only a quorum of
+// pre-votes starts the election proper: bump the term, vote for self and
+// canvass again. A replica cut from a healthy leader thus fails its
+// pre-vote and raises no term that would depose the leader. Promotion
+// requires a majority of the static replica set, and the lease only
+// becomes valid once the first heartbeat round is majority-acknowledged.
 func (c *Cluster) runElection() {
 	c.mu.Lock()
 	if c.role == roleLeader {
 		c.mu.Unlock()
 		return
 	}
-	c.role = roleCandidate
-	c.term++
-	term := c.term
-	c.votedTerm = term
-	c.votedFor = c.self
 	c.electionAt = time.Now().Add(c.electionTimeout())
+	term := c.term + 1
 	lastTerm, lastSeq := c.store.LastTermSeq()
 	peers := c.replicaPeersLocked()
 	c.mu.Unlock()
 
-	c.electionsStarted.Inc()
-	req := VoteRequest{ClusterID: c.opts.ClusterID, Candidate: c.self, Term: term, LastTerm: lastTerm, LastSeq: lastSeq}
-	votes := 1 // self
-	var maxTerm uint64
-	var vmu sync.Mutex
-	var wg sync.WaitGroup
-	for _, id := range peers {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			peer, err := c.opts.Transport.Dial(id)
-			if err != nil {
-				return
-			}
-			reply, err := peer.RequestVote(req)
-			if err != nil {
-				return
-			}
-			vmu.Lock()
-			defer vmu.Unlock()
-			if reply.Granted {
-				votes++
-			}
-			if reply.Term > maxTerm {
-				maxTerm = reply.Term
-			}
-		}(id)
-	}
-	wg.Wait()
-
-	c.mu.Lock()
-	if maxTerm > c.term {
-		c.term = maxTerm
-		c.stepDownLocked("peer has higher term")
-		c.mu.Unlock()
+	req := VoteRequest{ClusterID: c.opts.ClusterID, Candidate: c.self, Term: term, LastTerm: lastTerm, LastSeq: lastSeq, Pre: true}
+	if !c.canvass(peers, req) {
 		return
 	}
-	if c.term != term || c.role != roleCandidate || votes < c.quorum() {
+	c.mu.Lock()
+	if c.role == roleLeader || c.term != term-1 || !c.leaderGoneLocked(time.Now()) {
+		c.mu.Unlock()
+		return // a leader or a newer term turned up during the pre-vote
+	}
+	c.role = roleCandidate
+	c.term = term
+	c.votedTerm = term
+	c.votedFor = c.self
+	c.mu.Unlock()
+
+	c.electionsStarted.Inc()
+	req.Pre = false
+	won := c.canvass(peers, req)
+
+	c.mu.Lock()
+	if !won || c.term != term || c.role != roleCandidate {
 		if c.role == roleCandidate {
 			c.role = roleFollower
 		}
@@ -177,6 +227,7 @@ func (c *Cluster) runElection() {
 	c.leaseUntil = time.Time{}
 	c.log.Reset(c.store.LastApplied())
 	c.acked = make(map[string]uint64)
+	c.heard = make(map[string]time.Time)
 	c.synced = make(map[string]bool)
 	c.syncedTerm = term // our own store is this term's baseline
 	c.mu.Unlock()
@@ -196,11 +247,14 @@ func (c *Cluster) runElection() {
 	}
 }
 
-// RequestVote implements Peer: grant when the candidate's term is fresh,
-// its log is at least as complete as ours, and — the lease guard — our
-// current leader is either unknown, silent past its lease, or marked
-// suspect/dead by the failure detector. The guard bounds disruption: a
-// healthy leader cannot be deposed by a flaky peer.
+// RequestVote implements Peer. The lease guard runs before any term is
+// adopted: while this replica believes a lease is live (leaderGoneLocked)
+// it refuses a candidate other than that leader and changes nothing, so a
+// replica cut from a healthy leader cannot depose it by raising the term
+// (leader stickiness). Otherwise the vote goes to a candidate whose term
+// is current or newer, who is the first asked for in its term, and whose
+// log is at least as complete as ours. A pre-vote runs the same checks and
+// changes no state at all.
 func (c *Cluster) RequestVote(req VoteRequest) (VoteReply, error) {
 	if req.ClusterID != c.opts.ClusterID {
 		return VoteReply{}, errWrongCluster
@@ -208,20 +262,8 @@ func (c *Cluster) RequestVote(req VoteRequest) (VoteReply, error) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if req.Term > c.term {
-		c.term = req.Term
-		if c.role == roleLeader {
-			c.stepDownLocked("vote request with higher term")
-			defer c.fireDemote()
-		} else {
-			c.role = roleFollower
-		}
-	}
 	reply := VoteReply{Term: c.term}
-	if req.Term < c.term {
-		return reply, nil
-	}
-	if c.votedTerm == req.Term && c.votedFor != req.Candidate {
+	if req.Term < c.term || (c.votedTerm == req.Term && c.votedFor != req.Candidate) {
 		return reply, nil
 	}
 	// Election restriction: rank histories by (term, seq) of the newest
@@ -232,14 +274,26 @@ func (c *Cluster) RequestVote(req VoteRequest) (VoteReply, error) {
 	if req.LastTerm < myTerm || (req.LastTerm == myTerm && req.LastSeq < mySeq) {
 		return reply, nil
 	}
-	if c.leader != "" && c.leader != req.Candidate && !c.leaderGoneLocked(now) {
+	if c.leader != req.Candidate && !c.leaderGoneLocked(now) {
 		return reply, nil
+	}
+	reply.Granted = true
+	if req.Pre {
+		return reply, nil
+	}
+	if req.Term > c.term {
+		c.term = req.Term
+		reply.Term = req.Term
+		if c.role == roleLeader {
+			c.stepDownLocked("vote request with higher term")
+			defer c.fireDemote()
+		}
+		c.role = roleFollower
 	}
 	c.votedTerm = req.Term
 	c.votedFor = req.Candidate
 	c.leader = ""
 	c.electionAt = now.Add(c.electionTimeout())
-	reply.Granted = true
 	return reply, nil
 }
 
@@ -248,12 +302,15 @@ func (c *Cluster) RequestVote(req VoteRequest) (VoteReply, error) {
 // (truncating any divergent suffix a deposed leader left on it), a synced
 // one the ops past its acknowledgement (or a snapshot again when its ack
 // fell out of the log window). A majority of current-term
-// acknowledgements advances the commit point and renews the leader lease
-// from the round's start time; replies from any other term are ignored.
+// acknowledgements within half a lease (fanOut) advances the commit point
+// and renews the leader lease from the round's start time; replies from
+// any other term are ignored.
 //
 // Rounds do not overlap: a heartbeat tick that lands while a commit wait's
 // round is in flight waits for its acknowledgements, so it reads the ops
-// past them and ships none of that round's ops again.
+// past them and ships none of that round's ops again. A follower whose
+// append from an earlier round is still in flight is skipped until it
+// answers, so its appends never overtake each other.
 func (c *Cluster) broadcastAppend() {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
@@ -273,6 +330,10 @@ func (c *Cluster) broadcastAppend() {
 	var snap *Snapshot // built once, shared read-only across requests
 	dests := make([]dest, 0, len(peers))
 	for _, id := range peers {
+		if c.sending[id] {
+			continue
+		}
+		c.sending[id] = true
 		req := AppendRequest{ClusterID: c.opts.ClusterID, Leader: c.self, Term: term, CommitSeq: commit}
 		ops, inWindow := c.log.Since(c.acked[id])
 		if c.synced[id] && inWindow {
@@ -288,46 +349,27 @@ func (c *Cluster) broadcastAppend() {
 	}
 	c.mu.Unlock()
 
-	acks := 1 // self
-	var maxTerm uint64
-	type ack struct {
-		seq uint64
-		ok  bool
-	}
-	results := make(map[string]ack)
-	var rmu sync.Mutex
-	var wg sync.WaitGroup
-	for _, d := range dests {
-		wg.Add(1)
-		go func(d dest) {
-			defer wg.Done()
-			peer, err := c.opts.Transport.Dial(d.id)
-			if err != nil {
-				return
-			}
-			c.opsShipped.Add(uint64(len(d.req.Ops)))
-			reply, err := peer.Append(d.req)
-			if err != nil {
-				return
-			}
-			rmu.Lock()
-			defer rmu.Unlock()
-			if reply.Term > maxTerm {
-				maxTerm = reply.Term
-			}
-			if reply.Term != d.req.Term {
-				return // stale-term reply: not an acknowledgement of ours
-			}
-			if reply.Ok {
-				acks++
-			}
-			results[d.id] = ack{seq: reply.Acked, ok: reply.Ok}
-		}(d)
-	}
-	wg.Wait()
+	answers := fanOut(c, start, len(dests), func(i int) (AppendReply, error) {
+		d := &dests[i]
+		defer func() {
+			c.mu.Lock()
+			delete(c.sending, d.id)
+			c.mu.Unlock()
+		}()
+		peer, err := c.opts.Transport.Dial(d.id)
+		if err != nil {
+			return AppendReply{}, err
+		}
+		c.opsShipped.Add(uint64(len(d.req.Ops)))
+		return peer.Append(d.req)
+	})
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var maxTerm uint64
+	for _, a := range answers {
+		maxTerm = max(maxTerm, a.r.Term)
+	}
 	if maxTerm > c.term {
 		c.term = maxTerm
 		c.stepDownLocked("append rejected by higher term")
@@ -337,9 +379,18 @@ func (c *Cluster) broadcastAppend() {
 	if c.role != roleLeader || c.term != term {
 		return
 	}
+	acks := 1 // self
 	tail := c.log.LastSeq()
-	for id, a := range results {
-		if !a.ok || a.seq > tail {
+	for i, a := range answers {
+		if !a.ok || a.r.Term != term {
+			continue // no reply in time, or a stale-term one: not an acknowledgement of ours
+		}
+		id := dests[i].id
+		c.heard[id] = start
+		if a.r.Ok {
+			acks++
+		}
+		if !a.r.Ok || a.r.Acked > tail {
 			// Ok=false at our own term means the follower refused
 			// incremental ops (it restarted, or never adopted this term's
 			// baseline); an ack past our log tail is a divergent suffix we
@@ -351,8 +402,8 @@ func (c *Cluster) broadcastAppend() {
 			continue
 		}
 		c.synced[id] = true
-		if a.seq > c.acked[id] {
-			c.acked[id] = a.seq
+		if a.r.Acked > c.acked[id] {
+			c.acked[id] = a.r.Acked
 		}
 	}
 	if acks >= c.quorum() {

@@ -8,13 +8,13 @@ import (
 	"testing"
 )
 
-// FuzzClusterRPC throws arbitrary bodies at the four peer RPC routes of a
+// FuzzClusterRPC throws arbitrary bodies at the two peer RPC routes of a
 // single-replica cluster on a LocalNetwork: what a peer sends is input from
 // outside the process. The replica must never panic, and must answer 200
 // (handled), 400 (the body does not decode) or 502 (the replica refused the
 // call). The seeds are well-formed requests of each route, then garbage.
 func FuzzClusterRPC(f *testing.F) {
-	routes := []string{"ping", "ping-req", "vote", "append"}
+	routes := []string{"vote", "append"}
 	seed := func(route int, v any) {
 		body, err := json.Marshal(v)
 		if err != nil {
@@ -22,25 +22,24 @@ func FuzzClusterRPC(f *testing.F) {
 		}
 		f.Add(uint8(route), body)
 	}
-	seed(0, pingWire{From: "b", Updates: []MemberUpdate{
-		{ID: "a", Kind: KindReplica, State: StateSuspect, Incarnation: 1},
-		{ID: "n1", Kind: KindNode, State: StateDead, Incarnation: 4},
-	}})
-	seed(1, pingWire{From: "b", Target: "a"})
-	seed(1, pingWire{From: "b", Target: "nobody"})
-	seed(2, VoteRequest{ClusterID: "fuzz", Candidate: "b", Term: 2, LastTerm: 1, LastSeq: 3})
-	seed(2, VoteRequest{ClusterID: "other", Candidate: "b", Term: 9})
-	seed(3, AppendRequest{ClusterID: "fuzz", Leader: "b", Term: 3, CommitSeq: 1, Ops: []Op{
+	seed(0, VoteRequest{ClusterID: "fuzz", Candidate: "b", Term: 2, LastTerm: 1, LastSeq: 3})
+	seed(0, VoteRequest{ClusterID: "other", Candidate: "b", Term: 9})
+	seed(0, VoteRequest{ClusterID: "fuzz", Candidate: "b", Term: 5, LastTerm: 1, LastSeq: 3, Pre: true})
+	seed(0, VoteRequest{ClusterID: "other", Candidate: "b", Term: 9, Pre: true})
+	seed(0, VoteRequest{ClusterID: "fuzz", Candidate: "b", Term: 0, Pre: true})
+	seed(1, AppendRequest{ClusterID: "fuzz", Leader: "b", Term: 3, CommitSeq: 1, Ops: []Op{
 		{Seq: 1, Term: 3, Kind: OpDeploy, Key: "g1", Data: json.RawMessage(`{"v":1}`)},
 		{Seq: 3, Term: 3, Kind: OpUndeploy, Key: "g1"},
 	}})
-	seed(3, AppendRequest{ClusterID: "fuzz", Leader: "b", Term: 4, Snapshot: &Snapshot{
+	seed(1, AppendRequest{ClusterID: "fuzz", Leader: "b", Term: 4, Snapshot: &Snapshot{
 		Seq: 2, Term: 4, Records: map[string]map[string]json.RawMessage{"graphs": {"g2": json.RawMessage(`{}`)}},
 	}})
+	seed(1, AppendRequest{ClusterID: "fuzz", Leader: "b", Term: 1})
+	seed(1, AppendRequest{ClusterID: "other", Leader: "b", Term: 9})
 	for route := range routes {
-		f.Add(uint8(route), []byte{})
-		f.Add(uint8(route), []byte("null"))
-		f.Add(uint8(route), []byte(`{"term":`))
+		for _, body := range []string{"", "null", `{"term":`, "{}", `{"pre":"yes","term":-1}`} {
+			f.Add(uint8(route), []byte(body))
+		}
 	}
 
 	network := NewLocalNetwork()

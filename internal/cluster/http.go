@@ -17,16 +17,6 @@ import (
 // RPCHandler, mounted by the REST server. Keeping both ends in this
 // package keeps the wire format in one place.
 
-type pingWire struct {
-	From    string         `json:"from"`
-	Target  string         `json:"target,omitempty"`
-	Updates []MemberUpdate `json:"updates,omitempty"`
-}
-
-type pingReplyWire struct {
-	Updates []MemberUpdate `json:"updates,omitempty"`
-}
-
 // HTTPTransport dials peers by POSTing to their REST base URLs.
 type HTTPTransport struct {
 	addrs  map[string]string
@@ -34,8 +24,9 @@ type HTTPTransport struct {
 }
 
 // NewHTTPTransport builds a transport over the peer set. A nil client
-// gets a short per-call timeout: peer RPCs are liveness probes, and a
-// hung connection must fail faster than the suspicion timeout.
+// gets a 2 s per-call timeout. No round waits that long: a vote or append
+// round stops waiting at half a lease, so a hung peer costs a goroutine
+// until the timeout, never the leader's lease.
 func NewHTTPTransport(peers []PeerSpec, client *http.Client) *HTTPTransport {
 	if client == nil {
 		client = &http.Client{Timeout: 2 * time.Second}
@@ -85,18 +76,6 @@ func (p *httpPeer) postBody(path string, body []byte, reply any) error {
 	return json.Unmarshal(data, reply)
 }
 
-func (p *httpPeer) Ping(from string, updates []MemberUpdate) ([]MemberUpdate, error) {
-	var reply pingReplyWire
-	err := p.post("/v1/cluster/rpc/ping", pingWire{From: from, Updates: updates}, &reply)
-	return reply.Updates, err
-}
-
-func (p *httpPeer) PingReq(from, target string, updates []MemberUpdate) ([]MemberUpdate, error) {
-	var reply pingReplyWire
-	err := p.post("/v1/cluster/rpc/ping-req", pingWire{From: from, Target: target, Updates: updates}, &reply)
-	return reply.Updates, err
-}
-
 func (p *httpPeer) RequestVote(req VoteRequest) (VoteReply, error) {
 	var reply VoteReply
 	err := p.post("/v1/cluster/rpc/vote", req, &reply)
@@ -124,18 +103,6 @@ func (p *httpPeer) Append(req AppendRequest) (AppendReply, error) {
 // gate (votes and appends must reach followers).
 func (c *Cluster) RPCHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/cluster/rpc/ping", func(w http.ResponseWriter, r *http.Request) {
-		rpc(w, r, unmarshal[pingWire], func(req pingWire) (pingReplyWire, error) {
-			ups, err := c.Ping(req.From, req.Updates)
-			return pingReplyWire{Updates: ups}, err
-		})
-	})
-	mux.HandleFunc("/v1/cluster/rpc/ping-req", func(w http.ResponseWriter, r *http.Request) {
-		rpc(w, r, unmarshal[pingWire], func(req pingWire) (pingReplyWire, error) {
-			ups, err := c.PingReq(req.From, req.Target, req.Updates)
-			return pingReplyWire{Updates: ups}, err
-		})
-	})
 	mux.HandleFunc("/v1/cluster/rpc/vote", func(w http.ResponseWriter, r *http.Request) {
 		rpc(w, r, unmarshal[VoteRequest], c.RequestVote)
 	})

@@ -17,13 +17,6 @@ func (c *Cluster) Collect(e *telemetry.Exposition) {
 	commit := c.commitSeq
 	applied := c.store.LastApplied()
 	lag := c.replicationLagLocked()
-	counts := make(map[MemberKind]map[MemberState]int)
-	for _, m := range c.members {
-		if counts[m.kind] == nil {
-			counts[m.kind] = make(map[MemberState]int)
-		}
-		counts[m.kind][m.state]++
-	}
 	c.mu.Unlock()
 
 	lead := 0.0
@@ -41,17 +34,9 @@ func (c *Cluster) Collect(e *telemetry.Exposition) {
 	e.Gauge("un_cluster_applied_seq", "Highest contiguously applied intent sequence number.", telemetry.Labels{"id": self}, float64(applied))
 	e.Gauge("un_cluster_replication_lag", "Intent ops the slowest live follower (or this follower) is behind.",
 		telemetry.Labels{"id": self}, float64(lag))
-	for _, kind := range []MemberKind{KindReplica, KindNode} {
-		for _, state := range []MemberState{StateAlive, StateSuspect, StateDead} {
-			e.Gauge("un_cluster_members", "Membership table size by kind and state.",
-				telemetry.Labels{"kind": string(kind), "state": string(state)}, float64(counts[kind][state]))
-		}
-	}
 	e.Counter("un_cluster_elections_total", "Elections this replica stood for.", nil, c.electionsStarted.Value())
 	e.Counter("un_cluster_elections_won_total", "Elections this replica won.", nil, c.electionsWon.Value())
 	e.Counter("un_cluster_heartbeat_rounds_total", "Quorum-acknowledged replication rounds led.", nil, c.heartbeatRounds.Value())
-	e.Counter("un_cluster_members_suspected_total", "Members this replica marked suspect.", nil, c.membersSuspected.Value())
-	e.Counter("un_cluster_members_died_total", "Members this replica declared dead.", nil, c.membersDied.Value())
 	e.Counter("un_cluster_intent_ops_total", "Desired-state ops recorded into the replicated log.", nil, c.opsRecorded.Value())
 	e.Counter("un_cluster_ops_shipped_total", "Intent ops carried in append requests to followers (ops recorded × followers when each crosses once).", nil, c.opsShipped.Value())
 }

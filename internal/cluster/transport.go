@@ -7,46 +7,14 @@ import (
 	"repro/internal/jsonw"
 )
 
-// MemberKind distinguishes the two populations the membership protocol
-// tracks: orchestrator replicas (which vote, replicate the intent log and
-// gossip with each other) and Universal Nodes (which are only monitored —
-// they run no cluster code, so replicas probe them through NodeProber).
-type MemberKind string
-
-const (
-	KindReplica MemberKind = "replica"
-	KindNode    MemberKind = "node"
-)
-
-// MemberState is one member's position in the SWIM failure-detection
-// lifecycle. Alive members answer probes; a member that fails its direct
-// probe and every indirect ping-req becomes Suspect, and a suspicion that
-// is not refuted (by the member gossiping a higher incarnation) within the
-// suspicion timeout hardens into Dead.
-type MemberState string
-
-const (
-	StateAlive   MemberState = "alive"
-	StateSuspect MemberState = "suspect"
-	StateDead    MemberState = "dead"
-)
-
-// MemberUpdate is one gossip rumor: what the sender believes about a
-// member, qualified by the member's incarnation number. Incarnations
-// totally order rumors about one member — a refutation (Alive at a higher
-// incarnation) beats any suspicion at a lower one.
-type MemberUpdate struct {
-	ID          string      `json:"id"`
-	Kind        MemberKind  `json:"kind"`
-	State       MemberState `json:"state"`
-	Incarnation uint64      `json:"incarnation"`
-}
-
 // VoteRequest asks a peer for its vote in one election term.
 type VoteRequest struct {
 	ClusterID string `json:"cluster-id"`
 	Candidate string `json:"candidate"`
 	Term      uint64 `json:"term"`
+	// Pre marks a pre-vote: would the receiver grant this vote? It runs
+	// the vote's checks and changes no state on either side.
+	Pre bool `json:"pre,omitempty"`
 	// LastTerm/LastSeq identify the candidate's newest applied op: voters
 	// refuse candidates whose history is behind their own — ordered by
 	// (LastTerm, LastSeq), the Raft election restriction — so a stale
@@ -90,14 +58,6 @@ type AppendReply struct {
 // Peer is the RPC surface one replica exposes to the rest of the cluster.
 // *Cluster implements it; transports carry it between processes.
 type Peer interface {
-	// Ping is the SWIM direct probe. Both sides exchange their membership
-	// tables: the caller piggybacks its rumors, the reply carries the
-	// receiver's.
-	Ping(from string, updates []MemberUpdate) ([]MemberUpdate, error)
-	// PingReq asks the receiver to probe target on the caller's behalf
-	// (the SWIM indirect probe): a member is only suspected when k peers
-	// with independent network paths also fail to reach it.
-	PingReq(from, target string, updates []MemberUpdate) ([]MemberUpdate, error)
 	// RequestVote asks for the receiver's vote in an election term.
 	RequestVote(req VoteRequest) (VoteReply, error)
 	// Append delivers replicated intent ops (or a bare heartbeat).
@@ -235,22 +195,6 @@ type localPeer struct {
 // every call, so a partition injected after Dial still cuts the path.
 func (t *localTransport) Dial(id string) (Peer, error) {
 	return &localPeer{net: t.net, from: t.self, to: id}, nil
-}
-
-func (p *localPeer) Ping(from string, updates []MemberUpdate) ([]MemberUpdate, error) {
-	peer, err := p.net.reach(p.from, p.to)
-	if err != nil {
-		return nil, err
-	}
-	return peer.Ping(from, updates)
-}
-
-func (p *localPeer) PingReq(from, target string, updates []MemberUpdate) ([]MemberUpdate, error) {
-	peer, err := p.net.reach(p.from, p.to)
-	if err != nil {
-		return nil, err
-	}
-	return peer.PingReq(from, target, updates)
 }
 
 func (p *localPeer) RequestVote(req VoteRequest) (VoteReply, error) {

@@ -132,7 +132,6 @@ type Orchestrator struct {
 	// record them under.
 	unrecorded map[string]cluster.OpKind
 
-	kickCh  chan struct{}
 	stop    chan struct{}
 	wg      sync.WaitGroup
 	started bool
@@ -175,7 +174,6 @@ func New(cfg Config) *Orchestrator {
 		alloc:      newVLANAlloc(),
 		pending:    make(map[string]map[string]bool),
 		unrecorded: make(map[string]cluster.OpKind),
-		kickCh:     make(chan struct{}, 1),
 	}
 	o.registry.Register(o)
 	return o
@@ -843,8 +841,7 @@ func (o *Orchestrator) Undeploy(id string) error {
 }
 
 // Start launches the background loops: reconcile every ReconcileInterval
-// (or immediately on KickReconcile) and standby flow-state refresh every
-// StandbySyncInterval.
+// and standby flow-state refresh every StandbySyncInterval.
 func (o *Orchestrator) Start() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -865,8 +862,6 @@ func (o *Orchestrator) Start() {
 			case <-o.stop:
 				return
 			case <-reconcile.C:
-				o.ReconcileOnce()
-			case <-o.kickCh:
 				o.ReconcileOnce()
 			case <-standby.C:
 				o.SyncStandbys()

@@ -2,16 +2,16 @@ package global
 
 import (
 	"encoding/json"
-	"sync"
 
 	"repro/internal/cluster"
 )
 
 // BuildHA wires an orchestrator into a cluster replica: desired-state
 // mutations are gated on the leader lease and recorded in the
-// replicated intent log, cluster-detected node transitions feed the
-// reconcile loop, and promotion replays the intent store into the
+// replicated intent log, and promotion replays the intent store into the
 // orchestrator before the first reconcile pass adopts the running fleet.
+// Node liveness is the leader's reconcile probe, in HA mode as standalone:
+// that pass also runs at once on promotion.
 // The caller owns both lifecycles: Start the cluster and the orchestrator
 // after this returns, Close both on shutdown.
 //
@@ -30,34 +30,6 @@ func BuildHA(o *Orchestrator, copts cluster.Options, resolver NodeResolver) (*cl
 		copts.Logf = o.cfg.Logf
 	}
 
-	// Gossip probes monitored nodes through resolved handles, cached per
-	// (id, record) so a re-added node with a new URL gets a fresh dial.
-	var pmu sync.Mutex
-	probes := make(map[string]struct {
-		rec  string
-		node Node
-	})
-	copts.NodeProber = func(id string, rec json.RawMessage) error {
-		pmu.Lock()
-		cached, ok := probes[id]
-		pmu.Unlock()
-		if !ok || cached.rec != string(rec) {
-			n, err := resolver(id, rec)
-			if err != nil {
-				return err
-			}
-			cached = struct {
-				rec  string
-				node Node
-			}{rec: string(rec), node: n}
-			pmu.Lock()
-			probes[id] = cached
-			pmu.Unlock()
-		}
-		_, err := cached.node.Status()
-		return err
-	}
-
 	var c *cluster.Cluster
 	copts.OnPromote = func(term uint64) {
 		// Deterministic replay: rebuild the fleet bookkeeping from the
@@ -68,15 +40,6 @@ func BuildHA(o *Orchestrator, copts cluster.Options, resolver NodeResolver) (*cl
 		}
 		go o.ReconcileOnce()
 	}
-	copts.OnNodeState = func(id string, alive bool) {
-		o.SetNodeLiveness(id, alive)
-		if !alive {
-			// Start rescheduling within the detection latency, not a
-			// reconcile period later.
-			o.KickReconcile()
-		}
-	}
-
 	c, err := cluster.New(copts)
 	if err != nil {
 		return nil, err

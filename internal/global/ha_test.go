@@ -287,19 +287,3 @@ func TestMutationSurfacesCommitFailure(t *testing.T) {
 		t.Fatalf("quiet pass proposed %v", proposed)
 	}
 }
-
-// Gossip-driven liveness overrides take effect immediately and reconcile
-// probes converge them back to the truth.
-func TestSetNodeLivenessOverridesAndRecovers(t *testing.T) {
-	r := newHARig(t, 1)
-	r.o1.SetNodeLiveness("n1", false)
-	nodes := r.o1.ListNodes()
-	if len(nodes) != 1 || nodes[0].Alive {
-		t.Fatalf("gossip death not applied: %v", nodes)
-	}
-	r.o1.ReconcileOnce() // the node is actually fine; the probe revives it
-	nodes = r.o1.ListNodes()
-	if len(nodes) != 1 || !nodes[0].Alive {
-		t.Fatalf("probe did not revive node: %v", nodes)
-	}
-}

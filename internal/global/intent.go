@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/jsonw"
-	"repro/internal/telemetry"
 )
 
 // HA intent plumbing: every desired-state mutation the orchestrator
@@ -48,7 +47,7 @@ type IntentSource interface {
 }
 
 // NodeResolver turns a replicated node record back into a dialable Node
-// handle on promotion (and for gossip probing of monitored nodes). The
+// handle on promotion and on a follower's refresh. The
 // raw record is whatever AddNode serialized — NodeRecord for the built-in
 // kinds.
 type NodeResolver func(name string, rec json.RawMessage) (Node, error)
@@ -424,35 +423,4 @@ func (o *Orchestrator) replayLocked(src IntentSource, seq uint64) error {
 	o.cfg.Logf("global: restored intent: %d node(s), %d link(s), %d graph(s)",
 		len(members), len(links), len(graphs))
 	return errors.Join(errs...)
-}
-
-// SetNodeLiveness applies an externally detected node state change (the
-// gossip failure detector) immediately, without waiting for the next
-// reconcile probe. Unknown nodes are ignored.
-func (o *Orchestrator) SetNodeLiveness(name string, alive bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	m, ok := o.members[name]
-	if !ok || m.alive == alive {
-		return
-	}
-	m.alive = alive
-	if alive {
-		m.stale()
-		o.cfg.Logf("global: node %q back (gossip)", name)
-		o.journal.Recordf(telemetry.EventNodeBack, name, "", "gossip detector")
-	} else {
-		o.cfg.Logf("global: node %q dead (gossip)", name)
-		o.journal.Recordf(telemetry.EventNodeDead, name, "", "gossip detector")
-	}
-}
-
-// KickReconcile asks the reconcile loop for an immediate pass (no-op when
-// the loop is not running). The gossip path uses it so failure recovery
-// starts within the failure-detection latency, not a reconcile period.
-func (o *Orchestrator) KickReconcile() {
-	select {
-	case o.kickCh <- struct{}{}:
-	default:
-	}
 }

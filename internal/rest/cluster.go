@@ -10,9 +10,9 @@ import (
 
 // EnableCluster attaches an HA cluster replica to the global server:
 //
-//	GET /v1/cluster           this replica's view (leader, term, members,
+//	GET /v1/cluster           this replica's view (leader, term,
 //	                          replication progress)
-//	    /v1/cluster/rpc/...   replica-to-replica RPC (gossip, votes, appends)
+//	    /v1/cluster/rpc/...   replica-to-replica RPC (votes, appends)
 //
 // and turns the server into a redirecting follower: a mutating request
 // (POST/PUT/DELETE outside /v1/cluster) arriving at a non-leader is

@@ -97,8 +97,6 @@ func TestClusterRESTFollowerRedirectsWrites(t *testing.T) {
 			ID:                id,
 			Peers:             peers,
 			Transport:         cluster.NewHTTPTransport(peers, nil),
-			ProbeInterval:     20 * time.Millisecond,
-			SuspicionTimeout:  150 * time.Millisecond,
 			HeartbeatInterval: 20 * time.Millisecond,
 			LeaseDuration:     250 * time.Millisecond,
 		}, resolver)

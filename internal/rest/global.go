@@ -25,7 +25,7 @@
 //	                         own control-plane metrics plus one scrape of
 //	                         every alive node, tagged node="..."
 //	GET    /v1/events        merged event journal of control plane and fleet
-//	GET    /v1/cluster       HA cluster view: leader, term, membership,
+//	GET    /v1/cluster       HA cluster view: leader, term,
 //	                         replication progress (when clustering is enabled;
 //	                         see EnableCluster — followers answer reads and
 //	                         307-redirect writes to the leader)

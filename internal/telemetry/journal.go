@@ -30,12 +30,9 @@ const (
 	EventStateSync = "state-sync"      // flow state replicated to a standby
 	EventLinkDown  = "link-down"       // inter-node link severed (withdrawn from stitching)
 
-	// Cluster-layer events (internal/cluster): HA control-plane
-	// membership and leadership changes.
+	// The cluster-layer event (internal/cluster): HA control-plane
+	// leadership changes.
 	EventLeaderElected = "leader-elected" // a replica won an election (or this replica adopted a new leader)
-	EventMemberSuspect = "member-suspect" // gossip member failed direct and indirect probes
-	EventMemberDead    = "member-dead"    // suspicion timeout expired; member declared dead
-	EventMemberAlive   = "member-alive"   // suspected/dead member answering again
 )
 
 // Event is one structured journal entry.
