@@ -90,10 +90,10 @@ func newHARig(o *Options, replicas int) (*haRig, error) {
 		r.orchs[id] = og
 		r.clusters[id] = c
 	}
-	for _, id := range r.ids {
-		c := r.clusters[id]
-		c.Start()
-		r.undo = append(r.undo, c.Close)
+	for _, id := range r.ids { // as un-global starts, and stops, a replica
+		r.orchs[id].Start()
+		r.clusters[id].Start()
+		r.undo = append(r.undo, r.orchs[id].Close, r.clusters[id].Close)
 	}
 	return r, nil
 }

@@ -17,10 +17,6 @@ func TestHANodeDeathSeenByLeaderAndSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	for _, id := range r.ids {
-		r.orchs[id].Start()
-		defer r.orchs[id].Close()
-	}
 	lead, err := r.waitLeader(5*time.Second, "")
 	if err != nil {
 		t.Fatal(err)

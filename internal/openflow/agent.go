@@ -12,11 +12,11 @@ import (
 	"repro/internal/vswitch"
 )
 
-// Agent is the switch-side endpoint of the control channel: it serves one
-// vswitch.Switch. NewAgent binds it to a net.Conn, which Run serves until it
-// closes or Stop is called; a Local controller calls into it directly.
+// Agent is the switch-side endpoint of the control channel over a
+// net.Conn: NewAgent binds it to one, and Run serves it until it closes or
+// Stop is called.
 type Agent struct {
-	sw   *vswitch.Switch
+	applier
 	conn net.Conn
 	// in buffers reads, so a commit written at once is read at once: over
 	// a net.Pipe every read is a handoff between goroutines.
@@ -27,15 +27,20 @@ type Agent struct {
 	// out of it.
 	body []byte
 
+	stopped chan struct{}
+	once    sync.Once
+}
+
+// applier is what serves one vswitch.Switch, whatever carries the
+// messages to it: an Agent's connection, or a Local controller's call.
+type applier struct {
+	sw *vswitch.Switch
 	// The FLOW_MODs since the last barrier, folded in order: applying del
 	// (the cookies to delete) and then add is applying them one by one.
 	// err is the first refusal, which fails the commit.
 	del []uint64
 	add []*vswitch.FlowEntry
 	err error
-
-	stopped chan struct{}
-	once    sync.Once
 }
 
 // readBufLen sizes the agent's read buffer: a typical commit (a graph's
@@ -44,7 +49,7 @@ const readBufLen = 512
 
 // NewAgent binds sw to conn. Call Run to serve.
 func NewAgent(sw *vswitch.Switch, conn net.Conn) *Agent {
-	return &Agent{sw: sw, conn: conn, in: bufio.NewReaderSize(conn, readBufLen), stopped: make(chan struct{})}
+	return &Agent{applier: applier{sw: sw}, conn: conn, in: bufio.NewReaderSize(conn, readBufLen), stopped: make(chan struct{})}
 }
 
 // Run serves the control channel until the peer disconnects or Stop is
@@ -53,7 +58,10 @@ func NewAgent(sw *vswitch.Switch, conn net.Conn) *Agent {
 // the controller's HELLO instead.
 func (a *Agent) Run() error {
 	for {
-		m, err := a.read(a.in)
+		m, err := readMessage(a.in, &a.hdr, a.body)
+		if cap(m.Body) > cap(a.body) {
+			a.body = m.Body
+		}
 		if err != nil {
 			select {
 			case <-a.stopped:
@@ -81,15 +89,6 @@ func (a *Agent) Stop() {
 	})
 }
 
-// read reads one message from r into the agent's own buffers.
-func (a *Agent) read(r io.Reader) (message, error) {
-	m, err := readMessage(r, &a.hdr, a.body)
-	if cap(m.Body) > cap(a.body) {
-		a.body = m.Body
-	}
-	return m, err
-}
-
 // write sends reply: one without a body from the agent's own buffer.
 func (a *Agent) write(reply message) error {
 	if len(reply.Body) > 0 {
@@ -100,7 +99,7 @@ func (a *Agent) write(reply message) error {
 }
 
 // serve handles one message and returns its reply; a FLOW_MOD has none.
-func (a *Agent) serve(m message) (reply message, ok bool) {
+func (a *applier) serve(m message) (reply message, ok bool) {
 	switch m.Type {
 	case typeHello:
 		return message{Type: typeHello, Xid: m.Xid}, true
@@ -135,7 +134,7 @@ func (a *Agent) serve(m message) (reply message, ok bool) {
 // stage folds one FLOW_MOD into the next commit: an add joins the staged
 // entries; a delete by cookie drops the staged entries under the cookie and
 // marks it for deletion from the table.
-func (a *Agent) stage(body []byte) error {
+func (a *applier) stage(body []byte) error {
 	fm, err := parseFlowMod(body)
 	if err != nil {
 		return err
@@ -160,12 +159,12 @@ func (a *Agent) stage(body []byte) error {
 // commit applies what was staged since the last barrier as one validated
 // table publish, or nothing if any of it was refused, and starts the next
 // commit empty.
-func (a *Agent) commit() error {
+func (a *applier) commit() error {
 	err := a.err
 	if err == nil {
 		_, err = a.sw.CommitFlows(a.del, a.add)
 	}
-	clear(a.add) // the table holds the entries now; the agent keeps none alive
+	clear(a.add) // the table holds the entries now; the applier keeps none alive
 	a.del, a.add, a.err = a.del[:0], a.add[:0], nil
 	return err
 }

@@ -101,27 +101,46 @@ func readMessage(r io.Reader, hdr *[headerLen]byte, buf []byte) (message, error)
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return message{}, err
 	}
-	if hdr[0] != version {
-		return message{}, fmt.Errorf("openflow: unsupported version %#x", hdr[0])
+	m, n, err := parseHeader(hdr[:])
+	if err != nil || n == 0 {
+		return m, err
 	}
-	total := int(binary.BigEndian.Uint16(hdr[2:4]))
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	m.Body = buf[:n]
+	_, err = io.ReadFull(r, m.Body)
+	return m, err
+}
+
+// splitMessage decodes the first framed message of b, its body a slice of
+// b, and returns the rest of b; it fails where readMessage reading b would.
+func splitMessage(b []byte) (message, []byte, error) {
+	m, n, err := parseHeader(b)
+	if err == nil && len(b) < headerLen+n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return message{}, nil, err
+	}
+	m.Body = b[headerLen : headerLen+n : headerLen+n]
+	return m, b[headerLen+n:], nil
+}
+
+// parseHeader decodes the header b starts with into the message's type and
+// xid and the length of its body.
+func parseHeader(b []byte) (message, int, error) {
+	if len(b) < headerLen {
+		return message{}, 0, io.ErrUnexpectedEOF
+	}
+	if b[0] != version {
+		return message{}, 0, fmt.Errorf("openflow: unsupported version %#x", b[0])
+	}
+	total := int(binary.BigEndian.Uint16(b[2:4]))
 	if total < headerLen {
-		return message{}, fmt.Errorf("openflow: bad length %d", total)
+		return message{}, 0, fmt.Errorf("openflow: bad length %d", total)
 	}
-	m := message{
-		Type: msgType(hdr[1]),
-		Xid:  binary.BigEndian.Uint32(hdr[4:8]),
-	}
-	if n := total - headerLen; n > 0 {
-		if cap(buf) < n {
-			buf = make([]byte, n)
-		}
-		m.Body = buf[:n]
-		if _, err := io.ReadFull(r, m.Body); err != nil {
-			return message{}, err
-		}
-	}
-	return m, nil
+	return message{Type: msgType(b[1]), Xid: binary.BigEndian.Uint32(b[4:8])}, total - headerLen, nil
 }
 
 // ---- FLOW_MOD ----

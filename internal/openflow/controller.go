@@ -1,7 +1,6 @@
 package openflow
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,8 +22,8 @@ type Controller struct {
 	xid atomic.Uint32
 }
 
-// channel carries framed messages to a switch's agent: over a connection
-// (Connect), or by a call into the agent itself (Local).
+// channel carries framed messages to a switch: over a connection to its
+// agent (Connect), or by a call into what an agent serves it with (Local).
 type channel interface {
 	// send delivers msgs, which want no reply.
 	send(msgs []byte) error
@@ -58,12 +57,11 @@ func Connect(conn net.Conn) (*Controller, error) {
 	return &Controller{ch: c}, nil
 }
 
-// Local returns a controller whose requests sw's agent serves in the
+// Local returns a controller that applies its requests to sw in the
 // caller's goroutine: the same messages, framing checks and BARRIER as
 // over a connection, with no goroutine, no handshake and no timeout.
 func Local(sw *vswitch.Switch) *Controller {
-	agent := &Agent{sw: sw, body: make([]byte, 0, entryLenHint)} // a typical FLOW_MOD fits
-	return &Controller{ch: &localChannel{agent: agent}}
+	return &Controller{ch: &localChannel{applier: applier{sw: sw}}}
 }
 
 // Close shuts the control channel down.
@@ -294,17 +292,17 @@ func (c *connChannel) call(xid uint32, req []byte) (message, error) {
 	return message{}, err
 }
 
-// localChannel is a channel into an agent that serves each delivery in
-// the caller's goroutine, one at a time.
+// localChannel is a channel into a switch's applier that serves each
+// delivery in the caller's goroutine, one at a time.
 type localChannel struct {
-	mu    sync.Mutex
-	agent *Agent       // nil once closed
-	msgs  bytes.Reader // the delivery in hand: read through a field, it allocates nothing
+	mu     sync.Mutex
+	closed bool
+	applier
 }
 
 func (l *localChannel) shut() error {
 	l.mu.Lock()
-	l.agent = nil
+	l.closed = true
 	l.mu.Unlock()
 	return nil
 }
@@ -314,21 +312,19 @@ func (l *localChannel) send(msgs []byte) error {
 	return err
 }
 
-// call reads msgs as the agent's Run would and serves them in order; the
-// reply to the last is the reply.
+// call splits msgs in place as an agent would read them and serves them in
+// order; the reply to the last is the reply.
 func (l *localChannel) call(_ uint32, msgs []byte) (reply message, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.agent == nil {
+	if l.closed {
 		return message{}, errors.New("openflow: controller closed")
 	}
-	l.msgs = *bytes.NewReader(msgs) // not Reset, whose first use would move the datapath's code
-	for l.msgs.Len() > 0 && err == nil {
+	for len(msgs) > 0 && err == nil {
 		var m message
-		if m, err = l.agent.read(&l.msgs); err == nil {
-			reply, _ = l.agent.serve(m)
+		if m, msgs, err = splitMessage(msgs); err == nil {
+			reply, _ = l.serve(m)
 		}
 	}
-	l.msgs = bytes.Reader{} // keep no request alive
 	return reply, err
 }

@@ -12,8 +12,9 @@ import (
 // FuzzReadMessage throws arbitrary bytes at the control channel's framing
 // and, for whatever frames, at the body decoder its type selects. The seeds
 // are the round-trip cases of property_test.go put on the wire. Nothing may
-// panic; a message that reads must survive write -> read unchanged; and a body
-// that parses must be stable: its re-encoding parses again, to the same bytes.
+// panic; splitting the bytes in place must give what reading them gives; a
+// message that reads must survive write -> read unchanged; and a body that
+// parses must be stable: its re-encoding parses again, to the same bytes.
 func FuzzReadMessage(f *testing.F) {
 	wire := func(typ msgType, body []byte) {
 		var buf bytes.Buffer
@@ -60,6 +61,11 @@ func FuzzReadMessage(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := readMessage(bytes.NewReader(data), new([headerLen]byte), nil)
+		// A Local controller's agent splits the same bytes in place.
+		split, _, serr := splitMessage(data)
+		if (serr == nil) != (err == nil) || err == nil && (split.Type != m.Type || split.Xid != m.Xid || !bytes.Equal(split.Body, m.Body)) {
+			t.Fatalf("split %+v (%v), read %+v (%v)", split, serr, m, err)
+		}
 		if err != nil {
 			return
 		}

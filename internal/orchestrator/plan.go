@@ -435,14 +435,7 @@ func (o *Orchestrator) execute(d *DeployedGraph, g *nffg.Graph, p *nodePlan) (in
 			spare = launched[st.at+st.grow]
 		}
 		if st.set == nil {
-			set := &nfSet{members: fresh, standby: spare}
-			if len(fresh) > 1 { // one member owns every bucket as it is
-				for b := range set.assign {
-					set.assign[b] = -1
-				}
-				rebalanceAssign(&set.assign, len(fresh))
-			}
-			d.nfs[st.n.ID], steer = set, true
+			d.nfs[st.n.ID], steer = &nfSet{members: fresh, assign: spread(len(fresh)), standby: spare}, true
 			continue
 		}
 		next := nfSet{members: append(st.keep[:len(st.keep):len(st.keep)], fresh...), assign: st.set.assign, standby: spare}

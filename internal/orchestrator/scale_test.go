@@ -199,7 +199,7 @@ func TestScaleOutNATLiveMigration(t *testing.T) {
 	o.mu.Lock()
 	set := d.nfs["nat"]
 	o.mu.Unlock()
-	if len(set.draining) != 0 || set.assign != [64]int{} {
+	if len(set.draining) != 0 || set.assign != nil {
 		t.Fatalf("set not back to one member owning every bucket after scale-down to 1: %+v", set)
 	}
 	verifyNATConns(t, o, conns, "after 2->1")

@@ -24,8 +24,9 @@ type nfSet struct {
 	members []*nfAttachment
 	// assign maps flow bucket -> index into members. Steering compiles it
 	// into a SelectBucket action, so both directions of a connection (the
-	// bucket hash is symmetric) always reach the bucket's owner.
-	assign [vswitch.NumStateBuckets]int
+	// bucket hash is symmetric) always reach the bucket's owner. It is nil
+	// while the set has one member, which owns every bucket.
+	assign *[vswitch.NumStateBuckets]int
 	// standby is wired to the LSI but never steered at (active-standby NFs
 	// only); it idles in the attaching state until a promotion makes it a
 	// member.
@@ -34,6 +35,14 @@ type nfSet struct {
 	// them any more, but the rules whose ingress is the NF stay compiled
 	// against them, so packets they already hold finish their traversal.
 	draining []*nfAttachment
+}
+
+// owner returns the index into members of bucket b's owner.
+func (s *nfSet) owner(b int) int {
+	if s.assign == nil {
+		return 0
+	}
+	return s.assign[b]
 }
 
 // all returns every instance the set must stop when the NF goes away and
@@ -105,6 +114,19 @@ func rebalanceAssign(assign *[vswitch.NumStateBuckets]int, n int) {
 	}
 }
 
+// spread returns the bucket map of n fresh members (nil for one).
+func spread(n int) *[vswitch.NumStateBuckets]int {
+	if n == 1 {
+		return nil
+	}
+	assign := new([vswitch.NumStateBuckets]int)
+	for b := range assign {
+		assign[b] = -1
+	}
+	rebalanceAssign(assign, n)
+	return assign
+}
+
 // bucketMoves is the state-migration plan of a transition: per donor
 // instance, the buckets it gives up.
 type bucketMoves map[*nfAttachment]map[int]bool
@@ -112,30 +134,34 @@ type bucketMoves map[*nfAttachment]map[int]bool
 // reassign computes the bucket map of the wanted members from the current
 // one — a bucket whose owner stays in service keeps it, the rest are
 // rebalanced with minimal movement — and the buckets that change owner.
-func reassign(cur *nfSet, members []*nfAttachment) ([vswitch.NumStateBuckets]int, bucketMoves) {
-	index := make(map[*nfAttachment]int, len(members))
-	for i, m := range members {
-		index[m] = i
-	}
-	var assign [vswitch.NumStateBuckets]int
-	for b, owner := range cur.assign {
-		if i, stays := index[cur.members[owner]]; stays {
-			assign[b] = i
-		} else {
-			assign[b] = -1
+// The map is nil for one member.
+func reassign(cur *nfSet, members []*nfAttachment) (*[vswitch.NumStateBuckets]int, bucketMoves) {
+	next := nfSet{members: members}
+	if len(members) > 1 {
+		index := make(map[*nfAttachment]int, len(members))
+		for i, m := range members {
+			index[m] = i
 		}
+		next.assign = new([vswitch.NumStateBuckets]int)
+		for b := range next.assign {
+			if i, stays := index[cur.members[cur.owner(b)]]; stays {
+				next.assign[b] = i
+			} else {
+				next.assign[b] = -1
+			}
+		}
+		rebalanceAssign(next.assign, len(members))
 	}
-	rebalanceAssign(&assign, len(members))
 	moves := make(bucketMoves)
-	for b, owner := range assign {
-		if from := cur.members[cur.assign[b]]; from != members[owner] {
+	for b := range vswitch.NumStateBuckets {
+		if from := cur.members[cur.owner(b)]; from != members[next.owner(b)] {
 			if moves[from] == nil {
 				moves[from] = make(map[int]bool)
 			}
 			moves[from][b] = true
 		}
 	}
-	return assign, moves
+	return next.assign, moves
 }
 
 // migrate exports the state of the moving buckets from each donor and
@@ -145,7 +171,7 @@ func reassign(cur *nfSet, members []*nfAttachment) ([vswitch.NumStateBuckets]int
 // instance's state is salvaged, not lost. Imports overwrite, so running
 // this again as a catch-up pass after the steering swap is idempotent.
 // Returns the number of flow-state entries moved. Callers hold o.mu.
-func (o *Orchestrator) migrate(graphID, nfID string, moves bucketMoves, members []*nfAttachment, assign *[vswitch.NumStateBuckets]int) int {
+func (o *Orchestrator) migrate(graphID, nfID string, moves bucketMoves, set *nfSet) int {
 	moved := 0
 	for donor, buckets := range moves {
 		src, ok := statefulNF(donor)
@@ -154,7 +180,7 @@ func (o *Orchestrator) migrate(graphID, nfID string, moves bucketMoves, members 
 		}
 		byOwner := make(map[*nfAttachment][]nf.FlowState)
 		for _, st := range src.ExportFlowState(nf.BucketFilter(buckets)) {
-			owner := members[assign[st.Tuple.Bucket()]]
+			owner := set.members[set.owner(st.Tuple.Bucket())]
 			byOwner[owner] = append(byOwner[owner], st)
 		}
 		for owner, batch := range byOwner {
@@ -198,18 +224,17 @@ func holds(atts []*nfAttachment, att *nfAttachment) bool {
 // swap is one NF's member change between the commit that repoints its
 // steering and the end of its drain (steps 5-7 of execute).
 type swap struct {
-	nfID   string
-	set    *nfSet
-	prev   []*nfAttachment // the members before the swap
-	out    []*nfAttachment // the outgoing members
-	assign [vswitch.NumStateBuckets]int
-	moves  bucketMoves
-	moved  int
-	seen   nf.Stats
+	nfID  string
+	set   *nfSet
+	prev  []*nfAttachment // the members before the swap
+	out   []*nfAttachment // the outgoing members
+	moves bucketMoves
+	moved int
+	seen  nf.Stats
 }
 
 func (s *swap) migrate(o *Orchestrator, graphID string) int {
-	return o.migrate(graphID, s.nfID, s.moves, s.set.members, &s.assign)
+	return o.migrate(graphID, s.nfID, s.moves, s.set)
 }
 
 // beginSwap moves the set to next and migrates the state of the buckets
@@ -221,9 +246,9 @@ func (o *Orchestrator) beginSwap(d *DeployedGraph, nfID string, set *nfSet, next
 			next.draining = append(next.draining, att)
 		}
 	}
-	assign, moves := reassign(set, next.members)
-	next.assign = assign
-	sw := &swap{nfID: nfID, set: set, prev: set.members, out: next.draining, assign: assign, moves: moves}
+	var moves bucketMoves
+	next.assign, moves = reassign(set, next.members)
+	sw := &swap{nfID: nfID, set: set, prev: set.members, out: next.draining, moves: moves}
 	*set = next
 	sw.moved = sw.migrate(o, d.Graph.ID)
 	return sw

@@ -11,6 +11,7 @@ import (
 	"repro/internal/nffg"
 	"repro/internal/repository"
 	"repro/internal/telemetry"
+	"repro/internal/vswitch"
 )
 
 // packageNATForVM gives the node's NAT template a VM flavor, so a NAT set
@@ -45,7 +46,8 @@ func checkSetInvariants(t *testing.T, o *Orchestrator, graphID, nfID, phase stri
 	if len(set.draining) != 0 {
 		t.Errorf("%s: %d instance(s) still draining", phase, len(set.draining))
 	}
-	for b, owner := range set.assign {
+	for b := range vswitch.NumStateBuckets {
+		owner := set.owner(b)
 		if owner < 0 || owner >= len(set.members) {
 			t.Fatalf("%s: bucket %d owned by member %d of %d", phase, b, owner, len(set.members))
 		}

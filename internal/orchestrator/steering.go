@@ -172,8 +172,8 @@ func (o *Orchestrator) compileActions(d *DeployedGraph, out []vswitch.Action, ac
 					// port. The bucket hash is symmetric, so both directions
 					// of a connection land on the same member.
 					var ports [vswitch.NumStateBuckets]uint32
-					for b, mi := range set.assign {
-						ports[b] = set.members[mi].lsiPorts[idx]
+					for b := range ports {
+						ports[b] = set.members[set.owner(b)].lsiPorts[idx]
 					}
 					out = append(out, vswitch.SelectBucket(ports))
 				case att.inst.Shared:

@@ -54,13 +54,14 @@ type Event struct {
 
 // Journal is a bounded in-memory ring of events: cheap enough to record
 // control-plane activity unconditionally, bounded so an unobserved node
-// cannot grow without limit. The zero value is unusable; use NewJournal.
+// cannot grow without limit, and grown by doubling up to its depth, so a
+// quiet journal holds little. The zero value is unusable; use NewJournal.
 type Journal struct {
-	mu   sync.Mutex
-	buf  []Event
-	next int    // ring write position
-	n    int    // live entries
-	seq  uint64 // total events ever recorded
+	mu    sync.Mutex
+	buf   []Event // oldest first until len reaches depth, then a ring
+	depth int
+	next  int    // ring write position once full, 0 until then
+	seq   uint64 // total events ever recorded
 }
 
 // DefaultJournalDepth is the event capacity used when none is given.
@@ -72,7 +73,7 @@ func NewJournal(depth int) *Journal {
 	if depth <= 0 {
 		depth = DefaultJournalDepth
 	}
-	return &Journal{buf: make([]Event, depth)}
+	return &Journal{depth: depth}
 }
 
 // Record appends one event, stamping sequence and (if zero) time.
@@ -83,12 +84,23 @@ func (j *Journal) Record(ev Event) {
 	j.mu.Lock()
 	j.seq++
 	ev.Seq = j.seq
-	j.buf[j.next] = ev
-	j.next = (j.next + 1) % len(j.buf)
-	if j.n < len(j.buf) {
-		j.n++
+	if len(j.buf) < j.depth {
+		if len(j.buf) == cap(j.buf) {
+			j.grow()
+		}
+		j.buf = append(j.buf, ev)
+	} else {
+		j.buf[j.next] = ev
+		j.next = (j.next + 1) % j.depth
 	}
 	j.mu.Unlock()
+}
+
+// grow doubles the ring's room, up to the depth.
+func (j *Journal) grow() {
+	grown := make([]Event, len(j.buf), min(max(2*cap(j.buf), 4), j.depth))
+	copy(grown, j.buf)
+	j.buf = grown
 }
 
 // Recordf is shorthand for recording a typed event.
@@ -100,15 +112,8 @@ func (j *Journal) Recordf(typ, node, graph, detail string) {
 func (j *Journal) Events() []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Event, 0, j.n)
-	start := j.next - j.n
-	if start < 0 {
-		start += len(j.buf)
-	}
-	for i := 0; i < j.n; i++ {
-		out = append(out, j.buf[(start+i)%len(j.buf)])
-	}
-	return out
+	out := make([]Event, 0, len(j.buf))
+	return append(append(out, j.buf[j.next:]...), j.buf[:j.next]...)
 }
 
 // Total returns how many events were ever recorded; Total minus the number

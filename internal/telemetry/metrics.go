@@ -1,7 +1,8 @@
 // Package telemetry is the node- and fleet-wide observability subsystem: a
 // dependency-free metrics layer (counters, gauges, histograms with atomic
-// hot-path increments) plus a bounded structured event journal, exposed in
-// Prometheus text format over the REST servers (GET /metrics, GET /events).
+// hot-path increments) plus a structured event journal that grows on use up
+// to its depth, exposed in Prometheus text format over the REST servers
+// (GET /metrics, GET /events).
 //
 // The design splits cost between the two sides of a metric's life:
 //

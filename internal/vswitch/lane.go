@@ -307,7 +307,7 @@ func (l *lane) end(s *Switch) {
 	// then also sees the cache counts of those frames.
 	l.ctrs.pipeline.Add(l.frames)
 	if !l.start.IsZero() {
-		s.latency.Observe(time.Since(l.start).Seconds() / float64(l.frames))
+		s.observeLatency(time.Since(l.start).Seconds() / float64(l.frames))
 	}
 	l.frames, l.hits, l.misses = 0, 0, 0
 }

@@ -92,8 +92,8 @@ type Switch struct {
 	// every inline lane (the whole datapath when Workers == 0), and the
 	// steering-side drops/malformed accounting when workers are running.
 	inline dpCounters
-	// lane is the switch's own inline lane; claimLane takes it with one
-	// swap and falls back to the spares on nested or concurrent entry.
+	// lane is the switch's own inline lane, nil before its first burst;
+	// claimLane swaps it out, or takes a spare on nested or concurrent entry.
 	lane atomic.Pointer[lane]
 	// workers is fixed at construction (nil without a pool) so counter
 	// aggregation keeps working after Close.
@@ -105,7 +105,7 @@ type Switch struct {
 	// switches only).
 	steerPool sync.Pool
 
-	latency *telemetry.Histogram
+	latency atomic.Pointer[telemetry.Histogram] // nil until a burst is timed
 }
 
 // New creates a switch with an inline datapath.
@@ -119,15 +119,13 @@ func NewOptions(name string, dpid uint64, o Options) *Switch {
 		nw = 0
 	}
 	s := &Switch{
-		name:    name,
-		dpid:    dpid,
-		cache:   newMicroflowCache(max(nw, 1)),
-		latency: telemetry.NewHistogram(telemetry.DatapathLatencyBuckets()...),
+		name:  name,
+		dpid:  dpid,
+		cache: newMicroflowCache(max(nw, 1)),
 	}
 	s.table.Store(&flowTable{})
 	ports := make(portTable, 8)
 	s.ports.Store(&ports)
-	s.lane.Store(&lane{ctrs: &s.inline})
 	if nw > 0 {
 		s.steerPool.New = func() any {
 			ss := &steerScratch{groups: make([][]workerItem, nw)}

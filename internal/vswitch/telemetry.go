@@ -54,7 +54,7 @@ func (s *Switch) Telemetry() Telemetry {
 	t := Telemetry{
 		Name:    s.name,
 		Cache:   s.CacheStats(),
-		Latency: s.latency.Snapshot(),
+		Latency: s.latencySnapshot(),
 		Workers: s.WorkerTelemetry(),
 	}
 	s.eachCtrs(func(c *dpCounters) {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/netdev"
 	"repro/internal/pkt"
+	"repro/internal/telemetry"
 )
 
 // The worker pool puts N datapath lanes (lane.go) behind rings. Each worker
@@ -454,4 +455,25 @@ func (s *Switch) WorkerTelemetry() []WorkerStats {
 		}
 	}
 	return out
+}
+
+// observeLatency records one sampled per-frame latency, building the
+// histogram on the first; it and latencySnapshot sit after the datapath core
+// so that the core keeps its code alignment (ROADMAP, lesson d).
+func (s *Switch) observeLatency(v float64) {
+	h := s.latency.Load()
+	if h == nil {
+		s.latency.CompareAndSwap(nil, telemetry.NewHistogram(telemetry.DatapathLatencyBuckets()...))
+		h = s.latency.Load()
+	}
+	h.Observe(v)
+}
+
+// latencySnapshot snapshots the histogram, empty before a burst is timed.
+func (s *Switch) latencySnapshot() telemetry.HistogramSnapshot {
+	h := s.latency.Load()
+	if h == nil {
+		h = telemetry.NewHistogram(telemetry.DatapathLatencyBuckets()...)
+	}
+	return h.Snapshot()
 }
