@@ -13,7 +13,7 @@ GO ?= go
 COVERAGE_BASELINE ?= 75.0
 
 .PHONY: ci lint fmt vet staticcheck govulncheck build test tier1 race coverage \
-	bench bench-selftest profile layout chaos fuzz examples-smoke clean
+	bench bench-selftest profile layout chaos sim fuzz examples-smoke clean
 
 # The nfbench line is the paper-fidelity smoke of CI's bench job.
 ci: lint build tier1 race coverage bench-selftest chaos examples-smoke
@@ -129,6 +129,15 @@ layout:
 chaos:
 	$(GO) test -race ./internal/chaos/
 	$(GO) run ./cmd/chaos -out chaos-report.json
+
+# Consensus soak in virtual time: internal/cluster's simulator scenarios
+# (random faults, the named lease regressions, failover) over seeds
+# 1-10000, where go test runs 1-500. A failure names its seed; replay it
+# and print its event trace with
+#   go test -run '^TestSimSoak$$' -sim.seed N ./internal/cluster
+sim:
+	$(GO) test -count=1 -timeout 30m -run '^(TestSim|TestOneLinkCutKeepsLeader|TestNoTwoLeaseHolders|TestStalledFollowerKeepsLeaderLease|TestStraggledAppendIsNotOvertaken)' \
+		./internal/cluster -args -sim.seeds 10000
 
 # Fuzzes every byte boundary for 30 s each, one target at a time (go test
 # -fuzz takes one target per package run), minimising a new input for at

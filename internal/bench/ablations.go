@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/netdev"
 	"repro/internal/nf"
 	"repro/internal/nnf"
+	"repro/internal/telemetry"
 )
 
 // FirewallGraph builds one tenant's firewall chain over VLAN endpoints.
@@ -101,8 +103,9 @@ func firewallTenants(tech un.Technology, tenants, packets int) (ramMB, mbps floa
 // DeployTenants deploys tenants firewall graphs in the given technology on
 // node, tenant i as graph "tenant<i>" on VLAN 100+i, and returns what each
 // tenant after the first added to the process. The first pays what the
-// node does once: the shared firewall a native tenant starts, and the
-// caches and pools a first deploy fills.
+// node does once: the shared firewall a native tenant starts, the caches
+// and pools a first deploy fills, and the node's event journal, grown to
+// its full ring by a throwaway tenant deployed and removed until it is.
 func DeployTenants(node *un.Node, tech un.Technology, tenants int) (Footprint, error) {
 	var heap0 uint64
 	var g0 int
@@ -111,6 +114,11 @@ func DeployTenants(node *un.Node, tech un.Technology, tenants int) (Footprint, e
 			return Footprint{}, err
 		}
 		if i == 0 {
+			for len(node.Events()) < telemetry.DefaultJournalDepth {
+				if err := errors.Join(node.Deploy(FirewallGraph("warm-up", uint16(100+tenants), tech)), node.Undeploy("warm-up")); err != nil {
+					return Footprint{}, err
+				}
+			}
 			heap0, g0 = retained()
 		}
 	}

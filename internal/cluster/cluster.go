@@ -106,8 +106,10 @@ func (o *Options) withDefaults() Options {
 // Cluster is one replica's view of the HA control plane. It implements
 // Peer (the RPC surface other replicas call) and telemetry.Collector.
 type Cluster struct {
-	opts Options
-	self string
+	opts  Options
+	self  string
+	peers []string // the replica set other than self, sorted
+	clk   clock
 
 	mu sync.Mutex
 
@@ -116,18 +118,20 @@ type Cluster struct {
 	votedTerm  uint64
 	votedFor   string
 	leader     string
-	leaseUntil time.Time // leader side: fencing lease
-	leaderSeen time.Time // follower side: last valid append heard
-	electionAt time.Time // follower side: next election chance
+	leaseUntil time.Time    // leader side: fencing lease
+	leaderSeen time.Time    // follower side: last valid append heard
+	electionAt time.Time    // next election chance; a new leader's deadline to earn its first lease
+	poll       *VoteRequest // the canvass in progress, if any
+	votes      int          // its grants so far, self included
 
-	// roundMu serializes replication rounds (see broadcastAppend).
-	roundMu   sync.Mutex
 	log       *Log
 	store     *IntentStore
+	roundAt   time.Time            // leader side: start of the newest append round
 	acked     map[string]uint64    // leader side: follower ack points
-	heard     map[string]time.Time // leader side: start of the last round each follower answered
-	sending   map[string]bool      // leader side: followers an append is still in flight to
+	heard     map[string]time.Time // leader side: start of the newest round each follower acknowledged
+	inflight  map[string]sent      // leader side: the append in flight to each follower, if any
 	commitSeq uint64
+	changed   chan struct{} // closed and cleared to wake commit waits (signalLocked)
 	// synced marks followers that have adopted this leader's term
 	// baseline (acknowledged a current-term append). Until then a
 	// follower's store may end in a divergent suffix from a deposed
@@ -146,9 +150,9 @@ type Cluster struct {
 	opsRecorded      telemetry.Counter
 	opsShipped       telemetry.Counter
 
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	started bool
+	promoted uint64 // a term whose promotion unlock owes
+	demoted  bool   // whether unlock owes OnDemote
+	started  bool
 }
 
 // New builds a replica. Call Start to join the cluster.
@@ -161,67 +165,84 @@ func New(opts Options) (*Cluster, error) {
 		return nil, errors.New("cluster: Options.Transport is required")
 	}
 	c := &Cluster{
-		opts:    o,
-		self:    o.ID,
-		log:     NewLog(o.LogDepth),
-		store:   newIntentStore(o.LogDepth),
-		acked:   make(map[string]uint64),
-		heard:   make(map[string]time.Time),
-		sending: make(map[string]bool),
-		synced:  make(map[string]bool),
-		stop:    make(chan struct{}),
+		opts:     o,
+		self:     o.ID,
+		clk:      wallClock{},
+		log:      NewLog(o.LogDepth),
+		store:    newIntentStore(o.LogDepth),
+		acked:    make(map[string]uint64),
+		heard:    make(map[string]time.Time),
+		inflight: make(map[string]sent),
+		synced:   make(map[string]bool),
 	}
 	if !slices.ContainsFunc(o.Peers, func(p PeerSpec) bool { return p.ID == o.ID }) {
 		c.opts.Peers = append(c.opts.Peers, PeerSpec{ID: o.ID})
 	}
+	for _, p := range c.opts.Peers {
+		if p.ID != c.self {
+			c.peers = append(c.peers, p.ID)
+		}
+	}
+	sort.Strings(c.peers)
 	return c, nil
 }
 
-// Start launches the election/replication loop.
-// The first election fires after a randomized timeout; a single-replica
-// cluster (quorum 1) elects itself on the first tick.
+// Start arms the heartbeat tick (see tick). The first election chance
+// comes after a randomized timeout; a single-replica cluster (quorum 1)
+// elects itself on the first tick after it.
 func (c *Cluster) Start() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.started {
-		c.mu.Unlock()
 		return
 	}
 	c.started = true
 	// Stagger the first election chance so co-started replicas don't
 	// split the vote forever; the randomized range keeps one ahead.
-	c.electionAt = time.Now().Add(time.Duration(float64(c.electionTimeout()) * 0.25))
-	c.mu.Unlock()
-	c.wg.Add(1)
-	go c.electLoop()
+	c.electionAt = c.clk.Now().Add(time.Duration(float64(c.electionTimeout()) * 0.25))
+	c.clk.AfterFunc(c.opts.HeartbeatInterval, c.tick)
 }
 
-// Close stops the replica. A leader simply disappears; the rest of the
-// cluster elects a successor once its lease has lapsed.
+// Close stops the replica: its tick stops re-arming, a canvass in
+// progress is dropped and commit waits return. A leader simply
+// disappears; the rest of the cluster elects a successor once its lease
+// has lapsed.
 func (c *Cluster) Close() {
 	c.mu.Lock()
-	if !c.started {
-		c.mu.Unlock()
-		return
-	}
 	c.started = false
+	c.poll = nil
+	c.signalLocked()
 	c.mu.Unlock()
-	close(c.stop)
-	c.wg.Wait()
 }
 
 // quorum is a majority of the static replica set.
 func (c *Cluster) quorum() int { return len(c.opts.Peers)/2 + 1 }
 
-// replicaPeersLocked lists replica ids other than self, sorted.
-func (c *Cluster) replicaPeersLocked() []string {
-	out := make([]string, 0, len(c.opts.Peers)-1)
-	for _, p := range c.opts.Peers {
-		if p.ID != c.self {
-			out = append(out, p.ID)
+// signalLocked wakes every commit wait to check its seq again.
+func (c *Cluster) signalLocked() {
+	if c.changed != nil {
+		close(c.changed)
+		c.changed = nil
+	}
+}
+
+// unlock releases c.mu, then runs the callbacks the locked section owed:
+// OnDemote once this replica stopped leading, and the promotion (journal,
+// OnPromote) once it earned its term's first lease.
+func (c *Cluster) unlock() {
+	term, demoted := c.promoted, c.demoted
+	c.promoted, c.demoted = 0, false
+	c.mu.Unlock()
+	if demoted && c.opts.OnDemote != nil {
+		c.opts.OnDemote()
+	}
+	if term != 0 {
+		c.journalf(eventLeaderElected, c.self, "", "replica %s elected leader in term %d", c.self, term)
+		c.logf("cluster %s: elected leader in term %d", c.self, term)
+		if c.opts.OnPromote != nil {
+			c.opts.OnPromote(term)
 		}
 	}
-	sort.Strings(out)
-	return out
 }
 
 // IsLeader reports whether this replica holds a currently valid leader
@@ -231,7 +252,7 @@ func (c *Cluster) replicaPeersLocked() []string {
 func (c *Cluster) IsLeader() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.role == roleLeader && time.Now().Before(c.leaseUntil)
+	return c.leasedLocked()
 }
 
 // Leader returns the current leader's id and REST address ("" when
@@ -288,7 +309,7 @@ func (c *Cluster) Record(kind OpKind, key string, data json.RawMessage) error {
 // same bytes, so the caller must not modify data afterwards.
 func (c *Cluster) Propose(kind OpKind, key string, data json.RawMessage) (uint64, error) {
 	c.mu.Lock()
-	if c.role != roleLeader || !time.Now().Before(c.leaseUntil) {
+	if !c.leasedLocked() {
 		c.mu.Unlock()
 		return 0, ErrNotLeader
 	}
@@ -300,32 +321,54 @@ func (c *Cluster) Propose(kind OpKind, key string, data json.RawMessage) (uint64
 }
 
 // WaitCommit blocks until the quorum commit point reaches seq, this
-// replica loses leadership (ErrNotLeader — the op may or may not survive
-// on the successor), or CommitTimeout lapses (ErrNoQuorum — the op stays
-// in the log and commits when quorum returns). It replicates itself, at
-// once, and only while seq is uncommitted: waiting on ops staged together
-// costs the first wait one round and the rest none.
+// replica loses leadership or is closed (ErrNotLeader — the op may or may
+// not survive on the successor), or CommitTimeout lapses (ErrNoQuorum —
+// the op stays in the log and commits when quorum returns; the deadline is
+// checked at each tick). It starts an append round at once, and only
+// while seq is uncommitted: waiting on ops staged together costs the first
+// wait one round and the rest none. A committed op is also waited for
+// until it is on its way to every follower keeping up: an append in
+// flight that stops short of seq is waited for until its reply ships the
+// rest, unless its round is half a lease old.
 func (c *Cluster) WaitCommit(seq uint64) error {
-	deadline := time.Now().Add(c.opts.CommitTimeout)
-	for sent := false; ; sent = true {
-		c.mu.Lock()
-		committed := c.commitSeq >= seq
-		demoted := c.role != roleLeader
-		c.mu.Unlock()
-		if committed {
-			return nil
-		}
-		if demoted {
-			return ErrNotLeader
-		}
-		if time.Now().After(deadline) {
-			return ErrNoQuorum
-		}
-		if sent {
-			time.Sleep(c.opts.HeartbeatInterval / 4)
-		}
-		c.broadcastAppend()
+	c.mu.Lock()
+	start := c.clk.Now()
+	if c.commitSeq < seq {
+		c.broadcastLocked()
 	}
+	for {
+		if done, err := c.waitDoneLocked(seq, start); done {
+			c.unlock()
+			return err
+		}
+		if c.changed == nil {
+			c.changed = make(chan struct{})
+		}
+		changed := c.changed
+		c.unlock()
+		<-changed
+		c.mu.Lock()
+	}
+}
+
+// waitDoneLocked reports whether a commit wait for seq that started at
+// start is over, and its result.
+func (c *Cluster) waitDoneLocked(seq uint64, start time.Time) (bool, error) {
+	now := c.clk.Now()
+	switch {
+	case c.commitSeq >= seq:
+		for _, s := range c.inflight {
+			if s.upTo < seq && now.Sub(s.at) < c.opts.LeaseDuration/2 {
+				return false, nil
+			}
+		}
+		return true, nil
+	case c.role != roleLeader || !c.started:
+		return true, ErrNotLeader
+	case now.Sub(start) > c.opts.CommitTimeout:
+		return true, ErrNoQuorum
+	}
+	return false, nil
 }
 
 // Status is the /v1/cluster document: who leads, what term, and how far
@@ -355,7 +398,7 @@ func (c *Cluster) ClusterStatus() Status {
 		ClusterID:  c.opts.ClusterID,
 		Leader:     leaderID,
 		LeaderAddr: leaderAddr,
-		IsLeader:   c.role == roleLeader && time.Now().Before(c.leaseUntil),
+		IsLeader:   c.leasedLocked(),
 		Term:       c.term,
 		CommitSeq:  c.commitSeq,
 		AppliedSeq: c.store.LastApplied(),
@@ -369,9 +412,9 @@ func (c *Cluster) ClusterStatus() Status {
 func (c *Cluster) replicationLagLocked() uint64 {
 	if c.role == roleLeader {
 		tail := c.log.LastSeq()
-		now := time.Now()
+		now := c.clk.Now()
 		var lag uint64
-		for _, id := range c.replicaPeersLocked() {
+		for _, id := range c.peers {
 			if now.Sub(c.heard[id]) >= c.opts.LeaseDuration {
 				continue
 			}
@@ -396,7 +439,7 @@ func (c *Cluster) ReplicationLag() uint64 {
 
 func (c *Cluster) journalf(typ, node, graph, detail string, args ...any) {
 	if c.opts.Journal != nil {
-		c.opts.Journal.Recordf(typ, node, graph, fmt.Sprintf(detail, args...))
+		c.opts.Journal.Record(telemetry.Event{Time: c.clk.Now(), Type: typ, Node: node, Graph: graph, Detail: fmt.Sprintf(detail, args...)})
 	}
 }
 

@@ -5,15 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"net/http/httptest"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// waitFor polls cond on the wall clock: only the tests that drive the real
+// clock (Start over LocalNetwork, and HTTP) use it.
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -172,234 +172,116 @@ func TestLogWindowAndSnapshotFallback(t *testing.T) {
 	}
 }
 
-// --- cluster rig -----------------------------------------------------------
-
-type rig struct {
-	net      *LocalNetwork
-	peers    []PeerSpec
-	clusters map[string]*Cluster
-}
-
-func newRig(t *testing.T, ids []string, mutate func(id string, o *Options)) *rig {
-	t.Helper()
-	r := &rig{net: NewLocalNetwork(), clusters: make(map[string]*Cluster)}
-	for _, id := range ids {
-		r.peers = append(r.peers, PeerSpec{ID: id, Addr: "http://" + id})
-	}
-	for _, id := range ids {
-		o := Options{
-			ID:                id,
-			ClusterID:         "test",
-			Peers:             r.peers,
-			Transport:         r.net.Transport(id),
-			HeartbeatInterval: 10 * time.Millisecond,
-			LeaseDuration:     120 * time.Millisecond,
-			CommitTimeout:     time.Second,
-		}
-		if mutate != nil {
-			mutate(id, &o)
-		}
-		c, err := New(o)
-		if err != nil {
-			t.Fatalf("New(%s): %v", id, err)
-		}
-		r.net.Register(id, c)
-		r.clusters[id] = c
-	}
-	t.Cleanup(func() {
-		for _, c := range r.clusters {
-			c.Close()
-		}
-	})
-	return r
-}
-
-func (r *rig) close() {
-	for _, c := range r.clusters {
-		c.Close()
-	}
-}
-
-// settled waits for one leader that every replica follows, and returns it.
-func (r *rig) settled(t *testing.T) *Cluster {
-	t.Helper()
-	var lead *Cluster
-	waitFor(t, 3*time.Second, "all replicas following one leader", func() bool {
-		lead = r.leader()
-		if lead == nil {
-			return false
-		}
-		for _, c := range r.clusters {
-			if id, _ := c.Leader(); id != lead.self {
-				return false
-			}
-		}
-		return true
-	})
-	return lead
-}
-
-// followers lists the replicas other than lead, sorted by id.
-func (r *rig) followers(lead *Cluster) []*Cluster {
-	var out []*Cluster
-	for _, id := range slices.Sorted(maps.Keys(r.clusters)) {
-		if id != lead.self {
-			out = append(out, r.clusters[id])
-		}
-	}
-	return out
-}
-
-// holdsLease samples c.IsLeader every millisecond for d and fails the test
-// at the first sample that finds the lease lost.
-func holdsLease(t *testing.T, c *Cluster, d time.Duration) {
-	t.Helper()
-	start := time.Now()
-	for time.Since(start) < d {
-		if !c.IsLeader() {
-			t.Fatalf("leader %s lost its lease %v into the fault", c.self, time.Since(start))
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func (r *rig) startAll() {
-	for _, c := range r.clusters {
-		c.Start()
-	}
-}
-
-func (r *rig) leader() *Cluster {
-	for _, c := range r.clusters {
-		if c.IsLeader() {
-			return c
-		}
-	}
-	return nil
-}
-
-func (r *rig) leaders() []*Cluster {
-	var out []*Cluster
-	for _, c := range r.clusters {
-		if c.IsLeader() {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// --- election tests --------------------------------------------------------
+// --- elections, in virtual time --------------------------------------------
 
 func TestSingleReplicaSelfElects(t *testing.T) {
-	r := newRig(t, []string{"a"}, nil)
-	r.startAll()
-	waitFor(t, 2*time.Second, "self-election", func() bool { return r.clusters["a"].IsLeader() })
-	if err := r.clusters["a"].Record(OpDeploy, "g1", json.RawMessage(`{}`)); err != nil {
-		t.Fatalf("Record on single-replica leader: %v", err)
-	}
-	if r.clusters["a"].CommitSeq() != 1 {
-		t.Fatalf("commit = %d, want 1 (quorum of one)", r.clusters["a"].CommitSeq())
-	}
+	runSeed(t, 1, []string{"a"}, nil, func(s *sim) error {
+		s.start()
+		a := s.nodes["a"]
+		if err := s.runUntil(time.Second, "self-election", a.IsLeader); err != nil {
+			return err
+		}
+		if err := s.record(a, OpDeploy, "g1", `{}`); err != nil {
+			return fmt.Errorf("Record on single-replica leader: %v", err)
+		}
+		if a.CommitSeq() != 1 {
+			return fmt.Errorf("commit = %d, want 1 (quorum of one)", a.CommitSeq())
+		}
+		return nil
+	})
 }
 
+// Leadership is unique (the simulator's invariants) and every replica
+// agrees on it.
 func TestThreeReplicasElectExactlyOneLeader(t *testing.T) {
-	r := newRig(t, []string{"a", "b", "c"}, nil)
-	r.startAll()
-	waitFor(t, 3*time.Second, "a leader", func() bool { return r.leader() != nil })
-	// Leadership must be unique and every replica must agree on it.
-	leader := r.leader()
-	waitFor(t, 2*time.Second, "all replicas following one leader", func() bool {
-		if len(r.leaders()) != 1 {
-			return false
-		}
-		for _, c := range r.clusters {
-			if id, _ := c.Leader(); id != leader.self {
-				return false
-			}
-		}
-		return true
+	runSeed(t, 1, abc, nil, func(s *sim) error {
+		s.start()
+		_, err := s.settle()
+		return err
 	})
 }
 
 func TestLeaderKillPromotesFollowerWithIntentIntact(t *testing.T) {
-	r := newRig(t, []string{"a", "b", "c"}, nil)
-	r.startAll()
-	waitFor(t, 3*time.Second, "initial leader", func() bool { return r.leader() != nil })
-	old := r.leader()
-	for i := 0; i < 5; i++ {
-		if err := old.Record(OpDeploy, fmt.Sprintf("g%d", i), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
-			t.Fatalf("Record: %v", err)
+	runSeed(t, 1, abc, nil, func(s *sim) error {
+		s.start()
+		old, err := s.settle()
+		if err != nil {
+			return err
 		}
-	}
-	waitFor(t, 2*time.Second, "replication drained", func() bool { return old.ReplicationLag() == 0 })
-	want := old.Store().Serialize()
-
-	r.net.SetDown(old.self, true)
-	start := time.Now()
-	var next *Cluster
-	waitFor(t, 3*time.Second, "failover", func() bool {
-		for _, c := range r.clusters {
-			if c != old && c.IsLeader() {
-				next = c
-				return true
+		for i := 0; i < 5; i++ {
+			if err := s.record(old, OpDeploy, fmt.Sprintf("g%d", i), fmt.Sprintf(`{"i":%d}`, i)); err != nil {
+				return fmt.Errorf("Record: %v", err)
 			}
 		}
-		return false
+		if err := s.runUntil(time.Second, "replication drained", func() bool { return old.ReplicationLag() == 0 }); err != nil {
+			return err
+		}
+		want := old.Store().Serialize()
+
+		s.setDown(old.self, true)
+		var next *Cluster
+		if err := s.runUntil(3*time.Second, "failover", func() bool {
+			next = s.leader()
+			return next != nil && next != old
+		}); err != nil {
+			return err
+		}
+		// Promotion replay: the new leader's intent store must be
+		// byte-identical to the old leader's.
+		if got := next.Store().Serialize(); !bytes.Equal(got, want) {
+			return fmt.Errorf("intent store diverged across failover:\nold: %s\nnew: %s", want, got)
+		}
+		// The dead ex-leader is fenced within its lease.
+		if old.IsLeader() {
+			return fmt.Errorf("dead ex-leader still holds its lease beside %s", next.self)
+		}
+		if err := s.record(old, OpDeploy, "gX", `{}`); !errors.Is(err, ErrNotLeader) {
+			return fmt.Errorf("fenced ex-leader Record = %v, want ErrNotLeader", err)
+		}
+		return nil
 	})
-	t.Logf("failover in %v", time.Since(start))
-	// Promotion replay: the new leader's intent store must be
-	// byte-identical to the old leader's.
-	if got := next.Store().Serialize(); !bytes.Equal(got, want) {
-		t.Fatalf("intent store diverged across failover:\nold: %s\nnew: %s", want, got)
-	}
-	// The dead ex-leader is fenced within its lease.
-	waitFor(t, 2*time.Second, "ex-leader fenced", func() bool { return !old.IsLeader() })
-	if err := old.Record(OpDeploy, "gX", json.RawMessage(`{}`)); !errors.Is(err, ErrNotLeader) {
-		t.Fatalf("fenced ex-leader Record = %v, want ErrNotLeader", err)
-	}
 }
 
+// Cut the leader off from both followers: the majority side elects a
+// successor, the minority-side ex-leader loses its lease and fences. Writes
+// proceed on the majority side; once healed, the ex-leader rejoins as a
+// follower and converges on the majority's intent, including ops it never
+// saw.
 func TestPartitionedLeaderFencesAndRejoins(t *testing.T) {
-	r := newRig(t, []string{"a", "b", "c"}, nil)
-	r.startAll()
-	waitFor(t, 3*time.Second, "initial leader", func() bool { return r.leader() != nil })
-	old := r.leader()
-	if err := old.Record(OpDeploy, "g1", json.RawMessage(`{"v":1}`)); err != nil {
-		t.Fatalf("Record: %v", err)
-	}
-
-	// Cut the leader off from both followers: the majority side elects a
-	// successor, the minority-side ex-leader loses its lease and fences.
-	r.net.Isolate(old.self)
-	var next *Cluster
-	waitFor(t, 3*time.Second, "majority side elects successor", func() bool {
-		for _, c := range r.clusters {
-			if c != old && c.IsLeader() {
-				next = c
-				return true
-			}
+	runSeed(t, 1, abc, nil, func(s *sim) error {
+		s.start()
+		old, err := s.settle()
+		if err != nil {
+			return err
 		}
-		return false
+		if err := s.record(old, OpDeploy, "g1", `{"v":1}`); err != nil {
+			return fmt.Errorf("Record: %v", err)
+		}
+		s.isolate(old.self)
+		var next *Cluster
+		if err := s.runUntil(3*time.Second, "majority side elects successor", func() bool {
+			next = s.leader()
+			return next != nil && next != old
+		}); err != nil {
+			return err
+		}
+		if err := s.record(old, OpUpdate, "g1", `{"v":2}`); !errors.Is(err, ErrNotLeader) {
+			return fmt.Errorf("partitioned ex-leader accepted a write: %v", err)
+		}
+		if err := s.record(next, OpUpdate, "g1", `{"v":3}`); err != nil {
+			return fmt.Errorf("majority leader Record: %v", err)
+		}
+		s.rejoin(old.self)
+		if err := s.runUntil(3*time.Second, "ex-leader converges as follower", func() bool {
+			return !old.IsLeader() && s.converged(next)
+		}); err != nil {
+			return err
+		}
+		if got := string(old.Store().Get("graphs", "g1")); got != `{"v":3}` {
+			return fmt.Errorf("healed follower g1 = %s, want {\"v\":3}", got)
+		}
+		return nil
 	})
-	waitFor(t, 2*time.Second, "ex-leader lease expired", func() bool { return !old.IsLeader() })
-	if err := old.Record(OpUpdate, "g1", json.RawMessage(`{"v":2}`)); !errors.Is(err, ErrNotLeader) {
-		t.Fatalf("partitioned ex-leader accepted a write: %v", err)
-	}
-
-	// Writes proceed on the majority side while the partition holds.
-	if err := next.Record(OpUpdate, "g1", json.RawMessage(`{"v":3}`)); err != nil {
-		t.Fatalf("majority leader Record: %v", err)
-	}
-
-	// Heal: the ex-leader rejoins as a follower and converges on the
-	// majority's intent, including ops it never saw.
-	r.net.Rejoin(old.self)
-	waitFor(t, 3*time.Second, "ex-leader converges as follower", func() bool {
-		return !old.IsLeader() && bytes.Equal(old.Store().Serialize(), next.Store().Serialize())
-	})
-	if got := string(old.Store().Get("graphs", "g1")); got != `{"v":3}` {
-		t.Fatalf("healed follower g1 = %s, want {\"v\":3}", got)
-	}
 }
 
 // A deposed leader holding a divergent uncommitted op at a sequence the
@@ -407,55 +289,56 @@ func TestPartitionedLeaderFencesAndRejoins(t *testing.T) {
 // history. (Regression: seq-only dedup discarded the new leader's op as a
 // duplicate, and the stale ack silently counted toward quorum commit.)
 func TestDivergentExLeaderResyncsAfterFailover(t *testing.T) {
-	r := newRig(t, []string{"a", "b", "c"}, nil)
-	r.startAll()
-	waitFor(t, 3*time.Second, "initial leader", func() bool { return r.leader() != nil })
-	old := r.leader()
-	if err := old.Record(OpDeploy, "g1", json.RawMessage(`{"v":1}`)); err != nil {
-		t.Fatalf("Record: %v", err)
-	}
-	waitFor(t, 2*time.Second, "replication drained", func() bool { return old.ReplicationLag() == 0 })
-
-	// Cut the leader off and immediately stage an op while its lease is
-	// still warm: it applies locally but can never reach quorum — the
-	// divergent suffix of a deposed leader.
-	r.net.Isolate(old.self)
-	if _, err := old.Propose(OpUpdate, "g1", json.RawMessage(`{"v":"divergent"}`)); err != nil {
-		t.Fatalf("Propose on still-leased leader: %v", err)
-	}
-	if got := string(old.Store().Get("graphs", "g1")); got != `{"v":"divergent"}` {
-		t.Fatalf("divergent op not applied locally: %s", got)
-	}
-
-	var next *Cluster
-	waitFor(t, 3*time.Second, "majority elects successor", func() bool {
-		for _, c := range r.clusters {
-			if c != old && c.IsLeader() {
-				next = c
-				return true
-			}
+	runSeed(t, 1, abc, nil, func(s *sim) error {
+		s.start()
+		old, err := s.settle()
+		if err != nil {
+			return err
 		}
-		return false
+		if err := s.record(old, OpDeploy, "g1", `{"v":1}`); err != nil {
+			return fmt.Errorf("Record: %v", err)
+		}
+		if err := s.runUntil(time.Second, "replication drained", func() bool { return old.ReplicationLag() == 0 }); err != nil {
+			return err
+		}
+		// Cut the leader off and stage an op while its lease is still
+		// warm: it applies locally but can never reach quorum — the
+		// divergent suffix of a deposed leader.
+		s.isolate(old.self)
+		if _, err := s.propose(old, OpUpdate, "g1", `{"v":"divergent"}`); err != nil {
+			return fmt.Errorf("Propose on still-leased leader: %v", err)
+		}
+		if got := string(old.Store().Get("graphs", "g1")); got != `{"v":"divergent"}` {
+			return fmt.Errorf("divergent op not applied locally: %s", got)
+		}
+		var next *Cluster
+		if err := s.runUntil(3*time.Second, "majority elects successor", func() bool {
+			next = s.leader()
+			return next != nil && next != old
+		}); err != nil {
+			return err
+		}
+		// The successor commits a different op occupying the same sequence.
+		if err := s.record(next, OpUpdate, "g1", `{"v":"committed"}`); err != nil {
+			return fmt.Errorf("successor Record: %v", err)
+		}
+		s.rejoin(old.self)
+		if err := s.runUntil(3*time.Second, "ex-leader abandons divergent suffix", func() bool {
+			return !old.IsLeader() && s.converged(next)
+		}); err != nil {
+			return err
+		}
+		if got := string(old.Store().Get("graphs", "g1")); got != `{"v":"committed"}` {
+			return fmt.Errorf("divergent suffix survived failover: g1 = %s", got)
+		}
+		return nil
 	})
-	// The successor commits a different op occupying the same sequence.
-	if err := next.Record(OpUpdate, "g1", json.RawMessage(`{"v":"committed"}`)); err != nil {
-		t.Fatalf("successor Record: %v", err)
-	}
-
-	r.net.Rejoin(old.self)
-	waitFor(t, 3*time.Second, "ex-leader abandons divergent suffix", func() bool {
-		return !old.IsLeader() && bytes.Equal(old.Store().Serialize(), next.Store().Serialize())
-	})
-	if got := string(old.Store().Get("graphs", "g1")); got != `{"v":"committed"}` {
-		t.Fatalf("divergent suffix survived failover: g1 = %s", got)
-	}
 }
 
 // Voters must refuse candidates whose applied history is behind their own,
 // ordered by (LastTerm, LastSeq) — seq length alone is not up-to-dateness.
 func TestElectionRestrictionRefusesStaleHistory(t *testing.T) {
-	r := newRig(t, []string{"a", "b"}, nil)
-	a := r.clusters["a"]
+	a := newSim(1, []string{"a", "b"}, nil).nodes["a"]
 	a.Store().Apply(Op{Seq: 1, Term: 2, Kind: OpDeploy, Key: "g1", Data: json.RawMessage(`{}`)})
 	a.Store().Apply(Op{Seq: 2, Term: 2, Kind: OpUpdate, Key: "g1", Data: json.RawMessage(`{}`)})
 
@@ -477,74 +360,135 @@ func TestElectionRestrictionRefusesStaleHistory(t *testing.T) {
 	}
 }
 
-// --- replication tests -----------------------------------------------------
+// A follower that heard a valid Append within one lease refuses a vote and
+// a pre-vote at a higher term, and adopts nothing from either; once the
+// lease it observed has lapsed, it grants. A leader refuses while its own
+// lease runs.
+func TestVoterRefusesWhileLeaseLive(t *testing.T) {
+	s := newSim(1, abc, nil)
+	b := s.nodes["b"]
+	lease := b.opts.LeaseDuration
+	if _, err := b.Append(AppendRequest{ClusterID: "test", Leader: "a", Term: 3}); err != nil {
+		t.Fatal(err)
+	}
+	state := func(c *Cluster) string {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return fmt.Sprintf("term %d, voted %q in term %d, leader %q, role %d", c.term, c.votedFor, c.votedTerm, c.leader, c.role)
+	}
+	s.now = s.now.Add(lease / 2)
+	want := state(b)
+	for _, pre := range []bool{true, false} {
+		reply, err := b.RequestVote(VoteRequest{ClusterID: "test", Candidate: "c", Term: 4, Pre: pre})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Granted {
+			t.Errorf("pre=%v: granted a vote half a lease after an Append", pre)
+		}
+		if got := state(b); got != want {
+			t.Errorf("pre=%v: a refused request changed the voter: %s, want %s", pre, got, want)
+		}
+	}
+
+	s.now = s.now.Add(lease / 2)
+	reply, err := b.RequestVote(VoteRequest{ClusterID: "test", Candidate: "c", Term: 4, Pre: true})
+	if err != nil || !reply.Granted {
+		t.Fatalf("pre-vote after the lease lapsed = %+v, %v; want granted", reply, err)
+	}
+	if got := state(b); got != want {
+		t.Errorf("a granted pre-vote changed the voter: %s, want %s", got, want)
+	}
+	if reply, _ = b.RequestVote(VoteRequest{ClusterID: "test", Candidate: "c", Term: 4}); !reply.Granted || reply.Term != 4 {
+		t.Fatalf("vote after the lease lapsed = %+v; want granted at term 4", reply)
+	}
+	if b.Term() != 4 {
+		t.Errorf("granted voter at term %d, want 4", b.Term())
+	}
+
+	a := s.nodes["a"]
+	a.mu.Lock()
+	a.role, a.term, a.leader, a.leaseUntil = roleLeader, 3, "a", s.now.Add(lease)
+	a.mu.Unlock()
+	want = state(a)
+	for _, pre := range []bool{true, false} {
+		if reply, _ := a.RequestVote(VoteRequest{ClusterID: "test", Candidate: "c", Term: 5, Pre: pre}); reply.Granted {
+			t.Errorf("pre=%v: a leader granted a vote within its lease", pre)
+		}
+	}
+	if got := state(a); got != want || !a.IsLeader() {
+		t.Errorf("a leased leader changed on a vote request: %s, want %s", got, want)
+	}
+}
+
+// --- replication, in virtual time ------------------------------------------
 
 func TestFollowersConvergeOnRecordedIntent(t *testing.T) {
-	r := newRig(t, []string{"a", "b", "c"}, nil)
-	r.startAll()
-	waitFor(t, 3*time.Second, "leader", func() bool { return r.leader() != nil })
-	lead := r.leader()
-	lead.Record(OpNodeAdd, "n1", json.RawMessage(`{"url":"http://n1"}`))
-	lead.Record(OpDeploy, "g1", json.RawMessage(`{"graph":{"id":"g1"}}`))
-	lead.Record(OpUpdate, "g1", json.RawMessage(`{"graph":{"id":"g1","rev":2}}`))
-	want := lead.Store().Serialize()
-	waitFor(t, 2*time.Second, "followers converge", func() bool {
-		for _, c := range r.clusters {
-			if !bytes.Equal(c.Store().Serialize(), want) {
-				return false
+	runSeed(t, 1, abc, nil, func(s *sim) error {
+		s.start()
+		lead, err := s.settle()
+		if err != nil {
+			return err
+		}
+		for _, r := range []struct {
+			kind      OpKind
+			key, data string
+		}{
+			{OpNodeAdd, "n1", `{"url":"http://n1"}`},
+			{OpDeploy, "g1", `{"graph":{"id":"g1"}}`},
+			{OpUpdate, "g1", `{"graph":{"id":"g1","rev":2}}`},
+		} {
+			if err := s.record(lead, r.kind, r.key, r.data); err != nil {
+				return err
 			}
 		}
-		return true
+		return s.runUntil(time.Second, "followers converge", func() bool { return s.converged(lead) })
 	})
 }
 
+// A log window of 4 with 20 ops recorded before the third replica starts:
+// catch-up cannot come from the log, forcing the snapshot path; the joiner
+// then keeps up incrementally.
 func TestJoinerMidStreamCatchesUpViaSnapshot(t *testing.T) {
-	// Log window of 4 with 20 ops recorded before the third replica
-	// starts: catch-up cannot come from the log, forcing the snapshot
-	// path.
-	r := newRig(t, []string{"a", "b", "c"}, func(id string, o *Options) {
-		o.LogDepth = 4
-	})
-	r.clusters["a"].Start()
-	r.clusters["b"].Start()
-	waitFor(t, 3*time.Second, "leader among a,b", func() bool { return r.leader() != nil })
-	lead := r.leader()
-	for i := 0; i < 20; i++ {
-		if err := lead.Record(OpDeploy, fmt.Sprintf("g%d", i), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
-			t.Fatalf("Record %d: %v", i, err)
+	runSeed(t, 1, abc, func(_ string, o *Options) { o.LogDepth = 4 }, func(s *sim) error {
+		s.start("a", "b")
+		if err := s.runUntil(3*time.Second, "leader among a,b", func() bool { return s.leader() != nil }); err != nil {
+			return err
 		}
-	}
-	want := lead.Store().Serialize()
-
-	// c joins mid-stream, far behind the window.
-	r.clusters["c"].Start()
-	waitFor(t, 3*time.Second, "joiner snapshot + catch-up", func() bool {
-		return bytes.Equal(r.clusters["c"].Store().Serialize(), want)
-	})
-	// And keeps up incrementally afterwards.
-	lead.Record(OpUndeploy, "g0", nil)
-	want = lead.Store().Serialize()
-	waitFor(t, 2*time.Second, "joiner follows the live stream", func() bool {
-		return bytes.Equal(r.clusters["c"].Store().Serialize(), want)
+		lead := s.leader()
+		for i := 0; i < 20; i++ {
+			if err := s.record(lead, OpDeploy, fmt.Sprintf("g%d", i), fmt.Sprintf(`{"i":%d}`, i)); err != nil {
+				return fmt.Errorf("Record %d: %v", i, err)
+			}
+		}
+		s.start("c")
+		if err := s.runUntil(3*time.Second, "joiner snapshot + catch-up", func() bool { return s.converged(lead) }); err != nil {
+			return err
+		}
+		if err := s.record(lead, OpUndeploy, "g0", ""); err != nil {
+			return err
+		}
+		return s.runUntil(time.Second, "joiner follows the live stream", func() bool { return s.converged(lead) })
 	})
 }
 
+// Kill both followers: the leader can neither commit nor renew, and
+// fences itself.
 func TestRecordWithoutQuorumFailsAndLeaderFences(t *testing.T) {
-	r := newRig(t, []string{"a", "b", "c"}, nil)
-	r.startAll()
-	waitFor(t, 3*time.Second, "leader", func() bool { return r.leader() != nil })
-	lead := r.leader()
-	// Kill both followers: the leader can neither commit nor renew.
-	for id := range r.clusters {
-		if id != lead.self {
-			r.net.SetDown(id, true)
+	runSeed(t, 1, abc, nil, func(s *sim) error {
+		s.start()
+		lead, err := s.settle()
+		if err != nil {
+			return err
 		}
-	}
-	err := lead.Record(OpDeploy, "g1", json.RawMessage(`{}`))
-	if !errors.Is(err, ErrNoQuorum) && !errors.Is(err, ErrNotLeader) {
-		t.Fatalf("Record without quorum = %v, want ErrNoQuorum or ErrNotLeader", err)
-	}
-	waitFor(t, 2*time.Second, "leader fenced without quorum", func() bool { return !lead.IsLeader() })
+		for _, f := range s.followers(lead) {
+			s.setDown(f.self, true)
+		}
+		if err := s.record(lead, OpDeploy, "g1", `{}`); !errors.Is(err, ErrNoQuorum) && !errors.Is(err, ErrNotLeader) {
+			return fmt.Errorf("Record without quorum = %v, want ErrNoQuorum or ErrNotLeader", err)
+		}
+		return s.runUntil(time.Second, "leader fenced without quorum", func() bool { return !lead.IsLeader() })
+	})
 }
 
 // ClearPending drops parked out-of-order ops (a leadership boundary may
@@ -577,70 +521,98 @@ func TestIntentStoreClearPending(t *testing.T) {
 func TestIntentOpsCrossToEachFollowerOnce(t *testing.T) {
 	// No heartbeat tick lands in the test, so every round is a commit
 	// wait's. Elections also run off the tick: a stands for one directly.
-	r := newRig(t, []string{"a", "b", "c"}, func(_ string, o *Options) {
+	runSeed(t, 1, abc, func(_ string, o *Options) {
 		o.HeartbeatInterval = time.Hour
 		o.LeaseDuration = time.Minute
+	}, func(s *sim) error {
+		s.start()
+		lead := s.nodes["a"]
+		lead.mu.Lock()
+		lead.standLocked()
+		lead.unlock()
+		if err := s.runUntil(time.Second, "a's election", lead.IsLeader); err != nil {
+			return err
+		}
+
+		const n = 20
+		ops, rounds := lead.opsShipped.Value(), lead.heartbeatRounds.Value()
+		for i := 0; i < n; i++ {
+			if err := s.record(lead, OpDeploy, fmt.Sprintf("g%d", i), fmt.Sprintf(`{"i":%d}`, i)); err != nil {
+				return fmt.Errorf("Record %d: %v", i, err)
+			}
+		}
+		if got := lead.opsShipped.Value() - ops; got != 2*n {
+			return fmt.Errorf("%d Records shipped %d ops to 2 followers, want %d", n, got, 2*n)
+		}
+		if got := lead.heartbeatRounds.Value() - rounds; got != n {
+			return fmt.Errorf("%d Records took %d rounds, want %d", n, got, n)
+		}
+
+		const k = 8
+		seqs := make([]uint64, k)
+		for i := range seqs {
+			var err error
+			if seqs[i], err = lead.Propose(OpUpdate, fmt.Sprintf("g%d", i), json.RawMessage(fmt.Sprintf(`{"v":%d}`, i))); err != nil {
+				return fmt.Errorf("Propose %d: %v", i, err)
+			}
+		}
+		ops, rounds = lead.opsShipped.Value(), lead.heartbeatRounds.Value()
+		for _, seq := range seqs {
+			if err := s.waitCommit(lead, seq); err != nil {
+				return fmt.Errorf("WaitCommit(%d): %v", seq, err)
+			}
+		}
+		if got := lead.opsShipped.Value() - ops; got != 2*k {
+			return fmt.Errorf("a flush of %d staged ops shipped %d ops to 2 followers, want %d", k, got, 2*k)
+		}
+		if got := lead.heartbeatRounds.Value() - rounds; got != 1 {
+			return fmt.Errorf("a flush of %d staged ops took %d rounds, want 1", k, got)
+		}
+		return s.runUntil(time.Second, "followers converge", func() bool { return s.converged(lead) })
 	})
-	r.startAll()
-	lead := r.clusters["a"]
-	lead.runElection()
-	if !lead.IsLeader() {
-		t.Fatal("a did not win its election")
-	}
-
-	const n = 20
-	ops, rounds := lead.opsShipped.Value(), lead.heartbeatRounds.Value()
-	for i := 0; i < n; i++ {
-		if err := lead.Record(OpDeploy, fmt.Sprintf("g%d", i), json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
-			t.Fatalf("Record %d: %v", i, err)
-		}
-	}
-	if got := lead.opsShipped.Value() - ops; got != 2*n {
-		t.Errorf("%d Records shipped %d ops to 2 followers, want %d", n, got, 2*n)
-	}
-	if got := lead.heartbeatRounds.Value() - rounds; got != n {
-		t.Errorf("%d Records took %d rounds, want %d", n, got, n)
-	}
-
-	const k = 8
-	seqs := make([]uint64, k)
-	for i := range seqs {
-		var err error
-		if seqs[i], err = lead.Propose(OpUpdate, fmt.Sprintf("g%d", i), json.RawMessage(fmt.Sprintf(`{"v":%d}`, i))); err != nil {
-			t.Fatalf("Propose %d: %v", i, err)
-		}
-	}
-	ops, rounds = lead.opsShipped.Value(), lead.heartbeatRounds.Value()
-	for _, seq := range seqs {
-		if err := lead.WaitCommit(seq); err != nil {
-			t.Fatalf("WaitCommit(%d): %v", seq, err)
-		}
-	}
-	if got := lead.opsShipped.Value() - ops; got != 2*k {
-		t.Errorf("a flush of %d staged ops shipped %d ops to 2 followers, want %d", k, got, 2*k)
-	}
-	if got := lead.heartbeatRounds.Value() - rounds; got != 1 {
-		t.Errorf("a flush of %d staged ops took %d rounds, want 1", k, got)
-	}
-	want := lead.Store().Serialize()
-	for _, id := range []string{"b", "c"} {
-		if got := r.clusters[id].Store().Serialize(); !bytes.Equal(got, want) {
-			t.Errorf("follower %s holds\n%s\nleader holds\n%s", id, got, want)
-		}
-	}
 }
 
-// Commit waits from several goroutines and the heartbeat tick run their
-// rounds one at a time, each reading the ops past the previous round's
-// acknowledgements: every op still crosses to each follower exactly once.
+// --- the real clock ---------------------------------------------------------
+
+// Commit waits from several goroutines and the heartbeat tick, on the wall
+// clock, over LocalNetwork: one append at a time is in flight to a
+// follower, and the reply that leaves it behind sends it the ops past its
+// acknowledgement, so every op still crosses to each follower exactly
+// once, and each commit wait returns with its op on its way to both.
 func TestConcurrentRecordsShipEachOpOnce(t *testing.T) {
-	r := newRig(t, []string{"a", "b", "c"}, func(_ string, o *Options) {
-		o.LeaseDuration = time.Second // a stable leader under -race
-		o.CommitTimeout = 5 * time.Second
+	net := NewLocalNetwork()
+	var peers []PeerSpec
+	for _, id := range abc {
+		peers = append(peers, PeerSpec{ID: id})
+	}
+	var clusters []*Cluster
+	for _, id := range abc {
+		c, err := New(Options{
+			ID:                id,
+			ClusterID:         "test",
+			Peers:             peers,
+			Transport:         net.Transport(id),
+			HeartbeatInterval: 10 * time.Millisecond,
+			LeaseDuration:     time.Second, // a stable leader under -race
+			CommitTimeout:     5 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Register(id, c)
+		clusters = append(clusters, c)
+		c.Start()
+		defer c.Close()
+	}
+	var lead *Cluster
+	waitFor(t, 5*time.Second, "leader", func() bool {
+		for _, c := range clusters {
+			if c.IsLeader() {
+				lead = c
+			}
+		}
+		return lead != nil
 	})
-	r.startAll()
-	waitFor(t, 5*time.Second, "leader", func() bool { return r.leader() != nil })
-	lead := r.leader()
 	const writers, each = 4, 25
 	ops := lead.opsShipped.Value()
 	var wg sync.WaitGroup
@@ -662,251 +634,12 @@ func TestConcurrentRecordsShipEachOpOnce(t *testing.T) {
 	}
 	want := lead.Store().Serialize()
 	waitFor(t, 2*time.Second, "followers converge", func() bool {
-		for _, c := range r.clusters {
+		for _, c := range clusters {
 			if !bytes.Equal(c.Store().Serialize(), want) {
 				return false
 			}
 		}
 		return true
-	})
-}
-
-// --- lease tests -----------------------------------------------------------
-
-// A follower cut from a healthy leader that keeps its quorum must not
-// depose it: the follower's pre-vote fails against the other follower's
-// view of the lease, so no term rises and the leader's appends stay
-// current. (Regression: a voter adopted the candidate's higher term before
-// its lease guard refused the vote, then refused the leader's appends as
-// stale-term; the leader lost its lease in 34 of 40 such runs.)
-func TestOneLinkCutKeepsLeader(t *testing.T) {
-	for run := 0; run < 10; run++ {
-		r := newRig(t, []string{"a", "b", "c"}, nil)
-		r.startAll()
-		lead := r.settled(t)
-		term := lead.Term()
-		cut := r.followers(lead)[run%2]
-		r.net.Partition(lead.self, cut.self)
-		holdsLease(t, lead, 400*time.Millisecond)
-		r.net.Heal(lead.self, cut.self)
-		for _, c := range r.clusters {
-			if got := c.Term(); got != term {
-				t.Fatalf("run %d: %s is at term %d after cutting %s from %s, want %d", run, c.self, got, lead.self, cut.self, term)
-			}
-		}
-		r.close()
-	}
-}
-
-// A follower that heard a valid Append within one lease refuses a vote and
-// a pre-vote at a higher term, and adopts nothing from either; once the
-// lease it observed has lapsed, it grants. A leader refuses while its own
-// lease runs.
-func TestVoterRefusesWhileLeaseLive(t *testing.T) {
-	r := newRig(t, []string{"a", "b", "c"}, nil)
-	b := r.clusters["b"]
-	lease := b.opts.LeaseDuration
-	if _, err := b.Append(AppendRequest{ClusterID: "test", Leader: "a", Term: 3}); err != nil {
-		t.Fatal(err)
-	}
-	// Age what b heard instead of sleeping: half a lease later, then a
-	// lapsed lease.
-	age := func(d time.Duration) {
-		b.mu.Lock()
-		b.leaderSeen = time.Now().Add(-d)
-		b.mu.Unlock()
-	}
-	state := func(c *Cluster) string {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return fmt.Sprintf("term %d, voted %q in term %d, leader %q, role %d", c.term, c.votedFor, c.votedTerm, c.leader, c.role)
-	}
-	age(lease / 2)
-	want := state(b)
-	for _, pre := range []bool{true, false} {
-		reply, err := b.RequestVote(VoteRequest{ClusterID: "test", Candidate: "c", Term: 4, Pre: pre})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reply.Granted {
-			t.Errorf("pre=%v: granted a vote half a lease after an Append", pre)
-		}
-		if got := state(b); got != want {
-			t.Errorf("pre=%v: a refused request changed the voter: %s, want %s", pre, got, want)
-		}
-	}
-
-	age(lease)
-	reply, err := b.RequestVote(VoteRequest{ClusterID: "test", Candidate: "c", Term: 4, Pre: true})
-	if err != nil || !reply.Granted {
-		t.Fatalf("pre-vote after the lease lapsed = %+v, %v; want granted", reply, err)
-	}
-	if got := state(b); got != want {
-		t.Errorf("a granted pre-vote changed the voter: %s, want %s", got, want)
-	}
-	if reply, _ = b.RequestVote(VoteRequest{ClusterID: "test", Candidate: "c", Term: 4}); !reply.Granted || reply.Term != 4 {
-		t.Fatalf("vote after the lease lapsed = %+v; want granted at term 4", reply)
-	}
-	if b.Term() != 4 {
-		t.Errorf("granted voter at term %d, want 4", b.Term())
-	}
-
-	a := r.clusters["a"]
-	a.mu.Lock()
-	a.role, a.term, a.leader, a.leaseUntil = roleLeader, 3, "a", time.Now().Add(lease)
-	a.mu.Unlock()
-	want = state(a)
-	for _, pre := range []bool{true, false} {
-		if reply, _ := a.RequestVote(VoteRequest{ClusterID: "test", Candidate: "c", Term: 5, Pre: pre}); reply.Granted {
-			t.Errorf("pre=%v: a leader granted a vote within its lease", pre)
-		}
-	}
-	if got := state(a); got != want || !a.IsLeader() {
-		t.Errorf("a leased leader changed on a vote request: %s, want %s", got, want)
-	}
-}
-
-// No two replicas hold a lease at once. The leader loses one follower,
-// then three leases later the other; the two followers elect a successor.
-// A sampler evaluates every replica's lease at one instant each
-// millisecond, under each replica's lock. (Regression: the vote guard also
-// took the failure detector's verdict, so a voter granted before the lease
-// it had acknowledged could lapse, and the old and the new leader both
-// held a lease.)
-func TestNoTwoLeaseHolders(t *testing.T) {
-	for run := 0; run < 10; run++ {
-		r := newRig(t, []string{"a", "b", "c"}, nil)
-		r.startAll()
-		lead := r.settled(t)
-		lease := lead.opts.LeaseDuration
-		f := r.followers(lead)
-		stop := make(chan struct{})
-		overlap := make(chan string, 1)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-time.After(time.Millisecond):
-				}
-				now := time.Now()
-				var holders []string
-				for _, c := range r.clusters {
-					c.mu.Lock()
-					if c.role == roleLeader && now.Before(c.leaseUntil) {
-						holders = append(holders, fmt.Sprintf("%s (term %d, %v left)", c.self, c.term, c.leaseUntil.Sub(now)))
-					}
-					c.mu.Unlock()
-				}
-				if len(holders) > 1 {
-					overlap <- fmt.Sprint(holders)
-					return
-				}
-			}
-		}()
-		r.net.Partition(lead.self, f[0].self)
-		time.Sleep(3 * lease)
-		r.net.Partition(lead.self, f[1].self)
-		waitFor(t, 3*time.Second, "a successor", func() bool { return f[0].IsLeader() || f[1].IsLeader() })
-		time.Sleep(lease)
-		close(stop)
-		wg.Wait()
-		r.close()
-		select {
-		case holders := <-overlap:
-			t.Fatalf("run %d: two lease holders at once: %s", run, holders)
-		default:
-		}
-	}
-}
-
-// stallTransport delays Appends to one replica (named by to, once set) by
-// stall before delivering them: a follower that accepts the call and does
-// not answer in time. With once, only the next Append stalls.
-type stallTransport struct {
-	Transport
-	to    *atomic.Value
-	stall time.Duration
-	once  bool
-}
-
-type stallPeer struct {
-	Peer
-	t  stallTransport
-	id string
-}
-
-func (t stallTransport) Dial(id string) (Peer, error) {
-	p, err := t.Transport.Dial(id)
-	if err != nil {
-		return p, err
-	}
-	return stallPeer{Peer: p, t: t, id: id}, nil
-}
-
-func (p stallPeer) Append(req AppendRequest) (AppendReply, error) {
-	if p.t.once && p.t.to.CompareAndSwap(p.id, "") || !p.t.once && p.t.to.Load() == p.id {
-		time.Sleep(p.t.stall)
-	}
-	return p.Peer.Append(req)
-}
-
-// One follower that stalls for three leases costs the leader nothing: its
-// rounds stop waiting at half a lease and renew the lease on the other
-// follower's acknowledgement. (Regression: a round waited for the slowest
-// follower and then renewed the lease from its start, already in the past,
-// so the leader stepped down at its next tick.)
-func TestStalledFollowerKeepsLeaderLease(t *testing.T) {
-	var stalled atomic.Value
-	stalled.Store("")
-	const lease = 120 * time.Millisecond
-	r := newRig(t, []string{"a", "b", "c"}, func(_ string, o *Options) {
-		o.Transport = stallTransport{Transport: o.Transport, to: &stalled, stall: 3 * lease}
-	})
-	r.startAll()
-	lead := r.settled(t)
-	stalled.Store(r.followers(lead)[0].self)
-	recorded := make(chan error, 1)
-	go func() { recorded <- lead.Record(OpDeploy, "g1", json.RawMessage(`{}`)) }()
-	holdsLease(t, lead, 5*lease)
-	if err := <-recorded; err != nil {
-		t.Fatalf("Record with one follower stalled: %v", err)
-	}
-}
-
-// An append that misses its round still lands later. Until it has, the
-// leader sends that follower nothing more, so no newer append can overtake
-// it: a late snapshot restored over ops the follower already acknowledged
-// would leave it behind the ack the leader counts toward commit.
-func TestStraggledAppendIsNotOvertaken(t *testing.T) {
-	var stalled atomic.Value
-	stalled.Store("")
-	const lease = 100 * time.Millisecond
-	r := newRig(t, []string{"a", "b", "c"}, func(_ string, o *Options) {
-		o.HeartbeatInterval = time.Hour // every round below is the test's
-		o.LeaseDuration = lease
-		o.Transport = stallTransport{Transport: o.Transport, to: &stalled, stall: 3 * lease / 2, once: true}
-	})
-	r.startAll()
-	lead, c := r.clusters["a"], r.clusters["c"]
-	stalled.Store("c") // the term's first append to c: its snapshot
-	lead.runElection()
-	if !lead.IsLeader() {
-		t.Fatal("a did not win its election")
-	}
-	for i := 0; i < 3; i++ {
-		if err := lead.Record(OpDeploy, fmt.Sprint("g", i), json.RawMessage(`{}`)); err != nil {
-			t.Fatalf("Record %d: %v", i, err)
-		}
-	}
-	time.Sleep(2 * lease) // the stalled snapshot lands
-	want := lead.Store().Serialize()
-	waitFor(t, time.Second, "c converges on the leader's store", func() bool {
-		lead.broadcastAppend()
-		return bytes.Equal(c.Store().Serialize(), want)
 	})
 }
 

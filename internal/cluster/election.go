@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"math/rand"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -13,54 +14,49 @@ const (
 	roleLeader
 )
 
+// A replica moves only on events: its heartbeat tick, which re-arms itself
+// on the clock, a peer's RPC, and the reply to an RPC of its own. Each
+// event is handled whole under c.mu, so the replica is a step function of
+// its state, the clock's Now and the event.
+
 // electionTimeout returns a randomized wait in [lease, 2·lease) so
 // replicas that lose a leader at the same instant do not all stand for
 // election in the same tick.
 func (c *Cluster) electionTimeout() time.Duration {
 	d := c.opts.LeaseDuration
-	return d + time.Duration(rand.Int63n(int64(d)))
+	return d + time.Duration(c.clk.Int63n(int64(d)))
 }
 
-// electLoop drives the leader side (heartbeats, lease renewal, fencing)
-// and the follower side (election timeouts) from one goroutine, once per
-// HeartbeatInterval. A write does not wait for the tick: WaitCommit runs
-// its own replication round as soon as it is called.
-func (c *Cluster) electLoop() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.opts.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-ticker.C:
-		}
-		c.electTick()
-	}
-}
-
-func (c *Cluster) electTick() {
-	now := time.Now()
+// tick runs once per HeartbeatInterval while the replica is started: a
+// leader renews its lease with an append round, or fences itself once the
+// lease has lapsed; a follower stands for election once its timeout has
+// passed with no live lease; and every commit wait re-checks its deadline.
+func (c *Cluster) tick() {
 	c.mu.Lock()
-	switch c.role {
-	case roleLeader:
-		if now.After(c.leaseUntil) {
-			// Fencing: could not renew the lease with a quorum —
-			// step down before a new leader can be elected elsewhere.
-			c.stepDownLocked("lease expired without quorum")
-			c.mu.Unlock()
-			c.fireDemote()
-			return
-		}
+	if !c.started {
 		c.mu.Unlock()
-		c.broadcastAppend()
-	default:
-		start := now.After(c.electionAt) && c.leaderGoneLocked(now)
-		c.mu.Unlock()
-		if start {
-			c.runElection()
-		}
+		return
 	}
+	now := c.clk.Now()
+	switch {
+	case c.role == roleLeader && now.After(c.leaseUntil) && now.After(c.electionAt):
+		// Fencing: could not renew the lease with a quorum — step
+		// down before a new leader can be elected elsewhere.
+		c.stepDownLocked("lease expired without quorum")
+	case c.role == roleLeader:
+		c.broadcastLocked()
+	case now.After(c.electionAt) && c.leaderGoneLocked(now):
+		c.standLocked()
+	}
+	c.signalLocked()
+	c.unlock()
+	c.clk.AfterFunc(c.opts.HeartbeatInterval, c.tick)
+}
+
+// leasedLocked reports whether this replica leads under a live lease: the
+// fence every write and IsLeader pass.
+func (c *Cluster) leasedLocked() bool {
+	return c.role == roleLeader && c.clk.Now().Before(c.leaseUntil)
 }
 
 // leaderGoneLocked reports whether no lease is live as this replica sees
@@ -79,172 +75,110 @@ func (c *Cluster) leaderGoneLocked(now time.Time) bool {
 }
 
 // stepDownLocked demotes a leader to follower and schedules the next
-// election chance. Caller fires OnDemote after unlocking.
+// election chance; unlock fires OnDemote.
 func (c *Cluster) stepDownLocked(why string) {
 	if c.role == roleLeader {
 		c.logf("cluster %s: stepping down in term %d: %s", c.self, c.term, why)
+		c.demoted = true
 	}
 	c.role = roleFollower
 	c.leader = ""
-	c.electionAt = time.Now().Add(c.electionTimeout())
+	c.electionAt = c.clk.Now().Add(c.electionTimeout())
+	c.signalLocked()
 }
 
-func (c *Cluster) fireDemote() {
-	if c.opts.OnDemote != nil {
-		c.opts.OnDemote()
-	}
+// standLocked opens an election with a pre-vote canvass and schedules the
+// next election chance, should this one fail.
+func (c *Cluster) standLocked() {
+	c.electionAt = c.clk.Now().Add(c.electionTimeout())
+	lastTerm, lastSeq := c.store.LastTermSeq()
+	c.canvassLocked(VoteRequest{ClusterID: c.opts.ClusterID, Candidate: c.self, Term: c.term + 1, LastTerm: lastTerm, LastSeq: lastSeq, Pre: true})
 }
 
-// answer is one peer's reply to a fanOut round; ok is false when the peer
-// could not be reached, refused the call or answered too late.
-type answer[R any] struct {
-	r  R
-	ok bool
-}
-
-// fanOut runs call(i) for every i < n in parallel and returns, by index,
-// the replies that arrived within half a LeaseDuration of start. A
-// straggler finishes into the buffered channel and counts for nothing: a
-// round never waits on a stalled peer past the point where the lease it
-// renews would be half spent.
-func fanOut[R any](c *Cluster, start time.Time, n int, call func(i int) (R, error)) []answer[R] {
-	type result struct {
-		i   int
-		r   R
-		err error
-	}
-	out := make([]answer[R], n)
-	if n == 0 {
-		return out
-	}
-	ch := make(chan result, n)
-	for i := range n {
-		go func() {
-			r, err := call(i)
-			ch <- result{i, r, err}
-		}()
-	}
-	timer := time.NewTimer(time.Until(start.Add(c.opts.LeaseDuration / 2)))
-	defer timer.Stop()
-	for range n {
-		select {
-		case res := <-ch:
-			out[res.i] = answer[R]{r: res.r, ok: res.err == nil}
-		case <-timer.C:
-			return out
-		}
-	}
-	return out
-}
-
-// canvass asks every replica peer for its vote (or pre-vote) on req and
-// reports whether a quorum, self included, granted it. A reply from a
-// newer term is adopted, and this replica stays a follower.
-func (c *Cluster) canvass(peers []string, req VoteRequest) bool {
-	answers := fanOut(c, time.Now(), len(peers), func(i int) (VoteReply, error) {
-		peer, err := c.opts.Transport.Dial(peers[i])
-		if err != nil {
-			return VoteReply{}, err
-		}
-		return peer.RequestVote(req)
-	})
-	votes := 1 // self
-	var maxTerm uint64
-	for _, a := range answers {
-		if a.ok && a.r.Granted {
-			votes++
-		}
-		maxTerm = max(maxTerm, a.r.Term)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if maxTerm > c.term {
-		c.term = maxTerm
-		c.stepDownLocked("peer has higher term")
-		return false
-	}
-	return votes >= c.quorum()
-}
-
-// runElection stands for leadership in two rounds (Ongaro's PreVote). The
+// canvassLocked asks every replica peer for its vote (or pre-vote) on req.
+// Each reply is tallied where it lands; a reply from a newer term is
+// adopted, and this replica stays a follower.
+//
+// A replica stands for leadership in two canvasses (Ongaro's PreVote). The
 // pre-vote asks every replica peer whether it would grant a vote at the
 // next term, and changes no term, vote or role anywhere. Only a quorum of
 // pre-votes starts the election proper: bump the term, vote for self and
 // canvass again. A replica cut from a healthy leader thus fails its
 // pre-vote and raises no term that would depose the leader. Promotion
 // requires a majority of the static replica set, and the lease only
-// becomes valid once the first heartbeat round is majority-acknowledged.
-func (c *Cluster) runElection() {
-	c.mu.Lock()
-	if c.role == roleLeader {
-		c.mu.Unlock()
-		return
-	}
-	c.electionAt = time.Now().Add(c.electionTimeout())
-	term := c.term + 1
-	lastTerm, lastSeq := c.store.LastTermSeq()
-	peers := c.replicaPeersLocked()
-	c.mu.Unlock()
-
-	req := VoteRequest{ClusterID: c.opts.ClusterID, Candidate: c.self, Term: term, LastTerm: lastTerm, LastSeq: lastSeq, Pre: true}
-	if !c.canvass(peers, req) {
-		return
-	}
-	c.mu.Lock()
-	if c.role == roleLeader || c.term != term-1 || !c.leaderGoneLocked(time.Now()) {
-		c.mu.Unlock()
-		return // a leader or a newer term turned up during the pre-vote
-	}
-	c.role = roleCandidate
-	c.term = term
-	c.votedTerm = term
-	c.votedFor = c.self
-	c.mu.Unlock()
-
-	c.electionsStarted.Inc()
-	req.Pre = false
-	won := c.canvass(peers, req)
-
-	c.mu.Lock()
-	if !won || c.term != term || c.role != roleCandidate {
-		if c.role == roleCandidate {
-			c.role = roleFollower
+// becomes valid once the first append round is majority-acknowledged.
+func (c *Cluster) canvassLocked(req VoteRequest) {
+	p := &req
+	c.poll, c.votes = p, 1
+	for _, id := range c.peers {
+		peer, err := c.opts.Transport.Dial(id)
+		if err != nil {
+			continue
 		}
-		c.mu.Unlock()
+		c.clk.AfterFunc(0, func() {
+			reply, err := peer.RequestVote(req)
+			c.mu.Lock()
+			defer c.unlock()
+			if err != nil || p != c.poll {
+				return // unreachable, or a canvass this replica has moved past
+			}
+			if reply.Term > c.term {
+				c.term = reply.Term
+				c.stepDownLocked("peer has higher term")
+				return
+			}
+			if reply.Granted {
+				c.votes++
+				c.tallyLocked()
+			}
+		})
+	}
+	c.tallyLocked()
+}
+
+// tallyLocked advances the canvass once it has its quorum: a pre-vote
+// opens the election proper, unless a leader or a newer term turned up
+// meanwhile; a vote still current wins the term.
+func (c *Cluster) tallyLocked() {
+	req := *c.poll
+	if c.votes < c.quorum() {
+		return
+	}
+	c.poll = nil
+	term := req.Term
+	if req.Pre {
+		if c.role == roleLeader || c.term != term-1 || !c.leaderGoneLocked(c.clk.Now()) {
+			return
+		}
+		c.role, c.term, c.votedTerm, c.votedFor = roleCandidate, term, term, c.self
+		c.electionsStarted.Inc()
+		req.Pre = false
+		c.canvassLocked(req)
+		return
+	}
+	if c.term != term || c.role != roleCandidate {
 		return
 	}
 	// Won. The log window rebases just past the replicated store; the
 	// lease starts expired and is earned by the first quorum-acked
-	// heartbeat round below, so IsLeader never precedes quorum contact.
-	// Every follower starts the term unsynced: sequence numbers restart
-	// at this replica's applied point, so a follower may hold a divergent
-	// uncommitted suffix from the previous leader at seqs this term
-	// reuses. Until a follower acknowledges this term's snapshot baseline
-	// it receives no incremental ops and its acks count for nothing
-	// (the log-matching property, enforced by resync instead of rollback).
+	// append round below (renewLeaseLocked promotes), so IsLeader never
+	// precedes quorum contact; a leader that earns none within one lease
+	// steps down at its tick. Every follower starts the term unsynced:
+	// sequence numbers restart at this replica's applied point, so a
+	// follower may hold a divergent uncommitted suffix from the previous
+	// leader at seqs this term reuses. Until a follower acknowledges this
+	// term's snapshot baseline it receives no incremental ops and its acks
+	// count for nothing (the log-matching property, enforced by resync
+	// instead of rollback).
 	c.role = roleLeader
 	c.leader = c.self
 	c.leaseUntil = time.Time{}
+	c.electionAt = c.clk.Now().Add(c.opts.LeaseDuration)
 	c.log.Reset(c.store.LastApplied())
-	c.acked = make(map[string]uint64)
-	c.heard = make(map[string]time.Time)
-	c.synced = make(map[string]bool)
+	c.acked, c.heard, c.synced = make(map[string]uint64), make(map[string]time.Time), make(map[string]bool)
 	c.syncedTerm = term // our own store is this term's baseline
-	c.mu.Unlock()
-
 	c.electionsWon.Inc()
-	c.broadcastAppend()
-
-	c.mu.Lock()
-	promoted := c.role == roleLeader && time.Now().Before(c.leaseUntil)
-	c.mu.Unlock()
-	if promoted {
-		c.journalf(eventLeaderElected, c.self, "", "replica %s elected leader in term %d", c.self, term)
-		c.logf("cluster %s: elected leader in term %d (seq %d)", c.self, term, lastSeq)
-		if c.opts.OnPromote != nil {
-			c.opts.OnPromote(term)
-		}
-	}
+	c.broadcastLocked()
 }
 
 // RequestVote implements Peer. The lease guard runs before any term is
@@ -259,9 +193,9 @@ func (c *Cluster) RequestVote(req VoteRequest) (VoteReply, error) {
 	if req.ClusterID != c.opts.ClusterID {
 		return VoteReply{}, errWrongCluster
 	}
-	now := time.Now()
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
+	now := c.clk.Now()
 	reply := VoteReply{Term: c.term}
 	if req.Term < c.term || (c.votedTerm == req.Term && c.votedFor != req.Candidate) {
 		return reply, nil
@@ -286,154 +220,150 @@ func (c *Cluster) RequestVote(req VoteRequest) (VoteReply, error) {
 		reply.Term = req.Term
 		if c.role == roleLeader {
 			c.stepDownLocked("vote request with higher term")
-			defer c.fireDemote()
 		}
 		c.role = roleFollower
 	}
-	c.votedTerm = req.Term
-	c.votedFor = req.Candidate
-	c.leader = ""
+	c.votedTerm, c.votedFor, c.leader = req.Term, req.Candidate, ""
 	c.electionAt = now.Add(c.electionTimeout())
 	return reply, nil
 }
 
-// broadcastAppend runs one replication/heartbeat round, in parallel per
-// follower: a follower not yet synced to this term gets a full snapshot
-// (truncating any divergent suffix a deposed leader left on it), a synced
-// one the ops past its acknowledgement (or a snapshot again when its ack
-// fell out of the log window). A majority of current-term
-// acknowledgements within half a lease (fanOut) advances the commit point
-// and renews the leader lease from the round's start time; replies from
-// any other term are ignored.
-//
-// Rounds do not overlap: a heartbeat tick that lands while a commit wait's
-// round is in flight waits for its acknowledgements, so it reads the ops
-// past them and ships none of that round's ops again. A follower whose
-// append from an earlier round is still in flight is skipped until it
-// answers, so its appends never overtake each other.
-func (c *Cluster) broadcastAppend() {
-	c.roundMu.Lock()
-	defer c.roundMu.Unlock()
-	start := time.Now()
-	c.mu.Lock()
+// broadcastLocked starts an append round: every follower with no append in
+// flight gets one now (sendLocked), timed from this instant. A single
+// replica renews its lease and commits on the spot.
+func (c *Cluster) broadcastLocked() {
 	if c.role != roleLeader {
-		c.mu.Unlock()
 		return
 	}
-	term := c.term
-	commit := c.commitSeq
-	peers := c.replicaPeersLocked()
-	type dest struct {
-		id  string
-		req AppendRequest
+	c.roundAt = c.clk.Now()
+	for _, id := range c.peers {
+		c.sendLocked(id)
 	}
-	var snap *Snapshot // built once, shared read-only across requests
-	dests := make([]dest, 0, len(peers))
-	for _, id := range peers {
-		if c.sending[id] {
-			continue
-		}
-		c.sending[id] = true
-		req := AppendRequest{ClusterID: c.opts.ClusterID, Leader: c.self, Term: term, CommitSeq: commit}
-		ops, inWindow := c.log.Since(c.acked[id])
-		if c.synced[id] && inWindow {
-			req.Ops = ops
-		} else {
-			if snap == nil {
-				s := c.store.Snapshot()
-				snap = &s
-			}
-			req.Snapshot = snap
-		}
-		dests = append(dests, dest{id: id, req: req})
-	}
-	c.mu.Unlock()
+	c.renewLeaseLocked()
+	c.advanceCommitLocked()
+}
 
-	answers := fanOut(c, start, len(dests), func(i int) (AppendReply, error) {
-		d := &dests[i]
-		defer func() {
-			c.mu.Lock()
-			delete(c.sending, d.id)
-			c.mu.Unlock()
-		}()
-		peer, err := c.opts.Transport.Dial(d.id)
-		if err != nil {
-			return AppendReply{}, err
-		}
-		c.opsShipped.Add(uint64(len(d.req.Ops)))
-		return peer.Append(d.req)
+// sendLocked sends one append to follower id as part of the current round.
+// A follower not yet synced to this term gets a full snapshot (truncating
+// any divergent suffix a deposed leader left on it), a synced one the ops
+// past its acknowledgement (or a snapshot again when its ack fell out of
+// the log window). While an append is in flight to a follower it gets no
+// other, so its appends never overtake each other, and no op goes out
+// twice to it unless one is lost.
+func (c *Cluster) sendLocked(id string) {
+	if _, busy := c.inflight[id]; busy {
+		return
+	}
+	peer, err := c.opts.Transport.Dial(id)
+	if err != nil {
+		return
+	}
+	req := AppendRequest{ClusterID: c.opts.ClusterID, Leader: c.self, Term: c.term, CommitSeq: c.commitSeq}
+	if ops, inWindow := c.log.Since(c.acked[id]); c.synced[id] && inWindow {
+		req.Ops = ops
+	} else {
+		snap := c.store.Snapshot()
+		req.Snapshot = &snap
+	}
+	c.opsShipped.Add(uint64(len(req.Ops)))
+	s := sent{upTo: c.log.LastSeq(), at: c.roundAt}
+	c.inflight[id] = s
+	c.clk.AfterFunc(0, func() {
+		reply, err := peer.Append(req)
+		c.mu.Lock()
+		defer c.unlock()
+		c.onAppendLocked(id, s, req, reply, err)
 	})
+}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var maxTerm uint64
-	for _, a := range answers {
-		maxTerm = max(maxTerm, a.r.Term)
+// sent is an append in flight: the seq the follower holds once it applies
+// it, and the start of the round it belongs to.
+type sent struct {
+	upTo uint64
+	at   time.Time
+}
+
+// onAppendLocked handles one follower's answer to append req, sent as s.
+// A current-term acknowledgement counts
+// toward the lease and the commit point as it lands; one from any other
+// term counts for nothing. A follower the answer leaves behind the log
+// tail gets its next append at once, never waiting for a tick, as long as
+// it applied all it was sent (an append that made no progress waits for
+// the tick).
+func (c *Cluster) onAppendLocked(id string, s sent, req AppendRequest, reply AppendReply, err error) {
+	delete(c.inflight, id)
+	c.signalLocked()
+	if err != nil {
+		return
 	}
-	if maxTerm > c.term {
-		c.term = maxTerm
+	if reply.Term > c.term {
+		c.term = reply.Term
 		c.stepDownLocked("append rejected by higher term")
-		defer c.fireDemote()
 		return
 	}
-	if c.role != roleLeader || c.term != term {
+	if c.role != roleLeader || c.term != req.Term || reply.Term != req.Term {
 		return
 	}
-	acks := 1 // self
 	tail := c.log.LastSeq()
-	for i, a := range answers {
-		if !a.ok || a.r.Term != term {
-			continue // no reply in time, or a stale-term one: not an acknowledgement of ours
-		}
-		id := dests[i].id
-		c.heard[id] = start
-		if a.r.Ok {
-			acks++
-		}
-		if !a.r.Ok || a.r.Acked > tail {
-			// Ok=false at our own term means the follower refused
-			// incremental ops (it restarted, or never adopted this term's
-			// baseline); an ack past our log tail is a divergent suffix we
-			// never appended. Either way: resync from a snapshot, and stop
-			// counting its old ack toward commit — a restarted follower no
-			// longer holds the ops that ack claimed.
-			delete(c.synced, id)
-			delete(c.acked, id)
-			continue
-		}
-		c.synced[id] = true
-		if a.r.Acked > c.acked[id] {
-			c.acked[id] = a.r.Acked
-		}
+	if reply.Ok && s.at.After(c.heard[id]) {
+		c.heard[id] = s.at
 	}
-	if acks >= c.quorum() {
-		c.leaseUntil = start.Add(c.opts.LeaseDuration)
+	if !reply.Ok || reply.Acked > tail {
+		// Ok=false at our own term means the follower refused
+		// incremental ops (it restarted, or never adopted this term's
+		// baseline); an ack past our log tail is a divergent suffix we
+		// never appended. Either way: resync from a snapshot, and stop
+		// counting its old ack toward commit — a restarted follower no
+		// longer holds the ops that ack claimed.
+		delete(c.synced, id)
+		delete(c.acked, id)
+	} else {
+		c.synced[id] = true
+		c.acked[id] = max(c.acked[id], reply.Acked)
+	}
+	c.renewLeaseLocked()
+	c.advanceCommitLocked()
+	if c.synced[id] && reply.Acked >= s.upTo && reply.Acked < tail || !reply.Ok && req.Snapshot == nil {
+		c.sendLocked(id)
+	}
+}
+
+// renewLeaseLocked extends the lease to LeaseDuration past the newest round
+// start a quorum acknowledged, self included. Earning the term's first
+// lease promotes this replica (unlock runs OnPromote).
+func (c *Cluster) renewLeaseLocked() {
+	at := quorumPoint(c.roundAt, c.heard, c.peers, c.quorum(), time.Time.Compare)
+	if at.IsZero() {
+		return
+	}
+	if until := at.Add(c.opts.LeaseDuration); until.After(c.leaseUntil) {
+		if c.leaseUntil.IsZero() {
+			c.promoted = c.term
+		}
+		c.leaseUntil = until
 		c.heartbeatRounds.Inc()
 	}
-	c.advanceCommitLocked()
 }
 
 // advanceCommitLocked recomputes the commit point: the quorum-th highest
 // contiguously-acknowledged sequence number across the replica set (self
 // counts at the log tail).
 func (c *Cluster) advanceCommitLocked() {
-	seqs := []uint64{c.log.LastSeq()}
-	for _, id := range c.replicaPeersLocked() {
-		seqs = append(seqs, c.acked[id])
-	}
-	q := c.quorum()
-	if len(seqs) < q {
-		return
-	}
-	// Sort descending; the q-th entry is replicated on at least q replicas.
-	for i := 1; i < len(seqs); i++ {
-		for j := i; j > 0 && seqs[j] > seqs[j-1]; j-- {
-			seqs[j], seqs[j-1] = seqs[j-1], seqs[j]
-		}
-	}
-	if seq := seqs[q-1]; seq > c.commitSeq {
+	if seq := quorumPoint(c.log.LastSeq(), c.acked, c.peers, c.quorum(), cmp.Compare[uint64]); seq > c.commitSeq {
 		c.commitSeq = seq
+		c.signalLocked()
 	}
+}
+
+// quorumPoint is the newest value q replicas have reached: the q-th largest
+// of self's and each peer's.
+func quorumPoint[T any](self T, of map[string]T, peers []string, q int, compare func(a, b T) int) T {
+	vals := append(make([]T, 0, len(peers)+1), self)
+	for _, p := range peers {
+		vals = append(vals, of[p])
+	}
+	slices.SortFunc(vals, func(a, b T) int { return compare(b, a) })
+	return vals[q-1]
 }
 
 // Append implements Peer: the follower side of replication. A valid
@@ -449,54 +379,35 @@ func (c *Cluster) Append(req AppendRequest) (AppendReply, error) {
 	if req.ClusterID != c.opts.ClusterID {
 		return AppendReply{}, errWrongCluster
 	}
-	now := time.Now()
 	c.mu.Lock()
+	defer c.unlock()
+	now := c.clk.Now()
 	if req.Term < c.term {
-		reply := AppendReply{Term: c.term, Acked: c.store.LastApplied()}
-		c.mu.Unlock()
-		return reply, nil
+		return AppendReply{Term: c.term, Acked: c.store.LastApplied()}, nil
 	}
-	var demoted bool
 	if req.Term > c.term || c.role != roleFollower {
 		if c.role == roleLeader {
 			c.stepDownLocked("append from newer leader")
-			demoted = true
 		}
 		c.role = roleFollower
 	}
-	termChanged := c.term != req.Term
-	c.term = req.Term
-	newLeader := c.leader != req.Leader
-	c.leader = req.Leader
-	c.leaderSeen = now
-	c.electionAt = now.Add(c.electionTimeout())
-	if req.CommitSeq > c.commitSeq {
-		c.commitSeq = req.CommitSeq
-	}
-	if termChanged || newLeader {
+	if c.term != req.Term || c.leader != req.Leader {
 		// Ops parked while the previous leader was streaming may occupy
 		// sequence numbers this leader reuses for different ops; discard
 		// them rather than fold them across the leadership boundary.
 		c.store.ClearPending()
 	}
-	c.mu.Unlock()
-
-	if demoted {
-		c.fireDemote()
-	}
-	if newLeader {
+	if c.leader != req.Leader {
 		c.journalf(eventLeaderElected, req.Leader, "", "following leader %s in term %d", req.Leader, req.Term)
 	}
+	c.term, c.leader, c.leaderSeen = req.Term, req.Leader, now
+	c.electionAt = now.Add(c.electionTimeout())
+	c.commitSeq = max(c.commitSeq, req.CommitSeq)
 	if req.Snapshot != nil {
 		c.store.Restore(*req.Snapshot)
-	}
-	c.mu.Lock()
-	if req.Snapshot != nil && c.term == req.Term {
 		c.syncedTerm = req.Term
 	}
-	synced := c.syncedTerm == req.Term
-	c.mu.Unlock()
-	if !synced && len(req.Ops) > 0 {
+	if c.syncedTerm != req.Term && len(req.Ops) > 0 {
 		return AppendReply{Term: req.Term, Acked: c.store.LastApplied()}, nil
 	}
 	for _, op := range req.Ops {

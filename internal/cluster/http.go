@@ -24,9 +24,11 @@ type HTTPTransport struct {
 }
 
 // NewHTTPTransport builds a transport over the peer set. A nil client
-// gets a 2 s per-call timeout. No round waits that long: a vote or append
-// round stops waiting at half a lease, so a hung peer costs a goroutine
-// until the timeout, never the leader's lease.
+// gets a 2 s per-call timeout. Nothing blocks on a call: each runs on its
+// own goroutine and its reply is handled when it lands, and a follower
+// gets no other append while one is in flight to it. So a hung peer costs
+// one goroutine until the timeout, never the leader's lease, which the
+// other followers' acknowledgements renew.
 func NewHTTPTransport(peers []PeerSpec, client *http.Client) *HTTPTransport {
 	if client == nil {
 		client = &http.Client{Timeout: 2 * time.Second}

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"time"
-
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Collect implements telemetry.Collector: the cluster's health as seen
 // from this replica, registered into the global orchestrator's /metrics.
@@ -12,7 +8,7 @@ func (c *Cluster) Collect(e *telemetry.Exposition) {
 	c.mu.Lock()
 	self := c.self
 	leader := c.leader
-	isLeader := c.role == roleLeader && time.Now().Before(c.leaseUntil)
+	isLeader := c.leasedLocked()
 	term := c.term
 	commit := c.commitSeq
 	applied := c.store.LastApplied()

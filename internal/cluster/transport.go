@@ -64,7 +64,9 @@ type Peer interface {
 	Append(req AppendRequest) (AppendReply, error)
 }
 
-// Transport resolves peer ids to reachable Peer handles.
+// Transport resolves peer ids to reachable Peer handles. A replica dials
+// as it sends, under its lock, so Dial must return at once and must not
+// call into the replica; the Peer's calls run unlocked.
 type Transport interface {
 	Dial(id string) (Peer, error)
 }
@@ -85,7 +87,7 @@ type LocalNetwork struct {
 	mu    sync.Mutex
 	peers map[string]Peer
 	down  map[string]bool
-	cut   map[string]bool // "a|b" with a<b: the pair cannot talk
+	cut   map[[2]string]bool // {a, b} with a<b: the pair cannot talk
 }
 
 // NewLocalNetwork builds an empty in-process transport fabric.
@@ -93,7 +95,7 @@ func NewLocalNetwork() *LocalNetwork {
 	return &LocalNetwork{
 		peers: make(map[string]Peer),
 		down:  make(map[string]bool),
-		cut:   make(map[string]bool),
+		cut:   make(map[[2]string]bool),
 	}
 }
 
@@ -112,11 +114,11 @@ func (n *LocalNetwork) SetDown(id string, down bool) {
 	n.down[id] = down
 }
 
-func pairKey(a, b string) string {
+func pairKey(a, b string) [2]string {
 	if a > b {
 		a, b = b, a
 	}
-	return a + "|" + b
+	return [2]string{a, b}
 }
 
 // Partition severs the pairwise path between two replicas; both directions
