@@ -136,7 +136,7 @@ chaos:
 # and print its event trace with
 #   go test -run '^TestSimSoak$$' -sim.seed N ./internal/cluster
 sim:
-	$(GO) test -count=1 -timeout 30m -run '^(TestSim|TestOneLinkCutKeepsLeader|TestNoTwoLeaseHolders|TestStalledFollowerKeepsLeaderLease|TestStraggledAppendIsNotOvertaken)' \
+	$(GO) test -count=1 -timeout 30m -run '^(TestSim|TestOneLinkCutKeepsLeader|TestNoTwoLeaseHolders|TestStalledFollowerKeepsLeaderLease|TestStraggledAppendIsNotOvertaken|TestCutFollowerCostsOneSnapshot|TestLostSnapshotReplySyncs)' \
 		./internal/cluster -args -sim.seeds 10000
 
 # Fuzzes every byte boundary for 30 s each, one target at a time (go test
@@ -169,10 +169,14 @@ examples-smoke:
 	@if command -v timeout >/dev/null 2>&1; then \
 		timeout 120 $(GO) run ./examples/quickstart && \
 		timeout 120 $(GO) run ./examples/multinode && \
-		timeout 120 $(GO) run ./examples/scaleout; \
+		timeout 120 $(GO) run ./examples/scaleout && \
+		timeout 120 $(GO) run ./examples/reflavor && \
+		timeout 120 $(GO) run ./examples/availability && \
+		timeout 120 $(GO) run ./examples/hacluster; \
 	else \
 		$(GO) run ./examples/quickstart && $(GO) run ./examples/multinode && \
-		$(GO) run ./examples/scaleout; \
+		$(GO) run ./examples/scaleout && $(GO) run ./examples/reflavor && \
+		$(GO) run ./examples/availability && $(GO) run ./examples/hacluster; \
 	fi
 
 clean:

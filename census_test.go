@@ -33,7 +33,7 @@ var nonTestLines = map[string]int{
 	"internal/bench":          442,
 	"internal/chaos":          1158,
 	"internal/cliutil":        144,
-	"internal/cluster":        1859,
+	"internal/cluster":        1863,
 	"internal/compute":        418,
 	"internal/execenv":        336,
 	"internal/global":         3581,
@@ -46,7 +46,7 @@ var nonTestLines = map[string]int{
 	"internal/nffg":           1096,
 	"internal/nnf":            1125,
 	"internal/openflow":       969,
-	"internal/orchestrator":   3261,
+	"internal/orchestrator":   3175,
 	"internal/pcap":           189,
 	"internal/pkt":            1510,
 	"internal/policy":         278,

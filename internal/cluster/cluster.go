@@ -139,6 +139,8 @@ type Cluster struct {
 	// snapshot — never incremental ops — is sent, and its
 	// acknowledgements count toward neither commit nor the lease.
 	synced map[string]bool
+	// unreached marks followers whose last append failed (see sendLocked).
+	unreached map[string]bool
 	// syncedTerm is the follower-side mirror: the newest term whose
 	// baseline (snapshot) this replica has adopted. Incremental ops from
 	// any other term are refused so the leader reseeds us first.
@@ -165,15 +167,16 @@ func New(opts Options) (*Cluster, error) {
 		return nil, errors.New("cluster: Options.Transport is required")
 	}
 	c := &Cluster{
-		opts:     o,
-		self:     o.ID,
-		clk:      wallClock{},
-		log:      NewLog(o.LogDepth),
-		store:    newIntentStore(o.LogDepth),
-		acked:    make(map[string]uint64),
-		heard:    make(map[string]time.Time),
-		inflight: make(map[string]sent),
-		synced:   make(map[string]bool),
+		opts:      o,
+		self:      o.ID,
+		clk:       wallClock{},
+		log:       NewLog(o.LogDepth),
+		store:     newIntentStore(o.LogDepth),
+		acked:     make(map[string]uint64),
+		heard:     make(map[string]time.Time),
+		inflight:  make(map[string]sent),
+		synced:    make(map[string]bool),
+		unreached: make(map[string]bool),
 	}
 	if !slices.ContainsFunc(o.Peers, func(p PeerSpec) bool { return p.ID == o.ID }) {
 		c.opts.Peers = append(c.opts.Peers, PeerSpec{ID: o.ID})

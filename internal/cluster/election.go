@@ -175,7 +175,7 @@ func (c *Cluster) tallyLocked() {
 	c.leaseUntil = time.Time{}
 	c.electionAt = c.clk.Now().Add(c.opts.LeaseDuration)
 	c.log.Reset(c.store.LastApplied())
-	c.acked, c.heard, c.synced = make(map[string]uint64), make(map[string]time.Time), make(map[string]bool)
+	c.acked, c.heard, c.synced, c.unreached = make(map[string]uint64), make(map[string]time.Time), make(map[string]bool), make(map[string]bool)
 	c.syncedTerm = term // our own store is this term's baseline
 	c.electionsWon.Inc()
 	c.broadcastLocked()
@@ -247,9 +247,10 @@ func (c *Cluster) broadcastLocked() {
 // A follower not yet synced to this term gets a full snapshot (truncating
 // any divergent suffix a deposed leader left on it), a synced one the ops
 // past its acknowledgement (or a snapshot again when its ack fell out of
-// the log window). While an append is in flight to a follower it gets no
-// other, so its appends never overtake each other, and no op goes out
-// twice to it unless one is lost.
+// the log window). An unsynced follower whose last append failed gets an
+// empty append instead, and its snapshot once it answers. While an append
+// is in flight to a follower it gets no other, so its appends never
+// overtake each other, and no op goes out twice to it unless one is lost.
 func (c *Cluster) sendLocked(id string) {
 	if _, busy := c.inflight[id]; busy {
 		return
@@ -261,7 +262,7 @@ func (c *Cluster) sendLocked(id string) {
 	req := AppendRequest{ClusterID: c.opts.ClusterID, Leader: c.self, Term: c.term, CommitSeq: c.commitSeq}
 	if ops, inWindow := c.log.Since(c.acked[id]); c.synced[id] && inWindow {
 		req.Ops = ops
-	} else {
+	} else if !c.unreached[id] {
 		snap := c.store.Snapshot()
 		req.Snapshot = &snap
 	}
@@ -293,7 +294,7 @@ type sent struct {
 func (c *Cluster) onAppendLocked(id string, s sent, req AppendRequest, reply AppendReply, err error) {
 	delete(c.inflight, id)
 	c.signalLocked()
-	if err != nil {
+	if c.unreached[id] = err != nil; err != nil {
 		return
 	}
 	if reply.Term > c.term {
@@ -309,9 +310,9 @@ func (c *Cluster) onAppendLocked(id string, s sent, req AppendRequest, reply App
 		c.heard[id] = s.at
 	}
 	if !reply.Ok || reply.Acked > tail {
-		// Ok=false at our own term means the follower refused
-		// incremental ops (it restarted, or never adopted this term's
-		// baseline); an ack past our log tail is a divergent suffix we
+		// Ok=false at our own term means the follower refused an
+		// append without a snapshot (it restarted, or never adopted this
+		// term's baseline); an ack past our log tail is a divergent suffix we
 		// never appended. Either way: resync from a snapshot, and stop
 		// counting its old ack toward commit — a restarted follower no
 		// longer holds the ops that ack claimed.
@@ -370,10 +371,10 @@ func quorumPoint[T any](self T, of map[string]T, peers []string, q int, compare 
 // append from the current (or newer) term adopts the leader, restores the
 // snapshot if one rode along (which also marks this term's baseline as
 // adopted), applies the ops idempotently and reports the contiguous apply
-// point back as the acknowledgement. Incremental ops from a term whose
-// baseline we have not adopted are refused (Ok=false) so the leader
-// reseeds us with a snapshot — without that guard a replica left holding
-// a deposed leader's uncommitted suffix would ack the new leader's
+// point back as the acknowledgement. An append without a snapshot from a
+// term whose baseline we have not adopted is refused (Ok=false) so the
+// leader reseeds us with a snapshot — without that guard a replica left
+// holding a deposed leader's uncommitted suffix would ack the new leader's
 // different ops at the same sequence numbers as duplicates.
 func (c *Cluster) Append(req AppendRequest) (AppendReply, error) {
 	if req.ClusterID != c.opts.ClusterID {
@@ -407,7 +408,7 @@ func (c *Cluster) Append(req AppendRequest) (AppendReply, error) {
 		c.store.Restore(*req.Snapshot)
 		c.syncedTerm = req.Term
 	}
-	if c.syncedTerm != req.Term && len(req.Ops) > 0 {
+	if c.syncedTerm != req.Term && req.Snapshot == nil {
 		return AppendReply{Term: req.Term, Acked: c.store.LastApplied()}, nil
 	}
 	for _, op := range req.Ops {

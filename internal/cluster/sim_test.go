@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/heap"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -90,6 +91,11 @@ type sim struct {
 	dialed   link
 	maxDelay time.Duration
 	stalls   map[link]stall
+	// snapshots counts the snapshot appends sent over each link, failed
+	// ones included; lose makes a link lose the reply to its next snapshot
+	// append after delivering the append.
+	snapshots map[link]int
+	lose      map[link]bool
 
 	trace *bytes.Buffer // nil unless the seed is traced
 	// watch, when set, is checked after every event beside the
@@ -122,6 +128,8 @@ func newSim(seed int64, ids []string, mutate func(id string, o *Options)) *sim {
 		nodes:      make(map[string]*Cluster),
 		maxDelay:   2 * time.Millisecond,
 		stalls:     make(map[link]stall),
+		snapshots:  make(map[link]int),
+		lose:       make(map[link]bool),
 		termLeader: make(map[uint64]string),
 		stores:     make(map[[2]uint64][]byte),
 		seen:       make([]seen, len(ids)),
@@ -226,6 +234,13 @@ func (p simPeer) RequestVote(req VoteRequest) (VoteReply, error) {
 
 func (p simPeer) Append(req AppendRequest) (AppendReply, error) {
 	reply, err := p.inner.Append(req)
+	if l := (link{p.from, p.to}); req.Snapshot != nil {
+		p.s.snapshots[l]++
+		if err == nil && p.s.lose[l] {
+			delete(p.s.lose, l)
+			reply, err = AppendReply{}, errors.New("sim: reply lost")
+		}
+	}
 	if p.s.trace != nil {
 		p.s.tracef("%s>%s append term %d commit %d ops %d snapshot %v: %+v %v", p.from, p.to, req.Term, req.CommitSeq, len(req.Ops), req.Snapshot != nil, reply, err)
 	}
@@ -719,6 +734,79 @@ func TestStraggledAppendIsNotOvertaken(t *testing.T) {
 			return fmt.Errorf("c holds\n%s\nthe leader holds\n%s", c.Store().Serialize(), lead.Store().Serialize())
 		}
 		return nil
+	})
+}
+
+// A follower cut from the leader before it adopted the term's baseline
+// costs the leader one snapshot for the whole cut, not one per heartbeat:
+// after a failed append it gets empty appends until it answers, then its
+// snapshot. (Regression: every heartbeat deep-copied the whole intent
+// store for it, to fail on the cut link.)
+func TestCutFollowerCostsOneSnapshot(t *testing.T) {
+	forSeeds(t, abc, nil, func(s *sim) error {
+		s.partition("a", "c")
+		lead, err := s.elect("a", 3)
+		if err != nil {
+			return err
+		}
+		if err := s.runFor(50 * simHeartbeat); err != nil {
+			return err
+		}
+		if n := s.snapshots[link{"a", "c"}]; n > 1 {
+			return fmt.Errorf("%d snapshots sent to c over 50 heartbeats of a cut, want at most 1", n)
+		}
+		s.heal("a", "c")
+		return s.synced(lead, "c")
+	})
+}
+
+// A follower whose answer to its snapshot is lost still ends synced, on
+// the empty append that follows it, and byte-equal: no second snapshot is
+// sent.
+func TestLostSnapshotReplySyncs(t *testing.T) {
+	forSeeds(t, abc, nil, func(s *sim) error {
+		s.lose[link{"a", "c"}] = true
+		lead, err := s.elect("a", 3)
+		if err != nil {
+			return err
+		}
+		if err := s.synced(lead, "c"); err != nil {
+			return err
+		}
+		if n := s.snapshots[link{"a", "c"}]; n != 1 {
+			return fmt.Errorf("%d snapshots sent to c, want 1", n)
+		}
+		return nil
+	})
+}
+
+// elect starts every replica, has id stand for election at once, waits for
+// it to lead and records n ops on it.
+func (s *sim) elect(id string, n int) (*Cluster, error) {
+	s.start()
+	lead := s.nodes[id]
+	lead.mu.Lock()
+	lead.standLocked()
+	lead.unlock()
+	if err := s.runUntil(simLease, id+"'s election", lead.IsLeader); err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		if err := s.record(lead, OpDeploy, fmt.Sprint("g", i), `{}`); err != nil {
+			return nil, fmt.Errorf("record %d: %v", i, err)
+		}
+	}
+	return lead, nil
+}
+
+// synced runs until lead counts follower id synced and every store is
+// lead's.
+func (s *sim) synced(lead *Cluster, id string) error {
+	return s.runUntil(5*time.Second, id+" synced to "+lead.self, func() bool {
+		lead.mu.Lock()
+		ok := lead.synced[id]
+		lead.mu.Unlock()
+		return ok && s.converged(lead)
 	})
 }
 

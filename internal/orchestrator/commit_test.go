@@ -61,7 +61,8 @@ func publishes(sw *vswitch.Switch) uint64 { return sw.Telemetry().Publishes }
 // TestOnePublishPerOperation counts flow-table publishes: every operation
 // commits each entry set it changes once, so a deploy of an n-rule graph is
 // one publish on its LSI, not n, and each endpoint or shared-NNF attachment
-// and detachment is one publish on LSI-0. A transition that drains outgoing
+// and detachment is one publish on LSI-0. An undeploy commits nothing on the
+// LSI it closes. A transition that drains outgoing
 // members (a reflavor, a scale-in, a promotion) commits twice: once to
 // repoint the steering with the drain path, once to drop the drain path.
 func TestOnePublishPerOperation(t *testing.T) {
@@ -118,7 +119,7 @@ func TestOnePublishPerOperation(t *testing.T) {
 	step("endpoint detach", func() error { return o.Update(steered) }, lsi, 1, 1)
 	step("scale-out", func() error { return o.Scale("g1", "nat", 3) }, lsi, 1, 0)
 	step("scale-in", func() error { return o.Scale("g1", "nat", 2) }, lsi, 2, 0)
-	step("undeploy", func() error { return o.Undeploy("g1") }, nil, 0, 2)
+	step("undeploy", func() error { return o.Undeploy("g1") }, lsi, 0, 2)
 
 	if err := o.Deploy(ipsecGraph("g2", nffg.TechVM)); err != nil {
 		t.Fatal(err)
@@ -138,7 +139,7 @@ func TestOnePublishPerOperation(t *testing.T) {
 	if got := publishes(lsiOf("g4")); got != 1 {
 		t.Errorf("shared-NNF deploy: %d publishes on the graph LSI, want 1", got)
 	}
-	step("shared-NNF undeploy", func() error { return o.Undeploy("g4") }, nil, 0, 3)
+	step("shared-NNF undeploy", func() error { return o.Undeploy("g4") }, lsiOf("g4"), 0, 3)
 
 	// A replicated deploy launches its whole set before it steers it.
 	step("replicated deploy", func() error { return o.Deploy(natGraph("g5", 3)) }, nil, 0, 2)

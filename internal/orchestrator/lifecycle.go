@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -42,14 +43,7 @@ var stateOrder = []NFState{
 // lifecycle order; failed is the largest).
 func (s NFState) Value() float64 { return float64(s.index()) }
 
-func (s NFState) index() int32 {
-	for i, st := range stateOrder {
-		if st == s {
-			return int32(i)
-		}
-	}
-	return 0
-}
+func (s NFState) index() int32 { return int32(max(slices.Index(stateOrder, s), 0)) }
 
 // State returns the attachment's current lifecycle state.
 func (a *nfAttachment) State() NFState {

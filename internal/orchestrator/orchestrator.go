@@ -9,9 +9,11 @@
 // pure plan(d, g) decides flavours once over the whole graph, the
 // instance sets, the endpoints and the ledger demand, and execute applies
 // it with one undo path. Deploy is the plan from an empty graph, Update
-// and Scale the plan from the deployed one, Plan (the dry-run) the same
-// plan rendered and not executed; a set transition (reflavor, promotion,
-// repair) is an execution with one NF's wanted set.
+// and Scale the plan from the deployed one, Undeploy the plan to an empty
+// graph, Plan (the dry-run) the same plan rendered and not executed; a set
+// transition (reflavor, promotion, repair) is an execution with one NF's
+// wanted set. A changed spec that some instance cannot take in place
+// restarts the NF's set as a step of the plan, undone by the same undo.
 package orchestrator
 
 import (
@@ -117,7 +119,7 @@ type nfAttachment struct {
 	// (direct attachments only).
 	lsiPorts []uint32
 	// lsiSide holds the LSI-side netdev ports created for this NF, for
-	// teardown.
+	// unwire.
 	lsiSide []*netdev.Port
 	// nnfVlink is the graph-LSI port of the virtual link that carries
 	// marked traffic to LSI-0 (shared native NFs only).
@@ -420,14 +422,9 @@ func (l *lsiConn) freeHeld() {
 // the graph is left: a graph that cannot reach its requested scale, or
 // whose standby cannot start, is not deployed at all.
 func (o *Orchestrator) Deploy(g *nffg.Graph) error {
-	start := time.Now()
-	err := o.deploy(g)
-	o.metrics.deployLatency.Observe(time.Since(start).Seconds())
-	if err != nil {
-		o.metrics.deployFailures.Inc()
+	if err := o.metrics.deploy.run(func() error { return o.deploy(g) }); err != nil {
 		return err
 	}
-	o.metrics.deploys.Inc()
 	o.journal.Recordf(telemetry.EventDeploy, o.cfg.NodeName, g.ID,
 		fmt.Sprintf("%d NFs, %d rules", len(g.NFs), len(g.Rules)))
 	return nil
@@ -612,8 +609,7 @@ func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *ep
 
 // detachEndpoint reverses attachEndpoint: it removes the endpoint's LSI-0
 // classification flows, its virtual-link ports on both switches, and the
-// cross-graph bookkeeping. Used by teardown and by in-place endpoint removal
-// during Update.
+// cross-graph bookkeeping.
 func (o *Orchestrator) detachEndpoint(d *DeployedGraph, att *epAttachment) {
 	// A delete fails only with the LSI-0 channel, and detaching goes on;
 	// the entries it left behind name the endpoint's LSI-0 port, so that
@@ -655,16 +651,12 @@ func (o *Orchestrator) detachEndpoint(d *DeployedGraph, att *epAttachment) {
 	d.lsi.removePort(att.graphPort)
 }
 
-// Undeploy removes a graph and all its state.
+// Undeploy removes a graph and all its state: it executes the plan to an
+// empty graph (see execute), then closes the graph's LSI.
 func (o *Orchestrator) Undeploy(id string) error {
-	start := time.Now()
-	err := o.undeploy(id)
-	o.metrics.undeployLatency.Observe(time.Since(start).Seconds())
-	if err != nil {
-		o.metrics.undeployFailures.Inc()
+	if err := o.metrics.undeploy.run(func() error { return o.undeploy(id) }); err != nil {
 		return err
 	}
-	o.metrics.undeploys.Inc()
 	o.journal.Recordf(telemetry.EventUndeploy, o.cfg.NodeName, id, "")
 	return nil
 }
@@ -678,7 +670,8 @@ func (o *Orchestrator) undeploy(id string) error {
 	if !ok {
 		return fmt.Errorf("orchestrator: graph %q not deployed", id)
 	}
-	o.teardown(d)
+	_ = o.apply(d, &nffg.Graph{ID: id}) // launches and commits nothing: cannot fail
+	d.lsi.close()
 	delete(o.graphs, id)
 	delete(o.rates, id)
 	return nil
@@ -745,19 +738,6 @@ func (o *Orchestrator) retire(d *DeployedGraph, nfID string) {
 	delete(d.nfs, nfID)
 }
 
-// teardown reverses a deployment. Safe on partially-built graphs.
-func (o *Orchestrator) teardown(d *DeployedGraph) {
-	for nfID := range d.nfs {
-		o.retire(d, nfID)
-	}
-	// Detach endpoint virtual links from LSI-0 and bookkeeping.
-	for epID, att := range d.eps {
-		o.detachEndpoint(d, att)
-		delete(d.eps, epID)
-	}
-	d.lsi.close()
-}
-
 // rateProbe is the last observed-rate sample of one graph's LSI.
 type rateProbe struct {
 	rx uint64
@@ -788,14 +768,9 @@ func (o *Orchestrator) observedRateLocked(id string) float64 {
 // technology; a changed replica count or redundancy mode is a move of the
 // NF's set, not a config change. A failed update leaves the graph as it was.
 func (o *Orchestrator) Update(g *nffg.Graph) error {
-	start := time.Now()
-	err := o.update(g)
-	o.metrics.updateLatency.Observe(time.Since(start).Seconds())
-	if err != nil {
-		o.metrics.updateFailures.Inc()
+	if err := o.metrics.update.run(func() error { return o.update(g) }); err != nil {
 		return err
 	}
-	o.metrics.updates.Inc()
 	o.journal.Recordf(telemetry.EventUpdate, o.cfg.NodeName, g.ID,
 		fmt.Sprintf("%d NFs, %d rules", len(g.NFs), len(g.Rules)))
 	return nil
@@ -833,69 +808,6 @@ func (o *Orchestrator) apply(d *DeployedGraph, g *nffg.Graph) error {
 	p, err := o.plan(d, g)
 	if err == nil {
 		_, err = o.execute(d, g, p)
-	}
-	return err
-}
-
-// restart replaces every instance of a changed NF's set with a fresh one
-// running the new configuration: the path of a graph update when
-// in-place reconfiguration is unsupported, and of a repair when nothing
-// survives to take over. The old instances stop before the new ones start
-// — a non-sharable NNF or an exhausted flavor cannot run twice — so the NF
-// is briefly out of the datapath and its flow state does not survive (the
-// new configuration may invalidate it); the set's shape does: each instance
-// comes back in the technology it ran in (the policy places an NF's first
-// instance only, and what it would answer for one instance need not host
-// them all), the bucket map is kept. Steering still points at the old ports
-// until the caller reprograms it. If the new instances cannot start, the
-// previous spec's are restored best-effort so the graph is not left with a
-// hole its steering still points into. Callers hold the graph's operation
-// lock and o.mu.
-func (o *Orchestrator) restart(d *DeployedGraph, n nffg.NF) error {
-	set := d.nfs[n.ID]
-	old, size := set.all(), len(set.members) // members, then the standby: nothing drains under the graph lock
-	// While o.mu is released for the boot, readers see the NF absent rather
-	// than a set without members.
-	o.retire(d, n.ID)
-	relaunch := func(n nffg.NF) error {
-		pls := make([]Placement, len(old))
-		for i, att := range old {
-			pl, err := o.placementAs(d.Graph.ID, n, att.inst.Technology)
-			if err != nil {
-				return fmt.Errorf("orchestrator: graph %q: NF %q: %w", d.Graph.ID, n.ID, err)
-			}
-			pl.Standby = i >= size
-			pls[i] = pl
-		}
-		atts, err := o.launch(d, pls)
-		if err != nil {
-			return err
-		}
-		set.members, set.draining, set.standby = atts[:size], nil, nil
-		if len(atts) > size {
-			set.standby = atts[size]
-		}
-		d.nfs[n.ID] = set
-		return nil
-	}
-	err := relaunch(n)
-	if err == nil {
-		return nil
-	}
-	// The restored instances sit on fresh LSI ports, so the steering must be
-	// repointed at them too (d.Graph still is the spec they came from).
-	if prev := d.Graph.FindNF(n.ID); prev != nil {
-		rerr := relaunch(*prev)
-		if rerr == nil {
-			rerr = o.program(d)
-		}
-		if rerr != nil {
-			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, d.Graph.ID,
-				fmt.Sprintf("%s lost: restart failed (%v), recovery failed (%v)", n.ID, err, rerr))
-		} else {
-			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, d.Graph.ID,
-				fmt.Sprintf("%s restored to previous config after failed restart", n.ID))
-		}
 	}
 	return err
 }

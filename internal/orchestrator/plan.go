@@ -16,8 +16,8 @@ import (
 type nodePlan struct {
 	// steps holds one step per NF of the wanted graph, in its order.
 	steps []nfStep
-	// launch is every instance to boot, in one batch: per step, its fresh
-	// members, then its standby.
+	// launch is every instance to boot, in one batch: per step, its
+	// restarted instances, its fresh members, then its standby.
 	launch []Placement
 	// retire lists the running NFs the wanted graph drops; detach the
 	// attached endpoints it drops or changes; attach the endpoints it adds
@@ -47,9 +47,9 @@ type nfStep struct {
 	// fresh members.
 	standby, spare bool
 	// apply reconfigures every instance of a running set in place; restart
-	// replaces the set instead, when some instance has no update path.
+	// counts the relaunches, launch[at-restart:at], of a set restarted instead.
 	apply   []func(map[string]string) error
-	restart bool
+	restart int
 	// cpu and ram are what the step's launches charge.
 	cpu int
 	ram uint64
@@ -213,7 +213,9 @@ func (o *Orchestrator) plan(d *DeployedGraph, g *nffg.Graph) (*nodePlan, error) 
 			}
 			st.standby = wantStandby && st.set.standby != nil
 			if prev := d.Graph.FindNF(n.ID); prev != nil && !sameButReplicas(*prev, n) {
-				o.planConfig(st)
+				if err := o.planConfig(p, st); err != nil {
+					return nil, err
+				}
 			}
 		}
 		for k := 0; k < st.grow; k++ {
@@ -273,7 +275,7 @@ func (o *Orchestrator) add(p *nodePlan, st *nfStep, pl Placement, joins bool, re
 // otherwise by a restart of the set. A changed spec never leaves stale
 // configuration running, in service or waiting to be promoted into it. The
 // drivers answer before any instance is touched.
-func (o *Orchestrator) planConfig(st *nfStep) {
+func (o *Orchestrator) planConfig(p *nodePlan, st *nfStep) error {
 	all := st.set.all()
 	st.apply = make([]func(map[string]string) error, 0, len(all))
 	for _, att := range all {
@@ -284,8 +286,29 @@ func (o *Orchestrator) planConfig(st *nfStep) {
 		}
 	}
 	if len(st.apply) < len(all) {
-		st.apply, st.restart = nil, true
+		pls, err := o.relaunches(*st.n, st.set)
+		p.launch, st.apply, st.restart, st.at = append(p.launch, pls...), nil, len(pls), len(p.launch)+len(pls)
+		return err
 	}
+	return nil
+}
+
+// relaunches places the restart of a running set with spec n: a relaunch
+// of every instance — members, then the standby — in the technology it
+// runs in (the policy places an NF's first instance only, and its answer
+// need not host them all). Neither availability nor a charge is planned:
+// an instance stops before its relaunch starts.
+func (o *Orchestrator) relaunches(n nffg.NF, set *nfSet) ([]Placement, error) {
+	tpl, ok := o.cfg.Repo.Lookup(n.Name)
+	if !ok {
+		return nil, fmt.Errorf("orchestrator: NF %q not in repository", n.Name)
+	}
+	var pls []Placement
+	for _, att := range set.all() {
+		drv, _ := o.cfg.Compute.Driver(att.inst.Technology) // registered: it runs the instance
+		pls = append(pls, Placement{NF: n, Template: tpl, Technology: att.inst.Technology, Driver: drv, Standby: att == set.standby})
+	}
+	return pls, nil
 }
 
 // sameButReplicas reports whether two NF specs differ at most in their
@@ -317,36 +340,46 @@ type savedSet struct {
 	prev nfSet
 }
 
-// execute applies a plan to d and makes g its spec, make-before-break, so
-// live traffic sees neither a forwarding gap nor a state gap:
+// execute applies a plan to d and makes g its spec, make-before-break but
+// for a restart, so live traffic sees neither a forwarding gap nor a state gap:
 //
 //  1. refuse a plan that does not fit, before anything boots;
-//  2. launch every fresh instance (members, standbys) in one batch, with
-//     o.mu released, while the current members keep serving;
-//  3. reconfigure or restart the running NFs whose spec changed;
-//  4. detach and attach endpoints;
-//  5. move every set to its wanted members, migrating the per-flow state of
+//  2. retire the sets the plan restarts (a non-sharable NNF or an exhausted
+//     flavor cannot run twice): each is out of the datapath until step 7,
+//     and its flow state does not survive (the new config may invalidate it);
+//  3. launch every fresh instance (members, standbys, relaunches) in one
+//     batch, with o.mu released, while the current members keep serving;
+//  4. give each restarted set its relaunches, keeping its size, bucket map
+//     and member order, and reconfigure in place the other running NFs
+//     whose spec changed;
+//  5. detach and attach endpoints;
+//  6. move every set to its wanted members, migrating the per-flow state of
 //     the buckets whose owner changes — only those — to their new owner;
-//  6. commit the whole steering once, one table publish: every rule now
+//  7. commit the whole steering once, one table publish: every rule now
 //     outputs to the wanted members, while outgoing members keep the rules
-//     whose ingress is the NF as their drain path;
-//  7. drain the outgoing members with o.mu released, re-migrating what
+//     whose ingress is the NF as their drain path. The plan to an empty
+//     graph (Undeploy) commits nothing: its LSI closes;
+//  8. drain the outgoing members with o.mu released, re-migrating what
 //     raced the commit, drop the drain path (a second commit), and detach
 //     them, the dropped standbys and the NFs g drops.
 //
-// A failure in steps 1-6 undoes all of it: the node is left with the
+// A failure in steps 1-7 undoes all of it: the node is left with the
 // instance sets, endpoints, VLAN slots, internal-group members and ledger
-// usage it had. It returns the number of flow-state entries moved. Callers
-// hold the graph's operation lock and o.mu.
+// usage it had, a restarted set relaunched with its previous spec. It
+// returns the number of flow-state entries moved. Callers hold the graph's
+// operation lock and o.mu.
 func (o *Orchestrator) execute(d *DeployedGraph, g *nffg.Graph, p *nodePlan) (int, error) {
 	if err := o.fits(g.ID, p); err != nil {
 		return 0, err
 	}
-	launched, err := o.launch(d, p.launch)
-	if err != nil {
-		return 0, err
+	old, steer := d.Graph, false // set once a restart or a change of g moves the steering
+	for _, st := range p.steps {
+		if st.restart > 0 {
+			o.retire(d, st.n.ID)
+			steer = true
+		}
 	}
-	old, steer := d.Graph, !nffg.Equal(d.Graph, g)
+	launched, err := o.launch(d, p.launch)
 	var configured, detached, attached int
 	var saved []savedSet
 	undo := func(err error) (int, error) {
@@ -376,18 +409,44 @@ func (o *Orchestrator) execute(d *DeployedGraph, g *nffg.Graph, p *nodePlan) (in
 			for _, apply := range st.apply {
 				_ = apply(prev.Config)
 			}
-			if st.restart {
-				_ = o.restart(d, *prev)
+		}
+		// A restarted set relaunches with its previous spec, so the graph
+		// is not left with a hole its steering points into.
+		for _, st := range p.steps {
+			if st.restart == 0 {
+				continue
 			}
+			delete(d.nfs, st.n.ID)
+			pls, rerr := o.relaunches(*old.FindNF(st.n.ID), st.set)
+			var atts []*nfAttachment
+			if rerr == nil {
+				atts, rerr = o.launch(d, pls)
+			}
+			detail := fmt.Sprintf("%s restored to previous config after failed restart", st.n.ID)
+			if rerr == nil {
+				o.reinstall(d, st.n.ID, st.set, atts)
+			} else {
+				detail = fmt.Sprintf("%s lost: restart failed (%v), recovery failed (%v)", st.n.ID, err, rerr)
+			}
+			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, g.ID, detail)
 		}
 		if steer {
 			_ = o.program(d)
 		}
 		return 0, err
 	}
+	if err != nil {
+		return undo(err)
+	}
+	steer = steer || !nffg.Equal(d.Graph, g)
 	for i := range p.steps {
 		st := &p.steps[i]
-		if st.apply != nil {
+		if st.restart > 0 {
+			o.reinstall(d, st.n.ID, st.set, launched[st.at-st.restart:st.at])
+			st.keep = st.set.members[:len(st.keep)]
+			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, g.ID,
+				fmt.Sprintf("%s restarted (no in-place update path)", st.n.ID))
+		} else if st.apply != nil {
 			configured = i + 1
 			for _, apply := range st.apply {
 				if err := apply(st.n.Config); err != nil {
@@ -396,15 +455,6 @@ func (o *Orchestrator) execute(d *DeployedGraph, g *nffg.Graph, p *nodePlan) (in
 			}
 			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, g.ID,
 				fmt.Sprintf("%s reconfigured in place", st.n.ID))
-		} else if st.restart {
-			// restart restores the previous instances itself when it fails.
-			if err := o.restart(d, *st.n); err != nil {
-				return undo(fmt.Errorf("orchestrator: update: restarting %q with new config: %w", st.n.ID, err))
-			}
-			configured, steer = i+1, true
-			st.keep = st.set.members[:len(st.keep)] // the same shape, restarted
-			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, g.ID,
-				fmt.Sprintf("%s restarted (no in-place update path)", st.n.ID))
 		}
 	}
 
@@ -453,7 +503,7 @@ func (o *Orchestrator) execute(d *DeployedGraph, g *nffg.Graph, p *nodePlan) (in
 			swaps, steer = append(swaps, o.beginSwap(d, st.n.ID, st.set, next)), true
 		}
 	}
-	if steer {
+	if steer && len(g.NFs)+len(g.Endpoints) > 0 {
 		if err := o.program(d); err != nil {
 			return undo(fmt.Errorf("orchestrator: graph %q: repointing steering: %w", g.ID, err))
 		}
@@ -472,7 +522,7 @@ func (o *Orchestrator) execute(d *DeployedGraph, g *nffg.Graph, p *nodePlan) (in
 		}
 	}
 	for _, s := range saved {
-		if sb := s.prev.standby; sb != nil && s.set.standby != sb && !holds(s.set.members, sb) {
+		if sb := s.prev.standby; sb != nil && s.set.standby != sb && !slices.Contains(s.set.members, sb) {
 			o.detachNF(d, s.nfID, sb)
 		}
 	}
@@ -480,6 +530,17 @@ func (o *Orchestrator) execute(d *DeployedGraph, g *nffg.Graph, p *nodePlan) (in
 		o.retire(d, id)
 	}
 	return moved, nil
+}
+
+// reinstall gives a restarted set its relaunched instances, as set.all()
+// listed those they replace: its size, bucket map and member order stay.
+func (o *Orchestrator) reinstall(d *DeployedGraph, nfID string, set *nfSet, atts []*nfAttachment) {
+	size := len(set.members)
+	set.members, set.standby = atts[:size:size], nil
+	if len(atts) > size {
+		set.standby = atts[size]
+	}
+	d.nfs[nfID] = set
 }
 
 // transition moves one NF's set outside a graph update, by the same

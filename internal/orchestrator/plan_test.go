@@ -238,6 +238,28 @@ func nodeShape(o *Orchestrator, graphID string) string {
 	return b.String()
 }
 
+// residue renders what a node holds outside its graph LSIs: ledger usage,
+// LSI-0's ports, the number it hands out next and its entries (the shared
+// native NFs' marks among them), VLAN slots, internal groups and shared
+// native ports.
+func residue(o *Orchestrator) string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	used, _, ram, _ := o.Usage()
+	var b strings.Builder
+	fmt.Fprintf(&b, "ledger %dm %d B\nLSI-0 ports:", used, ram)
+	for _, num := range o.lsi0.sw.Ports() {
+		fmt.Fprintf(&b, " %d=%s", num, o.lsi0.sw.Port(num).Name())
+	}
+	next := o.lsi0.top + 1
+	if len(o.lsi0.free) > 0 {
+		next = o.lsi0.free[0]
+	}
+	fmt.Fprintf(&b, "; held %v, next %d\n%sVLAN slots %v\ngroups %v\nNNF ports %v\n",
+		o.lsi0.held, next, flowDump(o.lsi0.sw), o.vlanEPs, o.internalGroups, o.nnfPorts)
+	return b.String()
+}
+
 var instanceNumber = regexp.MustCompile(`#\d+|-\d+/`)
 
 // entries renders a switch's entries, sorted, with every port named by the
@@ -296,6 +318,10 @@ type planCase struct {
 //     LSI-0 entries — once B pins the NFs A runs to the technology they run
 //     in, as an update keeps them; or both refuse, and a refused update
 //     leaves the node as it was;
+//   - Undeploy, the plan to an empty graph, then leaves the updated node
+//     as a fresh one with the same resident: the same ledger usage, LSI-0
+//     entries and port numbering, VLAN slots, internal groups and shared
+//     native ports and marks;
 //   - Plan(B)'s verdict is the update's outcome, and, on a node with a
 //     random amount of CPU free, the deploy's outcome; an admitted deploy
 //     charges exactly the plan's demand.
@@ -388,6 +414,12 @@ func checkPair(t *testing.T, c planCase) bool {
 			compared = true
 			if u, r := nodeShape(updated, "g"), nodeShape(redeployed, "g"); u != r {
 				t.Errorf("%s: update and redeploy differ:\nupdate:\n%s\nredeploy:\n%s", c.name, u, r)
+			}
+			if err := updated.Undeploy("g"); err != nil {
+				t.Fatal(err)
+			}
+			if u, f := residue(updated), residue(node()); u != f {
+				t.Errorf("%s: undeploy left the node unlike a fresh one:\nundeployed:\n%s\nfresh:\n%s", c.name, u, f)
 			}
 		}
 

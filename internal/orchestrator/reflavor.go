@@ -24,13 +24,13 @@ import (
 func (o *Orchestrator) Reflavor(graphID, nfID string, tech nffg.Technology) error {
 	start := time.Now()
 	swapped, err := o.reflavor(graphID, nfID, tech)
-	o.metrics.reflavorLatency.Observe(time.Since(start).Seconds())
+	o.metrics.reflavor.latency.Observe(time.Since(start).Seconds())
 	if err != nil {
-		o.metrics.reflavorFailures.Inc()
+		o.metrics.reflavor.failed.Inc()
 		return err
 	}
 	if swapped {
-		o.metrics.reflavors.Inc()
+		o.metrics.reflavor.ok.Inc()
 		o.journal.Recordf(telemetry.EventReflavor, o.cfg.NodeName, graphID,
 			fmt.Sprintf("%s -> %s", nfID, tech))
 	}

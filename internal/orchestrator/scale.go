@@ -2,19 +2,10 @@ package orchestrator
 
 import (
 	"fmt"
-	"math"
-	"strconv"
-	"time"
 
 	"repro/internal/compute"
 	"repro/internal/nffg"
-	"repro/internal/telemetry"
 )
-
-// AutoscaleRateKey is the NF configuration key that opts an NF into
-// rate-driven autoscaling: the packets-per-second one replica is expected to
-// sustain. AutoscaleTick scales the NF toward ceil(observed_rate / key).
-const AutoscaleRateKey = "autoscale_rate_pps"
 
 // findSet resolves one NF of a deployed graph to its spec and instance set.
 // Callers hold o.mu.
@@ -36,15 +27,7 @@ func (o *Orchestrator) findSet(graphID, nfID string) (*DeployedGraph, *nffg.NF, 
 // missing ones in the set's technology or drains the surplus. Per-flow
 // state follows its consistent-hash bucket (see transition).
 func (o *Orchestrator) Scale(graphID, nfID string, replicas int) error {
-	start := time.Now()
-	err := o.scale(graphID, nfID, replicas)
-	o.metrics.scaleLatency.Observe(time.Since(start).Seconds())
-	if err != nil {
-		o.metrics.scaleFailures.Inc()
-		return err
-	}
-	o.metrics.scales.Inc()
-	return nil
+	return o.metrics.scale.run(func() error { return o.scale(graphID, nfID, replicas) })
 }
 
 func (o *Orchestrator) scale(graphID, nfID string, target int) error {
@@ -121,54 +104,6 @@ func (o *Orchestrator) RepairReplicas(graphID, nfID string) (int, error) {
 		return 0, fmt.Errorf("orchestrator: repair: %w", err)
 	}
 	n.Replicas = len(alive)
-	o.metrics.scales.Inc()
+	o.metrics.scale.ok.Inc()
 	return len(alive), nil
-}
-
-// AutoscaleTick evaluates every deployed graph once against its observed
-// packet rate and scales each NF that opted in (AutoscaleRateKey in its
-// configuration) toward ceil(rate / per-replica-rate), clamped to
-// [1, MaxReplicas]. Returns how many scale operations ran.
-func (o *Orchestrator) AutoscaleTick() int {
-	type want struct {
-		graphID, nfID string
-		replicas      int
-	}
-	var wants []want
-	o.mu.Lock()
-	for id, d := range o.graphs {
-		rate := o.observedRateLocked(id)
-		for i := range d.Graph.NFs {
-			n := &d.Graph.NFs[i]
-			perReplica, ok := n.Config[AutoscaleRateKey]
-			if !ok {
-				continue
-			}
-			th, err := strconv.ParseFloat(perReplica, 64)
-			if err != nil || th <= 0 {
-				continue
-			}
-			target := int(math.Ceil(rate / th))
-			if target < 1 {
-				target = 1
-			}
-			if target > nffg.MaxReplicas {
-				target = nffg.MaxReplicas
-			}
-			if set := d.nfs[n.ID]; set != nil && target != len(set.members) {
-				wants = append(wants, want{graphID: id, nfID: n.ID, replicas: target})
-			}
-		}
-	}
-	o.mu.Unlock()
-	done := 0
-	for _, w := range wants {
-		if err := o.Scale(w.graphID, w.nfID, w.replicas); err == nil {
-			done++
-		} else {
-			o.journal.Recordf(telemetry.EventScale, o.cfg.NodeName, w.graphID,
-				fmt.Sprintf("autoscale %s -> %d: %v", w.nfID, w.replicas, err))
-		}
-	}
-	return done
 }

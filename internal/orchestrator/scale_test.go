@@ -1,10 +1,8 @@
 package orchestrator
 
 import (
-	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/nf"
 	"repro/internal/nffg"
@@ -284,50 +282,6 @@ func TestReplicaFailureRehoming(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestAutoscaleTick drives traffic through an NF that opted into
-// rate-driven autoscaling and checks the replica set follows the rate.
-func TestAutoscaleTick(t *testing.T) {
-	o := newNode(t)
-	g := natGraph("g", 1)
-	g.NFs[0].Config[AutoscaleRateKey] = "1000"
-	if err := o.Deploy(g); err != nil {
-		t.Fatal(err)
-	}
-	conns := establishNATConns(t, o, 4)
-	// Plant a rate probe one second in the past so the tick observes a
-	// deterministic rate: the LSI's whole packet count over one second,
-	// with the per-replica threshold tuned to make the target 3.
-	d, _ := o.Graph("g")
-	o.mu.Lock()
-	rx := d.lsi.sw.PacketsProcessed()
-	if rx == 0 {
-		o.mu.Unlock()
-		t.Fatal("LSI processed no packets")
-	}
-	d.Graph.NFs[0].Config[AutoscaleRateKey] = fmt.Sprintf("%f", float64(rx)/2.5)
-	o.rates["g"] = rateProbe{rx: 0, at: time.Now().Add(-time.Second)}
-	o.mu.Unlock()
-	if n := o.AutoscaleTick(); n != 1 {
-		t.Fatalf("autoscale ran %d scale ops, want 1", n)
-	}
-	if n, _ := o.Replicas("g", "nat"); n != 3 {
-		t.Fatalf("replicas = %d after loaded tick, want 3", n)
-	}
-	verifyNATConns(t, o, conns, "after autoscale up")
-	// Quiesce: a fresh probe at the current count reads ~0 pps, so the next
-	// tick shrinks back to 1 replica.
-	o.mu.Lock()
-	o.rates["g"] = rateProbe{rx: d.lsi.sw.PacketsProcessed(), at: time.Now().Add(-time.Second)}
-	o.mu.Unlock()
-	if n := o.AutoscaleTick(); n != 1 {
-		t.Fatalf("autoscale down ran %d scale ops, want 1", n)
-	}
-	if n, _ := o.Replicas("g", "nat"); n != 1 {
-		t.Fatalf("replicas = %d after quiesce, want 1", n)
-	}
-	verifyNATConns(t, o, conns, "after autoscale down")
 }
 
 // TestConcurrentScaleReflavorUpdate hammers one graph with racing Scale,

@@ -211,16 +211,6 @@ func traffic(atts []*nfAttachment) (sum nf.Stats) {
 	return sum
 }
 
-// holds reports whether att is one of atts.
-func holds(atts []*nfAttachment, att *nfAttachment) bool {
-	for _, a := range atts {
-		if a == att {
-			return true
-		}
-	}
-	return false
-}
-
 // swap is one NF's member change between the commit that repoints its
 // steering and the end of its drain (steps 5-7 of execute).
 type swap struct {
@@ -242,7 +232,7 @@ func (s *swap) migrate(o *Orchestrator, graphID string) int {
 // commits the steering; if that fails it restores the set.
 func (o *Orchestrator) beginSwap(d *DeployedGraph, nfID string, set *nfSet, next nfSet) *swap {
 	for _, att := range set.members {
-		if !holds(next.members, att) {
+		if !slices.Contains(next.members, att) {
 			next.draining = append(next.draining, att)
 		}
 	}
@@ -296,7 +286,7 @@ func (o *Orchestrator) finishSwaps(d *DeployedGraph, swaps []*swap) {
 	for _, sw := range swaps {
 		for donor, buckets := range sw.moves {
 			dropper, ok := donor.inst.Runtime.Processor().(flowStateDropper)
-			if ok && holds(sw.set.members, donor) {
+			if ok && slices.Contains(sw.set.members, donor) {
 				dropper.DropFlowState(nf.BucketFilter(buckets))
 			}
 		}

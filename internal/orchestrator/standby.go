@@ -89,7 +89,8 @@ func (o *Orchestrator) KillNF(graphID, nfID string) error {
 // RepairNF recovers an NF whose instance died, choosing the strongest
 // available path: promote the pre-attached standby (zero state loss),
 // re-home the dead member's buckets onto surviving members (state
-// salvaged), or restart in place (state since the last sync is lost).
+// salvaged), or restart it in place, a plan of one restarted set (state
+// since the last sync is lost).
 func (o *Orchestrator) RepairNF(graphID, nfID string) error {
 	o.mu.Lock()
 	_, _, set, err := o.findSet(graphID, nfID)
@@ -110,14 +111,18 @@ func (o *Orchestrator) RepairNF(graphID, nfID string) error {
 	defer o.unlockGraph(graphID, gl)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d, n, _, err := o.findSet(graphID, nfID)
+	d, n, set, err := o.findSet(graphID, nfID)
 	if err != nil {
 		return err
 	}
-	if err := o.restart(d, *n); err != nil {
+	pls, err := o.relaunches(*n, set)
+	if err != nil {
 		return err
 	}
-	return o.program(d)
+	_, err = o.execute(d, d.Graph, &nodePlan{launch: pls, steps: []nfStep{{
+		n: n, set: set, keep: set.members, standby: set.standby != nil, restart: len(pls), at: len(pls),
+	}}})
+	return err
 }
 
 // SyncStandbys replicates each active-standby NF's per-flow state from its

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/vswitch"
@@ -14,33 +15,41 @@ import (
 // histograms are embedded primitives: recording them never takes the
 // orchestrator lock.
 type opMetrics struct {
-	deploys, deployFailures     telemetry.Counter
-	updates, updateFailures     telemetry.Counter
-	undeploys, undeployFailures telemetry.Counter
-	reflavors, reflavorFailures telemetry.Counter
-	scales, scaleFailures       telemetry.Counter
-	migratedFlows               telemetry.Counter
-	promotions                  telemetry.Counter
-	standbySyncedFlows          telemetry.Counter
-	nfStarts, nfStops           telemetry.Counter
-	steeringRules               telemetry.Counter
-	deployLatency               *telemetry.Histogram
-	updateLatency               *telemetry.Histogram
-	undeployLatency             *telemetry.Histogram
-	reflavorLatency             *telemetry.Histogram
-	scaleLatency                *telemetry.Histogram
-	migrationLatency            *telemetry.Histogram
+	deploy, update, undeploy, reflavor, scale opStat
+	migratedFlows                             telemetry.Counter
+	promotions                                telemetry.Counter
+	standbySyncedFlows                        telemetry.Counter
+	nfStarts, nfStops                         telemetry.Counter
+	steeringRules                             telemetry.Counter
+	migrationLatency                          *telemetry.Histogram
+}
+
+// opStat accounts one kind of graph operation: how many succeeded, how many
+// failed, and their wall time.
+type opStat struct {
+	ok, failed telemetry.Counter
+	latency    *telemetry.Histogram
+}
+
+// run runs op and accounts it.
+func (s *opStat) run(op func() error) error {
+	start := time.Now()
+	err := op()
+	s.latency.Observe(time.Since(start).Seconds())
+	if err != nil {
+		s.failed.Inc()
+	} else {
+		s.ok.Inc()
+	}
+	return err
 }
 
 func newOpMetrics() *opMetrics {
-	return &opMetrics{
-		deployLatency:    telemetry.NewHistogram(telemetry.LatencyBuckets()...),
-		updateLatency:    telemetry.NewHistogram(telemetry.LatencyBuckets()...),
-		undeployLatency:  telemetry.NewHistogram(telemetry.LatencyBuckets()...),
-		reflavorLatency:  telemetry.NewHistogram(telemetry.LatencyBuckets()...),
-		scaleLatency:     telemetry.NewHistogram(telemetry.LatencyBuckets()...),
-		migrationLatency: telemetry.NewHistogram(telemetry.LatencyBuckets()...),
+	m := &opMetrics{migrationLatency: telemetry.NewHistogram(telemetry.LatencyBuckets()...)}
+	for _, s := range []*opStat{&m.deploy, &m.update, &m.undeploy, &m.reflavor, &m.scale} {
+		s.latency = telemetry.NewHistogram(telemetry.LatencyBuckets()...)
 	}
+	return m
 }
 
 // Journal returns the node's event journal (NF lifecycle, graph operations,
@@ -157,27 +166,27 @@ func (o *Orchestrator) Collect(e *telemetry.Exposition) {
 	e.Gauge("un_ram_bytes_total", "RAM capacity of the node.", nil, float64(totalRAM))
 
 	m := o.metrics
-	e.Counter("un_deploys_total", "Graph deployments accepted.", nil, m.deploys.Value())
-	e.Counter("un_deploy_failures_total", "Graph deployments rejected or rolled back.", nil, m.deployFailures.Value())
-	e.Counter("un_updates_total", "In-place graph updates applied.", nil, m.updates.Value())
-	e.Counter("un_update_failures_total", "In-place graph updates that failed.", nil, m.updateFailures.Value())
-	e.Counter("un_undeploys_total", "Graphs undeployed.", nil, m.undeploys.Value())
-	e.Counter("un_undeploy_failures_total", "Undeploys of graphs that were not deployed.", nil, m.undeployFailures.Value())
-	e.Counter("un_reflavors_total", "NF flavor hot-swaps completed.", nil, m.reflavors.Value())
-	e.Counter("un_reflavor_failures_total", "NF flavor hot-swaps that failed.", nil, m.reflavorFailures.Value())
-	e.Counter("un_scales_total", "NF replica-set reshapes completed (scale-up, scale-down, repair).", nil, m.scales.Value())
-	e.Counter("un_scale_failures_total", "NF replica-set reshapes that failed.", nil, m.scaleFailures.Value())
+	e.Counter("un_deploys_total", "Graph deployments accepted.", nil, m.deploy.ok.Value())
+	e.Counter("un_deploy_failures_total", "Graph deployments rejected or rolled back.", nil, m.deploy.failed.Value())
+	e.Counter("un_updates_total", "In-place graph updates applied.", nil, m.update.ok.Value())
+	e.Counter("un_update_failures_total", "In-place graph updates that failed.", nil, m.update.failed.Value())
+	e.Counter("un_undeploys_total", "Graphs undeployed.", nil, m.undeploy.ok.Value())
+	e.Counter("un_undeploy_failures_total", "Undeploys of graphs that were not deployed.", nil, m.undeploy.failed.Value())
+	e.Counter("un_reflavors_total", "NF flavor hot-swaps completed.", nil, m.reflavor.ok.Value())
+	e.Counter("un_reflavor_failures_total", "NF flavor hot-swaps that failed.", nil, m.reflavor.failed.Value())
+	e.Counter("un_scales_total", "NF replica-set reshapes completed (scale-up, scale-down, repair).", nil, m.scale.ok.Value())
+	e.Counter("un_scale_failures_total", "NF replica-set reshapes that failed.", nil, m.scale.failed.Value())
 	e.Counter("un_migrated_flows_total", "Per-flow state entries moved between replicas.", nil, m.migratedFlows.Value())
 	e.Counter("un_standby_promotions_total", "Standby instances promoted to active.", nil, m.promotions.Value())
 	e.Counter("un_standby_synced_flows_total", "Per-flow state entries replicated to standbys.", nil, m.standbySyncedFlows.Value())
 	e.Counter("un_nf_starts_total", "NF instances started.", nil, m.nfStarts.Value())
 	e.Counter("un_nf_stops_total", "NF instances stopped.", nil, m.nfStops.Value())
 	e.Counter("un_steering_rules_programmed_total", "Big-switch steering rules compiled onto LSIs.", nil, m.steeringRules.Value())
-	e.Histogram("un_deploy_seconds", "Graph deployment wall time.", nil, m.deployLatency.Snapshot())
-	e.Histogram("un_update_seconds", "Graph update wall time.", nil, m.updateLatency.Snapshot())
-	e.Histogram("un_undeploy_seconds", "Graph undeploy wall time.", nil, m.undeployLatency.Snapshot())
-	e.Histogram("un_reflavor_seconds", "NF flavor hot-swap wall time (start to drained).", nil, m.reflavorLatency.Snapshot())
-	e.Histogram("un_scale_seconds", "NF replica-set reshape wall time.", nil, m.scaleLatency.Snapshot())
+	e.Histogram("un_deploy_seconds", "Graph deployment wall time.", nil, m.deploy.latency.Snapshot())
+	e.Histogram("un_update_seconds", "Graph update wall time.", nil, m.update.latency.Snapshot())
+	e.Histogram("un_undeploy_seconds", "Graph undeploy wall time.", nil, m.undeploy.latency.Snapshot())
+	e.Histogram("un_reflavor_seconds", "NF flavor hot-swap wall time (start to drained).", nil, m.reflavor.latency.Snapshot())
+	e.Histogram("un_scale_seconds", "NF replica-set reshape wall time.", nil, m.scale.latency.Snapshot())
 	e.Histogram("un_state_migration_seconds", "Flow-state migration wall time (first export to last import).", nil, m.migrationLatency.Snapshot())
 	e.Counter("un_journal_events_total", "Events ever recorded in the node journal.", nil, o.journal.Total())
 }

@@ -2,8 +2,8 @@ package orchestrator
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/vswitch"
@@ -66,23 +66,13 @@ func (o *Orchestrator) Topology() Topology {
 		Interfaces: append([]string(nil), o.cfg.Interfaces...),
 		LSI0:       lsiInfo(o.lsi0.sw),
 	}
-	ids := make([]string, 0, len(o.graphs))
-	for id := range o.graphs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(o.graphs)) {
 		d := o.graphs[id]
 		gi := GraphInfo{
 			ID:  id,
 			LSI: lsiInfo(d.lsi.sw),
 		}
-		nfIDs := make([]string, 0, len(d.nfs))
-		for nfID := range d.nfs {
-			nfIDs = append(nfIDs, nfID)
-		}
-		sort.Strings(nfIDs)
-		for _, nfID := range nfIDs {
+		for _, nfID := range slices.Sorted(maps.Keys(d.nfs)) {
 			gi.NFs = append(gi.NFs, nfInfo(nfID, d.nfs[nfID]))
 		}
 		t.Graphs = append(t.Graphs, gi)
