@@ -1,4 +1,4 @@
-package cliutil
+package main
 
 import (
 	"io"
@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-func fastClient() *Client {
-	c := New()
-	c.BaseDelay = time.Millisecond
-	c.MaxDelay = 4 * time.Millisecond
+func fastClient() *client {
+	c := newClient()
+	c.baseDelay = time.Millisecond
+	c.maxDelay = 4 * time.Millisecond
 	return c
 }
 
@@ -30,7 +30,7 @@ func TestRetriesConnectionErrors(t *testing.T) {
 		_, _ = io.WriteString(w, "ok")
 	}))
 	defer srv.Close()
-	resp, err := fastClient().Get(srv.URL)
+	resp, err := fastClient().send(http.MethodGet, srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +51,12 @@ func TestGivesUpAfterAttempts(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := fastClient()
-	c.Attempts = 3
-	resp, err := c.Get(srv.URL)
+	c.attempts = 3
+	resp, err := c.send(http.MethodGet, srv.URL, nil)
 	if err == nil {
 		// The final attempt's response is returned as-is (callers see the
 		// real status); both shapes are acceptable, but the server must
-		// have been tried exactly Attempts times.
+		// have been tried exactly attempts times.
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("status %d", resp.StatusCode)
@@ -74,8 +74,8 @@ func TestConnectionErrorThenSuccess(t *testing.T) {
 	addr := srv.URL
 	srv.Close() // nothing listening: pure connection errors
 	c := fastClient()
-	c.Attempts = 2
-	if _, err := c.Get(addr); err == nil {
+	c.attempts = 2
+	if _, err := c.send(http.MethodGet, addr, nil); err == nil {
 		t.Fatal("expected error against closed server")
 	}
 }
@@ -94,7 +94,7 @@ func TestFollowsWriteRedirectWithBody(t *testing.T) {
 	}))
 	defer follower.Close()
 
-	resp, err := fastClient().Put(follower.URL+"/v1/graphs/g1", []byte(`{"id":"g1"}`))
+	resp, err := fastClient().send(http.MethodPut, follower.URL+"/v1/graphs/g1", []byte(`{"id":"g1"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestElectionThenRedirect(t *testing.T) {
 	}))
 	defer follower.Close()
 
-	resp, err := fastClient().Post(follower.URL+"/v1/links", []byte(`{}`))
+	resp, err := fastClient().send(http.MethodPost, follower.URL+"/v1/links", []byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +141,10 @@ func TestElectionThenRedirect(t *testing.T) {
 }
 
 func TestBackoffBounds(t *testing.T) {
-	c := New()
+	c := newClient()
 	for n := 0; n < 10; n++ {
 		d := c.backoff(n)
-		if d < c.BaseDelay/2 || d > c.MaxDelay+c.MaxDelay/2 {
+		if d < c.baseDelay/2 || d > c.maxDelay+c.maxDelay/2 {
 			t.Fatalf("backoff(%d) = %v out of bounds", n, d)
 		}
 	}

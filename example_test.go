@@ -5,7 +5,7 @@ import (
 	"log"
 
 	un "repro"
-	"repro/internal/measure"
+	"repro/internal/bench"
 )
 
 // ExampleNewNode deploys the paper's CPE scenario — an IPsec endpoint on a
@@ -47,7 +47,7 @@ func ExampleNewNode() {
 	// Push 1000 MTU frames through the chain with the iPerf stand-in.
 	lan, _ := node.InterfacePort("eth0")
 	wan, _ := node.InterfacePort("eth1")
-	rep, err := measure.Run(lan, wan, node.Clock(), measure.Spec{
+	rep, err := bench.Run(lan, wan, node.Clock(), bench.Spec{
 		Packets: 1000, FrameSize: 1500,
 	})
 	if err != nil {

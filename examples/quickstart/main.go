@@ -10,7 +10,7 @@ import (
 	"log"
 
 	un "repro"
-	"repro/internal/measure"
+	"repro/internal/bench"
 )
 
 func main() {
@@ -61,7 +61,7 @@ func main() {
 	// 3. Push traffic LAN -> WAN with the iPerf stand-in.
 	lan, _ := node.InterfacePort("eth0")
 	wan, _ := node.InterfacePort("eth1")
-	rep, err := measure.Run(lan, wan, node.Clock(), measure.Spec{
+	rep, err := bench.Run(lan, wan, node.Clock(), bench.Spec{
 		Packets: 10000, FrameSize: 1500,
 	})
 	if err != nil {

@@ -20,7 +20,7 @@ import (
 	"time"
 
 	un "repro"
-	"repro/internal/measure"
+	"repro/internal/bench"
 	"repro/internal/netdev"
 )
 
@@ -88,7 +88,7 @@ func main() {
 	fmt.Printf("deployed: vpn as %s\n\n", techs["vpn"])
 
 	// Phase 1: iPerf through the tunnel with the VM flavor.
-	repVM, err := measure.Run(lan, wan, node.Clock(), measure.Spec{Packets: 20000, FrameSize: 1500})
+	repVM, err := bench.Run(lan, wan, node.Clock(), bench.Spec{Packets: 20000, FrameSize: 1500})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func main() {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		frame, err := measure.Spec{Packets: 1, FrameSize: 1500}.Frame()
+		frame, err := bench.Spec{Packets: 1, FrameSize: 1500}.Frame()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func main() {
 	fmt.Printf("         zero-loss switchover confirmed\n")
 
 	// Phase 3: the same stream, now on the native flavor.
-	repNative, err := measure.Run(lan, wan, node.Clock(), measure.Spec{Packets: 20000, FrameSize: 1500})
+	repNative, err := bench.Run(lan, wan, node.Clock(), bench.Spec{Packets: 20000, FrameSize: 1500})
 	if err != nil {
 		log.Fatal(err)
 	}

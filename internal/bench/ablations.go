@@ -8,7 +8,6 @@ import (
 
 	un "repro"
 	"repro/internal/execenv"
-	"repro/internal/measure"
 	"repro/internal/netdev"
 	"repro/internal/nf"
 	"repro/internal/nnf"
@@ -94,7 +93,7 @@ func firewallTenants(tech un.Technology, tenants, packets int) (ramMB, mbps floa
 	}
 	lan, _ := node.InterfacePort("eth0")
 	wan, _ := node.InterfacePort("eth1")
-	rep, err := measure.Run(lan, wan, node.Clock(), measure.Spec{
+	rep, err := Run(lan, wan, node.Clock(), Spec{
 		Packets: packets, FrameSize: 1500, VLANID: 100,
 	})
 	return ramMB, rep.MbpsGoodput(), fp, err
@@ -171,7 +170,7 @@ func AdaptationLayer(packets int) (AdaptationResult, error) {
 		if single {
 			collect = tx
 		}
-		frame, err := measure.Spec{FrameSize: 1500, VLANID: vlan}.Frame()
+		frame, err := Spec{FrameSize: 1500, VLANID: vlan}.Frame()
 		if err != nil {
 			return 0, 0, 0, err
 		}

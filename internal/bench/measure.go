@@ -1,6 +1,6 @@
-// Package measure is the iPerf stand-in of the reproduction: it saturates a
-// deployed service chain with traffic injected at one node interface,
-// collects what emerges at another, and reports throughput.
+// The iPerf stand-in of the reproduction: Run saturates a deployed service
+// chain with traffic injected at one node interface, collects what emerges
+// at another, and reports throughput.
 //
 // Every run produces a modelled figure and measured ones, never under one
 // label:
@@ -14,7 +14,8 @@
 //     elapsed time and the runtime's allocation counter. They reflect how
 //     fast this Go implementation actually pushed packets (crypto included)
 //     and are reported beside the model, not for comparison with the paper.
-package measure
+
+package bench
 
 import (
 	"fmt"
@@ -86,7 +87,7 @@ func (s Spec) withDefaults() (Spec, error) {
 		overhead += pkt.VLANHeaderLen
 	}
 	if s.FrameSize < overhead {
-		return s, fmt.Errorf("measure: frame size %d below header overhead %d", s.FrameSize, overhead)
+		return s, fmt.Errorf("bench: frame size %d below header overhead %d", s.FrameSize, overhead)
 	}
 	return s, nil
 }

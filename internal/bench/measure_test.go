@@ -1,4 +1,4 @@
-package measure
+package bench
 
 import (
 	"testing"

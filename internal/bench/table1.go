@@ -1,8 +1,9 @@
 // Package bench builds the paper's evaluation artifacts from the live
 // system: Table 1 (IPsec throughput / RAM / image size per execution
 // flavor) and the ablation experiments A1-A4 (README, "Paper evaluation:
-// Table 1, ablations, cost model"). The nfbench command prints them; this
-// package's tests hold their shape.
+// Table 1, ablations, cost model"), and the traffic harness they run on
+// (Run, measure.go). The nfbench command prints them; this package's tests
+// hold their shape.
 package bench
 
 import (
@@ -10,7 +11,6 @@ import (
 	"strings"
 
 	un "repro"
-	"repro/internal/measure"
 )
 
 // Table1Row is one platform row of the paper's Table 1.
@@ -98,7 +98,7 @@ func measureFlavor(tech un.Technology, image string, packets int) (Table1Row, er
 	}
 	lan, _ := node.InterfacePort("eth0")
 	wan, _ := node.InterfacePort("eth1")
-	rep, err := measure.Run(lan, wan, node.Clock(), measure.Spec{Packets: packets, FrameSize: 1500})
+	rep, err := Run(lan, wan, node.Clock(), Spec{Packets: packets, FrameSize: 1500})
 	if err != nil {
 		return Table1Row{}, err
 	}

@@ -96,6 +96,10 @@ type sim struct {
 	// append after delivering the append.
 	snapshots map[link]int
 	lose      map[link]bool
+	// onVote, when set, sees each vote call as it is delivered, before
+	// its caller handles the reply: a stall set there delays the call the
+	// reply leads to.
+	onVote func(l link, req VoteRequest, reply VoteReply)
 
 	trace *bytes.Buffer // nil unless the seed is traced
 	// watch, when set, is checked after every event beside the
@@ -226,6 +230,9 @@ func (t simTransport) Dial(id string) (Peer, error) {
 
 func (p simPeer) RequestVote(req VoteRequest) (VoteReply, error) {
 	reply, err := p.inner.RequestVote(req)
+	if p.s.onVote != nil && err == nil {
+		p.s.onVote(link{p.from, p.to}, req, reply)
+	}
 	if p.s.trace != nil {
 		p.s.tracef("%s>%s vote term %d pre %v: %+v %v", p.from, p.to, req.Term, req.Pre, reply, err)
 	}
@@ -701,6 +708,74 @@ func TestStalledFollowerKeepsLeaderLease(t *testing.T) {
 			return fmt.Errorf("record with %s stalled: %v", slow.self, err)
 		}
 		return s.runFor(5 * simLease)
+	})
+}
+
+// A vote the lease guard refuses changes nothing, even when the
+// candidate's pre-vote passed: the voter b granted it after voting for a
+// new leader a and before a's first append reached it, then heard that
+// append while the real vote was in flight. b must refuse the vote at its
+// own term, and a keep leading. The candidate c, cut from a, is a term
+// ahead from an election whose vote never landed. (Planted: a real vote
+// that adopts the candidate's term ahead of the lease guard leaves b a
+// term ahead, and a's next append deposes a.)
+func TestLateVoteAdoptsNoTerm(t *testing.T) {
+	forSeeds(t, abc, func(_ string, o *Options) {
+		o.HeartbeatInterval = time.Hour // every round below is the test's
+	}, func(s *sim) error {
+		s.start()
+		a, b, c := s.nodes["a"], s.nodes["b"], s.nodes["c"]
+		s.partition("a", "c")
+		// stallNext holds from's next call to b by d: the call that
+		// follows b's grant of its vote (pre or real).
+		stallNext := func(from string, pre bool, d time.Duration) {
+			s.onVote = func(l link, req VoteRequest, reply VoteReply) {
+				if l == (link{from, "b"}) && req.Pre == pre && reply.Granted {
+					s.stalls[l] = stall{d: d, once: true}
+				}
+			}
+		}
+		stand := func(r *Cluster, pre bool, d time.Duration, what string, cond func() bool) error {
+			stallNext(r.self, pre, d)
+			r.mu.Lock()
+			r.standLocked()
+			r.unlock()
+			return s.runUntil(simLease, what, cond)
+		}
+		// c's pre-vote for term 1 passes; its vote reaches b only after
+		// the test.
+		if err := stand(c, true, time.Hour, "c's candidacy", func() bool { return c.Term() == 1 }); err != nil {
+			return err
+		}
+		// a wins term 1 on b's vote; its first append to b is held 10 ms.
+		if err := stand(a, false, 10*time.Millisecond, "a's election", func() bool {
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			return a.role == roleLeader
+		}); err != nil {
+			return err
+		}
+		// b, with no leader heard, grants c's pre-vote for term 2; c's
+		// vote lands 20 ms later, after a's append.
+		if err := stand(c, true, 20*time.Millisecond, "c's second candidacy", func() bool { return c.Term() == 2 }); err != nil {
+			return err
+		}
+		if err := s.runFor(simLease / 4); err != nil {
+			return err
+		}
+		if !a.IsLeader() || b.Term() != 1 {
+			return fmt.Errorf("after c's late vote: a leads %v, b is at term %d, want true and 1", a.IsLeader(), b.Term())
+		}
+		a.mu.Lock()
+		a.broadcastLocked()
+		a.unlock()
+		if err := s.runFor(simLease / 4); err != nil {
+			return err
+		}
+		if !a.IsLeader() || a.Term() != 1 {
+			return fmt.Errorf("after a's next round: a leads %v at term %d, want true and 1", a.IsLeader(), a.Term())
+		}
+		return nil
 	})
 }
 

@@ -102,9 +102,9 @@ func (o *Orchestrator) armStandby(id string) {
 }
 
 // syncStandby replicates the primary's per-flow NF state onto the shadow
-// through the nodes' StateNode verbs. Stateless NFs export nothing and cost
-// one RPC round-trip; nodes without state verbs are skipped. Returns how many
-// flow-state entries moved. Callers hold o.mu.
+// through the nodes' flow-state verbs. Stateless NFs export nothing and cost
+// one RPC round-trip. Returns how many flow-state entries moved. Callers hold
+// o.mu.
 func (o *Orchestrator) syncStandby(dep *deployment) int {
 	primary, _, single := primaryOf(dep)
 	if !single || dep.StandbyNode == "" {
@@ -115,22 +115,14 @@ func (o *Orchestrator) syncStandby(dep *deployment) int {
 	if !pOK || !sOK || !pm.alive || !sm.alive {
 		return 0
 	}
-	src, ok := pm.node.(StateNode)
-	if !ok {
-		return 0
-	}
-	dst, ok := sm.node.(StateNode)
-	if !ok {
-		return 0
-	}
 	id := dep.Desired.ID
 	total := 0
 	for _, n := range dep.Desired.NFs {
-		states, err := src.ExportNFState(id, n.ID)
+		states, err := pm.node.ExportNFState(id, n.ID)
 		if err != nil || len(states) == 0 {
 			continue
 		}
-		if err := dst.ImportNFState(id, n.ID, states); err != nil {
+		if err := sm.node.ImportNFState(id, n.ID, states); err != nil {
 			o.cfg.Logf("global: syncing %s/%s state to standby %q: %v", id, n.ID, dep.StandbyNode, err)
 			continue
 		}

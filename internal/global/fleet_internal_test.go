@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/nf"
 	"repro/internal/nffg"
+	"repro/internal/telemetry"
 )
 
 // plan is pure and ordered: vacated nodes first, then updates and deploys in
@@ -115,8 +117,13 @@ func (n *faultyNode) Undeploy(id string) error {
 	return nil
 }
 
-func (n *faultyNode) Reflavor(string, string, nffg.Technology) error { return nil }
-func (n *faultyNode) Scale(string, string, int) error                { return nil }
+func (n *faultyNode) Reflavor(string, string, nffg.Technology) error       { return nil }
+func (n *faultyNode) Scale(string, string, int) error                      { return nil }
+func (n *faultyNode) ExportNFState(string, string) ([]nf.FlowState, error) { return nil, nil }
+func (n *faultyNode) ImportNFState(string, string, []nf.FlowState) error   { return nil }
+func (n *faultyNode) MetricsText() (string, error)                         { return "", nil }
+func (n *faultyNode) Events() ([]telemetry.Event, error)                   { return nil, nil }
+func (n *faultyNode) BaseURL() string                                      { return "" }
 
 func (n *faultyNode) GraphSpec(id string) (*nffg.Graph, bool, error) {
 	g, ok := n.graphs[id]

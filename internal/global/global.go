@@ -233,7 +233,7 @@ func (o *Orchestrator) AddNode(n Node) error {
 			return fmt.Errorf("global: node %q already registered", n.Name())
 		}
 		o.members[n.Name()] = &member{node: n, alive: true, last: st, probed: time.Now(), fresh: true}
-		if data, err := json.Marshal(nodeRecordFor(n)); err == nil {
+		if data, err := json.Marshal(NodeRecord{Name: n.Name(), URL: n.BaseURL()}); err == nil {
 			o.propose(cluster.OpNodeAdd, n.Name(), data)
 		}
 		return nil

@@ -13,7 +13,7 @@ import (
 	"repro/internal/pkt"
 )
 
-// TestHTTPNodeVerbs drives every Node/StateNode verb of the REST-backed
+// TestHTTPNodeVerbs drives every Node verb of the REST-backed
 // node handle against a real Universal Node behind its HTTP handler — the
 // transport the global orchestrator rides in a distributed deployment.
 func TestHTTPNodeVerbs(t *testing.T) {

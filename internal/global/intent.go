@@ -60,14 +60,7 @@ type NodeRecord struct {
 	URL string `json:"url,omitempty"`
 }
 
-// URLNode is implemented by node handles that can name their REST base
-// URL (HTTPNode); it feeds the replicated NodeRecord so any replica can
-// re-dial the node after promotion.
-type URLNode interface {
-	BaseURL() string
-}
-
-// BaseURL implements URLNode.
+// BaseURL implements Node.
 func (h *HTTPNode) BaseURL() string { return h.base }
 
 // SetLeaderGate installs the leadership check consulted by every mutating
@@ -325,15 +318,6 @@ func (o *Orchestrator) flushIntent() error {
 		return fmt.Errorf("%w: %w", ErrNotCommitted, err)
 	}
 	return nil
-}
-
-// nodeRecordFor derives a node's replicated identity from its handle.
-func nodeRecordFor(n Node) NodeRecord {
-	rec := NodeRecord{Name: n.Name()}
-	if u, ok := n.(URLNode); ok {
-		rec.URL = u.BaseURL()
-	}
-	return rec
 }
 
 // defaultNodeResolver re-dials nodes by their recorded REST URL.

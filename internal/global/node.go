@@ -29,6 +29,7 @@ import (
 	"repro/internal/nf"
 	"repro/internal/nffg"
 	"repro/internal/orchestrator"
+	"repro/internal/telemetry"
 )
 
 // NFStatus is one running NF instance as reported by a node probe: which
@@ -60,9 +61,10 @@ type Status struct {
 }
 
 // Node is one Universal Node under global management: the local
-// orchestrator's deploy surface plus a health/capacity probe. Implementations
-// must be safe for concurrent use; every method may be called from the
-// reconcile loop.
+// orchestrator's deploy surface, a health/capacity probe, the flow-state
+// verbs of standby sync, the node's telemetry and its REST identity.
+// Implementations must be safe for concurrent use; every method may be
+// called from the reconcile loop.
 type Node interface {
 	// Name is the fleet-unique node identifier.
 	Name() string
@@ -81,22 +83,24 @@ type Node interface {
 	Scale(graphID, nfID string, replicas int) error
 	// GraphSpec fetches the deployed version of a graph for drift diffing.
 	GraphSpec(id string) (*nffg.Graph, bool, error)
-}
-
-// StateNode is the optional flow-state replication surface of a Node. The
-// reconcile loop's standby-sync phase uses it to copy the per-flow state
-// of active-standby NFs from the primary node onto the standby node, so a
-// node kill promotes a warm standby instead of an empty one. Nodes that do
-// not implement it simply get no cross-node state replication.
-type StateNode interface {
-	// ExportNFState snapshots the full per-flow state of one NF.
+	// ExportNFState snapshots the full per-flow state of one NF; the
+	// reconcile loop's standby sync copies it from the primary node onto
+	// the standby node, so a node kill promotes a warm standby.
 	ExportNFState(graphID, nfID string) ([]nf.FlowState, error)
 	// ImportNFState installs exported state into the NF's instances.
 	// Imports are idempotent.
 	ImportNFState(graphID, nfID string, states []nf.FlowState) error
+	// MetricsText scrapes the node registry in Prometheus text format, for
+	// the global /metrics view.
+	MetricsText() (string, error)
+	// Events fetches the node's event journal, for the global /events view.
+	Events() ([]telemetry.Event, error)
+	// BaseURL is the node's REST base URL, replicated in its NodeRecord so
+	// any replica can re-dial it after promotion; "" for an in-process node.
+	BaseURL() string
 }
 
-// UniversalNode is the in-process deploy surface of one compute node, as
+// UniversalNode is the in-process surface of one compute node, as
 // implemented by both *un.Node and *orchestrator.Orchestrator.
 type UniversalNode interface {
 	Deploy(g *nffg.Graph) error
@@ -107,6 +111,10 @@ type UniversalNode interface {
 	GraphSpec(id string) (*nffg.Graph, bool)
 	Status() orchestrator.NodeStatus
 	Capabilities() []string
+	ExportNFState(graphID, nfID string) ([]nf.FlowState, error)
+	ImportNFState(graphID, nfID string, states []nf.FlowState) error
+	WriteMetrics(w io.Writer) error
+	Events() []telemetry.Event
 }
 
 // LocalNode adapts an in-process Universal Node to the global orchestrator.
@@ -162,29 +170,42 @@ func (l *LocalNode) Status() (Status, error) {
 	return st, nil
 }
 
-// ExportNFState implements StateNode when the wrapped node supports it.
+// ExportNFState implements Node.
 func (l *LocalNode) ExportNFState(graphID, nfID string) ([]nf.FlowState, error) {
 	if err := l.check(); err != nil {
 		return nil, err
 	}
-	s, ok := l.un.(StateNode)
-	if !ok {
-		return nil, fmt.Errorf("global: node %q does not export NF state", l.name)
-	}
-	return s.ExportNFState(graphID, nfID)
+	return l.un.ExportNFState(graphID, nfID)
 }
 
-// ImportNFState implements StateNode when the wrapped node supports it.
+// ImportNFState implements Node.
 func (l *LocalNode) ImportNFState(graphID, nfID string, states []nf.FlowState) error {
 	if err := l.check(); err != nil {
 		return err
 	}
-	s, ok := l.un.(StateNode)
-	if !ok {
-		return fmt.Errorf("global: node %q does not import NF state", l.name)
-	}
-	return s.ImportNFState(graphID, nfID, states)
+	return l.un.ImportNFState(graphID, nfID, states)
 }
+
+// MetricsText implements Node.
+func (l *LocalNode) MetricsText() (string, error) {
+	if err := l.check(); err != nil {
+		return "", err
+	}
+	var buf bytes.Buffer
+	err := l.un.WriteMetrics(&buf)
+	return buf.String(), err
+}
+
+// Events implements Node.
+func (l *LocalNode) Events() ([]telemetry.Event, error) {
+	if err := l.check(); err != nil {
+		return nil, err
+	}
+	return l.un.Events(), nil
+}
+
+// BaseURL implements Node: an in-process node has none.
+func (l *LocalNode) BaseURL() string { return "" }
 
 // Deploy implements Node.
 func (l *LocalNode) Deploy(g *nffg.Graph) error {
@@ -284,10 +305,11 @@ type restStatus struct {
 }
 
 // call issues one REST request to the node — in, when non-nil, as its JSON
-// body — and decodes the JSON body of a 2xx reply into out (nil discards
-// it). what names the operation in the error, which carries the message of
-// the node's error envelope; the HTTP status is returned beside it (0 when
-// the node could not be reached) for the caller that gives one a meaning.
+// body — and decodes the JSON body of a 2xx reply into out, or reads it
+// whole into out when out is a *string (nil discards it). what names the
+// operation in the error, which carries the message of the node's error
+// envelope; the HTTP status is returned beside it (0 when the node could
+// not be reached) for the caller that gives one a meaning.
 func (h *HTTPNode) call(what, method, path string, in, out any) (int, error) {
 	var body io.Reader
 	if in != nil {
@@ -313,10 +335,17 @@ func (h *HTTPNode) call(what, method, path string, in, out any) (int, error) {
 		return resp.StatusCode, fmt.Errorf("global: %s %q: HTTP %d: %s",
 			what, h.name, resp.StatusCode, readError(resp.Body))
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("global: %s %q: %w", what, h.name, err)
-		}
+	switch out := out.(type) {
+	case nil:
+	case *string:
+		var data []byte
+		data, err = io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+		*out = string(data)
+	default:
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	if err != nil {
+		return resp.StatusCode, fmt.Errorf("global: %s %q: %w", what, h.name, err)
 	}
 	return resp.StatusCode, nil
 }
@@ -350,7 +379,7 @@ type nfStates struct {
 	States []nf.FlowState `json:"states"`
 }
 
-// ExportNFState implements StateNode over GET /v1/graphs/{id}/nfs/{nf}/state.
+// ExportNFState implements Node over GET /v1/graphs/{id}/nfs/{nf}/state.
 func (h *HTTPNode) ExportNFState(graphID, nfID string) ([]nf.FlowState, error) {
 	var reply nfStates
 	_, err := h.call("exporting "+graphID+"/"+nfID+" state from", http.MethodGet,
@@ -358,7 +387,7 @@ func (h *HTTPNode) ExportNFState(graphID, nfID string) ([]nf.FlowState, error) {
 	return reply.States, err
 }
 
-// ImportNFState implements StateNode over PUT /v1/graphs/{id}/nfs/{nf}/state.
+// ImportNFState implements Node over PUT /v1/graphs/{id}/nfs/{nf}/state.
 func (h *HTTPNode) ImportNFState(graphID, nfID string, states []nf.FlowState) error {
 	_, err := h.call("importing "+graphID+"/"+nfID+" state into", http.MethodPut,
 		"/v1/graphs/"+graphID+"/nfs/"+nfID+"/state", nfStates{States: states}, nil)

@@ -1,8 +1,6 @@
 package global
 
 import (
-	"bytes"
-	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -32,19 +30,6 @@ type fleetMetrics struct {
 
 func newFleetMetrics() *fleetMetrics {
 	return &fleetMetrics{reconcileLatency: telemetry.NewHistogram(telemetry.LatencyBuckets()...)}
-}
-
-// MetricsSource is the optional scrape surface of a fleet Node: nodes
-// implementing it contribute their samples to the global /metrics view,
-// tagged with a node label.
-type MetricsSource interface {
-	MetricsText() (string, error)
-}
-
-// EventSource is the optional journal surface of a fleet Node: nodes
-// implementing it contribute their events to the global /events view.
-type EventSource interface {
-	Events() ([]telemetry.Event, error)
 }
 
 // Journal returns the global orchestrator's event journal (probe
@@ -118,33 +103,33 @@ type pulled[T any] struct {
 	val  T
 }
 
-// pullAlive calls get on every alive member implementing the optional
-// surface S, in parallel and outside the orchestrator lock: one slow node
-// costs max(single-node time), not the sum, and cannot push the whole pull
-// past a collector's deadline. A member that fails mid-pull (e.g. dies
-// between the liveness snapshot and the call) is skipped and counted in
-// un_global_scrape_failures_total; what names the pull in the log.
-func pullAlive[S, T any](o *Orchestrator, what string, get func(S) (T, error)) []pulled[T] {
+// pullAlive calls get on every alive member, in parallel and outside the
+// orchestrator lock: one slow node costs max(single-node time), not the
+// sum, and cannot push the whole pull past a collector's deadline. A member
+// that fails mid-pull (e.g. dies between the liveness snapshot and the call)
+// is skipped and counted in un_global_scrape_failures_total; what names the
+// pull in the log.
+func pullAlive[T any](o *Orchestrator, what string, get func(Node) (T, error)) []pulled[T] {
 	o.mu.Lock()
 	var names []string
-	var srcs []S
+	var nodes []Node
 	for name, m := range o.members {
-		if src, ok := m.node.(S); ok && m.alive {
-			names, srcs = append(names, name), append(srcs, src)
+		if m.alive {
+			names, nodes = append(names, name), append(nodes, m.node)
 		}
 	}
 	o.mu.Unlock()
-	vals, errs := make([]T, len(srcs)), make([]error, len(srcs))
+	vals, errs := make([]T, len(nodes)), make([]error, len(nodes))
 	var wg sync.WaitGroup
-	for i := range srcs {
+	for i := range nodes {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], errs[i] = get(srcs[i])
+			vals[i], errs[i] = get(nodes[i])
 		}(i)
 	}
 	wg.Wait()
-	out := make([]pulled[T], 0, len(srcs))
+	out := make([]pulled[T], 0, len(nodes))
 	for i, err := range errs {
 		if err != nil {
 			o.metrics.scrapeFailures.Inc()
@@ -157,10 +142,10 @@ func pullAlive[S, T any](o *Orchestrator, what string, get func(S) (T, error)) [
 }
 
 // GatherFleet fills e with the fleet-wide metric view: the global
-// orchestrator's own registry plus one scrape of every alive member that
-// exposes metrics, each member's samples tagged with its node name.
+// orchestrator's own registry plus one scrape of every alive member, each
+// member's samples tagged with its node name.
 func (o *Orchestrator) GatherFleet(e *telemetry.Exposition) {
-	for _, scrape := range pullAlive(o, "scraping", MetricsSource.MetricsText) {
+	for _, scrape := range pullAlive(o, "scraping", Node.MetricsText) {
 		if err := e.AddText(scrape.val, telemetry.Labels{"node": scrape.node}); err != nil {
 			o.metrics.scrapeFailures.Inc()
 			o.cfg.Logf("global: merging scrape of %q: %v", scrape.node, err)
@@ -181,11 +166,10 @@ func (o *Orchestrator) WriteFleetMetrics(w io.Writer) error {
 }
 
 // FleetEvents merges the global journal with the journals of every alive
-// member that exposes one, interleaved by time and tagged with the member's
-// node name.
+// member, interleaved by time and tagged with the member's node name.
 func (o *Orchestrator) FleetEvents() []telemetry.Event {
 	streams := [][]telemetry.Event{o.journal.Events()}
-	for _, fetch := range pullAlive(o, "fetching events of", EventSource.Events) {
+	for _, fetch := range pullAlive(o, "fetching events of", Node.Events) {
 		for j := range fetch.val {
 			if fetch.val[j].Node == "" {
 				fetch.val[j].Node = fetch.node
@@ -196,54 +180,14 @@ func (o *Orchestrator) FleetEvents() []telemetry.Event {
 	return telemetry.MergeEvents(streams...)
 }
 
-// MetricsText implements MetricsSource for LocalNode-wrapped universal
-// nodes exposing WriteMetrics.
-func (l *LocalNode) MetricsText() (string, error) {
-	if err := l.check(); err != nil {
-		return "", err
-	}
-	mw, ok := l.un.(interface{ WriteMetrics(io.Writer) error })
-	if !ok {
-		return "", fmt.Errorf("global: node %q exposes no metrics", l.name)
-	}
-	var buf bytes.Buffer
-	if err := mw.WriteMetrics(&buf); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
-}
-
-// Events implements EventSource for LocalNode-wrapped universal nodes
-// exposing a journal.
-func (l *LocalNode) Events() ([]telemetry.Event, error) {
-	if err := l.check(); err != nil {
-		return nil, err
-	}
-	es, ok := l.un.(interface{ Events() []telemetry.Event })
-	if !ok {
-		return nil, fmt.Errorf("global: node %q exposes no events", l.name)
-	}
-	return es.Events(), nil
-}
-
-// MetricsText implements MetricsSource over the node's REST interface.
+// MetricsText implements Node over the node's REST interface.
 func (h *HTTPNode) MetricsText() (string, error) {
-	resp, err := h.client.Get(h.base + "/v1/metrics")
-	if err != nil {
-		return "", fmt.Errorf("global: scraping %q: %w", h.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("global: scraping %q: HTTP %d", h.name, resp.StatusCode)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
+	var text string
+	_, err := h.call("scraping", http.MethodGet, "/v1/metrics", nil, &text)
+	return text, err
 }
 
-// Events implements EventSource over the node's REST interface.
+// Events implements Node over the node's REST interface.
 func (h *HTTPNode) Events() ([]telemetry.Event, error) {
 	var evs []telemetry.Event
 	_, err := h.call("fetching events of", http.MethodGet, "/v1/events", nil, &evs)

@@ -236,13 +236,20 @@ func (o *Orchestrator) plan(d *DeployedGraph, g *nffg.Graph) (*nodePlan, error) 
 			o.add(p, st, spare, false, len(g.NFs)-i)
 		}
 	}
+	// Each list is sized on its first entry for the plan to nothing.
 	for id := range d.nfs {
 		if g.FindNF(id) == nil {
+			if p.retire == nil {
+				p.retire = make([]string, 0, len(d.nfs))
+			}
 			p.retire = append(p.retire, id)
 		}
 	}
 	for id, att := range d.eps {
 		if ep := g.FindEndpoint(id); ep == nil || *ep != att.ep {
+			if p.detach == nil {
+				p.detach = make([]*epAttachment, 0, len(d.eps))
+			}
 			p.detach = append(p.detach, att)
 		}
 	}

@@ -173,8 +173,7 @@ const cpuNsPerMillicoreSecond = 1e6
 
 // Score is the CostDriven objective for one candidate at the given rate:
 // the modeled CPU nanoseconds per second the placement would consume —
-// reservation burn plus per-packet work. Exported so callers can explain a
-// decision (telemetry, nodectl).
+// reservation burn plus per-packet work; CostDriven ranks candidates by it.
 func Score(c Candidate, ratePPS float64) float64 {
 	return float64(c.CPUMillis)*cpuNsPerMillicoreSecond + c.CostNs*ratePPS
 }

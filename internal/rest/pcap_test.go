@@ -1,4 +1,4 @@
-package pcap
+package rest
 
 import (
 	"bytes"
@@ -8,9 +8,18 @@ import (
 	"time"
 )
 
+func mustPcapWriter(t *testing.T, w io.Writer) *pcapWriter {
+	t.Helper()
+	pw, err := newPcapWriter(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pw
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := mustPcapWriter(t, &buf)
 	ts := time.Unix(1700000000, 123456000)
 	frames := [][]byte{
 		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0x08, 0x00, 0xaa},
@@ -18,20 +27,16 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		make([]byte, 1500),
 	}
 	for i, f := range frames {
-		if err := w.WritePacket(ts.Add(time.Duration(i)*time.Second), f); err != nil {
+		if err := w.writePacket(ts.Add(time.Duration(i)*time.Second), f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if w.Packets() != 3 {
-		t.Errorf("packets = %d", w.Packets())
-	}
-
-	r := NewReader(bytes.NewReader(buf.Bytes()))
+	r := NewPcapReader(bytes.NewReader(buf.Bytes()))
 	got, err := r.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.linkType != LinkTypeEthernet {
+	if r.linkType != pcapLinkEthernet {
 		t.Errorf("link type = %d", r.linkType)
 	}
 	if len(got) != 3 {
@@ -57,20 +62,20 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestSnapLongPackets(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	big := make([]byte, DefaultSnapLen+100)
+	w := mustPcapWriter(t, &buf)
+	big := make([]byte, pcapSnapLen+100)
 	big[0] = 0x42
-	if err := w.WritePacket(time.Now(), big); err != nil {
+	if err := w.writePacket(time.Now(), big); err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
+	got, err := NewPcapReader(bytes.NewReader(buf.Bytes())).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got[0].Data) != DefaultSnapLen {
+	if len(got[0].Data) != pcapSnapLen {
 		t.Errorf("capLen = %d", len(got[0].Data))
 	}
-	if got[0].OrigLen != DefaultSnapLen+100 {
+	if got[0].OrigLen != pcapSnapLen+100 {
 		t.Errorf("origLen = %d", got[0].OrigLen)
 	}
 }
@@ -78,20 +83,20 @@ func TestSnapLongPackets(t *testing.T) {
 func TestReaderErrors(t *testing.T) {
 	// Bad magic.
 	bad := make([]byte, 24)
-	if _, err := NewReader(bytes.NewReader(bad)).ReadPacket(); err == nil {
+	if _, err := NewPcapReader(bytes.NewReader(bad)).ReadPacket(); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Truncated record.
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	_ = w.WritePacket(time.Now(), []byte{1, 2, 3})
+	w := mustPcapWriter(t, &buf)
+	_ = w.writePacket(time.Now(), []byte{1, 2, 3})
 	trunc := buf.Bytes()[:buf.Len()-2]
-	r := NewReader(bytes.NewReader(trunc))
+	r := NewPcapReader(bytes.NewReader(trunc))
 	if _, err := r.ReadPacket(); err == nil {
 		t.Error("truncated body accepted")
 	}
 	// Empty stream: EOF on first read (header missing).
-	if _, err := NewReader(bytes.NewReader(nil)).ReadPacket(); err != io.EOF {
+	if _, err := NewPcapReader(bytes.NewReader(nil)).ReadPacket(); err != io.EOF {
 		t.Errorf("empty stream err = %v", err)
 	}
 }
@@ -99,23 +104,23 @@ func TestReaderErrors(t *testing.T) {
 func TestPropertyAnyPayloadRoundTrips(t *testing.T) {
 	f := func(payloads [][]byte) bool {
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		w := mustPcapWriter(t, &buf)
 		for _, p := range payloads {
-			if len(p) > DefaultSnapLen {
-				p = p[:DefaultSnapLen]
+			if len(p) > pcapSnapLen {
+				p = p[:pcapSnapLen]
 			}
-			if err := w.WritePacket(time.Unix(1, 0), p); err != nil {
+			if err := w.writePacket(time.Unix(1, 0), p); err != nil {
 				return false
 			}
 		}
-		got, err := NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
+		got, err := NewPcapReader(bytes.NewReader(buf.Bytes())).ReadAll()
 		if err != nil || len(got) != len(payloads) {
 			return len(payloads) == 0 && err == nil
 		}
 		for i := range payloads {
 			want := payloads[i]
-			if len(want) > DefaultSnapLen {
-				want = want[:DefaultSnapLen]
+			if len(want) > pcapSnapLen {
+				want = want[:pcapSnapLen]
 			}
 			if !bytes.Equal(got[i].Data, want) {
 				return false

@@ -42,11 +42,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/netdev"
 	"repro/internal/nf"
 	"repro/internal/nffg"
 	"repro/internal/orchestrator"
-	"repro/internal/pcap"
 	"repro/internal/resources"
 	"repro/internal/telemetry"
 )
@@ -520,21 +518,15 @@ func (s *Server) capture(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/vnd.tcpdump.pcap")
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", ifName+".pcap"))
-	pw := pcap.NewWriter(w)
-	if err := pw.WriteHeader(); err != nil {
+	stop, err := Capture(port, w)
+	if err != nil {
 		return
 	}
-	port.SetTap(func(_ netdev.TapDir, f netdev.Frame) {
-		_ = pw.WritePacket(time.Now(), f.Data)
-	})
 	select {
 	case <-time.After(duration):
 	case <-r.Context().Done():
 	}
-	port.SetTap(nil)
-	// In-flight taps may still hold the writer: gate them off before the
-	// handler returns and net/http finalizes the response.
-	pw.Close()
+	stop()
 }
 
 func (s *Server) topology(w http.ResponseWriter, r *http.Request) {

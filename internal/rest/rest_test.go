@@ -12,9 +12,8 @@ import (
 	"time"
 
 	un "repro"
-	"repro/internal/measure"
+	"repro/internal/bench"
 	"repro/internal/netdev"
-	"repro/internal/pcap"
 	"repro/internal/pkt"
 	"repro/internal/rest"
 )
@@ -271,7 +270,7 @@ func TestCaptureEndpoint(t *testing.T) {
 	go func() {
 		defer close(done)
 		lan, _ := node.InterfacePort("eth0")
-		frame, _ := measure.Spec{FrameSize: 500}.Frame()
+		frame, _ := bench.Spec{FrameSize: 500}.Frame()
 		for i := 0; i < 50; i++ {
 			_ = lan.Send(netdev.Frame{Data: frame})
 			time.Sleep(2 * time.Millisecond)
@@ -290,7 +289,7 @@ func TestCaptureEndpoint(t *testing.T) {
 	if ct := capResp.Header.Get("Content-Type"); !strings.Contains(ct, "pcap") {
 		t.Errorf("content type = %q", ct)
 	}
-	pkts, err := pcap.NewReader(bytes.NewReader(body)).ReadAll()
+	pkts, err := rest.NewPcapReader(bytes.NewReader(body)).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +308,7 @@ func TestCaptureEndpoint(t *testing.T) {
 	}
 	idleBody, _ := io.ReadAll(idleResp.Body)
 	idleResp.Body.Close()
-	if pkts, err := pcap.NewReader(bytes.NewReader(idleBody)).ReadAll(); err != nil || len(pkts) != 0 {
+	if pkts, err := rest.NewPcapReader(bytes.NewReader(idleBody)).ReadAll(); err != nil || len(pkts) != 0 {
 		t.Errorf("idle capture: %d packets, err %v", len(pkts), err)
 	}
 
@@ -334,7 +333,7 @@ func TestGraphStatsEndpoint(t *testing.T) {
 	// Push 7 frames through, then read the counters.
 	lan, _ := node.InterfacePort("eth0")
 	wan, _ := node.InterfacePort("eth1")
-	frame, _ := measure.Spec{FrameSize: 700}.Frame()
+	frame, _ := bench.Spec{FrameSize: 700}.Frame()
 	for i := 0; i < 7; i++ {
 		_ = lan.Send(netdev.Frame{Data: frame})
 		_, _ = wan.TryRecv()

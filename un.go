@@ -24,15 +24,19 @@
 // resident entries) are exported through Topology and
 // Node.DatapathCacheStats, next to the classic per-entry flow stats.
 //
-// See examples/ for complete programs and cmd/un-orchestrator for the
-// daemon exposing the REST interface.
+// Node.CaptureInterface and the REST route GET /v1/capture/{if} write the
+// traffic crossing an interface as pcap through one capture path
+// (rest.Capture).
+//
+// See examples/ for complete programs (quickstart, reflavor, scaleout,
+// multinode, availability, hacluster), cmd/un-orchestrator for the daemon
+// exposing the REST interface and cmd/nffgctl for the CLI that drives it.
 package un
 
 import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/compute"
 	"repro/internal/execenv"
@@ -43,7 +47,6 @@ import (
 	"repro/internal/nffg"
 	"repro/internal/nnf"
 	"repro/internal/orchestrator"
-	"repro/internal/pcap"
 	"repro/internal/policy"
 	"repro/internal/repository"
 	"repro/internal/resources"
@@ -451,17 +454,7 @@ func (n *Node) CaptureInterface(name string, w io.Writer) (stop func(), err erro
 	if !ok {
 		return nil, fmt.Errorf("un: no interface %q", name)
 	}
-	pw := pcap.NewWriter(w)
-	if err := pw.WriteHeader(); err != nil {
-		return nil, err
-	}
-	port.SetTap(func(_ netdev.TapDir, f netdev.Frame) {
-		_ = pw.WritePacket(time.Now(), f.Data)
-	})
-	return func() {
-		port.SetTap(nil)
-		pw.Close()
-	}, nil
+	return rest.Capture(port, w)
 }
 
 // Handler returns the node's REST interface as an http.Handler.

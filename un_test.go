@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	un "repro"
-	"repro/internal/measure"
+	"repro/internal/bench"
 	"repro/internal/netdev"
-	"repro/internal/pcap"
 	"repro/internal/pkt"
+	"repro/internal/rest"
 )
 
 func ipsecConfig() map[string]string {
@@ -99,7 +99,7 @@ func TestNodeTrafficThroughPublicAPI(t *testing.T) {
 	if !ok {
 		t.Fatal("no eth1")
 	}
-	rep, err := measure.Run(lan, wan, node.Clock(), measure.Spec{Packets: 200, FrameSize: 1500})
+	rep, err := bench.Run(lan, wan, node.Clock(), bench.Spec{Packets: 200, FrameSize: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +171,12 @@ func TestNodeESPOnTheWire(t *testing.T) {
 	}
 	lan, _ := node.InterfacePort("eth0")
 	wan, _ := node.InterfacePort("eth1")
-	spec := measure.Spec{Packets: 1, FrameSize: 1000}
-	if _, err := measure.Run(lan, wan, node.Clock(), spec); err != nil {
+	spec := bench.Spec{Packets: 1, FrameSize: 1000}
+	if _, err := bench.Run(lan, wan, node.Clock(), spec); err != nil {
 		t.Fatal(err)
 	}
 	// Peek at what actually left the WAN: must be ESP with our SPI...
-	// consumed by measure.Run already, so send one more frame manually.
+	// consumed by bench.Run already, so send one more frame manually.
 	frame, err := spec.Frame()
 	if err != nil {
 		t.Fatal(err)
@@ -217,18 +217,18 @@ func TestCaptureInterfacePcap(t *testing.T) {
 		t.Fatal(err)
 	}
 	lan, _ := node.InterfacePort("eth0")
-	if _, err := measure.Run(lan, mustPort(t, node, "eth1"), node.Clock(),
-		measure.Spec{Packets: 5, FrameSize: 600}); err != nil {
+	if _, err := bench.Run(lan, mustPort(t, node, "eth1"), node.Clock(),
+		bench.Spec{Packets: 5, FrameSize: 600}); err != nil {
 		t.Fatal(err)
 	}
 	stopLan()
 	stopWan()
 
-	lanPkts, err := pcap.NewReader(bytes.NewReader(lanCap.Bytes())).ReadAll()
+	lanPkts, err := rest.NewPcapReader(bytes.NewReader(lanCap.Bytes())).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wanPkts, err := pcap.NewReader(bytes.NewReader(wanCap.Bytes())).ReadAll()
+	wanPkts, err := rest.NewPcapReader(bytes.NewReader(wanCap.Bytes())).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
