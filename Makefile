@@ -94,8 +94,10 @@ bench-selftest:
 # deploy-byte work starts, and CPU, from a run of its own, since sampling
 # every allocation (-memprofilerate=1) would dominate it. A fourth is the
 # in-use heap of TestTenantDensity's 200 tenants on one shared native
-# firewall, taken while they are deployed: what each tenant retains. CI
-# uploads profile/ as an artifact of the bench job.
+# firewall, taken while they are deployed: what each tenant retains. A fifth
+# is every allocation of TestRESTLifecycleCost: deploy-churn's lifecycle
+# through the global REST handler, which the in-process tests do not cross.
+# CI uploads profile/ as an artifact of the bench job.
 profile:
 	@mkdir -p profile
 	$(GO) test -run '^$$' -bench '^(BenchmarkPipelineParallel|BenchmarkPipelineBurst)$$' -benchtime=1s \
@@ -106,10 +108,13 @@ profile:
 	$(GO) test -count=1 -run '^TestDeployChurnHeapPlateaus$$' -cpuprofile profile/deploy-cpu.pprof -o profile/deploy.test .
 	$(GO) test -count=1 -run '^TestTenantDensity$$' -memprofilerate=1 -o profile/tenants.test . \
 		-args -tenants.inuse=profile/tenants-inuse.pprof
+	$(GO) test -count=1 -run '^TestRESTLifecycleCost$$' -memprofile profile/rest-alloc.pprof -memprofilerate=1 \
+		-o profile/rest.test .
 	@echo "wrote profile/cpu.pprof and profile/alloc.pprof (inspect with: $(GO) tool pprof profile/bench.test profile/cpu.pprof)"
 	@echo "wrote profile/deploy-alloc.pprof (inspect with: $(GO) tool pprof -sample_index=alloc_space profile/deploy.test profile/deploy-alloc.pprof)"
 	@echo "wrote profile/deploy-cpu.pprof (inspect with: $(GO) tool pprof profile/deploy.test profile/deploy-cpu.pprof)"
 	@echo "wrote profile/tenants-inuse.pprof (inspect with: $(GO) tool pprof -sample_index=inuse_space profile/tenants.test profile/tenants-inuse.pprof)"
+	@echo "wrote profile/rest-alloc.pprof (inspect with: $(GO) tool pprof -sample_index=alloc_space profile/rest.test profile/rest-alloc.pprof)"
 
 # Where the datapath's code lands: Go aligns functions to 32 bytes, so a
 # change ahead of the hot loops can move them by half a cache line and move

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"testing"
 
@@ -98,11 +97,17 @@ func TestSharableNNFAblation(t *testing.T) {
 }
 
 func TestAdaptationLayerAblation(t *testing.T) {
-	// One wall-clock ratio follows whatever else the box is doing (a loaded
-	// `go test ./...` stalls either side for a scheduler quantum): compare
-	// the medians of several runs instead.
-	const runs = 7
-	direct, adapted := make([]float64, runs), make([]float64, runs)
+	// A wall-clock time follows whatever else the box is doing: a loaded
+	// `go test ./...` stalls either side for a scheduler quantum, and a
+	// collection the adapted side's copies start can land in its timed
+	// loop. Contention only ever adds time, so each side is estimated by
+	// its fastest run, and the sides alternate run by run (each
+	// AdaptationLayer call times direct, then adapted), so both meet the
+	// same weather. Medians of 7 runs read the adapted hop 6.2-6.8x direct
+	// in 3 of 100 runs beside `go test ./internal/orchestrator
+	// ./internal/cluster`.
+	const runs = 15
+	direct, adapted := math.Inf(1), math.Inf(1)
 	for i := 0; i < runs; i++ {
 		res, err := AdaptationLayer(500)
 		if err != nil {
@@ -111,14 +116,12 @@ func TestAdaptationLayerAblation(t *testing.T) {
 		if res.DirectNsPerPkt <= 0 || res.AdaptedNsPerPkt <= 0 {
 			t.Fatalf("res = %+v", res)
 		}
-		direct[i], adapted[i] = res.DirectNsPerPkt, res.AdaptedNsPerPkt
+		direct, adapted = min(direct, res.DirectNsPerPkt), min(adapted, res.AdaptedNsPerPkt)
 	}
-	sort.Float64s(direct)
-	sort.Float64s(adapted)
 	// The adapter costs something but must stay within 6x of direct
 	// (it adds a demux map lookup and one frame retag copy).
-	if d, a := direct[runs/2], adapted[runs/2]; a > d*6 {
-		t.Errorf("adaptation overhead too large: median %.0f vs %.0f ns/pkt over %d runs", a, d, runs)
+	if adapted > direct*6 {
+		t.Errorf("adaptation overhead too large: fastest %.0f vs %.0f ns/pkt over %d runs", adapted, direct, runs)
 	}
 	// Counts are exact: the retag copy is the one allocation the adapter
 	// adds per frame. Whole allocations per frame are compared, as

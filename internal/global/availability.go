@@ -172,20 +172,15 @@ func (o *Orchestrator) promoteStandby(id string) bool {
 	}
 	o.metrics.outages.Inc()
 	o.journal.Recordf(telemetry.EventOutage, primary, id, "primary node lost")
-	flipped := &deployment{
-		Desired: dep.Desired,
-		Subs:    map[string]*nffg.Graph{standby: sub},
-		Placement: Placement{
-			NFNode: make(map[string]string, len(dep.Placement.NFNode)),
-			EPNode: make(map[string]string, len(dep.Placement.EPNode)),
-		},
+	onto := func(of map[string]string) map[string]string {
+		out := make(map[string]string, len(of))
+		for id := range of {
+			out[id] = standby
+		}
+		return out
 	}
-	for nfID := range dep.Placement.NFNode {
-		flipped.Placement.NFNode[nfID] = standby
-	}
-	for epID := range dep.Placement.EPNode {
-		flipped.Placement.EPNode[epID] = standby
-	}
+	flipped := &deployment{Desired: dep.Desired, Subs: map[string]*nffg.Graph{standby: sub},
+		Placement: Placement{NFNode: onto(dep.Placement.NFNode), EPNode: onto(dep.Placement.EPNode)}}
 	if err := o.transition(cluster.OpUpdate, id, flipped); err != nil {
 		o.cfg.Logf("global: promoting standby of %q: %v", id, err)
 		return false
@@ -243,31 +238,19 @@ func (o *Orchestrator) Unlink(aNode, aIf, bNode, bIf string) error {
 
 // unlink is Unlink under the lock. Callers hold o.mu.
 func (o *Orchestrator) unlink(cut Link) error {
-	found := -1
-	for i, l := range o.links {
-		if l.key() == cut.key() {
-			found = i
-			break
-		}
-	}
+	found := slices.IndexFunc(o.links, func(l Link) bool { return l.key() == cut.key() })
 	if found < 0 {
 		return fmt.Errorf("global: link %s not declared", cut.key())
 	}
-	o.links = append(o.links[:found], o.links[found+1:]...)
+	o.links = slices.Delete(o.links, found, found+1)
 	o.metrics.linkDowns.Inc()
 	o.journal.Recordf(telemetry.EventLinkDown, "", "", cut.key())
 	o.propose(cluster.OpLinkRemove, cut.key(), nil)
 	for _, id := range sortedKeys(o.graphs) {
 		dep := o.graphs[id]
-		affected := false
-		for _, st := range dep.Stitches {
-			for _, h := range st.Hops {
-				if h.Link.key() == cut.key() {
-					affected = true
-				}
-			}
-		}
-		if !affected {
+		if !slices.ContainsFunc(dep.Stitches, func(st stitch) bool {
+			return slices.ContainsFunc(st.Hops, func(h stitchHop) bool { return h.Link.key() == cut.key() })
+		}) {
 			continue
 		}
 		if err := o.reassign(dep.Desired); err != nil {

@@ -215,6 +215,14 @@ func (o *Orchestrator) transition(kind cluster.OpKind, id string, want *deployme
 		o.retireStitches(hopsNotIn(want.stitchSet(), have.stitchSet()), blocked)
 		return err
 	}
+	o.adopt(kind, id, have, want, blocked)
+	return nil
+}
+
+// adopt makes want graph id's deployment in place of have once the fleet runs
+// it (a Scale's node resizes itself): the hops only have rides are retired,
+// parked while a node of blocked may still use them. Callers hold o.mu.
+func (o *Orchestrator) adopt(kind cluster.OpKind, id string, have, want *deployment, blocked map[string]bool) {
 	if want == nil {
 		delete(o.graphs, id)
 	} else {
@@ -224,5 +232,4 @@ func (o *Orchestrator) transition(kind cluster.OpKind, id string, want *deployme
 	if _, queued := o.unrecorded[id]; !queued && o.recorder != nil {
 		o.unrecorded[id] = kind
 	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -75,9 +76,9 @@ func (m *member) stale() {
 // partition across the fleet. It is also, as JSON, the graph's replicated
 // intent record: a promoted leader restores exact state — allocated stitch
 // VLANs included — without recomputing a partition that could land elsewhere
-// and churn the datapath. A deployment is replaced by transition, never
-// edited (Scale's replica count, which the node has already applied, is the
-// one exception).
+// and churn the datapath. A deployment is replaced, never edited, and so are
+// the graphs it holds: values shared with the nodes that run them (see
+// nffg.Graph).
 type deployment struct {
 	Desired   *nffg.Graph            `json:"desired"`
 	Subs      map[string]*nffg.Graph `json:"subs"` // node name -> subgraph
@@ -327,8 +328,17 @@ func (o *Orchestrator) GraphIDs() []string {
 	return sortedKeys(o.graphs)
 }
 
-// Graph returns the desired NF-FG of a deployed global graph.
+// Graph returns a copy of the desired NF-FG of a deployed global graph: the
+// caller's to modify or hand to Update.
 func (o *Orchestrator) Graph(id string) (*nffg.Graph, bool) {
+	if g, ok := o.Desired(id); ok {
+		return g.Clone(), true
+	}
+	return nil, false
+}
+
+// Desired returns the value Graph copies, shared: the caller must not modify it.
+func (o *Orchestrator) Desired(id string) (*nffg.Graph, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	dep, ok := o.graphs[id]
@@ -461,7 +471,7 @@ func (o *Orchestrator) partition(g *nffg.Graph, prior *deployment) (Placement, m
 	if err != nil {
 		return Placement{}, nil, nil, err
 	}
-	subs, stitches, err := splitGraph(g, pl, o.links, o.alloc, prior.stitchSet())
+	subs, stitches, err := splitGraph(g, pl, o.links, o.alloc, prior)
 	if err != nil {
 		return Placement{}, nil, nil, err
 	}
@@ -478,25 +488,16 @@ func (d *deployment) stitchSet() []stitch {
 
 // Deploy partitions a graph across the fleet and instantiates every
 // subgraph. On any node failure the already-deployed subgraphs are rolled
-// back.
+// back. It keeps g.Value(), which the intent record and the nodes share:
+// once Deploy returns, g is the caller's again.
 func (o *Orchestrator) Deploy(g *nffg.Graph) error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	return o.mutate(func() error {
-		if _, dup := o.graphs[g.ID]; dup {
-			return fmt.Errorf("global: graph %q already deployed (use Update)", g.ID)
-		}
-		return o.deployLocked(g)
-	})
+	_, err := o.put(g, putDeploy)
+	return err
 }
 
-// deployLocked is Deploy past validation and the duplicate check. Callers
-// hold o.mu.
+// deployLocked is Deploy of a value past validation and the duplicate check.
+// Callers hold o.mu.
 func (o *Orchestrator) deployLocked(g *nffg.Graph) error {
-	// The clone is what is partitioned and kept as desired, so no subgraph
-	// shares a map with the caller's graph.
-	g = g.Clone()
 	err := replanned(func() error {
 		pl, subs, stitches, err := o.partition(g, nil)
 		if err != nil {
@@ -519,28 +520,44 @@ func (o *Orchestrator) deployLocked(g *nffg.Graph) error {
 // re-placed over the current fleet, a stitch that keeps its ends and path keeps
 // its VLANs, a node whose piece is unchanged is not called, one keeping a
 // changed piece gets an in-place Update, a vacated one an Undeploy, a new one a
-// Deploy. A config-only change reaches only the node hosting the NF.
+// Deploy. A config-only change reaches only the node hosting the NF. The
+// orchestrator keeps g.Value(), as Deploy does.
 func (o *Orchestrator) Update(g *nffg.Graph) error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	return o.mutate(func() error {
-		if _, ok := o.graphs[g.ID]; !ok {
-			return fmt.Errorf("global: graph %q not deployed (use Deploy)", g.ID)
-		}
-		return o.reassign(g)
-	})
+	_, err := o.put(g, putUpdate)
+	return err
 }
 
 // Apply deploys g if it is new and updates it otherwise — the REST PUT
 // upsert, decided atomically under the orchestrator lock. The returned flag
-// reports whether the graph already existed.
+// reports whether the graph already existed. The orchestrator keeps
+// g.Value(), as Deploy does.
 func (o *Orchestrator) Apply(g *nffg.Graph) (existed bool, err error) {
+	return o.put(g, putEither)
+}
+
+// putMode says which of deploy and update a put may run.
+type putMode uint8
+
+const (
+	putDeploy putMode = iota
+	putUpdate
+	putEither
+)
+
+// put validates g and runs the deploy or the update of its value that mode
+// allows, decided under the orchestrator lock.
+func (o *Orchestrator) put(g *nffg.Graph, mode putMode) (existed bool, err error) {
 	if err := g.Validate(); err != nil {
 		return false, err
 	}
+	g = g.Value()
 	err = o.mutate(func() error {
-		if _, existed = o.graphs[g.ID]; existed {
+		switch _, existed = o.graphs[g.ID]; {
+		case existed && mode == putDeploy:
+			return fmt.Errorf("global: graph %q already deployed (use Update)", g.ID)
+		case !existed && mode == putUpdate:
+			return fmt.Errorf("global: graph %q not deployed (use Deploy)", g.ID)
+		case existed:
 			return o.reassign(g)
 		}
 		return o.deployLocked(g)
@@ -554,7 +571,6 @@ func (o *Orchestrator) Apply(g *nffg.Graph) (existed bool, err error) {
 // goes with the move and maintainStandbys re-arms one where possible.
 // Callers hold o.mu.
 func (o *Orchestrator) reassign(g *nffg.Graph) error {
-	g = g.Clone() // as in deployLocked
 	return replanned(func() error { return o.move(g) })
 }
 
@@ -581,20 +597,14 @@ func refusal(err error) (*stepError, bool) {
 	return refused, ok
 }
 
-// move is one attempt of reassign, on the graph that becomes desired.
-// Callers hold o.mu.
+// move is one attempt of reassign, on the value that becomes desired. A node
+// whose piece is unchanged keeps its very subgraph (see splitGraph), so plan
+// leaves it alone. Callers hold o.mu.
 func (o *Orchestrator) move(g *nffg.Graph) error {
 	have := o.graphs[g.ID]
 	pl, subs, stitches, err := o.partition(g, have)
 	if err != nil {
 		return err
-	}
-	// A piece its node's own diff finds unchanged stays that very object, so
-	// plan leaves the node alone.
-	for node, sub := range subs {
-		if old := have.Subs[node]; old != nil && old.ID == sub.ID && old.Name == sub.Name && nffg.Equal(old, sub) {
-			subs[node] = old
-		}
 	}
 	want := &deployment{Desired: g, Subs: subs, Stitches: stitches, Placement: pl}
 	if m, ok := o.members[have.StandbyNode]; ok && m.alive && len(subs) == 1 && subs[have.StandbyNode] == nil {
@@ -668,22 +678,20 @@ func (o *Orchestrator) Scale(graphID, nfID string, replicas int) error {
 			o.metrics.scaleFails.Inc()
 			return err
 		}
-		// The node has resized the set itself: the footprint is brought up
-		// to date where it stands and moves nowhere, so the transition has
-		// no step to run and only the record follows.
+		// The node has resized the set itself: a deployment whose desired
+		// graph and piece carry the new count is adopted with no step to run.
 		node := m.node.Name()
-		if n := dep.Desired.FindNF(nfID); n != nil {
-			n.Replicas = replicas
-		}
+		want := *dep
+		want.Desired = dep.Desired.WithReplicas(nfID, replicas)
+		want.Subs = maps.Clone(dep.Subs)
 		if sub, ok := dep.Subs[node]; ok {
-			if n := sub.FindNF(nfID); n != nil {
-				n.Replicas = replicas
-			}
+			want.Subs[node] = sub.WithReplicas(nfID, replicas)
 		}
 		o.metrics.scales.Inc()
 		o.journal.Recordf(telemetry.EventScale, node, graphID,
 			fmt.Sprintf("%s -> %d replicas", nfID, replicas))
-		return o.transition(cluster.OpScale, graphID, dep)
+		o.adopt(cluster.OpScale, graphID, dep, &want, nil)
+		return nil
 	})
 }
 

@@ -350,53 +350,25 @@ func (o *Orchestrator) RestoreIntent(src IntentSource) error {
 }
 
 // replayLocked is RestoreIntent's replay of the store as of sequence seq, or
-// later. Callers hold o.mu.
+// later: every record applied as a follower applies a change, onto empty
+// bookkeeping that keeps only the node handles already registered. Callers
+// hold o.mu.
 func (o *Orchestrator) replayLocked(src IntentSource, seq uint64) error {
 	o.restoredSeq = seq
 	resolver := o.resolverLocked()
-
-	members := make(map[string]*member)
+	held := o.members
+	o.members, o.links, o.graphs, o.alloc = make(map[string]*member), nil, make(map[string]*deployment), newVLANAlloc()
 	var errs []error
-	for _, name := range src.Keys("nodes") {
-		if m, ok := o.members[name]; ok {
-			m.stale() // another leader may have changed what it runs
-			members[name] = m
-			continue
+	for _, category := range []string{"nodes", "links", "graphs"} {
+		for _, key := range src.Keys(category) {
+			if m, ok := held[key]; ok && category == "nodes" {
+				m.stale() // another leader may have changed what it runs
+				o.members[key] = m
+			} else if err := o.applyChangeLocked(src, resolver, cluster.Change{Category: category, Key: key}); err != nil {
+				errs = append(errs, err)
+			}
 		}
-		m, err := restoreMember(resolver, name, src.Get("nodes", name))
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		members[name] = m
 	}
-
-	var links []Link
-	for _, key := range src.Keys("links") {
-		l, err := decodeLink(key, src.Get("links", key))
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		links = append(links, l)
-	}
-
-	alloc := newVLANAlloc()
-	graphs := make(map[string]*deployment)
-	for _, id := range src.Keys("graphs") {
-		dep, err := decodeRecord(id, src.Get("graphs", id))
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		reserveStitchVLANs(alloc, dep.Stitches)
-		graphs[id] = dep
-	}
-
-	o.members = members
-	o.links = links
-	o.graphs = graphs
-	o.alloc = alloc
 	o.pending = make(map[string]map[string]bool)
 	o.parked = nil
 	// Every restored deployment is, by construction, what the log holds.
@@ -405,6 +377,6 @@ func (o *Orchestrator) replayLocked(src IntentSource, seq uint64) error {
 	// moot) by the time a replay runs; don't let them fail a future flush.
 	o.pendingCommits = nil
 	o.cfg.Logf("global: restored intent: %d node(s), %d link(s), %d graph(s)",
-		len(members), len(links), len(graphs))
+		len(o.members), len(o.links), len(o.graphs))
 	return errors.Join(errs...)
 }

@@ -144,6 +144,14 @@ func (l *LocalNode) check() error {
 	return nil
 }
 
+// do runs a verb of the node unless the node is down.
+func (l *LocalNode) do(verb func() error) error {
+	if err := l.check(); err != nil {
+		return err
+	}
+	return verb()
+}
+
 // Status implements Node.
 func (l *LocalNode) Status() (Status, error) {
 	if err := l.check(); err != nil {
@@ -180,10 +188,7 @@ func (l *LocalNode) ExportNFState(graphID, nfID string) ([]nf.FlowState, error) 
 
 // ImportNFState implements Node.
 func (l *LocalNode) ImportNFState(graphID, nfID string, states []nf.FlowState) error {
-	if err := l.check(); err != nil {
-		return err
-	}
-	return l.un.ImportNFState(graphID, nfID, states)
+	return l.do(func() error { return l.un.ImportNFState(graphID, nfID, states) })
 }
 
 // MetricsText implements Node.
@@ -208,43 +213,22 @@ func (l *LocalNode) Events() ([]telemetry.Event, error) {
 func (l *LocalNode) BaseURL() string { return "" }
 
 // Deploy implements Node.
-func (l *LocalNode) Deploy(g *nffg.Graph) error {
-	if err := l.check(); err != nil {
-		return err
-	}
-	return l.un.Deploy(g)
-}
+func (l *LocalNode) Deploy(g *nffg.Graph) error { return l.do(func() error { return l.un.Deploy(g) }) }
 
 // Update implements Node.
-func (l *LocalNode) Update(g *nffg.Graph) error {
-	if err := l.check(); err != nil {
-		return err
-	}
-	return l.un.Update(g)
-}
+func (l *LocalNode) Update(g *nffg.Graph) error { return l.do(func() error { return l.un.Update(g) }) }
 
 // Undeploy implements Node.
-func (l *LocalNode) Undeploy(id string) error {
-	if err := l.check(); err != nil {
-		return err
-	}
-	return l.un.Undeploy(id)
-}
+func (l *LocalNode) Undeploy(id string) error { return l.do(func() error { return l.un.Undeploy(id) }) }
 
 // Reflavor implements Node.
 func (l *LocalNode) Reflavor(graphID, nfID string, tech nffg.Technology) error {
-	if err := l.check(); err != nil {
-		return err
-	}
-	return l.un.Reflavor(graphID, nfID, tech)
+	return l.do(func() error { return l.un.Reflavor(graphID, nfID, tech) })
 }
 
 // Scale implements Node.
 func (l *LocalNode) Scale(graphID, nfID string, replicas int) error {
-	if err := l.check(); err != nil {
-		return err
-	}
-	return l.un.Scale(graphID, nfID, replicas)
+	return l.do(func() error { return l.un.Scale(graphID, nfID, replicas) })
 }
 
 // GraphSpec implements Node.

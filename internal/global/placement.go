@@ -3,7 +3,6 @@ package global
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/execenv"
@@ -19,23 +18,6 @@ type Placement struct {
 	NFNode map[string]string
 	// EPNode maps endpoint id -> node name.
 	EPNode map[string]string
-}
-
-// Nodes returns the sorted set of nodes the placement spans.
-func (p Placement) Nodes() []string {
-	set := make(map[string]bool)
-	for _, n := range p.NFNode {
-		set[n] = true
-	}
-	for _, n := range p.EPNode {
-		set[n] = true
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // nodeView is the scheduler's working copy of one node's free capacity. caps

@@ -269,12 +269,18 @@ func TestSplitKeepsPriorStitches(t *testing.T) {
 		t.Fatal(err)
 	}
 	inUse := fmt.Sprint(alloc.inUse)
-	again, stitches, err := splitGraph(g, pl, links, alloc, prior)
+	have := &deployment{Subs: subs, Stitches: prior}
+	again, stitches, err := splitGraph(g, pl, links, alloc, have)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(stitches, prior) || !reflect.DeepEqual(again, subs) {
 		t.Fatalf("re-split moved the stitches: %v -> %v", prior, stitches)
+	}
+	for node, sub := range subs {
+		if again[node] != sub {
+			t.Errorf("re-split rebuilt the unchanged piece of %s", node)
+		}
 	}
 	if got := fmt.Sprint(alloc.inUse); got != inUse {
 		t.Fatalf("re-split allocated: %s -> %s", inUse, got)
@@ -285,7 +291,7 @@ func TestSplitKeepsPriorStitches(t *testing.T) {
 	for nf := range pl.NFNode {
 		moved.NFNode[nf] = "left"
 	}
-	_, stitches, err = splitGraph(g, moved, links, alloc, prior)
+	_, stitches, err = splitGraph(g, moved, links, alloc, have)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +307,7 @@ func TestSplitKeepsPriorStitches(t *testing.T) {
 		moved.NFNode[nf] = "right" // in -> a now crosses left -> mid -> right
 	}
 	moved.EPNode = map[string]string{"in": "left"} // out is not placed
-	if _, _, err := splitGraph(g, moved, links, alloc, prior); err == nil {
+	if _, _, err := splitGraph(g, moved, links, alloc, have); err == nil {
 		t.Fatal("split with an unplaced endpoint succeeded")
 	}
 	if got := fmt.Sprint(alloc.inUse); got != inUse {

@@ -118,20 +118,22 @@ type stitch struct {
 	Hops []stitchHop `json:"hops,omitempty"`
 }
 
-// splitGraph partitions a placed graph into one subgraph per node. Rules
-// whose input and outputs land on the same node are copied verbatim; a rule
-// whose output resolves on another node is rewritten to emit into a stitch
-// endpoint, and the destination subgraph gains a companion rule forwarding
-// stitch ingress to the original destination port. A stitch of prior, the
-// graph's current stitches, with the same endpoint name, ends and path keeps
-// its hops' VLANs; every other hop gets a fresh one.
-func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, prior []stitch) (map[string]*nffg.Graph, []stitch, error) {
-	subs := make(map[string]*nffg.Graph)
-	sub := func(node string) *nffg.Graph {
-		s, ok := subs[node]
+// splitGraph partitions a placed graph, a value, into one subgraph per node.
+// Rules whose input and outputs land on the same node are copied verbatim; a
+// rule whose output resolves on another node is rewritten to emit into a
+// stitch endpoint, and the destination subgraph gains a companion rule
+// forwarding stitch ingress to the original destination port. A stitch of
+// prior, the graph's current deployment (nil for none), with the same
+// endpoint name, ends and path keeps its hops' VLANs; every other hop gets a
+// fresh one. A node whose piece comes out as its subgraph in prior keeps
+// that very value, and a new piece shares g's NFs, endpoints and rules.
+func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, prior *deployment) (map[string]*nffg.Graph, []stitch, error) {
+	pieces := make(map[string]*piece)
+	sub := func(node string) *piece {
+		s, ok := pieces[node]
 		if !ok {
-			s = &nffg.Graph{ID: g.ID, Name: g.Name}
-			subs[node] = s
+			s = &piece{prev: prior.subOn(node)}
+			pieces[node] = s
 		}
 		return s
 	}
@@ -184,11 +186,11 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 	// NFs and user endpoints go to their assigned nodes.
 	for _, n := range g.NFs {
 		s := sub(pl.NFNode[n.ID])
-		s.NFs = append(s.NFs, n)
+		s.nfs.add(s.prev.NFs, n, nffg.EqualNF)
 	}
 	for _, ep := range g.Endpoints {
 		s := sub(pl.EPNode[ep.ID])
-		s.Endpoints = append(s.Endpoints, ep)
+		s.endpoint(ep)
 	}
 
 	// Rules: copy local ones, stitch cross-node ones. Stitches are shared
@@ -203,7 +205,7 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 	var keyBuf [4]stitchKey
 	keys := keyBuf[:0]
 	fail := func(err error) (map[string]*nffg.Graph, []stitch, error) {
-		releaseHops(alloc, hopsNotIn(stitches, prior))
+		releaseHops(alloc, hopsNotIn(stitches, prior.stitchSet()))
 		return nil, nil, err
 	}
 	for _, r := range g.Rules {
@@ -241,10 +243,10 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 					Path: path,
 				}
 				var held *stitch
-				for i, p := range prior {
+				for i, p := range prior.stitchSet() {
 					if p.EP == st.EP && p.Src == srcNode && p.Dst == dstNode &&
 						slices.Equal(p.Path, path) && len(p.Hops)+1 == len(path) {
-						held = &prior[i]
+						held = &prior.Stitches[i]
 					}
 				}
 				for j := 0; j+1 < len(path); j++ {
@@ -264,7 +266,7 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 				stitches = append(stitches, *st)
 				// Source side: egress endpoint on the first hop.
 				srcIf, _ := st.Hops[0].Link.ifaceOn(srcNode)
-				sub(srcNode).Endpoints = append(sub(srcNode).Endpoints, nffg.Endpoint{
+				sub(srcNode).endpoint(nffg.Endpoint{
 					ID: st.EP, Type: nffg.EPVLAN, Interface: srcIf, VLANID: st.Hops[0].VLAN,
 				})
 				// Transit nodes relay between consecutive hops with an
@@ -276,11 +278,9 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 					inEP := st.EP + "-t" + strconv.Itoa(j) + "i"
 					outEP := st.EP + "-t" + strconv.Itoa(j) + "o"
 					s := sub(node)
-					s.Endpoints = append(s.Endpoints,
-						nffg.Endpoint{ID: inEP, Type: nffg.EPVLAN, Interface: inIf, VLANID: st.Hops[j-1].VLAN},
-						nffg.Endpoint{ID: outEP, Type: nffg.EPVLAN, Interface: outIf, VLANID: st.Hops[j].VLAN},
-					)
-					s.Rules = append(s.Rules, nffg.FlowRule{
+					s.endpoint(nffg.Endpoint{ID: inEP, Type: nffg.EPVLAN, Interface: inIf, VLANID: st.Hops[j-1].VLAN})
+					s.endpoint(nffg.Endpoint{ID: outEP, Type: nffg.EPVLAN, Interface: outIf, VLANID: st.Hops[j].VLAN})
+					s.rule(nffg.FlowRule{
 						ID:       r.ID + "@" + inEP,
 						Priority: r.Priority,
 						Match:    nffg.RuleMatch{PortIn: nffg.EndpointRef(inEP)},
@@ -291,10 +291,10 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 				// plus the companion rule to the original port.
 				last := st.Hops[len(st.Hops)-1]
 				dstIf, _ := last.Link.ifaceOn(dstNode)
-				sub(dstNode).Endpoints = append(sub(dstNode).Endpoints, nffg.Endpoint{
+				sub(dstNode).endpoint(nffg.Endpoint{
 					ID: st.EP, Type: nffg.EPVLAN, Interface: dstIf, VLANID: last.VLAN,
 				})
-				sub(dstNode).Rules = append(sub(dstNode).Rules, nffg.FlowRule{
+				sub(dstNode).rule(nffg.FlowRule{
 					ID:       r.ID + "@" + st.EP,
 					Priority: r.Priority,
 					Match:    nffg.RuleMatch{PortIn: nffg.EndpointRef(st.EP)},
@@ -306,22 +306,86 @@ func splitGraph(g *nffg.Graph, pl Placement, links []Link, alloc *vlanAlloc, pri
 			}
 			out.Actions[ai] = nffg.RuleAction{Type: nffg.ActOutput, Output: nffg.EndpointRef(st.EP)}
 		}
-		s := sub(srcNode)
-		s.Rules = append(s.Rules, out)
+		sub(srcNode).rule(out)
 	}
 
-	// Drop nodes that ended up with nothing, then sanity-check the rest.
-	for node, s := range subs {
-		if len(s.NFs) == 0 && len(s.Endpoints) == 0 && len(s.Rules) == 0 {
-			delete(subs, node)
-			continue
-		}
-		if err := s.Validate(); err != nil {
-			return fail(fmt.Errorf("global: graph %q: subgraph for node %q invalid: %w", g.ID, node, err))
+	// Drop nodes that ended up with nothing, then sanity-check the new
+	// pieces: a kept one was checked when it was built.
+	subs := make(map[string]*nffg.Graph, len(pieces))
+	for node, p := range pieces {
+		switch s := p.graph(g); {
+		case s == p.prev:
+			subs[node] = s
+		case len(s.NFs)+len(s.Endpoints)+len(s.Rules) > 0:
+			if err := s.Validate(); err != nil {
+				return fail(fmt.Errorf("global: graph %q: subgraph for node %q invalid: %w", g.ID, node, err))
+			}
+			subs[node] = s
 		}
 	}
 	return subs, stitches, nil
 }
+
+// piece builds one node's subgraph against prev, the one the node runs now
+// (empty for none): nothing is copied while what is added equals prev's
+// element at the same place, and a piece that comes out as prev is prev.
+type piece struct {
+	prev  *nffg.Graph
+	nfs   run[nffg.NF]
+	eps   run[nffg.Endpoint]
+	rules run[nffg.FlowRule]
+}
+
+func (p *piece) endpoint(ep nffg.Endpoint) {
+	p.eps.add(p.prev.Endpoints, ep, func(a, b nffg.Endpoint) bool { return a == b })
+}
+
+func (p *piece) rule(r nffg.FlowRule) { p.rules.add(p.prev.Rules, r, nffg.EqualRule) }
+
+func (p *piece) graph(g *nffg.Graph) *nffg.Graph {
+	if prev := p.prev; prev.ID == g.ID && prev.Name == g.Name &&
+		p.nfs.whole(prev.NFs) && p.eps.whole(prev.Endpoints) && p.rules.whole(prev.Rules) {
+		return prev
+	}
+	return (&nffg.Graph{ID: g.ID, Name: g.Name,
+		NFs: p.nfs.of(p.prev.NFs), Endpoints: p.eps.of(p.prev.Endpoints), Rules: p.rules.of(p.prev.Rules)}).Freeze()
+}
+
+// run is one section of a piece: prev's first n elements while own is nil.
+type run[T any] struct {
+	own []T
+	n   int
+}
+
+func (r *run[T]) add(prev []T, x T, eq func(a, b T) bool) {
+	switch {
+	case r.own != nil:
+		r.own = append(r.own, x)
+	case r.n < len(prev) && eq(prev[r.n], x):
+		r.n++
+	default:
+		r.own = append(prev[:r.n:r.n], x) // the first difference copies what came before
+	}
+}
+
+func (r *run[T]) whole(prev []T) bool { return r.own == nil && r.n == len(prev) }
+
+func (r *run[T]) of(prev []T) []T {
+	if r.own != nil || r.n == 0 {
+		return r.own
+	}
+	return prev[:r.n:r.n]
+}
+
+// subOn returns the subgraph d runs on node, an empty one for none.
+func (d *deployment) subOn(node string) *nffg.Graph {
+	if d != nil && d.Subs[node] != nil {
+		return d.Subs[node]
+	}
+	return &noSub
+}
+
+var noSub nffg.Graph
 
 // hopsNotIn returns the hops of a's stitches, compared by link and VLAN, that
 // no stitch of b rides: what a move from a to b frees.

@@ -27,70 +27,45 @@ func (d *Diff) Empty() bool {
 
 // Compute returns the changes needed to go from old to new. NFs and rules
 // are compared field by field (a nil and an empty Config, Ports or Actions are
-// equal): a modified rule appears as removed+added.
+// equal): a modified endpoint or rule appears as removed+added.
 func Compute(old, new *Graph) *Diff {
 	d := &Diff{}
+	diffByID(old.NFs, new.NFs, func(n NF) string { return n.ID }, EqualNF, &d.AddedNFs, &d.RemovedNFs,
+		func(_, n NF) { d.ChangedNFs = append(d.ChangedNFs, n) })
+	diffByID(old.Endpoints, new.Endpoints, func(ep Endpoint) string { return ep.ID }, func(a, b Endpoint) bool { return a == b },
+		&d.AddedEPs, &d.RemovedEPs, func(prev, ep Endpoint) {
+			d.AddedEPs, d.RemovedEPs = append(d.AddedEPs, ep), append(d.RemovedEPs, prev)
+		})
+	diffByID(old.Rules, new.Rules, func(r FlowRule) string { return r.ID }, EqualRule, &d.AddedRules, &d.RemovedRules,
+		func(prev, r FlowRule) {
+			d.AddedRules, d.RemovedRules = append(d.AddedRules, r), append(d.RemovedRules, prev)
+		})
+	return d
+}
 
-	oldNFs := make(map[string]NF, len(old.NFs))
-	for _, nf := range old.NFs {
-		oldNFs[nf.ID] = nf
+// diffByID walks new against old by id: what old lacks goes to added and
+// what new lacks to removed, each in its own section's order, and changed
+// gets each element held unequal in both, in new's order.
+func diffByID[T any](old, new []T, id func(T) string, eq func(a, b T) bool, added, removed *[]T, changed func(prev, x T)) {
+	byID := make(map[string]T, len(old))
+	for _, x := range old {
+		byID[id(x)] = x
 	}
-	for _, nf := range new.NFs {
-		prev, ok := oldNFs[nf.ID]
+	for _, x := range new {
+		prev, ok := byID[id(x)]
 		switch {
 		case !ok:
-			d.AddedNFs = append(d.AddedNFs, nf)
-		case !EqualNF(prev, nf):
-			d.ChangedNFs = append(d.ChangedNFs, nf)
+			*added = append(*added, x)
+		case !eq(prev, x):
+			changed(prev, x)
 		}
-		delete(oldNFs, nf.ID)
+		delete(byID, id(x))
 	}
-	for _, nf := range old.NFs {
-		if _, stillThere := oldNFs[nf.ID]; stillThere {
-			d.RemovedNFs = append(d.RemovedNFs, nf)
-		}
-	}
-
-	oldEPs := make(map[string]Endpoint, len(old.Endpoints))
-	for _, ep := range old.Endpoints {
-		oldEPs[ep.ID] = ep
-	}
-	for _, ep := range new.Endpoints {
-		prev, ok := oldEPs[ep.ID]
-		if !ok || prev != ep {
-			d.AddedEPs = append(d.AddedEPs, ep)
-			if ok {
-				d.RemovedEPs = append(d.RemovedEPs, prev)
-			}
-		}
-		delete(oldEPs, ep.ID)
-	}
-	for _, ep := range old.Endpoints {
-		if _, stillThere := oldEPs[ep.ID]; stillThere {
-			d.RemovedEPs = append(d.RemovedEPs, ep)
+	for _, x := range old {
+		if _, gone := byID[id(x)]; gone {
+			*removed = append(*removed, x)
 		}
 	}
-
-	oldRules := make(map[string]FlowRule, len(old.Rules))
-	for _, r := range old.Rules {
-		oldRules[r.ID] = r
-	}
-	for _, r := range new.Rules {
-		prev, ok := oldRules[r.ID]
-		if !ok {
-			d.AddedRules = append(d.AddedRules, r)
-		} else if !ruleEqual(prev, r) {
-			d.RemovedRules = append(d.RemovedRules, prev)
-			d.AddedRules = append(d.AddedRules, r)
-		}
-		delete(oldRules, r.ID)
-	}
-	for _, r := range old.Rules {
-		if _, stillThere := oldRules[r.ID]; stillThere {
-			d.RemovedRules = append(d.RemovedRules, r)
-		}
-	}
-	return d
 }
 
 // Equal reports whether Compute(a, b) would be empty, without building the
@@ -100,7 +75,7 @@ func Compute(old, new *Graph) *Diff {
 func Equal(a, b *Graph) bool {
 	return sameByID(a.NFs, b.NFs, func(n NF) string { return n.ID }, EqualNF) &&
 		sameByID(a.Endpoints, b.Endpoints, func(ep Endpoint) string { return ep.ID }, func(x, y Endpoint) bool { return x == y }) &&
-		sameByID(a.Rules, b.Rules, func(r FlowRule) string { return r.ID }, ruleEqual)
+		sameByID(a.Rules, b.Rules, func(r FlowRule) string { return r.ID }, EqualRule)
 }
 
 // sameByID reports whether a and b hold equal elements under the same ids: it
@@ -134,6 +109,8 @@ func EqualNF(a, b NF) bool {
 		a.Redundancy == b.Redundancy && a.AntiAffinity == b.AntiAffinity
 }
 
-func ruleEqual(a, b FlowRule) bool {
+// EqualRule reports whether two rules are equal field by field (a nil and
+// an empty Actions are equal).
+func EqualRule(a, b FlowRule) bool {
 	return a.ID == b.ID && a.Priority == b.Priority && a.Match == b.Match && slices.Equal(a.Actions, b.Actions)
 }

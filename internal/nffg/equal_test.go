@@ -237,13 +237,13 @@ func TestEqualNilIsEmpty(t *testing.T) {
 	}
 }
 
-// EqualNF and ruleEqual name every field of NF and FlowRule: a new field
+// EqualNF and EqualRule name every field of NF and FlowRule: a new field
 // must be compared there too.
 func TestEqualComparesEveryField(t *testing.T) {
 	if n := reflect.TypeOf(NF{}).NumField(); n != 9 {
 		t.Errorf("NF has %d fields, EqualNF compares 9", n)
 	}
 	if n := reflect.TypeOf(FlowRule{}).NumField(); n != 4 {
-		t.Errorf("FlowRule has %d fields, ruleEqual compares 4", n)
+		t.Errorf("FlowRule has %d fields, EqualRule compares 4", n)
 	}
 }

@@ -12,6 +12,8 @@ package nffg
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -65,12 +67,19 @@ func (m RedundancyMode) Valid() bool {
 }
 
 // Graph is one Network Functions Forwarding Graph.
+//
+// A graph an orchestrator holds is a value: frozen, never modified again,
+// and shared, not copied, by the global desired state, the intent record and
+// the node running it. A change builds a new value sharing what it keeps.
 type Graph struct {
 	ID        string
 	Name      string
 	NFs       []NF
 	Endpoints []Endpoint
 	Rules     []FlowRule
+
+	// frozen marks a value (see Freeze).
+	frozen bool
 }
 
 // NF is a network function instance requested by a graph.
@@ -268,27 +277,41 @@ func (nf *NF) FindPort(id string) *NFPort {
 	return nil
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	out := &Graph{ID: g.ID, Name: g.Name}
-	out.NFs = make([]NF, len(g.NFs))
-	for i, nf := range g.NFs {
-		c := nf
-		c.Ports = append([]NFPort(nil), nf.Ports...)
-		if nf.Config != nil {
-			c.Config = make(map[string]string, len(nf.Config))
-			for k, v := range nf.Config {
-				c.Config[k] = v
-			}
-		}
-		out.NFs[i] = c
+// Freeze makes g a value and returns it: nobody modifies g or what it refers
+// to any more, so an entry point takes it without a copy.
+func (g *Graph) Freeze() *Graph {
+	g.frozen = true
+	return g
+}
+
+// Value returns g when it is frozen and a frozen copy otherwise: the one copy
+// of a graph an in-process caller hands to an entry point.
+func (g *Graph) Value() *Graph {
+	if g.frozen {
+		return g
 	}
-	out.Endpoints = append([]Endpoint(nil), g.Endpoints...)
-	out.Rules = make([]FlowRule, len(g.Rules))
-	for i, r := range g.Rules {
-		c := r
-		c.Actions = append([]RuleAction(nil), r.Actions...)
-		out.Rules[i] = c
+	return g.Clone().Freeze()
+}
+
+// WithReplicas returns a frozen graph equal to the value g but for the
+// replica count of its NF nfID: only the NF list is new.
+func (g *Graph) WithReplicas(nfID string, replicas int) *Graph {
+	out := *g
+	out.NFs = slices.Clone(g.NFs)
+	if n := out.FindNF(nfID); n != nil {
+		n.Replicas = replicas
+	}
+	return out.Freeze()
+}
+
+// Clone returns a deep copy of the graph, not frozen: the caller's to modify.
+func (g *Graph) Clone() *Graph {
+	out := &Graph{ID: g.ID, Name: g.Name, NFs: slices.Clone(g.NFs), Endpoints: slices.Clone(g.Endpoints), Rules: slices.Clone(g.Rules)}
+	for i := range out.NFs {
+		out.NFs[i].Ports, out.NFs[i].Config = slices.Clone(out.NFs[i].Ports), maps.Clone(out.NFs[i].Config)
+	}
+	for i := range out.Rules {
+		out.Rules[i].Actions = slices.Clone(out.Rules[i].Actions)
 	}
 	return out
 }

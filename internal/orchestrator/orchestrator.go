@@ -165,7 +165,9 @@ func (d *DeployedGraph) LSI() *vswitch.Switch { return d.lsi.sw }
 func (d *DeployedGraph) Controller() *openflow.Controller { return d.lsi.ctrl }
 
 // Instances returns the graph's NF instances keyed by NF id; an NF served
-// by several members reports its first.
+// by several members reports its first. The sets change under the
+// orchestrator's lock: a reader beside running operations calls
+// Orchestrator.Instances.
 func (d *DeployedGraph) Instances() map[string]*compute.Instance {
 	out := make(map[string]*compute.Instance, len(d.nfs))
 	for id, set := range d.nfs {
@@ -319,7 +321,8 @@ func (o *Orchestrator) GraphIDs() []string {
 	return out
 }
 
-// Graph returns a deployed graph.
+// Graph returns a deployed graph, for inspection. Its spec and instances
+// change under o.mu: read them through Spec and Instances.
 func (o *Orchestrator) Graph(id string) (*DeployedGraph, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -327,16 +330,38 @@ func (o *Orchestrator) Graph(id string) (*DeployedGraph, bool) {
 	return d, ok
 }
 
-// GraphSpec returns a copy of the deployed NF-FG of a graph, safe to diff
-// against a desired version while the orchestrator keeps running.
-func (o *Orchestrator) GraphSpec(id string) (*nffg.Graph, bool) {
+// Spec returns the deployed NF-FG of a graph: the value the node holds,
+// shared, which the caller must not modify (GraphSpec returns a copy).
+func (o *Orchestrator) Spec(id string) (*nffg.Graph, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	d, ok := o.graphs[id]
 	if !ok {
 		return nil, false
 	}
-	return d.Graph.Clone(), true
+	return d.Graph, true
+}
+
+// GraphSpec returns a copy of the deployed NF-FG of a graph, the caller's
+// to modify or diff while the orchestrator keeps running.
+func (o *Orchestrator) GraphSpec(id string) (*nffg.Graph, bool) {
+	g, ok := o.Spec(id)
+	if !ok {
+		return nil, false
+	}
+	return g.Clone(), true
+}
+
+// Instances returns a graph's NF instances keyed by NF id; an NF served by
+// several members reports its first.
+func (o *Orchestrator) Instances(id string) (map[string]*compute.Instance, bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	d, ok := o.graphs[id]
+	if !ok {
+		return nil, false
+	}
+	return d.Instances(), true
 }
 
 // Usage reports the node's resource-ledger consumption.
@@ -420,46 +445,96 @@ func (l *lsiConn) freeHeld() {
 // Deploy validates, plans and instantiates a graph: a new LSI, then the
 // plan from an empty graph to g (see execute). On any failure nothing of
 // the graph is left: a graph that cannot reach its requested scale, or
-// whose standby cannot start, is not deployed at all.
+// whose standby cannot start, is not deployed at all. The node keeps
+// g.Value(): g itself when it is frozen, a copy otherwise.
 func (o *Orchestrator) Deploy(g *nffg.Graph) error {
-	if err := o.metrics.deploy.run(func() error { return o.deploy(g) }); err != nil {
-		return err
-	}
-	o.journal.Recordf(telemetry.EventDeploy, o.cfg.NodeName, g.ID,
-		fmt.Sprintf("%d NFs, %d rules", len(g.NFs), len(g.Rules)))
-	return nil
+	_, err := o.put(g, putDeploy)
+	return err
 }
 
-func (o *Orchestrator) deploy(g *nffg.Graph) error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
+// Update applies a new version of a deployed graph: the plan from its
+// deployed version to g (see execute). Running NFs keep their instances and
+// technology; a changed replica count or redundancy mode is a move of the
+// NF's set, not a config change. A failed update leaves the graph as it was.
+// The node keeps g.Value(), as Deploy does.
+func (o *Orchestrator) Update(g *nffg.Graph) error {
+	_, err := o.put(g, putUpdate)
+	return err
+}
+
+// Apply deploys g if it is new and updates it otherwise, decided under the
+// graph's operation lock, so concurrent applies of a new id do not race each
+// other: the REST PUT. The returned flag reports whether the graph existed.
+func (o *Orchestrator) Apply(g *nffg.Graph) (existed bool, err error) {
+	return o.put(g, putEither)
+}
+
+// putMode says which of deploy and update a put may run.
+type putMode uint8
+
+const (
+	putDeploy putMode = iota
+	putUpdate
+	putEither
+)
+
+// put runs the deploy or the update of g that mode allows, with the graph's
+// operation lock held from the existence check to the end, and accounts it
+// as the verb it ran (as the one asked for when it refuses).
+func (o *Orchestrator) put(g *nffg.Graph, mode putMode) (existed bool, err error) {
 	gl := o.lockGraph(g.ID)
 	defer o.unlockGraph(g.ID, gl)
-
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, dup := o.graphs[g.ID]; dup {
-		return fmt.Errorf("orchestrator: graph %q already deployed (use Update)", g.ID)
+	d, existed := o.graphs[g.ID]
+	op, event := &o.metrics.deploy, telemetry.EventDeploy
+	if mode == putUpdate || mode == putEither && existed {
+		op, event = &o.metrics.update, telemetry.EventUpdate
 	}
+	err = op.run(func() error {
+		switch {
+		case mode == putDeploy && existed:
+			return fmt.Errorf("orchestrator: graph %q already deployed (use Update)", g.ID)
+		case mode == putUpdate && !existed:
+			return fmt.Errorf("orchestrator: graph %q not deployed (use Deploy)", g.ID)
+		}
+		if err := g.Validate(); err != nil {
+			return err
+		}
+		if g = g.Value(); existed {
+			return o.apply(d, g)
+		}
+		return o.deploy(g)
+	})
+	if err != nil {
+		return existed, err
+	}
+	d = o.graphs[g.ID]
+	o.steered(d)
+	o.journal.Recordf(event, o.cfg.NodeName, g.ID, fmt.Sprintf("%d NFs, %d rules", len(g.NFs), len(g.Rules)))
+	return existed, nil
+}
+
+// deploy instantiates g, a value, as a new graph. Callers hold the graph's
+// operation lock and o.mu.
+func (o *Orchestrator) deploy(g *nffg.Graph) error {
 	d := &DeployedGraph{
-		Graph: g.Clone(),
+		Graph: g,
 		nfs:   make(map[string]*nfSet),
 		eps:   make(map[string]*epAttachment),
 	}
-	p, err := o.plan(d, d.Graph)
+	p, err := o.plan(d, g)
 	if err != nil {
 		return err
 	}
 	d.cookie = o.nextCookie()
 	d.lsi = newLSIConn(fmt.Sprintf("%s/lsi-%s", o.cfg.NodeName, g.ID), o.nextDPID(), o.cfg.DatapathWorkers)
 	d.lsi.graph = true
-	if _, err := o.execute(d, d.Graph, p); err != nil {
+	if _, err := o.execute(d, g, p); err != nil {
 		d.lsi.close()
 		return err
 	}
 	o.graphs[g.ID] = d
-	o.steered(d)
 	return nil
 }
 
@@ -761,38 +836,6 @@ func (o *Orchestrator) observedRateLocked(id string) float64 {
 		return 0
 	}
 	return float64(rx-prev.rx) / now.Sub(prev.at).Seconds()
-}
-
-// Update applies a new version of a deployed graph: the plan from its
-// deployed version to g (see execute). Running NFs keep their instances and
-// technology; a changed replica count or redundancy mode is a move of the
-// NF's set, not a config change. A failed update leaves the graph as it was.
-func (o *Orchestrator) Update(g *nffg.Graph) error {
-	if err := o.metrics.update.run(func() error { return o.update(g) }); err != nil {
-		return err
-	}
-	o.journal.Recordf(telemetry.EventUpdate, o.cfg.NodeName, g.ID,
-		fmt.Sprintf("%d NFs, %d rules", len(g.NFs), len(g.Rules)))
-	return nil
-}
-
-func (o *Orchestrator) update(g *nffg.Graph) error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	gl := o.lockGraph(g.ID)
-	defer o.unlockGraph(g.ID, gl)
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	d, ok := o.graphs[g.ID]
-	if !ok {
-		return fmt.Errorf("orchestrator: graph %q not deployed (use Deploy)", g.ID)
-	}
-	if err := o.apply(d, g.Clone()); err != nil {
-		return err
-	}
-	o.steered(d)
-	return nil
 }
 
 // steered accounts a deploy's or an update's steering.

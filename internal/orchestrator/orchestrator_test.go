@@ -669,3 +669,40 @@ func TestDPDKPlacement(t *testing.T) {
 		t.Error("routed traffic lost")
 	}
 }
+
+// A node keeps a frozen graph it is handed as it is and a copy of any other,
+// so the caller may modify its own graph once Deploy or Update returns; Scale
+// replaces the value the node holds instead of editing it.
+func TestNodeHoldsGraphValues(t *testing.T) {
+	o := newNode(t)
+	g := chainGraph("g", "firewall", nffg.TechDocker, map[string]string{"default": "accept"})
+	if err := o.Deploy(g); err != nil {
+		t.Fatal(err)
+	}
+	held, _ := o.Spec("g")
+	if held == g || held.Value() != held {
+		t.Fatalf("deploy of a caller's graph holds it (%v) or holds a copy that is not frozen (%v)", held == g, held.Value() == held)
+	}
+	g.NFs[0].Config["default"] = "drop"
+	if held.NFs[0].Config["default"] != "accept" {
+		t.Fatal("modifying the caller's graph changed the node's")
+	}
+	frozen := chainGraph("g", "firewall", nffg.TechDocker, map[string]string{"default": "drop"}).Freeze()
+	if err := o.Update(frozen); err != nil {
+		t.Fatal(err)
+	}
+	if held, _ = o.Spec("g"); held != frozen {
+		t.Fatal("update with a frozen graph copied it")
+	}
+	if err := o.Scale("g", "nf", 2); err != nil {
+		t.Fatal(err)
+	}
+	scaled, _ := o.Spec("g")
+	if scaled == frozen || frozen.NFs[0].Replicas != 0 || scaled.NFs[0].Replicas != 2 || scaled.Value() != scaled {
+		t.Fatalf("scale edited the held value (%d replicas) or did not replace it (%d replicas)",
+			frozen.NFs[0].Replicas, scaled.NFs[0].Replicas)
+	}
+	if &scaled.Rules[0] != &frozen.Rules[0] {
+		t.Error("scale copied the rules it did not change")
+	}
+}

@@ -42,9 +42,7 @@ func (o *Orchestrator) scale(graphID, nfID string, target int) error {
 	if err != nil {
 		return err
 	}
-	g := d.Graph.Clone()
-	g.FindNF(nfID).Replicas = target
-	return o.apply(d, g)
+	return o.apply(d, d.Graph.WithReplicas(nfID, target))
 }
 
 // Replicas reports how many instances currently serve an NF.
@@ -103,7 +101,7 @@ func (o *Orchestrator) RepairReplicas(graphID, nfID string) (int, error) {
 	if _, err := o.transition(d, n, alive, nil, set.standby != nil); err != nil {
 		return 0, fmt.Errorf("orchestrator: repair: %w", err)
 	}
-	n.Replicas = len(alive)
+	d.Graph = d.Graph.WithReplicas(nfID, len(alive))
 	o.metrics.scale.ok.Inc()
 	return len(alive), nil
 }

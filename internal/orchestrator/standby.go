@@ -61,7 +61,7 @@ func (o *Orchestrator) PromoteStandby(graphID, nfID string) error {
 	// full to hold a new standby degrades to unprotected rather than
 	// failing the promotion that already succeeded.
 	if n.Redundancy == nffg.RedundancyActiveStandby {
-		if err := o.apply(d, d.Graph.Clone()); err != nil {
+		if err := o.apply(d, d.Graph); err != nil {
 			o.journal.Recordf(telemetry.EventOutage, o.cfg.NodeName, graphID,
 				fmt.Sprintf("%s: re-arming standby: %v", nfID, err))
 		}

@@ -219,8 +219,10 @@ func (s *GlobalServer) putGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Apply decides deploy-vs-update atomically under the orchestrator
-	// lock, so concurrent PUTs of a new id cannot race each other.
-	existed, err := s.orch.Apply(&g)
+	// lock, so concurrent PUTs of a new id cannot race each other. The
+	// orchestrator keeps the graph just decoded, frozen: nothing else
+	// refers to it.
+	existed, err := s.orch.Apply(g.Freeze())
 	switch {
 	case err != nil && existed:
 		writeMutationError(w, http.StatusConflict, err)
@@ -235,7 +237,7 @@ func (s *GlobalServer) putGraph(w http.ResponseWriter, r *http.Request) {
 
 func (s *GlobalServer) getGraph(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	g, ok := s.orch.Graph(id)
+	g, ok := s.orch.Desired(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("graph %q not deployed", id))
 		return
@@ -245,7 +247,7 @@ func (s *GlobalServer) getGraph(w http.ResponseWriter, r *http.Request) {
 
 func (s *GlobalServer) deleteGraph(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.orch.Graph(id); !ok {
+	if _, ok := s.orch.Desired(id); !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("graph %q not deployed", id))
 		return
 	}
@@ -266,7 +268,7 @@ func (s *GlobalServer) reflavor(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "reflavor request", jsonInto(&req)) {
 		return
 	}
-	if _, ok := s.orch.Graph(id); !ok {
+	if _, ok := s.orch.Desired(id); !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("graph %q not deployed", id))
 		return
 	}
@@ -293,7 +295,7 @@ func (s *GlobalServer) scale(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "scale request", jsonInto(&req)) {
 		return
 	}
-	if _, ok := s.orch.Graph(id); !ok {
+	if _, ok := s.orch.Desired(id); !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("graph %q not deployed", id))
 		return
 	}

@@ -209,29 +209,30 @@ func (s *Server) putGraph(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, DryRunReply{Status: "valid", DryRun: true, Plan: plan})
 		return
 	}
-	if _, exists := s.orch.Graph(id); exists {
-		if err := s.orch.Update(&g); err != nil {
-			writeError(w, http.StatusConflict, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "updated", "id": id})
-		return
-	}
-	if err := s.orch.Deploy(&g); err != nil {
+	// Apply decides deploy-vs-update under the graph's operation lock, so
+	// concurrent PUTs of a new id cannot race each other. The node keeps
+	// the graph just decoded, frozen: nothing else refers to it.
+	existed, err := s.orch.Apply(g.Freeze())
+	switch {
+	case err != nil && existed:
+		writeError(w, http.StatusConflict, err)
+	case err != nil:
 		writeError(w, http.StatusUnprocessableEntity, err)
-		return
+	case existed:
+		writeJSON(w, http.StatusOK, map[string]string{"status": "updated", "id": id})
+	default:
+		writeJSON(w, http.StatusCreated, map[string]string{"status": "deployed", "id": id})
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "deployed", "id": id})
 }
 
 func (s *Server) getGraph(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	d, ok := s.orch.Graph(id)
+	g, ok := s.orch.Spec(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("graph %q not deployed", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, d.Graph)
+	writeJSON(w, http.StatusOK, g)
 }
 
 func (s *Server) deleteGraph(w http.ResponseWriter, r *http.Request) {
@@ -454,12 +455,12 @@ type RuleCounter struct {
 func (s *Server) graphStats(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	d, ok := s.orch.Graph(id)
-	if !ok {
+	instances, live := s.orch.Instances(id)
+	if !ok || !live {
 		writeError(w, http.StatusNotFound, fmt.Errorf("graph %q not deployed", id))
 		return
 	}
 	reply := GraphStatsReply{Graph: id}
-	instances := d.Instances()
 	nfIDs := make([]string, 0, len(instances))
 	for nfID := range instances {
 		nfIDs = append(nfIDs, nfID)

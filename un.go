@@ -262,10 +262,14 @@ func NewNode(cfg Config) (*Node, error) {
 // Close undeploys every graph and stops the node.
 func (n *Node) Close() { n.orch.Close() }
 
-// Deploy instantiates a graph on the node.
+// Deploy instantiates a graph on the node. The node keeps a copy of g, its
+// one copy: once Deploy returns, the caller may modify or reuse g, and
+// nothing the node runs changes. (A frozen graph, see Graph.Freeze, is kept
+// as it is, not copied.)
 func (n *Node) Deploy(g *Graph) error { return n.orch.Deploy(g) }
 
-// Update applies a new version of a deployed graph.
+// Update applies a new version of a deployed graph, keeping a copy of g as
+// Deploy does.
 func (n *Node) Update(g *Graph) error { return n.orch.Update(g) }
 
 // Undeploy removes a deployed graph.
@@ -354,19 +358,14 @@ func (n *Node) NFState(graphID, nfID string) (string, bool) {
 // GraphIDs lists the deployed graphs.
 func (n *Node) GraphIDs() []string { return n.orch.GraphIDs() }
 
-// Graph returns the deployed version of a graph.
-func (n *Node) Graph(id string) (*Graph, bool) {
-	d, ok := n.orch.Graph(id)
-	if !ok {
-		return nil, false
-	}
-	return d.Graph, true
-}
+// Graph returns a copy of the deployed version of a graph: the caller's to
+// modify or hand to Update, while the node keeps running its own.
+func (n *Node) Graph(id string) (*Graph, bool) { return n.orch.GraphSpec(id) }
 
-// GraphSpec returns a copy of the deployed NF-FG of a graph, safe to mutate
-// or diff while the node keeps running. Together with Capabilities and Usage
-// it makes a Node manageable by the global orchestrator (package
-// internal/global).
+// GraphSpec returns a copy of the deployed NF-FG of a graph, as Graph does,
+// safe to modify or diff while the node keeps running. Together with
+// Capabilities and Usage it makes a Node manageable by the global
+// orchestrator (package internal/global).
 func (n *Node) GraphSpec(id string) (*Graph, bool) { return n.orch.GraphSpec(id) }
 
 // Capabilities returns the node's capability set as strings.
@@ -374,12 +373,12 @@ func (n *Node) Capabilities() []string { return n.orch.Capabilities() }
 
 // Placements reports the execution technology chosen per NF of a graph.
 func (n *Node) Placements(id string) (map[string]Technology, bool) {
-	d, ok := n.orch.Graph(id)
+	instances, ok := n.orch.Instances(id)
 	if !ok {
 		return nil, false
 	}
 	out := make(map[string]Technology)
-	for nfID, inst := range d.Instances() {
+	for nfID, inst := range instances {
 		out[nfID] = inst.Technology
 	}
 	return out, true
@@ -387,11 +386,11 @@ func (n *Node) Placements(id string) (map[string]Technology, bool) {
 
 // InstanceRAM reports the runtime RAM footprint of one NF of a graph.
 func (n *Node) InstanceRAM(graphID, nfID string) (uint64, bool) {
-	d, ok := n.orch.Graph(graphID)
+	instances, ok := n.orch.Instances(graphID)
 	if !ok {
 		return 0, false
 	}
-	inst, ok := d.Instances()[nfID]
+	inst, ok := instances[nfID]
 	if !ok {
 		return 0, false
 	}
