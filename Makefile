@@ -2,7 +2,9 @@
 # the CI pipeline runs (lint incl. staticcheck/govulncheck, build, plain
 # tier-1 and race tests, coverage gate, benchmark self-test and
 # paper-fidelity smoke, examples smoke), so local runs and CI cannot drift. Referenced from
-# .claude/skills/verify/SKILL.md.
+# .claude/skills/verify/SKILL.md. On a pull request CI's bench job also runs
+# `make layout BASE=<the pull request's base>`; `ci` has no base to compare
+# with, so run `make layout BASE=<parent>` by hand before a change is sent.
 #
 # Tools CI installs pinned (staticcheck, govulncheck) are optional locally:
 # present they run, absent the step notes the skip.

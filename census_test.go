@@ -13,7 +13,7 @@ import (
 // `wc -l` counts them, of the .go files of each directory of the module
 // outside benchmarks/, read when the directory last changed.
 var nonTestLines = map[string]int{
-	".":                     464,
+	".":                     478,
 	"cmd/chaos":             139,
 	"cmd/nfbench":           102,
 	"cmd/nffgctl":           343,
@@ -30,22 +30,22 @@ var nonTestLines = map[string]int{
 	"internal/cluster":      1863,
 	"internal/compute":      418,
 	"internal/execenv":      336,
-	"internal/global":       3530,
+	"internal/global":       3535,
 	"internal/imagestore":   177,
 	"internal/jsonw":        884,
 	"internal/netdev":       704,
 	"internal/netns":        201,
-	"internal/nf":           2262,
+	"internal/nf":           2263,
 	"internal/nffg":         1096,
-	"internal/nnf":          1125,
+	"internal/nnf":          1078,
 	"internal/openflow":     969,
-	"internal/orchestrator": 3175,
+	"internal/orchestrator": 3230,
 	"internal/pkt":          1510,
 	"internal/policy":       278,
 	"internal/repository":   244,
 	"internal/resources":    141,
 	"internal/rest":         1118,
-	"internal/telemetry":    722,
+	"internal/telemetry":    761,
 	"internal/vswitch":      2286,
 }
 

@@ -101,8 +101,8 @@ func (m *Manager) Register(d Driver) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	tech := d.Technology()
-	if _, dup := m.drivers[tech]; dup {
-		return fmt.Errorf("compute: driver for %q already registered", tech)
+	if _, dup := m.drivers[tech]; dup || !tech.Valid() || tech == nffg.TechAny {
+		return fmt.Errorf("compute: driver for %q: technology unknown or already registered", tech)
 	}
 	m.drivers[tech] = d
 	return nil

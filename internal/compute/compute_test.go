@@ -364,3 +364,13 @@ func TestNativeNFProcessesTraffic(t *testing.T) {
 		t.Error("native ipsec did not encrypt")
 	}
 }
+
+// TestRegisterRefusesUnknownTechnology: a driver names one of the NF-FG's
+// technologies, which the node's NF events encode as a one-byte code.
+func TestRegisterRefusesUnknownTechnology(t *testing.T) {
+	for _, tech := range []nffg.Technology{nffg.TechAny, "bare-metal"} {
+		if err := NewManager().Register(&envDriver{tech: tech}); err == nil {
+			t.Errorf("a driver for technology %q registered", tech)
+		}
+	}
+}

@@ -509,7 +509,7 @@ func (o *Orchestrator) deployLocked(g *nffg.Graph) error {
 		return err
 	}
 	o.journal.Recordf(telemetry.EventDeploy, "", g.ID,
-		fmt.Sprintf("split across %v", sortedKeys(o.graphs[g.ID].Subs)))
+		"split across "+nodeList(o.graphs[g.ID].Subs))
 	if wantsStandby(g) {
 		o.armStandby(g.ID)
 	}
@@ -619,7 +619,7 @@ func (o *Orchestrator) move(g *nffg.Graph) error {
 	}
 	if err == nil {
 		o.journal.Recordf(telemetry.EventUpdate, "", g.ID,
-			fmt.Sprintf("re-placed across %v", sortedKeys(subs)))
+			"re-placed across "+nodeList(subs))
 	}
 	return err
 }

@@ -81,7 +81,8 @@ type Node interface {
 	Reflavor(graphID, nfID string, tech nffg.Technology) error
 	// Scale resizes one NF's replica set with live flow-state migration.
 	Scale(graphID, nfID string, replicas int) error
-	// GraphSpec fetches the deployed version of a graph for drift diffing.
+	// GraphSpec fetches the deployed version of a graph for drift diffing;
+	// the caller must not modify it.
 	GraphSpec(id string) (*nffg.Graph, bool, error)
 	// ExportNFState snapshots the full per-flow state of one NF; the
 	// reconcile loop's standby sync copies it from the primary node onto
@@ -108,7 +109,7 @@ type UniversalNode interface {
 	Undeploy(id string) error
 	Reflavor(graphID, nfID string, tech nffg.Technology) error
 	Scale(graphID, nfID string, replicas int) error
-	GraphSpec(id string) (*nffg.Graph, bool)
+	Spec(id string) (*nffg.Graph, bool)
 	Status() orchestrator.NodeStatus
 	Capabilities() []string
 	ExportNFState(graphID, nfID string) ([]nf.FlowState, error)
@@ -231,12 +232,12 @@ func (l *LocalNode) Scale(graphID, nfID string, replicas int) error {
 	return l.do(func() error { return l.un.Scale(graphID, nfID, replicas) })
 }
 
-// GraphSpec implements Node.
+// GraphSpec implements Node with the graph the node holds, not a copy.
 func (l *LocalNode) GraphSpec(id string) (*nffg.Graph, bool, error) {
 	if err := l.check(); err != nil {
 		return nil, false, err
 	}
-	g, ok := l.un.GraphSpec(id)
+	g, ok := l.un.Spec(id)
 	return g, ok, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/nffg"
 )
@@ -434,3 +435,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	sort.Strings(keys)
 	return keys
 }
+
+// nodeList renders m's sorted keys as fmt prints a []string: "[a b]".
+func nodeList[V any](m map[string]V) string { return "[" + strings.Join(sortedKeys(m), " ") + "]" }

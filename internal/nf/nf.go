@@ -13,6 +13,7 @@ package nf
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -95,7 +96,7 @@ func NewRuntime(name string, proc Processor, env *execenv.Env, nPorts int) *Runt
 	r := &Runtime{name: name, proc: proc, env: env, recycle: pkt.PutBuffer}
 	r.into, _ = proc.(IntoProcessor)
 	for i := 0; i < nPorts; i++ {
-		r.ports = append(r.ports, netdev.NewPort(fmt.Sprintf("%s.%d", name, i)))
+		r.ports = append(r.ports, netdev.NewPort(name+"."+strconv.Itoa(i)))
 	}
 	return r
 }

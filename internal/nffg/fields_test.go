@@ -25,11 +25,11 @@ const validator = "nffg.Validate"
 // is honoured by being kept and returned as it was put.
 var graphFields = map[string]fieldRow{
 	"id":                                               {"orchestrator.deploy", "TestDeployGetDeleteOverREST"},
-	"name":                                             {"orchestrator.GraphSpec", "TestDeployGetDeleteOverREST"},
+	"name":                                             {"orchestrator.Spec", "TestDeployGetDeleteOverREST"},
 	"VNFs[].id":                                        {"orchestrator.deploy", "TestDeployIPsecEndToEnd"},
 	"VNFs[].name":                                      {"orchestrator.schedule", "TestDeployIPsecEndToEnd"},
 	"VNFs[].ports[].id":                                {"orchestrator.nfPortIndex", "TestDeployIPsecEndToEnd"},
-	"VNFs[].ports[].name":                              {"orchestrator.GraphSpec", "TestDeployGetDeleteOverREST"},
+	"VNFs[].ports[].name":                              {"orchestrator.Spec", "TestDeployGetDeleteOverREST"},
 	"VNFs[].technology-preference":                     {"orchestrator.schedule", "TestDeployIPsecEndToEnd"},
 	"VNFs[].configuration":                             {"orchestrator.launch", "TestDeployIPsecEndToEnd"},
 	"VNFs[].replicas":                                  {"orchestrator.plan", "TestDeployHonorsReplicas"},

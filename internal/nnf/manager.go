@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/execenv"
@@ -169,7 +170,7 @@ func (m *Manager) Acquire(graphID, name string, config map[string]string) (*Atta
 
 	// Create a fresh instance.
 	m.seq++
-	instName := fmt.Sprintf("%s-%d", name, m.seq)
+	instName := name + "-" + strconv.Itoa(m.seq)
 	proc, err := p.Create(instName, config)
 	if err != nil {
 		return nil, err
@@ -216,7 +217,7 @@ func (m *Manager) Acquire(graphID, name string, config map[string]string) (*Atta
 	if t.Adapted() {
 		att, err := m.attachMarksLocked(p, inst, graphID, config)
 		if err != nil {
-			m.destroyLocked(p, inst)
+			m.destroyLocked(inst)
 			return nil, err
 		}
 		return att, nil
@@ -312,9 +313,6 @@ func (m *Manager) Updater(graphID, name string) func(config map[string]string) e
 					err = prog.SetMarkPath(mk, pathConfig)
 				}
 			}
-			if err == nil {
-				p.logf("update %s marks %v", inst.Name, st.inMarks)
-			}
 			return err
 		}
 	}
@@ -351,7 +349,7 @@ func (m *Manager) Release(graphID, name string) error {
 	}
 	delete(inst.users, graphID)
 	if len(inst.users) == 0 {
-		m.destroyLocked(p, inst)
+		m.destroyLocked(inst)
 		m.instances[name] = slices.DeleteFunc(m.instances[name], func(i *Instance) bool { return i == inst })
 		if len(m.instances[name]) == 0 {
 			delete(m.instances, name)
@@ -360,9 +358,8 @@ func (m *Manager) Release(graphID, name string) error {
 	return nil
 }
 
-func (m *Manager) destroyLocked(p *Plugin, inst *Instance) {
+func (m *Manager) destroyLocked(inst *Instance) {
 	inst.Runtime.Stop()
-	p.Destroy(inst.Name)
 	_ = m.ns.Delete(inst.Namespace)
 }
 

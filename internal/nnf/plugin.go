@@ -21,7 +21,6 @@ package nnf
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/nf"
 )
@@ -106,9 +105,8 @@ func splitRules(spec string) []string {
 	return out
 }
 
-// Plugin drives the lifecycle of one NNF type. Create/Configure/Destroy
-// mirror the create/update/stop scripts of the original implementation; the
-// Log records the last pluginLogLen invocations like a script audit trail.
+// Plugin drives the lifecycle of one NNF type. Create and Configure mirror
+// the create and update scripts of the original implementation.
 type Plugin struct {
 	name    string
 	traits  Traits
@@ -116,14 +114,7 @@ type Plugin struct {
 	// paths returns the PathProgrammer view of a processor, or nil if
 	// the NNF does not support internal paths.
 	paths func(nf.Processor) PathProgrammer
-
-	mu  sync.Mutex
-	log []string
 }
-
-// pluginLogLen bounds a plugin's audit trail: plugins live as long as the
-// node, so an unbounded trail grows with every NF ever started.
-const pluginLogLen = 64
 
 // NewPlugin builds a plugin.
 func NewPlugin(name string, traits Traits, factory nf.Factory,
@@ -152,16 +143,9 @@ func (p *Plugin) Traits() Traits { return p.traits }
 func (p *Plugin) Create(instance string, config map[string]string) (nf.Processor, error) {
 	config, err := TranslateConfig(p.name, config)
 	if err != nil {
-		p.logf("create %s: config translation error: %v", instance, err)
 		return nil, err
 	}
-	proc, err := p.factory(config)
-	if err != nil {
-		p.logf("create %s: error: %v", instance, err)
-		return nil, err
-	}
-	p.logf("create %s", instance)
-	return proc, nil
+	return p.factory(config)
 }
 
 // Configure runs the "update" script against a running processor, after
@@ -171,25 +155,13 @@ func (p *Plugin) Create(instance string, config map[string]string) (nf.Processor
 func (p *Plugin) Configure(instance string, proc nf.Processor, config map[string]string) error {
 	c, ok := proc.(nf.Configurer)
 	if !ok {
-		p.logf("update %s: unsupported", instance)
 		return fmt.Errorf("nnf: %s does not support reconfiguration", p.name)
 	}
 	config, err := TranslateConfig(p.name, config)
 	if err != nil {
-		p.logf("update %s: config translation error: %v", instance, err)
 		return err
 	}
-	if err := c.Configure(config); err != nil {
-		p.logf("update %s: error: %v", instance, err)
-		return err
-	}
-	p.logf("update %s", instance)
-	return nil
-}
-
-// Destroy runs the "stop" script.
-func (p *Plugin) Destroy(instance string) {
-	p.logf("stop %s", instance)
+	return c.Configure(config)
 }
 
 // Paths returns the internal-path programmer for proc, or nil.
@@ -198,22 +170,6 @@ func (p *Plugin) Paths(proc nf.Processor) PathProgrammer {
 		return nil
 	}
 	return p.paths(proc)
-}
-
-// Log returns the lifecycle audit trail, oldest entry first.
-func (p *Plugin) Log() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.log...)
-}
-
-func (p *Plugin) logf(format string, args ...any) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.log) == pluginLogLen {
-		p.log = p.log[:copy(p.log, p.log[1:])]
-	}
-	p.log = append(p.log, fmt.Sprintf(format, args...))
 }
 
 // Builtins returns the plugins for the native functions a Linux-based CPE

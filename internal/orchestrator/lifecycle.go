@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/compute"
+	"repro/internal/nffg"
 	"repro/internal/telemetry"
 )
 
@@ -45,6 +46,23 @@ func (s NFState) Value() float64 { return float64(s.index()) }
 
 func (s NFState) index() int32 { return int32(max(slices.Index(stateOrder, s), 0)) }
 
+// techOrder backs the one-byte technology code of the nf-start and nf-stop
+// events: the technologies compute.Manager.Register accepts from a driver.
+var techOrder = []nffg.Technology{nffg.TechVM, nffg.TechDocker, nffg.TechDPDK, nffg.TechNative}
+
+func techCode(t nffg.Technology) uint8 { return uint8(slices.Index(techOrder, t)) }
+
+// The journal renderers of the NF events, run when the journal is read.
+func renderState(nf string, from, to uint8) string {
+	return nf + ": " + string(stateOrder[from]) + " -> " + string(stateOrder[to])
+}
+
+func renderAs(nf string, tech, standby uint8) string {
+	return nf + " as " + string(techOrder[tech]) + [...]string{"", " (standby)"}[standby]
+}
+
+func renderReconfigured(nf string, _, _ uint8) string { return nf + " reconfigured in place" }
+
 // State returns the attachment's current lifecycle state.
 func (a *nfAttachment) State() NFState {
 	return stateOrder[a.state.Load()]
@@ -71,12 +89,11 @@ func (o *Orchestrator) NFState(graphID, nfID string) (NFState, bool) {
 // and the journal synchronizes internally, so concurrent starts report
 // their progress in real time.
 func (o *Orchestrator) setState(graphID, nfID string, att *nfAttachment, to NFState) {
-	from := stateOrder[att.state.Swap(to.index())]
-	if from == to {
+	from := att.state.Swap(to.index())
+	if from == to.index() {
 		return
 	}
-	o.journal.Recordf(telemetry.EventNFState, o.cfg.NodeName, graphID,
-		fmt.Sprintf("%s: %s -> %s", nfID, from, to))
+	o.journal.RecordNF(telemetry.EventNFState, o.cfg.NodeName, graphID, renderState, nfID, uint8(from), uint8(to.index()))
 }
 
 // graphLock is one graph's operation lock plus the number of operations
@@ -209,15 +226,13 @@ func (o *Orchestrator) launch(d *DeployedGraph, pls []Placement) ([]*nfAttachmen
 		return nil, err
 	}
 	for i, att := range atts {
-		role := ""
-		if pls[i].Standby {
-			role = " (standby)"
-		} else {
+		standby := uint8(1)
+		if !pls[i].Standby {
+			standby = 0
 			o.setState(graphID, pls[i].NF.ID, att, StateRunning)
 		}
 		o.metrics.nfStarts.Inc()
-		o.journal.Recordf(telemetry.EventNFStart, o.cfg.NodeName, graphID,
-			fmt.Sprintf("%s as %s%s", pls[i].NF.ID, pls[i].Technology, role))
+		o.journal.RecordNF(telemetry.EventNFStart, o.cfg.NodeName, graphID, renderAs, pls[i].NF.ID, techCode(pls[i].Technology), standby)
 	}
 	return atts, nil
 }

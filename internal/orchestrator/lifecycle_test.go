@@ -144,7 +144,7 @@ func TestUpdateRollsBackStartedNFs(t *testing.T) {
 			usedCPU0, usedCPU, usedRAM0, usedRAM)
 	}
 	// The deployed spec still is the old one and the chain still forwards.
-	if spec, _ := o.GraphSpec("g1"); len(spec.NFs) != 1 {
+	if spec, _ := o.Spec("g1"); len(spec.NFs) != 1 {
 		t.Fatalf("spec mutated by failed update: %d NFs", len(spec.NFs))
 	}
 	send(t, o, "eth0", clearFrame(t))
@@ -224,7 +224,7 @@ func TestUpdateConfigRestartFallback(t *testing.T) {
 	if spi := fmt.Sprintf("%x", wire[14+20:14+24]); spi != "00002000" {
 		t.Fatalf("wire SPI %s, want 00002000 (8192)", spi)
 	}
-	if spec, _ := o.GraphSpec("g1"); spec.NFs[0].Config["spi"] != "8192" {
+	if spec, _ := o.Spec("g1"); spec.NFs[0].Config["spi"] != "8192" {
 		t.Fatal("deployed spec not updated")
 	}
 }
@@ -672,5 +672,29 @@ func TestNFStateLifecycle(t *testing.T) {
 	transitions = journalDetails(o, telemetry.EventNFState)
 	if last := transitions[len(transitions)-1]; last != "vpn: running -> stopped" {
 		t.Fatalf("last transition %q, want running -> stopped", last)
+	}
+}
+
+// TestNFEventRenderersMatchFormats: the NF events rendered on read say what
+// their formats said when they were built at record time, for every state
+// pair and every technology a compute driver can have.
+func TestNFEventRenderersMatchFormats(t *testing.T) {
+	for _, from := range stateOrder {
+		for _, to := range stateOrder {
+			if got, want := renderState("nf0", uint8(from.index()), uint8(to.index())), fmt.Sprintf("%s: %s -> %s", "nf0", from, to); got != want {
+				t.Errorf("state %s -> %s rendered %q, want %q", from, to, got, want)
+			}
+		}
+	}
+	for _, tech := range []nffg.Technology{nffg.TechVM, nffg.TechDocker, nffg.TechDPDK, nffg.TechNative} {
+		if got, want := renderAs("nf0", techCode(tech), 0), fmt.Sprintf("%s as %s", "nf0", tech); got != want {
+			t.Errorf("%s rendered %q, want %q", tech, got, want)
+		}
+		if got, want := renderAs("nf0", techCode(tech), 1), fmt.Sprintf("%s as %s%s", "nf0", tech, " (standby)"); got != want {
+			t.Errorf("%s standby rendered %q, want %q", tech, got, want)
+		}
+	}
+	if got, want := renderReconfigured("nf0", 0, 0), fmt.Sprintf("%s reconfigured in place", "nf0"); got != want {
+		t.Errorf("reconfigured rendered %q, want %q", got, want)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -331,7 +332,7 @@ func (o *Orchestrator) Graph(id string) (*DeployedGraph, bool) {
 }
 
 // Spec returns the deployed NF-FG of a graph: the value the node holds,
-// shared, which the caller must not modify (GraphSpec returns a copy).
+// shared, which the caller must not modify.
 func (o *Orchestrator) Spec(id string) (*nffg.Graph, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -340,16 +341,6 @@ func (o *Orchestrator) Spec(id string) (*nffg.Graph, bool) {
 		return nil, false
 	}
 	return d.Graph, true
-}
-
-// GraphSpec returns a copy of the deployed NF-FG of a graph, the caller's
-// to modify or diff while the orchestrator keeps running.
-func (o *Orchestrator) GraphSpec(id string) (*nffg.Graph, bool) {
-	g, ok := o.Spec(id)
-	if !ok {
-		return nil, false
-	}
-	return g.Clone(), true
 }
 
 // Instances returns a graph's NF instances keyed by NF id; an NF served by
@@ -511,7 +502,7 @@ func (o *Orchestrator) put(g *nffg.Graph, mode putMode) (existed bool, err error
 	}
 	d = o.graphs[g.ID]
 	o.steered(d)
-	o.journal.Recordf(event, o.cfg.NodeName, g.ID, fmt.Sprintf("%d NFs, %d rules", len(g.NFs), len(g.Rules)))
+	o.journal.Recordf(event, o.cfg.NodeName, g.ID, strconv.Itoa(len(g.NFs))+" NFs, "+strconv.Itoa(len(g.Rules))+" rules")
 	return existed, nil
 }
 
@@ -528,7 +519,7 @@ func (o *Orchestrator) deploy(g *nffg.Graph) error {
 		return err
 	}
 	d.cookie = o.nextCookie()
-	d.lsi = newLSIConn(fmt.Sprintf("%s/lsi-%s", o.cfg.NodeName, g.ID), o.nextDPID(), o.cfg.DatapathWorkers)
+	d.lsi = newLSIConn(o.cfg.NodeName+"/lsi-"+g.ID, o.nextDPID(), o.cfg.DatapathWorkers)
 	d.lsi.graph = true
 	if _, err := o.execute(d, g, p); err != nil {
 		d.lsi.close()
@@ -561,8 +552,8 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 		att.lsi0Port = lsi0Port
 		// Virtual link graph-LSI <-> LSI-0 for the marked traffic.
 		gSide, zSide := netdev.Veth(
-			fmt.Sprintf("%s.%s/vl-nnf", d.Graph.ID, inst.Name),
-			fmt.Sprintf("lsi0/vl-nnf-%s", inst.Name),
+			d.Graph.ID+"."+inst.Name+"/vl-nnf",
+			"lsi0/vl-nnf-"+inst.Name,
 		)
 		gPort := d.lsi.nextPort()
 		if err := d.lsi.sw.AddPort(gPort, gSide); err != nil {
@@ -593,7 +584,7 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 	// Direct attachment: one LSI port per NF port.
 	att.lsiPorts = make([]uint32, inst.Runtime.NumPorts())
 	for i := 0; i < inst.Runtime.NumPorts(); i++ {
-		lsiSide := netdev.NewPort(fmt.Sprintf("%s/p%d", inst.Name, i))
+		lsiSide := netdev.NewPort(inst.Name + "/p" + strconv.Itoa(i))
 		if err := netdev.Connect(inst.Runtime.Port(i), lsiSide); err != nil {
 			return err
 		}
@@ -613,8 +604,8 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 // returning.
 func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *epAttachment, err error) {
 	gSide, zSide := netdev.Veth(
-		fmt.Sprintf("%s.%s/vl", d.Graph.ID, ep.ID),
-		fmt.Sprintf("lsi0/vl-%s-%s", d.Graph.ID, ep.ID),
+		d.Graph.ID+"."+ep.ID+"/vl",
+		"lsi0/vl-"+d.Graph.ID+"-"+ep.ID,
 	)
 	gPort := d.lsi.nextPort()
 	if err := d.lsi.sw.AddPort(gPort, gSide); err != nil {
@@ -646,7 +637,7 @@ func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *ep
 		es.Add(100, vswitch.MatchAll().WithInPort(ifPort), vswitch.Output(zPort))
 		es.Add(100, vswitch.MatchAll().WithInPort(zPort), vswitch.Output(ifPort))
 	case nffg.EPVLAN:
-		key := fmt.Sprintf("%s/%d", ep.Interface, ep.VLANID)
+		key := vlanKey(ep)
 		if owner, used := o.vlanEPs[key]; used {
 			return nil, fmt.Errorf("orchestrator: graph %q: endpoint %q: VLAN %d on %q already used by graph %q",
 				d.Graph.ID, ep.ID, ep.VLANID, ep.Interface, owner)
@@ -682,6 +673,9 @@ func (o *Orchestrator) attachEndpoint(d *DeployedGraph, ep nffg.Endpoint) (_ *ep
 	return att, nil
 }
 
+// vlanKey names a VLAN endpoint's interface and tag in vlanEPs.
+func vlanKey(ep nffg.Endpoint) string { return ep.Interface + "/" + strconv.Itoa(int(ep.VLANID)) }
+
 // detachEndpoint reverses attachEndpoint: it removes the endpoint's LSI-0
 // classification flows, its virtual-link ports on both switches, and the
 // cross-graph bookkeeping.
@@ -695,7 +689,7 @@ func (o *Orchestrator) detachEndpoint(d *DeployedGraph, att *epAttachment) {
 	switch att.ep.Type {
 	case nffg.EPVLAN:
 		if att.vlanRegistered {
-			delete(o.vlanEPs, fmt.Sprintf("%s/%d", att.ep.Interface, att.ep.VLANID))
+			delete(o.vlanEPs, vlanKey(att.ep))
 		}
 	case nffg.EPInternal:
 		// Touch the group only if this endpoint actually joined it (a
@@ -799,8 +793,7 @@ func (o *Orchestrator) detachNF(d *DeployedGraph, nfID string, att *nfAttachment
 	o.setState(d.Graph.ID, nfID, att, StateStopped)
 	o.unwire(d, att)
 	o.metrics.nfStops.Inc()
-	o.journal.Recordf(telemetry.EventNFStop, o.cfg.NodeName, d.Graph.ID,
-		fmt.Sprintf("%s as %s", nfID, att.inst.Technology))
+	o.journal.RecordNF(telemetry.EventNFStop, o.cfg.NodeName, d.Graph.ID, renderAs, nfID, techCode(att.inst.Technology), 0)
 }
 
 // retire stops every instance of one NF's set — members, standby and
@@ -842,7 +835,7 @@ func (o *Orchestrator) observedRateLocked(id string) float64 {
 func (o *Orchestrator) steered(d *DeployedGraph) {
 	o.metrics.steeringRules.Add(uint64(len(d.Graph.Rules)))
 	o.journal.Recordf(telemetry.EventFlowMod, o.cfg.NodeName, d.Graph.ID,
-		fmt.Sprintf("%d rules on %s", len(d.Graph.Rules), o.lsiLabel(d.lsi.sw)))
+		strconv.Itoa(len(d.Graph.Rules))+" rules on "+o.lsiLabel(d.lsi.sw))
 }
 
 // apply plans and executes the move of a deployed graph to g, which it

@@ -460,8 +460,7 @@ func (o *Orchestrator) execute(d *DeployedGraph, g *nffg.Graph, p *nodePlan) (in
 					return undo(fmt.Errorf("orchestrator: update: reconfiguring %q: %w", st.n.ID, err))
 				}
 			}
-			o.journal.Recordf(telemetry.EventNFConfig, o.cfg.NodeName, g.ID,
-				fmt.Sprintf("%s reconfigured in place", st.n.ID))
+			o.journal.RecordNF(telemetry.EventNFConfig, o.cfg.NodeName, g.ID, renderReconfigured, st.n.ID, 0, 0)
 		}
 	}
 

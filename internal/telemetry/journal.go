@@ -52,13 +52,28 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
+// Render builds the Detail of an event recorded with RecordNF from its NF
+// ID and two codes. It runs when the journal is read, never when the event
+// is recorded, so it must be a pure function of its arguments.
+type Render func(nf string, a, b uint8) string
+
+// entry is one ring slot: an event as recorded, 88 bytes. Its Detail is
+// text itself, or render(text, a, b) for an event recorded with RecordNF;
+// its sequence number is implied by its place in the ring.
+type entry struct {
+	at                     int64 // Unix nanoseconds
+	typ, node, graph, text string
+	render                 Render
+	a, b                   uint8
+}
+
 // Journal is a bounded in-memory ring of events: cheap enough to record
 // control-plane activity unconditionally, bounded so an unobserved node
 // cannot grow without limit, and grown by doubling up to its depth, so a
 // quiet journal holds little. The zero value is unusable; use NewJournal.
 type Journal struct {
 	mu    sync.Mutex
-	buf   []Event // oldest first until len reaches depth, then a ring
+	buf   []entry // oldest first until len reaches depth, then a ring
 	depth int
 	next  int    // ring write position once full, 0 until then
 	seq   uint64 // total events ever recorded
@@ -81,16 +96,26 @@ func (j *Journal) Record(ev Event) {
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
+	j.put(entry{at: ev.Time.UnixNano(), typ: ev.Type, node: ev.Node, graph: ev.Graph, text: ev.Detail})
+}
+
+// RecordNF records an event about the NF nf, now, whose Detail is
+// render(nf, a, b), built only when the event is read: the deploy path
+// formats nothing.
+func (j *Journal) RecordNF(typ, node, graph string, render Render, nf string, a, b uint8) {
+	j.put(entry{at: time.Now().UnixNano(), typ: typ, node: node, graph: graph, text: nf, render: render, a: a, b: b})
+}
+
+func (j *Journal) put(e entry) {
 	j.mu.Lock()
 	j.seq++
-	ev.Seq = j.seq
 	if len(j.buf) < j.depth {
 		if len(j.buf) == cap(j.buf) {
 			j.grow()
 		}
-		j.buf = append(j.buf, ev)
+		j.buf = append(j.buf, e)
 	} else {
-		j.buf[j.next] = ev
+		j.buf[j.next] = e
 		j.next = (j.next + 1) % j.depth
 	}
 	j.mu.Unlock()
@@ -98,7 +123,7 @@ func (j *Journal) Record(ev Event) {
 
 // grow doubles the ring's room, up to the depth.
 func (j *Journal) grow() {
-	grown := make([]Event, len(j.buf), min(max(2*cap(j.buf), 4), j.depth))
+	grown := make([]entry, len(j.buf), min(max(2*cap(j.buf), 4), j.depth))
 	copy(grown, j.buf)
 	j.buf = grown
 }
@@ -108,12 +133,20 @@ func (j *Journal) Recordf(typ, node, graph, detail string) {
 	j.Record(Event{Type: typ, Node: node, Graph: graph, Detail: detail})
 }
 
-// Events returns the retained events, oldest first.
+// Events returns the retained events, oldest first, rendering each.
 func (j *Journal) Events() []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Event, 0, len(j.buf))
-	return append(append(out, j.buf[j.next:]...), j.buf[:j.next]...)
+	out := make([]Event, len(j.buf))
+	first := j.seq - uint64(len(j.buf)) + 1
+	for i := range out {
+		e := &j.buf[(j.next+i)%len(j.buf)]
+		out[i] = Event{Seq: first + uint64(i), Time: time.Unix(0, e.at), Type: e.typ, Node: e.node, Graph: e.graph, Detail: e.text}
+		if e.render != nil {
+			out[i].Detail = e.render(e.text, e.a, e.b)
+		}
+	}
+	return out
 }
 
 // Total returns how many events were ever recorded; Total minus the number

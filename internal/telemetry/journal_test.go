@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // eagerRing is the journal as it was before it grew on use: the whole
@@ -135,5 +136,58 @@ func TestJournalConcurrentRecordAndRead(t *testing.T) {
 	if len(evs) != depth || j.Total() != writers*perWriter || evs[depth-1].Seq != writers*perWriter {
 		t.Fatalf("retained %d (last seq %d), total %d; want %d, %d, %d",
 			len(evs), evs[len(evs)-1].Seq, j.Total(), depth, writers*perWriter, writers*perWriter)
+	}
+}
+
+// TestJournalSlotForms fills a ring past its depth with every slot form —
+// free-form, Record with its own time, and the NF events rendered on read —
+// and checks order, sequence numbers, instants, the total and every
+// rendered Detail across the wrap. A slot stays within 96 bytes, the size
+// of an Event before slots were compact.
+func TestJournalSlotForms(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size > 96 {
+		t.Fatalf("a journal slot is %d bytes, want at most 96", size)
+	}
+	states := []string{"pending", "starting", "running"}
+	state := func(nf string, from, to uint8) string { return nf + ": " + states[from] + " -> " + states[to] }
+	as := func(nf string, tech, standby uint8) string {
+		return nf + " as " + []string{"vm", "native"}[tech] + []string{"", " (standby)"}[standby]
+	}
+	const depth, records = 8, 21
+	j := NewJournal(depth)
+	base := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	var want []Event
+	for i := 0; i < records; i++ {
+		nf, graph := fmt.Sprintf("nf%d", i), fmt.Sprintf("g%d", i)
+		var ev Event
+		switch i % 4 {
+		case 0:
+			ev = Event{Time: base.Add(time.Duration(i) * time.Second), Type: EventLeaderElected, Node: "r1", Detail: nf + " won"}
+			j.Record(ev)
+		case 1:
+			ev = Event{Type: EventDeploy, Node: "n", Graph: graph, Detail: "2 NFs, 3 rules"}
+			j.Recordf(ev.Type, ev.Node, ev.Graph, ev.Detail)
+		case 2:
+			ev = Event{Type: EventNFState, Node: "n", Graph: graph, Detail: nf + ": pending -> running"}
+			j.RecordNF(ev.Type, ev.Node, ev.Graph, state, nf, 0, 2)
+		case 3:
+			ev = Event{Type: EventNFStart, Node: "n", Graph: graph, Detail: nf + " as native (standby)"}
+			j.RecordNF(ev.Type, ev.Node, ev.Graph, as, nf, 1, 1)
+		}
+		ev.Seq = uint64(i + 1)
+		want = append(want, ev)
+	}
+	got := j.Events()
+	if j.Total() != records || len(got) != depth {
+		t.Fatalf("total %d, %d retained; want %d, %d", j.Total(), len(got), records, depth)
+	}
+	for i, ev := range got {
+		w := want[records-depth+i]
+		if w.Time.IsZero() {
+			w.Time = ev.Time // stamped when recorded
+		}
+		if ev.Seq != w.Seq || !ev.Time.Equal(w.Time) || ev.Type != w.Type || ev.Node != w.Node || ev.Graph != w.Graph || ev.Detail != w.Detail {
+			t.Errorf("event %d = %+v, want %+v", i, ev, w)
+		}
 	}
 }

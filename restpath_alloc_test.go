@@ -5,7 +5,6 @@
 package un_test
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -56,14 +55,16 @@ func restLifecycle(t *testing.T) (lifecycle func(), orch *global.Orchestrator, g
 // deploy-churn drives, which the in-process gates (TestHALifecycleBytesCeiling,
 // TestDeployChurnHeapPlateaus) do not cross. It read 1 676 allocations and
 // 173.8 KB while the global tier and each node kept copies of their own,
-// four copies of the chain per lifecycle; 1 584 and 156.8 KB since the
-// handler hands over the graph it decoded and every tier holds that value.
-// The ceilings are that reading plus 10 %.
+// four copies of the chain per lifecycle; 1 584 and 156.8 KB once the
+// handler handed over the graph it decoded and every tier held that value;
+// 1 346 and 152.3 KB since the journal renders an NF event's detail when it
+// is read and names are joined instead of formatted. The ceilings are that
+// reading plus 10 %.
 func TestRESTLifecycleCost(t *testing.T) {
 	const (
 		rounds      = 60
-		ceilMallocs = 1742
-		ceilKB      = 172
+		ceilMallocs = 1480
+		ceilKB      = 168
 	)
 	lifecycle, _, _, _ := restLifecycle(t)
 	var before, after runtime.MemStats
@@ -85,9 +86,11 @@ func TestRESTLifecycleCost(t *testing.T) {
 // handler hands over the graph it decoded and the desired state, the intent
 // record and every node hold that value and its pieces; an in-process
 // Deploy, Update or Graph copies its graph once; so at a node, through its
-// own REST server and through un.Node. It read four copies of the chain per
-// REST lifecycle, and as many per in-process deploy and update, while each
-// tier kept copies of its own.
+// own REST server and through un.Node. A reconcile pass's drift check
+// compares each node's held graph without a copy. It read four copies of the
+// chain per REST lifecycle, and as many per in-process deploy and update,
+// while each tier kept copies of its own; the drift check copied every
+// node's subgraph on every pass.
 func TestGraphCopiesPerCall(t *testing.T) {
 	lifecycle, orch, g, cfg := restLifecycle(t)
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
@@ -108,6 +111,7 @@ func TestGraphCopiesPerCall(t *testing.T) {
 	if err := orch.Update(cfg); err != nil {
 		t.Fatal(err)
 	}
+	orch.ReconcileOnce()
 	if _, ok := orch.Graph("svc"); !ok {
 		t.Fatal("graph not deployed")
 	}
@@ -115,7 +119,7 @@ func TestGraphCopiesPerCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := cloneObjects() - clones; n != 3*perCopy {
-		t.Errorf("an in-process Deploy, Update, Graph and Undeploy cloned %d objects of graphs, want 3 copies of %d", n, perCopy)
+		t.Errorf("an in-process Deploy, Update, reconcile pass, Graph and Undeploy cloned %d objects of graphs, want 3 copies of %d", n, perCopy)
 	}
 
 	// The node's own REST server and un.Node, on the IPsec CPE graph.
@@ -157,9 +161,14 @@ func TestGraphCopiesPerCall(t *testing.T) {
 }
 
 // cloneObjects returns how many objects nffg.(*Graph).Clone has allocated,
-// as far as the heap profile has sampled them, outside the reconcile loop's
-// drift check (which reads each node's graph through the public GraphSpec).
+// as far as the heap profile has sampled them.
 func cloneObjects() int64 {
+	return sampledObjects(func(fn string) bool { return fn == "repro/internal/nffg.(*Graph).Clone" })
+}
+
+// sampledObjects returns how many objects the heap profile has sampled under
+// a stack frame whose function under matches.
+func sampledObjects(under func(fn string) bool) int64 {
 	for i := 0; i < 3; i++ {
 		runtime.GC() // the profile publishes what a finished cycle saw
 	}
@@ -171,26 +180,33 @@ func cloneObjects() int64 {
 	}
 	var total int64
 	for _, r := range recs[:n] {
-		clone, drift := false, false
 		frames := runtime.CallersFrames(r.Stack())
 		for more := true; more; {
 			var f runtime.Frame
 			f, more = frames.Next()
-			clone = clone || f.Function == "repro/internal/nffg.(*Graph).Clone"
-			drift = drift || strings.HasSuffix(f.Function, ".repairDrift")
-		}
-		if clone && !drift {
-			total += r.AllocObjects
+			if under(f.Function) {
+				total += r.AllocObjects
+				break
+			}
 		}
 	}
 	return total
 }
 
-func mustJSON(t *testing.T, g *un.Graph) string {
-	t.Helper()
-	data, err := json.Marshal(g)
-	if err != nil {
-		t.Fatal(err)
+// TestDeployPathFormatsNothing: ten REST lifecycles, every allocation
+// sampled, allocate no object under a fmt frame. The journal renders an NF
+// event's detail when it is read, and names are joined, not formatted; the
+// lifecycle's Sprintf calls were 7.2 % of its allocated objects.
+func TestDeployPathFormatsNothing(t *testing.T) {
+	lifecycle, _, _, _ := restLifecycle(t)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	underFmt := func(fn string) bool { return strings.HasPrefix(fn, "fmt.") }
+	before := sampledObjects(underFmt)
+	for i := 0; i < 10; i++ {
+		lifecycle()
 	}
-	return string(data)
+	if n := sampledObjects(underFmt) - before; n != 0 {
+		t.Errorf("10 REST lifecycles allocated %d objects under fmt, want none", n)
+	}
 }

@@ -360,13 +360,23 @@ func (n *Node) GraphIDs() []string { return n.orch.GraphIDs() }
 
 // Graph returns a copy of the deployed version of a graph: the caller's to
 // modify or hand to Update, while the node keeps running its own.
-func (n *Node) Graph(id string) (*Graph, bool) { return n.orch.GraphSpec(id) }
+func (n *Node) Graph(id string) (*Graph, bool) {
+	g, ok := n.Spec(id)
+	if ok {
+		g = g.Clone()
+	}
+	return g, ok
+}
 
 // GraphSpec returns a copy of the deployed NF-FG of a graph, as Graph does,
-// safe to modify or diff while the node keeps running. Together with
-// Capabilities and Usage it makes a Node manageable by the global
-// orchestrator (package internal/global).
-func (n *Node) GraphSpec(id string) (*Graph, bool) { return n.orch.GraphSpec(id) }
+// safe to modify or diff while the node keeps running.
+func (n *Node) GraphSpec(id string) (*Graph, bool) { return n.Graph(id) }
+
+// Spec returns the deployed NF-FG of a graph without a copy: the value the
+// node holds, which the caller must not modify. Together with Capabilities
+// and Usage it makes a Node manageable by the global orchestrator (package
+// internal/global).
+func (n *Node) Spec(id string) (*Graph, bool) { return n.orch.Spec(id) }
 
 // Capabilities returns the node's capability set as strings.
 func (n *Node) Capabilities() []string { return n.orch.Capabilities() }
