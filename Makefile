@@ -1,6 +1,6 @@
 # Local mirror of .github/workflows/ci.yml: `make ci` runs the same jobs
 # the CI pipeline runs (lint incl. staticcheck/govulncheck, build, plain
-# tier-1 and race tests, coverage gate, benchmark self-test and
+# tier-1, race and checked-pool tests, coverage gate, benchmark self-test and
 # paper-fidelity smoke, examples smoke), so local runs and CI cannot drift. Referenced from
 # .claude/skills/verify/SKILL.md. On a pull request CI's bench job also runs
 # `make layout BASE=<the pull request's base>`; `ci` has no base to compare
@@ -14,11 +14,11 @@ GO ?= go
 # Keep in sync with the COVERAGE_BASELINE env of .github/workflows/ci.yml.
 COVERAGE_BASELINE ?= 75.0
 
-.PHONY: ci lint fmt vet staticcheck govulncheck build test tier1 race coverage \
+.PHONY: ci lint fmt vet staticcheck govulncheck build test tier1 race poolcheck coverage \
 	bench bench-selftest profile layout chaos sim fuzz examples-smoke clean
 
 # The nfbench line is the paper-fidelity smoke of CI's bench job.
-ci: lint build tier1 race coverage bench-selftest chaos examples-smoke
+ci: lint build tier1 race poolcheck coverage bench-selftest chaos examples-smoke
 	$(GO) run ./cmd/nfbench -table 1
 
 lint: fmt vet staticcheck govulncheck
@@ -65,6 +65,14 @@ tier1:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# Checked frame ownership: the packet-path suites, and the root one that
+# drives whole nodes, over internal/pkt's checked pool (pool_check.go), a
+# free list that panics on a second put of a buffer and on a write into a
+# put one, and counts gets − puts (pkt.Outstanding).
+poolcheck:
+	$(GO) test -count=1 -tags poolcheck . ./internal/pkt ./internal/vswitch ./internal/netdev \
+		./internal/nf ./internal/nnf ./internal/orchestrator
 
 coverage:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out ./...

@@ -33,20 +33,20 @@ var nonTestLines = map[string]int{
 	"internal/global":       3535,
 	"internal/imagestore":   177,
 	"internal/jsonw":        884,
-	"internal/netdev":       704,
+	"internal/netdev":       706,
 	"internal/netns":        201,
-	"internal/nf":           2263,
+	"internal/nf":           2265,
 	"internal/nffg":         1096,
 	"internal/nnf":          1078,
 	"internal/openflow":     969,
-	"internal/orchestrator": 3230,
-	"internal/pkt":          1510,
+	"internal/orchestrator": 3231,
+	"internal/pkt":          1596,
 	"internal/policy":       278,
 	"internal/repository":   244,
 	"internal/resources":    141,
 	"internal/rest":         1118,
 	"internal/telemetry":    761,
-	"internal/vswitch":      2286,
+	"internal/vswitch":      2327,
 }
 
 // TestNonTestLinesHoldCensus makes aim 2 a gate: each directory's non-test

@@ -41,8 +41,10 @@ type Frame struct {
 }
 
 // Clone returns a deep copy of the frame with the hop count preserved. The
-// copy is backed by the shared frame-buffer pool (pkt.GetBuffer); a sink
-// that fully consumes the clone may recycle it with pkt.PutBuffer.
+// copy is backed by the shared frame-buffer pool (pkt.GetBuffer) and is
+// handed on with ownership: an NF runtime, a switch port attached with
+// vswitch.AddOwningPort and a traffic sink return it with pkt.PutBuffer once
+// it is consumed (README, "Frame ownership").
 func (f Frame) Clone() Frame {
 	d := pkt.GetBuffer(len(f.Data))
 	copy(d, f.Data)

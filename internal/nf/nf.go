@@ -175,9 +175,11 @@ func (r *Runtime) receive(inPort int, f netdev.Frame) {
 	if res.CryptoBytes > 0 {
 		r.cryptoBytes.Add(uint64(res.CryptoBytes))
 	}
-	// A receiver may recycle what it gets, so a buffer never leaves twice:
-	// every repeat of an emitted buffer (a flood) gets its own copy. The
-	// copies are made before the first send, while the buffer is still ours.
+	// The switch port facing the runtime owns what it gets and returns it to
+	// the pool once the frame has left the switch, so a buffer never leaves
+	// twice: every repeat of an emitted buffer (a flood) gets its own copy.
+	// The copies are made before the first send, while the buffer is still
+	// ours.
 	handedOn := false
 	for i := range res.Emissions {
 		e := &res.Emissions[i]

@@ -535,8 +535,8 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 	inst := att.inst
 	if inst.Shared {
 		// The shared NNF runtime exposes one adapted port attached to
-		// LSI-0 (once per instance); the graph reaches it through a
-		// dedicated virtual link.
+		// LSI-0 (once per instance), owning what the runtime hands it; the
+		// graph reaches it through a dedicated virtual link, which borrows.
 		lsi0Port, attached := o.nnfPorts[inst.Runtime.Name()]
 		if !attached {
 			lsiSide := netdev.NewPort(inst.Runtime.Name() + "/lsi0")
@@ -544,7 +544,7 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 				return err
 			}
 			lsi0Port = o.lsi0.nextPort()
-			if err := o.lsi0.sw.AddPort(lsi0Port, lsiSide); err != nil {
+			if err := o.lsi0.sw.AddOwningPort(lsi0Port, lsiSide); err != nil {
 				return err
 			}
 			o.nnfPorts[inst.Runtime.Name()] = lsi0Port
@@ -581,7 +581,8 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 		}
 		return o.lsi0.ctrl.Commit(att.cookie, &es)
 	}
-	// Direct attachment: one LSI port per NF port.
+	// Direct attachment: one LSI port per NF port, owning what the runtime
+	// hands it.
 	att.lsiPorts = make([]uint32, inst.Runtime.NumPorts())
 	for i := 0; i < inst.Runtime.NumPorts(); i++ {
 		lsiSide := netdev.NewPort(inst.Name + "/p" + strconv.Itoa(i))
@@ -589,7 +590,7 @@ func (o *Orchestrator) attachNF(d *DeployedGraph, att *nfAttachment) error {
 			return err
 		}
 		num := d.lsi.nextPort()
-		if err := d.lsi.sw.AddPort(num, lsiSide); err != nil {
+		if err := d.lsi.sw.AddOwningPort(num, lsiSide); err != nil {
 			return err
 		}
 		att.lsiPorts[i] = num

@@ -1,3 +1,5 @@
+//go:build !poolcheck
+
 package pkt
 
 import "sync"
@@ -13,10 +15,12 @@ var framePool = sync.Pool{
 
 // GetBuffer returns a length-n byte slice backed by the shared frame-buffer
 // pool when n fits FrameBufferSize, and a fresh allocation otherwise. The
-// contents are unspecified; callers overwrite them. Return pool-backed
-// buffers with PutBuffer once the frame's lifetime is provably over (e.g. a
-// traffic sink that has drained and counted it); buffers that escape into
-// long-lived structures may simply be dropped for the GC.
+// contents are unspecified; callers overwrite them. Whoever holds the buffer
+// returns it with PutBuffer once nothing references it: a switch port facing
+// an NF, an NF runtime and a traffic sink each own what they are handed
+// (README, "Frame ownership"); a buffer that escapes into a long-lived
+// structure may simply be dropped for the GC. Building with the poolcheck tag
+// swaps this pool for a checked one (pool_check.go).
 func GetBuffer(n int) []byte {
 	if n > FrameBufferSize {
 		return make([]byte, n)

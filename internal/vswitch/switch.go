@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/netdev"
+	"repro/internal/pkt"
 	"repro/internal/telemetry"
 )
 
@@ -161,8 +162,17 @@ func (s *Switch) eachCtrs(fn func(*dpCounters)) {
 // AddPort attaches a netdev port under the given OpenFlow port number, from
 // 1 to 4096, storing one port-table slot (the table is copied only to grow)
 // and installing both receive handlers with one port-state swap. Frames
-// received on the port enter the pipeline, singly or as whole bursts.
-func (s *Switch) AddPort(num uint32, p *netdev.Port) error {
+// received on the port enter the pipeline, singly or as whole bursts. The
+// sender keeps what it sends: the switch copies a frame on egress and never
+// recycles the buffer it received.
+func (s *Switch) AddPort(num uint32, p *netdev.Port) error { return s.addPort(num, p, false) }
+
+// AddOwningPort is AddPort for a port whose sender gives up every frame it
+// sends, as an NF runtime does: once a received burst has left the switch,
+// the switch returns each frame's buffer to the pool (pkt.PutBuffer).
+func (s *Switch) AddOwningPort(num uint32, p *netdev.Port) error { return s.addPort(num, p, true) }
+
+func (s *Switch) addPort(num uint32, p *netdev.Port, owned bool) error {
 	if num == 0 || num > maxPortNum {
 		return fmt.Errorf("vswitch: port number %d outside 1..%d", num, maxPortNum)
 	}
@@ -184,8 +194,8 @@ func (s *Switch) AddPort(num uint32, p *netdev.Port) error {
 	s.cache.invalidate()
 	p.SetHandlers(func(f netdev.Frame) {
 		one := [1]netdev.Frame{f}
-		s.receive(num, one[:], false)
-	}, func(fs []netdev.Frame) { s.receive(num, fs, false) })
+		s.receive(num, one[:], false, owned)
+	}, func(fs []netdev.Frame) { s.receive(num, fs, false, owned) })
 	return nil
 }
 
@@ -356,12 +366,21 @@ func (s *Switch) Malformed() uint64 {
 // to the lanes behind the worker rings when a pool is running, and runs on
 // an inline lane in the caller otherwise. wait selects what a full worker
 // ring does: false tail-drops, true parks the caller until there is space.
-func (s *Switch) receive(inPort uint32, fs []netdev.Frame, wait bool) {
+// owned returns the burst's buffers to the pool once it has left: nothing
+// refers to them by then, because every Output copied its frame
+// (txCoalescer.add), every edit was made to a copy (txCoalescer.own), and
+// steering copied each frame into a ring item.
+func (s *Switch) receive(inPort uint32, fs []netdev.Frame, wait, owned bool) {
 	if p := s.pool.Load(); p != nil {
 		s.steerBatch(p, inPort, fs, wait)
-		return
+	} else {
+		s.runInline(inPort, fs)
 	}
-	s.runInline(inPort, fs)
+	if owned {
+		for i := range fs {
+			pkt.PutBuffer(fs[i].Data)
+		}
+	}
 }
 
 // Inject runs a frame through the pipeline as if it had been received on
@@ -370,7 +389,7 @@ func (s *Switch) receive(inPort uint32, fs []netdev.Frame, wait bool) {
 // the worker drains, so an injected frame is never silently lost.
 func (s *Switch) Inject(inPort uint32, data []byte) {
 	one := [1]netdev.Frame{{Data: data}}
-	s.receive(inPort, one[:], true)
+	s.receive(inPort, one[:], true, false)
 }
 
 // dump renders the flow table like `ovs-ofctl dump-flows` for debugging.

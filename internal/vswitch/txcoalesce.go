@@ -42,11 +42,13 @@ type txCoalescer struct {
 }
 
 // add appends one frame for the given egress port. The frame data is copied
-// into a pool-backed buffer here (the pipeline's buffer belongs to the sender
-// or is recycled when the burst item finishes), and ownership of the copy
-// passes to the receiver at flush; the final consumer may recycle it with
-// pkt.PutBuffer. hops is the ingress frame's hop count, so a forwarding loop
-// across switches runs into netdev.MaxHops instead of the stack limit.
+// into a pool-backed buffer here, because the pipeline's buffer is still the
+// switch's (an owning port returns it once the burst has left: receive) or
+// the sender's (borrowed), and ownership of the copy passes to the receiver
+// at flush: an NF runtime or a sink returns it with pkt.PutBuffer, a peer
+// switch still borrows it. hops is the ingress frame's hop count, so a
+// forwarding loop across switches runs into netdev.MaxHops instead of the
+// stack limit.
 func (t *txCoalescer) add(num uint32, p *netdev.Port, data []byte, hops int) {
 	f := netdev.Frame{Data: data, Hops: hops}.Clone()
 	for i := 0; i < t.n; i++ {
